@@ -33,9 +33,12 @@ cargo test --workspace -q
 # Byte-identical reports are the contract; a merge-order leak fails here.
 # Since PR 7 that includes the sweep orchestrator: multiplex_equivalence
 # pins the fan-out against standalone runs while run_sweep workers claim
-# whole world-runs in the fuzzed order.
+# whole world-runs in the fuzzed order. chlm-lm is here for its pooled
+# walk test (n above WALK_PAR_MIN_N at 2 and 8 workers), which no other
+# suite reaches.
 step "schedule fuzz (CHLM_SHUFFLE_MERGE=1)"
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-par
+CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-lm
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test thread_invariance
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test multiplex_equivalence
 

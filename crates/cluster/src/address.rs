@@ -134,8 +134,19 @@ impl AddressBook {
     /// If the snapshots cover different node counts.
     pub fn diff(&self, new: &AddressBook) -> Vec<AddrChange> {
         assert_eq!(self.n, new.n, "address books over different node sets");
+        // Counted first, so the list (megabytes per tick at paper scale) is
+        // one allocation of the exact size, not a doubling series.
+        let mut count = 0;
+        self.for_each_change(new, |_| count += 1);
+        let mut out = Vec::with_capacity(count);
+        self.for_each_change(new, |c| out.push(c));
+        out
+    }
+
+    /// Feed every change between `self` and `new` to `emit`, ascending by
+    /// `(node, level)`.
+    fn for_each_change(&self, new: &AddressBook, mut emit: impl FnMut(AddrChange)) {
         let depth = self.depth.max(new.depth);
-        let mut out = Vec::new();
         for v in 0..self.n as NodeIdx {
             // Kind of the change one level below, if any. The root cause
             // propagates upward: a level-k change is Migration only when it
@@ -154,7 +165,7 @@ impl AddressBook {
                     } else {
                         AddrChangeKind::Reorganization
                     };
-                    out.push(AddrChange {
+                    emit(AddrChange {
                         node: v,
                         level: k as u16,
                         old_head,
@@ -167,7 +178,6 @@ impl AddressBook {
                 }
             }
         }
-        out
     }
 
     /// Per-level counts of (migration, reorganization) changes from a diff.
@@ -246,6 +256,7 @@ mod tests {
         let before = hierarchy(6, &[(0, 4), (4, 5)]);
         let after = hierarchy(6, &[(0, 5), (4, 5)]);
         let d = AddressBook::capture(&before).diff(&AddressBook::capture(&after));
+        assert_eq!(d.capacity(), d.len(), "diff output sized exactly");
         let lvl1: Vec<_> = d.iter().filter(|c| c.node == 0 && c.level == 1).collect();
         assert_eq!(lvl1.len(), 1);
         assert_eq!(lvl1[0].kind, AddrChangeKind::Migration);

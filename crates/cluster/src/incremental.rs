@@ -44,8 +44,8 @@
 //! Records live in slab slots recycled through a free list; a slot's
 //! generation bumps on reuse so a stale `(slot, gen)` handle can never
 //! alias a new cluster. Each record carries the tick its *membership* last
-//! changed, giving downstream caches (the LM server's per-cluster pick
-//! cache) an O(1) invalidation key that survives head relabeling.
+//! changed, giving downstream caches (the LM server's clean-subtree entry
+//! reuse) an O(1) invalidation key that survives head relabeling.
 
 use crate::{build_next_level, elect, ElectionId, Hierarchy, HierarchyOptions, Level, NO_SLOT};
 use chlm_graph::{EdgeFlip, Graph, NodeIdx};
@@ -76,8 +76,9 @@ pub struct ClusterArena {
     /// Slot -> tick anything in the cluster's *subtree* (itself or any
     /// descendant cluster, down to level 1) last changed membership.
     /// Maintained by upward propagation each tick; this is the stamp the
-    /// LM pick cache keys on, because a walk step's candidate weights are
-    /// functions of the whole subtree, not just the direct member list.
+    /// LM server's entry reuse keys on, because a hosted entry is a
+    /// function of the whole subtree (every member list and candidate
+    /// weight on the walk down), not just the direct member list.
     subtree: Vec<u64>,
     live: Vec<bool>,
     /// LIFO free list of dead slots.

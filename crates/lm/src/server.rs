@@ -12,15 +12,23 @@
 //! and level 0 is the node itself.
 
 use crate::hash::{hrw_key_from_raw, mod_successor_select};
-use chlm_cluster::{AddressBook, ArenaStamps, Hierarchy};
+use chlm_cluster::{AddressBook, ArenaStamps, Hierarchy, Level};
 use chlm_geom::rng::splitmix64;
 use chlm_graph::NodeIdx;
 use chlm_par::{split_ranges, WorkerPool};
+use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Below this population the walk stays serial: thread spawn overhead
-/// (~tens of µs per tick) beats the parallel win on small walks.
+/// Below this population the walk stays serial: one pool fan-out (scoped
+/// workers started and joined inside the call, plus the job list) costs
+/// more than a second worker saves on a sub-millisecond walk.
 const WALK_PAR_MIN_N: usize = 2048;
+
+/// Subjects advanced together, one hierarchy level at a time. Their steps
+/// are independent, so a block keeps many cache misses in flight where a
+/// subject-major walk would chase one pointer chain; 2048 cursors (16 KB
+/// with their subjects) stay L1-resident.
+const WALK_BLOCK: usize = 2048;
 
 /// Local-index sentinel for "this physical node is not at this level".
 const NO_SLOT: u32 = u32::MAX;
@@ -60,7 +68,8 @@ pub struct LmAssignment {
     hosts: Vec<NodeIdx>,
 }
 
-/// One level's cluster structure, flattened for cross-tick comparison.
+/// One level's cluster structure, flattened for the walk and for
+/// cross-tick comparison.
 ///
 /// Members of the cluster headed by local node `t` are the CSR range
 /// `start[t]..start[t + 1]`, ascending by member local index — the same
@@ -75,23 +84,30 @@ struct LevelClusters {
     /// than read through `h.ids`) so cache validity is purely content-based
     /// even if a caller re-keys node IDs between ticks.
     member_id: Vec<u64>,
-    /// Member subtree weight as `f64::to_bits` — bit-exact comparison and
-    /// storage without tripping float-equality lints; `from_bits` restores
-    /// the identical value for hashing.
+    /// Member subtree weight (level-0 descendant count) as `f64::to_bits`
+    /// — bit-exact comparison and storage without tripping float-equality
+    /// lints; `from_bits` restores the identical value for hashing.
     member_wbits: Vec<u64>,
-    /// Subtree weight (level-0 descendant count) per local node.
-    weight: Vec<f64>,
+    /// Each member's local index one level down, parallel to the CSR: the
+    /// cluster that member heads, i.e. where a walk that picks it stands
+    /// next. Unused (zero) at level 0, where `member_phys` is the answer.
+    down: Vec<u32>,
     /// Per local head `t`: do all of the cluster's members carry the same
     /// weight bits? Gates the raw-`u64` HRW fast path.
     uniform: Vec<bool>,
     /// Memoized inner HRW hashes `splitmix64(member_id ^ salt)`, one run of
     /// `len` entries per entry-level `k` the walk can arrive from (`k` in
     /// `max(2, j+1)..depth`, lowest first). Halves the per-candidate hash
-    /// work on misses: `hrw_weight = splitmix64(subject ^ inner)`.
+    /// work: `hrw_weight = splitmix64(subject ^ inner)`.
     inner: Vec<u64>,
     /// Physical node → local index at this level (`NO_SLOT` when absent);
-    /// length is the full population `n` for O(1) lookups on the hot path.
+    /// length is the full population `n` for O(1) lookups.
     slot_of_phys: Vec<u32>,
+    /// Per local head `t`: is the whole subtree of the cluster it heads
+    /// (member lists, IDs and weights, down to level 0) the same as at the
+    /// previous observed tick? Every entry hosted for a subject of a clean
+    /// cluster at that cluster's level is then unchanged too.
+    clean: Vec<bool>,
 }
 
 /// Least entry level the walk can reach level `j` from (`k > j` and
@@ -102,10 +118,23 @@ fn k_min(j: usize) -> usize {
     (j + 1).max(2)
 }
 
+/// Reset a persistent column to `len` copies of `fill`, keeping its buffer.
+fn refill<T: Copy>(col: &mut Vec<T>, len: usize, fill: T) {
+    col.clear();
+    col.resize(len, fill);
+}
+
 impl LevelClusters {
-    /// Rebuild this snapshot from `level`, with `below` being the already
-    /// built snapshot one level down (None at level 0). `depth` sizes the
-    /// `inner` memo, computed only when `hash_inner` (the HRW rule) is on.
+    /// CSR range of the cluster headed by local node `t`.
+    #[inline]
+    fn range(&self, t: usize) -> (usize, usize) {
+        (self.start[t] as usize, self.start[t + 1] as usize)
+    }
+
+    /// Rebuild this snapshot from level `j` of `h`, with `below` being the
+    /// already built snapshot one level down (None at level 0). `depth`
+    /// sizes the `inner` memo, computed only when `hash_inner` (the HRW
+    /// rule) is on.
     #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
@@ -119,27 +148,8 @@ impl LevelClusters {
     ) {
         let level = &h.levels[j];
         let len = level.len();
-        self.weight.clear();
-        match below {
-            None => self.weight.resize(len, 1.0),
-            Some(b) => {
-                for &phys in &level.nodes {
-                    let t = b.slot_of_phys[phys as usize] as usize;
-                    let lo = b.start[t] as usize;
-                    let hi = b.start[t + 1] as usize;
-                    // Same summation order as summing the per-head member
-                    // Vec: ascending member local index.
-                    let w: f64 = b.member_wbits[lo..hi]
-                        .iter()
-                        .map(|&wb| f64::from_bits(wb))
-                        .sum();
-                    self.weight.push(w);
-                }
-            }
-        }
         // Counting sort of locals by vote target → CSR grouped by head.
-        self.start.clear();
-        self.start.resize(len + 1, 0);
+        refill(&mut self.start, len + 1, 0);
         for &t in &level.vote {
             self.start[t as usize + 1] += 1;
         }
@@ -148,24 +158,31 @@ impl LevelClusters {
         }
         cursor.clear();
         cursor.extend_from_slice(&self.start[..len]);
-        self.member_phys.clear();
-        self.member_phys.resize(len, 0);
-        self.member_id.clear();
-        self.member_id.resize(len, 0);
-        self.member_wbits.clear();
-        self.member_wbits.resize(len, 0);
+        refill(&mut self.member_phys, len, 0);
+        refill(&mut self.member_id, len, 0);
+        refill(&mut self.member_wbits, len, 0);
+        refill(&mut self.down, len, 0);
         for (i, &t) in level.vote.iter().enumerate() {
             let pos = cursor[t as usize] as usize;
             cursor[t as usize] += 1;
             let phys = level.nodes[i];
+            // The member's own cluster one level down, and its weight: the
+            // sum over that cluster in ascending member order — the order
+            // summing the per-head member `Vec` used.
+            let (slot, w) = below.map_or((0, 1.0), |b| {
+                let slot = b.slot_of_phys[phys as usize];
+                let (lo, hi) = b.range(slot as usize);
+                let ws = b.member_wbits[lo..hi].iter().map(|&wb| f64::from_bits(wb));
+                (slot, ws.sum::<f64>())
+            });
             self.member_phys[pos] = phys;
             self.member_id[pos] = h.ids[phys as usize];
-            self.member_wbits[pos] = self.weight[i].to_bits();
+            self.member_wbits[pos] = w.to_bits();
+            self.down[pos] = slot;
         }
-        self.uniform.clear();
-        self.uniform.resize(len, true);
+        refill(&mut self.uniform, len, true);
         for t in 0..len {
-            let (lo, hi) = (self.start[t] as usize, self.start[t + 1] as usize);
+            let (lo, hi) = self.range(t);
             if hi > lo {
                 let w0 = self.member_wbits[lo];
                 self.uniform[t] = self.member_wbits[lo + 1..hi].iter().all(|&w| w == w0);
@@ -173,17 +190,46 @@ impl LevelClusters {
         }
         self.inner.clear();
         if hash_inner {
-            let kmin = k_min(j);
-            for k in kmin..depth {
+            for k in k_min(j)..depth {
                 let salt = ((k as u64) << 32) | j as u64;
                 self.inner
                     .extend(self.member_id.iter().map(|&id| splitmix64(id ^ salt)));
             }
         }
-        self.slot_of_phys.clear();
-        self.slot_of_phys.resize(n, NO_SLOT);
+        refill(&mut self.slot_of_phys, n, NO_SLOT);
         for (i, &phys) in level.nodes.iter().enumerate() {
             self.slot_of_phys[phys as usize] = i as u32;
+        }
+    }
+
+    /// Fill `clean` for every cluster headed at `level` (= level `j`, whose
+    /// heads lead level-(j+1) clusters). With fresh `stamps` a cluster is
+    /// clean iff its arena record's *subtree* stamp did not advance this
+    /// maintainer tick (a newborn record is stamped at birth) — O(heads).
+    /// Otherwise by content: same members, IDs and weights as in `prev`,
+    /// and every member's own cluster (in `below`) clean in turn.
+    fn mark_clean(
+        &mut self,
+        level: &Level,
+        j: usize,
+        below: Option<&LevelClusters>,
+        prev: &LevelClusters,
+        stamps: Option<ArenaStamps<'_>>,
+    ) {
+        refill(&mut self.clean, level.len(), false);
+        for (t, head) in level.heads() {
+            self.clean[t as usize] = match stamps {
+                Some(s) => s
+                    .arena
+                    .lookup(j + 1, head)
+                    .is_some_and(|hd| s.arena.subtree_changed_at(hd.slot) != s.tick),
+                None => {
+                    let (lo, hi) = self.range(t as usize);
+                    self.same_cluster(t, head, prev)
+                        && below
+                            .is_none_or(|b| self.down[lo..hi].iter().all(|&d| b.clean[d as usize]))
+                }
+            };
         }
     }
 
@@ -198,95 +244,147 @@ impl LevelClusters {
         if pt == NO_SLOT {
             return false;
         }
-        let (clo, chi) = (
-            self.start[t as usize] as usize,
-            self.start[t as usize + 1] as usize,
-        );
-        let (plo, phi) = (
-            prev.start[pt as usize] as usize,
-            prev.start[pt as usize + 1] as usize,
-        );
+        let (clo, chi) = self.range(t as usize);
+        let (plo, phi) = prev.range(pt as usize);
         self.member_phys[clo..chi] == prev.member_phys[plo..phi]
             && self.member_id[clo..chi] == prev.member_id[plo..phi]
             && self.member_wbits[clo..chi] == prev.member_wbits[plo..phi]
     }
+
+    /// One full HRW selection over the members of cluster `t`, whose CSR
+    /// range starts at `lo`, with `inner` their memoized inner hashes for
+    /// this walk step's salt; returns the winner's offset into the range.
+    /// Always the exact `hrw_select_weighted` winner — the two fast paths
+    /// fire only when they can *certify* the same strict argmax, tracking
+    /// the top two candidates with selects instead of branches:
+    ///
+    /// * equal weights: `-w / ln(u)` is monotone in the raw hash up to
+    ///   float rounding, so the raw-`u64` argmax wins outright whenever the
+    ///   runner-up trails by more than the widest rounding plateau (`2^20`
+    ///   exceeds the combined slack of the u-mapping, `ln`, and the
+    ///   division by ~2^9; closer calls have probability ~2^-40 per
+    ///   cluster);
+    /// * mixed weights: bracket every candidate's key through the
+    ///   [`inv_ln_brackets`] table and certify when the best lower bound
+    ///   strictly beats every other upper bound (ties then being
+    ///   impossible, the `(key, id)` tie-break is vacuous).
+    ///
+    /// Anything uncertified falls through to the exact `ln` scan with the
+    /// operation order and tie-break of `hrw_select_weighted`.
+    #[inline]
+    fn hrw_pick(&self, subject_id: u64, t: usize, lo: usize, inner: &[u64]) -> usize {
+        if self.uniform[t] {
+            let (mut r1, mut r2, mut arg) = (0u64, 0u64, 0usize);
+            for (i, &inn) in inner.iter().enumerate() {
+                let raw = splitmix64(subject_id ^ inn);
+                r2 = r2.max(raw.min(r1));
+                arg = if raw > r1 { i } else { arg };
+                r1 = r1.max(raw);
+            }
+            if r1 - r2 > (1 << 20) {
+                return arg;
+            }
+        } else {
+            // Keys are positive, so their bit patterns order like their
+            // values and the tracking stays in integer selects.
+            let brackets = inv_ln_brackets();
+            let wbits = &self.member_wbits[lo..lo + inner.len()];
+            let (mut b1_hi, mut b1_lo, mut b2_hi, mut b1) = (0u64, 0u64, 0u64, 0usize);
+            for (i, (&inn, &wb)) in inner.iter().zip(wbits).enumerate() {
+                let raw = splitmix64(subject_id ^ inn);
+                let (glo, ghi) = brackets[(raw >> 56) as usize];
+                let w = f64::from_bits(wb);
+                let (klo, khi) = ((w * glo).to_bits(), (w * ghi).to_bits());
+                b2_hi = b2_hi.max(khi.min(b1_hi));
+                b1_lo = if khi > b1_hi { klo } else { b1_lo };
+                b1 = if khi > b1_hi { i } else { b1 };
+                b1_hi = b1_hi.max(khi);
+            }
+            if b1_lo > b2_hi {
+                return b1;
+            }
+        }
+        // Exact scan, inlined over the CSR arrays with the exact operation
+        // order and `(key, id)` tie-break of `hrw_select_weighted`.
+        let mut best = 0;
+        let mut bk = f64::NEG_INFINITY;
+        let mut bi = 0u64;
+        for (i, &inn) in inner.iter().enumerate() {
+            let id = self.member_id[lo + i];
+            let w = f64::from_bits(self.member_wbits[lo + i]);
+            debug_assert!(w > 0.0 && w.is_finite());
+            let key = hrw_key_from_raw(splitmix64(subject_id ^ inn), w);
+            if key > bk || (key == bk && id > bi) {
+                bk = key;
+                bi = id;
+                best = i;
+            }
+        }
+        best
+    }
 }
 
-/// One memoized hash-walk step: from cluster head `head` (at the level the
-/// entry is indexed under), the selected member was `next`, computed at
-/// cache tick `tick`. The step is reusable while the cluster's contents
-/// have not been stamped past `tick` — no score state is carried, which
-/// keeps the entry at 12 bytes so the whole memo table stays cache-
-/// resident. (Earlier revisions stored the winner's exact score to re-
-/// validate changed clusters against a member delta; with the raw/interval
-/// fast paths below a full re-scan of a changed cluster is cheaper than
-/// the 40-byte entries made the *hits*.)
-#[derive(Debug, Clone, Copy)]
-struct PickEntry {
-    head: NodeIdx,
-    next: NodeIdx,
-    tick: u32,
-}
-
-const EMPTY_PICK: PickEntry = PickEntry {
-    head: NO_SLOT,
-    next: 0,
-    tick: 0,
-};
-
-/// Certified brackets of `hrw_key_from_raw(raw, 1.0)` by the top 16 bits
-/// of `raw`. The unweighted key is monotone increasing in `raw`, so the
-/// f64 values it takes over a bucket lie between the bucket-endpoint
-/// evaluations up to libm rounding; a relative widening of `1e-6` (ten
-/// orders of magnitude above the ≤1-ulp error of `ln` and the division)
-/// makes the bracket safe. A candidate's weighted key then lies in
-/// `[w·lo, w·hi]`, which lets a scan certify a strict winner without
-/// evaluating `ln` at all — see the interval path in the walk.
-fn inv_ln_brackets() -> &'static [(f64, f64)] {
+/// Certified brackets of `hrw_key_from_raw(raw, 1.0)` by the top 8 bits
+/// of `raw` (256 buckets). The unweighted key is monotone increasing in
+/// `raw`, so the f64 values it takes over a bucket lie between the
+/// bucket-endpoint evaluations up to libm rounding; a relative widening
+/// of `1e-6` (ten orders of magnitude above the ≤1-ulp error of `ln` and
+/// the division) makes the bracket safe. A candidate's weighted key then
+/// lies in `[w·lo, w·hi]`, which lets a scan certify a strict winner
+/// without evaluating `ln` at all — see the interval path of `hrw_pick`.
+fn inv_ln_brackets() -> &'static [(f64, f64); 256] {
     // AUDIT: write-once cache of a pure function of the bucket index;
     // every initializer computes the same table, so whichever thread wins
     // the race publishes identical values and reads are deterministic.
-    static TABLE: OnceLock<Vec<(f64, f64)>> = OnceLock::new();
+    static TABLE: OnceLock<[(f64, f64); 256]> = OnceLock::new();
     TABLE.get_or_init(|| {
-        (0u64..1 << 8)
-            .map(|b| {
-                let lo = hrw_key_from_raw(b << 56, 1.0);
-                let hi = hrw_key_from_raw((b << 56) | ((1u64 << 56) - 1), 1.0);
-                if !hi.is_finite() {
-                    // Top bucket only: raws whose `u` rounds to exactly 1.0
-                    // evaluate to `-w / 0 = -inf`, so the computed key is
-                    // not monotone there — it spikes to ~2^53 just below
-                    // the rounding cliff, then collapses. No finite bracket
-                    // holds; an unbounded one forces the exact scan.
-                    (f64::NEG_INFINITY, f64::INFINITY)
-                } else {
-                    (lo * (1.0 - 1e-6), hi * (1.0 + 1e-6))
-                }
-            })
-            .collect()
+        std::array::from_fn(|b| {
+            let b = b as u64;
+            let lo = hrw_key_from_raw(b << 56, 1.0);
+            let hi = hrw_key_from_raw((b << 56) | ((1u64 << 56) - 1), 1.0);
+            if !hi.is_finite() {
+                // Top bucket only: raws whose `u` rounds to exactly 1.0
+                // evaluate to `-w / 0 = -inf`, so the computed key is not
+                // monotone there — it spikes to ~2^53 just below the
+                // rounding cliff, then collapses. No finite bracket holds;
+                // `[0, inf]` certifies nothing (a lower bound of zero beats
+                // no upper bound) and so forces the exact scan.
+                (0.0, f64::INFINITY)
+            } else {
+                (lo * (1.0 - 1e-6), hi * (1.0 + 1e-6))
+            }
+        })
     })
 }
 
-/// Persistent cross-tick memoization state for
-/// [`LmAssignment::compute_cached`].
+/// One worker's walk scratch: the subjects of the current block whose
+/// entry has to be re-walked, and the local index each walk stands at.
+#[derive(Debug, Default)]
+struct Cursors {
+    subject: Vec<NodeIdx>,
+    at: Vec<u32>,
+}
+
+/// Persistent cross-tick state for [`LmAssignment::compute_cached`].
 ///
-/// The assignment walk re-hashes only where the hierarchy actually changed:
-/// each tick the cache snapshots every level's clusters (members + subtree
-/// weights, compared bit-exactly) and stamps clusters whose contents differ
-/// from the previous tick. A memoized `(subject, k, j)` walk step is reused
-/// when it starts from the same cluster head and that cluster has not been
-/// stamped since the step was computed — the HRW/mod-successor winner
-/// depends only on the subject, the salt, and the candidate `(id, weight)`
-/// multiset, all of which are then unchanged.
+/// Each call snapshots every level's clusters (`cur`; the previous call's
+/// rotate into `prev`) and walks level-synchronously over them. The one
+/// piece of cross-tick reuse is per *entry*: `hosts[v][k]` is a pure
+/// function of the subtree of `v`'s level-k cluster (member lists, IDs and
+/// weights all the way down, `v` among them), so when that subtree is
+/// clean this tick the entry stands as it is in the cache's own host
+/// table, and only the others are walked. Static and low-churn worlds
+/// thus cost O(n·depth) per tick; a fresh cache has nothing clean and is
+/// the from-scratch oracle.
 ///
-/// Change detection has two implementations. The content path compares
+/// Clean detection has two implementations. The content path compares
 /// every cluster's member/weight arrays against the previous tick's
-/// snapshot. When the hierarchy comes from a
+/// snapshot, bottom-up. When the hierarchy comes from a
 /// [`chlm_cluster::HierarchyMaintainer`], the caller can instead pass the
 /// maintainer's [`ArenaStamps`] (via
 /// [`LmAssignment::compute_cached_stamped`]): a cluster is then dirty iff
 /// its arena record's *subtree* stamp advanced this maintainer tick, an
-/// O(changed) test instead of O(total members). The stamp path requires
+/// O(clusters) test instead of O(total members). The stamp path requires
 /// lockstep observation (one `observe` per maintainer tick) and fixed
 /// election IDs — both guaranteed by the maintainer, and checked by a
 /// tick-continuity guard that falls back to the content path on any gap.
@@ -299,27 +397,21 @@ pub struct LmCache {
     n: usize,
     depth: usize,
     rule: Option<SelectionRule>,
-    /// Monotone per-call counter; stamps cluster changes and pick entries.
-    tick: u32,
     /// Maintainer tick of the last `ArenaStamps` observed, for the
     /// lockstep guard of the stamp path.
     last_arena_tick: Option<u64>,
     prev: Vec<LevelClusters>,
     cur: Vec<LevelClusters>,
-    /// Per level `j`, indexed by head physical node: the most recent tick at
-    /// which that head's cluster contents differed from the tick before
-    /// (or the head reappeared after an absence).
-    changed_at: Vec<Vec<u32>>,
-    /// Memoized walk steps, indexed `v * pairs + pair_off(k, j)` where
-    /// `pair_off` packs the walk's `(k, j)` pairs (`2 ≤ k < depth`,
-    /// `j < k`) densely: `k(k-1)/2 - 1 + j`.
-    picks: Vec<PickEntry>,
-    /// Dense `(k, j)` pair count per subject.
-    pairs: usize,
+    /// The last assignment computed, row-major `n × depth`: updated in
+    /// place by the walk (clean entries are simply left alone) and copied
+    /// out as each call's result.
+    hosts: Vec<NodeIdx>,
     cursor: Vec<u32>,
+    /// Walk scratch, one per worker.
+    cursors: Vec<Cursors>,
     spare_hosts: Vec<NodeIdx>,
-    hits: u64,
-    misses: u64,
+    reused: u64,
+    steps: u64,
     /// Worker pool for the walk (`None` = serial). Subjects are split into
     /// fixed contiguous ranges with per-subject-disjoint writes, so the
     /// assignment is bit-identical for every thread count.
@@ -338,15 +430,16 @@ impl LmCache {
         self
     }
 
-    /// Walk steps answered from the memo without re-hashing (lifetime total).
-    pub fn hit_count(&self) -> u64 {
-        self.hits
+    /// `(subject, level)` entries carried over from the previous tick
+    /// because their cluster's subtree was clean (lifetime total).
+    pub fn entries_reused(&self) -> u64 {
+        self.reused
     }
 
-    /// Walk steps that re-ran the selection over the full candidate set
-    /// (lifetime total).
-    pub fn miss_count(&self) -> u64 {
-        self.misses
+    /// Hash-selection steps the walk ran: `k` per re-walked level-`k`
+    /// entry (lifetime total).
+    pub fn steps_walked(&self) -> u64 {
+        self.steps
     }
 
     /// Hand back a retired assignment so its `hosts` buffer is reused by the
@@ -359,33 +452,30 @@ impl LmCache {
         self.n = n;
         self.depth = depth;
         self.rule = Some(rule);
-        self.tick = 0;
         self.last_arena_tick = None;
         self.prev.clear();
         self.prev.resize_with(depth, LevelClusters::default);
         self.cur.clear();
         self.cur.resize_with(depth, LevelClusters::default);
-        self.changed_at.clear();
-        self.changed_at.resize(depth, Vec::new());
-        self.pairs = (depth * depth.saturating_sub(1) / 2).saturating_sub(1);
-        self.picks.clear();
-        self.picks.resize(n * self.pairs, EMPTY_PICK);
+        // Slots below level 2 hold the subject for good; the rest are
+        // overwritten by the first walk, which finds nothing clean.
+        self.hosts.clear();
+        self.hosts
+            .extend((0..n as NodeIdx).flat_map(|v| std::iter::repeat_n(v, depth)));
         self.valid = true;
     }
 
-    /// Snapshot the hierarchy's clusters for this tick and stamp the changed
-    /// ones — via the maintainer's arena stamps when fresh ones are supplied,
-    /// by content comparison otherwise. The previous tick's snapshot rotates
-    /// into `prev`.
+    /// Snapshot the hierarchy's clusters for this tick and mark the clean
+    /// ones — via the maintainer's arena stamps when fresh ones are
+    /// supplied, by content comparison otherwise. The previous tick's
+    /// snapshot rotates into `prev`.
     fn observe(&mut self, h: &Hierarchy, stamps: Option<ArenaStamps<'_>>) {
-        let n = self.n;
-        let tick = self.tick;
         let hash_inner = matches!(self.rule, Some(SelectionRule::Hrw));
         // The stamp path is only sound when every maintainer tick since the
         // last observation was observed (stamps for skipped ticks are
-        // overwritten); on a gap the content path below self-heals, since
-        // `prev` always holds the last *observed* snapshot.
-        let fresh = stamps.is_some_and(|s| self.last_arena_tick == Some(s.tick.wrapping_sub(1)));
+        // overwritten); on a gap the content path self-heals, since `prev`
+        // and `hosts` always hold the last *observed* tick.
+        let fresh = stamps.filter(|s| self.last_arena_tick == Some(s.tick.wrapping_sub(1)));
         std::mem::swap(&mut self.prev, &mut self.cur);
         for j in 0..self.depth {
             let (done, rest) = self.cur.split_at_mut(j);
@@ -394,121 +484,88 @@ impl LmCache {
                 h,
                 j,
                 done.last(),
-                n,
+                self.n,
                 self.depth,
                 hash_inner,
                 &mut self.cursor,
             );
-            let ca = &mut self.changed_at[j];
-            ca.resize(n, 0);
-            match stamps {
-                Some(s) if fresh => {
-                    // Only heads matter: a walk step always starts at a
-                    // cluster head, and a head reappearing after an absence
-                    // is a newborn arena record, stamped at birth.
-                    for (_, head) in h.levels[j].heads() {
-                        let dirty = match s.arena.lookup(j + 1, head) {
-                            Some(hd) => s.arena.subtree_changed_at(hd.slot) == s.tick,
-                            None => true,
-                        };
-                        if dirty {
-                            ca[head as usize] = tick;
-                        }
-                    }
-                }
-                _ => {
-                    let prev = &self.prev[j];
-                    for (t, &phys) in h.levels[j].nodes.iter().enumerate() {
-                        if !lc.same_cluster(t as u32, phys, prev) {
-                            ca[phys as usize] = tick;
-                        }
-                    }
-                }
-            }
+            lc.mark_clean(&h.levels[j], j, done.last(), &self.prev[j], fresh);
         }
         self.last_arena_tick = stamps.map(|s| s.tick);
     }
 }
 
-/// One walk pass over the subject range `vs`, memoized through `picks`.
-/// `picks` and `hosts` are the chunk-local slices for exactly `vs`
-/// (`vs.len() * pairs` and `vs.len() * depth` entries); all other inputs
-/// are shared and read-only, which is what lets
-/// [`LmAssignment::compute_cached_stamped`] fan ranges out across a
-/// [`WorkerPool`] without changing a single pick. Returns `(hits, misses)`.
-#[allow(clippy::too_many_arguments)]
-fn walk_range(
-    h: &Hierarchy,
-    book: &AddressBook,
+/// One tick's read-only walk inputs, shared by every worker.
+struct Walk<'a> {
+    ids: &'a [u64],
+    book: &'a AddressBook,
     rule: SelectionRule,
-    cur: &[LevelClusters],
-    changed_at: &[Vec<u32>],
-    tick: u32,
-    depth: usize,
-    pairs: usize,
-    vs: std::ops::Range<usize>,
-    picks: &mut [PickEntry],
-    hosts: &mut [NodeIdx],
-) -> (u64, u64) {
-    let (mut hits, mut misses) = (0u64, 0u64);
-    let base = vs.start;
-    for v in vs {
-        let row = book.row(v as NodeIdx);
-        let subject_id = h.ids[v];
-        let pick_base = (v - base) * pairs;
-        let host_base = (v - base) * depth;
-        for k in 0..depth {
-            if k < 2 {
-                hosts[host_base + k] = v as NodeIdx;
-                continue;
-            }
-            // Walk from v's level-k cluster head down to a level-0 node.
-            let mut head = row[k];
-            let koff = pick_base + k * (k - 1) / 2 - 1;
-            for j in (0..k).rev() {
-                let idx = koff + j;
-                let e = picks[idx];
-                if e.head == head && e.tick >= changed_at[j][head as usize] {
-                    // Cluster contents unchanged since this step was
-                    // computed: the hash winner is necessarily the same.
-                    hits += 1;
-                    head = e.next;
-                    continue;
+    cur: &'a [LevelClusters],
+}
+
+impl Walk<'_> {
+    /// Walk the subject range `vs`, whose rows of the host table are
+    /// `hosts`. Per block of [`WALK_BLOCK`] subjects and entry level `k`:
+    /// stand every subject whose level-k cluster is dirty on that cluster's
+    /// head, then move all of them down one level at a time (`j = k-1 … 0`:
+    /// select among the members of the cluster stood on, step to the winner
+    /// via `down`) until the winners are level-0 nodes — the hosts. All
+    /// inputs but `hosts` and `cs` are shared and read-only, which is what
+    /// lets ranges fan out across a [`WorkerPool`] without changing a
+    /// single pick. Returns `(entries reused, steps walked)`.
+    fn run(&self, vs: Range<usize>, hosts: &mut [NodeIdx], cs: &mut Cursors) -> (u64, u64) {
+        let depth = self.cur.len();
+        let (mut reused, mut steps) = (0u64, 0u64);
+        for first in (vs.start..vs.end).step_by(WALK_BLOCK) {
+            let block = first..(first + WALK_BLOCK).min(vs.end);
+            for k in 2..depth {
+                let top = &self.cur[k - 1];
+                cs.subject.clear();
+                cs.at.clear();
+                for v in block.start as NodeIdx..block.end as NodeIdx {
+                    // A vote target is present one level up by definition,
+                    // so the head always has a slot at level k-1.
+                    let t = top.slot_of_phys[self.book.row(v)[k] as usize];
+                    debug_assert_ne!(t, NO_SLOT, "cluster head missing at its own level");
+                    if !top.clean[t as usize] {
+                        cs.subject.push(v);
+                        cs.at.push(t);
+                    }
                 }
-                misses += 1;
-                let lvl = &cur[j];
-                // The walk descends through vote targets, all present one
-                // level down, so the head always has a slot here.
-                let t = lvl.slot_of_phys[head as usize] as usize;
-                debug_assert_ne!(t as u32, NO_SLOT, "cluster head missing at its own level");
-                let lo = lvl.start[t] as usize;
-                let hi = lvl.start[t + 1] as usize;
-                debug_assert!(hi > lo, "head with no electors");
-                let next = match rule {
-                    SelectionRule::Hrw => {
-                        let seg = (k - k_min(j)) * lvl.member_id.len();
-                        let inner = &lvl.inner[seg + lo..seg + hi];
-                        LmAssignment::hrw_pick(lvl, subject_id, lo, t, inner)
+                reused += (block.len() - cs.at.len()) as u64;
+                steps += (cs.at.len() * k) as u64;
+                for j in (0..k).rev() {
+                    let lvl = &self.cur[j];
+                    let next = if j > 0 { &lvl.down } else { &lvl.member_phys };
+                    let salt = ((k as u64) << 32) | j as u64;
+                    let seg = (k - k_min(j)) * lvl.member_id.len();
+                    for (&v, at) in cs.subject.iter().zip(&mut cs.at) {
+                        let t = *at as usize;
+                        let (lo, hi) = lvl.range(t);
+                        debug_assert!(hi > lo, "head with no electors");
+                        let subject_id = self.ids[v as usize];
+                        let pick = match self.rule {
+                            SelectionRule::Hrw => {
+                                lvl.hrw_pick(subject_id, t, lo, &lvl.inner[seg + lo..seg + hi])
+                            }
+                            // Salt the subject so distinct (k, j) steps
+                            // don't always chase the same successor.
+                            SelectionRule::ModSuccessor { id_space } => mod_successor_select(
+                                subject_id.wrapping_add(salt),
+                                &lvl.member_id[lo..hi],
+                                id_space,
+                            ),
+                        };
+                        *at = next[lo + pick];
                     }
-                    SelectionRule::ModSuccessor { id_space } => {
-                        let salt = ((k as u64) << 32) | j as u64;
-                        // Salt the subject so distinct (k, j) steps don't
-                        // always chase the same successor.
-                        let pick = mod_successor_select(
-                            subject_id.wrapping_add(salt),
-                            &lvl.member_id[lo..hi],
-                            id_space,
-                        );
-                        lvl.member_phys[lo + pick]
-                    }
-                };
-                picks[idx] = PickEntry { head, next, tick };
-                head = next;
+                }
+                for (&v, &host) in cs.subject.iter().zip(&cs.at) {
+                    hosts[(v as usize - vs.start) * depth + k] = host;
+                }
             }
-            hosts[host_base + k] = head;
         }
+        (reused, steps)
     }
-    (hits, misses)
 }
 
 impl LmAssignment {
@@ -518,10 +575,11 @@ impl LmAssignment {
     }
 
     /// Compute the assignment, reusing `cache` from the previous tick so
-    /// that only walk steps through changed clusters re-hash, with change
-    /// detection by content comparison. `book` must be captured from `h`.
-    /// The result is byte-identical to [`LmAssignment::compute`] — the
-    /// cache only skips recomputation whose inputs provably did not change.
+    /// that only entries of clusters whose subtree changed are re-walked,
+    /// with change detection by content comparison. `book` must be captured
+    /// from `h`. The result is byte-identical to [`LmAssignment::compute`]
+    /// — the cache only skips recomputation whose inputs provably did not
+    /// change.
     pub fn compute_cached(
         h: &Hierarchy,
         book: &AddressBook,
@@ -556,164 +614,49 @@ impl LmAssignment {
         if !(cache.valid && cache.n == n && cache.depth == depth && cache.rule == Some(rule)) {
             cache.reinit(n, depth, rule);
         }
-        cache.tick += 1;
         cache.observe(h, stamps);
-        let pairs = cache.pairs;
-        let tick = cache.tick;
+        let pool = cache
+            .workers
+            .filter(|p| !p.is_serial() && n >= WALK_PAR_MIN_N);
+        let parts = pool.map_or(1, |p| p.threads());
+        if cache.cursors.len() < parts {
+            cache.cursors.resize_with(parts, || Cursors {
+                subject: Vec::with_capacity(WALK_BLOCK),
+                at: Vec::with_capacity(WALK_BLOCK),
+            });
+        }
+        let walk = Walk {
+            ids: &h.ids,
+            book,
+            rule,
+            cur: &cache.cur,
+        };
+        let (reused, steps) = match pool {
+            None => walk.run(0..n, &mut cache.hosts, &mut cache.cursors[0]),
+            Some(pool) => {
+                // Subjects split into contiguous ranges; each job owns the
+                // matching rows of the host table and one scratch, so the
+                // walk output cannot depend on pool width or schedule.
+                let mut jobs = Vec::with_capacity(parts);
+                let mut rows: &mut [NodeIdx] = &mut cache.hosts;
+                for (vs, cs) in split_ranges(n, parts).into_iter().zip(&mut cache.cursors) {
+                    let (mine, rest) = rows.split_at_mut(vs.len() * depth);
+                    rows = rest;
+                    jobs.push((vs, mine, cs, (0u64, 0u64)));
+                }
+                pool.for_each_mut(&mut jobs, |(vs, rows, cs, tally)| {
+                    *tally = walk.run(vs.start..vs.end, rows, cs);
+                });
+                jobs.iter()
+                    .fold((0, 0), |(r, s), job| (r + job.3 .0, s + job.3 .1))
+            }
+        };
+        cache.reused += reused;
+        cache.steps += steps;
         let mut hosts = std::mem::take(&mut cache.spare_hosts);
         hosts.clear();
-        hosts.resize(n * depth, 0);
-        let parts = match cache.workers {
-            Some(pool) if n >= WALK_PAR_MIN_N => pool.threads(),
-            _ => 1,
-        };
-        if parts <= 1 {
-            let tally = walk_range(
-                h,
-                book,
-                rule,
-                &cache.cur,
-                &cache.changed_at,
-                tick,
-                depth,
-                pairs,
-                0..n,
-                &mut cache.picks,
-                &mut hosts,
-            );
-            cache.hits += tally.0;
-            cache.misses += tally.1;
-        } else {
-            // Subjects split into contiguous ranges; each job owns the
-            // matching disjoint slices of the memo and host tables, so the
-            // walk output cannot depend on pool width or schedule.
-            struct Job<'a> {
-                vs: std::ops::Range<usize>,
-                picks: &'a mut [PickEntry],
-                hosts: &'a mut [NodeIdx],
-                tally: (u64, u64),
-            }
-            let mut jobs = Vec::with_capacity(parts);
-            let mut picks_rest: &mut [PickEntry] = &mut cache.picks;
-            let mut hosts_rest: &mut [NodeIdx] = &mut hosts;
-            for vs in split_ranges(n, parts) {
-                let (p, pr) = picks_rest.split_at_mut(vs.len() * pairs);
-                let (ho, hr) = hosts_rest.split_at_mut(vs.len() * depth);
-                picks_rest = pr;
-                hosts_rest = hr;
-                jobs.push(Job {
-                    vs,
-                    picks: p,
-                    hosts: ho,
-                    tally: (0, 0),
-                });
-            }
-            let (cur, changed_at) = (&cache.cur, &cache.changed_at);
-            // audit: infallible because parts > 1 only when the pool is Some
-            let pool = cache.workers.expect("parallel walk without a pool");
-            pool.for_each_mut(&mut jobs, |job| {
-                job.tally = walk_range(
-                    h,
-                    book,
-                    rule,
-                    cur,
-                    changed_at,
-                    tick,
-                    depth,
-                    pairs,
-                    job.vs.start..job.vs.end,
-                    job.picks,
-                    job.hosts,
-                );
-            });
-            for job in &jobs {
-                cache.hits += job.tally.0;
-                cache.misses += job.tally.1;
-            }
-        }
+        hosts.extend_from_slice(&cache.hosts);
         LmAssignment { n, depth, hosts }
-    }
-
-    /// One full HRW selection over cluster `t`'s members (`lo..hi`), with
-    /// `inner` their memoized inner hashes for this walk step's salt.
-    /// Always returns the exact `hrw_select_weighted` winner — the two fast
-    /// paths fire only when they can *certify* the same strict argmax:
-    ///
-    /// * equal weights: `-w / ln(u)` is monotone in the raw hash up to
-    ///   float rounding, so the raw-`u64` argmax wins outright whenever the
-    ///   runner-up trails by more than the widest rounding plateau (`2^20`
-    ///   exceeds the combined slack of the u-mapping, `ln`, and the
-    ///   division by ~2^9; closer calls have probability ~2^-40 per
-    ///   cluster);
-    /// * mixed weights: bracket every candidate's key through the
-    ///   [`inv_ln_brackets`] table and certify when the best lower bound
-    ///   strictly beats every other upper bound (ties then being
-    ///   impossible, the `(key, id)` tie-break is vacuous).
-    ///
-    /// Anything uncertified falls through to the exact `ln` scan with the
-    /// operation order and tie-break of `hrw_select_weighted`.
-    #[inline]
-    fn hrw_pick(
-        lvl: &LevelClusters,
-        subject_id: u64,
-        lo: usize,
-        t: usize,
-        inner: &[u64],
-    ) -> NodeIdx {
-        if lvl.uniform[t] {
-            let (mut r1, mut r2, mut arg) = (0u64, 0u64, 0usize);
-            for (i, &inn) in inner.iter().enumerate() {
-                let raw = splitmix64(subject_id ^ inn);
-                if raw > r1 {
-                    r2 = r1;
-                    r1 = raw;
-                    arg = i;
-                } else if raw > r2 {
-                    r2 = raw;
-                }
-            }
-            if r1 - r2 > (1 << 20) {
-                return lvl.member_phys[lo + arg];
-            }
-        } else {
-            let brackets = inv_ln_brackets();
-            let (mut b1_hi, mut b1_lo, mut b1) = (f64::NEG_INFINITY, f64::NEG_INFINITY, 0usize);
-            let mut b2_hi = f64::NEG_INFINITY;
-            for (i, &inn) in inner.iter().enumerate() {
-                let raw = splitmix64(subject_id ^ inn);
-                let w = f64::from_bits(lvl.member_wbits[lo + i]);
-                let (glo, ghi) = brackets[(raw >> 56) as usize];
-                let khi = w * ghi;
-                if khi > b1_hi {
-                    b2_hi = b1_hi;
-                    b1_hi = khi;
-                    b1_lo = w * glo;
-                    b1 = i;
-                } else if khi > b2_hi {
-                    b2_hi = khi;
-                }
-            }
-            if b1_lo > b2_hi {
-                return lvl.member_phys[lo + b1];
-            }
-        }
-        // Exact scan, inlined over the CSR arrays with the exact operation
-        // order and `(key, id)` tie-break of `hrw_select_weighted`.
-        let mut best = lo;
-        let mut bk = f64::NEG_INFINITY;
-        let mut bi = 0u64;
-        for (i, &inn) in inner.iter().enumerate() {
-            let id = lvl.member_id[lo + i];
-            let w = f64::from_bits(lvl.member_wbits[lo + i]);
-            debug_assert!(w > 0.0 && w.is_finite());
-            let key = hrw_key_from_raw(splitmix64(subject_id ^ inn), w);
-            if key > bk || (key == bk && id > bi) {
-                bk = key;
-                bi = id;
-                best = lo + i;
-            }
-        }
-        lvl.member_phys[best]
     }
 
     pub fn node_count(&self) -> usize {
@@ -760,34 +703,21 @@ impl LmAssignment {
     pub fn diff(&self, new: &LmAssignment) -> Vec<HostChange> {
         assert_eq!(self.n, new.n, "assignments over different node sets");
         let max_depth = self.depth.max(new.depth);
-        let mut out = Vec::new();
-        for v in 0..self.n as NodeIdx {
-            for k in 2..max_depth {
-                let old = self.host(v, k);
-                let newh = new.host(v, k);
-                match (old, newh) {
-                    (Some(a), Some(b)) if a != b => out.push(HostChange {
-                        subject: v,
-                        level: k as u16,
-                        old_host: a,
-                        new_host: b,
-                    }),
-                    (Some(a), None) if a != v => out.push(HostChange {
-                        subject: v,
-                        level: k as u16,
-                        old_host: a,
-                        new_host: v,
-                    }),
-                    (None, Some(b)) if b != v => out.push(HostChange {
-                        subject: v,
-                        level: k as u16,
-                        old_host: v,
-                        new_host: b,
-                    }),
-                    _ => {}
-                }
-            }
-        }
+        let entries = || (0..self.n as NodeIdx).flat_map(|v| (2..max_depth).map(move |k| (v, k)));
+        let change = |(v, k): (NodeIdx, usize)| {
+            let old_host = self.host(v, k).unwrap_or(v);
+            let new_host = new.host(v, k).unwrap_or(v);
+            (old_host != new_host).then_some(HostChange {
+                subject: v,
+                level: k as u16,
+                old_host,
+                new_host,
+            })
+        };
+        // Counted first, so the list (megabytes per tick at paper scale) is
+        // one allocation of the exact size, not a doubling series.
+        let mut out = Vec::with_capacity(entries().filter_map(change).count());
+        out.extend(entries().filter_map(change));
         out
     }
 }
@@ -819,17 +749,14 @@ mod tests {
             let uniform = weights.windows(2).all(|w| w[0].to_bits() == w[1].to_bits());
             let lvl = LevelClusters {
                 start: vec![0, m as u32],
-                member_phys: (0..m as u32).collect(),
                 member_id: ids.clone(),
                 member_wbits: weights.iter().map(|w| w.to_bits()).collect(),
-                weight: Vec::new(),
                 uniform: vec![uniform],
-                inner: inner.clone(),
-                slot_of_phys: Vec::new(),
+                ..Default::default()
             };
-            let got = LmAssignment::hrw_pick(&lvl, subject, 0, 0, &inner);
+            let got = lvl.hrw_pick(subject, 0, 0, &inner);
             let cands: Vec<(u64, f64)> = ids.iter().zip(&weights).map(|(&i, &w)| (i, w)).collect();
-            let expect = hrw_select_weighted(subject, &cands, salt) as u32;
+            let expect = hrw_select_weighted(subject, &cands, salt);
             assert_eq!(
                 got, expect,
                 "iter={iter} m={m} subject={subject} salt={salt} ids={ids:?} weights={weights:?}"
@@ -837,14 +764,52 @@ mod tests {
         }
     }
 
+    /// A uniform deployment at density 1 (degree 9) with permutation IDs,
+    /// and the RNG that drew it.
+    struct Deployment {
+        rng: SimRng,
+        radius: f64,
+        rtx: f64,
+        pts: Vec<chlm_geom::Point>,
+        ids: Vec<u64>,
+    }
+
+    impl Deployment {
+        fn new(n: usize, seed: u64) -> Self {
+            let mut rng = SimRng::seed_from(seed);
+            let radius = chlm_geom::disk_radius_for_density(n, 1.0);
+            let region = chlm_geom::Disk::centered(radius);
+            let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
+            let ids = rng.permutation(n);
+            Deployment {
+                rng,
+                radius,
+                rtx: chlm_geom::rtx_for_degree(9.0, 1.0),
+                pts,
+                ids,
+            }
+        }
+
+        fn graph(&self) -> chlm_graph::Graph {
+            build_unit_disk(&self.pts, self.rtx)
+        }
+
+        /// Step every node for which `moves` holds by `step_frac · rtx` in
+        /// a random direction (one is drawn for every node either way).
+        fn jiggle(&mut self, step_frac: f64, moves: impl Fn(&chlm_geom::Point) -> bool) {
+            for p in self.pts.iter_mut() {
+                let ang = self.rng.range_f64(0.0, std::f64::consts::TAU);
+                if moves(p) {
+                    p.x += self.rtx * step_frac * ang.cos();
+                    p.y += self.rtx * step_frac * ang.sin();
+                }
+            }
+        }
+    }
+
     fn random_hierarchy(n: usize, seed: u64) -> Hierarchy {
-        let mut rng = SimRng::seed_from(seed);
-        let radius = chlm_geom::disk_radius_for_density(n, 1.0);
-        let region = chlm_geom::Disk::centered(radius);
-        let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let g = build_unit_disk(&pts, chlm_geom::rtx_for_degree(9.0, 1.0));
-        let ids = rng.permutation(n);
-        Hierarchy::build(&ids, &g, HierarchyOptions::default())
+        let d = Deployment::new(n, seed);
+        Hierarchy::build(&d.ids, &d.graph(), HierarchyOptions::default())
     }
 
     #[test]
@@ -969,136 +934,222 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Jiggled deployments feeding one persistent cache: every cached
-    /// assignment must be byte-identical to a fresh computation.
-    fn evolving_equivalence(rule: SelectionRule, step_frac: f64, seed: u64) {
-        let n = 300;
-        let mut rng = SimRng::seed_from(seed);
-        let radius = chlm_geom::disk_radius_for_density(n, 1.0);
-        let region = chlm_geom::Disk::centered(radius);
-        let mut pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let rtx = chlm_geom::rtx_for_degree(9.0, 1.0);
-        let ids = rng.permutation(n);
-        let mut cache = LmCache::new();
-        for step in 0..25 {
-            for p in pts.iter_mut() {
-                let ang = rng.range_f64(0.0, std::f64::consts::TAU);
-                p.x += rtx * step_frac * ang.cos();
-                p.y += rtx * step_frac * ang.sin();
+    /// A deployment jiggled tick by tick, feeding one persistent cache:
+    /// every cached assignment must be byte-identical to a fresh
+    /// computation, whatever the cache reused.
+    struct Scenario {
+        rule: SelectionRule,
+        /// Take the hierarchy from a live `HierarchyMaintainer` and hand its
+        /// stamps to the cache (otherwise: rebuilt per tick, content path).
+        stamped: bool,
+        n: usize,
+        seed: u64,
+        ticks: usize,
+        /// Step length per tick in units of `rtx`.
+        step_frac: f64,
+        /// Only the nodes of one corner of the region (`x, y > radius / 3`)
+        /// move; the rest of the world stands still.
+        corner_only: bool,
+        /// Advance the world but skip observing every tick `≡ 1 (mod 3)`.
+        gaps: bool,
+    }
+
+    impl Scenario {
+        fn jiggle(rule: SelectionRule, step_frac: f64, seed: u64) -> Self {
+            Scenario {
+                rule,
+                stamped: false,
+                n: 300,
+                seed,
+                ticks: 25,
+                step_frac,
+                corner_only: false,
+                gaps: false,
             }
-            let g = build_unit_disk(&pts, rtx);
-            let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
-            let book = chlm_cluster::AddressBook::capture(&h);
-            let cached = LmAssignment::compute_cached(&h, &book, rule, &mut cache);
-            let fresh = LmAssignment::compute(&h, rule);
-            assert_eq!(cached, fresh, "step {step}");
-            cache.recycle(cached);
         }
-        assert!(cache.hit_count() > 0, "cache never hit");
-        assert!(cache.miss_count() > 0, "cache never missed");
+
+        /// Returns `(entries reused, steps walked, entries)` per observed
+        /// tick.
+        fn run(&self) -> Vec<(u64, u64, u64)> {
+            use chlm_cluster::HierarchyMaintainer;
+            let mut d = Deployment::new(self.n, self.seed);
+            let corner = d.radius / 3.0;
+            let opts = HierarchyOptions::default();
+            let mut maintainer = self
+                .stamped
+                .then(|| HierarchyMaintainer::new(&d.ids, &d.graph(), opts));
+            let mut cache = LmCache::new();
+            let mut out = Vec::new();
+            for tick in 0..self.ticks {
+                d.jiggle(self.step_frac, |p| {
+                    !self.corner_only || (p.x > corner && p.y > corner)
+                });
+                let g = d.graph();
+                if let Some(m) = maintainer.as_mut() {
+                    m.advance(&g, None);
+                }
+                if self.gaps && tick % 3 == 1 {
+                    continue; // the next stamps the cache sees are stale
+                }
+                let built;
+                let (h, stamps) = match &maintainer {
+                    Some(m) => (m.hierarchy(), Some(m.stamps())),
+                    None => {
+                        built = Hierarchy::build(&d.ids, &g, opts);
+                        (&built, None)
+                    }
+                };
+                let book = AddressBook::capture(h);
+                let before = (cache.entries_reused(), cache.steps_walked());
+                let cached =
+                    LmAssignment::compute_cached_stamped(h, &book, self.rule, &mut cache, stamps);
+                assert_eq!(cached, LmAssignment::compute(h, self.rule), "tick {tick}");
+                out.push((
+                    cache.entries_reused() - before.0,
+                    cache.steps_walked() - before.1,
+                    cached.entry_count() as u64,
+                ));
+                cache.recycle(cached);
+            }
+            out
+        }
     }
 
     #[test]
     fn cached_matches_fresh_small_steps() {
-        evolving_equivalence(SelectionRule::Hrw, 0.125, 11);
+        Scenario::jiggle(SelectionRule::Hrw, 0.125, 11).run();
     }
 
     #[test]
     fn cached_matches_fresh_heavy_churn() {
         // Half-radius steps churn cluster membership hard and change the
         // hierarchy depth along the way.
-        evolving_equivalence(SelectionRule::Hrw, 0.5, 12);
+        Scenario::jiggle(SelectionRule::Hrw, 0.5, 12).run();
     }
 
     #[test]
     fn cached_matches_fresh_mod_successor() {
-        evolving_equivalence(SelectionRule::ModSuccessor { id_space: 300 }, 0.25, 13);
+        Scenario::jiggle(SelectionRule::ModSuccessor { id_space: 300 }, 0.25, 13).run();
     }
 
     /// Arena-stamped invalidation against a live maintainer: cached
     /// assignments must stay byte-identical to fresh ones under heavy
-    /// churn, with the stamp path actually engaged (hits accrue).
+    /// churn.
     #[test]
     fn arena_stamped_matches_fresh() {
-        use chlm_cluster::HierarchyMaintainer;
-        let n = 300;
-        let mut rng = SimRng::seed_from(14);
-        let radius = chlm_geom::disk_radius_for_density(n, 1.0);
-        let region = chlm_geom::Disk::centered(radius);
-        let mut pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let rtx = chlm_geom::rtx_for_degree(9.0, 1.0);
-        let ids = rng.permutation(n);
-        let g = build_unit_disk(&pts, rtx);
-        let mut maintainer = HierarchyMaintainer::new(&ids, &g, HierarchyOptions::default());
-        let mut cache = LmCache::new();
-        for step in 0..25 {
-            for p in pts.iter_mut() {
-                let ang = rng.range_f64(0.0, std::f64::consts::TAU);
-                p.x += rtx * 0.5 * ang.cos();
-                p.y += rtx * 0.5 * ang.sin();
-            }
-            let g = build_unit_disk(&pts, rtx);
-            maintainer.advance(&g, None);
-            let h = maintainer.hierarchy();
-            let book = chlm_cluster::AddressBook::capture(h);
-            let cached = LmAssignment::compute_cached_stamped(
-                h,
-                &book,
-                SelectionRule::Hrw,
-                &mut cache,
-                Some(maintainer.stamps()),
-            );
-            assert_eq!(
-                cached,
-                LmAssignment::compute(h, SelectionRule::Hrw),
-                "step {step}"
-            );
-            cache.recycle(cached);
+        let ticks = Scenario {
+            stamped: true,
+            ..Scenario::jiggle(SelectionRule::Hrw, 0.5, 14)
         }
-        assert!(cache.hit_count() > 0, "stamp path never hit");
+        .run();
+        assert!(ticks.iter().all(|t| t.1 > 0), "churn walked nothing");
+    }
+
+    /// A world that stands still is walked once: from the second tick on
+    /// every entry is reused, on the stamp path and the content path.
+    #[test]
+    fn static_world_walks_nothing_after_first_tick() {
+        for stamped in [false, true] {
+            let ticks = Scenario {
+                stamped,
+                ticks: 4,
+                ..Scenario::jiggle(SelectionRule::Hrw, 0.0, 16)
+            }
+            .run();
+            let entries = ticks[0].2;
+            assert!(entries > 0);
+            assert_eq!((ticks[0].0, ticks[0].1 > 0), (0, true), "stamped={stamped}");
+            for t in &ticks[1..] {
+                assert_eq!(*t, (entries, 0, entries), "stamped={stamped}");
+            }
+        }
+    }
+
+    /// Only one corner of the region moves: the clusters away from it keep
+    /// their entries, the ones it touches are re-walked, and the table
+    /// still equals a fresh one every tick — under both change detectors
+    /// and both rules.
+    #[test]
+    fn partial_churn_reuses_clean_subtrees() {
+        for (stamped, rule) in [
+            (false, SelectionRule::Hrw),
+            (true, SelectionRule::Hrw),
+            (false, SelectionRule::ModSuccessor { id_space: 600 }),
+        ] {
+            let ticks = Scenario {
+                stamped,
+                n: 600,
+                ticks: 12,
+                corner_only: true,
+                ..Scenario::jiggle(rule, 0.25, 17)
+            }
+            .run();
+            let (reused, steps, entries) = ticks[1..]
+                .iter()
+                .fold((0, 0, 0), |a, t| (a.0 + t.0, a.1 + t.1, a.2 + t.2));
+            assert!(
+                0 < reused && reused < entries && steps > 0,
+                "stamped={stamped} {rule:?}: reused {reused} of {entries}, {steps} steps"
+            );
+        }
     }
 
     /// A gap in the stamp stream (skipped maintainer tick) must drop the
-    /// cache back to content comparison, not serve stale picks.
+    /// cache back to content comparison against the last tick it *saw*:
+    /// the stale stamps call clean whatever changed only during the gap.
+    /// With one corner moving there is plenty of that, and plenty to reuse
+    /// legitimately.
     #[test]
     fn arena_stamp_gap_falls_back() {
-        use chlm_cluster::HierarchyMaintainer;
-        let n = 250;
-        let mut rng = SimRng::seed_from(15);
-        let radius = chlm_geom::disk_radius_for_density(n, 1.0);
-        let region = chlm_geom::Disk::centered(radius);
-        let mut pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let rtx = chlm_geom::rtx_for_degree(9.0, 1.0);
-        let ids = rng.permutation(n);
-        let g = build_unit_disk(&pts, rtx);
-        let mut maintainer = HierarchyMaintainer::new(&ids, &g, HierarchyOptions::default());
-        let mut cache = LmCache::new();
-        for step in 0..12 {
-            for p in pts.iter_mut() {
-                let ang = rng.range_f64(0.0, std::f64::consts::TAU);
-                p.x += rtx * 0.25 * ang.cos();
-                p.y += rtx * 0.25 * ang.sin();
+        for corner_only in [false, true] {
+            let ticks = Scenario {
+                stamped: true,
+                n: 250,
+                ticks: 12,
+                corner_only,
+                gaps: true,
+                ..Scenario::jiggle(SelectionRule::Hrw, 0.25, 15)
             }
-            let g = build_unit_disk(&pts, rtx);
-            maintainer.advance(&g, None);
-            if step % 3 == 1 {
-                continue; // skip observing this tick: next stamps are stale
+            .run();
+            assert_eq!(ticks.len(), 8);
+            assert!(!corner_only || ticks[1..].iter().all(|t| t.0 > 0));
+        }
+    }
+
+    /// The pooled walk (`threads > 1` and `n ≥ WALK_PAR_MIN_N`) against the
+    /// oracle, for both rules, across a tick whose depth is capped — a
+    /// depth change resets the caches mid-run.
+    #[test]
+    fn pooled_walk_matches_compute() {
+        let n = 2500;
+        assert!(n >= WALK_PAR_MIN_N);
+        let mut d = Deployment::new(n, 18);
+        for rule in [
+            SelectionRule::Hrw,
+            SelectionRule::ModSuccessor { id_space: n as u64 },
+        ] {
+            let mut caches: Vec<(usize, LmCache)> = [1, 2, 8]
+                .iter()
+                .map(|&t| (t, LmCache::new().with_workers(WorkerPool::new(t))))
+                .collect();
+            let mut depths = Vec::new();
+            for tick in 0..9 {
+                d.jiggle(0.1, |_| true);
+                let opts = HierarchyOptions {
+                    max_levels: if tick == 4 { 3 } else { usize::MAX },
+                    ..HierarchyOptions::default()
+                };
+                let h = Hierarchy::build(&d.ids, &d.graph(), opts);
+                depths.push(h.depth());
+                let book = AddressBook::capture(&h);
+                let fresh = LmAssignment::compute(&h, rule);
+                for (t, cache) in &mut caches {
+                    let pooled = LmAssignment::compute_cached(&h, &book, rule, cache);
+                    assert_eq!(pooled, fresh, "threads={t} tick={tick} {rule:?}");
+                    cache.recycle(pooled);
+                }
             }
-            let h = maintainer.hierarchy();
-            let book = chlm_cluster::AddressBook::capture(h);
-            let cached = LmAssignment::compute_cached_stamped(
-                h,
-                &book,
-                SelectionRule::Hrw,
-                &mut cache,
-                Some(maintainer.stamps()),
-            );
-            assert_eq!(
-                cached,
-                LmAssignment::compute(h, SelectionRule::Hrw),
-                "step {step}"
-            );
-            cache.recycle(cached);
+            assert!(depths[4] < depths[3] && depths[4] < depths[5], "{depths:?}");
         }
     }
 
@@ -1129,6 +1180,7 @@ mod tests {
         let b = LmAssignment::compute(&h2, SelectionRule::Hrw);
         let d = a.diff(&b);
         assert!(!d.is_empty());
+        assert_eq!(d.capacity(), d.len(), "diff output sized exactly");
         for c in &d {
             assert!(c.level >= 2);
             assert_ne!(c.old_host, c.new_host);

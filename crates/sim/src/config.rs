@@ -166,7 +166,7 @@ pub struct SimConfig {
     /// recomputation per tick; see `chlm_sim::audit`.
     pub audit: bool,
     /// Disable every incremental fast path (candidate-list topology
-    /// maintenance, memoized LM assignment): rebuild all per-tick state from
+    /// maintenance, cross-tick LM entry reuse): rebuild all per-tick state from
     /// scratch. Slower but structurally independent — the equivalence suite
     /// runs both engines and asserts byte-identical reports.
     pub full_rebuild: bool,

@@ -9,7 +9,8 @@
 //! The default implementations are the incremental fast paths:
 //! Verlet-list unit-disk maintenance, diff-driven hierarchy repair
 //! ([`IncrementalHierarchy`] over [`chlm_cluster::HierarchyMaintainer`]),
-//! and the memoized HRW walk. A config with `full_rebuild` set swaps in
+//! and the level-synchronous HRW walk that re-walks only the entries of
+//! clusters whose subtree changed. A config with `full_rebuild` set swaps in
 //! their from-scratch counterparts ([`LcaHierarchy`], per-tick topology
 //! rebuild, uncached selection) so the equivalence suite can diff entire
 //! reports byte for byte.
@@ -264,8 +265,9 @@ impl HierarchyStage for IncrementalHierarchy {
     }
 }
 
-/// Default assignment stage: §3.2 server selection, memoized via
-/// [`LmCache`] unless `full_rebuild` forces the from-scratch path.
+/// Default assignment stage: §3.2 server selection, carrying the entries
+/// of unchanged subtrees across ticks through [`LmCache`] unless
+/// `full_rebuild` forces the from-scratch path.
 pub struct LmSelection {
     rule: SelectionRule,
     cache: LmCache,

@@ -1,8 +1,8 @@
 //! Incremental-engine equivalence suite.
 //!
 //! The tick pipeline's fast paths — Verlet-list topology maintenance
-//! ([`chlm_graph::UnitDiskMaintainer::advance`]) and the memoized HRW
-//! walk ([`chlm_lm::server::LmCache`]) — are *optimizations*, not model
+//! ([`chlm_graph::UnitDiskMaintainer::advance`]) and the HRW walk's
+//! clean-subtree reuse ([`chlm_lm::server::LmCache`]) — are *optimizations*, not model
 //! changes. `SimConfig::full_rebuild` switches both off, rebuilding the
 //! unit-disk graph and the LM assignment from scratch every tick. A run
 //! with the fast paths on must produce a [`SimReport`] equal in every
