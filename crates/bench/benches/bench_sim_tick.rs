@@ -8,8 +8,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 fn bench_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_tick");
     group.sample_size(20);
-    // Sizes match the `cargo xtask bench` matrix so criterion runs and the
-    // BENCH_PR2.json gate measure the same operating points.
     for &n in &[512usize, 2048, 8192] {
         let cfg = SimConfig::builder(n)
             .duration(1.0)

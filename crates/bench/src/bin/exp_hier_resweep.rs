@@ -6,8 +6,8 @@
 //! This is the headline re-sweep the shared-world multiplexer pays for:
 //! the hierarchical routing table is built once per tick per world and
 //! shared by all three scheme banks (one `with_pricer` scope per metric
-//! group), so the re-sweep costs roughly one world-run where the legacy
-//! path would have cost three plus three table builds.
+//! group), so the re-sweep costs roughly one world-run where per-scheme
+//! runs would cost three plus three table builds.
 //!
 //! Same grid and knobs as E24 (`CHLM_MAX_N`, `CHLM_SEEDS`,
 //! `CHLM_DURATION`, `CHLM_WARMUP`, `--smoke`); only the pricing differs.

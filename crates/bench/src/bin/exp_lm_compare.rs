@@ -8,22 +8,16 @@
 //! RPGM}. `--smoke` runs the bounded CI spec (n = 256, 1 seed, all
 //! schemes, all mobilities).
 //!
-//! Since PR 7 the default path is the shared-world multiplexer: one
-//! world per (mobility, n, seed), all three schemes fanned out as
-//! observer banks. `--legacy` keeps the old per-scheme re-simulation for
-//! A/B timing — both paths produce byte-identical rows (pinned by
-//! `lm_compare::tests::multiplexed_matches_legacy_exactly`).
+//! The sweep runs on the shared-world multiplexer: one world per
+//! (mobility, n, seed), all three schemes fanned out as observer banks.
 
-use chlm_bench::lm_compare::{
-    mobility_models, render_tables, run_compare, run_compare_legacy, CompareSpec,
-};
+use chlm_bench::lm_compare::{mobility_models, render_tables, run_compare, CompareSpec};
 use chlm_bench::{env_f64, env_usize, replications, threads};
 use chlm_sim::HopMetric;
 use std::time::Instant;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let legacy = std::env::args().any(|a| a == "--legacy");
     let spec = if smoke {
         CompareSpec::smoke(threads())
     } else {
@@ -46,34 +40,20 @@ fn main() {
     };
     println!("== E24: LM scheme comparison (chlm vs gls vs home agent) ==");
     println!(
-        "sizes {:?}, {} replications, {}s measured, {} threads{}{}\n",
+        "sizes {:?}, {} replications, {}s measured, {} threads{} [shared-world multiplexer]\n",
         spec.sizes,
         spec.replications,
         spec.duration,
         spec.threads,
         if smoke { " [smoke]" } else { "" },
-        if legacy {
-            " [legacy per-scheme path]"
-        } else {
-            " [shared-world multiplexer]"
-        }
     );
     let started = Instant::now();
-    let rows = if legacy {
-        run_compare_legacy(&spec)
-    } else {
-        run_compare(&spec)
-    };
+    let rows = run_compare(&spec);
     let elapsed = started.elapsed();
     print!("{}", render_tables(&spec, &rows));
     println!(
-        "wall clock: {:.3}s ({})",
+        "wall clock: {:.3}s (multiplexed: one world per (mobility, n, seed), 3 schemes fanned out)",
         elapsed.as_secs_f64(),
-        if legacy {
-            "legacy: one world simulated per scheme"
-        } else {
-            "multiplexed: one world per (mobility, n, seed), 3 schemes fanned out"
-        }
     );
     println!("notes:");
     println!("- phi+gamma in packet transmissions per node per second; every scheme");
@@ -82,7 +62,5 @@ fn main() {
     println!("  server-churn transfers + distance-triggered updates;");
     println!("- home: one static HRW rendezvous node per mobile, one update per");
     println!("  level-1 cluster change — the flat baseline of the paper's argument;");
-    println!("- chlm: the §4 handoff ledger (transfer + registration cascade);");
-    println!("- rows are byte-identical between --legacy and the multiplexer");
-    println!("  (pinned in-tree); only wall clock differs.");
+    println!("- chlm: the §4 handoff ledger (transfer + registration cascade).");
 }

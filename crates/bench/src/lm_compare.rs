@@ -10,7 +10,6 @@
 
 use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_core::experiment::{summarize_metric, sweep};
 use chlm_sim::runner::seed_range;
 use chlm_sim::{run_sweep, HopMetric, LmScheme, MobilityKind, SimConfig, SweepJob, VariantSpec};
 
@@ -105,7 +104,6 @@ impl CompareSpec {
             .mobility(mobility)
             .lm_scheme(scheme)
             .hop_metric(self.hop_metric)
-            .query_samples(0)
             .build();
         if self.crossing_warmup {
             let crossing = cfg.region_radius() / cfg.speed;
@@ -130,10 +128,8 @@ pub struct CompareRow {
 /// world per (mobility, n, seed) grid cell, all three schemes priced
 /// against it as observer banks ([`chlm_sim::run_sweep`] claims whole
 /// world-runs off the work-stealing ticket counter). Rows are ordered
-/// mobility → scheme → n and are byte-identical to
-/// [`run_compare_legacy`] — the multiplexer fan-out reproduces each
-/// standalone report exactly, and the summary folds the same values in
-/// the same order.
+/// mobility → scheme → n; the fan-out reproduces each standalone report
+/// exactly (`chlm-sim`'s `tests/multiplex_equivalence.rs`).
 pub fn run_compare(spec: &CompareSpec) -> Vec<CompareRow> {
     let backend = spec
         .config_for(spec.sizes[0], spec.mobilities[0].1, LmScheme::Chlm)
@@ -174,36 +170,6 @@ pub fn run_compare(spec: &CompareSpec) -> Vec<CompareRow> {
                     n,
                     mean: s.mean,
                     ci95: s.ci95(),
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// The pre-multiplexer comparison path: one full simulation per
-/// (mobility, scheme, n, seed) — the world re-simulated once per scheme.
-/// Kept for A/B wall-clock timing (`exp_lm_compare --legacy`); produces
-/// byte-identical rows to [`run_compare`].
-pub fn run_compare_legacy(spec: &CompareSpec) -> Vec<CompareRow> {
-    let mut rows = Vec::new();
-    for &(mob_name, mobility) in &spec.mobilities {
-        for (scheme_name, scheme) in schemes() {
-            let points = sweep(
-                &spec.sizes,
-                spec.replications,
-                spec.base_seed,
-                spec.threads,
-                |n| spec.config_for(n, mobility, scheme),
-            );
-            let series = summarize_metric(&points, scheme_name, |r| r.total_overhead());
-            for (i, &n) in spec.sizes.iter().enumerate() {
-                rows.push(CompareRow {
-                    mobility: mob_name,
-                    scheme: scheme_name,
-                    n,
-                    mean: series.means[i],
-                    ci95: series.ci95[i],
                 });
             }
         }
@@ -301,17 +267,6 @@ mod tests {
         assert_eq!(s.base_seed, 24_000);
         assert_eq!(s.mobilities.len(), 2);
         assert_eq!(s.hop_metric, HopMetric::EuclideanCalibrated);
-    }
-
-    #[test]
-    fn multiplexed_matches_legacy_exactly() {
-        // The A/B contract behind `--legacy`: same rows, bit for bit —
-        // the multiplexer only removes redundant world re-simulation.
-        let mut spec = CompareSpec::golden();
-        spec.sizes = vec![64];
-        spec.duration = 1.0;
-        spec.warmup = 0.2;
-        assert_eq!(run_compare(&spec), run_compare_legacy(&spec));
     }
 
     #[test]

@@ -104,7 +104,6 @@ impl CrossoverSpec {
             .mobility(mobility)
             .target_degree(12.0)
             .hop_metric(HopMetric::Bfs)
-            .query_samples(0)
             .query_rate(cmr)
             .build()
     }

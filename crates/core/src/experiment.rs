@@ -1,9 +1,7 @@
 //! Sweep-and-summarize helpers shared by examples and experiment binaries.
 
 use chlm_analysis::stats::Summary;
-use chlm_sim::{
-    run_replications, run_sweep, runner::seed_range, SimConfig, SimReport, SweepJob, VariantSpec,
-};
+use chlm_sim::{run_replications, runner::seed_range, SimConfig, SimReport};
 
 /// All replications at one network size.
 #[derive(Debug, Clone)]
@@ -60,51 +58,6 @@ pub fn sweep<F: Fn(usize) -> SimConfig>(
         .collect()
 }
 
-/// Multiplexed counterpart of [`sweep`]: the whole (size, seed) grid is
-/// flattened into one [`SweepJob`] graph and whole world-runs are claimed
-/// off `chlm-sim`'s work-stealing ticket counter, instead of a separate
-/// `run_replications` barrier per size. Reports are byte-identical to
-/// [`sweep`] at any thread count; only scheduling (and wall clock on
-/// ragged grids) differs.
-pub fn sweep_multiplexed<F: Fn(usize) -> SimConfig>(
-    sizes: &[usize],
-    replications: usize,
-    base_seed: u64,
-    threads: usize,
-    make_config: F,
-) -> Vec<SweepPoint> {
-    assert!(replications >= 1);
-    let seeds = seed_range(base_seed, replications);
-    let jobs: Vec<SweepJob> = sizes
-        .iter()
-        .flat_map(|&n| {
-            let cfg = make_config(n);
-            assert_eq!(cfg.n, n, "make_config must honor the requested size");
-            let variants = vec![VariantSpec::from_config("base", &cfg)];
-            seeds.iter().map(move |&seed| SweepJob {
-                cfg: cfg.clone(),
-                seed,
-                variants: variants.clone(),
-            })
-        })
-        .collect();
-    let mut grid = run_sweep(&jobs, threads).into_iter();
-    sizes
-        .iter()
-        .map(|&n| {
-            let reports = (0..replications)
-                .map(|_| {
-                    // audit: infallible because jobs holds sizes × replications entries
-                    let mut reports = grid.next().expect("job grid covers the sweep");
-                    // audit: infallible because every job carries exactly one variant
-                    reports.pop().expect("one report per single-variant job")
-                })
-                .collect();
-            SweepPoint { n, reports }
-        })
-        .collect()
-}
-
 /// Extract a named metric series from sweep points.
 pub fn summarize_metric<F: Fn(&SimReport) -> f64>(
     points: &[SweepPoint],
@@ -145,18 +98,6 @@ mod tests {
         assert!(series.means.iter().all(|&m| m > 0.0));
         let (xs, ys) = series.xy();
         assert_eq!(xs.len(), ys.len());
-    }
-
-    #[test]
-    fn multiplexed_sweep_matches_sweep_exactly() {
-        let make = |n: usize| SimConfig::builder(n).duration(1.0).warmup(0.2).build();
-        let plain = sweep(&[40, 80], 2, 100, 2, make);
-        let multi = sweep_multiplexed(&[40, 80], 2, 100, 2, make);
-        assert_eq!(plain.len(), multi.len());
-        for (p, m) in plain.iter().zip(&multi) {
-            assert_eq!(p.n, m.n);
-            assert_eq!(p.reports, m.reports);
-        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! balanced here because candidate squares contain arbitrary ID mixes.
 //!
 //! Costs modelled (per the GLS paper's behavior, adapted to our packet ×
-//! hop unit):
+//! hop unit; booked by `chlm_sim`'s `GlsSchemeWorkload` from the tables
+//! and diffs this module maintains):
 //!
 //! * **updates** — `v` refreshes its order-i servers each time it moves
 //!   `2^(i-2) · l` since the last order-i update (feature (c): near servers
@@ -704,86 +705,6 @@ pub fn gls_resolve_route(
     })
 }
 
-/// Running GLS cost tracker: distance-triggered updates plus transfer
-/// costs from assignment churn.
-#[derive(Debug, Clone)]
-pub struct GlsTracker {
-    grid: GridHierarchy,
-    last_update_pos: Vec<Point>, // n × bands
-    inc: GlsIncremental,
-    /// Accumulated packet transmissions.
-    pub update_packets: f64,
-    pub transfer_packets: f64,
-    pub node_seconds: f64,
-}
-
-impl GlsTracker {
-    pub fn new(grid: GridHierarchy, positions: &[Point]) -> Self {
-        let bands = grid.orders.saturating_sub(1);
-        let mut last = Vec::with_capacity(positions.len() * bands);
-        for &p in positions {
-            for _ in 0..bands {
-                last.push(p);
-            }
-        }
-        GlsTracker {
-            grid,
-            last_update_pos: last,
-            inc: GlsIncremental::new(GlsSelect::ModSuccessor),
-            update_packets: 0.0,
-            transfer_packets: 0.0,
-            node_seconds: 0.0,
-        }
-    }
-
-    /// Observe one tick.
-    pub fn observe<H: FnMut(NodeIdx, NodeIdx) -> f64>(
-        &mut self,
-        positions: &[Point],
-        ids: &[ElectionId],
-        mut hop: H,
-        dt: f64,
-    ) {
-        let bands = self.grid.orders.saturating_sub(1);
-        let (assignment, diff) = self.inc.update(&self.grid, positions, ids);
-        // Transfer costs for server churn (empty diff on the first tick,
-        // matching the old no-previous-assignment behavior).
-        for &(subject, _band, old, new) in diff {
-            match (old == NO_SERVER, new == NO_SERVER) {
-                (false, false) => self.transfer_packets += hop(old, new),
-                (true, false) => self.transfer_packets += hop(subject, new),
-                _ => {} // entries expire silently (GLS timeout behavior)
-            }
-        }
-        // Distance-triggered updates (feature (c)).
-        let l = self.grid.side(1);
-        for (v, &p) in positions.iter().enumerate() {
-            for band in 0..bands {
-                let slot = v * bands + band;
-                let threshold = l * (1u64 << band) as f64;
-                if p.dist(self.last_update_pos[slot]) >= threshold {
-                    self.last_update_pos[slot] = p;
-                    for &s in assignment.servers(v as NodeIdx, band) {
-                        if s != NO_SERVER {
-                            self.update_packets += hop(v as NodeIdx, s);
-                        }
-                    }
-                }
-            }
-        }
-        self.node_seconds += positions.len() as f64 * dt;
-    }
-
-    /// Total LM maintenance packet transmissions per node per second.
-    pub fn overhead_per_node_per_second(&self) -> f64 {
-        if self.node_seconds == 0.0 {
-            0.0
-        } else {
-            (self.update_packets + self.transfer_packets) / self.node_seconds
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -994,36 +915,5 @@ mod tests {
             }
         }
         assert!(resolved > 100, "only {resolved} queries resolved");
-    }
-
-    #[test]
-    fn tracker_static_nodes_cost_nothing_after_first_tick() {
-        let pts = square_points(100, 50.0, 4);
-        let ids: Vec<u64> = (0..100).collect();
-        let g = GridHierarchy::covering(Rect::square(50.0), 6.0);
-        let mut t = GlsTracker::new(g, &pts);
-        for _ in 0..5 {
-            t.observe(&pts, &ids, |_, _| 1.0, 1.0);
-        }
-        assert_eq!(t.transfer_packets, 0.0);
-        assert_eq!(t.update_packets, 0.0);
-        assert_eq!(t.node_seconds, 500.0);
-    }
-
-    #[test]
-    fn tracker_charges_updates_when_moving() {
-        let mut pts = square_points(150, 60.0, 5);
-        let ids: Vec<u64> = (0..150).collect();
-        let g = GridHierarchy::covering(Rect::square(60.0), 6.0);
-        let mut t = GlsTracker::new(g, &pts);
-        t.observe(&pts, &ids, |_, _| 1.0, 1.0);
-        // Move everyone substantially.
-        for p in &mut pts {
-            p.x = (p.x + 20.0).min(59.9);
-            p.y = (p.y + 15.0).min(59.9);
-        }
-        t.observe(&pts, &ids, |_, _| 1.0, 1.0);
-        assert!(t.update_packets > 0.0, "no updates charged");
-        assert!(t.overhead_per_node_per_second() > 0.0);
     }
 }

@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Name of the single thread-budget environment variable shared by the
-/// experiment runner, `cargo xtask bench`, and every intra-tick pool.
+/// experiment runner, the `benchmark/` harness, and every intra-tick pool.
 pub const THREADS_ENV: &str = "CHLM_THREADS";
 
 /// Name of the schedule-fuzz environment variable. Test-only: when set to

@@ -142,16 +142,6 @@ pub struct SimConfig {
     /// that disconnected fringe components otherwise produce under
     /// mobility (the paper assumes a connected graph with α_k = Θ(1) > 1).
     pub min_reduction: f64,
-    /// Also track GLS overhead on the same mobility (for E13).
-    pub track_gls: bool,
-    /// Sample this many random location queries at the end of the run.
-    ///
-    /// Legacy diagnostic: a one-shot end-of-run sample priced through the
-    /// same [`crate::scheme::SchemeLookup`] seam as the live query plane.
-    /// Prefer [`SimConfig::query_rate`], which injects lookups every tick
-    /// and reports the full [`crate::report::QueryStats`] breakdown; this
-    /// knob remains only for the pinned equivalence digests.
-    pub query_samples: usize,
     /// Location-query arrival rate in lookups per node per second (the
     /// call-to-mobility knob, E27). Each tick, `⌊(t+1)·e⌋ − ⌊t·e⌋` lookups
     /// with `e = query_rate · n · dt` arrive at deterministic
@@ -200,8 +190,6 @@ impl SimConfig {
                 lm_scheme: LmScheme::Chlm,
                 max_levels: usize::MAX,
                 min_reduction: 1.25,
-                track_gls: false,
-                query_samples: 0,
                 query_rate: 0.0,
                 audit: false,
                 full_rebuild: false,
@@ -336,15 +324,6 @@ impl SimConfigBuilder {
     pub fn min_reduction(mut self, r: f64) -> Self {
         assert!(r >= 1.0);
         self.cfg.min_reduction = r;
-        self
-    }
-    pub fn track_gls(mut self, yes: bool) -> Self {
-        self.cfg.track_gls = yes;
-        self
-    }
-    /// See [`SimConfig::query_samples`] (legacy; prefer [`Self::query_rate`]).
-    pub fn query_samples(mut self, q: usize) -> Self {
-        self.cfg.query_samples = q;
         self
     }
     /// See [`SimConfig::query_rate`].

@@ -35,20 +35,19 @@ use crate::audit::{AuditViolation, Auditor, TickInputs};
 use crate::config::LmScheme;
 use crate::config::{Backend, HopMetric, MobilityKind, SimConfig};
 use crate::cost::{cost_model_for, CostInputs, CostModel, HopPricer};
-use crate::observe::{GlsObserver, HandoffAccounting, Observer, Observers, WorldObservers};
+use crate::observe::{HandoffAccounting, Observer, Observers, WorldObservers};
 use crate::oracle::calibrate;
 use crate::packet::shard_loss_seed;
 use crate::report::{SimReport, StateSummary};
-use crate::scheme::{make_accounting, make_lookup, make_query_accounting, LookupLeg, LookupWorld};
+use crate::scheme::{make_accounting, make_query_accounting};
 use crate::stage::{
     default_stages, AssignmentStage, HierarchyStage, MobilityStage, TickCtx, TopologyStage,
 };
 use chlm_cluster::address::AddressBook;
 use chlm_cluster::metrics::level_stats;
 use chlm_cluster::Hierarchy;
-use chlm_geom::{Disk, Point, SimRng};
+use chlm_geom::{Disk, SimRng};
 use chlm_graph::NodeIdx;
-use chlm_lm::gls::{GlsTracker, GridHierarchy};
 use chlm_lm::server::LmAssignment;
 use chlm_mobility::{
     MobilityModel, RandomDirection, RandomWalk, RandomWaypoint, Rpgm, StaticModel,
@@ -237,10 +236,6 @@ impl World {
         }
     }
 
-    pub(crate) fn ids(&self) -> &[u64] {
-        &self.ids
-    }
-
     pub(crate) fn cfg(&self) -> &SimConfig {
         &self.cfg
     }
@@ -251,10 +246,6 @@ impl World {
 
     pub(crate) fn assignment(&self) -> &LmAssignment {
         &self.assignment
-    }
-
-    pub(crate) fn positions(&self) -> &[Point] {
-        self.mobility.positions()
     }
 
     pub(crate) fn rtx(&self) -> f64 {
@@ -381,7 +372,7 @@ fn make_auditor(cfg: &SimConfig, observers: &Observers, world_obs: &WorldObserve
 }
 
 /// One variant's accounting over a shared `World`: the variant's own
-/// observer set (handoff, GLS, extras), the optional invariant auditor,
+/// observer set (handoff, query, extras), the optional invariant auditor,
 /// and a private clone of the world's run stream for `finish`-time
 /// sampling. The scheme-independent accumulators live in a
 /// [`WorldObservers`] owned by the caller — one per standalone run, one
@@ -408,22 +399,9 @@ impl ObserverBank {
         world_obs: &WorldObservers,
         handoff: Box<dyn HandoffAccounting>,
     ) -> Self {
-        let gls = cfg.track_gls.then(|| {
-            let region = Disk::centered(cfg.region_radius());
-            let (lo, hi) = {
-                use chlm_geom::Region;
-                region.bounding_box()
-            };
-            let bounds = chlm_geom::Rect::new(lo, hi);
-            GlsObserver::new(GlsTracker::new(
-                GridHierarchy::covering(bounds, world.rtx()),
-                world.positions(),
-            ))
-        });
         let observers = Observers {
             handoff,
             query: make_query_accounting(&cfg),
-            gls,
             extra: Vec::new(),
         };
         let auditor = cfg.audit.then(|| make_auditor(&cfg, &observers, world_obs));
@@ -493,12 +471,7 @@ impl ObserverBank {
 
     /// Produce this variant's report from the world's final snapshots and
     /// the shared world accumulators.
-    pub(crate) fn finish(
-        mut self,
-        world: &World,
-        world_obs: &WorldObservers,
-        cost: &mut dyn CostModel,
-    ) -> SimReport {
+    pub(crate) fn finish(mut self, world: &World, world_obs: &WorldObservers) -> SimReport {
         let depth = world.hierarchy().depth();
         let final_levels = level_stats(world.hierarchy(), 4, &mut self.rng);
         // ALCA state summary.
@@ -513,63 +486,6 @@ impl ObserverBank {
                 .multi_jump_fraction
                 .push(tracker.multi_jump_fraction(k));
         }
-        // Legacy end-of-run query sampling on the final topology (borrowed,
-        // not cloned; the RNG draws happen before the borrows so the stream
-        // order is fixed). Routed through the same [`crate::scheme::
-        // SchemeLookup`] seam as the live query plane — one resolution code
-        // path — and bit-identical to the historical `mean_query_cost` for
-        // CHLM (same draws, same hop calls, same float order).
-        let mean_query_packets = if self.cfg.query_samples > 0 && self.cfg.n >= 2 {
-            let pairs: Vec<(NodeIdx, NodeIdx)> = (0..self.cfg.query_samples)
-                .map(|_| {
-                    (
-                        self.rng.index(self.cfg.n) as NodeIdx,
-                        self.rng.index(self.cfg.n) as NodeIdx,
-                    )
-                })
-                .collect();
-            let positions = world.positions();
-            let graph = &world.hierarchy().levels[0].graph;
-            let inputs = CostInputs {
-                graph,
-                positions,
-                hierarchy: world.hierarchy(),
-                rtx: world.rtx(),
-                sources: &[],
-            };
-            let lookup_world = LookupWorld {
-                tick: world.ticks_done(),
-                n: self.cfg.n,
-                ids: world.ids(),
-                positions,
-                hierarchy: world.hierarchy(),
-                assignment: world.assignment(),
-            };
-            let mut lookup = make_lookup(&self.cfg);
-            let mut sampled = None;
-            cost.with_pricer(&inputs, &mut |pricer| {
-                let mut legs: Vec<LookupLeg> = Vec::new();
-                let mut total = 0.0;
-                let mut count = 0usize;
-                for &(s, t) in &pairs {
-                    legs.clear();
-                    if lookup.resolve(&lookup_world, s, t, &mut legs).is_some() {
-                        let mut packets = 0.0;
-                        for leg in &legs {
-                            packets += pricer.hops(leg.src, leg.dst);
-                        }
-                        total += packets;
-                        count += 1;
-                    }
-                }
-                if count > 0 {
-                    sampled = Some(total / count as f64);
-                }
-            });
-            sampled
-        } else {
-            None
-        };
         let counts = world.assignment().entries_hosted();
         let mean_entries_hosted = if counts.is_empty() {
             0.0
@@ -593,13 +509,7 @@ impl ObserverBank {
             // once per bank.
             events: world_obs.taxonomy.counts.clone(),
             state,
-            mean_query_packets,
             query: self.observers.query.as_mut().map(|q| q.take_stats()),
-            gls_overhead: self
-                .observers
-                .gls
-                .as_ref()
-                .map(|g| g.tracker.overhead_per_node_per_second()),
             mean_entries_hosted,
         }
     }
@@ -653,7 +563,7 @@ impl Simulation {
         self.world.hierarchy()
     }
 
-    /// The variant's own observer set (handoff slot, GLS, extras —
+    /// The variant's own observer set (handoff slot, query slot, extras —
     /// accumulators read back by backends and tests).
     pub fn observers(&self) -> &Observers {
         self.bank.observers()
@@ -732,12 +642,11 @@ impl Simulation {
     pub fn finish(self) -> SimReport {
         let Simulation {
             world,
-            mut cost,
             world_obs,
             bank,
             ..
         } = self;
-        bank.finish(&world, &world_obs, &mut *cost)
+        bank.finish(&world, &world_obs)
     }
 }
 
@@ -765,7 +674,7 @@ mod tests {
             .duration(2.0)
             .warmup(0.5)
             .seed(seed)
-            .query_samples(10)
+            .query_rate(1.0)
             .build()
     }
 
@@ -779,7 +688,7 @@ mod tests {
         assert!(report.total_overhead() >= 0.0);
         assert!(report.rates.node_seconds > 0.0);
         assert_eq!(report.final_levels[0].nodes, 120);
-        assert!(report.mean_query_packets.is_some());
+        assert!(report.query.is_some());
         // Entries hosted mean = depth - 2 per node at the final tick.
         assert!(report.mean_entries_hosted >= 0.0);
     }
@@ -813,19 +722,6 @@ mod tests {
         assert_eq!(report.f0, 0.0);
         assert_eq!(report.total_overhead(), 0.0);
         assert_eq!(report.events.grand_total(), 0);
-    }
-
-    #[test]
-    fn gls_tracking_produces_overhead() {
-        let cfg = SimConfig::builder(100)
-            .duration(3.0)
-            .warmup(0.5)
-            .seed(4)
-            .track_gls(true)
-            .build();
-        let report = Simulation::new(cfg).run();
-        let gls = report.gls_overhead.expect("GLS tracked");
-        assert!(gls > 0.0, "mobile GLS must cost something");
     }
 
     #[test]

@@ -121,8 +121,6 @@ pub struct MultiplexSim {
     /// for link/churn/taxonomy/ALCA accounting once, not `v` times.
     world_obs: WorldObservers,
     groups: Vec<MetricGroup>,
-    /// Group index of each bank, parallel to `banks`.
-    group_of: Vec<usize>,
     banks: Vec<ObserverBank>,
     labels: Vec<String>,
     sources_scratch: Vec<NodeIdx>,
@@ -140,7 +138,6 @@ impl MultiplexSim {
         let world = World::new(base.clone());
         let world_obs = WorldObservers::new(world.hierarchy());
         let mut groups: Vec<MetricGroup> = Vec::new();
-        let mut group_of = Vec::with_capacity(variants.len());
         let mut banks = Vec::with_capacity(variants.len());
         let mut labels = Vec::with_capacity(variants.len());
         for variant in variants {
@@ -161,7 +158,6 @@ impl MultiplexSim {
             let bank = ObserverBank::new(cfg, &world, &world_obs, handoff);
             groups[gi].members.push(banks.len());
             groups[gi].collect_sources |= bank.wants_bfs_sources();
-            group_of.push(gi);
             banks.push(bank);
             labels.push(variant.label.clone());
         }
@@ -169,7 +165,6 @@ impl MultiplexSim {
             world,
             world_obs,
             groups,
-            group_of,
             banks,
             labels,
             sources_scratch: Vec::new(),
@@ -255,15 +250,12 @@ impl MultiplexSim {
         let MultiplexSim {
             world,
             world_obs,
-            mut groups,
-            group_of,
             banks,
             ..
         } = self;
         banks
             .into_iter()
-            .zip(group_of)
-            .map(|(bank, gi)| bank.finish(&world, &world_obs, &mut *groups[gi].cost))
+            .map(|bank| bank.finish(&world, &world_obs))
             .collect()
     }
 }
@@ -285,7 +277,7 @@ mod tests {
             .duration(1.5)
             .warmup(0.3)
             .seed(seed)
-            .query_samples(8)
+            .query_rate(1.0)
             .threads(1)
             .build()
     }

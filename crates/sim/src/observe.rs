@@ -2,8 +2,8 @@
 //!
 //! Every measurement the engine produces — link rate f₀, address churn
 //! f_k, the handoff ledger (φ_k/γ_k), level-k link churn g_k/g′_k, the
-//! reorganization-event taxonomy, ALCA states, GLS overhead, mean degree
-//! — is an [`Observer`]: a value that consumes the tick's [`TickCtx`]
+//! reorganization-event taxonomy, ALCA states, mean degree — is an
+//! [`Observer`]: a value that consumes the tick's [`TickCtx`]
 //! (plus a [`HopPricer`] for anything that prices packets) and updates
 //! its own accumulator. The engine drives the built-in set in a fixed
 //! canonical order and lets callers append extras, so a new metric is one
@@ -12,7 +12,7 @@
 //! The set is split along the variant seam: [`WorldObservers`] holds
 //! every accumulator that is a pure function of the world's tick stream
 //! (no scheme, no pricer), [`Observers`] holds one variant's own
-//! accounting (handoff, GLS, extras). A standalone run drives one of
+//! accounting (handoff, query, extras). A standalone run drives one of
 //! each; a multiplexed fan-out drives **one** `WorldObservers` for all of
 //! its variant banks — the per-variant recomputation the shared-world
 //! multiplexer exists to remove.
@@ -39,7 +39,6 @@ use chlm_cluster::events::{classify_events, EventCounts};
 use chlm_cluster::{Hierarchy, StateTracker};
 use chlm_graph::dynamics::{LinkDiff, LinkEventRate};
 use chlm_graph::NodeIdx;
-use chlm_lm::gls::GlsTracker;
 use chlm_lm::handoff::HandoffLedger;
 
 use crate::packet::PacketTotals;
@@ -321,24 +320,6 @@ impl Observer for AlcaStateObserver {
     }
 }
 
-/// GLS baseline maintenance overhead on the same mobility trace.
-pub struct GlsObserver {
-    pub tracker: GlsTracker,
-}
-
-impl GlsObserver {
-    pub fn new(tracker: GlsTracker) -> Self {
-        GlsObserver { tracker }
-    }
-}
-
-impl Observer for GlsObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        self.tracker
-            .observe(ctx.positions, ctx.ids, |a, b| pricer.hops(a, b), ctx.dt);
-    }
-}
-
 /// Mean level-0 degree (summed per tick) and maximum hierarchy depth.
 pub struct DegreeObserver {
     pub degree_sum: f64,
@@ -430,30 +411,25 @@ impl WorldObservers {
 
 /// One variant's own observer set: the handoff slot (scheme × backend ×
 /// pricing), the query-plane slot (same scheme × backend, lookup traffic),
-/// the optional GLS tracker (prices hops, so it is per cost model), and
-/// caller-appended extras. Everything scheme-independent lives in
+/// and caller-appended extras. Everything scheme-independent lives in
 /// [`WorldObservers`]. The handoff and query slots are trait objects so
 /// the packet engine can swap in packet-executed accounting.
 pub struct Observers {
     pub handoff: Box<dyn HandoffAccounting>,
     /// Query-plane accounting; `None` when `query_rate` is zero.
     pub query: Option<Box<dyn QueryAccounting>>,
-    pub gls: Option<GlsObserver>,
     pub extra: Vec<Box<dyn Observer>>,
 }
 
 impl Observers {
     /// Drive the variant's observers over one tick, in the canonical
-    /// order (handoff, query, GLS, extras). All of them share one pricer,
+    /// order (handoff, query, extras). All of them share one pricer,
     /// so BFS pricing shares its per-source cache across them within the
     /// tick.
     pub fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
         self.handoff.on_tick(ctx, pricer);
         if let Some(query) = &mut self.query {
             query.on_tick(ctx, pricer);
-        }
-        if let Some(gls) = &mut self.gls {
-            gls.on_tick(ctx, pricer);
         }
         for obs in &mut self.extra {
             obs.on_tick(ctx, pricer);

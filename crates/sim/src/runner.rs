@@ -8,8 +8,8 @@
 //! plus index-addressed scatter makes the results byte-identical at any
 //! thread count and under `CHLM_SHUFFLE_MERGE` schedule fuzzing.
 //!
-//! Thread budgeting: BENCH_PR4 measured intra-tick parallelism flat
-//! (~0.96x) on the reference box, so the proven scaling axis is the
+//! Thread budgeting: PR 4 measured intra-tick parallelism flat (~0.96x,
+//! CHANGES.md) on the reference box, so the proven scaling axis is the
 //! job level. [`budget_split`] therefore gives the whole budget to the
 //! outer fan-out (`outer = threads`, inner pool = 1) unless
 //! `CHLM_THREADS_INNER` explicitly reserves an inner width — reports are
@@ -23,7 +23,7 @@ use chlm_par::WorkerPool;
 /// Environment variable reserving an intra-tick (inner-pool) width inside
 /// each parallel job. Unset (the default), the whole thread budget drives
 /// the job-level fan-out because intra-tick scaling is flat on the
-/// reference hardware (BENCH_PR4).
+/// reference hardware (CHANGES.md, PR 4).
 pub const THREADS_INNER_ENV: &str = "CHLM_THREADS_INNER";
 
 /// The inner-pool width `CHLM_THREADS_INNER` requests, if set to a
@@ -40,8 +40,8 @@ fn inner_override() -> Option<usize> {
 ///
 /// * `inner_hint = None` (the default path): replication-level split —
 ///   `outer = min(threads, jobs)`, `inner = 1`. Intra-tick parallelism is
-///   flat on the reference box (BENCH_PR4), so every thread goes where
-///   scaling is proven.
+///   flat on the reference box (CHANGES.md, PR 4), so every thread goes
+///   where scaling is proven.
 /// * `inner_hint = Some(w)`: honor the explicit request — `inner = w`,
 ///   `outer = max(threads / w, 1)` (clamped to `jobs`), so nesting never
 ///   oversubscribes beyond the requested inner width.

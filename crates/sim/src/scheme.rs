@@ -166,7 +166,7 @@ pub struct GlsSchemeWorkload {
 
 impl GlsSchemeWorkload {
     /// Grid covering the deployment region of `cfg`, order-1 squares of
-    /// side ≥ `R_TX` — the same construction the E13 GLS tracker uses.
+    /// side ≥ `R_TX`.
     pub fn new(cfg: &SimConfig) -> Self {
         let region = Disk::centered(cfg.region_radius());
         let (lo, hi) = {
@@ -485,10 +485,8 @@ pub fn make_accounting(cfg: &SimConfig) -> Box<dyn HandoffAccounting> {
     }
 }
 
-/// The slice of the world a location lookup resolves against. Buildable
-/// from a live [`TickCtx`] ([`LookupWorld::of_tick`]) and from the
-/// end-of-run state (the legacy `query_samples` diagnostic), so there is
-/// exactly one resolution code path.
+/// The slice of the world a location lookup resolves against, built from
+/// a live [`TickCtx`] ([`LookupWorld::of_tick`]).
 pub struct LookupWorld<'a> {
     /// Tick index the state belongs to (staleness oracle for lookups that
     /// cache derived tables, e.g. the GLS server table).

@@ -22,7 +22,6 @@ fn base_cfg(n: usize, seed: u64) -> SimConfig {
         .duration(1.2)
         .warmup(0.3)
         .seed(seed)
-        .query_samples(12)
         .query_rate(2.0)
         .build()
 }

@@ -2,9 +2,9 @@
 //!
 //! Each observer from `chlm_sim::observe` is driven in isolation through
 //! the same hand-built three-snapshot (= two-tick) scenario: eight nodes
-//! on a line, one link rewired per tick, one node walking across a GLS
-//! grid boundary. Snapshots are built from explicit edge lists, so the
-//! level-0 quantities (link events, mean degree) are hand-countable,
+//! on a line, one link rewired per tick. Snapshots are built from
+//! explicit edge lists, so the level-0 quantities (link events, mean
+//! degree) are hand-countable,
 //! while the cluster-level quantities are pinned against recorded values
 //! and against the diff streams computed directly from the snapshots —
 //! exactly the contract each observer has with the engine.
@@ -12,13 +12,12 @@
 use chlm_cluster::address::{AddrChange, AddrChangeKind, AddressBook};
 use chlm_cluster::events::classify_events;
 use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_geom::{Point, Rect};
+use chlm_geom::Point;
 use chlm_graph::{Graph, NodeIdx};
-use chlm_lm::gls::{GlsTracker, GridHierarchy};
 use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_sim::observe::{
-    AddressChurnObserver, AlcaStateObserver, DegreeObserver, EventTaxonomyObserver, GlsObserver,
+    AddressChurnObserver, AlcaStateObserver, DegreeObserver, EventTaxonomyObserver,
     LedgerHandoffObserver, LevelChurnObserver, LinkRateObserver,
 };
 use chlm_sim::{HopPricer, Observer, TickCtx};
@@ -76,7 +75,7 @@ fn line(spacing: f64) -> Vec<Point> {
 ///
 /// * S0: path 0–1–…–7 plus chord 0–2 (8 edges).
 /// * tick 0 → S1: link 6–7 breaks, link 5–7 forms (node 7 drifts toward
-///   node 5 and across a grid line) — 2 level-0 link events.
+///   node 5) — 2 level-0 link events.
 /// * tick 1 → S2: chord 0–2 breaks, link 6–7 re-forms — 2 more events.
 ///
 /// Every snapshot keeps exactly 8 edges, so the mean degree stays 2.0.
@@ -259,18 +258,6 @@ fn alca_tracker_sees_initial_plus_both_ticks() {
     assert_eq!(obs.tracker.ticks(), 3);
     // Depth grows from 4 to 5 on tick 1; the tracker must have seen both.
     assert!(obs.tracker.level_count() >= 5);
-}
-
-/// Node 7's walk crosses a grid boundary, so the GLS baseline books a
-/// positive maintenance overhead: at 1 hop per packet the recorded total
-/// is 0.5 packets per node-second.
-#[test]
-fn gls_observer_books_boundary_crossings() {
-    let snaps = fixture();
-    let grid = GridHierarchy::covering(Rect::new(Point::new(0.0, 0.0), Point::new(7.2, 7.2)), 0.9);
-    let mut obs = GlsObserver::new(GlsTracker::new(grid, &snaps[0].positions));
-    run_two_ticks(&snaps, &mut obs, &mut ConstPricer(1.0));
-    assert_eq!(obs.tracker.overhead_per_node_per_second(), 0.5);
 }
 
 /// Every snapshot keeps 8 edges over 8 nodes (mean degree 2.0), and the

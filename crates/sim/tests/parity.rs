@@ -20,7 +20,7 @@ fn cfg(backend: Backend) -> SimConfig {
         .duration(1.5)
         .warmup(0.5)
         .seed(42)
-        .query_samples(12)
+        .query_rate(2.0)
         .hop_metric(HopMetric::Bfs)
         .backend(backend)
         .build()

@@ -20,7 +20,6 @@ fn base_cfg(n: usize, seed: u64, scheme: LmScheme, packet: bool) -> SimConfig {
         .duration(1.5)
         .warmup(0.4)
         .seed(seed)
-        .query_samples(8)
         .lm_scheme(scheme);
     if packet {
         b = b.backend(Backend::packet());
@@ -60,11 +59,7 @@ fn chlm_scheme_selection_is_a_no_op() {
     for packet in [false, true] {
         for seed in [21, 22] {
             let implicit = {
-                let mut b = SimConfig::builder(90)
-                    .duration(1.5)
-                    .warmup(0.4)
-                    .seed(seed)
-                    .query_samples(8);
+                let mut b = SimConfig::builder(90).duration(1.5).warmup(0.4).seed(seed);
                 if packet {
                     b = b.backend(Backend::packet());
                 }

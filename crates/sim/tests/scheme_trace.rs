@@ -66,7 +66,7 @@ fn cfg(n: usize, seed: u64, mobility: MobilityKind, scheme: LmScheme, packet: bo
         .duration(1.5)
         .warmup(0.4)
         .seed(seed)
-        .query_samples(8)
+        .query_rate(2.0)
         .mobility(mobility)
         .lm_scheme(scheme);
     if packet {
@@ -105,12 +105,11 @@ fn traced_run(cfg: SimConfig) -> (Vec<u64>, SimReport) {
 
 /// The report with LM accounting blanked, leaving only world-derived
 /// fields — these must agree across schemes. Query-plane costs are
-/// scheme-side too: both the legacy `query_samples` probe and the
-/// `query_rate` workload resolve through the scheme's own lookup path
-/// (`SchemeLookup`), so their prices legitimately differ per scheme.
+/// scheme-side too: the `query_rate` workload resolves through the
+/// scheme's own lookup path (`SchemeLookup`), so its price legitimately
+/// differs per scheme.
 fn world_view(mut r: SimReport) -> SimReport {
     r.ledger = Default::default();
-    r.mean_query_packets = None;
     r.query = None;
     r
 }
@@ -193,9 +192,10 @@ fn schemes_differ_only_in_the_ledger() {
     assert_ne!(chlm.ledger, gls.ledger);
     assert_ne!(chlm.ledger, home.ledger);
     assert_ne!(gls.ledger, home.ledger);
-    // The legacy query_samples probe resolves through the scheme's own
-    // lookup path since the SchemeLookup fold, so its price is
-    // scheme-side too — pin that it actually differs on this trace.
-    assert_ne!(chlm.mean_query_packets, gls.mean_query_packets);
-    assert_ne!(chlm.mean_query_packets, home.mean_query_packets);
+    // Lookups resolve through the scheme's own lookup path, so the query
+    // price is scheme-side too — pin that it actually differs on this
+    // trace.
+    let query_packets = |r: &SimReport| r.query.as_ref().map(|q| q.total_packets());
+    assert_ne!(query_packets(&chlm), query_packets(&gls));
+    assert_ne!(query_packets(&chlm), query_packets(&home));
 }

@@ -20,7 +20,6 @@ fn cfg(backend_packet: bool) -> SimConfig {
         .duration(1.5)
         .warmup(0.4)
         .seed(42)
-        .query_samples(12)
         .query_rate(2.0)
         .build();
     // BFS metric drives the parallel oracle prefill through run_indexed;

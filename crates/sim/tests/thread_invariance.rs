@@ -22,7 +22,6 @@ fn base_cfg(n: usize, seed: u64) -> SimConfig {
         .duration(1.5)
         .warmup(0.4)
         .seed(seed)
-        .query_samples(12)
         .build()
 }
 

@@ -21,7 +21,7 @@ fn run(label: &str, mobility: MobilityKind) -> SimReport {
         .warmup(6.0)
         .seed(7)
         .mobility(mobility)
-        .query_samples(40)
+        .query_rate(1.0)
         .build();
     let r = run_simulation(&cfg);
     println!(
@@ -57,7 +57,8 @@ fn main() {
         independent.events.grand_total(),
         walkers.events.grand_total()
     );
-    if let (Some(a), Some(b)) = (squads.mean_query_packets, independent.mean_query_packets) {
+    let query_cost = |r: &SimReport| r.query.as_ref()?.mean_packets_per_lookup();
+    if let (Some(a), Some(b)) = (query_cost(&squads), query_cost(&independent)) {
         println!("mean query cost: RPGM {a:.2} vs RWP {b:.2} packets");
     }
 }

@@ -17,7 +17,7 @@ fn main() {
         .duration(10.0)
         .warmup(5.0)
         .seed(42)
-        .query_samples(50)
+        .query_rate(1.0)
         .build();
 
     println!(
@@ -65,7 +65,11 @@ fn main() {
         println!("event ({label:>3}): {total}");
     }
 
-    if let Some(q) = report.mean_query_packets {
+    if let Some(q) = report
+        .query
+        .as_ref()
+        .and_then(|q| q.mean_packets_per_lookup())
+    {
         println!("\nmean location-query cost: {q:.2} packets");
     }
     println!(

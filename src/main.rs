@@ -2,16 +2,18 @@
 //!
 //! ```text
 //! chlm simulate --nodes 512 --speed 2 --duration 10 --seed 1 [--mobility M]
-//!               [--gls] [--queries N] [--csv]
+//!               [--scheme chlm|gls|home] [--query-rate R] [--csv]
 //! chlm sweep    --sizes 128,256,512 --seeds 4 [--duration 8] [--metric total]
 //! chlm hierarchy --nodes 150 --seed 63 [--tree]
 //! ```
 //!
 //! Argument parsing is hand-rolled (no CLI dependency): `--key value`
-//! flags and boolean switches only.
+//! flags and boolean switches only, each checked against the
+//! subcommand's known set.
 
 use chlm::analysis::table::{fnum, TextTable};
 use chlm::prelude::*;
+use chlm::sim::LmScheme;
 use std::process::ExitCode;
 
 mod cli {
@@ -24,9 +26,14 @@ mod cli {
         pub values: HashMap<String, String>,
     }
 
-    /// Parse `args` (without the program name / subcommand).
-    /// Returns an error message for malformed input.
-    pub fn parse(args: &[String], known_switches: &[&str]) -> Result<Args, String> {
+    /// Parse `args` (without the program name / subcommand) against the
+    /// subcommand's switches and `--key value` keys. Returns an error
+    /// message for malformed input or a flag in neither list.
+    pub fn parse(
+        args: &[String],
+        known_switches: &[&str],
+        known_values: &[&str],
+    ) -> Result<Args, String> {
         let mut out = Args::default();
         let mut i = 0;
         while i < args.len() {
@@ -37,12 +44,14 @@ mod cli {
             if known_switches.contains(&key) {
                 out.switches.push(key.to_string());
                 i += 1;
-            } else {
+            } else if known_values.contains(&key) {
                 let v = args
                     .get(i + 1)
                     .ok_or_else(|| format!("--{key} needs a value"))?;
                 out.values.insert(key.to_string(), v.clone());
                 i += 2;
+            } else {
+                return Err(format!("unknown flag --{key}"));
             }
         }
         Ok(out)
@@ -73,32 +82,40 @@ mod cli {
 
         #[test]
         fn parses_pairs_and_switches() {
-            let a = parse(&s(&["--nodes", "64", "--csv", "--seed", "7"]), &["csv"]).unwrap();
+            let a = parse(
+                &s(&["--nodes", "64", "--csv", "--seed", "7"]),
+                &["csv"],
+                &["nodes", "seed"],
+            )
+            .unwrap();
             assert_eq!(a.get::<usize>("nodes", 0).unwrap(), 64);
             assert_eq!(a.get::<u64>("seed", 0).unwrap(), 7);
             assert!(a.has("csv"));
-            assert!(!a.has("gls"));
+            assert!(!a.has("tree"));
         }
 
         #[test]
         fn defaults_apply() {
-            let a = parse(&[], &[]).unwrap();
+            let a = parse(&[], &[], &[]).unwrap();
             assert_eq!(a.get::<usize>("nodes", 256).unwrap(), 256);
         }
 
         #[test]
         fn errors_are_reported() {
-            assert!(parse(&s(&["nodes"]), &[]).is_err());
-            assert!(parse(&s(&["--nodes"]), &[]).is_err());
-            let a = parse(&s(&["--nodes", "abc"]), &[]).unwrap();
+            assert!(parse(&s(&["nodes"]), &[], &["nodes"]).is_err());
+            assert!(parse(&s(&["--nodes"]), &[], &["nodes"]).is_err());
+            let a = parse(&s(&["--nodes", "abc"]), &[], &["nodes"]).unwrap();
             assert!(a.get::<usize>("nodes", 0).is_err());
+            // A typo must not be swallowed as a value pair.
+            let err = parse(&s(&["--node", "512"]), &["csv"], &["nodes"]).unwrap_err();
+            assert_eq!(err, "unknown flag --node");
         }
     }
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  chlm simulate  --nodes N [--speed M] [--duration S] [--seed K] \\\n                 [--mobility waypoint|direction|walk|rpgm|static] [--gls] [--queries Q] [--csv]\n  chlm sweep     --sizes 128,256,512 [--seeds R] [--duration S] [--metric total|phi|gamma|f0]\n  chlm hierarchy --nodes N [--seed K] [--tree]"
+        "usage:\n  chlm simulate  --nodes N [--speed M] [--duration S] [--seed K] \\\n                 [--warmup S] [--mobility waypoint|direction|walk|rpgm|static] \\\n                 [--scheme chlm|gls|home] [--query-rate R] [--csv]\n  chlm sweep     --sizes 128,256,512 [--seeds R] [--duration S] [--metric total|phi|gamma|f0] [--csv]\n  chlm hierarchy --nodes N [--seed K] [--tree]"
     );
     ExitCode::from(2)
 }
@@ -119,17 +136,27 @@ fn parse_mobility(name: &str, n: usize) -> Result<MobilityKind, String> {
     })
 }
 
+fn parse_scheme(name: &str) -> Result<LmScheme, String> {
+    Ok(match name {
+        "chlm" => LmScheme::Chlm,
+        "gls" => LmScheme::Gls,
+        "home" => LmScheme::HomeAgent,
+        other => return Err(format!("unknown scheme `{other}`")),
+    })
+}
+
 fn cmd_simulate(args: &cli::Args) -> Result<(), String> {
     let n: usize = args.get("nodes", 256)?;
     let mobility = parse_mobility(&args.get::<String>("mobility", "waypoint".into())?, n)?;
+    let scheme = parse_scheme(&args.get::<String>("scheme", "chlm".into())?)?;
     let cfg = {
         let mut b = SimConfig::builder(n)
             .duration(args.get("duration", 10.0)?)
             .warmup(args.get("warmup", 5.0)?)
             .seed(args.get("seed", 1)?)
             .mobility(mobility)
-            .track_gls(args.has("gls"))
-            .query_samples(args.get("queries", 0)?);
+            .lm_scheme(scheme)
+            .query_rate(args.get("query-rate", 0.0)?);
         let speed: f64 = args.get("speed", 2.0)?;
         if !matches!(mobility, MobilityKind::Static) {
             b = b.speed(speed);
@@ -152,11 +179,8 @@ fn cmd_simulate(args: &cli::Args) -> Result<(), String> {
     t.row(vec!["gamma (pkt/node/s)".into(), fnum(r.gamma_total())]);
     t.row(vec!["total (pkt/node/s)".into(), fnum(r.total_overhead())]);
     t.row(vec!["LM entries/node".into(), fnum(r.mean_entries_hosted)]);
-    if let Some(q) = r.mean_query_packets {
+    if let Some(q) = r.query.as_ref().and_then(|q| q.mean_packets_per_lookup()) {
         t.row(vec!["mean query (pkts)".into(), fnum(q)]);
-    }
-    if let Some(g) = r.gls_overhead {
-        t.row(vec!["GLS overhead (pkt/node/s)".into(), fnum(g)]);
     }
     print!(
         "{}",
@@ -186,7 +210,9 @@ fn cmd_sweep(args: &cli::Args) -> Result<(), String> {
         other => return Err(format!("unknown metric `{other}`")),
     };
     eprintln!("sweeping {sizes:?} with {seeds} seeds...");
-    let points = sweep(&sizes, seeds, 1, 4, |n| {
+    // The workspace thread budget (`CHLM_THREADS`, else available cores).
+    let threads = SimConfig::builder(1).build().threads;
+    let points = sweep(&sizes, seeds, 1, threads, |n| {
         SimConfig::builder(n).duration(duration).warmup(5.0).build()
     });
     let series = summarize_metric(&points, &metric, pick);
@@ -239,9 +265,26 @@ fn main() -> ExitCode {
     };
     let rest = &argv[1..];
     let result = match cmd.as_str() {
-        "simulate" => cli::parse(rest, &["gls", "csv"]).and_then(|a| cmd_simulate(&a)),
-        "sweep" => cli::parse(rest, &["csv"]).and_then(|a| cmd_sweep(&a)),
-        "hierarchy" => cli::parse(rest, &["tree"]).and_then(|a| cmd_hierarchy(&a)),
+        "simulate" => cli::parse(
+            rest,
+            &["csv"],
+            &[
+                "nodes",
+                "speed",
+                "duration",
+                "warmup",
+                "seed",
+                "mobility",
+                "scheme",
+                "query-rate",
+            ],
+        )
+        .and_then(|a| cmd_simulate(&a)),
+        "sweep" => cli::parse(rest, &["csv"], &["sizes", "seeds", "duration", "metric"])
+            .and_then(|a| cmd_sweep(&a)),
+        "hierarchy" => {
+            cli::parse(rest, &["tree"], &["nodes", "seed"]).and_then(|a| cmd_hierarchy(&a))
+        }
         "--help" | "-h" | "help" => return usage(),
         other => Err(format!("unknown command `{other}`")),
     };

@@ -2,13 +2,14 @@
 //! mobility, clustering, location management and measurement.
 
 use chlm::prelude::*;
+use chlm::sim::{run_multiplexed, LmScheme, VariantSpec};
 
 fn quick(n: usize, seed: u64) -> SimConfig {
     SimConfig::builder(n)
         .duration(4.0)
         .warmup(2.0)
         .seed(seed)
-        .query_samples(20)
+        .query_rate(1.0)
         .build()
 }
 
@@ -19,7 +20,7 @@ fn full_pipeline_determinism() {
     assert_eq!(a.ledger, b.ledger);
     assert_eq!(a.events, b.events);
     assert_eq!(a.f0, b.f0);
-    assert_eq!(a.mean_query_packets, b.mean_query_packets);
+    assert_eq!(a.query, b.query);
 }
 
 #[test]
@@ -91,12 +92,32 @@ fn faster_mobility_costs_more() {
 
 #[test]
 fn gls_and_chlm_both_tracked() {
-    let mut cfg = quick(150, 9);
-    cfg.track_gls = true;
-    let r = run_simulation(&cfg);
-    let gls = r.gls_overhead.unwrap();
-    assert!(gls > 0.0);
-    assert!(r.total_overhead() > 0.0);
+    // One world, two banks: each must book overhead, and each must equal
+    // the standalone run of its own scheme.
+    let cfg = quick(150, 9);
+    let variants: Vec<VariantSpec> = [("chlm", LmScheme::Chlm), ("gls", LmScheme::Gls)]
+        .into_iter()
+        .map(|(name, scheme)| VariantSpec::new(name, scheme, cfg.hop_metric, cfg.backend))
+        .collect();
+    let reports = run_multiplexed(&cfg, &variants);
+    for (report, variant) in reports.iter().zip(&variants) {
+        assert!(report.total_overhead() > 0.0, "{} idle", variant.label);
+        assert_eq!(report, &run_simulation(&variant.apply(&cfg)));
+    }
+}
+
+/// The `("waypoint", 11, …)` row of `chlm-sim`'s pinned equivalence table
+/// (`crates/sim/tests/equivalence.rs`, same config, same constant), so the
+/// root `cargo test -q` trips when report arithmetic changes.
+#[test]
+fn report_digest_is_pinned() {
+    let cfg = SimConfig::builder(90)
+        .mobility(MobilityKind::Waypoint)
+        .duration(2.0)
+        .warmup(0.5)
+        .seed(11)
+        .build();
+    assert_eq!(run_simulation(&cfg).digest(), 0x79a1cd038957ee3b);
 }
 
 #[test]

@@ -108,7 +108,7 @@ pub fn array(elems: impl IntoIterator<Item = String>) -> String {
 
 /// Check that `text` is a single well-formed JSON value. This is a
 /// validator, not a parser — it never builds a tree, just walks the
-/// grammar — which is all the bench smoke gate needs.
+/// grammar — which is all the well-formedness tests need.
 pub fn validate(text: &str) -> bool {
     let b = text.as_bytes();
     let mut pos = 0usize;

@@ -4,14 +4,6 @@
 //! `main.rs` adds argument parsing and exit codes.
 
 pub mod analysis;
-pub mod bench;
 pub mod determinism;
 pub mod json;
 pub mod lint;
-
-/// Every xtask binary (and the xtask test harness) counts allocations so
-/// `cargo xtask bench` can report allocs-per-tick alongside wall time.
-/// The wrapper delegates straight to the system allocator, so the other
-/// subcommands only pay two relaxed atomic adds per allocation.
-#[global_allocator]
-static COUNTING_ALLOC: bench::CountingAlloc = bench::CountingAlloc;

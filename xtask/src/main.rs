@@ -12,22 +12,12 @@
 //! * `audit-determinism [--json] [--n N]` — run each standard config
 //!   twice with the same seed and compare canonical report + hierarchy
 //!   digests (see `xtask::determinism`). Exit 1 on any divergence.
-//! * `bench [--smoke] [--json] [--out FILE]` — measure steady-state
-//!   `Simulation::step` throughput and allocator traffic per network size
-//!   (up to n=16384), a thread-scaling curve, and the shared-world
-//!   multiplexer A/B (world-once vs world-per-variant on the E24 grid),
-//!   and write `BENCH_PR8.json` (see `xtask::bench`). `--smoke` runs a
-//!   single small size and a two-point curve for CI and writes to
-//!   `target/BENCH_SMOKE.json` instead, so it never clobbers the
-//!   committed full-mode artifact; the written file is re-read and
-//!   checked for JSON well-formedness before the command reports
-//!   success.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use xtask::json;
-use xtask::{bench, determinism, lint};
+use xtask::{determinism, lint};
 
 fn workspace_root() -> PathBuf {
     // xtask always lives at <root>/xtask.
@@ -41,8 +31,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask <command>\n\n  \
          lint [--json] [--root DIR] [--path FILE_OR_DIR ...]\n  \
-         audit-determinism [--json] [--n N]\n  \
-         bench [--smoke] [--json] [--out FILE]"
+         audit-determinism [--json] [--n N]"
     );
     ExitCode::from(2)
 }
@@ -203,115 +192,11 @@ fn cmd_audit_determinism(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut as_json = false;
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => as_json = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    // Smoke runs are a harness check, not a measurement: never let them
-    // overwrite the committed full-mode artifact.
-    let out = out.unwrap_or_else(|| {
-        if smoke {
-            workspace_root().join("target/BENCH_SMOKE.json")
-        } else {
-            workspace_root().join("BENCH_PR8.json")
-        }
-    });
-    let run = bench::run(smoke);
-    let doc = bench::render_report(&run, smoke);
-    if let Err(e) = std::fs::write(&out, format!("{doc}\n")) {
-        eprintln!("xtask bench: cannot write {}: {e}", out.display());
-        return ExitCode::from(2);
-    }
-    // Gate on the artifact actually on disk, not the in-memory string.
-    let well_formed = std::fs::read_to_string(&out)
-        .map(|text| json::validate(text.trim_end()))
-        .unwrap_or(false);
-    if as_json {
-        println!("{doc}");
-    } else {
-        for r in &run.sizes {
-            println!(
-                "n={:<6} t={:<3} {:>12.1} ns/tick  {:>9.1} ticks/s  {:>10.1} allocs/tick  {:>12.0} B/tick",
-                r.n, r.threads, r.ns_per_tick, r.ticks_per_sec, r.allocs_per_tick, r.alloc_bytes_per_tick
-            );
-        }
-        for r in &run.scaling {
-            println!(
-                "scaling n={:<6} t={:<3} {:>12.1} ns/tick  {:>9.1} ticks/s",
-                r.n, r.threads, r.ns_per_tick, r.ticks_per_sec
-            );
-        }
-        let m = &run.multiplex;
-        println!(
-            "sweep_multiplex n={:<5} {} variants  {:>12.1} ns legacy  {:>12.1} ns multiplexed  {:.2}x  {:.1} variants/s",
-            m.n, m.variants, m.world_per_variant_ns, m.world_once_ns, m.speedup, m.variants_per_sec
-        );
-        if let Some(s) = bench::speedup_at(&run.sizes, 2048) {
-            println!("speedup vs pre-PR2 baseline at n=2048: {s:.2}x");
-        }
-        if let Some(s) = bench::speedup_vs_pr4(&run.sizes) {
-            println!(
-                "speedup vs PR4 full-reconstruction baseline at n=16384: {s:.2}x (gate {:.1}x)",
-                bench::PR8_GATE_SPEEDUP
-            );
-        }
-        if let Some(s) = bench::speedup_vs_pr7(&run.sizes) {
-            println!(
-                "speedup vs PR7 baseline at n=16384: {s:.2}x (floor {:.1}x)",
-                bench::PR8_FLOOR_VS_PR7
-            );
-        }
-        if let Some(s) = bench::parallel_speedup(&run.scaling) {
-            println!("parallel speedup (best threads vs 1): {s:.2}x");
-        }
-        println!(
-            "xtask bench: wrote {} ({})",
-            out.display(),
-            if well_formed {
-                "well-formed"
-            } else {
-                "MALFORMED"
-            }
-        );
-    }
-    let gate_ok = smoke
-        || (bench::speedup_vs_pr4(&run.sizes).is_none_or(|s| s >= bench::PR8_GATE_SPEEDUP)
-            && bench::speedup_vs_pr7(&run.sizes).is_none_or(|s| s >= bench::PR8_FLOOR_VS_PR7));
-    if !gate_ok {
-        eprintln!(
-            "xtask bench: n=16384 tick time misses the PR8 gate ({:.1}x vs the frozen PR4 \
-             reconstruction baseline, {:.1}x floor vs PR7)",
-            bench::PR8_GATE_SPEEDUP,
-            bench::PR8_FLOOR_VS_PR7
-        );
-        return ExitCode::from(3);
-    }
-    if well_formed {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask bench: {} failed JSON validation", out.display());
-        ExitCode::from(1)
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => cmd_lint(&args[1..]),
         Some("audit-determinism") => cmd_audit_determinism(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         _ => usage(),
     }
 }
