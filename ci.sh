@@ -89,6 +89,15 @@ CHLM_THREADS=1 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --sm
 step "exp_lm_compare --smoke (CHLM_THREADS=2, multiplexed)"
 CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --smoke
 
+# The same grid re-priced under HopMetric::HierRouting (E25): the only
+# binary that drives the routing-table cost model through the multiplexer
+# end to end.
+step "exp_hier_resweep --smoke (CHLM_THREADS=1)"
+CHLM_THREADS=1 cargo run -p chlm-bench --release -q --bin exp_hier_resweep -- --smoke
+
+step "exp_hier_resweep --smoke (CHLM_THREADS=2)"
+CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_hier_resweep -- --smoke
+
 # The E27 update-vs-query crossover at CI scale (n=256, 1 seed, 2 CMR
 # points, all schemes x both backends, all three mobilities), at two
 # thread counts: the query plane shares the thread-invariance contract.

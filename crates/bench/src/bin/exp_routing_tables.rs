@@ -51,23 +51,16 @@ fn main() {
         let stretch = mean_stretch(&h, &pairs).unwrap_or(f64::NAN);
         // Table-driven forwarding (per-node next-hop state, legs confined
         // to the parent cluster — the deployable form of the protocol).
-        let table_stretch = if n <= 1024 {
-            let tables = NextHopTable::build(&h);
-            let mut total = 0.0;
-            let mut count = 0usize;
-            for &(s, t) in &pairs {
-                if let Some(out) = tables.route(&h, s, t) {
-                    total += out.stretch;
-                    count += 1;
-                }
-            }
-            if count > 0 {
-                total / count as f64
-            } else {
-                f64::NAN
-            }
-        } else {
+        let tables = NextHopTable::build(&h);
+        let routed: Vec<f64> = pairs
+            .iter()
+            .filter_map(|&(s, t)| tables.route(&h, s, t))
+            .map(|out| out.stretch)
+            .collect();
+        let table_stretch = if routed.is_empty() {
             f64::NAN
+        } else {
+            routed.iter().sum::<f64>() / routed.len() as f64
         };
         t.row(vec![
             format!("{n}"),

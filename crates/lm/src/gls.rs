@@ -333,6 +333,14 @@ pub struct GlsIncremental {
     mover_stamp: Vec<u32>,
     stamp: u32,
     diff: Vec<(NodeIdx, usize, NodeIdx, NodeIdx)>,
+    /// Per-band scratch of [`Self::update`], cleared and refilled for
+    /// every band, never dropped: the nodes that changed cell, and the
+    /// squares they left or joined (cell → index into `squares`). Only
+    /// the first `square_of.len()` deltas are live; the rest are a pool
+    /// whose inner vectors keep their capacity.
+    movers: Vec<NodeIdx>,
+    square_of: FastMap<(u32, u32), usize>,
+    squares: Vec<SquareDelta>,
 }
 
 impl GlsIncremental {
@@ -355,6 +363,9 @@ impl GlsIncremental {
             mover_stamp: Vec::new(),
             stamp: 0,
             diff: Vec::new(),
+            movers: Vec::new(),
+            square_of: FastMap::default(),
+            squares: Vec::new(),
         }
     }
 
@@ -388,9 +399,8 @@ impl GlsIncremental {
             self.stamp = self.stamp.wrapping_add(1);
             let stamp = self.stamp;
             // 1. Movers at this band, grouped into per-square deltas.
-            let mut square_of: FastMap<(u32, u32), usize> = FastMap::default();
-            let mut squares: Vec<SquareDelta> = Vec::new();
-            let mut movers: Vec<NodeIdx> = Vec::new();
+            self.square_of.clear();
+            self.movers.clear();
             for v in 0..n {
                 let nc = grid.cell(positions[v], order);
                 let slot = v * bands + band;
@@ -400,24 +410,34 @@ impl GlsIncremental {
                 }
                 self.cells[slot] = nc;
                 self.mover_stamp[v] = stamp;
-                movers.push(v as NodeIdx);
+                self.movers.push(v as NodeIdx);
                 for (cell, joined) in [(oc, false), (nc, true)] {
-                    let i = *square_of.entry(cell).or_insert_with(|| {
-                        squares.push((cell, Vec::new(), Vec::new()));
-                        squares.len() - 1
-                    });
+                    let live = self.square_of.len();
+                    let i = *self.square_of.entry(cell).or_insert(live);
+                    if i == live {
+                        // First touch this band: recycle a pooled delta.
+                        match self.squares.get_mut(i) {
+                            Some(pooled) => {
+                                pooled.0 = cell;
+                                pooled.1.clear();
+                                pooled.2.clear();
+                            }
+                            None => self.squares.push((cell, Vec::new(), Vec::new())),
+                        }
+                    }
                     if joined {
-                        squares[i].1.push(v as NodeIdx);
+                        self.squares[i].1.push(v as NodeIdx);
                     } else {
-                        squares[i].2.push(v as NodeIdx);
+                        self.squares[i].2.push(v as NodeIdx);
                     }
                 }
             }
-            if movers.is_empty() {
+            if self.movers.is_empty() {
                 continue;
             }
+            let squares = &self.squares[..self.square_of.len()];
             // 2. Apply deltas to the sorted occupancy lists.
-            for (cell, joined, left) in &squares {
+            for (cell, joined, left) in squares {
                 let members = self.occupancy[band].entry(*cell).or_default();
                 for v in left {
                     // audit: binary_search on a list this struct keeps
@@ -508,7 +528,7 @@ impl GlsIncremental {
                 }
             }
             // 4. Movers rescan all three of their slots at this band.
-            for &v in &movers {
+            for &v in &self.movers {
                 let cell = self.cells[v as usize * bands + band];
                 for (s, sib) in grid.siblings(cell, order).into_iter().enumerate() {
                     let slot = (v as usize * bands + band) * 3 + s;

@@ -11,279 +11,425 @@
 //!
 //! each entry holding the next hop toward the nearest level-0 node of the
 //! target cluster. Forwarding then uses only the destination's
-//! hierarchical address and the local table — and, because every entry
-//! follows a BFS gradient toward its target set, each leg strictly
-//! decreases the distance to the set and the descent terminates.
+//! hierarchical address and the local table. Every entry of level `k ≥ 1`
+//! follows a BFS gradient toward its target set that is confined to the
+//! common parent cluster, so such a leg strictly decreases the distance to
+//! the set and never leaves the cluster it descends into. The level-0
+//! entries follow whole-graph distance instead; see `NextHopTable::walk`
+//! for what that costs.
+//!
+//! # Layout
+//!
+//! The table is rebuilt every tick by `HopMetric::HierRouting` pricing, so
+//! it is stored at the size the paper says it has — `Θ(α · log |V|)`
+//! entries per node — in flat arrays, and walked with array reads only.
+//!
+//! Clusters get dense ids, numbered level by level with heads ascending (a
+//! level-0 "cluster" is the node itself); one further id is a virtual root
+//! that contains every node, so that the top real level has a parent like
+//! any other. With `D = depth`, two row-major `n × (D + 1)` arrays hold,
+//! for node `v` and level `k`, `cid[v][k]` — the id of `v`'s level-`k`
+//! cluster — and `pos[v][k]` — `v`'s rank in that cluster's ascending
+//! level-0 member list; one member CSR lists every cluster's members.
+//!
+//! Every cluster `c` below the root owns one *row* of `hop`, as long as
+//! `c`'s parent cluster and indexed by `pos[u][k + 1]`: the next hop from
+//! each member `u` of the parent toward `c` ([`NodeIdx::MAX`] = no entry;
+//! that is what `c`'s own members hold). Rows of level-0 clusters are the
+//! intra-cluster routes, rows of level `k ≥ 1` the sibling-cluster
+//! gradients. Total storage is `Σ_c |parent(c)|`, about `n · (α·L + |C₁|)`
+//! words.
+//!
+//! The rows of the *top* real level span the virtual root, i.e. the whole
+//! graph. Forwarding never consults them — two nodes that share no real
+//! cluster have no strict hierarchical route, and [`NextHopTable::route`]
+//! answers `None` — but they are part of the table a node would hold, so
+//! [`NextHopTable::entries`] counts them.
 
 use crate::forward::PathOutcome;
 use chlm_cluster::Hierarchy;
-use chlm_graph::fasthash::FastMap;
-use chlm_graph::traversal::{bfs_distances, UNREACHABLE};
-use chlm_graph::NodeIdx;
-use std::collections::{BTreeMap, VecDeque};
+use chlm_graph::traversal::hop_distance;
+use chlm_graph::{Graph, NodeIdx};
 
-/// All nodes' routing tables for one hierarchy snapshot.
-#[derive(Debug, Clone)]
+/// "No entry" in a `hop` row.
+const NO_HOP: NodeIdx = NodeIdx::MAX;
+
+/// Row `c` of a CSR. A free function, so that the build can hold a row of
+/// `members` while it writes the table's other fields.
+fn csr_row<'a>(start: &[u32], items: &'a [NodeIdx], c: u32) -> &'a [NodeIdx] {
+    &items[start[c as usize] as usize..start[c as usize + 1] as usize]
+}
+
+/// All nodes' routing tables for one hierarchy snapshot (layout in the
+/// [module docs](self)).
+#[derive(Debug, Clone, Default)]
 pub struct NextHopTable {
-    /// `tables[u]` maps `(level, cluster_head)` → next hop from `u`.
-    /// Level 0 entries are keyed by the destination node itself.
-    tables: Vec<FastMap<(u16, NodeIdx), NodeIdx>>,
-    /// Physical membership of every cluster, for leg-target tests.
-    addresses: Vec<Vec<NodeIdx>>,
+    n: usize,
+    depth: usize,
+    /// `cid[v * (depth + 1) + k]`; column `depth` is the virtual root.
+    cid: Vec<u32>,
+    /// `pos[v * (depth + 1) + k]`, parallel to `cid`.
+    pos: Vec<u32>,
+    /// First cluster id of each level; entry `depth` is the root's id.
+    level_start: Vec<u32>,
+    /// Physical head of every cluster below the root, by cluster id.
+    heads: Vec<NodeIdx>,
+    /// Member CSR by cluster id, root included: ascending level-0 members.
+    member_start: Vec<u32>,
+    members: Vec<NodeIdx>,
+    /// Parent cluster id and first `hop` index of every cluster below the
+    /// root. Both empty when `depth < 2` (no routes at all).
+    parent: Vec<u32>,
+    row_start: Vec<usize>,
+    hop: Vec<NodeIdx>,
+    /// BFS scratch, kept so that [`NextHopTable::rebuild`] does not
+    /// allocate once the buffers have grown. A node is discovered in the
+    /// BFS for cluster `c` iff `stamp[v] == c + 1`.
+    stamp: Vec<u32>,
+    dist: Vec<u32>,
+    queue: Vec<NodeIdx>,
 }
 
 impl NextHopTable {
     /// Build every node's table.
     ///
-    /// Cost: one multi-source BFS per cluster (`O(Σ_k |V_k| · (n + m))`) —
-    /// meant for protocol-fidelity tests and moderate sizes, not the inner
-    /// simulation loop (which uses the diff-based accounting instead).
+    /// `O(n · L · α · deg)`: every BFS below stays inside the cluster whose
+    /// members need its result, so a level costs `Σ_c |parent(c)| · deg ≈
+    /// n · α · deg` — except the top level's never-consulted rows, one
+    /// whole-graph BFS per top-level cluster.
     pub fn build(h: &Hierarchy) -> Self {
+        let mut table = NextHopTable::default();
+        table.rebuild(h);
+        table
+    }
+
+    /// [`NextHopTable::build`] in place, reusing every buffer.
+    pub fn rebuild(&mut self, h: &Hierarchy) {
+        let hop_len = self.index_clusters(h);
+        self.hop.clear();
+        self.hop.resize(hop_len, NO_HOP);
+        // Each BFS stamps with its cluster's id + 1, so zero is "never".
+        self.stamp.clear();
+        self.stamp.resize(self.n, 0);
+        self.dist.resize(self.n, 0);
+        if self.depth >= 2 {
+            let g0 = &h.levels[0].graph;
+            self.fill_level0_rows(g0);
+            self.fill_gradient_rows(g0);
+        }
+    }
+
+    /// Cluster ids, ranks, the member CSR and the row offsets; returns the
+    /// total row length.
+    fn index_clusters(&mut self, h: &Hierarchy) -> usize {
         let n = h.node_count();
-        let g0 = &h.levels[0].graph;
-        let addresses = h.addresses();
-        let mut tables: Vec<FastMap<(u16, NodeIdx), NodeIdx>> = vec![FastMap::default(); n];
+        let depth = h.depth();
+        let stride = depth + 1;
+        self.n = n;
+        self.depth = depth;
 
-        // For every cluster (level k ≥ 1, head H): gradient next hops toward
-        // the cluster's level-0 member set, installed at the nodes that need
-        // an entry for it (members of the parent cluster outside H's).
-        for k in 1..h.depth() {
-            // Member sets at level k, grouped by head.
-            let mut members: BTreeMap<NodeIdx, Vec<NodeIdx>> = BTreeMap::new();
-            for v in 0..n as NodeIdx {
-                members.entry(addresses[v as usize][k]).or_default().push(v);
-            }
-            for (&head, mem) in &members {
-                // The parent of cluster (k, head) is the head's *vote at
-                // level k* — NOT the head's own level-0 address chain (a
-                // head need not be a member of its own cluster; cf. the
-                // paper's node 68).
-                let parent = if k + 1 < h.depth() {
-                    let level = &h.levels[k];
-                    level.local(head).map(|local| level.head_of(local))
-                } else {
-                    None // top level: no parent
-                };
-                // Multi-source BFS from the member set, CONFINED to the
-                // parent cluster's membership: a leg toward a sibling
-                // cluster must not leave the common parent, or a node
-                // outside it would re-target a coarser cluster and the
-                // packet could oscillate between branches (strict
-                // hierarchical routing's classic pitfall).
-                let in_scope = |v: NodeIdx| -> bool {
-                    match parent {
-                        Some(p) => addresses[v as usize].get(k + 1) == Some(&p),
-                        None => true, // top level: whole graph
-                    }
-                };
-                let mut dist = vec![UNREACHABLE; n];
-                let mut next = vec![NodeIdx::MAX; n];
-                let mut q = VecDeque::new();
-                for &s in mem {
-                    dist[s as usize] = 0;
-                    q.push_back(s);
+        self.level_start.clear();
+        self.heads.clear();
+        for level in &h.levels {
+            self.level_start.push(self.heads.len() as u32);
+            self.heads.extend_from_slice(&level.nodes);
+        }
+        let root = self.heads.len();
+        self.level_start.push(root as u32);
+
+        // One pass per node up its clusterhead chain. A cluster's running
+        // member count (kept in `member_start[c + 1]`) is the rank of the
+        // node that bumps it, because nodes arrive in ascending order.
+        self.cid.clear();
+        self.cid.resize(n * stride, 0);
+        self.pos.clear();
+        self.pos.resize(n * stride, 0);
+        self.member_start.clear();
+        self.member_start.resize(root + 2, 0);
+        for v in 0..n {
+            let row = v * stride;
+            // Local index, at level k, of the head of v's level-k cluster.
+            let mut local = v as u32;
+            for k in 0..depth {
+                if k > 0 {
+                    let head = h.levels[k - 1].head_of(local);
+                    // audit: infallible because Hierarchy::build makes every head a node of the next level
+                    local = h.levels[k].local(head).expect("address chain broken");
                 }
-                while let Some(u) = q.pop_front() {
+                let c = (self.level_start[k] + local) as usize;
+                self.cid[row + k] = c as u32;
+                self.pos[row + k] = self.member_start[c + 1];
+                self.member_start[c + 1] += 1;
+            }
+            self.cid[row + depth] = root as u32;
+            self.pos[row + depth] = v as u32;
+        }
+        self.member_start[root + 1] = n as u32;
+        for c in 0..=root {
+            self.member_start[c + 1] += self.member_start[c];
+        }
+        self.members.clear();
+        self.members.resize(n * stride, 0);
+        for v in 0..n {
+            for i in v * stride..(v + 1) * stride {
+                let at = self.member_start[self.cid[i] as usize] + self.pos[i];
+                self.members[at as usize] = v as NodeIdx;
+            }
+        }
+
+        // The parent of cluster (k, head) is the head's *vote at level k*
+        // — NOT the head's own level-0 address chain (a head need not be
+        // a member of its own cluster; cf. the paper's node 68) — which
+        // is also the level-(k+1) cluster of any of its members.
+        self.parent.clear();
+        self.row_start.clear();
+        let mut total = 0usize;
+        if depth >= 2 {
+            for k in 0..depth {
+                for c in self.level_start[k]..self.level_start[k + 1] {
+                    let first = self.members[self.member_start[c as usize] as usize];
+                    let p = self.cid[first as usize * stride + k + 1];
+                    self.parent.push(p);
+                    self.row_start.push(total);
+                    total += self.members_of(p).len();
+                }
+            }
+        }
+        total
+    }
+
+    /// Level-0 rows: routes to every member of the node's level-1 cluster
+    /// (complete intra-cluster knowledge). The entry for `dst` at `u` is
+    /// the first neighbour of `u`, in adjacency order, that is one step
+    /// closer to `dst` in the **whole** graph.
+    ///
+    /// The BFS from `dst` nevertheless stops as soon as the last member of
+    /// the cluster is discovered: BFS discovers in non-decreasing distance,
+    /// so by then every node closer to `dst` than the farthest member —
+    /// in particular every one-step-closer neighbour of every member — is
+    /// discovered with its final distance, and the choice is the one an
+    /// exhaustive BFS makes. LCA members are all adjacent to their head,
+    /// so this visits a few dozen nodes instead of the graph. A member in
+    /// another component gets no entry (the BFS then exhausts `dst`'s).
+    fn fill_level0_rows(&mut self, g0: &Graph) {
+        let stride = self.depth + 1;
+        for dst in 0..self.n {
+            let cluster = self.cid[dst * stride + 1];
+            let mem = csr_row(&self.member_start, &self.members, cluster);
+            let mut missing = mem.len() - 1;
+            if missing == 0 {
+                continue;
+            }
+            let epoch = dst as u32 + 1;
+            let (stamp, dist, queue) = (&mut self.stamp, &mut self.dist, &mut self.queue);
+            stamp[dst] = epoch;
+            dist[dst] = 0;
+            queue.clear();
+            queue.push(dst as NodeIdx);
+            let mut next = 0;
+            'bfs: while let Some(&u) = queue.get(next) {
+                next += 1;
+                let dv = dist[u as usize] + 1;
+                for &v in g0.neighbors(u) {
+                    if stamp[v as usize] != epoch {
+                        stamp[v as usize] = epoch;
+                        dist[v as usize] = dv;
+                        queue.push(v);
+                        if self.cid[v as usize * stride + 1] == cluster {
+                            missing -= 1;
+                            if missing == 0 {
+                                break 'bfs;
+                            }
+                        }
+                    }
+                }
+            }
+            let row = &mut self.hop[self.row_start[dst]..][..mem.len()];
+            for (entry, &u) in row.iter_mut().zip(mem) {
+                if u as usize == dst || stamp[u as usize] != epoch {
+                    continue;
+                }
+                let du = dist[u as usize];
+                // An undiscovered neighbour is at least as far as `u`.
+                let closer =
+                    |&&w: &&NodeIdx| stamp[w as usize] == epoch && dist[w as usize] + 1 == du;
+                if let Some(&w) = g0.neighbors(u).iter().find(closer) {
+                    *entry = w;
+                }
+            }
+        }
+    }
+
+    /// Rows of level `k ≥ 1`: for every cluster, gradient next hops toward
+    /// its level-0 member set, at the members of the parent cluster
+    /// outside it (the siblings that §2.1 says keep an entry for it).
+    ///
+    /// Multi-source BFS from the member set in ascending node order,
+    /// CONFINED to the parent cluster's membership: a leg toward a sibling
+    /// cluster must not leave the common parent, or a node outside it
+    /// would re-target a coarser cluster and the packet could oscillate
+    /// between branches (strict hierarchical routing's classic pitfall).
+    /// The first discoverer of a node is its next hop.
+    fn fill_gradient_rows(&mut self, g0: &Graph) {
+        let stride = self.depth + 1;
+        for k in 1..self.depth {
+            let up = k + 1;
+            for c in self.level_start[k]..self.level_start[k + 1] {
+                let scope = self.parent[c as usize];
+                let sources = csr_row(&self.member_start, &self.members, c);
+                let mut missing = self.members_of(scope).len() - sources.len();
+                if missing == 0 {
+                    continue; // only child: nobody needs a route to it
+                }
+                let epoch = c + 1;
+                let (stamp, queue) = (&mut self.stamp, &mut self.queue);
+                queue.clear();
+                queue.extend_from_slice(sources);
+                for &s in sources {
+                    stamp[s as usize] = epoch;
+                }
+                let row = &mut self.hop[self.row_start[c as usize]..];
+                let mut next = 0;
+                'bfs: while let Some(&u) = queue.get(next) {
+                    next += 1;
                     for &v in g0.neighbors(u) {
-                        if dist[v as usize] == UNREACHABLE && in_scope(v) {
-                            dist[v as usize] = dist[u as usize] + 1;
-                            next[v as usize] = u;
-                            q.push_back(v);
-                        }
-                    }
-                }
-                // Install entries at nodes in the same level-(k+1) cluster
-                // but a different level-k cluster (the siblings that §2.1
-                // says keep an entry for this cluster). For the top level,
-                // everyone connected keeps an entry.
-                for u in 0..n as NodeIdx {
-                    let au = &addresses[u as usize];
-                    if au[k] == head {
-                        continue; // own cluster: routed at a lower level
-                    }
-                    let same_parent = match (au.get(k + 1), parent) {
-                        (Some(&p), Some(cluster_parent)) => p == cluster_parent,
-                        _ => k + 1 >= h.depth(),
-                    };
-                    if same_parent && next[u as usize] != NodeIdx::MAX {
-                        tables[u as usize].insert((k as u16, head), next[u as usize]);
-                    }
-                }
-            }
-        }
-        // Level-0 entries: routes to every member of the node's level-1
-        // cluster (complete intra-cluster knowledge).
-        if h.depth() >= 2 {
-            let mut members1: BTreeMap<NodeIdx, Vec<NodeIdx>> = BTreeMap::new();
-            for v in 0..n as NodeIdx {
-                members1
-                    .entry(addresses[v as usize][1])
-                    .or_default()
-                    .push(v);
-            }
-            for mem in members1.values() {
-                for &dst in mem {
-                    let dist = bfs_distances(g0, dst);
-                    for &u in mem {
-                        if u == dst {
-                            continue;
-                        }
-                        // First hop from u toward dst: any neighbor one step
-                        // closer.
-                        if dist[u as usize] == UNREACHABLE {
-                            continue;
-                        }
-                        let hop = g0
-                            .neighbors(u)
-                            .iter()
-                            .copied()
-                            .find(|&w| dist[w as usize] + 1 == dist[u as usize]);
-                        if let Some(hop) = hop {
-                            tables[u as usize].insert((0, dst), hop);
+                        let at = v as usize * stride + up;
+                        if stamp[v as usize] != epoch && self.cid[at] == scope {
+                            stamp[v as usize] = epoch;
+                            row[self.pos[at] as usize] = u;
+                            queue.push(v);
+                            missing -= 1;
+                            if missing == 0 {
+                                break 'bfs; // the whole scope has its entry
+                            }
                         }
                     }
                 }
             }
         }
-        NextHopTable { tables, addresses }
     }
 
-    /// Number of entries in `u`'s table.
+    /// Ascending level-0 members of cluster `c`.
+    fn members_of(&self, c: u32) -> &[NodeIdx] {
+        csr_row(&self.member_start, &self.members, c)
+    }
+
+    /// The entry at `u` for cluster `c` of level `k`, if `u` holds one.
+    fn entry(&self, u: NodeIdx, k: usize, c: u32) -> Option<NodeIdx> {
+        let at = u as usize * (self.depth + 1) + k + 1;
+        if self.parent[c as usize] != self.cid[at] {
+            return None;
+        }
+        let hop = self.hop[self.row_start[c as usize] + self.pos[at] as usize];
+        (hop != NO_HOP).then_some(hop)
+    }
+
+    /// Number of entries in `u`'s table. `O(Σ_k |C_k(u)|)` — analysis and
+    /// tests, not pricing.
     pub fn entries(&self, u: NodeIdx) -> usize {
-        self.tables[u as usize].len()
+        if self.depth < 2 {
+            return 0;
+        }
+        let stride = self.depth + 1;
+        let row = u as usize * stride;
+        (0..self.depth)
+            .map(|k| {
+                // One candidate per child of u's level-(k+1) cluster,
+                // counted at the child's first member.
+                self.members_of(self.cid[row + k + 1])
+                    .iter()
+                    .filter(|&&m| {
+                        let c = self.cid[m as usize * stride + k];
+                        self.members_of(c)[0] == m && self.entry(u, k, c).is_some()
+                    })
+                    .count()
+            })
+            .sum()
     }
 
-    /// Test/debug helper: raw table lookup.
+    /// Test/debug helper: raw table lookup. Level-0 entries are keyed by
+    /// the destination node itself, the others by the cluster's head.
     #[doc(hidden)]
     pub fn debug_lookup(&self, u: NodeIdx, level: u16, head: NodeIdx) -> Option<NodeIdx> {
-        self.tables[u as usize].get(&(level, head)).copied()
+        let k = level as usize;
+        if self.depth < 2 || k >= self.depth {
+            return None;
+        }
+        let (lo, hi) = (self.level_start[k], self.level_start[k + 1]);
+        let local = self.heads[lo as usize..hi as usize]
+            .binary_search(&head)
+            .ok()?;
+        self.entry(u, k, lo + local as u32)
     }
 
     /// One forwarding decision: the next hop from `cur` toward `t` and the
-    /// lowest level at which their addresses agree. `None` when `cur` has
-    /// no table entry for the leg (no route).
+    /// lowest level at which their addresses agree. `None` when they share
+    /// no cluster or `cur` has no table entry for the leg (no route).
     fn step_toward(&self, cur: NodeIdx, t: NodeIdx) -> Option<(NodeIdx, usize)> {
-        let addr_c = &self.addresses[cur as usize];
-        let addr_t = &self.addresses[t as usize];
-        let depth = addr_c.len().min(addr_t.len());
-        let common = (0..depth).find(|&k| addr_c[k] == addr_t[k])?;
-        debug_assert!(common >= 1);
-        let key = if common == 1 {
-            (0u16, t)
-        } else {
-            ((common - 1) as u16, addr_t[common - 1])
-        };
-        let next = *self.tables[cur as usize].get(&key)?;
-        Some((next, common))
+        let stride = self.depth + 1;
+        let here = &self.cid[cur as usize * stride..][..stride];
+        let there = &self.cid[t as usize * stride..][..stride];
+        let common = (1..self.depth).find(|&k| here[k] == there[k])?;
+        // The leg's target: t itself inside the shared level-1 cluster,
+        // else t's cluster one level below the shared one.
+        let row = self.row_start[there[common - 1] as usize];
+        let next = self.hop[row + self.pos[cur as usize * stride + common] as usize];
+        (next != NO_HOP).then_some((next, common))
+    }
+
+    /// The table-driven walk from `s` to `t`: calls `visit(next, common)`
+    /// for every forwarding decision and returns the hop count, or `None`
+    /// when the tables cannot deliver — an entry is missing, or the walk
+    /// cycles. (It can: a level-0 entry follows whole-graph distance and
+    /// may step out of the level-1 cluster, whose gradient leads back in.)
+    ///
+    /// Forwarding is a function of `(node, t)`, so a walk that revisits a
+    /// node never ends. Brent's scheme catches that within a small
+    /// multiple of tail + cycle length: remember the node reached at each
+    /// power-of-two hop count, and stop on meeting it again.
+    fn walk(&self, s: NodeIdx, t: NodeIdx, mut visit: impl FnMut(NodeIdx, usize)) -> Option<u32> {
+        let mut cur = s;
+        let mut hops = 0u32;
+        let (mut mark, mut mark_again_at) = (s, 1);
+        while cur != t {
+            let (next, common) = self.step_toward(cur, t)?;
+            if next == mark {
+                return None;
+            }
+            visit(next, common);
+            cur = next;
+            hops += 1;
+            if hops == mark_again_at {
+                mark = cur;
+                mark_again_at *= 2;
+            }
+        }
+        Some(hops)
     }
 
     /// Hop count of the table-driven route from `s` to `t` — the walk
     /// [`NextHopTable::route`] performs, minus the shortest-path BFS that
     /// call runs only for stretch accounting. `Some(0)` for `s == t`;
-    /// `None` when the tables cannot deliver. `O(hops)` per pair, so this
-    /// is the form hot pricing paths use.
+    /// `None` when the tables cannot deliver. `O(hops · L)` array reads
+    /// per pair, so this is the form hot pricing paths use.
     pub fn route_hops(&self, s: NodeIdx, t: NodeIdx) -> Option<u32> {
-        let mut cur = s;
-        let mut hops = 0usize;
-        let cap = 4 * self.tables.len() + 16;
-        while cur != t {
-            let (next, _) = self.step_toward(cur, t)?;
-            cur = next;
-            hops += 1;
-            if hops > cap {
-                // Defensive: gradient routing cannot loop, but corrupt
-                // tables shouldn't hang the caller.
-                return None;
-            }
-        }
-        Some(hops as u32)
-    }
-
-    /// [`NextHopTable::route_hops`] with a caller-provided suffix memo:
-    /// every node on the walked path records its remaining hop count to
-    /// `t` in `memo`, and a walk that reaches a memoized node stops there.
-    ///
-    /// Routing is deterministic per (node, target), so walks toward the
-    /// same target converge and share suffixes — pricing a batch of pairs
-    /// against few distinct targets (the handoff-ledger shape: many
-    /// transfers into one new host) costs amortized O(1) per pair instead
-    /// of O(hops). Returns exactly what `route_hops` returns; the memo
-    /// only skips re-walking. Failed (unroutable) walks are not memoized.
-    ///
-    /// The memo is only valid for this table — callers must clear it
-    /// whenever the table is rebuilt. `path_scratch` is walk scratch,
-    /// reused across calls.
-    pub fn route_hops_memo(
-        &self,
-        s: NodeIdx,
-        t: NodeIdx,
-        memo: &mut FastMap<(NodeIdx, NodeIdx), u32>,
-        path_scratch: &mut Vec<NodeIdx>,
-    ) -> Option<u32> {
-        if s == t {
-            return Some(0);
-        }
-        path_scratch.clear();
-        let mut cur = s;
-        let cap = 4 * self.tables.len() + 16;
-        let tail = loop {
-            if cur == t {
-                break 0u32;
-            }
-            if let Some(&rest) = memo.get(&(cur, t)) {
-                break rest;
-            }
-            path_scratch.push(cur);
-            if path_scratch.len() > cap {
-                // Defensive: gradient routing cannot loop, but corrupt
-                // tables shouldn't hang the caller.
-                return None;
-            }
-            let (next, _) = self.step_toward(cur, t)?;
-            cur = next;
-        };
-        let walked = path_scratch.len() as u32;
-        for (i, &node) in path_scratch.iter().enumerate() {
-            memo.insert((node, t), tail + walked - i as u32);
-        }
-        Some(tail + walked)
+        self.walk(s, t, |_, _| {})
     }
 
     /// Route a packet from `s` to `t` using only per-node tables and `t`'s
     /// hierarchical address. Returns `None` when no route exists.
     pub fn route(&self, h: &Hierarchy, s: NodeIdx, t: NodeIdx) -> Option<PathOutcome> {
-        let g0 = &h.levels[0].graph;
-        let shortest = {
-            if s == t {
-                0
-            } else {
-                let d = bfs_distances(g0, s);
-                if d[t as usize] == UNREACHABLE {
-                    return None;
-                }
-                d[t as usize]
-            }
-        };
+        let shortest = hop_distance(&h.levels[0].graph, s, t)?;
         let mut path = vec![s];
-        let mut cur = s;
         let mut legs = 0u32;
         let mut last_common = usize::MAX;
-        let cap = 4 * g0.node_count() + 16;
-        while cur != t {
-            let (next, common) = self.step_toward(cur, t)?;
+        let hops = self.walk(s, t, |next, common| {
             if common < last_common {
                 legs += 1;
                 last_common = common;
             }
             path.push(next);
-            cur = next;
-            if path.len() > cap {
-                // Defensive: gradient routing cannot loop, but corrupt
-                // tables shouldn't hang the caller.
-                return None;
-            }
-        }
-        let hops = (path.len() - 1) as u32;
+        })?;
         Some(PathOutcome {
             stretch: if shortest == 0 {
                 1.0

@@ -1,34 +1,18 @@
 //! Property-based tests for hierarchical routing.
 
+mod common;
+
 use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_geom::{Disk, SimRng};
+use chlm_geom::SimRng;
 use chlm_graph::traversal::{connected_components, hop_distance};
-use chlm_graph::unit_disk::build_unit_disk;
-use chlm_graph::{Graph, NodeIdx};
+use chlm_graph::NodeIdx;
 use chlm_routing::forward::hierarchical_path;
 use chlm_routing::tables::{compare_tables, hierarchical_table_sizes};
+use common::arb_graph;
 use proptest::prelude::*;
 
 fn random_network(n: usize, seed: u64) -> Hierarchy {
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
-    let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
-    let mut rng = SimRng::seed_from(seed);
-    let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-    let g = build_unit_disk(&pts, rtx);
-    let ids = rng.permutation(n);
-    Hierarchy::build(&ids, &g, HierarchyOptions::default())
-}
-
-fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-    (2usize..max_n).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as NodeIdx, 0..n as NodeIdx), n..4 * n).prop_map(
-            move |pairs| {
-                let edges: Vec<_> = pairs.into_iter().filter(|(u, v)| u != v).collect();
-                Graph::from_edges(n, &edges)
-            },
-        )
-    })
+    common::random_network(n, seed, HierarchyOptions::default())
 }
 
 proptest! {

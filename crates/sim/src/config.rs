@@ -36,9 +36,10 @@ pub enum HopMetric {
     Euclidean(f64),
     /// Strict hierarchical forwarding over `chlm_routing::NextHopTable`:
     /// pairs are priced by walking the actual per-node routing tables, so
-    /// hierarchical stretch is measured instead of assumed away. Builds
-    /// the tables each tick — protocol-fidelity studies at moderate sizes,
-    /// not the largest sweeps.
+    /// hierarchical stretch is measured instead of assumed away. Rebuilds
+    /// the tables each tick, in place, in `O(n · L · α · deg)` — the order
+    /// of their size — so it is a few times the cost of the Euclidean
+    /// proxy per tick, not a different size class.
     HierRouting,
 }
 

@@ -22,7 +22,6 @@ use crate::config::HopMetric;
 use crate::oracle::{DistanceOracle, DEFAULT_DETOUR};
 use chlm_cluster::Hierarchy;
 use chlm_geom::Point;
-use chlm_graph::fasthash::FastMap;
 use chlm_graph::{Graph, NodeIdx};
 use chlm_par::WorkerPool;
 use chlm_routing::nexthop::NextHopTable;
@@ -128,67 +127,36 @@ impl CostModel for EuclideanCostModel {
 /// [`NextHopTable`] next hops and counts transmissions, falling back to
 /// the Euclidean estimate scaled by `fallback` (the startup-measured
 /// detour ratio, same as the BFS oracle's unreachable fallback) when no
-/// table route exists.
-///
-/// Priced pairs are memoized for the lifetime of the pricer (one tick):
-/// handoff accounting prices every transferred LM entry, so the same
-/// `(old_host, new_host)` pair recurs many times per tick — and, in a
-/// multiplexed fan-out, across every bank in the metric group sharing
-/// this scope. Beyond exact pair repeats, the table walk itself runs
-/// through [`NextHopTable::route_hops_memo`], which records the remaining
-/// hop count of every node *on* each walked path: routing is
-/// deterministic per (node, target), so the many sources that price
-/// routes into one target host (the handoff-ledger shape) pay for the
-/// shared suffix once. Both memos only skip re-walking pure functions of
-/// the snapshot, so values are unchanged.
+/// table route exists. A walk is a few array reads per hop, cheaper than
+/// any memo keyed by the pair, so nothing is cached.
 struct HierPricer<'a> {
-    table: NextHopTable,
+    table: &'a NextHopTable,
     positions: &'a [Point],
     rtx: f64,
     fallback: f64,
-    /// Fallback estimates for unroutable pairs, which the suffix memo
-    /// cannot cache (there is no path to record).
-    fallback_memo: FastMap<(NodeIdx, NodeIdx), f64>,
-    /// `(node, target)` → remaining table hops, filled along every walk.
-    suffix_memo: FastMap<(NodeIdx, NodeIdx), u32>,
-    path_scratch: Vec<NodeIdx>,
 }
 
 impl HopPricer for HierPricer<'_> {
     fn hops(&mut self, a: NodeIdx, b: NodeIdx) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        if let Some(&h) = self.fallback_memo.get(&(a, b)) {
-            return h;
-        }
-        match self
-            .table
-            .route_hops_memo(a, b, &mut self.suffix_memo, &mut self.path_scratch)
-        {
+        match self.table.route_hops(a, b) {
             Some(h) => h as f64,
             None => {
                 let d = self.positions[a as usize].dist(self.positions[b as usize]);
-                let h = (d / self.rtx * self.fallback).max(1.0);
-                self.fallback_memo.insert((a, b), h);
-                h
+                (d / self.rtx * self.fallback).max(1.0)
             }
         }
     }
 }
 
-/// The paper's forwarding substrate as a cost model: each tick builds the
-/// hierarchy's per-node routing tables and prices pairs by the actual
-/// table-driven walk — hierarchical stretch included. `O(Σ_k |V_k| ·
-/// (n + m))` per tick; meant for protocol-fidelity studies at moderate
-/// sizes, not the largest sweeps.
+/// The paper's forwarding substrate as a cost model: each tick rebuilds
+/// the hierarchy's per-node routing tables — `O(n · L · α · deg)`, see
+/// [`NextHopTable::build`] — and prices pairs by the actual table-driven
+/// walk, hierarchical stretch included. The table and its build scratch
+/// are kept across ticks and refilled in place, the way [`BfsCostModel`]
+/// keeps its row pool, so steady-state pricing does not allocate.
 pub struct HierRoutingCostModel {
     calibration: f64,
-    /// Pricer memos recycled across ticks (cleared per pricer scope —
-    /// the table changes with the hierarchy — but capacity is retained).
-    fallback_memo: FastMap<(NodeIdx, NodeIdx), f64>,
-    suffix_memo: FastMap<(NodeIdx, NodeIdx), u32>,
-    path_scratch: Vec<NodeIdx>,
+    table: NextHopTable,
 }
 
 impl HierRoutingCostModel {
@@ -196,9 +164,7 @@ impl HierRoutingCostModel {
         assert!(calibration > 0.0 && calibration.is_finite());
         HierRoutingCostModel {
             calibration,
-            fallback_memo: FastMap::default(),
-            suffix_memo: FastMap::default(),
-            path_scratch: Vec::new(),
+            table: NextHopTable::default(),
         }
     }
 }
@@ -212,21 +178,13 @@ impl Default for HierRoutingCostModel {
 
 impl CostModel for HierRoutingCostModel {
     fn with_pricer(&mut self, inputs: &CostInputs<'_>, scope: &mut dyn FnMut(&mut dyn HopPricer)) {
-        self.fallback_memo.clear();
-        self.suffix_memo.clear();
-        let mut pricer = HierPricer {
-            table: NextHopTable::build(inputs.hierarchy),
+        self.table.rebuild(inputs.hierarchy);
+        scope(&mut HierPricer {
+            table: &self.table,
             positions: inputs.positions,
             rtx: inputs.rtx,
             fallback: self.calibration,
-            fallback_memo: std::mem::take(&mut self.fallback_memo),
-            suffix_memo: std::mem::take(&mut self.suffix_memo),
-            path_scratch: std::mem::take(&mut self.path_scratch),
-        };
-        scope(&mut pricer);
-        self.fallback_memo = pricer.fallback_memo;
-        self.suffix_memo = pricer.suffix_memo;
-        self.path_scratch = pricer.path_scratch;
+        });
     }
 }
 
@@ -348,6 +306,57 @@ mod tests {
             );
             if a != b {
                 assert!(hh / bh >= 1.0, "stretch < 1 for ({a},{b})");
+            }
+        }
+    }
+
+    /// Degenerate snapshots — empty, single node, a pair, edgeless, two
+    /// components, a level-1 cluster with a member cut off after the
+    /// election — price without panicking: 0 on the diagonal, a finite
+    /// cost of at least one transmission elsewhere, on every reuse of the
+    /// model's recycled table.
+    #[test]
+    fn hier_routing_prices_degenerate_snapshots() {
+        let star = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (2, 3), (3, 4)]);
+        let mut cut_off = Hierarchy::build(&[9, 1, 2, 3, 4], &star, HierarchyOptions::default());
+        cut_off.levels[0].graph.remove_edge(0, 1);
+        let build = |g: Graph| {
+            let ids: Vec<u64> = (0..g.node_count() as u64).rev().collect();
+            Hierarchy::build(&ids, &g, HierarchyOptions::default())
+        };
+        let snapshots = [
+            build(Graph::with_nodes(0)),
+            build(Graph::with_nodes(1)),
+            build(Graph::with_nodes(2)),
+            build(Graph::from_edges(2, &[(0, 1)])),
+            build(Graph::with_nodes(6)),
+            build(Graph::from_edges(
+                7,
+                &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)],
+            )),
+            cut_off,
+        ];
+        let mut model = HierRoutingCostModel::default();
+        for h in &snapshots {
+            let n = h.node_count();
+            let g = &h.levels[0].graph;
+            let pts: Vec<Point> = (0..n).map(|v| Point::new(v as f64, 0.0)).collect();
+            let inputs = CostInputs {
+                graph: g,
+                positions: &pts,
+                hierarchy: h,
+                rtx: 1.5,
+                sources: &[],
+            };
+            let pairs: Vec<(u32, u32)> = (0..n as u32)
+                .flat_map(|a| (0..n as u32).map(move |b| (a, b)))
+                .collect();
+            for (&(a, b), hops) in pairs.iter().zip(price_all(&mut model, &inputs, &pairs)) {
+                if a == b {
+                    assert_eq!(hops, 0.0);
+                } else {
+                    assert!(hops.is_finite() && hops >= 1.0, "n={n} ({a},{b}): {hops}");
+                }
             }
         }
     }

@@ -132,3 +132,21 @@ fn simulation_survives_sparse_disconnected_regime() {
     assert!(q.arrivals > 0);
     assert_eq!(q.arrivals, q.resolved + q.unresolved);
 }
+
+#[test]
+fn hier_routing_pricing_survives_a_two_node_world() {
+    // Two nodes: at most one edge, a hierarchy of depth 1 or 2, and ticks
+    // where the pair is out of range. The routing-table cost model must
+    // price every tick without panicking.
+    let cfg = SimConfig::builder(2)
+        .hop_metric(HopMetric::HierRouting)
+        .duration(1.0)
+        .warmup(0.0)
+        .seed(7)
+        .build();
+    let mut engine = chlm::sim::build_engine(&cfg);
+    for _ in 0..5 {
+        engine.step();
+    }
+    assert!(engine.finish_boxed().total_overhead().is_finite());
+}

@@ -149,14 +149,16 @@ const WALLCLOCK_SCOPE: [&str; 5] = [
 /// Per-tick step-path code: every allocation here recurs every tick, so
 /// buffer copies that could reuse persistent storage are flagged. The
 /// staged pipeline spread the step path over stage/observe/cost/packet,
-/// so all of them sit in scope alongside the engine itself. (The call
+/// so all of them sit in scope alongside the engine itself, as does the
+/// routing table `cost` rebuilds every tick. (The call
 /// graph extends this scope to everything reachable from a step root.)
-const STEP_COPY_SCOPE: [&str; 8] = [
+const STEP_COPY_SCOPE: [&str; 9] = [
     "crates/sim/src/engine.rs",
     "crates/sim/src/stage.rs",
     "crates/sim/src/observe.rs",
     "crates/sim/src/cost.rs",
     "crates/sim/src/packet.rs",
+    "crates/routing/src/nexthop.rs",
     "crates/graph/src/incremental.rs",
     "crates/graph/src/dynamics.rs",
     "crates/mobility/src/",
