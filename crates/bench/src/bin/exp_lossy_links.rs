@@ -10,7 +10,7 @@
 
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_bench::{banner, env_usize};
-use chlm_sim::{Backend, Engine, LossSpec, PacketEngine, SimConfig};
+use chlm_sim::{Backend, LossSpec, SimConfig, Simulation};
 
 fn main() {
     banner(
@@ -57,12 +57,12 @@ fn main() {
             max_retries: retries,
             seed: 99,
         });
-        let mut engine = PacketEngine::new(cfg(loss));
-        for _ in 0..engine.config().tick_count() {
-            engine.step();
+        let mut sim = Simulation::new(cfg(loss));
+        for _ in 0..sim.config().tick_count() {
+            sim.step();
         }
-        let totals = engine.totals();
-        let report = Box::new(engine).finish_boxed();
+        let totals = sim.observers().handoff.packet_totals().unwrap_or_default();
+        let report = sim.finish();
         if p == 0.0 {
             baseline = totals.net.transmissions;
             workload = (totals.transfers, totals.registrations);

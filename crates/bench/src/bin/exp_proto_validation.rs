@@ -13,7 +13,7 @@
 
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_bench::{banner, env_usize};
-use chlm_sim::{Backend, Engine, HopMetric, PacketEngine, SimConfig, Simulation};
+use chlm_sim::{Backend, HopMetric, SimConfig, Simulation};
 
 fn main() {
     banner("E18", "packet-level validation of the handoff accounting");
@@ -33,12 +33,12 @@ fn main() {
     // The same fixed 1.3 detour factor the BFS oracle uses for its
     // unreachable fallback — the proxy the largest sweeps run with.
     let euclid = Simulation::new(cfg(HopMetric::Euclidean(1.3), Backend::Analytic)).run();
-    let mut engine = PacketEngine::new(cfg(HopMetric::Bfs, Backend::packet()));
-    for _ in 0..engine.config().tick_count() {
-        engine.step();
+    let mut sim = Simulation::new(cfg(HopMetric::Bfs, Backend::packet()));
+    for _ in 0..sim.config().tick_count() {
+        sim.step();
     }
-    let totals = engine.totals();
-    let packet = Box::new(engine).finish_boxed();
+    let totals = sim.observers().handoff.packet_totals().unwrap_or_default();
+    let packet = sim.finish();
 
     let depth = bfs
         .ledger

@@ -839,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn tracks_full_rebuild_with_diffs() {
+    fn tracks_reference_build_with_diffs() {
         for seed in 0..4u64 {
             let n = 80;
             let ids: Vec<u64> = (0..n as u64).map(|i| mix(i ^ seed)).collect();
@@ -862,7 +862,7 @@ mod tests {
     }
 
     #[test]
-    fn tracks_full_rebuild_without_diffs() {
+    fn tracks_reference_build_without_diffs() {
         let n = 60;
         let seed = 77u64;
         let ids: Vec<u64> = (0..n as u64).map(|i| mix(i ^ seed)).collect();

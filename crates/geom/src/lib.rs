@@ -9,8 +9,8 @@
 //!
 //! * [`Point`] / vector arithmetic,
 //! * deployment [`Region`]s (disk, rectangle) with uniform sampling,
-//! * spatial indexes ([`SpatialGrid`], [`QuadTree`]) for `O(1)`-amortized
-//!   radius queries used by the unit-disk graph builder,
+//! * a spatial index ([`SpatialGrid`]) for `O(1)`-amortized radius queries
+//!   used by the unit-disk graph builder,
 //! * deterministic, forkable random-number management ([`SimRng`]).
 //!
 //! All floating point is `f64`; the simulator is deterministic for a fixed
@@ -37,13 +37,11 @@
 
 pub mod grid;
 pub mod point;
-pub mod quadtree;
 pub mod region;
 pub mod rng;
 
 pub use grid::SpatialGrid;
 pub use point::Point;
-pub use quadtree::QuadTree;
 pub use region::{Disk, Rect, Region};
 pub use rng::SimRng;
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use chlm_geom::{Disk, Point, QuadTree, Rect, Region, SimRng, SpatialGrid};
+use chlm_geom::{Disk, Point, Rect, Region, SimRng};
 use proptest::prelude::*;
 
 fn finite_coord() -> impl Strategy<Value = f64> {
@@ -67,21 +67,6 @@ proptest! {
     fn rect_clamp_contained(p in arb_point()) {
         let r = Rect::new(Point::new(-3.0, -1.0), Point::new(2.0, 4.0));
         prop_assert!(r.contains(r.clamp(p)));
-    }
-
-    #[test]
-    fn grid_and_quadtree_agree(seed in 0u64..500, n in 1usize..200, radius in 0.2f64..2.0) {
-        let disk = Disk::centered(8.0);
-        let mut rng = SimRng::seed_from(seed);
-        let pts = chlm_geom::region::deploy_uniform(&disk, n, &mut rng);
-        let grid = SpatialGrid::build(&pts, radius);
-        let tree = QuadTree::build(&pts);
-        let q = pts[0];
-        let mut a = grid.query_within(&pts, q, radius);
-        let mut b = tree.query_within(&pts, q, radius);
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! The routing crate compares hierarchical forwarding against true shortest
 //! paths; unit-disk links can be weighted by Euclidean length to approximate
 //! transmission cost, so a weighted solver is provided alongside BFS.
+//! Kept although the simulator never calls it: `prop_graph`'s
+//! `dijkstra_unit_weights_equal_bfs` is the only independent reference for
+//! [`crate::traversal::bfs_distances`].
 
 use crate::{Graph, NodeIdx};
 use std::cmp::Ordering;

@@ -13,8 +13,7 @@
 //! * [`UnionFind`] — disjoint sets for fast connectivity,
 //! * [`dynamics::LinkDiff`] — link up/down event extraction between
 //!   consecutive topology snapshots (the level-0 link-state change events of
-//!   eq. (4)),
-//! * [`metrics`] — degree/density/path-length summaries.
+//!   eq. (4)).
 
 //!
 //! ## Example
@@ -38,7 +37,6 @@ pub mod dijkstra;
 pub mod dynamics;
 pub mod fasthash;
 pub mod incremental;
-pub mod metrics;
 pub mod traversal;
 pub mod union_find;
 pub mod unit_disk;

@@ -1,4 +1,7 @@
 //! Disjoint-set union (union-find) with path halving and union by size.
+//! Kept although the simulator never calls it: `prop_graph`'s
+//! `union_find_matches_components` is the only independent reference for
+//! [`crate::traversal::connected_components`].
 
 /// Disjoint sets over `0..n`.
 #[derive(Debug, Clone)]

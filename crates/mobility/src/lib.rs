@@ -37,15 +37,11 @@
 
 pub mod direction;
 pub mod rpgm;
-pub mod stats;
-pub mod trace;
 pub mod walk;
 pub mod waypoint;
 
 pub use direction::RandomDirection;
 pub use rpgm::Rpgm;
-pub use stats::{relative_speed_mean, LinkDurationEstimate};
-pub use trace::{MobilityTrace, TracePlayer};
 pub use walk::RandomWalk;
 pub use waypoint::RandomWaypoint;
 

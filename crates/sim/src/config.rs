@@ -30,7 +30,7 @@ pub enum HopMetric {
     Bfs,
     /// `euclidean distance / R_TX × calibration`, with the calibration
     /// ratio measured against BFS once at startup. Linear-time; used for
-    /// the largest sweeps (validated in `tests/` and `bench_spatial_index`).
+    /// the largest sweeps (validated in `tests/`).
     EuclideanCalibrated,
     /// Euclidean with a fixed calibration factor.
     Euclidean(f64),
@@ -156,11 +156,6 @@ pub struct SimConfig {
     /// counter conservation). Costs roughly one extra assignment
     /// recomputation per tick; see `chlm_sim::audit`.
     pub audit: bool,
-    /// Disable every incremental fast path (candidate-list topology
-    /// maintenance, cross-tick LM entry reuse): rebuild all per-tick state from
-    /// scratch. Slower but structurally independent — the equivalence suite
-    /// runs both engines and asserts byte-identical reports.
-    pub full_rebuild: bool,
     /// Which engine executes the handoff workload (analytic pricing vs
     /// packet-level execution); see [`Backend`].
     pub backend: Backend,
@@ -193,7 +188,6 @@ impl SimConfig {
                 min_reduction: 1.25,
                 query_rate: 0.0,
                 audit: false,
-                full_rebuild: false,
                 backend: Backend::Analytic,
                 threads: chlm_par::thread_budget(),
             },
@@ -231,17 +225,39 @@ impl SimConfig {
     }
 
     fn validate(&self) {
+        // Every float can arrive from argv, where `inf` and `NaN` parse:
+        // an infinite duration or warmup saturates the tick loops to
+        // `usize::MAX` iterations, an infinite speed zeroes the tick.
+        let finite = |value: f64, field: &str| {
+            assert!(value.is_finite(), "{field} must be finite, got {value}");
+        };
         assert!(self.n >= 1, "need at least one node");
+        finite(self.density, "density");
         assert!(self.density > 0.0);
+        finite(self.target_degree, "target_degree");
         assert!(self.target_degree > 0.0);
+        finite(self.speed, "speed");
         assert!(self.speed >= 0.0);
+        finite(self.duration, "duration");
         assert!(self.duration > 0.0);
+        finite(self.warmup, "warmup");
         assert!(self.warmup >= 0.0);
         if let Some(dt) = self.dt {
+            finite(dt, "dt");
             assert!(dt > 0.0);
         }
-        if let MobilityKind::Rpgm { groups, .. } = self.mobility {
+        finite(self.min_reduction, "min_reduction");
+        if let MobilityKind::Rpgm {
+            groups,
+            group_radius,
+            jitter_radius,
+            jitter_speed,
+        } = self.mobility
+        {
             assert!(groups >= 1 && groups <= self.n);
+            finite(group_radius, "group_radius");
+            finite(jitter_radius, "jitter_radius");
+            finite(jitter_speed, "jitter_speed");
         }
         assert!(
             self.speed > 0.0 || matches!(self.mobility, MobilityKind::Static),
@@ -337,11 +353,6 @@ impl SimConfigBuilder {
         self.cfg.audit = yes;
         self
     }
-    /// See [`SimConfig::full_rebuild`].
-    pub fn full_rebuild(mut self, yes: bool) -> Self {
-        self.cfg.full_rebuild = yes;
-        self
-    }
     /// See [`SimConfig::backend`].
     pub fn backend(mut self, b: Backend) -> Self {
         self.cfg.backend = b;
@@ -417,6 +428,77 @@ mod tests {
     #[should_panic]
     fn negative_query_rate_rejected() {
         SimConfig::builder(16).query_rate(-0.1).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "density must be finite")]
+    fn non_finite_density_rejected() {
+        SimConfig::builder(16).density(f64::INFINITY).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "target_degree must be finite")]
+    fn non_finite_target_degree_rejected() {
+        SimConfig::builder(16).target_degree(f64::NAN).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "speed must be finite")]
+    fn non_finite_speed_rejected() {
+        SimConfig::builder(16).speed(f64::INFINITY).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must be finite")]
+    fn non_finite_duration_rejected() {
+        SimConfig::builder(16).duration(f64::INFINITY).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup must be finite")]
+    fn non_finite_warmup_rejected() {
+        SimConfig::builder(16).warmup(f64::INFINITY).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "dt must be finite")]
+    fn non_finite_dt_rejected() {
+        SimConfig::builder(16).dt(f64::INFINITY).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "min_reduction must be finite")]
+    fn non_finite_min_reduction_rejected() {
+        SimConfig::builder(16).min_reduction(f64::INFINITY).build();
+    }
+
+    fn rpgm(group_radius: f64, jitter_radius: f64, jitter_speed: f64) -> SimConfig {
+        SimConfig::builder(16)
+            .mobility(MobilityKind::Rpgm {
+                groups: 2,
+                group_radius,
+                jitter_radius,
+                jitter_speed,
+            })
+            .build()
+    }
+
+    #[test]
+    #[should_panic(expected = "group_radius must be finite")]
+    fn non_finite_rpgm_group_radius_rejected() {
+        rpgm(f64::INFINITY, 0.5, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter_radius must be finite")]
+    fn non_finite_rpgm_jitter_radius_rejected() {
+        rpgm(2.0, f64::NAN, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter_speed must be finite")]
+    fn non_finite_rpgm_jitter_speed_rejected() {
+        rpgm(2.0, 0.5, f64::INFINITY);
     }
 
     #[test]

@@ -1,21 +1,20 @@
-//! The tick loop.
+//! The tick loop's parts.
 //!
 //! One tick is an explicit pipeline: the four [`crate::stage`] stages
 //! (mobility → topology → hierarchy → LM assignment) produce the tick's
-//! snapshots, the engine diffs them against the previous tick into a
+//! snapshots, the `World` diffs them against the previous tick into a
 //! `TickCtx`, and the [`crate::observe`] observers consume that context
 //! — pricing packets through the configured [`crate::cost::CostModel`] —
 //! to update every accumulator.
 //!
-//! Since PR 7 the engine is split along the scheme seam that
-//! `tests/scheme_trace.rs` pins: a `World` owns everything upstream of
-//! the observers — stages, snapshots, diff streams, rotation — and is a
-//! pure function of `(world config, seed)`, while an `ObserverBank`
-//! owns one variant's accounting (observers, auditor, the `finish`
-//! sampling stream). [`Simulation`] is the single-variant composition of
-//! the two; [`crate::multiplex::MultiplexSim`] fans one `World`'s
-//! `TickCtx` stream out to many banks so an experiment grid pays for
-//! the world once.
+//! The engine is split along the scheme seam that `tests/scheme_trace.rs`
+//! pins: a `World` owns everything upstream of the observers — stages,
+//! snapshots, diff streams, rotation — and is a pure function of
+//! `(world config, seed)`, while an `ObserverBank` owns one variant's
+//! accounting (observers, auditor, the `finish` sampling stream). The one
+//! loop that drives banks over a world is
+//! [`crate::multiplex::MultiplexSim::step`]; [`Simulation`] is its
+//! one-bank case, delegating every method to bank 0.
 //!
 //! The hot path is allocation-frugal by design: per-tick state (topology,
 //! hierarchy level-0 graph, address books, LM assignment, level churn sets,
@@ -23,25 +22,24 @@
 //! place or double-buffered across ticks rather than reallocated. The
 //! incremental fast paths ([`chlm_graph::UnitDiskMaintainer`],
 //! [`chlm_lm::server::LmCache`]) are proven byte-equivalent to their
-//! from-scratch counterparts; `SimConfig::full_rebuild` disables them so the
-//! equivalence suite can diff entire reports.
+//! from-scratch counterparts by `tests/equivalence.rs`, which plugs a
+//! reference stage set in through [`Simulation::with_stages`].
 //!
-//! [`Engine`] abstracts over backends: the analytic [`Simulation`] here
-//! and the packet-level [`crate::packet::PacketEngine`] produce the same
-//! [`SimReport`] schema from the same pipeline, differing only in how the
-//! handoff slot is accounted.
+//! The backend ([`crate::config::Backend`]) is not an engine: it only
+//! decides which observer [`make_accounting`] puts in the handoff slot.
 
 use crate::audit::{AuditViolation, Auditor, TickInputs};
-use crate::config::LmScheme;
-use crate::config::{Backend, HopMetric, MobilityKind, SimConfig};
-use crate::cost::{cost_model_for, CostInputs, CostModel, HopPricer};
-use crate::observe::{HandoffAccounting, Observer, Observers, WorldObservers};
+use crate::config::{HopMetric, LmScheme, MobilityKind, SimConfig};
+use crate::cost::{cost_model_for, CostModel, HopPricer};
+use crate::multiplex::{MultiplexSim, VariantSpec};
+use crate::observe::{Observer, Observers, WorldObservers};
 use crate::oracle::calibrate;
 use crate::packet::shard_loss_seed;
 use crate::report::{SimReport, StateSummary};
 use crate::scheme::{make_accounting, make_query_accounting};
 use crate::stage::{
-    default_stages, AssignmentStage, HierarchyStage, MobilityStage, TickCtx, TopologyStage,
+    default_stages, AssignmentStage, HierarchyStage, MobilityStage, StageSet, TickCtx,
+    TopologyStage,
 };
 use chlm_cluster::address::AddressBook;
 use chlm_cluster::metrics::level_stats;
@@ -53,9 +51,8 @@ use chlm_mobility::{
     MobilityModel, RandomDirection, RandomWalk, RandomWaypoint, Rpgm, StaticModel,
 };
 
-/// A simulation backend: steps ticks, finishes into a [`SimReport`].
-/// Implemented by the analytic [`Simulation`] and the packet-level
-/// [`crate::packet::PacketEngine`]; construct either via [`build_engine`].
+/// The boxed-engine facade the `benchmark/` harness names: steps ticks,
+/// finishes into a [`SimReport`]. [`Simulation`] is the only implementor.
 pub trait Engine {
     /// The configuration this engine runs under.
     fn config(&self) -> &SimConfig;
@@ -67,21 +64,10 @@ pub trait Engine {
     fn finish_boxed(self: Box<Self>) -> SimReport;
 }
 
-/// Build the engine `cfg.backend` selects.
+/// A boxed [`Simulation`] for `cfg` (part of the harness facade, see
+/// [`Engine`]).
 pub fn build_engine(cfg: &SimConfig) -> Box<dyn Engine> {
-    match cfg.backend {
-        Backend::Analytic => Box::new(Simulation::new(cfg.clone())),
-        Backend::Packet { .. } => Box::new(crate::packet::PacketEngine::new(cfg.clone())),
-    }
-}
-
-/// Run any engine through its configured tick count and finish it.
-pub fn run_engine(mut engine: Box<dyn Engine>) -> SimReport {
-    let ticks = engine.config().tick_count();
-    for _ in 0..ticks {
-        engine.step();
-    }
-    engine.finish_boxed()
+    Box::new(Simulation::new(cfg.clone()))
 }
 
 /// The scheme-independent half of the engine: stages, snapshots, diff
@@ -179,8 +165,12 @@ fn build_mobility(cfg: &SimConfig, region: Disk, rng: &mut SimRng) -> Box<dyn Mo
 
 impl World {
     /// Deploy, warm the mobility process up, build the initial hierarchy
-    /// and LM assignment, and calibrate the hop oracle.
-    pub(crate) fn new(cfg: SimConfig) -> Self {
+    /// and LM assignment over the stages `make_stages` returns, and
+    /// calibrate the hop oracle.
+    pub(crate) fn new(
+        cfg: SimConfig,
+        make_stages: impl FnOnce(&SimConfig, Box<dyn MobilityModel>) -> StageSet,
+    ) -> Self {
         let rng = SimRng::seed_from(cfg.seed);
         let region = Disk::centered(cfg.region_radius());
         let rtx = cfg.rtx();
@@ -197,7 +187,7 @@ impl World {
             }
         }
 
-        let (mobility, topology, mut hier_stage, mut assign_stage) = default_stages(&cfg, mobility);
+        let (mobility, topology, mut hier_stage, mut assign_stage) = make_stages(&cfg, mobility);
         let hierarchy = hier_stage.init(&ids, topology.graph());
         let book = AddressBook::capture(&hierarchy);
         let assignment = assign_stage.assign(&hierarchy, &book, hier_stage.stamps());
@@ -393,14 +383,9 @@ impl ObserverBank {
     /// only the variant axes (`lm_scheme`, `hop_metric`, `backend`) may
     /// differ. `world_obs` is the world-observer set this bank will be
     /// read against.
-    pub(crate) fn new(
-        cfg: SimConfig,
-        world: &World,
-        world_obs: &WorldObservers,
-        handoff: Box<dyn HandoffAccounting>,
-    ) -> Self {
+    pub(crate) fn new(cfg: SimConfig, world: &World, world_obs: &WorldObservers) -> Self {
         let observers = Observers {
-            handoff,
+            handoff: make_accounting(&cfg),
             query: make_query_accounting(&cfg),
             extra: Vec::new(),
         };
@@ -515,15 +500,12 @@ impl ObserverBank {
     }
 }
 
-/// The analytic simulation engine: one `World` driving one
-/// `ObserverBank`. Construct with [`Simulation::new`], run with
-/// [`Simulation::run`] (or drive tick-by-tick with [`Simulation::step`]).
+/// The single-variant simulation: a [`MultiplexSim`] with exactly one
+/// bank, accounted under `cfg`'s own scheme, hop metric and backend.
+/// Construct with [`Simulation::new`], run with [`Simulation::run`] (or
+/// drive tick-by-tick with [`Simulation::step`]).
 pub struct Simulation {
-    world: World,
-    cost: Box<dyn CostModel>,
-    world_obs: WorldObservers,
-    bank: ObserverBank,
-    sources_scratch: Vec<NodeIdx>,
+    mx: MultiplexSim,
 }
 
 impl Simulation {
@@ -532,89 +514,58 @@ impl Simulation {
     /// The handoff slot is filled by [`make_accounting`] from the config's
     /// [`LmScheme`] and backend, so any scheme runs over the same pipeline.
     pub fn new(cfg: SimConfig) -> Self {
-        let handoff = make_accounting(&cfg);
-        Simulation::with_handoff(cfg, handoff)
+        Simulation::with_stages(cfg, default_stages)
     }
 
-    /// Like [`Simulation::new`], but with a custom handoff-accounting
-    /// observer in the handoff slot — how the packet backend reuses the
-    /// whole pipeline with packet-executed pricing.
-    pub fn with_handoff(cfg: SimConfig, handoff: Box<dyn HandoffAccounting>) -> Self {
-        let world = World::new(cfg);
-        let cost = variant_cost_model(&world, world.cfg());
-        let world_obs = WorldObservers::new(world.hierarchy());
-        let bank = ObserverBank::new(world.cfg().clone(), &world, &world_obs, handoff);
+    /// Like [`Simulation::new`], but over the stage set `make_stages`
+    /// builds from the config and the warmed-up mobility model instead of
+    /// [`default_stages`] — the seam the equivalence suites use to run
+    /// their from-scratch reference stages through the same tick loop.
+    pub fn with_stages(
+        cfg: SimConfig,
+        make_stages: impl FnOnce(&SimConfig, Box<dyn MobilityModel>) -> StageSet,
+    ) -> Self {
+        let variant = VariantSpec::from_config("", &cfg);
         Simulation {
-            world,
-            cost,
-            world_obs,
-            bank,
-            sources_scratch: Vec::new(),
+            mx: MultiplexSim::with_stages(&cfg, &[variant], make_stages),
         }
     }
 
     /// The configuration this simulation runs under.
     pub fn config(&self) -> &SimConfig {
-        self.world.cfg()
+        self.mx.config()
     }
 
     /// Current hierarchy snapshot.
     pub fn hierarchy(&self) -> &Hierarchy {
-        self.world.hierarchy()
+        self.mx.world.hierarchy()
     }
 
     /// The variant's own observer set (handoff slot, query slot, extras —
-    /// accumulators read back by backends and tests).
+    /// accumulators read back by experiments and tests).
     pub fn observers(&self) -> &Observers {
-        self.bank.observers()
+        self.mx.banks[0].observers()
     }
 
     /// The scheme-independent world accumulators.
     pub fn world_observers(&self) -> &WorldObservers {
-        &self.world_obs
+        &self.mx.world_obs
     }
 
     /// Append a custom observer; it runs after the built-in set each tick.
     pub fn add_observer(&mut self, observer: Box<dyn Observer>) {
-        self.bank.add_observer(observer);
+        self.mx.add_observer(0, observer);
     }
 
     /// Invariant violations found so far (empty unless `SimConfig::audit`
     /// is set — and, for a correct engine, empty even then).
     pub fn audit_violations(&self) -> &[AuditViolation] {
-        self.bank.violations()
+        self.mx.audit_violations(0)
     }
 
     /// Advance one tick, recording every counter.
     pub fn step(&mut self) {
-        let cost = &mut self.cost;
-        let world_obs = &mut self.world_obs;
-        let bank = &mut self.bank;
-        let sources = &mut self.sources_scratch;
-        self.world.step_with(&mut |ctx| {
-            // Scheme-independent accumulators first (no pricer involved),
-            // then the variant's own observers inside one pricer scope, so
-            // BFS pricing shares its per-source distance cache within the
-            // tick and its buffers pool across ticks (inside the cost
-            // model). The CHLM query sources are known from the diffs
-            // alone, so they are collected up front and the model fills
-            // those rows across its worker pool before any observer prices
-            // a packet.
-            world_obs.on_tick(ctx);
-            sources.clear();
-            if bank.wants_bfs_sources() {
-                collect_chlm_bfs_sources(ctx, sources);
-            }
-            let inputs = CostInputs {
-                graph: ctx.graph,
-                positions: ctx.positions,
-                hierarchy: ctx.new_hierarchy,
-                rtx: ctx.rtx,
-                sources: sources.as_slice(),
-            };
-            cost.with_pricer(&inputs, &mut |pricer| bank.observe(ctx, pricer));
-            bank.audit(ctx, world_obs);
-        });
+        self.mx.step();
     }
 
     /// Run the configured number of ticks and produce the report.
@@ -629,24 +580,18 @@ impl Simulation {
     /// Run to completion under the invariant auditor (forced on) and
     /// return both the report and every violation found.
     pub fn run_audited(mut self) -> (SimReport, Vec<AuditViolation>) {
-        self.bank.ensure_auditor(&self.world_obs);
+        self.mx.banks[0].ensure_auditor(&self.mx.world_obs);
         let ticks = self.config().tick_count();
         for _ in 0..ticks {
             self.step();
         }
-        let violations = self.bank.take_violations();
+        let violations = self.mx.banks[0].take_violations();
         (self.finish(), violations)
     }
 
     /// Produce the report from whatever has been simulated so far.
     pub fn finish(self) -> SimReport {
-        let Simulation {
-            world,
-            world_obs,
-            bank,
-            ..
-        } = self;
-        bank.finish(&world, &world_obs)
+        self.mx.finish().swap_remove(0)
     }
 }
 
@@ -790,8 +735,12 @@ mod tests {
     fn engine_trait_matches_direct_run() {
         let cfg = quick_cfg(70, 11);
         let direct = Simulation::new(cfg.clone()).run();
-        let via_engine = run_engine(build_engine(&cfg));
-        assert_eq!(direct, via_engine);
+        let mut engine = build_engine(&cfg);
+        for _ in 0..engine.config().tick_count() {
+            engine.step();
+        }
+        assert!(engine.audit_violations().is_empty());
+        assert_eq!(direct, engine.finish_boxed());
     }
 
     #[test]

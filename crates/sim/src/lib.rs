@@ -2,10 +2,11 @@
 //!
 //! The discrete-time simulation engine behind every CHLM experiment.
 //!
-//! Each tick the engine: advances mobility by `Δt`, rebuilds the unit-disk
-//! graph, recomputes the LCA hierarchy, diffs addresses / LM server
-//! assignments / level-k topologies against the previous tick, and feeds
-//! the diffs to the measurement counters:
+//! Each tick the engine: advances mobility by `Δt`, patches the unit-disk
+//! graph, repairs the LCA hierarchy around the link changes, reassigns LM
+//! servers, diffs addresses / LM server assignments / level-k topologies
+//! against the previous tick, and feeds the diffs to the measurement
+//! counters:
 //!
 //! * the [`chlm_lm::HandoffLedger`] (packet transmissions → φ_k, γ_k),
 //! * per-level migration counters (→ f_k, eq. 8),
@@ -17,7 +18,11 @@
 //! diff-based event extraction matches what an asynchronous protocol would
 //! observe (see DESIGN.md). All runs are deterministic in `(config, seed)`.
 //!
-//! [`runner::run_replications`] fans replications out across threads.
+//! There is one tick loop, [`MultiplexSim::step`]: one world fanned out
+//! to any number of (scheme × hop metric × backend) accounting banks.
+//! [`Simulation`] is its one-bank case and [`run_simulation`] the
+//! one-call entry point; [`runner::run_replications`] and
+//! [`runner::run_sweep`] fan whole runs out across threads.
 
 //!
 //! ## Example
@@ -53,10 +58,10 @@ pub use config::{
     Backend, HopMetric, LmScheme, LossSpec, MobilityKind, SimConfig, SimConfigBuilder,
 };
 pub use cost::{CostInputs, CostModel, HopPricer};
-pub use engine::{build_engine, run_engine, Engine, Simulation};
+pub use engine::{build_engine, Engine, Simulation};
 pub use multiplex::{run_multiplexed, MultiplexSim, VariantSpec};
 pub use observe::{HandoffAccounting, Observer, QueryAccounting};
-pub use packet::{PacketEngine, PacketTotals};
+pub use packet::PacketTotals;
 pub use report::{LevelRates, QueryStats, SimReport, StateSummary};
 pub use runner::{budget_split, run_replications, run_sweep, SweepJob};
 pub use scheme::{
@@ -71,5 +76,5 @@ pub use stage::TickCtx;
 /// entry point (see the crate quickstart example). Respects
 /// `cfg.backend`: analytic pricing or packet-level execution.
 pub fn run_simulation(cfg: &SimConfig) -> SimReport {
-    run_engine(build_engine(cfg))
+    Simulation::new(cfg.clone()).run()
 }

@@ -1,20 +1,19 @@
-//! Shared-world experiment multiplexer.
+//! The tick loop: one world fanned out to one or more accounting banks.
 //!
 //! The world pipeline (mobility → topology → hierarchy → LM assignment)
 //! never consults the location-management scheme, the hop metric, or the
 //! backend — `tests/scheme_trace.rs` pins byte-identical per-tick world
-//! traces across all of them. E24-style comparison sweeps nevertheless
-//! used to re-simulate that world once per (scheme, cost model, loss
-//! config). This module eliminates the redundancy: [`MultiplexSim`] runs
-//! the world stages **once** per `(world config, seed)` and fans each
-//! completed `TickCtx` out to every requested [`VariantSpec`] as an
-//! independent observer bank, each producing the exact [`SimReport`] a
-//! standalone run of its config would (`tests/multiplex_equivalence.rs`
-//! pins the byte-equality, for every scheme × backend × loss config).
+//! traces across all of them. So [`MultiplexSim`] runs the world stages
+//! **once** per `(world config, seed)` and hands each completed `TickCtx`
+//! to every requested [`VariantSpec`] as an independent observer bank,
+//! each producing the exact [`SimReport`] a run of its config alone would
+//! (`tests/multiplex_equivalence.rs` pins the bank independence, for every
+//! scheme × backend × loss config). [`MultiplexSim::step`] is the only
+//! tick loop in the crate: [`crate::Simulation`] is this type with one
+//! bank, and an E24-style comparison sweep is this type with many.
 //!
-//! Sharing happens at three layers. The world stages run once per tick
-//! (the redundancy the multiplexer exists to remove). The
-//! scheme-independent accumulators ([`crate::observe::WorldObservers`]:
+//! Sharing happens at three layers. The world stages run once per tick.
+//! The scheme-independent accumulators ([`crate::observe::WorldObservers`]:
 //! link rate, address churn, level churn, taxonomy, ALCA, degree) are
 //! driven once per tick for all banks — they are pure functions of the
 //! tick stream, so every bank reads identical values back at finish.
@@ -38,8 +37,8 @@
 //! variants replay the same world trace through per-variant
 //! [`crate::scheme::PacketSchemeObserver`] /
 //! [`crate::packet::PacketHandoffObserver`] instances whose
-//! per-(seed, tick, shard) loss streams are unchanged from a standalone
-//! run, so lossy reports multiplex bit-for-bit too.
+//! per-(seed, tick, shard) loss streams depend on nothing but the
+//! variant's own config, so lossy reports multiplex bit-for-bit too.
 
 use crate::audit::AuditViolation;
 use crate::config::{Backend, HopMetric, LmScheme, SimConfig};
@@ -47,8 +46,9 @@ use crate::cost::{CostInputs, CostModel};
 use crate::engine::{collect_chlm_bfs_sources, variant_cost_model, ObserverBank, World};
 use crate::observe::WorldObservers;
 use crate::report::SimReport;
-use crate::scheme::make_accounting;
+use crate::stage::{default_stages, StageSet};
 use chlm_graph::NodeIdx;
+use chlm_mobility::MobilityModel;
 
 /// One requested variant of a shared world: the three config axes the
 /// world pipeline never consults. Everything else (size, mobility,
@@ -114,14 +114,14 @@ struct MetricGroup {
 /// completion with [`MultiplexSim::run`]; [`MultiplexSim::finish`] yields
 /// one [`SimReport`] per variant, in variant order.
 pub struct MultiplexSim {
-    world: World,
+    pub(crate) world: World,
     /// The scheme-independent accumulators, driven ONCE per tick and read
     /// by every bank at audit/finish time — the other half of the sharing
     /// (the world stages being the first): a fan-out of `v` variants pays
     /// for link/churn/taxonomy/ALCA accounting once, not `v` times.
-    world_obs: WorldObservers,
+    pub(crate) world_obs: WorldObservers,
     groups: Vec<MetricGroup>,
-    banks: Vec<ObserverBank>,
+    pub(crate) banks: Vec<ObserverBank>,
     labels: Vec<String>,
     sources_scratch: Vec<NodeIdx>,
 }
@@ -131,11 +131,21 @@ impl MultiplexSim {
     /// `base`'s own scheme/metric/backend axes are ignored — only the
     /// variants are accounted.
     pub fn new(base: &SimConfig, variants: &[VariantSpec]) -> Self {
+        MultiplexSim::with_stages(base, variants, default_stages)
+    }
+
+    /// [`MultiplexSim::new`] over the stage set `make_stages` builds — the
+    /// crate-side half of [`crate::Simulation::with_stages`].
+    pub(crate) fn with_stages(
+        base: &SimConfig,
+        variants: &[VariantSpec],
+        make_stages: impl FnOnce(&SimConfig, Box<dyn MobilityModel>) -> StageSet,
+    ) -> Self {
         assert!(
             !variants.is_empty(),
             "multiplexer needs at least one variant"
         );
-        let world = World::new(base.clone());
+        let world = World::new(base.clone(), make_stages);
         let world_obs = WorldObservers::new(world.hierarchy());
         let mut groups: Vec<MetricGroup> = Vec::new();
         let mut banks = Vec::with_capacity(variants.len());
@@ -154,8 +164,7 @@ impl MultiplexSim {
                     groups.len() - 1
                 }
             };
-            let handoff = make_accounting(&cfg);
-            let bank = ObserverBank::new(cfg, &world, &world_obs, handoff);
+            let bank = ObserverBank::new(cfg, &world, &world_obs);
             groups[gi].members.push(banks.len());
             groups[gi].collect_sources |= bank.wants_bfs_sources();
             banks.push(bank);
@@ -207,8 +216,14 @@ impl MultiplexSim {
         let banks = &mut self.banks;
         let sources = &mut self.sources_scratch;
         self.world.step_with(&mut |ctx| {
-            // The scheme-independent accumulators: once per tick, for all
-            // banks.
+            // Scheme-independent accumulators first (no pricer involved),
+            // once per tick for all banks; then each metric group's banks
+            // inside one pricer scope, so BFS pricing shares its
+            // per-source distance cache within the tick and its buffers
+            // pool across ticks (inside the cost model). The CHLM query
+            // sources are known from the diffs alone, so they are
+            // collected up front and the model fills those rows across its
+            // worker pool before any observer prices a packet.
             world_obs.on_tick(ctx);
             for group in groups.iter_mut() {
                 sources.clear();

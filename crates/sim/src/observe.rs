@@ -360,7 +360,7 @@ impl HopPricer for InertPricer {
 /// scheme, the backend, or the pricer, so a
 /// [`crate::multiplex::MultiplexSim`] drives **one** instance for all of
 /// its variant banks (each bank reads its report fields from the shared
-/// set), while a standalone [`crate::Simulation`] owns its own.
+/// set); a [`crate::Simulation`] is the one-bank case.
 pub struct WorldObservers {
     pub link: LinkRateObserver,
     pub addr: AddressChurnObserver,
@@ -413,7 +413,7 @@ impl WorldObservers {
 /// pricing), the query-plane slot (same scheme × backend, lookup traffic),
 /// and caller-appended extras. Everything scheme-independent lives in
 /// [`WorldObservers`]. The handoff and query slots are trait objects so
-/// the packet engine can swap in packet-executed accounting.
+/// the packet backend's packet-executed accounting can fill them.
 pub struct Observers {
     pub handoff: Box<dyn HandoffAccounting>,
     /// Query-plane accounting; `None` when `query_rate` is zero.

@@ -1,22 +1,20 @@
-//! Packet-level engine backend.
+//! Packet-executed CHLM handoff accounting.
 //!
-//! Where the analytic engine *prices* the handoff workload with a hop
-//! oracle, this backend *executes* it: each tick's TRANSFER/REGISTER
-//! stream is sent through [`chlm_proto::PacketNetwork`]'s discrete-event
-//! queue over the tick's real topology, and the [`HandoffLedger`] books
-//! the transmissions each packet actually used (per-hop delay, optional
-//! loss and ARQ included). Everything else — stages, the other observers,
-//! the auditor, the report schema — is shared with the analytic engine;
-//! on a lossless network the two agree packet-for-packet (see
-//! `tests/parity.rs`).
+//! Where the analytic handoff observer *prices* the handoff workload with
+//! a hop oracle, [`PacketHandoffObserver`] *executes* it: each tick's
+//! TRANSFER/REGISTER stream is sent through [`chlm_proto::PacketNetwork`]'s
+//! discrete-event queue over the tick's real topology, and the
+//! [`HandoffLedger`] books the transmissions each packet actually used
+//! (per-hop delay, optional loss and ARQ included). It is an observer, not
+//! an engine: [`crate::scheme::make_accounting`] puts it in the handoff
+//! slot when the config's backend is [`crate::config::Backend::Packet`],
+//! and everything else — stages, tick loop, the other observers, the
+//! auditor, the report schema — is the same code; on a lossless network
+//! the two backends agree packet-for-packet (see `tests/parity.rs`).
 
-use crate::config::{Backend, SimConfig};
 use crate::cost::HopPricer;
-use crate::engine::{Engine, Simulation};
 use crate::observe::{HandoffAccounting, Observer};
-use crate::report::SimReport;
 use crate::stage::TickCtx;
-use chlm_cluster::Hierarchy;
 use chlm_lm::handoff::HandoffLedger;
 use chlm_par::{split_ranges, WorkerPool};
 use chlm_proto::network::{NetworkStats, PacketNetwork};
@@ -159,78 +157,5 @@ impl HandoffAccounting for PacketHandoffObserver {
     }
     fn packet_totals(&self) -> Option<PacketTotals> {
         Some(self.totals)
-    }
-}
-
-/// The packet-level engine: the analytic pipeline with the handoff slot
-/// swapped for [`PacketHandoffObserver`]. Construct via
-/// [`crate::build_engine`] with [`Backend::Packet`] (or directly, for
-/// access to [`PacketEngine::totals`]).
-pub struct PacketEngine {
-    sim: Simulation,
-}
-
-impl PacketEngine {
-    pub fn new(mut cfg: SimConfig) -> Self {
-        // Direct construction implies packet execution even when the config
-        // still says `Analytic`; coerce so the scheme dispatch sees it.
-        if matches!(cfg.backend, Backend::Analytic) {
-            cfg.backend = Backend::Packet {
-                hop_delay: Backend::DEFAULT_HOP_DELAY,
-                loss: None,
-            };
-        }
-        let handoff = crate::scheme::make_accounting(&cfg);
-        let sim = Simulation::with_handoff(cfg, handoff);
-        PacketEngine { sim }
-    }
-
-    /// Append a custom observer; it runs after the built-in set each tick.
-    pub fn add_observer(&mut self, observer: Box<dyn Observer>) {
-        self.sim.add_observer(observer);
-    }
-
-    /// Packet-execution totals accumulated so far.
-    pub fn totals(&self) -> PacketTotals {
-        self.sim
-            .observers()
-            .handoff
-            .packet_totals()
-            .unwrap_or_default()
-    }
-
-    /// The ledger as booked from executed packets, so far.
-    pub fn ledger(&self) -> &HandoffLedger {
-        self.sim.observers().handoff.ledger()
-    }
-
-    /// Merged query-plane network statistics so far (`None` when the
-    /// query plane is off) — drop/loss diagnostics for the parity wall.
-    pub fn query_net(&self) -> Option<chlm_proto::network::NetworkStats> {
-        self.sim
-            .observers()
-            .query
-            .as_ref()
-            .and_then(|q| q.query_net())
-    }
-
-    /// Current hierarchy snapshot.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        self.sim.hierarchy()
-    }
-}
-
-impl Engine for PacketEngine {
-    fn config(&self) -> &SimConfig {
-        self.sim.config()
-    }
-    fn step(&mut self) {
-        self.sim.step();
-    }
-    fn audit_violations(&self) -> &[crate::audit::AuditViolation] {
-        self.sim.audit_violations()
-    }
-    fn finish_boxed(self: Box<Self>) -> SimReport {
-        self.sim.finish()
     }
 }

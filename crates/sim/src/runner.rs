@@ -2,16 +2,18 @@
 //!
 //! Experiments report means and confidence intervals over independent
 //! replications (different seeds, same configuration). Replications — and
-//! since PR 7, whole multiplexed world-runs ([`run_sweep`]) — are
-//! embarrassingly parallel; both fan out through
+//! whole multiplexed world-runs ([`run_sweep`]) — are embarrassingly
+//! parallel; both fan out through
 //! [`chlm_par::WorkerPool::run_indexed`], whose lock-free ticket counter
 //! plus index-addressed scatter makes the results byte-identical at any
 //! thread count and under `CHLM_SHUFFLE_MERGE` schedule fuzzing.
 //!
-//! Thread budgeting: PR 4 measured intra-tick parallelism flat (~0.96x,
-//! CHANGES.md) on the reference box, so the proven scaling axis is the
-//! job level. [`budget_split`] therefore gives the whole budget to the
-//! outer fan-out (`outer = threads`, inner pool = 1) unless
+//! Thread budgeting: the benchmark's `world-65k` / `world-65k-t2` pair
+//! (n = 65536, `threads` 1 vs 2, 2-core box) reads `tick_ms_p50` ≈ 170–182
+//! vs ≈ 148 ms — about 1.2x from the second intra-tick thread — while
+//! independent jobs share nothing and scale with the thread count.
+//! [`budget_split`]
+//! therefore gives the whole budget to the outer fan-out (`outer = threads`, inner pool = 1) unless
 //! `CHLM_THREADS_INNER` explicitly reserves an inner width — reports are
 //! bit-identical either way, only wall-clock changes.
 
@@ -22,8 +24,8 @@ use chlm_par::WorkerPool;
 
 /// Environment variable reserving an intra-tick (inner-pool) width inside
 /// each parallel job. Unset (the default), the whole thread budget drives
-/// the job-level fan-out because intra-tick scaling is flat on the
-/// reference hardware (CHANGES.md, PR 4).
+/// the job-level fan-out, where a thread buys more than the ≈ 1.2x it
+/// buys inside a tick (see the module docs).
 pub const THREADS_INNER_ENV: &str = "CHLM_THREADS_INNER";
 
 /// The inner-pool width `CHLM_THREADS_INNER` requests, if set to a
@@ -39,9 +41,8 @@ fn inner_override() -> Option<usize> {
 /// and each job's intra-tick pool (`inner`), for `jobs` parallel jobs.
 ///
 /// * `inner_hint = None` (the default path): replication-level split —
-///   `outer = min(threads, jobs)`, `inner = 1`. Intra-tick parallelism is
-///   flat on the reference box (CHANGES.md, PR 4), so every thread goes
-///   where scaling is proven.
+///   `outer = min(threads, jobs)`, `inner = 1`: every thread goes to the
+///   job level, where scaling is near-linear (see the module docs).
 /// * `inner_hint = Some(w)`: honor the explicit request — `inner = w`,
 ///   `outer = max(threads / w, 1)` (clamped to `jobs`), so nesting never
 ///   oversubscribes beyond the requested inner width.

@@ -6,14 +6,16 @@
 //! previous tick's snapshots and packages everything into a [`TickCtx`],
 //! the read-only view every [`crate::observe::Observer`] consumes.
 //!
-//! The default implementations are the incremental fast paths:
+//! The implementations here are the incremental fast paths — the only
+//! stage set a [`SimConfig`] can select ([`default_stages`]):
 //! Verlet-list unit-disk maintenance, diff-driven hierarchy repair
 //! ([`IncrementalHierarchy`] over [`chlm_cluster::HierarchyMaintainer`]),
 //! and the level-synchronous HRW walk that re-walks only the entries of
-//! clusters whose subtree changed. A config with `full_rebuild` set swaps in
-//! their from-scratch counterparts ([`LcaHierarchy`], per-tick topology
-//! rebuild, uncached selection) so the equivalence suite can diff entire
-//! reports byte for byte.
+//! clusters whose subtree changed. Their from-scratch references (per-tick
+//! topology rebuild, the LCA fixpoint, uncached selection) are test
+//! fixtures in `tests/common/mod.rs`, plugged in through
+//! [`crate::Simulation::with_stages`] so the equivalence suites can diff
+//! entire reports byte for byte.
 //!
 //! Stages are scheme-independent by design: the [`TickCtx`] they produce
 //! is the shared *world trace* every [`crate::config::LmScheme`] accounts
@@ -145,72 +147,31 @@ impl MobilityStage for ModelMobility {
     }
 }
 
-/// Default topology stage: incremental Verlet-list unit-disk maintenance,
-/// or a per-tick rebuild when `full_rebuild` is set.
+/// Default topology stage: incremental Verlet-list unit-disk maintenance.
 pub struct UnitDiskTopology {
     maintainer: UnitDiskMaintainer,
-    full_rebuild: bool,
 }
 
 impl UnitDiskTopology {
     /// `threads` sizes the maintainer's worker pool; the maintained graph
     /// is bit-identical for every thread count.
-    pub fn new(positions: &[Point], rtx: f64, full_rebuild: bool, threads: usize) -> Self {
+    pub fn new(positions: &[Point], rtx: f64, threads: usize) -> Self {
         UnitDiskTopology {
             maintainer: UnitDiskMaintainer::new(positions, rtx)
                 .with_workers(chlm_par::WorkerPool::new(threads)),
-            full_rebuild,
         }
     }
 }
 
 impl TopologyStage for UnitDiskTopology {
     fn update(&mut self, positions: &[Point]) {
-        if self.full_rebuild {
-            self.maintainer.rebuild(positions);
-        } else {
-            self.maintainer.advance(positions);
-        }
+        self.maintainer.advance(positions);
     }
     fn graph(&self) -> &Graph {
         self.maintainer.graph()
     }
     fn last_diff(&self) -> Option<&[EdgeFlip]> {
         self.maintainer.last_diff()
-    }
-}
-
-/// Oracle hierarchy stage: the LCA fixpoint construction from scratch
-/// every tick, recycling the donated carcass's level-0 graph buffers.
-/// Selected by `full_rebuild`; [`IncrementalHierarchy`] must match it
-/// byte for byte.
-pub struct LcaHierarchy {
-    opts: HierarchyOptions,
-}
-
-impl LcaHierarchy {
-    pub fn new(opts: HierarchyOptions) -> Self {
-        LcaHierarchy { opts }
-    }
-}
-
-impl HierarchyStage for LcaHierarchy {
-    fn init(&mut self, ids: &[u64], graph: &Graph) -> Hierarchy {
-        Hierarchy::build(ids, graph, self.opts)
-    }
-    fn rebuild(
-        &mut self,
-        ids: &[u64],
-        graph: &Graph,
-        _diff: Option<&[EdgeFlip]>,
-        carcass: Option<Hierarchy>,
-    ) -> Hierarchy {
-        let mut g0 = carcass
-            .and_then(|h| h.levels.into_iter().next())
-            .map(|l| l.graph)
-            .unwrap_or_default();
-        g0.copy_from(graph);
-        Hierarchy::build_owned(ids, g0, self.opts)
     }
 }
 
@@ -266,22 +227,19 @@ impl HierarchyStage for IncrementalHierarchy {
 }
 
 /// Default assignment stage: §3.2 server selection, carrying the entries
-/// of unchanged subtrees across ticks through [`LmCache`] unless
-/// `full_rebuild` forces the from-scratch path.
+/// of unchanged subtrees across ticks through [`LmCache`].
 pub struct LmSelection {
     rule: SelectionRule,
     cache: LmCache,
-    full_rebuild: bool,
 }
 
 impl LmSelection {
     /// `threads` sizes the walk's worker pool; the assignment is
     /// bit-identical for every thread count.
-    pub fn new(rule: SelectionRule, full_rebuild: bool, threads: usize) -> Self {
+    pub fn new(rule: SelectionRule, threads: usize) -> Self {
         LmSelection {
             rule,
             cache: LmCache::new().with_workers(chlm_par::WorkerPool::new(threads)),
-            full_rebuild,
         }
     }
 }
@@ -293,17 +251,7 @@ impl AssignmentStage for LmSelection {
         book: &AddressBook,
         stamps: Option<ArenaStamps<'_>>,
     ) -> LmAssignment {
-        if self.full_rebuild {
-            LmAssignment::compute(hierarchy, self.rule)
-        } else {
-            LmAssignment::compute_cached_stamped(
-                hierarchy,
-                book,
-                self.rule,
-                &mut self.cache,
-                stamps,
-            )
-        }
+        LmAssignment::compute_cached_stamped(hierarchy, book, self.rule, &mut self.cache, stamps)
     }
     fn retire(&mut self, old: LmAssignment) {
         self.cache.recycle(old);
@@ -318,32 +266,18 @@ pub type StageSet = (
     Box<dyn AssignmentStage>,
 );
 
-/// Build the default stage set for `cfg` over an already-warmed mobility
-/// model.
+/// Build the production stage set for `cfg` over an already-warmed
+/// mobility model: the incremental implementations, unconditionally.
 pub fn default_stages(cfg: &SimConfig, mobility: Box<dyn MobilityModel>) -> StageSet {
-    let topology = UnitDiskTopology::new(
-        mobility.positions(),
-        cfg.rtx(),
-        cfg.full_rebuild,
-        cfg.threads,
-    );
+    let topology = UnitDiskTopology::new(mobility.positions(), cfg.rtx(), cfg.threads);
     let opts = HierarchyOptions {
         max_levels: cfg.max_levels,
         min_reduction: cfg.min_reduction,
     };
-    let hier: Box<dyn HierarchyStage> = if cfg.full_rebuild {
-        Box::new(LcaHierarchy::new(opts))
-    } else {
-        Box::new(IncrementalHierarchy::new(opts))
-    };
     (
         Box::new(ModelMobility::new(mobility)),
         Box::new(topology),
-        hier,
-        Box::new(LmSelection::new(
-            cfg.selection_rule,
-            cfg.full_rebuild,
-            cfg.threads,
-        )),
+        Box::new(IncrementalHierarchy::new(opts)),
+        Box::new(LmSelection::new(cfg.selection_rule, cfg.threads)),
     )
 }

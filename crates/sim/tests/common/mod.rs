@@ -1,0 +1,119 @@
+//! The from-scratch reference stage set shared by `equivalence.rs` and
+//! `hierarchy_equivalence.rs`: rebuild the unit-disk graph, the LCA
+//! hierarchy and the LM assignment every tick, sharing no incremental
+//! state with the production stages. Plugged into the one tick loop
+//! through [`Simulation::with_stages`]; only tests can reach it.
+
+use chlm_cluster::address::AddressBook;
+use chlm_cluster::{ArenaStamps, Hierarchy, HierarchyOptions};
+use chlm_geom::Point;
+use chlm_graph::{EdgeFlip, Graph, UnitDiskMaintainer};
+use chlm_lm::server::{LmAssignment, SelectionRule};
+use chlm_mobility::MobilityModel;
+use chlm_sim::stage::{AssignmentStage, HierarchyStage, ModelMobility, StageSet, TopologyStage};
+use chlm_sim::{SimConfig, Simulation};
+
+/// Reference topology stage: a from-scratch unit-disk rebuild every tick.
+/// No diff is tracked — `last_diff` stays the trait's `None` default, so
+/// the hierarchy stage resyncs against the graph.
+pub struct RebuildTopology {
+    maintainer: UnitDiskMaintainer,
+}
+
+impl TopologyStage for RebuildTopology {
+    fn update(&mut self, positions: &[Point]) {
+        self.maintainer.rebuild(positions);
+    }
+    fn graph(&self) -> &Graph {
+        self.maintainer.graph()
+    }
+}
+
+/// Oracle hierarchy stage: the LCA fixpoint construction from scratch
+/// every tick, recycling the donated carcass's level-0 graph buffers.
+/// [`chlm_sim::stage::IncrementalHierarchy`] must match it byte for byte.
+pub struct LcaHierarchy {
+    opts: HierarchyOptions,
+}
+
+impl LcaHierarchy {
+    pub fn new(opts: HierarchyOptions) -> Self {
+        LcaHierarchy { opts }
+    }
+}
+
+impl HierarchyStage for LcaHierarchy {
+    fn init(&mut self, ids: &[u64], graph: &Graph) -> Hierarchy {
+        Hierarchy::build(ids, graph, self.opts)
+    }
+    fn rebuild(
+        &mut self,
+        ids: &[u64],
+        graph: &Graph,
+        _diff: Option<&[EdgeFlip]>,
+        carcass: Option<Hierarchy>,
+    ) -> Hierarchy {
+        let mut g0 = carcass
+            .and_then(|h| h.levels.into_iter().next())
+            .map(|l| l.graph)
+            .unwrap_or_default();
+        g0.copy_from(graph);
+        Hierarchy::build_owned(ids, g0, self.opts)
+    }
+}
+
+/// Reference assignment stage: uncached §3.2 server selection.
+pub struct ComputeSelection {
+    rule: SelectionRule,
+}
+
+impl AssignmentStage for ComputeSelection {
+    fn assign(
+        &mut self,
+        hierarchy: &Hierarchy,
+        _book: &AddressBook,
+        _stamps: Option<ArenaStamps<'_>>,
+    ) -> LmAssignment {
+        LmAssignment::compute(hierarchy, self.rule)
+    }
+    fn retire(&mut self, _old: LmAssignment) {}
+}
+
+/// The reference stage set for `cfg`, building hierarchies with `opts`.
+pub fn reference_stages_with(
+    cfg: &SimConfig,
+    mobility: Box<dyn MobilityModel>,
+    opts: HierarchyOptions,
+) -> StageSet {
+    let topology = RebuildTopology {
+        maintainer: UnitDiskMaintainer::new(mobility.positions(), cfg.rtx())
+            .with_workers(chlm_par::WorkerPool::new(cfg.threads)),
+    };
+    (
+        Box::new(ModelMobility::new(mobility)),
+        Box::new(topology),
+        Box::new(LcaHierarchy::new(opts)),
+        Box::new(ComputeSelection {
+            rule: cfg.selection_rule,
+        }),
+    )
+}
+
+/// The reference counterpart of `chlm_sim::stage::default_stages`.
+pub fn reference_stages(cfg: &SimConfig, mobility: Box<dyn MobilityModel>) -> StageSet {
+    let opts = HierarchyOptions {
+        max_levels: cfg.max_levels,
+        min_reduction: cfg.min_reduction,
+    };
+    reference_stages_with(cfg, mobility, opts)
+}
+
+/// `cfg` on the production stages (`reference == false`) or on the
+/// reference set.
+pub fn simulation(cfg: SimConfig, reference: bool) -> Simulation {
+    if reference {
+        Simulation::with_stages(cfg, reference_stages)
+    } else {
+        Simulation::new(cfg)
+    }
+}

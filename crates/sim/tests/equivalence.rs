@@ -3,14 +3,19 @@
 //! The tick pipeline's fast paths — Verlet-list topology maintenance
 //! ([`chlm_graph::UnitDiskMaintainer::advance`]) and the HRW walk's
 //! clean-subtree reuse ([`chlm_lm::server::LmCache`]) — are *optimizations*, not model
-//! changes. `SimConfig::full_rebuild` switches both off, rebuilding the
-//! unit-disk graph and the LM assignment from scratch every tick. A run
-//! with the fast paths on must produce a [`SimReport`] equal in every
-//! field (floats compared exactly — the arithmetic must be the *same*,
-//! not merely close) to the from-scratch reference, for every mobility
-//! model and a spread of seeds.
+//! changes. The reference stage set in `common/mod.rs` has neither: it
+//! rebuilds the unit-disk graph, the hierarchy and the LM assignment from
+//! scratch every tick, through the same tick loop
+//! ([`Simulation::with_stages`]). A run on the production stages must
+//! produce a [`SimReport`] equal in every field (floats compared exactly —
+//! the arithmetic must be the *same*, not merely close) to the
+//! from-scratch reference, for every mobility model and a spread of seeds.
 
+mod common;
+
+use chlm_cluster::HierarchyOptions;
 use chlm_sim::{LmScheme, MobilityKind, SimConfig, Simulation};
+use common::{reference_stages_with, simulation};
 
 fn mobility_kinds() -> Vec<(&'static str, MobilityKind)> {
     vec![
@@ -37,7 +42,7 @@ fn run(
     n: usize,
     seed: u64,
     mobility: MobilityKind,
-    full_rebuild: bool,
+    reference: bool,
     query_rate: f64,
 ) -> chlm_sim::SimReport {
     let cfg = SimConfig::builder(n)
@@ -46,15 +51,14 @@ fn run(
         .warmup(0.5)
         .seed(seed)
         .query_rate(query_rate)
-        .full_rebuild(full_rebuild)
         .build();
-    Simulation::new(cfg).run()
+    simulation(cfg, reference).run()
 }
 
 /// Every mobility kind × 4 seeds: incremental == from-scratch, on the
 /// whole report.
 #[test]
-fn incremental_matches_full_rebuild_everywhere() {
+fn incremental_matches_reference_everywhere() {
     for (name, kind) in mobility_kinds() {
         for seed in [11u64, 29, 47, 83] {
             let fast = run(90, seed, kind, false, 2.0);
@@ -72,18 +76,17 @@ fn incremental_matches_full_rebuild_everywhere() {
 /// scheme, incremental == from-scratch on the whole report (ISSUE 5 —
 /// the PR 4 equivalence guarantee covers every scheme, not just CHLM).
 #[test]
-fn incremental_matches_full_rebuild_per_scheme() {
-    let scheme_run = |scheme: LmScheme, seed: u64, full_rebuild: bool| {
+fn incremental_matches_reference_per_scheme() {
+    let scheme_run = |scheme: LmScheme, seed: u64, reference: bool| {
         let cfg = SimConfig::builder(90)
             .mobility(MobilityKind::Waypoint)
             .duration(2.0)
             .warmup(0.5)
             .seed(seed)
             .query_rate(2.0)
-            .full_rebuild(full_rebuild)
             .lm_scheme(scheme)
             .build();
-        Simulation::new(cfg).run()
+        simulation(cfg, reference).run()
     };
     for scheme in [LmScheme::Gls, LmScheme::HomeAgent] {
         for seed in [11u64, 29] {
@@ -102,10 +105,40 @@ fn incremental_matches_full_rebuild_per_scheme() {
 /// churn; one spot-check at a bigger n keeps the suite honest without
 /// making it slow.
 #[test]
-fn incremental_matches_full_rebuild_denser() {
+fn incremental_matches_reference_denser() {
     let fast = run(220, 5, MobilityKind::Waypoint, false, 2.0);
     let reference = run(220, 5, MobilityKind::Waypoint, true, 2.0);
     assert_eq!(fast, reference);
+}
+
+/// The seam itself: `with_stages` must run the stages it is handed. A
+/// reference set built with a different `min_reduction` than the config's
+/// yields a different hierarchy, hence a different report, than
+/// `Simulation::new` — if `with_stages` ignored its argument the
+/// `incremental_matches_reference_*` tests above would pass vacuously,
+/// and this one would fail.
+#[test]
+fn with_stages_runs_the_supplied_stages() {
+    let cfg = SimConfig::builder(220)
+        .duration(2.0)
+        .warmup(0.5)
+        .seed(5)
+        .build();
+    let default = Simulation::new(cfg.clone()).run();
+    let other = Simulation::with_stages(cfg.clone(), |cfg, mobility| {
+        let opts = HierarchyOptions {
+            max_levels: cfg.max_levels,
+            min_reduction: 4.0,
+        };
+        reference_stages_with(cfg, mobility, opts)
+    })
+    .run();
+    assert_ne!(cfg.min_reduction, 4.0);
+    assert_ne!(
+        default, other,
+        "with_stages ignored the stage set it was given"
+    );
+    assert_ne!(default.depth, other.depth);
 }
 
 /// Pinned report digests: any change here means an edit altered

@@ -1,9 +1,9 @@
 //! Incremental hierarchy maintenance equivalence suite (ISSUE 8).
 //!
 //! [`chlm_cluster::HierarchyMaintainer`] repairs the hierarchy around
-//! each tick's link diffs; `SimConfig::full_rebuild` swaps in the
-//! from-scratch LCA fixpoint ([`chlm_cluster::Hierarchy::build`]) as the
-//! oracle. The two must agree *per tick*, not merely on the final
+//! each tick's link diffs; the reference stage set in `common/mod.rs`
+//! runs the from-scratch LCA fixpoint ([`chlm_cluster::Hierarchy::build`])
+//! as the oracle. The two must agree *per tick*, not merely on the final
 //! report: every level, every address, and the reorganization-event
 //! taxonomy (i)–(vii) derived from consecutive snapshots — across every
 //! mobility kind and a spread of seeds. A final corruption-injection
@@ -13,6 +13,8 @@ use chlm_cluster::{classify_events, hierarchy_digest, HierarchyMaintainer, Hiera
 use chlm_geom::Point;
 use chlm_graph::unit_disk::build_unit_disk;
 use chlm_sim::{MobilityKind, SimConfig, Simulation};
+
+mod common;
 
 fn mobility_kinds() -> Vec<(&'static str, MobilityKind)> {
     vec![
@@ -32,18 +34,17 @@ fn mobility_kinds() -> Vec<(&'static str, MobilityKind)> {
     ]
 }
 
-fn sim(n: usize, seed: u64, mobility: MobilityKind, full_rebuild: bool) -> Simulation {
+fn sim(n: usize, seed: u64, mobility: MobilityKind, reference: bool) -> Simulation {
     let cfg = SimConfig::builder(n)
         .mobility(mobility)
         .duration(2.0)
         .warmup(0.5)
         .seed(seed)
-        .full_rebuild(full_rebuild)
         .build();
-    Simulation::new(cfg)
+    common::simulation(cfg, reference)
 }
 
-/// Lockstep the incremental engine against the full-rebuild oracle and
+/// Lockstep the incremental engine against the reference-stage oracle and
 /// compare the hierarchy itself each tick: structural equality, the
 /// content digest, per-node addresses, and the event taxonomy counted
 /// off consecutive snapshots. 5 mobility kinds × 4 seeds.

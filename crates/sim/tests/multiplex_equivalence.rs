@@ -1,11 +1,13 @@
-//! Multiplexed fan-out equivalence — the PR 7 contract.
+//! Bank independence of the multiplexed fan-out.
 //!
 //! For every scheme × backend × loss config, the report a
-//! [`chlm_sim::MultiplexSim`] bank produces must be byte-equal to an
-//! independent single-scheme `run_simulation` of the same config on the
-//! same seed: the multiplexer removes redundant world re-simulation and
-//! nothing else. Loss draws come from per-(seed, tick, shard) streams, so
-//! even the lossy ARQ noise must survive fan-out unchanged.
+//! [`chlm_sim::MultiplexSim`] bank produces must be byte-equal to a
+//! one-variant `run_simulation` of the same config on the same seed. Both
+//! sides run the same tick loop (`Simulation` is the one-bank
+//! `MultiplexSim`), so what this pins is that N banks sharing a world, its
+//! accumulators and a pricer scope do not see one another: fan-out of N
+//! == N one-variant runs. Loss draws come from per-(seed, tick, shard)
+//! streams, so even the lossy ARQ noise must survive fan-out unchanged.
 //!
 //! The whole file reruns under `CHLM_SHUFFLE_MERGE` via ci.sh, which
 //! additionally fuzzes the sweep orchestrator's claim order.

@@ -8,9 +8,7 @@
 //! the whole [`chlm_sim::QueryStats`] block (per-level histogram,
 //! per-tick series, every float) must be *equal*, for all three schemes.
 
-use chlm_sim::{
-    Backend, Engine, HopMetric, LmScheme, LossSpec, PacketEngine, SimConfig, Simulation,
-};
+use chlm_sim::{Backend, HopMetric, LmScheme, LossSpec, SimConfig, Simulation};
 
 /// Dense enough that the unit-disk graph stays connected for the whole
 /// run (parity needs zero dropped packets), with a CMR high enough that
@@ -32,12 +30,17 @@ fn run_packet(
     scheme: LmScheme,
     backend: Backend,
 ) -> (chlm_sim::SimReport, chlm_proto::network::NetworkStats) {
-    let mut engine = PacketEngine::new(cfg(scheme, backend));
-    for _ in 0..engine.config().tick_count() {
-        engine.step();
+    let mut sim = Simulation::new(cfg(scheme, backend));
+    for _ in 0..sim.config().tick_count() {
+        sim.step();
     }
-    let net = engine.query_net().expect("query plane on");
-    (Box::new(engine).finish_boxed(), net)
+    let net = sim
+        .observers()
+        .query
+        .as_ref()
+        .and_then(|q| q.query_net())
+        .expect("query plane on");
+    (sim.finish(), net)
 }
 
 #[test]

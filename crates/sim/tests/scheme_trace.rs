@@ -17,8 +17,8 @@ use chlm_cluster::address::AddrChangeKind;
 use chlm_cluster::digest::{hierarchy_digest, Digest};
 use chlm_sim::cost::HopPricer;
 use chlm_sim::{
-    Backend, Engine, LmScheme, MobilityKind, MultiplexSim, Observer, PacketEngine, SimConfig,
-    SimReport, Simulation, TickCtx, VariantSpec,
+    Backend, LmScheme, MobilityKind, MultiplexSim, Observer, SimConfig, SimReport, Simulation,
+    TickCtx, VariantSpec,
 };
 
 const SCHEMES: [LmScheme; 3] = [LmScheme::Chlm, LmScheme::Gls, LmScheme::HomeAgent];
@@ -82,21 +82,12 @@ fn traced_run(cfg: SimConfig) -> (Vec<u64>, SimReport) {
         out: digests.clone(),
     });
     let ticks = cfg.tick_count();
-    let report = if matches!(cfg.backend, Backend::Packet { .. }) {
-        let mut engine = PacketEngine::new(cfg);
-        engine.add_observer(obs);
-        for _ in 0..ticks {
-            engine.step();
-        }
-        Box::new(engine).finish_boxed()
-    } else {
-        let mut sim = Simulation::new(cfg);
-        sim.add_observer(obs);
-        for _ in 0..ticks {
-            sim.step();
-        }
-        sim.finish()
-    };
+    let mut sim = Simulation::new(cfg);
+    sim.add_observer(obs);
+    for _ in 0..ticks {
+        sim.step();
+    }
+    let report = sim.finish();
     let digests = Rc::try_unwrap(digests)
         .expect("observer dropped with the engine")
         .into_inner();
@@ -150,10 +141,9 @@ fn schemes_share_the_trace_packet() {
 
 #[test]
 fn multiplexed_banks_see_the_standalone_trace() {
-    // PR 7: a digest observer attached to every bank of one MultiplexSim
-    // must record the exact per-tick stream a standalone run records —
-    // the fan-out hands each bank the same `TickCtx` the solo engine
-    // would have built.
+    // A digest observer attached to every bank of one MultiplexSim must
+    // record the exact per-tick stream a one-bank run records — every
+    // bank is handed the same `TickCtx`, whatever else rides along.
     let base = cfg(96, 11, MobilityKind::Walk, LmScheme::Chlm, false);
     let (solo_digests, _) = traced_run(base.clone());
     let variants: Vec<VariantSpec> = SCHEMES

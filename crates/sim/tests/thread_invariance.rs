@@ -10,8 +10,7 @@ use chlm_graph::unit_disk::build_unit_disk;
 use chlm_par::WorkerPool;
 use chlm_sim::oracle::DistanceOracle;
 use chlm_sim::{
-    Backend, Engine, HopMetric, LmScheme, LossSpec, MobilityKind, PacketEngine, SimConfig,
-    VariantSpec,
+    Backend, HopMetric, LmScheme, LossSpec, MobilityKind, SimConfig, Simulation, VariantSpec,
 };
 use proptest::prelude::*;
 
@@ -104,12 +103,16 @@ fn packet_backend_thread_invariant_lossy() {
     let runs: Vec<_> = THREAD_COUNTS
         .iter()
         .map(|&t| {
-            let mut engine = PacketEngine::new(make(t));
+            let mut sim = Simulation::new(make(t));
             for _ in 0..make(t).tick_count() {
-                Engine::step(&mut engine);
+                sim.step();
             }
-            let totals = engine.totals();
-            (Box::new(engine).finish_boxed(), totals)
+            let totals = sim
+                .observers()
+                .handoff
+                .packet_totals()
+                .expect("packet backend");
+            (sim.finish(), totals)
         })
         .collect();
     assert!(

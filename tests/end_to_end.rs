@@ -145,3 +145,28 @@ fn max_levels_caps_depth_and_entries() {
     assert!(r.depth <= 3);
     assert!(r.mean_entries_hosted <= 1.0 + 1e-9); // only level-2 entries
 }
+
+#[test]
+fn non_finite_cli_numbers_are_rejected_before_any_tick_loop() {
+    // `chlm simulate --nodes 32` with `--duration inf --warmup 0`,
+    // `--duration 1 --warmup inf` or `--speed inf` used to hang in (or die
+    // inside) the tick loops; `build()` must refuse all three, naming the
+    // field. Checked through the builder: a subprocess could hang the suite.
+    let builder = || SimConfig::builder(32);
+    let cases = [
+        ("duration", builder().duration(f64::INFINITY).warmup(0.0)),
+        ("warmup", builder().duration(1.0).warmup(f64::INFINITY)),
+        ("speed", builder().speed(f64::INFINITY)),
+    ];
+    for (field, case) in cases {
+        let panic =
+            std::panic::catch_unwind(|| case.build()).expect_err("non-finite config was accepted");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("validation panics carry a formatted message");
+        assert!(
+            message.contains(&format!("{field} must be finite")),
+            "{field}: unexpected message `{message}`"
+        );
+    }
+}

@@ -7,11 +7,10 @@
 //! over-approximation — exactly what a lint wants: a function that
 //! *might* be on the per-tick step path is held to step-path rules.
 //!
-//! Roots are the engine entry points (`Simulation::step`,
-//! `PacketEngine::step`, and the PR 7 multiplexer fan-out
-//! `MultiplexSim::step`), every impl of the stage/observer/cost/scheme
-//! traits, and the `chlm-par` pool internals (its closures run inside
-//! worker threads on the step path).
+//! Roots are the engine entry points (`MultiplexSim::step`, the one tick
+//! loop, and `Simulation::step`, its one-bank delegation), every impl of
+//! the stage/observer/cost/scheme traits, and the `chlm-par` pool
+//! internals (its closures run inside worker threads on the step path).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -19,8 +18,8 @@ use crate::analysis::model::Workspace;
 use crate::analysis::scan::{self, ChainSeg};
 use crate::json;
 
-/// Traits whose implementations execute inside `Simulation::step` /
-/// `PacketEngine::step` every tick.
+/// Traits whose implementations execute inside `MultiplexSim::step`
+/// every tick.
 pub const ROOT_TRAITS: [&str; 12] = [
     "MobilityStage",
     "TopologyStage",
@@ -37,12 +36,10 @@ pub const ROOT_TRAITS: [&str; 12] = [
 ];
 
 /// `Type::method` pairs that root the reachability walk directly. The
-/// PR 8 incremental-maintenance entry points are listed explicitly so
-/// the walk still covers them if a stage stops calling one (e.g. the
-/// full-rebuild oracle path bypasses `advance`).
-pub const ROOT_FNS: [(&str, &str); 6] = [
+/// incremental-maintenance entry points are listed explicitly so the
+/// walk still covers them if a stage stops calling one.
+pub const ROOT_FNS: [(&str, &str); 5] = [
     ("Simulation", "step"),
-    ("PacketEngine", "step"),
     ("MultiplexSim", "step"),
     ("HierarchyMaintainer", "advance"),
     ("HierarchyMaintainer", "snapshot_into"),

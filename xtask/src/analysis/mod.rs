@@ -5,7 +5,7 @@
 //! signatures, and flattened body tokens), a best-effort name-resolved
 //! call graph is built over it ([`graph`]), step-path reachability is
 //! computed from the simulation roots (`Simulation::step`,
-//! `PacketEngine::step`, stage/observer/scheme trait impls, everything
+//! `MultiplexSim::step`, stage/observer/scheme trait impls, everything
 //! in `chlm-par`), and the typed lint checks ([`checks`]) run over each
 //! function with per-lint scoping:
 //!

@@ -43,7 +43,7 @@
 //!
 //! Scoping: the original path scopes still apply, and the step-path
 //! rules additionally fire in any function the call graph proves
-//! reachable from a step root (`Simulation::step`, `PacketEngine::step`,
+//! reachable from a step root (`Simulation::step`, `MultiplexSim::step`,
 //! stage/observer/scheme trait impls, everything in `chlm-par`). The
 //! reachable set is exported as `target/step_reach.json` on workspace
 //! scans.

@@ -89,8 +89,8 @@ fn step_reach_export_shape() {
         "roots lost Simulation::step"
     );
     assert!(
-        roots.contains("PacketEngine::step"),
-        "roots lost PacketEngine::step"
+        roots.contains("MultiplexSim::step"),
+        "roots lost MultiplexSim::step"
     );
 
     // The reachable set must be a real closure, not a handful of roots.
