@@ -22,13 +22,18 @@ mkdir -p target
 cargo xtask lint --json > target/lint_report.json
 test -s target/step_reach.json
 
-# One tick loop (MultiplexSim::step), one production stage set: these
-# names belonged to the second engine and the config-selected slow stages,
-# whose from-scratch reference now lives only under crates/sim/tests/.
-# Fail if one comes back into production source. (`if`, not `! grep`:
-# errexit ignores a status inverted with `!`.)
+# One tick loop (MultiplexSim::step), one production stage set, one
+# accounting observer per plane over one packet executor: these names
+# belonged to the second engine, the config-selected slow stages (whose
+# from-scratch reference now lives only under crates/sim/tests/), the six
+# per-(scheme, backend) observers, chlm-proto's second copy of the handoff
+# message set, and the inner-thread env knob. Fail if one comes back into
+# production source. (`if`, not `! grep`: errexit ignores a status
+# inverted with `!`.)
 step "leftover check (removed twins stay removed)"
-if grep -rn 'full_rebuild\|PacketEngine\|with_handoff\|run_engine' crates/*/src src xtask/src examples; then
+removed='full_rebuild\|PacketEngine\|with_handoff\|run_engine'
+removed+='\|LedgerHandoffObserver\|PacketHandoffObserver\|AnalyticSchemeObserver\|PacketSchemeObserver\|AnalyticQueryObserver\|PacketQueryObserver\|send_handoff\|execute_handoff\|execute_queries\|THREADS_INNER'
+if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
   exit 1
 fi

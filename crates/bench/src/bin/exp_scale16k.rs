@@ -46,8 +46,9 @@ fn main() {
 
     // Multi-seed extrapolation point: mean ± CI95 over independent seeds,
     // so the verdict is not hostage to one seed's churn realization. The
-    // replication fan-out and each run's intra-tick pools split the same
-    // thread budget (see chlm_sim::run_replications).
+    // replication fan-out takes the thread budget first; threads beyond
+    // the seed count go to each run's intra-tick pools (see
+    // chlm_sim::budget_split).
     println!("running {scale_seeds}-seed n = {big_n} replication set...");
     let big = sweep(&[big_n], scale_seeds, 16001, threads(), standard_config);
     let phi_big = summarize_metric(&big, "phi", |r| r.phi_total());

@@ -18,20 +18,42 @@ use chlm_analysis::table::{fnum, TextTable};
 use chlm_core::experiment::MetricSeries;
 use chlm_sim::SimConfig;
 
+/// The value of knob `name`: `default` when unset (`raw` is `None`), the
+/// parsed value when set, and otherwise a message naming the knob, what it
+/// takes and what it got — a typo must not silently run the defaults.
+fn parse_knob<T: std::str::FromStr>(
+    name: &str,
+    raw: Option<&str>,
+    default: T,
+    expected: &str,
+) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v
+            .trim()
+            .parse()
+            .map_err(|_| format!("{name}: expected {expected}, got {v:?}")),
+    }
+}
+
+/// Read knob `name` from the environment; a malformed value is a usage
+/// error (message on stderr, exit status 2).
+fn env_knob<T: std::str::FromStr>(name: &str, default: T, expected: &str) -> T {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref(), default, expected).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
 /// Read a `usize` env knob.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_knob(name, default, "an unsigned integer")
 }
 
 /// Read an `f64` env knob.
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_knob(name, default, "a number")
 }
 
 /// The sweep sizes for scaling experiments: 128 doubling up to
@@ -135,6 +157,26 @@ mod tests {
         assert_eq!(env_f64("CHLM_DOES_NOT_EXIST", 1.5), 1.5);
         assert!(threads() >= 1);
         assert!(!sweep_sizes().is_empty());
+    }
+
+    #[test]
+    fn unset_knob_takes_the_default() {
+        assert_eq!(parse_knob("CHLM_SEEDS", None, 6usize, "x"), Ok(6));
+        assert_eq!(parse_knob("CHLM_SEEDS", Some(" 10 "), 6usize, "x"), Ok(10));
+        assert_eq!(parse_knob("CHLM_DURATION", Some("2.5"), 8.0, "x"), Ok(2.5));
+    }
+
+    #[test]
+    fn malformed_knob_is_an_error_not_the_default() {
+        // Letter O for zero: used to run 6 seeds and print a valid-looking
+        // table.
+        assert_eq!(
+            parse_knob("CHLM_SEEDS", Some("1O"), 6usize, "an unsigned integer"),
+            Err("CHLM_SEEDS: expected an unsigned integer, got \"1O\"".to_string())
+        );
+        assert!(parse_knob("CHLM_SEEDS", Some("-3"), 6usize, "x").is_err());
+        assert!(parse_knob("CHLM_SEEDS", Some(""), 6usize, "x").is_err());
+        assert!(parse_knob("CHLM_DURATION", Some("8s"), 8.0, "a number").is_err());
     }
 
     #[test]

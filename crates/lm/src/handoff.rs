@@ -23,6 +23,62 @@ use crate::server::HostChange;
 use chlm_cluster::address::{AddrChange, AddrChangeKind};
 use chlm_graph::NodeIdx;
 
+/// The CHLM handoff message set, defined once: visit every host change of
+/// a tick in diff order with its φ/γ attribution (the cascade rule in the
+/// module docs) and whether the subject also re-registers.
+///
+/// Each moved entry is one TRANSFER `old_host → new_host`; when the
+/// subject's own level-k address changed (`registers`), it additionally
+/// sends one REGISTER `subject → new_host`, booked with the transfer as a
+/// single event.
+pub fn for_each_handoff(
+    host_changes: &[HostChange],
+    addr_changes: &[AddrChange],
+    mut visit: impl FnMut(&HostChange, AddrChangeKind, bool),
+) {
+    // Address-change lookups run straight off the diff slice: the diff
+    // walks nodes then levels, so `addr_changes` ascends by
+    // `(node, level)` and one counting pass yields a CSR index of each
+    // node's run. Exact-level lookups scan the run (at most `depth`
+    // entries); the host-side "lowest changed level" is its first entry.
+    debug_assert!(addr_changes
+        .windows(2)
+        .all(|w| (w[0].node, w[0].level) < (w[1].node, w[1].level)));
+    let top = addr_changes.last().map_or(0, |c| c.node as usize + 1);
+    let mut run_start = vec![0u32; top + 1];
+    for c in addr_changes {
+        run_start[c.node as usize + 1] += 1;
+    }
+    for i in 0..top {
+        run_start[i + 1] += run_start[i];
+    }
+    let run = |node: NodeIdx| -> &[AddrChange] {
+        if (node as usize) < top {
+            &addr_changes[run_start[node as usize] as usize..run_start[node as usize + 1] as usize]
+        } else {
+            &[]
+        }
+    };
+    let exact_kind = |node: NodeIdx, k: u16| -> Option<AddrChangeKind> {
+        run(node).iter().find(|c| c.level == k).map(|c| c.kind)
+    };
+    let host_kind = |node: NodeIdx, k: u16| -> Option<AddrChangeKind> {
+        run(node)
+            .first()
+            .and_then(|c| (c.level <= k).then_some(c.kind))
+    };
+
+    for hc in host_changes {
+        let k = hc.level;
+        let subject_exact = exact_kind(hc.subject, k);
+        let kind = subject_exact
+            .or_else(|| host_kind(hc.old_host, k))
+            .or_else(|| host_kind(hc.new_host, k))
+            .unwrap_or(AddrChangeKind::Reorganization);
+        visit(hc, kind, subject_exact.is_some());
+    }
+}
+
 /// Per-level handoff cost accumulators.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LevelCost {
@@ -63,11 +119,9 @@ impl HandoffLedger {
         &mut self.per_level[k]
     }
 
-    /// Book one already-priced entry movement at `level`, attributed to
-    /// `kind` — the single-event primitive behind
-    /// [`HandoffLedger::record`], exposed so alternate LM schemes whose
-    /// workloads are not host-change streams (GLS bands, home agents)
-    /// accumulate into the same φ/γ accounting.
+    /// Book one already-priced event at `level`, attributed to `kind` —
+    /// the single primitive through which every scheme's accounting (CHLM
+    /// host changes, GLS bands, home agents) reaches the φ/γ ledger.
     pub fn book(&mut self, level: usize, kind: AddrChangeKind, packets: f64) {
         let slot = self.level_mut(level);
         match kind {
@@ -89,7 +143,10 @@ impl HandoffLedger {
         self.node_seconds += n as f64 * dt;
     }
 
-    /// Record one tick's worth of handoff.
+    /// Record one tick's worth of handoff: every [`for_each_handoff`]
+    /// event priced by `hop` and booked. The reference form of the CHLM
+    /// accounting — the simulator reaches the ledger through
+    /// [`HandoffLedger::book`], and its tests compare against this.
     ///
     /// * `host_changes` — assignment diff for the tick,
     /// * `addr_changes` — address diff for the tick (classification input),
@@ -103,66 +160,13 @@ impl HandoffLedger {
         n: usize,
         dt: f64,
     ) {
-        // Address-change lookups run straight off the diff slice: the diff
-        // walks nodes then levels, so `addr_changes` ascends by
-        // `(node, level)` and one counting pass yields a CSR index of each
-        // node's run. Exact-level lookups scan the run (at most `depth`
-        // entries); the host-side "lowest changed level" is its first entry.
-        debug_assert!(addr_changes
-            .windows(2)
-            .all(|w| (w[0].node, w[0].level) < (w[1].node, w[1].level)));
-        let top = addr_changes.last().map_or(0, |c| c.node as usize + 1);
-        let mut run_start = vec![0u32; top + 1];
-        for c in addr_changes {
-            run_start[c.node as usize + 1] += 1;
-        }
-        for i in 0..top {
-            run_start[i + 1] += run_start[i];
-        }
-        let run = |node: NodeIdx| -> &[AddrChange] {
-            if (node as usize) < top {
-                &addr_changes
-                    [run_start[node as usize] as usize..run_start[node as usize + 1] as usize]
-            } else {
-                &[]
-            }
-        };
-        let exact_kind = |node: NodeIdx, k: u16| -> Option<AddrChangeKind> {
-            run(node).iter().find(|c| c.level == k).map(|c| c.kind)
-        };
-        let host_kind = |node: NodeIdx, k: u16| -> Option<AddrChangeKind> {
-            run(node)
-                .first()
-                .and_then(|c| (c.level <= k).then_some(c.kind))
-        };
-
-        for hc in host_changes {
-            let k = hc.level;
-            let subject_exact = exact_kind(hc.subject, k);
-            let kind = subject_exact
-                .or_else(|| host_kind(hc.old_host, k))
-                .or_else(|| host_kind(hc.new_host, k))
-                .unwrap_or(AddrChangeKind::Reorganization);
-
-            // Transfer: the entry travels old_host -> new_host.
+        for_each_handoff(host_changes, addr_changes, |hc, kind, registers| {
             let mut packets = hop(hc.old_host, hc.new_host);
-            // Registration: when the subject itself changed its level-k
-            // cluster it must (re)register with the new server.
-            if subject_exact.is_some() {
+            if registers {
                 packets += hop(hc.subject, hc.new_host);
             }
-            let slot = self.level_mut(k as usize);
-            match kind {
-                AddrChangeKind::Migration => {
-                    slot.migration_packets += packets;
-                    slot.migration_events += 1;
-                }
-                AddrChangeKind::Reorganization => {
-                    slot.reorg_packets += packets;
-                    slot.reorg_events += 1;
-                }
-            }
-        }
+            self.book(hc.level as usize, kind, packets);
+        });
         self.add_exposure(n, dt);
     }
 

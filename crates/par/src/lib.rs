@@ -27,7 +27,7 @@
 //! overrides, `available_parallelism` is the default — see
 //! [`thread_budget`]. Nested pools (replication fan-out around intra-tick
 //! fan-out) divide the same budget instead of multiplying it; see
-//! `chlm_sim::run_replications`.
+//! `chlm_sim::budget_split`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -1,15 +1,17 @@
 //! # chlm-proto
 //!
-//! Packet-level execution of the CHLM location-management protocol.
+//! Packet-level execution of location-management protocol traffic.
 //!
 //! The analytical pipeline (`chlm-sim` + `chlm-lm`) *prices* handoff as
 //! entries × hops. This crate closes the loop by actually **sending the
 //! messages**: a discrete-event engine delivers each protocol packet hop by
 //! hop over the unit-disk topology, counting real transmissions and
-//! measuring delivery latency. Experiment E18 checks that the executed
-//! transmission count matches the ledger's analytical count (they must
-//! agree exactly under the BFS hop oracle), which validates the accounting
-//! behind every φ/γ result.
+//! measuring delivery latency. Which packets a scheme sends is decided in
+//! `chlm-sim` (`SchemeWorkload` / `SchemeLookup`); its packet transport
+//! feeds them to [`network::PacketNetwork`]. Experiment E18 and
+//! `chlm-sim`'s parity tests check that the executed transmission counts
+//! match the analytical ones exactly under the BFS hop oracle, which
+//! validates the accounting behind every φ/γ result.
 //!
 //! Components:
 //!
@@ -19,11 +21,8 @@
 //! * [`events::EventQueue`] — deterministic discrete-event queue,
 //! * [`message`] — the LM message vocabulary (TRANSFER / REGISTER / QUERY /
 //!   REPLY),
-//! * [`network::PacketNetwork`] — hop-by-hop forwarding with per-hop delay
-//!   and transmission counting,
-//! * [`protocol`] — generates the message workload implied by a hierarchy
-//!   change (assignment diff) or a query batch, executes it, and reports
-//!   [`protocol::MessageStats`].
+//! * [`network::PacketNetwork`] — hop-by-hop forwarding with per-hop delay,
+//!   optional loss + ARQ, and per-packet transmission counting.
 
 //!
 //! ## Example
@@ -47,12 +46,8 @@ pub mod dalca;
 pub mod events;
 pub mod message;
 pub mod network;
-pub mod protocol;
 
 pub use dalca::Dalca;
 pub use events::EventQueue;
 pub use message::{LmMessage, Packet};
 pub use network::PacketNetwork;
-pub use protocol::{
-    execute_handoff, execute_queries, send_handoff, send_handoff_with, MessageStats,
-};

@@ -248,7 +248,7 @@ impl<'a> PacketNetwork<'a> {
 
     /// Consume the network, handing the per-packet transmission counts
     /// out by move — for callers that merge several networks' streams
-    /// without copying (the sim's sharded packet backend).
+    /// (the sim's sharded packet transport).
     pub fn into_per_packet_transmissions(self) -> Vec<u32> {
         self.per_packet
     }
@@ -324,6 +324,25 @@ mod tests {
         assert_eq!(stats.transmissions, 45);
         assert!((stats.max_latency - 0.09).abs() < 1e-12);
         assert_eq!(net.delivered().len(), 9);
+    }
+
+    #[test]
+    fn latency_scales_with_hop_delay() {
+        // Same traffic at ten times the per-hop delay: ten times the
+        // latency, not one transmission more.
+        let g = path_graph(10);
+        let run_with = |hop_delay: f64| {
+            let mut net = PacketNetwork::new(&g, hop_delay);
+            for i in 0..9u32 {
+                net.send(packet(i, 9 - i));
+            }
+            net.run()
+        };
+        let (fast, slow) = (run_with(0.001), run_with(0.01));
+        assert!(fast.delivered > 0);
+        let ratio = slow.mean_latency() / fast.mean_latency();
+        assert!((ratio - 10.0).abs() < 1e-6, "ratio {ratio}");
+        assert_eq!(fast.transmissions, slow.transmissions);
     }
 
     #[test]

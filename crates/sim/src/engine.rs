@@ -26,7 +26,8 @@
 //! reference stage set in through [`Simulation::with_stages`].
 //!
 //! The backend ([`crate::config::Backend`]) is not an engine: it only
-//! decides which observer [`make_accounting`] puts in the handoff slot.
+//! decides which [`crate::transport::Transport`] the accounting observers
+//! carry their messages over.
 
 use crate::audit::{AuditViolation, Auditor, TickInputs};
 use crate::config::{HopMetric, LmScheme, MobilityKind, SimConfig};
@@ -34,18 +35,19 @@ use crate::cost::{cost_model_for, CostModel, HopPricer};
 use crate::multiplex::{MultiplexSim, VariantSpec};
 use crate::observe::{Observer, Observers, WorldObservers};
 use crate::oracle::calibrate;
-use crate::packet::shard_loss_seed;
 use crate::report::{SimReport, StateSummary};
 use crate::scheme::{make_accounting, make_query_accounting};
 use crate::stage::{
     default_stages, AssignmentStage, HierarchyStage, MobilityStage, StageSet, TickCtx,
     TopologyStage,
 };
+use crate::transport::shard_loss_seed;
 use chlm_cluster::address::AddressBook;
 use chlm_cluster::metrics::level_stats;
 use chlm_cluster::Hierarchy;
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::NodeIdx;
+use chlm_lm::handoff::for_each_handoff;
 use chlm_lm::server::LmAssignment;
 use chlm_mobility::{
     MobilityModel, RandomDirection, RandomWalk, RandomWaypoint, Rpgm, StaticModel,
@@ -329,23 +331,18 @@ pub(crate) fn variant_cost_model(world: &World, cfg: &SimConfig) -> Box<dyn Cost
     cost_model_for(cfg.hop_metric, calibration, cfg.threads)
 }
 
-/// Collect the distinct BFS sources CHLM's ledger pricing is known to
-/// query this tick — `old_host` on every transfer, plus the subject's
-/// registration when its exact `(subject, level)` address changed — so a
-/// BFS-backed cost model can prefill those rows across its worker pool
-/// before any observer prices a packet. Sorted ascending, deduplicated.
+/// Collect the distinct BFS sources CHLM's handoff messages are priced
+/// from this tick — the old server of every TRANSFER, plus the subject of
+/// every REGISTER — so a BFS-backed cost model can prefill those rows
+/// across its worker pool before any observer prices a packet. Sorted
+/// ascending, deduplicated.
 pub(crate) fn collect_chlm_bfs_sources(ctx: &TickCtx<'_>, out: &mut Vec<NodeIdx>) {
-    let exact = |node: NodeIdx, level: u16| {
-        ctx.addr_changes
-            .binary_search_by_key(&(node, level), |c| (c.node, c.level))
-            .is_ok()
-    };
-    for hc in ctx.host_changes {
+    for_each_handoff(ctx.host_changes, ctx.addr_changes, |hc, _, registers| {
         out.push(hc.old_host);
-        if exact(hc.subject, hc.level) {
+        if registers {
             out.push(hc.subject);
         }
-    }
+    });
     out.sort_unstable();
     out.dedup();
 }

@@ -47,11 +47,11 @@ pub mod engine;
 pub mod multiplex;
 pub mod observe;
 pub mod oracle;
-pub mod packet;
 pub mod report;
 pub mod runner;
 pub mod scheme;
 pub mod stage;
+pub mod transport;
 
 pub use audit::{AuditViolation, Auditor};
 pub use config::{
@@ -61,16 +61,15 @@ pub use cost::{CostInputs, CostModel, HopPricer};
 pub use engine::{build_engine, Engine, Simulation};
 pub use multiplex::{run_multiplexed, MultiplexSim, VariantSpec};
 pub use observe::{HandoffAccounting, Observer, QueryAccounting};
-pub use packet::PacketTotals;
 pub use report::{LevelRates, QueryStats, SimReport, StateSummary};
 pub use runner::{budget_split, run_replications, run_sweep, SweepJob};
 pub use scheme::{
-    make_accounting, make_lookup, make_query_accounting, AnalyticQueryObserver,
-    AnalyticSchemeObserver, ChlmLookup, GlsLookup, GlsSchemeWorkload, HomeAgentLookup,
-    HomeAgentWorkload, LookupLeg, LookupWorld, PacketQueryObserver, PacketSchemeObserver,
-    SchemeLookup, SchemeMsg, SchemeWorkload,
+    make_accounting, make_lookup, make_query_accounting, ChlmLookup, ChlmWorkload, GlsLookup,
+    GlsSchemeWorkload, HandoffObserver, HomeAgentLookup, HomeAgentWorkload, LookupLeg, LookupWorld,
+    MsgKind, QueryObserver, SchemeLookup, SchemeMsg, SchemeWorkload,
 };
 pub use stage::TickCtx;
+pub use transport::{PacketTotals, Transport};
 
 /// Run one simulation to completion and return its report — the simplest
 /// entry point (see the crate quickstart example). Respects

@@ -34,11 +34,10 @@
 //!
 //! Determinism: banks are driven in variant order inside each group, and
 //! groups in first-appearance order of their metric, every tick. Packet
-//! variants replay the same world trace through per-variant
-//! [`crate::scheme::PacketSchemeObserver`] /
-//! [`crate::packet::PacketHandoffObserver`] instances whose
-//! per-(seed, tick, shard) loss streams depend on nothing but the
-//! variant's own config, so lossy reports multiplex bit-for-bit too.
+//! variants replay the same world trace through their own
+//! [`crate::transport::Transport`]s, whose per-(seed, tick, shard) loss
+//! streams depend on nothing but the variant's own config, so lossy
+//! reports multiplex bit-for-bit too.
 
 use crate::audit::AuditViolation;
 use crate::config::{Backend, HopMetric, LmScheme, SimConfig};

@@ -25,11 +25,12 @@
 //! split: accumulators are disjoint and pricers are pure, so driving the
 //! world set before the variant sets changes no value).
 //!
-//! The handoff slot is also the location-management *scheme* seam:
-//! [`crate::scheme::make_accounting`] fills it per
-//! [`crate::config::LmScheme`], so alternate schemes (per-band GLS
-//! servers, the home-agent baseline) swap in without touching any other
-//! observer or the tick loop.
+//! The handoff and query slots are the location-management *scheme* and
+//! *backend* seam: [`crate::scheme::make_accounting`] and
+//! [`crate::scheme::make_query_accounting`] fill them with one observer
+//! type each, parameterised by the scheme's workload / lookup and the
+//! backend's [`crate::transport::Transport`], so a scheme or a backend
+//! swaps in without touching any other observer or the tick loop.
 
 use crate::cost::HopPricer;
 use crate::report::{LevelRates, QueryStats};
@@ -41,7 +42,7 @@ use chlm_graph::dynamics::{LinkDiff, LinkEventRate};
 use chlm_graph::NodeIdx;
 use chlm_lm::handoff::HandoffLedger;
 
-use crate::packet::PacketTotals;
+use crate::transport::PacketTotals;
 use chlm_proto::network::NetworkStats;
 
 /// One per-tick measurement. Implementations accumulate across ticks and
@@ -51,10 +52,8 @@ pub trait Observer {
 }
 
 /// The handoff-accounting slot: whatever fills it must produce a
-/// [`HandoffLedger`]. The analytic engine prices entries with the hop
-/// oracle ([`LedgerHandoffObserver`]); the packet engine executes them as
-/// packets and books the *transmitted* counts
-/// ([`crate::packet::PacketHandoffObserver`]).
+/// [`HandoffLedger`]. [`crate::scheme::HandoffObserver`] fills it for
+/// every scheme and backend.
 pub trait HandoffAccounting: Observer {
     fn ledger(&self) -> &HandoffLedger;
     /// Take the accumulated ledger out (engine teardown).
@@ -66,10 +65,8 @@ pub trait HandoffAccounting: Observer {
 }
 
 /// The query-accounting slot: whatever fills it must produce a
-/// [`QueryStats`]. The analytic backend prices lookup legs with the hop
-/// oracle ([`crate::scheme::AnalyticQueryObserver`]); the packet backend
-/// executes them as request/reply packets and books the *transmitted*
-/// counts ([`crate::scheme::PacketQueryObserver`]).
+/// [`QueryStats`]. [`crate::scheme::QueryObserver`] fills it for every
+/// scheme and backend.
 pub trait QueryAccounting: Observer {
     fn stats(&self) -> &QueryStats;
     /// Take the accumulated stats out (engine teardown).
@@ -107,35 +104,6 @@ impl Observer for AddressChurnObserver {
                 AddrChangeKind::Reorganization => self.rates.add_reorg(c.level as usize, 1),
             }
         }
-    }
-}
-
-/// The analytic handoff accounting: every moved LM entry priced at
-/// `hops(old_host, new_host)` plus the subject's registration when its
-/// own address changed (the cascade attribution of `chlm_lm::handoff`).
-#[derive(Default)]
-pub struct LedgerHandoffObserver {
-    pub ledger: HandoffLedger,
-}
-
-impl Observer for LedgerHandoffObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        self.ledger.record(
-            ctx.host_changes,
-            ctx.addr_changes,
-            |a, b| pricer.hops(a, b),
-            ctx.n,
-            ctx.dt,
-        );
-    }
-}
-
-impl HandoffAccounting for LedgerHandoffObserver {
-    fn ledger(&self) -> &HandoffLedger {
-        &self.ledger
-    }
-    fn take_ledger(&mut self) -> HandoffLedger {
-        std::mem::take(&mut self.ledger)
     }
 }
 
@@ -412,8 +380,8 @@ impl WorldObservers {
 /// One variant's own observer set: the handoff slot (scheme × backend ×
 /// pricing), the query-plane slot (same scheme × backend, lookup traffic),
 /// and caller-appended extras. Everything scheme-independent lives in
-/// [`WorldObservers`]. The handoff and query slots are trait objects so
-/// the packet backend's packet-executed accounting can fill them.
+/// [`WorldObservers`]. The handoff and query slots are trait objects: the
+/// `benchmark/` replica and the tests drive them through these traits.
 pub struct Observers {
     pub handoff: Box<dyn HandoffAccounting>,
     /// Query-plane accounting; `None` when `query_rate` is zero.

@@ -7,7 +7,6 @@
 //! few percent once calibrated (the detour ratio of such graphs is a
 //! constant ≈ 1.1–1.4 at the degrees we simulate).
 
-use crate::config::HopMetric;
 use chlm_geom::Point;
 use chlm_graph::traversal::{bfs_distances, bfs_distances_into, UNREACHABLE};
 use chlm_graph::{Graph, NodeIdx};
@@ -70,29 +69,6 @@ impl<'a> DistanceOracle<'a> {
             fallback: calibration,
             cache: BTreeMap::new(),
             pool: Vec::new(),
-        }
-    }
-
-    /// The oracle dictated by `metric` over one topology snapshot;
-    /// `calibration` is the startup-measured detour ratio consumed by
-    /// [`HopMetric::EuclideanCalibrated`]. Single dispatch point for the
-    /// engine's pricing paths.
-    pub fn for_metric(
-        metric: HopMetric,
-        graph: &'a Graph,
-        positions: &'a [Point],
-        rtx: f64,
-        calibration: f64,
-    ) -> Self {
-        match metric {
-            HopMetric::Bfs => DistanceOracle::bfs(graph, positions, rtx).with_fallback(calibration),
-            HopMetric::EuclideanCalibrated => {
-                DistanceOracle::euclidean(graph, positions, rtx, calibration)
-            }
-            HopMetric::Euclidean(c) => DistanceOracle::euclidean(graph, positions, rtx, c),
-            HopMetric::HierRouting => unreachable!(
-                "HierRouting is priced by chlm_sim::cost::HierRoutingCostModel, not the oracle"
-            ),
         }
     }
 
@@ -295,20 +271,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn for_metric_dispatches() {
-        let (g, pts, rtx) = setup(80, 6);
-        let mut bfs = DistanceOracle::for_metric(HopMetric::Bfs, &g, &pts, rtx, 1.2);
-        let mut bfs_direct = DistanceOracle::bfs(&g, &pts, rtx);
-        assert_eq!(bfs.hops(0, 9), bfs_direct.hops(0, 9));
-        let mut cal =
-            DistanceOracle::for_metric(HopMetric::EuclideanCalibrated, &g, &pts, rtx, 1.2);
-        let mut fixed = DistanceOracle::for_metric(HopMetric::Euclidean(1.2), &g, &pts, rtx, 9.9);
-        let mut direct = DistanceOracle::euclidean(&g, &pts, rtx, 1.2);
-        assert_eq!(cal.hops(2, 40), direct.hops(2, 40));
-        assert_eq!(fixed.hops(2, 40), direct.hops(2, 40));
-    }
-
     /// The satellite bugfix pin: disconnected pairs under the BFS oracle
     /// must be priced with the *threaded* calibration, not a hardcoded
     /// detour constant.
@@ -326,15 +288,12 @@ mod tests {
         let mut o = DistanceOracle::bfs(&g, &pts, 1.0).with_fallback(calib);
         let expect = pts[0].dist(pts[2]) / 1.0 * calib;
         assert_eq!(o.hops(0, 2), expect.max(1.0));
-        // The dispatcher threads the calibration through for Bfs too.
-        let mut via_metric = DistanceOracle::for_metric(HopMetric::Bfs, &g, &pts, 1.0, calib);
-        assert_eq!(via_metric.hops(0, 2), expect.max(1.0));
-        // And a different calibration gives a different price: the old
+        // A different calibration gives a different price: the old
         // hardcoded 1.3 cannot sneak back in.
-        let mut other = DistanceOracle::for_metric(HopMetric::Bfs, &g, &pts, 1.0, 1.3);
-        assert_ne!(via_metric.hops(0, 2), other.hops(0, 2));
+        let mut other = DistanceOracle::bfs(&g, &pts, 1.0).with_fallback(1.3);
+        assert_ne!(o.hops(0, 2), other.hops(0, 2));
         // Connected pairs stay exact BFS.
-        assert_eq!(via_metric.hops(0, 1), 1.0);
+        assert_eq!(o.hops(0, 1), 1.0);
     }
 
     #[test]

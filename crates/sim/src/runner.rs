@@ -8,77 +8,54 @@
 //! plus index-addressed scatter makes the results byte-identical at any
 //! thread count and under `CHLM_SHUFFLE_MERGE` schedule fuzzing.
 //!
-//! Thread budgeting: the benchmark's `world-65k` / `world-65k-t2` pair
-//! (n = 65536, `threads` 1 vs 2, 2-core box) reads `tick_ms_p50` ≈ 170–182
-//! vs ≈ 148 ms — about 1.2x from the second intra-tick thread — while
-//! independent jobs share nothing and scale with the thread count.
-//! [`budget_split`]
-//! therefore gives the whole budget to the outer fan-out (`outer = threads`, inner pool = 1) unless
-//! `CHLM_THREADS_INNER` explicitly reserves an inner width — reports are
-//! bit-identical either way, only wall-clock changes.
+//! Thread budgeting: independent jobs share nothing and scale with the
+//! thread count, while a second intra-tick thread buys about 1.2x (the
+//! benchmark's `world-65k` / `world-65k-t2` pair, n = 65536, 2-core box:
+//! `tick_ms_p50` ≈ 170–182 vs ≈ 148 ms). [`budget_split`] therefore
+//! fills the job-level fan-out first and hands each job's intra-tick pool
+//! only the threads the fan-out cannot use — all of them for a one-job
+//! run, none for a sweep with at least as many jobs as threads. Reports
+//! are bit-identical for every split; only wall-clock changes.
 
 use crate::config::SimConfig;
 use crate::multiplex::{run_multiplexed, VariantSpec};
 use crate::report::SimReport;
 use chlm_par::WorkerPool;
 
-/// Environment variable reserving an intra-tick (inner-pool) width inside
-/// each parallel job. Unset (the default), the whole thread budget drives
-/// the job-level fan-out, where a thread buys more than the ≈ 1.2x it
-/// buys inside a tick (see the module docs).
-pub const THREADS_INNER_ENV: &str = "CHLM_THREADS_INNER";
-
-/// The inner-pool width `CHLM_THREADS_INNER` requests, if set to a
-/// positive integer.
-fn inner_override() -> Option<usize> {
-    std::env::var(THREADS_INNER_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-}
-
 /// Split a total thread budget between the job-level fan-out (`outer`)
-/// and each job's intra-tick pool (`inner`), for `jobs` parallel jobs.
-///
-/// * `inner_hint = None` (the default path): replication-level split —
-///   `outer = min(threads, jobs)`, `inner = 1`: every thread goes to the
-///   job level, where scaling is near-linear (see the module docs).
-/// * `inner_hint = Some(w)`: honor the explicit request — `inner = w`,
-///   `outer = max(threads / w, 1)` (clamped to `jobs`), so nesting never
-///   oversubscribes beyond the requested inner width.
+/// and each job's intra-tick pool (`inner`), for `jobs` parallel jobs:
+/// `outer = min(threads, jobs)`, `inner = max(threads / outer, 1)`. Every
+/// thread goes to the job level, where scaling is near-linear (see the
+/// module docs), until there are more threads than jobs; the surplus is
+/// divided among the jobs' inner pools, never oversubscribing.
 ///
 /// Reports are bit-identical for every split (the thread-invariance
 /// contract); only wall-clock differs.
-pub fn budget_split(threads: usize, jobs: usize, inner_hint: Option<usize>) -> (usize, usize) {
+pub fn budget_split(threads: usize, jobs: usize) -> (usize, usize) {
     assert!(threads >= 1);
-    let jobs = jobs.max(1);
-    match inner_hint {
-        Some(inner) => {
-            let inner = inner.max(1);
-            let outer = (threads / inner).max(1).min(jobs);
-            (outer, inner)
-        }
-        None => (threads.min(jobs), 1),
-    }
+    let outer = threads.min(jobs.max(1));
+    (outer, (threads / outer).max(1))
 }
 
 /// Run `seeds.len()` replications of `cfg` (seed overridden per
-/// replication), at most `outer` at a time per [`budget_split`]. Reports
-/// come back in seed order. Respects `cfg.backend` — replications run on
-/// whichever engine the config selects.
-///
-/// Work distribution is [`WorkerPool::run_indexed`]: workers claim seed
-/// indices off a lock-free ticket counter and results are scattered into
-/// index-addressed slots, so the output is identical for every thread
-/// count (and under `CHLM_SHUFFLE_MERGE` claim-order fuzzing).
+/// replication) and return their reports in seed order: a [`run_sweep`]
+/// of one-variant jobs, so thread budgeting, work distribution and the
+/// thread-invariance guarantee are that function's. Respects
+/// `cfg.backend` — replications run on whichever backend the config
+/// selects.
 pub fn run_replications(cfg: &SimConfig, seeds: &[u64], threads: usize) -> Vec<SimReport> {
-    let (outer, inner) = budget_split(threads, seeds.len(), inner_override());
-    WorkerPool::new(outer).run_indexed(seeds.len(), |idx| {
-        let mut c = cfg.clone();
-        c.seed = seeds[idx];
-        c.threads = inner;
-        crate::run_simulation(&c)
-    })
+    let jobs: Vec<SweepJob> = seeds
+        .iter()
+        .map(|&seed| SweepJob {
+            cfg: cfg.clone(),
+            seed,
+            variants: vec![VariantSpec::from_config("", cfg)],
+        })
+        .collect();
+    run_sweep(&jobs, threads)
+        .into_iter()
+        .map(|mut reports| reports.swap_remove(0))
+        .collect()
 }
 
 /// One node of the sweep job graph: a world (config + seed) and the
@@ -102,10 +79,11 @@ pub struct SweepJob {
 /// per job (job order), each in the job's variant order — byte-identical
 /// at any thread count and under `CHLM_SHUFFLE_MERGE`.
 ///
-/// The thread budget follows [`budget_split`]: all of it drives the
-/// job-level fan-out unless `CHLM_THREADS_INNER` reserves an inner width.
+/// Work distribution is [`WorkerPool::run_indexed`]: workers claim job
+/// indices off a lock-free ticket counter and results are scattered into
+/// index-addressed slots. The thread budget follows [`budget_split`].
 pub fn run_sweep(jobs: &[SweepJob], threads: usize) -> Vec<Vec<SimReport>> {
-    let (outer, inner) = budget_split(threads, jobs.len(), inner_override());
+    let (outer, inner) = budget_split(threads, jobs.len());
     WorkerPool::new(outer).run_indexed(jobs.len(), |idx| {
         let job = &jobs[idx];
         let mut base = job.cfg.clone();
@@ -171,22 +149,24 @@ mod tests {
     }
 
     #[test]
-    fn budget_split_defaults_to_replication_level() {
-        // The PR 7 contract: without an explicit inner hint, the whole
-        // budget drives the outer fan-out and inner pools stay serial.
-        assert_eq!(budget_split(8, 16, None), (8, 1));
-        assert_eq!(budget_split(8, 4, None), (4, 1));
-        assert_eq!(budget_split(1, 5, None), (1, 1));
-        assert_eq!(budget_split(3, 1, None), (1, 1));
+    fn budget_split_fills_the_job_level_first() {
+        // At least as many jobs as threads: the whole budget drives the
+        // outer fan-out and inner pools stay serial.
+        assert_eq!(budget_split(8, 16), (8, 1));
+        assert_eq!(budget_split(8, 8), (8, 1));
+        assert_eq!(budget_split(1, 5), (1, 1));
     }
 
     #[test]
-    fn budget_split_honors_inner_hint() {
-        assert_eq!(budget_split(8, 16, Some(2)), (4, 2));
-        assert_eq!(budget_split(8, 2, Some(2)), (2, 2));
-        // A hint wider than the budget still wins; outer degrades to 1.
-        assert_eq!(budget_split(2, 16, Some(4)), (1, 4));
-        assert_eq!(budget_split(4, 16, Some(1)), (4, 1));
+    fn budget_split_hands_surplus_threads_to_the_inner_pools() {
+        // A one-job run uses the whole budget inside the tick.
+        assert_eq!(budget_split(3, 1), (1, 3));
+        assert_eq!(budget_split(4, 0), (1, 4));
+        // More threads than jobs: the surplus is divided, rounding down,
+        // so outer * inner never exceeds the budget.
+        assert_eq!(budget_split(8, 4), (4, 2));
+        assert_eq!(budget_split(8, 3), (3, 2));
+        assert_eq!(budget_split(5, 4), (4, 1));
     }
 
     #[test]

@@ -1,74 +1,62 @@
-//! Pluggable location-management schemes.
+//! Location-management schemes as workloads.
 //!
-//! The engine's handoff slot ([`crate::observe::HandoffAccounting`]) is
-//! where a location-management scheme lives: everything upstream of it —
-//! mobility, topology, hierarchy, the LM assignment diff — is part of the
-//! *world*, shared by every scheme, while the slot decides which location
-//! servers exist and what their upkeep costs. This module turns that seam
-//! into a plug-in point:
+//! Everything upstream of the accounting slots — mobility, topology,
+//! hierarchy, the LM assignment diff — is the *world*, shared by every
+//! scheme. A scheme is two pure functions of that world:
 //!
-//! * a [`SchemeWorkload`] maps one tick's [`TickCtx`] to the list of LM
-//!   maintenance messages the scheme would send ([`SchemeMsg`]), in a
-//!   canonical order;
-//! * [`AnalyticSchemeObserver`] prices those messages with the active
-//!   [`crate::cost::CostModel`] (any [`crate::config::HopMetric`],
-//!   hierarchical routing included) and books them into a
-//!   [`HandoffLedger`];
-//! * [`PacketSchemeObserver`] *executes* them through
-//!   [`chlm_proto::network::PacketNetwork`] — per-hop delay, loss and ARQ
-//!   included — and books the transmissions each message actually used,
-//!   sharded exactly like the CHLM packet backend so reports stay
-//!   bit-identical across thread counts.
+//! | [`LmScheme`]  | update plane ([`SchemeWorkload`]) | query plane ([`SchemeLookup`]) |
+//! |---------------|-----------------------------------|--------------------------------|
+//! | `Chlm`        | [`ChlmWorkload`]                  | [`ChlmLookup`]                 |
+//! | `Gls`         | [`GlsSchemeWorkload`]             | [`GlsLookup`]                  |
+//! | `HomeAgent`   | [`HomeAgentWorkload`]             | [`HomeAgentLookup`]            |
 //!
-//! Two workloads ship here: [`GlsSchemeWorkload`] (per-band grid servers,
-//! HRW-selected; Li et al., MobiCom 2000) and [`HomeAgentWorkload`] (one
-//! static rendezvous node per mobile — the flat baseline the paper argues
-//! CHLM beats). CHLM itself keeps its dedicated observers
-//! ([`crate::observe::LedgerHandoffObserver`],
-//! [`crate::packet::PacketHandoffObserver`]); [`make_accounting`] picks
-//! the right observer for a `(scheme, backend)` pair.
-//!
-//! The *query plane* mirrors the update plane through the same seam:
-//!
+//! * a [`SchemeWorkload`] maps one tick's [`TickCtx`] to the LM
+//!   maintenance messages the scheme sends ([`SchemeMsg`]), in a canonical
+//!   order;
 //! * a [`SchemeLookup`] maps one lookup arrival (requester, target) to the
 //!   route the scheme's resolution protocol takes — CHLM lowest-common-
 //!   cluster descent ([`chlm_lm::query::resolve_route`]), GLS band walk to
 //!   the order-k grid server ([`chlm_lm::gls::gls_resolve_route`]), or the
 //!   home-agent detour requester → home → target — as a list of
-//!   [`LookupLeg`]s plus the resolution level;
-//! * [`AnalyticQueryObserver`] prices those legs with the active cost
-//!   model; [`PacketQueryObserver`] executes them as real request/reply
-//!   packets (loss + ARQ inflate lookups just like updates), sharded like
-//!   the update plane; both book into a [`QueryStats`];
-//! * [`make_query_accounting`] picks the observer for a
-//!   `(scheme, backend)` pair, or `None` when `query_rate` is zero.
+//!   [`LookupLeg`]s plus the resolution level.
 //!
-//! Determinism: workloads are pure functions of the trace (no RNG, no
-//! wall clock), message order is canonical (subjects ascending, bands
-//! ascending within a subject), and packet execution uses the fixed-shard
-//! design of `crate::packet`, so every scheme inherits the engine's
-//! bit-for-bit reproducibility and thread-invariance contracts. Lookup
-//! routes are pure functions of (world, requester, target), and the query
-//! packet shards draw from their own per-(seed, tick, shard) loss streams.
+//! What a message or a leg *costs* is the backend's business, and the
+//! backend is a [`Transport`] (analytic pricing or packet execution; see
+//! [`crate::transport`]). The two accounting observers are the same code
+//! for every scheme × backend pair:
+//!
+//! * [`HandoffObserver`] — workload → transport → [`HandoffLedger::book`],
+//!   one `book` per event, a two-leg event's costs summed first;
+//! * [`QueryObserver`] — lookup → transport → `QueryStats::record`, one
+//!   `record` per resolved arrival.
+//!
+//! [`make_accounting`] / [`make_query_accounting`] pick the workload or
+//! lookup by scheme and let [`Transport`] pick itself by backend.
+//!
+//! Determinism: workloads and lookups are pure functions of the trace (no
+//! RNG, no wall clock), message order is canonical (diff order; subjects
+//! ascending, bands ascending within a subject), and packet execution
+//! follows the three rules in [`crate::transport`], so every scheme
+//! inherits the engine's bit-for-bit reproducibility and thread-invariance
+//! contracts.
 
-use crate::config::{Backend, LmScheme, LossSpec, SimConfig};
+use crate::config::{LmScheme, SimConfig};
 use crate::cost::HopPricer;
-use crate::observe::{HandoffAccounting, LedgerHandoffObserver, Observer, QueryAccounting};
-use crate::packet::{shard_loss_seed, PacketHandoffObserver, PacketTotals, PACKET_SHARDS};
+use crate::observe::{HandoffAccounting, Observer, QueryAccounting};
 use crate::report::QueryStats;
 use crate::stage::TickCtx;
+use crate::transport::{PacketTotals, Transport, WireLeg, QUERY_LOSS_STREAM, UPDATE_LOSS_STREAM};
 use chlm_cluster::address::AddrChangeKind;
 use chlm_cluster::Hierarchy;
 use chlm_geom::{Disk, Point, Rect};
 use chlm_graph::NodeIdx;
 use chlm_lm::gls::{gls_resolve_route, GlsIncremental, GlsSelect, GridHierarchy, NO_SERVER};
-use chlm_lm::handoff::HandoffLedger;
+use chlm_lm::handoff::{for_each_handoff, HandoffLedger};
 use chlm_lm::hash::hrw_select;
 use chlm_lm::query::resolve_route;
 use chlm_lm::server::LmAssignment;
-use chlm_par::{split_ranges, WorkerPool};
 use chlm_proto::message::{LmMessage, Packet};
-use chlm_proto::network::{NetworkStats, PacketNetwork};
+use chlm_proto::network::NetworkStats;
 
 /// Salt for the home-agent rendezvous selection, fixed so every node can
 /// recompute every home locally.
@@ -105,9 +93,26 @@ fn home_agents(ids: &[u64]) -> Vec<NodeIdx> {
     homes
 }
 
+/// What a [`SchemeMsg`] is on the wire, and how it is booked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MsgKind {
+    /// Server-to-server TRANSFER of the subject's entry; one booked event.
+    Transfer,
+    /// Subject-originated REGISTER (or refresh) with `dst`; one booked
+    /// event.
+    Register,
+    /// The subject's REGISTER with the server its entry was just
+    /// TRANSFERred to. It shares the preceding message's booked event:
+    /// the two costs are summed before the ledger sees them, and a packet
+    /// shard is never cut between the two.
+    RegisterWithTransfer,
+}
+
 /// One LM maintenance message a scheme wants sent this tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeMsg {
+    /// The node whose location entry the message is about.
+    pub subject: NodeIdx,
     /// Sending node.
     pub src: NodeIdx,
     /// Receiving node (the location server involved).
@@ -116,9 +121,29 @@ pub struct SchemeMsg {
     pub level: u16,
     /// φ (migration) vs γ (reorganization) attribution.
     pub class: AddrChangeKind,
-    /// Subject-originated update/registration (`true`) vs server-to-server
-    /// entry transfer (`false`) — only packet-totals bookkeeping.
-    pub update: bool,
+    /// Wire message type and booking rule.
+    pub kind: MsgKind,
+}
+
+impl WireLeg for SchemeMsg {
+    fn wire(&self) -> Packet {
+        let (subject, level) = (self.subject, self.level);
+        Packet {
+            src: self.src,
+            dst: self.dst,
+            msg: match self.kind {
+                MsgKind::Transfer => LmMessage::Transfer { subject, level },
+                MsgKind::Register | MsgKind::RegisterWithTransfer => {
+                    LmMessage::Register { subject, level }
+                }
+            },
+            sent_at: 0.0,
+        }
+    }
+
+    fn opens_event(&self) -> bool {
+        self.kind != MsgKind::RegisterWithTransfer
+    }
 }
 
 /// The per-tick message workload of a location-management scheme.
@@ -132,6 +157,44 @@ pub trait SchemeWorkload {
     fn name(&self) -> &'static str;
     /// Append this tick's messages to `out` in canonical order.
     fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>);
+}
+
+/// The paper's scheme: every LM entry whose server changed is TRANSFERred
+/// old server → new server, and a subject whose own level-k address
+/// changed also REGISTERs with the new server — the message set and its
+/// φ/γ cascade attribution are [`chlm_lm::handoff::for_each_handoff`]'s,
+/// in assignment-diff order.
+pub struct ChlmWorkload;
+
+impl SchemeWorkload for ChlmWorkload {
+    fn name(&self) -> &'static str {
+        "chlm"
+    }
+
+    fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
+        for_each_handoff(
+            ctx.host_changes,
+            ctx.addr_changes,
+            |hc, class, registers| {
+                let transfer = SchemeMsg {
+                    subject: hc.subject,
+                    src: hc.old_host,
+                    dst: hc.new_host,
+                    level: hc.level,
+                    class,
+                    kind: MsgKind::Transfer,
+                };
+                out.push(transfer);
+                if registers {
+                    out.push(SchemeMsg {
+                        src: hc.subject,
+                        kind: MsgKind::RegisterWithTransfer,
+                        ..transfer
+                    });
+                }
+            },
+        );
+    }
 }
 
 /// GLS-style per-band location servers on the recursive grid.
@@ -215,18 +278,20 @@ impl SchemeWorkload for GlsSchemeWorkload {
             let level = (band + 2) as u16;
             match (old == NO_SERVER, new == NO_SERVER) {
                 (false, false) => out.push(SchemeMsg {
+                    subject,
                     src: old,
                     dst: new,
                     level,
                     class,
-                    update: false,
+                    kind: MsgKind::Transfer,
                 }),
                 (true, false) => out.push(SchemeMsg {
+                    subject,
                     src: subject,
                     dst: new,
                     level,
                     class,
-                    update: true,
+                    kind: MsgKind::Register,
                 }),
                 // Entries expire silently (GLS timeout behavior).
                 _ => {}
@@ -243,11 +308,12 @@ impl SchemeWorkload for GlsSchemeWorkload {
                     for &s in assignment.servers(v as NodeIdx, band) {
                         if s != NO_SERVER {
                             out.push(SchemeMsg {
+                                subject: v as NodeIdx,
                                 src: v as NodeIdx,
                                 dst: s,
                                 level: (band + 2) as u16,
                                 class: AddrChangeKind::Migration,
-                                update: true,
+                                kind: MsgKind::Register,
                             });
                         }
                     }
@@ -305,153 +371,77 @@ impl SchemeWorkload for HomeAgentWorkload {
         for c in ctx.addr_changes {
             if c.level == 1 {
                 out.push(SchemeMsg {
+                    subject: c.node,
                     src: c.node,
                     dst: self.homes[c.node as usize],
                     level: 1,
                     class: c.kind,
-                    update: true,
+                    kind: MsgKind::Register,
                 });
             }
         }
     }
 }
 
-/// Analytic accounting for a [`SchemeWorkload`]: each message priced at
-/// `hops(src, dst)` by the lent pricer and booked into the ledger under
-/// its level and class. The exposure arithmetic matches
-/// [`HandoffLedger::record`] bit-for-bit, so the auditor's
-/// ledger-vs-rates exposure check applies unchanged.
-pub struct AnalyticSchemeObserver {
+/// The update-plane accounting of every scheme × backend pair: the
+/// workload's messages are carried by the transport and booked into the
+/// ledger one event at a time, under each event's level and φ/γ class.
+/// The exposure arithmetic matches [`HandoffLedger::record`] bit-for-bit,
+/// so the auditor's ledger-vs-rates exposure check applies unchanged.
+pub struct HandoffObserver {
     workload: Box<dyn SchemeWorkload>,
+    transport: Transport,
     ledger: HandoffLedger,
+    /// TRANSFER / REGISTER messages emitted so far.
+    transfers: u64,
+    registrations: u64,
+    // Recycled per-tick scratch: the messages and their costs.
     msgs: Vec<SchemeMsg>,
+    costs: Vec<f64>,
 }
 
-impl AnalyticSchemeObserver {
-    pub fn new(workload: Box<dyn SchemeWorkload>) -> Self {
-        AnalyticSchemeObserver {
+impl HandoffObserver {
+    /// `workload` accounted over the transport `cfg.backend` selects.
+    pub fn new(workload: Box<dyn SchemeWorkload>, cfg: &SimConfig) -> Self {
+        HandoffObserver {
             workload,
+            transport: Transport::new(cfg, UPDATE_LOSS_STREAM),
             ledger: HandoffLedger::new(),
+            transfers: 0,
+            registrations: 0,
             msgs: Vec::new(),
+            costs: Vec::new(),
         }
     }
 }
 
-impl Observer for AnalyticSchemeObserver {
+impl Observer for HandoffObserver {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
         self.msgs.clear();
         self.workload.messages(ctx, &mut self.msgs);
-        for m in &self.msgs {
-            let packets = pricer.hops(m.src, m.dst);
+        self.transport
+            .carry(ctx, pricer, &self.msgs, &mut self.costs);
+        let mut legs = self.msgs.iter().zip(&self.costs).peekable();
+        while let Some((m, &cost)) = legs.next() {
+            // A REGISTER riding on this event is summed in before booking.
+            let mut packets = cost;
+            while let Some((_, &rider)) = legs.next_if(|(next, _)| !next.opens_event()) {
+                packets += rider;
+            }
             self.ledger.book(m.level as usize, m.class, packets);
         }
         self.ledger.add_exposure(ctx.n, ctx.dt);
+        let transfers = self
+            .msgs
+            .iter()
+            .filter(|m| m.kind == MsgKind::Transfer)
+            .count() as u64;
+        self.transfers += transfers;
+        self.registrations += self.msgs.len() as u64 - transfers;
     }
 }
 
-impl HandoffAccounting for AnalyticSchemeObserver {
-    fn ledger(&self) -> &HandoffLedger {
-        &self.ledger
-    }
-    fn take_ledger(&mut self) -> HandoffLedger {
-        std::mem::take(&mut self.ledger)
-    }
-}
-
-/// Packet-executed accounting for a [`SchemeWorkload`]: the tick's
-/// messages are cut into the same fixed `PACKET_SHARDS` contiguous
-/// chunks as the CHLM packet backend, each shard runs its own event queue
-/// (independent per-`(seed, tick, shard)` loss streams), and the merged
-/// per-packet transmission counts are booked 1:1 into the ledger in
-/// message order — thread-count invariant by the same argument as
-/// [`PacketHandoffObserver`].
-pub struct PacketSchemeObserver {
-    workload: Box<dyn SchemeWorkload>,
-    ledger: HandoffLedger,
-    hop_delay: f64,
-    loss: Option<LossSpec>,
-    totals: PacketTotals,
-    workers: WorkerPool,
-    msgs: Vec<SchemeMsg>,
-    per_packet: Vec<u32>,
-}
-
-impl PacketSchemeObserver {
-    pub fn new(
-        workload: Box<dyn SchemeWorkload>,
-        hop_delay: f64,
-        loss: Option<LossSpec>,
-        threads: usize,
-    ) -> Self {
-        assert!(hop_delay > 0.0 && hop_delay.is_finite());
-        PacketSchemeObserver {
-            workload,
-            ledger: HandoffLedger::new(),
-            hop_delay,
-            loss,
-            totals: PacketTotals::default(),
-            workers: WorkerPool::new(threads),
-            msgs: Vec::new(),
-            per_packet: Vec::new(),
-        }
-    }
-}
-
-impl Observer for PacketSchemeObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
-        self.msgs.clear();
-        self.workload.messages(ctx, &mut self.msgs);
-        let msgs = &self.msgs;
-        let ranges = split_ranges(msgs.len(), PACKET_SHARDS);
-        let hop_delay = self.hop_delay;
-        let loss = self.loss;
-        let shards = self.workers.run_indexed(ranges.len(), |shard| {
-            let mut net = PacketNetwork::new(ctx.graph, hop_delay);
-            if let Some(l) = loss {
-                net = net.with_loss(
-                    l.prob,
-                    l.max_retries,
-                    shard_loss_seed(l.seed, ctx.tick as u64, shard as u64),
-                );
-            }
-            for m in &msgs[ranges[shard].start..ranges[shard].end] {
-                net.send(Packet {
-                    src: m.src,
-                    dst: m.dst,
-                    msg: LmMessage::Register {
-                        subject: m.src,
-                        level: m.level,
-                    },
-                    sent_at: 0.0,
-                });
-            }
-            let stats = net.run();
-            (stats, net.into_per_packet_transmissions())
-        });
-        self.per_packet.clear();
-        let mut stats = NetworkStats::default();
-        for (shard_stats, shard_packets) in shards {
-            stats.merge(&shard_stats);
-            self.per_packet.extend_from_slice(&shard_packets);
-        }
-        // Concatenated shard chunks reproduce the unsharded message order,
-        // so transmissions replay 1:1 into the booking loop.
-        debug_assert_eq!(self.per_packet.len(), self.msgs.len());
-        for (m, &transmissions) in self.msgs.iter().zip(&self.per_packet) {
-            self.ledger
-                .book(m.level as usize, m.class, transmissions as f64);
-            if m.update {
-                self.totals.registrations += 1;
-            } else {
-                self.totals.transfers += 1;
-            }
-        }
-        self.ledger.add_exposure(ctx.n, ctx.dt);
-        self.totals.net.merge(&stats);
-    }
-}
-
-impl HandoffAccounting for PacketSchemeObserver {
+impl HandoffAccounting for HandoffObserver {
     fn ledger(&self) -> &HandoffLedger {
         &self.ledger
     }
@@ -459,30 +449,23 @@ impl HandoffAccounting for PacketSchemeObserver {
         std::mem::take(&mut self.ledger)
     }
     fn packet_totals(&self) -> Option<PacketTotals> {
-        Some(self.totals)
+        self.transport.net().map(|net| PacketTotals {
+            transfers: self.transfers,
+            registrations: self.registrations,
+            net,
+        })
     }
 }
 
-/// Build the handoff-accounting observer `cfg` selects — the full
-/// `(scheme, backend)` dispatch. CHLM keeps its dedicated observers
-/// (bit-identical to every pre-scheme report); the alternate schemes wrap
-/// their workload in the analytic or packet scheme observer.
+/// Build the handoff-accounting observer `cfg` selects: the scheme picks
+/// the workload, the backend picks the transport.
 pub fn make_accounting(cfg: &SimConfig) -> Box<dyn HandoffAccounting> {
-    let workload: Option<Box<dyn SchemeWorkload>> = match cfg.lm_scheme {
-        LmScheme::Chlm => None,
-        LmScheme::Gls => Some(Box::new(GlsSchemeWorkload::new(cfg))),
-        LmScheme::HomeAgent => Some(Box::new(HomeAgentWorkload::new())),
+    let workload: Box<dyn SchemeWorkload> = match cfg.lm_scheme {
+        LmScheme::Chlm => Box::new(ChlmWorkload),
+        LmScheme::Gls => Box::new(GlsSchemeWorkload::new(cfg)),
+        LmScheme::HomeAgent => Box::new(HomeAgentWorkload::new()),
     };
-    match (workload, cfg.backend) {
-        (None, Backend::Analytic) => Box::new(LedgerHandoffObserver::default()),
-        (None, Backend::Packet { hop_delay, loss }) => {
-            Box::new(PacketHandoffObserver::new(hop_delay, loss, cfg.threads))
-        }
-        (Some(w), Backend::Analytic) => Box::new(AnalyticSchemeObserver::new(w)),
-        (Some(w), Backend::Packet { hop_delay, loss }) => {
-            Box::new(PacketSchemeObserver::new(w, hop_delay, loss, cfg.threads))
-        }
-    }
+    Box::new(HandoffObserver::new(workload, cfg))
 }
 
 /// The slice of the world a location lookup resolves against, built from
@@ -527,6 +510,33 @@ pub struct LookupLeg {
     /// `true` for the leg carrying the answer (priced identically; tags
     /// the packet as [`LmMessage::Reply`] on the packet backend).
     pub reply: bool,
+}
+
+impl WireLeg for LookupLeg {
+    fn wire(&self) -> Packet {
+        let msg = if self.reply {
+            LmMessage::Reply {
+                requester: self.dst,
+                target: self.src,
+            }
+        } else {
+            LmMessage::Query {
+                requester: self.src,
+                target: self.dst,
+            }
+        };
+        Packet {
+            src: self.src,
+            dst: self.dst,
+            msg,
+            sent_at: 0.0,
+        }
+    }
+
+    /// Lookup legs shard one by one.
+    fn opens_event(&self) -> bool {
+        true
+    }
 }
 
 /// The per-lookup route of a location-management scheme — the query-plane
@@ -718,118 +728,39 @@ pub fn make_lookup(cfg: &SimConfig) -> Box<dyn SchemeLookup> {
     }
 }
 
-/// Analytic query accounting: each arrival in `ctx.query_arrivals` is
-/// routed by the [`SchemeLookup`] and its legs priced with the lent
-/// pricer, in arrival order. Self-legs price 0 — the same value a packet
-/// network self-delivery transmits — so lossless analytic-vs-packet
-/// parity holds leg for leg (`tests/query_parity.rs`).
-pub struct AnalyticQueryObserver {
+/// The query-plane accounting of every scheme × backend pair: each
+/// arrival in `ctx.query_arrivals` is routed by the [`SchemeLookup`], the
+/// tick's legs are carried by the transport, and every resolved lookup is
+/// booked at the sum of its legs, in arrival order. Self-legs cost 0 on
+/// both transports, so lossless analytic-vs-packet parity holds leg for
+/// leg (`tests/query_parity.rs`).
+pub struct QueryObserver {
     lookup: Box<dyn SchemeLookup>,
+    transport: Transport,
     stats: QueryStats,
-    legs: Vec<LookupLeg>,
-}
-
-impl AnalyticQueryObserver {
-    pub fn new(lookup: Box<dyn SchemeLookup>) -> Self {
-        AnalyticQueryObserver {
-            lookup,
-            stats: QueryStats::default(),
-            legs: Vec::new(),
-        }
-    }
-}
-
-impl Observer for AnalyticQueryObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        let world = LookupWorld::of_tick(ctx);
-        let mut tick_packets = 0.0;
-        for &(requester, target) in ctx.query_arrivals {
-            self.legs.clear();
-            match self
-                .lookup
-                .resolve(&world, requester, target, &mut self.legs)
-            {
-                Some(level) => {
-                    let mut packets = 0.0;
-                    for leg in &self.legs {
-                        packets += pricer.hops(leg.src, leg.dst);
-                    }
-                    self.stats.record(level as usize, packets);
-                    tick_packets += packets;
-                }
-                None => self.stats.unresolved += 1,
-            }
-        }
-        self.stats.arrivals += ctx.query_arrivals.len() as u64;
-        self.stats.per_tick_packets.push(tick_packets);
-        self.stats.node_seconds += ctx.n as f64 * ctx.dt;
-    }
-}
-
-impl QueryAccounting for AnalyticQueryObserver {
-    fn stats(&self) -> &QueryStats {
-        &self.stats
-    }
-    fn take_stats(&mut self) -> QueryStats {
-        std::mem::take(&mut self.stats)
-    }
-}
-
-/// Stream salt separating query-plane loss draws from the update plane's:
-/// both planes run packet shards at the same `(seed, tick, shard)`, and
-/// their streams must not be correlated.
-const QUERY_LOSS_STREAM: u64 = 0x5155_4552_594C_4F53; // "QUERYLOS"
-
-/// Packet-executed query accounting: the tick's lookup legs are cut into
-/// the same fixed `PACKET_SHARDS` contiguous chunks as the update plane,
-/// each shard runs its own event queue with a per-`(seed, tick, shard)`
-/// loss stream (salted with `QUERY_LOSS_STREAM`), and the merged
-/// per-leg transmission counts are booked back per lookup in arrival
-/// order — thread-count invariant by the same argument as
-/// [`PacketSchemeObserver`].
-pub struct PacketQueryObserver {
-    lookup: Box<dyn SchemeLookup>,
-    stats: QueryStats,
-    hop_delay: f64,
-    loss: Option<LossSpec>,
-    totals: NetworkStats,
-    workers: WorkerPool,
+    // Recycled per-tick scratch.
     legs: Vec<LookupLeg>,
     /// Per arrival: resolution level and leg count, or `None` (no route).
     outcomes: Vec<Option<(u16, u32)>>,
-    per_leg: Vec<u32>,
+    costs: Vec<f64>,
 }
 
-impl PacketQueryObserver {
-    pub fn new(
-        lookup: Box<dyn SchemeLookup>,
-        hop_delay: f64,
-        loss: Option<LossSpec>,
-        threads: usize,
-    ) -> Self {
-        assert!(hop_delay > 0.0 && hop_delay.is_finite());
-        PacketQueryObserver {
+impl QueryObserver {
+    /// `lookup` accounted over the transport `cfg.backend` selects.
+    pub fn new(lookup: Box<dyn SchemeLookup>, cfg: &SimConfig) -> Self {
+        QueryObserver {
             lookup,
+            transport: Transport::new(cfg, QUERY_LOSS_STREAM),
             stats: QueryStats::default(),
-            hop_delay,
-            loss,
-            totals: NetworkStats::default(),
-            workers: WorkerPool::new(threads),
             legs: Vec::new(),
             outcomes: Vec::new(),
-            per_leg: Vec::new(),
+            costs: Vec::new(),
         }
-    }
-
-    /// Merged network statistics over every query shard so far (drop and
-    /// loss diagnostics for the parity wall).
-    pub fn net_stats(&self) -> &NetworkStats {
-        &self.totals
     }
 }
 
-impl Observer for PacketQueryObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
+impl Observer for QueryObserver {
+    fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
         let world = LookupWorld::of_tick(ctx);
         self.legs.clear();
         self.outcomes.clear();
@@ -848,60 +779,17 @@ impl Observer for PacketQueryObserver {
                 }
             }
         }
-        let legs = &self.legs;
-        let ranges = split_ranges(legs.len(), PACKET_SHARDS);
-        let hop_delay = self.hop_delay;
-        let loss = self.loss;
-        let shards = self.workers.run_indexed(ranges.len(), |shard| {
-            let mut net = PacketNetwork::new(ctx.graph, hop_delay);
-            if let Some(l) = loss {
-                net = net.with_loss(
-                    l.prob,
-                    l.max_retries,
-                    shard_loss_seed(l.seed ^ QUERY_LOSS_STREAM, ctx.tick as u64, shard as u64),
-                );
-            }
-            for leg in &legs[ranges[shard].start..ranges[shard].end] {
-                let msg = if leg.reply {
-                    LmMessage::Reply {
-                        requester: leg.dst,
-                        target: leg.src,
-                    }
-                } else {
-                    LmMessage::Query {
-                        requester: leg.src,
-                        target: leg.dst,
-                    }
-                };
-                net.send(Packet {
-                    src: leg.src,
-                    dst: leg.dst,
-                    msg,
-                    sent_at: 0.0,
-                });
-            }
-            let stats = net.run();
-            (stats, net.into_per_packet_transmissions())
-        });
-        self.per_leg.clear();
-        let mut net_stats = NetworkStats::default();
-        for (shard_stats, shard_legs) in shards {
-            net_stats.merge(&shard_stats);
-            self.per_leg.extend_from_slice(&shard_legs);
-        }
-        // Concatenated shard chunks reproduce the unsharded leg order, so
-        // transmissions replay 1:1 into the per-lookup booking loop.
-        debug_assert_eq!(self.per_leg.len(), self.legs.len());
-        let mut cursor = 0usize;
+        self.transport
+            .carry(ctx, pricer, &self.legs, &mut self.costs);
+        let mut costs = self.costs.iter();
         let mut tick_packets = 0.0;
         for outcome in &self.outcomes {
             match outcome {
                 Some((level, leg_count)) => {
                     let mut packets = 0.0;
-                    for &t in &self.per_leg[cursor..cursor + *leg_count as usize] {
-                        packets += t as f64;
+                    for &cost in costs.by_ref().take(*leg_count as usize) {
+                        packets += cost;
                     }
-                    cursor += *leg_count as usize;
                     self.stats.record(*level as usize, packets);
                     tick_packets += packets;
                 }
@@ -911,11 +799,10 @@ impl Observer for PacketQueryObserver {
         self.stats.arrivals += ctx.query_arrivals.len() as u64;
         self.stats.per_tick_packets.push(tick_packets);
         self.stats.node_seconds += ctx.n as f64 * ctx.dt;
-        self.totals.merge(&net_stats);
     }
 }
 
-impl QueryAccounting for PacketQueryObserver {
+impl QueryAccounting for QueryObserver {
     fn stats(&self) -> &QueryStats {
         &self.stats
     }
@@ -923,7 +810,7 @@ impl QueryAccounting for PacketQueryObserver {
         std::mem::take(&mut self.stats)
     }
     fn query_net(&self) -> Option<NetworkStats> {
-        Some(self.totals)
+        self.transport.net()
     }
 }
 
@@ -933,16 +820,7 @@ pub fn make_query_accounting(cfg: &SimConfig) -> Option<Box<dyn QueryAccounting>
     if cfg.query_rate <= 0.0 {
         return None;
     }
-    let lookup = make_lookup(cfg);
-    Some(match cfg.backend {
-        Backend::Analytic => Box::new(AnalyticQueryObserver::new(lookup)),
-        Backend::Packet { hop_delay, loss } => Box::new(PacketQueryObserver::new(
-            lookup,
-            hop_delay,
-            loss,
-            cfg.threads,
-        )),
-    })
+    Some(Box::new(QueryObserver::new(make_lookup(cfg), cfg)))
 }
 
 #[cfg(test)]
@@ -1046,7 +924,7 @@ mod tests {
         assert_ne!(out[0].dst, 1, "home agent must not be the subject");
         assert_eq!(out[0].level, 1);
         assert_eq!(out[0].class, AddrChangeKind::Migration);
-        assert!(out[0].update);
+        assert_eq!(out[0].kind, MsgKind::Register);
     }
 
     #[test]
@@ -1078,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn analytic_scheme_observer_books_messages() {
+    fn handoff_observer_books_messages() {
         struct OneMsg;
         impl SchemeWorkload for OneMsg {
             fn name(&self) -> &'static str {
@@ -1086,11 +964,12 @@ mod tests {
             }
             fn messages(&mut self, _ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
                 out.push(SchemeMsg {
+                    subject: 0,
                     src: 0,
                     dst: 3,
                     level: 2,
                     class: AddrChangeKind::Migration,
-                    update: true,
+                    kind: MsgKind::Register,
                 });
             }
         }
@@ -1106,7 +985,8 @@ mod tests {
         }
         let old = line_world();
         let new = line_world();
-        let mut obs = AnalyticSchemeObserver::new(Box::new(OneMsg));
+        let cfg = SimConfig::builder(4).duration(1.0).warmup(0.0).build();
+        let mut obs = HandoffObserver::new(Box::new(OneMsg), &cfg);
         obs.on_tick(&ctx(0, &old, &new, &[]), &mut ConstPricer(3.0));
         obs.on_tick(&ctx(1, &old, &new, &[]), &mut ConstPricer(3.0));
         let ledger = obs.ledger();

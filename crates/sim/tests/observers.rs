@@ -18,9 +18,9 @@ use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_sim::observe::{
     AddressChurnObserver, AlcaStateObserver, DegreeObserver, EventTaxonomyObserver,
-    LedgerHandoffObserver, LevelChurnObserver, LinkRateObserver,
+    LevelChurnObserver, LinkRateObserver,
 };
-use chlm_sim::{HopPricer, Observer, TickCtx};
+use chlm_sim::{make_accounting, HopPricer, Observer, SimConfig, TickCtx};
 
 const N: usize = 8;
 const DT: f64 = 0.5;
@@ -188,33 +188,88 @@ fn address_churn_splits_kinds_and_levels() {
     assert_eq!(obs.rates.reorg_events, vec![0, 0, 2]);
 }
 
-/// The analytic handoff observer is a thin shell over
-/// `HandoffLedger::record`: over the same diff streams and the same
-/// pricer it must book the identical ledger, and the fixture's 19
-/// recorded host changes priced at 2 hops each give a non-trivial one.
-#[test]
-fn ledger_observer_equals_direct_record() {
-    let snaps = fixture();
-    let mut obs = LedgerHandoffObserver::default();
-    run_two_ticks(&snaps, &mut obs, &mut ConstPricer(2.0));
+/// Pair-dependent, non-dyadic hop price: sums of two of these round, so
+/// `(slot + a) + b` and `slot + (a + b)` differ in the last bit and the
+/// test below sees whether a two-leg event is summed before it is booked.
+struct SqrtPricer;
 
-    let mut direct = HandoffLedger::new();
-    for t in 0..2 {
-        let addr_changes = snaps[t].book.diff(&snaps[t + 1].book);
-        let host_changes = snaps[t].assignment.diff(&snaps[t + 1].assignment);
-        let mut pricer = ConstPricer(2.0);
-        direct.record(
-            &host_changes,
-            &addr_changes,
-            |a, b| pricer.hops(a, b),
-            N,
-            DT,
-        );
+impl HopPricer for SqrtPricer {
+    fn hops(&mut self, a: NodeIdx, b: NodeIdx) -> f64 {
+        if a == b {
+            0.0
+        } else {
+            ((31 * a + b) as f64).sqrt()
+        }
     }
-    assert_eq!(obs.ledger, direct);
-    assert_eq!(obs.ledger.node_seconds, 2.0 * N as f64 * DT);
-    assert!(obs.ledger.phi_total() > 0.0);
-    assert!(obs.ledger.gamma_total() > 0.0);
+}
+
+/// How often the reference test replays the two fixture ticks: a slot
+/// that is still 0.0 absorbs either summation order exactly, so the
+/// ledger has to carry a balance before the order shows.
+const ROUNDS: usize = 4;
+
+/// CHLM reaches the ledger through `ChlmWorkload` → `Transport` →
+/// `HandoffLedger::book`; `HandoffLedger::record` is the reference. Over
+/// the same diff streams and the same pricer the two must agree bit for
+/// bit on every `LevelCost` field and on `node_seconds`.
+///
+/// The fixture's own re-registrations are all subject == new server
+/// (price 0), so the address diff is crafted instead: every other host
+/// change has its subject's exact `(node, level)` address changed, kinds
+/// alternating. That makes half the events two-leg with a priced
+/// REGISTER, and sends the rest through the host-side and default arms
+/// of the cascade.
+#[test]
+fn chlm_analytic_accounting_equals_direct_record() {
+    let snaps = fixture();
+    let cfg = SimConfig::builder(N).duration(1.0).warmup(0.0).build();
+    let mut obs = make_accounting(&cfg);
+    let mut direct = HandoffLedger::new();
+    let mut priced_registrations = 0;
+    for _ in 0..ROUNDS {
+        for t in 0..2 {
+            let host_changes = snaps[t].assignment.diff(&snaps[t + 1].assignment);
+            let crafted: Vec<AddrChange> = host_changes
+                .iter()
+                .step_by(2)
+                .enumerate()
+                .map(|(i, hc)| AddrChange {
+                    node: hc.subject,
+                    level: hc.level,
+                    old_head: hc.old_host,
+                    new_head: hc.new_host,
+                    kind: if i % 2 == 0 {
+                        AddrChangeKind::Migration
+                    } else {
+                        AddrChangeKind::Reorganization
+                    },
+                })
+                .collect();
+            priced_registrations += host_changes
+                .iter()
+                .step_by(2)
+                .filter(|hc| hc.subject != hc.new_host)
+                .count();
+            obs.on_tick(&ctx_at(&snaps, t, &host_changes, &crafted), &mut SqrtPricer);
+            direct.record(&host_changes, &crafted, |a, b| SqrtPricer.hops(a, b), N, DT);
+        }
+    }
+    assert!(priced_registrations > 0, "need two-leg events that cost");
+    let ledger = obs.ledger();
+    assert_eq!(ledger.per_level.len(), direct.per_level.len());
+    for (got, want) in ledger.per_level.iter().zip(&direct.per_level) {
+        assert_eq!(
+            got.migration_packets.to_bits(),
+            want.migration_packets.to_bits()
+        );
+        assert_eq!(got.reorg_packets.to_bits(), want.reorg_packets.to_bits());
+        assert_eq!(got.migration_events, want.migration_events);
+        assert_eq!(got.reorg_events, want.reorg_events);
+    }
+    assert_eq!(ledger.node_seconds.to_bits(), direct.node_seconds.to_bits());
+    assert_eq!(ledger.node_seconds, (2 * ROUNDS * N) as f64 * DT);
+    assert!(ledger.phi_total() > 0.0);
+    assert!(ledger.gamma_total() > 0.0);
 }
 
 /// Level-k churn and exposure, pinned to the recorded fixture: the level-1

@@ -64,6 +64,12 @@ fn lossless_query_packets_match_analytic_bfs_exactly() {
         // arrivals (shared trace), same routes (shared seam), and every
         // leg's transmissions equal to its BFS price.
         assert_eq!(qa, qp, "{scheme:?}: query parity broken");
+        if scheme == LmScheme::Chlm {
+            // One QUERY and one REPLY per lookup that has a server to
+            // ask (common level ≥ 2); the rest are free.
+            let asked: u64 = qp.level_lookups.iter().skip(2).sum();
+            assert_eq!(net.sent, 2 * asked);
+        }
         // And the planes compose: the full reports agree too, since the
         // update plane already has its own parity wall.
         assert_eq!(packet, analytic, "{scheme:?}: reports diverged");

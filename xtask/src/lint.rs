@@ -148,16 +148,17 @@ const WALLCLOCK_SCOPE: [&str; 5] = [
 
 /// Per-tick step-path code: every allocation here recurs every tick, so
 /// buffer copies that could reuse persistent storage are flagged. The
-/// staged pipeline spread the step path over stage/observe/cost/packet,
-/// so all of them sit in scope alongside the engine itself, as does the
+/// staged pipeline spread the step path over stage/observe/cost/scheme/
+/// transport, so all of them sit in scope alongside the engine itself, as does the
 /// routing table `cost` rebuilds every tick. (The call
 /// graph extends this scope to everything reachable from a step root.)
-const STEP_COPY_SCOPE: [&str; 9] = [
+const STEP_COPY_SCOPE: [&str; 10] = [
     "crates/sim/src/engine.rs",
     "crates/sim/src/stage.rs",
     "crates/sim/src/observe.rs",
     "crates/sim/src/cost.rs",
-    "crates/sim/src/packet.rs",
+    "crates/sim/src/scheme.rs",
+    "crates/sim/src/transport.rs",
     "crates/routing/src/nexthop.rs",
     "crates/graph/src/incremental.rs",
     "crates/graph/src/dynamics.rs",
@@ -434,7 +435,8 @@ mod tests {
         assert!(lint_applies(LINT_STEP_COPY, "crates/sim/src/stage.rs"));
         assert!(lint_applies(LINT_STEP_COPY, "crates/sim/src/observe.rs"));
         assert!(lint_applies(LINT_STEP_COPY, "crates/sim/src/cost.rs"));
-        assert!(lint_applies(LINT_STEP_COPY, "crates/sim/src/packet.rs"));
+        assert!(lint_applies(LINT_STEP_COPY, "crates/sim/src/scheme.rs"));
+        assert!(lint_applies(LINT_STEP_COPY, "crates/sim/src/transport.rs"));
         assert!(lint_applies(
             LINT_STEP_COPY,
             "crates/graph/src/incremental.rs"
@@ -444,7 +446,7 @@ mod tests {
         assert!(lint_applies(LINT_NONDET, "crates/par/src/lib.rs"));
         assert!(lint_applies(LINT_NONDET, "crates/sim/src/runner.rs"));
         assert!(lint_applies(LINT_NONDET, "crates/sim/src/oracle.rs"));
-        assert!(lint_applies(LINT_NONDET, "crates/sim/src/packet.rs"));
+        assert!(lint_applies(LINT_NONDET, "crates/sim/src/transport.rs"));
         assert!(!lint_applies(LINT_NONDET, "crates/sim/src/report.rs"));
         assert!(!lint_applies(LINT_NONDET, "crates/analysis/src/stats.rs"));
         assert!(lint_applies(LINT_ITER_ESCAPE, "crates/lm/src/server.rs"));
