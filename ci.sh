@@ -27,12 +27,15 @@ test -s target/step_reach.json
 # belonged to the second engine, the config-selected slow stages (whose
 # from-scratch reference now lives only under crates/sim/tests/), the six
 # per-(scheme, backend) observers, chlm-proto's second copy of the handoff
-# message set, and the inner-thread env knob. Fail if one comes back into
-# production source. (`if`, not `! grep`: errexit ignores a status
-# inverted with `!`.)
+# message set, the inner-thread env knob, and the private shortest-path
+# state of the hop oracle (row cache + buffer pool) and of the packet
+# network (per-destination next-hop trees) that `Graph::hop_row` replaced.
+# Fail if one comes back into production source. (`if`, not `! grep`:
+# errexit ignores a status inverted with `!`.)
 step "leftover check (removed twins stay removed)"
 removed='full_rebuild\|PacketEngine\|with_handoff\|run_engine'
 removed+='\|LedgerHandoffObserver\|PacketHandoffObserver\|AnalyticSchemeObserver\|PacketSchemeObserver\|AnalyticQueryObserver\|PacketQueryObserver\|send_handoff\|execute_handoff\|execute_queries\|THREADS_INNER'
+removed+='\|tree_for\|with_pool\|into_pool\|cached_sources'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
   exit 1
@@ -51,9 +54,11 @@ cargo test --workspace -q
 # pins the fan-out against standalone runs while run_sweep workers claim
 # whole world-runs in the fuzzed order. chlm-lm is here for its pooled
 # walk test (n above WALK_PAR_MIN_N at 2 and 8 workers), which no other
-# suite reaches.
+# suite reaches; chlm-graph for the eight-worker race on one
+# `Graph::hop_row` cell.
 step "schedule fuzz (CHLM_SHUFFLE_MERGE=1)"
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-par
+CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-graph
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-lm
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test thread_invariance
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test multiplex_equivalence

@@ -10,11 +10,14 @@
 //! * [`unit_disk::build_unit_disk`] — `O(n·d)` unit-disk construction over a
 //!   spatial grid,
 //! * BFS / Dijkstra / connected components ([`traversal`], [`dijkstra`]),
+//! * [`Graph::hop_row`] — the one shortest-path row store of a topology
+//!   snapshot: the BFS distance row of a root, computed by whoever asks
+//!   first and shared by every later reader of the same `&Graph` until
+//!   the adjacency next changes,
 //! * [`UnionFind`] — disjoint sets for fast connectivity,
 //! * [`dynamics::LinkDiff`] — link up/down event extraction between
 //!   consecutive topology snapshots (the level-0 link-state change events of
 //!   eq. (4)).
-
 //!
 //! ## Example
 //!
@@ -30,6 +33,8 @@
 //! assert_eq!(graph.node_count(), 100);
 //! let dist = bfs_distances(&graph, 0);
 //! assert_eq!(dist[0], 0);
+//! // The memoised row is the same row, computed once per snapshot.
+//! assert_eq!(graph.hop_row(0), dist.as_slice());
 //! let _ = is_connected(&graph);
 //! ```
 
@@ -45,6 +50,8 @@ pub use dynamics::LinkDiff;
 pub use incremental::{EdgeFlip, UnitDiskMaintainer};
 pub use union_find::UnionFind;
 
+use std::sync::OnceLock;
+
 /// Node index type. Graphs in this workspace are dense and index nodes by
 /// position `0..n`, with any stable external identity (e.g. the random node
 /// ID used by the LCA election) kept alongside.
@@ -54,10 +61,53 @@ pub type NodeIdx = u32;
 ///
 /// Neighbor lists are kept sorted so that adjacency checks are `O(log d)`
 /// and diffing two graphs is a linear merge.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A graph also memoises the BFS distance rows asked of it
+/// ([`Graph::hop_row`]). The memo is invisible in the value: clones start
+/// without it, and equality and `Debug` ignore it.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     adj: Vec<Vec<NodeIdx>>,
     n_edges: usize,
+    rows: HopRows,
+}
+
+/// The [`Graph::hop_row`] memo: one write-once cell per root, the table
+/// itself allocated by the first request so that a graph nobody asks for
+/// rows pays one empty check per mutation and nothing else.
+#[derive(Default)]
+struct HopRows {
+    // AUDIT: write-once cache of a pure function of (adjacency, root).
+    // Every initializer of a cell computes the same row, so whichever
+    // thread wins the race publishes identical bytes, and every mutator of
+    // the adjacency takes `&mut Graph` and empties the memo first.
+    cells: OnceLock<Box<[OnceLock<Vec<u32>>]>>,
+}
+
+impl Clone for HopRows {
+    /// A clone answers from its own BFS: rows are neither shared nor
+    /// copied.
+    fn clone(&self) -> Self {
+        HopRows::default()
+    }
+}
+
+impl PartialEq for HopRows {
+    /// How much of the memo is filled is not part of a graph's value.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for HopRows {}
+
+impl std::fmt::Debug for Graph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Graph")
+            .field("adj", &self.adj)
+            .field("n_edges", &self.n_edges)
+            .finish()
+    }
 }
 
 impl Graph {
@@ -66,6 +116,7 @@ impl Graph {
         Graph {
             adj: vec![Vec::new(); n],
             n_edges: 0,
+            rows: HopRows::default(),
         }
     }
 
@@ -111,6 +162,7 @@ impl Graph {
         match self.adj[u as usize].binary_search(&v) {
             Ok(_) => false,
             Err(iu) => {
+                self.forget_rows();
                 self.adj[u as usize].insert(iu, v);
                 let iv = self.adj[v as usize]
                     .binary_search(&u)
@@ -127,6 +179,7 @@ impl Graph {
         match self.adj[u as usize].binary_search(&v) {
             Err(_) => false,
             Ok(iu) => {
+                self.forget_rows();
                 self.adj[u as usize].remove(iu);
                 // audit: infallible because add_edge inserts both directions
                 let iv = self.adj[v as usize]
@@ -142,6 +195,7 @@ impl Graph {
     /// Clear to `n` isolated nodes, keeping the per-node neighbor-list
     /// allocations so a refilled graph of similar shape allocates nothing.
     pub fn reset(&mut self, n: usize) {
+        self.forget_rows();
         for nbrs in &mut self.adj {
             nbrs.clear();
         }
@@ -153,6 +207,7 @@ impl Graph {
     /// per-node neighbor-list allocations (unlike `clone()`, which allocates
     /// every list afresh).
     pub fn copy_from(&mut self, other: &Graph) {
+        self.forget_rows();
         self.adj.truncate(other.adj.len());
         let keep = self.adj.len();
         for (dst, src) in self.adj.iter_mut().zip(&other.adj) {
@@ -162,6 +217,50 @@ impl Graph {
         self.adj
             .extend(other.adj[keep..].iter().map(|src| src.to_vec()));
         self.n_edges = other.n_edges;
+    }
+
+    /// BFS hop distances from `root` to every node
+    /// ([`traversal::UNREACHABLE`] across a partition): the row
+    /// [`traversal::bfs_distances`] returns, computed on the first request
+    /// and kept until the adjacency next changes. Whoever asks first pays
+    /// for the BFS — the hop pricer, a packet network forwarding toward
+    /// `root`, another thread of either — and every later reader of this
+    /// `&Graph` gets the same slice; the next [`Graph::add_edge`],
+    /// [`Graph::remove_edge`], [`Graph::reset`] or [`Graph::copy_from`]
+    /// frees all rows at once.
+    ///
+    /// # Panics
+    /// If `root` is out of range.
+    pub fn hop_row(&self, root: NodeIdx) -> &[u32] {
+        // AUDIT: see `HopRows::cells` — write-once, and each cell's value is
+        // a pure function of (adjacency, root), so neither which thread
+        // fills a cell nor the order cells are filled in reaches a reader.
+        let cells = self.rows.cells.get_or_init(|| {
+            // AUDIT: as above; the table starts as `n` empty cells.
+            (0..self.adj.len()).map(|_| OnceLock::new()).collect()
+        });
+        cells[root as usize].get_or_init(|| traversal::bfs_distances(self, root))
+    }
+
+    /// How many roots currently have a memoised [`Graph::hop_row`]
+    /// (diagnostics and tests only — nothing may branch on it).
+    pub fn hop_rows_cached(&self) -> usize {
+        self.memoised_rows().count()
+    }
+
+    fn memoised_rows(&self) -> impl Iterator<Item = (NodeIdx, &[u32])> + '_ {
+        let cells = self.rows.cells.get().map_or(&[][..], |cells| &cells[..]);
+        cells
+            .iter()
+            .enumerate()
+            .filter_map(|(root, cell)| Some((root as NodeIdx, cell.get()?.as_slice())))
+    }
+
+    /// Empty the [`Graph::hop_row`] memo; every adjacency mutator calls
+    /// this before it writes.
+    #[inline]
+    fn forget_rows(&mut self) {
+        self.rows.cells.take();
     }
 
     /// Iterate every undirected edge once, as `(u, v)` with `u < v`.
@@ -201,7 +300,8 @@ impl Graph {
     }
 
     /// Debug-only structural invariant check: adjacency symmetric, sorted,
-    /// deduplicated, loop-free, and the edge count consistent.
+    /// deduplicated, loop-free, the edge count consistent, and (in debug
+    /// builds) the first memoised [`Graph::hop_row`] equal to a fresh BFS.
     pub fn check_invariants(&self) {
         let mut count = 0usize;
         for (u, nbrs) in self.adj.iter().enumerate() {
@@ -219,6 +319,15 @@ impl Graph {
             }
         }
         assert_eq!(count, 2 * self.n_edges, "edge count mismatch");
+        if cfg!(debug_assertions) {
+            if let Some((root, row)) = self.memoised_rows().next() {
+                assert_eq!(
+                    row,
+                    traversal::bfs_distances(self, root),
+                    "stale hop row for root {root}"
+                );
+            }
+        }
     }
 }
 
@@ -282,6 +391,36 @@ mod tests {
             assert_eq!(dst, a);
             dst.check_invariants();
         }
+    }
+
+    #[test]
+    fn hop_row_is_the_bfs_row_until_the_next_mutation() {
+        let mut g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
+        assert_eq!(g.hop_rows_cached(), 0);
+        assert_eq!(g.hop_row(0), [0, 1, 2, u32::MAX, u32::MAX]);
+        assert!(std::ptr::eq(g.hop_row(0), g.hop_row(0)));
+        assert_eq!(g.hop_rows_cached(), 1);
+        // A duplicate insert and a missing removal change nothing.
+        assert!(!g.add_edge(1, 0) && !g.remove_edge(0, 4));
+        assert_eq!(g.hop_rows_cached(), 1);
+        assert!(g.add_edge(2, 3));
+        assert_eq!(g.hop_rows_cached(), 0);
+        assert_eq!(g.hop_row(0), [0, 1, 2, 3, 4]);
+        g.check_invariants();
+    }
+
+    /// What `check_invariants` is for: a write to the adjacency that skipped
+    /// `forget_rows` (only possible inside this module) is caught.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale hop row")]
+    fn check_invariants_catches_a_stale_row() {
+        let mut g = Graph::from_edges(3, &[(0, 1)]);
+        g.hop_row(0);
+        g.adj[1].push(2);
+        g.adj[2].push(1);
+        g.n_edges += 1;
+        g.check_invariants();
     }
 
     #[test]

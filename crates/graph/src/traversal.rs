@@ -18,20 +18,24 @@ pub fn bfs_distances(g: &Graph, src: NodeIdx) -> Vec<u32> {
 }
 
 /// [`bfs_distances`] writing into a caller-provided buffer (cleared and
-/// resized here), so per-source distance vectors can be pooled across calls
-/// instead of reallocated.
+/// resized here), so a distance vector can be reused across calls instead
+/// of reallocated.
 pub fn bfs_distances_into(g: &Graph, src: NodeIdx, dist: &mut Vec<u32>) {
     dist.clear();
     dist.resize(g.node_count(), UNREACHABLE);
-    let mut q = VecDeque::new();
+    // Every node enters the queue at most once, so a flat FIFO (push at the
+    // tail, read at `head`) sized for the graph never grows or wraps.
+    let mut queue = Vec::with_capacity(g.node_count());
     dist[src as usize] = 0;
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
+    queue.push(src);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
         let du = dist[u as usize];
         for &v in g.neighbors(u) {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
-                q.push_back(v);
+                queue.push(v);
             }
         }
     }
@@ -130,32 +134,6 @@ pub fn is_connected(g: &Graph) -> bool {
     g.node_count() == 0 || connected_components(g).1 == 1
 }
 
-/// Node indices of the largest connected component (ties broken by lowest
-/// component id). The simulator restricts measurement to this set when
-/// mobility momentarily disconnects the graph.
-pub fn largest_component(g: &Graph) -> Vec<NodeIdx> {
-    let (comp, count) = connected_components(g);
-    if count == 0 {
-        return Vec::new();
-    }
-    let mut sizes = vec![0usize; count];
-    for &c in &comp {
-        sizes[c as usize] += 1;
-    }
-    let best = sizes
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, &s)| (s, usize::MAX - i))
-        .map(|(i, _)| i as u32)
-        // audit: infallible because sizes is non-empty (early return above)
-        .expect("non-empty component list");
-    comp.iter()
-        .enumerate()
-        .filter(|(_, &c)| c == best)
-        .map(|(i, _)| i as NodeIdx)
-        .collect()
-}
-
 /// Multi-source BFS: hop distance from each node to its nearest source.
 /// Used to compute distances to clusterheads.
 pub fn multi_source_bfs(g: &Graph, sources: &[NodeIdx]) -> Vec<u32> {
@@ -177,28 +155,6 @@ pub fn multi_source_bfs(g: &Graph, sources: &[NodeIdx]) -> Vec<u32> {
         }
     }
     dist
-}
-
-/// Eccentricity-based diameter lower bound via double-sweep BFS — cheap and
-/// usually tight on unit-disk graphs.
-pub fn diameter_lower_bound(g: &Graph) -> u32 {
-    if g.node_count() == 0 {
-        return 0;
-    }
-    let d0 = bfs_distances(g, 0);
-    let (far, _) = d0
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d != UNREACHABLE)
-        .max_by_key(|(_, &d)| d)
-        // audit: infallible because node 0 itself is always reachable (d = 0)
-        .expect("source is reachable from itself");
-    let d1 = bfs_distances(g, far as NodeIdx);
-    d1.iter()
-        .filter(|&&d| d != UNREACHABLE)
-        .copied()
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -261,23 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn largest_component_picks_biggest() {
-        let g = Graph::from_edges(7, &[(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]);
-        let lc = largest_component(&g);
-        assert_eq!(lc, vec![2, 3, 4]);
-    }
-
-    #[test]
     fn multi_source_distances() {
         let g = path_graph(7);
         let d = multi_source_bfs(&g, &[0, 6]);
         assert_eq!(d, vec![0, 1, 2, 3, 2, 1, 0]);
         let none = multi_source_bfs(&g, &[]);
         assert!(none.iter().all(|&x| x == UNREACHABLE));
-    }
-
-    #[test]
-    fn diameter_of_path() {
-        assert_eq!(diameter_lower_bound(&path_graph(10)), 9);
     }
 }

@@ -7,7 +7,11 @@ use chlm_graph::traversal::{
 };
 use chlm_graph::unit_disk::{build_unit_disk, build_unit_disk_brute};
 use chlm_graph::{Graph, NodeIdx, UnionFind};
+use chlm_par::WorkerPool;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::collections::BTreeSet;
+use std::sync::Barrier;
 
 /// Strategy: a random edge list over `n` nodes.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -29,8 +33,95 @@ fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<chlm_geom::Point>> {
     })
 }
 
+/// Every root in `asked` must read, through the memo, the row a fresh BFS
+/// of the graph as it is now computes.
+fn rows_are_fresh(g: &Graph, asked: &BTreeSet<NodeIdx>) -> Result<(), TestCaseError> {
+    for &root in asked {
+        prop_assert_eq!(g.hop_row(root), bfs_distances(g, root));
+    }
+    g.check_invariants();
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `hop_row` interleaved with every mutator, on unit-disk graphs from
+    /// edgeless through split to connected (`rtx`), from `n = 0` up, with
+    /// an arbitrary edge-list graph as the `copy_from` donor: a mutation
+    /// that changes the adjacency empties the memo, and whatever is asked
+    /// afterwards is the fresh BFS row. Steps are plain integers because
+    /// the vendored proptest has no `prop_oneof`: kinds 0–2 ask a row,
+    /// 3 adds an edge, 4 removes one, 5 resets, 6 copies the donor.
+    #[test]
+    fn hop_rows_never_outlive_a_mutation(
+        pts in arb_points(40),
+        rtx in 0.5f64..14.0,
+        donor in arb_graph(12),
+        steps in proptest::collection::vec((0u8..7, 0u32..1000, 0u32..1000), 0..40),
+    ) {
+        let mut g = build_unit_disk(&pts, rtx);
+        let mut asked: BTreeSet<NodeIdx> = BTreeSet::new();
+        for (kind, a, b) in steps {
+            let n = g.node_count() as NodeIdx;
+            let changed = match kind {
+                0..=2 if n > 0 => {
+                    asked.insert(a % n);
+                    false
+                }
+                3 if n > 0 && a % n != b % n => g.add_edge(a % n, b % n),
+                4 if n > 0 => g.remove_edge(a % n, b % n),
+                5 => {
+                    g.reset(a as usize % 8);
+                    true
+                }
+                6 => {
+                    g.copy_from(&donor);
+                    prop_assert_eq!(&g, &donor);
+                    true
+                }
+                _ => false,
+            };
+            if changed {
+                prop_assert_eq!(g.hop_rows_cached(), 0);
+            }
+            let n = g.node_count() as NodeIdx;
+            asked.retain(|&root| root < n);
+            rows_are_fresh(&g, &asked)?;
+            prop_assert_eq!(g.hop_rows_cached(), asked.len());
+        }
+    }
+
+    /// The memo is not part of a graph's value: a clone of a warm graph is
+    /// equal to it, prints like it, starts cold, answers identically from
+    /// rows of its own, and mutating either leaves the other's rows alone.
+    #[test]
+    fn clone_is_equal_cold_and_independent(
+        g in arb_graph(30),
+        picks in proptest::collection::vec(0u32..1000, 0..6),
+    ) {
+        let n = g.node_count() as NodeIdx;
+        let asked: BTreeSet<NodeIdx> = picks.iter().map(|&p| p % n).collect();
+        rows_are_fresh(&g, &asked)?;
+        let mut copy = g.clone();
+        prop_assert_eq!(copy.hop_rows_cached(), 0);
+        prop_assert_eq!(&copy, &g);
+        prop_assert_eq!(format!("{copy:?}"), format!("{g:?}"));
+        for &root in &asked {
+            prop_assert_eq!(copy.hop_row(root), g.hop_row(root));
+            prop_assert!(!std::ptr::eq(copy.hop_row(root), g.hop_row(root)));
+        }
+        // Toggle one edge of the copy: its memo empties, the original's
+        // stays, and each side still answers for its own adjacency.
+        if !copy.add_edge(0, n - 1) {
+            copy.remove_edge(0, n - 1);
+        }
+        prop_assert_eq!(copy.hop_rows_cached(), 0);
+        prop_assert_eq!(g.hop_rows_cached(), asked.len());
+        prop_assert_ne!(&copy, &g);
+        rows_are_fresh(&copy, &asked)?;
+        rows_are_fresh(&g, &asked)?;
+    }
 
     #[test]
     fn graph_invariants_hold(g in arb_graph(40)) {
@@ -125,4 +216,44 @@ proptest! {
         }
         prop_assert_eq!(rebuilt, new);
     }
+}
+
+/// Eight workers asking for overlapping roots of one graph at once — the
+/// first eight jobs meet at a barrier and then all ask for root 0, so that
+/// cell is really raced for: every job reads the fresh BFS row, jobs that
+/// share a root read the very same slice, and the memo ends up holding one
+/// row per distinct root. CI reruns this under `CHLM_SHUFFLE_MERGE=1`,
+/// which permutes the order the jobs are claimed in.
+#[test]
+fn concurrent_hop_rows_are_published_once() {
+    const THREADS: usize = 8;
+    let pts: Vec<chlm_geom::Point> = (0..240)
+        .map(|i| chlm_geom::Point::new((i % 16) as f64, (i / 16) as f64 + 0.3 * (i % 3) as f64))
+        .collect();
+    let g = build_unit_disk(&pts, 1.5);
+    // 64 jobs over 24 distinct roots; the first eight all want root 0.
+    let roots: Vec<NodeIdx> = (0..64)
+        .map(|job| {
+            if job < THREADS {
+                0
+            } else {
+                (job as NodeIdx * 7) % 24 * 10
+            }
+        })
+        .collect();
+    let distinct: BTreeSet<NodeIdx> = roots.iter().copied().collect();
+    let barrier = Barrier::new(THREADS);
+    let seen = WorkerPool::new(THREADS).run_indexed(roots.len(), |job| {
+        if job < THREADS {
+            barrier.wait();
+        }
+        let row = g.hop_row(roots[job]);
+        (row.as_ptr() as usize, row.to_vec())
+    });
+    for (job, (addr, row)) in seen.iter().enumerate() {
+        assert_eq!(row, &bfs_distances(&g, roots[job]), "job {job}");
+        assert_eq!(*addr, g.hop_row(roots[job]).as_ptr() as usize, "job {job}");
+    }
+    assert_eq!(g.hop_rows_cached(), distinct.len());
+    g.check_invariants();
 }

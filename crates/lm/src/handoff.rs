@@ -210,12 +210,15 @@ impl HandoffLedger {
 
     /// φ — total migration overhead per node per second (eq. 6c).
     pub fn phi_total(&self) -> f64 {
-        (0..self.per_level.len()).map(|k| self.phi(k)).sum()
+        // Folded from +0.0: `Iterator::sum::<f64>()` starts at -0.0, which
+        // is what an empty ledger would then report (and print as `-0`).
+        (0..self.per_level.len()).fold(0.0, |sum, k| sum + self.phi(k))
     }
 
     /// γ — total reorganization overhead per node per second (eq. 11).
     pub fn gamma_total(&self) -> f64 {
-        (0..self.per_level.len()).map(|k| self.gamma(k)).sum()
+        // Folded from +0.0 for the same reason as `phi_total`.
+        (0..self.per_level.len()).fold(0.0, |sum, k| sum + self.gamma(k))
     }
 
     /// Highest level with any recorded cost.
@@ -263,6 +266,12 @@ mod tests {
         assert_eq!(l.phi_total(), 0.0);
         assert_eq!(l.gamma_total(), 0.0);
         assert_eq!(l.node_seconds, 10.0);
+        // Positive zero, bit for bit: `-0.0 == 0.0` would hide the sign an
+        // empty ledger used to report (and print as `overhead=-0`).
+        for ledger in [l, HandoffLedger::new()] {
+            assert_eq!(ledger.phi_total().to_bits(), 0.0f64.to_bits());
+            assert_eq!(ledger.gamma_total().to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

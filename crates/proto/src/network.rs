@@ -1,18 +1,28 @@
 //! Hop-by-hop packet forwarding over the level-0 topology.
 //!
-//! Packets follow shortest paths (next-hop trees computed per destination
-//! on demand and cached for the topology snapshot); each hop costs one
-//! transmission and `hop_delay` seconds. Undeliverable packets (source and
-//! destination in different components) are counted as dropped after zero
-//! transmissions — matching the analytical ledger, which never prices
-//! cross-partition handoff.
+//! Packets follow shortest paths; each hop costs one transmission and
+//! `hop_delay` seconds. Undeliverable packets (source and destination in
+//! different components) are counted as dropped after zero transmissions —
+//! matching the analytical ledger, which never prices cross-partition
+//! handoff.
+//!
+//! A network keeps no routing state of its own. It forwards over the
+//! snapshot's shared distance rows, [`Graph::hop_row`]`(dst)`: a source is
+//! reachable iff its entry is finite, and the next hop from `v` is the
+//! first neighbour of `v`, in sorted adjacency order, whose entry is one
+//! less. Whichever network, shard or hop pricer first needs the row of
+//! `dst` computes it; all the others over the same `&Graph` read it. The
+//! tie-break among equally short paths cannot reach a result: every such
+//! path has the same length, so a packet's event times, the queue's
+//! `(time, seq)` pop order and with it the loss-draw order are those of any
+//! other shortest-path rule, and the node a packet is *at* never leaves
+//! this module.
 
 use crate::events::EventQueue;
 use crate::message::Packet;
 use chlm_geom::SimRng;
 use chlm_graph::traversal::UNREACHABLE;
 use chlm_graph::{Graph, NodeIdx};
-use std::collections::{HashMap, VecDeque};
 
 /// In-flight hop event.
 #[derive(Debug, Clone, Copy)]
@@ -72,9 +82,6 @@ pub struct PacketNetwork<'a> {
     hop_delay: f64,
     /// Per-hop loss probability and the retransmission budget per hop.
     loss: Option<(f64, u32, SimRng)>,
-    /// Per-destination next-hop maps (BFS trees rooted at the destination):
-    /// `trees[dst][v]` = next hop from `v` toward `dst`.
-    trees: HashMap<NodeIdx, Vec<NodeIdx>>,
     queue: EventQueue<HopEvent>,
     stats: NetworkStats,
     /// Delivered packets, with their delivery times.
@@ -84,9 +91,6 @@ pub struct PacketNetwork<'a> {
     per_packet: Vec<u32>,
 }
 
-/// Sentinel in next-hop trees for "unreachable / is destination".
-const NO_HOP: NodeIdx = NodeIdx::MAX;
-
 impl<'a> PacketNetwork<'a> {
     /// Create a network over `graph` with the given per-hop delay.
     pub fn new(graph: &'a Graph, hop_delay: f64) -> Self {
@@ -95,7 +99,6 @@ impl<'a> PacketNetwork<'a> {
             graph,
             hop_delay,
             loss: None,
-            trees: HashMap::new(),
             queue: EventQueue::new(),
             stats: NetworkStats::default(),
             delivered_log: Vec::new(),
@@ -115,27 +118,19 @@ impl<'a> PacketNetwork<'a> {
         self
     }
 
-    fn tree_for(&mut self, dst: NodeIdx) -> &Vec<NodeIdx> {
-        let graph = self.graph;
-        self.trees.entry(dst).or_insert_with(|| {
-            // BFS from the destination; parent pointers double as next hops.
-            let n = graph.node_count();
-            let mut next = vec![NO_HOP; n];
-            let mut dist = vec![UNREACHABLE; n];
-            let mut q = VecDeque::new();
-            dist[dst as usize] = 0;
-            q.push_back(dst);
-            while let Some(u) = q.pop_front() {
-                for &v in graph.neighbors(u) {
-                    if dist[v as usize] == UNREACHABLE {
-                        dist[v as usize] = dist[u as usize] + 1;
-                        next[v as usize] = u;
-                        q.push_back(v);
-                    }
-                }
-            }
-            next
-        })
+    /// The neighbour of `at` a packet bound for `dst` is forwarded to; see
+    /// the module docs for the rule. `at` must be able to reach `dst` and
+    /// differ from it.
+    fn next_hop(&self, at: NodeIdx, dst: NodeIdx) -> NodeIdx {
+        let row = self.graph.hop_row(dst);
+        let closer = row[at as usize] - 1;
+        self.graph
+            .neighbors(at)
+            .iter()
+            .copied()
+            .find(|&v| row[v as usize] == closer)
+            // audit: infallible because a node at finite BFS distance d ≥ 1 has a neighbour at d - 1
+            .expect("routed packet lost its path")
     }
 
     /// Inject a packet at its source at the current simulation time.
@@ -153,8 +148,7 @@ impl<'a> PacketNetwork<'a> {
             self.delivered_log.push((packet, self.queue.now()));
             return;
         }
-        let reachable = self.tree_for(packet.dst)[packet.src as usize] != NO_HOP;
-        if !reachable {
+        if self.graph.hop_row(packet.dst)[packet.src as usize] == UNREACHABLE {
             self.stats.dropped += 1;
             return;
         }
@@ -176,8 +170,6 @@ impl<'a> PacketNetwork<'a> {
         while let Some((time, ev)) = self.queue.pop() {
             // The scheduled event is the *completion* of one transmission
             // attempt from `ev.at` to its next hop.
-            let next = self.tree_for(ev.packet.dst)[ev.at as usize];
-            debug_assert_ne!(next, NO_HOP, "routed packet lost its path");
             self.stats.transmissions += 1;
             self.per_packet[ev.seq] += 1;
             if ev.attempts > 0 {
@@ -209,6 +201,7 @@ impl<'a> PacketNetwork<'a> {
             if failed {
                 continue;
             }
+            let next = self.next_hop(ev.at, ev.packet.dst);
             if next == ev.packet.dst {
                 let latency = time - ev.packet.sent_at;
                 self.stats.delivered += 1;
@@ -472,5 +465,63 @@ mod tests {
         let stats = net.run();
         assert_eq!(stats.transmissions, expect);
         assert_eq!(stats.dropped, 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Forwarding over the shared rows on unit-disk graphs from
+        /// edgeless (`rtx` small) through split to connected: every hop
+        /// crosses an edge and lowers `hop_row(dst)` by exactly one, a
+        /// lossless packet uses `hop_row(dst)[src]` transmissions, an
+        /// unreachable one is dropped having used none, and with loss on
+        /// every sent packet is still delivered, dropped or lost.
+        #[test]
+        fn forwarding_descends_the_destination_row(
+            seed in 0u64..1000,
+            n in 2u32..80,
+            rtx in 0.3f64..4.0,
+            pairs in proptest::collection::vec((0u32..1000, 0u32..1000), 1..30),
+            loss in 0.0f64..0.6,
+            retries in 0u32..4,
+        ) {
+            use chlm_geom::{Disk, SimRng};
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut rng = SimRng::seed_from(seed);
+            let pts = chlm_geom::region::deploy_uniform(&Disk::centered(5.0), n as usize, &mut rng);
+            let g = chlm_graph::unit_disk::build_unit_disk(&pts, rtx);
+            let pairs: Vec<(NodeIdx, NodeIdx)> =
+                pairs.into_iter().map(|(s, t)| (s % n, t % n)).collect();
+            let mut clean = PacketNetwork::new(&g, 0.001);
+            let mut lossy = PacketNetwork::new(&g, 0.001).with_loss(loss, retries, seed);
+            for &(s, t) in &pairs {
+                clean.send(packet(s, t));
+                lossy.send(packet(s, t));
+            }
+            let stats = clean.run();
+            let mut unreachable = 0u64;
+            for (&(s, t), &used) in pairs.iter().zip(clean.per_packet_transmissions()) {
+                let row = g.hop_row(t);
+                if row[s as usize] == UNREACHABLE {
+                    prop_assert_eq!(used, 0);
+                    unreachable += 1;
+                    continue;
+                }
+                prop_assert_eq!(used, row[s as usize]);
+                let mut at = s;
+                while at != t {
+                    let next = clean.next_hop(at, t);
+                    prop_assert!(g.has_edge(at, next));
+                    prop_assert_eq!(row[next as usize] + 1, row[at as usize]);
+                    at = next;
+                }
+            }
+            prop_assert_eq!(stats.dropped, unreachable);
+            prop_assert_eq!(stats.lost, 0);
+            prop_assert_eq!(stats.sent, stats.delivered + stats.dropped);
+            let stats = lossy.run();
+            prop_assert_eq!(stats.dropped, unreachable);
+            prop_assert_eq!(stats.sent, stats.delivered + stats.dropped + stats.lost);
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! per-tick machinery that answers that question and lends the engine a
 //! [`HopPricer`] scoped to one topology snapshot:
 //!
-//! * [`BfsCostModel`] — exact BFS on the level-0 graph, per-source caching
-//!   and cross-tick buffer pooling ([`HopMetric::Bfs`]);
+//! * [`BfsCostModel`] — exact BFS on the level-0 graph, read off the
+//!   snapshot's shared row store [`Graph::hop_row`] ([`HopMetric::Bfs`]);
 //! * [`EuclideanCostModel`] — `distance / R_TX × calibration`
 //!   ([`HopMetric::EuclideanCalibrated`] / [`HopMetric::Euclidean`]);
 //! * [`HierRoutingCostModel`] — the paper's strict hierarchical forwarding
@@ -16,7 +16,9 @@
 //!
 //! The scoped-lend shape (`with_pricer` hands a `&mut dyn HopPricer` to a
 //! closure) lets a model borrow the tick's graph/positions without storing
-//! lifetimes in the engine, and reclaim its buffers when the scope ends.
+//! lifetimes in the engine. No model keeps shortest-path rows: the BFS
+//! rows live on the `Graph` they describe, where the packet transports of
+//! every bank find the same ones, and die with its next mutation.
 
 use crate::config::HopMetric;
 use crate::oracle::{DistanceOracle, DEFAULT_DETOUR};
@@ -49,27 +51,25 @@ pub struct CostInputs<'a> {
     /// The distinct BFS sources the tick's pricing is known to query
     /// (sorted ascending), so BFS-backed models can compute the rows in
     /// parallel *before* lending the pricer. Purely a scheduling hint:
-    /// pricers answer identically for sources outside this set (they fall
-    /// back to on-demand serial BFS), so an empty slice is always valid.
+    /// pricers answer identically for sources outside this set (their rows
+    /// are computed on first use), so an empty slice is always valid.
     pub sources: &'a [NodeIdx],
 }
 
 /// A pluggable hop-cost model. Implementations own whatever cross-tick
-/// state they need (BFS buffer pools, calibration constants, routing
-/// tables) and lend a [`HopPricer`] scoped to one snapshot.
+/// state they need (calibration constants, routing tables) and lend a
+/// [`HopPricer`] scoped to one snapshot.
 pub trait CostModel {
-    /// Build a pricer for `inputs` and hand it to `scope`. Buffers may be
-    /// reclaimed when the scope returns (see [`BfsCostModel`]).
+    /// Build a pricer for `inputs` and hand it to `scope`.
     fn with_pricer(&mut self, inputs: &CostInputs<'_>, scope: &mut dyn FnMut(&mut dyn HopPricer));
 }
 
-/// Exact-BFS pricing with per-source caching; distance buffers are pooled
-/// across ticks so the steady-state hot path does not allocate. The rows
-/// for `CostInputs::sources` are prefilled across the worker pool before
-/// the pricer is lent, and disconnected pairs are priced with the
-/// startup-measured calibration (not a hardcoded detour).
+/// Exact-BFS pricing off [`Graph::hop_row`]. The rows for
+/// `CostInputs::sources` are warmed across the worker pool before the
+/// pricer is lent — the one place BFS runs in parallel — and disconnected
+/// pairs are priced with the startup-measured calibration (not a
+/// hardcoded detour).
 pub struct BfsCostModel {
-    pool: Vec<Vec<u32>>,
     calibration: f64,
     workers: WorkerPool,
 }
@@ -77,7 +77,6 @@ pub struct BfsCostModel {
 impl BfsCostModel {
     pub fn new(calibration: f64, threads: usize) -> Self {
         BfsCostModel {
-            pool: Vec::new(),
             calibration,
             workers: WorkerPool::new(threads),
         }
@@ -94,11 +93,9 @@ impl Default for BfsCostModel {
 impl CostModel for BfsCostModel {
     fn with_pricer(&mut self, inputs: &CostInputs<'_>, scope: &mut dyn FnMut(&mut dyn HopPricer)) {
         let mut oracle = DistanceOracle::bfs(inputs.graph, inputs.positions, inputs.rtx)
-            .with_fallback(self.calibration)
-            .with_pool(std::mem::take(&mut self.pool));
+            .with_fallback(self.calibration);
         oracle.prefill(inputs.sources, &self.workers);
         scope(&mut oracle);
-        self.pool = oracle.into_pool();
     }
 }
 
@@ -152,8 +149,8 @@ impl HopPricer for HierPricer<'_> {
 /// the hierarchy's per-node routing tables — `O(n · L · α · deg)`, see
 /// [`NextHopTable::build`] — and prices pairs by the actual table-driven
 /// walk, hierarchical stretch included. The table and its build scratch
-/// are kept across ticks and refilled in place, the way [`BfsCostModel`]
-/// keeps its row pool, so steady-state pricing does not allocate.
+/// are kept across ticks and refilled in place, so steady-state pricing
+/// does not allocate.
 pub struct HierRoutingCostModel {
     calibration: f64,
     table: NextHopTable,
@@ -250,8 +247,9 @@ mod tests {
         for (&(a, b), &p) in pairs.iter().zip(&priced) {
             assert_eq!(p, oracle.hops(a, b));
         }
-        // Pool reclaimed for the next tick.
-        assert!(!model.pool.is_empty());
+        // The model kept nothing: the three rows it priced from are on the
+        // graph, which is where the oracle above found them.
+        assert_eq!(g.hop_rows_cached(), 3);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! one-bank case, delegating every method to bank 0.
 //!
 //! The hot path is allocation-frugal by design: per-tick state (topology,
-//! hierarchy level-0 graph, address books, LM assignment, level churn sets,
-//! BFS distance buffers) lives in persistent buffers that are rewritten in
-//! place or double-buffered across ticks rather than reallocated. The
+//! hierarchy level-0 graph, address books, LM assignment, level churn sets)
+//! lives in persistent buffers that are rewritten in place or
+//! double-buffered across ticks rather than reallocated; BFS distance rows
+//! are the exception — they belong to the topology snapshot
+//! ([`chlm_graph::Graph::hop_row`]) and are freed by its next edge flip. The
 //! incremental fast paths ([`chlm_graph::UnitDiskMaintainer`],
 //! [`chlm_lm::server::LmCache`]) are proven byte-equivalent to their
 //! from-scratch counterparts by `tests/equivalence.rs`, which plugs a

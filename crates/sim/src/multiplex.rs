@@ -12,17 +12,20 @@
 //! tick loop in the crate: [`crate::Simulation`] is this type with one
 //! bank, and an E24-style comparison sweep is this type with many.
 //!
-//! Sharing happens at three layers. The world stages run once per tick.
+//! Sharing happens at four layers. The world stages run once per tick.
 //! The scheme-independent accumulators ([`crate::observe::WorldObservers`]:
 //! link rate, address churn, level churn, taxonomy, ALCA, degree) are
 //! driven once per tick for all banks — they are pure functions of the
 //! tick stream, so every bank reads identical values back at finish.
-//! And cost models are shared per hop metric: banks whose variants price
-//! with the same [`HopMetric`] observe inside one `with_pricer` scope, so
-//! the BFS per-source row cache is filled once for all of them and the
+//! Cost models are shared per hop metric: banks whose variants price with
+//! the same [`HopMetric`] observe inside one `with_pricer` scope, so the
 //! hierarchical-routing table is built once per tick instead of once per
-//! variant. Pricer sharing is sound because every pricer answers as a
-//! pure function of the tick snapshot — caches and table builds only
+//! variant. And exact shortest-path rows are shared by everything that
+//! holds the tick's graph: the BFS pricer and every packet transport read
+//! [`chlm_graph::Graph::hop_row`] off `ctx.graph`, so a row is computed
+//! once per root per tick across banks, planes, packet shards and metric
+//! groups alike. All of this is sound because every pricer and every row
+//! is a pure function of the tick snapshot — caches and table builds only
 //! affect speed, never values.
 //!
 //! The query plane multiplexes for free: lookup arrivals are part of the
@@ -217,12 +220,10 @@ impl MultiplexSim {
         self.world.step_with(&mut |ctx| {
             // Scheme-independent accumulators first (no pricer involved),
             // once per tick for all banks; then each metric group's banks
-            // inside one pricer scope, so BFS pricing shares its
-            // per-source distance cache within the tick and its buffers
-            // pool across ticks (inside the cost model). The CHLM query
-            // sources are known from the diffs alone, so they are
-            // collected up front and the model fills those rows across its
-            // worker pool before any observer prices a packet.
+            // inside one pricer scope. The CHLM query sources are known
+            // from the diffs alone, so they are collected up front and a
+            // BFS model warms those rows of `ctx.graph` across its worker
+            // pool before any observer prices a packet.
             world_obs.on_tick(ctx);
             for group in groups.iter_mut() {
                 sources.clear();

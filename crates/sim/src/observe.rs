@@ -391,9 +391,7 @@ pub struct Observers {
 
 impl Observers {
     /// Drive the variant's observers over one tick, in the canonical
-    /// order (handoff, query, extras). All of them share one pricer,
-    /// so BFS pricing shares its per-source cache across them within the
-    /// tick.
+    /// order (handoff, query, extras). All of them share one pricer.
     pub fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
         self.handoff.on_tick(ctx, pricer);
         if let Some(query) = &mut self.query {

@@ -6,12 +6,17 @@
 //! is `O(1)` and, on fixed-density unit-disk graphs, accurate to within a
 //! few percent once calibrated (the detour ratio of such graphs is a
 //! constant ≈ 1.1–1.4 at the degrees we simulate).
+//!
+//! The BFS oracle keeps no rows of its own: `hops(a, b)` reads
+//! [`Graph::hop_row`]`(a)[b]`, the snapshot's one shortest-path row store,
+//! so a row priced here is the row every packet network over the same
+//! `&Graph` forwards along (and the other way round), and it lives until
+//! the topology stage next mutates the graph.
 
 use chlm_geom::Point;
-use chlm_graph::traversal::{bfs_distances, bfs_distances_into, UNREACHABLE};
+use chlm_graph::traversal::UNREACHABLE;
 use chlm_graph::{Graph, NodeIdx};
 use chlm_par::WorkerPool;
-use std::collections::BTreeMap;
 
 /// Conservative detour factor used for disconnected pairs when no
 /// startup-measured calibration is available (`n < 2`, nothing sampled).
@@ -22,16 +27,11 @@ pub struct DistanceOracle<'a> {
     graph: &'a Graph,
     positions: &'a [Point],
     rtx: f64,
-    /// `None` → exact BFS with per-source caching.
+    /// `None` → exact BFS over [`Graph::hop_row`].
     calibration: Option<f64>,
     /// Detour factor pricing *disconnected* pairs under the BFS oracle
     /// (the startup-measured calibration; [`DEFAULT_DETOUR`] otherwise).
     fallback: f64,
-    // Ordered map by policy for accounting-adjacent state (lookup-only
-    // today; the log-factor on top of an O(n+m) BFS is noise).
-    cache: BTreeMap<NodeIdx, Vec<u32>>,
-    /// Spare distance buffers recycled across ticks (see [`Self::into_pool`]).
-    pool: Vec<Vec<u32>>,
 }
 
 impl<'a> DistanceOracle<'a> {
@@ -45,8 +45,6 @@ impl<'a> DistanceOracle<'a> {
             rtx,
             calibration: None,
             fallback: DEFAULT_DETOUR,
-            cache: BTreeMap::new(),
-            pool: Vec::new(),
         }
     }
 
@@ -67,61 +65,24 @@ impl<'a> DistanceOracle<'a> {
             rtx,
             calibration: Some(calibration),
             fallback: calibration,
-            cache: BTreeMap::new(),
-            pool: Vec::new(),
         }
     }
 
-    /// Seed the oracle with distance buffers recycled from a previous tick's
-    /// oracle (the values are stale; buffers are overwritten before use).
-    pub fn with_pool(mut self, pool: Vec<Vec<u32>>) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Tear down, handing back every distance buffer (cached and spare) so
-    /// the next tick's oracle can reuse the allocations.
-    pub fn into_pool(self) -> Vec<Vec<u32>> {
-        let mut pool = self.pool;
-        pool.extend(self.cache.into_values());
-        pool
-    }
-
-    /// Compute the BFS distance rows for `sources` (sorted, deduped here)
-    /// into pooled buffers across `workers` threads and install them in
-    /// the per-source cache, so subsequent [`DistanceOracle::hops`] calls
-    /// for those sources are lock-free lookups. Each row is an
-    /// independent BFS into its own buffer and the cache is filled from
-    /// an index-ordered result set, so the oracle's answers are identical
-    /// for every thread count (and identical to not prefilling at all —
-    /// only *when* a row is computed changes). No-op on Euclidean oracles.
-    pub fn prefill(&mut self, sources: &[NodeIdx], workers: &WorkerPool) {
-        if self.calibration.is_some() || sources.is_empty() {
+    /// Warm the graph's [`Graph::hop_row`] memo for `sources` (any order,
+    /// duplicates welcome) across `workers` threads, so the serial pricing
+    /// that follows finds those rows already there. A row is the same
+    /// bytes whoever computes it, so answers are identical for every
+    /// thread count and identical to not prefilling at all — only *when*
+    /// and *on which thread* a BFS runs changes. No-op on Euclidean
+    /// oracles.
+    pub fn prefill(&self, sources: &[NodeIdx], workers: &WorkerPool) {
+        if self.calibration.is_some() {
             return;
         }
-        let mut jobs: Vec<(NodeIdx, Vec<u32>)> = Vec::with_capacity(sources.len());
-        let owned: Vec<NodeIdx>;
-        let order: &[NodeIdx] = if sources.windows(2).all(|w| w[0] < w[1]) {
-            sources // already strictly ascending: no copy needed
-        } else {
-            let mut v = sources.to_owned();
-            v.sort_unstable();
-            v.dedup();
-            owned = v;
-            &owned
-        };
-        for &s in order {
-            if !self.cache.contains_key(&s) {
-                jobs.push((s, self.pool.pop().unwrap_or_default()));
-            }
-        }
         let graph = self.graph;
-        workers.for_each_mut(&mut jobs, |(src, buf)| {
-            bfs_distances_into(graph, *src, buf);
+        workers.run_indexed(sources.len(), |i| {
+            graph.hop_row(sources[i]);
         });
-        for (src, buf) in jobs {
-            self.cache.insert(src, buf);
-        }
     }
 
     /// Hop distance from `a` to `b`. Disconnected pairs are priced at the
@@ -133,21 +94,10 @@ impl<'a> DistanceOracle<'a> {
         }
         match self.calibration {
             Some(c) => self.euclid_estimate(a, b, c),
-            None => {
-                let graph = self.graph;
-                let pool = &mut self.pool;
-                let d = self.cache.entry(a).or_insert_with(|| {
-                    let mut buf = pool.pop().unwrap_or_default();
-                    bfs_distances_into(graph, a, &mut buf);
-                    buf
-                });
-                let hops = d[b as usize];
-                if hops == UNREACHABLE {
-                    self.euclid_estimate(a, b, self.fallback)
-                } else {
-                    hops as f64
-                }
-            }
+            None => match self.graph.hop_row(a)[b as usize] {
+                UNREACHABLE => self.euclid_estimate(a, b, self.fallback),
+                hops => hops as f64,
+            },
         }
     }
 
@@ -155,17 +105,12 @@ impl<'a> DistanceOracle<'a> {
         let d = self.positions[a as usize].dist(self.positions[b as usize]);
         (d / self.rtx * calibration).max(1.0)
     }
-
-    /// Number of BFS computations cached so far (diagnostics).
-    pub fn cached_sources(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 /// Measure the BFS/Euclidean detour calibration on a topology by sampling
 /// `samples` connected pairs. Returns the mean ratio
-/// `bfs_hops / (euclidean / rtx)`, or a conservative default of 1.3 when
-/// nothing can be sampled.
+/// `bfs_hops / (euclidean / rtx)`, or [`DEFAULT_DETOUR`] when nothing can
+/// be sampled.
 pub fn calibrate(
     graph: &Graph,
     positions: &[Point],
@@ -175,13 +120,13 @@ pub fn calibrate(
 ) -> f64 {
     let n = graph.node_count();
     if n < 2 {
-        return 1.3;
+        return DEFAULT_DETOUR;
     }
     let mut total_ratio = 0.0;
     let mut count = 0usize;
     for _ in 0..samples {
         let a = rng.index(n) as NodeIdx;
-        let d = bfs_distances(graph, a);
+        let d = graph.hop_row(a);
         for _ in 0..4 {
             let b = rng.index(n) as NodeIdx;
             if a == b || d[b as usize] == UNREACHABLE || d[b as usize] < 2 {
@@ -195,7 +140,7 @@ pub fn calibrate(
         }
     }
     if count == 0 {
-        1.3
+        DEFAULT_DETOUR
     } else {
         total_ratio / count as f64
     }
@@ -206,6 +151,7 @@ mod tests {
     use super::*;
     use chlm_geom::region::deploy_uniform;
     use chlm_geom::{Disk, SimRng};
+    use chlm_graph::traversal::bfs_distances;
     use chlm_graph::unit_disk::build_unit_disk;
 
     fn setup(n: usize, seed: u64) -> (Graph, Vec<Point>, f64) {
@@ -229,7 +175,8 @@ mod tests {
             }
         }
         assert_eq!(o.hops(3, 3), 0.0);
-        assert!(o.cached_sources() >= 1);
+        // One source was asked; the diagonal never reaches the graph.
+        assert_eq!(g.hop_rows_cached(), 1);
     }
 
     #[test]
@@ -256,19 +203,24 @@ mod tests {
         assert!(mean_err < 0.25, "mean relative error {mean_err}");
     }
 
+    /// An oracle over a graph whose memo earlier oracles already filled
+    /// answers exactly like one over a cold copy of the same graph.
     #[test]
-    fn pooled_buffers_give_identical_answers() {
+    fn memoised_rows_give_identical_answers() {
         let (g, pts, rtx) = setup(150, 5);
         let mut o = DistanceOracle::bfs(&g, &pts, rtx);
         let _ = o.hops(0, 5);
         let _ = o.hops(7, 9);
-        let pool = o.into_pool();
-        assert_eq!(pool.len(), 2);
-        let mut pooled = DistanceOracle::bfs(&g, &pts, rtx).with_pool(pool);
-        let mut fresh = DistanceOracle::bfs(&g, &pts, rtx);
-        for (a, b) in [(11u32, 17u32), (3, 140), (17, 11), (0, 0)] {
-            assert_eq!(pooled.hops(a, b), fresh.hops(a, b));
+        assert_eq!(g.hop_rows_cached(), 2);
+        let cold = g.clone();
+        let mut warm = DistanceOracle::bfs(&g, &pts, rtx);
+        let mut fresh = DistanceOracle::bfs(&cold, &pts, rtx);
+        for (a, b) in [(11u32, 17u32), (3, 140), (17, 11), (0, 0), (0, 140), (7, 9)] {
+            assert_eq!(warm.hops(a, b), fresh.hops(a, b));
         }
+        // Sources {0, 7} were warm, {3, 11, 17} new; the cold copy ran all five.
+        assert_eq!(g.hop_rows_cached(), 5);
+        assert_eq!(cold.hop_rows_cached(), 5);
     }
 
     /// The satellite bugfix pin: disconnected pairs under the BFS oracle
@@ -307,26 +259,34 @@ mod tests {
         let mut lazy = DistanceOracle::bfs(&g, &pts, rtx);
         let want: Vec<f64> = pairs.iter().map(|&(a, b)| lazy.hops(a, b)).collect();
         for threads in [1usize, 2, 8] {
-            let mut o = DistanceOracle::bfs(&g, &pts, rtx);
+            // A clone starts with an empty memo, so every row below is this
+            // pool's own work.
+            let cold = g.clone();
+            let mut o = DistanceOracle::bfs(&cold, &pts, rtx);
             o.prefill(&sources, &chlm_par::WorkerPool::new(threads));
-            assert_eq!(o.cached_sources(), 5, "dedup failed");
+            assert_eq!(cold.hop_rows_cached(), 5, "one row per distinct source");
             let got: Vec<f64> = pairs.iter().map(|&(a, b)| o.hops(a, b)).collect();
             assert_eq!(got, want, "threads {threads}");
+            assert_eq!(cold.hop_rows_cached(), 5, "priced from the prefilled rows");
         }
     }
 
+    /// Rows outlive the oracle that asked for them: a second oracle over
+    /// the same snapshot adds only the sources the first never saw, and a
+    /// Euclidean oracle asks for none.
     #[test]
-    fn prefill_reuses_pooled_buffers() {
+    fn prefill_warms_the_memo_every_oracle_shares() {
         let (g, pts, rtx) = setup(120, 8);
-        let mut first = DistanceOracle::bfs(&g, &pts, rtx);
-        first.prefill(&[1, 2, 3], &chlm_par::WorkerPool::new(2));
-        let pool = first.into_pool();
-        assert_eq!(pool.len(), 3);
-        let mut second = DistanceOracle::bfs(&g, &pts, rtx).with_pool(pool);
-        second.prefill(&[4, 5, 6], &chlm_par::WorkerPool::new(2));
-        // All three rows came from the pool: nothing left over.
-        assert!(second.pool.is_empty());
-        let mut fresh = DistanceOracle::bfs(&g, &pts, rtx);
+        let pool = chlm_par::WorkerPool::new(2);
+        DistanceOracle::bfs(&g, &pts, rtx).prefill(&[1, 2, 3], &pool);
+        assert_eq!(g.hop_rows_cached(), 3);
+        let mut second = DistanceOracle::bfs(&g, &pts, rtx);
+        second.prefill(&[3, 4, 5, 6], &pool);
+        assert_eq!(g.hop_rows_cached(), 6);
+        DistanceOracle::euclidean(&g, &pts, rtx, 1.3).prefill(&[7, 8], &pool);
+        assert_eq!(g.hop_rows_cached(), 6);
+        let cold = g.clone();
+        let mut fresh = DistanceOracle::bfs(&cold, &pts, rtx);
         assert_eq!(second.hops(4, 90), fresh.hops(4, 90));
     }
 

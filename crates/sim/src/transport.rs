@@ -29,6 +29,13 @@
 //! 3. **One loss stream per plane.** The update and query planes run
 //!    shards at the same `(seed, tick, shard)`; each plane's transport is
 //!    built with its own stream salt so their draws are uncorrelated.
+//!
+//! What the shards do *not* own is routing state. A per-shard network
+//! forwards over `ctx.graph.hop_row(dst)`, the snapshot's one memo of BFS
+//! rows, so the eight shards of a plane, both planes, every bank and the
+//! BFS pricer compute the row of a destination once between them — on
+//! whichever thread asks first, which no result can see (a row is a pure
+//! function of the graph; see [`chlm_proto::network`]).
 
 use crate::config::{Backend, LossSpec, SimConfig};
 use crate::cost::HopPricer;

@@ -301,7 +301,10 @@ proptest! {
         let sources: Vec<u32> = picks.iter().map(|&p| (p % n) as u32).collect();
         let mut prefilled = DistanceOracle::bfs(&g, &pts, rtx);
         prefilled.prefill(&sources, &WorkerPool::new(threads));
-        let mut lazy = DistanceOracle::bfs(&g, &pts, rtx);
+        // Rows live on the graph, so the lazy side prices a cold clone:
+        // otherwise it would read the rows the prefill just published.
+        let cold = g.clone();
+        let mut lazy = DistanceOracle::bfs(&cold, &pts, rtx);
         for &s in &sources {
             let row = bfs_distances(&g, s);
             for t in 0..n as u32 {
