@@ -68,7 +68,7 @@ pub use address::{AddrChangeKind, AddressBook};
 pub use audit::{audit_address_book, audit_hierarchy, ClusterViolation};
 pub use digest::hierarchy_digest;
 pub use events::{classify_events, EventCounts, ReorgEvent};
-pub use incremental::{ArenaStamps, ClusterArena, ClusterHandle, HierarchyMaintainer};
+pub use incremental::HierarchyMaintainer;
 pub use metrics::LevelStats;
 pub use state::StateTracker;
 

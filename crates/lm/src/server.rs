@@ -10,9 +10,17 @@
 //!
 //! Level 1 needs no server (complete intra-cluster topology knowledge),
 //! and level 0 is the node itself.
+//!
+//! The walk is a pure function of the hierarchy it is handed: every call
+//! flattens every level into CSR columns (`LevelClusters`) and walks every
+//! `(subject, level ≥ 2)` entry. Nothing is carried from one call to the
+//! next but buffers ([`WalkScratch`]) — an entry depends on the whole
+//! subtree of its cluster, and under mobility ~1 % of entries have an
+//! untouched subtree from one tick to the next (DESIGN §4.3), so there is
+//! nothing worth remembering.
 
 use crate::hash::{hrw_key_from_raw, mod_successor_select};
-use chlm_cluster::{AddressBook, ArenaStamps, Hierarchy, Level};
+use chlm_cluster::{AddressBook, Hierarchy};
 use chlm_geom::rng::splitmix64;
 use chlm_graph::NodeIdx;
 use chlm_par::{split_ranges, WorkerPool};
@@ -68,8 +76,7 @@ pub struct LmAssignment {
     hosts: Vec<NodeIdx>,
 }
 
-/// One level's cluster structure, flattened for the walk and for
-/// cross-tick comparison.
+/// One level's cluster structure, flattened for the walk.
 ///
 /// Members of the cluster headed by local node `t` are the CSR range
 /// `start[t]..start[t + 1]`, ascending by member local index — the same
@@ -80,13 +87,13 @@ struct LevelClusters {
     start: Vec<u32>,
     /// Physical (level-0) identity of each member, parallel to the CSR.
     member_phys: Vec<NodeIdx>,
-    /// Election ID of each member, parallel to the CSR. Snapshotted (rather
-    /// than read through `h.ids`) so cache validity is purely content-based
-    /// even if a caller re-keys node IDs between ticks.
+    /// Election ID of each member, parallel to the CSR, so a candidate
+    /// scan reads one contiguous run instead of gathering through `h.ids`.
     member_id: Vec<u64>,
     /// Member subtree weight (level-0 descendant count) as `f64::to_bits`
-    /// — bit-exact comparison and storage without tripping float-equality
-    /// lints; `from_bits` restores the identical value for hashing.
+    /// — bit-exact comparison (`uniform`) and storage without tripping
+    /// float-equality lints; `from_bits` restores the identical value for
+    /// hashing.
     member_wbits: Vec<u64>,
     /// Each member's local index one level down, parallel to the CSR: the
     /// cluster that member heads, i.e. where a walk that picks it stands
@@ -103,11 +110,6 @@ struct LevelClusters {
     /// Physical node → local index at this level (`NO_SLOT` when absent);
     /// length is the full population `n` for O(1) lookups.
     slot_of_phys: Vec<u32>,
-    /// Per local head `t`: is the whole subtree of the cluster it heads
-    /// (member lists, IDs and weights, down to level 0) the same as at the
-    /// previous observed tick? Every entry hosted for a subject of a clean
-    /// cluster at that cluster's level is then unchanged too.
-    clean: Vec<bool>,
 }
 
 /// Least entry level the walk can reach level `j` from (`k > j` and
@@ -118,7 +120,7 @@ fn k_min(j: usize) -> usize {
     (j + 1).max(2)
 }
 
-/// Reset a persistent column to `len` copies of `fill`, keeping its buffer.
+/// Reset a recycled column to `len` copies of `fill`, keeping its buffer.
 fn refill<T: Copy>(col: &mut Vec<T>, len: usize, fill: T) {
     col.clear();
     col.resize(len, fill);
@@ -131,8 +133,8 @@ impl LevelClusters {
         (self.start[t] as usize, self.start[t + 1] as usize)
     }
 
-    /// Rebuild this snapshot from level `j` of `h`, with `below` being the
-    /// already built snapshot one level down (None at level 0). `depth`
+    /// Rebuild this level from level `j` of `h`, with `below` being the
+    /// already built level one down (None at level 0). `depth`
     /// sizes the `inner` memo, computed only when `hash_inner` (the HRW
     /// rule) is on.
     #[allow(clippy::too_many_arguments)]
@@ -200,55 +202,6 @@ impl LevelClusters {
         for (i, &phys) in level.nodes.iter().enumerate() {
             self.slot_of_phys[phys as usize] = i as u32;
         }
-    }
-
-    /// Fill `clean` for every cluster headed at `level` (= level `j`, whose
-    /// heads lead level-(j+1) clusters). With fresh `stamps` a cluster is
-    /// clean iff its arena record's *subtree* stamp did not advance this
-    /// maintainer tick (a newborn record is stamped at birth) — O(heads).
-    /// Otherwise by content: same members, IDs and weights as in `prev`,
-    /// and every member's own cluster (in `below`) clean in turn.
-    fn mark_clean(
-        &mut self,
-        level: &Level,
-        j: usize,
-        below: Option<&LevelClusters>,
-        prev: &LevelClusters,
-        stamps: Option<ArenaStamps<'_>>,
-    ) {
-        refill(&mut self.clean, level.len(), false);
-        for (t, head) in level.heads() {
-            self.clean[t as usize] = match stamps {
-                Some(s) => s
-                    .arena
-                    .lookup(j + 1, head)
-                    .is_some_and(|hd| s.arena.subtree_changed_at(hd.slot) != s.tick),
-                None => {
-                    let (lo, hi) = self.range(t as usize);
-                    self.same_cluster(t, head, prev)
-                        && below
-                            .is_none_or(|b| self.down[lo..hi].iter().all(|&d| b.clean[d as usize]))
-                }
-            };
-        }
-    }
-
-    /// Does the cluster headed locally by `t` (physical head `phys`) hold
-    /// exactly the same members with the same weights as it did in `prev`?
-    fn same_cluster(&self, t: u32, phys: NodeIdx, prev: &LevelClusters) -> bool {
-        let pt = prev
-            .slot_of_phys
-            .get(phys as usize)
-            .copied()
-            .unwrap_or(NO_SLOT);
-        if pt == NO_SLOT {
-            return false;
-        }
-        let (clo, chi) = self.range(t as usize);
-        let (plo, phi) = prev.range(pt as usize);
-        self.member_phys[clo..chi] == prev.member_phys[plo..phi]
-            && self.member_id[clo..chi] == prev.member_id[plo..phi]
-            && self.member_wbits[clo..chi] == prev.member_wbits[plo..phi]
     }
 
     /// One full HRW selection over the members of cluster `t`, whose CSR
@@ -357,68 +310,28 @@ fn inv_ln_brackets() -> &'static [(f64, f64); 256] {
     })
 }
 
-/// One worker's walk scratch: the subjects of the current block whose
-/// entry has to be re-walked, and the local index each walk stands at.
+/// Buffers [`LmAssignment::compute_with`] rewrites on every call, kept so
+/// a per-tick caller allocates nothing in the steady state: the flattened
+/// levels, the counting-sort cursor, one block of walk cursors per worker,
+/// a retired `hosts` table, and the worker pool. None of it is read before
+/// it is rewritten — a scratch that was handed hierarchy A answers for
+/// hierarchy B exactly as a fresh one does.
 #[derive(Debug, Default)]
-struct Cursors {
-    subject: Vec<NodeIdx>,
-    at: Vec<u32>,
-}
-
-/// Persistent cross-tick state for [`LmAssignment::compute_cached`].
-///
-/// Each call snapshots every level's clusters (`cur`; the previous call's
-/// rotate into `prev`) and walks level-synchronously over them. The one
-/// piece of cross-tick reuse is per *entry*: `hosts[v][k]` is a pure
-/// function of the subtree of `v`'s level-k cluster (member lists, IDs and
-/// weights all the way down, `v` among them), so when that subtree is
-/// clean this tick the entry stands as it is in the cache's own host
-/// table, and only the others are walked. Static and low-churn worlds
-/// thus cost O(n·depth) per tick; a fresh cache has nothing clean and is
-/// the from-scratch oracle.
-///
-/// Clean detection has two implementations. The content path compares
-/// every cluster's member/weight arrays against the previous tick's
-/// snapshot, bottom-up. When the hierarchy comes from a
-/// [`chlm_cluster::HierarchyMaintainer`], the caller can instead pass the
-/// maintainer's [`ArenaStamps`] (via
-/// [`LmAssignment::compute_cached_stamped`]): a cluster is then dirty iff
-/// its arena record's *subtree* stamp advanced this maintainer tick, an
-/// O(clusters) test instead of O(total members). The stamp path requires
-/// lockstep observation (one `observe` per maintainer tick) and fixed
-/// election IDs — both guaranteed by the maintainer, and checked by a
-/// tick-continuity guard that falls back to the content path on any gap.
-/// Anything else (a depth, population, or rule change) resets the cache
-/// wholesale, so results are byte-identical to a from-scratch
-/// [`LmAssignment::compute`].
-#[derive(Debug, Default)]
-pub struct LmCache {
-    valid: bool,
-    n: usize,
-    depth: usize,
-    rule: Option<SelectionRule>,
-    /// Maintainer tick of the last `ArenaStamps` observed, for the
-    /// lockstep guard of the stamp path.
-    last_arena_tick: Option<u64>,
-    prev: Vec<LevelClusters>,
+pub struct WalkScratch {
+    /// One entry per level of the deepest hierarchy seen; a call rebuilds
+    /// and reads the first `depth`.
     cur: Vec<LevelClusters>,
-    /// The last assignment computed, row-major `n × depth`: updated in
-    /// place by the walk (clean entries are simply left alone) and copied
-    /// out as each call's result.
-    hosts: Vec<NodeIdx>,
     cursor: Vec<u32>,
-    /// Walk scratch, one per worker.
-    cursors: Vec<Cursors>,
+    /// Per worker: the local index each walk of the current block stands at.
+    at: Vec<Vec<u32>>,
     spare_hosts: Vec<NodeIdx>,
-    reused: u64,
-    steps: u64,
     /// Worker pool for the walk (`None` = serial). Subjects are split into
     /// fixed contiguous ranges with per-subject-disjoint writes, so the
     /// assignment is bit-identical for every thread count.
     workers: Option<WorkerPool>,
 }
 
-impl LmCache {
+impl WalkScratch {
     pub fn new() -> Self {
         Self::default()
     }
@@ -430,68 +343,23 @@ impl LmCache {
         self
     }
 
-    /// `(subject, level)` entries carried over from the previous tick
-    /// because their cluster's subtree was clean (lifetime total).
-    pub fn entries_reused(&self) -> u64 {
-        self.reused
-    }
-
-    /// Hash-selection steps the walk ran: `k` per re-walked level-`k`
-    /// entry (lifetime total).
-    pub fn steps_walked(&self) -> u64 {
-        self.steps
-    }
-
     /// Hand back a retired assignment so its `hosts` buffer is reused by the
-    /// next [`LmAssignment::compute_cached`] call.
+    /// next [`LmAssignment::compute_with`] call.
     pub fn recycle(&mut self, old: LmAssignment) {
         self.spare_hosts = old.hosts;
     }
 
-    fn reinit(&mut self, n: usize, depth: usize, rule: SelectionRule) {
-        self.n = n;
-        self.depth = depth;
-        self.rule = Some(rule);
-        self.last_arena_tick = None;
-        self.prev.clear();
-        self.prev.resize_with(depth, LevelClusters::default);
-        self.cur.clear();
-        self.cur.resize_with(depth, LevelClusters::default);
-        // Slots below level 2 hold the subject for good; the rest are
-        // overwritten by the first walk, which finds nothing clean.
-        self.hosts.clear();
-        self.hosts
-            .extend((0..n as NodeIdx).flat_map(|v| std::iter::repeat_n(v, depth)));
-        self.valid = true;
-    }
-
-    /// Snapshot the hierarchy's clusters for this tick and mark the clean
-    /// ones — via the maintainer's arena stamps when fresh ones are
-    /// supplied, by content comparison otherwise. The previous tick's
-    /// snapshot rotates into `prev`.
-    fn observe(&mut self, h: &Hierarchy, stamps: Option<ArenaStamps<'_>>) {
-        let hash_inner = matches!(self.rule, Some(SelectionRule::Hrw));
-        // The stamp path is only sound when every maintainer tick since the
-        // last observation was observed (stamps for skipped ticks are
-        // overwritten); on a gap the content path self-heals, since `prev`
-        // and `hosts` always hold the last *observed* tick.
-        let fresh = stamps.filter(|s| self.last_arena_tick == Some(s.tick.wrapping_sub(1)));
-        std::mem::swap(&mut self.prev, &mut self.cur);
-        for j in 0..self.depth {
-            let (done, rest) = self.cur.split_at_mut(j);
-            let lc = &mut rest[0];
-            lc.build(
-                h,
-                j,
-                done.last(),
-                self.n,
-                self.depth,
-                hash_inner,
-                &mut self.cursor,
-            );
-            lc.mark_clean(&h.levels[j], j, done.last(), &self.prev[j], fresh);
+    /// Flatten every level of `h` into `cur`, bottom-up (a level's member
+    /// weights sum the level below).
+    fn flatten(&mut self, h: &Hierarchy, hash_inner: bool) {
+        let (n, depth) = (h.node_count(), h.depth());
+        if self.cur.len() < depth {
+            self.cur.resize_with(depth, LevelClusters::default);
         }
-        self.last_arena_tick = stamps.map(|s| s.tick);
+        for j in 0..depth {
+            let (done, rest) = self.cur.split_at_mut(j);
+            rest[0].build(h, j, done.last(), n, depth, hash_inner, &mut self.cursor);
+        }
     }
 }
 
@@ -506,44 +374,43 @@ struct Walk<'a> {
 impl Walk<'_> {
     /// Walk the subject range `vs`, whose rows of the host table are
     /// `hosts`. Per block of [`WALK_BLOCK`] subjects and entry level `k`:
-    /// stand every subject whose level-k cluster is dirty on that cluster's
-    /// head, then move all of them down one level at a time (`j = k-1 … 0`:
-    /// select among the members of the cluster stood on, step to the winner
-    /// via `down`) until the winners are level-0 nodes — the hosts. All
-    /// inputs but `hosts` and `cs` are shared and read-only, which is what
-    /// lets ranges fan out across a [`WorkerPool`] without changing a
-    /// single pick. Returns `(entries reused, steps walked)`.
-    fn run(&self, vs: Range<usize>, hosts: &mut [NodeIdx], cs: &mut Cursors) -> (u64, u64) {
+    /// stand every subject on the head of its level-k cluster, then move
+    /// all of them down one level at a time (`j = k-1 … 0`: select among
+    /// the members of the cluster stood on, step to the winner via `down`)
+    /// until the winners are level-0 nodes — the hosts. All inputs but
+    /// `hosts` and `at` are shared and read-only, which is what lets ranges
+    /// fan out across a [`WorkerPool`] without changing a single pick.
+    fn run(&self, vs: Range<usize>, hosts: &mut [NodeIdx], at: &mut Vec<u32>) {
         let depth = self.cur.len();
-        let (mut reused, mut steps) = (0u64, 0u64);
         for first in (vs.start..vs.end).step_by(WALK_BLOCK) {
-            let block = first..(first + WALK_BLOCK).min(vs.end);
+            let last = (first + WALK_BLOCK).min(vs.end);
+            let rows = &mut hosts[(first - vs.start) * depth..(last - vs.start) * depth];
+            // Slots below level 2 carry no entry: they hold the subject.
+            for (row, v) in rows.chunks_exact_mut(depth).zip(first as NodeIdx..) {
+                row[..depth.min(2)].fill(v);
+            }
             for k in 2..depth {
                 let top = &self.cur[k - 1];
-                cs.subject.clear();
-                cs.at.clear();
-                for v in block.start as NodeIdx..block.end as NodeIdx {
-                    // A vote target is present one level up by definition,
-                    // so the head always has a slot at level k-1.
-                    let t = top.slot_of_phys[self.book.row(v)[k] as usize];
-                    debug_assert_ne!(t, NO_SLOT, "cluster head missing at its own level");
-                    if !top.clean[t as usize] {
-                        cs.subject.push(v);
-                        cs.at.push(t);
-                    }
-                }
-                reused += (block.len() - cs.at.len()) as u64;
-                steps += (cs.at.len() * k) as u64;
+                at.clear();
+                // A vote target is present one level up by definition, so
+                // the head always has a slot at level k-1.
+                at.extend(
+                    (first as NodeIdx..last as NodeIdx)
+                        .map(|v| top.slot_of_phys[self.book.row(v)[k] as usize]),
+                );
+                debug_assert!(
+                    !at.contains(&NO_SLOT),
+                    "cluster head missing at its own level"
+                );
                 for j in (0..k).rev() {
                     let lvl = &self.cur[j];
                     let next = if j > 0 { &lvl.down } else { &lvl.member_phys };
                     let salt = ((k as u64) << 32) | j as u64;
                     let seg = (k - k_min(j)) * lvl.member_id.len();
-                    for (&v, at) in cs.subject.iter().zip(&mut cs.at) {
+                    for (&subject_id, at) in self.ids[first..last].iter().zip(at.iter_mut()) {
                         let t = *at as usize;
                         let (lo, hi) = lvl.range(t);
                         debug_assert!(hi > lo, "head with no electors");
-                        let subject_id = self.ids[v as usize];
                         let pick = match self.rule {
                             SelectionRule::Hrw => {
                                 lvl.hrw_pick(subject_id, t, lo, &lvl.inner[seg + lo..seg + hi])
@@ -559,45 +426,28 @@ impl Walk<'_> {
                         *at = next[lo + pick];
                     }
                 }
-                for (&v, &host) in cs.subject.iter().zip(&cs.at) {
-                    hosts[(v as usize - vs.start) * depth + k] = host;
+                for (row, &host) in rows.chunks_exact_mut(depth).zip(at.iter()) {
+                    row[k] = host;
                 }
             }
         }
-        (reused, steps)
     }
 }
 
 impl LmAssignment {
     /// Compute the assignment for hierarchy `h` under `rule`.
     pub fn compute(h: &Hierarchy, rule: SelectionRule) -> Self {
-        Self::compute_cached(h, &AddressBook::capture(h), rule, &mut LmCache::new())
+        Self::compute_with(h, &AddressBook::capture(h), rule, &mut WalkScratch::new())
     }
 
-    /// Compute the assignment, reusing `cache` from the previous tick so
-    /// that only entries of clusters whose subtree changed are re-walked,
-    /// with change detection by content comparison. `book` must be captured
-    /// from `h`. The result is byte-identical to [`LmAssignment::compute`]
-    /// — the cache only skips recomputation whose inputs provably did not
-    /// change.
-    pub fn compute_cached(
+    /// [`LmAssignment::compute`] through recycled buffers (and `scratch`'s
+    /// worker pool, if it has one). `book` must be captured from `h`. The
+    /// result does not depend on what `scratch` was used for before.
+    pub fn compute_with(
         h: &Hierarchy,
         book: &AddressBook,
         rule: SelectionRule,
-        cache: &mut LmCache,
-    ) -> Self {
-        Self::compute_cached_stamped(h, book, rule, cache, None)
-    }
-
-    /// [`LmAssignment::compute_cached`] with the maintainer's arena stamps
-    /// as the change detector (see [`LmCache`] for the soundness
-    /// conditions; `None` or stale stamps fall back to content comparison).
-    pub fn compute_cached_stamped(
-        h: &Hierarchy,
-        book: &AddressBook,
-        rule: SelectionRule,
-        cache: &mut LmCache,
-        stamps: Option<ArenaStamps<'_>>,
+        scratch: &mut WalkScratch,
     ) -> Self {
         let n = h.node_count();
         let depth = h.depth();
@@ -611,51 +461,42 @@ impl LmAssignment {
             depth,
             "address book from a different hierarchy"
         );
-        if !(cache.valid && cache.n == n && cache.depth == depth && cache.rule == Some(rule)) {
-            cache.reinit(n, depth, rule);
-        }
-        cache.observe(h, stamps);
-        let pool = cache
+        scratch.flatten(h, matches!(rule, SelectionRule::Hrw));
+        let pool = scratch
             .workers
             .filter(|p| !p.is_serial() && n >= WALK_PAR_MIN_N);
         let parts = pool.map_or(1, |p| p.threads());
-        if cache.cursors.len() < parts {
-            cache.cursors.resize_with(parts, || Cursors {
-                subject: Vec::with_capacity(WALK_BLOCK),
-                at: Vec::with_capacity(WALK_BLOCK),
-            });
+        if scratch.at.len() < parts {
+            scratch
+                .at
+                .resize_with(parts, || Vec::with_capacity(WALK_BLOCK));
         }
+        let mut hosts = std::mem::take(&mut scratch.spare_hosts);
+        refill(&mut hosts, n * depth, 0);
         let walk = Walk {
             ids: &h.ids,
             book,
             rule,
-            cur: &cache.cur,
+            cur: &scratch.cur[..depth],
         };
-        let (reused, steps) = match pool {
-            None => walk.run(0..n, &mut cache.hosts, &mut cache.cursors[0]),
+        match pool {
+            None => walk.run(0..n, &mut hosts, &mut scratch.at[0]),
             Some(pool) => {
                 // Subjects split into contiguous ranges; each job owns the
-                // matching rows of the host table and one scratch, so the
-                // walk output cannot depend on pool width or schedule.
+                // matching rows of the host table and one cursor block, so
+                // the walk output cannot depend on pool width or schedule.
                 let mut jobs = Vec::with_capacity(parts);
-                let mut rows: &mut [NodeIdx] = &mut cache.hosts;
-                for (vs, cs) in split_ranges(n, parts).into_iter().zip(&mut cache.cursors) {
+                let mut rows: &mut [NodeIdx] = &mut hosts;
+                for (vs, at) in split_ranges(n, parts).into_iter().zip(&mut scratch.at) {
                     let (mine, rest) = rows.split_at_mut(vs.len() * depth);
                     rows = rest;
-                    jobs.push((vs, mine, cs, (0u64, 0u64)));
+                    jobs.push((vs, mine, at));
                 }
-                pool.for_each_mut(&mut jobs, |(vs, rows, cs, tally)| {
-                    *tally = walk.run(vs.start..vs.end, rows, cs);
+                pool.for_each_mut(&mut jobs, |(vs, rows, at)| {
+                    walk.run(vs.start..vs.end, rows, at);
                 });
-                jobs.iter()
-                    .fold((0, 0), |(r, s), job| (r + job.3 .0, s + job.3 .1))
             }
-        };
-        cache.reused += reused;
-        cache.steps += steps;
-        let mut hosts = std::mem::take(&mut cache.spare_hosts);
-        hosts.clear();
-        hosts.extend_from_slice(&cache.hosts);
+        }
         LmAssignment { n, depth, hosts }
     }
 
@@ -768,7 +609,6 @@ mod tests {
     /// and the RNG that drew it.
     struct Deployment {
         rng: SimRng,
-        radius: f64,
         rtx: f64,
         pts: Vec<chlm_geom::Point>,
         ids: Vec<u64>,
@@ -783,7 +623,6 @@ mod tests {
             let ids = rng.permutation(n);
             Deployment {
                 rng,
-                radius,
                 rtx: chlm_geom::rtx_for_degree(9.0, 1.0),
                 pts,
                 ids,
@@ -794,15 +633,12 @@ mod tests {
             build_unit_disk(&self.pts, self.rtx)
         }
 
-        /// Step every node for which `moves` holds by `step_frac · rtx` in
-        /// a random direction (one is drawn for every node either way).
-        fn jiggle(&mut self, step_frac: f64, moves: impl Fn(&chlm_geom::Point) -> bool) {
+        /// Step every node by `step_frac · rtx` in a random direction.
+        fn jiggle(&mut self, step_frac: f64) {
             for p in self.pts.iter_mut() {
                 let ang = self.rng.range_f64(0.0, std::f64::consts::TAU);
-                if moves(p) {
-                    p.x += self.rtx * step_frac * ang.cos();
-                    p.y += self.rtx * step_frac * ang.sin();
-                }
+                p.x += self.rtx * step_frac * ang.cos();
+                p.y += self.rtx * step_frac * ang.sin();
             }
         }
     }
@@ -859,7 +695,7 @@ mod tests {
             let a = LmAssignment::compute(&h, SelectionRule::Hrw);
             let addrs = h.addresses();
             // Reference subtree weights, summed in the same (ascending
-            // member local index) order the cache's snapshot uses.
+            // member local index) order the flattened levels use.
             let mut weights: Vec<Vec<f64>> = vec![vec![1.0; h.levels[0].len()]];
             for j in 1..h.depth() {
                 let below = &h.levels[j - 1];
@@ -934,191 +770,43 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// A deployment jiggled tick by tick, feeding one persistent cache:
-    /// every cached assignment must be byte-identical to a fresh
-    /// computation, whatever the cache reused.
-    struct Scenario {
-        rule: SelectionRule,
-        /// Take the hierarchy from a live `HierarchyMaintainer` and hand its
-        /// stamps to the cache (otherwise: rebuilt per tick, content path).
-        stamped: bool,
-        n: usize,
-        seed: u64,
-        ticks: usize,
-        /// Step length per tick in units of `rtx`.
-        step_frac: f64,
-        /// Only the nodes of one corner of the region (`x, y > radius / 3`)
-        /// move; the rest of the world stands still.
-        corner_only: bool,
-        /// Advance the world but skip observing every tick `≡ 1 (mod 3)`.
-        gaps: bool,
-    }
-
-    impl Scenario {
-        fn jiggle(rule: SelectionRule, step_frac: f64, seed: u64) -> Self {
-            Scenario {
-                rule,
-                stamped: false,
-                n: 300,
-                seed,
-                ticks: 25,
-                step_frac,
-                corner_only: false,
-                gaps: false,
-            }
-        }
-
-        /// Returns `(entries reused, steps walked, entries)` per observed
-        /// tick.
-        fn run(&self) -> Vec<(u64, u64, u64)> {
-            use chlm_cluster::HierarchyMaintainer;
-            let mut d = Deployment::new(self.n, self.seed);
-            let corner = d.radius / 3.0;
-            let opts = HierarchyOptions::default();
-            let mut maintainer = self
-                .stamped
-                .then(|| HierarchyMaintainer::new(&d.ids, &d.graph(), opts));
-            let mut cache = LmCache::new();
-            let mut out = Vec::new();
-            for tick in 0..self.ticks {
-                d.jiggle(self.step_frac, |p| {
-                    !self.corner_only || (p.x > corner && p.y > corner)
-                });
-                let g = d.graph();
-                if let Some(m) = maintainer.as_mut() {
-                    m.advance(&g, None);
-                }
-                if self.gaps && tick % 3 == 1 {
-                    continue; // the next stamps the cache sees are stale
-                }
-                let built;
-                let (h, stamps) = match &maintainer {
-                    Some(m) => (m.hierarchy(), Some(m.stamps())),
-                    None => {
-                        built = Hierarchy::build(&d.ids, &g, opts);
-                        (&built, None)
-                    }
-                };
-                let book = AddressBook::capture(h);
-                let before = (cache.entries_reused(), cache.steps_walked());
-                let cached =
-                    LmAssignment::compute_cached_stamped(h, &book, self.rule, &mut cache, stamps);
-                assert_eq!(cached, LmAssignment::compute(h, self.rule), "tick {tick}");
-                out.push((
-                    cache.entries_reused() - before.0,
-                    cache.steps_walked() - before.1,
-                    cached.entry_count() as u64,
-                ));
-                cache.recycle(cached);
-            }
-            out
+    /// A 300-node deployment jiggled by `step_frac · rtx` a tick for 25
+    /// ticks, rebuilt from scratch each tick and walked through one
+    /// recycled scratch: every assignment must be byte-identical to one
+    /// from a fresh scratch, whatever the buffers held before.
+    fn jiggled_world_through_one_scratch(rule: SelectionRule, step_frac: f64, seed: u64) {
+        let mut d = Deployment::new(300, seed);
+        let mut scratch = WalkScratch::new();
+        for tick in 0..25 {
+            d.jiggle(step_frac);
+            let h = Hierarchy::build(&d.ids, &d.graph(), HierarchyOptions::default());
+            let book = AddressBook::capture(&h);
+            let recycled = LmAssignment::compute_with(&h, &book, rule, &mut scratch);
+            assert_eq!(recycled, LmAssignment::compute(&h, rule), "tick {tick}");
+            scratch.recycle(recycled);
         }
     }
 
     #[test]
     fn cached_matches_fresh_small_steps() {
-        Scenario::jiggle(SelectionRule::Hrw, 0.125, 11).run();
+        jiggled_world_through_one_scratch(SelectionRule::Hrw, 0.125, 11);
     }
 
     #[test]
     fn cached_matches_fresh_heavy_churn() {
         // Half-radius steps churn cluster membership hard and change the
         // hierarchy depth along the way.
-        Scenario::jiggle(SelectionRule::Hrw, 0.5, 12).run();
+        jiggled_world_through_one_scratch(SelectionRule::Hrw, 0.5, 12);
     }
 
     #[test]
     fn cached_matches_fresh_mod_successor() {
-        Scenario::jiggle(SelectionRule::ModSuccessor { id_space: 300 }, 0.25, 13).run();
-    }
-
-    /// Arena-stamped invalidation against a live maintainer: cached
-    /// assignments must stay byte-identical to fresh ones under heavy
-    /// churn.
-    #[test]
-    fn arena_stamped_matches_fresh() {
-        let ticks = Scenario {
-            stamped: true,
-            ..Scenario::jiggle(SelectionRule::Hrw, 0.5, 14)
-        }
-        .run();
-        assert!(ticks.iter().all(|t| t.1 > 0), "churn walked nothing");
-    }
-
-    /// A world that stands still is walked once: from the second tick on
-    /// every entry is reused, on the stamp path and the content path.
-    #[test]
-    fn static_world_walks_nothing_after_first_tick() {
-        for stamped in [false, true] {
-            let ticks = Scenario {
-                stamped,
-                ticks: 4,
-                ..Scenario::jiggle(SelectionRule::Hrw, 0.0, 16)
-            }
-            .run();
-            let entries = ticks[0].2;
-            assert!(entries > 0);
-            assert_eq!((ticks[0].0, ticks[0].1 > 0), (0, true), "stamped={stamped}");
-            for t in &ticks[1..] {
-                assert_eq!(*t, (entries, 0, entries), "stamped={stamped}");
-            }
-        }
-    }
-
-    /// Only one corner of the region moves: the clusters away from it keep
-    /// their entries, the ones it touches are re-walked, and the table
-    /// still equals a fresh one every tick — under both change detectors
-    /// and both rules.
-    #[test]
-    fn partial_churn_reuses_clean_subtrees() {
-        for (stamped, rule) in [
-            (false, SelectionRule::Hrw),
-            (true, SelectionRule::Hrw),
-            (false, SelectionRule::ModSuccessor { id_space: 600 }),
-        ] {
-            let ticks = Scenario {
-                stamped,
-                n: 600,
-                ticks: 12,
-                corner_only: true,
-                ..Scenario::jiggle(rule, 0.25, 17)
-            }
-            .run();
-            let (reused, steps, entries) = ticks[1..]
-                .iter()
-                .fold((0, 0, 0), |a, t| (a.0 + t.0, a.1 + t.1, a.2 + t.2));
-            assert!(
-                0 < reused && reused < entries && steps > 0,
-                "stamped={stamped} {rule:?}: reused {reused} of {entries}, {steps} steps"
-            );
-        }
-    }
-
-    /// A gap in the stamp stream (skipped maintainer tick) must drop the
-    /// cache back to content comparison against the last tick it *saw*:
-    /// the stale stamps call clean whatever changed only during the gap.
-    /// With one corner moving there is plenty of that, and plenty to reuse
-    /// legitimately.
-    #[test]
-    fn arena_stamp_gap_falls_back() {
-        for corner_only in [false, true] {
-            let ticks = Scenario {
-                stamped: true,
-                n: 250,
-                ticks: 12,
-                corner_only,
-                gaps: true,
-                ..Scenario::jiggle(SelectionRule::Hrw, 0.25, 15)
-            }
-            .run();
-            assert_eq!(ticks.len(), 8);
-            assert!(!corner_only || ticks[1..].iter().all(|t| t.0 > 0));
-        }
+        jiggled_world_through_one_scratch(SelectionRule::ModSuccessor { id_space: 300 }, 0.25, 13);
     }
 
     /// The pooled walk (`threads > 1` and `n ≥ WALK_PAR_MIN_N`) against the
-    /// oracle, for both rules, across a tick whose depth is capped — a
-    /// depth change resets the caches mid-run.
+    /// oracle, for both rules, across a tick whose depth is capped — the
+    /// scratches shrink and regrow mid-run.
     #[test]
     fn pooled_walk_matches_compute() {
         let n = 2500;
@@ -1128,13 +816,13 @@ mod tests {
             SelectionRule::Hrw,
             SelectionRule::ModSuccessor { id_space: n as u64 },
         ] {
-            let mut caches: Vec<(usize, LmCache)> = [1, 2, 8]
+            let mut scratches: Vec<(usize, WalkScratch)> = [1, 2, 8]
                 .iter()
-                .map(|&t| (t, LmCache::new().with_workers(WorkerPool::new(t))))
+                .map(|&t| (t, WalkScratch::new().with_workers(WorkerPool::new(t))))
                 .collect();
             let mut depths = Vec::new();
             for tick in 0..9 {
-                d.jiggle(0.1, |_| true);
+                d.jiggle(0.1);
                 let opts = HierarchyOptions {
                     max_levels: if tick == 4 { 3 } else { usize::MAX },
                     ..HierarchyOptions::default()
@@ -1143,10 +831,10 @@ mod tests {
                 depths.push(h.depth());
                 let book = AddressBook::capture(&h);
                 let fresh = LmAssignment::compute(&h, rule);
-                for (t, cache) in &mut caches {
-                    let pooled = LmAssignment::compute_cached(&h, &book, rule, cache);
+                for (t, scratch) in &mut scratches {
+                    let pooled = LmAssignment::compute_with(&h, &book, rule, scratch);
                     assert_eq!(pooled, fresh, "threads={t} tick={tick} {rule:?}");
-                    cache.recycle(pooled);
+                    scratch.recycle(pooled);
                 }
             }
             assert!(depths[4] < depths[3] && depths[4] < depths[5], "{depths:?}");
@@ -1156,17 +844,22 @@ mod tests {
     #[test]
     fn cache_survives_rule_and_shape_changes() {
         let h1 = random_hierarchy(180, 21);
-        let h2 = random_hierarchy(240, 22); // different n → shape reset
-        let mut cache = LmCache::new();
-        for h in [&h1, &h2, &h1] {
+        let h2 = random_hierarchy(240, 22); // different n: every buffer resizes
+        let h3 = random_hierarchy(180, 27); // another world of h1's shape
+        assert_eq!(h3.depth(), h1.depth());
+        assert_ne!(h3, h1);
+        let mut scratch = WalkScratch::new();
+        // h1 ↔ h3 resizes nothing: only a walk that takes nothing from the
+        // previous call gets those right.
+        for h in [&h1, &h2, &h1, &h3, &h1, &h3] {
             let book = chlm_cluster::AddressBook::capture(h);
             for rule in [
                 SelectionRule::Hrw,
                 SelectionRule::ModSuccessor { id_space: 240 },
             ] {
-                let cached = LmAssignment::compute_cached(h, &book, rule, &mut cache);
-                assert_eq!(cached, LmAssignment::compute(h, rule));
-                cache.recycle(cached);
+                let recycled = LmAssignment::compute_with(h, &book, rule, &mut scratch);
+                assert_eq!(recycled, LmAssignment::compute(h, rule));
+                scratch.recycle(recycled);
             }
         }
     }

@@ -23,8 +23,8 @@
 //! are the exception — they belong to the topology snapshot
 //! ([`chlm_graph::Graph::hop_row`]) and are freed by its next edge flip. The
 //! incremental fast paths ([`chlm_graph::UnitDiskMaintainer`],
-//! [`chlm_lm::server::LmCache`]) are proven byte-equivalent to their
-//! from-scratch counterparts by `tests/equivalence.rs`, which plugs a
+//! [`chlm_cluster::HierarchyMaintainer`]) are proven byte-equivalent to
+//! their from-scratch counterparts by `tests/equivalence.rs`, which plugs a
 //! reference stage set in through [`Simulation::with_stages`].
 //!
 //! The backend ([`crate::config::Backend`]) is not an engine: it only
@@ -40,7 +40,7 @@ use crate::oracle::calibrate;
 use crate::report::{SimReport, StateSummary};
 use crate::scheme::{make_accounting, make_query_accounting};
 use crate::stage::{
-    default_stages, AssignmentStage, HierarchyStage, MobilityStage, StageSet, TickCtx,
+    default_stages, AssignmentStage, HierarchyStage, MobilityStage, NoStamps, StageSet, TickCtx,
     TopologyStage,
 };
 use crate::transport::shard_loss_seed;
@@ -194,7 +194,7 @@ impl World {
         let (mobility, topology, mut hier_stage, mut assign_stage) = make_stages(&cfg, mobility);
         let hierarchy = hier_stage.init(&ids, topology.graph());
         let book = AddressBook::capture(&hierarchy);
-        let assignment = assign_stage.assign(&hierarchy, &book, hier_stage.stamps());
+        let assignment = assign_stage.assign(&hierarchy, &book, NoStamps);
         // Every metric that can hit an estimate path (Euclidean pricing,
         // BFS disconnected-pair fallback, unroutable hierarchical pairs)
         // gets the startup-measured detour ratio; a fixed `Euclidean(c)`
@@ -265,8 +265,8 @@ impl World {
     /// Allocation discipline: mobility positions are *borrowed* (never
     /// copied), topology is patched in place by the maintainer, the
     /// hierarchy stage rewrites the retired snapshot's buffers in place,
-    /// address books double-buffer, and the assignment stage reuses both
-    /// its memo cache and the retired `hosts` buffer.
+    /// address books double-buffer, and the assignment stage rewrites its
+    /// walk scratch and the retired `hosts` buffer.
     pub(crate) fn step_with(&mut self, observe: &mut dyn FnMut(&TickCtx<'_>)) {
         let dt = self.cfg.tick();
         let n = self.cfg.n;
@@ -281,9 +281,9 @@ impl World {
                 .rebuild(&self.ids, graph, self.topology.last_diff(), carcass);
         self.book_next
             .capture_into(&hierarchy, &mut self.addr_scratch);
-        let assignment =
-            self.assign_stage
-                .assign(&hierarchy, &self.book_next, self.hier_stage.stamps());
+        let assignment = self
+            .assign_stage
+            .assign(&hierarchy, &self.book_next, NoStamps);
 
         // Diff streams against the previous tick.
         let addr_changes = self.book.diff(&self.book_next);

@@ -163,7 +163,9 @@ impl QueryStats {
 
     /// Total query packets over the run.
     pub fn total_packets(&self) -> f64 {
-        self.level_packets.iter().sum()
+        // Folded from +0.0: `Iterator::sum::<f64>()` starts at -0.0, which
+        // is what a plane that resolved nothing would then report.
+        self.level_packets.iter().fold(0.0, |sum, p| sum + p)
     }
 
     /// Query overhead in packets per node per second.
@@ -363,6 +365,19 @@ mod tests {
         assert!((q.overhead_per_node_per_second() - 2.0).abs() < 1e-12);
         assert!((q.mean_packets_per_lookup().unwrap() - 10.0 / 3.0).abs() < 1e-12);
         assert_eq!(QueryStats::default().mean_packets_per_lookup(), None);
+        // A plane that resolved nothing reports +0.0, not the summing
+        // identity -0.0.
+        let idle = QueryStats {
+            arrivals: 4,
+            unresolved: 4,
+            node_seconds: 5.0,
+            ..QueryStats::default()
+        };
+        assert_eq!(idle.total_packets().to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            idle.overhead_per_node_per_second().to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]

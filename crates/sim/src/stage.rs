@@ -6,14 +6,15 @@
 //! previous tick's snapshots and packages everything into a [`TickCtx`],
 //! the read-only view every [`crate::observe::Observer`] consumes.
 //!
-//! The implementations here are the incremental fast paths — the only
-//! stage set a [`SimConfig`] can select ([`default_stages`]):
-//! Verlet-list unit-disk maintenance, diff-driven hierarchy repair
-//! ([`IncrementalHierarchy`] over [`chlm_cluster::HierarchyMaintainer`]),
-//! and the level-synchronous HRW walk that re-walks only the entries of
-//! clusters whose subtree changed. Their from-scratch references (per-tick
-//! topology rebuild, the LCA fixpoint, uncached selection) are test
-//! fixtures in `tests/common/mod.rs`, plugged in through
+//! The implementations here are the only stage set a [`SimConfig`] can
+//! select ([`default_stages`]): Verlet-list unit-disk maintenance,
+//! diff-driven hierarchy repair ([`IncrementalHierarchy`] over
+//! [`chlm_cluster::HierarchyMaintainer`]) — the two that carry state from
+//! tick to tick — and the level-synchronous HRW walk, which is a pure
+//! function of the tick's hierarchy and keeps buffers only. Their
+//! from-scratch references (per-tick topology rebuild, the LCA fixpoint,
+//! selection on a fresh scratch) are test fixtures in
+//! `tests/common/mod.rs`, plugged in through
 //! [`crate::Simulation::with_stages`] so the equivalence suites can diff
 //! entire reports byte for byte.
 //!
@@ -24,10 +25,10 @@
 
 use crate::config::SimConfig;
 use chlm_cluster::address::{AddrChange, AddressBook};
-use chlm_cluster::{ArenaStamps, Hierarchy, HierarchyMaintainer, HierarchyOptions};
+use chlm_cluster::{Hierarchy, HierarchyMaintainer, HierarchyOptions};
 use chlm_geom::Point;
 use chlm_graph::{EdgeFlip, Graph, NodeIdx, UnitDiskMaintainer};
-use chlm_lm::server::{HostChange, LmAssignment, LmCache, SelectionRule};
+use chlm_lm::server::{HostChange, LmAssignment, SelectionRule, WalkScratch};
 use chlm_mobility::MobilityModel;
 
 /// Read-only view of one completed tick: the previous and current
@@ -89,6 +90,13 @@ pub trait TopologyStage {
     }
 }
 
+/// Zero-sized stand-in for the retired hierarchy → assignment change
+/// oracle. The frozen `benchmark/` replica calls
+/// `assign(.., hier_stage.stamps())` without naming the type; nothing else
+/// needs it (ROADMAP `[benchmark]` item drops both).
+#[derive(Debug, Clone, Copy)]
+pub struct NoStamps;
+
 /// Stage 3: produce the tick's cluster hierarchy.
 ///
 /// `init` builds the t=0 hierarchy (called once, before any tick).
@@ -105,25 +113,20 @@ pub trait HierarchyStage {
         diff: Option<&[EdgeFlip]>,
         carcass: Option<Hierarchy>,
     ) -> Hierarchy;
-    /// Arena invalidation stamps for the hierarchy most recently produced,
-    /// when the stage maintains them incrementally. `None` means downstream
-    /// caches must detect changes by content comparison.
-    fn stamps(&self) -> Option<ArenaStamps<'_>> {
-        None
+    /// Kept only because `benchmark/` (frozen) calls it; see [`NoStamps`].
+    fn stamps(&self) -> NoStamps {
+        NoStamps
     }
 }
 
-/// Stage 4: compute the LM server assignment for the tick's hierarchy.
-/// `stamps` is the hierarchy stage's change oracle for the same tick
-/// (`None` → content-based invalidation). `retire` hands back the previous
-/// assignment so caches can recycle its buffers.
+/// Stage 4: compute the LM server assignment for the tick's hierarchy —
+/// a function of `hierarchy` (and the `book` captured from it) alone.
+/// `retire` hands back the previous assignment so its buffers can be
+/// recycled.
 pub trait AssignmentStage {
-    fn assign(
-        &mut self,
-        hierarchy: &Hierarchy,
-        book: &AddressBook,
-        stamps: Option<ArenaStamps<'_>>,
-    ) -> LmAssignment;
+    /// The third parameter is kept only because `benchmark/` (frozen)
+    /// passes it; see [`NoStamps`].
+    fn assign(&mut self, hierarchy: &Hierarchy, book: &AddressBook, _: NoStamps) -> LmAssignment;
     fn retire(&mut self, old: LmAssignment);
 }
 
@@ -191,11 +194,6 @@ impl IncrementalHierarchy {
             maintainer: None,
         }
     }
-
-    /// The live maintainer (present after `init`), for arena audits.
-    pub fn maintainer(&self) -> Option<&HierarchyMaintainer> {
-        self.maintainer.as_ref()
-    }
 }
 
 impl HierarchyStage for IncrementalHierarchy {
@@ -221,16 +219,13 @@ impl HierarchyStage for IncrementalHierarchy {
         m.advance(graph, diff);
         m.snapshot_into(carcass)
     }
-    fn stamps(&self) -> Option<ArenaStamps<'_>> {
-        self.maintainer.as_ref().map(|m| m.stamps())
-    }
 }
 
-/// Default assignment stage: §3.2 server selection, carrying the entries
-/// of unchanged subtrees across ticks through [`LmCache`].
+/// Default assignment stage: §3.2 server selection, every entry walked
+/// every tick through one recycled [`WalkScratch`].
 pub struct LmSelection {
     rule: SelectionRule,
-    cache: LmCache,
+    scratch: WalkScratch,
 }
 
 impl LmSelection {
@@ -239,22 +234,17 @@ impl LmSelection {
     pub fn new(rule: SelectionRule, threads: usize) -> Self {
         LmSelection {
             rule,
-            cache: LmCache::new().with_workers(chlm_par::WorkerPool::new(threads)),
+            scratch: WalkScratch::new().with_workers(chlm_par::WorkerPool::new(threads)),
         }
     }
 }
 
 impl AssignmentStage for LmSelection {
-    fn assign(
-        &mut self,
-        hierarchy: &Hierarchy,
-        book: &AddressBook,
-        stamps: Option<ArenaStamps<'_>>,
-    ) -> LmAssignment {
-        LmAssignment::compute_cached_stamped(hierarchy, book, self.rule, &mut self.cache, stamps)
+    fn assign(&mut self, hierarchy: &Hierarchy, book: &AddressBook, _: NoStamps) -> LmAssignment {
+        LmAssignment::compute_with(hierarchy, book, self.rule, &mut self.scratch)
     }
     fn retire(&mut self, old: LmAssignment) {
-        self.cache.recycle(old);
+        self.scratch.recycle(old);
     }
 }
 

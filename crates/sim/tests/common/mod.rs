@@ -5,12 +5,14 @@
 //! through [`Simulation::with_stages`]; only tests can reach it.
 
 use chlm_cluster::address::AddressBook;
-use chlm_cluster::{ArenaStamps, Hierarchy, HierarchyOptions};
+use chlm_cluster::{Hierarchy, HierarchyOptions};
 use chlm_geom::Point;
 use chlm_graph::{EdgeFlip, Graph, UnitDiskMaintainer};
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_mobility::MobilityModel;
-use chlm_sim::stage::{AssignmentStage, HierarchyStage, ModelMobility, StageSet, TopologyStage};
+use chlm_sim::stage::{
+    AssignmentStage, HierarchyStage, ModelMobility, NoStamps, StageSet, TopologyStage,
+};
 use chlm_sim::{SimConfig, Simulation};
 
 /// Reference topology stage: a from-scratch unit-disk rebuild every tick.
@@ -62,18 +64,14 @@ impl HierarchyStage for LcaHierarchy {
     }
 }
 
-/// Reference assignment stage: uncached §3.2 server selection.
+/// Reference assignment stage: §3.2 server selection on a fresh scratch,
+/// recycling nothing.
 pub struct ComputeSelection {
     rule: SelectionRule,
 }
 
 impl AssignmentStage for ComputeSelection {
-    fn assign(
-        &mut self,
-        hierarchy: &Hierarchy,
-        _book: &AddressBook,
-        _stamps: Option<ArenaStamps<'_>>,
-    ) -> LmAssignment {
+    fn assign(&mut self, hierarchy: &Hierarchy, _book: &AddressBook, _: NoStamps) -> LmAssignment {
         LmAssignment::compute(hierarchy, self.rule)
     }
     fn retire(&mut self, _old: LmAssignment) {}

@@ -7,7 +7,16 @@
 //! unresolved, every sent packet is delivered, dropped or lost, what the
 //! ledgers booked is what the networks transmitted, and the ledger saw the
 //! same node-seconds as the rate counters.
+//!
+//! And every scheme on both backends with all n ∈ {2, 5, 40} nodes on one
+//! point: a complete graph, one cluster, depth 2 — the LM walk has no
+//! entry level at all.
 
+use chlm_geom::Point;
+use chlm_mobility::StaticModel;
+use chlm_sim::cost::HopPricer;
+use chlm_sim::observe::Observer;
+use chlm_sim::stage::{default_stages, TickCtx};
 use chlm_sim::{Backend, HopMetric, LmScheme, SimConfig, Simulation};
 
 #[test]
@@ -76,6 +85,65 @@ fn tiny_and_partitioned_packet_worlds_keep_their_books() {
                 assert!(
                     overhead.is_finite() && overhead.is_sign_positive(),
                     "{cell}: overhead {overhead:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Fails the tick that carries an LM entry or a host change.
+struct NoEntries;
+
+impl Observer for NoEntries {
+    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
+        assert_eq!(ctx.new_assignment.entry_count(), 0);
+        assert!(ctx.host_changes.is_empty());
+    }
+}
+
+#[test]
+fn coincident_nodes_have_no_entry_level() {
+    for scheme in [LmScheme::Chlm, LmScheme::Gls, LmScheme::HomeAgent] {
+        for backend in [Backend::Analytic, Backend::packet()] {
+            for n in [2usize, 5, 40] {
+                let cell = format!("{scheme:?} {backend:?} n={n}");
+                let cfg = SimConfig::builder(n)
+                    .duration(2.0)
+                    .warmup(0.5)
+                    .seed(17)
+                    .query_rate(3.0)
+                    .lm_scheme(scheme)
+                    .hop_metric(HopMetric::Bfs)
+                    .backend(backend)
+                    .build();
+                let ticks = cfg.tick_count();
+                // The production stages over a world that ignores the
+                // deployment and stands everyone on the origin.
+                let mut sim = Simulation::with_stages(cfg, |cfg, _deployed| {
+                    let origin = Point { x: 0.0, y: 0.0 };
+                    default_stages(cfg, Box::new(StaticModel::new(vec![origin; cfg.n])))
+                });
+                sim.add_observer(Box::new(NoEntries));
+                for _ in 0..ticks {
+                    sim.step();
+                }
+                let h = sim.hierarchy();
+                assert_eq!(h.depth(), 2, "{cell}");
+                assert_eq!(h.levels[0].graph.edge_count(), n * (n - 1) / 2, "{cell}");
+                let report = sim.finish();
+
+                let q = report.query.as_ref().expect("query plane on");
+                assert!(q.arrivals > 0, "{cell}");
+                assert_eq!(q.arrivals, q.resolved + q.unresolved, "{cell}");
+                let lookup_overhead = q.overhead_per_node_per_second();
+                assert!(
+                    lookup_overhead.is_finite() && lookup_overhead.is_sign_positive(),
+                    "{cell}: lookup overhead {lookup_overhead:?}"
+                );
+                assert_eq!(
+                    report.total_overhead().to_bits(),
+                    0.0f64.to_bits(),
+                    "{cell}: handoff overhead in a world where nothing moves"
                 );
             }
         }

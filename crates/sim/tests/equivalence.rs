@@ -1,11 +1,13 @@
 //! Incremental-engine equivalence suite.
 //!
 //! The tick pipeline's fast paths — Verlet-list topology maintenance
-//! ([`chlm_graph::UnitDiskMaintainer::advance`]) and the HRW walk's
-//! clean-subtree reuse ([`chlm_lm::server::LmCache`]) — are *optimizations*, not model
-//! changes. The reference stage set in `common/mod.rs` has neither: it
-//! rebuilds the unit-disk graph, the hierarchy and the LM assignment from
-//! scratch every tick, through the same tick loop
+//! ([`chlm_graph::UnitDiskMaintainer::advance`]), diff-driven hierarchy
+//! repair ([`chlm_cluster::HierarchyMaintainer`]) and the recycled buffers
+//! of the HRW walk ([`chlm_lm::server::WalkScratch`]) — are
+//! *optimizations*, not model changes. The reference stage set in
+//! `common/mod.rs` has none of them: it rebuilds the unit-disk graph, the
+//! hierarchy and the LM assignment from scratch every tick, through the
+//! same tick loop
 //! ([`Simulation::with_stages`]). A run on the production stages must
 //! produce a [`SimReport`] equal in every field (floats compared exactly —
 //! the arithmetic must be the *same*, not merely close) to the
@@ -14,7 +16,10 @@
 mod common;
 
 use chlm_cluster::HierarchyOptions;
-use chlm_sim::{LmScheme, MobilityKind, SimConfig, Simulation};
+use chlm_geom::{Disk, SimRng};
+use chlm_mobility::{MobilityModel, RandomWaypoint};
+use chlm_sim::stage::{TopologyStage, UnitDiskTopology};
+use chlm_sim::{LmScheme, MobilityKind, SimConfig, SimConfigBuilder, Simulation};
 use common::{reference_stages_with, simulation};
 
 fn mobility_kinds() -> Vec<(&'static str, MobilityKind)> {
@@ -38,6 +43,15 @@ fn mobility_kinds() -> Vec<(&'static str, MobilityKind)> {
 /// The equality tests pass a nonzero `query_rate` so lookup resolution sits
 /// inside the compared report; the pinned digests run with the query plane
 /// off (`0.0`).
+fn config(n: usize, seed: u64, mobility: MobilityKind, query_rate: f64) -> SimConfigBuilder {
+    SimConfig::builder(n)
+        .mobility(mobility)
+        .duration(2.0)
+        .warmup(0.5)
+        .seed(seed)
+        .query_rate(query_rate)
+}
+
 fn run(
     n: usize,
     seed: u64,
@@ -45,20 +59,41 @@ fn run(
     reference: bool,
     query_rate: f64,
 ) -> chlm_sim::SimReport {
-    let cfg = SimConfig::builder(n)
-        .mobility(mobility)
-        .duration(2.0)
-        .warmup(0.5)
-        .seed(seed)
-        .query_rate(query_rate)
-        .build();
-    simulation(cfg, reference).run()
+    simulation(config(n, seed, mobility, query_rate).build(), reference).run()
 }
 
-/// Every mobility kind × 4 seeds: incremental == from-scratch, on the
-/// whole report.
+/// `config` at three radio ranges of displacement per tick (thirty default
+/// ticks' worth, far past the Verlet slack) for twelve ticks: every tick is
+/// a grid rebuild that offers the hierarchy stage no diff, so the
+/// maintainer derives the flips itself (its resync path).
+fn coarse_config(seed: u64, mobility: MobilityKind) -> SimConfig {
+    // `mobility(Static)` zeroes the speed; the tick is sized by the
+    // default one either way.
+    let base = SimConfig::builder(90).build();
+    let dt = 3.0 * base.rtx() / base.speed;
+    config(90, seed, mobility, 2.0)
+        .dt(dt)
+        .duration(12.0 * dt)
+        .build()
+}
+
+/// Every mobility kind × 4 seeds at the default tick, × 2 seeds at the
+/// diff-less coarse tick: incremental == from-scratch, on the whole report.
 #[test]
 fn incremental_matches_reference_everywhere() {
+    // The coarse rows' premise, checked once on the production topology
+    // stage stepped the same way.
+    let cfg = coarse_config(11, MobilityKind::Waypoint);
+    let region = Disk::centered(cfg.region_radius());
+    let mut model =
+        RandomWaypoint::deployed(region, cfg.n, cfg.speed, 0.0, &mut SimRng::seed_from(11));
+    let mut topology = UnitDiskTopology::new(model.positions(), cfg.rtx(), 1);
+    for _ in 0..3 {
+        model.step(cfg.tick());
+        topology.update(model.positions());
+        assert!(topology.last_diff().is_none(), "coarse tick was patched");
+    }
+
     for (name, kind) in mobility_kinds() {
         for seed in [11u64, 29, 47, 83] {
             let fast = run(90, seed, kind, false, 2.0);
@@ -66,6 +101,14 @@ fn incremental_matches_reference_everywhere() {
             assert_eq!(
                 fast, reference,
                 "incremental engine diverged (mobility={name}, seed={seed})"
+            );
+        }
+        for seed in [11u64, 29] {
+            let fast = simulation(coarse_config(seed, kind), false).run();
+            let reference = simulation(coarse_config(seed, kind), true).run();
+            assert_eq!(
+                fast, reference,
+                "incremental engine diverged (mobility={name}, seed={seed}, coarse tick)"
             );
         }
     }
@@ -78,15 +121,8 @@ fn incremental_matches_reference_everywhere() {
 #[test]
 fn incremental_matches_reference_per_scheme() {
     let scheme_run = |scheme: LmScheme, seed: u64, reference: bool| {
-        let cfg = SimConfig::builder(90)
-            .mobility(MobilityKind::Waypoint)
-            .duration(2.0)
-            .warmup(0.5)
-            .seed(seed)
-            .query_rate(2.0)
-            .lm_scheme(scheme)
-            .build();
-        simulation(cfg, reference).run()
+        let cfg = config(90, seed, MobilityKind::Waypoint, 2.0).lm_scheme(scheme);
+        simulation(cfg.build(), reference).run()
     };
     for scheme in [LmScheme::Gls, LmScheme::HomeAgent] {
         for seed in [11u64, 29] {
@@ -101,7 +137,7 @@ fn incremental_matches_reference_per_scheme() {
     }
 }
 
-/// A denser network exercises deeper hierarchies and more LM cache
+/// A denser network exercises deeper hierarchies and more host
 /// churn; one spot-check at a bigger n keeps the suite honest without
 /// making it slow.
 #[test]
