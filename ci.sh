@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full correctness gate, in the same order CI runs it. Any step failing
-# fails the script. Run from the workspace root: ./ci.sh
+# Full correctness gate: the one copy, which the CI workflow's `checks`
+# job runs as is. Any step failing fails the script. Run from the
+# workspace root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,8 +31,9 @@ test -s target/step_reach.json
 # message set, the inner-thread env knob, and the private shortest-path
 # state of the hop oracle (row cache + buffer pool) and of the packet
 # network (per-destination next-hop trees) that `Graph::hop_row` replaced,
-# and the LM walk's cross-tick entry reuse with the cluster arena that fed
-# it (1 % of entries on every workload).
+# the LM walk's cross-tick entry reuse with the cluster arena that fed
+# it (1 % of entries on every workload), and the second facade crate with
+# its per-size sweep loop (every sweep is one `run_sweep` pool now).
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.)
 step "leftover check (removed twins stay removed)"
@@ -39,6 +41,7 @@ removed='full_rebuild\|PacketEngine\|with_handoff\|run_engine'
 removed+='\|LedgerHandoffObserver\|PacketHandoffObserver\|AnalyticSchemeObserver\|PacketSchemeObserver\|AnalyticQueryObserver\|PacketQueryObserver\|send_handoff\|execute_handoff\|execute_queries\|THREADS_INNER'
 removed+='\|tree_for\|with_pool\|into_pool\|cached_sources'
 removed+='\|ClusterArena\|ClusterHandle\|ArenaStamps\|subtree_changed_at\|compute_cached_stamped\|entries_reused\|debug_desync_arena\|LmCache'
+removed+='\|chlm_core\|run_replications\|SweepPoint'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
   exit 1

@@ -40,6 +40,13 @@ impl Summary {
         })
     }
 
+    /// Summarize `metric` over `items` (e.g. one replication set's
+    /// reports). Returns `None` for an empty slice.
+    pub fn over<T>(items: &[T], metric: impl Fn(&T) -> f64) -> Option<Summary> {
+        let xs: Vec<f64> = items.iter().map(metric).collect();
+        Summary::of(&xs)
+    }
+
     pub fn std_dev(&self) -> f64 {
         self.variance.sqrt()
     }
@@ -178,6 +185,11 @@ mod tests {
         assert_eq!(s.max, 4.0);
         assert!(s.ci95() > 0.0);
         assert!(Summary::of(&[]).is_none());
+        assert_eq!(
+            Summary::over(&[(1.0, 'a'), (3.0, 'b')], |p| p.0),
+            Summary::of(&[1.0, 3.0])
+        );
+        assert!(Summary::over(&[] as &[f64], |&x| x).is_none());
     }
 
     #[test]

@@ -10,32 +10,23 @@
 //! assumption matters for its conclusion.
 
 use chlm_analysis::regression::ModelClass;
+use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, print_fits, replications, sweep_sizes};
-use chlm_cluster::Hierarchy;
+use chlm_bench::{banner, mean, print_fits, replications, sweep_sizes, Deployment, MetricSeries};
 use chlm_cluster::HierarchyOptions;
-use chlm_core::experiment::MetricSeries;
-use chlm_geom::{Disk, SimRng};
-use chlm_graph::unit_disk::build_unit_disk;
+use chlm_geom::SimRng;
 use chlm_lm::churn::{birth_cost, death_cost};
 use chlm_lm::server::SelectionRule;
 
 fn main() {
     banner("E21 / §1 exclusion", "single node birth/death handoff cost");
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
     let reps = replications().max(4);
     let opts = HierarchyOptions {
         max_levels: usize::MAX,
         min_reduction: 1.25,
     };
 
-    let mut series = MetricSeries {
-        name: "death_packets".into(),
-        sizes: Vec::new(),
-        means: Vec::new(),
-        ci95: Vec::new(),
-    };
+    let mut series = MetricSeries::new("death_packets");
     let victims_per_rep = 8;
     let mut t = TextTable::new(vec![
         "n",
@@ -56,16 +47,13 @@ fn main() {
         let samples = (reps * victims_per_rep) as f64;
         for r in 0..reps {
             let mut rng = SimRng::seed_from(21_000 + n as u64 + 13 * r as u64);
-            let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
-            let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-            let g = build_unit_disk(&pts, rtx);
-            let ids = rng.permutation(n);
-            let h = Hierarchy::build(&ids, &g, opts);
-            let hop = |a: u32, b: u32| (pts[a as usize].dist(pts[b as usize]) / rtx * 1.3).max(1.0);
+            let dep = Deployment::draw(n, &mut rng);
+            let h = dep.hierarchy(opts);
+            let hop = |a: u32, b: u32| dep.hops(a, b);
             for _ in 0..victims_per_rep {
                 let victim = rng.index(n) as u32;
-                let d = death_cost(&ids, &g, victim, SelectionRule::Hrw, opts, hop);
-                let b = birth_cost(&ids, &g, victim, SelectionRule::Hrw, opts, hop);
+                let d = death_cost(&dep.ids, &dep.graph, victim, SelectionRule::Hrw, opts, hop);
+                let b = birth_cost(&dep.ids, &dep.graph, victim, SelectionRule::Hrw, opts, hop);
                 death_pkts.push(d.total_packets());
                 if h.levels[0].is_head[victim as usize] {
                     head_pkts.push(d.total_packets());
@@ -77,26 +65,17 @@ fn main() {
                 birth_pkts += b.total_packets() / samples;
             }
         }
-        let s = chlm_analysis::stats::Summary::of(&death_pkts).unwrap();
-        let mean_of = |v: &[f64]| {
-            if v.is_empty() {
-                f64::NAN
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
+        let s = Summary::of(&death_pkts).unwrap();
         t.row(vec![
             format!("{n}"),
             fnum(s.mean),
-            fnum(mean_of(&leaf_pkts)),
-            fnum(mean_of(&head_pkts)),
+            fnum(mean(leaf_pkts)),
+            fnum(mean(head_pkts)),
             fnum(lost),
             fnum(shifted),
             fnum(birth_pkts),
         ]);
-        series.sizes.push(n as f64);
-        series.means.push(s.mean);
-        series.ci95.push(s.ci95());
+        series.push(n, s.mean, s.ci95());
     }
     println!("{}", t.render());
     print_fits(&series, ModelClass::SqrtN);

@@ -7,10 +7,10 @@
 //! head-set size, depth, and head churn per node per second.
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_usize};
+use chlm_bench::{banner, env_usize, measured_seconds, standard_region, standard_rtx, MIN_N};
 use chlm_cluster::maxmin::MaxMinHierarchy;
 use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_geom::{Disk, SimRng};
+use chlm_geom::SimRng;
 use chlm_graph::unit_disk::build_unit_disk;
 use chlm_graph::NodeIdx;
 use chlm_mobility::{MobilityModel, RandomWaypoint};
@@ -25,13 +25,12 @@ struct Churn {
 
 fn main() {
     banner("E15 / §2.2", "clustering ablation: LCA vs max-min d-hop");
-    let n = env_usize("CHLM_MAX_N", 1024).min(512);
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
-    let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    let rtx = standard_rtx();
+    let region = standard_region(n);
     let speed = 2.0;
     let dt = rtx / (10.0 * speed);
-    let ticks = (chlm_bench::env_f64("CHLM_DURATION", 8.0) / dt) as usize;
+    let ticks = (measured_seconds(8.0) / dt) as usize;
 
     let mut rng = SimRng::seed_from(15_000);
     let ids = rng.permutation(n);

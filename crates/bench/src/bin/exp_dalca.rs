@@ -10,16 +10,13 @@
 
 use chlm_analysis::regression::relative_spread;
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, replications, sweep_sizes};
-use chlm_geom::{Disk, SimRng};
-use chlm_graph::unit_disk::build_unit_disk;
+use chlm_bench::{banner, replications, sweep_sizes, Deployment};
+use chlm_geom::SimRng;
 use chlm_graph::NodeIdx;
 use chlm_proto::dalca::Dalca;
 
 fn main() {
     banner("E22", "distributed ALCA: convergence + message locality");
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
     let reps = replications().max(4);
     let mut t = TextTable::new(vec![
         "n",
@@ -33,10 +30,9 @@ fn main() {
         let mut per_change = 0.0;
         for r in 0..reps {
             let mut rng = SimRng::seed_from(22_000 + n as u64 + 17 * r as u64);
-            let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
-            let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-            let mut g = build_unit_disk(&pts, rtx);
-            let ids = rng.permutation(n);
+            let Deployment {
+                graph: mut g, ids, ..
+            } = Deployment::draw(n, &mut rng);
             let mut d = Dalca::new(&ids, &g, 0.001);
             let boot = d.run_until_quiescent();
             startup += boot as f64 / n as f64 / reps as f64;

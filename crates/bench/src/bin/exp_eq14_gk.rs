@@ -4,17 +4,15 @@
 //! break a level-k link.
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_usize, replications, standard_config, threads};
-use chlm_core::experiment::sweep;
+use chlm_bench::{banner, env_usize, mean_of, mean_some, standard_sweep, MIN_N};
 
 fn main() {
     banner(
         "E8 / eq. (14)",
         "per-cluster-link state-change frequency g'_k",
     );
-    let n = env_usize("CHLM_MAX_N", 1024).min(2048);
-    let points = sweep(&[n], replications(), 8000, threads(), standard_config);
-    let reports = &points[0].reports;
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
+    let reports = &standard_sweep(&[n], 8000)[0];
 
     let depth = reports.iter().map(|r| r.rates.max_level()).max().unwrap();
     let mut t = TextTable::new(vec![
@@ -27,23 +25,12 @@ fn main() {
     ]);
     let mut products = Vec::new();
     for k in 1..=depth {
-        let gk: f64 = reports.iter().map(|r| r.rates.g_k(k)).sum::<f64>() / reports.len() as f64;
-        let gpk_all: f64 =
-            reports.iter().map(|r| r.rates.g_prime_k(k)).sum::<f64>() / reports.len() as f64;
-        let gpk: f64 = reports
-            .iter()
-            .map(|r| r.rates.g_prime_persisting_k(k))
-            .sum::<f64>()
-            / reports.len() as f64;
-        let hks: Vec<f64> = reports
-            .iter()
-            .filter_map(|r| r.final_levels.get(k).and_then(|s| s.intra_cluster_hops))
-            .collect();
-        let h_k = if hks.is_empty() {
-            f64::NAN
-        } else {
-            hks.iter().sum::<f64>() / hks.len() as f64
-        };
+        let gk = mean_of(reports, |r| r.rates.g_k(k));
+        let gpk_all = mean_of(reports, |r| r.rates.g_prime_k(k));
+        let gpk = mean_of(reports, |r| r.rates.g_prime_persisting_k(k));
+        let h_k = mean_some(reports, |r| {
+            r.final_levels.get(k).and_then(|s| s.intra_cluster_hops)
+        });
         let prod = gpk * h_k;
         let level_pop: usize = reports
             .iter()
@@ -74,13 +61,7 @@ fn main() {
         // dominated low-level regime with decay emerging above it, or no
         // support at all.
         let drift: Vec<f64> = (1..=depth)
-            .map(|k| {
-                reports
-                    .iter()
-                    .map(|r| r.rates.g_prime_persisting_k(k))
-                    .sum::<f64>()
-                    / reports.len() as f64
-            })
+            .map(|k| mean_of(reports, |r| r.rates.g_prime_persisting_k(k)))
             .collect();
         let peak = drift.iter().copied().fold(f64::MIN, f64::max);
         let tail = drift

@@ -5,19 +5,16 @@
 //! which eq. (3) predicts to be roughly constant across levels and sizes.
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, sweep_sizes};
+use chlm_bench::{banner, mean, sweep_sizes, Deployment};
 use chlm_cluster::metrics::level_stats;
-use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_geom::{Disk, SimRng};
-use chlm_graph::unit_disk::build_unit_disk;
+use chlm_cluster::HierarchyOptions;
+use chlm_geom::SimRng;
 
 fn main() {
     banner(
         "E4 / eq. (3)",
         "intra-cluster hop count vs sqrt aggregation",
     );
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
     let mut t = TextTable::new(vec![
         "n",
         "level",
@@ -30,11 +27,7 @@ fn main() {
 
     for &n in &sweep_sizes() {
         let mut rng = SimRng::seed_from(4000 + n as u64);
-        let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
-        let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let g = build_unit_disk(&pts, rtx);
-        let ids = rng.permutation(n);
-        let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
+        let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
         let stats = level_stats(&h, 10, &mut rng);
         for s in stats.iter().filter(|s| s.level >= 1 && s.nodes >= 3) {
             if let Some(hk) = s.intra_cluster_hops {
@@ -52,7 +45,7 @@ fn main() {
         }
     }
     println!("{}", t.render());
-    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+    let mean = mean(ratios.iter().copied());
     let max = ratios.iter().copied().fold(f64::MIN, f64::max);
     let min = ratios.iter().copied().fold(f64::MAX, f64::min);
     println!(

@@ -5,17 +5,16 @@
 use chlm_analysis::regression::{relative_spread, ModelClass};
 use chlm_analysis::theory::f0_prediction;
 use chlm_bench::{
-    banner, print_fits, print_series, replications, standard_config, sweep_sizes, threads,
+    banner, print_fits, print_series, standard_config, standard_sweep, sweep_sizes, MetricSeries,
 };
-use chlm_core::experiment::{summarize_metric, sweep};
 
 fn main() {
     banner("E5 / eq. (4)", "level-0 link-change frequency f0 vs n");
     let sizes = sweep_sizes();
-    let points = sweep(&sizes, replications(), 5000, threads(), standard_config);
+    let reports = standard_sweep(&sizes, 5000);
 
-    let f0 = summarize_metric(&points, "f0", |r| r.f0);
-    let degree = summarize_metric(&points, "degree", |r| r.mean_degree);
+    let f0 = MetricSeries::of("f0", &sizes, &reports, |r| r.f0);
+    let degree = MetricSeries::of("degree", &sizes, &reports, |r| r.mean_degree);
     print_series(&[&f0, &degree]);
 
     // Closed-form prediction at each size.

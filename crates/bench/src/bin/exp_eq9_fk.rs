@@ -4,14 +4,12 @@
 //! `φ_k` equal (eq. 6) and φ polylogarithmic.
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_usize, replications, standard_config, threads};
-use chlm_core::experiment::sweep;
+use chlm_bench::{banner, env_usize, mean_of, mean_some, standard_sweep, MIN_N};
 
 fn main() {
     banner("E6 / eq. (9)", "level-k migration frequency decay");
-    let n = env_usize("CHLM_MAX_N", 1024).min(2048);
-    let points = sweep(&[n], replications(), 6000, threads(), standard_config);
-    let reports = &points[0].reports;
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
+    let reports = &standard_sweep(&[n], 6000)[0];
 
     // Pool per-level migration rates and h_k across replications.
     let depth = reports.iter().map(|r| r.rates.max_level()).max().unwrap();
@@ -19,18 +17,11 @@ fn main() {
     let mut prev_fk: Option<f64> = None;
     let mut products = Vec::new();
     for k in 1..=depth {
-        let fks: Vec<f64> = reports.iter().map(|r| r.rates.f_k(k)).collect();
-        let f_k = fks.iter().sum::<f64>() / fks.len() as f64;
+        let f_k = mean_of(reports, |r| r.rates.f_k(k));
         // h_k from the final-tick level stats (mean across replications).
-        let hks: Vec<f64> = reports
-            .iter()
-            .filter_map(|r| r.final_levels.get(k).and_then(|s| s.intra_cluster_hops))
-            .collect();
-        let h_k = if hks.is_empty() {
-            f64::NAN
-        } else {
-            hks.iter().sum::<f64>() / hks.len() as f64
-        };
+        let h_k = mean_some(reports, |r| {
+            r.final_levels.get(k).and_then(|s| s.intra_cluster_hops)
+        });
         let product = f_k * h_k;
         // Only levels still in the asymptotic regime enter the verdict:
         // near the top of the hierarchy a cluster spans most of the

@@ -6,14 +6,12 @@
 //! so the zero-cost claim is exercised, not vacuous).
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_usize, replications, standard_config, threads};
-use chlm_core::experiment::sweep;
+use chlm_bench::{banner, env_usize, standard_sweep, MIN_N};
 
 fn main() {
     banner("E10 / §5.2", "event classes (i)-(vii) frequency breakdown");
-    let n = env_usize("CHLM_MAX_N", 1024).min(1024);
-    let points = sweep(&[n], replications(), 10_000, threads(), standard_config);
-    let reports = &points[0].reports;
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
+    let reports = &standard_sweep(&[n], 10_000)[0];
     let node_seconds: f64 = reports.iter().map(|r| r.rates.node_seconds).sum();
 
     // Pool counts across replications.

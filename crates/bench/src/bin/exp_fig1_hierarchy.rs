@@ -8,36 +8,22 @@
 
 use chlm_analysis::regression::ModelClass;
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, print_fits, sweep_sizes};
+use chlm_bench::{banner, print_fits, sweep_sizes, Deployment, MetricSeries};
 use chlm_cluster::metrics::{format_stats_table, level_stats};
-use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_core::experiment::MetricSeries;
-use chlm_geom::{Disk, SimRng};
-use chlm_graph::unit_disk::build_unit_disk;
+use chlm_cluster::HierarchyOptions;
+use chlm_geom::SimRng;
 
 fn main() {
     banner("E1 / Fig. 1", "LCA clustered hierarchy structure");
     let sizes = sweep_sizes();
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
-
-    let mut depth_series = MetricSeries {
-        name: "depth".into(),
-        sizes: Vec::new(),
-        means: Vec::new(),
-        ci95: Vec::new(),
-    };
+    let mut depth_series = MetricSeries::new("depth");
     let mut arity_table = TextTable::new(vec!["n", "L", "mean_alpha", "mean_d1", "top_|V_L|"]);
 
     let seeds = chlm_bench::replications().max(8);
     for &n in &sizes {
         // Representative deployment for the per-level table…
         let mut rng = SimRng::seed_from(1000 + n as u64);
-        let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
-        let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let g = build_unit_disk(&pts, rtx);
-        let ids = rng.permutation(n);
-        let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
+        let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
         let stats = level_stats(&h, 6, &mut rng);
 
         println!("--- n = {n} ---");
@@ -49,11 +35,8 @@ fn main() {
         let mut depth_sum = 0.0;
         for s in 0..seeds {
             let mut rng = SimRng::seed_from(1000 + n as u64 + 31 * s as u64);
-            let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-            let g = build_unit_disk(&pts, rtx);
-            let ids = rng.permutation(n);
-            depth_sum +=
-                (Hierarchy::build(&ids, &g, HierarchyOptions::default()).depth() - 1) as f64;
+            let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
+            depth_sum += (h.depth() - 1) as f64;
         }
         let mean_depth = depth_sum / seeds as f64;
 
@@ -66,9 +49,7 @@ fn main() {
             fnum(stats.get(1).map_or(0.0, |s| s.mean_degree)),
             format!("{}", stats.last().unwrap().nodes),
         ]);
-        depth_series.sizes.push(n as f64);
-        depth_series.means.push(mean_depth);
-        depth_series.ci95.push(0.0);
+        depth_series.push(n, mean_depth, 0.0);
     }
 
     println!("{}", arity_table.render());

@@ -7,14 +7,14 @@
 //! arbitrary ID mix).
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::banner;
+use chlm_bench::{banner, mean, standard_rtx, DENSITY};
 use chlm_geom::{Rect, SimRng};
 use chlm_lm::gls::{GlsAssignment, GridHierarchy, NO_SERVER};
 
 fn run_one(n: usize) {
-    let side = (n as f64 / 1.25).sqrt(); // fixed density square
+    let side = (n as f64 / DENSITY).sqrt(); // fixed density square
     let bounds = Rect::square(side);
-    let rtx = chlm_geom::rtx_for_degree(9.0, 1.25);
+    let rtx = standard_rtx();
     let mut rng = SimRng::seed_from(2000 + n as u64);
     let pts = chlm_geom::region::deploy_uniform(&bounds, n, &mut rng);
     let ids: Vec<u64> = rng.permutation(n);
@@ -50,7 +50,7 @@ fn run_one(n: usize) {
 
     // Server-load balance (feature of eq. (5) in its native habitat).
     let loads = a.entries_hosted();
-    let mean = loads.iter().map(|&c| c as f64).sum::<f64>() / n as f64;
+    let mean = mean(loads.iter().map(|&c| c as f64));
     let max = *loads.iter().max().unwrap() as f64;
     println!(
         "server load: mean = {mean:.2}, max = {max}, max/mean = {:.2}\n",

@@ -8,17 +8,15 @@
 
 use chlm_analysis::markov::{binomial_occupancy, rank_mixture_occupancy, total_variation};
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_usize, replications, standard_config, threads};
-use chlm_core::experiment::sweep;
+use chlm_bench::{banner, env_usize, mean_of, mean_some, standard_sweep, MIN_N};
 
 fn main() {
     banner(
         "E3 / Fig. 3",
         "ALCA state occupancy vs birth-death prediction",
     );
-    let n = env_usize("CHLM_MAX_N", 1024).min(1024);
-    let points = sweep(&[n], replications(), 3000, threads(), standard_config);
-    let reports = &points[0].reports;
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
+    let reports = &standard_sweep(&[n], 3000)[0];
 
     // Pool level-0 distributions across replications.
     let max_state = reports
@@ -33,7 +31,7 @@ fn main() {
         }
     }
     // Binomial fit: match the empirical mean elector count.
-    let mean_degree = reports.iter().map(|r| r.mean_degree).sum::<f64>() / reports.len() as f64;
+    let mean_degree = mean_of(reports, |r| r.mean_degree);
     let mean_state: f64 = pooled.iter().enumerate().map(|(s, &p)| s as f64 * p).sum();
     let d = mean_degree.round().max(1.0) as usize;
     let q = (mean_state / d as f64).clamp(0.0, 1.0);
@@ -63,22 +61,11 @@ fn main() {
     let mut lt = TextTable::new(vec!["level", "p_state1", "multi_jump_frac"]);
     let depth = reports.iter().map(|r| r.state.p1.len()).max().unwrap();
     for k in 0..depth {
-        let p1s: Vec<f64> = reports
-            .iter()
-            .filter_map(|r| r.state.p1.get(k).copied().flatten())
-            .collect();
-        let mj: Vec<f64> = reports
-            .iter()
-            .filter_map(|r| r.state.multi_jump_fraction.get(k).copied().flatten())
-            .collect();
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                f64::NAN
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
-        lt.row(vec![format!("{k}"), fnum(mean(&p1s)), fnum(mean(&mj))]);
+        let p1 = mean_some(reports, |r| r.state.p1.get(k).copied().flatten());
+        let mj = mean_some(reports, |r| {
+            r.state.multi_jump_fraction.get(k).copied().flatten()
+        });
+        lt.row(vec![format!("{k}"), fnum(p1), fnum(mj)]);
     }
     println!("{}", lt.render());
     println!("note: multi-state jumps are the 'usurped head' mass transition the");

@@ -8,16 +8,15 @@
 use chlm_analysis::regression::ModelClass;
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_bench::{
-    banner, print_fits, print_series, replications, standard_config, sweep_sizes, threads,
+    banner, mean_of, print_fits, print_series, standard_sweep, sweep_sizes, MetricSeries,
 };
-use chlm_core::experiment::{summarize_metric, sweep};
 
 fn main() {
     banner("E9 / §5", "reorganization handoff overhead gamma");
     let sizes = sweep_sizes();
-    let points = sweep(&sizes, replications(), 9000, threads(), standard_config);
+    let sweep = standard_sweep(&sizes, 9000);
 
-    let gamma = summarize_metric(&points, "gamma", |r| r.gamma_total());
+    let gamma = MetricSeries::of("gamma", &sizes, &sweep, |r| r.gamma_total());
     print_series(&[&gamma]);
     print_fits(&gamma, ModelClass::Log2N);
 
@@ -26,13 +25,10 @@ fn main() {
     // cost should grow at most logarithmically in n — isolating the
     // asymptotic claim from the saturated topmost levels.
     let mut slice = TextTable::new(vec!["n", "gamma_2", "gamma_3", "gamma_4", "gamma_5"]);
-    for p in &points {
-        let mean = |k: usize| {
-            let v: Vec<f64> = p.reports.iter().map(|r| r.ledger.gamma(k)).collect();
-            v.iter().sum::<f64>() / v.len() as f64
-        };
+    for (n, reports) in sizes.iter().zip(&sweep) {
+        let mean = |k: usize| mean_of(reports, |r| r.ledger.gamma(k));
         slice.row(vec![
-            format!("{}", p.n),
+            format!("{n}"),
             fnum(mean(2)),
             fnum(mean(3)),
             fnum(mean(4)),
@@ -42,30 +38,19 @@ fn main() {
     println!("fixed-level gamma_k across sizes (each column should grow at most ~log n):");
     println!("{}", slice.render());
 
-    let last = points.last().unwrap();
-    let depth = last
-        .reports
-        .iter()
-        .map(|r| r.ledger.max_level())
-        .max()
-        .unwrap();
+    let (n, last) = (sizes.last().unwrap(), sweep.last().unwrap());
+    let depth = last.iter().map(|r| r.ledger.max_level()).max().unwrap();
     let mut t = TextTable::new(vec!["level", "gamma_k", "reorg_entry_moves/node/s"]);
     for k in 2..=depth {
-        let g: Vec<f64> = last.reports.iter().map(|r| r.ledger.gamma(k)).collect();
-        let ev: Vec<f64> = last
-            .reports
-            .iter()
-            .map(|r| {
-                let c = r.ledger.per_level.get(k).copied().unwrap_or_default();
-                c.reorg_events as f64 / r.ledger.node_seconds.max(1e-12)
-            })
-            .collect();
         t.row(vec![
             format!("{k}"),
-            fnum(g.iter().sum::<f64>() / g.len() as f64),
-            fnum(ev.iter().sum::<f64>() / ev.len() as f64),
+            fnum(mean_of(last, |r| r.ledger.gamma(k))),
+            fnum(mean_of(last, |r| {
+                let c = r.ledger.per_level.get(k).copied().unwrap_or_default();
+                c.reorg_events as f64 / r.ledger.node_seconds.max(1e-12)
+            })),
         ]);
     }
-    println!("per-level profile at n = {}:", last.n);
+    println!("per-level profile at n = {n}:");
     println!("{}", t.render());
 }

@@ -7,10 +7,9 @@
 //! rendezvous hashing on identical hierarchies.
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, sweep_sizes};
-use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_geom::{Disk, SimRng};
-use chlm_graph::unit_disk::build_unit_disk;
+use chlm_bench::{banner, sweep_sizes, Deployment};
+use chlm_cluster::HierarchyOptions;
+use chlm_geom::SimRng;
 use chlm_lm::server::{LmAssignment, SelectionRule};
 
 fn gini(loads: &[u32]) -> f64 {
@@ -35,8 +34,6 @@ fn main() {
         "E14 / §3.2",
         "server-selection hash ablation: HRW vs eq. (5)",
     );
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
     let mut t = TextTable::new(vec![
         "n",
         "hrw max/mean",
@@ -47,16 +44,12 @@ fn main() {
     ]);
     for &n in &sweep_sizes() {
         let mut rng = SimRng::seed_from(14_000 + n as u64);
-        let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
-        let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let g = build_unit_disk(&pts, rtx);
-        let ids = rng.permutation(n);
-        let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
+        let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
 
         let hrw = LmAssignment::compute(&h, SelectionRule::Hrw).entries_hosted();
         let modr = LmAssignment::compute(&h, SelectionRule::ModSuccessor { id_space: n as u64 })
             .entries_hosted();
-        let mean = hrw.iter().map(|&c| c as f64).sum::<f64>() / n as f64;
+        let mean = chlm_bench::mean(hrw.iter().map(|&c| c as f64));
         let ratio = |loads: &[u32]| *loads.iter().max().unwrap() as f64 / mean.max(1e-12);
         t.row(vec![
             format!("{n}"),

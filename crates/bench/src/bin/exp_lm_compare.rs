@@ -12,7 +12,9 @@
 //! (mobility, n, seed), all three schemes fanned out as observer banks.
 
 use chlm_bench::lm_compare::{mobility_models, render_tables, run_compare, CompareSpec};
-use chlm_bench::{env_f64, env_usize, replications, threads};
+use chlm_bench::{
+    env_usize, measured_seconds, replications, scaling_sizes, threads, warmup_seconds,
+};
 use chlm_sim::HopMetric;
 use std::time::Instant;
 
@@ -21,18 +23,13 @@ fn main() {
     let spec = if smoke {
         CompareSpec::smoke(threads())
     } else {
-        let max = env_usize("CHLM_MAX_N", 4096);
-        let sizes: Vec<usize> = chlm_core::scenario::scaling_sizes(max)
-            .into_iter()
-            .filter(|&n| n >= 256)
-            .collect();
         CompareSpec {
-            sizes,
+            sizes: scaling_sizes(256, env_usize("CHLM_MAX_N", 4096, 256)),
             replications: replications(),
             base_seed: 24_000,
             threads: threads(),
-            duration: env_f64("CHLM_DURATION", 8.0),
-            warmup: env_f64("CHLM_WARMUP", 6.0),
+            duration: measured_seconds(8.0),
+            warmup: warmup_seconds(6.0),
             crossing_warmup: true,
             mobilities: mobility_models(),
             hop_metric: HopMetric::EuclideanCalibrated,

@@ -9,7 +9,7 @@
 //! polylog budgets must be scaled on a real radio.
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_usize};
+use chlm_bench::{banner, env_usize, MIN_N};
 use chlm_sim::{Backend, LossSpec, SimConfig, Simulation};
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
         "E23 / extension",
         "handoff transmissions under per-hop loss",
     );
-    let n = env_usize("CHLM_MAX_N", 1024).min(512);
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
     let cfg = |loss: Option<LossSpec>| -> SimConfig {
         let b = SimConfig::builder(n)
             .warmup(5.0)

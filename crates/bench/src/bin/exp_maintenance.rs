@@ -7,28 +7,20 @@
 //! total across sizes.
 
 use chlm_analysis::regression::ModelClass;
+use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, print_fits, replications, sweep_sizes};
+use chlm_bench::{banner, print_fits, replications, sweep_sizes, Deployment, MetricSeries};
 use chlm_cluster::maintenance::price_maintenance;
 use chlm_cluster::metrics::level_stats;
-use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_core::experiment::MetricSeries;
-use chlm_geom::{Disk, SimRng};
-use chlm_graph::unit_disk::build_unit_disk;
+use chlm_cluster::HierarchyOptions;
+use chlm_geom::SimRng;
 
 fn main() {
     banner("E20 / [16]", "cluster-maintenance beaconing overhead vs n");
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
     let beacon_rate = 1.0; // level-0 HELLO at 1 Hz
     let reps = replications().max(4);
 
-    let mut series = MetricSeries {
-        name: "maintenance".into(),
-        sizes: Vec::new(),
-        means: Vec::new(),
-        ci95: Vec::new(),
-    };
+    let mut series = MetricSeries::new("maintenance");
     let mut table = TextTable::new(vec!["n", "pkts/node/s", "ci95", "L", "lvl0 share %"]);
     for &n in &sweep_sizes() {
         let mut totals = Vec::new();
@@ -36,18 +28,14 @@ fn main() {
         let mut lvl0_share = 0.0;
         for r in 0..reps {
             let mut rng = SimRng::seed_from(20_000 + n as u64 + 7 * r as u64);
-            let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
-            let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-            let g = build_unit_disk(&pts, rtx);
-            let ids = rng.permutation(n);
-            let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
+            let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
             let stats = level_stats(&h, 6, &mut rng);
             let (costs, total) = price_maintenance(&stats, beacon_rate);
             totals.push(total);
             depth_sum += h.depth() - 1;
             lvl0_share += costs[0].per_node_per_second / total / reps as f64;
         }
-        let s = chlm_analysis::stats::Summary::of(&totals).unwrap();
+        let s = Summary::of(&totals).unwrap();
         table.row(vec![
             format!("{n}"),
             fnum(s.mean),
@@ -55,9 +43,7 @@ fn main() {
             fnum(depth_sum as f64 / reps as f64),
             fnum(lvl0_share * 100.0),
         ]);
-        series.sizes.push(n as f64);
-        series.means.push(s.mean);
-        series.ci95.push(s.ci95());
+        series.push(n, s.mean, s.ci95());
     }
     println!("{}", table.render());
     print_fits(&series, ModelClass::LogN);

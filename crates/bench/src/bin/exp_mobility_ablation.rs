@@ -8,13 +8,13 @@
 //! direction churn, sits at the other extreme of link volatility.
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_usize, replications, standard_config, threads};
-use chlm_core::experiment::sweep;
-use chlm_sim::MobilityKind;
+use chlm_bench::{banner, env_usize, mean_of, replications, standard_config, threads};
+use chlm_sim::runner::seed_range;
+use chlm_sim::{run_cells, MobilityKind, SimConfig};
 
 fn main() {
     banner("E16 / §1.2", "mobility ablation at n = 512");
-    let n = env_usize("CHLM_MOBILITY_N", 512);
+    let n = env_usize("CHLM_MOBILITY_N", 512, 1);
     let kinds: Vec<(&str, MobilityKind)> = vec![
         ("waypoint", MobilityKind::Waypoint),
         ("direction", MobilityKind::Direction { mean_epoch: 20.0 }),
@@ -38,23 +38,24 @@ fn main() {
         "total",
         "events/node/s",
     ]);
-    for (name, kind) in kinds {
-        let points = sweep(&[n], replications(), 16_000, threads(), |n| {
+    // One cell per mobility process, every cell on the same seeds.
+    let cells: Vec<SimConfig> = kinds
+        .iter()
+        .map(|&(_, kind)| {
             let mut cfg = standard_config(n);
             cfg.mobility = kind;
             cfg
-        });
-        let rs = &points[0].reports;
-        let mean = |f: &dyn Fn(&chlm_sim::SimReport) -> f64| {
-            rs.iter().map(f).sum::<f64>() / rs.len() as f64
-        };
+        })
+        .collect();
+    let reports = run_cells(&cells, &seed_range(16_000, replications()), threads());
+    for ((name, _), rs) in kinds.iter().zip(&reports) {
         t.row(vec![
             name.to_string(),
-            fnum(mean(&|r| r.f0)),
-            fnum(mean(&|r| r.phi_total())),
-            fnum(mean(&|r| r.gamma_total())),
-            fnum(mean(&|r| r.total_overhead())),
-            fnum(mean(&|r| {
+            fnum(mean_of(rs, |r| r.f0)),
+            fnum(mean_of(rs, |r| r.phi_total())),
+            fnum(mean_of(rs, |r| r.gamma_total())),
+            fnum(mean_of(rs, |r| r.total_overhead())),
+            fnum(mean_of(rs, |r| {
                 r.events.grand_total() as f64 / r.rates.node_seconds.max(1e-12)
             })),
         ]);

@@ -8,16 +8,15 @@
 use chlm_analysis::regression::ModelClass;
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_bench::{
-    banner, print_fits, print_series, replications, standard_config, sweep_sizes, threads,
+    banner, mean_of, print_fits, print_series, standard_sweep, sweep_sizes, MetricSeries,
 };
-use chlm_core::experiment::{summarize_metric, sweep};
 
 fn main() {
     banner("E7 / §4", "migration handoff overhead phi");
     let sizes = sweep_sizes();
-    let points = sweep(&sizes, replications(), 7000, threads(), standard_config);
+    let sweep = standard_sweep(&sizes, 7000);
 
-    let phi = summarize_metric(&points, "phi", |r| r.phi_total());
+    let phi = MetricSeries::of("phi", &sizes, &sweep, |r| r.phi_total());
     print_series(&[&phi]);
     print_fits(&phi, ModelClass::Log2N);
 
@@ -26,13 +25,10 @@ fn main() {
     // at most logarithmically in n — this isolates the asymptotic claim
     // from the finite-size saturation of the topmost levels.
     let mut slice = TextTable::new(vec!["n", "phi_2", "phi_3", "phi_4", "phi_5"]);
-    for p in &points {
-        let mean = |k: usize| {
-            let v: Vec<f64> = p.reports.iter().map(|r| r.ledger.phi(k)).collect();
-            v.iter().sum::<f64>() / v.len() as f64
-        };
+    for (n, reports) in sizes.iter().zip(&sweep) {
+        let mean = |k: usize| mean_of(reports, |r| r.ledger.phi(k));
         slice.row(vec![
-            format!("{}", p.n),
+            format!("{n}"),
             fnum(mean(2)),
             fnum(mean(3)),
             fnum(mean(4)),
@@ -42,24 +38,17 @@ fn main() {
     println!("fixed-level phi_k across sizes (each column should grow at most ~log n):");
     println!("{}", slice.render());
 
-    let last = points.last().unwrap();
-    let depth = last
-        .reports
-        .iter()
-        .map(|r| r.ledger.max_level())
-        .max()
-        .unwrap();
+    let (n, last) = (sizes.last().unwrap(), sweep.last().unwrap());
+    let depth = last.iter().map(|r| r.ledger.max_level()).max().unwrap();
     let mut t = TextTable::new(vec!["level", "phi_k", "migration_events/node/s"]);
     for k in 2..=depth {
-        let phik: Vec<f64> = last.reports.iter().map(|r| r.ledger.phi(k)).collect();
-        let fks: Vec<f64> = last.reports.iter().map(|r| r.rates.f_k(k)).collect();
         t.row(vec![
             format!("{k}"),
-            fnum(phik.iter().sum::<f64>() / phik.len() as f64),
-            fnum(fks.iter().sum::<f64>() / fks.len() as f64),
+            fnum(mean_of(last, |r| r.ledger.phi(k))),
+            fnum(mean_of(last, |r| r.rates.f_k(k))),
         ]);
     }
-    println!("per-level profile at n = {}:", last.n);
+    println!("per-level profile at n = {n}:");
     println!("{}", t.render());
     println!("(§4 predicts phi_k ≈ flat across levels: the growing handoff path");
     println!(" length cancels the shrinking migration frequency.)");

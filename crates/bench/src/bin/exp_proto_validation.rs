@@ -12,12 +12,12 @@
 //! see.
 
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_usize};
+use chlm_bench::{banner, env_usize, MIN_N};
 use chlm_sim::{Backend, HopMetric, SimConfig, Simulation};
 
 fn main() {
     banner("E18", "packet-level validation of the handoff accounting");
-    let n = env_usize("CHLM_MAX_N", 1024).min(512);
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
     let cfg = |metric: HopMetric, backend: Backend| -> SimConfig {
         let b = SimConfig::builder(n)
             .warmup(5.0)

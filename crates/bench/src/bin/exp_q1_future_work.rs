@@ -10,27 +10,19 @@
 
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_analysis::theory::{q1_fraction_lower_bound, q_chain, q_total};
-use chlm_bench::{banner, print_series, replications, standard_config, sweep_sizes, threads};
-use chlm_core::experiment::{summarize_metric, sweep, SweepPoint};
+use chlm_bench::{banner, mean_some, print_series, standard_sweep, sweep_sizes, MetricSeries};
+use chlm_sim::SimReport;
 
-fn pooled_p(point: &SweepPoint) -> Vec<f64> {
-    let depth = point
-        .reports
-        .iter()
-        .map(|r| r.state.p1.len())
-        .max()
-        .unwrap();
+fn pooled_p(reports: &[SimReport]) -> Vec<f64> {
+    let depth = reports.iter().map(|r| r.state.p1.len()).max().unwrap();
     (0..depth)
         .map(|k| {
-            let ps: Vec<f64> = point
-                .reports
-                .iter()
-                .filter_map(|r| r.state.p1.get(k).copied().flatten())
-                .collect();
-            if ps.is_empty() {
+            let p = mean_some(reports, |r| r.state.p1.get(k).copied().flatten());
+            // A level no replication observed pools to 0, not NaN.
+            if p.is_nan() {
                 0.0
             } else {
-                ps.iter().sum::<f64>() / ps.len() as f64
+                p
             }
         })
         .collect()
@@ -42,7 +34,7 @@ fn main() {
         "q1 quantification (the paper's future work)",
     );
     let sizes = sweep_sizes();
-    let points = sweep(&sizes, replications(), 11_000, threads(), standard_config);
+    let sweep = standard_sweep(&sizes, 11_000);
 
     let mut t = TextTable::new(vec![
         "n",
@@ -56,8 +48,8 @@ fn main() {
         "eq21b bound",
     ]);
     let mut q1_series = Vec::new();
-    for point in &points {
-        let p = pooled_p(point);
+    for (n, reports) in sizes.iter().zip(&sweep) {
+        let p = pooled_p(reports);
         let depth = p.len();
         // Evaluate the chain at the highest level whose whole p-ladder was
         // actually observed (sparse top levels may have no occupancy data;
@@ -76,7 +68,7 @@ fn main() {
         let qq = q_total(&q);
         q1_series.push(q1);
         t.row(vec![
-            format!("{}", point.n),
+            format!("{n}"),
             format!("{}", depth - 1),
             fnum(p[0]),
             fnum(p.get(1).copied().unwrap_or(0.0)),
@@ -101,7 +93,7 @@ fn main() {
     );
 
     // Context: how often is a node critical at all (p1 per level vs n)?
-    let p1_lvl0 = summarize_metric(&points, "p1_level0", |r| {
+    let p1_lvl0 = MetricSeries::of("p1_level0", &sizes, &sweep, |r| {
         r.state.p1.first().copied().flatten().unwrap_or(0.0)
     });
     print_series(&[&p1_lvl0]);

@@ -17,7 +17,9 @@
 
 use chlm_bench::lm_compare::mobility_models;
 use chlm_bench::query_crossover::{render_tables, run_crossover, CrossoverSpec};
-use chlm_bench::{env_f64, env_usize, replications, threads};
+use chlm_bench::{
+    env_usize, measured_seconds, replications, scaling_sizes, threads, warmup_seconds,
+};
 use std::time::Instant;
 
 fn main() {
@@ -25,19 +27,14 @@ fn main() {
     let spec = if smoke {
         CrossoverSpec::smoke(threads())
     } else {
-        let max = env_usize("CHLM_MAX_N", 1024);
-        let sizes: Vec<usize> = chlm_core::scenario::scaling_sizes(max)
-            .into_iter()
-            .filter(|&n| n >= 256)
-            .collect();
         CrossoverSpec {
-            sizes,
+            sizes: scaling_sizes(256, env_usize("CHLM_MAX_N", 1024, 256)),
             cmrs: vec![0.5, 1.0, 2.0, 4.0, 8.0],
             replications: replications(),
             base_seed: 27_000,
             threads: threads(),
-            duration: env_f64("CHLM_DURATION", 4.0),
-            warmup: env_f64("CHLM_WARMUP", 2.0),
+            duration: measured_seconds(4.0),
+            warmup: warmup_seconds(2.0),
             mobilities: mobility_models(),
         }
     };

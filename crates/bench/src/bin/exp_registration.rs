@@ -9,20 +9,22 @@
 //! fits the registration overhead series.
 
 use chlm_analysis::regression::ModelClass;
+use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, env_f64, print_fits, replications, sweep_sizes};
+use chlm_bench::{
+    banner, measured_seconds, print_fits, replications, standard_region, standard_rtx, sweep_sizes,
+    MetricSeries,
+};
 use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_core::experiment::MetricSeries;
-use chlm_geom::{Disk, SimRng};
+use chlm_geom::SimRng;
 use chlm_graph::unit_disk::build_unit_disk;
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_lm::update::{RegistrationTracker, UpdatePolicy};
 use chlm_mobility::{MobilityModel, RandomWaypoint};
 
 fn run_one(n: usize, seed: u64, duration: f64) -> (f64, Vec<f64>) {
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
-    let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
+    let rtx = standard_rtx();
+    let region = standard_region(n);
     let speed = 2.0;
     let dt = rtx / (10.0 * speed);
     let mut rng = SimRng::seed_from(seed);
@@ -65,15 +67,10 @@ fn run_one(n: usize, seed: u64, duration: f64) -> (f64, Vec<f64>) {
 fn main() {
     banner("E19 / [17]", "location-registration overhead vs n");
     let sizes = sweep_sizes();
-    let duration = env_f64("CHLM_DURATION", 8.0);
+    let duration = measured_seconds(8.0);
     let reps = replications();
 
-    let mut series = MetricSeries {
-        name: "registration".into(),
-        sizes: Vec::new(),
-        means: Vec::new(),
-        ci95: Vec::new(),
-    };
+    let mut series = MetricSeries::new("registration");
     let mut table = TextTable::new(vec!["n", "pkts/node/s", "lvl2", "lvl3", "lvl4", "lvl5"]);
     for &n in &sizes {
         let mut totals = Vec::new();
@@ -87,7 +84,7 @@ fn main() {
                 }
             }
         }
-        let s = chlm_analysis::stats::Summary::of(&totals).unwrap();
+        let s = Summary::of(&totals).unwrap();
         table.row(vec![
             format!("{n}"),
             fnum(s.mean),
@@ -96,9 +93,7 @@ fn main() {
             fnum(level_acc.get(4).copied().unwrap_or(0.0)),
             fnum(level_acc.get(5).copied().unwrap_or(0.0)),
         ]);
-        series.sizes.push(n as f64);
-        series.means.push(s.mean);
-        series.ci95.push(s.ci95());
+        series.push(n, s.mean, s.ci95());
     }
     println!("{}", table.render());
     print_fits(&series, ModelClass::LogN);

@@ -6,11 +6,9 @@
 
 use chlm_analysis::regression::ModelClass;
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{banner, print_fits, sweep_sizes};
-use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_core::experiment::MetricSeries;
-use chlm_geom::{Disk, SimRng};
-use chlm_graph::unit_disk::build_unit_disk;
+use chlm_bench::{banner, mean, print_fits, sweep_sizes, Deployment, MetricSeries};
+use chlm_cluster::HierarchyOptions;
+use chlm_geom::SimRng;
 use chlm_routing::forward::mean_stretch;
 use chlm_routing::nexthop::NextHopTable;
 use chlm_routing::tables::compare_tables;
@@ -20,8 +18,6 @@ fn main() {
         "E17 / §2.1",
         "hierarchical vs flat routing state, and stretch",
     );
-    let density = 1.25;
-    let rtx = chlm_geom::rtx_for_degree(9.0, density);
     let mut t = TextTable::new(vec![
         "n",
         "flat entries",
@@ -31,19 +27,10 @@ fn main() {
         "mean stretch",
         "table stretch",
     ]);
-    let mut series = MetricSeries {
-        name: "hier_table".into(),
-        sizes: Vec::new(),
-        means: Vec::new(),
-        ci95: Vec::new(),
-    };
+    let mut series = MetricSeries::new("hier_table");
     for &n in &sweep_sizes() {
         let mut rng = SimRng::seed_from(17_000 + n as u64);
-        let region = Disk::centered(chlm_geom::disk_radius_for_density(n, density));
-        let pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let g = build_unit_disk(&pts, rtx);
-        let ids = rng.permutation(n);
-        let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
+        let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
         let cmp = compare_tables(&h);
         let pairs: Vec<_> = (0..40)
             .map(|_| (rng.index(n) as u32, rng.index(n) as u32))
@@ -52,16 +39,12 @@ fn main() {
         // Table-driven forwarding (per-node next-hop state, legs confined
         // to the parent cluster — the deployable form of the protocol).
         let tables = NextHopTable::build(&h);
-        let routed: Vec<f64> = pairs
-            .iter()
-            .filter_map(|&(s, t)| tables.route(&h, s, t))
-            .map(|out| out.stretch)
-            .collect();
-        let table_stretch = if routed.is_empty() {
-            f64::NAN
-        } else {
-            routed.iter().sum::<f64>() / routed.len() as f64
-        };
+        let table_stretch = mean(
+            pairs
+                .iter()
+                .filter_map(|&(s, t)| tables.route(&h, s, t))
+                .map(|out| out.stretch),
+        );
         t.row(vec![
             format!("{n}"),
             format!("{}", cmp.flat),
@@ -71,9 +54,7 @@ fn main() {
             fnum(stretch),
             fnum(table_stretch),
         ]);
-        series.sizes.push(n as f64);
-        series.means.push(cmp.mean_hierarchical());
-        series.ci95.push(0.0);
+        series.push(n, cmp.mean_hierarchical(), 0.0);
     }
     println!("{}", t.render());
     print_fits(&series, ModelClass::LogN);

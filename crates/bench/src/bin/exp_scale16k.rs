@@ -1,12 +1,13 @@
-//! E16 (§4–§5 at scale): does the polylog scaling law extrapolate to
-//! n = 16384?
+//! E26 (§4–§5 at scale): does the polylog scaling law extrapolate to
+//! n = `CHLM_SCALE_N` (16384 by default, 131072 for the recorded E26 run)?
 //!
 //! The φ/γ sweeps (E7, E9) fit `a·ln²n + b` on sizes the multi-seed
 //! harness can afford. This experiment is the out-of-sample check the
 //! incremental tick pipeline and the intra-tick worker pools buy: fit
 //! the paper's `O(log² n)` model on a calibration sweep (n ≤ 4096),
-//! then run a *multi-seed* replication set at n = 16384 — four times
-//! beyond the largest calibration point — and compare the measured
+//! then run a *multi-seed* replication set at the extrapolation size —
+//! 16384 is four times beyond the largest calibration point — and
+//! compare the measured
 //! mean ± 95% CI for φ and γ against the fitted curve's prediction.
 //! A mean inside (or below) the extrapolation band is evidence the
 //! polylog law, not a faster-growing one, governs the overhead; a large
@@ -14,20 +15,24 @@
 //!
 //! Knobs: `CHLM_SEEDS` (calibration replications, default 4),
 //! `CHLM_SCALE_SEEDS` (replications at the extrapolation size, default
-//! 5), `CHLM_DURATION` (measured seconds, default 8; the 16k point
-//! always uses this duration too), `CHLM_SCALE_N` (the extrapolation
-//! size, default 16384). The `CHLM_THREADS` budget is shared between
-//! the replication fan-out and each run's intra-tick pools.
+//! 5), `CHLM_DURATION` (measured seconds, default 8; the extrapolation
+//! point always uses this duration too), `CHLM_SCALE_N` (the
+//! extrapolation size, default 16384; above 1024, so the two-parameter
+//! fit has two calibration sizes below it). The `CHLM_THREADS` budget is
+//! shared between the replication fan-out and each run's intra-tick pools.
 
 use chlm_analysis::regression::{fit_model, ModelClass};
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{env_usize, replications, standard_config, threads};
-use chlm_core::experiment::{summarize_metric, sweep};
+use chlm_bench::{
+    env_usize, replications, standard_config, standard_sweep, summarize, threads, MetricSeries,
+};
+use chlm_sim::run_cells;
+use chlm_sim::runner::seed_range;
 
 fn main() {
-    let big_n = env_usize("CHLM_SCALE_N", 16384);
-    let scale_seeds = env_usize("CHLM_SCALE_SEEDS", 5).max(1);
-    println!("== E16: polylog extrapolation to n = {big_n} ==");
+    let big_n = env_usize("CHLM_SCALE_N", 16384, 1025);
+    let scale_seeds = env_usize("CHLM_SCALE_SEEDS", 5, 1);
+    println!("== E26: polylog extrapolation to n = {big_n} ==");
 
     // Calibration sweep: 512..4096, multi-seed.
     let sizes: Vec<usize> = [512usize, 1024, 2048, 4096]
@@ -40,9 +45,9 @@ fn main() {
         replications(),
         threads()
     );
-    let points = sweep(&sizes, replications(), 16000, threads(), standard_config);
-    let phi = summarize_metric(&points, "phi", |r| r.phi_total());
-    let gamma = summarize_metric(&points, "gamma", |r| r.gamma_total());
+    let calibration = standard_sweep(&sizes, 16000);
+    let phi = MetricSeries::of("phi", &sizes, &calibration, |r| r.phi_total());
+    let gamma = MetricSeries::of("gamma", &sizes, &calibration, |r| r.gamma_total());
 
     // Multi-seed extrapolation point: mean ± CI95 over independent seeds,
     // so the verdict is not hostage to one seed's churn realization. The
@@ -50,9 +55,13 @@ fn main() {
     // the seed count go to each run's intra-tick pools (see
     // chlm_sim::budget_split).
     println!("running {scale_seeds}-seed n = {big_n} replication set...");
-    let big = sweep(&[big_n], scale_seeds, 16001, threads(), standard_config);
-    let phi_big = summarize_metric(&big, "phi", |r| r.phi_total());
-    let gamma_big = summarize_metric(&big, "gamma", |r| r.gamma_total());
+    let big = &run_cells(
+        &[standard_config(big_n)],
+        &seed_range(16001, scale_seeds),
+        threads(),
+    )[0];
+    let phi_big = summarize(big, |r| r.phi_total());
+    let gamma_big = summarize(big, |r| r.gamma_total());
 
     let mut t = TextTable::new(vec![
         "metric",
@@ -63,16 +72,13 @@ fn main() {
         "ci95",
         "ratio",
     ]);
-    let mut worst_ratio = 1.0f64;
-    for (series, measured, ci) in [
-        (&phi, phi_big.means[0], phi_big.ci95[0]),
-        (&gamma, gamma_big.means[0], gamma_big.ci95[0]),
-    ] {
+    let mut worst_ratio = f64::NEG_INFINITY;
+    for (series, measured) in [(&phi, phi_big), (&gamma, gamma_big)] {
         let (xs, ys) = series.xy();
         let fit = fit_model(ModelClass::Log2N, xs, ys);
         let predicted = fit.predict(big_n as f64);
         let ratio = if predicted > 0.0 {
-            measured / predicted
+            measured.mean / predicted
         } else {
             f64::INFINITY
         };
@@ -82,16 +88,16 @@ fn main() {
             format!("{}*ln^2(n) + {}", fnum(fit.a), fnum(fit.b)),
             fnum(fit.r2),
             fnum(predicted),
-            fnum(measured),
-            format!("±{}", fnum(ci)),
+            fnum(measured.mean),
+            format!("±{}", fnum(measured.ci95())),
             fnum(ratio),
         ]);
     }
     println!("{}", t.render());
     println!(
         "depth at n = {big_n}: {} levels ({} seeds)",
-        big[0].reports[0].depth,
-        big[0].reports.len()
+        big[0].depth,
+        big.len()
     );
 
     // Verdict: the measured mean "lands on" the fitted curve when it does

@@ -4,20 +4,17 @@
 
 use chlm_analysis::regression::{fit_model, ModelClass};
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_bench::{
-    banner, print_fits, print_series, replications, standard_config, sweep_sizes, threads,
-};
-use chlm_core::experiment::{summarize_metric, sweep};
+use chlm_bench::{banner, print_fits, print_series, standard_sweep, sweep_sizes, MetricSeries};
 
 fn main() {
     banner("E12 / §6", "total LM handoff overhead phi + gamma");
     let sizes = sweep_sizes();
-    let points = sweep(&sizes, replications(), 12_000, threads(), standard_config);
+    let sweep = standard_sweep(&sizes, 12_000);
 
-    let phi = summarize_metric(&points, "phi", |r| r.phi_total());
-    let gamma = summarize_metric(&points, "gamma", |r| r.gamma_total());
-    let total = summarize_metric(&points, "total", |r| r.total_overhead());
-    let entries = summarize_metric(&points, "entries/node", |r| r.mean_entries_hosted);
+    let phi = MetricSeries::of("phi", &sizes, &sweep, |r| r.phi_total());
+    let gamma = MetricSeries::of("gamma", &sizes, &sweep, |r| r.gamma_total());
+    let total = MetricSeries::of("total", &sizes, &sweep, |r| r.total_overhead());
+    let entries = MetricSeries::of("entries/node", &sizes, &sweep, |r| r.mean_entries_hosted);
     print_series(&[&phi, &gamma, &total, &entries]);
 
     let fits = print_fits(&total, ModelClass::Log2N);

@@ -3,68 +3,119 @@
 //! Every binary regenerates one row of DESIGN.md's experiment index
 //! (`cargo run -p chlm-bench --release --bin exp_…`). Scale knobs come from
 //! the environment so the same binaries serve quick smoke runs and the
-//! full EXPERIMENTS.md regeneration:
+//! full EXPERIMENTS.md regeneration. A value that does not parse or lies
+//! outside its range is a usage error (message on stderr, exit status 2):
 //!
-//! * `CHLM_MAX_N`  — largest network size in sweeps (default 1024),
-//! * `CHLM_SEEDS`  — replications per point (default 6),
-//! * `CHLM_DURATION` — measured seconds per replication (default 8),
-//! * `CHLM_THREADS` — worker threads (default: available parallelism).
+//! * `CHLM_MAX_N` — largest network size in sweeps (default 1024, 4096
+//!   for E24/E25; at least the first rung of the binary's size ladder),
+//! * `CHLM_SEEDS` — replications per point (default 6, ≥ 1),
+//! * `CHLM_DURATION` — measured seconds per replication (default 8, 4
+//!   for E27; > 0),
+//! * `CHLM_WARMUP` — warmup seconds before measurement (default 6, 2 for
+//!   E27; ≥ 0; the sweeps extend it to two region crossings),
+//! * `CHLM_MOBILITY_N` — E16's network size (default 512, ≥ 1),
+//! * `CHLM_SCALE_N` — E26's extrapolation size (default 16384, > 1024 so
+//!   two calibration sizes lie below it),
+//! * `CHLM_SCALE_SEEDS` — E26's replications at that size (default 5, ≥ 1),
+//! * `CHLM_THREADS` — worker threads (default: available parallelism;
+//!   read by `chlm_par::thread_budget`, shared with every intra-tick pool).
+//!
+//! Every simulated table comes from one [`chlm_sim::run_sweep`] pool over
+//! its whole (cell × seed) job list, through [`chlm_sim::run_cells`]
+//! ([`standard_sweep`]) or [`chlm_sim::run_grid`].
 
 pub mod lm_compare;
 pub mod query_crossover;
 
 use chlm_analysis::regression::{best_fit, class_is_competitive, FitResult, ModelClass};
+use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_core::experiment::MetricSeries;
-use chlm_sim::SimConfig;
+use chlm_cluster::{Hierarchy, HierarchyOptions};
+use chlm_geom::{Disk, Point, SimRng};
+use chlm_graph::unit_disk::build_unit_disk;
+use chlm_graph::{Graph, NodeIdx};
+use chlm_sim::runner::seed_range;
+use chlm_sim::{run_cells, SimConfig, SimReport};
 
 /// The value of knob `name`: `default` when unset (`raw` is `None`), the
-/// parsed value when set, and otherwise a message naming the knob, what it
-/// takes and what it got — a typo must not silently run the defaults.
+/// parsed value when set and `valid`, and otherwise a message naming the
+/// knob, what it takes (`expected`: type and range) and what it got — a
+/// typo must not silently run the defaults, and a value no run can use
+/// must not reach the code that would panic on it.
 fn parse_knob<T: std::str::FromStr>(
     name: &str,
     raw: Option<&str>,
     default: T,
     expected: &str,
+    valid: impl Fn(&T) -> bool,
 ) -> Result<T, String> {
     match raw {
         None => Ok(default),
         Some(v) => v
             .trim()
             .parse()
-            .map_err(|_| format!("{name}: expected {expected}, got {v:?}")),
+            .ok()
+            .filter(valid)
+            .ok_or_else(|| format!("{name}: expected {expected}, got {v:?}")),
     }
 }
 
-/// Read knob `name` from the environment; a malformed value is a usage
-/// error (message on stderr, exit status 2).
-fn env_knob<T: std::str::FromStr>(name: &str, default: T, expected: &str) -> T {
+/// Read knob `name` from the environment; a malformed or out-of-range
+/// value is a usage error (message on stderr, exit status 2).
+fn env_knob<T: std::str::FromStr>(
+    name: &str,
+    default: T,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> T {
     let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_knob(name, raw.as_deref(), default, expected).unwrap_or_else(|msg| {
+    parse_knob(name, raw.as_deref(), default, expected, valid).unwrap_or_else(|msg| {
         eprintln!("{msg}");
         std::process::exit(2)
     })
 }
 
-/// Read a `usize` env knob.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    env_knob(name, default, "an unsigned integer")
+/// Read a `usize` env knob whose valid range is `min..`.
+pub fn env_usize(name: &str, default: usize, min: usize) -> usize {
+    env_knob(name, default, &format!("an integer >= {min}"), |&v| {
+        v >= min
+    })
 }
 
-/// Read an `f64` env knob.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    env_knob(name, default, "a number")
+/// `CHLM_DURATION`: measured seconds per replication.
+pub fn measured_seconds(default: f64) -> f64 {
+    env_knob("CHLM_DURATION", default, "a number > 0", |&v: &f64| {
+        v > 0.0 && v.is_finite()
+    })
+}
+
+/// `CHLM_WARMUP`: warmup seconds before measurement starts.
+pub fn warmup_seconds(default: f64) -> f64 {
+    env_knob("CHLM_WARMUP", default, "a number >= 0", |&v: &f64| {
+        v >= 0.0 && v.is_finite()
+    })
+}
+
+/// The first rung of the standard size ladder.
+pub const MIN_N: usize = 128;
+
+/// The size ladder `from, 2·from, …` up to `max` (fixed density, so area
+/// grows with `n` per §1.2).
+pub fn scaling_sizes(from: usize, max: usize) -> Vec<usize> {
+    std::iter::successors(Some(from), |n| n.checked_mul(2))
+        .take_while(|&n| n <= max)
+        .collect()
 }
 
 /// The sweep sizes for scaling experiments: 128 doubling up to
 /// `CHLM_MAX_N`.
 pub fn sweep_sizes() -> Vec<usize> {
-    chlm_core::scenario::scaling_sizes(env_usize("CHLM_MAX_N", 1024))
+    scaling_sizes(MIN_N, env_usize("CHLM_MAX_N", 1024, MIN_N))
 }
 
 /// Replications per sweep point.
 pub fn replications() -> usize {
-    env_usize("CHLM_SEEDS", 6)
+    env_usize("CHLM_SEEDS", 6, 1)
 }
 
 /// Worker threads — the workspace-wide `CHLM_THREADS` budget (one knob
@@ -81,12 +132,148 @@ pub fn threads() -> usize {
 /// and confounds the scaling fits.
 pub fn standard_config(n: usize) -> SimConfig {
     let mut cfg = SimConfig::builder(n)
-        .duration(env_f64("CHLM_DURATION", 8.0))
-        .warmup(env_f64("CHLM_WARMUP", 6.0))
+        .duration(measured_seconds(8.0))
+        .warmup(warmup_seconds(6.0))
         .build();
     let crossing = cfg.region_radius() / cfg.speed;
     cfg.warmup = cfg.warmup.max(2.0 * crossing);
     cfg
+}
+
+/// The standard sweep: [`standard_config`] at each size, [`replications`]
+/// seeds from `base_seed`, all sizes in one pool under the `CHLM_THREADS`
+/// budget. `reports[size]` is that size's replication set in seed order.
+pub fn standard_sweep(sizes: &[usize], base_seed: u64) -> Vec<Vec<SimReport>> {
+    let cells: Vec<SimConfig> = sizes.iter().map(|&n| standard_config(n)).collect();
+    run_cells(&cells, &seed_range(base_seed, replications()), threads())
+}
+
+/// Mean of `xs` (`Σ / len`, summed in order); NaN when empty.
+pub fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let xs: Vec<f64> = xs.into_iter().collect();
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// Mean of `metric` over a replication set.
+pub fn mean_of(reports: &[SimReport], metric: impl Fn(&SimReport) -> f64) -> f64 {
+    mean(reports.iter().map(metric))
+}
+
+/// Mean of `metric` over the replications that report it; NaN when none
+/// does (a level only some seeds' hierarchies reach).
+pub fn mean_some(reports: &[SimReport], metric: impl Fn(&SimReport) -> Option<f64>) -> f64 {
+    mean(reports.iter().filter_map(metric))
+}
+
+/// Summary (mean, ci95, …) of `metric` over a replication set.
+pub fn summarize(reports: &[SimReport], metric: impl Fn(&SimReport) -> f64) -> Summary {
+    Summary::over(reports, metric)
+        .expect("replication set is empty (CHLM_SEEDS >= 1 is checked at the knob)")
+}
+
+/// A named series: one (mean, ci95) per network size.
+#[derive(Debug, Clone)]
+pub struct MetricSeries {
+    pub name: String,
+    pub sizes: Vec<f64>,
+    pub means: Vec<f64>,
+    pub ci95: Vec<f64>,
+}
+
+impl MetricSeries {
+    /// An empty series to [`MetricSeries::push`] points onto.
+    pub fn new(name: &str) -> Self {
+        MetricSeries {
+            name: name.to_string(),
+            sizes: Vec::new(),
+            means: Vec::new(),
+            ci95: Vec::new(),
+        }
+    }
+
+    /// `metric` summarized per size over the replication sets of a sweep
+    /// (`reports[size]`, as [`standard_sweep`] returns them).
+    pub fn of(
+        name: &str,
+        sizes: &[usize],
+        reports: &[Vec<SimReport>],
+        metric: impl Fn(&SimReport) -> f64,
+    ) -> Self {
+        let mut series = MetricSeries::new(name);
+        for (&n, replications) in sizes.iter().zip(reports) {
+            let s = summarize(replications, &metric);
+            series.push(n, s.mean, s.ci95());
+        }
+        series
+    }
+
+    /// Append the point for size `n`.
+    pub fn push(&mut self, n: usize, mean: f64, ci95: f64) {
+        self.sizes.push(n as f64);
+        self.means.push(mean);
+        self.ci95.push(ci95);
+    }
+
+    /// `(sizes, means)` view for the regression fitter.
+    pub fn xy(&self) -> (&[f64], &[f64]) {
+        (&self.sizes, &self.means)
+    }
+}
+
+/// Node density of every deployment (nodes per unit area).
+pub const DENSITY: f64 = 1.25;
+
+/// The radio range giving the standard mean degree 9 at [`DENSITY`]
+/// (comfortably above the connectivity threshold \[2, 3\]).
+pub fn standard_rtx() -> f64 {
+    chlm_geom::rtx_for_degree(9.0, DENSITY)
+}
+
+/// The disk holding `n` nodes at [`DENSITY`].
+pub fn standard_region(n: usize) -> Disk {
+    Disk::centered(chlm_geom::disk_radius_for_density(n, DENSITY))
+}
+
+/// The standard static deployment of the structural experiments: `n`
+/// nodes uniform in [`standard_region`], their unit-disk graph at
+/// [`standard_rtx`], and a random election-id permutation.
+pub struct Deployment {
+    pub region: Disk,
+    pub rtx: f64,
+    pub pts: Vec<Point>,
+    pub graph: Graph,
+    pub ids: Vec<u64>,
+}
+
+impl Deployment {
+    /// Draw a deployment from `rng`: the positions first, then the ids, so
+    /// a caller that keeps drawing from `rng` afterwards (sampled pairs,
+    /// victims, level statistics) continues the same stream.
+    pub fn draw(n: usize, rng: &mut SimRng) -> Self {
+        let region = standard_region(n);
+        let rtx = standard_rtx();
+        let pts = chlm_geom::region::deploy_uniform(&region, n, rng);
+        let graph = build_unit_disk(&pts, rtx);
+        let ids = rng.permutation(n);
+        Deployment {
+            region,
+            rtx,
+            pts,
+            graph,
+            ids,
+        }
+    }
+
+    /// The LCA hierarchy over this deployment.
+    pub fn hierarchy(&self, opts: HierarchyOptions) -> Hierarchy {
+        Hierarchy::build(&self.ids, &self.graph, opts)
+    }
+
+    /// Euclidean hop estimate between two nodes at the fixed 1.3 detour
+    /// factor (the BFS oracle's unreachable fallback), at least one hop.
+    pub fn hops(&self, a: NodeIdx, b: NodeIdx) -> f64 {
+        (self.pts[a as usize].dist(self.pts[b as usize]) / self.rtx * 1.3).max(1.0)
+    }
 }
 
 /// Print one metric series as a table with confidence intervals.
@@ -142,7 +329,7 @@ pub fn banner(id: &str, what: &str) {
         "sizes {:?}, {} replications, {}s measured, {} threads\n",
         sweep_sizes(),
         replications(),
-        env_f64("CHLM_DURATION", 8.0),
+        measured_seconds(8.0),
         threads()
     );
 }
@@ -153,17 +340,28 @@ mod tests {
 
     #[test]
     fn env_parsing_defaults() {
-        assert_eq!(env_usize("CHLM_DOES_NOT_EXIST", 7), 7);
-        assert_eq!(env_f64("CHLM_DOES_NOT_EXIST", 1.5), 1.5);
+        assert_eq!(env_usize("CHLM_DOES_NOT_EXIST", 7, 1), 7);
         assert!(threads() >= 1);
         assert!(!sweep_sizes().is_empty());
     }
 
     #[test]
     fn unset_knob_takes_the_default() {
-        assert_eq!(parse_knob("CHLM_SEEDS", None, 6usize, "x"), Ok(6));
-        assert_eq!(parse_knob("CHLM_SEEDS", Some(" 10 "), 6usize, "x"), Ok(10));
-        assert_eq!(parse_knob("CHLM_DURATION", Some("2.5"), 8.0, "x"), Ok(2.5));
+        assert_eq!(parse_knob("CHLM_SEEDS", None, 6usize, "x", |_| true), Ok(6));
+        assert_eq!(
+            parse_knob("CHLM_SEEDS", Some(" 10 "), 6usize, "x", |_| true),
+            Ok(10)
+        );
+        assert_eq!(
+            parse_knob("CHLM_DURATION", Some("2.5"), 8.0, "x", |_| true),
+            Ok(2.5)
+        );
+        // The default is not range-checked: it is the program's, not the
+        // user's.
+        assert_eq!(
+            parse_knob("CHLM_SEEDS", None, 0usize, "x", |&v| v >= 1),
+            Ok(0)
+        );
     }
 
     #[test]
@@ -171,12 +369,42 @@ mod tests {
         // Letter O for zero: used to run 6 seeds and print a valid-looking
         // table.
         assert_eq!(
-            parse_knob("CHLM_SEEDS", Some("1O"), 6usize, "an unsigned integer"),
-            Err("CHLM_SEEDS: expected an unsigned integer, got \"1O\"".to_string())
+            parse_knob("CHLM_SEEDS", Some("1O"), 6usize, "an integer >= 1", |_| {
+                true
+            }),
+            Err("CHLM_SEEDS: expected an integer >= 1, got \"1O\"".to_string())
         );
-        assert!(parse_knob("CHLM_SEEDS", Some("-3"), 6usize, "x").is_err());
-        assert!(parse_knob("CHLM_SEEDS", Some(""), 6usize, "x").is_err());
-        assert!(parse_knob("CHLM_DURATION", Some("8s"), 8.0, "a number").is_err());
+        assert!(parse_knob("CHLM_SEEDS", Some("-3"), 6usize, "x", |_| true).is_err());
+        assert!(parse_knob("CHLM_SEEDS", Some(""), 6usize, "x", |_| true).is_err());
+        assert!(parse_knob("CHLM_DURATION", Some("8s"), 8.0, "x", |_| true).is_err());
+    }
+
+    #[test]
+    fn out_of_range_knob_is_an_error_not_a_panic() {
+        // Each of these used to reach an assert or an empty fit input.
+        let at_least = |min: usize| move |v: &usize| *v >= min;
+        assert_eq!(
+            parse_knob("CHLM_SEEDS", Some("0"), 6, "an integer >= 1", at_least(1)),
+            Err("CHLM_SEEDS: expected an integer >= 1, got \"0\"".to_string())
+        );
+        assert!(parse_knob("CHLM_MAX_N", Some("64"), 1024, "x", at_least(MIN_N)).is_err());
+        assert_eq!(
+            parse_knob("CHLM_MAX_N", Some("128"), 1024, "x", at_least(MIN_N)),
+            Ok(128)
+        );
+        assert!(parse_knob("CHLM_SCALE_N", Some("512"), 16384, "x", at_least(1025)).is_err());
+        assert!(parse_knob("CHLM_SCALE_N", Some("1024"), 16384, "x", at_least(1025)).is_err());
+        let positive = |v: &f64| *v > 0.0 && v.is_finite();
+        for bad in ["0", "-1", "nan", "inf"] {
+            assert!(parse_knob("CHLM_DURATION", Some(bad), 8.0, "x", positive).is_err());
+        }
+    }
+
+    #[test]
+    fn sizes_double_up_to_max() {
+        assert_eq!(scaling_sizes(128, 1024), vec![128, 256, 512, 1024]);
+        assert_eq!(scaling_sizes(256, 1000), vec![256, 512]);
+        assert_eq!(scaling_sizes(128, 100), Vec::<usize>::new());
     }
 
     #[test]
@@ -184,5 +412,45 @@ mod tests {
         let cfg = standard_config(128);
         assert_eq!(cfg.n, 128);
         assert!(cfg.duration > 0.0);
+    }
+
+    #[test]
+    fn means_keep_the_hand_written_arithmetic() {
+        let xs = [0.1, 0.2, 0.7, 1e-9];
+        assert_eq!(mean(xs), xs.iter().sum::<f64>() / xs.len() as f64);
+        assert_eq!(mean(xs), Summary::of(&xs).unwrap().mean);
+        assert!(mean([]).is_nan());
+    }
+
+    #[test]
+    fn series_summarizes_a_sweep_per_size() {
+        let cells: Vec<SimConfig> = [40, 80]
+            .into_iter()
+            .map(|n| SimConfig::builder(n).duration(1.0).warmup(0.2).build())
+            .collect();
+        let reports = run_cells(&cells, &seed_range(100, 2), 2);
+        assert_eq!(reports.len(), 2);
+        assert_eq!(reports[0].len(), 2);
+        let series = MetricSeries::of("f0", &[40, 80], &reports, |r| r.f0);
+        assert_eq!(series.sizes, vec![40.0, 80.0]);
+        assert_eq!(series.means[1], mean_of(&reports[1], |r| r.f0));
+        assert!(series.means.iter().all(|&m| m > 0.0));
+        let (xs, ys) = series.xy();
+        assert_eq!(xs.len(), ys.len());
+        assert!(mean_some(&reports[0], |_| None).is_nan());
+    }
+
+    #[test]
+    fn deployment_draws_points_then_ids() {
+        let mut rng = SimRng::seed_from(4128);
+        let d = Deployment::draw(128, &mut rng);
+        let mut again = SimRng::seed_from(4128);
+        let pts = chlm_geom::region::deploy_uniform(&standard_region(128), 128, &mut again);
+        assert_eq!(d.pts, pts);
+        assert_eq!(d.ids, again.permutation(128));
+        assert_eq!(rng.index(1000), again.index(1000));
+        assert_eq!(d.graph, build_unit_disk(&pts, standard_rtx()));
+        assert!(d.hierarchy(HierarchyOptions::default()).depth() >= 2);
+        assert!(d.hops(0, 0) == 1.0);
     }
 }

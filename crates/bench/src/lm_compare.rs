@@ -8,10 +8,10 @@
 //! swaps the accounting observer (pinned by `chlm-sim`'s
 //! `tests/scheme_trace.rs`).
 
-use chlm_analysis::stats::Summary;
+use crate::summarize;
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_sim::runner::seed_range;
-use chlm_sim::{run_sweep, HopMetric, LmScheme, MobilityKind, SimConfig, SweepJob, VariantSpec};
+use chlm_sim::{run_grid, HopMetric, LmScheme, MobilityKind, SimConfig, SimReport, VariantSpec};
 
 /// The schemes under comparison, in report order.
 pub fn schemes() -> [(&'static str, LmScheme); 3] {
@@ -126,44 +126,39 @@ pub struct CompareRow {
 
 /// Run the full comparison through the shared-world multiplexer: one
 /// world per (mobility, n, seed) grid cell, all three schemes priced
-/// against it as observer banks ([`chlm_sim::run_sweep`] claims whole
-/// world-runs off the work-stealing ticket counter). Rows are ordered
-/// mobility → scheme → n; the fan-out reproduces each standalone report
-/// exactly (`chlm-sim`'s `tests/multiplex_equivalence.rs`).
+/// against it as observer banks ([`chlm_sim::run_grid`]: one ticket pool
+/// over every world-run). Rows are ordered mobility → scheme → n; the
+/// fan-out reproduces each standalone report exactly (`chlm-sim`'s
+/// `tests/multiplex_equivalence.rs`).
 pub fn run_compare(spec: &CompareSpec) -> Vec<CompareRow> {
-    let backend = spec
-        .config_for(spec.sizes[0], spec.mobilities[0].1, LmScheme::Chlm)
-        .backend;
+    // Cells in mobility → n order; the world never reads the scheme axis.
+    let cells: Vec<SimConfig> = spec
+        .mobilities
+        .iter()
+        .flat_map(|&(_, mobility)| {
+            spec.sizes
+                .iter()
+                .map(move |&n| spec.config_for(n, mobility, LmScheme::Chlm))
+        })
+        .collect();
+    let Some(first) = cells.first() else {
+        return Vec::new();
+    };
     let variants: Vec<VariantSpec> = schemes()
         .iter()
-        .map(|&(name, scheme)| VariantSpec::new(name, scheme, spec.hop_metric, backend))
+        .map(|&(name, scheme)| VariantSpec::new(name, scheme, spec.hop_metric, first.backend))
         .collect();
-    let mut jobs = Vec::new();
-    for &(_, mobility) in &spec.mobilities {
-        for &n in &spec.sizes {
-            let cfg = spec.config_for(n, mobility, LmScheme::Chlm);
-            for seed in seed_range(spec.base_seed, spec.replications) {
-                jobs.push(SweepJob {
-                    cfg: cfg.clone(),
-                    seed,
-                    variants: variants.clone(),
-                });
-            }
-        }
-    }
-    let grid = run_sweep(&jobs, spec.threads);
-    // Reassemble mobility → scheme → n rows from the flattened job grid:
-    // job index = (mobility · |sizes| + size) · replications + rep.
+    let seeds = seed_range(spec.base_seed, spec.replications);
+    let grid = run_grid(&cells, &seeds, &variants, spec.threads);
     let mut rows = Vec::new();
-    for (mi, &(mob_name, _)) in spec.mobilities.iter().enumerate() {
+    for (&(mob_name, _), by_size) in spec
+        .mobilities
+        .iter()
+        .zip(grid.chunks_exact(spec.sizes.len()))
+    {
         for (vi, (scheme_name, _)) in schemes().into_iter().enumerate() {
-            for (si, &n) in spec.sizes.iter().enumerate() {
-                let base = (mi * spec.sizes.len() + si) * spec.replications;
-                let xs: Vec<f64> = (0..spec.replications)
-                    .map(|rep| grid[base + rep][vi].total_overhead())
-                    .collect();
-                // audit: infallible because replications >= 1 jobs exist per cell
-                let s = Summary::of(&xs).expect("compare cell with no replications");
+            for (&n, cell) in spec.sizes.iter().zip(by_size) {
+                let s = summarize(&cell[vi], SimReport::total_overhead);
                 rows.push(CompareRow {
                     mobility: mob_name,
                     scheme: scheme_name,

@@ -29,9 +29,10 @@
 use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_sim::runner::seed_range;
-use chlm_sim::{run_sweep, Backend, HopMetric, MobilityKind, SimConfig, SweepJob, VariantSpec};
+use chlm_sim::{run_grid, Backend, HopMetric, MobilityKind, SimConfig, SimReport, VariantSpec};
 
 use crate::lm_compare::{mobility_models, schemes};
+use crate::summarize;
 
 /// The backends the query plane is priced on, in report order.
 pub fn backends() -> [(&'static str, Backend); 2] {
@@ -107,22 +108,20 @@ impl CrossoverSpec {
             .query_rate(cmr)
             .build()
     }
+}
 
-    /// The six banks fanned out per world.
-    fn variants(&self) -> Vec<VariantSpec> {
-        let mut v = Vec::new();
-        for (sname, scheme) in schemes() {
-            for (bname, backend) in backends() {
-                v.push(VariantSpec::new(
-                    format!("{sname}/{bname}"),
-                    scheme,
-                    HopMetric::Bfs,
-                    backend,
-                ));
-            }
+/// The six banks fanned out per world, in report order: scheme name,
+/// backend name, and the variant that prices them.
+fn banks() -> Vec<(&'static str, &'static str, VariantSpec)> {
+    let mut v = Vec::new();
+    for (sname, scheme) in schemes() {
+        for (bname, backend) in backends() {
+            let variant =
+                VariantSpec::new(format!("{sname}/{bname}"), scheme, HopMetric::Bfs, backend);
+            v.push((sname, bname, variant));
         }
-        v
     }
+    v
 }
 
 /// One (mobility, scheme, backend, n, cmr) cell: update and query
@@ -154,101 +153,87 @@ pub struct CrossoverRow {
     pub crossover_ci95: f64,
 }
 
+/// Query-plane overhead of one report (every swept CMR is nonzero).
+fn query_overhead(report: &SimReport) -> f64 {
+    report
+        .query
+        .as_ref()
+        .expect("nonzero cmr reports query stats")
+        .overhead_per_node_per_second()
+}
+
 /// Run the sweep: one world per (mobility, n, cmr, seed), six banks per
 /// world, and fold per-CMR rows plus per-cell crossovers out of the grid.
 pub fn run_crossover(spec: &CrossoverSpec) -> (Vec<QueryRow>, Vec<CrossoverRow>) {
-    let variants = spec.variants();
-    let mut jobs = Vec::new();
+    // Cells in mobility → n → cmr order.
+    let mut cells = Vec::new();
     for &(_, mobility) in &spec.mobilities {
         for &n in &spec.sizes {
             for &cmr in &spec.cmrs {
-                let cfg = spec.config_for(n, mobility, cmr);
-                for seed in seed_range(spec.base_seed, spec.replications) {
-                    jobs.push(SweepJob {
-                        cfg: cfg.clone(),
-                        seed,
-                        variants: variants.clone(),
-                    });
-                }
+                cells.push(spec.config_for(n, mobility, cmr));
             }
         }
     }
-    let grid = run_sweep(&jobs, spec.threads);
-    // Job index = ((mobility · |sizes| + size) · |cmrs| + cmr) · reps + rep;
-    // variant index = scheme · |backends| + backend.
-    let job = |mi: usize, si: usize, ci: usize, rep: usize| {
-        ((mi * spec.sizes.len() + si) * spec.cmrs.len() + ci) * spec.replications + rep
-    };
     let mut rows = Vec::new();
     let mut crossovers = Vec::new();
-    for (mi, &(mob_name, _)) in spec.mobilities.iter().enumerate() {
-        for (qi, (scheme_name, _)) in schemes().into_iter().enumerate() {
-            for (bi, (backend_name, _)) in backends().into_iter().enumerate() {
-                let vi = qi * backends().len() + bi;
-                for (si, &n) in spec.sizes.iter().enumerate() {
-                    for (ci, &cmr) in spec.cmrs.iter().enumerate() {
-                        let (mut updates, mut queries) = (Vec::new(), Vec::new());
-                        for rep in 0..spec.replications {
-                            let report = &grid[job(mi, si, ci, rep)][vi];
-                            updates.push(report.total_overhead());
-                            queries.push(
-                                report
-                                    .query
-                                    .as_ref()
-                                    .expect("nonzero cmr reports query stats")
-                                    .overhead_per_node_per_second(),
-                            );
-                        }
-                        // audit: infallible because replications >= 1
-                        let u = Summary::of(&updates).expect("cell with no replications");
-                        let q = Summary::of(&queries).expect("cell with no replications");
-                        rows.push(QueryRow {
-                            mobility: mob_name,
-                            scheme: scheme_name,
-                            backend: backend_name,
-                            n,
-                            cmr,
-                            update_mean: u.mean,
-                            update_ci95: u.ci95(),
-                            query_mean: q.mean,
-                            query_ci95: q.ci95(),
-                        });
-                    }
-                    // Per-replication crossover: least-squares slope of
-                    // query overhead vs CMR through the origin, then
-                    // update / slope. Update overhead is CMR-independent;
-                    // read it off the first CMR point.
-                    let xs: Vec<f64> = (0..spec.replications)
-                        .map(|rep| {
-                            let update = grid[job(mi, si, 0, rep)][vi].total_overhead();
-                            let (mut num, mut den) = (0.0, 0.0);
-                            for (ci, &cmr) in spec.cmrs.iter().enumerate() {
-                                let q = grid[job(mi, si, ci, rep)][vi]
-                                    .query
-                                    .as_ref()
-                                    .expect("nonzero cmr reports query stats")
-                                    .overhead_per_node_per_second();
-                                num += q * cmr;
-                                den += cmr * cmr;
-                            }
-                            let slope = num / den;
-                            if slope > 0.0 {
-                                update / slope
-                            } else {
-                                f64::NAN
-                            }
-                        })
-                        .collect();
-                    let s = Summary::of(&xs).expect("cell with no replications");
-                    crossovers.push(CrossoverRow {
+    if cells.is_empty() {
+        return (rows, crossovers);
+    }
+    let banks = banks();
+    let variants: Vec<VariantSpec> = banks.iter().map(|(_, _, v)| v.clone()).collect();
+    let seeds = seed_range(spec.base_seed, spec.replications);
+    let grid = run_grid(&cells, &seeds, &variants, spec.threads);
+    for (&(mob_name, _), by_size) in spec
+        .mobilities
+        .iter()
+        .zip(grid.chunks_exact(spec.sizes.len() * spec.cmrs.len()))
+    {
+        for (vi, &(scheme_name, backend_name, _)) in banks.iter().enumerate() {
+            for (&n, by_cmr) in spec.sizes.iter().zip(by_size.chunks_exact(spec.cmrs.len())) {
+                for (&cmr, cell) in spec.cmrs.iter().zip(by_cmr) {
+                    let u = summarize(&cell[vi], SimReport::total_overhead);
+                    let q = summarize(&cell[vi], query_overhead);
+                    rows.push(QueryRow {
                         mobility: mob_name,
                         scheme: scheme_name,
                         backend: backend_name,
                         n,
-                        crossover_mean: s.mean,
-                        crossover_ci95: s.ci95(),
+                        cmr,
+                        update_mean: u.mean,
+                        update_ci95: u.ci95(),
+                        query_mean: q.mean,
+                        query_ci95: q.ci95(),
                     });
                 }
+                // Per-replication crossover: least-squares slope of
+                // query overhead vs CMR through the origin, then
+                // update / slope. Update overhead is CMR-independent;
+                // read it off the first CMR point.
+                let xs: Vec<f64> = (0..seeds.len())
+                    .map(|rep| {
+                        let update = by_cmr[0][vi][rep].total_overhead();
+                        let (mut num, mut den) = (0.0, 0.0);
+                        for (&cmr, cell) in spec.cmrs.iter().zip(by_cmr) {
+                            num += query_overhead(&cell[vi][rep]) * cmr;
+                            den += cmr * cmr;
+                        }
+                        let slope = num / den;
+                        if slope > 0.0 {
+                            update / slope
+                        } else {
+                            f64::NAN
+                        }
+                    })
+                    .collect();
+                let s = Summary::of(&xs).expect("cell with no replications");
+                crossovers.push(CrossoverRow {
+                    mobility: mob_name,
+                    scheme: scheme_name,
+                    backend: backend_name,
+                    n,
+                    crossover_mean: s.mean,
+                    crossover_ci95: s.ci95(),
+                });
             }
         }
     }

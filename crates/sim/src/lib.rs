@@ -21,8 +21,9 @@
 //! There is one tick loop, [`MultiplexSim::step`]: one world fanned out
 //! to any number of (scheme × hop metric × backend) accounting banks.
 //! [`Simulation`] is its one-bank case and [`run_simulation`] the
-//! one-call entry point; [`runner::run_replications`] and
-//! [`runner::run_sweep`] fan whole runs out across threads.
+//! one-call entry point; [`runner::run_sweep`] fans whole runs out
+//! across threads, and [`runner::run_grid`] / [`runner::run_cells`] lay
+//! a (config × seed) experiment grid out over it.
 
 //!
 //! ## Example
@@ -62,7 +63,7 @@ pub use engine::{build_engine, Engine, Simulation};
 pub use multiplex::{run_multiplexed, MultiplexSim, VariantSpec};
 pub use observe::{HandoffAccounting, Observer, QueryAccounting};
 pub use report::{LevelRates, QueryStats, SimReport, StateSummary};
-pub use runner::{budget_split, run_replications, run_sweep, SweepJob};
+pub use runner::{budget_split, run_cells, run_grid, run_sweep, SweepJob};
 pub use scheme::{
     make_accounting, make_lookup, make_query_accounting, ChlmLookup, ChlmWorkload, GlsLookup,
     GlsSchemeWorkload, HandoffObserver, HomeAgentLookup, HomeAgentWorkload, LookupLeg, LookupWorld,

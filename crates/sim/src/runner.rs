@@ -1,12 +1,14 @@
-//! Parallel multi-seed replication and the sweep orchestrator.
+//! The sweep orchestrator: parallel multi-seed, multi-variant runs.
 //!
 //! Experiments report means and confidence intervals over independent
-//! replications (different seeds, same configuration). Replications — and
-//! whole multiplexed world-runs ([`run_sweep`]) — are embarrassingly
-//! parallel; both fan out through
+//! replications (different seeds, same configuration). Whole multiplexed
+//! world-runs are embarrassingly parallel; [`run_sweep`] — the one place
+//! simulations fan out — claims them through
 //! [`chlm_par::WorkerPool::run_indexed`], whose lock-free ticket counter
 //! plus index-addressed scatter makes the results byte-identical at any
 //! thread count and under `CHLM_SHUFFLE_MERGE` schedule fuzzing.
+//! [`run_grid`] and [`run_cells`] lay a (config × seed) grid out as jobs
+//! and hand the replications back per cell.
 //!
 //! Thread budgeting: independent jobs share nothing and scale with the
 //! thread count, while a second intra-tick thread buys about 1.2x (the
@@ -35,27 +37,6 @@ pub fn budget_split(threads: usize, jobs: usize) -> (usize, usize) {
     assert!(threads >= 1);
     let outer = threads.min(jobs.max(1));
     (outer, (threads / outer).max(1))
-}
-
-/// Run `seeds.len()` replications of `cfg` (seed overridden per
-/// replication) and return their reports in seed order: a [`run_sweep`]
-/// of one-variant jobs, so thread budgeting, work distribution and the
-/// thread-invariance guarantee are that function's. Respects
-/// `cfg.backend` — replications run on whichever backend the config
-/// selects.
-pub fn run_replications(cfg: &SimConfig, seeds: &[u64], threads: usize) -> Vec<SimReport> {
-    let jobs: Vec<SweepJob> = seeds
-        .iter()
-        .map(|&seed| SweepJob {
-            cfg: cfg.clone(),
-            seed,
-            variants: vec![VariantSpec::from_config("", cfg)],
-        })
-        .collect();
-    run_sweep(&jobs, threads)
-        .into_iter()
-        .map(|mut reports| reports.swap_remove(0))
-        .collect()
 }
 
 /// One node of the sweep job graph: a world (config + seed) and the
@@ -93,6 +74,67 @@ pub fn run_sweep(jobs: &[SweepJob], threads: usize) -> Vec<Vec<SimReport>> {
     })
 }
 
+/// The jobs of a (cell × seed) grid — cell-major, seed order within a
+/// cell — each cell fanned out to the variants `variants_of` names for it.
+/// [`run_grid`] and [`run_cells`] keep this layout to themselves.
+fn grid_jobs(
+    cells: &[SimConfig],
+    seeds: &[u64],
+    variants_of: impl Fn(&SimConfig) -> Vec<VariantSpec>,
+) -> Vec<SweepJob> {
+    let mut jobs = Vec::with_capacity(cells.len() * seeds.len());
+    for cfg in cells {
+        let variants = variants_of(cfg);
+        jobs.extend(seeds.iter().map(|&seed| SweepJob {
+            cfg: cfg.clone(),
+            seed,
+            variants: variants.clone(),
+        }));
+    }
+    jobs
+}
+
+/// The (cell × seed × variant) grid behind every experiment table: run
+/// each config in `cells` once per seed, fan every world out to
+/// `variants`, and return `grid[cell][variant]` = that pair's
+/// replications in seed order. One [`run_sweep`] over the whole job list,
+/// so all cells share one ticket pool.
+pub fn run_grid(
+    cells: &[SimConfig],
+    seeds: &[u64],
+    variants: &[VariantSpec],
+    threads: usize,
+) -> Vec<Vec<Vec<SimReport>>> {
+    let jobs = grid_jobs(cells, seeds, |_| variants.to_vec());
+    let mut runs = run_sweep(&jobs, threads).into_iter();
+    cells
+        .iter()
+        .map(|_| {
+            let mut cell = vec![Vec::with_capacity(seeds.len()); variants.len()];
+            for reports in runs.by_ref().take(seeds.len()) {
+                for (replications, report) in cell.iter_mut().zip(reports) {
+                    replications.push(report);
+                }
+            }
+            cell
+        })
+        .collect()
+}
+
+/// [`run_grid`] without a variant axis: every cell is priced under the
+/// scheme, hop metric and backend its own config names, and
+/// `reports[cell]` is that cell's replications in seed order.
+pub fn run_cells(cells: &[SimConfig], seeds: &[u64], threads: usize) -> Vec<Vec<SimReport>> {
+    let jobs = grid_jobs(cells, seeds, |cfg| vec![VariantSpec::from_config("", cfg)]);
+    let mut runs = run_sweep(&jobs, threads)
+        .into_iter()
+        .map(|mut reports| reports.swap_remove(0));
+    cells
+        .iter()
+        .map(|_| runs.by_ref().take(seeds.len()).collect())
+        .collect()
+}
+
 /// Default seed list `base..base + count`.
 pub fn seed_range(base: u64, count: usize) -> Vec<u64> {
     (0..count as u64).map(|i| base + i).collect()
@@ -105,47 +147,86 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let cfg = SimConfig::builder(60).duration(1.5).warmup(0.2).build();
+        let cells = [SimConfig::builder(60).duration(1.5).warmup(0.2).build()];
         let seeds = seed_range(10, 4);
-        let par = run_replications(&cfg, &seeds, 4);
-        let seq = run_replications(&cfg, &seeds, 1);
-        assert_eq!(par.len(), 4);
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.seed, s.seed);
-            assert_eq!(p.f0, s.f0);
-            assert_eq!(p.ledger, s.ledger);
+        let par = run_cells(&cells, &seeds, 4);
+        let seq = run_cells(&cells, &seeds, 1);
+        assert_eq!(par[0].len(), 4);
+        assert_eq!(par, seq);
+        for (report, &seed) in par[0].iter().zip(&seeds) {
+            assert_eq!(report.seed, seed);
         }
     }
 
     #[test]
-    fn more_threads_than_seeds_is_fine() {
-        let cfg = SimConfig::builder(40).duration(1.0).warmup(0.2).build();
-        let reports = run_replications(&cfg, &seed_range(3, 2), 8);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].seed, 3);
-        assert_eq!(reports[1].seed, 4);
+    fn more_threads_than_jobs_is_fine() {
+        let cells = [SimConfig::builder(40).duration(1.0).warmup(0.2).build()];
+        let reports = run_cells(&cells, &seed_range(3, 2), 8);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0][0].seed, 3);
+        assert_eq!(reports[0][1].seed, 4);
     }
 
     #[test]
-    fn replications_respect_backend() {
-        let cfg = SimConfig::builder(60)
+    fn cells_run_under_their_own_backend() {
+        let packet = SimConfig::builder(60)
             .duration(1.0)
             .warmup(0.2)
             .target_degree(12.0)
             .hop_metric(crate::config::HopMetric::Bfs)
             .backend(Backend::packet())
             .build();
+        let mut analytic = packet.clone();
+        analytic.backend = Backend::Analytic;
         let seeds = seed_range(21, 2);
-        let packet = run_replications(&cfg, &seeds, 2);
-        let mut analytic_cfg = cfg;
-        analytic_cfg.backend = Backend::Analytic;
-        let analytic = run_replications(&analytic_cfg, &seeds, 2);
+        let reports = run_cells(&[packet.clone(), analytic], &seeds, 2);
+        for (report, &seed) in reports[0].iter().zip(&seeds) {
+            let mut standalone = packet.clone();
+            standalone.seed = seed;
+            standalone.threads = 1;
+            assert_eq!(report, &crate::run_simulation(&standalone));
+        }
         // Dense + lossless: the packet backend reproduces the analytic
         // ledger (the parity integration test pins the strong form).
-        for (p, a) in packet.iter().zip(&analytic) {
+        for (p, a) in reports[0].iter().zip(&reports[1]) {
             assert_eq!(p.seed, a.seed);
             assert_eq!(p.events, a.events);
         }
+    }
+
+    #[test]
+    fn grid_groups_replications_by_cell_and_variant() {
+        let cells: Vec<SimConfig> = [40, 50]
+            .into_iter()
+            .map(|n| SimConfig::builder(n).duration(1.0).warmup(0.2).build())
+            .collect();
+        let variants = [
+            VariantSpec::from_config("chlm", &cells[0]),
+            VariantSpec::new(
+                "home",
+                LmScheme::HomeAgent,
+                cells[0].hop_metric,
+                cells[0].backend,
+            ),
+        ];
+        let seeds = seed_range(7, 3);
+        let grid = run_grid(&cells, &seeds, &variants, 2);
+        assert_eq!(grid.len(), cells.len());
+        for (cfg, cell) in cells.iter().zip(&grid) {
+            assert_eq!(cell.len(), variants.len());
+            for (variant, replications) in variants.iter().zip(cell) {
+                assert_eq!(replications.len(), seeds.len());
+                for (report, &seed) in replications.iter().zip(&seeds) {
+                    let mut c = variant.apply(cfg);
+                    c.seed = seed;
+                    c.threads = 1;
+                    assert_eq!(report, &crate::run_simulation(&c));
+                }
+            }
+        }
+        // No seeds, no cells: empty replication lists, not a panic.
+        assert_eq!(run_grid(&cells, &[], &variants, 2)[1][1], Vec::new());
+        assert!(run_cells(&[], &seeds, 2).is_empty());
     }
 
     #[test]

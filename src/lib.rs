@@ -30,7 +30,6 @@
 
 pub use chlm_analysis as analysis;
 pub use chlm_cluster as cluster;
-pub use chlm_core as core;
 pub use chlm_geom as geom;
 pub use chlm_graph as graph;
 pub use chlm_lm as lm;
@@ -39,4 +38,18 @@ pub use chlm_proto as proto;
 pub use chlm_routing as routing;
 pub use chlm_sim as sim;
 
-pub use chlm_core::prelude;
+/// Everything a downstream user typically needs.
+pub mod prelude {
+    pub use chlm_analysis::regression::{best_fit, class_is_competitive, ModelClass};
+    pub use chlm_analysis::stats::Summary;
+    pub use chlm_cluster::{Hierarchy, HierarchyOptions};
+    pub use chlm_graph::unit_disk::build_unit_disk;
+    pub use chlm_graph::Graph;
+    pub use chlm_lm::server::{LmAssignment, SelectionRule};
+    pub use chlm_mobility::MobilityModel;
+    pub use chlm_sim::runner::seed_range;
+    pub use chlm_sim::{
+        run_cells, run_grid, run_simulation, HopMetric, MobilityKind, SimConfig, SimReport,
+        Simulation,
+    };
+}

@@ -200,6 +200,9 @@ fn cmd_sweep(args: &cli::Args) -> Result<(), String> {
         .map(|s| s.trim().parse().map_err(|_| format!("bad size `{s}`")))
         .collect::<Result<_, _>>()?;
     let seeds: usize = args.get("seeds", 4)?;
+    if seeds == 0 {
+        return Err("--seeds must be at least 1".into());
+    }
     let duration: f64 = args.get("duration", 8.0)?;
     let metric: String = args.get("metric", "total".into())?;
     let pick: fn(&SimReport) -> f64 = match metric.as_str() {
@@ -212,17 +215,18 @@ fn cmd_sweep(args: &cli::Args) -> Result<(), String> {
     eprintln!("sweeping {sizes:?} with {seeds} seeds...");
     // The workspace thread budget (`CHLM_THREADS`, else available cores).
     let threads = SimConfig::builder(1).build().threads;
-    let points = sweep(&sizes, seeds, 1, threads, |n| {
-        SimConfig::builder(n).duration(duration).warmup(5.0).build()
-    });
-    let series = summarize_metric(&points, &metric, pick);
+    let cells: Vec<SimConfig> = sizes
+        .iter()
+        .map(|&n| SimConfig::builder(n).duration(duration).warmup(5.0).build())
+        .collect();
+    let reports = run_cells(&cells, &seed_range(1, seeds), threads);
     let mut t = TextTable::new(vec!["n", &metric, "ci95"]);
-    for i in 0..series.sizes.len() {
-        t.row(vec![
-            format!("{}", series.sizes[i] as usize),
-            fnum(series.means[i]),
-            fnum(series.ci95[i]),
-        ]);
+    let mut means = Vec::with_capacity(sizes.len());
+    for (&n, replications) in sizes.iter().zip(&reports) {
+        // audit: infallible because seeds >= 1 was checked above
+        let s = Summary::over(replications, pick).expect("one report per seed");
+        t.row(vec![format!("{n}"), fnum(s.mean), fnum(s.ci95())]);
+        means.push(s.mean);
     }
     print!(
         "{}",
@@ -232,8 +236,8 @@ fn cmd_sweep(args: &cli::Args) -> Result<(), String> {
             t.render()
         }
     );
-    let (xs, ys) = series.xy();
-    for f in best_fit(xs, ys) {
+    let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
+    for f in best_fit(&xs, &means) {
         println!("fit {:<9} r2 = {:+.4}", f.class.name(), f.r2);
     }
     Ok(())

@@ -28,11 +28,10 @@ fn overhead_grows_sublinearly() {
     // 4x the nodes should cost far less than 4x the per-node overhead —
     // the point of the whole paper. (Full statistical verification lives in
     // the experiment binaries; this is the smoke-test version.)
-    let small: Vec<SimReport> = run_replications(&quick(128, 0), &[1, 2, 3], 3);
-    let large: Vec<SimReport> = run_replications(&quick(512, 0), &[1, 2, 3], 3);
+    let reports = run_cells(&[quick(128, 0), quick(512, 0)], &[1, 2, 3], 3);
     let mean =
         |rs: &[SimReport]| rs.iter().map(|r| r.total_overhead()).sum::<f64>() / rs.len() as f64;
-    let (s, l) = (mean(&small), mean(&large));
+    let (s, l) = (mean(&reports[0]), mean(&reports[1]));
     assert!(s > 0.0 && l > 0.0);
     assert!(
         l / s < 3.0,
