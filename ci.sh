@@ -32,8 +32,11 @@ test -s target/step_reach.json
 # state of the hop oracle (row cache + buffer pool) and of the packet
 # network (per-destination next-hop trees) that `Graph::hop_row` replaced,
 # the LM walk's cross-tick entry reuse with the cluster arena that fed
-# it (1 % of entries on every workload), and the second facade crate with
-# its per-size sweep loop (every sweep is one `run_sweep` pool now).
+# it (1 % of entries on every workload), the second facade crate with
+# its per-size sweep loop (every sweep is one `run_sweep` pool now), and
+# the diff-driven hierarchy maintainer with its snapshot copy and owned-
+# graph build (`Hierarchy::rebuild` writes every tick's hierarchy in
+# place; at the tick every run uses, no tick took the repair's fast path).
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.)
 step "leftover check (removed twins stay removed)"
@@ -42,6 +45,7 @@ removed+='\|LedgerHandoffObserver\|PacketHandoffObserver\|AnalyticSchemeObserver
 removed+='\|tree_for\|with_pool\|into_pool\|cached_sources'
 removed+='\|ClusterArena\|ClusterHandle\|ArenaStamps\|subtree_changed_at\|compute_cached_stamped\|entries_reused\|debug_desync_arena\|LmCache'
 removed+='\|chlm_core\|run_replications\|SweepPoint'
+removed+='\|HierarchyMaintainer\|IncrementalHierarchy\|snapshot_into\|escalation_count\|build_owned'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
   exit 1
@@ -87,19 +91,27 @@ CHLM_THREADS=1 cargo xtask audit-determinism
 step "cargo xtask audit-determinism (CHLM_THREADS=2)"
 CHLM_THREADS=2 cargo xtask audit-determinism
 
-# The incremental-vs-oracle equivalence suite at both thread counts and
-# under the shuffle-merge fuzz: the incremental maintainer must agree,
+# The hierarchy-stage equivalence suite at both thread counts and under
+# the shuffle-merge fuzz: the production stage set (Verlet topology, the
+# hierarchy rebuilt into a retired snapshot, the pooled walk) must agree,
 # per tick, with the reference stage set (crates/sim/tests/common/mod.rs:
-# from-scratch topology, LCA hierarchy and selection every tick)
-# regardless of how the walk's pool is sized or its merges ordered.
-step "hierarchy equivalence vs reference stage set (CHLM_THREADS=1)"
+# from-scratch topology, the hierarchy built on an empty one, selection on
+# a fresh scratch) regardless of how the walk's pool is sized or its
+# merges ordered.
+step "hierarchy equivalence, in-place rebuild vs reference stage set (CHLM_THREADS=1)"
 CHLM_THREADS=1 cargo test -q -p chlm-sim --test hierarchy_equivalence
 
-step "hierarchy equivalence vs reference stage set (CHLM_THREADS=2)"
+step "hierarchy equivalence, in-place rebuild vs reference stage set (CHLM_THREADS=2)"
 CHLM_THREADS=2 cargo test -q -p chlm-sim --test hierarchy_equivalence
 
-step "hierarchy equivalence vs reference stage set (CHLM_SHUFFLE_MERGE=1)"
+step "hierarchy equivalence, in-place rebuild vs reference stage set (CHLM_SHUFFLE_MERGE=1)"
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test hierarchy_equivalence
+
+# The long-horizon row of the same suite (420 audited ticks, walk and
+# RPGM, depth moving between ticks): `#[ignore]`d out of tier-1 for its
+# ~35 s in a debug build, run here by name.
+step "hierarchy equivalence, depth-oscillation soak"
+cargo test -q -p chlm-sim --test hierarchy_equivalence -- --ignored depth_oscillation_soak
 
 # The benchmark harness is its own workspace compiled against chlm_sim's
 # public surface; its tests also smoke-run both benchmark binaries on all

@@ -32,7 +32,12 @@
 //! diffing consecutive hierarchies reproduces exactly the event stream an
 //! asynchronous implementation observes at tick granularity (see
 //! DESIGN.md, "Asynchrony").
-
+//!
+//! There is one construction path, [`Hierarchy::rebuild`]: it overwrites
+//! whatever hierarchy it is handed, level by level and buffer by buffer,
+//! so the tick loop recomputes each tick's fixed point straight into a
+//! snapshot it has retired; [`Hierarchy::build`] is the same function run
+//! on an empty hierarchy.
 //!
 //! ## Example
 //!
@@ -57,10 +62,10 @@ pub mod address;
 pub mod audit;
 pub mod digest;
 pub mod events;
-pub mod incremental;
 pub mod maintenance;
 pub mod maxmin;
 pub mod metrics;
+mod rebuild;
 pub mod render;
 pub mod state;
 
@@ -68,8 +73,8 @@ pub use address::{AddrChangeKind, AddressBook};
 pub use audit::{audit_address_book, audit_hierarchy, ClusterViolation};
 pub use digest::hierarchy_digest;
 pub use events::{classify_events, EventCounts, ReorgEvent};
-pub use incremental::HierarchyMaintainer;
 pub use metrics::LevelStats;
+pub use rebuild::RebuildScratch;
 pub use state::StateTracker;
 
 use chlm_graph::{Graph, NodeIdx};
@@ -96,7 +101,7 @@ pub type ElectionId = u64;
 /// / `member_arena`) grouped by vote target, so [`Hierarchy::members`]
 /// returns a borrowed slice instead of filtering the vote vector into a
 /// fresh `Vec` per call.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Level {
     /// Physical indices of the level-k nodes, ascending.
     pub nodes: Vec<NodeIdx>,
@@ -166,37 +171,6 @@ impl Level {
             .map(|(i, _)| (i as u32, self.nodes[i]))
     }
 
-    /// A level with no nodes and no allocations (snapshot carcass filler).
-    pub(crate) fn empty() -> Level {
-        Level {
-            nodes: Vec::new(),
-            slots: Vec::new(),
-            graph: Graph::default(),
-            vote: Vec::new(),
-            elector_count: Vec::new(),
-            is_head: Vec::new(),
-            member_start: Vec::new(),
-            member_arena: Vec::new(),
-        }
-    }
-
-    /// Overwrite `self` with `src`, reusing this level's allocations
-    /// (the snapshot-materialization analogue of `Graph::copy_from`).
-    pub(crate) fn copy_from(&mut self, src: &Level) {
-        fn cp<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
-        cp(&mut self.nodes, &src.nodes);
-        cp(&mut self.slots, &src.slots);
-        cp(&mut self.vote, &src.vote);
-        cp(&mut self.elector_count, &src.elector_count);
-        cp(&mut self.is_head, &src.is_head);
-        cp(&mut self.member_start, &src.member_start);
-        cp(&mut self.member_arena, &src.member_arena);
-        self.graph.copy_from(&src.graph);
-    }
-
     /// Rebuild the physical→local slot table and membership CSR from
     /// `nodes` and `vote` (counting sort by vote target; ascending node
     /// order within each group falls out of the ascending node list).
@@ -264,7 +238,10 @@ impl Default for HierarchyOptions {
 }
 
 /// The full clustered hierarchy over a physical topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The `Default` value has no levels at all: it is only a target for
+/// [`Hierarchy::rebuild`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Hierarchy {
     /// `levels[0]` is the physical level; `levels[k].nodes` are the level-k
     /// nodes (the heads elected at level k-1).
@@ -274,61 +251,6 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Build the LCA hierarchy over `graph0` with election identities `ids`.
-    ///
-    /// # Panics
-    /// If `ids.len() != graph0.node_count()` or IDs are not distinct.
-    pub fn build(ids: &[ElectionId], graph0: &Graph, opts: HierarchyOptions) -> Self {
-        Self::build_owned(ids, graph0.clone(), opts)
-    }
-
-    /// Like [`Hierarchy::build`], but takes ownership of the level-0 graph
-    /// so the tick loop can hand in a recycled buffer instead of paying a
-    /// fresh `O(n)`-allocation clone every tick. Every level's node list and
-    /// graph are *moved* into the hierarchy (the election never copies
-    /// them).
-    pub fn build_owned(ids: &[ElectionId], graph0: Graph, opts: HierarchyOptions) -> Self {
-        assert_eq!(ids.len(), graph0.node_count(), "one ID per node");
-        debug_assert!(
-            {
-                let mut sorted = ids.to_vec();
-                sorted.sort_unstable();
-                sorted.windows(2).all(|w| w[0] != w[1])
-            },
-            "election IDs must be distinct"
-        );
-        let n = graph0.node_count();
-        let mut levels: Vec<Level> = Vec::new();
-        // Level 0: local == physical.
-        let mut cur_nodes: Vec<NodeIdx> = (0..n as NodeIdx).collect();
-        let mut cur_graph = graph0;
-        loop {
-            let level = elect(n, cur_nodes, cur_graph, ids);
-            let heads: Vec<u32> = (0..level.len() as u32)
-                .filter(|&i| level.is_head[i as usize])
-                .collect();
-            let reduced = heads.len() < level.len()
-                && (heads.len() as f64) * opts.min_reduction <= level.len() as f64;
-            let next = if reduced && levels.len() + 1 < opts.max_levels {
-                Some(build_next_level(&level, &heads))
-            } else {
-                None
-            };
-            levels.push(level);
-            match next {
-                Some((nodes, graph)) => {
-                    cur_nodes = nodes;
-                    cur_graph = graph;
-                }
-                None => break,
-            }
-        }
-        Hierarchy {
-            levels,
-            ids: ids.to_vec(),
-        }
-    }
-
     /// Number of levels, counting level 0. The paper's `L` (highest cluster
     /// level) is `depth() - 1`.
     pub fn depth(&self) -> usize {
@@ -475,76 +397,6 @@ impl Iterator for AddressIter<'_> {
 }
 
 impl ExactSizeIterator for AddressIter<'_> {}
-
-/// Run one LCA election round over the given level topology. Takes the
-/// node list and graph by value: they are moved into the returned [`Level`]
-/// unchanged, so the recursion never copies a graph. `n_phys` is the
-/// physical population (sizes the slot table).
-pub(crate) fn elect(n_phys: usize, nodes: Vec<NodeIdx>, graph: Graph, ids: &[ElectionId]) -> Level {
-    let m = nodes.len();
-    assert_eq!(graph.node_count(), m);
-    let mut vote = vec![0u32; m];
-    for i in 0..m {
-        let mut best = i as u32;
-        let mut best_id = ids[nodes[i] as usize];
-        for &nb in graph.neighbors(i as u32) {
-            let nb_id = ids[nodes[nb as usize] as usize];
-            if nb_id > best_id {
-                best_id = nb_id;
-                best = nb;
-            }
-        }
-        vote[i] = best;
-    }
-    let mut elector_count = vec![0u32; m];
-    let mut is_head = vec![false; m];
-    for (i, &t) in vote.iter().enumerate() {
-        if i as u32 == t {
-            // Self-vote: the node is the largest in its own closed
-            // neighborhood and declares itself head.
-            is_head[i] = true;
-        } else {
-            elector_count[t as usize] += 1;
-            is_head[t as usize] = true;
-        }
-    }
-    let mut level = Level {
-        nodes,
-        slots: Vec::new(),
-        graph,
-        vote,
-        elector_count,
-        is_head,
-        member_start: Vec::new(),
-        member_arena: Vec::new(),
-    };
-    level.rebuild_derived(n_phys);
-    level
-}
-
-/// Build the node list and cluster-adjacency graph of the next level from
-/// an elected level. The elected level's member CSR doubles as the
-/// head-rank map: vote target `t` has rank = its position among the heads,
-/// recoverable from the slot table of the *next* level — here we derive it
-/// directly from `heads` (ascending local indices).
-pub(crate) fn build_next_level(level: &Level, heads: &[u32]) -> (Vec<NodeIdx>, Graph) {
-    // Map: local index at this level -> rank of its head in `heads`.
-    // `heads` ascends, so a dense table over local indices is exact.
-    let mut head_rank = vec![NO_SLOT; level.len()];
-    for (r, &h) in heads.iter().enumerate() {
-        head_rank[h as usize] = r as u32;
-    }
-    let cluster_of: Vec<u32> = level.vote.iter().map(|&t| head_rank[t as usize]).collect();
-    let mut g = Graph::with_nodes(heads.len());
-    for (u, v) in level.graph.edges() {
-        let (cu, cv) = (cluster_of[u as usize], cluster_of[v as usize]);
-        if cu != cv {
-            g.add_edge(cu, cv);
-        }
-    }
-    let nodes: Vec<NodeIdx> = heads.iter().map(|&h| level.nodes[h as usize]).collect();
-    (nodes, g)
-}
 
 #[cfg(test)]
 mod tests {

@@ -219,6 +219,36 @@ impl Graph {
         self.n_edges = other.n_edges;
     }
 
+    /// Overwrite `self` with the graph [`Graph::from_edges`]`(n, edges)`
+    /// builds, reusing this graph's per-node neighbor-list allocations and
+    /// appending to each list instead of paying a sorted insert on both
+    /// rows of every edge. Duplicates and either orientation are accepted;
+    /// `edges` is left normalized (`u < v`, sorted, deduplicated).
+    ///
+    /// # Panics
+    /// On self-loops or out-of-range endpoints.
+    pub fn assign_edges(&mut self, n: usize, edges: &mut Vec<(NodeIdx, NodeIdx)>) {
+        for e in edges.iter_mut() {
+            assert_ne!(e.0, e.1, "self-loop");
+            if e.0 > e.1 {
+                *e = (e.1, e.0);
+            }
+            assert!((e.1 as usize) < n, "endpoint out of range");
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        self.reset(n);
+        // Appending keeps every list sorted: in lexicographic edge order
+        // node `x` first meets its smaller neighbors, ascending (the
+        // `(a, x)` edges, `a < x`), then its larger ones, ascending (the
+        // `(x, b)` edges).
+        for &(u, v) in edges.iter() {
+            self.adj[u as usize].push(v);
+            self.adj[v as usize].push(u);
+        }
+        self.n_edges = edges.len();
+    }
+
     /// BFS hop distances from `root` to every node
     /// ([`traversal::UNREACHABLE`] across a partition): the row
     /// [`traversal::bfs_distances`] returns, computed on the first request
@@ -226,8 +256,8 @@ impl Graph {
     /// for the BFS — the hop pricer, a packet network forwarding toward
     /// `root`, another thread of either — and every later reader of this
     /// `&Graph` gets the same slice; the next [`Graph::add_edge`],
-    /// [`Graph::remove_edge`], [`Graph::reset`] or [`Graph::copy_from`]
-    /// frees all rows at once.
+    /// [`Graph::remove_edge`], [`Graph::reset`], [`Graph::copy_from`] or
+    /// [`Graph::assign_edges`] frees all rows at once.
     ///
     /// # Panics
     /// If `root` is out of range.

@@ -43,8 +43,39 @@ fn rows_are_fresh(g: &Graph, asked: &BTreeSet<NodeIdx>) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// Overwrite `g` with `src` through the bulk edge writer.
+fn assign_from(g: &mut Graph, src: &Graph) {
+    g.assign_edges(src.node_count(), &mut src.edges().collect());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `assign_edges` over any previous content — smaller, larger, warm
+    /// memo — fed pairs in any order and orientation, with duplicates, is
+    /// `from_edges` of the same pairs: value, edge count, invariants, an
+    /// empty memo, and the list handed back normalized.
+    #[test]
+    fn assign_edges_equals_from_edges(
+        mut g in arb_graph(30),
+        n in 0usize..30,
+        pairs in proptest::collection::vec((0u32..1000, 0u32..1000), 0..90),
+    ) {
+        let mut edges: Vec<(NodeIdx, NodeIdx)> = pairs
+            .into_iter()
+            .filter(|_| n > 0)
+            .map(|(a, b)| (a % n as NodeIdx, b % n as NodeIdx))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let expect = Graph::from_edges(n, &edges);
+        g.hop_row(0);
+        g.assign_edges(n, &mut edges);
+        prop_assert_eq!(&g, &expect);
+        prop_assert_eq!(g.edge_count(), expect.edge_count());
+        prop_assert_eq!(g.hop_rows_cached(), 0);
+        g.check_invariants();
+        prop_assert_eq!(edges, expect.edges().collect::<Vec<_>>());
+    }
 
     /// `hop_row` interleaved with every mutator, on unit-disk graphs from
     /// edgeless through split to connected (`rtx`), from `n = 0` up, with
@@ -52,13 +83,14 @@ proptest! {
     /// that changes the adjacency empties the memo, and whatever is asked
     /// afterwards is the fresh BFS row. Steps are plain integers because
     /// the vendored proptest has no `prop_oneof`: kinds 0–2 ask a row,
-    /// 3 adds an edge, 4 removes one, 5 resets, 6 copies the donor.
+    /// 3 adds an edge, 4 removes one, 5 resets, 6 copies the donor,
+    /// 7 bulk-writes the donor's edges.
     #[test]
     fn hop_rows_never_outlive_a_mutation(
         pts in arb_points(40),
         rtx in 0.5f64..14.0,
         donor in arb_graph(12),
-        steps in proptest::collection::vec((0u8..7, 0u32..1000, 0u32..1000), 0..40),
+        steps in proptest::collection::vec((0u8..8, 0u32..1000, 0u32..1000), 0..40),
     ) {
         let mut g = build_unit_disk(&pts, rtx);
         let mut asked: BTreeSet<NodeIdx> = BTreeSet::new();
@@ -77,6 +109,11 @@ proptest! {
                 }
                 6 => {
                     g.copy_from(&donor);
+                    prop_assert_eq!(&g, &donor);
+                    true
+                }
+                7 => {
+                    assign_from(&mut g, &donor);
                     prop_assert_eq!(&g, &donor);
                     true
                 }
@@ -222,15 +259,25 @@ proptest! {
 /// first eight jobs meet at a barrier and then all ask for root 0, so that
 /// cell is really raced for: every job reads the fresh BFS row, jobs that
 /// share a root read the very same slice, and the memo ends up holding one
-/// row per distinct root. CI reruns this under `CHLM_SHUFFLE_MERGE=1`,
-/// which permutes the order the jobs are claimed in.
+/// row per distinct root. Run on a freshly built graph and again on the
+/// same (now warm) graph bulk-rewritten to a sparser edge set, whose
+/// memo must have been emptied for the second race to start from nothing.
+/// CI reruns this under `CHLM_SHUFFLE_MERGE=1`, which permutes the order
+/// the jobs are claimed in.
 #[test]
 fn concurrent_hop_rows_are_published_once() {
-    const THREADS: usize = 8;
     let pts: Vec<chlm_geom::Point> = (0..240)
         .map(|i| chlm_geom::Point::new((i % 16) as f64, (i / 16) as f64 + 0.3 * (i % 3) as f64))
         .collect();
-    let g = build_unit_disk(&pts, 1.5);
+    let mut g = build_unit_disk(&pts, 1.5);
+    race_for_hop_rows(&g);
+    assign_from(&mut g, &build_unit_disk(&pts, 1.1));
+    assert_eq!(g.hop_rows_cached(), 0);
+    race_for_hop_rows(&g);
+}
+
+fn race_for_hop_rows(g: &Graph) {
+    const THREADS: usize = 8;
     // 64 jobs over 24 distinct roots; the first eight all want root 0.
     let roots: Vec<NodeIdx> = (0..64)
         .map(|job| {
@@ -251,7 +298,7 @@ fn concurrent_hop_rows_are_published_once() {
         (row.as_ptr() as usize, row.to_vec())
     });
     for (job, (addr, row)) in seen.iter().enumerate() {
-        assert_eq!(row, &bfs_distances(&g, roots[job]), "job {job}");
+        assert_eq!(row, &bfs_distances(g, roots[job]), "job {job}");
         assert_eq!(*addr, g.hop_row(roots[job]).as_ptr() as usize, "job {job}");
     }
     assert_eq!(g.hop_rows_cached(), distinct.len());

@@ -788,19 +788,19 @@ mod tests {
     }
 
     #[test]
-    fn cached_matches_fresh_small_steps() {
+    fn recycled_scratch_matches_fresh_small_steps() {
         jiggled_world_through_one_scratch(SelectionRule::Hrw, 0.125, 11);
     }
 
     #[test]
-    fn cached_matches_fresh_heavy_churn() {
+    fn recycled_scratch_matches_fresh_heavy_churn() {
         // Half-radius steps churn cluster membership hard and change the
         // hierarchy depth along the way.
         jiggled_world_through_one_scratch(SelectionRule::Hrw, 0.5, 12);
     }
 
     #[test]
-    fn cached_matches_fresh_mod_successor() {
+    fn recycled_scratch_matches_fresh_mod_successor() {
         jiggled_world_through_one_scratch(SelectionRule::ModSuccessor { id_space: 300 }, 0.25, 13);
     }
 
@@ -842,7 +842,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_survives_rule_and_shape_changes() {
+    fn recycled_scratch_survives_rule_and_shape_changes() {
         let h1 = random_hierarchy(180, 21);
         let h2 = random_hierarchy(240, 22); // different n: every buffer resizes
         let h3 = random_hierarchy(180, 27); // another world of h1's shape

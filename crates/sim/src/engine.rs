@@ -17,15 +17,17 @@
 //! one-bank case, delegating every method to bank 0.
 //!
 //! The hot path is allocation-frugal by design: per-tick state (topology,
-//! hierarchy level-0 graph, address books, LM assignment, level churn sets)
+//! every hierarchy level, address books, LM assignment, level churn sets)
 //! lives in persistent buffers that are rewritten in place or
 //! double-buffered across ticks rather than reallocated; BFS distance rows
 //! are the exception — they belong to the topology snapshot
 //! ([`chlm_graph::Graph::hop_row`]) and are freed by its next edge flip. The
-//! incremental fast paths ([`chlm_graph::UnitDiskMaintainer`],
-//! [`chlm_cluster::HierarchyMaintainer`]) are proven byte-equivalent to
-//! their from-scratch counterparts by `tests/equivalence.rs`, which plugs a
-//! reference stage set in through [`Simulation::with_stages`].
+//! fast paths — incremental topology ([`chlm_graph::UnitDiskMaintainer`]),
+//! the hierarchy rebuilt into a retired snapshot
+//! ([`chlm_cluster::Hierarchy::rebuild`]), the recycled walk scratch — are
+//! proven byte-equivalent to their from-scratch counterparts by
+//! `tests/equivalence.rs`, which plugs a reference stage set in through
+//! [`Simulation::with_stages`].
 //!
 //! The backend ([`crate::config::Backend`]) is not an engine: it only
 //! decides which [`crate::transport::Transport`] the accounting observers

@@ -7,13 +7,13 @@
 //! the read-only view every [`crate::observe::Observer`] consumes.
 //!
 //! The implementations here are the only stage set a [`SimConfig`] can
-//! select ([`default_stages`]): Verlet-list unit-disk maintenance,
-//! diff-driven hierarchy repair ([`IncrementalHierarchy`] over
-//! [`chlm_cluster::HierarchyMaintainer`]) — the two that carry state from
-//! tick to tick — and the level-synchronous HRW walk, which is a pure
-//! function of the tick's hierarchy and keeps buffers only. Their
-//! from-scratch references (per-tick topology rebuild, the LCA fixpoint,
-//! selection on a fresh scratch) are test fixtures in
+//! select ([`default_stages`]): Verlet-list unit-disk maintenance — the
+//! one stage that carries state from tick to tick — then the LCA
+//! hierarchy rebuilt in place ([`InPlaceHierarchy`] over
+//! [`chlm_cluster::Hierarchy::rebuild`]) and the level-synchronous HRW
+//! walk, both pure functions of their tick's input that keep buffers
+//! only. Their references (per-tick topology rebuild, the hierarchy built
+//! on an empty one, selection on a fresh scratch) are test fixtures in
 //! `tests/common/mod.rs`, plugged in through
 //! [`crate::Simulation::with_stages`] so the equivalence suites can diff
 //! entire reports byte for byte.
@@ -25,7 +25,7 @@
 
 use crate::config::SimConfig;
 use chlm_cluster::address::{AddrChange, AddressBook};
-use chlm_cluster::{Hierarchy, HierarchyMaintainer, HierarchyOptions};
+use chlm_cluster::{Hierarchy, HierarchyOptions, RebuildScratch};
 use chlm_geom::Point;
 use chlm_graph::{EdgeFlip, Graph, NodeIdx, UnitDiskMaintainer};
 use chlm_lm::server::{HostChange, LmAssignment, SelectionRule, WalkScratch};
@@ -84,7 +84,7 @@ pub trait TopologyStage {
     fn graph(&self) -> &Graph;
     /// Edge flips applied by the last `update`, when the stage tracked
     /// them incrementally. `None` means "diff unavailable" (full rebuild
-    /// or a non-tracking implementation) — consumers must resync.
+    /// or a non-tracking implementation) — consumers must read `graph`.
     fn last_diff(&self) -> Option<&[EdgeFlip]> {
         None
     }
@@ -101,9 +101,9 @@ pub struct NoStamps;
 ///
 /// `init` builds the t=0 hierarchy (called once, before any tick).
 /// `rebuild` runs every tick: `diff` is the topology stage's edge delta
-/// since the previous tick (`None` forces a resync against `graph`), and
-/// `carcass` donates the previous tick's retired snapshot so its buffers
-/// can be rewritten in place.
+/// since the previous tick (`None` when it was not tracked; the default
+/// stage recomputes from `graph` and never reads it), and `carcass`
+/// donates a retired snapshot so its buffers can be rewritten in place.
 pub trait HierarchyStage {
     fn init(&mut self, ids: &[u64], graph: &Graph) -> Hierarchy;
     fn rebuild(
@@ -178,46 +178,37 @@ impl TopologyStage for UnitDiskTopology {
     }
 }
 
-/// Default hierarchy stage: event-driven incremental maintenance. The
-/// [`HierarchyMaintainer`] repairs level 0 around the tick's edge flips
-/// and escalates upward only where the change's closure reaches; the
-/// snapshot handed to the pipeline reuses the retired carcass's buffers.
-pub struct IncrementalHierarchy {
+/// Default hierarchy stage: the LCA fixpoint recomputed every tick,
+/// written straight into the retired snapshot the pipeline donates
+/// ([`Hierarchy::rebuild`]). The stage carries buffers only, no state.
+pub struct InPlaceHierarchy {
     opts: HierarchyOptions,
-    maintainer: Option<HierarchyMaintainer>,
+    scratch: RebuildScratch,
 }
 
-impl IncrementalHierarchy {
+impl InPlaceHierarchy {
     pub fn new(opts: HierarchyOptions) -> Self {
-        IncrementalHierarchy {
+        InPlaceHierarchy {
             opts,
-            maintainer: None,
+            scratch: RebuildScratch::default(),
         }
     }
 }
 
-impl HierarchyStage for IncrementalHierarchy {
+impl HierarchyStage for InPlaceHierarchy {
     fn init(&mut self, ids: &[u64], graph: &Graph) -> Hierarchy {
-        let m = self
-            .maintainer
-            .insert(HierarchyMaintainer::new(ids, graph, self.opts));
-        m.snapshot_into(None)
+        self.rebuild(ids, graph, None, None)
     }
     fn rebuild(
         &mut self,
-        _ids: &[u64],
+        ids: &[u64],
         graph: &Graph,
-        diff: Option<&[EdgeFlip]>,
+        _diff: Option<&[EdgeFlip]>,
         carcass: Option<Hierarchy>,
     ) -> Hierarchy {
-        let m = self
-            .maintainer
-            .as_mut()
-            // audit: infallible because the engine calls `init` exactly once
-            // before the first `rebuild` (HierarchyBuilder contract).
-            .expect("IncrementalHierarchy::rebuild before init");
-        m.advance(graph, diff);
-        m.snapshot_into(carcass)
+        let mut h = carcass.unwrap_or_default();
+        h.rebuild(ids, graph, self.opts, &mut self.scratch);
+        h
     }
 }
 
@@ -257,7 +248,7 @@ pub type StageSet = (
 );
 
 /// Build the production stage set for `cfg` over an already-warmed
-/// mobility model: the incremental implementations, unconditionally.
+/// mobility model.
 pub fn default_stages(cfg: &SimConfig, mobility: Box<dyn MobilityModel>) -> StageSet {
     let topology = UnitDiskTopology::new(mobility.positions(), cfg.rtx(), cfg.threads);
     let opts = HierarchyOptions {
@@ -267,7 +258,7 @@ pub fn default_stages(cfg: &SimConfig, mobility: Box<dyn MobilityModel>) -> Stag
     (
         Box::new(ModelMobility::new(mobility)),
         Box::new(topology),
-        Box::new(IncrementalHierarchy::new(opts)),
+        Box::new(InPlaceHierarchy::new(opts)),
         Box::new(LmSelection::new(cfg.selection_rule, cfg.threads)),
     )
 }

@@ -1,0 +1,95 @@
+//! Tier-1 pin on the tick's allocator-call count.
+//!
+//! The `benchmark/` harness that judges `allocs_per_tick` runs outside
+//! `cargo test`; this is the same reading at a size tier-1 can afford, so
+//! a change that brings per-cluster `Vec`s (or any other per-tick
+//! allocation storm) back fails here first.
+//!
+//! Reading: `Simulation::step` on a fixed n = 2048 waypoint world, one
+//! thread, 20 warm ticks, mean allocator calls over the next 10 — identical
+//! in debug and release builds:
+//!
+//! * parent of ISSUE 21 (diff-driven maintainer, contraction by
+//!   `add_edge`, snapshot copied out): 1 171.1 calls a tick,
+//! * ISSUE 21 (hierarchy rebuilt in place): 204.4 calls a tick.
+//!
+//! The bound is a quarter of the parent's reading. What remains is
+//! first-time row growth inside `Vec<Vec<NodeIdx>>` graphs and the
+//! per-tick diff streams.
+//!
+//! One `#[test]` in its own binary, counting only the test's own thread,
+//! so nothing the harness does beside it lands in the window.
+
+use chlm_sim::{SimConfig, Simulation};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls made by this thread (const-initialised and
+    /// `Drop`-free, so reading it never allocates).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    // `try_with`: a thread being torn down may allocate after its
+    // thread-locals are gone.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: delegates every operation verbatim to `System`; the counter is
+// side-effect-only.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// A quarter of the parent's 1 171.1, rounded down.
+const BUDGET_CALLS_PER_TICK: f64 = 292.0;
+
+#[test]
+fn step_stays_inside_the_allocation_budget() {
+    const WARM_TICKS: usize = 20;
+    const MEASURED_TICKS: usize = 10;
+    let cfg = SimConfig::builder(2048)
+        .seed(11)
+        .warmup(2.0)
+        .threads(1)
+        .build();
+    let mut sim = Simulation::new(cfg);
+    for _ in 0..WARM_TICKS {
+        sim.step();
+    }
+    let before = CALLS.with(Cell::get);
+    for _ in 0..MEASURED_TICKS {
+        sim.step();
+    }
+    let per_tick = (CALLS.with(Cell::get) - before) as f64 / MEASURED_TICKS as f64;
+    assert!(
+        per_tick <= BUDGET_CALLS_PER_TICK,
+        "{per_tick} allocator calls a tick, budget {BUDGET_CALLS_PER_TICK}"
+    );
+    // A reading of zero would mean the counter is not installed.
+    assert!(per_tick > 0.0, "the counting allocator saw nothing");
+}

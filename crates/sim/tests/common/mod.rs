@@ -1,8 +1,9 @@
 //! The from-scratch reference stage set shared by `equivalence.rs` and
-//! `hierarchy_equivalence.rs`: rebuild the unit-disk graph, the LCA
-//! hierarchy and the LM assignment every tick, sharing no incremental
-//! state with the production stages. Plugged into the one tick loop
-//! through [`Simulation::with_stages`]; only tests can reach it.
+//! `hierarchy_equivalence.rs`: rebuild the unit-disk graph every tick,
+//! build the LCA hierarchy on an empty one and the LM assignment on a
+//! fresh scratch, carrying nothing — no state, no buffer — from one tick
+//! to the next. Plugged into the one tick loop through
+//! [`Simulation::with_stages`]; only tests can reach it.
 
 use chlm_cluster::address::AddressBook;
 use chlm_cluster::{Hierarchy, HierarchyOptions};
@@ -16,8 +17,7 @@ use chlm_sim::stage::{
 use chlm_sim::{SimConfig, Simulation};
 
 /// Reference topology stage: a from-scratch unit-disk rebuild every tick.
-/// No diff is tracked — `last_diff` stays the trait's `None` default, so
-/// the hierarchy stage resyncs against the graph.
+/// No diff is tracked — `last_diff` stays the trait's `None` default.
 pub struct RebuildTopology {
     maintainer: UnitDiskMaintainer,
 }
@@ -31,9 +31,12 @@ impl TopologyStage for RebuildTopology {
     }
 }
 
-/// Oracle hierarchy stage: the LCA fixpoint construction from scratch
-/// every tick, recycling the donated carcass's level-0 graph buffers.
-/// [`chlm_sim::stage::IncrementalHierarchy`] must match it byte for byte.
+/// Reference hierarchy stage: [`Hierarchy::build`] every tick — the same
+/// construction as production run on an empty hierarchy, the donated
+/// carcass dropped unread. [`chlm_sim::stage::InPlaceHierarchy`], which
+/// rebuilds into the carcass, must match it byte for byte (nothing of a
+/// carcass may leak); the naive contraction the construction itself is
+/// checked against lives in `chlm-cluster`'s unit tests.
 pub struct LcaHierarchy {
     opts: HierarchyOptions,
 }
@@ -53,14 +56,9 @@ impl HierarchyStage for LcaHierarchy {
         ids: &[u64],
         graph: &Graph,
         _diff: Option<&[EdgeFlip]>,
-        carcass: Option<Hierarchy>,
+        _carcass: Option<Hierarchy>,
     ) -> Hierarchy {
-        let mut g0 = carcass
-            .and_then(|h| h.levels.into_iter().next())
-            .map(|l| l.graph)
-            .unwrap_or_default();
-        g0.copy_from(graph);
-        Hierarchy::build_owned(ids, g0, self.opts)
+        Hierarchy::build(ids, graph, self.opts)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Incremental-engine equivalence suite.
 //!
 //! The tick pipeline's fast paths — Verlet-list topology maintenance
-//! ([`chlm_graph::UnitDiskMaintainer::advance`]), diff-driven hierarchy
-//! repair ([`chlm_cluster::HierarchyMaintainer`]) and the recycled buffers
-//! of the HRW walk ([`chlm_lm::server::WalkScratch`]) — are
-//! *optimizations*, not model changes. The reference stage set in
+//! ([`chlm_graph::UnitDiskMaintainer::advance`]), the hierarchy rebuilt
+//! into a retired snapshot ([`chlm_cluster::Hierarchy::rebuild`]) and the
+//! recycled buffers of the HRW walk ([`chlm_lm::server::WalkScratch`]) —
+//! are *optimizations*, not model changes. The reference stage set in
 //! `common/mod.rs` has none of them: it rebuilds the unit-disk graph, the
 //! hierarchy and the LM assignment from scratch every tick, through the
 //! same tick loop
@@ -64,8 +64,8 @@ fn run(
 
 /// `config` at three radio ranges of displacement per tick (thirty default
 /// ticks' worth, far past the Verlet slack) for twelve ticks: every tick is
-/// a grid rebuild that offers the hierarchy stage no diff, so the
-/// maintainer derives the flips itself (its resync path).
+/// a grid rebuild of the topology, and consecutive hierarchies (hence the
+/// carcasses the hierarchy stage rebuilds into) share almost nothing.
 fn coarse_config(seed: u64, mobility: MobilityKind) -> SimConfig {
     // `mobility(Static)` zeroes the speed; the tick is sized by the
     // default one either way.

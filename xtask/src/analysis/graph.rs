@@ -36,13 +36,13 @@ pub const ROOT_TRAITS: [&str; 12] = [
 ];
 
 /// `Type::method` pairs that root the reachability walk directly. The
-/// incremental-maintenance entry points are listed explicitly so the
-/// walk still covers them if a stage stops calling one.
-pub const ROOT_FNS: [(&str, &str); 5] = [
+/// per-tick entry points of the topology maintainer and the hierarchy
+/// rebuild are listed explicitly so the walk still covers them if a
+/// stage stops calling one.
+pub const ROOT_FNS: [(&str, &str); 4] = [
     ("Simulation", "step"),
     ("MultiplexSim", "step"),
-    ("HierarchyMaintainer", "advance"),
-    ("HierarchyMaintainer", "snapshot_into"),
+    ("Hierarchy", "rebuild"),
     ("UnitDiskMaintainer", "advance"),
 ];
 
