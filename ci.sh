@@ -38,7 +38,9 @@ test -s target/step_reach.json
 # graph build (`Hierarchy::rebuild` writes every tick's hierarchy in
 # place; at the tick every run uses, no tick took the repair's fast path).
 # Fail if one comes back into production source. (`if`, not `! grep`:
-# errexit ignores a status inverted with `!`.)
+# errexit ignores a status inverted with `!`.) The last entry is a layout,
+# not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
+# a heap block per node (`adj: Vec<Vec<NodeIdx>>`) must not come back.
 step "leftover check (removed twins stay removed)"
 removed='full_rebuild\|PacketEngine\|with_handoff\|run_engine'
 removed+='\|LedgerHandoffObserver\|PacketHandoffObserver\|AnalyticSchemeObserver\|PacketSchemeObserver\|AnalyticQueryObserver\|PacketQueryObserver\|send_handoff\|execute_handoff\|execute_queries\|THREADS_INNER'
@@ -46,6 +48,7 @@ removed+='\|tree_for\|with_pool\|into_pool\|cached_sources'
 removed+='\|ClusterArena\|ClusterHandle\|ArenaStamps\|subtree_changed_at\|compute_cached_stamped\|entries_reused\|debug_desync_arena\|LmCache'
 removed+='\|chlm_core\|run_replications\|SweepPoint'
 removed+='\|HierarchyMaintainer\|IncrementalHierarchy\|snapshot_into\|escalation_count\|build_owned'
+removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
   exit 1

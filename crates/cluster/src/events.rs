@@ -172,14 +172,13 @@ fn phys_edges(h: &Hierarchy, k: usize) -> Vec<(NodeIdx, NodeIdx)> {
     match h.levels.get(k) {
         None => Vec::new(),
         Some(level) => {
-            let es: Vec<(NodeIdx, NodeIdx)> = level
-                .graph
-                .edges()
-                .map(|(a, b)| {
-                    let (pa, pb) = (level.nodes[a as usize], level.nodes[b as usize]);
-                    (pa.min(pb), pa.max(pb))
-                })
-                .collect();
+            // `edges()` has no size hint; reserve the count the graph
+            // already keeps instead of growing by doubling.
+            let mut es = Vec::with_capacity(level.graph.edge_count());
+            es.extend(level.graph.edges().map(|(a, b)| {
+                let (pa, pb) = (level.nodes[a as usize], level.nodes[b as usize]);
+                (pa.min(pb), pa.max(pb))
+            }));
             debug_assert!(es.windows(2).all(|w| w[0] < w[1]));
             es
         }

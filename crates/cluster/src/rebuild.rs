@@ -5,9 +5,11 @@
 //! nothing, last tick's, another world's — and [`Hierarchy::build`] is the
 //! same function run on an empty one. The tick loop calls `rebuild` on the
 //! snapshot it retired two ticks earlier, so in steady state a tick's
-//! hierarchy costs no allocation beyond first-time row growth inside the
-//! level graphs. The tests hold it to a naive oracle (fresh `Vec`s per
-//! level, contraction by `add_edge`) that shares no code with it.
+//! hierarchy costs no allocation: every per-level buffer is overwritten in
+//! place, and the level graphs are packed into the carcass's own arenas
+//! ([`Graph::copy_from`], [`Graph::assign_edges`]). The tests hold it to a
+//! naive oracle (fresh `Vec`s per level, contraction by `add_edge`) that
+//! shares no code with it.
 
 use crate::{ElectionId, Hierarchy, HierarchyOptions, Level, NO_SLOT};
 use chlm_graph::{Graph, NodeIdx};

@@ -48,6 +48,45 @@ fn assign_from(g: &mut Graph, src: &Graph) {
     g.assign_edges(src.node_count(), &mut src.edges().collect());
 }
 
+/// `g` is the graph over `0..n` with exactly the edges in `model`, to
+/// every reader: lists sorted and symmetric, `edges()` / `edge_count()` /
+/// `degree()` the model's, equal both ways to — and printing like — the
+/// graph `from_edges` builds from nothing, whatever slack, holes or moved
+/// rows `g` carries, and structurally sound.
+fn is_the_model(
+    g: &Graph,
+    n: usize,
+    model: &BTreeSet<(NodeIdx, NodeIdx)>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.node_count(), n);
+    prop_assert_eq!(g.edge_count(), model.len());
+    let listed: Vec<(NodeIdx, NodeIdx)> = model.iter().copied().collect();
+    prop_assert_eq!(&g.edges().collect::<Vec<_>>(), &listed);
+    for u in 0..n as NodeIdx {
+        let nbrs = g.neighbors(u);
+        prop_assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "row {} unsorted", u);
+        prop_assert_eq!(g.degree(u), nbrs.len());
+        for &v in nbrs {
+            prop_assert!(g.has_edge(v, u), "({}, {}) one-way", u, v);
+        }
+    }
+    let fresh = Graph::from_edges(n, &listed);
+    prop_assert_eq!(g, &fresh);
+    prop_assert_eq!(&fresh, g);
+    prop_assert_eq!(format!("{g:?}"), format!("{fresh:?}"));
+    g.check_invariants();
+    Ok(())
+}
+
+/// Every `skip`-th edge of `src` dropped, every other one turned around.
+fn some_edges_of(src: &Graph, skip: u32) -> Vec<(NodeIdx, NodeIdx)> {
+    src.edges()
+        .enumerate()
+        .filter(|(i, _)| !(*i as u32 + 1).is_multiple_of(skip + 2))
+        .map(|(i, (u, v))| if i % 2 == 0 { (u, v) } else { (v, u) })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -75,6 +114,80 @@ proptest! {
         prop_assert_eq!(g.hop_rows_cached(), 0);
         g.check_invariants();
         prop_assert_eq!(edges, expect.edges().collect::<Vec<_>>());
+    }
+
+    /// The layout cannot leak into the value. Random interleavings of
+    /// every writer against a `BTreeSet` model, from `n = 0` up: kinds 0–2
+    /// add an edge (so rows fill, move to the tail and move again), 3
+    /// removes one, 4 resets to any size (shrinking and growing), 5 copies
+    /// the donor in, 6 bulk-writes some of the donor's edges, 7 carries on
+    /// with a clone (holes and all). After every step the graph is the
+    /// model's graph, and a step that changed the adjacency emptied the
+    /// memo.
+    #[test]
+    fn layout_never_shows_in_the_value(
+        n0 in 0usize..12,
+        donor in arb_graph(16),
+        steps in proptest::collection::vec((0u8..8, 0u32..1000, 0u32..1000), 0..80),
+    ) {
+        let mut g = Graph::with_nodes(n0);
+        let mut n = n0;
+        let mut model: BTreeSet<(NodeIdx, NodeIdx)> = BTreeSet::new();
+        is_the_model(&g, n, &model)?;
+        for (kind, a, b) in steps {
+            if n > 0 {
+                g.hop_row(a % n as NodeIdx);
+            }
+            let (u, v) = match n {
+                0 => (0, 0),
+                _ => (a % n as NodeIdx, b % n as NodeIdx),
+            };
+            let edge = (u.min(v), u.max(v));
+            let changed = match kind {
+                0..=2 if u != v => {
+                    let added = g.add_edge(u, v);
+                    prop_assert_eq!(added, model.insert(edge));
+                    added
+                }
+                3 if n > 0 => {
+                    let removed = g.remove_edge(u, v);
+                    prop_assert_eq!(removed, model.remove(&edge));
+                    removed
+                }
+                4 => {
+                    n = a as usize % 20;
+                    g.reset(n);
+                    model.clear();
+                    true
+                }
+                5 => {
+                    g.copy_from(&donor);
+                    n = donor.node_count();
+                    model = donor.edges().collect();
+                    true
+                }
+                6 => {
+                    let mut edges = some_edges_of(&donor, b % 4);
+                    n = donor.node_count() + a as usize % 3;
+                    g.assign_edges(n, &mut edges);
+                    model = edges.into_iter().collect();
+                    true
+                }
+                7 => {
+                    let copy = g.clone();
+                    prop_assert_eq!(&copy, &g);
+                    prop_assert_eq!(&g, &copy);
+                    prop_assert_eq!(copy.hop_rows_cached(), 0);
+                    g = copy;
+                    false
+                }
+                _ => false,
+            };
+            if changed {
+                prop_assert_eq!(g.hop_rows_cached(), 0);
+            }
+            is_the_model(&g, n, &model)?;
+        }
     }
 
     /// `hop_row` interleaved with every mutator, on unit-disk graphs from
@@ -252,6 +365,76 @@ proptest! {
             prop_assert!(rebuilt.add_edge(u, v));
         }
         prop_assert_eq!(rebuilt, new);
+    }
+}
+
+/// The corners the random walk above may miss, by hand: the three smallest
+/// graphs through every writer, one row moved to the tail four times, a
+/// `reset` that shrinks and one that grows again, and the two bulk writers
+/// aimed at a graph that was larger, one that was smaller and one full of
+/// holes.
+#[test]
+fn layout_corner_cases() {
+    let ok = |g: &Graph, n: usize, model: &BTreeSet<(NodeIdx, NodeIdx)>| {
+        is_the_model(g, n, model).expect("graph and model disagree");
+    };
+    let none = BTreeSet::new();
+    for n in 0..3usize {
+        let mut g = Graph::with_nodes(n);
+        ok(&g, n, &none);
+        g.reset(n);
+        ok(&g, n, &none);
+        g.assign_edges(n, &mut Vec::new());
+        ok(&g, n, &none);
+        g.copy_from(&Graph::with_nodes(n));
+        ok(&g, n, &none);
+        ok(&g.clone(), n, &none);
+    }
+    let mut pair = Graph::with_nodes(2);
+    assert!(pair.add_edge(1, 0) && pair.remove_edge(0, 1) && pair.add_edge(0, 1));
+    ok(&pair, 2, &BTreeSet::from([(0, 1)]));
+
+    // A star: the hub's row outgrows 4, 8, 16 and 32 slots, descending
+    // inserts shifting the whole row each time.
+    let mut g = Graph::with_nodes(40);
+    let mut star = BTreeSet::new();
+    for v in (1..40).rev() {
+        assert!(g.add_edge(0, v));
+        star.insert((0, v));
+        ok(&g, 40, &star);
+    }
+    let holed = g.clone();
+
+    // Shrink, refill, grow, refill: kept capacities, new rows, no leak.
+    g.reset(5);
+    ok(&g, 5, &none);
+    g.add_edge(4, 0);
+    g.add_edge(3, 4);
+    ok(&g, 5, &BTreeSet::from([(0, 4), (3, 4)]));
+    g.reset(60);
+    ok(&g, 60, &none);
+    g.add_edge(59, 4);
+    g.add_edge(0, 59);
+    ok(&g, 60, &BTreeSet::from([(0, 59), (4, 59)]));
+
+    // Bulk writers into a larger graph, a smaller one and one with holes.
+    let path: Vec<(NodeIdx, NodeIdx)> = (0..9).map(|i| (i + 1, i)).collect();
+    let path_model: BTreeSet<_> = path.iter().map(|&(v, u)| (u, v)).collect();
+    let path_graph = Graph::from_edges(10, &path);
+    for dst in [g.clone(), Graph::with_nodes(3), holed.clone()] {
+        let mut copied = dst.clone();
+        copied.hop_row(0);
+        copied.copy_from(&path_graph);
+        assert_eq!(copied.hop_rows_cached(), 0);
+        ok(&copied, 10, &path_model);
+        let mut assigned = dst;
+        assigned.hop_row(0);
+        assigned.assign_edges(10, &mut path.clone());
+        assert_eq!(assigned.hop_rows_cached(), 0);
+        ok(&assigned, 10, &path_model);
+        // And back out to the holed star, which packs tight on arrival.
+        assigned.copy_from(&holed);
+        ok(&assigned, 40, &star);
     }
 }
 

@@ -19,8 +19,11 @@
 //! The hot path is allocation-frugal by design: per-tick state (topology,
 //! every hierarchy level, address books, LM assignment, level churn sets)
 //! lives in persistent buffers that are rewritten in place or
-//! double-buffered across ticks rather than reallocated; BFS distance rows
-//! are the exception — they belong to the topology snapshot
+//! double-buffered across ticks rather than reallocated. Every graph
+//! among them keeps its neighbor lists in one arena
+//! ([`chlm_graph::Graph`]), so the topology's edge flips and the
+//! hierarchy's level graphs are written without an allocator call. BFS
+//! distance rows are the exception — they belong to the topology snapshot
 //! ([`chlm_graph::Graph::hop_row`]) and are freed by its next edge flip. The
 //! fast paths — incremental topology ([`chlm_graph::UnitDiskMaintainer`]),
 //! the hierarchy rebuilt into a retired snapshot
@@ -265,8 +268,9 @@ impl World {
     /// snapshots, hand the completed `TickCtx` to `observe`, then rotate.
     ///
     /// Allocation discipline: mobility positions are *borrowed* (never
-    /// copied), topology is patched in place by the maintainer, the
-    /// hierarchy stage rewrites the retired snapshot's buffers in place,
+    /// copied), topology is patched in place by the maintainer (flips
+    /// shift inside the graph's arena), the hierarchy stage rewrites the
+    /// retired snapshot's buffers and level-graph arenas in place,
     /// address books double-buffer, and the assignment stage rewrites its
     /// walk scratch and the retired `hosts` buffer.
     pub(crate) fn step_with(&mut self, observe: &mut dyn FnMut(&TickCtx<'_>)) {

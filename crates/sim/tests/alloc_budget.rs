@@ -11,11 +11,14 @@
 //!
 //! * parent of ISSUE 21 (diff-driven maintainer, contraction by
 //!   `add_edge`, snapshot copied out): 1 171.1 calls a tick,
-//! * ISSUE 21 (hierarchy rebuilt in place): 204.4 calls a tick.
+//! * ISSUE 21 (hierarchy rebuilt in place): 204.4 calls a tick,
+//! * ISSUE 22 (`Graph` rows in one arena: 88.5; `phys_edges` reserving its
+//!   edge count: 42.8): 42.8 calls a tick.
 //!
-//! The bound is a quarter of the parent's reading. What remains is
-//! first-time row growth inside `Vec<Vec<NodeIdx>>` graphs and the
-//! per-tick diff streams.
+//! The bound is that reading with a quarter of headroom. What remains is
+//! the world observers' per-snapshot lists (`classify_events`: two edge
+//! lists per level and the event list), the per-tick diff streams, and a
+//! call or two per stage; no graph allocates in a steady tick.
 //!
 //! One `#[test]` in its own binary, counting only the test's own thread,
 //! so nothing the harness does beside it lands in the window.
@@ -65,8 +68,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// A quarter of the parent's 1 171.1, rounded down.
-const BUDGET_CALLS_PER_TICK: f64 = 292.0;
+/// The reading above x 1.25, rounded up.
+const BUDGET_CALLS_PER_TICK: f64 = 54.0;
 
 #[test]
 fn step_stays_inside_the_allocation_budget() {
