@@ -36,7 +36,10 @@ test -s target/step_reach.json
 # its per-size sweep loop (every sweep is one `run_sweep` pool now), and
 # the diff-driven hierarchy maintainer with its snapshot copy and owned-
 # graph build (`Hierarchy::rebuild` writes every tick's hierarchy in
-# place; at the tick every run uses, no tick took the repair's fast path).
+# place; at the tick every run uses, no tick took the repair's fast path),
+# and the CHLM-only, handoff-only hint that told the BFS cost model which
+# rows to compute ahead of pricing (every transport now warms the rows of
+# its own legs, `Transport::carry` -> `Graph::fill_hop_rows`).
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.) The last entry is a layout,
 # not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
@@ -48,6 +51,7 @@ removed+='\|tree_for\|with_pool\|into_pool\|cached_sources'
 removed+='\|ClusterArena\|ClusterHandle\|ArenaStamps\|subtree_changed_at\|compute_cached_stamped\|entries_reused\|debug_desync_arena\|LmCache'
 removed+='\|chlm_core\|run_replications\|SweepPoint'
 removed+='\|HierarchyMaintainer\|IncrementalHierarchy\|snapshot_into\|escalation_count\|build_owned'
+removed+='\|collect_chlm_bfs_sources\|wants_bfs_sources'
 removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
@@ -67,14 +71,16 @@ cargo test --workspace -q
 # pins the fan-out against standalone runs while run_sweep workers claim
 # whole world-runs in the fuzzed order. chlm-lm is here for its pooled
 # walk test (n above WALK_PAR_MIN_N at 2 and 8 workers), which no other
-# suite reaches; chlm-graph for the eight-worker race on one
-# `Graph::hop_row` cell.
+# suite reaches; chlm-graph for the eight-worker race of `hop_row` and
+# `fill_hop_rows` on the same cells; hop_row_sharing for the rows a
+# six-bank tick leaves behind at 2 and 8 workers against 1.
 step "schedule fuzz (CHLM_SHUFFLE_MERGE=1)"
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-par
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-graph
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-lm
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test thread_invariance
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test multiplex_equivalence
+CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test hop_row_sharing
 
 # Miri over the worker pool when the toolchain carries it (nightly-only
 # component; the GitHub workflow runs it in a dedicated nightly job).

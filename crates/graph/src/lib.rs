@@ -17,7 +17,12 @@
 //! * [`Graph::hop_row`] — the one shortest-path row store of a topology
 //!   snapshot: the BFS distance row of a root, computed by whoever asks
 //!   first and shared by every later reader of the same `&Graph` until
-//!   the adjacency next changes,
+//!   the adjacency next changes; a caller that knows which roots it is
+//!   about to read hands them to [`Graph::fill_hop_rows`], which computes
+//!   the missing rows 64 at a time — a bit-parallel BFS over batches of
+//!   neighbouring roots, one scalar BFS per root where a batch is too thin
+//!   and too spread out to pay — and publishes exactly those rows into
+//!   the same store,
 //! * [`UnionFind`] — disjoint sets for fast connectivity,
 //! * [`dynamics::LinkDiff`] — link up/down event extraction between
 //!   consecutive topology snapshots (the level-0 link-state change events of
@@ -46,6 +51,7 @@ pub mod dijkstra;
 pub mod dynamics;
 pub mod fasthash;
 pub mod incremental;
+mod msbfs;
 pub mod traversal;
 pub mod union_find;
 pub mod unit_disk;
@@ -54,6 +60,7 @@ pub use dynamics::LinkDiff;
 pub use incremental::{EdgeFlip, UnitDiskMaintainer};
 pub use union_find::UnionFind;
 
+use chlm_par::WorkerPool;
 use std::sync::OnceLock;
 
 /// Node index type. Graphs in this workspace are dense and index nodes by
@@ -411,7 +418,9 @@ impl Graph {
     /// `root`, another thread of either — and every later reader of this
     /// `&Graph` gets the same slice; the next [`Graph::add_edge`],
     /// [`Graph::remove_edge`], [`Graph::reset`], [`Graph::copy_from`] or
-    /// [`Graph::assign_edges`] frees all rows at once.
+    /// [`Graph::assign_edges`] frees all rows at once. A row asked for here
+    /// and not yet held is one scalar BFS; [`Graph::fill_hop_rows`] is the
+    /// batched way in.
     ///
     /// # Panics
     /// If `root` is out of range.
@@ -419,11 +428,68 @@ impl Graph {
         // AUDIT: see `HopRows::cells` — write-once, and each cell's value is
         // a pure function of (adjacency, root), so neither which thread
         // fills a cell nor the order cells are filled in reaches a reader.
-        let cells = self.memo.cells.get_or_init(|| {
-            // AUDIT: as above; the table starts as `n` empty cells.
-            (0..self.table.len()).map(|_| OnceLock::new()).collect()
+        self.row_cells()[root as usize].get_or_init(|| traversal::bfs_distances(self, root))
+    }
+
+    /// The memo's cells, one per node, allocated (empty) on first use.
+    fn row_cells(&self) -> &[OnceLock<Vec<u32>>] {
+        // AUDIT: see `HopRows::cells`; the table starts as `n` empty cells
+        // whichever thread allocates it.
+        self.memo
+            .cells
+            .get_or_init(|| (0..self.table.len()).map(|_| OnceLock::new()).collect())
+    }
+
+    /// Make [`Graph::hop_row`] hold the row of every root in `roots` (any
+    /// order, duplicates and roots already held welcome), computing the
+    /// missing ones together instead of one BFS each.
+    ///
+    /// The missing roots are cut into batches of up to 64 that lie near one
+    /// another — the lowest root not yet in a batch, then the wanted roots
+    /// a BFS from it meets first — and a batch runs as one level-synchronous
+    /// bit-parallel BFS, a `u64` of lanes per node, which walks a node's
+    /// edges once per distinct distance the batch has to it rather than
+    /// once per root. A batch of few roots far apart would walk more that
+    /// way than its roots' own searches do; it is told from its lane count
+    /// and its spread alone, and runs [`traversal::bfs_distances`] per root.
+    /// Batches fan out over `workers`.
+    ///
+    /// Exactly the requested rows are published, each into the write-once
+    /// cell `hop_row` reads, and each is `bfs_distances`' row bit for bit —
+    /// so nothing a reader can see depends on whether this was called, with
+    /// what grouping, on how many threads, or racing which `hop_row`.
+    ///
+    /// # Panics
+    /// If a root is out of range.
+    pub fn fill_hop_rows(&self, roots: &[NodeIdx], workers: &WorkerPool) {
+        let cells = self.row_cells();
+        let mut wanted: Vec<NodeIdx> = roots
+            .iter()
+            .copied()
+            .filter(|&root| cells[root as usize].get().is_none())
+            .collect();
+        if wanted.is_empty() {
+            return;
+        }
+        wanted.sort_unstable();
+        wanted.dedup();
+        let batches = msbfs::near_batches(self, &wanted);
+        workers.run_indexed(batches.len(), |b| {
+            let batch = &batches[b];
+            if !batch.pays() {
+                for &root in &batch.roots {
+                    self.hop_row(root);
+                }
+                return;
+            }
+            let (rows, _) = msbfs::batch_rows(self, &batch.roots);
+            for (&root, row) in batch.roots.iter().zip(rows) {
+                // AUDIT: write-once publication of a pure function of
+                // (adjacency, root). A `hop_row` that raced this batch to
+                // the cell stored the same bytes, so losing is harmless.
+                let _ = cells[root as usize].set(row);
+            }
         });
-        cells[root as usize].get_or_init(|| traversal::bfs_distances(self, root))
     }
 
     /// How many roots currently have a memoised [`Graph::hop_row`]

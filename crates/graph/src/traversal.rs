@@ -23,20 +23,26 @@ pub fn bfs_distances(g: &Graph, src: NodeIdx) -> Vec<u32> {
 pub fn bfs_distances_into(g: &Graph, src: NodeIdx, dist: &mut Vec<u32>) {
     dist.clear();
     dist.resize(g.node_count(), UNREACHABLE);
-    // Every node enters the queue at most once, so a flat FIFO (push at the
-    // tail, read at `head`) sized for the graph never grows or wraps.
-    let mut queue = Vec::with_capacity(g.node_count());
+    // Every node enters the queue at most once, so a flat FIFO (write at
+    // `tail`, read at `head`) sized for the graph never grows or wraps. The
+    // inner loop does not branch on whether `v` is new — on a unit-disk
+    // graph that is a coin the predictor loses: the slot at `tail` and
+    // `dist[v]` are written on every visit, and only a new `v` moves `tail`
+    // and changes `dist[v]`. Hence one slot more than there are nodes.
+    let mut queue: Vec<NodeIdx> = vec![0; g.node_count() + 1];
     dist[src as usize] = 0;
-    queue.push(src);
-    let mut head = 0;
-    while let Some(&u) = queue.get(head) {
+    queue[0] = src;
+    let (mut head, mut tail) = (0, 1);
+    while head < tail {
+        let u = queue[head];
         head += 1;
         let du = dist[u as usize];
         for &v in g.neighbors(u) {
-            if dist[v as usize] == UNREACHABLE {
-                dist[v as usize] = du + 1;
-                queue.push(v);
-            }
+            let d = dist[v as usize];
+            let unseen = d == UNREACHABLE;
+            queue[tail] = v;
+            tail += unseen as usize;
+            dist[v as usize] = if unseen { du + 1 } else { d };
         }
     }
 }

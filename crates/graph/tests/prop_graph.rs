@@ -242,6 +242,67 @@ proptest! {
         }
     }
 
+    /// `fill_hop_rows` is `hop_row` for a list: on any graph — from no nodes
+    /// up, sparse enough to fall apart into components and isolated nodes,
+    /// or a star through node 0 — and for any root list (empty, duplicates,
+    /// more than one batch, more than two, some rows already held), at any
+    /// pool width, every requested row is the BFS row, the memo holds the
+    /// requested and the previously held rows and not one more (the kernel
+    /// computes 64 rows at a time but publishes only what was asked for),
+    /// rows already held keep their address, and a mutation frees it all.
+    #[test]
+    fn filled_rows_are_the_bfs_rows(
+        n in 0usize..200,
+        pairs in proptest::collection::vec((0u32..1000, 0u32..1000), 0..500),
+        star in 0u8..3,
+        held in proptest::collection::vec(0u32..1000, 0..8),
+        picks in proptest::collection::vec(0u32..1000, 0..300),
+        width in 0usize..3,
+    ) {
+        let node = |x: u32| x % n.max(1) as NodeIdx;
+        let mut edges: Vec<(NodeIdx, NodeIdx)> = pairs
+            .iter()
+            .take(if n == 0 { 0 } else { pairs.len() })
+            .map(|&(a, b)| (node(a), node(b)))
+            .collect();
+        if star == 0 {
+            edges.extend((1..n as NodeIdx).map(|v| (0, v)));
+        }
+        edges.retain(|(u, v)| u != v);
+        let mut g = Graph::from_edges(n, &edges);
+        let of_nodes = |xs: &[u32]| -> Vec<NodeIdx> {
+            xs.iter().take(if n == 0 { 0 } else { xs.len() }).map(|&x| node(x)).collect()
+        };
+        let (held, roots) = (of_nodes(&held), of_nodes(&picks));
+        let before: Vec<(NodeIdx, usize)> = held
+            .iter()
+            .map(|&root| (root, g.hop_row(root).as_ptr() as usize))
+            .collect();
+        g.fill_hop_rows(&roots, &WorkerPool::new([1, 2, 8][width]));
+        let expected: BTreeSet<NodeIdx> = held.iter().chain(&roots).copied().collect();
+        prop_assert_eq!(g.hop_rows_cached(), expected.len());
+        rows_are_fresh(&g, &expected)?;
+        prop_assert_eq!(g.hop_rows_cached(), expected.len());
+        for (root, addr) in before {
+            prop_assert_eq!(g.hop_row(root).as_ptr() as usize, addr);
+        }
+        // Asking again computes nothing and moves nothing.
+        let addrs = |g: &Graph| -> Vec<usize> {
+            expected.iter().map(|&r| g.hop_row(r).as_ptr() as usize).collect()
+        };
+        let first = addrs(&g);
+        g.fill_hop_rows(&roots, &WorkerPool::new(2));
+        prop_assert_eq!(addrs(&g), first);
+        if n >= 2 {
+            if !g.add_edge(0, n as NodeIdx - 1) {
+                g.remove_edge(0, n as NodeIdx - 1);
+            }
+            prop_assert_eq!(g.hop_rows_cached(), 0);
+            g.fill_hop_rows(&roots, &WorkerPool::new(1));
+            rows_are_fresh(&g, &roots.iter().copied().collect())?;
+        }
+    }
+
     /// The memo is not part of a graph's value: a clone of a warm graph is
     /// equal to it, prints like it, starts cold, answers identically from
     /// rows of its own, and mutating either leaves the other's rows alone.
@@ -439,10 +500,12 @@ fn layout_corner_cases() {
 }
 
 /// Eight workers asking for overlapping roots of one graph at once — the
-/// first eight jobs meet at a barrier and then all ask for root 0, so that
-/// cell is really raced for: every job reads the fresh BFS row, jobs that
-/// share a root read the very same slice, and the memo ends up holding one
-/// row per distinct root. Run on a freshly built graph and again on the
+/// first eight jobs meet at a barrier and then all go for root 0, four of
+/// them through `hop_row`, four through a `fill_hop_rows` of the 64-node
+/// block around it (one kernel batch each, racing the scalar searches and
+/// one another for the same cells): every job reads the fresh BFS row, jobs
+/// that share a root read the very same slice, and the memo ends up holding
+/// one row per distinct root. Run on a freshly built graph and again on the
 /// same (now warm) graph bulk-rewritten to a sparser edge set, whose
 /// memo must have been emptied for the second race to start from nothing.
 /// CI reruns this under `CHLM_SHUFFLE_MERGE=1`, which permutes the order
@@ -471,11 +534,16 @@ fn race_for_hop_rows(g: &Graph) {
             }
         })
         .collect();
-    let distinct: BTreeSet<NodeIdx> = roots.iter().copied().collect();
+    // What every fourth job fills first: the four grid rows around root 0.
+    let block: Vec<NodeIdx> = (0..64).collect();
+    let distinct: BTreeSet<NodeIdx> = roots.iter().chain(&block).copied().collect();
     let barrier = Barrier::new(THREADS);
     let seen = WorkerPool::new(THREADS).run_indexed(roots.len(), |job| {
         if job < THREADS {
             barrier.wait();
+        }
+        if job % 2 == 1 {
+            g.fill_hop_rows(&block, &WorkerPool::new(1 + job % 3));
         }
         let row = g.hop_row(roots[job]);
         (row.as_ptr() as usize, row.to_vec())
@@ -485,5 +553,41 @@ fn race_for_hop_rows(g: &Graph) {
         assert_eq!(*addr, g.hop_row(roots[job]).as_ptr() as usize, "job {job}");
     }
     assert_eq!(g.hop_rows_cached(), distinct.len());
+    for &root in &block {
+        assert_eq!(g.hop_row(root), bfs_distances(g, root), "block root {root}");
+    }
     g.check_invariants();
+}
+
+/// Pool width is invisible: the same roots filled at 1, 2 and 8 workers
+/// (and not filled at all) read equal rows, and a row, once published,
+/// stays where it is however often it is asked for again.
+#[test]
+fn filled_rows_do_not_depend_on_the_pool_width() {
+    let pts: Vec<chlm_geom::Point> = (0..600)
+        .map(|i| chlm_geom::Point::new((i % 30) as f64 * 0.9, (i / 30) as f64 * 0.9))
+        .collect();
+    let g = build_unit_disk(&pts, 1.4);
+    // Three full batches and a remainder, with duplicates, out of order.
+    let roots: Vec<NodeIdx> = (0..230).rev().chain([5, 5, 599, 300]).collect();
+    let lazy: Vec<Vec<u32>> = roots.iter().map(|&r| bfs_distances(&g, r)).collect();
+    for width in [1, 2, 8] {
+        let cold = g.clone();
+        cold.fill_hop_rows(&roots, &WorkerPool::new(width));
+        assert_eq!(cold.hop_rows_cached(), 232, "width {width}");
+        let addrs: Vec<usize> = roots
+            .iter()
+            .map(|&r| cold.hop_row(r).as_ptr() as usize)
+            .collect();
+        for (&root, want) in roots.iter().zip(&lazy) {
+            assert_eq!(cold.hop_row(root), want, "width {width} root {root}");
+        }
+        cold.fill_hop_rows(&roots, &WorkerPool::new(width));
+        let again: Vec<usize> = roots
+            .iter()
+            .map(|&r| cold.hop_row(r).as_ptr() as usize)
+            .collect();
+        assert_eq!(again, addrs, "width {width}: a published row moved");
+        assert_eq!(cold.hop_rows_cached(), 232);
+    }
 }

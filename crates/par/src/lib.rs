@@ -1,8 +1,8 @@
 //! Deterministic intra-tick parallelism.
 //!
-//! Every parallel hot path in the simulator (BFS row prefill in the hop
-//! oracle, Verlet-list topology maintenance, the sharded packet backend)
-//! fans work out through one [`WorkerPool`] and merges results with one of
+//! Every parallel hot path in the simulator (the batched BFS rows of
+//! `Graph::fill_hop_rows`, Verlet-list topology maintenance, the sharded
+//! packet backend) fans work out through one [`WorkerPool`] and merges results with one of
 //! two order-preserving shapes:
 //!
 //! * [`WorkerPool::run_indexed`] — `count` independent jobs claimed off a

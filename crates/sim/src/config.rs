@@ -161,7 +161,7 @@ pub struct SimConfig {
     /// Which engine executes the handoff workload (analytic pricing vs
     /// packet-level execution); see [`Backend`].
     pub backend: Backend,
-    /// Intra-tick worker threads (parallel BFS prefill, topology
+    /// Intra-tick worker threads (batched BFS rows, topology
     /// maintenance, packet shards). Defaults to the workspace thread
     /// budget (`CHLM_THREADS`, else available parallelism); `1` runs the
     /// exact serial code paths. Reports are bit-identical for every value

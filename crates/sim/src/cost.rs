@@ -16,16 +16,17 @@
 //!
 //! The scoped-lend shape (`with_pricer` hands a `&mut dyn HopPricer` to a
 //! closure) lets a model borrow the tick's graph/positions without storing
-//! lifetimes in the engine. No model keeps shortest-path rows: the BFS
-//! rows live on the `Graph` they describe, where the packet transports of
-//! every bank find the same ones, and die with its next mutation.
+//! lifetimes in the engine. No model keeps or computes shortest-path rows:
+//! the BFS rows live on the `Graph` they describe, where the packet
+//! transports of every bank find the same ones, are warmed a batch of legs
+//! at a time by the transport that carries them
+//! ([`crate::transport`], rule 4), and die with the graph's next mutation.
 
 use crate::config::HopMetric;
 use crate::oracle::{DistanceOracle, DEFAULT_DETOUR};
 use chlm_cluster::Hierarchy;
 use chlm_geom::Point;
 use chlm_graph::{Graph, NodeIdx};
-use chlm_par::WorkerPool;
 use chlm_routing::nexthop::NextHopTable;
 
 /// A hop-distance pricer over one topology snapshot. `hops(a, b)` is the
@@ -48,11 +49,12 @@ pub struct CostInputs<'a> {
     pub positions: &'a [Point],
     pub hierarchy: &'a Hierarchy,
     pub rtx: f64,
-    /// The distinct BFS sources the tick's pricing is known to query
-    /// (sorted ascending), so BFS-backed models can compute the rows in
-    /// parallel *before* lending the pricer. Purely a scheduling hint:
-    /// pricers answer identically for sources outside this set (their rows
-    /// are computed on first use), so an empty slice is always valid.
+    /// Unread: no model computes rows ahead of pricing, the transports
+    /// warm the rows their own legs read (`Transport::carry`). Kept, and
+    /// passed `&[]`, because the frozen `benchmark/` harness constructs
+    /// it; goes with `[benchmark]` v2 (ROADMAP). `DistanceOracle::prefill`
+    /// likewise survives only as the wrapper over `Graph::fill_hop_rows`
+    /// its tests call (`oracle::tests::prefill_*`, `thread_invariance`).
     pub sources: &'a [NodeIdx],
 }
 
@@ -64,29 +66,25 @@ pub trait CostModel {
     fn with_pricer(&mut self, inputs: &CostInputs<'_>, scope: &mut dyn FnMut(&mut dyn HopPricer));
 }
 
-/// Exact-BFS pricing off [`Graph::hop_row`]. The rows for
-/// `CostInputs::sources` are warmed across the worker pool before the
-/// pricer is lent — the one place BFS runs in parallel — and disconnected
-/// pairs are priced with the startup-measured calibration (not a
-/// hardcoded detour).
+/// Exact-BFS pricing off [`Graph::hop_row`]. The model computes no row
+/// itself: whoever carries a batch of legs warms the rows they read
+/// (`Transport::carry`), and a row nobody warmed is one scalar BFS on
+/// first use. Disconnected pairs are priced with the startup-measured
+/// calibration (not a hardcoded detour).
 pub struct BfsCostModel {
     calibration: f64,
-    workers: WorkerPool,
 }
 
 impl BfsCostModel {
-    pub fn new(calibration: f64, threads: usize) -> Self {
-        BfsCostModel {
-            calibration,
-            workers: WorkerPool::new(threads),
-        }
+    pub fn new(calibration: f64) -> Self {
+        BfsCostModel { calibration }
     }
 }
 
 impl Default for BfsCostModel {
-    /// Serial model with the conservative default detour factor.
+    /// The conservative default detour factor.
     fn default() -> Self {
-        BfsCostModel::new(DEFAULT_DETOUR, 1)
+        BfsCostModel::new(DEFAULT_DETOUR)
     }
 }
 
@@ -94,7 +92,6 @@ impl CostModel for BfsCostModel {
     fn with_pricer(&mut self, inputs: &CostInputs<'_>, scope: &mut dyn FnMut(&mut dyn HopPricer)) {
         let mut oracle = DistanceOracle::bfs(inputs.graph, inputs.positions, inputs.rtx)
             .with_fallback(self.calibration);
-        oracle.prefill(inputs.sources, &self.workers);
         scope(&mut oracle);
     }
 }
@@ -188,11 +185,12 @@ impl CostModel for HierRoutingCostModel {
 /// The cost model dictated by `metric`; `calibration` is the
 /// startup-measured detour ratio consumed by
 /// [`HopMetric::EuclideanCalibrated`] and by the disconnected/unroutable
-/// fallbacks of the BFS and hierarchical models; `threads` sizes the
-/// intra-tick worker pool of models that can parallelise.
-pub fn cost_model_for(metric: HopMetric, calibration: f64, threads: usize) -> Box<dyn CostModel> {
+/// fallbacks of the BFS and hierarchical models. `_threads` is unread (no
+/// model runs a pool) and kept, like [`CostInputs::sources`], for the
+/// frozen `benchmark/` harness.
+pub fn cost_model_for(metric: HopMetric, calibration: f64, _threads: usize) -> Box<dyn CostModel> {
     match metric {
-        HopMetric::Bfs => Box::new(BfsCostModel::new(calibration, threads)),
+        HopMetric::Bfs => Box::new(BfsCostModel::new(calibration)),
         HopMetric::EuclideanCalibrated => Box::new(EuclideanCostModel::new(calibration)),
         HopMetric::Euclidean(c) => Box::new(EuclideanCostModel::new(c)),
         HopMetric::HierRouting => Box::new(HierRoutingCostModel::new(calibration)),

@@ -54,7 +54,6 @@ use chlm_cluster::metrics::level_stats;
 use chlm_cluster::Hierarchy;
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::NodeIdx;
-use chlm_lm::handoff::for_each_handoff;
 use chlm_lm::server::LmAssignment;
 use chlm_mobility::{
     MobilityModel, RandomDirection, RandomWalk, RandomWaypoint, Rpgm, StaticModel,
@@ -339,22 +338,6 @@ pub(crate) fn variant_cost_model(world: &World, cfg: &SimConfig) -> Box<dyn Cost
     cost_model_for(cfg.hop_metric, calibration, cfg.threads)
 }
 
-/// Collect the distinct BFS sources CHLM's handoff messages are priced
-/// from this tick — the old server of every TRANSFER, plus the subject of
-/// every REGISTER — so a BFS-backed cost model can prefill those rows
-/// across its worker pool before any observer prices a packet. Sorted
-/// ascending, deduplicated.
-pub(crate) fn collect_chlm_bfs_sources(ctx: &TickCtx<'_>, out: &mut Vec<NodeIdx>) {
-    for_each_handoff(ctx.host_changes, ctx.addr_changes, |hc, _, registers| {
-        out.push(hc.old_host);
-        if registers {
-            out.push(hc.subject);
-        }
-    });
-    out.sort_unstable();
-    out.dedup();
-}
-
 fn make_auditor(cfg: &SimConfig, observers: &Observers, world_obs: &WorldObservers) -> Auditor {
     Auditor::new(
         cfg.selection_rule,
@@ -426,12 +409,6 @@ impl ObserverBank {
             .take()
             .map(Auditor::into_violations)
             .unwrap_or_default()
-    }
-
-    /// Whether this variant's pricing benefits from the CHLM BFS source
-    /// prefill ([`collect_chlm_bfs_sources`]).
-    pub(crate) fn wants_bfs_sources(&self) -> bool {
-        matches!(self.cfg.hop_metric, HopMetric::Bfs) && self.cfg.lm_scheme == LmScheme::Chlm
     }
 
     /// Drive the observer set over one completed tick.

@@ -24,9 +24,11 @@
 //! holds the tick's graph: the BFS pricer and every packet transport read
 //! [`chlm_graph::Graph::hop_row`] off `ctx.graph`, so a row is computed
 //! once per root per tick across banks, planes, packet shards and metric
-//! groups alike. All of this is sound because every pricer and every row
-//! is a pure function of the tick snapshot — caches and table builds only
-//! affect speed, never values.
+//! groups alike — by whichever transport's `carry` first has a leg that
+//! reads it, together with the other rows that batch of legs is missing
+//! ([`chlm_graph::Graph::fill_hop_rows`]). All of this is sound because
+//! every pricer and every row is a pure function of the tick snapshot —
+//! caches and table builds only affect speed, never values.
 //!
 //! The query plane multiplexes for free: lookup arrivals are part of the
 //! shared world trace (`TickCtx::query_arrivals`, drawn from the world
@@ -45,11 +47,10 @@
 use crate::audit::AuditViolation;
 use crate::config::{Backend, HopMetric, LmScheme, SimConfig};
 use crate::cost::{CostInputs, CostModel};
-use crate::engine::{collect_chlm_bfs_sources, variant_cost_model, ObserverBank, World};
+use crate::engine::{variant_cost_model, ObserverBank, World};
 use crate::observe::WorldObservers;
 use crate::report::SimReport;
 use crate::stage::{default_stages, StageSet};
-use chlm_graph::NodeIdx;
 use chlm_mobility::MobilityModel;
 
 /// One requested variant of a shared world: the three config axes the
@@ -106,9 +107,6 @@ struct MetricGroup {
     metric: HopMetric,
     cost: Box<dyn CostModel>,
     members: Vec<usize>,
-    /// Whether any member is a CHLM variant pricing over BFS, so the
-    /// group's pricer scope prefills the known ledger query rows.
-    collect_sources: bool,
 }
 
 /// One shared `World` fanned out to many observer banks. Construct with
@@ -125,7 +123,6 @@ pub struct MultiplexSim {
     groups: Vec<MetricGroup>,
     pub(crate) banks: Vec<ObserverBank>,
     labels: Vec<String>,
-    sources_scratch: Vec<NodeIdx>,
 }
 
 impl MultiplexSim {
@@ -161,14 +158,12 @@ impl MultiplexSim {
                         metric: cfg.hop_metric,
                         cost: variant_cost_model(&world, &cfg),
                         members: Vec::new(),
-                        collect_sources: false,
                     });
                     groups.len() - 1
                 }
             };
             let bank = ObserverBank::new(cfg, &world, &world_obs);
             groups[gi].members.push(banks.len());
-            groups[gi].collect_sources |= bank.wants_bfs_sources();
             banks.push(bank);
             labels.push(variant.label.clone());
         }
@@ -178,7 +173,6 @@ impl MultiplexSim {
             groups,
             banks,
             labels,
-            sources_scratch: Vec::new(),
         }
     }
 
@@ -216,28 +210,20 @@ impl MultiplexSim {
         let world_obs = &mut self.world_obs;
         let groups = &mut self.groups;
         let banks = &mut self.banks;
-        let sources = &mut self.sources_scratch;
         self.world.step_with(&mut |ctx| {
             // Scheme-independent accumulators first (no pricer involved),
             // once per tick for all banks; then each metric group's banks
-            // inside one pricer scope. The CHLM query sources are known
-            // from the diffs alone, so they are collected up front and a
-            // BFS model warms those rows of `ctx.graph` across its worker
-            // pool before any observer prices a packet.
+            // inside one pricer scope. (BFS rows are warmed further down,
+            // by each bank's transports as they carry their legs.)
             world_obs.on_tick(ctx);
-            for group in groups.iter_mut() {
-                sources.clear();
-                if group.collect_sources {
-                    collect_chlm_bfs_sources(ctx, sources);
-                }
-                let inputs = CostInputs {
-                    graph: ctx.graph,
-                    positions: ctx.positions,
-                    hierarchy: ctx.new_hierarchy,
-                    rtx: ctx.rtx,
-                    sources: sources.as_slice(),
-                };
-                let MetricGroup { cost, members, .. } = group;
+            let inputs = CostInputs {
+                graph: ctx.graph,
+                positions: ctx.positions,
+                hierarchy: ctx.new_hierarchy,
+                rtx: ctx.rtx,
+                sources: &[],
+            };
+            for MetricGroup { cost, members, .. } in groups.iter_mut() {
                 cost.with_pricer(&inputs, &mut |pricer| {
                     for &bank in members.iter() {
                         banks[bank].observe(ctx, pricer);

@@ -11,7 +11,9 @@
 //! [`Graph::hop_row`]`(a)[b]`, the snapshot's one shortest-path row store,
 //! so a row priced here is the row every packet network over the same
 //! `&Graph` forwards along (and the other way round), and it lives until
-//! the topology stage next mutates the graph.
+//! the topology stage next mutates the graph. A row nobody warmed is one
+//! scalar BFS on first use; inside a tick `Transport::carry` warms the
+//! `src` rows of a whole batch of legs first ([`Graph::fill_hop_rows`]).
 
 use chlm_geom::Point;
 use chlm_graph::traversal::UNREACHABLE;
@@ -68,21 +70,16 @@ impl<'a> DistanceOracle<'a> {
         }
     }
 
-    /// Warm the graph's [`Graph::hop_row`] memo for `sources` (any order,
-    /// duplicates welcome) across `workers` threads, so the serial pricing
-    /// that follows finds those rows already there. A row is the same
-    /// bytes whoever computes it, so answers are identical for every
-    /// thread count and identical to not prefilling at all — only *when*
-    /// and *on which thread* a BFS runs changes. No-op on Euclidean
-    /// oracles.
+    /// Warm the rows `hops(source, _)` reads, for every source in
+    /// `sources`: [`Graph::fill_hop_rows`] on a BFS oracle, nothing on a
+    /// Euclidean one. Answers are identical to not prefilling at all, at
+    /// every thread count. The engine does not call this — its transports
+    /// hand their legs' roots to the graph directly; it serves callers
+    /// that price outside a tick (today: tests).
     pub fn prefill(&self, sources: &[NodeIdx], workers: &WorkerPool) {
-        if self.calibration.is_some() {
-            return;
+        if self.calibration.is_none() {
+            self.graph.fill_hop_rows(sources, workers);
         }
-        let graph = self.graph;
-        workers.run_indexed(sources.len(), |i| {
-            graph.hop_row(sources[i]);
-        });
     }
 
     /// Hop distance from `a` to `b`. Disconnected pairs are priced at the

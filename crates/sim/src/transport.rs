@@ -33,13 +33,23 @@
 //! What the shards do *not* own is routing state. A per-shard network
 //! forwards over `ctx.graph.hop_row(dst)`, the snapshot's one memo of BFS
 //! rows, so the eight shards of a plane, both planes, every bank and the
-//! BFS pricer compute the row of a destination once between them — on
-//! whichever thread asks first, which no result can see (a row is a pure
-//! function of the graph; see [`chlm_proto::network`]).
+//! BFS pricer compute the row of a destination once between them — which
+//! no result can see (a row is a pure function of the graph; see
+//! [`chlm_proto::network`]). Hence a fourth rule, about speed only:
+//!
+//! 4. **Rows are warmed per `carry`.** A transport sees a tick's legs as
+//!    one batch and knows which row each will read: the BFS oracle reads
+//!    `hop_row(src)[dst]`, a packet network forwards along `hop_row(dst)`.
+//!    So `carry` first hands those roots — `src` of every non-self leg on
+//!    the analytic arm under [`HopMetric::Bfs`], `dst` on the packet arm —
+//!    to [`chlm_graph::Graph::fill_hop_rows`], which computes the missing
+//!    ones 64 at a time. An analytic transport under any other metric asks
+//!    the graph for nothing.
 
-use crate::config::{Backend, LossSpec, SimConfig};
+use crate::config::{Backend, HopMetric, LossSpec, SimConfig};
 use crate::cost::HopPricer;
 use crate::stage::TickCtx;
+use chlm_graph::NodeIdx;
 use chlm_par::{split_ranges, WorkerPool};
 use chlm_proto::message::Packet;
 use chlm_proto::network::{NetworkStats, PacketNetwork};
@@ -90,8 +100,10 @@ pub(crate) trait WireLeg: Sync {
 /// How one accounting plane turns legs into transmission counts; see the
 /// module docs.
 pub enum Transport {
-    /// Price each leg with the lent hop oracle.
-    Analytic,
+    /// Price each leg with the lent hop oracle. Holds a pool iff that
+    /// oracle reads the graph's BFS rows ([`HopMetric::Bfs`]), which
+    /// `carry` then warms over it (rule 4).
+    Analytic(Option<WorkerPool>),
     /// Execute each leg as a packet on the tick's topology.
     Packet(PacketExecutor),
 }
@@ -100,15 +112,18 @@ impl Transport {
     /// The transport `cfg.backend` selects, for the plane whose loss
     /// draws are salted with `loss_stream`.
     pub(crate) fn new(cfg: &SimConfig, loss_stream: u64) -> Self {
+        let workers = WorkerPool::new(cfg.threads);
         match cfg.backend {
-            Backend::Analytic => Transport::Analytic,
+            Backend::Analytic => {
+                Transport::Analytic((cfg.hop_metric == HopMetric::Bfs).then_some(workers))
+            }
             Backend::Packet { hop_delay, loss } => {
                 assert!(hop_delay > 0.0 && hop_delay.is_finite());
                 Transport::Packet(PacketExecutor {
                     hop_delay,
                     loss,
                     loss_stream,
-                    workers: WorkerPool::new(cfg.threads),
+                    workers,
                     net: NetworkStats::default(),
                 })
             }
@@ -118,7 +133,7 @@ impl Transport {
     /// Network counters so far, when this transport runs a packet network.
     pub fn net(&self) -> Option<NetworkStats> {
         match self {
-            Transport::Analytic => None,
+            Transport::Analytic(_) => None,
             Transport::Packet(executor) => Some(executor.net),
         }
     }
@@ -135,14 +150,39 @@ impl Transport {
     ) {
         costs.clear();
         match self {
-            Transport::Analytic => costs.extend(legs.iter().map(|leg| {
-                let p = leg.wire();
-                pricer.hops(p.src, p.dst)
-            })),
-            Transport::Packet(executor) => executor.execute(ctx, legs, costs),
+            Transport::Analytic(bfs_rows) => {
+                if let Some(workers) = bfs_rows {
+                    warm_rows(ctx, workers, legs, |p| p.src);
+                }
+                costs.extend(legs.iter().map(|leg| {
+                    let p = leg.wire();
+                    pricer.hops(p.src, p.dst)
+                }));
+            }
+            Transport::Packet(executor) => {
+                warm_rows(ctx, &executor.workers, legs, |p| p.dst);
+                executor.execute(ctx, legs, costs);
+            }
         }
         debug_assert_eq!(costs.len(), legs.len(), "one cost per leg");
     }
+}
+
+/// Rule 4: have the graph compute, together, the rows `legs` are about to
+/// read (`root_of` a leg; self-legs read none) and does not hold yet.
+fn warm_rows<L: WireLeg>(
+    ctx: &TickCtx<'_>,
+    workers: &WorkerPool,
+    legs: &[L],
+    root_of: fn(Packet) -> NodeIdx,
+) {
+    let roots: Vec<NodeIdx> = legs
+        .iter()
+        .map(WireLeg::wire)
+        .filter(|p| p.src != p.dst)
+        .map(root_of)
+        .collect();
+    ctx.graph.fill_hop_rows(&roots, workers);
 }
 
 /// The sharded packet executor behind [`Transport::Packet`].

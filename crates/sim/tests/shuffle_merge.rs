@@ -22,7 +22,8 @@ fn cfg(backend_packet: bool) -> SimConfig {
         .seed(42)
         .query_rate(2.0)
         .build();
-    // BFS metric drives the parallel oracle prefill through run_indexed;
+    // BFS metric drives the transports' row warm-up
+    // (`Graph::fill_hop_rows`, batches over run_indexed);
     // 8 threads guarantees the multi-threaded (shuffle-sensitive) path.
     cfg.hop_metric = HopMetric::Bfs;
     cfg.threads = 8;

@@ -43,9 +43,10 @@ fn assert_all_equal(reports: &[chlm_sim::SimReport], what: &str) {
 
 #[test]
 fn analytic_backend_thread_invariant() {
-    // BFS metric exercises the parallel oracle prefill; the population is
-    // large enough for real churn but the topology pool threshold keeps
-    // the maintainer serial — covered separately by the graph crate tests.
+    // BFS metric exercises the pooled row warm-up of every `carry`
+    // (`Graph::fill_hop_rows`); the population is large enough for real
+    // churn but the topology pool threshold keeps the maintainer serial —
+    // covered separately by the graph crate tests.
     let reports = reports_for(|t| {
         let mut cfg = base_cfg(110, 42);
         cfg.hop_metric = HopMetric::Bfs;
