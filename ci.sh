@@ -57,6 +57,13 @@ if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
   exit 1
 fi
+# The experiments are records of one registry run by one binary
+# (`chlm-exp <id>`, crates/bench/src/experiments/mod.rs): a per-experiment
+# binary must not come back.
+if compgen -G 'crates/bench/src/bin/exp_*.rs' >/dev/null; then
+  echo "leftover check: an exp_* binary is back; add a registry record instead" >&2
+  exit 1
+fi
 
 step "cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -128,32 +135,18 @@ cargo test -q -p chlm-sim --test hierarchy_equivalence -- --ignored depth_oscill
 step "benchmark/ tests"
 (cd benchmark && cargo test --offline -q)
 
-# The E24 scheme comparison at CI scale (n=256, 1 seed, all three schemes,
-# all three mobilities), through the shared-world multiplexer at two
-# thread counts: scheme accounting is covered by the same thread-
-# invariance contract as everything else.
-step "exp_lm_compare --smoke (CHLM_THREADS=1, multiplexed)"
-CHLM_THREADS=1 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --smoke
-
-step "exp_lm_compare --smoke (CHLM_THREADS=2, multiplexed)"
-CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_lm_compare -- --smoke
-
-# The same grid re-priced under HopMetric::HierRouting (E25): the only
-# binary that drives the routing-table cost model through the multiplexer
-# end to end.
-step "exp_hier_resweep --smoke (CHLM_THREADS=1)"
-CHLM_THREADS=1 cargo run -p chlm-bench --release -q --bin exp_hier_resweep -- --smoke
-
-step "exp_hier_resweep --smoke (CHLM_THREADS=2)"
-CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_hier_resweep -- --smoke
-
-# The E27 update-vs-query crossover at CI scale (n=256, 1 seed, 2 CMR
-# points, all schemes x both backends, all three mobilities), at two
-# thread counts: the query plane shares the thread-invariance contract.
-step "exp_query_crossover --smoke (CHLM_THREADS=1)"
-CHLM_THREADS=1 cargo run -p chlm-bench --release -q --bin exp_query_crossover -- --smoke
-
-step "exp_query_crossover --smoke (CHLM_THREADS=2)"
-CHLM_THREADS=2 cargo run -p chlm-bench --release -q --bin exp_query_crossover -- --smoke
+# The three experiments whose full grid starts above CI scale, each at its
+# bounded `--smoke` spec (n = 256, 1 seed, all three mobilities) and at two
+# thread counts: E24, the scheme comparison through the shared-world
+# multiplexer; E25, the same grid under HopMetric::HierRouting, the only
+# record that drives the routing-table cost model end to end; E27, the
+# update-vs-query crossover over all schemes x both backends. Scheme
+# accounting and the query plane share the thread-invariance contract.
+for id in E24 E25 E27; do
+  for threads in 1 2; do
+    step "chlm-exp $id --smoke (CHLM_THREADS=$threads)"
+    CHLM_THREADS=$threads cargo run -p chlm-bench --release -q --bin chlm-exp -- "$id" --smoke
+  done
+done
 
 printf '\nci.sh: all checks passed\n'

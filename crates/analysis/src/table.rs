@@ -33,10 +33,6 @@ impl TextTable {
         self
     }
 
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.headers.len();

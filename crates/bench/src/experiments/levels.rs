@@ -1,0 +1,282 @@
+//! Per-level experiments: one mobile sweep at a single size (`CHLM_MAX_N`,
+//! capped per experiment), its reports pooled level by level.
+
+use crate::{banner, env_usize, mean_of, mean_some, standard_sweep, MIN_N};
+use chlm_analysis::markov::{binomial_occupancy, rank_mixture_occupancy, total_variation};
+use chlm_analysis::table::{fnum, TextTable};
+
+/// E3 (paper Fig. 3): the ALCA state machine, measured.
+///
+/// Runs the mobile simulation and compares the empirical level-0 elector
+/// state distribution against the independent-voter (binomial) birth–death
+/// prediction, and reports the adjacent-transition violation rate — a
+/// deviation the paper's idealized chain does not model (a newly arrived
+/// higher-ID neighbor steals *all* electors at once).
+pub(crate) fn exp_fig3_states() {
+    banner(
+        "E3 / Fig. 3",
+        "ALCA state occupancy vs birth-death prediction",
+    );
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
+    let reports = &standard_sweep(&[n], 3000)[0];
+
+    // Pool level-0 distributions across replications.
+    let max_state = reports
+        .iter()
+        .map(|r| r.state.distributions[0].len())
+        .max()
+        .unwrap_or(0);
+    let mut pooled = vec![0.0; max_state];
+    for r in reports {
+        for (s, &p) in r.state.distributions[0].iter().enumerate() {
+            pooled[s] += p / reports.len() as f64;
+        }
+    }
+    // Binomial fit: match the empirical mean elector count.
+    let mean_degree = mean_of(reports, |r| r.mean_degree);
+    let mean_state: f64 = pooled.iter().enumerate().map(|(s, &p)| s as f64 * p).sum();
+    let d = mean_degree.round().max(1.0) as usize;
+    let q = (mean_state / d as f64).clamp(0.0, 1.0);
+    let binomial = binomial_occupancy(d, q);
+    // Rank-mixture model: election probability depends on ID rank (a
+    // binomial with the same mean badly underestimates the state-0 mass).
+    let mixture = rank_mixture_occupancy(d, 256);
+
+    let mut t = TextTable::new(vec!["state", "measured", "rank-mixture", "binomial(d,q)"]);
+    for s in 0..pooled.len().min(12) {
+        t.row(vec![
+            format!("{s}"),
+            fnum(pooled[s]),
+            fnum(mixture.get(s).copied().unwrap_or(0.0)),
+            fnum(binomial.get(s).copied().unwrap_or(0.0)),
+        ]);
+    }
+    println!("{}", t.render());
+    println!(
+        "model fit (total-variation distance): rank-mixture = {:.3}, binomial = {:.3}",
+        total_variation(&pooled, &mixture),
+        total_variation(&pooled, &binomial)
+    );
+    println!("(d = {d}, q = {q:.3})");
+
+    // p_j per level (feeds E11) and the adjacent-transition check.
+    let mut lt = TextTable::new(vec!["level", "p_state1", "multi_jump_frac"]);
+    let depth = reports.iter().map(|r| r.state.p1.len()).max().unwrap();
+    for k in 0..depth {
+        let p1 = mean_some(reports, |r| r.state.p1.get(k).copied().flatten());
+        let mj = mean_some(reports, |r| {
+            r.state.multi_jump_fraction.get(k).copied().flatten()
+        });
+        lt.row(vec![format!("{k}"), fnum(p1), fnum(mj)]);
+    }
+    println!("{}", lt.render());
+    println!("note: multi-state jumps are the 'usurped head' mass transition the");
+    println!("paper's Fig. 3 idealizes away; see EXPERIMENTS.md E3 discussion.");
+}
+
+/// E6 (eqs. 7–9): `f_k = Θ(1/h_k)` — the level-k migration frequency
+/// decays with the intra-cluster hop count, so `f_k · h_k` is roughly
+/// constant across levels. This is the cancellation that makes every
+/// `φ_k` equal (eq. 6) and φ polylogarithmic.
+pub(crate) fn exp_eq9_fk() {
+    banner("E6 / eq. (9)", "level-k migration frequency decay");
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
+    let reports = &standard_sweep(&[n], 6000)[0];
+
+    // Pool per-level migration rates and h_k across replications.
+    let depth = reports.iter().map(|r| r.rates.max_level()).max().unwrap();
+    let mut t = TextTable::new(vec!["level", "f_k", "h_k", "f_k*h_k", "f_{k-1}/f_k"]);
+    let mut prev_fk: Option<f64> = None;
+    let mut products = Vec::new();
+    for k in 1..=depth {
+        let f_k = mean_of(reports, |r| r.rates.f_k(k));
+        // h_k from the final-tick level stats (mean across replications).
+        let h_k = mean_some(reports, |r| {
+            r.final_levels.get(k).and_then(|s| s.intra_cluster_hops)
+        });
+        let product = f_k * h_k;
+        // Only levels still in the asymptotic regime enter the verdict:
+        // near the top of the hierarchy a cluster spans most of the
+        // deployment area, so RWP legs are no longer long relative to the
+        // cluster and the ballistic exit-time argument behind eq. (7) does
+        // not apply at finite size (see EXPERIMENTS.md).
+        let level_pop: usize = reports
+            .iter()
+            .filter_map(|r| r.final_levels.get(k).map(|s| s.nodes))
+            .max()
+            .unwrap_or(0);
+        if product.is_finite() && f_k > 0.0 && level_pop >= 16 {
+            products.push(product);
+        }
+        let ratio = prev_fk.map_or(f64::NAN, |p| p / f_k.max(1e-12));
+        t.row(vec![
+            format!("{k}"),
+            fnum(f_k),
+            fnum(h_k),
+            fnum(product),
+            fnum(ratio),
+        ]);
+        prev_fk = Some(f_k);
+    }
+    println!("{}", t.render());
+    if products.len() >= 2 {
+        let max = products.iter().copied().fold(f64::MIN, f64::max);
+        let min = products.iter().copied().fold(f64::MAX, f64::min);
+        println!(
+            "f_k*h_k spread across levels: [{min:.3}, {max:.3}] ({:.1}x)",
+            max / min
+        );
+        println!(
+            "eq. (9) claim (f_k ∝ 1/h_k, i.e. product ~ constant): {}",
+            if max / min < 4.0 {
+                "HOLDS"
+            } else {
+                "WEAK at the sparse top levels"
+            }
+        );
+    }
+}
+
+/// E8 (eq. 14, §5.3.1): `g'_k = Θ(1/h_k)` — the state-change frequency of
+/// an individual level-k cluster link decays like `1/h_k`, because a pair
+/// of level-k clusterheads must drift `Θ(h_k)` relative hops to make or
+/// break a level-k link.
+pub(crate) fn exp_eq14_gk() {
+    banner(
+        "E8 / eq. (14)",
+        "per-cluster-link state-change frequency g'_k",
+    );
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
+    let reports = &standard_sweep(&[n], 8000)[0];
+
+    let depth = reports.iter().map(|r| r.rates.max_level()).max().unwrap();
+    let mut t = TextTable::new(vec![
+        "level",
+        "g_k (per node)",
+        "g'_k all",
+        "g'_k drift",
+        "h_k",
+        "drift*h_k",
+    ]);
+    let mut products = Vec::new();
+    for k in 1..=depth {
+        let gk = mean_of(reports, |r| r.rates.g_k(k));
+        let gpk_all = mean_of(reports, |r| r.rates.g_prime_k(k));
+        let gpk = mean_of(reports, |r| r.rates.g_prime_persisting_k(k));
+        let h_k = mean_some(reports, |r| {
+            r.final_levels.get(k).and_then(|s| s.intra_cluster_hops)
+        });
+        let prod = gpk * h_k;
+        let level_pop: usize = reports
+            .iter()
+            .filter_map(|r| r.final_levels.get(k).map(|s| s.nodes))
+            .max()
+            .unwrap_or(0);
+        if prod.is_finite() && gpk > 0.0 && level_pop >= 16 {
+            products.push(prod);
+        }
+        t.row(vec![
+            format!("{k}"),
+            fnum(gk),
+            fnum(gpk_all),
+            fnum(gpk),
+            fnum(h_k),
+            fnum(prod),
+        ]);
+    }
+    println!("{}", t.render());
+    if products.len() >= 2 {
+        let max = products.iter().copied().fold(f64::MIN, f64::max);
+        let min = products.iter().copied().fold(f64::MAX, f64::min);
+        println!(
+            "drift-driven g'_k*h_k spread (in-regime levels): [{min:.3}, {max:.3}] ({:.1}x)",
+            max / min
+        );
+        // Three-way verdict: constant product (the claim), or a flicker-
+        // dominated low-level regime with decay emerging above it, or no
+        // support at all.
+        let drift: Vec<f64> = (1..=depth)
+            .map(|k| mean_of(reports, |r| r.rates.g_prime_persisting_k(k)))
+            .collect();
+        let peak = drift.iter().copied().fold(f64::MIN, f64::max);
+        let tail = drift
+            .iter()
+            .rev()
+            .find(|&&x| x > 0.0)
+            .copied()
+            .unwrap_or(0.0);
+        let verdict = if max / min < 4.0 {
+            "HOLDS"
+        } else if tail < peak / 2.0 {
+            "PARTIAL: flat at low levels (adjacency flicker between touching \
+clusters dominates), 1/h_k decay emerges once clusterhead separation \
+outgrows the flicker scale"
+        } else {
+            "NOT SUPPORTED at these sizes"
+        };
+        println!("eq. (14) claim (drift-driven g'_k ∝ 1/h_k): {verdict}");
+        println!("\nnote: the 'all causes' column includes election relabeling — a head");
+        println!("turnover rewrites its links without geographic drift — which eq. (14)");
+        println!("does not model; the drift-only column isolates the paper's quantity.");
+    }
+}
+
+/// E10 (§5.2): the reorganization-event taxonomy.
+///
+/// Counts events (i)–(vii) per level per node-second, and the occurrences
+/// of the *converse* of (vii) — a neighboring upper cluster dying — which
+/// the paper argues incurs no handoff (we verify the case actually arises,
+/// so the zero-cost claim is exercised, not vacuous).
+pub(crate) fn exp_events_breakdown() {
+    banner("E10 / §5.2", "event classes (i)-(vii) frequency breakdown");
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
+    let reports = &standard_sweep(&[n], 10_000)[0];
+    let node_seconds: f64 = reports.iter().map(|r| r.rates.node_seconds).sum();
+
+    // Pool counts across replications.
+    let depth = reports.iter().map(|r| r.events.counts.len()).max().unwrap();
+    let labels = ["i", "ii", "iii", "iv", "v", "vi", "vii"];
+    let mut headers = vec!["level".to_string()];
+    headers.extend(labels.iter().map(|l| format!("({l})")));
+    headers.push("conv(vii)".into());
+    let mut t = TextTable::new(headers);
+    let mut class_totals = [0u64; 7];
+    let mut conv_total = 0u64;
+    for k in 1..depth {
+        let mut row = vec![format!("{k}")];
+        for c in 0..7 {
+            let total: u64 = reports
+                .iter()
+                .map(|r| r.events.counts.get(k).map_or(0, |r| r[c]))
+                .sum();
+            class_totals[c] += total;
+            row.push(fnum(total as f64 / node_seconds * 1000.0));
+        }
+        let conv: u64 = reports
+            .iter()
+            .map(|r| r.events.converse_vii.get(k).copied().unwrap_or(0))
+            .sum();
+        conv_total += conv;
+        row.push(format!("{conv}"));
+        t.row(row);
+    }
+    println!("rates in events per node per 1000 s; conv(vii) as raw count:");
+    println!("{}", t.render());
+
+    println!(
+        "class totals (raw events across {} node-seconds):",
+        node_seconds as u64
+    );
+    for (c, label) in labels.iter().enumerate() {
+        println!("  ({label:>3}): {}", class_totals[c]);
+    }
+    println!("  converse of (vii) occurrences: {conv_total} (each incurs ZERO handoff");
+    println!("  by the paper's argument — the members already hold the LM hierarchy).");
+    // Steady-state balance: elections ≈ rejections (paper: f_ELECT = f_REJECT).
+    let elect = class_totals[2] + class_totals[4];
+    let reject = class_totals[3] + class_totals[5];
+    println!(
+        "\nelection/rejection balance: {elect} vs {reject} (ratio {:.2}; §5.3.2 predicts ≈ 1)",
+        elect as f64 / reject.max(1) as f64
+    );
+}

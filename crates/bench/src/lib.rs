@@ -1,13 +1,14 @@
-//! Shared plumbing for the experiment binaries.
+//! The experiments and their shared plumbing.
 //!
-//! Every binary regenerates one row of DESIGN.md's experiment index
-//! (`cargo run -p chlm-bench --release --bin exp_…`). Scale knobs come from
-//! the environment so the same binaries serve quick smoke runs and the
-//! full EXPERIMENTS.md regeneration. A value that does not parse or lies
-//! outside its range is a usage error (message on stderr, exit status 2):
+//! Every record of the [`experiments`] registry regenerates one row of
+//! DESIGN.md's experiment index (`cargo run -p chlm-bench --release --bin
+//! chlm-exp -- <id>`). Scale knobs come from the environment so the same
+//! records serve quick smoke runs and the full EXPERIMENTS.md
+//! regeneration. A value that does not parse or lies outside its range is
+//! a usage error (message on stderr, exit status 2):
 //!
 //! * `CHLM_MAX_N` — largest network size in sweeps (default 1024, 4096
-//!   for E24/E25; at least the first rung of the binary's size ladder),
+//!   for E24/E25; at least the first rung of the record's size ladder),
 //! * `CHLM_SEEDS` — replications per point (default 6, ≥ 1),
 //! * `CHLM_DURATION` — measured seconds per replication (default 8, 4
 //!   for E27; > 0),
@@ -22,8 +23,9 @@
 //!
 //! Every simulated table comes from one [`chlm_sim::run_sweep`] pool over
 //! its whole (cell × seed) job list, through [`chlm_sim::run_cells`]
-//! ([`standard_sweep`]) or [`chlm_sim::run_grid`].
+//! (`standard_sweep`) or [`chlm_sim::run_grid`].
 
+pub mod experiments;
 pub mod lm_compare;
 pub mod query_crossover;
 
@@ -76,32 +78,32 @@ fn env_knob<T: std::str::FromStr>(
 }
 
 /// Read a `usize` env knob whose valid range is `min..`.
-pub fn env_usize(name: &str, default: usize, min: usize) -> usize {
+fn env_usize(name: &str, default: usize, min: usize) -> usize {
     env_knob(name, default, &format!("an integer >= {min}"), |&v| {
         v >= min
     })
 }
 
 /// `CHLM_DURATION`: measured seconds per replication.
-pub fn measured_seconds(default: f64) -> f64 {
+fn measured_seconds(default: f64) -> f64 {
     env_knob("CHLM_DURATION", default, "a number > 0", |&v: &f64| {
         v > 0.0 && v.is_finite()
     })
 }
 
 /// `CHLM_WARMUP`: warmup seconds before measurement starts.
-pub fn warmup_seconds(default: f64) -> f64 {
+fn warmup_seconds(default: f64) -> f64 {
     env_knob("CHLM_WARMUP", default, "a number >= 0", |&v: &f64| {
         v >= 0.0 && v.is_finite()
     })
 }
 
 /// The first rung of the standard size ladder.
-pub const MIN_N: usize = 128;
+const MIN_N: usize = 128;
 
 /// The size ladder `from, 2·from, …` up to `max` (fixed density, so area
 /// grows with `n` per §1.2).
-pub fn scaling_sizes(from: usize, max: usize) -> Vec<usize> {
+fn scaling_sizes(from: usize, max: usize) -> Vec<usize> {
     std::iter::successors(Some(from), |n| n.checked_mul(2))
         .take_while(|&n| n <= max)
         .collect()
@@ -109,18 +111,18 @@ pub fn scaling_sizes(from: usize, max: usize) -> Vec<usize> {
 
 /// The sweep sizes for scaling experiments: 128 doubling up to
 /// `CHLM_MAX_N`.
-pub fn sweep_sizes() -> Vec<usize> {
+fn sweep_sizes() -> Vec<usize> {
     scaling_sizes(MIN_N, env_usize("CHLM_MAX_N", 1024, MIN_N))
 }
 
 /// Replications per sweep point.
-pub fn replications() -> usize {
+fn replications() -> usize {
     env_usize("CHLM_SEEDS", 6, 1)
 }
 
 /// Worker threads — the workspace-wide `CHLM_THREADS` budget (one knob
 /// shared with every intra-tick pool; see `chlm_par::thread_budget`).
-pub fn threads() -> usize {
+fn threads() -> usize {
     chlm_par::thread_budget()
 }
 
@@ -130,7 +132,7 @@ pub fn threads() -> usize {
 /// random-waypoint process is equally mixed at every size — otherwise the
 /// spatial distribution (and with it mean degree and f₀) drifts with `n`
 /// and confounds the scaling fits.
-pub fn standard_config(n: usize) -> SimConfig {
+fn standard_config(n: usize) -> SimConfig {
     let mut cfg = SimConfig::builder(n)
         .duration(measured_seconds(8.0))
         .warmup(warmup_seconds(6.0))
@@ -143,46 +145,58 @@ pub fn standard_config(n: usize) -> SimConfig {
 /// The standard sweep: [`standard_config`] at each size, [`replications`]
 /// seeds from `base_seed`, all sizes in one pool under the `CHLM_THREADS`
 /// budget. `reports[size]` is that size's replication set in seed order.
-pub fn standard_sweep(sizes: &[usize], base_seed: u64) -> Vec<Vec<SimReport>> {
+fn standard_sweep(sizes: &[usize], base_seed: u64) -> Vec<Vec<SimReport>> {
     let cells: Vec<SimConfig> = sizes.iter().map(|&n| standard_config(n)).collect();
     run_cells(&cells, &seed_range(base_seed, replications()), threads())
 }
 
 /// Mean of `xs` (`Σ / len`, summed in order); NaN when empty.
-pub fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
+fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
     let xs: Vec<f64> = xs.into_iter().collect();
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
 /// Mean of `metric` over a replication set.
-pub fn mean_of(reports: &[SimReport], metric: impl Fn(&SimReport) -> f64) -> f64 {
+fn mean_of(reports: &[SimReport], metric: impl Fn(&SimReport) -> f64) -> f64 {
     mean(reports.iter().map(metric))
 }
 
 /// Mean of `metric` over the replications that report it; NaN when none
 /// does (a level only some seeds' hierarchies reach).
-pub fn mean_some(reports: &[SimReport], metric: impl Fn(&SimReport) -> Option<f64>) -> f64 {
+fn mean_some(reports: &[SimReport], metric: impl Fn(&SimReport) -> Option<f64>) -> f64 {
     mean(reports.iter().filter_map(metric))
 }
 
 /// Summary (mean, ci95, …) of `metric` over a replication set.
-pub fn summarize(reports: &[SimReport], metric: impl Fn(&SimReport) -> f64) -> Summary {
+fn summarize(reports: &[SimReport], metric: impl Fn(&SimReport) -> f64) -> Summary {
     Summary::over(reports, metric)
         .expect("replication set is empty (CHLM_SEEDS >= 1 is checked at the knob)")
 }
 
+/// Shortest-roundtrip float rendering (`{:?}`) for the golden JSON files:
+/// deterministic, and parses back to the identical bits. JSON has no NaN
+/// or infinity; those render as `null` (a degenerate crossover slope; in a
+/// scheme comparison only a bug produces one).
+fn jf(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// A named series: one (mean, ci95) per network size.
 #[derive(Debug, Clone)]
-pub struct MetricSeries {
-    pub name: String,
-    pub sizes: Vec<f64>,
-    pub means: Vec<f64>,
-    pub ci95: Vec<f64>,
+struct MetricSeries {
+    name: String,
+    sizes: Vec<f64>,
+    means: Vec<f64>,
+    ci95: Vec<f64>,
 }
 
 impl MetricSeries {
     /// An empty series to [`MetricSeries::push`] points onto.
-    pub fn new(name: &str) -> Self {
+    fn new(name: &str) -> Self {
         MetricSeries {
             name: name.to_string(),
             sizes: Vec::new(),
@@ -193,7 +207,7 @@ impl MetricSeries {
 
     /// `metric` summarized per size over the replication sets of a sweep
     /// (`reports[size]`, as [`standard_sweep`] returns them).
-    pub fn of(
+    fn of(
         name: &str,
         sizes: &[usize],
         reports: &[Vec<SimReport>],
@@ -208,48 +222,48 @@ impl MetricSeries {
     }
 
     /// Append the point for size `n`.
-    pub fn push(&mut self, n: usize, mean: f64, ci95: f64) {
+    fn push(&mut self, n: usize, mean: f64, ci95: f64) {
         self.sizes.push(n as f64);
         self.means.push(mean);
         self.ci95.push(ci95);
     }
 
     /// `(sizes, means)` view for the regression fitter.
-    pub fn xy(&self) -> (&[f64], &[f64]) {
+    fn xy(&self) -> (&[f64], &[f64]) {
         (&self.sizes, &self.means)
     }
 }
 
 /// Node density of every deployment (nodes per unit area).
-pub const DENSITY: f64 = 1.25;
+const DENSITY: f64 = 1.25;
 
 /// The radio range giving the standard mean degree 9 at [`DENSITY`]
 /// (comfortably above the connectivity threshold \[2, 3\]).
-pub fn standard_rtx() -> f64 {
+fn standard_rtx() -> f64 {
     chlm_geom::rtx_for_degree(9.0, DENSITY)
 }
 
 /// The disk holding `n` nodes at [`DENSITY`].
-pub fn standard_region(n: usize) -> Disk {
+fn standard_region(n: usize) -> Disk {
     Disk::centered(chlm_geom::disk_radius_for_density(n, DENSITY))
 }
 
 /// The standard static deployment of the structural experiments: `n`
 /// nodes uniform in [`standard_region`], their unit-disk graph at
 /// [`standard_rtx`], and a random election-id permutation.
-pub struct Deployment {
-    pub region: Disk,
-    pub rtx: f64,
-    pub pts: Vec<Point>,
-    pub graph: Graph,
-    pub ids: Vec<u64>,
+struct Deployment {
+    region: Disk,
+    rtx: f64,
+    pts: Vec<Point>,
+    graph: Graph,
+    ids: Vec<u64>,
 }
 
 impl Deployment {
     /// Draw a deployment from `rng`: the positions first, then the ids, so
     /// a caller that keeps drawing from `rng` afterwards (sampled pairs,
     /// victims, level statistics) continues the same stream.
-    pub fn draw(n: usize, rng: &mut SimRng) -> Self {
+    fn draw(n: usize, rng: &mut SimRng) -> Self {
         let region = standard_region(n);
         let rtx = standard_rtx();
         let pts = chlm_geom::region::deploy_uniform(&region, n, rng);
@@ -265,19 +279,19 @@ impl Deployment {
     }
 
     /// The LCA hierarchy over this deployment.
-    pub fn hierarchy(&self, opts: HierarchyOptions) -> Hierarchy {
+    fn hierarchy(&self, opts: HierarchyOptions) -> Hierarchy {
         Hierarchy::build(&self.ids, &self.graph, opts)
     }
 
     /// Euclidean hop estimate between two nodes at the fixed 1.3 detour
     /// factor (the BFS oracle's unreachable fallback), at least one hop.
-    pub fn hops(&self, a: NodeIdx, b: NodeIdx) -> f64 {
+    fn hops(&self, a: NodeIdx, b: NodeIdx) -> f64 {
         (self.pts[a as usize].dist(self.pts[b as usize]) / self.rtx * 1.3).max(1.0)
     }
 }
 
 /// Print one metric series as a table with confidence intervals.
-pub fn print_series(series: &[&MetricSeries]) {
+fn print_series(series: &[&MetricSeries]) {
     assert!(!series.is_empty());
     let mut headers = vec!["n".to_string()];
     for s in series {
@@ -298,7 +312,7 @@ pub fn print_series(series: &[&MetricSeries]) {
 
 /// Fit all scaling classes to a series, print the ranking, and state
 /// whether `claimed` is the winner or statistically competitive.
-pub fn print_fits(series: &MetricSeries, claimed: ModelClass) -> Vec<FitResult> {
+fn print_fits(series: &MetricSeries, claimed: ModelClass) -> Vec<FitResult> {
     let (xs, ys) = series.xy();
     let fits = best_fit(xs, ys);
     println!("scaling fits for `{}` (best first):", series.name);
@@ -323,7 +337,7 @@ pub fn print_fits(series: &MetricSeries, claimed: ModelClass) -> Vec<FitResult> 
 }
 
 /// Standard experiment banner.
-pub fn banner(id: &str, what: &str) {
+fn banner(id: &str, what: &str) {
     println!("== {id}: {what} ==");
     println!(
         "sizes {:?}, {} replications, {}s measured, {} threads\n",

@@ -1,20 +1,25 @@
-//! E24 core: the three-scheme LM comparison on identical traces.
+//! E24 and E25: the three-scheme LM comparison on identical traces, priced
+//! by the calibrated Euclidean estimate (E24) and along hierarchical routes
+//! (E25).
 //!
-//! Lives in the library (not the `exp_lm_compare` binary) so the golden
-//! snapshot test can run the *same* sweep code the experiment runs: one
-//! [`CompareSpec`] → one deterministic [`CompareRow`] list → one canonical
-//! JSON rendering. Every scheme at a given (mobility, n, seed) sees the
-//! byte-identical world trace — `base_seed` is shared and the scheme only
+//! The sweep is public so the golden snapshot test runs the *same* code
+//! the two records run: one [`CompareSpec`] → one deterministic
+//! [`CompareRow`] list → one canonical JSON rendering. Every scheme at a
+//! given (mobility, n, seed) sees the byte-identical world trace — `base_seed` is shared and the scheme only
 //! swaps the accounting observer (pinned by `chlm-sim`'s
 //! `tests/scheme_trace.rs`).
 
-use crate::summarize;
+use crate::{
+    env_usize, jf, measured_seconds, replications, scaling_sizes, summarize, threads,
+    warmup_seconds,
+};
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_sim::runner::seed_range;
 use chlm_sim::{run_grid, HopMetric, LmScheme, MobilityKind, SimConfig, SimReport, VariantSpec};
+use std::time::Instant;
 
 /// The schemes under comparison, in report order.
-pub fn schemes() -> [(&'static str, LmScheme); 3] {
+pub(crate) fn schemes() -> [(&'static str, LmScheme); 3] {
     [
         ("chlm", LmScheme::Chlm),
         ("gls", LmScheme::Gls),
@@ -23,7 +28,7 @@ pub fn schemes() -> [(&'static str, LmScheme); 3] {
 }
 
 /// The mobility models of the full E24 sweep.
-pub fn mobility_models() -> Vec<(&'static str, MobilityKind)> {
+pub(crate) fn mobility_models() -> Vec<(&'static str, MobilityKind)> {
     vec![
         ("walk", MobilityKind::Walk),
         ("waypoint", MobilityKind::Waypoint),
@@ -44,20 +49,20 @@ pub fn mobility_models() -> Vec<(&'static str, MobilityKind)> {
 /// engine is thread-invariant, so `threads` is a pure speed knob).
 #[derive(Debug, Clone)]
 pub struct CompareSpec {
-    pub sizes: Vec<usize>,
-    pub replications: usize,
-    pub base_seed: u64,
-    pub threads: usize,
-    pub duration: f64,
-    pub warmup: f64,
+    sizes: Vec<usize>,
+    replications: usize,
+    base_seed: u64,
+    threads: usize,
+    duration: f64,
+    warmup: f64,
     /// Extend warmup to two region crossings (the `standard_config`
     /// mixing rule) — on for the full experiment, off for the bounded
     /// smoke/golden runs.
-    pub crossing_warmup: bool,
-    pub mobilities: Vec<(&'static str, MobilityKind)>,
+    crossing_warmup: bool,
+    mobilities: Vec<(&'static str, MobilityKind)>,
     /// How hops are priced. `EuclideanCalibrated` (the `SimConfig`
     /// default) for E24; `HierRouting` for the E25 re-sweep.
-    pub hop_metric: HopMetric,
+    hop_metric: HopMetric,
 }
 
 impl CompareSpec {
@@ -81,8 +86,25 @@ impl CompareSpec {
         }
     }
 
+    /// The full E24/E25 grid from the `CHLM_*` knobs: n = 256 doubling to
+    /// `CHLM_MAX_N` (default 4096), all three mobilities, warmup extended
+    /// to two region crossings.
+    fn from_env() -> Self {
+        CompareSpec {
+            sizes: scaling_sizes(256, env_usize("CHLM_MAX_N", 4096, 256)),
+            replications: replications(),
+            base_seed: 24_000,
+            threads: threads(),
+            duration: measured_seconds(8.0),
+            warmup: warmup_seconds(6.0),
+            crossing_warmup: true,
+            mobilities: mobility_models(),
+            hop_metric: HopMetric::EuclideanCalibrated,
+        }
+    }
+
     /// The CI smoke spec: n = 256, 1 seed, all three mobilities.
-    pub fn smoke(threads: usize) -> Self {
+    fn smoke(threads: usize) -> Self {
         CompareSpec {
             sizes: vec![256],
             replications: 1,
@@ -117,11 +139,11 @@ impl CompareSpec {
 /// mean ± ci95 over the spec's replications.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompareRow {
-    pub mobility: &'static str,
-    pub scheme: &'static str,
-    pub n: usize,
-    pub mean: f64,
-    pub ci95: f64,
+    mobility: &'static str,
+    scheme: &'static str,
+    n: usize,
+    mean: f64,
+    ci95: f64,
 }
 
 /// Run the full comparison through the shared-world multiplexer: one
@@ -172,17 +194,6 @@ pub fn run_compare(spec: &CompareSpec) -> Vec<CompareRow> {
     rows
 }
 
-/// Shortest-roundtrip float rendering (`{:?}`): deterministic, parses
-/// back to the identical bits — what the golden file pins.
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        // JSON has no NaN/inf; a sweep can only produce them from a bug.
-        "null".to_string()
-    }
-}
-
 /// Canonical JSON for a row list (hand-rolled; the workspace carries no
 /// serde). Stable key order, one row per line.
 pub fn rows_json(spec: &CompareSpec, rows: &[CompareRow]) -> String {
@@ -215,7 +226,7 @@ pub fn rows_json(spec: &CompareSpec, rows: &[CompareRow]) -> String {
 
 /// Render one φ+γ table per mobility model: a row per n, a (mean, ci95)
 /// column pair per scheme, plus overhead ratios against CHLM.
-pub fn render_tables(spec: &CompareSpec, rows: &[CompareRow]) -> String {
+fn render_tables(spec: &CompareSpec, rows: &[CompareRow]) -> String {
     let mut out = String::new();
     for &(mob_name, _) in &spec.mobilities {
         let mut headers = vec!["n".to_string()];
@@ -248,6 +259,90 @@ pub fn render_tables(spec: &CompareSpec, rows: &[CompareRow]) -> String {
         out.push_str(&format!("mobility = {mob_name}:\n{}\n", t.render()));
     }
     out
+}
+
+/// E24: φ+γ (packets per node per second, mean ± ci95) per (mobility, n,
+/// scheme) for CHLM, per-band GLS and the home agent, for n ∈ {256 ..
+/// CHLM_MAX_N} × {random walk, random waypoint, RPGM}. `--smoke` runs the
+/// bounded CI spec (n = 256, 1 seed, all schemes, all mobilities).
+pub(crate) fn exp_lm_compare(smoke: bool) {
+    let spec = if smoke {
+        CompareSpec::smoke(threads())
+    } else {
+        CompareSpec::from_env()
+    };
+    println!("== E24: LM scheme comparison (chlm vs gls vs home agent) ==");
+    println!(
+        "sizes {:?}, {} replications, {}s measured, {} threads{} [shared-world multiplexer]\n",
+        spec.sizes,
+        spec.replications,
+        spec.duration,
+        spec.threads,
+        if smoke { " [smoke]" } else { "" },
+    );
+    let started = Instant::now();
+    let rows = run_compare(&spec);
+    let elapsed = started.elapsed();
+    print!("{}", render_tables(&spec, &rows));
+    println!(
+        "wall clock: {:.3}s (multiplexed: one world per (mobility, n, seed), 3 schemes fanned out)",
+        elapsed.as_secs_f64(),
+    );
+    println!("notes:");
+    println!("- phi+gamma in packet transmissions per node per second; every scheme");
+    println!("  runs over the byte-identical world trace per seed (scheme_trace.rs);");
+    println!("- gls: per-band grid servers (HRW in each sibling square), priced as");
+    println!("  server-churn transfers + distance-triggered updates;");
+    println!("- home: one static HRW rendezvous node per mobile, one update per");
+    println!("  level-1 cluster change — the flat baseline of the paper's argument;");
+    println!("- chlm: the §4 handoff ledger (transfer + registration cascade).");
+}
+
+/// E25: the E24 three-scheme comparison re-priced under
+/// `HopMetric::HierRouting` — hops charged along the hierarchical
+/// cluster-routing paths the paper's protocol would actually use, not the
+/// calibrated Euclidean estimate.
+///
+/// This is the headline re-sweep the shared-world multiplexer pays for:
+/// the hierarchical routing table is built once per tick per world and
+/// shared by all three scheme banks (one `with_pricer` scope per metric
+/// group), so the re-sweep costs roughly one world-run where per-scheme
+/// runs would cost three plus three table builds.
+///
+/// Same grid and knobs as E24 (`CHLM_MAX_N`, `CHLM_SEEDS`,
+/// `CHLM_DURATION`, `CHLM_WARMUP`, `--smoke`); only the pricing differs.
+pub(crate) fn exp_hier_resweep(smoke: bool) {
+    let mut spec = if smoke {
+        CompareSpec::smoke(threads())
+    } else {
+        CompareSpec::from_env()
+    };
+    spec.hop_metric = HopMetric::HierRouting;
+    println!("== E25: LM scheme comparison under hierarchical-routing pricing ==");
+    println!(
+        "sizes {:?}, {} replications, {}s measured, {} threads{}\n",
+        spec.sizes,
+        spec.replications,
+        spec.duration,
+        spec.threads,
+        if smoke { " [smoke]" } else { "" }
+    );
+    let started = Instant::now();
+    let rows = run_compare(&spec);
+    print!("{}", render_tables(&spec, &rows));
+    println!(
+        "wall clock: {:.3}s (multiplexed; routing table shared per world)",
+        started.elapsed().as_secs_f64()
+    );
+    println!("notes:");
+    println!("- identical grid and traces to E24; hops priced along the level-wise");
+    println!("  cluster-routing paths (HopMetric::HierRouting) instead of the");
+    println!("  calibrated Euclidean estimate — stretch > 1 raises every scheme;");
+    println!("- the three schemes share one world and one routing table per tick");
+    println!("  (the multiplexer's per-metric pricer group), so this re-sweep adds");
+    println!("  ~1 world-run of cost to the E24 study instead of ~3;");
+    println!("- scheme ordering (chlm >> gls > home in dense walk/waypoint; rpgm");
+    println!("  closing the gap) should be read against E24's Euclidean tables.");
 }
 
 #[cfg(test)]

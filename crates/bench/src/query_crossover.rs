@@ -1,4 +1,4 @@
-//! E27 core: the update-vs-query crossover across LM schemes.
+//! E27: the update-vs-query crossover across LM schemes.
 //!
 //! The paper's case for hierarchical location management rests on update
 //! (handoff) overhead; the query plane is the other side of the ledger.
@@ -8,16 +8,16 @@
 //! identical per-seed world traces and asks, per scheme: at what CMR does
 //! lookup traffic overtake update traffic?
 //!
-//! Lives in the library (not the `exp_query_crossover` binary) so the
-//! golden snapshot test runs the *same* sweep code the experiment runs:
-//! one [`CrossoverSpec`] → deterministic row lists → one canonical JSON
-//! rendering. Each (mobility, n, seed, cmr) world is simulated once and
-//! fanned out to all six banks — 3 schemes × {analytic, lossless packet}
-//! — through the shared-world multiplexer; whenever the trace stays
-//! connected the two backends agree exactly (the `query_parity.rs`
-//! wall), so equal backend columns are a standing cross-check, not
-//! redundancy — a gap between them measures partition time, priced by
-//! the analytic oracle's Euclidean fallback vs dropped packets.
+//! The sweep is public so the golden snapshot test runs the *same* code
+//! the E27 record runs: one [`CrossoverSpec`] → deterministic row lists →
+//! one canonical JSON rendering. Each (mobility, n, seed, cmr) world is
+//! simulated once and fanned out to all six banks — 3 schemes ×
+//! {analytic, lossless packet} — through the shared-world multiplexer;
+//! whenever the trace stays connected the two backends agree exactly (the
+//! `query_parity.rs` wall), so equal backend columns are a standing
+//! cross-check, not redundancy — a gap between them measures partition
+//! time, priced by the analytic oracle's Euclidean fallback vs dropped
+//! packets.
 //!
 //! Crossover extraction: update overhead is CMR-independent (lookup
 //! arrivals never feed back into the world trace), and per-lookup cost is
@@ -32,10 +32,14 @@ use chlm_sim::runner::seed_range;
 use chlm_sim::{run_grid, Backend, HopMetric, MobilityKind, SimConfig, SimReport, VariantSpec};
 
 use crate::lm_compare::{mobility_models, schemes};
-use crate::summarize;
+use crate::{
+    env_usize, jf, measured_seconds, replications, scaling_sizes, summarize, threads,
+    warmup_seconds,
+};
+use std::time::Instant;
 
 /// The backends the query plane is priced on, in report order.
-pub fn backends() -> [(&'static str, Backend); 2] {
+fn backends() -> [(&'static str, Backend); 2] {
     [
         ("analytic", Backend::Analytic),
         ("packet", Backend::packet()),
@@ -47,15 +51,15 @@ pub fn backends() -> [(&'static str, Backend); 2] {
 /// thread-invariant, so it is a pure speed knob).
 #[derive(Debug, Clone)]
 pub struct CrossoverSpec {
-    pub sizes: Vec<usize>,
+    sizes: Vec<usize>,
     /// Swept CMR points (lookup arrivals per node per second).
-    pub cmrs: Vec<f64>,
-    pub replications: usize,
-    pub base_seed: u64,
-    pub threads: usize,
-    pub duration: f64,
-    pub warmup: f64,
-    pub mobilities: Vec<(&'static str, MobilityKind)>,
+    cmrs: Vec<f64>,
+    replications: usize,
+    base_seed: u64,
+    threads: usize,
+    duration: f64,
+    warmup: f64,
+    mobilities: Vec<(&'static str, MobilityKind)>,
 }
 
 impl CrossoverSpec {
@@ -79,7 +83,7 @@ impl CrossoverSpec {
     }
 
     /// The CI smoke spec: n = 256, 1 seed, all three mobilities.
-    pub fn smoke(threads: usize) -> Self {
+    fn smoke(threads: usize) -> Self {
         CrossoverSpec {
             sizes: vec![256],
             cmrs: vec![1.0, 4.0],
@@ -129,15 +133,15 @@ fn banks() -> Vec<(&'static str, &'static str, VariantSpec)> {
 /// replications.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRow {
-    pub mobility: &'static str,
-    pub scheme: &'static str,
-    pub backend: &'static str,
-    pub n: usize,
-    pub cmr: f64,
-    pub update_mean: f64,
-    pub update_ci95: f64,
-    pub query_mean: f64,
-    pub query_ci95: f64,
+    mobility: &'static str,
+    scheme: &'static str,
+    backend: &'static str,
+    n: usize,
+    cmr: f64,
+    update_mean: f64,
+    update_ci95: f64,
+    query_mean: f64,
+    query_ci95: f64,
 }
 
 /// One (mobility, scheme, backend, n) crossover: the CMR at which the
@@ -145,12 +149,12 @@ pub struct QueryRow {
 /// per-replication crossovers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossoverRow {
-    pub mobility: &'static str,
-    pub scheme: &'static str,
-    pub backend: &'static str,
-    pub n: usize,
-    pub crossover_mean: f64,
-    pub crossover_ci95: f64,
+    mobility: &'static str,
+    scheme: &'static str,
+    backend: &'static str,
+    n: usize,
+    crossover_mean: f64,
+    crossover_ci95: f64,
 }
 
 /// Query-plane overhead of one report (every swept CMR is nonzero).
@@ -240,17 +244,6 @@ pub fn run_crossover(spec: &CrossoverSpec) -> (Vec<QueryRow>, Vec<CrossoverRow>)
     (rows, crossovers)
 }
 
-/// Shortest-roundtrip float rendering (`{:?}`): deterministic, parses
-/// back to the identical bits — what the golden file pins.
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        // JSON has no NaN/inf; a degenerate slope renders as null.
-        "null".to_string()
-    }
-}
-
 /// Canonical JSON for the two row lists (hand-rolled; the workspace
 /// carries no serde). Stable key order, one row per line.
 pub fn rows_json(spec: &CrossoverSpec, rows: &[QueryRow], crossovers: &[CrossoverRow]) -> String {
@@ -307,11 +300,7 @@ pub fn rows_json(spec: &CrossoverSpec, rows: &[QueryRow], crossovers: &[Crossove
 /// Render, per mobility model: the update/query overhead grid (a row per
 /// scheme × backend × n × cmr) and the crossover table (mean ± ci95 per
 /// scheme × backend × n).
-pub fn render_tables(
-    spec: &CrossoverSpec,
-    rows: &[QueryRow],
-    crossovers: &[CrossoverRow],
-) -> String {
+fn render_tables(spec: &CrossoverSpec, rows: &[QueryRow], crossovers: &[CrossoverRow]) -> String {
     let mut out = String::new();
     for &(mob_name, _) in &spec.mobilities {
         let mut t = TextTable::new(vec![
@@ -359,6 +348,51 @@ pub fn render_tables(
         ));
     }
     out
+}
+
+/// E27: per (mobility, scheme, backend, n), update and query overhead at
+/// every CMR point and the crossover CMR, mean ± ci95 over replications.
+/// `--smoke` runs the bounded CI spec (n = 256, 1 seed, all mobilities).
+pub(crate) fn exp_query_crossover(smoke: bool) {
+    let spec = if smoke {
+        CrossoverSpec::smoke(threads())
+    } else {
+        CrossoverSpec {
+            sizes: scaling_sizes(256, env_usize("CHLM_MAX_N", 1024, 256)),
+            cmrs: vec![0.5, 1.0, 2.0, 4.0, 8.0],
+            replications: replications(),
+            base_seed: 27_000,
+            threads: threads(),
+            duration: measured_seconds(4.0),
+            warmup: warmup_seconds(2.0),
+            mobilities: mobility_models(),
+        }
+    };
+    println!("== E27: update-vs-query crossover (chlm vs gls vs home agent) ==");
+    println!(
+        "sizes {:?}, cmrs {:?}, {} replications, {}s measured, {} threads{}\n",
+        spec.sizes,
+        spec.cmrs,
+        spec.replications,
+        spec.duration,
+        spec.threads,
+        if smoke { " [smoke]" } else { "" },
+    );
+    let started = Instant::now();
+    let (rows, crossovers) = run_crossover(&spec);
+    let elapsed = started.elapsed();
+    print!("{}", render_tables(&spec, &rows, &crossovers));
+    println!("wall clock: {:.3}s", elapsed.as_secs_f64());
+    println!("notes:");
+    println!("- update = phi+gamma handoff overhead; query = request/reply lookup");
+    println!("  overhead, both in packet transmissions per node per second;");
+    println!("- every scheme x backend bank prices the byte-identical world trace");
+    println!("  and the byte-identical lookup arrivals per seed;");
+    println!("- crossover = update / slope(query vs cmr): the lookup rate at which");
+    println!("  the query plane costs as much as the update plane;");
+    println!("- analytic and lossless-packet columns agree exactly while the trace");
+    println!("  stays connected (crates/sim/tests/query_parity.rs); a gap measures");
+    println!("  partition time (Euclidean-fallback pricing vs dropped packets).");
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Runs the pinned [`CompareSpec::golden`] grid (n = 256, 2 seeds,
 //! walk + waypoint, all three schemes) through the same library code the
-//! `exp_lm_compare` binary uses and compares the canonical JSON against
-//! `tests/golden/lm_compare_n256.json`, byte for byte. Scheme-ranking
+//! `exp_lm_compare` record (E24) uses and compares the canonical JSON
+//! against `tests/golden/lm_compare_n256.json`, byte for byte. Scheme-ranking
 //! output cannot silently drift: any change to mobility, topology,
 //! hierarchy, pricing, or scheme accounting shows up here.
 //!

@@ -2,9 +2,9 @@
 //!
 //! Runs the pinned [`CrossoverSpec::golden`] grid (n = 256, 2 seeds,
 //! walk + waypoint, CMR ∈ {1, 4}, 3 schemes × 2 backends) through the
-//! same library code the `exp_query_crossover` binary uses and compares
-//! the canonical JSON against `tests/golden/query_crossover_n256.json`,
-//! byte for byte. The query plane's headline output cannot silently
+//! same library code the `exp_query_crossover` record (E27) uses and
+//! compares the canonical JSON against
+//! `tests/golden/query_crossover_n256.json`, byte for byte. The query plane's headline output cannot silently
 //! drift: any change to arrival draws, lookup routing, pricing, or the
 //! crossover extraction shows up here.
 //!

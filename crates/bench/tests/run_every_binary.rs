@@ -1,16 +1,18 @@
-//! Every experiment binary runs: each `src/bin/exp_*.rs` is executed at a
-//! fixed tiny scale and must exit 0 having printed a table, and an
-//! out-of-range knob must be a usage error (exit 2), not a panic.
+//! The experiment registry and `chlm-exp`: every record runs through
+//! `chlm-exp <id>` at a fixed tiny scale and must exit 0 having printed a
+//! table; usage errors (a bad id, a misplaced `--smoke`, an out-of-range
+//! knob) exit 2 with a message, not a panic; and the hand-written
+//! experiment lists (DESIGN.md §3's index, EXPERIMENTS.md's Reproducing
+//! block, `ci.sh`'s smoke loop) agree with the registry.
 //!
-//! Binaries are discovered from `src/bin/`, so a new experiment is covered
-//! the day it is added. The tiny scale is the one CHANGES.md (PR 19) used
-//! to prove the `run_sweep` port byte-identical: all 27 together take
-//! ~2 s in release and ~11 s in debug on two cores.
+//! The tiny scale is the one CHANGES.md records for proving the
+//! `run_sweep` port byte-identical: all 27 together take ~2 s in release
+//! and ~11 s in debug on two cores.
 
-use std::path::{Path, PathBuf};
+use chlm_bench::experiments::EXPERIMENTS;
 use std::process::{Command, Output};
 
-/// The scale every binary runs at here.
+/// The scale every record runs at here.
 const TINY: [(&str, &str); 8] = [
     ("CHLM_MAX_N", "256"),
     ("CHLM_SEEDS", "2"),
@@ -22,42 +24,13 @@ const TINY: [(&str, &str); 8] = [
     ("CHLM_THREADS", "2"),
 ];
 
-/// The binaries whose full grid starts above the tiny scale; they carry
-/// their own bounded `--smoke` spec.
-const SMOKE: [&str; 3] = ["exp_lm_compare", "exp_hier_resweep", "exp_query_crossover"];
-
-/// Cargo builds this package's binaries next to each other before any of
-/// its integration tests run; one known path names the directory.
-fn bin_dir() -> &'static Path {
-    Path::new(env!("CARGO_BIN_EXE_exp_scale16k"))
-        .parent()
-        .expect("binary path has a directory")
-}
-
-fn binaries() -> Vec<String> {
-    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    let mut names: Vec<String> = std::fs::read_dir(&src)
-        .expect("crates/bench/src/bin is readable")
-        .map(|entry| entry.expect("directory entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
-        .map(|path| {
-            let stem = path.file_stem().expect("file has a stem");
-            stem.to_string_lossy().into_owned()
-        })
-        .collect();
-    names.sort();
-    names
-}
-
-fn run(name: &str, overrides: &[(&str, &str)]) -> Output {
-    let exe = bin_dir().join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
-    let mut cmd = Command::new(&exe);
-    cmd.envs(TINY).envs(overrides.iter().copied());
-    if SMOKE.contains(&name) {
-        cmd.arg("--smoke");
-    }
-    cmd.output()
-        .unwrap_or_else(|e| panic!("cannot run {}: {e}", exe.display()))
+fn chlm_exp(args: &[&str], overrides: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_chlm-exp"))
+        .args(args)
+        .envs(TINY)
+        .envs(overrides.iter().copied())
+        .output()
+        .expect("chlm-exp runs")
 }
 
 /// A `TextTable` rule line (dashes and column gaps only) directly above a
@@ -69,50 +42,140 @@ fn has_table(stdout: &str) -> bool {
     })
 }
 
+/// The lines of `doc` from the one starting with `heading` up to the next
+/// `## ` heading.
+fn section<'a>(doc: &'a str, heading: &str) -> Vec<&'a str> {
+    let mut lines = doc.lines().skip_while(|l| !l.starts_with(heading));
+    let first = lines
+        .next()
+        .unwrap_or_else(|| panic!("no {heading:?} section"));
+    std::iter::once(first)
+        .chain(lines.take_while(|l| !l.starts_with("## ")))
+        .collect()
+}
+
+fn read_doc(name: &str) -> String {
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+}
+
 #[test]
 fn every_binary_exits_zero_with_a_table() {
-    let names = binaries();
-    assert!(
-        names.len() >= 27,
-        "expected the 27 experiment binaries, found {names:?}"
-    );
-    for name in &names {
-        let out = run(name, &[]);
+    for e in EXPERIMENTS {
+        let args: &[&str] = if e.smoke { &[e.id, "--smoke"] } else { &[e.id] };
+        let out = chlm_exp(args, &[]);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
             out.status.success(),
-            "{name} exited {:?}\nstderr:\n{}",
+            "{} ({}) exited {:?}\nstderr:\n{}",
+            e.id,
+            e.name,
             out.status.code(),
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(has_table(&stdout), "{name} printed no table:\n{stdout}");
+        assert!(has_table(&stdout), "{} printed no table:\n{stdout}", e.id);
     }
 }
 
 #[test]
 fn out_of_range_knobs_are_usage_errors() {
-    for (name, knob, value) in [
-        // Used to trip `assert!(replications >= 1)`.
-        ("exp_eq9_fk", "CHLM_SEEDS", "0"),
-        // Used to leave an empty size ladder for `fit_model`.
-        ("exp_eq4_linkrate", "CHLM_MAX_N", "64"),
-        // Used to leave an empty calibration set for `fit_model`.
-        ("exp_scale16k", "CHLM_SCALE_N", "512"),
+    for (id, knob, value) in [
+        // E6: used to trip `assert!(replications >= 1)`.
+        ("E6", "CHLM_SEEDS", "0"),
+        // E5: used to leave an empty size ladder for `fit_model`.
+        ("E5", "CHLM_MAX_N", "64"),
+        // E26: used to leave an empty calibration set for `fit_model`.
+        ("E26", "CHLM_SCALE_N", "512"),
     ] {
-        let out = run(name, &[(knob, value)]);
+        let out = chlm_exp(&[id], &[(knob, value)]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.code(),
             Some(2),
-            "{name} with {knob}={value}: stderr:\n{stderr}"
+            "{id} with {knob}={value}: stderr:\n{stderr}"
         );
         assert!(
             stderr.contains(knob) && stderr.contains(">="),
-            "{name} with {knob}={value} must name the knob and its range, got:\n{stderr}"
+            "{id} with {knob}={value} must name the knob and its range, got:\n{stderr}"
         );
         assert!(
             !stderr.contains("panicked"),
-            "{name} with {knob}={value} panicked:\n{stderr}"
+            "{id} with {knob}={value} panicked:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn bad_arguments_print_the_registry_and_exit_2() {
+    for args in [&[][..], &["E0"], &["E7", "--smoke"], &["E24", "--smoek"]] {
+        let out = chlm_exp(args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        for e in EXPERIMENTS {
+            assert!(
+                stderr.contains(e.name),
+                "{args:?}: the listing misses {}",
+                e.id
+            );
+        }
+    }
+}
+
+#[test]
+fn registry_ids_are_e1_to_e27_in_order() {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    let want: Vec<String> = (1..=27).map(|k| format!("E{k}")).collect();
+    assert_eq!(ids, want);
+    let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), EXPERIMENTS.len(), "two records share a name");
+    let smoke: Vec<&str> = EXPERIMENTS
+        .iter()
+        .filter(|e| e.smoke)
+        .map(|e| e.id)
+        .collect();
+    assert_eq!(smoke, ["E24", "E25", "E27"]);
+    let ci_loop = format!("for id in {}; do", smoke.join(" "));
+    assert!(
+        read_doc("ci.sh").contains(&ci_loop),
+        "ci.sh must smoke every record with a smoke spec: `{ci_loop}`"
+    );
+}
+
+/// DESIGN.md §3 has exactly one row per record, and that row states the
+/// record's paper anchor and names it.
+#[test]
+fn design_index_has_one_row_per_record() {
+    let design = read_doc("DESIGN.md");
+    let rows: Vec<Vec<&str>> = section(&design, "## 3.")
+        .into_iter()
+        .filter(|l| l.starts_with("| E"))
+        .map(|l| l.trim_matches('|').split(" | ").map(str::trim).collect())
+        .collect();
+    assert_eq!(rows.len(), EXPERIMENTS.len(), "DESIGN §3 rows vs registry");
+    for e in EXPERIMENTS {
+        let mine: Vec<&Vec<&str>> = rows.iter().filter(|r| r[0] == e.id).collect();
+        assert_eq!(mine.len(), 1, "DESIGN §3 must have one {} row", e.id);
+        assert_eq!(mine[0][1], e.paper_ref, "{}'s paper anchor", e.id);
+        assert_eq!(mine[0].last(), Some(&e.name), "{}'s record name", e.id);
+    }
+}
+
+/// EXPERIMENTS.md's Reproducing block runs every id.
+#[test]
+fn reproducing_block_runs_every_id() {
+    let experiments = read_doc("EXPERIMENTS.md");
+    let block = section(&experiments, "## Reproducing").join("\n");
+    let tokens: Vec<&str> = block
+        .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .collect();
+    for e in EXPERIMENTS {
+        assert!(
+            tokens.contains(&e.id),
+            "EXPERIMENTS.md's Reproducing block does not run {}",
+            e.id
         );
     }
 }

@@ -84,8 +84,6 @@ pub struct PacketNetwork<'a> {
     loss: Option<(f64, u32, SimRng)>,
     queue: EventQueue<HopEvent>,
     stats: NetworkStats,
-    /// Delivered packets, with their delivery times.
-    delivered_log: Vec<(Packet, f64)>,
     /// Per-packet transmission counts in send order (failed attempts
     /// included; self-delivered and dropped packets stay at 0).
     per_packet: Vec<u32>,
@@ -101,7 +99,6 @@ impl<'a> PacketNetwork<'a> {
             loss: None,
             queue: EventQueue::new(),
             stats: NetworkStats::default(),
-            delivered_log: Vec::new(),
             per_packet: Vec::new(),
         }
     }
@@ -145,7 +142,6 @@ impl<'a> PacketNetwork<'a> {
         if packet.src == packet.dst {
             // Local delivery: zero transmissions, zero latency.
             self.stats.delivered += 1;
-            self.delivered_log.push((packet, self.queue.now()));
             return;
         }
         if self.graph.hop_row(packet.dst)[packet.src as usize] == UNREACHABLE {
@@ -207,7 +203,6 @@ impl<'a> PacketNetwork<'a> {
                 self.stats.delivered += 1;
                 self.stats.total_latency += latency;
                 self.stats.max_latency = self.stats.max_latency.max(latency);
-                self.delivered_log.push((ev.packet, time));
             } else {
                 self.queue.schedule(
                     time + self.hop_delay,
@@ -225,11 +220,6 @@ impl<'a> PacketNetwork<'a> {
 
     pub fn stats(&self) -> NetworkStats {
         self.stats
-    }
-
-    /// Delivered packets with delivery times, in delivery order.
-    pub fn delivered(&self) -> &[(Packet, f64)] {
-        &self.delivered_log
     }
 
     /// Transmission counts per sent packet, in send order (failed attempts
@@ -316,7 +306,6 @@ mod tests {
         // Σ hops = 1+2+…+9 = 45.
         assert_eq!(stats.transmissions, 45);
         assert!((stats.max_latency - 0.09).abs() < 1e-12);
-        assert_eq!(net.delivered().len(), 9);
     }
 
     #[test]

@@ -67,6 +67,7 @@ proptest! {
         let n = g.node_count() as u32;
         let mut net = PacketNetwork::new(&g, delay);
         let d0 = bfs_distances(&g, 0);
+        let (mut sent, mut sum, mut max) = (0u64, 0.0f64, 0.0f64);
         for t in 1..n {
             if d0[t as usize] != UNREACHABLE {
                 net.send(Packet {
@@ -75,13 +76,17 @@ proptest! {
                     msg: LmMessage::Reply { requester: 0, target: t },
                     sent_at: 0.0,
                 });
+                let latency = d0[t as usize] as f64 * delay;
+                sent += 1;
+                sum += latency;
+                max = max.max(latency);
             }
         }
-        let _ = net.run();
-        for &(p, at) in net.delivered() {
-            let hops = d0[p.dst as usize] as f64;
-            prop_assert!((at - p.sent_at - hops * delay).abs() < 1e-9);
-        }
+        let stats = net.run();
+        prop_assert_eq!(stats.delivered, sent);
+        let tolerance = 1e-9 * sent.max(1) as f64;
+        prop_assert!((stats.total_latency - sum).abs() < tolerance);
+        prop_assert!((stats.max_latency - max).abs() < 1e-9);
     }
 
     #[test]
