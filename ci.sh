@@ -64,12 +64,26 @@ if compgen -G 'crates/bench/src/bin/exp_*.rs' >/dev/null; then
   echo "leftover check: an exp_* binary is back; add a registry record instead" >&2
   exit 1
 fi
+# The packet executor is two FIFO hop steps over hop counts: the event
+# queue, its heap and the per-hop next-hop walk stay out of it (the queue
+# executor lives on only as the oracle in crates/proto/tests/heap_oracle.rs;
+# `EventQueue` itself stays for proto::dalca).
+if grep -n 'EventQueue\|BinaryHeap\|fn next_hop' crates/proto/src/network.rs crates/sim/src/transport.rs; then
+  echo "leftover check: the packet executor is back on an event queue or a next-hop walk" >&2
+  exit 1
+fi
 
 step "cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 step "cargo test (workspace)"
 cargo test --workspace -q
+
+# The packet executor against the event-queue executor it replaced, at
+# eight times tier-1's case count: stats bit for bit, per-packet counts,
+# fresh and restarted networks.
+step "packet executor vs event-queue oracle (PROPTEST_CASES=512)"
+PROPTEST_CASES=512 cargo test -q -p chlm-proto --test heap_oracle
 
 # Schedule fuzz: rerun the determinism-sensitive suites with every
 # multi-threaded pool call claiming work in a seeded adversarial order.
@@ -80,7 +94,9 @@ cargo test --workspace -q
 # walk test (n above WALK_PAR_MIN_N at 2 and 8 workers), which no other
 # suite reaches; chlm-graph for the eight-worker race of `hop_row` and
 # `fill_hop_rows` on the same cells; hop_row_sharing for the rows a
-# six-bank tick leaves behind at 2 and 8 workers against 1.
+# six-bank tick leaves behind at 2 and 8 workers against 1; parity and
+# query_parity for the packet shards, which run through `for_each_mut`
+# (chunk spawn order fuzzed), not `run_indexed`.
 step "schedule fuzz (CHLM_SHUFFLE_MERGE=1)"
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-par
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-graph
@@ -88,6 +104,8 @@ CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-lm
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test thread_invariance
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test multiplex_equivalence
 CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test hop_row_sharing
+CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test parity
+CHLM_SHUFFLE_MERGE=1 cargo test -q -p chlm-sim --test query_parity
 
 # Miri over the worker pool when the toolchain carries it (nightly-only
 # component; the GitHub workflow runs it in a dedicated nightly job).

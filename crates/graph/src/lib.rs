@@ -414,7 +414,7 @@ impl Graph {
     /// ([`traversal::UNREACHABLE`] across a partition): the row
     /// [`traversal::bfs_distances`] returns, computed on the first request
     /// and kept until the adjacency next changes. Whoever asks first pays
-    /// for the BFS — the hop pricer, a packet network forwarding toward
+    /// for the BFS — the hop pricer, a packet network sending from
     /// `root`, another thread of either — and every later reader of this
     /// `&Graph` gets the same slice; the next [`Graph::add_edge`],
     /// [`Graph::remove_edge`], [`Graph::reset`], [`Graph::copy_from`] or

@@ -4,11 +4,11 @@
 //!
 //! The analytical pipeline (`chlm-sim` + `chlm-lm`) *prices* handoff as
 //! entries × hops. This crate closes the loop by actually **sending the
-//! messages**: a discrete-event engine delivers each protocol packet hop by
-//! hop over the unit-disk topology, counting real transmissions and
-//! measuring delivery latency. Which packets a scheme sends is decided in
-//! `chlm-sim` (`SchemeWorkload` / `SchemeLookup`); its packet transport
-//! feeds them to [`network::PacketNetwork`]. Experiment E18 and
+//! messages**: each protocol packet is delivered hop by hop over the
+//! unit-disk topology, counting real transmissions and measuring delivery
+//! latency. Which packets a scheme sends is decided in `chlm-sim`
+//! (`SchemeWorkload` / `SchemeLookup`); its packet transport feeds them to
+//! [`network::PacketNetwork`]. Experiment E18 and
 //! `chlm-sim`'s parity tests check that the executed transmission counts
 //! match the analytical ones exactly under the BFS hop oracle, which
 //! validates the accounting behind every φ/γ result.
@@ -21,8 +21,8 @@
 //! * [`events::EventQueue`] — deterministic discrete-event queue,
 //! * [`message`] — the LM message vocabulary (TRANSFER / REGISTER / QUERY /
 //!   REPLY),
-//! * [`network::PacketNetwork`] — hop-by-hop forwarding with per-hop delay,
-//!   optional loss + ARQ, and per-packet transmission counting.
+//! * [`network::PacketNetwork`] — a reusable hop-by-hop executor with
+//!   per-hop delay, optional loss + ARQ, and per-packet transmission counts.
 
 //!
 //! ## Example
@@ -34,9 +34,9 @@
 //!
 //! // A 4-hop path; one REGISTER packet end to end.
 //! let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-//! let mut net = PacketNetwork::new(&g, 0.001);
-//! net.send(Packet { src: 0, dst: 4, sent_at: 0.0,
-//!                   msg: LmMessage::Register { subject: 0, level: 2 } });
+//! let mut net = PacketNetwork::new(0.001);
+//! net.send(&g, Packet { src: 0, dst: 4, sent_at: 0.0,
+//!                       msg: LmMessage::Register { subject: 0, level: 2 } });
 //! let stats = net.run();
 //! assert_eq!(stats.delivered, 1);
 //! assert_eq!(stats.transmissions, 4);

@@ -1,0 +1,118 @@
+//! Tier-1 pin: a warmed `PacketNetwork` executes traffic without the
+//! allocator.
+//!
+//! The simulator keeps one network per packet shard across ticks and
+//! restarts it every tick. After one run has sized its step and
+//! per-packet buffers, and with the graph already holding the distance
+//! rows the packets read, running the same traffic again — lossless, and
+//! lossy with its retransmissions — must make no allocator call at all.
+//!
+//! One `#[test]` in its own binary, counting only the test's own thread,
+//! so nothing the harness does beside it lands in the window.
+
+use chlm_geom::{Disk, SimRng};
+use chlm_graph::NodeIdx;
+use chlm_proto::message::{LmMessage, Packet};
+use chlm_proto::network::PacketNetwork;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls made by this thread (const-initialised and
+    /// `Drop`-free, so reading it never allocates).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    // `try_with`: a thread being torn down may allocate after its
+    // thread-locals are gone.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: delegates every operation verbatim to `System`; the counter is
+// side-effect-only.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn packet(src: NodeIdx, dst: NodeIdx) -> Packet {
+    Packet {
+        src,
+        dst,
+        msg: LmMessage::Query {
+            requester: src,
+            target: dst,
+        },
+        sent_at: 0.0,
+    }
+}
+
+#[test]
+fn rerun_on_a_warm_graph_makes_no_allocator_call() {
+    // A 300-node unit-disk world with a few islands, and 600 packets
+    // between random pairs: self-deliveries, drops at the partition and
+    // paths of many hops.
+    let mut rng = SimRng::seed_from(3);
+    let pts = chlm_geom::region::deploy_uniform(&Disk::centered(10.0), 300, &mut rng);
+    let world = chlm_graph::unit_disk::build_unit_disk(&pts, 1.3);
+    let random: Vec<Packet> = (0..600)
+        .map(|_| packet(rng.index(300) as NodeIdx, rng.index(300) as NodeIdx))
+        .collect();
+    // A burst of one-hop packets and one of three hops (plus a drop): the
+    // run ends after an odd number of steps, on the buffer that held only
+    // the long packet, so the next sends need the other one.
+    let path = chlm_graph::Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
+    let mut burst = vec![packet(0, 1); 500];
+    burst.extend([packet(0, 3), packet(0, 4)]);
+    for (graph, traffic) in [(&world, &random), (&path, &burst)] {
+        let run = |net: &mut PacketNetwork| {
+            net.restart(17);
+            for &packet in traffic {
+                net.send(graph, packet);
+            }
+            net.run()
+        };
+        for (label, mut net) in [
+            ("lossless", PacketNetwork::new(0.01)),
+            ("lossy", PacketNetwork::new(0.01).with_loss(0.3, 3, 17)),
+        ] {
+            let warm = run(&mut net);
+            assert!(warm.delivered > 0 && warm.dropped > 0, "{label}: {warm:?}");
+            let before = CALLS.with(Cell::get);
+            let again = run(&mut net);
+            let calls = CALLS.with(Cell::get) - before;
+            assert_eq!(calls, 0, "{label}: the rerun made {calls} allocator calls");
+            assert_eq!(again, warm, "{label}");
+        }
+    }
+    // A reading of zero above would be meaningless without the counter.
+    let before = CALLS.with(Cell::get);
+    drop(std::hint::black_box(Vec::<u64>::with_capacity(8)));
+    assert!(
+        CALLS.with(Cell::get) > before,
+        "the counting allocator saw nothing"
+    );
+}

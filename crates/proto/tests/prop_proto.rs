@@ -28,14 +28,14 @@ proptest! {
         pairs in proptest::collection::vec((0u32..30, 0u32..30), 1..40),
     ) {
         let n = g.node_count() as u32;
-        let mut net = PacketNetwork::new(&g, 0.001);
+        let mut net = PacketNetwork::new(0.001);
         let mut expected_tx = 0u64;
         let mut expected_delivered = 0u64;
         let mut expected_dropped = 0u64;
         let mut sent = 0u64;
         for (s, t) in pairs {
             let (s, t) = (s % n, t % n);
-            net.send(Packet {
+            net.send(&g, Packet {
                 src: s,
                 dst: t,
                 msg: LmMessage::Query { requester: s, target: t },
@@ -65,12 +65,12 @@ proptest! {
     #[test]
     fn latency_equals_hops_times_delay(g in arb_graph(25), delay in 0.0005f64..0.05) {
         let n = g.node_count() as u32;
-        let mut net = PacketNetwork::new(&g, delay);
+        let mut net = PacketNetwork::new(delay);
         let d0 = bfs_distances(&g, 0);
         let (mut sent, mut sum, mut max) = (0u64, 0.0f64, 0.0f64);
         for t in 1..n {
             if d0[t as usize] != UNREACHABLE {
-                net.send(Packet {
+                net.send(&g, Packet {
                     src: 0,
                     dst: t,
                     msg: LmMessage::Reply { requester: 0, target: t },

@@ -90,8 +90,8 @@ pub enum Backend {
     /// Price handoffs with the hop oracle (the paper's analytic model).
     #[default]
     Analytic,
-    /// Execute handoffs as packets through `chlm_proto`'s discrete-event
-    /// network on the tick's real topology.
+    /// Execute handoffs as packets through `chlm_proto`'s packet network
+    /// on the tick's real topology.
     Packet {
         /// Per-hop forwarding delay (seconds).
         hop_delay: f64,

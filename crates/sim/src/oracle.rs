@@ -9,11 +9,12 @@
 //!
 //! The BFS oracle keeps no rows of its own: `hops(a, b)` reads
 //! [`Graph::hop_row`]`(a)[b]`, the snapshot's one shortest-path row store,
-//! so a row priced here is the row every packet network over the same
-//! `&Graph` forwards along (and the other way round), and it lives until
-//! the topology stage next mutates the graph. A row nobody warmed is one
-//! scalar BFS on first use; inside a tick `Transport::carry` warms the
-//! `src` rows of a whole batch of legs first ([`Graph::fill_hop_rows`]).
+//! so a row priced here is the row a packet sent from `a` over the same
+//! `&Graph` reads its hop count from (and the other way round), and it
+//! lives until the topology stage next mutates the graph. A row nobody
+//! warmed is one scalar BFS on first use; inside a tick `Transport::carry`
+//! warms the `src` rows of a whole batch of legs first
+//! ([`Graph::fill_hop_rows`]).
 
 use chlm_geom::Point;
 use chlm_graph::traversal::UNREACHABLE;

@@ -3,14 +3,14 @@
 //! A [`Backend`] decides exactly one thing: how a tick's ordered *legs*
 //! (one `src → dst` protocol message each) become packet-transmission
 //! counts. [`Transport::Analytic`] asks the lent [`HopPricer`];
-//! [`Transport::Packet`] *executes* the legs through
-//! [`chlm_proto::PacketNetwork`]'s discrete-event queue over the tick's
-//! real topology — per-hop delay, optional loss and ARQ included — and
-//! reports the transmissions each leg actually used. Which legs exist is
-//! the scheme's business ([`crate::scheme`]); the two accounting observers
-//! there hold one `Transport` each and never look at the backend again.
-//! On a lossless connected network the two variants agree leg for leg
-//! under BFS pricing (`tests/parity.rs`, `tests/query_parity.rs`).
+//! [`Transport::Packet`] *executes* the legs as packets on
+//! [`chlm_proto::PacketNetwork`]s over the tick's real topology — per-hop
+//! delay, optional loss and ARQ included — and reports the transmissions
+//! each leg actually used. Which legs exist is the scheme's business
+//! ([`crate::scheme`]); the two accounting observers there hold one
+//! `Transport` each and never look at the backend again. On a lossless
+//! connected network the two variants agree leg for leg under BFS pricing
+//! (`tests/parity.rs`, `tests/query_parity.rs`).
 //!
 //! This file owns the only packet executor on the step path. Three rules
 //! keep every report, digest and lossy draw independent of who calls it
@@ -18,8 +18,8 @@
 //!
 //! 1. **Fixed shards.** A tick's legs are cut into `PACKET_SHARDS`
 //!    contiguous chunks — a constant, never the thread count — each run on
-//!    its own event queue with its own per-`(seed, tick, shard)` loss
-//!    stream (`shard_loss_seed`) and merged in shard order. Packets never
+//!    its own network with its own per-`(seed, tick, shard)` loss stream
+//!    (`shard_loss_seed`) and merged in shard order. Packets never
 //!    interact, so concatenating the chunks reproduces the unsharded order.
 //! 2. **Cuts fall between booked events.** Shards split the tick's
 //!    *events* evenly, not its legs: a leg that is booked together with
@@ -30,21 +30,26 @@
 //!    shards at the same `(seed, tick, shard)`; each plane's transport is
 //!    built with its own stream salt so their draws are uncorrelated.
 //!
-//! What the shards do *not* own is routing state. A per-shard network
-//! forwards over `ctx.graph.hop_row(dst)`, the snapshot's one memo of BFS
-//! rows, so the eight shards of a plane, both planes, every bank and the
-//! BFS pricer compute the row of a destination once between them — which
-//! no result can see (a row is a pure function of the graph; see
-//! [`chlm_proto::network`]). Hence a fourth rule, about speed only:
+//! What the shards do *not* own is routing state. A packet reads one
+//! distance, `ctx.graph.hop_row(src)[dst]`, from the snapshot's one memo
+//! of BFS rows — the entry the BFS pricer reads for the same leg — so the
+//! eight shards of a plane, both planes, every bank and the pricer compute
+//! the row of a source once between them, which no result can see (a row
+//! is a pure function of the graph; see [`chlm_proto::network`]). Hence a
+//! fourth rule, about speed only:
 //!
 //! 4. **Rows are warmed per `carry`.** A transport sees a tick's legs as
-//!    one batch and knows which row each will read: the BFS oracle reads
-//!    `hop_row(src)[dst]`, a packet network forwards along `hop_row(dst)`.
-//!    So `carry` first hands those roots — `src` of every non-self leg on
-//!    the analytic arm under [`HopMetric::Bfs`], `dst` on the packet arm —
-//!    to [`chlm_graph::Graph::fill_hop_rows`], which computes the missing
-//!    ones 64 at a time. An analytic transport under any other metric asks
-//!    the graph for nothing.
+//!    one batch and knows which rows they will read: `hop_row(src)` of
+//!    every non-self leg, on both arms. So `carry` first hands those roots
+//!    — on the analytic arm under [`HopMetric::Bfs`], and on the packet
+//!    arm — to [`chlm_graph::Graph::fill_hop_rows`], which computes the
+//!    missing ones 64 at a time. One root rule for both arms means a packet
+//!    bank fills no row an analytic bank over the same legs would not. An
+//!    analytic transport under any other metric asks the graph for
+//!    nothing.
+//!
+//! The executor's networks, with their step and per-packet buffers, and
+//! the root buffer are kept across ticks rather than rebuilt per `carry`.
 
 use crate::config::{Backend, HopMetric, LossSpec, SimConfig};
 use crate::cost::HopPricer;
@@ -89,7 +94,7 @@ pub struct PacketTotals {
 
 /// One leg of a tick's workload, as a transport needs to see it.
 pub(crate) trait WireLeg: Sync {
-    /// The leg as a protocol packet (the network stamps `sent_at`).
+    /// The leg as a protocol packet.
     fn wire(&self) -> Packet;
     /// Whether this leg starts a booked event. `false` means its cost is
     /// summed into its predecessor's event, so no packet shard may be cut
@@ -100,10 +105,9 @@ pub(crate) trait WireLeg: Sync {
 /// How one accounting plane turns legs into transmission counts; see the
 /// module docs.
 pub enum Transport {
-    /// Price each leg with the lent hop oracle. Holds a pool iff that
-    /// oracle reads the graph's BFS rows ([`HopMetric::Bfs`]), which
-    /// `carry` then warms over it (rule 4).
-    Analytic(Option<WorkerPool>),
+    /// Price each leg with the lent hop oracle. Holds a row warmer iff
+    /// that oracle reads the graph's BFS rows ([`HopMetric::Bfs`]).
+    Analytic(Option<RowWarmer>),
     /// Execute each leg as a packet on the tick's topology.
     Packet(PacketExecutor),
 }
@@ -112,18 +116,30 @@ impl Transport {
     /// The transport `cfg.backend` selects, for the plane whose loss
     /// draws are salted with `loss_stream`.
     pub(crate) fn new(cfg: &SimConfig, loss_stream: u64) -> Self {
-        let workers = WorkerPool::new(cfg.threads);
+        let rows = RowWarmer {
+            workers: WorkerPool::new(cfg.threads),
+            roots: Vec::new(),
+        };
         match cfg.backend {
             Backend::Analytic => {
-                Transport::Analytic((cfg.hop_metric == HopMetric::Bfs).then_some(workers))
+                Transport::Analytic((cfg.hop_metric == HopMetric::Bfs).then_some(rows))
             }
             Backend::Packet { hop_delay, loss } => {
-                assert!(hop_delay > 0.0 && hop_delay.is_finite());
+                let shards = (0..PACKET_SHARDS)
+                    .map(|index| {
+                        let net = PacketNetwork::new(hop_delay);
+                        let net = match loss {
+                            Some(l) => net.with_loss(l.prob, l.max_retries, l.seed),
+                            None => net,
+                        };
+                        Shard { index, net }
+                    })
+                    .collect();
                 Transport::Packet(PacketExecutor {
-                    hop_delay,
                     loss,
                     loss_stream,
-                    workers,
+                    rows,
+                    shards,
                     net: NetworkStats::default(),
                 })
             }
@@ -151,8 +167,8 @@ impl Transport {
         costs.clear();
         match self {
             Transport::Analytic(bfs_rows) => {
-                if let Some(workers) = bfs_rows {
-                    warm_rows(ctx, workers, legs, |p| p.src);
+                if let Some(rows) = bfs_rows {
+                    rows.warm(ctx, legs);
                 }
                 costs.extend(legs.iter().map(|leg| {
                     let p = leg.wire();
@@ -160,7 +176,7 @@ impl Transport {
                 }));
             }
             Transport::Packet(executor) => {
-                warm_rows(ctx, &executor.workers, legs, |p| p.dst);
+                executor.rows.warm(ctx, legs);
                 executor.execute(ctx, legs, costs);
             }
         }
@@ -168,62 +184,77 @@ impl Transport {
     }
 }
 
-/// Rule 4: have the graph compute, together, the rows `legs` are about to
-/// read (`root_of` a leg; self-legs read none) and does not hold yet.
-fn warm_rows<L: WireLeg>(
-    ctx: &TickCtx<'_>,
-    workers: &WorkerPool,
-    legs: &[L],
-    root_of: fn(Packet) -> NodeIdx,
-) {
-    let roots: Vec<NodeIdx> = legs
-        .iter()
-        .map(WireLeg::wire)
-        .filter(|p| p.src != p.dst)
-        .map(root_of)
-        .collect();
-    ctx.graph.fill_hop_rows(&roots, workers);
+/// Rule 4 of the module docs for one transport: the pool rows are
+/// computed over, and the root buffer, kept across ticks.
+pub struct RowWarmer {
+    workers: WorkerPool,
+    roots: Vec<NodeIdx>,
+}
+
+impl RowWarmer {
+    /// Have the graph compute, together, the rows `legs` are about to
+    /// read (`src`'s; self-legs read none) and does not hold yet.
+    fn warm<L: WireLeg>(&mut self, ctx: &TickCtx<'_>, legs: &[L]) {
+        self.roots.clear();
+        self.roots.extend(
+            legs.iter()
+                .map(WireLeg::wire)
+                .filter(|p| p.src != p.dst)
+                .map(|p| p.src),
+        );
+        ctx.graph.fill_hop_rows(&self.roots, &self.workers);
+    }
 }
 
 /// The sharded packet executor behind [`Transport::Packet`].
 pub struct PacketExecutor {
-    hop_delay: f64,
+    /// The loss settings, whose seed each tick's shard streams derive from.
     loss: Option<LossSpec>,
     /// XORed into the loss seed (rule 3 of the module docs).
     loss_stream: u64,
-    workers: WorkerPool,
+    /// Rule 4, over the pool the shards run on.
+    rows: RowWarmer,
+    /// One network per shard, kept with its buffers across ticks.
+    shards: Vec<Shard>,
     /// Network counters merged over every tick so far.
     net: NetworkStats,
 }
 
+/// A packet shard: its place in the shard order and its network.
+struct Shard {
+    index: usize,
+    net: PacketNetwork,
+}
+
 impl PacketExecutor {
-    /// Run `legs` through `PACKET_SHARDS` per-shard networks and append
+    /// Run `legs` through the `PACKET_SHARDS` shard networks and append
     /// each leg's transmission count to `costs`, in leg order.
     fn execute<L: WireLeg>(&mut self, ctx: &TickCtx<'_>, legs: &[L], costs: &mut Vec<f64>) {
         let cuts = shard_cuts(legs);
         let (graph, tick) = (ctx.graph, ctx.tick as u64);
-        let (hop_delay, loss, salt) = (self.hop_delay, self.loss, self.loss_stream);
-        let shards = self.workers.run_indexed(PACKET_SHARDS, |shard| {
-            let mut net = PacketNetwork::new(graph, hop_delay);
-            if let Some(l) = loss {
-                net = net.with_loss(
-                    l.prob,
-                    l.max_retries,
-                    shard_loss_seed(l.seed ^ salt, tick, shard as u64),
-                );
+        let (loss, salt) = (self.loss, self.loss_stream);
+        self.rows.workers.for_each_mut(&mut self.shards, |shard| {
+            let index = shard.index;
+            shard
+                .net
+                .restart(loss.map_or(0, |l| shard_loss_seed(l.seed ^ salt, tick, index as u64)));
+            for leg in &legs[cuts[index]..cuts[index + 1]] {
+                shard.net.send(graph, leg.wire());
             }
-            for leg in &legs[cuts[shard]..cuts[shard + 1]] {
-                net.send(leg.wire());
-            }
-            let stats = net.run();
-            (stats, net.into_per_packet_transmissions())
+            shard.net.run();
         });
         // Merged per tick first, then into the run totals: the latency
         // sums are floats, so the grouping is part of the pinned results.
         let mut tick_net = NetworkStats::default();
-        for (stats, per_packet) in shards {
-            tick_net.merge(&stats);
-            costs.extend(per_packet.iter().map(|&t| t as f64));
+        for shard in &self.shards {
+            tick_net.merge(&shard.net.stats());
+            costs.extend(
+                shard
+                    .net
+                    .per_packet_transmissions()
+                    .iter()
+                    .map(|&t| t as f64),
+            );
         }
         self.net.merge(&tick_net);
     }

@@ -25,11 +25,12 @@ use chlm_sim::{
     VariantSpec,
 };
 
-/// After the BFS oracle prices `(a, x)` and two separate packet networks
-/// over the same `&Graph` each deliver a packet *to* `a`, the graph holds
-/// exactly one row — `a`'s — and the executed transmissions are its
-/// entries. (At the parent of the PR that introduced the memo each of the
-/// three kept a private copy.)
+/// After the BFS oracle prices `(a, x)` and `(a, y)` and two separate
+/// packet networks handed the same `&Graph` each deliver a packet *from*
+/// `a`, the graph holds exactly one row — `a`'s — and the executed
+/// transmissions are its entries. (At the parent of the PR that introduced
+/// the memo each of the three kept a private copy; until packets read
+/// `hop_row(src)[dst]`, a packet to `x` also filled `x`'s row.)
 #[test]
 fn pricer_and_packet_networks_share_one_row() {
     let n = 80;
@@ -44,17 +45,20 @@ fn pricer_and_packet_networks_share_one_row() {
     let priced = [oracle.hops(a, x), oracle.hops(a, y)];
     assert_eq!(g.hop_rows_cached(), 1);
 
-    for (src, price) in [x, y].into_iter().zip(priced) {
-        let mut net = PacketNetwork::new(&g, 0.001);
-        net.send(Packet {
-            src,
-            dst: a,
-            msg: LmMessage::Query {
-                requester: src,
-                target: a,
+    for (dst, price) in [x, y].into_iter().zip(priced) {
+        let mut net = PacketNetwork::new(0.001);
+        net.send(
+            &g,
+            Packet {
+                src: a,
+                dst,
+                msg: LmMessage::Query {
+                    requester: a,
+                    target: dst,
+                },
+                sent_at: 0.0,
             },
-            sent_at: 0.0,
-        });
+        );
         let stats = net.run();
         assert_eq!(stats.delivered, 1, "fixture must be connected");
         assert_eq!(stats.transmissions as f64, price);
@@ -164,6 +168,22 @@ fn six_bank_fan_out_fills_the_same_rows_at_every_pool_width() {
         assert_eq!(rows, serial_rows, "threads {threads}");
         assert_eq!(reports, serial_reports, "threads {threads}");
     }
+}
+
+/// Packet banks read the rows analytic banks over the same legs read
+/// (`hop_row(src)`, rule 4 of `transport.rs`), so adding the three packet
+/// banks to the E27-shaped fan-out leaves the memo exactly as full, tick
+/// for tick, as the three analytic banks alone do.
+#[test]
+fn packet_banks_fill_no_row_of_their_own() {
+    let base = e27_world(160, 1);
+    let (analytic, _) = run_counting_rows(&base, &fan_out(HopMetric::Bfs, &[Backend::Analytic]));
+    assert!(analytic.iter().any(|&(rows, _)| rows > 0));
+    let (both, _) = run_counting_rows(
+        &base,
+        &fan_out(HopMetric::Bfs, &[Backend::Analytic, Backend::packet()]),
+    );
+    assert_eq!(both, analytic);
 }
 
 /// Under Euclidean or table-driven pricing an analytic transport has no
