@@ -72,6 +72,14 @@ if grep -n 'EventQueue\|BinaryHeap\|fn next_hop' crates/proto/src/network.rs cra
   echo "leftover check: the packet executor is back on an event queue or a next-hop walk" >&2
   exit 1
 fi
+# The LM walk runs over levels numbered in tree order: a member's CSR slot
+# is its number one level down and a subject's ancestors come from the
+# `parent` column, so the physical-to-local table, the per-member `down`
+# column and the walk's address-book lookup stay out of it.
+if grep -n 'slot_of_phys\|down: Vec<\|book\.row(' crates/lm/src/server.rs; then
+  echo "leftover check: the LM walk is back on physical-order lookups" >&2
+  exit 1
+fi
 
 step "cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -84,6 +92,12 @@ cargo test --workspace -q
 # fresh and restarted networks.
 step "packet executor vs event-queue oracle (PROPTEST_CASES=512)"
 PROPTEST_CASES=512 cargo test -q -p chlm-proto --test heap_oracle
+
+# The tree-ordered LM walk against a subject-at-a-time walk over the
+# public `Hierarchy` API, at the same case count: every host of every
+# entry, both rules, threads 1/2/8 through recycled scratches.
+step "LM walk vs reference walk (PROPTEST_CASES=512)"
+PROPTEST_CASES=512 cargo test -q -p chlm-lm --test walk_reference
 
 # Schedule fuzz: rerun the determinism-sensitive suites with every
 # multi-threaded pool call claiming work in a seeded adversarial order.

@@ -10,7 +10,7 @@ use chlm_analysis::regression::{relative_spread, ModelClass};
 use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_cluster::maintenance::price_maintenance;
-use chlm_cluster::metrics::{format_stats_table, level_stats};
+use chlm_cluster::metrics::{format_stats_table, level_stats, LevelStats};
 use chlm_cluster::HierarchyOptions;
 use chlm_geom::{Rect, SimRng};
 use chlm_graph::NodeIdx;
@@ -56,12 +56,10 @@ pub(crate) fn exp_fig1_hierarchy() {
         }
         let mean_depth = depth_sum / seeds as f64;
 
-        let arities: Vec<f64> = stats.iter().skip(1).map(|s| s.arity).collect();
-        let mean_alpha = arities.iter().sum::<f64>() / arities.len().max(1) as f64;
         arity_table.row(vec![
             format!("{n}"),
             fnum(mean_depth),
-            fnum(mean_alpha),
+            fnum(mean_alpha(&stats)),
             fnum(stats.get(1).map_or(0.0, |s| s.mean_degree)),
             format!("{}", stats.last().unwrap().nodes),
         ]);
@@ -70,6 +68,14 @@ pub(crate) fn exp_fig1_hierarchy() {
 
     println!("{}", arity_table.render());
     print_fits(&depth_series, ModelClass::LogN);
+}
+
+/// Mean arity `α_k` over the clustered levels `k ≥ 1`, and `0` for a
+/// one-level hierarchy — folded from +0.0: `Iterator::sum::<f64>()` starts
+/// at -0.0, which is what an empty arity list would then report.
+fn mean_alpha(stats: &[LevelStats]) -> f64 {
+    let arities = stats.get(1..).unwrap_or_default();
+    arities.iter().fold(0.0, |sum, s| sum + s.arity) / arities.len().max(1) as f64
 }
 
 /// E2 at one size: the band table, server load and the unambiguity check.
@@ -511,4 +517,30 @@ pub(crate) fn exp_dalca() {
     );
     println!("every run's quiescent votes/heads/elector-counts matched the");
     println!("centralized LCA exactly — the tick-diff emulation is faithful.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn level(level: usize, arity: f64) -> LevelStats {
+        LevelStats {
+            level,
+            nodes: 1,
+            edges: 0,
+            arity,
+            aggregation: 1.0,
+            mean_degree: 0.0,
+            intra_cluster_hops: None,
+        }
+    }
+
+    #[test]
+    fn mean_alpha_of_a_one_level_hierarchy_is_positive_zero() {
+        for stats in [vec![], vec![level(0, 0.0)]] {
+            assert_eq!(mean_alpha(&stats).to_bits(), 0.0f64.to_bits());
+        }
+        let three = [level(0, 0.0), level(1, 4.0), level(2, 3.0)];
+        assert_eq!(mean_alpha(&three), 3.5);
+    }
 }

@@ -12,15 +12,19 @@
 //! and level 0 is the node itself.
 //!
 //! The walk is a pure function of the hierarchy it is handed: every call
-//! flattens every level into CSR columns (`LevelClusters`) and walks every
-//! `(subject, level ≥ 2)` entry. Nothing is carried from one call to the
-//! next but buffers ([`WalkScratch`]) — an entry depends on the whole
-//! subtree of its cluster, and under mobility ~1 % of entries have an
-//! untouched subtree from one tick to the next (DESIGN §4.3), so there is
-//! nothing worth remembering.
+//! flattens every level into CSR columns (`LevelClusters`) numbered in
+//! tree order — each cluster's subtree is one contiguous run at every
+//! level, and a member's CSR slot is its number one level down — walks
+//! every `(subject, level ≥ 2)` entry with subjects in tree order too,
+//! and gathers the rows into the physical host table in one pass.
+//! Nothing is carried from one call to the next but buffers
+//! ([`WalkScratch`]) — an entry depends on the whole subtree of its
+//! cluster, and under mobility ~1 % of entries have an untouched subtree
+//! from one tick to the next (DESIGN §4.3), so there is nothing worth
+//! remembering.
 
 use crate::hash::{hrw_key_from_raw, mod_successor_select};
-use chlm_cluster::{AddressBook, Hierarchy};
+use chlm_cluster::Hierarchy;
 use chlm_geom::rng::splitmix64;
 use chlm_graph::NodeIdx;
 use chlm_par::{split_ranges, WorkerPool};
@@ -34,12 +38,9 @@ const WALK_PAR_MIN_N: usize = 2048;
 
 /// Subjects advanced together, one hierarchy level at a time. Their steps
 /// are independent, so a block keeps many cache misses in flight where a
-/// subject-major walk would chase one pointer chain; 2048 cursors (16 KB
-/// with their subjects) stay L1-resident.
+/// subject-major walk would chase one pointer chain; 2048 cursors (32 KB
+/// with their ancestors and subject IDs) stay cache-resident.
 const WALK_BLOCK: usize = 2048;
-
-/// Local-index sentinel for "this physical node is not at this level".
-const NO_SLOT: u32 = u32::MAX;
 
 /// Which hashing rule selects among member clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,30 +77,32 @@ pub struct LmAssignment {
     hosts: Vec<NodeIdx>,
 }
 
-/// One level's cluster structure, flattened for the walk.
+/// One level `j`'s nodes in tree order, flattened for the walk.
 ///
-/// Members of the cluster headed by local node `t` are the CSR range
-/// `start[t]..start[t + 1]`, ascending by member local index — the same
-/// order in which the per-head `Vec` grouping used to push them, so any
-/// hash walk over the range sees the candidates in the historical order.
+/// Nodes are numbered top-down in hierarchy order: grouped by the tree
+/// number of their cluster one level up, ascending physical index within
+/// a group (the order the hierarchy's member lists keep, so any hash walk
+/// over a group sees the candidates in the historical order). The members
+/// of the level-(j+1) node numbered `t` are therefore the contiguous run
+/// `start[t]..start[t + 1]`, and a member's position in that run *is* its
+/// tree number at level `j` — where a walk that picks it stands next.
+/// Every column but `start` and `uniform` is indexed by tree number.
 #[derive(Debug, Default)]
 struct LevelClusters {
     start: Vec<u32>,
-    /// Physical (level-0) identity of each member, parallel to the CSR.
+    /// Tree number one level up of the cluster each node belongs to.
+    parent: Vec<u32>,
+    /// Physical (level-0) identity of each node.
     member_phys: Vec<NodeIdx>,
-    /// Election ID of each member, parallel to the CSR, so a candidate
-    /// scan reads one contiguous run instead of gathering through `h.ids`.
+    /// Election ID of each node, so a candidate scan reads one contiguous
+    /// run instead of gathering through `h.ids`.
     member_id: Vec<u64>,
-    /// Member subtree weight (level-0 descendant count) as `f64::to_bits`
-    /// — bit-exact comparison (`uniform`) and storage without tripping
+    /// Subtree weight (level-0 descendant count) as `f64::to_bits` —
+    /// bit-exact comparison (`uniform`) and storage without tripping
     /// float-equality lints; `from_bits` restores the identical value for
     /// hashing.
     member_wbits: Vec<u64>,
-    /// Each member's local index one level down, parallel to the CSR: the
-    /// cluster that member heads, i.e. where a walk that picks it stands
-    /// next. Unused (zero) at level 0, where `member_phys` is the answer.
-    down: Vec<u32>,
-    /// Per local head `t`: do all of the cluster's members carry the same
+    /// Per level-(j+1) node `t`: do all of its members carry the same
     /// weight bits? Gates the raw-`u64` HRW fast path.
     uniform: Vec<bool>,
     /// Memoized inner HRW hashes `splitmix64(member_id ^ salt)`, one run of
@@ -107,9 +110,6 @@ struct LevelClusters {
     /// `max(2, j+1)..depth`, lowest first). Halves the per-candidate hash
     /// work: `hrw_weight = splitmix64(subject ^ inner)`.
     inner: Vec<u64>,
-    /// Physical node → local index at this level (`NO_SLOT` when absent);
-    /// length is the full population `n` for O(1) lookups.
-    slot_of_phys: Vec<u32>,
 }
 
 /// Least entry level the walk can reach level `j` from (`k > j` and
@@ -127,69 +127,80 @@ fn refill<T: Copy>(col: &mut Vec<T>, len: usize, fill: T) {
 }
 
 impl LevelClusters {
-    /// CSR range of the cluster headed by local node `t`.
+    /// CSR range of the members of the level-(j+1) node numbered `t`.
     #[inline]
     fn range(&self, t: usize) -> (usize, usize) {
         (self.start[t] as usize, self.start[t + 1] as usize)
     }
 
-    /// Rebuild this level from level `j` of `h`, with `below` being the
-    /// already built level one down (None at level 0). `depth`
-    /// sizes the `inner` memo, computed only when `hash_inner` (the HRW
-    /// rule) is on.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
+    /// Number level `j` of `h` in tree order. `rank` comes in mapping each
+    /// level-(j+1) local index to its tree number and leaves mapping each
+    /// level-`j` local index to its own; `up` and `next` are buffers.
+    fn number(
         &mut self,
         h: &Hierarchy,
         j: usize,
-        below: Option<&LevelClusters>,
-        n: usize,
-        depth: usize,
-        hash_inner: bool,
-        cursor: &mut Vec<u32>,
+        rank: &mut Vec<u32>,
+        up: &mut Vec<u32>,
+        next: &mut Vec<u32>,
     ) {
         let level = &h.levels[j];
-        let len = level.len();
-        // Counting sort of locals by vote target → CSR grouped by head.
-        refill(&mut self.start, len + 1, 0);
-        for &t in &level.vote {
-            self.start[t as usize + 1] += 1;
+        let (len, heads) = (level.len(), rank.len());
+        // Level j+1 lists level j's heads in ascending local order.
+        debug_assert_eq!(level.heads().count(), heads, "heads are the next level");
+        refill(up, len, 0);
+        for ((t, _), &r) in level.heads().zip(rank.iter()) {
+            up[t as usize] = r;
         }
-        for t in 0..len {
+        // Stable counting sort of locals by their head's tree number, with
+        // `rank` as the cursor.
+        refill(&mut self.start, heads + 1, 0);
+        for &t in &level.vote {
+            self.start[up[t as usize] as usize + 1] += 1;
+        }
+        for t in 0..heads {
             self.start[t + 1] += self.start[t];
         }
-        cursor.clear();
-        cursor.extend_from_slice(&self.start[..len]);
+        rank.clear();
+        rank.extend_from_slice(&self.start[..heads]);
+        refill(&mut self.parent, len, 0);
         refill(&mut self.member_phys, len, 0);
         refill(&mut self.member_id, len, 0);
-        refill(&mut self.member_wbits, len, 0);
-        refill(&mut self.down, len, 0);
+        next.clear();
         for (i, &t) in level.vote.iter().enumerate() {
-            let pos = cursor[t as usize] as usize;
-            cursor[t as usize] += 1;
+            let p = up[t as usize];
+            let pos = rank[p as usize];
+            rank[p as usize] += 1;
             let phys = level.nodes[i];
-            // The member's own cluster one level down, and its weight: the
-            // sum over that cluster in ascending member order — the order
-            // summing the per-head member `Vec` used.
-            let (slot, w) = below.map_or((0, 1.0), |b| {
-                let slot = b.slot_of_phys[phys as usize];
-                let (lo, hi) = b.range(slot as usize);
-                let ws = b.member_wbits[lo..hi].iter().map(|&wb| f64::from_bits(wb));
-                (slot, ws.sum::<f64>())
-            });
-            self.member_phys[pos] = phys;
-            self.member_id[pos] = h.ids[phys as usize];
-            self.member_wbits[pos] = w.to_bits();
-            self.down[pos] = slot;
+            self.parent[pos as usize] = p;
+            self.member_phys[pos as usize] = phys;
+            self.member_id[pos as usize] = h.ids[phys as usize];
+            next.push(pos);
         }
-        refill(&mut self.uniform, len, true);
-        for t in 0..len {
-            let (lo, hi) = self.range(t);
-            if hi > lo {
-                let w0 = self.member_wbits[lo];
-                self.uniform[t] = self.member_wbits[lo + 1..hi].iter().all(|&w| w == w0);
-            }
+        std::mem::swap(rank, next);
+    }
+
+    /// Weigh level `j` (already numbered) from `below`, the level one down
+    /// (None at level 0): a node's weight sums its members' in tree order.
+    /// `depth` sizes the `inner` memo, computed only when `hash_inner`
+    /// (the HRW rule) is on.
+    fn weigh(&mut self, below: Option<&LevelClusters>, j: usize, depth: usize, hash_inner: bool) {
+        self.member_wbits.clear();
+        match below {
+            None => self.member_wbits.resize(self.parent.len(), 1f64.to_bits()),
+            Some(b) => self.member_wbits.extend(b.start.windows(2).map(|r| {
+                let ws = &b.member_wbits[r[0] as usize..r[1] as usize];
+                ws.iter()
+                    .map(|&wb| f64::from_bits(wb))
+                    .sum::<f64>()
+                    .to_bits()
+            })),
         }
+        self.uniform.clear();
+        self.uniform.extend(self.start.windows(2).map(|r| {
+            let ws = &self.member_wbits[r[0] as usize..r[1] as usize];
+            ws.iter().all(|&w| w == ws[0])
+        }));
         self.inner.clear();
         if hash_inner {
             for k in k_min(j)..depth {
@@ -197,10 +208,6 @@ impl LevelClusters {
                 self.inner
                     .extend(self.member_id.iter().map(|&id| splitmix64(id ^ salt)));
             }
-        }
-        refill(&mut self.slot_of_phys, n, NO_SLOT);
-        for (i, &phys) in level.nodes.iter().enumerate() {
-            self.slot_of_phys[phys as usize] = i as u32;
         }
     }
 
@@ -312,18 +319,25 @@ fn inv_ln_brackets() -> &'static [(f64, f64); 256] {
 
 /// Buffers [`LmAssignment::compute_with`] rewrites on every call, kept so
 /// a per-tick caller allocates nothing in the steady state: the flattened
-/// levels, the counting-sort cursor, one block of walk cursors per worker,
-/// a retired `hosts` table, and the worker pool. None of it is read before
-/// it is rewritten — a scratch that was handed hierarchy A answers for
-/// hierarchy B exactly as a fresh one does.
+/// levels, the numbering buffers, one block of walk cursors per worker,
+/// the tree-ordered rows, a retired `hosts` table, and the worker pool.
+/// None of it is read before it is rewritten — a scratch that was handed
+/// hierarchy A answers for hierarchy B exactly as a fresh one does.
 #[derive(Debug, Default)]
 pub struct WalkScratch {
-    /// One entry per level of the deepest hierarchy seen; a call rebuilds
-    /// and reads the first `depth`.
+    /// One entry per walked level (all but the top) of the deepest
+    /// hierarchy seen; a call rebuilds and reads the first `depth - 1`.
     cur: Vec<LevelClusters>,
-    cursor: Vec<u32>,
-    /// Per worker: the local index each walk of the current block stands at.
-    at: Vec<Vec<u32>>,
+    /// Local index → tree number, of the level last numbered: level 0's
+    /// once [`WalkScratch::flatten`] returns.
+    rank: Vec<u32>,
+    up: Vec<u32>,
+    next: Vec<u32>,
+    /// Per worker: each walk's level-k ancestor, and the tree number it
+    /// stands on, for the current block.
+    cursors: Vec<(Vec<u32>, Vec<u32>)>,
+    /// Entry columns `2..depth` of every subject, in level-0 tree order.
+    rows: Vec<NodeIdx>,
     spare_hosts: Vec<NodeIdx>,
     /// Worker pool for the walk (`None` = serial). Subjects are split into
     /// fixed contiguous ranges with per-subject-disjoint writes, so the
@@ -349,65 +363,70 @@ impl WalkScratch {
         self.spare_hosts = old.hosts;
     }
 
-    /// Flatten every level of `h` into `cur`, bottom-up (a level's member
-    /// weights sum the level below).
+    /// Flatten every level of `h` but the top into `cur`: numbered
+    /// top-down (a level is sorted by its clusters' numbers one level up;
+    /// the top level keeps its local order), then weighed bottom-up (a
+    /// node's weight sums its members').
     fn flatten(&mut self, h: &Hierarchy, hash_inner: bool) {
-        let (n, depth) = (h.node_count(), h.depth());
-        if self.cur.len() < depth {
-            self.cur.resize_with(depth, LevelClusters::default);
+        let depth = h.depth();
+        let walked = depth - 1;
+        if self.cur.len() < walked {
+            self.cur.resize_with(walked, LevelClusters::default);
         }
-        for j in 0..depth {
+        self.rank.clear();
+        self.rank.extend(0..h.levels[walked].len() as u32);
+        for j in (0..walked).rev() {
+            self.cur[j].number(h, j, &mut self.rank, &mut self.up, &mut self.next);
+        }
+        for j in 0..walked {
             let (done, rest) = self.cur.split_at_mut(j);
-            rest[0].build(h, j, done.last(), n, depth, hash_inner, &mut self.cursor);
+            rest[0].weigh(done.last(), j, depth, hash_inner);
         }
     }
 }
 
 /// One tick's read-only walk inputs, shared by every worker.
 struct Walk<'a> {
-    ids: &'a [u64],
-    book: &'a AddressBook,
     rule: SelectionRule,
+    /// Levels `0..depth - 1`, in tree order.
     cur: &'a [LevelClusters],
 }
 
 impl Walk<'_> {
-    /// Walk the subject range `vs`, whose rows of the host table are
-    /// `hosts`. Per block of [`WALK_BLOCK`] subjects and entry level `k`:
-    /// stand every subject on the head of its level-k cluster, then move
-    /// all of them down one level at a time (`j = k-1 … 0`: select among
-    /// the members of the cluster stood on, step to the winner via `down`)
-    /// until the winners are level-0 nodes — the hosts. All inputs but
-    /// `hosts` and `at` are shared and read-only, which is what lets ranges
-    /// fan out across a [`WorkerPool`] without changing a single pick.
-    fn run(&self, vs: Range<usize>, hosts: &mut [NodeIdx], at: &mut Vec<u32>) {
-        let depth = self.cur.len();
-        for first in (vs.start..vs.end).step_by(WALK_BLOCK) {
-            let last = (first + WALK_BLOCK).min(vs.end);
-            let rows = &mut hosts[(first - vs.start) * depth..(last - vs.start) * depth];
-            // Slots below level 2 carry no entry: they hold the subject.
-            for (row, v) in rows.chunks_exact_mut(depth).zip(first as NodeIdx..) {
-                row[..depth.min(2)].fill(v);
-            }
+    /// Walk the subjects numbered `ss` at level 0, whose tree-ordered
+    /// entry rows are `rows`. Per block of [`WALK_BLOCK`] subjects and
+    /// entry level `k`: climb every subject's ancestor one level through
+    /// `parent` to its level-k cluster, stand on it, then move all of them
+    /// down one level at a time (`j = k-1 … 0`: select among the members
+    /// of the cluster stood on, step to the winner's tree number) until
+    /// the winners are level-0 nodes — the hosts. Consecutive subjects
+    /// share ancestors, so most steps read a run the previous one warmed.
+    /// All inputs but `rows` and `cursors` are shared and read-only, which
+    /// is what lets ranges fan out across a [`WorkerPool`] without
+    /// changing a single pick.
+    fn run(&self, ss: Range<usize>, rows: &mut [NodeIdx], cursors: &mut (Vec<u32>, Vec<u32>)) {
+        let (anc, at) = cursors;
+        let depth = self.cur.len() + 1;
+        let width = depth - 2;
+        let base = &self.cur[0];
+        for first in (ss.start..ss.end).step_by(WALK_BLOCK) {
+            let last = (first + WALK_BLOCK).min(ss.end);
+            let rows = &mut rows[(first - ss.start) * width..(last - ss.start) * width];
+            let subject_ids = &base.member_id[first..last];
+            anc.clear();
+            anc.extend_from_slice(&base.parent[first..last]);
             for k in 2..depth {
-                let top = &self.cur[k - 1];
+                let up = &self.cur[k - 1].parent;
+                for a in anc.iter_mut() {
+                    *a = up[*a as usize];
+                }
                 at.clear();
-                // A vote target is present one level up by definition, so
-                // the head always has a slot at level k-1.
-                at.extend(
-                    (first as NodeIdx..last as NodeIdx)
-                        .map(|v| top.slot_of_phys[self.book.row(v)[k] as usize]),
-                );
-                debug_assert!(
-                    !at.contains(&NO_SLOT),
-                    "cluster head missing at its own level"
-                );
+                at.extend_from_slice(anc);
                 for j in (0..k).rev() {
                     let lvl = &self.cur[j];
-                    let next = if j > 0 { &lvl.down } else { &lvl.member_phys };
                     let salt = ((k as u64) << 32) | j as u64;
                     let seg = (k - k_min(j)) * lvl.member_id.len();
-                    for (&subject_id, at) in self.ids[first..last].iter().zip(at.iter_mut()) {
+                    for (&subject_id, at) in subject_ids.iter().zip(at.iter_mut()) {
                         let t = *at as usize;
                         let (lo, hi) = lvl.range(t);
                         debug_assert!(hi > lo, "head with no electors");
@@ -423,11 +442,11 @@ impl Walk<'_> {
                                 id_space,
                             ),
                         };
-                        *at = next[lo + pick];
+                        *at = (lo + pick) as u32;
                     }
                 }
-                for (row, &host) in rows.chunks_exact_mut(depth).zip(at.iter()) {
-                    row[k] = host;
+                for (row, &s) in rows.chunks_exact_mut(width).zip(at.iter()) {
+                    row[k - 2] = base.member_phys[s as usize];
                 }
             }
         }
@@ -437,65 +456,62 @@ impl Walk<'_> {
 impl LmAssignment {
     /// Compute the assignment for hierarchy `h` under `rule`.
     pub fn compute(h: &Hierarchy, rule: SelectionRule) -> Self {
-        Self::compute_with(h, &AddressBook::capture(h), rule, &mut WalkScratch::new())
+        Self::compute_with(h, rule, &mut WalkScratch::new())
     }
 
     /// [`LmAssignment::compute`] through recycled buffers (and `scratch`'s
-    /// worker pool, if it has one). `book` must be captured from `h`. The
-    /// result does not depend on what `scratch` was used for before.
-    pub fn compute_with(
-        h: &Hierarchy,
-        book: &AddressBook,
-        rule: SelectionRule,
-        scratch: &mut WalkScratch,
-    ) -> Self {
+    /// worker pool, if it has one). The result does not depend on what
+    /// `scratch` was used for before.
+    pub fn compute_with(h: &Hierarchy, rule: SelectionRule, scratch: &mut WalkScratch) -> Self {
         let n = h.node_count();
         let depth = h.depth();
-        assert_eq!(
-            book.node_count(),
-            n,
-            "address book from a different hierarchy"
-        );
-        assert_eq!(
-            book.depth(),
-            depth,
-            "address book from a different hierarchy"
-        );
         scratch.flatten(h, matches!(rule, SelectionRule::Hrw));
+        let width = depth.saturating_sub(2);
+        refill(&mut scratch.rows, n * width, 0);
         let pool = scratch
             .workers
             .filter(|p| !p.is_serial() && n >= WALK_PAR_MIN_N);
         let parts = pool.map_or(1, |p| p.threads());
-        if scratch.at.len() < parts {
-            scratch
-                .at
-                .resize_with(parts, || Vec::with_capacity(WALK_BLOCK));
+        if scratch.cursors.len() < parts {
+            scratch.cursors.resize_with(parts, || {
+                (
+                    Vec::with_capacity(WALK_BLOCK),
+                    Vec::with_capacity(WALK_BLOCK),
+                )
+            });
         }
-        let mut hosts = std::mem::take(&mut scratch.spare_hosts);
-        refill(&mut hosts, n * depth, 0);
         let walk = Walk {
-            ids: &h.ids,
-            book,
             rule,
-            cur: &scratch.cur[..depth],
+            cur: &scratch.cur[..depth - 1],
         };
         match pool {
-            None => walk.run(0..n, &mut hosts, &mut scratch.at[0]),
+            // No level carries an entry: nothing to walk.
+            _ if width == 0 => {}
+            None => walk.run(0..n, &mut scratch.rows, &mut scratch.cursors[0]),
             Some(pool) => {
-                // Subjects split into contiguous ranges; each job owns the
-                // matching rows of the host table and one cursor block, so
-                // the walk output cannot depend on pool width or schedule.
+                // Subjects split into contiguous tree-order ranges (whole
+                // subtrees, bar the two ends); each job owns the matching
+                // rows and one cursor block, so the walk output cannot
+                // depend on pool width or schedule.
                 let mut jobs = Vec::with_capacity(parts);
-                let mut rows: &mut [NodeIdx] = &mut hosts;
-                for (vs, at) in split_ranges(n, parts).into_iter().zip(&mut scratch.at) {
-                    let (mine, rest) = rows.split_at_mut(vs.len() * depth);
+                let mut rows: &mut [NodeIdx] = &mut scratch.rows;
+                for (ss, cursors) in split_ranges(n, parts).into_iter().zip(&mut scratch.cursors) {
+                    let (mine, rest) = rows.split_at_mut(ss.len() * width);
                     rows = rest;
-                    jobs.push((vs, mine, at));
+                    jobs.push((ss, mine, cursors));
                 }
-                pool.for_each_mut(&mut jobs, |(vs, rows, at)| {
-                    walk.run(vs.start..vs.end, rows, at);
+                pool.for_each_mut(&mut jobs, |(ss, rows, cursors)| {
+                    walk.run(ss.start..ss.end, rows, cursors);
                 });
             }
+        }
+        // Gather the tree-ordered rows into the physical table; slots
+        // below level 2 carry no entry and hold the subject.
+        let mut hosts = std::mem::take(&mut scratch.spare_hosts);
+        hosts.clear();
+        for (v, &s) in (0..n as NodeIdx).zip(&scratch.rank) {
+            hosts.extend(std::iter::repeat_n(v, depth.min(2)));
+            hosts.extend_from_slice(&scratch.rows[s as usize * width..][..width]);
         }
         LmAssignment { n, depth, hosts }
     }
@@ -684,57 +700,6 @@ mod tests {
         assert_eq!(a.entry_count(), 150 * (h.depth() - 2));
     }
 
-    /// The fast paths (raw margin, interval certification) must reproduce
-    /// the reference selector's winner at every walk step: compare the full
-    /// assignment against one computed by `hrw_select_weighted` directly.
-    #[test]
-    fn walk_matches_reference_selector() {
-        use crate::hash::hrw_select_weighted;
-        for seed in [31u64, 32, 33] {
-            let h = random_hierarchy(300, seed);
-            let a = LmAssignment::compute(&h, SelectionRule::Hrw);
-            let addrs = h.addresses();
-            // Reference subtree weights, summed in the same (ascending
-            // member local index) order the flattened levels use.
-            let mut weights: Vec<Vec<f64>> = vec![vec![1.0; h.levels[0].len()]];
-            for j in 1..h.depth() {
-                let below = &h.levels[j - 1];
-                let mut w = Vec::new();
-                for &phys in &h.levels[j].nodes {
-                    let head_local = below.local(phys).unwrap();
-                    let mut s = 0.0;
-                    for (i, &t) in below.vote.iter().enumerate() {
-                        if t == head_local {
-                            s += weights[j - 1][i];
-                        }
-                    }
-                    w.push(s);
-                }
-                weights.push(w);
-            }
-            for v in 0..300u32 {
-                for k in 2..h.depth() {
-                    let mut head = addrs[v as usize][k];
-                    for j in (0..k).rev() {
-                        let level = &h.levels[j];
-                        let salt = ((k as u64) << 32) | j as u64;
-                        let mut cands: Vec<(u64, f64)> = Vec::new();
-                        let mut phys: Vec<NodeIdx> = Vec::new();
-                        for (i, &p) in level.nodes.iter().enumerate() {
-                            if level.nodes[level.vote[i] as usize] == head {
-                                cands.push((h.ids[p as usize], weights[j][i]));
-                                phys.push(p);
-                            }
-                        }
-                        let pick = hrw_select_weighted(h.ids[v as usize], &cands, salt);
-                        head = phys[pick];
-                    }
-                    assert_eq!(a.host(v, k), Some(head), "v={v} k={k} seed={seed}");
-                }
-            }
-        }
-    }
-
     #[test]
     fn hrw_load_bounded() {
         // Each node hosts Θ(log n) entries; check the max is within a small
@@ -780,8 +745,7 @@ mod tests {
         for tick in 0..25 {
             d.jiggle(step_frac);
             let h = Hierarchy::build(&d.ids, &d.graph(), HierarchyOptions::default());
-            let book = AddressBook::capture(&h);
-            let recycled = LmAssignment::compute_with(&h, &book, rule, &mut scratch);
+            let recycled = LmAssignment::compute_with(&h, rule, &mut scratch);
             assert_eq!(recycled, LmAssignment::compute(&h, rule), "tick {tick}");
             scratch.recycle(recycled);
         }
@@ -829,10 +793,9 @@ mod tests {
                 };
                 let h = Hierarchy::build(&d.ids, &d.graph(), opts);
                 depths.push(h.depth());
-                let book = AddressBook::capture(&h);
                 let fresh = LmAssignment::compute(&h, rule);
                 for (t, scratch) in &mut scratches {
-                    let pooled = LmAssignment::compute_with(&h, &book, rule, scratch);
+                    let pooled = LmAssignment::compute_with(&h, rule, scratch);
                     assert_eq!(pooled, fresh, "threads={t} tick={tick} {rule:?}");
                     scratch.recycle(pooled);
                 }
@@ -852,12 +815,11 @@ mod tests {
         // h1 ↔ h3 resizes nothing: only a walk that takes nothing from the
         // previous call gets those right.
         for h in [&h1, &h2, &h1, &h3, &h1, &h3] {
-            let book = chlm_cluster::AddressBook::capture(h);
             for rule in [
                 SelectionRule::Hrw,
                 SelectionRule::ModSuccessor { id_space: 240 },
             ] {
-                let recycled = LmAssignment::compute_with(h, &book, rule, &mut scratch);
+                let recycled = LmAssignment::compute_with(h, rule, &mut scratch);
                 assert_eq!(recycled, LmAssignment::compute(h, rule));
                 scratch.recycle(recycled);
             }

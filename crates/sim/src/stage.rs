@@ -120,12 +120,12 @@ pub trait HierarchyStage {
 }
 
 /// Stage 4: compute the LM server assignment for the tick's hierarchy —
-/// a function of `hierarchy` (and the `book` captured from it) alone.
-/// `retire` hands back the previous assignment so its buffers can be
-/// recycled.
+/// a function of `hierarchy` alone. `retire` hands back the previous
+/// assignment so its buffers can be recycled.
 pub trait AssignmentStage {
-    /// The third parameter is kept only because `benchmark/` (frozen)
-    /// passes it; see [`NoStamps`].
+    /// The `book` captured from `hierarchy` and the third parameter are
+    /// kept only because `benchmark/` (frozen) passes them; see
+    /// [`NoStamps`].
     fn assign(&mut self, hierarchy: &Hierarchy, book: &AddressBook, _: NoStamps) -> LmAssignment;
     fn retire(&mut self, old: LmAssignment);
 }
@@ -231,8 +231,8 @@ impl LmSelection {
 }
 
 impl AssignmentStage for LmSelection {
-    fn assign(&mut self, hierarchy: &Hierarchy, book: &AddressBook, _: NoStamps) -> LmAssignment {
-        LmAssignment::compute_with(hierarchy, book, self.rule, &mut self.scratch)
+    fn assign(&mut self, hierarchy: &Hierarchy, _: &AddressBook, _: NoStamps) -> LmAssignment {
+        LmAssignment::compute_with(hierarchy, self.rule, &mut self.scratch)
     }
     fn retire(&mut self, old: LmAssignment) {
         self.scratch.recycle(old);
