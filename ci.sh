@@ -80,6 +80,14 @@ if grep -n 'slot_of_phys\|down: Vec<\|book\.row(' crates/lm/src/server.rs; then
   echo "leftover check: the LM walk is back on physical-order lookups" >&2
   exit 1
 fi
+# The membership numbering has one owner: `Hierarchy::rebuild` publishes
+# tree order, so neither the per-level vote-grouped member arena nor the
+# LM walk's private renumbering comes back.
+if grep -rn 'member_arena\|rebuild_derived' crates/cluster/src \
+  || grep -n 'fn number(\|up: Vec<u32>' crates/lm/src/server.rs; then
+  echo "leftover check: a second membership index is back" >&2
+  exit 1
+fi
 
 step "cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

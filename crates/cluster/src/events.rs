@@ -266,14 +266,10 @@ pub fn classify_events(old: &Hierarchy, new: &Hierarchy) -> (Vec<ReorgEvent>, Ev
         // --- (iii)/(v): level-k node births ---
         for &head in new_nodes.iter().filter(|&&x| !present(old, k, x)) {
             // Electors of `head` among new level-(k-1) nodes: exactly its
-            // cluster members one level down, minus the self-vote — read
-            // straight off the member CSR instead of scanning the whole
-            // level's vote list per birth.
-            let lvl = &new.levels[k - 1];
-            // audit: infallible because every level-k node is the head of a
-            // level-(k-1) cluster in the same snapshot by construction.
-            let t = lvl.local(head).expect("level-k head present at level k-1");
-            let electors = lvl.members_of(t);
+            // cluster members one level down, minus the self-vote — one run
+            // of the tree order instead of a scan of the whole level's vote
+            // list per birth.
+            let electors = new.members(k, head);
             // An elector that existed at level k-1 before and voted
             // elsewhere means migration-driven election (iii); an elector
             // that is itself brand new means recursive election (v).
@@ -317,11 +313,7 @@ pub fn classify_events(old: &Hierarchy, new: &Hierarchy) -> (Vec<ReorgEvent>, Ev
 
         // --- (iv)/(vi): level-k node deaths ---
         for &head in old_nodes.iter().filter(|&&x| !present(new, k, x)) {
-            let lvl = &old.levels[k - 1];
-            // audit: infallible because every level-k node is the head of a
-            // level-(k-1) cluster in the same snapshot by construction.
-            let t = lvl.local(head).expect("level-k head present at level k-1");
-            let old_electors = lvl.members_of(t);
+            let old_electors = old.members(k, head);
             let surviving = old_electors
                 .iter()
                 .filter(|&&u| u != head && present(new, k - 1, u))

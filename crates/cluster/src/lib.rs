@@ -89,18 +89,22 @@ pub type ElectionId = u64;
 
 /// One level of the clustered hierarchy.
 ///
-/// `nodes[i]` is the *physical* index of the i-th level-k node; all other
-/// per-node vectors are indexed by this local index `i`. Node lists ascend
-/// by physical index at every level (level 0 is `0..n`; each next level
-/// collects heads in ascending local — hence physical — order), which the
-/// event classifier and the member arena rely on.
+/// `nodes[i]` is the *physical* index of the i-th level-k node; the other
+/// per-node vectors but the tree-order columns are indexed by this local
+/// index `i`. Node lists ascend by physical index at every level (level 0
+/// is `0..n`; each next level collects heads in ascending local — hence
+/// physical — order), which the event classifier relies on.
 ///
-/// Storage is struct-of-arrays: the former physical→local `HashMap` is a
-/// dense slot table (`slots`, sized to the physical population, `NO_SLOT`
-/// sentinel), and cluster membership lives in a CSR arena (`member_start`
-/// / `member_arena`) grouped by vote target, so [`Hierarchy::members`]
-/// returns a borrowed slice instead of filtering the vote vector into a
-/// fresh `Vec` per call.
+/// Storage is struct-of-arrays: the physical→local map is a dense slot
+/// table (`slots`, sized to the physical population, `NO_SLOT` sentinel),
+/// and cluster membership is the hierarchy's one numbering, *tree order*,
+/// which [`Hierarchy::rebuild`] publishes after the last election. The top
+/// level keeps its local order; every level below is sorted stably by the
+/// tree number of its cluster one level up. The members of a level-(k+1)
+/// cluster are therefore one run of level-k tree numbers, ascending by
+/// physical index, and every cluster's subtree is one run at every level
+/// below it. The four tree-order columns (`rank`, `tree_nodes`, `parent`,
+/// `start`) are empty at the top level, where no cluster is above.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Level {
     /// Physical indices of the level-k nodes, ascending.
@@ -120,11 +124,15 @@ pub struct Level {
     /// Whether each node received at least one vote (i.e. is a level-(k+1)
     /// node).
     pub is_head: Vec<bool>,
-    /// Membership CSR over vote targets: `member_arena[member_start[t] ..
-    /// member_start[t + 1]]` are the physical indices of this level's nodes
-    /// whose vote target is local index `t`, ascending.
-    pub(crate) member_start: Vec<u32>,
-    pub(crate) member_arena: Vec<NodeIdx>,
+    /// Local index → tree number.
+    pub rank: Vec<u32>,
+    /// Tree number → physical index.
+    pub tree_nodes: Vec<NodeIdx>,
+    /// Tree number → tree number of the node's cluster one level up.
+    pub parent: Vec<u32>,
+    /// Membership CSR keyed by the level-(k+1) tree number `t`: the tree
+    /// numbers `start[t]..start[t + 1]` are the members of that cluster.
+    pub start: Vec<u32>,
 }
 
 impl Level {
@@ -152,16 +160,6 @@ impl Level {
         self.nodes[self.vote[local as usize] as usize]
     }
 
-    /// Physical indices of this level's nodes whose vote target is the
-    /// node at local index `t` (its level-(k+1) cluster members),
-    /// ascending. Borrowed from the member arena — no allocation.
-    #[inline]
-    pub fn members_of(&self, t: u32) -> &[NodeIdx] {
-        let lo = self.member_start[t as usize] as usize;
-        let hi = self.member_start[t as usize + 1] as usize;
-        &self.member_arena[lo..hi]
-    }
-
     /// Iterate `(local, physical)` pairs of the heads elected at this level.
     pub fn heads(&self) -> impl Iterator<Item = (u32, NodeIdx)> + '_ {
         self.is_head
@@ -169,43 +167,6 @@ impl Level {
             .enumerate()
             .filter(|(_, &h)| h)
             .map(|(i, _)| (i as u32, self.nodes[i]))
-    }
-
-    /// Rebuild the physical→local slot table and membership CSR from
-    /// `nodes` and `vote` (counting sort by vote target; ascending node
-    /// order within each group falls out of the ascending node list).
-    pub(crate) fn rebuild_derived(&mut self, n_phys: usize) {
-        let m = self.nodes.len();
-        self.slots.clear();
-        self.slots.resize(n_phys, NO_SLOT);
-        for (i, &p) in self.nodes.iter().enumerate() {
-            self.slots[p as usize] = i as u32;
-        }
-        self.member_start.clear();
-        self.member_start.resize(m + 1, 0);
-        for &t in &self.vote {
-            self.member_start[t as usize + 1] += 1;
-        }
-        for t in 0..m {
-            self.member_start[t + 1] += self.member_start[t];
-        }
-        self.member_arena.clear();
-        self.member_arena.resize(m, 0);
-        // Fill the arena using `member_start` itself as the cursor array
-        // (avoids a per-rebuild scratch allocation), then shift the starts
-        // back into place: after the fill, slot `t` holds the original
-        // `member_start[t + 1]`.
-        for (i, &t) in self.vote.iter().enumerate() {
-            let c = self.member_start[t as usize];
-            self.member_arena[c as usize] = self.nodes[i];
-            self.member_start[t as usize] = c + 1;
-        }
-        for t in (1..m).rev() {
-            self.member_start[t] = self.member_start[t - 1];
-        }
-        if m > 0 {
-            self.member_start[0] = 0;
-        }
     }
 }
 
@@ -282,25 +243,40 @@ impl Hierarchy {
             .collect()
     }
 
+    /// Tree number of the level-k node at local index `i` (the top level,
+    /// whose `rank` is empty, keeps its local order).
+    fn tree_number(&self, k: usize, i: u32) -> u32 {
+        self.levels[k].rank.get(i as usize).map_or(i, |&r| r)
+    }
+
     /// The level-(k-1) member clusters of the level-k cluster headed by
-    /// physical node `head`. For `k == 0` this is just the node itself.
+    /// physical node `head`, for `1 ≤ k < depth()`.
     ///
     /// Returns the physical indices of the level-(k-1) nodes whose vote
-    /// target is `head`, ascending — a slice borrowed from the level's
-    /// member arena (no allocation).
+    /// target is `head`, ascending — one run of level k-1's tree order,
+    /// borrowed (no allocation).
+    ///
+    /// # Panics
+    /// If `k == 0` (a level-0 node has no members) or `k >= depth()` (no
+    /// level exists there), or if `head` is not a level-k node.
     pub fn members(&self, k: usize, head: NodeIdx) -> &[NodeIdx] {
-        assert!(k >= 1 && k < self.depth() + 1, "level out of range");
-        let level = &self.levels[k - 1];
-        let head_local = level
+        assert!(
+            k >= 1 && k < self.depth(),
+            "level {k} out of range 1..{}",
+            self.depth()
+        );
+        let local = self.levels[k]
             .local(head)
-            .unwrap_or_else(|| panic!("{head} is not a level-{} node", k - 1));
-        level.members_of(head_local)
+            .unwrap_or_else(|| panic!("{head} is not a level-{k} node"));
+        let t = self.tree_number(k, local) as usize;
+        let below = &self.levels[k - 1];
+        &below.tree_nodes[below.start[t] as usize..below.start[t + 1] as usize]
     }
 
     /// Check internal invariants (test helper): every vote targets the
     /// largest-ID closed neighbor, head flags match vote image, every
     /// non-final level's heads equal the next level's node set, and the
-    /// derived slot table / member arena agree with the vote vector.
+    /// slot table and tree order agree with the node list and votes.
     pub fn check_invariants(&self) {
         let n = self.node_count();
         for (k, level) in self.levels.iter().enumerate() {
@@ -313,19 +289,16 @@ impl Hierarchy {
                 level.nodes.len(),
                 "slot table has stale entries at level {k}"
             );
-            assert_eq!(level.member_start.len(), level.nodes.len() + 1);
-            assert_eq!(level.member_arena.len(), level.nodes.len());
-            {
-                let mut expect = level.clone();
-                expect.rebuild_derived(n);
-                assert_eq!(
-                    expect.member_start, level.member_start,
-                    "member arena desync at level {k}"
+            if k + 1 == self.depth() {
+                assert!(
+                    level.rank.is_empty()
+                        && level.tree_nodes.is_empty()
+                        && level.parent.is_empty()
+                        && level.start.is_empty(),
+                    "tree-order columns at the top level {k}"
                 );
-                assert_eq!(
-                    expect.member_arena, level.member_arena,
-                    "member arena desync at level {k}"
-                );
+            } else {
+                self.check_tree_order(k);
             }
             for (i, &phys) in level.nodes.iter().enumerate() {
                 assert_eq!(level.slots[phys as usize], i as u32);
@@ -360,6 +333,33 @@ impl Hierarchy {
                 next.sort_unstable();
                 assert_eq!(heads, next, "level {} heads != level {} nodes", k, k + 1);
             }
+        }
+    }
+
+    /// Tree-order columns of level `k` below the top: `rank` numbers every
+    /// node into `tree_nodes`, each node's `parent` is its cluster's tree
+    /// number one level up, and `start` cuts the tree numbers into one run
+    /// per parent, ascending by physical index.
+    fn check_tree_order(&self, k: usize) {
+        let (level, above) = (&self.levels[k], &self.levels[k + 1]);
+        let (m, up) = (level.len(), above.len());
+        let lens = [level.rank.len(), level.tree_nodes.len(), level.parent.len()];
+        assert_eq!((lens, level.start.len()), ([m; 3], up + 1), "level {k}");
+        assert_eq!((level.start[0], level.start[up]), (0, m as u32));
+        for (t, run) in level.start.windows(2).enumerate() {
+            let run = run[0] as usize..run[1] as usize;
+            assert!(level.parent[run.clone()].iter().all(|&p| p as usize == t));
+            assert!(level.tree_nodes[run].windows(2).all(|w| w[0] < w[1]));
+        }
+        for (i, &phys) in level.nodes.iter().enumerate() {
+            let r = level.rank[i] as usize;
+            assert_eq!(level.tree_nodes[r], phys, "rank desync at level {k}");
+            // audit: infallible because the heads of a level are the next
+            // level's nodes (a contraction invariant).
+            let head = above
+                .local(level.head_of(i as u32))
+                .expect("head one level up");
+            assert_eq!(level.parent[r], self.tree_number(k + 1, head));
         }
     }
 }
@@ -499,6 +499,21 @@ mod tests {
             expect.sort_unstable();
             assert_eq!(all, expect, "level {k} members don't partition");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "level 0 out of range")]
+    fn members_at_level_zero_panics() {
+        let hy = h(3, &[(0, 1), (1, 2)]);
+        hy.members(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn members_at_depth_panics() {
+        let hy = h(3, &[(0, 1), (1, 2)]);
+        let top = hy.levels.last().unwrap().nodes[0];
+        hy.members(hy.depth(), top);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The one construction path of a [`Hierarchy`]: elect a level in place,
-//! contract it into the [`Level`] already sitting above, repeat.
+//! contract it into the [`Level`] already sitting above, repeat; then
+//! number every level in tree order, top-down.
 //!
 //! [`Hierarchy::rebuild`] overwrites whatever hierarchy it is handed —
 //! nothing, last tick's, another world's — and [`Hierarchy::build`] is the
@@ -27,14 +28,18 @@ pub struct RebuildScratch {
     cluster_of: Vec<u32>,
     /// Cluster pairs joined by a link of the level being contracted.
     edges: Vec<(u32, u32)>,
+    /// Local index of a head being numbered → its tree number one level up.
+    up: Vec<u32>,
+    /// Next free tree number of each cluster one level up.
+    cursor: Vec<u32>,
     /// Levels popped by a depth drop, parked for the next deeper tick.
     parked: Vec<Level>,
 }
 
 impl Level {
     /// Run one LCA election round over this level's own `nodes` / `graph`,
-    /// overwriting every other field in place. `n_phys` is the physical
-    /// population (sizes the slot table).
+    /// overwriting the slot table, votes, elector counts and head flags in
+    /// place. `n_phys` is the physical population (sizes the slot table).
     fn elect(&mut self, n_phys: usize, ids: &[ElectionId]) {
         let m = self.nodes.len();
         assert_eq!(self.graph.node_count(), m);
@@ -66,7 +71,11 @@ impl Level {
                 self.is_head[t as usize] = true;
             }
         }
-        self.rebuild_derived(n_phys);
+        self.slots.clear();
+        self.slots.resize(n_phys, NO_SLOT);
+        for (i, &p) in self.nodes.iter().enumerate() {
+            self.slots[p as usize] = i as u32;
+        }
     }
 
     /// Overwrite `next`'s `nodes` and `graph` with this elected level's
@@ -107,6 +116,46 @@ impl Level {
         }
         next.graph.assign_edges(heads.len(), edges);
     }
+
+    /// Number this elected level in tree order under the `n_above` nodes
+    /// one level up, whose tree numbers are `above` (local index → tree
+    /// number; `None` when that level is the top, which keeps its local
+    /// order): a stable counting sort of the local indices by their
+    /// cluster's tree number, so each cluster's members keep ascending
+    /// physical order.
+    fn number(&mut self, above: Option<&[u32]>, n_above: usize, scratch: &mut RebuildScratch) {
+        let RebuildScratch { up, cursor, .. } = scratch;
+        let m = self.len();
+        // The level above lists this level's heads in ascending local order.
+        up.clear();
+        up.resize(m, NO_SLOT);
+        for (r, (t, _)) in self.heads().enumerate() {
+            up[t as usize] = above.map_or(r as u32, |a| a[r]);
+        }
+        self.start.clear();
+        self.start.resize(n_above + 1, 0);
+        for &t in &self.vote {
+            self.start[up[t as usize] as usize + 1] += 1;
+        }
+        for t in 0..n_above {
+            self.start[t + 1] += self.start[t];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(&self.start[..n_above]);
+        self.rank.clear();
+        self.tree_nodes.clear();
+        self.tree_nodes.resize(m, 0);
+        self.parent.clear();
+        self.parent.resize(m, 0);
+        for (&phys, &t) in self.nodes.iter().zip(&self.vote) {
+            let p = up[t as usize];
+            let pos = cursor[p as usize];
+            cursor[p as usize] += 1;
+            self.rank.push(pos);
+            self.tree_nodes[pos as usize] = phys;
+            self.parent[pos as usize] = p;
+        }
+    }
 }
 
 impl Hierarchy {
@@ -134,8 +183,10 @@ impl Hierarchy {
     /// no bearing on the result: every field of every level is rewritten
     /// from `ids` and `graph0`, level by level — elect in place, contract
     /// into the [`Level`] already sitting above — until the heads stop
-    /// shrinking by `opts.min_reduction` or `opts.max_levels` is reached.
-    /// Levels left over from a deeper `self` are parked in `scratch`.
+    /// shrinking by `opts.min_reduction` or `opts.max_levels` is reached,
+    /// and then every level below the top is numbered in tree order (see
+    /// [`Level`]). Levels left over from a deeper `self` are parked in
+    /// `scratch`.
     ///
     /// # Panics
     /// If `ids.len() != graph0.node_count()`.
@@ -180,6 +231,16 @@ impl Hierarchy {
             k += 1;
         }
         scratch.parked.extend(self.levels.drain(k + 1..));
+        let top = &mut self.levels[k];
+        top.rank.clear();
+        top.tree_nodes.clear();
+        top.parent.clear();
+        top.start.clear();
+        for j in (0..k).rev() {
+            let (below, above) = self.levels.split_at_mut(j + 1);
+            let numbers = (j + 1 < k).then_some(&above[0].rank[..]);
+            below[j].number(numbers, above[0].len(), scratch);
+        }
     }
 }
 
@@ -191,8 +252,9 @@ mod tests {
 
     // The oracle: the LCA recursion written the obvious way — fresh `Vec`s
     // per level, votes read off `closed_neighborhood`, the contracted graph
-    // filled one `add_edge` at a time, slot table and member lists by
-    // filtering — sharing no code with the in-place path above.
+    // filled one `add_edge` at a time, the slot table and elector counts by
+    // filtering, tree order by sorting — sharing no code with the in-place
+    // path above.
 
     fn elect_naive(n_phys: usize, nodes: Vec<NodeIdx>, graph: Graph, ids: &[ElectionId]) -> Level {
         let m = nodes.len() as u32;
@@ -209,23 +271,46 @@ mod tests {
         for i in 0..m {
             slots[nodes[i as usize] as usize] = i;
         }
-        let mut member_start = vec![0u32];
-        let mut member_arena = Vec::new();
-        for t in 0..m {
-            member_arena.extend(voters(t).iter().map(|&i| nodes[i as usize]));
-            member_start.push(member_arena.len() as u32);
-        }
         Level {
             slots,
             elector_count: (0..m)
                 .map(|t| voters(t).iter().filter(|&&i| i != t).count() as u32)
                 .collect(),
             is_head: (0..m).map(|t| !voters(t).is_empty()).collect(),
-            member_start,
-            member_arena,
             vote: vote.clone(),
             nodes,
             graph,
+            ..Level::default()
+        }
+    }
+
+    /// Tree order, top-down: the top level keeps its local order; below it,
+    /// a level's nodes sort by (their cluster's tree number one level up,
+    /// physical index).
+    fn number_naive(levels: &mut [Level]) {
+        let top = levels.len() - 1;
+        let mut above_rank: Vec<u32> = (0..levels[top].len() as u32).collect();
+        for j in (0..top).rev() {
+            let (below, above) = levels.split_at_mut(j + 1);
+            let (level, above) = (&mut below[j], &above[0]);
+            let parent_of = |i: usize| {
+                let head = above.local(level.head_of(i as u32)).expect("a head");
+                above_rank[head as usize]
+            };
+            let mut order: Vec<usize> = (0..level.len()).collect();
+            order.sort_by_key(|&i| (parent_of(i), level.nodes[i]));
+            let parent: Vec<u32> = order.iter().map(|&i| parent_of(i)).collect();
+            let mut rank = vec![0; level.len()];
+            for (pos, &i) in order.iter().enumerate() {
+                rank[i] = pos as u32;
+            }
+            level.tree_nodes = order.iter().map(|&i| level.nodes[i]).collect();
+            level.start = (0..=above.len() as u32)
+                .map(|t| parent.iter().filter(|&&p| p < t).count() as u32)
+                .collect();
+            level.parent = parent;
+            level.rank = rank.clone();
+            above_rank = rank;
         }
     }
 
@@ -260,6 +345,7 @@ mod tests {
             }
             levels.push(level);
         }
+        number_naive(&mut levels);
         Hierarchy {
             levels,
             ids: ids.to_vec(),

@@ -86,6 +86,34 @@ proptest! {
         }
     }
 
+    /// Tree order, the numbering cluster-confined passes lean on: at every
+    /// level `rank` is a permutation, every cluster's members ascend by
+    /// physical index, and every level-k cluster's level-0 descendants
+    /// are one contiguous run of level-0 tree numbers.
+    #[test]
+    fn subtrees_are_contiguous_tree_runs(g in arb_graph(40), seed in 0u64..1000) {
+        let h = build(&g, seed);
+        for level in &h.levels[..h.depth() - 1] {
+            let mut ranks = level.rank.clone();
+            ranks.sort_unstable();
+            prop_assert!(ranks.into_iter().eq(0..level.len() as u32));
+        }
+        let addrs = h.addresses();
+        for k in 1..h.depth() {
+            for &head in &h.levels[k].nodes {
+                let members = h.members(k, head);
+                prop_assert!(members.windows(2).all(|w| w[0] < w[1]), "level {} head {}", k, head);
+                let mut run: Vec<u32> = (0..g.node_count())
+                    .filter(|&v| addrs[v][k] == head)
+                    .map(|v| h.levels[0].rank[v])
+                    .collect();
+                run.sort_unstable();
+                prop_assert!(!run.is_empty());
+                prop_assert_eq!(run[run.len() - 1] - run[0] + 1, run.len() as u32);
+            }
+        }
+    }
+
     #[test]
     fn self_diff_is_empty(g in arb_graph(35), seed in 0u64..1000) {
         let h = build(&g, seed);

@@ -11,12 +11,13 @@
 //! Level 1 needs no server (complete intra-cluster topology knowledge),
 //! and level 0 is the node itself.
 //!
-//! The walk is a pure function of the hierarchy it is handed: every call
-//! flattens every level into CSR columns (`LevelClusters`) numbered in
-//! tree order — each cluster's subtree is one contiguous run at every
-//! level, and a member's CSR slot is its number one level down — walks
-//! every `(subject, level ≥ 2)` entry with subjects in tree order too,
-//! and gathers the rows into the physical host table in one pass.
+//! The walk is a pure function of the hierarchy it is handed. It reads the
+//! tree order [`Hierarchy::rebuild`] publishes (each cluster's subtree is
+//! one contiguous run at every level, and a member's slot in its
+//! cluster's run is its tree number one level down), flattens every level
+//! into hash columns (`LevelClusters`) in that order, walks every
+//! `(subject, level ≥ 2)` entry with subjects in tree order too, and
+//! gathers the rows into the physical host table in one pass.
 //! Nothing is carried from one call to the next but buffers
 //! ([`WalkScratch`]) — an entry depends on the whole subtree of its
 //! cluster, and under mobility ~1 % of entries have an untouched subtree
@@ -24,7 +25,7 @@
 //! remembering.
 
 use crate::hash::{hrw_key_from_raw, mod_successor_select};
-use chlm_cluster::Hierarchy;
+use chlm_cluster::{Hierarchy, Level};
 use chlm_geom::rng::splitmix64;
 use chlm_graph::NodeIdx;
 use chlm_par::{split_ranges, WorkerPool};
@@ -77,23 +78,14 @@ pub struct LmAssignment {
     hosts: Vec<NodeIdx>,
 }
 
-/// One level `j`'s nodes in tree order, flattened for the walk.
-///
-/// Nodes are numbered top-down in hierarchy order: grouped by the tree
-/// number of their cluster one level up, ascending physical index within
-/// a group (the order the hierarchy's member lists keep, so any hash walk
-/// over a group sees the candidates in the historical order). The members
-/// of the level-(j+1) node numbered `t` are therefore the contiguous run
-/// `start[t]..start[t + 1]`, and a member's position in that run *is* its
-/// tree number at level `j` — where a walk that picks it stands next.
-/// Every column but `start` and `uniform` is indexed by tree number.
+/// One level `j`'s hash columns, in the tree order of the hierarchy's
+/// [`Level`]: the members of the level-(j+1) node numbered `t` are the
+/// run `start[t]..start[t + 1]` of level `j`'s tree numbers, in ascending
+/// physical order (the order of the hierarchy's member lists, so any hash
+/// walk over a cluster sees the candidates in the historical order). Every
+/// column but `uniform` is indexed by level-`j` tree number.
 #[derive(Debug, Default)]
 struct LevelClusters {
-    start: Vec<u32>,
-    /// Tree number one level up of the cluster each node belongs to.
-    parent: Vec<u32>,
-    /// Physical (level-0) identity of each node.
-    member_phys: Vec<NodeIdx>,
     /// Election ID of each node, so a candidate scan reads one contiguous
     /// run instead of gathering through `h.ids`.
     member_id: Vec<u64>,
@@ -102,7 +94,7 @@ struct LevelClusters {
     /// float-equality lints; `from_bits` restores the identical value for
     /// hashing.
     member_wbits: Vec<u64>,
-    /// Per level-(j+1) node `t`: do all of its members carry the same
+    /// Per level-(j+1) tree number `t`: do all of its members carry the same
     /// weight bits? Gates the raw-`u64` HRW fast path.
     uniform: Vec<bool>,
     /// Memoized inner HRW hashes `splitmix64(member_id ^ salt)`, one run of
@@ -127,83 +119,36 @@ fn refill<T: Copy>(col: &mut Vec<T>, len: usize, fill: T) {
 }
 
 impl LevelClusters {
-    /// CSR range of the members of the level-(j+1) node numbered `t`.
-    #[inline]
-    fn range(&self, t: usize) -> (usize, usize) {
-        (self.start[t] as usize, self.start[t + 1] as usize)
-    }
-
-    /// Number level `j` of `h` in tree order. `rank` comes in mapping each
-    /// level-(j+1) local index to its tree number and leaves mapping each
-    /// level-`j` local index to its own; `up` and `next` are buffers.
-    fn number(
-        &mut self,
-        h: &Hierarchy,
-        j: usize,
-        rank: &mut Vec<u32>,
-        up: &mut Vec<u32>,
-        next: &mut Vec<u32>,
-    ) {
+    /// Flatten level `j` of `h` from `below`, level j-1's columns (None at
+    /// level 0): election IDs in tree order, then weights — a node's weight
+    /// sums its members' in tree order. The `inner` memo is computed only
+    /// when `hash_inner` (the HRW rule) is on.
+    fn weigh(&mut self, h: &Hierarchy, j: usize, below: Option<&LevelClusters>, hash_inner: bool) {
         let level = &h.levels[j];
-        let (len, heads) = (level.len(), rank.len());
-        // Level j+1 lists level j's heads in ascending local order.
-        debug_assert_eq!(level.heads().count(), heads, "heads are the next level");
-        refill(up, len, 0);
-        for ((t, _), &r) in level.heads().zip(rank.iter()) {
-            up[t as usize] = r;
-        }
-        // Stable counting sort of locals by their head's tree number, with
-        // `rank` as the cursor.
-        refill(&mut self.start, heads + 1, 0);
-        for &t in &level.vote {
-            self.start[up[t as usize] as usize + 1] += 1;
-        }
-        for t in 0..heads {
-            self.start[t + 1] += self.start[t];
-        }
-        rank.clear();
-        rank.extend_from_slice(&self.start[..heads]);
-        refill(&mut self.parent, len, 0);
-        refill(&mut self.member_phys, len, 0);
-        refill(&mut self.member_id, len, 0);
-        next.clear();
-        for (i, &t) in level.vote.iter().enumerate() {
-            let p = up[t as usize];
-            let pos = rank[p as usize];
-            rank[p as usize] += 1;
-            let phys = level.nodes[i];
-            self.parent[pos as usize] = p;
-            self.member_phys[pos as usize] = phys;
-            self.member_id[pos as usize] = h.ids[phys as usize];
-            next.push(pos);
-        }
-        std::mem::swap(rank, next);
-    }
-
-    /// Weigh level `j` (already numbered) from `below`, the level one down
-    /// (None at level 0): a node's weight sums its members' in tree order.
-    /// `depth` sizes the `inner` memo, computed only when `hash_inner`
-    /// (the HRW rule) is on.
-    fn weigh(&mut self, below: Option<&LevelClusters>, j: usize, depth: usize, hash_inner: bool) {
+        self.member_id.clear();
+        self.member_id
+            .extend(level.tree_nodes.iter().map(|&p| h.ids[p as usize]));
         self.member_wbits.clear();
         match below {
-            None => self.member_wbits.resize(self.parent.len(), 1f64.to_bits()),
-            Some(b) => self.member_wbits.extend(b.start.windows(2).map(|r| {
-                let ws = &b.member_wbits[r[0] as usize..r[1] as usize];
-                ws.iter()
-                    .map(|&wb| f64::from_bits(wb))
-                    .sum::<f64>()
-                    .to_bits()
-            })),
+            None => self.member_wbits.resize(level.len(), 1f64.to_bits()),
+            Some(b) => self
+                .member_wbits
+                .extend(h.levels[j - 1].start.windows(2).map(|r| {
+                    let ws = &b.member_wbits[r[0] as usize..r[1] as usize];
+                    ws.iter()
+                        .map(|&wb| f64::from_bits(wb))
+                        .sum::<f64>()
+                        .to_bits()
+                })),
         }
         self.uniform.clear();
-        self.uniform.extend(self.start.windows(2).map(|r| {
+        self.uniform.extend(level.start.windows(2).map(|r| {
             let ws = &self.member_wbits[r[0] as usize..r[1] as usize];
             ws.iter().all(|&w| w == ws[0])
         }));
         self.inner.clear();
         if hash_inner {
-            for k in k_min(j)..depth {
+            for k in k_min(j)..h.depth() {
                 let salt = ((k as u64) << 32) | j as u64;
                 self.inner
                     .extend(self.member_id.iter().map(|&id| splitmix64(id ^ salt)));
@@ -211,8 +156,8 @@ impl LevelClusters {
         }
     }
 
-    /// One full HRW selection over the members of cluster `t`, whose CSR
-    /// range starts at `lo`, with `inner` their memoized inner hashes for
+    /// One full HRW selection over the members of cluster `t`, whose run
+    /// starts at `lo`, with `inner` their memoized inner hashes for
     /// this walk step's salt; returns the winner's offset into the range.
     /// Always the exact `hrw_select_weighted` winner — the two fast paths
     /// fire only when they can *certify* the same strict argmax, tracking
@@ -264,7 +209,7 @@ impl LevelClusters {
                 return b1;
             }
         }
-        // Exact scan, inlined over the CSR arrays with the exact operation
+        // Exact scan, inlined over the columns with the exact operation
         // order and `(key, id)` tie-break of `hrw_select_weighted`.
         let mut best = 0;
         let mut bk = f64::NEG_INFINITY;
@@ -319,8 +264,8 @@ fn inv_ln_brackets() -> &'static [(f64, f64); 256] {
 
 /// Buffers [`LmAssignment::compute_with`] rewrites on every call, kept so
 /// a per-tick caller allocates nothing in the steady state: the flattened
-/// levels, the numbering buffers, one block of walk cursors per worker,
-/// the tree-ordered rows, a retired `hosts` table, and the worker pool.
+/// levels, one block of walk cursors per worker, the tree-ordered rows, a
+/// retired `hosts` table, and the worker pool.
 /// None of it is read before it is rewritten — a scratch that was handed
 /// hierarchy A answers for hierarchy B exactly as a fresh one does.
 #[derive(Debug, Default)]
@@ -328,11 +273,6 @@ pub struct WalkScratch {
     /// One entry per walked level (all but the top) of the deepest
     /// hierarchy seen; a call rebuilds and reads the first `depth - 1`.
     cur: Vec<LevelClusters>,
-    /// Local index → tree number, of the level last numbered: level 0's
-    /// once [`WalkScratch::flatten`] returns.
-    rank: Vec<u32>,
-    up: Vec<u32>,
-    next: Vec<u32>,
     /// Per worker: each walk's level-k ancestor, and the tree number it
     /// stands on, for the current block.
     cursors: Vec<(Vec<u32>, Vec<u32>)>,
@@ -363,24 +303,16 @@ impl WalkScratch {
         self.spare_hosts = old.hosts;
     }
 
-    /// Flatten every level of `h` but the top into `cur`: numbered
-    /// top-down (a level is sorted by its clusters' numbers one level up;
-    /// the top level keeps its local order), then weighed bottom-up (a
+    /// Flatten every level of `h` but the top into `cur`, bottom-up (a
     /// node's weight sums its members').
     fn flatten(&mut self, h: &Hierarchy, hash_inner: bool) {
-        let depth = h.depth();
-        let walked = depth - 1;
+        let walked = h.depth() - 1;
         if self.cur.len() < walked {
             self.cur.resize_with(walked, LevelClusters::default);
         }
-        self.rank.clear();
-        self.rank.extend(0..h.levels[walked].len() as u32);
-        for j in (0..walked).rev() {
-            self.cur[j].number(h, j, &mut self.rank, &mut self.up, &mut self.next);
-        }
         for j in 0..walked {
             let (done, rest) = self.cur.split_at_mut(j);
-            rest[0].weigh(done.last(), j, depth, hash_inner);
+            rest[0].weigh(h, j, done.last(), hash_inner);
         }
     }
 }
@@ -388,7 +320,10 @@ impl WalkScratch {
 /// One tick's read-only walk inputs, shared by every worker.
 struct Walk<'a> {
     rule: SelectionRule,
-    /// Levels `0..depth - 1`, in tree order.
+    /// The hierarchy's levels `0..depth - 1`, whose tree order the walk
+    /// follows.
+    levels: &'a [Level],
+    /// Their hash columns.
     cur: &'a [LevelClusters],
 }
 
@@ -396,7 +331,7 @@ impl Walk<'_> {
     /// Walk the subjects numbered `ss` at level 0, whose tree-ordered
     /// entry rows are `rows`. Per block of [`WALK_BLOCK`] subjects and
     /// entry level `k`: climb every subject's ancestor one level through
-    /// `parent` to its level-k cluster, stand on it, then move all of them
+    /// [`Level::parent`] to its level-k cluster, stand on it, then move all of them
     /// down one level at a time (`j = k-1 … 0`: select among the members
     /// of the cluster stood on, step to the winner's tree number) until
     /// the winners are level-0 nodes — the hosts. Consecutive subjects
@@ -408,27 +343,27 @@ impl Walk<'_> {
         let (anc, at) = cursors;
         let depth = self.cur.len() + 1;
         let width = depth - 2;
-        let base = &self.cur[0];
+        let base = &self.levels[0];
         for first in (ss.start..ss.end).step_by(WALK_BLOCK) {
             let last = (first + WALK_BLOCK).min(ss.end);
             let rows = &mut rows[(first - ss.start) * width..(last - ss.start) * width];
-            let subject_ids = &base.member_id[first..last];
+            let subject_ids = &self.cur[0].member_id[first..last];
             anc.clear();
             anc.extend_from_slice(&base.parent[first..last]);
             for k in 2..depth {
-                let up = &self.cur[k - 1].parent;
+                let up = &self.levels[k - 1].parent;
                 for a in anc.iter_mut() {
                     *a = up[*a as usize];
                 }
                 at.clear();
                 at.extend_from_slice(anc);
                 for j in (0..k).rev() {
-                    let lvl = &self.cur[j];
+                    let (level, lvl) = (&self.levels[j], &self.cur[j]);
                     let salt = ((k as u64) << 32) | j as u64;
                     let seg = (k - k_min(j)) * lvl.member_id.len();
                     for (&subject_id, at) in subject_ids.iter().zip(at.iter_mut()) {
                         let t = *at as usize;
-                        let (lo, hi) = lvl.range(t);
+                        let (lo, hi) = (level.start[t] as usize, level.start[t + 1] as usize);
                         debug_assert!(hi > lo, "head with no electors");
                         let pick = match self.rule {
                             SelectionRule::Hrw => {
@@ -446,7 +381,7 @@ impl Walk<'_> {
                     }
                 }
                 for (row, &s) in rows.chunks_exact_mut(width).zip(at.iter()) {
-                    row[k - 2] = base.member_phys[s as usize];
+                    row[k - 2] = base.tree_nodes[s as usize];
                 }
             }
         }
@@ -482,6 +417,7 @@ impl LmAssignment {
         }
         let walk = Walk {
             rule,
+            levels: &h.levels[..depth - 1],
             cur: &scratch.cur[..depth - 1],
         };
         match pool {
@@ -505,13 +441,17 @@ impl LmAssignment {
                 });
             }
         }
-        // Gather the tree-ordered rows into the physical table; slots
-        // below level 2 carry no entry and hold the subject.
+        // Gather the tree-ordered rows into the physical table through
+        // level 0's tree numbers; slots below level 2 carry no entry and
+        // hold the subject.
         let mut hosts = std::mem::take(&mut scratch.spare_hosts);
         hosts.clear();
-        for (v, &s) in (0..n as NodeIdx).zip(&scratch.rank) {
+        for v in 0..n as NodeIdx {
             hosts.extend(std::iter::repeat_n(v, depth.min(2)));
-            hosts.extend_from_slice(&scratch.rows[s as usize * width..][..width]);
+            if width > 0 {
+                let s = h.levels[0].rank[v as usize] as usize;
+                hosts.extend_from_slice(&scratch.rows[s * width..][..width]);
+            }
         }
         LmAssignment { n, depth, hosts }
     }
@@ -605,7 +545,6 @@ mod tests {
             let subject = next();
             let uniform = weights.windows(2).all(|w| w[0].to_bits() == w[1].to_bits());
             let lvl = LevelClusters {
-                start: vec![0, m as u32],
                 member_id: ids.clone(),
                 member_wbits: weights.iter().map(|w| w.to_bits()).collect(),
                 uniform: vec![uniform],
