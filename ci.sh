@@ -67,7 +67,7 @@ fi
 # The packet executor is two FIFO hop steps over hop counts: the event
 # queue, its heap and the per-hop next-hop walk stay out of it (the queue
 # executor lives on only as the oracle in crates/proto/tests/heap_oracle.rs;
-# `EventQueue` itself stays for proto::dalca).
+# `EventQueue` itself stays, crate-private, for proto::dalca).
 if grep -n 'EventQueue\|BinaryHeap\|fn next_hop' crates/proto/src/network.rs crates/sim/src/transport.rs; then
   echo "leftover check: the packet executor is back on an event queue or a next-hop walk" >&2
   exit 1
@@ -86,6 +86,16 @@ fi
 if grep -rn 'member_arena\|rebuild_derived' crates/cluster/src \
   || grep -n 'fn number(\|up: Vec<u32>' crates/lm/src/server.rs; then
   echo "leftover check: a second membership index is back" >&2
+  exit 1
+fi
+
+# A scheme plane has one owner per world: `MultiplexSim` runs one per
+# scheme and every bank of that scheme books its slices, so GLS's update
+# and query halves read one server table, built in one place, and no
+# lookup keeps a copy refreshed by its own tick stamp.
+if [ "$(grep -rn 'GlsIncremental::new(' crates/sim/src | wc -l)" -ne 1 ] \
+  || grep -n 'table_tick' crates/sim/src/scheme.rs; then
+  echo "leftover check: a second GLS server table is back" >&2
   exit 1
 fi
 

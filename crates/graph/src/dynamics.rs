@@ -26,39 +26,26 @@ impl LinkDiff {
     /// # Panics
     /// If node counts differ.
     pub fn between(old: &Graph, new: &Graph) -> LinkDiff {
-        assert_eq!(
-            old.node_count(),
-            new.node_count(),
-            "snapshots must cover the same node set"
-        );
         let mut diff = LinkDiff::default();
-        for u in 0..old.node_count() as NodeIdx {
-            let a = old.neighbors(u);
-            let b = new.neighbors(u);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < a.len() || j < b.len() {
-                match (a.get(i), b.get(j)) {
-                    (Some(&x), Some(&y)) if x == y => {
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&x), y) if y.is_none_or(|&y| x < y) => {
-                        if u < x {
-                            diff.down.push((u, x));
-                        }
-                        i += 1;
-                    }
-                    (_, Some(&y)) => {
-                        if u < y {
-                            diff.up.push((u, y));
-                        }
-                        j += 1;
-                    }
-                    _ => unreachable!(),
-                }
+        for_each_change(old, new, |edge, up| {
+            if up {
+                diff.up.push(edge);
+            } else {
+                diff.down.push(edge);
             }
-        }
+        });
         diff
+    }
+
+    /// `between(old, new).event_count()` without building the diff: the
+    /// same merge, counting instead of collecting.
+    ///
+    /// # Panics
+    /// If node counts differ.
+    pub fn count_between(old: &Graph, new: &Graph) -> usize {
+        let mut events = 0;
+        for_each_change(old, new, |_, _| events += 1);
+        events
     }
 
     /// Total number of link state change events (ups + downs).
@@ -68,6 +55,43 @@ impl LinkDiff {
 
     pub fn is_empty(&self) -> bool {
         self.up.is_empty() && self.down.is_empty()
+    }
+}
+
+/// Call `on_change((u, v), up)` for every edge (`u < v`) present in
+/// exactly one of `old` / `new` — `up` iff it is in `new` — in a linear
+/// merge of the sorted neighbor lists.
+fn for_each_change(old: &Graph, new: &Graph, mut on_change: impl FnMut((NodeIdx, NodeIdx), bool)) {
+    assert_eq!(
+        old.node_count(),
+        new.node_count(),
+        "snapshots must cover the same node set"
+    );
+    for u in 0..old.node_count() as NodeIdx {
+        let a = old.neighbors(u);
+        let b = new.neighbors(u);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() || j < b.len() {
+            match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x == y => {
+                    i += 1;
+                    j += 1;
+                }
+                (Some(&x), y) if y.is_none_or(|&y| x < y) => {
+                    if u < x {
+                        on_change((u, x), false);
+                    }
+                    i += 1;
+                }
+                (_, Some(&y)) => {
+                    if u < y {
+                        on_change((u, y), true);
+                    }
+                    j += 1;
+                }
+                _ => unreachable!(),
+            }
+        }
     }
 }
 
@@ -145,7 +169,13 @@ pub struct LinkEventRate {
 
 impl LinkEventRate {
     pub fn record(&mut self, diff: &LinkDiff, n_nodes: usize, dt: f64) {
-        self.events += diff.event_count() as u64;
+        self.record_count(diff.event_count(), n_nodes, dt);
+    }
+
+    /// [`LinkEventRate::record`] of a diff known only by its
+    /// [`LinkDiff::event_count`] (see [`LinkDiff::count_between`]).
+    pub fn record_count(&mut self, events: usize, n_nodes: usize, dt: f64) {
+        self.events += events as u64;
         self.node_seconds += n_nodes as f64 * dt;
     }
 

@@ -25,6 +25,21 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Two graphs over one node set of 0 to 11 nodes, either of them possibly
+/// edgeless (n ∈ {0, 1} always is).
+fn arb_graph_pair() -> impl Strategy<Value = (Graph, Graph)> {
+    (0usize..12).prop_flat_map(|n| {
+        let side = move || {
+            proptest::collection::vec((0..n.max(1) as NodeIdx, 0..n.max(1) as NodeIdx), 0..=3 * n)
+                .prop_map(move |pairs| {
+                    let edges: Vec<_> = pairs.into_iter().filter(|(u, v)| u != v).collect();
+                    Graph::from_edges(n, &edges)
+                })
+        };
+        (side(), side())
+    })
+}
+
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<chlm_geom::Point>> {
     proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 0..max_n).prop_map(|v| {
         v.into_iter()
@@ -404,6 +419,18 @@ proptest! {
         for u in 0..g.node_count() as u32 {
             prop_assert_eq!(uf.same_set(0, u), comp[0] == comp[u as usize]);
         }
+    }
+
+    #[test]
+    fn count_between_counts_the_diff((old, new) in arb_graph_pair()) {
+        prop_assert_eq!(
+            LinkDiff::count_between(&old, &new),
+            LinkDiff::between(&old, &new).event_count()
+        );
+        prop_assert_eq!(
+            LinkDiff::count_between(&new, &old),
+            LinkDiff::between(&new, &old).event_count()
+        );
     }
 
     #[test]

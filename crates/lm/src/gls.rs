@@ -11,7 +11,7 @@
 //! balanced here because candidate squares contain arbitrary ID mixes.
 //!
 //! Costs modelled (per the GLS paper's behavior, adapted to our packet ×
-//! hop unit; booked by `chlm_sim`'s `GlsSchemeWorkload` from the tables
+//! hop unit; booked by `chlm_sim`'s `GlsScheme` from the tables
 //! and diffs this module maintains):
 //!
 //! * **updates** — `v` refreshes its order-i servers each time it moves
@@ -372,6 +372,11 @@ impl GlsIncremental {
     /// The current server table (valid after the first [`Self::update`]).
     pub fn assignment(&self) -> &GlsAssignment {
         &self.assignment
+    }
+
+    /// The changed slots of the last [`Self::update`], as it returned them.
+    pub fn diff(&self) -> &[(NodeIdx, usize, NodeIdx, NodeIdx)] {
+        &self.diff
     }
 
     /// Advance to this tick's positions. Returns the up-to-date table and

@@ -1,10 +1,12 @@
-//! Deterministic discrete-event queue.
+//! Deterministic discrete-event queue, private to [`crate::dalca`].
 //!
 //! A thin, totally-ordered priority queue: events fire in `(time, seq)`
 //! order, where `seq` is the insertion sequence number — so simultaneous
 //! events are processed in the order they were scheduled, independent of
-//! heap internals. Determinism here is what makes the packet-level
-//! validation reproducible.
+//! heap internals. Determinism here is what makes the asynchronous LCA's
+//! message exchange reproducible. (The packet executor runs two FIFO hop
+//! steps instead; its queue-based predecessor lives on, with a copy of
+//! this queue, as the oracle in `tests/heap_oracle.rs`.)
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -42,20 +44,14 @@ impl<E> PartialOrd for Scheduled<E> {
 
 /// Deterministic min-time event queue.
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: f64,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> EventQueue<E> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -64,23 +60,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Current simulation time (the time of the last popped event).
-    pub fn now(&self) -> f64 {
+    pub(crate) fn now(&self) -> f64 {
         self.now
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedule `event` at absolute time `time`.
     ///
     /// # Panics
     /// If `time` is non-finite or earlier than the current time.
-    pub fn schedule(&mut self, time: f64, event: E) {
+    pub(crate) fn schedule(&mut self, time: f64, event: E) {
         assert!(time.is_finite(), "non-finite event time");
         assert!(
             time >= self.now,
@@ -93,7 +81,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the next event, advancing the clock. `None` when empty.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
         let s = self.heap.pop()?;
         debug_assert!(s.time >= self.now);
         self.now = s.time;
@@ -151,5 +139,28 @@ mod tests {
     #[should_panic]
     fn non_finite_time_panics() {
         EventQueue::new().schedule(f64::NAN, ());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn event_queue_total_order(times in proptest::collection::vec(0.0f64..100.0, 1..60)) {
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.schedule(t, i);
+            }
+            let mut last_time = f64::NEG_INFINITY;
+            let mut seen = Vec::new();
+            while let Some((t, id)) = q.pop() {
+                proptest::prop_assert!(t >= last_time);
+                // Ties must come out in insertion order.
+                if t == last_time {
+                    proptest::prop_assert!(id > *seen.last().unwrap_or(&0) || seen.is_empty() ||
+                                 times[*seen.last().unwrap()] != t);
+                }
+                last_time = t;
+                seen.push(id);
+            }
+            proptest::prop_assert_eq!(seen.len(), times.len());
+        }
     }
 }

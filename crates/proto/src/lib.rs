@@ -17,8 +17,8 @@
 //!
 //! * [`dalca`] — the asynchronous LCA as a real message-passing protocol
 //!   (convergence to the centralized fixpoint is asserted, validating the
-//!   simulator's tick-diff emulation),
-//! * [`events::EventQueue`] — deterministic discrete-event queue,
+//!   simulator's tick-diff emulation), run on a crate-private
+//!   deterministic discrete-event queue,
 //! * [`message`] — the LM message vocabulary (TRANSFER / REGISTER / QUERY /
 //!   REPLY),
 //! * [`network::PacketNetwork`] — a reusable hop-by-hop executor with
@@ -43,11 +43,10 @@
 //! ```
 
 pub mod dalca;
-pub mod events;
+mod events;
 pub mod message;
 pub mod network;
 
 pub use dalca::Dalca;
-pub use events::EventQueue;
 pub use message::{LmMessage, Packet};
 pub use network::PacketNetwork;

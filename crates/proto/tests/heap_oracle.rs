@@ -1,8 +1,9 @@
 //! `PacketNetwork` against the event-queue executor it replaced.
 //!
 //! [`HeapNetwork`] is the previous `PacketNetwork`, kept verbatim but for
-//! its name: a `(time, seq)`-ordered `EventQueue` of hop events, each at
-//! a node, forwarded to the first neighbour whose entry in the
+//! its name: a `(time, seq)`-ordered [`EventQueue`] of hop events (the
+//! crate's own queue, which is private to its asynchronous LCA, copied
+//! here), each at a node, forwarded to the first neighbour whose entry in the
 //! destination's row is one less. The two-step, hop-count executor must
 //! report the same `NetworkStats` — latency sum and maximum to the bit —
 //! and the same per-packet transmission counts, built fresh or restarted
@@ -15,8 +16,71 @@ use chlm_graph::traversal::UNREACHABLE;
 use chlm_graph::{Graph, NodeIdx};
 use chlm_proto::message::{LmMessage, Packet};
 use chlm_proto::network::{NetworkStats, PacketNetwork};
-use chlm_proto::EventQueue;
 use proptest::prelude::*;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
+/// A scheduled entry, ordered by `(time, seq)`.
+struct Scheduled<E> {
+    time: f64,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.time
+            .total_cmp(&other.time)
+            .then_with(|| self.seq.cmp(&other.seq))
+    }
+}
+
+/// Deterministic min-time event queue: events fire in `(time, seq)`
+/// order, `seq` being the insertion sequence number.
+struct EventQueue<E> {
+    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    next_seq: u64,
+    now: f64,
+}
+
+impl<E> EventQueue<E> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            now: 0.0,
+        }
+    }
+
+    /// The time of the last popped event.
+    fn now(&self) -> f64 {
+        self.now
+    }
+
+    fn schedule(&mut self, time: f64, event: E) {
+        assert!(time.is_finite() && time >= self.now);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(Scheduled { time, seq, event }));
+    }
+
+    fn pop(&mut self) -> Option<(f64, E)> {
+        let Reverse(s) = self.heap.pop()?;
+        self.now = s.time;
+        Some((s.time, s.event))
+    }
+}
 
 /// In-flight hop event.
 #[derive(Debug, Clone, Copy)]

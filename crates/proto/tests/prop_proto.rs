@@ -5,7 +5,6 @@ use chlm_graph::traversal::{bfs_distances, UNREACHABLE};
 use chlm_graph::{Graph, NodeIdx};
 use chlm_proto::message::{LmMessage, Packet};
 use chlm_proto::network::PacketNetwork;
-use chlm_proto::EventQueue;
 use proptest::prelude::*;
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -87,26 +86,5 @@ proptest! {
         let tolerance = 1e-9 * sent.max(1) as f64;
         prop_assert!((stats.total_latency - sum).abs() < tolerance);
         prop_assert!((stats.max_latency - max).abs() < 1e-9);
-    }
-
-    #[test]
-    fn event_queue_total_order(times in proptest::collection::vec(0.0f64..100.0, 1..60)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let mut last_time = f64::NEG_INFINITY;
-        let mut seen = Vec::new();
-        while let Some((t, id)) = q.pop() {
-            prop_assert!(t >= last_time);
-            // Ties must come out in insertion order.
-            if t == last_time {
-                prop_assert!(id > *seen.last().unwrap_or(&0) || seen.is_empty() ||
-                             times[*seen.last().unwrap()] != t);
-            }
-            last_time = t;
-            seen.push(id);
-        }
-        prop_assert_eq!(seen.len(), times.len());
     }
 }

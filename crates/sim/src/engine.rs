@@ -11,8 +11,10 @@
 //! pins: a `World` owns everything upstream of the observers — stages,
 //! snapshots, diff streams, rotation — and is a pure function of
 //! `(world config, seed)`, while an `ObserverBank` owns one variant's
-//! accounting (observers, auditor, the `finish` sampling stream). The one
-//! loop that drives banks over a world is
+//! accounting (books, extra observers, auditor, the `finish` sampling
+//! stream), and a `SchemePlane` (`crate::scheme`) owns the per-tick work of
+//! one scheme, which every bank booking that scheme reads. The one loop
+//! that drives planes and banks over a world is
 //! [`crate::multiplex::MultiplexSim::step`]; [`Simulation`] is its
 //! one-bank case, delegating every method to bank 0.
 //!
@@ -33,8 +35,8 @@
 //! [`Simulation::with_stages`].
 //!
 //! The backend ([`crate::config::Backend`]) is not an engine: it only
-//! decides which [`crate::transport::Transport`] the accounting observers
-//! carry their messages over.
+//! decides which [`crate::transport::Transport`] a bank's books carry
+//! their plane's messages and legs over.
 
 use crate::audit::{AuditViolation, Auditor, TickInputs};
 use crate::config::{HopMetric, LmScheme, MobilityKind, SimConfig};
@@ -43,7 +45,7 @@ use crate::multiplex::{MultiplexSim, VariantSpec};
 use crate::observe::{Observer, Observers, WorldObservers};
 use crate::oracle::calibrate;
 use crate::report::{SimReport, StateSummary};
-use crate::scheme::{make_accounting, make_query_accounting};
+use crate::scheme::{HandoffBook, QueryBook, SchemePlane};
 use crate::stage::{
     default_stages, AssignmentStage, HierarchyStage, MobilityStage, NoStamps, StageSet, TickCtx,
     TopologyStage,
@@ -350,16 +352,22 @@ fn make_auditor(cfg: &SimConfig, observers: &Observers, world_obs: &WorldObserve
 }
 
 /// One variant's accounting over a shared `World`: the variant's own
-/// observer set (handoff, query, extras), the optional invariant auditor,
-/// and a private clone of the world's run stream for `finish`-time
-/// sampling. The scheme-independent accumulators live in a
-/// [`WorldObservers`] owned by the caller — one per standalone run, one
-/// *shared across every bank* of a multiplexed run — and are read back at
-/// `audit`/`finish` time. Banks never touch world state, so any number of
-/// them can consume the same `TickCtx` stream and each produce the
-/// [`SimReport`] a standalone run of its config would.
+/// observer set (handoff and query books, extras), the optional invariant
+/// auditor, and a private clone of the world's run stream for
+/// `finish`-time sampling. Two kinds of shared state are owned by the
+/// caller and only read here: the scheme-independent accumulators, a
+/// [`WorldObservers`] read back at `audit`/`finish` time, and the
+/// scheme's per-tick messages and lookup legs, a [`SchemePlane`] whose
+/// slices the books carry and book each tick — one of each per
+/// standalone run, one *shared across every bank* (per scheme, for the
+/// plane) of a multiplexed run. Banks never touch world state, so any
+/// number of them can consume the same `TickCtx` stream and each produce
+/// the [`SimReport`] a standalone run of its config would.
 pub(crate) struct ObserverBank {
     cfg: SimConfig,
+    /// Index of the plane running this variant's scheme, in the
+    /// multiplexer's plane list.
+    pub(crate) plane: usize,
     observers: Observers,
     auditor: Option<Auditor>,
     rng: SimRng,
@@ -370,16 +378,22 @@ impl ObserverBank {
     /// must describe the same world as the one `world` was built from —
     /// only the variant axes (`lm_scheme`, `hop_metric`, `backend`) may
     /// differ. `world_obs` is the world-observer set this bank will be
-    /// read against.
-    pub(crate) fn new(cfg: SimConfig, world: &World, world_obs: &WorldObservers) -> Self {
+    /// read against, `plane` the index of its scheme's plane.
+    pub(crate) fn new(
+        cfg: SimConfig,
+        world: &World,
+        world_obs: &WorldObservers,
+        plane: usize,
+    ) -> Self {
         let observers = Observers {
-            handoff: make_accounting(&cfg),
-            query: make_query_accounting(&cfg),
+            handoff: HandoffBook::new(&cfg),
+            query: (cfg.query_rate > 0.0).then(|| QueryBook::new(&cfg)),
             extra: Vec::new(),
         };
         let auditor = cfg.audit.then(|| make_auditor(&cfg, &observers, world_obs));
         ObserverBank {
             cfg,
+            plane,
             observers,
             auditor,
             rng: world.run_rng(),
@@ -411,9 +425,15 @@ impl ObserverBank {
             .unwrap_or_default()
     }
 
-    /// Drive the observer set over one completed tick.
-    pub(crate) fn observe(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        self.observers.on_tick(ctx, pricer);
+    /// Drive the observer set over one completed tick, booking the
+    /// slices `plane` (this bank's scheme) produced for it.
+    pub(crate) fn observe(
+        &mut self,
+        ctx: &TickCtx<'_>,
+        plane: &SchemePlane,
+        pricer: &mut dyn HopPricer,
+    ) {
+        self.observers.on_tick(ctx, plane, pricer);
     }
 
     /// Run the invariant auditor (when configured) after the tick's
@@ -493,8 +513,8 @@ pub struct Simulation {
 impl Simulation {
     /// Set up a simulation: deploy, warm the mobility process up, build the
     /// initial hierarchy and LM assignment, and calibrate the hop oracle.
-    /// The handoff slot is filled by [`make_accounting`] from the config's
-    /// [`LmScheme`] and backend, so any scheme runs over the same pipeline.
+    /// The config's [`LmScheme`] picks the scheme plane and its backend
+    /// the books' transport, so any scheme runs over the same pipeline.
     pub fn new(cfg: SimConfig) -> Self {
         Simulation::with_stages(cfg, default_stages)
     }

@@ -65,9 +65,9 @@ pub use observe::{HandoffAccounting, Observer, QueryAccounting};
 pub use report::{LevelRates, QueryStats, SimReport, StateSummary};
 pub use runner::{budget_split, run_cells, run_grid, run_sweep, SweepJob};
 pub use scheme::{
-    make_accounting, make_lookup, make_query_accounting, ChlmLookup, ChlmWorkload, GlsLookup,
-    GlsSchemeWorkload, HandoffObserver, HomeAgentLookup, HomeAgentWorkload, LookupLeg, LookupWorld,
-    MsgKind, QueryObserver, SchemeLookup, SchemeMsg, SchemeWorkload,
+    make_accounting, make_query_accounting, make_scheme, ChlmScheme, GlsScheme, HandoffObserver,
+    HomeAgentScheme, LookupLeg, LookupWorld, MsgKind, QueryObserver, Scheme, SchemeLookup,
+    SchemeMsg, SchemeWorkload,
 };
 pub use stage::TickCtx;
 pub use transport::{PacketTotals, Transport};

@@ -12,30 +12,37 @@
 //! tick loop in the crate: [`crate::Simulation`] is this type with one
 //! bank, and an E24-style comparison sweep is this type with many.
 //!
-//! Sharing happens at four layers. The world stages run once per tick.
+//! Sharing happens at five layers. The world stages run once per tick.
 //! The scheme-independent accumulators ([`crate::observe::WorldObservers`]:
 //! link rate, address churn, level churn, taxonomy, ALCA, degree) are
 //! driven once per tick for all banks — they are pure functions of the
 //! tick stream, so every bank reads identical values back at finish.
-//! Cost models are shared per hop metric: banks whose variants price with
-//! the same [`HopMetric`] observe inside one `with_pricer` scope, so the
-//! hierarchical-routing table is built once per tick instead of once per
-//! variant. And exact shortest-path rows are shared by everything that
-//! holds the tick's graph: the BFS pricer and every packet transport read
-//! [`chlm_graph::Graph::hop_row`] off `ctx.graph`, so a row is computed
-//! once per root per tick across banks, planes, packet shards and metric
-//! groups alike — by whichever transport's `carry` first has a leg that
-//! reads it, together with the other rows that batch of legs is missing
+//! Scheme planes are shared per scheme: each distinct [`LmScheme`] among
+//! the variants gets one `SchemePlane` (`crate::scheme`), run once per tick
+//! before any pricer scope opens, which advances the scheme's server table
+//! (GLS's grid table, the home agents), emits its maintenance messages and
+//! routes `ctx.query_arrivals`; every bank of that scheme carries and
+//! books the plane's slices in place, so E27's six banks do the scheme
+//! work of three. Cost models are shared per hop metric: banks whose
+//! variants price with the same [`HopMetric`] observe inside one
+//! `with_pricer` scope, so the hierarchical-routing table is built once
+//! per tick instead of once per variant. And exact shortest-path rows are
+//! shared by everything that holds the tick's graph: the BFS pricer and
+//! every packet transport read [`chlm_graph::Graph::hop_row`] off
+//! `ctx.graph`, so a row is computed once per root per tick across banks,
+//! planes, packet shards and metric groups alike — by whichever
+//! transport's `carry` first has a leg that reads it, together with the
+//! other rows that batch of legs is missing
 //! ([`chlm_graph::Graph::fill_hop_rows`]). All of this is sound because
-//! every pricer and every row is a pure function of the tick snapshot —
-//! caches and table builds only affect speed, never values.
+//! every plane, pricer and row is a pure function of the tick snapshot —
+//! sharing, caches and table builds only affect speed, never values.
 //!
 //! The query plane multiplexes for free: lookup arrivals are part of the
 //! shared world trace (`TickCtx::query_arrivals`, drawn from the world
 //! config's per-(seed, tick) stream), so one world's arrivals fan out to
-//! every scheme × cost-model bank, each routing and pricing them with
-//! its own [`crate::scheme::SchemeLookup`] backend — E27 compares lookup
-//! costs across schemes on byte-identical call traces this way.
+//! every scheme plane, whose routes every cost-model bank of the scheme
+//! then prices with its own transport — E27 compares lookup costs across
+//! schemes on byte-identical call traces this way.
 //!
 //! Determinism: banks are driven in variant order inside each group, and
 //! groups in first-appearance order of their metric, every tick. Packet
@@ -50,6 +57,7 @@ use crate::cost::{CostInputs, CostModel};
 use crate::engine::{variant_cost_model, ObserverBank, World};
 use crate::observe::WorldObservers;
 use crate::report::SimReport;
+use crate::scheme::{make_scheme, SchemePlane};
 use crate::stage::{default_stages, StageSet};
 use chlm_mobility::MobilityModel;
 
@@ -120,6 +128,11 @@ pub struct MultiplexSim {
     /// (the world stages being the first): a fan-out of `v` variants pays
     /// for link/churn/taxonomy/ALCA accounting once, not `v` times.
     pub(crate) world_obs: WorldObservers,
+    /// One plane per distinct scheme among the variants, in
+    /// first-appearance order, run once per tick before any bank: a
+    /// fan-out of `v` variants over `s` schemes produces messages, lookup
+    /// routes and server tables `s` times, not `v` times.
+    planes: Vec<SchemePlane>,
     groups: Vec<MetricGroup>,
     pub(crate) banks: Vec<ObserverBank>,
     labels: Vec<String>,
@@ -146,6 +159,8 @@ impl MultiplexSim {
         );
         let world = World::new(base.clone(), make_stages);
         let world_obs = WorldObservers::new(world.hierarchy());
+        let mut planes: Vec<SchemePlane> = Vec::new();
+        let mut plane_schemes: Vec<LmScheme> = Vec::new();
         let mut groups: Vec<MetricGroup> = Vec::new();
         let mut banks = Vec::with_capacity(variants.len());
         let mut labels = Vec::with_capacity(variants.len());
@@ -162,7 +177,21 @@ impl MultiplexSim {
                     groups.len() - 1
                 }
             };
-            let bank = ObserverBank::new(cfg, &world, &world_obs);
+            let plane = match plane_schemes.iter().position(|&s| s == cfg.lm_scheme) {
+                Some(pi) => pi,
+                None => {
+                    // Every bank books the update half; the query half
+                    // runs with the world's query plane.
+                    planes.push(SchemePlane::new(
+                        make_scheme(&cfg),
+                        true,
+                        cfg.query_rate > 0.0,
+                    ));
+                    plane_schemes.push(cfg.lm_scheme);
+                    planes.len() - 1
+                }
+            };
+            let bank = ObserverBank::new(cfg, &world, &world_obs, plane);
             groups[gi].members.push(banks.len());
             banks.push(bank);
             labels.push(variant.label.clone());
@@ -170,6 +199,7 @@ impl MultiplexSim {
         MultiplexSim {
             world,
             world_obs,
+            planes,
             groups,
             banks,
             labels,
@@ -204,18 +234,24 @@ impl MultiplexSim {
         self.banks[variant].add_observer(obs);
     }
 
-    /// Advance the shared world one tick and drive every bank over the
-    /// completed `TickCtx`, one metric group at a time.
+    /// Advance the shared world one tick, run every scheme plane over the
+    /// completed `TickCtx`, and drive every bank over both, one metric
+    /// group at a time.
     pub fn step(&mut self) {
         let world_obs = &mut self.world_obs;
+        let planes = &mut self.planes;
         let groups = &mut self.groups;
         let banks = &mut self.banks;
         self.world.step_with(&mut |ctx| {
-            // Scheme-independent accumulators first (no pricer involved),
-            // once per tick for all banks; then each metric group's banks
-            // inside one pricer scope. (BFS rows are warmed further down,
-            // by each bank's transports as they carry their legs.)
+            // Scheme-independent accumulators first, then the scheme
+            // planes (neither involves a pricer), once per tick for all
+            // banks; then each metric group's banks inside one pricer
+            // scope. (BFS rows are warmed further down, by each bank's
+            // transports as they carry their plane's legs.)
             world_obs.on_tick(ctx);
+            for plane in planes.iter_mut() {
+                plane.run(ctx);
+            }
             let inputs = CostInputs {
                 graph: ctx.graph,
                 positions: ctx.positions,
@@ -226,7 +262,8 @@ impl MultiplexSim {
             for MetricGroup { cost, members, .. } in groups.iter_mut() {
                 cost.with_pricer(&inputs, &mut |pricer| {
                     for &bank in members.iter() {
-                        banks[bank].observe(ctx, pricer);
+                        let bank = &mut banks[bank];
+                        bank.observe(ctx, &planes[bank.plane], pricer);
                     }
                 });
             }
@@ -357,6 +394,50 @@ mod tests {
         let t2 = total(&multi[1]);
         assert!(t1 > 0.0);
         assert!(t2 > 10.0 * t1, "t1 {t1} t2 {t2}");
+    }
+
+    #[test]
+    fn one_plane_per_scheme_advances_once_per_tick() {
+        // E27's fan-out: 3 schemes x {analytic, packet}, BFS, lookups on.
+        let cfg = base_cfg(80, 25);
+        let variants: Vec<VariantSpec> = [LmScheme::Chlm, LmScheme::Gls, LmScheme::HomeAgent]
+            .into_iter()
+            .flat_map(|s| {
+                [Backend::Analytic, Backend::packet()].map(|backend| {
+                    VariantSpec::new(format!("{s:?}-{backend:?}"), s, HopMetric::Bfs, backend)
+                })
+            })
+            .collect();
+        let mut mx = MultiplexSim::new(&cfg, &variants);
+        assert_eq!(mx.planes.len(), 3);
+        let plane_of: Vec<usize> = mx.banks.iter().map(|b| b.plane).collect();
+        assert_eq!(plane_of, [0, 0, 1, 1, 2, 2]);
+        let ticks = 5;
+        for _ in 0..ticks {
+            mx.step();
+        }
+        // Every plane -- GLS's server table included -- advanced once a
+        // tick, although two banks read each.
+        for plane in &mx.planes {
+            assert_eq!(plane.advances, ticks);
+        }
+        // Whatever the bank count: four GLS banks, one table advance.
+        let gls: Vec<VariantSpec> = (0..4)
+            .map(|i| {
+                VariantSpec::new(
+                    format!("gls{i}"),
+                    LmScheme::Gls,
+                    cfg.hop_metric,
+                    cfg.backend,
+                )
+            })
+            .collect();
+        let mut mx = MultiplexSim::new(&cfg, &gls);
+        assert_eq!(mx.planes.len(), 1);
+        for _ in 0..ticks {
+            mx.step();
+        }
+        assert_eq!(mx.planes[0].advances, ticks);
     }
 
     #[test]

@@ -26,11 +26,15 @@
 //! world set before the variant sets changes no value).
 //!
 //! The handoff and query slots are the location-management *scheme* and
-//! *backend* seam: [`crate::scheme::make_accounting`] and
-//! [`crate::scheme::make_query_accounting`] fill them with one observer
-//! type each, parameterised by the scheme's workload / lookup and the
-//! backend's [`crate::transport::Transport`], so a scheme or a backend
-//! swaps in without touching any other observer or the tick loop.
+//! *backend* seam. A bank fills them with a [`crate::scheme::HandoffBook`]
+//! and a [`crate::scheme::QueryBook`], which carry and book the slices of
+//! the tick's `SchemePlane` (`crate::scheme`) over the backend's
+//! [`crate::transport::Transport`]; standalone,
+//! [`crate::scheme::make_accounting`] and
+//! [`crate::scheme::make_query_accounting`] fill a [`HandoffAccounting`] /
+//! [`QueryAccounting`] with a plane of its own plus the book. So a scheme
+//! or a backend swaps in without touching any other observer or the tick
+//! loop.
 
 use crate::cost::HopPricer;
 use crate::report::{LevelRates, QueryStats};
@@ -42,6 +46,7 @@ use chlm_graph::dynamics::{LinkDiff, LinkEventRate};
 use chlm_graph::NodeIdx;
 use chlm_lm::handoff::HandoffLedger;
 
+use crate::scheme::{HandoffBook, QueryBook, SchemePlane};
 use crate::transport::PacketTotals;
 use chlm_proto::network::NetworkStats;
 
@@ -51,9 +56,9 @@ pub trait Observer {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer);
 }
 
-/// The handoff-accounting slot: whatever fills it must produce a
-/// [`HandoffLedger`]. [`crate::scheme::HandoffObserver`] fills it for
-/// every scheme and backend.
+/// A standalone handoff-accounting observer: whatever fills it must
+/// produce a [`HandoffLedger`]. [`crate::scheme::HandoffObserver`] fills
+/// it for every scheme and backend.
 pub trait HandoffAccounting: Observer {
     fn ledger(&self) -> &HandoffLedger;
     /// Take the accumulated ledger out (engine teardown).
@@ -64,8 +69,8 @@ pub trait HandoffAccounting: Observer {
     }
 }
 
-/// The query-accounting slot: whatever fills it must produce a
-/// [`QueryStats`]. [`crate::scheme::QueryObserver`] fills it for every
+/// A standalone query-accounting observer: whatever fills it must produce
+/// a [`QueryStats`]. [`crate::scheme::QueryObserver`] fills it for every
 /// scheme and backend.
 pub trait QueryAccounting: Observer {
     fn stats(&self) -> &QueryStats;
@@ -85,8 +90,8 @@ pub struct LinkRateObserver {
 
 impl Observer for LinkRateObserver {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
-        let diff0 = LinkDiff::between(&ctx.old_hierarchy.levels[0].graph, ctx.graph);
-        self.rate.record(&diff0, ctx.n, ctx.dt);
+        let events = LinkDiff::count_between(&ctx.old_hierarchy.levels[0].graph, ctx.graph);
+        self.rate.record_count(events, ctx.n, ctx.dt);
     }
 }
 
@@ -377,25 +382,32 @@ impl WorldObservers {
     }
 }
 
-/// One variant's own observer set: the handoff slot (scheme × backend ×
-/// pricing), the query-plane slot (same scheme × backend, lookup traffic),
-/// and caller-appended extras. Everything scheme-independent lives in
-/// [`WorldObservers`]. The handoff and query slots are trait objects: the
-/// `benchmark/` replica and the tests drive them through these traits.
+/// One variant's own observer set: the handoff book (scheme × backend ×
+/// pricing), the query-plane book (same scheme × backend, lookup
+/// traffic), and caller-appended extras. Everything scheme-independent
+/// lives in [`WorldObservers`], and the scheme's own per-tick work in the
+/// `SchemePlane` the books read.
 pub struct Observers {
-    pub handoff: Box<dyn HandoffAccounting>,
+    pub handoff: HandoffBook,
     /// Query-plane accounting; `None` when `query_rate` is zero.
-    pub query: Option<Box<dyn QueryAccounting>>,
+    pub query: Option<QueryBook>,
     pub extra: Vec<Box<dyn Observer>>,
 }
 
 impl Observers {
     /// Drive the variant's observers over one tick, in the canonical
-    /// order (handoff, query, extras). All of them share one pricer.
-    pub fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        self.handoff.on_tick(ctx, pricer);
+    /// order (handoff, query, extras): the books carry and book `plane`'s
+    /// slices of this tick. All of them share one pricer.
+    pub(crate) fn on_tick(
+        &mut self,
+        ctx: &TickCtx<'_>,
+        plane: &SchemePlane,
+        pricer: &mut dyn HopPricer,
+    ) {
+        self.handoff.book(ctx, pricer, plane.messages());
         if let Some(query) = &mut self.query {
-            query.on_tick(ctx, pricer);
+            let (legs, outcomes) = plane.lookups();
+            query.book(ctx, pricer, legs, outcomes);
         }
         for obs in &mut self.extra {
             obs.on_tick(ctx, pricer);

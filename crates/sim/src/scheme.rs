@@ -2,43 +2,55 @@
 //!
 //! Everything upstream of the accounting slots — mobility, topology,
 //! hierarchy, the LM assignment diff — is the *world*, shared by every
-//! scheme. A scheme is two pure functions of that world:
+//! scheme. A scheme is a server table plus two pure functions of that
+//! world which read it:
 //!
-//! | [`LmScheme`]  | update plane ([`SchemeWorkload`]) | query plane ([`SchemeLookup`]) |
-//! |---------------|-----------------------------------|--------------------------------|
-//! | `Chlm`        | [`ChlmWorkload`]                  | [`ChlmLookup`]                 |
-//! | `Gls`         | [`GlsSchemeWorkload`]             | [`GlsLookup`]                  |
-//! | `HomeAgent`   | [`HomeAgentWorkload`]             | [`HomeAgentLookup`]            |
+//! | [`LmScheme`]  | [`Scheme`]          | server table                               |
+//! |---------------|---------------------|--------------------------------------------|
+//! | `Chlm`        | [`ChlmScheme`]      | the world's LM assignment (`ctx.new_assignment`) |
+//! | `Gls`         | [`GlsScheme`]       | one [`GlsIncremental`] per-band grid table |
+//! | `HomeAgent`   | [`HomeAgentScheme`] | the run's fixed home agents                |
 //!
-//! * a [`SchemeWorkload`] maps one tick's [`TickCtx`] to the LM
-//!   maintenance messages the scheme sends ([`SchemeMsg`]), in a canonical
-//!   order;
-//! * a [`SchemeLookup`] maps one lookup arrival (requester, target) to the
-//!   route the scheme's resolution protocol takes — CHLM lowest-common-
-//!   cluster descent ([`chlm_lm::query::resolve_route`]), GLS band walk to
-//!   the order-k grid server ([`chlm_lm::gls::gls_resolve_route`]), or the
-//!   home-agent detour requester → home → target — as a list of
-//!   [`LookupLeg`]s plus the resolution level.
+//! * [`Scheme::advance`] brings the table to the tick, once;
+//! * the update half, [`SchemeWorkload`], maps the tick's [`TickCtx`] to
+//!   the LM maintenance messages the scheme sends ([`SchemeMsg`]), in a
+//!   canonical order;
+//! * the query half, [`SchemeLookup`], maps one lookup arrival
+//!   (requester, target) to the route the scheme's resolution protocol
+//!   takes — CHLM lowest-common-cluster descent
+//!   ([`chlm_lm::query::resolve_route`]), GLS band walk to the order-k
+//!   grid server ([`chlm_lm::gls::gls_resolve_route`]), or the home-agent
+//!   detour requester → home → target — as a list of [`LookupLeg`]s plus
+//!   the resolution level.
 //!
-//! What a message or a leg *costs* is the backend's business, and the
-//! backend is a [`Transport`] (analytic pricing or packet execution; see
-//! [`crate::transport`]). The two accounting observers are the same code
-//! for every scheme × backend pair:
+//! Both halves are methods of one value, so they read one table: a GLS
+//! lookup asks exactly the server the update half registered with, by
+//! construction.
 //!
-//! * [`HandoffObserver`] — workload → transport → [`HandoffLedger::book`],
+//! None of this needs a pricer or depends on the backend, so it runs in a
+//! `SchemePlane`: per tick, the table advance, the messages, and the legs
+//! and per-arrival outcomes of `ctx.query_arrivals`. What a message or a
+//! leg *costs* is the backend's business, and the backend is a
+//! [`Transport`] (analytic pricing or packet execution; see
+//! [`crate::transport`]), held by the variant's books:
+//!
+//! * [`HandoffBook`] — messages → transport → [`HandoffLedger::book`],
 //!   one `book` per event, a two-leg event's costs summed first;
-//! * [`QueryObserver`] — lookup → transport → `QueryStats::record`, one
+//! * [`QueryBook`] — legs → transport → `QueryStats::record`, one
 //!   `record` per resolved arrival.
 //!
-//! [`make_accounting`] / [`make_query_accounting`] pick the workload or
-//! lookup by scheme and let [`Transport`] pick itself by backend.
+//! A [`crate::multiplex::MultiplexSim`] runs one plane per distinct scheme
+//! and lends its slices to every bank that books that scheme.
+//! [`make_accounting`] / [`make_query_accounting`] build the standalone
+//! form of each slot, [`HandoffObserver`] / [`QueryObserver`]: a plane of
+//! their own (update half or query half only), then the book — the same
+//! two halves composed, not a second implementation.
 //!
-//! Determinism: workloads and lookups are pure functions of the trace (no
-//! RNG, no wall clock), message order is canonical (diff order; subjects
-//! ascending, bands ascending within a subject), and packet execution
-//! follows the three rules in [`crate::transport`], so every scheme
-//! inherits the engine's bit-for-bit reproducibility and thread-invariance
-//! contracts.
+//! Determinism: schemes are pure functions of the trace (no RNG, no wall
+//! clock), message order is canonical (diff order; subjects ascending,
+//! bands ascending within a subject), and packet execution follows the
+//! three rules in [`crate::transport`], so every scheme inherits the
+//! engine's bit-for-bit reproducibility and thread-invariance contracts.
 
 use crate::config::{LmScheme, SimConfig};
 use crate::cost::HopPricer;
@@ -65,10 +77,8 @@ const HOME_AGENT_SALT: u64 = 0x484F_4D45_4147_5431; // "HOMEAGT1"
 /// The home-agent rendezvous table: `homes[v]` is the HRW pick over every
 /// *other* ID, so an entry never lives on the node it locates (`n == 1`
 /// degenerates to self-homing, which costs 0 hops anyway). IDs are fixed
-/// for a run, so the table is too — the update plane
-/// ([`HomeAgentWorkload`]) and the lookup plane ([`HomeAgentLookup`])
-/// share this one function and therefore always agree on where an entry
-/// lives.
+/// for a run, so the table is too; [`HomeAgentScheme`] draws it once and
+/// both of its halves read it.
 fn home_agents(ids: &[u64]) -> Vec<NodeIdx> {
     let n = ids.len();
     let mut homes = Vec::with_capacity(n);
@@ -146,31 +156,69 @@ impl WireLeg for SchemeMsg {
     }
 }
 
-/// The per-tick message workload of a location-management scheme.
+/// The update half of a [`Scheme`]: its per-tick message workload.
 ///
 /// Implementations must be deterministic functions of the tick contexts
-/// seen so far: same trace, same messages, in the same order. Any internal
-/// state (previous server tables, update anchors) is seeded lazily from
-/// the first tick, which every backend observes identically.
+/// seen so far and of the scheme's server table, which [`Scheme::advance`]
+/// has brought to `ctx`'s tick: same trace, same messages, in the same
+/// order. Any further state (previous positions, update anchors) is seeded
+/// lazily from the first tick, which every backend observes identically.
 pub trait SchemeWorkload {
-    /// Scheme name for diagnostics and tables.
-    fn name(&self) -> &'static str;
     /// Append this tick's messages to `out` in canonical order.
     fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>);
 }
 
-/// The paper's scheme: every LM entry whose server changed is TRANSFERred
-/// old server → new server, and a subject whose own level-k address
-/// changed also REGISTERs with the new server — the message set and its
-/// φ/γ cascade attribution are [`chlm_lm::handoff::for_each_handoff`]'s,
-/// in assignment-diff order.
-pub struct ChlmWorkload;
+/// The query half of a [`Scheme`]: the route one lookup takes.
+///
+/// Implementations must be deterministic functions of `(world, requester,
+/// target)` and of the server table [`Scheme::advance`] brought to
+/// `world`'s tick: same world, same route. `resolve` appends the route's
+/// legs to `legs` and returns the resolution level (scheme semantics:
+/// CHLM common-cluster level, GLS shared grid order, home agent 0 = self /
+/// 1 = detour), or `None` when the scheme has no route (e.g. disconnected
+/// components). A free lookup resolves with zero legs.
+pub trait SchemeLookup {
+    /// Route one lookup; see the trait docs.
+    fn resolve(
+        &self,
+        world: &LookupWorld<'_>,
+        requester: NodeIdx,
+        target: NodeIdx,
+        legs: &mut Vec<LookupLeg>,
+    ) -> Option<u16>;
+}
 
-impl SchemeWorkload for ChlmWorkload {
-    fn name(&self) -> &'static str {
-        "chlm"
-    }
+/// A location-management scheme: one server table and the two halves
+/// that read it (see the module docs).
+pub trait Scheme: SchemeWorkload + SchemeLookup {
+    /// Bring the server table both halves read up to `ctx`'s tick. Its
+    /// `SchemePlane` calls this once per tick, before either half, and
+    /// skips the ticks on which nothing reads the table (a query-only
+    /// plane's ticks without arrivals) — so a table must be a function of
+    /// the current tick alone, never of how many ticks it saw.
+    fn advance(&mut self, ctx: &TickCtx<'_>);
+}
 
+/// The paper's scheme. Its server table is the world's own LM assignment,
+/// so [`Scheme::advance`] has nothing to do.
+///
+/// Update half: every LM entry whose server changed is TRANSFERred old
+/// server → new server, and a subject whose own level-k address changed
+/// also REGISTERs with the new server — the message set and its φ/γ
+/// cascade attribution are [`chlm_lm::handoff::for_each_handoff`]'s, in
+/// assignment-diff order.
+///
+/// Query half: lowest-common-cluster descent — ask the target's LM server
+/// in the lowest cluster containing both endpoints
+/// ([`chlm_lm::query::resolve_route`]). Free at levels ≤ 1 (complete
+/// intra-cluster knowledge); otherwise request + reply.
+pub struct ChlmScheme;
+
+impl Scheme for ChlmScheme {
+    fn advance(&mut self, _ctx: &TickCtx<'_>) {}
+}
+
+impl SchemeWorkload for ChlmScheme {
     fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
         for_each_handoff(
             ctx.host_changes,
@@ -197,12 +245,47 @@ impl SchemeWorkload for ChlmWorkload {
     }
 }
 
+impl SchemeLookup for ChlmScheme {
+    fn resolve(
+        &self,
+        world: &LookupWorld<'_>,
+        requester: NodeIdx,
+        target: NodeIdx,
+        legs: &mut Vec<LookupLeg>,
+    ) -> Option<u16> {
+        let route = resolve_route(world.hierarchy, world.assignment, requester, target)?;
+        if let Some(server) = route.server {
+            push_round_trip(legs, requester, server);
+        }
+        Some(route.common_level as u16)
+    }
+}
+
+/// A request `requester → server` and its answer back.
+fn push_round_trip(legs: &mut Vec<LookupLeg>, requester: NodeIdx, server: NodeIdx) {
+    legs.push(LookupLeg {
+        src: requester,
+        dst: server,
+        reply: false,
+    });
+    legs.push(LookupLeg {
+        src: server,
+        dst: requester,
+        reply: true,
+    });
+}
+
 /// GLS-style per-band location servers on the recursive grid.
 ///
 /// Band-`b` servers (grid order `b + 2`) are selected per sibling square
 /// by HRW hashing over the square's occupants ([`GlsSelect::Hrw`] — the
 /// same rendezvous family CHLM uses, so the comparison isolates the
-/// *structure*, not the hash). Costs per tick:
+/// *structure*, not the hash). The server table is one incrementally
+/// maintained [`GlsIncremental`] (exact: the same table and diff a full
+/// per-tick recompute would produce, without the full rescan), advanced
+/// once per tick and read by both halves.
+///
+/// Update half, per tick:
 ///
 /// * **transfers** — every changed server slot moves its entry old → new
 ///   server (or re-registers subject → new server when the old slot was
@@ -215,11 +298,14 @@ impl SchemeWorkload for ChlmWorkload {
 ///
 /// Ledger levels are `band + 2`, aligning grid order with the CHLM level
 /// whose cluster diameter it roughly matches.
-pub struct GlsSchemeWorkload {
+///
+/// Query half: the band walk — ask the target's HRW-placed server in the
+/// band of the lowest shared grid order
+/// ([`chlm_lm::gls::gls_resolve_route`]), on the table the update half
+/// registers with.
+pub struct GlsScheme {
     grid: GridHierarchy,
-    /// Incrementally maintained server table (exact: same table and diff
-    /// a full per-tick recompute would produce, without the full rescan).
-    inc: GlsIncremental,
+    table: GlsIncremental,
     /// Positions at the previous tick (grid-cell comparison for the
     /// migration/reorganization attribution).
     prev_pos: Vec<Point>,
@@ -227,7 +313,7 @@ pub struct GlsSchemeWorkload {
     last_update_pos: Vec<Point>,
 }
 
-impl GlsSchemeWorkload {
+impl GlsScheme {
     /// Grid covering the deployment region of `cfg`, order-1 squares of
     /// side ≥ `R_TX`.
     pub fn new(cfg: &SimConfig) -> Self {
@@ -236,20 +322,22 @@ impl GlsSchemeWorkload {
             use chlm_geom::Region;
             region.bounding_box()
         };
-        GlsSchemeWorkload {
+        GlsScheme {
             grid: GridHierarchy::covering(Rect::new(lo, hi), cfg.rtx()),
-            inc: GlsIncremental::new(GlsSelect::Hrw),
+            table: GlsIncremental::new(GlsSelect::Hrw),
             prev_pos: Vec::new(),
             last_update_pos: Vec::new(),
         }
     }
 }
 
-impl SchemeWorkload for GlsSchemeWorkload {
-    fn name(&self) -> &'static str {
-        "gls"
+impl Scheme for GlsScheme {
+    fn advance(&mut self, ctx: &TickCtx<'_>) {
+        self.table.update(&self.grid, ctx.positions, ctx.ids);
     }
+}
 
+impl SchemeWorkload for GlsScheme {
     fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
         let bands = self.grid.orders.saturating_sub(1);
         if self.last_update_pos.is_empty() {
@@ -262,11 +350,10 @@ impl SchemeWorkload for GlsSchemeWorkload {
                 }
             }
         }
-        let (assignment, diff) = self.inc.update(&self.grid, ctx.positions, ctx.ids);
         // Transfers from server-table churn, subjects ascending (diff
         // order), bands ascending within a subject. The diff is empty on
         // the first tick, matching the old no-previous-table behavior.
-        for &(subject, band, old, new) in diff {
+        for &(subject, band, old, new) in self.table.diff() {
             let order = band + 1;
             let moved = self.grid.cell(self.prev_pos[subject as usize], order)
                 != self.grid.cell(ctx.positions[subject as usize], order);
@@ -298,6 +385,7 @@ impl SchemeWorkload for GlsSchemeWorkload {
             }
         }
         // Distance-triggered updates, nodes ascending, bands ascending.
+        let assignment = self.table.assignment();
         let l = self.grid.side(1);
         for (v, &p) in ctx.positions.iter().enumerate() {
             for band in 0..bands {
@@ -325,47 +413,77 @@ impl SchemeWorkload for GlsSchemeWorkload {
     }
 }
 
+impl SchemeLookup for GlsScheme {
+    fn resolve(
+        &self,
+        world: &LookupWorld<'_>,
+        requester: NodeIdx,
+        target: NodeIdx,
+        legs: &mut Vec<LookupLeg>,
+    ) -> Option<u16> {
+        let route = gls_resolve_route(
+            &self.grid,
+            self.table.assignment(),
+            world.positions,
+            requester,
+            target,
+        )?;
+        if let Some(server) = route.server {
+            push_round_trip(legs, requester, server);
+        }
+        Some(route.shared_order as u16)
+    }
+}
+
 /// Static home-agent baseline: every mobile registers with one rendezvous
 /// node fixed for the whole run (HRW over the full ID space, self
-/// excluded), and pays a subject → home update for every level-1 cluster
-/// change. This is the flat scheme the paper's Θ(log² |V|) claim is
-/// measured against: update cost scales with the network diameter because
-/// homes are placed with no locality.
+/// excluded). This is the flat scheme the paper's Θ(log² |V|) claim is
+/// measured against: costs scale with the network diameter because homes
+/// are placed with no locality. The table is `home_agents`, drawn on the
+/// first advance.
 ///
+/// Update half: a subject → home update for every level-1 cluster change.
 /// Invariant (pinned by `tests/scheme_invariants.rs`): the ledger's
 /// level-1 migration event count equals the trace's level-1 migration
 /// count *exactly* — one update per migration, nothing else.
-pub struct HomeAgentWorkload {
+///
+/// Query half: the detour requester → home(target) → target, regardless
+/// of where the endpoints actually are — the textbook triangle-routing
+/// cost of locality-free rendezvous placement. The detour always hits the
+/// server holding the entry. Every lookup resolves (level 1; a
+/// self-lookup is free at level 0).
+pub struct HomeAgentScheme {
     homes: Vec<NodeIdx>,
 }
 
-impl HomeAgentWorkload {
+impl HomeAgentScheme {
     pub fn new() -> Self {
-        HomeAgentWorkload { homes: Vec::new() }
+        HomeAgentScheme { homes: Vec::new() }
     }
 
-    /// The home agent of `v`, once assigned (first tick).
+    /// The home agent of `v`, once assigned (first advance).
     pub fn home(&self, v: NodeIdx) -> NodeIdx {
         self.homes[v as usize]
     }
 }
 
-impl Default for HomeAgentWorkload {
+impl Default for HomeAgentScheme {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl SchemeWorkload for HomeAgentWorkload {
-    fn name(&self) -> &'static str {
-        "home-agent"
-    }
-
-    fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
+impl Scheme for HomeAgentScheme {
+    fn advance(&mut self, ctx: &TickCtx<'_>) {
         if self.homes.is_empty() {
             // One-time rendezvous assignment; see `home_agents`.
             self.homes = home_agents(ctx.ids);
         }
+    }
+}
+
+impl SchemeWorkload for HomeAgentScheme {
+    fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
         // Address changes ascend by (node, level); level-1 entries are
         // the migrations/reorganizations of the subject's own cluster.
         for c in ctx.addr_changes {
@@ -383,101 +501,44 @@ impl SchemeWorkload for HomeAgentWorkload {
     }
 }
 
-/// The update-plane accounting of every scheme × backend pair: the
-/// workload's messages are carried by the transport and booked into the
-/// ledger one event at a time, under each event's level and φ/γ class.
-/// The exposure arithmetic matches [`HandoffLedger::record`] bit-for-bit,
-/// so the auditor's ledger-vs-rates exposure check applies unchanged.
-pub struct HandoffObserver {
-    workload: Box<dyn SchemeWorkload>,
-    transport: Transport,
-    ledger: HandoffLedger,
-    /// TRANSFER / REGISTER messages emitted so far.
-    transfers: u64,
-    registrations: u64,
-    // Recycled per-tick scratch: the messages and their costs.
-    msgs: Vec<SchemeMsg>,
-    costs: Vec<f64>,
-}
-
-impl HandoffObserver {
-    /// `workload` accounted over the transport `cfg.backend` selects.
-    pub fn new(workload: Box<dyn SchemeWorkload>, cfg: &SimConfig) -> Self {
-        HandoffObserver {
-            workload,
-            transport: Transport::new(cfg, UPDATE_LOSS_STREAM),
-            ledger: HandoffLedger::new(),
-            transfers: 0,
-            registrations: 0,
-            msgs: Vec::new(),
-            costs: Vec::new(),
+impl SchemeLookup for HomeAgentScheme {
+    fn resolve(
+        &self,
+        _world: &LookupWorld<'_>,
+        requester: NodeIdx,
+        target: NodeIdx,
+        legs: &mut Vec<LookupLeg>,
+    ) -> Option<u16> {
+        if requester == target {
+            return Some(0);
         }
+        let home = self.homes[target as usize];
+        legs.push(LookupLeg {
+            src: requester,
+            dst: home,
+            reply: false,
+        });
+        legs.push(LookupLeg {
+            src: home,
+            dst: target,
+            reply: true,
+        });
+        Some(1)
     }
 }
 
-impl Observer for HandoffObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        self.msgs.clear();
-        self.workload.messages(ctx, &mut self.msgs);
-        self.transport
-            .carry(ctx, pricer, &self.msgs, &mut self.costs);
-        let mut legs = self.msgs.iter().zip(&self.costs).peekable();
-        while let Some((m, &cost)) = legs.next() {
-            // A REGISTER riding on this event is summed in before booking.
-            let mut packets = cost;
-            while let Some((_, &rider)) = legs.next_if(|(next, _)| !next.opens_event()) {
-                packets += rider;
-            }
-            self.ledger.book(m.level as usize, m.class, packets);
-        }
-        self.ledger.add_exposure(ctx.n, ctx.dt);
-        let transfers = self
-            .msgs
-            .iter()
-            .filter(|m| m.kind == MsgKind::Transfer)
-            .count() as u64;
-        self.transfers += transfers;
-        self.registrations += self.msgs.len() as u64 - transfers;
+/// Build the [`Scheme`] for `cfg`'s `lm_scheme`.
+pub fn make_scheme(cfg: &SimConfig) -> Box<dyn Scheme> {
+    match cfg.lm_scheme {
+        LmScheme::Chlm => Box::new(ChlmScheme),
+        LmScheme::Gls => Box::new(GlsScheme::new(cfg)),
+        LmScheme::HomeAgent => Box::new(HomeAgentScheme::new()),
     }
-}
-
-impl HandoffAccounting for HandoffObserver {
-    fn ledger(&self) -> &HandoffLedger {
-        &self.ledger
-    }
-    fn take_ledger(&mut self) -> HandoffLedger {
-        std::mem::take(&mut self.ledger)
-    }
-    fn packet_totals(&self) -> Option<PacketTotals> {
-        self.transport.net().map(|net| PacketTotals {
-            transfers: self.transfers,
-            registrations: self.registrations,
-            net,
-        })
-    }
-}
-
-/// Build the handoff-accounting observer `cfg` selects: the scheme picks
-/// the workload, the backend picks the transport.
-pub fn make_accounting(cfg: &SimConfig) -> Box<dyn HandoffAccounting> {
-    let workload: Box<dyn SchemeWorkload> = match cfg.lm_scheme {
-        LmScheme::Chlm => Box::new(ChlmWorkload),
-        LmScheme::Gls => Box::new(GlsSchemeWorkload::new(cfg)),
-        LmScheme::HomeAgent => Box::new(HomeAgentWorkload::new()),
-    };
-    Box::new(HandoffObserver::new(workload, cfg))
 }
 
 /// The slice of the world a location lookup resolves against, built from
 /// a live [`TickCtx`] ([`LookupWorld::of_tick`]).
 pub struct LookupWorld<'a> {
-    /// Tick index the state belongs to (staleness oracle for lookups that
-    /// cache derived tables, e.g. the GLS server table).
-    pub tick: usize,
-    /// Node count.
-    pub n: usize,
-    /// Election identifiers, by physical node index.
-    pub ids: &'a [u64],
     /// Current node positions.
     pub positions: &'a [Point],
     /// Current cluster hierarchy.
@@ -490,9 +551,6 @@ impl<'a> LookupWorld<'a> {
     /// The lookup view of one completed tick.
     pub fn of_tick(ctx: &TickCtx<'a>) -> Self {
         LookupWorld {
-            tick: ctx.tick,
-            n: ctx.n,
-            ids: ctx.ids,
             positions: ctx.positions,
             hierarchy: ctx.new_hierarchy,
             assignment: ctx.new_assignment,
@@ -539,251 +597,196 @@ impl WireLeg for LookupLeg {
     }
 }
 
-/// The per-lookup route of a location-management scheme — the query-plane
-/// twin of [`SchemeWorkload`].
-///
-/// Implementations must be deterministic functions of
-/// `(world, requester, target)`: same world, same route. `resolve` appends
-/// the route's legs to `legs` and returns the resolution level (scheme
-/// semantics: CHLM common-cluster level, GLS shared grid order, home
-/// agent 0 = self / 1 = detour), or `None` when the scheme has no route
-/// (e.g. disconnected components). A free lookup resolves with zero legs.
-pub trait SchemeLookup {
-    /// Scheme name for diagnostics and tables.
-    fn name(&self) -> &'static str;
-    /// Route one lookup; see the trait docs.
-    fn resolve(
-        &mut self,
-        world: &LookupWorld<'_>,
-        requester: NodeIdx,
-        target: NodeIdx,
-        legs: &mut Vec<LookupLeg>,
-    ) -> Option<u16>;
-}
+/// What became of one lookup arrival: its resolution level and the number
+/// of legs its route appended, or `None` when the scheme found no route.
+pub(crate) type LookupOutcome = Option<(u16, u32)>;
 
-/// CHLM lowest-common-cluster descent: ask the target's LM server in the
-/// lowest cluster containing both endpoints
-/// ([`chlm_lm::query::resolve_route`]). Free at levels ≤ 1 (complete
-/// intra-cluster knowledge); otherwise request + reply.
-pub struct ChlmLookup;
-
-impl SchemeLookup for ChlmLookup {
-    fn name(&self) -> &'static str {
-        "chlm"
-    }
-
-    fn resolve(
-        &mut self,
-        world: &LookupWorld<'_>,
-        requester: NodeIdx,
-        target: NodeIdx,
-        legs: &mut Vec<LookupLeg>,
-    ) -> Option<u16> {
-        let route = resolve_route(world.hierarchy, world.assignment, requester, target)?;
-        if let Some(server) = route.server {
-            legs.push(LookupLeg {
-                src: requester,
-                dst: server,
-                reply: false,
-            });
-            legs.push(LookupLeg {
-                src: server,
-                dst: requester,
-                reply: true,
-            });
-        }
-        Some(route.common_level as u16)
-    }
-}
-
-/// GLS band walk: ask the target's HRW-placed server in the band of the
-/// lowest shared grid order ([`chlm_lm::gls::gls_resolve_route`]). The
-/// lookup maintains its own copy of the server table — the same pure
-/// function of (grid, positions, ids) the update plane maintains, so both
-/// planes always agree on server placement — refreshed lazily on the
-/// first lookup of a tick.
-pub struct GlsLookup {
-    grid: GridHierarchy,
-    inc: GlsIncremental,
-    /// Tick the server table was last refreshed for.
-    table_tick: Option<usize>,
-}
-
-impl GlsLookup {
-    /// Same grid construction as [`GlsSchemeWorkload::new`].
-    pub fn new(cfg: &SimConfig) -> Self {
-        let region = Disk::centered(cfg.region_radius());
-        let (lo, hi) = {
-            use chlm_geom::Region;
-            region.bounding_box()
-        };
-        GlsLookup {
-            grid: GridHierarchy::covering(Rect::new(lo, hi), cfg.rtx()),
-            inc: GlsIncremental::new(GlsSelect::Hrw),
-            table_tick: None,
-        }
-    }
-}
-
-impl SchemeLookup for GlsLookup {
-    fn name(&self) -> &'static str {
-        "gls"
-    }
-
-    fn resolve(
-        &mut self,
-        world: &LookupWorld<'_>,
-        requester: NodeIdx,
-        target: NodeIdx,
-        legs: &mut Vec<LookupLeg>,
-    ) -> Option<u16> {
-        if self.table_tick != Some(world.tick) {
-            self.inc.update(&self.grid, world.positions, world.ids);
-            self.table_tick = Some(world.tick);
-        }
-        let route = gls_resolve_route(
-            &self.grid,
-            self.inc.assignment(),
-            world.positions,
-            requester,
-            target,
-        )?;
-        if let Some(server) = route.server {
-            legs.push(LookupLeg {
-                src: requester,
-                dst: server,
-                reply: false,
-            });
-            legs.push(LookupLeg {
-                src: server,
-                dst: requester,
-                reply: true,
-            });
-        }
-        Some(route.shared_order as u16)
-    }
-}
-
-/// Home-agent detour: every lookup travels requester → home(target) →
-/// target, regardless of where the endpoints actually are — the textbook
-/// triangle-routing cost of locality-free rendezvous placement. Homes
-/// come from the same `home_agents` table the update plane registers
-/// with, so the detour always hits the server holding the entry. Every
-/// lookup resolves (level 1; a self-lookup is free at level 0).
-pub struct HomeAgentLookup {
-    homes: Vec<NodeIdx>,
-}
-
-impl HomeAgentLookup {
-    pub fn new() -> Self {
-        HomeAgentLookup { homes: Vec::new() }
-    }
-}
-
-impl Default for HomeAgentLookup {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SchemeLookup for HomeAgentLookup {
-    fn name(&self) -> &'static str {
-        "home-agent"
-    }
-
-    fn resolve(
-        &mut self,
-        world: &LookupWorld<'_>,
-        requester: NodeIdx,
-        target: NodeIdx,
-        legs: &mut Vec<LookupLeg>,
-    ) -> Option<u16> {
-        if requester == target {
-            return Some(0);
-        }
-        if self.homes.is_empty() {
-            self.homes = home_agents(world.ids);
-        }
-        let home = self.homes[target as usize];
-        legs.push(LookupLeg {
-            src: requester,
-            dst: home,
-            reply: false,
-        });
-        legs.push(LookupLeg {
-            src: home,
-            dst: target,
-            reply: true,
-        });
-        Some(1)
-    }
-}
-
-/// Build the [`SchemeLookup`] for `cfg`'s scheme.
-pub fn make_lookup(cfg: &SimConfig) -> Box<dyn SchemeLookup> {
-    match cfg.lm_scheme {
-        LmScheme::Chlm => Box::new(ChlmLookup),
-        LmScheme::Gls => Box::new(GlsLookup::new(cfg)),
-        LmScheme::HomeAgent => Box::new(HomeAgentLookup::new()),
-    }
-}
-
-/// The query-plane accounting of every scheme × backend pair: each
-/// arrival in `ctx.query_arrivals` is routed by the [`SchemeLookup`], the
-/// tick's legs are carried by the transport, and every resolved lookup is
-/// booked at the sum of its legs, in arrival order. Self-legs cost 0 on
-/// both transports, so lossless analytic-vs-packet parity holds leg for
-/// leg (`tests/query_parity.rs`).
-pub struct QueryObserver {
-    lookup: Box<dyn SchemeLookup>,
-    transport: Transport,
-    stats: QueryStats,
-    // Recycled per-tick scratch.
+/// One scheme's share of a tick, produced once and read by every bank
+/// that books the scheme: the table advance, the update half's messages,
+/// and the query half's legs and per-arrival outcomes for
+/// `ctx.query_arrivals`. A plane needs no pricer and no backend — those
+/// are the banks' ([`HandoffBook`], [`QueryBook`]).
+pub(crate) struct SchemePlane {
+    scheme: Box<dyn Scheme>,
+    /// Whether the update half runs.
+    update: bool,
+    /// Whether the query half runs.
+    query: bool,
+    msgs: Vec<SchemeMsg>,
     legs: Vec<LookupLeg>,
-    /// Per arrival: resolution level and leg count, or `None` (no route).
-    outcomes: Vec<Option<(u16, u32)>>,
-    costs: Vec<f64>,
+    /// One outcome per arrival.
+    outcomes: Vec<LookupOutcome>,
+    /// Table advances so far (one a tick while the update half runs).
+    pub(crate) advances: u64,
 }
 
-impl QueryObserver {
-    /// `lookup` accounted over the transport `cfg.backend` selects.
-    pub fn new(lookup: Box<dyn SchemeLookup>, cfg: &SimConfig) -> Self {
-        QueryObserver {
-            lookup,
-            transport: Transport::new(cfg, QUERY_LOSS_STREAM),
-            stats: QueryStats::default(),
+impl SchemePlane {
+    /// A plane running `scheme`'s update half iff `update` and its query
+    /// half iff `query`.
+    pub(crate) fn new(scheme: Box<dyn Scheme>, update: bool, query: bool) -> Self {
+        SchemePlane {
+            scheme,
+            update,
+            query,
+            msgs: Vec::new(),
             legs: Vec::new(),
             outcomes: Vec::new(),
-            costs: Vec::new(),
+            advances: 0,
         }
     }
-}
 
-impl Observer for QueryObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        let world = LookupWorld::of_tick(ctx);
-        self.legs.clear();
-        self.outcomes.clear();
-        for &(requester, target) in ctx.query_arrivals {
-            let start = self.legs.len();
-            match self
-                .lookup
-                .resolve(&world, requester, target, &mut self.legs)
-            {
-                Some(level) => self
-                    .outcomes
-                    .push(Some((level, (self.legs.len() - start) as u32))),
-                None => {
-                    self.legs.truncate(start);
-                    self.outcomes.push(None);
+    /// Produce this tick's slices. The table is advanced only when a half
+    /// will read it: every tick with the update half on, and otherwise
+    /// only on ticks with arrivals.
+    pub(crate) fn run(&mut self, ctx: &TickCtx<'_>) {
+        if self.update || (self.query && !ctx.query_arrivals.is_empty()) {
+            self.scheme.advance(ctx);
+            self.advances += 1;
+        }
+        if self.update {
+            self.msgs.clear();
+            self.scheme.messages(ctx, &mut self.msgs);
+        }
+        if self.query {
+            let world = LookupWorld::of_tick(ctx);
+            self.legs.clear();
+            self.outcomes.clear();
+            for &(requester, target) in ctx.query_arrivals {
+                let start = self.legs.len();
+                match self
+                    .scheme
+                    .resolve(&world, requester, target, &mut self.legs)
+                {
+                    Some(level) => self
+                        .outcomes
+                        .push(Some((level, (self.legs.len() - start) as u32))),
+                    None => {
+                        self.legs.truncate(start);
+                        self.outcomes.push(None);
+                    }
                 }
             }
         }
-        self.transport
-            .carry(ctx, pricer, &self.legs, &mut self.costs);
+    }
+
+    /// The update half's messages of the last [`SchemePlane::run`].
+    pub(crate) fn messages(&self) -> &[SchemeMsg] {
+        debug_assert!(self.update, "the update half is off");
+        &self.msgs
+    }
+
+    /// The query half's legs of the last [`SchemePlane::run`], and one
+    /// outcome per arrival.
+    pub(crate) fn lookups(&self) -> (&[LookupLeg], &[LookupOutcome]) {
+        debug_assert!(self.query, "the query half is off");
+        (&self.legs, &self.outcomes)
+    }
+}
+
+/// The variant half of the update plane: a plane's messages are carried
+/// by this book's transport and booked into its ledger one event at a
+/// time, under each event's level and φ/γ class. The exposure arithmetic
+/// matches [`HandoffLedger::record`] bit-for-bit, so the auditor's
+/// ledger-vs-rates exposure check applies unchanged.
+pub struct HandoffBook {
+    transport: Transport,
+    ledger: HandoffLedger,
+    /// TRANSFER / REGISTER messages booked so far.
+    transfers: u64,
+    registrations: u64,
+    /// Recycled per-tick scratch: one cost per message.
+    costs: Vec<f64>,
+}
+
+impl HandoffBook {
+    /// An empty book over the transport `cfg.backend` selects.
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        HandoffBook {
+            transport: Transport::new(cfg, UPDATE_LOSS_STREAM),
+            ledger: HandoffLedger::new(),
+            transfers: 0,
+            registrations: 0,
+            costs: Vec::new(),
+        }
+    }
+
+    /// Carry and book one tick's messages.
+    pub(crate) fn book(
+        &mut self,
+        ctx: &TickCtx<'_>,
+        pricer: &mut dyn HopPricer,
+        msgs: &[SchemeMsg],
+    ) {
+        self.transport.carry(ctx, pricer, msgs, &mut self.costs);
+        let mut legs = msgs.iter().zip(&self.costs).peekable();
+        while let Some((m, &cost)) = legs.next() {
+            // A REGISTER riding on this event is summed in before booking.
+            let mut packets = cost;
+            while let Some((_, &rider)) = legs.next_if(|(next, _)| !next.opens_event()) {
+                packets += rider;
+            }
+            self.ledger.book(m.level as usize, m.class, packets);
+        }
+        self.ledger.add_exposure(ctx.n, ctx.dt);
+        let transfers = msgs.iter().filter(|m| m.kind == MsgKind::Transfer).count() as u64;
+        self.transfers += transfers;
+        self.registrations += msgs.len() as u64 - transfers;
+    }
+
+    /// The ledger so far.
+    pub fn ledger(&self) -> &HandoffLedger {
+        &self.ledger
+    }
+
+    /// Take the accumulated ledger out (engine teardown).
+    pub fn take_ledger(&mut self) -> HandoffLedger {
+        std::mem::take(&mut self.ledger)
+    }
+
+    /// Packet-execution totals, when the transport is a packet network.
+    pub fn packet_totals(&self) -> Option<PacketTotals> {
+        self.transport.net().map(|net| PacketTotals {
+            transfers: self.transfers,
+            registrations: self.registrations,
+            net,
+        })
+    }
+}
+
+/// The variant half of the query plane: a plane's legs are carried by
+/// this book's transport, and every resolved lookup is booked at the sum
+/// of its legs, in arrival order. Self-legs cost 0 on both transports, so
+/// lossless analytic-vs-packet parity holds leg for leg
+/// (`tests/query_parity.rs`).
+pub struct QueryBook {
+    transport: Transport,
+    stats: QueryStats,
+    /// Recycled per-tick scratch: one cost per leg.
+    costs: Vec<f64>,
+}
+
+impl QueryBook {
+    /// An empty book over the transport `cfg.backend` selects.
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        QueryBook {
+            transport: Transport::new(cfg, QUERY_LOSS_STREAM),
+            stats: QueryStats::default(),
+            costs: Vec::new(),
+        }
+    }
+
+    /// Carry one tick's legs and book its arrivals' `outcomes`.
+    pub(crate) fn book(
+        &mut self,
+        ctx: &TickCtx<'_>,
+        pricer: &mut dyn HopPricer,
+        legs: &[LookupLeg],
+        outcomes: &[LookupOutcome],
+    ) {
+        self.transport.carry(ctx, pricer, legs, &mut self.costs);
         let mut costs = self.costs.iter();
         let mut tick_packets = 0.0;
-        for outcome in &self.outcomes {
+        for outcome in outcomes {
             match outcome {
                 Some((level, leg_count)) => {
                     let mut packets = 0.0;
@@ -800,27 +803,112 @@ impl Observer for QueryObserver {
         self.stats.per_tick_packets.push(tick_packets);
         self.stats.node_seconds += ctx.n as f64 * ctx.dt;
     }
-}
 
-impl QueryAccounting for QueryObserver {
-    fn stats(&self) -> &QueryStats {
+    /// The stats so far.
+    pub fn stats(&self) -> &QueryStats {
         &self.stats
     }
-    fn take_stats(&mut self) -> QueryStats {
+
+    /// Take the accumulated stats out (engine teardown).
+    pub fn take_stats(&mut self) -> QueryStats {
         std::mem::take(&mut self.stats)
     }
-    fn query_net(&self) -> Option<NetworkStats> {
+
+    /// Merged packet-network statistics, when the transport is a packet
+    /// network.
+    pub fn query_net(&self) -> Option<NetworkStats> {
         self.transport.net()
     }
 }
 
-/// Build the query-accounting observer `cfg` selects, or `None` when the
-/// query plane is off (`query_rate == 0`).
+/// The standalone update-plane slot: a plane of its own running only the
+/// update half, then a [`HandoffBook`].
+pub struct HandoffObserver {
+    plane: SchemePlane,
+    book: HandoffBook,
+}
+
+impl HandoffObserver {
+    /// `scheme`'s update half, booked over the transport `cfg.backend`
+    /// selects.
+    pub fn new(scheme: Box<dyn Scheme>, cfg: &SimConfig) -> Self {
+        HandoffObserver {
+            plane: SchemePlane::new(scheme, true, false),
+            book: HandoffBook::new(cfg),
+        }
+    }
+}
+
+impl Observer for HandoffObserver {
+    fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
+        self.plane.run(ctx);
+        self.book.book(ctx, pricer, self.plane.messages());
+    }
+}
+
+impl HandoffAccounting for HandoffObserver {
+    fn ledger(&self) -> &HandoffLedger {
+        self.book.ledger()
+    }
+    fn take_ledger(&mut self) -> HandoffLedger {
+        self.book.take_ledger()
+    }
+    fn packet_totals(&self) -> Option<PacketTotals> {
+        self.book.packet_totals()
+    }
+}
+
+/// Build the standalone handoff-accounting observer `cfg` selects: the
+/// scheme picks the plane, the backend picks the book's transport.
+pub fn make_accounting(cfg: &SimConfig) -> Box<dyn HandoffAccounting> {
+    Box::new(HandoffObserver::new(make_scheme(cfg), cfg))
+}
+
+/// The standalone query-plane slot: a plane of its own running only the
+/// query half, then a [`QueryBook`].
+pub struct QueryObserver {
+    plane: SchemePlane,
+    book: QueryBook,
+}
+
+impl QueryObserver {
+    /// `scheme`'s query half, booked over the transport `cfg.backend`
+    /// selects.
+    pub fn new(scheme: Box<dyn Scheme>, cfg: &SimConfig) -> Self {
+        QueryObserver {
+            plane: SchemePlane::new(scheme, false, true),
+            book: QueryBook::new(cfg),
+        }
+    }
+}
+
+impl Observer for QueryObserver {
+    fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
+        self.plane.run(ctx);
+        let (legs, outcomes) = self.plane.lookups();
+        self.book.book(ctx, pricer, legs, outcomes);
+    }
+}
+
+impl QueryAccounting for QueryObserver {
+    fn stats(&self) -> &QueryStats {
+        self.book.stats()
+    }
+    fn take_stats(&mut self) -> QueryStats {
+        self.book.take_stats()
+    }
+    fn query_net(&self) -> Option<NetworkStats> {
+        self.book.query_net()
+    }
+}
+
+/// Build the standalone query-accounting observer `cfg` selects, or
+/// `None` when the query plane is off (`query_rate == 0`).
 pub fn make_query_accounting(cfg: &SimConfig) -> Option<Box<dyn QueryAccounting>> {
     if cfg.query_rate <= 0.0 {
         return None;
     }
-    Some(Box::new(QueryObserver::new(make_lookup(cfg), cfg)))
+    Some(Box::new(QueryObserver::new(make_scheme(cfg), cfg)))
 }
 
 #[cfg(test)]
@@ -913,9 +1001,11 @@ mod tests {
                 kind: AddrChangeKind::Reorganization,
             },
         ];
-        let mut w = HomeAgentWorkload::new();
+        let mut w = HomeAgentScheme::new();
         let mut out = Vec::new();
-        w.messages(&ctx(0, &old, &new, &changes), &mut out);
+        let tick = ctx(0, &old, &new, &changes);
+        w.advance(&tick);
+        w.messages(&tick, &mut out);
         // Only the level-1 change produces a message; the level-2 one is
         // CHLM-internal structure the home agent does not track.
         assert_eq!(out.len(), 1);
@@ -931,11 +1021,17 @@ mod tests {
     fn home_agent_assignment_is_stable_across_ticks() {
         let old = line_world();
         let new = line_world();
-        let mut w = HomeAgentWorkload::new();
+        let mut w = HomeAgentScheme::new();
         let mut out = Vec::new();
-        w.messages(&ctx(0, &old, &new, &[]), &mut out);
-        let homes: Vec<NodeIdx> = (0..4).map(|v| w.home(v)).collect();
-        w.messages(&ctx(1, &old, &new, &[]), &mut out);
+        let mut homes = Vec::new();
+        for t in 0..2 {
+            let tick = ctx(t, &old, &new, &[]);
+            w.advance(&tick);
+            w.messages(&tick, &mut out);
+            if t == 0 {
+                homes = (0..4).map(|v| w.home(v)).collect();
+            }
+        }
         assert_eq!(homes, (0..4).map(|v| w.home(v)).collect::<Vec<_>>());
         assert!(out.is_empty());
     }
@@ -945,23 +1041,83 @@ mod tests {
         // With nobody moving, after the first tick (which seeds anchors
         // and the first table) no transfers and no updates are emitted.
         let cfg = SimConfig::builder(4).duration(1.0).warmup(0.0).build();
-        let mut w = GlsSchemeWorkload::new(&cfg);
+        let mut w = GlsScheme::new(&cfg);
         let old = line_world();
         let new = line_world();
         let mut out = Vec::new();
-        w.messages(&ctx(0, &old, &new, &[]), &mut out);
-        out.clear();
-        w.messages(&ctx(1, &old, &new, &[]), &mut out);
+        for t in 0..2 {
+            out.clear();
+            let tick = ctx(t, &old, &new, &[]);
+            w.advance(&tick);
+            w.messages(&tick, &mut out);
+        }
         assert!(out.is_empty(), "static world still emitted {out:?}");
+    }
+
+    /// A standalone GLS run's query half reads the table its update half
+    /// advanced every tick; before the two halves shared one table, the
+    /// query half kept a copy it refreshed only on ticks with lookups.
+    /// Either way the table is a function of the tick alone, so the reports
+    /// must not move: pinned here, as the previous design printed them, at
+    /// the end of two ticks without a lookup, at the first lookup after
+    /// them, and on a tick with several.
+    #[test]
+    fn gls_query_half_reads_the_update_half_table() {
+        let pins = [
+            // (query rate, ticks run, lookups on the last tick, digest)
+            (0.05, 11, 0, "c46fd044e984ab5e"),
+            (0.05, 12, 1, "2f83a056efa29a00"),
+            (0.5, 27, 4, "ca458c7826cad4ca"),
+        ];
+        for (rate, ticks, last_lookups, digest) in pins {
+            let cfg = SimConfig::builder(120)
+                .duration(2.0)
+                .warmup(0.5)
+                .seed(31)
+                .lm_scheme(LmScheme::Gls)
+                .query_rate(rate)
+                .threads(1)
+                .build();
+            let mut sim = crate::Simulation::new(cfg);
+            let arrivals = |sim: &crate::Simulation| {
+                sim.observers()
+                    .query
+                    .as_ref()
+                    .map_or(0, |q| q.stats().arrivals)
+            };
+            let mut before = 0;
+            for _ in 0..ticks {
+                before = arrivals(&sim);
+                sim.step();
+            }
+            assert_eq!(arrivals(&sim) - before, last_lookups, "rate {rate}");
+            let report = sim.finish();
+            assert_eq!(
+                format!("{:016x}", report.digest()),
+                digest,
+                "rate {rate}, {ticks} ticks"
+            );
+        }
     }
 
     #[test]
     fn handoff_observer_books_messages() {
         struct OneMsg;
-        impl SchemeWorkload for OneMsg {
-            fn name(&self) -> &'static str {
-                "one-msg"
+        impl Scheme for OneMsg {
+            fn advance(&mut self, _ctx: &TickCtx<'_>) {}
+        }
+        impl SchemeLookup for OneMsg {
+            fn resolve(
+                &self,
+                _world: &LookupWorld<'_>,
+                _requester: NodeIdx,
+                _target: NodeIdx,
+                _legs: &mut Vec<LookupLeg>,
+            ) -> Option<u16> {
+                None
             }
+        }
+        impl SchemeWorkload for OneMsg {
             fn messages(&mut self, _ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
                 out.push(SchemeMsg {
                     subject: 0,

@@ -13,12 +13,15 @@
 //!   `add_edge`, snapshot copied out): 1 171.1 calls a tick,
 //! * ISSUE 21 (hierarchy rebuilt in place): 204.4 calls a tick,
 //! * ISSUE 22 (`Graph` rows in one arena: 88.5; `phys_edges` reserving its
-//!   edge count: 42.8): 42.8 calls a tick.
+//!   edge count: 42.8): 42.8 calls a tick,
+//! * the level-0 link rate counted by `LinkDiff::count_between` instead of
+//!   read off a collected `LinkDiff`: 23.0 calls a tick.
 //!
-//! The bound is that reading with a quarter of headroom. What remains is
-//! the world observers' per-snapshot lists (`classify_events`: two edge
-//! lists per level and the event list), the per-tick diff streams, and a
-//! call or two per stage; no graph allocates in a steady tick.
+//! The bound is the latest reading with a quarter of headroom; it only
+//! ever goes down. What remains is the world observers' per-snapshot
+//! lists (`classify_events`: two edge lists per level and the event
+//! list), the per-tick diff streams, and a call or two per stage; no
+//! graph allocates in a steady tick.
 //!
 //! One `#[test]` in its own binary, counting only the test's own thread,
 //! so nothing the harness does beside it lands in the window.
@@ -68,8 +71,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The reading above x 1.25, rounded up.
-const BUDGET_CALLS_PER_TICK: f64 = 54.0;
+/// The latest reading above x 1.25, rounded up.
+const BUDGET_CALLS_PER_TICK: f64 = 29.0;
 
 #[test]
 fn step_stays_inside_the_allocation_budget() {

@@ -119,6 +119,42 @@ fn fan_out_matches_standalone_euclidean_and_hier() {
 }
 
 #[test]
+fn one_scheme_many_banks_match_standalone() {
+    // Five banks of one scheme share one plane -- one GLS server table,
+    // one set of messages and lookup routes -- across both hop metrics and
+    // both backends (one of them lossy), plus a repeat of one config under
+    // a second label. Each must still be its own standalone run, at one
+    // and two threads.
+    for threads in [1, 2] {
+        let mut cfg = base_cfg(100, 5);
+        cfg.threads = threads;
+        let variants = [
+            ("bfs-analytic", HopMetric::Bfs, Backend::Analytic),
+            ("bfs-lossy", HopMetric::Bfs, lossy()),
+            ("hier-analytic", HopMetric::HierRouting, Backend::Analytic),
+            ("hier-packet", HopMetric::HierRouting, Backend::packet()),
+            ("bfs-analytic-again", HopMetric::Bfs, Backend::Analytic),
+        ]
+        .map(|(label, metric, backend)| VariantSpec::new(label, LmScheme::Gls, metric, backend));
+        let multi = run_multiplexed(&cfg, &variants);
+        assert_eq!(multi[0], multi[4], "a repeated config diverged");
+        for (report, variant) in multi.iter().zip(&variants) {
+            assert!(
+                report.query.as_ref().is_some_and(|q| q.resolved > 0),
+                "{}: no lookup resolved, equality would be vacuous",
+                variant.label
+            );
+            assert_eq!(
+                report,
+                &run_simulation(&variant.apply(&cfg)),
+                "threads {threads}: variant {} diverged from standalone",
+                variant.label
+            );
+        }
+    }
+}
+
+#[test]
 fn lossy_stream_actually_fires_and_differs() {
     // Guard against a silently disabled loss path making the lossy
     // equality vacuous: lossless and lossy banks of the same scheme must

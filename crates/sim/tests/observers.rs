@@ -208,7 +208,7 @@ impl HopPricer for SqrtPricer {
 /// ledger has to carry a balance before the order shows.
 const ROUNDS: usize = 4;
 
-/// CHLM reaches the ledger through `ChlmWorkload` → `Transport` →
+/// CHLM reaches the ledger through `ChlmScheme` → `Transport` →
 /// `HandoffLedger::book`; `HandoffLedger::record` is the reference. Over
 /// the same diff streams and the same pricer the two must agree bit for
 /// bit on every `LevelCost` field and on `node_seconds`.

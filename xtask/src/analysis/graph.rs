@@ -20,13 +20,14 @@ use crate::json;
 
 /// Traits whose implementations execute inside `MultiplexSim::step`
 /// every tick.
-pub const ROOT_TRAITS: [&str; 12] = [
+pub const ROOT_TRAITS: [&str; 13] = [
     "MobilityStage",
     "TopologyStage",
     "HierarchyStage",
     "AssignmentStage",
     "Observer",
     "HandoffAccounting",
+    "Scheme",
     "SchemeWorkload",
     "SchemeLookup",
     "QueryAccounting",
