@@ -99,6 +99,18 @@ if [ "$(grep -rn 'GlsIncremental::new(' crates/sim/src | wc -l)" -ne 1 ] \
   exit 1
 fi
 
+# One level diff a tick: the world observers take levels k >= 1 from
+# one `chlm_cluster::level_diffs` pass (link churn and the (i)-(vii)
+# taxonomy together) and level 0 from the topology stage's flips.
+# `classify_events` is the oracle tests compare that pass with, and the
+# level-0 graph merge is the fallback for rebuild ticks, which publish no
+# flips: one call site.
+if grep -rn 'classify_events(' crates/sim/src \
+  || [ "$(grep -rn 'count_between(' crates/sim/src | wc -l)" -ne 1 ]; then
+  echo "leftover check: a second world diff is back" >&2
+  exit 1
+fi
+
 step "cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -133,19 +133,30 @@ impl AddressBook {
     /// # Panics
     /// If the snapshots cover different node counts.
     pub fn diff(&self, new: &AddressBook) -> Vec<AddrChange> {
-        assert_eq!(self.n, new.n, "address books over different node sets");
-        // Counted first, so the list (megabytes per tick at paper scale) is
-        // one allocation of the exact size, not a doubling series.
+        // Counted first, so the list is one allocation of the exact size,
+        // not a doubling series.
         let mut count = 0;
         self.for_each_change(new, |_| count += 1);
         let mut out = Vec::with_capacity(count);
-        self.for_each_change(new, |c| out.push(c));
+        self.diff_into(new, &mut out);
         out
+    }
+
+    /// [`diff`](Self::diff) into `out`, replacing its contents and keeping
+    /// its allocation — the list runs to megabytes a tick at paper scale,
+    /// so a caller that diffs every tick keeps one buffer for all of them.
+    ///
+    /// # Panics
+    /// If the snapshots cover different node counts.
+    pub fn diff_into(&self, new: &AddressBook, out: &mut Vec<AddrChange>) {
+        out.clear();
+        self.for_each_change(new, |c| out.push(c));
     }
 
     /// Feed every change between `self` and `new` to `emit`, ascending by
     /// `(node, level)`.
     fn for_each_change(&self, new: &AddressBook, mut emit: impl FnMut(AddrChange)) {
+        assert_eq!(self.n, new.n, "address books over different node sets");
         let depth = self.depth.max(new.depth);
         for v in 0..self.n as NodeIdx {
             // Kind of the change one level below, if any. The root cause
@@ -248,6 +259,19 @@ mod tests {
         let a = AddressBook::capture(&h);
         let b = AddressBook::capture(&h);
         assert!(a.diff(&b).is_empty());
+    }
+
+    #[test]
+    fn diff_into_replaces_the_reused_buffer() {
+        let a = AddressBook::capture(&hierarchy(8, &[(0, 7), (1, 7), (2, 6), (3, 6), (6, 7)]));
+        let b = AddressBook::capture(&hierarchy(8, &[(0, 7), (1, 6), (2, 6), (3, 5), (5, 6)]));
+        let d = a.diff(&b);
+        assert!(!d.is_empty());
+        let mut out = d.clone();
+        a.diff_into(&a, &mut out);
+        assert!(out.is_empty());
+        a.diff_into(&b, &mut out);
+        assert_eq!(out, d);
     }
 
     #[test]

@@ -131,6 +131,24 @@ impl EventCounts {
         self.counts[k][ev.class()] += 1;
     }
 
+    /// Widen both vectors to cover levels `0..=max_level`; never narrows.
+    /// Leaves the length that merging a `with_levels(max_level)` set
+    /// would.
+    pub fn cover(&mut self, max_level: usize) {
+        if self.counts.len() <= max_level {
+            self.counts.resize(max_level + 1, [0; 7]);
+            self.converse_vii.resize(max_level + 1, 0);
+        }
+    }
+
+    /// Add one level's event classes at its level (which must be covered).
+    pub fn add(&mut self, diff: &LevelDiff) {
+        for (total, &c) in self.counts[diff.level].iter_mut().zip(&diff.classes) {
+            *total += c;
+        }
+        self.converse_vii[diff.level] += diff.converse_vii;
+    }
+
     /// Merge another counter set into this one.
     pub fn merge(&mut self, other: &EventCounts) {
         if other.counts.len() > self.counts.len() {
@@ -156,6 +174,155 @@ impl EventCounts {
     pub fn grand_total(&self) -> u64 {
         self.counts.iter().map(|row| row.iter().sum::<u64>()).sum()
     }
+}
+
+/// What changed at one level `k >= 1` between two consecutive snapshots:
+/// the level-k link churn behind `g_k` / `g'_k` and the §5.2 event
+/// classes counted at `k`. [`level_diffs`] yields one per level;
+/// [`classify_events`] is its oracle (`classes` and `converse_vii` equal
+/// its counters at `level`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelDiff {
+    /// The paper's `k`.
+    pub level: usize,
+    /// Level-k links present in exactly one of the two snapshots.
+    pub churn: u64,
+    /// Those of `churn` whose endpoints are level-k nodes in both
+    /// snapshots.
+    pub persisting: u64,
+    /// Events (i)–(vii) at this level, in paper order.
+    pub classes: [u64; 7],
+    /// Occurrences of the converse of (vii) at this level.
+    pub converse_vii: u64,
+}
+
+/// The per-level diff of two snapshots over the same node set: one
+/// [`LevelDiff`] for each `k` in `1..max(old.depth(), new.depth())`,
+/// ascending, a level missing on one side counting as empty there.
+///
+/// One linear merge of each level's two ascending edge streams yields the
+/// churn, the persisting churn and (i)/(ii) together — (i)/(ii) ask for
+/// exactly the endpoints that make a link persisting. (iii)–(vii) walk
+/// the node lists. Presence is an O(1) slot-table lookup, and nothing is
+/// allocated.
+///
+/// # Panics
+/// If the snapshots cover different node counts.
+pub fn level_diffs<'a>(
+    old: &'a Hierarchy,
+    new: &'a Hierarchy,
+) -> impl Iterator<Item = LevelDiff> + 'a {
+    assert_eq!(old.node_count(), new.node_count());
+    (1..old.depth().max(new.depth())).map(move |k| level_diff(old, new, k))
+}
+
+/// Whether physical node `phys` is a level-`k` node of `h`.
+fn at(h: &Hierarchy, k: usize, phys: NodeIdx) -> bool {
+    h.levels.get(k).is_some_and(|l| l.local(phys).is_some())
+}
+
+/// Level-`k` links of `h` by physical endpoint (`u < v`), ascending: the
+/// level's node list ascends by physical id and its adjacency lists are
+/// sorted, so the local edge order is already the physical one.
+fn edge_stream(h: &Hierarchy, k: usize) -> impl Iterator<Item = (NodeIdx, NodeIdx)> + '_ {
+    h.levels.get(k).into_iter().flat_map(|level| {
+        level
+            .graph
+            .edges()
+            .map(|(a, b)| (level.nodes[a as usize], level.nodes[b as usize]))
+    })
+}
+
+fn level_diff(old: &Hierarchy, new: &Hierarchy, k: usize) -> LevelDiff {
+    let mut d = LevelDiff {
+        level: k,
+        ..LevelDiff::default()
+    };
+
+    // --- churn, persisting churn, (i)/(ii) ---
+    let (mut was, mut now) = (
+        edge_stream(old, k).peekable(),
+        edge_stream(new, k).peekable(),
+    );
+    loop {
+        let (u, v, formed) = match (was.peek(), now.peek()) {
+            (None, None) => break,
+            (Some(a), Some(b)) if a == b => {
+                was.next();
+                now.next();
+                continue;
+            }
+            (Some(&(u, v)), b) if b.is_none_or(|b| (u, v) < *b) => {
+                was.next();
+                (u, v, false)
+            }
+            (_, Some(&(u, v))) => {
+                now.next();
+                (u, v, true)
+            }
+            (Some(_), None) => unreachable!("taken by the arm above"),
+        };
+        debug_assert!(u < v);
+        d.churn += 1;
+        // The side holding the link has both endpoints at level k; the
+        // link persists when the other side has them too.
+        let (with, without) = if formed { (new, old) } else { (old, new) };
+        if at(without, k, u) && at(without, k, v) {
+            d.persisting += 1;
+            if at(with, k + 1, u) || at(with, k + 1, v) {
+                d.classes[usize::from(!formed)] += 1;
+            }
+        }
+    }
+
+    // --- (iii)/(v): level-k node births ---
+    for &head in new.levels.get(k).map_or(&[][..], |l| &l.nodes[..]) {
+        if at(old, k, head) {
+            continue;
+        }
+        let electors = new.members(k, head);
+        let migrated = electors.iter().any(|&u| {
+            u != head
+                && old
+                    .levels
+                    .get(k - 1)
+                    .and_then(|l| Some(l.head_of(l.local(u)?)))
+                    .is_some_and(|target| target != head)
+        });
+        let recursive = || electors.iter().any(|&u| u != head && !at(old, k - 1, u));
+        d.classes[if !migrated && recursive() { 4 } else { 2 }] += 1;
+    }
+
+    // --- (iv)/(vi): level-k node deaths ---
+    for &head in old.levels.get(k).map_or(&[][..], |l| &l.nodes[..]) {
+        if at(new, k, head) {
+            continue;
+        }
+        let electors = old.members(k, head);
+        let surviving = electors.iter().any(|&u| u != head && at(new, k - 1, u));
+        let others = || electors.iter().any(|&u| u != head);
+        d.classes[if !surviving && others() { 5 } else { 3 }] += 1;
+    }
+
+    // --- (vii): neighbor promoted to level-(k+1) ---
+    if let (Some(level), Some(upper)) = (new.levels.get(k), new.levels.get(k + 1)) {
+        for &promoted in upper.nodes.iter().filter(|&&x| !at(old, k + 1, x)) {
+            if let Some(local) = level.local(promoted) {
+                d.classes[6] += level
+                    .graph
+                    .neighbors(local)
+                    .iter()
+                    .filter(|&&nb| at(old, k, level.nodes[nb as usize]))
+                    .count() as u64;
+            }
+        }
+    }
+
+    // --- converse of (vii) ---
+    if let Some(upper) = old.levels.get(k + 1) {
+        d.converse_vii = upper.nodes.iter().filter(|&&x| !at(new, k + 1, x)).count() as u64;
+    }
+    d
 }
 
 // Sorted slices/vecs, not tree or hash containers: classify_events
@@ -200,7 +367,10 @@ fn sorted_difference<'a, T: Ord>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item =
 
 /// Classify every reorganization event between two hierarchy snapshots.
 ///
-/// Returns the event list and per-level counters. Levels are the paper's
+/// Returns the event list and per-level counters. This is the oracle of
+/// [`level_diffs`], which the simulator counts with: it collects the
+/// events one by one, by set differences of whole edge lists, and names
+/// each event's minimum qualifying elector. Levels are the paper's
 /// `k ∈ {1, …}`: an event at level `k` concerns the level-k node set (the
 /// heads elected at level k-1) and the level-k topology.
 pub fn classify_events(old: &Hierarchy, new: &Hierarchy) -> (Vec<ReorgEvent>, EventCounts) {

@@ -72,7 +72,7 @@ pub mod state;
 pub use address::{AddrChangeKind, AddressBook};
 pub use audit::{audit_address_book, audit_hierarchy, ClusterViolation};
 pub use digest::hierarchy_digest;
-pub use events::{classify_events, EventCounts, ReorgEvent};
+pub use events::{classify_events, level_diffs, EventCounts, LevelDiff, ReorgEvent};
 pub use metrics::LevelStats;
 pub use rebuild::RebuildScratch;
 pub use state::StateTracker;

@@ -456,6 +456,49 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The maintainer's flips are net changes: after every patch tick,
+    /// `last_diff()` holds each flipped pair once, and exactly as many
+    /// flips as the two snapshots differ by links — the level-0 link-event
+    /// count the simulator takes from it. Runs span rebuild ticks (no
+    /// diff) and both pool widths; at width 2 the population is above the
+    /// maintainer's parallel floor, so the pooled patch path is the one
+    /// tested.
+    #[test]
+    fn maintainer_flips_are_net_link_events(
+        width in 1usize..=2,
+        extra in 0usize..200,
+        seed in any::<u64>(),
+    ) {
+        let n = if width == 1 { 2 + extra } else { 1024 + extra };
+        let mut rng = chlm_geom::SimRng::seed_from(seed);
+        let region = chlm_geom::Disk::centered(chlm_geom::disk_radius_for_density(n, 1.0));
+        let rtx = chlm_geom::rtx_for_degree(9.0, 1.0);
+        let mut pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
+        let mut m = chlm_graph::UnitDiskMaintainer::new(&pts, rtx)
+            .with_workers(WorkerPool::new(width));
+        let mut patched = 0;
+        for _ in 0..30 {
+            for p in pts.iter_mut() {
+                let ang = rng.range_f64(0.0, std::f64::consts::TAU);
+                p.x += rtx / 10.0 * ang.cos();
+                p.y += rtx / 10.0 * ang.sin();
+            }
+            let prev = m.graph().clone();
+            m.advance(&pts);
+            let Some(flips) = m.last_diff() else { continue };
+            patched += 1;
+            prop_assert_eq!(flips.len(), LinkDiff::count_between(&prev, m.graph()));
+            let pairs: BTreeSet<_> = flips.iter().map(|f| (f.u.min(f.v), f.u.max(f.v))).collect();
+            prop_assert_eq!(pairs.len(), flips.len(), "a pair flipped twice");
+        }
+        prop_assert!(patched > 0, "no patch tick");
+        prop_assert!(m.rebuild_count() > 1, "no rebuild tick");
+    }
+}
+
 /// The corners the random walk above may miss, by hand: the three smallest
 /// graphs through every writer, one row moved to the tail four times, a
 /// `reset` that shrinks and one that grows again, and the two bulk writers

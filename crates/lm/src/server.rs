@@ -498,24 +498,41 @@ impl LmAssignment {
     /// # Panics
     /// If node counts differ.
     pub fn diff(&self, new: &LmAssignment) -> Vec<HostChange> {
+        // Counted first, so the list is one allocation of the exact size,
+        // not a doubling series.
+        let mut out = Vec::with_capacity(self.changes(new).count());
+        self.diff_into(new, &mut out);
+        out
+    }
+
+    /// [`diff`](Self::diff) into `out`, replacing its contents and keeping
+    /// its allocation — the list runs to megabytes a tick at paper scale,
+    /// so a caller that diffs every tick keeps one buffer for all of them.
+    ///
+    /// # Panics
+    /// If node counts differ.
+    pub fn diff_into(&self, new: &LmAssignment, out: &mut Vec<HostChange>) {
+        out.clear();
+        out.extend(self.changes(new));
+    }
+
+    /// Every host change between `self` and `new`, ascending by
+    /// `(subject, level)`.
+    fn changes<'a>(&'a self, new: &'a LmAssignment) -> impl Iterator<Item = HostChange> + 'a {
         assert_eq!(self.n, new.n, "assignments over different node sets");
         let max_depth = self.depth.max(new.depth);
-        let entries = || (0..self.n as NodeIdx).flat_map(|v| (2..max_depth).map(move |k| (v, k)));
-        let change = |(v, k): (NodeIdx, usize)| {
-            let old_host = self.host(v, k).unwrap_or(v);
-            let new_host = new.host(v, k).unwrap_or(v);
-            (old_host != new_host).then_some(HostChange {
-                subject: v,
-                level: k as u16,
-                old_host,
-                new_host,
+        (0..self.n as NodeIdx)
+            .flat_map(move |v| (2..max_depth).map(move |k| (v, k)))
+            .filter_map(move |(v, k)| {
+                let old_host = self.host(v, k).unwrap_or(v);
+                let new_host = new.host(v, k).unwrap_or(v);
+                (old_host != new_host).then_some(HostChange {
+                    subject: v,
+                    level: k as u16,
+                    old_host,
+                    new_host,
+                })
             })
-        };
-        // Counted first, so the list (megabytes per tick at paper scale) is
-        // one allocation of the exact size, not a doubling series.
-        let mut out = Vec::with_capacity(entries().filter_map(change).count());
-        out.extend(entries().filter_map(change));
-        out
     }
 }
 
@@ -779,5 +796,11 @@ mod tests {
             assert!(c.level >= 2);
             assert_ne!(c.old_host, c.new_host);
         }
+        // `diff_into` replaces whatever the reused buffer held.
+        let mut out = d.clone();
+        a.diff_into(&a.clone(), &mut out);
+        assert!(out.is_empty());
+        a.diff_into(&b, &mut out);
+        assert_eq!(out, d);
     }
 }

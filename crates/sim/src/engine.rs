@@ -19,9 +19,9 @@
 //! one-bank case, delegating every method to bank 0.
 //!
 //! The hot path is allocation-frugal by design: per-tick state (topology,
-//! every hierarchy level, address books, LM assignment, level churn sets)
-//! lives in persistent buffers that are rewritten in place or
-//! double-buffered across ticks rather than reallocated. Every graph
+//! every hierarchy level, address books, LM assignment, the address and
+//! host diff streams) lives in persistent buffers that are rewritten in
+//! place or double-buffered across ticks rather than reallocated. Every graph
 //! among them keeps its neighbor lists in one arena
 //! ([`chlm_graph::Graph`]), so the topology's edge flips and the
 //! hierarchy's level graphs are written without an allocator call. BFS
@@ -51,12 +51,12 @@ use crate::stage::{
     TopologyStage,
 };
 use crate::transport::shard_loss_seed;
-use chlm_cluster::address::AddressBook;
+use chlm_cluster::address::{AddrChange, AddressBook};
 use chlm_cluster::metrics::level_stats;
 use chlm_cluster::Hierarchy;
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::NodeIdx;
-use chlm_lm::server::LmAssignment;
+use chlm_lm::server::{HostChange, LmAssignment};
 use chlm_mobility::{
     MobilityModel, RandomDirection, RandomWalk, RandomWaypoint, Rpgm, StaticModel,
 };
@@ -110,6 +110,9 @@ pub(crate) struct World {
     book_next: AddressBook,
     addr_scratch: Vec<NodeIdx>,
     h_spare: Option<Hierarchy>,
+    /// This tick's diff streams (reused buffers).
+    addr_changes: Vec<AddrChange>,
+    host_changes: Vec<HostChange>,
     /// This tick's location-query arrivals (reused buffer); part of the
     /// world trace — see [`fill_query_arrivals`].
     query_arrivals: Vec<(NodeIdx, NodeIdx)>,
@@ -231,6 +234,8 @@ impl World {
             book_next,
             addr_scratch: Vec::new(),
             h_spare: None,
+            addr_changes: Vec::new(),
+            host_changes: Vec::new(),
             query_arrivals: Vec::new(),
             ticks_done: 0,
         }
@@ -267,14 +272,17 @@ impl World {
 
     /// Advance one tick: run the stages, diff against the previous
     /// snapshots, hand the completed `TickCtx` to `observe`, then rotate.
+    /// `observe` also gets the number of level-0 links the topology stage
+    /// flipped, when it tracked them (`None` on a rebuild tick).
     ///
     /// Allocation discipline: mobility positions are *borrowed* (never
     /// copied), topology is patched in place by the maintainer (flips
     /// shift inside the graph's arena), the hierarchy stage rewrites the
     /// retired snapshot's buffers and level-graph arenas in place,
-    /// address books double-buffer, and the assignment stage rewrites its
-    /// walk scratch and the retired `hosts` buffer.
-    pub(crate) fn step_with(&mut self, observe: &mut dyn FnMut(&TickCtx<'_>)) {
+    /// address books double-buffer, the assignment stage rewrites its
+    /// walk scratch and the retired `hosts` buffer, and the diff streams
+    /// are rewritten into buffers kept across ticks.
+    pub(crate) fn step_with(&mut self, observe: &mut dyn FnMut(&TickCtx<'_>, Option<usize>)) {
         let dt = self.cfg.tick();
         let n = self.cfg.n;
         self.mobility.advance(dt);
@@ -282,6 +290,7 @@ impl World {
         let positions = self.mobility.positions();
         self.topology.update(positions);
         let graph = self.topology.graph();
+        let link_flips = self.topology.last_diff().map(<[_]>::len);
         let carcass = self.h_spare.take();
         let hierarchy =
             self.hier_stage
@@ -293,8 +302,9 @@ impl World {
             .assign(&hierarchy, &self.book_next, NoStamps);
 
         // Diff streams against the previous tick.
-        let addr_changes = self.book.diff(&self.book_next);
-        let host_changes = self.assignment.diff(&assignment);
+        self.book.diff_into(&self.book_next, &mut self.addr_changes);
+        self.assignment
+            .diff_into(&assignment, &mut self.host_changes);
 
         let ctx = TickCtx {
             tick: self.ticks_done,
@@ -310,11 +320,11 @@ impl World {
             new_book: &self.book_next,
             old_assignment: &self.assignment,
             new_assignment: &assignment,
-            host_changes: &host_changes,
-            addr_changes: &addr_changes,
+            host_changes: &self.host_changes,
+            addr_changes: &self.addr_changes,
             query_arrivals: &self.query_arrivals,
         };
-        observe(&ctx);
+        observe(&ctx, link_flips);
 
         // Rotate snapshots; the retired hierarchy feeds the next tick's
         // rebuild as a buffer carcass.

@@ -242,13 +242,13 @@ impl MultiplexSim {
         let planes = &mut self.planes;
         let groups = &mut self.groups;
         let banks = &mut self.banks;
-        self.world.step_with(&mut |ctx| {
+        self.world.step_with(&mut |ctx, link_flips| {
             // Scheme-independent accumulators first, then the scheme
             // planes (neither involves a pricer), once per tick for all
             // banks; then each metric group's banks inside one pricer
             // scope. (BFS rows are warmed further down, by each bank's
             // transports as they carry their plane's legs.)
-            world_obs.on_tick(ctx);
+            world_obs.on_tick_with(ctx, link_flips);
             for plane in planes.iter_mut() {
                 plane.run(ctx);
             }

@@ -3,11 +3,13 @@
 //! Every measurement the engine produces — link rate f₀, address churn
 //! f_k, the handoff ledger (φ_k/γ_k), level-k link churn g_k/g′_k, the
 //! reorganization-event taxonomy, ALCA states, mean degree — is an
-//! [`Observer`]: a value that consumes the tick's [`TickCtx`]
-//! (plus a [`HopPricer`] for anything that prices packets) and updates
-//! its own accumulator. The engine drives the built-in set in a fixed
-//! canonical order and lets callers append extras, so a new metric is one
-//! struct away and never touches the tick loop.
+//! accumulator of its own, updated once a tick from the tick's
+//! [`TickCtx`] (plus a [`HopPricer`] for anything that prices packets).
+//! Most are an [`Observer`]; link rate, level churn and the taxonomy are
+//! filled together by [`WorldObservers`] from one diff (below). The
+//! engine drives the built-in set in a fixed canonical order and lets
+//! callers append extra `Observer`s, so a new metric is one struct away
+//! and never touches the tick loop.
 //!
 //! The set is split along the variant seam: [`WorldObservers`] holds
 //! every accumulator that is a pure function of the world's tick stream
@@ -16,6 +18,17 @@
 //! each; a multiplexed fan-out drives **one** `WorldObservers` for all of
 //! its variant banks — the per-variant recomputation the shared-world
 //! multiplexer exists to remove.
+//!
+//! The world set diffs the tick's two hierarchies once. Levels `k >= 1`
+//! come from one [`chlm_cluster::level_diffs`] pass — a linear merge of
+//! each level's old and new edge streams plus node-list walks — which
+//! feeds level churn (`g_k`, `g′_k`) and the (i)–(vii) taxonomy together.
+//! Level 0's link-event count (`f₀`) is the topology stage's flip count,
+//! which the engine hands to [`WorldObservers::on_tick_with`]; on a
+//! rebuild tick, which publishes no flips, it is a merge of the two
+//! level-0 graphs. A warm world tick makes no allocator call.
+//! [`chlm_cluster::classify_events`], which lists every event one by one,
+//! is the pass's test oracle, not part of the tick.
 //!
 //! Bit-reproducibility contract: each observer owns a disjoint
 //! accumulator and performs the identical arithmetic, in the identical
@@ -40,7 +53,7 @@ use crate::cost::HopPricer;
 use crate::report::{LevelRates, QueryStats};
 use crate::stage::TickCtx;
 use chlm_cluster::address::AddrChangeKind;
-use chlm_cluster::events::{classify_events, EventCounts};
+use chlm_cluster::events::{level_diffs, EventCounts, LevelDiff};
 use chlm_cluster::{Hierarchy, StateTracker};
 use chlm_graph::dynamics::{LinkDiff, LinkEventRate};
 use chlm_graph::NodeIdx;
@@ -82,17 +95,11 @@ pub trait QueryAccounting: Observer {
     }
 }
 
-/// Level-0 link events per node-second (eq. 4's f₀).
+/// Level-0 link events per node-second (eq. 4's f₀), filled by
+/// [`WorldObservers`].
 #[derive(Default)]
 pub struct LinkRateObserver {
     pub rate: LinkEventRate,
-}
-
-impl Observer for LinkRateObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
-        let events = LinkDiff::count_between(&ctx.old_hierarchy.levels[0].graph, ctx.graph);
-        self.rate.record_count(events, ctx.n, ctx.dt);
-    }
 }
 
 /// Per-level address-change counters: migration vs reorganization (f_k).
@@ -112,147 +119,28 @@ impl Observer for AddressChurnObserver {
     }
 }
 
-/// Refill per-level sorted edge/node lists (physical endpoints) from a
-/// hierarchy snapshot, reusing the outer and inner allocations.
-///
-/// Level 0 is left empty: the link-churn accounting runs over `k >= 1`
-/// only, and the level-0 lists would be the largest by far. The lists come
-/// out ascending without sorting because level node lists ascend by
-/// physical id and adjacency lists are sorted.
-fn fill_level_sets(
-    h: &Hierarchy,
-    edges: &mut Vec<Vec<(NodeIdx, NodeIdx)>>,
-    nodes: &mut Vec<Vec<NodeIdx>>,
-) {
-    let depth = h.depth();
-    edges.resize_with(depth, Vec::new);
-    nodes.resize_with(depth, Vec::new);
-    edges[0].clear();
-    nodes[0].clear();
-    for (k, level) in h.levels.iter().enumerate().skip(1) {
-        let e = &mut edges[k];
-        e.clear();
-        e.extend(level.graph.edges().map(|(a, b)| {
-            let (pa, pb) = (level.nodes[a as usize], level.nodes[b as usize]);
-            (pa.min(pb), pa.max(pb))
-        }));
-        debug_assert!(e.windows(2).all(|w| w[0] < w[1]));
-        let nv = &mut nodes[k];
-        nv.clear();
-        nv.extend_from_slice(&level.nodes);
-        debug_assert!(nv.windows(2).all(|w| w[0] < w[1]));
-    }
-}
-
-/// Count the symmetric difference of two ascending-sorted edge lists via a
-/// linear merge, splitting out the pairs whose endpoints persist at this
-/// level on both sides (the `g'_k` exposure of eq. (4)). Same counts the old
-/// `BTreeSet::symmetric_difference` walk produced, without building sets.
-fn churn_between(
-    old_e: &[(NodeIdx, NodeIdx)],
-    new_e: &[(NodeIdx, NodeIdx)],
-    old_n: &[NodeIdx],
-    cur_n: &[NodeIdx],
-) -> (u64, u64) {
-    let persists = |u: NodeIdx, v: NodeIdx| {
-        old_n.binary_search(&u).is_ok()
-            && old_n.binary_search(&v).is_ok()
-            && cur_n.binary_search(&u).is_ok()
-            && cur_n.binary_search(&v).is_ok()
-    };
-    let (mut churn, mut persisting) = (0u64, 0u64);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < old_e.len() || j < new_e.len() {
-        let one_sided = match (old_e.get(i), new_e.get(j)) {
-            (Some(a), Some(b)) if a == b => {
-                i += 1;
-                j += 1;
-                continue;
-            }
-            (Some(a), Some(b)) if a < b => {
-                i += 1;
-                *a
-            }
-            (Some(_), Some(b)) => {
-                j += 1;
-                *b
-            }
-            (Some(a), None) => {
-                i += 1;
-                *a
-            }
-            (None, Some(b)) => {
-                j += 1;
-                *b
-            }
-            (None, None) => unreachable!(),
-        };
-        churn += 1;
-        if persists(one_sided.0, one_sided.1) {
-            persisting += 1;
-        }
-    }
-    (churn, persisting)
-}
-
 /// Level-k cluster-link churn and exposure (g_k, g′_k, link-seconds,
-/// level-node-seconds) plus the level-0 node-seconds denominator. Keeps
-/// sorted physical-endpoint edge/node lists per level, double-buffered and
-/// merge-diffed in ascending order so the accounting is a pure function of
-/// the contents — no per-tick set rebuilds.
+/// level-node-seconds) plus the level-0 node-seconds denominator, filled
+/// by [`WorldObservers`] from the tick's [`LevelDiff`]s.
+#[derive(Default)]
 pub struct LevelChurnObserver {
     pub rates: LevelRates,
-    level_edges: Vec<Vec<(NodeIdx, NodeIdx)>>,
-    level_nodes: Vec<Vec<NodeIdx>>,
-    level_edges_next: Vec<Vec<(NodeIdx, NodeIdx)>>,
-    level_nodes_next: Vec<Vec<NodeIdx>>,
 }
 
 impl LevelChurnObserver {
-    /// Seed the previous-tick lists from the initial hierarchy.
-    pub fn new(initial: &Hierarchy) -> Self {
-        let mut level_edges = Vec::new();
-        let mut level_nodes = Vec::new();
-        fill_level_sets(initial, &mut level_edges, &mut level_nodes);
-        LevelChurnObserver {
-            rates: LevelRates::default(),
-            level_edges,
-            level_nodes,
-            level_edges_next: Vec::new(),
-            level_nodes_next: Vec::new(),
-        }
+    fn add(&mut self, diff: &LevelDiff, new: &Hierarchy, dt: f64) {
+        let k = diff.level;
+        self.rates.add_link_events(k, diff.churn, diff.persisting);
+        let (edges, nodes) = new
+            .levels
+            .get(k)
+            .map_or((0, 0), |l| (l.graph.edge_count(), l.len()));
+        self.rates.add_exposure(k, edges, nodes, dt);
     }
 }
 
-impl Observer for LevelChurnObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
-        fill_level_sets(
-            ctx.new_hierarchy,
-            &mut self.level_edges_next,
-            &mut self.level_nodes_next,
-        );
-        let depth = ctx.new_hierarchy.depth().max(ctx.old_hierarchy.depth());
-        for k in 1..depth {
-            let old_e = self.level_edges.get(k).map_or(&[][..], Vec::as_slice);
-            let new_e = self.level_edges_next.get(k).map_or(&[][..], Vec::as_slice);
-            let old_n = self.level_nodes.get(k).map_or(&[][..], Vec::as_slice);
-            let cur_n = self.level_nodes_next.get(k).map_or(&[][..], Vec::as_slice);
-            let (churn, persisting) = churn_between(old_e, new_e, old_n, cur_n);
-            self.rates.add_link_events(k, churn, persisting);
-            let (edges, nodes) = ctx
-                .new_hierarchy
-                .levels
-                .get(k)
-                .map_or((0, 0), |l| (l.graph.edge_count(), l.len()));
-            self.rates.add_exposure(k, edges, nodes, ctx.dt);
-        }
-        self.rates.node_seconds += ctx.n as f64 * ctx.dt;
-        std::mem::swap(&mut self.level_edges, &mut self.level_edges_next);
-        std::mem::swap(&mut self.level_nodes, &mut self.level_nodes_next);
-    }
-}
-
-/// Reorganization-event taxonomy counts (events (i)–(vii), §5.2).
+/// Reorganization-event taxonomy counts (events (i)–(vii), §5.2), filled
+/// by [`WorldObservers`] from the tick's [`LevelDiff`]s.
 pub struct EventTaxonomyObserver {
     pub counts: EventCounts,
 }
@@ -262,13 +150,6 @@ impl EventTaxonomyObserver {
         EventTaxonomyObserver {
             counts: EventCounts::with_levels(initial_depth),
         }
-    }
-}
-
-impl Observer for EventTaxonomyObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
-        let (_, counts) = classify_events(ctx.old_hierarchy, ctx.new_hierarchy);
-        self.counts.merge(&counts);
     }
 }
 
@@ -350,25 +231,52 @@ impl WorldObservers {
         WorldObservers {
             link: LinkRateObserver::default(),
             addr: AddressChurnObserver::default(),
-            churn: LevelChurnObserver::new(initial),
+            churn: LevelChurnObserver::default(),
             taxonomy: EventTaxonomyObserver::new(initial.depth()),
             alca: AlcaStateObserver::new(initial),
             degree: DegreeObserver::new(initial.depth()),
         }
     }
 
-    /// Drive the set over one tick, in the canonical order (link rate,
-    /// address churn, level churn, taxonomy, ALCA, degree). Accumulators
-    /// are disjoint and pricer-free, so the values are identical whether
-    /// this runs per variant or once for a whole multiplexed fan-out.
+    /// Drive the set over one tick, counting its level-0 link events by
+    /// merging the two level-0 graphs: [`WorldObservers::on_tick_with`]
+    /// without the topology stage's flip count.
     pub fn on_tick(&mut self, ctx: &TickCtx<'_>) {
-        let mut inert = InertPricer;
-        self.link.on_tick(ctx, &mut inert);
-        self.addr.on_tick(ctx, &mut inert);
-        self.churn.on_tick(ctx, &mut inert);
-        self.taxonomy.on_tick(ctx, &mut inert);
-        self.alca.on_tick(ctx, &mut inert);
-        self.degree.on_tick(ctx, &mut inert);
+        self.on_tick_with(ctx, None);
+    }
+
+    /// Drive the set over one tick, in the canonical order (link rate,
+    /// address churn, level churn with taxonomy, ALCA, degree).
+    /// Accumulators are disjoint and pricer-free, so the values are
+    /// identical whether this runs per variant or once for a whole
+    /// multiplexed fan-out.
+    ///
+    /// `link_flips` is the number of level-0 links the topology stage
+    /// flipped this tick, when it tracked them (its flips are net, so this
+    /// is the tick's link-event count); `None` counts them by a merge of
+    /// `ctx.old_hierarchy`'s level-0 graph with `ctx.graph`. Levels `k >= 1`
+    /// come from one [`level_diffs`] pass that feeds both level churn and
+    /// the taxonomy. A warm tick makes no allocator call.
+    pub fn on_tick_with(&mut self, ctx: &TickCtx<'_>, link_flips: Option<usize>) {
+        let merged = || LinkDiff::count_between(&ctx.old_hierarchy.levels[0].graph, ctx.graph);
+        let link_events = match link_flips {
+            Some(flips) => {
+                debug_assert_eq!(flips, merged(), "level-0 flips must be net link events");
+                flips
+            }
+            None => merged(),
+        };
+        self.link.rate.record_count(link_events, ctx.n, ctx.dt);
+        self.addr.on_tick(ctx, &mut InertPricer);
+        let (old, new) = (ctx.old_hierarchy, ctx.new_hierarchy);
+        self.taxonomy.counts.cover(old.depth().max(new.depth()));
+        for diff in level_diffs(old, new) {
+            self.churn.add(&diff, new, ctx.dt);
+            self.taxonomy.counts.add(&diff);
+        }
+        self.churn.rates.node_seconds += ctx.n as f64 * ctx.dt;
+        self.alca.on_tick(ctx, &mut InertPricer);
+        self.degree.on_tick(ctx, &mut InertPricer);
     }
 
     /// The full [`LevelRates`] view: address churn merged with link churn

@@ -15,13 +15,18 @@
 //! * ISSUE 22 (`Graph` rows in one arena: 88.5; `phys_edges` reserving its
 //!   edge count: 42.8): 42.8 calls a tick,
 //! * the level-0 link rate counted by `LinkDiff::count_between` instead of
-//!   read off a collected `LinkDiff`: 23.0 calls a tick.
+//!   read off a collected `LinkDiff`: 23.0 calls a tick,
+//! * the world observers folded from one allocation-free level diff, and
+//!   the address and host diffs written into buffers the world keeps
+//!   across ticks: 1.3 calls a tick.
 //!
-//! The bound is the latest reading with a quarter of headroom; it only
-//! ever goes down. What remains is the world observers' per-snapshot
-//! lists (`classify_events`: two edge lists per level and the event
-//! list), the per-tick diff streams, and a call or two per stage; no
-//! graph allocates in a steady tick.
+//! The bound is the latest reading with a quarter of headroom, rounded
+//! up; it only ever goes down. What remains is one call a tick for the
+//! per-node run index the CHLM handoff derivation builds over the address
+//! diff (`chlm_lm::handoff::for_each_handoff`), and, now and then, a
+//! hierarchy level graph's arena growing past its high-water mark. No
+//! stage, diff stream or world observer allocates in a steady tick
+//! (`world_observers_alloc_free.rs` pins the observers at zero).
 //!
 //! One `#[test]` in its own binary, counting only the test's own thread,
 //! so nothing the harness does beside it lands in the window.
@@ -72,7 +77,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// The latest reading above x 1.25, rounded up.
-const BUDGET_CALLS_PER_TICK: f64 = 29.0;
+const BUDGET_CALLS_PER_TICK: f64 = 2.0;
 
 #[test]
 fn step_stays_inside_the_allocation_budget() {

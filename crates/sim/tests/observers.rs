@@ -1,8 +1,10 @@
 //! Observer unit tests over a recorded two-tick fixture.
 //!
-//! Each observer from `chlm_sim::observe` is driven in isolation through
-//! the same hand-built three-snapshot (= two-tick) scenario: eight nodes
-//! on a line, one link rewired per tick. Snapshots are built from
+//! Each observer from `chlm_sim::observe` is driven through the same
+//! hand-built three-snapshot (= two-tick) scenario: eight nodes on a line,
+//! one link rewired per tick. The standalone observers run in isolation;
+//! link rate, level churn and the taxonomy are filled together from one
+//! level diff, so they are driven through `WorldObservers`. Snapshots are built from
 //! explicit edge lists, so the level-0 quantities (link events, mean
 //! degree) are hand-countable,
 //! while the cluster-level quantities are pinned against recorded values
@@ -16,10 +18,7 @@ use chlm_geom::Point;
 use chlm_graph::{Graph, NodeIdx};
 use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::server::{LmAssignment, SelectionRule};
-use chlm_sim::observe::{
-    AddressChurnObserver, AlcaStateObserver, DegreeObserver, EventTaxonomyObserver,
-    LevelChurnObserver, LinkRateObserver,
-};
+use chlm_sim::observe::{AddressChurnObserver, AlcaStateObserver, DegreeObserver, WorldObservers};
 use chlm_sim::{make_accounting, HopPricer, Observer, SimConfig, TickCtx};
 
 const N: usize = 8;
@@ -135,14 +134,34 @@ fn run_two_ticks(snaps: &[Snap; 3], obs: &mut dyn Observer, pricer: &mut dyn Hop
     }
 }
 
+/// Drive a `WorldObservers` seeded from S0 through both fixture ticks with
+/// the real diff streams; `link_flips[t]` stands in for the topology
+/// stage's flip count of tick `t`.
+fn run_world_two_ticks(snaps: &[Snap; 3], link_flips: [Option<usize>; 2]) -> WorldObservers {
+    let mut obs = WorldObservers::new(&snaps[0].hierarchy);
+    for t in 0..2 {
+        let addr_changes = snaps[t].book.diff(&snaps[t + 1].book);
+        let host_changes = snaps[t].assignment.diff(&snaps[t + 1].assignment);
+        obs.on_tick_with(
+            &ctx_at(snaps, t, &host_changes, &addr_changes),
+            link_flips[t],
+        );
+    }
+    obs
+}
+
 /// The rewiring makes 2 symmetric-difference link events per tick; the
-/// exposure denominator is `2 · n · dt` node-seconds.
+/// exposure denominator is `2 · n · dt` node-seconds. Counted by merging
+/// the level-0 graphs, or taken from the topology stage's flips — the
+/// same count either way, and a mix of the two across ticks.
 #[test]
 fn link_rate_counts_rewired_level0_links() {
     let snaps = fixture();
-    let mut obs = LinkRateObserver::default();
-    run_two_ticks(&snaps, &mut obs, &mut ConstPricer(1.0));
-    assert_eq!(obs.rate.events, 4);
+    for flips in [[None, None], [Some(2), Some(2)], [Some(2), None]] {
+        let obs = run_world_two_ticks(&snaps, flips).link;
+        assert_eq!(obs.rate.events, 4, "{flips:?}");
+    }
+    let obs = run_world_two_ticks(&snaps, [None, None]).link;
     assert_eq!(obs.rate.node_seconds, 2.0 * N as f64 * DT);
     assert_eq!(obs.rate.per_node_per_second(), 0.5);
 }
@@ -279,8 +298,7 @@ fn chlm_analytic_accounting_equals_direct_record() {
 #[test]
 fn level_churn_matches_recorded_fixture() {
     let snaps = fixture();
-    let mut obs = LevelChurnObserver::new(&snaps[0].hierarchy);
-    run_two_ticks(&snaps, &mut obs, &mut ConstPricer(1.0));
+    let obs = run_world_two_ticks(&snaps, [None, None]).churn;
     assert_eq!(obs.rates.link_events, vec![0, 3, 1, 1, 0]);
     assert!(obs.rates.persisting_link_events.iter().all(|&p| p == 0));
     assert_eq!(obs.rates.link_seconds, vec![0.0, 3.0, 1.5, 0.5, 0.0]);
@@ -288,13 +306,12 @@ fn level_churn_matches_recorded_fixture() {
     assert_eq!(obs.rates.node_seconds, 2.0 * N as f64 * DT);
 }
 
-/// The taxonomy observer accumulates exactly the per-tick
-/// `classify_events` counts, merged across ticks.
+/// The taxonomy accumulates exactly the per-tick `classify_events`
+/// counts, merged across ticks.
 #[test]
 fn taxonomy_accumulates_per_tick_classification() {
     let snaps = fixture();
-    let mut obs = EventTaxonomyObserver::new(snaps[0].hierarchy.depth());
-    run_two_ticks(&snaps, &mut obs, &mut ConstPricer(1.0));
+    let obs = run_world_two_ticks(&snaps, [None, None]).taxonomy;
 
     let mut manual = classify_events(&snaps[0].hierarchy, &snaps[1].hierarchy).1;
     manual.merge(&classify_events(&snaps[1].hierarchy, &snaps[2].hierarchy).1);
