@@ -111,6 +111,16 @@ if grep -rn 'classify_events(' crates/sim/src \
   exit 1
 fi
 
+# The topology maintainer works in cell order: candidates are ranks found
+# by one half-stencil scan over the grid's own cell sort, and a rebuild
+# writes the graph's rows in one pass. A per-node grid query, its
+# neighbour scratch and the per-node sort that ordered it must not come
+# back.
+if grep -n 'for_each_within\|nbr_scratch\|sort_unstable' crates/graph/src/incremental.rs; then
+  echo "leftover check: the topology maintainer is back on per-node grid queries" >&2
+  exit 1
+fi
+
 step "cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

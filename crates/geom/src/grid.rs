@@ -25,6 +25,22 @@ pub struct SpatialGrid {
     n_points: usize,
 }
 
+/// A [`SpatialGrid`]'s points numbered by cell. Cells are row-major,
+/// `cols × rows` of them; cell `c = cy · cols + cx` holds the points
+/// `items[starts[c]..starts[c + 1]]`, in ascending index order (the
+/// counting sort is stable). So `items` maps a *rank* to the point's
+/// index, and points in the same or neighbouring cells get close ranks:
+/// every point of cell `c` ranks below every point of a later cell.
+#[derive(Debug, Clone, Copy)]
+pub struct CellOrder<'a> {
+    pub cols: usize,
+    pub rows: usize,
+    /// `cols · rows + 1` rank offsets, one run per cell.
+    pub starts: &'a [u32],
+    /// Rank → point index; a permutation of `0..len`.
+    pub items: &'a [u32],
+}
+
 impl SpatialGrid {
     /// Build a grid over `points` with the given `cell` size (normally the
     /// query radius). Handles the empty set.
@@ -114,6 +130,16 @@ impl SpatialGrid {
     /// Cell size used at construction.
     pub fn cell_size(&self) -> f64 {
         self.cell
+    }
+
+    /// The grid's cell order: its CSR, read as a numbering of the points.
+    pub fn cell_order(&self) -> CellOrder<'_> {
+        CellOrder {
+            cols: self.cols,
+            rows: self.rows,
+            starts: &self.starts,
+            items: &self.items,
+        }
     }
 
     #[inline]
@@ -250,6 +276,27 @@ mod tests {
         assert!(g
             .query_within(&pts, Point::new(-100.0, 50.0), 1.0)
             .is_empty());
+    }
+
+    #[test]
+    fn cell_order_is_a_stable_cell_sort() {
+        let d = Disk::centered(6.0);
+        let mut rng = SimRng::seed_from(8);
+        let pts = deploy_uniform(&d, 300, &mut rng);
+        let g = SpatialGrid::build(&pts, 1.1);
+        let order = g.cell_order();
+        assert_eq!(order.starts.len(), order.cols * order.rows + 1);
+        let mut seen = order.items.to_vec();
+        seen.sort_unstable();
+        assert!(seen.iter().copied().eq(0..pts.len() as u32));
+        for c in 0..order.cols * order.rows {
+            let run = &order.items[order.starts[c] as usize..order.starts[c + 1] as usize];
+            assert!(run.windows(2).all(|w| w[0] < w[1]), "cell {c} not stable");
+            for &i in run {
+                let (cx, cy) = g.cell_coords(pts[i as usize]);
+                assert_eq!(cy * order.cols + cx, c);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`Point`] / vector arithmetic,
 //! * deployment [`Region`]s (disk, rectangle) with uniform sampling,
 //! * a spatial index ([`SpatialGrid`]) for `O(1)`-amortized radius queries
-//!   used by the unit-disk graph builder,
+//!   used by the unit-disk graph builder, whose cell sort doubles as a
+//!   spatial numbering of the points ([`CellOrder`]),
 //! * deterministic, forkable random-number management ([`SimRng`]).
 //!
 //! All floating point is `f64`; the simulator is deterministic for a fixed
@@ -40,7 +41,7 @@ pub mod point;
 pub mod region;
 pub mod rng;
 
-pub use grid::SpatialGrid;
+pub use grid::{CellOrder, SpatialGrid};
 pub use point::Point;
 pub use region::{Disk, Rect, Region};
 pub use rng::SimRng;

@@ -10,10 +10,11 @@
 //!   lists as rows of one arena behind a per-node `(start, len, cap)`
 //!   table, so a graph is two heap blocks however many nodes it has, and
 //!   rewriting one every tick — per-flip edits, `reset` + refill,
-//!   `copy_from`, `assign_edges` — calls the allocator only to grow them,
+//!   `copy_from`, `assign_edges`, `assign_edges_in_order` — calls the
+//!   allocator only to grow them,
 //! * [`unit_disk::build_unit_disk`] — `O(n·d)` unit-disk construction over a
 //!   spatial grid,
-//! * BFS / Dijkstra / connected components ([`traversal`], [`dijkstra`]),
+//! * BFS / connected components ([`traversal`]),
 //! * [`Graph::hop_row`] — the one shortest-path row store of a topology
 //!   snapshot: the BFS distance row of a root, computed by whoever asks
 //!   first and shared by every later reader of the same `&Graph` until
@@ -47,7 +48,6 @@
 //! let _ = is_connected(&graph);
 //! ```
 
-pub mod dijkstra;
 pub mod dynamics;
 pub mod fasthash;
 pub mod incremental;
@@ -400,6 +400,70 @@ impl Graph {
         self.n_edges = edges.len();
     }
 
+    /// Overwrite `self` with the graph on `order.len()` nodes whose edges
+    /// are `(order[a], order[b])` for each `(a, b)` in `edges` — the bulk
+    /// writer for a caller with a numbering of its own (`order` maps it to
+    /// node indices and must be a permutation) and an edge list it knows
+    /// to be duplicate-free: each undirected edge listed once, in either
+    /// orientation and in any order. Rows are laid out in the arena in the
+    /// caller's numbering, so a numbering in which neighbours sit close
+    /// (a spatial one) writes, and later edits, nearby memory; each short
+    /// row is sorted in place. Rows keep their capacity, as after
+    /// [`Graph::reset`] (a row that outgrows it gets the next power of
+    /// two), so per-flip edits after it move rows about as rarely as they
+    /// do after a reset and refill.
+    ///
+    /// # Panics
+    /// If `order` is not a permutation, or on self-loops, out-of-range
+    /// endpoints or an edge listed twice.
+    pub fn assign_edges_in_order(&mut self, order: &[NodeIdx], edges: &[(u32, u32)]) {
+        const UNPLACED: u32 = u32::MAX;
+        let n = order.len();
+        self.forget_rows();
+        self.table.resize(n, Row::default());
+        for row in &mut self.table {
+            row.start = UNPLACED;
+            row.len = 0;
+        }
+        for &(a, b) in edges {
+            assert_ne!(a, b, "self-loop");
+            assert!((a.max(b) as usize) < n, "endpoint out of range");
+            self.table[order[a as usize] as usize].len += 1;
+            self.table[order[b as usize] as usize].len += 1;
+        }
+        // Place the rows in `order`; `len` restarts as the fill cursor.
+        let mut at = 0usize;
+        for &u in order {
+            let row = &mut self.table[u as usize];
+            assert_eq!(row.start, UNPLACED, "order lists node {u} twice");
+            if row.len > row.cap {
+                row.cap = (row.len as usize).next_power_of_two().max(MIN_ROW_CAP) as u32;
+            }
+            row.start = at as u32;
+            row.len = 0;
+            at += row.cap as usize;
+        }
+        // Checked once at the end: every earlier start is smaller.
+        let total = arena_offset(at) as usize;
+        self.arena.clear();
+        self.reserve_arena(total);
+        self.arena.resize(total, 0);
+        for &(a, b) in edges {
+            let (u, v) = (order[a as usize], order[b as usize]);
+            for (x, y) in [(u, v), (v, u)] {
+                let row = &mut self.table[x as usize];
+                self.arena[row.range().end] = y;
+                row.len += 1;
+            }
+        }
+        for &u in order {
+            let list = &mut self.arena[self.table[u as usize].range()];
+            list.sort_unstable();
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "edge listed twice");
+        }
+        self.n_edges = edges.len();
+    }
+
     /// Make room for `len` slots in the (emptied) arena. A buffer that has
     /// to grow takes a quarter more than asked: growth stays geometric
     /// under a drifting edge count, and the bulk writers' next snapshots,
@@ -417,8 +481,9 @@ impl Graph {
     /// for the BFS — the hop pricer, a packet network sending from
     /// `root`, another thread of either — and every later reader of this
     /// `&Graph` gets the same slice; the next [`Graph::add_edge`],
-    /// [`Graph::remove_edge`], [`Graph::reset`], [`Graph::copy_from`] or
-    /// [`Graph::assign_edges`] frees all rows at once. A row asked for here
+    /// [`Graph::remove_edge`], [`Graph::reset`], [`Graph::copy_from`],
+    /// [`Graph::assign_edges`] or [`Graph::assign_edges_in_order`] frees all
+    /// rows at once. A row asked for here
     /// and not yet held is one scalar BFS; [`Graph::fill_hop_rows`] is the
     /// batched way in.
     ///
@@ -670,6 +735,18 @@ mod tests {
         assert_eq!(g.hop_rows_cached(), 0);
         assert_eq!(g.hop_row(0), [0, 1, 2, 3, 4]);
         g.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "order lists node 1 twice")]
+    fn assign_edges_in_order_rejects_a_repeated_node() {
+        Graph::with_nodes(3).assign_edges_in_order(&[0, 1, 1], &[(0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge listed twice")]
+    fn assign_edges_in_order_rejects_a_repeated_edge() {
+        Graph::with_nodes(3).assign_edges_in_order(&[2, 0, 1], &[(0, 1), (1, 0)]);
     }
 
     /// What `check_invariants` is for: a write to the adjacency that skipped

@@ -1,0 +1,151 @@
+//! Tier-1 pin: the topology maintainer's warm ticks run without the
+//! allocator.
+//!
+//! `UnitDiskMaintainer` keeps every buffer it writes — the rank columns,
+//! the candidate CSR, the rebuild's edge list, the per-part scan and flip
+//! buffers of the pooled paths, the graph's arena. Once they have grown to
+//! a world's steady size, a patch tick and a rebuild tick at pool width 1
+//! make no allocator call at all; at width 2 the only calls are the
+//! pool's thread spawns, a fixed number per fan-out, so a tick costs the
+//! same number at n = 4096 as at n = 16384.
+//!
+//! One `#[test]` in its own binary. The counter is process-wide, because
+//! the pooled scans run on spawned threads; nothing else runs beside the
+//! test.
+
+use chlm_geom::{Disk, Point, SimRng};
+use chlm_graph::UnitDiskMaintainer;
+use chlm_par::WorkerPool;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Allocator calls made by the process.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: delegates every operation verbatim to `System`; the counter is
+// side-effect-only.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// A world at density 1 and degree 9: `n` uniform points on a disk, each
+/// moving `R_TX / 10` a tick on a fixed heading that turns back whenever
+/// it leaves the disk, so the density stays put.
+struct World {
+    pts: Vec<Point>,
+    heading: Vec<Point>,
+    radius: f64,
+    rtx: f64,
+}
+
+impl World {
+    fn new(n: usize) -> Self {
+        let mut rng = SimRng::seed_from(17);
+        let radius = chlm_geom::disk_radius_for_density(n, 1.0);
+        let pts = chlm_geom::region::deploy_uniform(&Disk::centered(radius), n, &mut rng);
+        let rtx = chlm_geom::rtx_for_degree(9.0, 1.0);
+        let heading = (0..n)
+            .map(|_| {
+                let ang = rng.range_f64(0.0, std::f64::consts::TAU);
+                Point::new(rtx / 10.0 * ang.cos(), rtx / 10.0 * ang.sin())
+            })
+            .collect();
+        World {
+            pts,
+            heading,
+            radius,
+            rtx,
+        }
+    }
+
+    fn step(&mut self) {
+        for (p, h) in self.pts.iter_mut().zip(&mut self.heading) {
+            p.x += h.x;
+            p.y += h.y;
+            if p.x.hypot(p.y) > self.radius {
+                *h = Point::new(-h.x, -h.y);
+            }
+        }
+    }
+}
+
+/// Allocator calls of `ticks` further ticks of a maintainer warmed for
+/// 60, split into (patch ticks, rebuild ticks) and their calls.
+fn measure(n: usize, threads: usize, ticks: usize) -> [(u64, u64); 2] {
+    let mut world = World::new(n);
+    let mut m =
+        UnitDiskMaintainer::new(&world.pts, world.rtx).with_workers(WorkerPool::new(threads));
+    for _ in 0..60 {
+        world.step();
+        m.advance(&world.pts);
+    }
+    let mut seen = [(0u64, 0u64); 2];
+    for _ in 0..ticks {
+        world.step();
+        let before = CALLS.load(Ordering::Relaxed);
+        let rebuilt = m.advance(&world.pts);
+        let calls = CALLS.load(Ordering::Relaxed) - before;
+        let slot = &mut seen[usize::from(rebuilt)];
+        slot.0 += 1;
+        slot.1 += calls;
+    }
+    seen
+}
+
+#[test]
+fn warm_topology_ticks_do_not_allocate() {
+    let [patch, rebuild] = measure(4096, 1, 30);
+    assert!(patch.0 > 0 && rebuild.0 > 0, "ticks {patch:?} {rebuild:?}");
+    assert_eq!(
+        patch.1, 0,
+        "width 1: {} calls over {} patch ticks",
+        patch.1, patch.0
+    );
+    assert_eq!(
+        rebuild.1, 0,
+        "width 1: {} calls over {} rebuild ticks",
+        rebuild.1, rebuild.0
+    );
+
+    // Width 2: the calls a tick are the pool's, and do not grow with n.
+    let small = measure(4096, 2, 30);
+    let large = measure(16384, 2, 30);
+    for (kind, s, l) in [
+        ("patch", small[0], large[0]),
+        ("rebuild", small[1], large[1]),
+    ] {
+        assert!(s.0 > 0 && l.0 > 0, "no {kind} tick");
+        assert_eq!(
+            s.1 * l.0,
+            l.1 * s.0,
+            "{kind} ticks: {}/{} calls at n = 4096, {}/{} at n = 16384",
+            s.1,
+            s.0,
+            l.1,
+            l.0
+        );
+    }
+}

@@ -1,6 +1,5 @@
 //! Property-based tests for the graph substrate.
 
-use chlm_graph::dijkstra::dijkstra;
 use chlm_graph::dynamics::LinkDiff;
 use chlm_graph::traversal::{
     bfs_distances, connected_components, hop_distance, shortest_path, UNREACHABLE,
@@ -61,6 +60,18 @@ fn rows_are_fresh(g: &Graph, asked: &BTreeSet<NodeIdx>) -> Result<(), TestCaseEr
 /// Overwrite `g` with `src` through the bulk edge writer.
 fn assign_from(g: &mut Graph, src: &Graph) {
     g.assign_edges(src.node_count(), &mut src.edges().collect());
+}
+
+/// `edges` renumbered by the rotation `order[r] = (r + shift) % n`: the
+/// order and the edges as pairs of positions in it.
+fn rotated(n: usize, shift: u32, edges: &[(NodeIdx, NodeIdx)]) -> (Vec<NodeIdx>, Vec<(u32, u32)>) {
+    let shift = shift as usize % n.max(1);
+    let order = (0..n).map(|r| ((r + shift) % n) as NodeIdx).collect();
+    let rank = |u: NodeIdx| ((u as usize + n - shift) % n) as u32;
+    (
+        order,
+        edges.iter().map(|&(u, v)| (rank(u), rank(v))).collect(),
+    )
 }
 
 /// `g` is the graph over `0..n` with exactly the edges in `model`, to
@@ -131,19 +142,57 @@ proptest! {
         prop_assert_eq!(edges, expect.edges().collect::<Vec<_>>());
     }
 
+    /// `assign_edges_in_order` over any previous content — smaller,
+    /// larger, warm memo — fed distinct pairs in any orientation under any
+    /// numbering is `from_edges` of the renumbered pairs: value, edge
+    /// count, invariants and an empty memo.
+    #[test]
+    fn assign_edges_in_order_equals_from_edges(
+        mut g in arb_graph(30),
+        src in arb_graph(30),
+        perm_seed in any::<u64>(),
+    ) {
+        let n = src.node_count();
+        let mut order: Vec<NodeIdx> = (0..n as NodeIdx).collect();
+        let mut rng = chlm_geom::SimRng::seed_from(perm_seed);
+        for i in (1..n).rev() {
+            order.swap(i, rng.range_f64(0.0, (i + 1) as f64) as usize);
+        }
+        let mut rank = vec![0u32; n];
+        for (r, &u) in order.iter().enumerate() {
+            rank[u as usize] = r as u32;
+        }
+        // Every edge once, every other one turned around, listed from the
+        // last to the first.
+        let mut ranked: Vec<(u32, u32)> = src
+            .edges()
+            .enumerate()
+            .map(|(i, (u, v))| if i % 2 == 0 { (u, v) } else { (v, u) })
+            .map(|(u, v)| (rank[u as usize], rank[v as usize]))
+            .collect();
+        ranked.reverse();
+        g.hop_row(0);
+        g.assign_edges_in_order(&order, &ranked);
+        prop_assert_eq!(&g, &src);
+        prop_assert_eq!(g.edge_count(), src.edge_count());
+        prop_assert_eq!(g.hop_rows_cached(), 0);
+        g.check_invariants();
+    }
+
     /// The layout cannot leak into the value. Random interleavings of
     /// every writer against a `BTreeSet` model, from `n = 0` up: kinds 0–2
     /// add an edge (so rows fill, move to the tail and move again), 3
     /// removes one, 4 resets to any size (shrinking and growing), 5 copies
     /// the donor in, 6 bulk-writes some of the donor's edges, 7 carries on
-    /// with a clone (holes and all). After every step the graph is the
+    /// with a clone (holes and all), 8 bulk-writes some of the donor's
+    /// edges in a rotated numbering. After every step the graph is the
     /// model's graph, and a step that changed the adjacency emptied the
     /// memo.
     #[test]
     fn layout_never_shows_in_the_value(
         n0 in 0usize..12,
         donor in arb_graph(16),
-        steps in proptest::collection::vec((0u8..8, 0u32..1000, 0u32..1000), 0..80),
+        steps in proptest::collection::vec((0u8..9, 0u32..1000, 0u32..1000), 0..80),
     ) {
         let mut g = Graph::with_nodes(n0);
         let mut n = n0;
@@ -186,6 +235,14 @@ proptest! {
                     n = donor.node_count() + a as usize % 3;
                     g.assign_edges(n, &mut edges);
                     model = edges.into_iter().collect();
+                    true
+                }
+                8 => {
+                    let edges = some_edges_of(&donor, b % 4);
+                    n = donor.node_count();
+                    let (order, ranked) = rotated(n, a, &edges);
+                    g.assign_edges_in_order(&order, &ranked);
+                    model = edges.into_iter().map(|(u, v)| (u.min(v), u.max(v))).collect();
                     true
                 }
                 7 => {
@@ -396,19 +453,6 @@ proptest! {
     }
 
     #[test]
-    fn dijkstra_unit_weights_equal_bfs(g in arb_graph(25)) {
-        let (d, _) = dijkstra(&g, 0, |_, _| 1.0);
-        let b = bfs_distances(&g, 0);
-        for i in 0..g.node_count() {
-            if b[i] == UNREACHABLE {
-                prop_assert!(d[i].is_infinite());
-            } else {
-                prop_assert_eq!(d[i] as u32, b[i]);
-            }
-        }
-    }
-
-    #[test]
     fn union_find_matches_components(g in arb_graph(30)) {
         let mut uf = UnionFind::new(g.node_count());
         for (u, v) in g.edges() {
@@ -460,25 +504,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The maintainer's flips are net changes: after every patch tick,
-    /// `last_diff()` holds each flipped pair once, and exactly as many
-    /// flips as the two snapshots differ by links — the level-0 link-event
-    /// count the simulator takes from it. Runs span rebuild ticks (no
-    /// diff) and both pool widths; at width 2 the population is above the
-    /// maintainer's parallel floor, so the pooled patch path is the one
-    /// tested.
+    /// `last_diff()` holds each flipped pair once, as `u < v`, exactly as
+    /// many flips as the two snapshots differ by links — the level-0
+    /// link-event count the simulator takes from it — and replaying them
+    /// onto the previous snapshot reproduces the new one. Pool widths 1, 2
+    /// and 3 run side by side and emit the same flip sequence on every
+    /// tick; runs span rebuild ticks (no diff) and, above the maintainer's
+    /// parallel floor (`large`), the pooled paths; below it every width
+    /// takes the serial ones, from n = 0 up.
     #[test]
     fn maintainer_flips_are_net_link_events(
-        width in 1usize..=2,
+        large in any::<bool>(),
         extra in 0usize..200,
         seed in any::<u64>(),
     ) {
-        let n = if width == 1 { 2 + extra } else { 1024 + extra };
+        let n = if large { 1024 + extra } else { extra };
         let mut rng = chlm_geom::SimRng::seed_from(seed);
-        let region = chlm_geom::Disk::centered(chlm_geom::disk_radius_for_density(n, 1.0));
+        let region = chlm_geom::Disk::centered(chlm_geom::disk_radius_for_density(n.max(1), 1.0));
         let rtx = chlm_geom::rtx_for_degree(9.0, 1.0);
         let mut pts = chlm_geom::region::deploy_uniform(&region, n, &mut rng);
-        let mut m = chlm_graph::UnitDiskMaintainer::new(&pts, rtx)
-            .with_workers(WorkerPool::new(width));
+        let mut ms: Vec<_> = (1..=3)
+            .map(|t| chlm_graph::UnitDiskMaintainer::new(&pts, rtx).with_workers(WorkerPool::new(t)))
+            .collect();
         let mut patched = 0;
         for _ in 0..30 {
             for p in pts.iter_mut() {
@@ -486,16 +533,33 @@ proptest! {
                 p.x += rtx / 10.0 * ang.cos();
                 p.y += rtx / 10.0 * ang.sin();
             }
-            let prev = m.graph().clone();
-            m.advance(&pts);
-            let Some(flips) = m.last_diff() else { continue };
+            let mut prev = ms[0].graph().clone();
+            for m in &mut ms {
+                m.advance(&pts);
+            }
+            for m in &ms[1..] {
+                prop_assert_eq!(m.graph(), ms[0].graph());
+                prop_assert_eq!(m.last_diff(), ms[0].last_diff());
+            }
+            let Some(flips) = ms[0].last_diff() else { continue };
             patched += 1;
-            prop_assert_eq!(flips.len(), LinkDiff::count_between(&prev, m.graph()));
-            let pairs: BTreeSet<_> = flips.iter().map(|f| (f.u.min(f.v), f.u.max(f.v))).collect();
+            prop_assert_eq!(flips.len(), LinkDiff::count_between(&prev, ms[0].graph()));
+            let pairs: BTreeSet<_> = flips.iter().map(|f| (f.u, f.v)).collect();
             prop_assert_eq!(pairs.len(), flips.len(), "a pair flipped twice");
+            for f in flips {
+                prop_assert!(f.u < f.v, "flip ({}, {}) not normalized", f.u, f.v);
+                if f.add {
+                    prop_assert!(prev.add_edge(f.u, f.v), "stale add flip");
+                } else {
+                    prop_assert!(prev.remove_edge(f.u, f.v), "stale remove flip");
+                }
+            }
+            prop_assert_eq!(&prev, ms[0].graph());
         }
-        prop_assert!(patched > 0, "no patch tick");
-        prop_assert!(m.rebuild_count() > 1, "no rebuild tick");
+        if n >= 2 {
+            prop_assert!(patched > 0, "no patch tick");
+            prop_assert!(ms[0].rebuild_count() > 1, "no rebuild tick");
+        }
     }
 }
 

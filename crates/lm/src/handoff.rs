@@ -31,9 +31,14 @@ use chlm_graph::NodeIdx;
 /// subject's own level-k address changed (`registers`), it additionally
 /// sends one REGISTER `subject → new_host`, booked with the transfer as a
 /// single event.
+///
+/// `run_start` is the caller's scratch for the per-node run index (its
+/// contents are overwritten); a caller that keeps it across ticks makes
+/// this allocation-free once it has grown to the population.
 pub fn for_each_handoff(
     host_changes: &[HostChange],
     addr_changes: &[AddrChange],
+    run_start: &mut Vec<u32>,
     mut visit: impl FnMut(&HostChange, AddrChangeKind, bool),
 ) {
     // Address-change lookups run straight off the diff slice: the diff
@@ -45,13 +50,15 @@ pub fn for_each_handoff(
         .windows(2)
         .all(|w| (w[0].node, w[0].level) < (w[1].node, w[1].level)));
     let top = addr_changes.last().map_or(0, |c| c.node as usize + 1);
-    let mut run_start = vec![0u32; top + 1];
+    run_start.clear();
+    run_start.resize(top + 1, 0);
     for c in addr_changes {
         run_start[c.node as usize + 1] += 1;
     }
     for i in 0..top {
         run_start[i + 1] += run_start[i];
     }
+    let run_start = &*run_start;
     let run = |node: NodeIdx| -> &[AddrChange] {
         if (node as usize) < top {
             &addr_changes[run_start[node as usize] as usize..run_start[node as usize + 1] as usize]
@@ -160,13 +167,18 @@ impl HandoffLedger {
         n: usize,
         dt: f64,
     ) {
-        for_each_handoff(host_changes, addr_changes, |hc, kind, registers| {
-            let mut packets = hop(hc.old_host, hc.new_host);
-            if registers {
-                packets += hop(hc.subject, hc.new_host);
-            }
-            self.book(hc.level as usize, kind, packets);
-        });
+        for_each_handoff(
+            host_changes,
+            addr_changes,
+            &mut Vec::new(),
+            |hc, kind, registers| {
+                let mut packets = hop(hc.old_host, hc.new_host);
+                if registers {
+                    packets += hop(hc.subject, hc.new_host);
+                }
+                self.book(hc.level as usize, kind, packets);
+            },
+        );
         self.add_exposure(n, dt);
     }
 

@@ -212,7 +212,11 @@ pub trait Scheme: SchemeWorkload + SchemeLookup {
 /// in the lowest cluster containing both endpoints
 /// ([`chlm_lm::query::resolve_route`]). Free at levels ≤ 1 (complete
 /// intra-cluster knowledge); otherwise request + reply.
-pub struct ChlmScheme;
+#[derive(Default)]
+pub struct ChlmScheme {
+    /// The handoff derivation's per-node run index, kept across ticks.
+    run_start: Vec<u32>,
+}
 
 impl Scheme for ChlmScheme {
     fn advance(&mut self, _ctx: &TickCtx<'_>) {}
@@ -223,6 +227,7 @@ impl SchemeWorkload for ChlmScheme {
         for_each_handoff(
             ctx.host_changes,
             ctx.addr_changes,
+            &mut self.run_start,
             |hc, class, registers| {
                 let transfer = SchemeMsg {
                     subject: hc.subject,
@@ -530,7 +535,7 @@ impl SchemeLookup for HomeAgentScheme {
 /// Build the [`Scheme`] for `cfg`'s `lm_scheme`.
 pub fn make_scheme(cfg: &SimConfig) -> Box<dyn Scheme> {
     match cfg.lm_scheme {
-        LmScheme::Chlm => Box::new(ChlmScheme),
+        LmScheme::Chlm => Box::new(ChlmScheme::default()),
         LmScheme::Gls => Box::new(GlsScheme::new(cfg)),
         LmScheme::HomeAgent => Box::new(HomeAgentScheme::new()),
     }
