@@ -39,7 +39,10 @@ test -s target/step_reach.json
 # place; at the tick every run uses, no tick took the repair's fast path),
 # and the CHLM-only, handoff-only hint that told the BFS cost model which
 # rows to compute ahead of pricing (every transport now warms the rows of
-# its own legs, `Transport::carry` -> `Graph::fill_hop_rows`).
+# its own legs, `Transport::carry` -> `Graph::fill_hop_rows`), and the
+# pricing stack one `Pricing` replaced: three model structs, the oracle
+# and its prefill, the routing pricer, the engine's second metric match
+# and the stub pricer handed to world observers that never price.
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.) The last entry is a layout,
 # not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
@@ -52,9 +55,18 @@ removed+='\|ClusterArena\|ClusterHandle\|ArenaStamps\|subtree_changed_at\|comput
 removed+='\|chlm_core\|run_replications\|SweepPoint'
 removed+='\|HierarchyMaintainer\|IncrementalHierarchy\|snapshot_into\|escalation_count\|build_owned'
 removed+='\|collect_chlm_bfs_sources\|wants_bfs_sources'
+removed+='\|DistanceOracle\|BfsCostModel\|EuclideanCostModel\|HierRoutingCostModel\|HierPricer\|InertPricer\|variant_cost_model'
 removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
+  exit 1
+fi
+# The Euclidean hop estimate has one copy, `chlm_sim::oracle::euclidean_hops`
+# at `DEFAULT_DETOUR`: the experiments that price without a world call it
+# instead of restating `dist / rtx * 1.3`, so the factor cannot drift
+# between the engine and a table.
+if grep -rn '\* 1\.3)' crates/bench/src; then
+  echo "leftover check: a restated Euclidean estimate is back in crates/bench/src" >&2
   exit 1
 fi
 # The experiments are records of one registry run by one binary

@@ -3,6 +3,7 @@
 
 use crate::{banner, env_usize, MIN_N};
 use chlm_analysis::table::{fnum, TextTable};
+use chlm_sim::oracle::DEFAULT_DETOUR;
 use chlm_sim::{Backend, HopMetric, LossSpec, SimConfig, Simulation};
 
 /// E18 (methodology validation): analytical accounting vs executed packets.
@@ -32,9 +33,9 @@ pub(crate) fn exp_proto_validation() {
     };
 
     let bfs = Simulation::new(cfg(HopMetric::Bfs, Backend::Analytic)).run();
-    // The same fixed 1.3 detour factor the BFS oracle uses for its
-    // unreachable fallback — the proxy the largest sweeps run with.
-    let euclid = Simulation::new(cfg(HopMetric::Euclidean(1.3), Backend::Analytic)).run();
+    // The proxy the largest sweeps run with, at the fixed default detour.
+    let euclid =
+        Simulation::new(cfg(HopMetric::Euclidean(DEFAULT_DETOUR), Backend::Analytic)).run();
     let mut sim = Simulation::new(cfg(HopMetric::Bfs, Backend::packet()));
     for _ in 0..sim.config().tick_count() {
         sim.step();

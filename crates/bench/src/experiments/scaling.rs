@@ -16,6 +16,7 @@ use chlm_graph::unit_disk::build_unit_disk;
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_lm::update::{RegistrationTracker, UpdatePolicy};
 use chlm_mobility::{MobilityModel, RandomWaypoint};
+use chlm_sim::oracle::{euclidean_hops, DEFAULT_DETOUR};
 use chlm_sim::runner::seed_range;
 use chlm_sim::{run_cells, SimReport};
 
@@ -334,11 +335,11 @@ fn registration_run(n: usize, seed: u64, duration: f64) -> (f64, Vec<f64>) {
             h = Hierarchy::build(&ids, &build_unit_disk(&positions, rtx), opts);
             asn = LmAssignment::compute(&h, SelectionRule::Hrw);
         }
-        let rtx_local = rtx;
+        let pos = &positions;
         tracker.observe(
-            &positions,
+            pos,
             &asn,
-            |a, b| (positions[a as usize].dist(positions[b as usize]) / rtx_local * 1.3).max(1.0),
+            |a, b| euclidean_hops(pos[a as usize], pos[b as usize], rtx, DEFAULT_DETOUR),
             dt,
         );
     }

@@ -36,6 +36,7 @@ use chlm_cluster::{Hierarchy, HierarchyOptions};
 use chlm_geom::{Disk, Point, SimRng};
 use chlm_graph::unit_disk::build_unit_disk;
 use chlm_graph::{Graph, NodeIdx};
+use chlm_sim::oracle::{euclidean_hops, DEFAULT_DETOUR};
 use chlm_sim::runner::seed_range;
 use chlm_sim::{run_cells, SimConfig, SimReport};
 
@@ -283,10 +284,11 @@ impl Deployment {
         Hierarchy::build(&self.ids, &self.graph, opts)
     }
 
-    /// Euclidean hop estimate between two nodes at the fixed 1.3 detour
-    /// factor (the BFS oracle's unreachable fallback), at least one hop.
+    /// Euclidean hop estimate between two nodes at the fixed
+    /// [`DEFAULT_DETOUR`] factor, at least one hop.
     fn hops(&self, a: NodeIdx, b: NodeIdx) -> f64 {
-        (self.pts[a as usize].dist(self.pts[b as usize]) / self.rtx * 1.3).max(1.0)
+        let p = &self.pts;
+        euclidean_hops(p[a as usize], p[b as usize], self.rtx, DEFAULT_DETOUR)
     }
 }
 

@@ -3,11 +3,9 @@
 //! The frequency of *level-0 link state change events* is the `f_0` of
 //! eq. (4); the paper shows it is `Θ(1)` per node per second under random
 //! waypoint mobility at fixed density. [`LinkDiff`] extracts the up/down
-//! event stream; [`LinkLifetimes`] measures how long individual links
-//! persist (the paper asserts mean lifetime `Θ(R_TX / μ)`).
+//! event stream.
 
 use crate::{Graph, NodeIdx};
-use std::collections::BTreeMap;
 
 /// The set of links created and broken between two topology snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,70 +93,6 @@ fn for_each_change(old: &Graph, new: &Graph, mut on_change: impl FnMut((NodeIdx,
     }
 }
 
-/// Tracks per-link lifetimes across a sequence of snapshots.
-#[derive(Debug, Default)]
-pub struct LinkLifetimes {
-    /// Birth time of currently-alive links. Ordered map: completed
-    /// lifetimes are pushed while iterating, and their order must not
-    /// depend on a hasher (it feeds float accumulation in the stats).
-    alive: BTreeMap<(NodeIdx, NodeIdx), f64>,
-    /// Completed lifetimes (seconds).
-    completed: Vec<f64>,
-    last_time: Option<f64>,
-}
-
-impl LinkLifetimes {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a snapshot at time `t`. The first call seeds the alive set; no
-    /// lifetimes complete until links present at the first snapshot break.
-    ///
-    /// # Panics
-    /// If `t` is not strictly increasing across calls.
-    pub fn observe(&mut self, g: &Graph, t: f64) {
-        if let Some(prev) = self.last_time {
-            assert!(t > prev, "snapshots must advance in time");
-        }
-        // Mark links no longer present as completed.
-        let mut dead: Vec<(NodeIdx, NodeIdx)> = Vec::new();
-        for (&e, &birth) in &self.alive {
-            if !g.has_edge(e.0, e.1) {
-                self.completed.push(t - birth);
-                dead.push(e);
-            }
-        }
-        for e in dead {
-            self.alive.remove(&e);
-        }
-        // Register newly-seen links.
-        for (u, v) in g.edges() {
-            self.alive.entry((u, v)).or_insert(t);
-        }
-        self.last_time = Some(t);
-    }
-
-    /// Lifetimes of links that have completed (born and later broken).
-    pub fn completed(&self) -> &[f64] {
-        &self.completed
-    }
-
-    /// Mean completed lifetime, if any links have completed.
-    pub fn mean_lifetime(&self) -> Option<f64> {
-        if self.completed.is_empty() {
-            None
-        } else {
-            Some(self.completed.iter().sum::<f64>() / self.completed.len() as f64)
-        }
-    }
-
-    /// Number of currently-alive links being tracked.
-    pub fn alive_count(&self) -> usize {
-        self.alive.len()
-    }
-}
-
 /// Running event-rate counter: accumulates link events and exposures to
 /// report events per node per second (the `f_0` of eq. (4)).
 #[derive(Debug, Clone, Copy, Default)]
@@ -227,34 +161,6 @@ mod tests {
     #[should_panic]
     fn diff_node_count_mismatch_panics() {
         LinkDiff::between(&Graph::with_nodes(3), &Graph::with_nodes(4));
-    }
-
-    #[test]
-    fn lifetimes_basic() {
-        let mut lt = LinkLifetimes::new();
-        let g1 = Graph::from_edges(3, &[(0, 1)]);
-        let g2 = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let g3 = Graph::from_edges(3, &[(1, 2)]);
-        lt.observe(&g1, 0.0);
-        lt.observe(&g2, 1.0);
-        lt.observe(&g3, 3.0); // (0,1) lived 0..3
-        assert_eq!(lt.completed(), &[3.0]);
-        assert_eq!(lt.alive_count(), 1);
-        let g4 = Graph::with_nodes(3);
-        lt.observe(&g4, 4.0); // (1,2) lived 1..4
-        let mut c = lt.completed().to_vec();
-        c.sort_by(f64::total_cmp);
-        assert_eq!(c, vec![3.0, 3.0]);
-        assert_eq!(lt.mean_lifetime(), Some(3.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn lifetimes_time_must_advance() {
-        let mut lt = LinkLifetimes::new();
-        let g = Graph::with_nodes(2);
-        lt.observe(&g, 1.0);
-        lt.observe(&g, 1.0);
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub enum LmScheme {
 /// Which engine executes the handoff workload.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Backend {
-    /// Price handoffs with the hop oracle (the paper's analytic model).
+    /// Price handoffs with the hop pricer (the paper's analytic model).
     #[default]
     Analytic,
     /// Execute handoffs as packets through `chlm_proto`'s packet network

@@ -4,7 +4,7 @@
 //! (mobility → topology → hierarchy → LM assignment) produce the tick's
 //! snapshots, the `World` diffs them against the previous tick into a
 //! `TickCtx`, and the [`crate::observe`] observers consume that context
-//! — pricing packets through the configured [`crate::cost::CostModel`] —
+//! — pricing packets through the lent [`crate::cost::Pricer`] —
 //! to update every accumulator.
 //!
 //! The engine is split along the scheme seam that `tests/scheme_trace.rs`
@@ -39,8 +39,8 @@
 //! their plane's messages and legs over.
 
 use crate::audit::{AuditViolation, Auditor, TickInputs};
-use crate::config::{HopMetric, LmScheme, MobilityKind, SimConfig};
-use crate::cost::{cost_model_for, CostModel, HopPricer};
+use crate::config::{LmScheme, MobilityKind, SimConfig};
+use crate::cost::HopPricer;
 use crate::multiplex::{MultiplexSim, VariantSpec};
 use crate::observe::{Observer, Observers, WorldObservers};
 use crate::oracle::calibrate;
@@ -90,8 +90,8 @@ pub(crate) struct World {
     cfg: SimConfig,
     ids: Vec<u64>,
     rtx: f64,
-    /// Startup-measured BFS detour ratio (the fork(3) stream), consumed by
-    /// every calibrated cost model priced against this world.
+    /// Startup-measured BFS detour ratio (the fork(3) stream), the
+    /// calibration of every variant's `Pricing` over this world.
     calibration: f64,
     /// The run stream (fork 4). Never drawn while stepping; each observer
     /// bank clones it at construction so per-variant `finish` sampling
@@ -179,7 +179,7 @@ fn build_mobility(cfg: &SimConfig, region: Disk, rng: &mut SimRng) -> Box<dyn Mo
 impl World {
     /// Deploy, warm the mobility process up, build the initial hierarchy
     /// and LM assignment over the stages `make_stages` returns, and
-    /// calibrate the hop oracle.
+    /// measure the hop calibration.
     pub(crate) fn new(
         cfg: SimConfig,
         make_stages: impl FnOnce(&SimConfig, Box<dyn MobilityModel>) -> StageSet,
@@ -335,19 +335,6 @@ impl World {
         self.assign_stage.retire(old_assignment);
         self.ticks_done += 1;
     }
-}
-
-/// The cost model one variant config prices with, fed by the world's
-/// startup calibration (a fixed `Euclidean(c)` bypasses the measurement,
-/// exactly as the pre-split engine did).
-pub(crate) fn variant_cost_model(world: &World, cfg: &SimConfig) -> Box<dyn CostModel> {
-    let calibration = match cfg.hop_metric {
-        HopMetric::Euclidean(c) => c,
-        HopMetric::Bfs | HopMetric::HierRouting | HopMetric::EuclideanCalibrated => {
-            world.calibration()
-        }
-    };
-    cost_model_for(cfg.hop_metric, calibration, cfg.threads)
 }
 
 fn make_auditor(cfg: &SimConfig, observers: &Observers, world_obs: &WorldObservers) -> Auditor {
@@ -522,7 +509,7 @@ pub struct Simulation {
 
 impl Simulation {
     /// Set up a simulation: deploy, warm the mobility process up, build the
-    /// initial hierarchy and LM assignment, and calibrate the hop oracle.
+    /// initial hierarchy and LM assignment, and measure the hop calibration.
     /// The config's [`LmScheme`] picks the scheme plane and its backend
     /// the books' transport, so any scheme runs over the same pipeline.
     pub fn new(cfg: SimConfig) -> Self {
@@ -625,6 +612,7 @@ impl Engine for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HopMetric;
 
     fn quick_cfg(n: usize, seed: u64) -> SimConfig {
         SimConfig::builder(n)

@@ -24,6 +24,11 @@
 //! one-call entry point; [`runner::run_sweep`] fans whole runs out
 //! across threads, and [`runner::run_grid`] / [`runner::run_cells`] lay
 //! a (config × seed) experiment grid out over it.
+//!
+//! Every packet a bank books is priced by one [`cost::Pricing`] per hop
+//! metric — exact BFS rows, the hierarchical routing walk, or the
+//! Euclidean estimate of [`oracle`], which also prices the pairs the
+//! exact rules cannot — or executed on the packet backend's network.
 
 //!
 //! ## Example

@@ -23,7 +23,7 @@
 //! (GLS's grid table, the home agents), emits its maintenance messages and
 //! routes `ctx.query_arrivals`; every bank of that scheme carries and
 //! books the plane's slices in place, so E27's six banks do the scheme
-//! work of three. Cost models are shared per hop metric: banks whose
+//! work of three. Pricing is shared per hop metric: banks whose
 //! variants price with the same [`HopMetric`] observe inside one
 //! `with_pricer` scope, so the hierarchical-routing table is built once
 //! per tick instead of once per variant. And exact shortest-path rows are
@@ -53,8 +53,8 @@
 
 use crate::audit::AuditViolation;
 use crate::config::{Backend, HopMetric, LmScheme, SimConfig};
-use crate::cost::{CostInputs, CostModel};
-use crate::engine::{variant_cost_model, ObserverBank, World};
+use crate::cost::{CostInputs, CostModel, Pricing};
+use crate::engine::{ObserverBank, World};
 use crate::observe::WorldObservers;
 use crate::report::SimReport;
 use crate::scheme::{make_scheme, SchemePlane};
@@ -109,11 +109,11 @@ impl VariantSpec {
     }
 }
 
-/// The banks sharing one cost model: every variant pricing with the same
+/// The banks sharing one `Pricing`: every variant pricing with the same
 /// [`HopMetric`] (`Euclidean(c)` groups by the value of `c`).
 struct MetricGroup {
     metric: HopMetric,
-    cost: Box<dyn CostModel>,
+    cost: Pricing,
     members: Vec<usize>,
 }
 
@@ -171,7 +171,7 @@ impl MultiplexSim {
                 None => {
                     groups.push(MetricGroup {
                         metric: cfg.hop_metric,
-                        cost: variant_cost_model(&world, &cfg),
+                        cost: Pricing::new(cfg.hop_metric, world.calibration()),
                         members: Vec::new(),
                     });
                     groups.len() - 1

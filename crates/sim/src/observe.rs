@@ -4,12 +4,13 @@
 //! f_k, the handoff ledger (φ_k/γ_k), level-k link churn g_k/g′_k, the
 //! reorganization-event taxonomy, ALCA states, mean degree — is an
 //! accumulator of its own, updated once a tick from the tick's
-//! [`TickCtx`] (plus a [`HopPricer`] for anything that prices packets).
-//! Most are an [`Observer`]; link rate, level churn and the taxonomy are
-//! filled together by [`WorldObservers`] from one diff (below). The
-//! engine drives the built-in set in a fixed canonical order and lets
-//! callers append extra `Observer`s, so a new metric is one struct away
-//! and never touches the tick loop.
+//! [`TickCtx`]. Only code that prices packets is handed a [`HopPricer`]:
+//! the handoff and query books and the [`Observer`]s a caller appends.
+//! The world accumulators take the context alone, driven together by
+//! [`WorldObservers`] (link rate, level churn and the taxonomy from one
+//! diff, below). The engine drives the built-in set in a fixed canonical
+//! order and lets callers append extra `Observer`s, so a new metric is
+//! one struct away and never touches the tick loop.
 //!
 //! The set is split along the variant seam: [`WorldObservers`] holds
 //! every accumulator that is a pure function of the world's tick stream
@@ -56,15 +57,15 @@ use chlm_cluster::address::AddrChangeKind;
 use chlm_cluster::events::{level_diffs, EventCounts, LevelDiff};
 use chlm_cluster::{Hierarchy, StateTracker};
 use chlm_graph::dynamics::{LinkDiff, LinkEventRate};
-use chlm_graph::NodeIdx;
 use chlm_lm::handoff::HandoffLedger;
 
 use crate::scheme::{HandoffBook, QueryBook, SchemePlane};
 use crate::transport::PacketTotals;
 use chlm_proto::network::NetworkStats;
 
-/// One per-tick measurement. Implementations accumulate across ticks and
-/// are read out once at `finish`.
+/// One per-tick measurement that may price packets: the shape of the
+/// observers a caller appends to a bank. Implementations accumulate
+/// across ticks and are read out once at `finish`.
 pub trait Observer {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer);
 }
@@ -108,8 +109,8 @@ pub struct AddressChurnObserver {
     pub rates: LevelRates,
 }
 
-impl Observer for AddressChurnObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
+impl AddressChurnObserver {
+    pub fn on_tick(&mut self, ctx: &TickCtx<'_>) {
         for c in ctx.addr_changes {
             match c.kind {
                 AddrChangeKind::Migration => self.rates.add_migration(c.level as usize, 1),
@@ -166,10 +167,8 @@ impl AlcaStateObserver {
         tracker.observe(initial);
         AlcaStateObserver { tracker }
     }
-}
 
-impl Observer for AlcaStateObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
+    pub fn on_tick(&mut self, ctx: &TickCtx<'_>) {
         self.tracker.observe(ctx.new_hierarchy);
     }
 }
@@ -187,24 +186,10 @@ impl DegreeObserver {
             max_depth: initial_depth,
         }
     }
-}
 
-impl Observer for DegreeObserver {
-    fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
+    pub fn on_tick(&mut self, ctx: &TickCtx<'_>) {
         self.degree_sum += ctx.graph.mean_degree();
         self.max_depth = self.max_depth.max(ctx.new_hierarchy.depth());
-    }
-}
-
-/// Pricer handed to observers that never price packets. Every observer in
-/// [`WorldObservers`] ignores its pricer argument; this stub makes that
-/// contract executable (debug-asserted) instead of implicit.
-struct InertPricer;
-
-impl HopPricer for InertPricer {
-    fn hops(&mut self, _a: NodeIdx, _b: NodeIdx) -> f64 {
-        debug_assert!(false, "world observers never price packets");
-        0.0
     }
 }
 
@@ -267,7 +252,7 @@ impl WorldObservers {
             None => merged(),
         };
         self.link.rate.record_count(link_events, ctx.n, ctx.dt);
-        self.addr.on_tick(ctx, &mut InertPricer);
+        self.addr.on_tick(ctx);
         let (old, new) = (ctx.old_hierarchy, ctx.new_hierarchy);
         self.taxonomy.counts.cover(old.depth().max(new.depth()));
         for diff in level_diffs(old, new) {
@@ -275,8 +260,8 @@ impl WorldObservers {
             self.taxonomy.counts.add(&diff);
         }
         self.churn.rates.node_seconds += ctx.n as f64 * ctx.dt;
-        self.alca.on_tick(ctx, &mut InertPricer);
-        self.degree.on_tick(ctx, &mut InertPricer);
+        self.alca.on_tick(ctx);
+        self.degree.on_tick(ctx);
     }
 
     /// The full [`LevelRates`] view: address churn merged with link churn

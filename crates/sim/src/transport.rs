@@ -105,8 +105,8 @@ pub(crate) trait WireLeg: Sync {
 /// How one accounting plane turns legs into transmission counts; see the
 /// module docs.
 pub enum Transport {
-    /// Price each leg with the lent hop oracle. Holds a row warmer iff
-    /// that oracle reads the graph's BFS rows ([`HopMetric::Bfs`]).
+    /// Price each leg with the lent pricer. Holds a row warmer iff that
+    /// pricer reads the graph's BFS rows ([`HopMetric::Bfs`]).
     Analytic(Option<RowWarmer>),
     /// Execute each leg as a packet on the tick's topology.
     Packet(PacketExecutor),

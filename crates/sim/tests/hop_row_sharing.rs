@@ -1,8 +1,8 @@
 //! One shortest-path row per root per snapshot, whoever asks.
 //!
-//! The BFS pricer (`DistanceOracle`) and every packet network
-//! (`chlm_proto::PacketNetwork`) keep no rows of their own: they read
-//! `Graph::hop_row`, the memo on the snapshot they were all handed. These
+//! The BFS pricer (`Pricer` under `HopMetric::Bfs`) and every packet
+//! network (`chlm_proto::PacketNetwork`) keep no rows of their own: they
+//! read `Graph::hop_row`, the memo on the snapshot they were all handed. These
 //! tests pin the sharing itself — the values are pinned everywhere else
 //! (`parity`, `query_parity`, `multiplex_equivalence`, the goldens) — and
 //! who asks: inside a tick rows are warmed by `Transport::carry`, a batch
@@ -14,18 +14,20 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use chlm_cluster::{Hierarchy, HierarchyOptions};
 use chlm_geom::region::deploy_uniform;
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::unit_disk::build_unit_disk;
 use chlm_proto::message::{LmMessage, Packet};
 use chlm_proto::network::PacketNetwork;
-use chlm_sim::oracle::DistanceOracle;
+use chlm_sim::cost::{CostInputs, Pricing};
+use chlm_sim::oracle::DEFAULT_DETOUR;
 use chlm_sim::{
     Backend, HopMetric, HopPricer, LmScheme, MultiplexSim, Observer, SimConfig, SimReport, TickCtx,
     VariantSpec,
 };
 
-/// After the BFS oracle prices `(a, x)` and `(a, y)` and two separate
+/// After the BFS pricer prices `(a, x)` and `(a, y)` and two separate
 /// packet networks handed the same `&Graph` each deliver a packet *from*
 /// `a`, the graph holds exactly one row — `a`'s — and the executed
 /// transmissions are its entries. (At the parent of the PR that introduced
@@ -41,8 +43,17 @@ fn pricer_and_packet_networks_share_one_row() {
     let g = build_unit_disk(&pts, rtx);
     let (a, x, y) = (7u32, 31u32, 64u32);
 
-    let mut oracle = DistanceOracle::bfs(&g, &pts, rtx);
-    let priced = [oracle.hops(a, x), oracle.hops(a, y)];
+    let ids: Vec<u64> = (0..n as u64).collect();
+    let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
+    let mut pricing = Pricing::new(HopMetric::Bfs, DEFAULT_DETOUR);
+    let mut pricer = pricing.pricer(&CostInputs {
+        graph: &g,
+        positions: &pts,
+        hierarchy: &h,
+        rtx,
+        sources: &[],
+    });
+    let priced = [pricer.hops(a, x), pricer.hops(a, y)];
     assert_eq!(g.hop_rows_cached(), 1);
 
     for (dst, price) in [x, y].into_iter().zip(priced) {

@@ -19,7 +19,7 @@ use chlm_graph::{Graph, NodeIdx};
 use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_sim::observe::{AddressChurnObserver, AlcaStateObserver, DegreeObserver, WorldObservers};
-use chlm_sim::{make_accounting, HopPricer, Observer, SimConfig, TickCtx};
+use chlm_sim::{make_accounting, HopPricer, SimConfig, TickCtx};
 
 const N: usize = 8;
 const DT: f64 = 0.5;
@@ -28,19 +28,6 @@ const RTX: f64 = 1.0;
 /// Election IDs: node 7 carries the largest ID so rewiring its links
 /// reshapes cluster headship, not just membership.
 const IDS: [u64; N] = [13, 7, 21, 3, 29, 11, 5, 97];
-
-/// Fixed per-pair hop price; `hops(a, a) == 0` as the trait requires.
-struct ConstPricer(f64);
-
-impl HopPricer for ConstPricer {
-    fn hops(&mut self, a: NodeIdx, b: NodeIdx) -> f64 {
-        if a == b {
-            0.0
-        } else {
-            self.0
-        }
-    }
-}
 
 struct Snap {
     positions: Vec<Point>,
@@ -125,12 +112,12 @@ fn ctx_at<'a>(
     }
 }
 
-/// Drive `obs` through both fixture ticks with the real diff streams.
-fn run_two_ticks(snaps: &[Snap; 3], obs: &mut dyn Observer, pricer: &mut dyn HopPricer) {
+/// Drive `on_tick` through both fixture ticks with the real diff streams.
+fn run_two_ticks(snaps: &[Snap; 3], mut on_tick: impl FnMut(&TickCtx<'_>)) {
     for t in 0..2 {
         let addr_changes = snaps[t].book.diff(&snaps[t + 1].book);
         let host_changes = snaps[t].assignment.diff(&snaps[t + 1].assignment);
-        obs.on_tick(&ctx_at(snaps, t, &host_changes, &addr_changes), pricer);
+        on_tick(&ctx_at(snaps, t, &host_changes, &addr_changes));
     }
 }
 
@@ -172,7 +159,7 @@ fn link_rate_counts_rewired_level0_links() {
 fn address_churn_splits_kinds_and_levels() {
     let snaps = fixture();
     let mut obs = AddressChurnObserver::default();
-    run_two_ticks(&snaps, &mut obs, &mut ConstPricer(1.0));
+    run_two_ticks(&snaps, |ctx| obs.on_tick(ctx));
     // Recorded: tick 0 moves nodes 5 and 6 at level 1; tick 1 cascades
     // node 0 up through level 3 and moves node 6 at level 1.
     assert_eq!(obs.rates.migration_events, vec![0, 4, 1, 1]);
@@ -202,7 +189,7 @@ fn address_churn_splits_kinds_and_levels() {
         },
     ];
     let mut obs = AddressChurnObserver::default();
-    obs.on_tick(&ctx_at(&snaps, 0, &[], &crafted), &mut ConstPricer(1.0));
+    obs.on_tick(&ctx_at(&snaps, 0, &[], &crafted));
     assert_eq!(obs.rates.migration_events, vec![0, 1, 0]);
     assert_eq!(obs.rates.reorg_events, vec![0, 0, 2]);
 }
@@ -326,7 +313,7 @@ fn taxonomy_accumulates_per_tick_classification() {
 fn alca_tracker_sees_initial_plus_both_ticks() {
     let snaps = fixture();
     let mut obs = AlcaStateObserver::new(&snaps[0].hierarchy);
-    run_two_ticks(&snaps, &mut obs, &mut ConstPricer(1.0));
+    run_two_ticks(&snaps, |ctx| obs.on_tick(ctx));
     assert_eq!(obs.tracker.ticks(), 3);
     // Depth grows from 4 to 5 on tick 1; the tracker must have seen both.
     assert!(obs.tracker.level_count() >= 5);
@@ -338,7 +325,7 @@ fn alca_tracker_sees_initial_plus_both_ticks() {
 fn degree_observer_sums_mean_degree_and_depth() {
     let snaps = fixture();
     let mut obs = DegreeObserver::new(snaps[0].hierarchy.depth());
-    run_two_ticks(&snaps, &mut obs, &mut ConstPricer(1.0));
+    run_two_ticks(&snaps, |ctx| obs.on_tick(ctx));
     assert_eq!(obs.degree_sum, 4.0);
     assert_eq!(obs.max_depth, 5);
 }

@@ -5,10 +5,14 @@
 //! parallel path that leaks scheduling order into results breaks these
 //! tests at the first diverging tick.
 
+use chlm_cluster::{Hierarchy, HierarchyOptions};
+use chlm_geom::Point;
 use chlm_graph::traversal::bfs_distances;
 use chlm_graph::unit_disk::build_unit_disk;
+use chlm_graph::Graph;
 use chlm_par::WorkerPool;
-use chlm_sim::oracle::DistanceOracle;
+use chlm_sim::cost::{CostInputs, HopPricer, Pricing};
+use chlm_sim::oracle::DEFAULT_DETOUR;
 use chlm_sim::{
     Backend, HopMetric, LmScheme, LossSpec, MobilityKind, SimConfig, Simulation, VariantSpec,
 };
@@ -284,9 +288,11 @@ fn rpgm_mobility_thread_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The parallel BFS row prefill must answer exactly like the serial
-    /// `bfs_distances` rows, for arbitrary graphs, source subsets
-    /// (duplicates and all), and pool widths.
+    /// Rows warmed in bulk by a pool (`Graph::fill_hop_rows`, what every
+    /// transport's `carry` calls) must price exactly like rows the BFS
+    /// pricer computes lazily, and like the serial `bfs_distances` rows,
+    /// for arbitrary graphs, source subsets (duplicates and all), and
+    /// pool widths; pricing the warmed sources computes no further row.
     #[test]
     fn prop_prefill_matches_serial_bfs(
         seed in 0u64..500,
@@ -299,22 +305,40 @@ proptest! {
         let mut rng = chlm_geom::SimRng::seed_from(seed);
         let pts = chlm_geom::region::deploy_uniform(&disk, n, &mut rng);
         let g = build_unit_disk(&pts, rtx);
+        let h = Hierarchy::build(&rng.permutation(n), &g, HierarchyOptions::default());
         let sources: Vec<u32> = picks.iter().map(|&p| (p % n) as u32).collect();
-        let mut prefilled = DistanceOracle::bfs(&g, &pts, rtx);
-        prefilled.prefill(&sources, &WorkerPool::new(threads));
+        g.fill_hop_rows(&sources, &WorkerPool::new(threads));
+        let mut distinct = sources.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(g.hop_rows_cached(), distinct.len());
         // Rows live on the graph, so the lazy side prices a cold clone:
-        // otherwise it would read the rows the prefill just published.
+        // otherwise it would read the rows the fill just published.
         let cold = g.clone();
-        let mut lazy = DistanceOracle::bfs(&cold, &pts, rtx);
+        let mut warm_pricing = Pricing::new(HopMetric::Bfs, DEFAULT_DETOUR);
+        let mut warm = warm_pricing.pricer(&inputs(&g, &pts, rtx, &h));
+        let mut lazy_pricing = Pricing::new(HopMetric::Bfs, DEFAULT_DETOUR);
+        let mut lazy = lazy_pricing.pricer(&inputs(&cold, &pts, rtx, &h));
         for &s in &sources {
             let row = bfs_distances(&g, s);
             for t in 0..n as u32 {
-                let got = prefilled.hops(s, t);
+                let got = warm.hops(s, t);
                 prop_assert_eq!(got, lazy.hops(s, t), "source {} target {}", s, t);
                 if s != t && row[t as usize] != chlm_graph::traversal::UNREACHABLE {
                     prop_assert_eq!(got, f64::from(row[t as usize]));
                 }
             }
         }
+        prop_assert_eq!(g.hop_rows_cached(), distinct.len(), "priced from the warmed rows");
+    }
+}
+
+fn inputs<'a>(g: &'a Graph, pts: &'a [Point], rtx: f64, h: &'a Hierarchy) -> CostInputs<'a> {
+    CostInputs {
+        graph: g,
+        positions: pts,
+        hierarchy: h,
+        rtx,
+        sources: &[],
     }
 }
