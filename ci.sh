@@ -4,6 +4,9 @@
 # workspace root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
+# A set CHLM_REGEN_GOLDEN makes the golden wall rewrite its pins instead
+# of checking them; the gate never regenerates.
+unset CHLM_REGEN_GOLDEN
 
 step() { printf '\n==> %s\n' "$*"; }
 
@@ -133,11 +136,24 @@ if grep -n 'for_each_within\|nbr_scratch\|sort_unstable' crates/graph/src/increm
   exit 1
 fi
 
+# Every absolute pin lives in one manifest, crates/bench/tests/golden/
+# pins.txt (checked by crates/bench/tests/golden_wall.rs): no 64-bit digest
+# literal sits in Rust source anywhere else.
+if grep -rnE --include='*.rs' '0x[0-9a-f]{16}\b|"[0-9a-f]{16}"' crates/*/src crates/*/tests tests; then
+  echo "leftover check: a digest literal outside the golden wall's manifest" >&2
+  exit 1
+fi
+
 step "cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 step "cargo test (workspace)"
 cargo test --workspace -q
+
+# The golden wall checked its pins and wrote nothing: a run that
+# regenerated them cannot pass.
+step "golden wall unchanged"
+git diff --exit-code -- crates/bench/tests/golden
 
 # The packet executor against the event-queue executor it replaced, at
 # eight times tier-1's case count: stats bit for bit, per-packet counts,

@@ -73,12 +73,6 @@ pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
     tv / 2.0
 }
 
-/// Expected fraction of time in state 1 under the binomial model — the
-/// model's prediction for the paper's `p_j`.
-pub fn p_state1_binomial(d: usize, q: f64) -> f64 {
-    binomial_occupancy(d, q).get(1).copied().unwrap_or(0.0)
-}
-
 /// Rank-mixture model of the ALCA state distribution.
 ///
 /// A plain binomial assumes every neighbor elects the node with the *same*
@@ -205,12 +199,5 @@ mod tests {
         let pmf = rank_mixture_occupancy(1, 128);
         assert!((pmf[0] - 0.5).abs() < 1e-6);
         assert!((pmf[1] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn p1_prediction() {
-        let p1 = p_state1_binomial(8, 0.1);
-        // 8 · 0.1 · 0.9^7 ≈ 0.383
-        assert!((p1 - 8.0 * 0.1 * 0.9f64.powi(7)).abs() < 1e-12);
     }
 }

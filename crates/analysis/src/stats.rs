@@ -122,39 +122,6 @@ impl OnlineStats {
     }
 }
 
-/// Bootstrap percentile confidence interval for the mean: resample with
-/// replacement `resamples` times (deterministic in `seed`) and return the
-/// `(lo, hi)` quantiles at `confidence` (e.g. 0.95). More faithful than
-/// the normal approximation for the skewed per-seed overhead
-/// distributions the experiments produce. Returns `None` for empty input.
-pub fn bootstrap_ci_mean(
-    xs: &[f64],
-    confidence: f64,
-    resamples: usize,
-    seed: u64,
-) -> Option<(f64, f64)> {
-    if xs.is_empty() {
-        return None;
-    }
-    assert!((0.0..1.0).contains(&confidence) && confidence > 0.5);
-    assert!(resamples >= 100);
-    let mut rng = chlm_geom::SimRng::seed_from(seed);
-    let n = xs.len();
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut total = 0.0;
-        for _ in 0..n {
-            total += xs[rng.index(n)];
-        }
-        means.push(total / n as f64);
-    }
-    means.sort_by(f64::total_cmp);
-    let alpha = (1.0 - confidence) / 2.0;
-    let lo = means[((resamples as f64 * alpha) as usize).min(resamples - 1)];
-    let hi = means[((resamples as f64 * (1.0 - alpha)) as usize).min(resamples - 1)];
-    Some((lo, hi))
-}
-
 /// p-th percentile (0..=100) by linear interpolation on a sorted copy.
 /// Returns `None` for an empty slice.
 pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
@@ -229,24 +196,6 @@ mod tests {
         assert!((oa.mean() - s.mean).abs() < 1e-12);
         assert!((oa.variance() - s.variance).abs() < 1e-9);
         assert_eq!(oa.count(), 7);
-    }
-
-    #[test]
-    fn bootstrap_ci_brackets_mean_and_tightens() {
-        let xs: Vec<f64> = (0..40).map(|i| 10.0 + (i % 7) as f64).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let (lo, hi) = bootstrap_ci_mean(&xs, 0.95, 2000, 1).unwrap();
-        assert!(lo <= mean && mean <= hi, "[{lo}, {hi}] vs {mean}");
-        // More data → narrower interval.
-        let big: Vec<f64> = xs.iter().cycle().take(400).copied().collect();
-        let (lo2, hi2) = bootstrap_ci_mean(&big, 0.95, 2000, 1).unwrap();
-        assert!(hi2 - lo2 < hi - lo);
-        // Deterministic.
-        assert_eq!(
-            bootstrap_ci_mean(&xs, 0.95, 500, 9),
-            bootstrap_ci_mean(&xs, 0.95, 500, 9)
-        );
-        assert!(bootstrap_ci_mean(&[], 0.95, 500, 0).is_none());
     }
 
     #[test]

@@ -119,13 +119,6 @@ pub fn q1_fraction_lower_bound(p: &[f64], k: usize) -> f64 {
     }
 }
 
-/// The `T_R` lower bound of eq. (23a): `T_R ≥ (q_1/(p²+q_1)) · h_{k-2}`,
-/// in units where `T_1 = h_{k-2}`.
-pub fn t_r_lower_bound(p: &[f64], k: usize, h: &UniformHierarchy) -> f64 {
-    assert!(k >= 2);
-    q1_fraction_lower_bound(p, k) * h.hop_count(k.saturating_sub(2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,17 +209,5 @@ mod tests {
         // the first level).
         let tiny = [0.01, 0.01, 0.01, 0.01];
         assert!(q1_fraction_lower_bound(&tiny, 4) > b);
-    }
-
-    #[test]
-    fn t_r_bound_grows_with_level() {
-        let h = UniformHierarchy {
-            alpha: 4.0,
-            levels: 8,
-        };
-        let p = vec![0.2; 8];
-        let t3 = t_r_lower_bound(&p, 3, &h);
-        let t6 = t_r_lower_bound(&p, 6, &h);
-        assert!(t6 > t3);
     }
 }

@@ -190,22 +190,6 @@ impl AddressBook {
             }
         }
     }
-
-    /// Per-level counts of (migration, reorganization) changes from a diff.
-    /// Index 0 of the result is level 1.
-    pub fn count_by_level(changes: &[AddrChange], depth: usize) -> Vec<(u64, u64)> {
-        let mut counts = vec![(0u64, 0u64); depth.saturating_sub(1)];
-        for c in changes {
-            let slot = (c.level - 1) as usize;
-            if slot < counts.len() {
-                match c.kind {
-                    AddrChangeKind::Migration => counts[slot].0 += 1,
-                    AddrChangeKind::Reorganization => counts[slot].1 += 1,
-                }
-            }
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -326,35 +310,6 @@ mod tests {
         for c in &mine {
             assert_eq!(c.kind, AddrChangeKind::Migration, "level {}", c.level);
         }
-    }
-
-    #[test]
-    fn count_by_level_totals() {
-        let changes = vec![
-            AddrChange {
-                node: 0,
-                level: 1,
-                old_head: 1,
-                new_head: 2,
-                kind: AddrChangeKind::Migration,
-            },
-            AddrChange {
-                node: 1,
-                level: 2,
-                old_head: 1,
-                new_head: 2,
-                kind: AddrChangeKind::Reorganization,
-            },
-            AddrChange {
-                node: 2,
-                level: 2,
-                old_head: 3,
-                new_head: 4,
-                kind: AddrChangeKind::Migration,
-            },
-        ];
-        let counts = AddressBook::count_by_level(&changes, 3);
-        assert_eq!(counts, vec![(1, 0), (1, 1)]);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Non-panicking structural audits of the clustered hierarchy.
 //!
-//! [`Hierarchy::check_invariants`] panics on the first inconsistency, which
-//! is the right behavior for unit tests but useless for the tick-level
-//! invariant auditor in `chlm-sim`: an audited simulation must *report*
-//! every violation it finds and keep running. The functions here re-check
-//! the same properties (plus the `AddressBook` ↔ [`Hierarchy`] consistency
-//! the book's `capture` promises) and return structured
-//! [`ClusterViolation`] values instead.
+//! An audited simulation must *report* every violation it finds and keep
+//! running, so the functions here return structured [`ClusterViolation`]
+//! values instead of panicking: [`audit_hierarchy`] for the hierarchy
+//! itself (which [`Hierarchy::check_invariants`] asserts empty in tests),
+//! [`audit_address_book`] for the `AddressBook` ↔ [`Hierarchy`]
+//! consistency the book's `capture` promises.
 //!
 //! The checks encode the election rule of §2.2: every level-k node casts
 //! exactly one vote — for the largest-ID node in its closed neighborhood —
@@ -60,6 +59,9 @@ pub enum ClusterViolation {
     /// The heads elected at `level` are not exactly the node set of
     /// `level + 1`.
     LevelSetMismatch { level: usize },
+    /// The tree-order columns of `level` (`rank`, `tree_nodes`, `parent`,
+    /// `start`) do not number its nodes cluster by cluster.
+    TreeOrder { level: usize, detail: String },
     /// The address book's depth differs from the hierarchy's.
     DepthMismatch { book: usize, hierarchy: usize },
     /// The address book covers a different node count than the hierarchy.
@@ -126,6 +128,9 @@ impl fmt::Display for ClusterViolation {
                 "heads elected at level {level} are not level {} node set",
                 level + 1
             ),
+            ClusterViolation::TreeOrder { level, detail } => {
+                write!(f, "level {level}: tree order broken ({detail})")
+            }
             ClusterViolation::DepthMismatch { book, hierarchy } => {
                 write!(
                     f,
@@ -256,8 +261,58 @@ pub fn audit_hierarchy(h: &Hierarchy) -> Vec<ClusterViolation> {
                 out.push(ClusterViolation::LevelSetMismatch { level: k });
             }
         }
+        if let Some(detail) = tree_order_fault(h, k) {
+            out.push(ClusterViolation::TreeOrder { level: k, detail });
+        }
     }
     out
+}
+
+/// Why level `k`'s tree-order columns are wrong, if they are. Below the
+/// top, `rank` numbers every node into `tree_nodes`, each node's `parent`
+/// is its cluster's tree number one level up, and `start` cuts the tree
+/// numbers into one run per parent, ascending by physical index; the top
+/// level has no columns. Assumes level `k` passed the shape check.
+fn tree_order_fault(h: &Hierarchy, k: usize) -> Option<String> {
+    let level = &h.levels[k];
+    let columns = [&level.rank, &level.tree_nodes, &level.parent, &level.start];
+    let lens = columns.map(|c| c.len());
+    let Some(above) = h.levels.get(k + 1) else {
+        return (lens != [0; 4]).then(|| format!("columns {lens:?} at the top level"));
+    };
+    let (m, up) = (level.len(), above.len());
+    if lens != [m, m, m, up + 1] {
+        return Some(format!(
+            "column lengths {lens:?}, want [{m}, {m}, {m}, {}]",
+            up + 1
+        ));
+    }
+    let start = &level.start;
+    if start[0] != 0 || start[up] != m as u32 || start.windows(2).any(|w| w[0] > w[1]) {
+        return Some(format!("start {start:?} does not cut 0..{m}"));
+    }
+    for (t, run) in start.windows(2).enumerate() {
+        let (lo, hi) = (run[0] as usize, run[1] as usize);
+        if level.parent[lo..hi].iter().any(|&p| p as usize != t) {
+            return Some(format!("run {t} has a foreign parent"));
+        }
+        if level.tree_nodes[lo..hi].windows(2).any(|w| w[0] >= w[1]) {
+            return Some(format!("run {t} is not ascending"));
+        }
+    }
+    for (i, &phys) in level.nodes.iter().enumerate() {
+        let r = level.rank[i] as usize;
+        if level.tree_nodes.get(r) != Some(&phys) {
+            return Some(format!("rank of node {phys} desynced"));
+        }
+        let head = above.local(level.head_of(i as u32));
+        if head.map(|head| h.tree_number(k + 1, head)) != Some(level.parent[r]) {
+            return Some(format!(
+                "parent of node {phys} is not its head's tree number"
+            ));
+        }
+    }
+    None
 }
 
 /// Resolve node `v`'s clusterhead chain without panicking. Returns the
@@ -416,6 +471,27 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn tree_order_corruption_detected() {
+        let edges: Vec<_> = (0..19u32).map(|i| (i, i + 1)).collect();
+        let clean = h(20, &edges);
+        let tree_order = |hy: &Hierarchy| {
+            let vs = audit_hierarchy(hy);
+            vs.iter()
+                .any(|v| matches!(v, ClusterViolation::TreeOrder { level: 0, .. }))
+        };
+        let mut swapped = clean.clone();
+        swapped.levels[0].rank.swap(0, 19);
+        assert!(tree_order(&swapped));
+        let mut reparented = clean.clone();
+        let last = reparented.levels[0].parent.len() - 1;
+        reparented.levels[0].parent[last] += 1;
+        assert!(tree_order(&reparented));
+        let mut short = clean;
+        short.levels[0].start.pop();
+        assert!(tree_order(&short));
     }
 
     #[test]

@@ -165,11 +165,6 @@ impl EventCounts {
         }
     }
 
-    /// Total events at level k across all classes.
-    pub fn level_total(&self, k: usize) -> u64 {
-        self.counts.get(k).map_or(0, |row| row.iter().sum())
-    }
-
     /// Total events across all levels and classes.
     pub fn grand_total(&self) -> u64 {
         self.counts.iter().map(|row| row.iter().sum::<u64>()).sum()
@@ -657,8 +652,8 @@ mod tests {
             neighbor: 5,
         });
         a.merge(&b);
-        assert_eq!(a.level_total(1), 1);
-        assert_eq!(a.level_total(3), 1);
+        assert_eq!(a.counts[1].iter().sum::<u64>(), 1);
+        assert_eq!(a.counts[3].iter().sum::<u64>(), 1);
         assert_eq!(a.grand_total(), 2);
     }
 

@@ -273,94 +273,22 @@ impl Hierarchy {
         &below.tree_nodes[below.start[t] as usize..below.start[t + 1] as usize]
     }
 
-    /// Check internal invariants (test helper): every vote targets the
-    /// largest-ID closed neighbor, head flags match vote image, every
-    /// non-final level's heads equal the next level's node set, and the
-    /// slot table and tree order agree with the node list and votes.
+    /// Check internal invariants (test helper): every level's graph, and
+    /// an empty [`audit::audit_hierarchy`] (votes, head flags, elector
+    /// counts, slot table, level sets and tree order).
+    ///
+    /// # Panics
+    /// On any violation, listing them all.
     pub fn check_invariants(&self) {
-        let n = self.node_count();
-        for (k, level) in self.levels.iter().enumerate() {
+        for level in &self.levels {
             level.graph.check_invariants();
-            assert_eq!(level.nodes.len(), level.vote.len());
-            assert_eq!(level.nodes.len(), level.is_head.len());
-            assert_eq!(level.slots.len(), n, "slot table sized to population");
-            assert_eq!(
-                level.slots.iter().filter(|&&s| s != NO_SLOT).count(),
-                level.nodes.len(),
-                "slot table has stale entries at level {k}"
-            );
-            if k + 1 == self.depth() {
-                assert!(
-                    level.rank.is_empty()
-                        && level.tree_nodes.is_empty()
-                        && level.parent.is_empty()
-                        && level.start.is_empty(),
-                    "tree-order columns at the top level {k}"
-                );
-            } else {
-                self.check_tree_order(k);
-            }
-            for (i, &phys) in level.nodes.iter().enumerate() {
-                assert_eq!(level.slots[phys as usize], i as u32);
-                // Vote is the max-ID closed neighbor.
-                let mut best = i as u32;
-                let mut best_id = self.ids[phys as usize];
-                for &nb in level.graph.neighbors(i as u32) {
-                    let nb_id = self.ids[level.nodes[nb as usize] as usize];
-                    if nb_id > best_id {
-                        best_id = nb_id;
-                        best = nb;
-                    }
-                }
-                assert_eq!(level.vote[i], best, "vote mismatch at level {k} node {i}");
-            }
-            // Head flags = vote image; elector counts match.
-            let mut got = vec![0u32; level.len()];
-            for (i, &t) in level.vote.iter().enumerate() {
-                if i as u32 != t {
-                    got[t as usize] += 1;
-                }
-            }
-            for i in 0..level.len() {
-                assert_eq!(level.elector_count[i], got[i]);
-                let voted = got[i] > 0 || level.vote[i] == i as u32;
-                assert_eq!(level.is_head[i], voted, "head flag mismatch");
-            }
-            if k + 1 < self.levels.len() {
-                let mut heads: Vec<NodeIdx> = level.heads().map(|(_, p)| p).collect();
-                heads.sort_unstable();
-                let mut next: Vec<NodeIdx> = self.levels[k + 1].nodes.clone();
-                next.sort_unstable();
-                assert_eq!(heads, next, "level {} heads != level {} nodes", k, k + 1);
-            }
         }
-    }
-
-    /// Tree-order columns of level `k` below the top: `rank` numbers every
-    /// node into `tree_nodes`, each node's `parent` is its cluster's tree
-    /// number one level up, and `start` cuts the tree numbers into one run
-    /// per parent, ascending by physical index.
-    fn check_tree_order(&self, k: usize) {
-        let (level, above) = (&self.levels[k], &self.levels[k + 1]);
-        let (m, up) = (level.len(), above.len());
-        let lens = [level.rank.len(), level.tree_nodes.len(), level.parent.len()];
-        assert_eq!((lens, level.start.len()), ([m; 3], up + 1), "level {k}");
-        assert_eq!((level.start[0], level.start[up]), (0, m as u32));
-        for (t, run) in level.start.windows(2).enumerate() {
-            let run = run[0] as usize..run[1] as usize;
-            assert!(level.parent[run.clone()].iter().all(|&p| p as usize == t));
-            assert!(level.tree_nodes[run].windows(2).all(|w| w[0] < w[1]));
-        }
-        for (i, &phys) in level.nodes.iter().enumerate() {
-            let r = level.rank[i] as usize;
-            assert_eq!(level.tree_nodes[r], phys, "rank desync at level {k}");
-            // audit: infallible because the heads of a level are the next
-            // level's nodes (a contraction invariant).
-            let head = above
-                .local(level.head_of(i as u32))
-                .expect("head one level up");
-            assert_eq!(level.parent[r], self.tree_number(k + 1, head));
-        }
+        let violations = audit::audit_hierarchy(self);
+        let list: String = violations.iter().map(|v| format!("\n  {v}")).collect();
+        assert!(
+            violations.is_empty(),
+            "hierarchy invariants violated:{list}"
+        );
     }
 }
 

@@ -127,11 +127,6 @@ impl SpatialGrid {
         self.n_points == 0
     }
 
-    /// Cell size used at construction.
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// The grid's cell order: its CSR, read as a numbering of the points.
     pub fn cell_order(&self) -> CellOrder<'_> {
         CellOrder {

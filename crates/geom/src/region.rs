@@ -120,13 +120,6 @@ impl Rect {
             Rect::new(c, self.max),
         ]
     }
-
-    /// True if the rectangle intersects the disk of radius `r` about `p`.
-    pub fn intersects_circle(&self, p: Point, r: f64) -> bool {
-        let cx = p.x.clamp(self.min.x, self.max.x);
-        let cy = p.y.clamp(self.min.y, self.max.y);
-        Point::new(cx, cy).dist_sq(p) <= r * r
-    }
 }
 
 impl Region for Rect {
@@ -212,14 +205,6 @@ mod tests {
         for q in &qs {
             assert!((q.area() - 16.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn rect_circle_intersection() {
-        let r = Rect::square(2.0);
-        assert!(r.intersects_circle(Point::new(1.0, 1.0), 0.1)); // inside
-        assert!(r.intersects_circle(Point::new(3.0, 1.0), 1.5)); // overlaps edge
-        assert!(!r.intersects_circle(Point::new(5.0, 5.0), 1.0)); // far away
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl UnionFind {
     pub fn same_set(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +75,6 @@ mod tests {
         assert_eq!(uf.set_count(), 5);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
-            assert_eq!(uf.set_size(i), 1);
         }
     }
 
@@ -95,7 +88,8 @@ mod tests {
         assert_eq!(uf.set_count(), 3);
         assert!(uf.same_set(1, 3));
         assert!(!uf.same_set(1, 4));
-        assert_eq!(uf.set_size(3), 4);
+        let root = uf.find(3) as usize;
+        assert_eq!(uf.size[root], 4);
     }
 
     #[test]

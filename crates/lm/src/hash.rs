@@ -127,25 +127,6 @@ pub fn hrw_select_weighted(
     best
 }
 
-/// Load-skew summary for a selection rule: assign every subject in
-/// `subjects` to one of `candidates` and report `(max_load, mean_load,
-/// max/mean ratio)`.
-pub fn load_skew<F: Fn(ElectionId, &[ElectionId]) -> usize>(
-    subjects: &[ElectionId],
-    candidates: &[ElectionId],
-    select: F,
-) -> (usize, f64, f64) {
-    assert!(!candidates.is_empty());
-    let mut load = vec![0usize; candidates.len()];
-    for &s in subjects {
-        load[select(s, candidates)] += 1;
-    }
-    let max = load.iter().copied().max().unwrap_or(0);
-    let mean = subjects.len() as f64 / candidates.len() as f64;
-    let ratio = if mean > 0.0 { max as f64 / mean } else { 0.0 };
-    (max, mean, ratio)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,12 +165,22 @@ mod tests {
         }
     }
 
+    /// Max over mean load when `select` assigns every subject to one of
+    /// `candidates`.
+    fn skew(subjects: &[u64], candidates: &[u64], select: impl Fn(u64, &[u64]) -> usize) -> f64 {
+        let mut load = vec![0usize; candidates.len()];
+        for &s in subjects {
+            load[select(s, candidates)] += 1;
+        }
+        let max = load.into_iter().max().unwrap_or(0);
+        max as f64 * candidates.len() as f64 / subjects.len() as f64
+    }
+
     #[test]
     fn hrw_load_roughly_uniform() {
         let cands: Vec<u64> = (0..8).map(|i| 1000 + 37 * i).collect();
         let subjects: Vec<u64> = (0..4000).collect();
-        let (_, mean, ratio) = load_skew(&subjects, &cands, |s, c| hrw_select(s, c, 0));
-        assert_eq!(mean, 500.0);
+        let ratio = skew(&subjects, &cands, |s, c| hrw_select(s, c, 0));
         assert!(ratio < 1.2, "HRW skew ratio {ratio}");
     }
 
@@ -210,10 +201,10 @@ mod tests {
         // the *minimum* member, concentrating load there.
         let candidates = [45u64, 59, 68, 74, 75, 97];
         let subjects: Vec<u64> = (0..1000).collect();
-        let (_, _, mod_ratio) = load_skew(&subjects, &candidates, |s, c| {
+        let mod_ratio = skew(&subjects, &candidates, |s, c| {
             mod_successor_select(s, c, 1000)
         });
-        let (_, _, hrw_ratio) = load_skew(&subjects, &candidates, |s, c| hrw_select(s, c, 0));
+        let hrw_ratio = skew(&subjects, &candidates, |s, c| hrw_select(s, c, 0));
         assert!(
             mod_ratio > 3.0,
             "mod rule unexpectedly balanced: {mod_ratio}"

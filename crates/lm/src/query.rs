@@ -100,30 +100,6 @@ pub fn resolve<H: FnMut(NodeIdx, NodeIdx) -> f64>(
     })
 }
 
-/// Convenience: mean query cost over `pairs` random (requester, target)
-/// pairs, with the given oracle. Skips unresolvable pairs; returns `None`
-/// if every pair was unresolvable.
-pub fn mean_query_cost<H: FnMut(NodeIdx, NodeIdx) -> f64>(
-    h: &Hierarchy,
-    assignment: &LmAssignment,
-    pairs: &[(NodeIdx, NodeIdx)],
-    mut hop: H,
-) -> Option<f64> {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for &(s, t) in pairs {
-        if let Some(q) = resolve(h, assignment, s, t, &mut hop) {
-            total += q.packets;
-            count += 1;
-        }
-    }
-    if count == 0 {
-        None
-    } else {
-        Some(total / count as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +211,5 @@ mod tests {
         let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
         let a = LmAssignment::compute(&h, SelectionRule::Hrw);
         assert!(resolve(&h, &a, 0, 1, |_, _| 1.0).is_none());
-        assert!(mean_query_cost(&h, &a, &[(0, 1)], |_, _| 1.0).is_none());
     }
 }

@@ -134,14 +134,6 @@ impl RegistrationTracker {
         self.per_level_packets.get(k).copied().unwrap_or(0.0) / self.node_seconds
     }
 
-    /// Per-level update rate (updates per node per second).
-    pub fn level_update_rate(&self, k: usize) -> f64 {
-        if self.node_seconds == 0.0 {
-            return 0.0;
-        }
-        self.per_level_updates.get(k).copied().unwrap_or(0) as f64 / self.node_seconds
-    }
-
     pub fn max_level(&self) -> usize {
         self.max_level
     }
@@ -217,12 +209,12 @@ mod tests {
             }
             t.observe(&pts, &a, |_, _| 1.0, 0.1);
         }
-        let low = t.level_update_rate(2);
-        let high = t.level_update_rate(max_level.min(a.depth() - 1));
-        assert!(low > 0.0);
+        let low = t.per_level_updates[2];
+        let high = t.per_level_updates[max_level.min(a.depth() - 1)];
+        assert!(low > 0);
         assert!(
             low > high,
-            "low-level rate {low} should exceed high-level rate {high}"
+            "low-level updates {low} should exceed high-level updates {high}"
         );
     }
 }

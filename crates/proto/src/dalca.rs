@@ -185,11 +185,6 @@ impl Dalca {
         heads
     }
 
-    /// Elector count per node (the ALCA state of Fig. 3), from local state.
-    pub fn elector_counts(&self) -> Vec<usize> {
-        self.state.iter().map(|s| s.electors.len()).collect()
-    }
-
     /// Check agreement with the centralized election on `graph`:
     /// votes and head sets must match exactly.
     ///

@@ -5,7 +5,8 @@
 //! conservation laws and structural invariants *as the run progresses*:
 //!
 //! * the hierarchy is a valid LCA fixpoint — every node has exactly one
-//!   level-k clusterhead per level (via [`chlm_cluster::audit`]),
+//!   level-k clusterhead per level — numbered in tree order (via
+//!   [`chlm_cluster::audit`]),
 //! * the [`AddressBook`] snapshot matches the hierarchy it captured,
 //! * the [`LmAssignment`] matches §3.2's hash mapping, re-derived
 //!   independently (via [`chlm_lm::audit`]),

@@ -1059,52 +1059,6 @@ mod tests {
         assert!(out.is_empty(), "static world still emitted {out:?}");
     }
 
-    /// A standalone GLS run's query half reads the table its update half
-    /// advanced every tick; before the two halves shared one table, the
-    /// query half kept a copy it refreshed only on ticks with lookups.
-    /// Either way the table is a function of the tick alone, so the reports
-    /// must not move: pinned here, as the previous design printed them, at
-    /// the end of two ticks without a lookup, at the first lookup after
-    /// them, and on a tick with several.
-    #[test]
-    fn gls_query_half_reads_the_update_half_table() {
-        let pins = [
-            // (query rate, ticks run, lookups on the last tick, digest)
-            (0.05, 11, 0, "c46fd044e984ab5e"),
-            (0.05, 12, 1, "2f83a056efa29a00"),
-            (0.5, 27, 4, "ca458c7826cad4ca"),
-        ];
-        for (rate, ticks, last_lookups, digest) in pins {
-            let cfg = SimConfig::builder(120)
-                .duration(2.0)
-                .warmup(0.5)
-                .seed(31)
-                .lm_scheme(LmScheme::Gls)
-                .query_rate(rate)
-                .threads(1)
-                .build();
-            let mut sim = crate::Simulation::new(cfg);
-            let arrivals = |sim: &crate::Simulation| {
-                sim.observers()
-                    .query
-                    .as_ref()
-                    .map_or(0, |q| q.stats().arrivals)
-            };
-            let mut before = 0;
-            for _ in 0..ticks {
-                before = arrivals(&sim);
-                sim.step();
-            }
-            assert_eq!(arrivals(&sim) - before, last_lookups, "rate {rate}");
-            let report = sim.finish();
-            assert_eq!(
-                format!("{:016x}", report.digest()),
-                digest,
-                "rate {rate}, {ticks} ticks"
-            );
-        }
-    }
-
     #[test]
     fn handoff_observer_books_messages() {
         struct OneMsg;

@@ -40,26 +40,18 @@ fn mobility_kinds() -> Vec<(&'static str, MobilityKind)> {
     ]
 }
 
-/// The equality tests pass a nonzero `query_rate` so lookup resolution sits
-/// inside the compared report; the pinned digests run with the query plane
-/// off (`0.0`).
-fn config(n: usize, seed: u64, mobility: MobilityKind, query_rate: f64) -> SimConfigBuilder {
+/// Lookups at rate 2, so lookup resolution sits inside the compared report.
+fn config(n: usize, seed: u64, mobility: MobilityKind) -> SimConfigBuilder {
     SimConfig::builder(n)
         .mobility(mobility)
         .duration(2.0)
         .warmup(0.5)
         .seed(seed)
-        .query_rate(query_rate)
+        .query_rate(2.0)
 }
 
-fn run(
-    n: usize,
-    seed: u64,
-    mobility: MobilityKind,
-    reference: bool,
-    query_rate: f64,
-) -> chlm_sim::SimReport {
-    simulation(config(n, seed, mobility, query_rate).build(), reference).run()
+fn run(n: usize, seed: u64, mobility: MobilityKind, reference: bool) -> chlm_sim::SimReport {
+    simulation(config(n, seed, mobility).build(), reference).run()
 }
 
 /// `config` at three radio ranges of displacement per tick (thirty default
@@ -71,7 +63,7 @@ fn coarse_config(seed: u64, mobility: MobilityKind) -> SimConfig {
     // default one either way.
     let base = SimConfig::builder(90).build();
     let dt = 3.0 * base.rtx() / base.speed;
-    config(90, seed, mobility, 2.0)
+    config(90, seed, mobility)
         .dt(dt)
         .duration(12.0 * dt)
         .build()
@@ -96,8 +88,8 @@ fn incremental_matches_reference_everywhere() {
 
     for (name, kind) in mobility_kinds() {
         for seed in [11u64, 29, 47, 83] {
-            let fast = run(90, seed, kind, false, 2.0);
-            let reference = run(90, seed, kind, true, 2.0);
+            let fast = run(90, seed, kind, false);
+            let reference = run(90, seed, kind, true);
             assert_eq!(
                 fast, reference,
                 "incremental engine diverged (mobility={name}, seed={seed})"
@@ -121,7 +113,7 @@ fn incremental_matches_reference_everywhere() {
 #[test]
 fn incremental_matches_reference_per_scheme() {
     let scheme_run = |scheme: LmScheme, seed: u64, reference: bool| {
-        let cfg = config(90, seed, MobilityKind::Waypoint, 2.0).lm_scheme(scheme);
+        let cfg = config(90, seed, MobilityKind::Waypoint).lm_scheme(scheme);
         simulation(cfg.build(), reference).run()
     };
     for scheme in [LmScheme::Gls, LmScheme::HomeAgent] {
@@ -142,8 +134,8 @@ fn incremental_matches_reference_per_scheme() {
 /// making it slow.
 #[test]
 fn incremental_matches_reference_denser() {
-    let fast = run(220, 5, MobilityKind::Waypoint, false, 2.0);
-    let reference = run(220, 5, MobilityKind::Waypoint, true, 2.0);
+    let fast = run(220, 5, MobilityKind::Waypoint, false);
+    let reference = run(220, 5, MobilityKind::Waypoint, true);
     assert_eq!(fast, reference);
 }
 
@@ -177,54 +169,35 @@ fn with_stages_runs_the_supplied_stages() {
     assert_ne!(default.depth, other.depth);
 }
 
-/// Pinned report digests: any change here means an edit altered
-/// simulation arithmetic, not just structure. Regenerate only for an
-/// *intentional* model change, never to make a refactor pass.
-///
-/// Provenance: the table was first captured on the pre-pipeline monolithic
-/// engine with the end-of-run query-sampling probe on (16 samples). PR 13
-/// removed that probe, so the constants were re-taken **with the parent
-/// commit's code** (dfc9173, cloned outside the tree), changing only the
-/// probe's sample count from 16 to 0 in this file's `run` — the same
-/// configs with the probe off — and the probe-free engine must reproduce
-/// all 20 unedited. `SimReport::digest` still hashes the probe's `None`
-/// tag, which is what keeps the values comparable across that PR.
+/// The 20 `report.<mobility>.<seed>` pins of the golden wall's manifest,
+/// with the query plane off: any drift means an edit altered simulation
+/// arithmetic, not just structure. The values live only in the manifest
+/// (`crates/bench/tests/golden/pins.txt`), which the wall regenerates;
+/// this test reads them and lists every drift at once.
 #[test]
 fn report_digests_match_pre_pipeline_engine() {
-    const GOLDEN: &[(&str, u64, u64)] = &[
-        ("waypoint", 11, 0x79a1cd038957ee3b),
-        ("waypoint", 29, 0x886d822f24187864),
-        ("waypoint", 47, 0xc7d810683c53a755),
-        ("waypoint", 83, 0x6acd45fef6aa4a9f),
-        ("direction", 11, 0x26e7388ea5b068eb),
-        ("direction", 29, 0xdb70eb12f2e428dc),
-        ("direction", 47, 0x2c0e7e95d134cfa0),
-        ("direction", 83, 0xde02d9d1b8cd9a49),
-        ("walk", 11, 0x2267d124af24c6b8),
-        ("walk", 29, 0x895153bae4b80c50),
-        ("walk", 47, 0x5baf410a09c6b08d),
-        ("walk", 83, 0xe1a7e81b3889f6a0),
-        ("rpgm", 11, 0x44b98e1b029eefcc),
-        ("rpgm", 29, 0xa728a39b33d97ca9),
-        ("rpgm", 47, 0x7a687a109d744dd9),
-        ("rpgm", 83, 0x5992b6de99ba93d3),
-        ("static", 11, 0x9414ae0218178bea),
-        ("static", 29, 0xc25b9e7d2c7bbc28),
-        ("static", 47, 0xbcc2912bf9624513),
-        ("static", 83, 0x6e0d2f45557d9ce7),
-    ];
-    let kinds = mobility_kinds();
-    for &(name, seed, want) in GOLDEN {
-        let kind = kinds
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|&(_, m)| m)
-            .unwrap();
-        let got = run(90, seed, kind, false, 0.0).digest();
-        assert_eq!(
-            got, want,
-            "digest drift vs pre-pipeline engine (mobility={name}, seed={seed}): \
-             got {got:#018x}, want {want:#018x}"
-        );
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../bench/tests/golden/pins.txt"
+    );
+    let pins = std::fs::read_to_string(path).expect("golden wall manifest");
+    let mut drift = Vec::new();
+    for (name, kind) in mobility_kinds() {
+        for seed in [11u64, 29, 47, 83] {
+            let key = format!("report.{name}.{seed}");
+            let want = pins
+                .lines()
+                .find_map(|l| l.strip_prefix(key.as_str())?.strip_prefix(" = "));
+            let cfg = config(90, seed, kind).query_rate(0.0).build();
+            let got = format!("{:#018x}", simulation(cfg, false).run().digest());
+            if want != Some(got.as_str()) {
+                drift.push(format!("{key}: {want:?} → {got}"));
+            }
+        }
     }
+    assert!(
+        drift.is_empty(),
+        "digest drift vs pre-pipeline engine:\n  {}",
+        drift.join("\n  ")
+    );
 }
