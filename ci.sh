@@ -33,7 +33,7 @@ test -s target/step_reach.json
 # per-(scheme, backend) observers, chlm-proto's second copy of the handoff
 # message set, the inner-thread env knob, and the private shortest-path
 # state of the hop oracle (row cache + buffer pool) and of the packet
-# network (per-destination next-hop trees) that `Graph::hop_row` replaced,
+# network (per-destination next-hop trees) that the graph's hop store replaced,
 # the LM walk's cross-tick entry reuse with the cluster arena that fed
 # it (1 % of entries on every workload), the second facade crate with
 # its per-size sweep loop (every sweep is one `run_sweep` pool now), and
@@ -42,10 +42,13 @@ test -s target/step_reach.json
 # place; at the tick every run uses, no tick took the repair's fast path),
 # and the CHLM-only, handoff-only hint that told the BFS cost model which
 # rows to compute ahead of pricing (every transport now warms the rows of
-# its own legs, `Transport::carry` -> `Graph::fill_hop_rows`), and the
+# its own legs, `Transport::carry` -> `Graph::fill_hops`), and the
 # pricing stack one `Pricing` replaced: three model structs, the oracle
 # and its prefill, the routing pricer, the engine's second metric match
-# and the stub pricer handed to world observers that never price.
+# and the stub pricer handed to world observers that never price, and
+# the per-root row store with its per-lane scatter kernel (one heap row
+# per BFS root; the hop store keeps bit-plane blocks of 64 roots, read
+# one pair at a time through `Graph::hops`).
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.) The last entry is a layout,
 # not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
@@ -59,6 +62,7 @@ removed+='\|chlm_core\|run_replications\|SweepPoint'
 removed+='\|HierarchyMaintainer\|IncrementalHierarchy\|snapshot_into\|escalation_count\|build_owned'
 removed+='\|collect_chlm_bfs_sources\|wants_bfs_sources'
 removed+='\|DistanceOracle\|BfsCostModel\|EuclideanCostModel\|HierRoutingCostModel\|HierPricer\|InertPricer\|variant_cost_model'
+removed+='\|hop_row(\|batch_rows'
 removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
@@ -174,8 +178,8 @@ PROPTEST_CASES=512 cargo test -q -p chlm-lm --test walk_reference
 # pins the fan-out against standalone runs while run_sweep workers claim
 # whole world-runs in the fuzzed order. chlm-lm is here for its pooled
 # walk test (n above WALK_PAR_MIN_N at 2 and 8 workers), which no other
-# suite reaches; chlm-graph for the eight-worker race of `hop_row` and
-# `fill_hop_rows` on the same cells; hop_row_sharing for the rows a
+# suite reaches; chlm-graph for the eight-worker race of `hops` and
+# `fill_hop_rows` on the same cells; hop_row_sharing for the roots a
 # six-bank tick leaves behind at 2 and 8 workers against 1; parity and
 # query_parity for the packet shards, which run through `for_each_mut`
 # (chunk spawn order fuzzed), not `run_indexed`.

@@ -15,15 +15,17 @@
 //! * [`unit_disk::build_unit_disk`] — `O(n·d)` unit-disk construction over a
 //!   spatial grid,
 //! * BFS / connected components ([`traversal`]),
-//! * [`Graph::hop_row`] — the one shortest-path row store of a topology
-//!   snapshot: the BFS distance row of a root, computed by whoever asks
-//!   first and shared by every later reader of the same `&Graph` until
-//!   the adjacency next changes; a caller that knows which roots it is
-//!   about to read hands them to [`Graph::fill_hop_rows`], which computes
-//!   the missing rows 64 at a time — a bit-parallel BFS over batches of
-//!   neighbouring roots, one scalar BFS per root where a batch is too thin
-//!   and too spread out to pay — and publishes exactly those rows into
-//!   the same store,
+//! * [`Graph::hops`] — the one shortest-path store of a topology
+//!   snapshot: the BFS hop distance between two nodes, answered from
+//!   whichever endpoint's distances are held, computed by whoever asks
+//!   first and shared by every later reader of the same `&Graph` until the
+//!   adjacency next changes; a caller that knows which pairs it is about
+//!   to read hands them to [`Graph::fill_hops`] (or the roots to
+//!   [`Graph::fill_hop_rows`]), which computes the missing roots 64 at a
+//!   time — a bit-parallel BFS over batches of neighbouring roots, one
+//!   scalar BFS per root where a batch is too thin and too spread out to
+//!   pay — and publishes each batch as one bit-plane block of under a byte
+//!   per root and node,
 //! * [`UnionFind`] — disjoint sets for fast connectivity,
 //! * [`dynamics::LinkDiff`] — link up/down event extraction between
 //!   consecutive topology snapshots (the level-0 link-state change events of
@@ -43,8 +45,10 @@
 //! assert_eq!(graph.node_count(), 100);
 //! let dist = bfs_distances(&graph, 0);
 //! assert_eq!(dist[0], 0);
-//! // The memoised row is the same row, computed once per snapshot.
-//! assert_eq!(graph.hop_row(0), dist.as_slice());
+//! // The stored distances are the same distances, computed once per
+//! // snapshot and read from either end.
+//! assert!((0..100).all(|v| graph.hops(0, v) == dist[v as usize]));
+//! assert_eq!(graph.hops(99, 0), dist[99]);
 //! let _ = is_connected(&graph);
 //! ```
 
@@ -61,6 +65,7 @@ pub use incremental::{EdgeFlip, UnitDiskMaintainer};
 pub use union_find::UnionFind;
 
 use chlm_par::WorkerPool;
+use msbfs::{Batch, Block, Scratch};
 use std::sync::OnceLock;
 
 /// Node index type. Graphs in this workspace are dense and index nodes by
@@ -95,9 +100,9 @@ pub type NodeIdx = u32;
 /// count and neighbor lists, `Debug` prints the lists, and a clone is equal
 /// to its source whatever holes it copied.
 ///
-/// A graph also memoises the BFS distance rows asked of it
-/// ([`Graph::hop_row`]). The memo is invisible in the value: clones start
-/// without it, and equality and `Debug` ignore it.
+/// A graph also keeps the BFS distances asked of it ([`Graph::hops`]).
+/// The store is invisible in the value: clones start without it, and
+/// equality and `Debug` ignore it.
 #[derive(Clone, Default)]
 pub struct Graph {
     /// One entry per node: where its neighbor list sits in `arena`.
@@ -106,7 +111,7 @@ pub struct Graph {
     /// `start..start + len` are slack or holes and hold stale values.
     arena: Vec<NodeIdx>,
     n_edges: usize,
-    memo: HopRows,
+    memo: HopStore,
 }
 
 /// One node's slice of the arena: `arena[start..start + len]` is its sorted
@@ -142,23 +147,45 @@ fn arena_offset(end: usize) -> u32 {
     end as u32
 }
 
-/// The [`Graph::hop_row`] memo: one write-once cell per root, the table
-/// itself allocated by the first request so that a graph nobody asks for
-/// rows pays one empty check per mutation and nothing else.
+/// The hop store behind [`Graph::hops`]: one write-once cell per root,
+/// the table itself allocated by the first request so that a graph nobody
+/// asks for distances pays one empty check per mutation and nothing else.
 #[derive(Default)]
-struct HopRows {
+struct HopStore {
     // AUDIT: write-once cache of a pure function of (adjacency, root).
-    // Every initializer of a cell computes the same row, so whichever
-    // thread wins the race publishes identical bytes, and every mutator of
-    // the adjacency takes `&mut Graph` and empties the memo first.
-    cells: OnceLock<Box<[OnceLock<Vec<u32>>]>>,
+    // Every initializer of a cell computes the same distances, so
+    // whichever thread wins the race publishes identical values (a losing
+    // block only leaves a lane nobody reads), and every mutator of the
+    // adjacency takes `&mut Graph` and empties the store first.
+    cells: OnceLock<Box<[OnceLock<Held>]>>,
 }
 
-impl Clone for HopRows {
-    /// A clone answers from its own BFS: rows are neither shared nor
-    /// copied.
+/// Where a root's distances are held.
+enum Held {
+    /// A lane of a block a fill published, shared with the block's other
+    /// roots.
+    Lane(Block, u32),
+    /// The row of a root a lone [`Graph::hops`] computed: its `u32` row
+    /// and no wider, since nothing shares it.
+    Row(Box<[u32]>),
+}
+
+impl Held {
+    /// The root's distance to `v`.
+    #[inline]
+    fn distance(&self, v: NodeIdx) -> u32 {
+        match self {
+            Held::Lane(block, lane) => block.distance(*lane, v),
+            Held::Row(row) => row[v as usize],
+        }
+    }
+}
+
+impl Clone for HopStore {
+    /// A clone answers from its own searches: blocks are neither shared
+    /// nor copied.
     fn clone(&self) -> Self {
-        HopRows::default()
+        HopStore::default()
     }
 }
 
@@ -474,38 +501,58 @@ impl Graph {
         }
     }
 
-    /// BFS hop distances from `root` to every node
-    /// ([`traversal::UNREACHABLE`] across a partition): the row
-    /// [`traversal::bfs_distances`] returns, computed on the first request
-    /// and kept until the adjacency next changes. Whoever asks first pays
-    /// for the BFS — the hop pricer, a packet network sending from
-    /// `root`, another thread of either — and every later reader of this
-    /// `&Graph` gets the same slice; the next [`Graph::add_edge`],
-    /// [`Graph::remove_edge`], [`Graph::reset`], [`Graph::copy_from`],
-    /// [`Graph::assign_edges`] or [`Graph::assign_edges_in_order`] frees all
-    /// rows at once. A row asked for here
-    /// and not yet held is one scalar BFS; [`Graph::fill_hop_rows`] is the
-    /// batched way in.
+    /// The BFS hop distance between `a` and `b`
+    /// ([`traversal::UNREACHABLE`] across a partition):
+    /// `traversal::bfs_distances(self, a)[b]`, read from the hop store and
+    /// kept there until the adjacency next changes. The graph is
+    /// undirected, so the distance is symmetric, and it is answered from
+    /// whichever endpoint's distances are held: `a`'s, else `b`'s. When
+    /// neither is, this computes `a`'s by one scalar BFS and keeps it as a
+    /// plain `u32` row; [`Graph::fill_hops`] and [`Graph::fill_hop_rows`]
+    /// are the batched ways in. Whoever fills the store — the hop pricer,
+    /// a packet network sending from `a`, another thread of either — every
+    /// later reader of this `&Graph` reads the same distances; the next
+    /// [`Graph::add_edge`], [`Graph::remove_edge`], [`Graph::reset`],
+    /// [`Graph::copy_from`], [`Graph::assign_edges`] or
+    /// [`Graph::assign_edges_in_order`] frees them all at once.
     ///
     /// # Panics
-    /// If `root` is out of range.
-    pub fn hop_row(&self, root: NodeIdx) -> &[u32] {
-        // AUDIT: see `HopRows::cells` — write-once, and each cell's value is
-        // a pure function of (adjacency, root), so neither which thread
+    /// If `a` or `b` is out of range.
+    #[inline]
+    pub fn hops(&self, a: NodeIdx, b: NodeIdx) -> u32 {
+        let cells = self.hop_cells();
+        let (at_a, at_b) = (&cells[a as usize], &cells[b as usize]);
+        if a == b {
+            return 0;
+        }
+        if let Some(held) = at_a.get() {
+            return held.distance(b);
+        }
+        if let Some(held) = at_b.get() {
+            return held.distance(a);
+        }
+        // AUDIT: see `HopStore::cells` — write-once, and each cell's value
+        // is a pure function of (adjacency, root), so neither which thread
         // fills a cell nor the order cells are filled in reaches a reader.
-        self.row_cells()[root as usize].get_or_init(|| traversal::bfs_distances(self, root))
+        at_a.get_or_init(|| Held::Row(traversal::bfs_distances(self, a).into()))
+            .distance(b)
     }
 
-    /// The memo's cells, one per node, allocated (empty) on first use.
-    fn row_cells(&self) -> &[OnceLock<Vec<u32>>] {
-        // AUDIT: see `HopRows::cells`; the table starts as `n` empty cells
+    /// The store's cells, one per node, allocated (empty) on first use.
+    fn hop_cells(&self) -> &[OnceLock<Held>] {
+        // AUDIT: see `HopStore::cells`; the table starts as `n` empty cells
         // whichever thread allocates it.
         self.memo
             .cells
             .get_or_init(|| (0..self.table.len()).map(|_| OnceLock::new()).collect())
     }
 
-    /// Make [`Graph::hop_row`] hold the row of every root in `roots` (any
+    /// Whether `root`'s distances are held.
+    fn holds(&self, root: NodeIdx) -> bool {
+        self.hop_cells()[root as usize].get().is_some()
+    }
+
+    /// Make the hop store hold the distances of every root in `roots` (any
     /// order, duplicates and roots already held welcome), computing the
     /// missing ones together instead of one BFS each.
     ///
@@ -516,63 +563,151 @@ impl Graph {
     /// edges once per distinct distance the batch has to it rather than
     /// once per root. A batch of few roots far apart would walk more that
     /// way than its roots' own searches do; it is told from its lane count
-    /// and its spread alone, and runs [`traversal::bfs_distances`] per root.
-    /// Batches fan out over `workers`.
+    /// and its spread alone, and runs one scalar BFS per root. Either way
+    /// the batch is published as one bit-plane block (`msbfs`' module docs
+    /// give the layout), its roots' cells pointing at their lanes. Batches
+    /// fan out over `workers`.
     ///
-    /// Exactly the requested rows are published, each into the write-once
-    /// cell `hop_row` reads, and each is `bfs_distances`' row bit for bit —
-    /// so nothing a reader can see depends on whether this was called, with
-    /// what grouping, on how many threads, or racing which `hop_row`.
+    /// Exactly the requested roots are published, each into the write-once
+    /// cell [`Graph::hops`] reads, and each lane spells `bfs_distances`'
+    /// row entry for entry — so nothing a reader can see depends on whether
+    /// this was called, with what grouping, on how many threads, or racing
+    /// which `hops`.
     ///
     /// # Panics
     /// If a root is out of range.
     pub fn fill_hop_rows(&self, roots: &[NodeIdx], workers: &WorkerPool) {
-        let cells = self.row_cells();
-        let mut wanted: Vec<NodeIdx> = roots
-            .iter()
-            .copied()
-            .filter(|&root| cells[root as usize].get().is_none())
-            .collect();
+        let wanted = roots.iter().copied().filter(|&r| !self.holds(r)).collect();
+        self.fill(wanted, |_| {}, workers);
+    }
+
+    /// Make [`Graph::hops`] a store read for every pair in `pairs`, the
+    /// way [`Graph::fill_hop_rows`] would for the pairs' first members,
+    /// but holding only what the pairs need: a pair whose members are
+    /// equal, or either of whose members is held, needs nothing. The first
+    /// members of the others are batched; the batches that pay run
+    /// first, and of a thin batch (one that runs a scalar BFS per root)
+    /// only the roots still needed afterwards are computed — walking the
+    /// pairs in order, the first member of each pair that neither a block
+    /// nor an earlier such root covers.
+    ///
+    /// # Panics
+    /// If a pair member is out of range.
+    pub fn fill_hops(&self, pairs: &[(NodeIdx, NodeIdx)], workers: &WorkerPool) {
+        let open = |&(a, b): &(NodeIdx, NodeIdx)| a != b && !self.holds(a) && !self.holds(b);
+        let wanted = pairs.iter().filter(|p| open(p)).map(|&(a, _)| a).collect();
+        self.fill(
+            wanted,
+            |thin| {
+                let mut planned = vec![false; self.node_count()];
+                for pair @ &(a, b) in pairs {
+                    if open(pair) && !planned[a as usize] && !planned[b as usize] {
+                        planned[a as usize] = true;
+                    }
+                }
+                for batch in thin.iter_mut() {
+                    batch.roots.retain(|&r| planned[r as usize]);
+                }
+                thin.retain(|batch| !batch.roots.is_empty());
+            },
+            workers,
+        );
+    }
+
+    /// Compute and publish `wanted` (none held): the batches that pay
+    /// through the kernel, then those of the thin batches that
+    /// `trim_thin`, run after the first step, leaves.
+    fn fill(
+        &self,
+        mut wanted: Vec<NodeIdx>,
+        trim_thin: impl FnOnce(&mut Vec<Batch>),
+        workers: &WorkerPool,
+    ) {
         if wanted.is_empty() {
             return;
         }
         wanted.sort_unstable();
         wanted.dedup();
-        let batches = msbfs::near_batches(self, &wanted);
-        workers.run_indexed(batches.len(), |b| {
-            let batch = &batches[b];
-            if !batch.pays() {
-                for &root in &batch.roots {
-                    self.hop_row(root);
+        let (dense, mut thin): (Vec<Batch>, Vec<Batch>) = msbfs::near_batches(self, &wanted)
+            .into_iter()
+            .partition(Batch::pays);
+        // One scratch per worker, kept across both steps.
+        let width = workers.threads().min(dense.len().max(thin.len()));
+        let mut scratch: Vec<(usize, Scratch)> =
+            (0..width).map(|w| (w, Scratch::default())).collect();
+        self.publish(&dense, true, &mut scratch, workers);
+        if !thin.is_empty() {
+            trim_thin(&mut thin);
+        }
+        self.publish(&thin, false, &mut scratch, workers);
+    }
+
+    /// Compute every batch in `batches` — by the kernel, or by one scalar
+    /// BFS per root — and point each root's cell at its lane of the block.
+    /// Worker `w` takes batches `w`, `w + width`, … with its own scratch.
+    fn publish(
+        &self,
+        batches: &[Batch],
+        kernel: bool,
+        scratch: &mut [(usize, Scratch)],
+        workers: &WorkerPool,
+    ) {
+        if batches.is_empty() {
+            return;
+        }
+        let cells = self.hop_cells();
+        let width = scratch.len();
+        workers.for_each_mut(scratch, |(first, scratch)| {
+            for batch in batches.iter().skip(*first).step_by(width) {
+                let block = if kernel {
+                    scratch.kernel(self, &batch.roots).0
+                } else {
+                    scratch.scalar(self, &batch.roots)
+                };
+                for (lane, &root) in batch.roots.iter().enumerate() {
+                    // AUDIT: write-once publication of a pure function of
+                    // (adjacency, root). A `hops` or another fill that raced
+                    // this batch to the cell stored the same distances, so
+                    // losing is harmless.
+                    let _ = cells[root as usize].set(Held::Lane(block.share(), lane as u32));
                 }
-                return;
-            }
-            let (rows, _) = msbfs::batch_rows(self, &batch.roots);
-            for (&root, row) in batch.roots.iter().zip(rows) {
-                // AUDIT: write-once publication of a pure function of
-                // (adjacency, root). A `hop_row` that raced this batch to
-                // the cell stored the same bytes, so losing is harmless.
-                let _ = cells[root as usize].set(row);
             }
         });
     }
 
-    /// How many roots currently have a memoised [`Graph::hop_row`]
+    /// How many roots currently have their distances in the hop store
     /// (diagnostics and tests only — nothing may branch on it).
     pub fn hop_rows_cached(&self) -> usize {
-        self.memoised_rows().count()
+        self.held().count()
     }
 
-    fn memoised_rows(&self) -> impl Iterator<Item = (NodeIdx, &[u32])> + '_ {
+    /// Heap bytes the hop store's distances take: every block once,
+    /// however many roots share it, and every lone row (diagnostics and
+    /// tests only).
+    pub fn hop_store_bytes(&self) -> usize {
+        let mut blocks: Vec<(usize, usize)> = Vec::new();
+        let mut rows = 0;
+        for (_, held) in self.held() {
+            match held {
+                Held::Lane(block, _) => blocks.push((block.addr(), block.bytes())),
+                Held::Row(row) => rows += std::mem::size_of_val(&**row),
+            }
+        }
+        blocks.sort_unstable();
+        blocks.dedup();
+        rows + blocks.iter().map(|&(_, bytes)| bytes).sum::<usize>()
+    }
+
+    fn held(&self) -> impl Iterator<Item = (NodeIdx, &Held)> + '_ {
         let cells = self.memo.cells.get().map_or(&[][..], |cells| &cells[..]);
         cells
             .iter()
             .enumerate()
-            .filter_map(|(root, cell)| Some((root as NodeIdx, cell.get()?.as_slice())))
+            .filter_map(|(root, cell)| Some((root as NodeIdx, cell.get()?)))
     }
 
-    /// Empty the [`Graph::hop_row`] memo; every adjacency mutator calls
-    /// this before it writes.
+    /// Empty the hop store; every adjacency mutator calls this before it
+    /// writes.
     #[inline]
     fn forget_rows(&mut self) {
         self.memo.cells.take();
@@ -617,8 +752,8 @@ impl Graph {
     /// Debug-only structural invariant check: every row inside the arena
     /// with `len ≤ cap`, no two rows overlapping, adjacency symmetric,
     /// sorted, deduplicated, loop-free, the edge count consistent, and (in
-    /// debug builds) the first memoised [`Graph::hop_row`] equal to a fresh
-    /// BFS.
+    /// debug builds) the distances of the first root the hop store holds
+    /// equal to a fresh BFS.
     pub fn check_invariants(&self) {
         let mut placed: Vec<(usize, usize)> = Vec::new();
         for (u, row) in self.table.iter().enumerate() {
@@ -648,10 +783,10 @@ impl Graph {
         }
         assert_eq!(count, 2 * self.n_edges, "edge count mismatch");
         if cfg!(debug_assertions) {
-            if let Some((root, row)) = self.memoised_rows().next() {
-                assert_eq!(
-                    row,
-                    traversal::bfs_distances(self, root),
+            if let Some((root, held)) = self.held().next() {
+                let fresh = traversal::bfs_distances(self, root);
+                assert!(
+                    (0..fresh.len()).all(|v| held.distance(v as NodeIdx) == fresh[v]),
                     "stale hop row for root {root}"
                 );
             }
@@ -724,16 +859,24 @@ mod tests {
     #[test]
     fn hop_row_is_the_bfs_row_until_the_next_mutation() {
         let mut g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
+        let row = |g: &Graph, a| (0..5).map(|b| g.hops(a, b)).collect::<Vec<_>>();
         assert_eq!(g.hop_rows_cached(), 0);
-        assert_eq!(g.hop_row(0), [0, 1, 2, u32::MAX, u32::MAX]);
-        assert!(std::ptr::eq(g.hop_row(0), g.hop_row(0)));
+        assert_eq!(g.hops(2, 2), 0);
+        assert_eq!(g.hop_rows_cached(), 0, "a self pair needs no search");
+        assert_eq!(row(&g, 0), [0, 1, 2, u32::MAX, u32::MAX]);
         assert_eq!(g.hop_rows_cached(), 1);
+        // Held at 0, so asked from the other end it is still 0's row.
+        assert_eq!(g.hops(2, 0), 2);
+        assert_eq!(g.hops(4, 0), u32::MAX);
+        assert_eq!(g.hop_rows_cached(), 1);
+        // A lone request keeps no more than its `u32` row.
+        assert_eq!(g.hop_store_bytes(), 5 * 4);
         // A duplicate insert and a missing removal change nothing.
         assert!(!g.add_edge(1, 0) && !g.remove_edge(0, 4));
         assert_eq!(g.hop_rows_cached(), 1);
         assert!(g.add_edge(2, 3));
         assert_eq!(g.hop_rows_cached(), 0);
-        assert_eq!(g.hop_row(0), [0, 1, 2, 3, 4]);
+        assert_eq!(row(&g, 0), [0, 1, 2, 3, 4]);
         g.check_invariants();
     }
 
@@ -756,7 +899,7 @@ mod tests {
     #[should_panic(expected = "stale hop row")]
     fn check_invariants_catches_a_stale_row() {
         let mut g = Graph::from_edges(3, &[(0, 1)]);
-        g.hop_row(0);
+        g.hops(0, 1);
         g.insert_at(1, 1, 2);
         g.insert_at(2, 0, 1);
         g.n_edges += 1;

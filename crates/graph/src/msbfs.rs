@@ -1,4 +1,5 @@
-//! BFS rows 64 at a time: the kernel behind [`Graph::fill_hop_rows`].
+//! BFS distances 64 roots at a time: the kernel behind
+//! [`Graph::fill_hop_rows`], and the bit-plane blocks it publishes.
 //!
 //! A scalar BFS walks every edge once per root. When many roots are wanted
 //! at once the walks overlap almost entirely, and a bit-parallel
@@ -10,7 +11,7 @@
 //! distance the batch's roots have to it, so 64 roots scattered over a
 //! unit-disk graph keep every node active for about as many levels as there
 //! are lanes and nothing is saved (batched in index order, n = 1 024, all
-//! nodes wanted: a third of the scalar edge visits at twice the cost each),
+//! nodes wanted: a third of the scalar edge visits, each one dearer),
 //! while 64 roots a few hops apart keep a node active for a few levels (the
 //! same roots batched by nearness: a seventh). Hence two steps:
 //!
@@ -20,23 +21,37 @@
 //!   out (`spread`) it had to go for its last lane.
 //! * [`Batch::pays`] compares lanes with spread. A batch of few lanes far
 //!   apart saves too few edge visits to cover what each costs more; its
-//!   rows are computed one by one instead.
+//!   roots are searched one by one instead ([`Scratch::scalar`]).
 //!
-//! Either way a row is [`crate::traversal::bfs_distances`]' row, bit for
-//! bit: which path computed it never reaches a reader.
+//! **The block.** Either way a batch ends as one [`Block`], node-major: per
+//! node one *reach* word (bit L set iff lane L's root reaches the node)
+//! and then `⌈log₂(deepest + 1)⌉` *plane* words, where bit L of plane p is
+//! bit p of lane L's distance to the node. The kernel writes it as it goes:
+//! the lanes arriving at a node on level `level` are one word, ORed into
+//! the planes of `level`'s set bits — no loop over lanes. A full block of
+//! 64 roots with 6 planes holds 7 words a node, under 1 byte per root and
+//! node against the 4 of a `u32` row. Whichever path wrote it, a lane
+//! spells [`crate::traversal::bfs_distances`]' row, entry for entry.
 
-use crate::traversal::UNREACHABLE;
+use crate::traversal::{bfs_order, UNREACHABLE};
 use crate::{Graph, NodeIdx};
+use std::sync::Arc;
 
 /// Roots per batch: the bits of the per-node lane word.
 pub(crate) const LANES: usize = u64::BITS as usize;
 
-/// What one edge visit of the kernel costs in scalar edge visits: it reads
-/// and writes a `u64` lane word where the scalar loop touches one `u32`,
-/// and every lane still writes its own distance. Measured 1.6–2.1 on
-/// unit-disk graphs of 1 024 – 16 384 nodes with 2 – 100 % of the nodes
-/// wanted.
-const VISIT_COST: usize = 2;
+/// What one edge visit of the kernel costs in scalar edge visits, rounded.
+/// The kernel reads and writes a `u64` lane word where the scalar loop
+/// touches one `u32`, and ORs each arriving word into a few planes; the
+/// scalar path for its part folds every distance into its lane's planes.
+/// Measured (best of three, per batch) on this module's work-pin fixtures
+/// and their neighbours — unit-disk graphs of 1 024, 4 096 and 16 384
+/// nodes with 1 – 100 % of the nodes wanted, and three corner roots —
+/// 1.1 – 1.6, against 1.6 – 2.1 while every lane wrote its own `u32`
+/// distance. On every fixture, [`Batch::pays`] at 1 took no longer than at
+/// 5/4, 3/2 or 2 (16 384 nodes, 1 % wanted: 161 ms against 174 ms at 2),
+/// because `spread + 1` overstates the levels a node stays active on.
+const VISIT_COST: usize = 1;
 
 /// Up to [`LANES`] wanted roots near one another.
 pub(crate) struct Batch {
@@ -54,13 +69,15 @@ impl Batch {
     /// on the rim of what earlier batches left over, so the batch's roots
     /// are about `spread` hops across and their distances to a node take
     /// about `spread + 1` values. (The bound is `2·spread + 1`, and never
-    /// more than the lane count; the work pin in this module's tests holds
-    /// the rule to what batches passing it actually walk.)
+    /// more than the lane count; the work pins in this module's tests hold
+    /// the rule to what batches passing it actually walk.) The kernel pays
+    /// once lanes outnumber that: one lane alone, or two a hop apart, save
+    /// nothing to cover the dearer visit. Only which path computes a block
+    /// hangs on this, never a value in it.
     pub fn pays(&self) -> bool {
-        self.roots.len() >= VISIT_COST * (self.spread as usize + 1)
+        self.roots.len() > VISIT_COST * (self.spread as usize + 1)
     }
 }
-
 /// Partition `wanted` (ascending, distinct) into batches of mutually-near
 /// roots; see the module docs. Every root lands in exactly one batch, and
 /// a batch never spans two components.
@@ -115,66 +132,203 @@ pub(crate) fn near_batches(g: &Graph, wanted: &[NodeIdx]) -> Vec<Batch> {
     batches
 }
 
-/// The BFS row of every root in `roots` (distinct, at most [`LANES`]), in
-/// that order, and how many edges the kernel walked for them.
-///
-/// Level-synchronous: `frontier[u]` holds the lanes that reached `u` on the
-/// previous level. Pass 1 ORs it into `next[v]` of every neighbour, noting
-/// `v` the first time its word turns non-zero (a branch-free push: the slot
-/// is always written, the length moves only then). Pass 2 visits the noted
-/// nodes only: the lanes in `next[v]` that `seen[v]` lacks have just
-/// arrived, at distance `level`, and form `v`'s frontier for the next one.
-pub(crate) fn batch_rows(g: &Graph, roots: &[NodeIdx]) -> (Vec<Vec<u32>>, u64) {
-    let n = g.node_count();
-    debug_assert!(roots.len() <= LANES);
-    let mut rows: Vec<Vec<u32>> = roots.iter().map(|_| vec![UNREACHABLE; n]).collect();
-    let mut seen = vec![0u64; n];
-    let mut frontier = vec![0u64; n];
-    let mut next = vec![0u64; n];
-    // Nodes with a non-empty frontier, each once.
-    let mut active: Vec<NodeIdx> = Vec::with_capacity(n);
-    // One slot more than there are nodes: pass 1 writes the slot past the
-    // last noted node on every visit.
-    let mut touched: Vec<NodeIdx> = vec![0; n + 1];
-    for (lane, &root) in roots.iter().enumerate() {
-        let bit = 1u64 << lane;
-        seen[root as usize] = bit;
-        frontier[root as usize] = bit;
-        rows[lane][root as usize] = 0;
-        active.push(root);
-    }
-    let (mut level, mut visits) = (0u32, 0u64);
-    while !active.is_empty() {
-        level += 1;
-        let mut noted = 0;
-        for &u in &active {
-            let lanes = std::mem::take(&mut frontier[u as usize]);
-            let nbrs = g.neighbors(u);
-            visits += nbrs.len() as u64;
-            for &v in nbrs {
-                let was = next[v as usize];
-                next[v as usize] = was | lanes;
-                touched[noted] = v;
-                noted += (was == 0) as usize;
-            }
+/// Plane words needed to spell every distance up to `deepest`.
+fn planes_for(deepest: u32) -> usize {
+    (u32::BITS - deepest.leading_zeros()) as usize
+}
+
+/// The distances of up to [`LANES`] roots to every node, as bit planes;
+/// see the module docs. Shared by the roots' cells, freed with the last.
+pub(crate) struct Block {
+    /// `stride` words per node: the reach word, then the planes.
+    words: Arc<[u64]>,
+    stride: usize,
+}
+
+impl Block {
+    /// Another handle on the same words: a reference count, not a copy.
+    pub fn share(&self) -> Block {
+        Block {
+            words: Arc::clone(&self.words),
+            stride: self.stride,
         }
+    }
+
+    /// Lane `lane`'s distance to `v` ([`UNREACHABLE`] when not reached).
+    ///
+    /// # Panics
+    /// If `v` is out of range.
+    #[inline]
+    pub fn distance(&self, lane: u32, v: NodeIdx) -> u32 {
+        let at = v as usize * self.stride;
+        let node = &self.words[at..at + self.stride];
+        if node[0] >> lane & 1 == 0 {
+            return UNREACHABLE;
+        }
+        node[1..]
+            .iter()
+            .rev()
+            .fold(0, |d, &plane| d << 1 | (plane >> lane & 1) as u32)
+    }
+
+    /// Where the block's words sit: one block, one address.
+    pub fn addr(&self) -> usize {
+        self.words.as_ptr() as usize
+    }
+
+    /// Heap bytes of the block's words.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.words)
+    }
+}
+
+/// One worker's buffers, kept across every batch it computes in a fill.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The block being written, at the widest stride `n` can need.
+    words: Vec<u64>,
+    /// Kernel: lanes that reached a node on the previous level.
+    frontier: Vec<u64>,
+    /// Kernel: lanes arriving at a node on the current level.
+    next: Vec<u64>,
+    /// Kernel: nodes with a non-empty frontier, each once.
+    active: Vec<NodeIdx>,
+    /// Kernel: nodes whose `next` turned non-zero this level.
+    touched: Vec<NodeIdx>,
+    /// Scalar: one root's distance row and search order.
+    dist: Vec<u32>,
+    queue: Vec<NodeIdx>,
+}
+
+/// `buf` as `len` copies of `value`, in the buffer it already has.
+fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
+}
+
+/// OR `lanes` into the planes of `node` that `distance` has set bits in.
+#[inline]
+fn spell(node: &mut [u64], distance: u32, lanes: u64) {
+    let mut bits = distance;
+    while bits != 0 {
+        node[1 + bits.trailing_zeros() as usize] |= lanes;
+        bits &= bits - 1;
+    }
+}
+
+impl Scratch {
+    /// Zero the block for a graph of `n` nodes, with as many planes as a
+    /// distance of `n - 1` needs; returns that stride.
+    fn blank(&mut self, n: usize) -> usize {
+        let stride = 1 + planes_for(n.saturating_sub(1) as u32);
+        refill(&mut self.words, n * stride, 0);
+        stride
+    }
+
+    /// Compact the block written at `stride` down to the planes `deepest`
+    /// needs, in place, and publish it.
+    fn seal(&mut self, n: usize, stride: usize, deepest: u32) -> Block {
+        let tight = 1 + planes_for(deepest);
+        for v in 1..n {
+            self.words
+                .copy_within(v * stride..v * stride + tight, v * tight);
+        }
+        Block {
+            words: Arc::from(&self.words[..n * tight]),
+            stride: tight,
+        }
+    }
+
+    /// The block of `roots` (distinct, at most [`LANES`]; lane L is
+    /// `roots[L]`) by the bit-parallel kernel, and how many edges it walked.
+    ///
+    /// Level-synchronous: `frontier[u]` holds the lanes that reached `u` on
+    /// the previous level. Pass 1 ORs it into `next[v]` of every neighbour,
+    /// noting `v` the first time its word turns non-zero (a branch-free
+    /// push: the slot is always written, the length moves only then). Pass
+    /// 2 visits the noted nodes only: the lanes in `next[v]` that `v`'s
+    /// reach word lacks have just arrived, at distance `level`; they join
+    /// the reach word and the planes of `level`'s set bits, and form `v`'s
+    /// frontier for the next level.
+    pub fn kernel(&mut self, g: &Graph, roots: &[NodeIdx]) -> (Block, u64) {
+        let n = g.node_count();
+        debug_assert!(roots.len() <= LANES);
+        let stride = self.blank(n);
+        let Scratch {
+            words,
+            frontier,
+            next,
+            active,
+            touched,
+            ..
+        } = self;
+        refill(frontier, n, 0);
+        refill(next, n, 0);
+        // One slot more than there are nodes: pass 1 writes the slot past
+        // the last noted node on every visit.
+        refill(touched, n + 1, 0);
         active.clear();
-        for &v in &touched[..noted] {
-            let arrived = std::mem::take(&mut next[v as usize]) & !seen[v as usize];
-            if arrived == 0 {
-                continue;
+        for (lane, &root) in roots.iter().enumerate() {
+            let bit = 1u64 << lane;
+            words[root as usize * stride] = bit;
+            frontier[root as usize] = bit;
+            active.push(root);
+        }
+        let (mut level, mut visits) = (0u32, 0u64);
+        while !active.is_empty() {
+            level += 1;
+            let mut noted = 0;
+            for &u in active.iter() {
+                let lanes = std::mem::take(&mut frontier[u as usize]);
+                let nbrs = g.neighbors(u);
+                visits += nbrs.len() as u64;
+                for &v in nbrs {
+                    let was = next[v as usize];
+                    next[v as usize] = was | lanes;
+                    touched[noted] = v;
+                    noted += (was == 0) as usize;
+                }
             }
-            seen[v as usize] |= arrived;
-            frontier[v as usize] = arrived;
-            active.push(v);
-            let mut lanes = arrived;
-            while lanes != 0 {
-                rows[lanes.trailing_zeros() as usize][v as usize] = level;
-                lanes &= lanes - 1;
+            active.clear();
+            for &v in &touched[..noted] {
+                let node = &mut words[v as usize * stride..][..stride];
+                let arrived = std::mem::take(&mut next[v as usize]) & !node[0];
+                if arrived == 0 {
+                    continue;
+                }
+                node[0] |= arrived;
+                spell(node, level, arrived);
+                frontier[v as usize] = arrived;
+                active.push(v);
             }
         }
+        // The last level reached no one.
+        let deepest = level.saturating_sub(1);
+        (self.seal(n, stride, deepest), visits)
     }
-    (rows, visits)
+
+    /// The block of `roots` (as for [`Scratch::kernel`]) by one scalar BFS
+    /// per root, each row folded into its lane as it comes.
+    pub fn scalar(&mut self, g: &Graph, roots: &[NodeIdx]) -> Block {
+        let n = g.node_count();
+        debug_assert!(roots.len() <= LANES);
+        let stride = self.blank(n);
+        let Scratch {
+            words, dist, queue, ..
+        } = self;
+        let mut deepest = 0;
+        for (lane, &root) in roots.iter().enumerate() {
+            let bit = 1u64 << lane;
+            for &v in bfs_order(g, root, dist, queue) {
+                let node = &mut words[v as usize * stride..][..stride];
+                let d = dist[v as usize];
+                node[0] |= bit;
+                spell(node, d, bit);
+                deepest = deepest.max(d);
+            }
+        }
+        self.seal(n, stride, deepest)
+    }
 }
 
 #[cfg(test)]
@@ -206,10 +360,26 @@ mod tests {
             .sum()
     }
 
+    /// Every lane of `block`, decoded into a distance row.
+    fn rows(g: &Graph, block: &Block) -> Vec<Vec<u32>> {
+        let lanes = block
+            .words
+            .iter()
+            .step_by(block.stride)
+            .fold(0, |m, &w| m | w);
+        (0..u64::BITS - lanes.leading_zeros())
+            .map(|lane| {
+                (0..g.node_count() as NodeIdx)
+                    .map(|v| block.distance(lane, v))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// What `Graph::fill_hop_rows` does for `wanted` (ascending, distinct),
-    /// in edges walked: `(by its plan, by one scalar BFS per root, rows
-    /// that went through the kernel)`. Every kernel row is checked against
-    /// the scalar one on the way.
+    /// in edges walked: `(by its plan, by one scalar BFS per root, roots
+    /// that went through the kernel)`. Every kernel lane is checked against
+    /// the scalar row on the way.
     fn work(g: &Graph, wanted: &[NodeIdx]) -> (u64, u64, usize) {
         let (mut planned, mut scalar, mut kernel_rows) = (0, 0, 0);
         let mut placed = 0;
@@ -222,9 +392,9 @@ mod tests {
                 planned += own;
                 continue;
             }
-            let (rows, visits) = batch_rows(g, &batch.roots);
-            for (&root, row) in batch.roots.iter().zip(&rows) {
-                assert_eq!(row, &bfs_distances(g, root), "root {root}");
+            let (block, visits) = Scratch::default().kernel(g, &batch.roots);
+            for (&root, row) in batch.roots.iter().zip(rows(g, &block)) {
+                assert_eq!(row, bfs_distances(g, root), "root {root}");
             }
             // A node is walked once per level a lane arrives on: never
             // more often than scalar walks it.
@@ -253,11 +423,13 @@ mod tests {
     }
 
     /// The sparse case an earlier index-order batch lost on (0.6–0.8x):
-    /// 1 % of a 16 384-node world. The nearest 64 wanted roots are half the
-    /// world apart, every batch is told so by lanes vs spread, and the
-    /// plan is the scalar one.
+    /// 1 % of a 16 384-node world, 163 roots. Each of the two full batches
+    /// has more lanes than hops of spread and goes through the kernel, at
+    /// 0.70 of the scalar edge visits overall (and 0.93 of the scalar
+    /// time, fold included); the 35-root remainder spreads wider than it
+    /// has lanes and is searched root by root.
     #[test]
-    fn work_pin_sparse_roots_fall_back_to_scalar() {
+    fn work_pin_sparse_roots_batch_where_lanes_outnumber_spread() {
         let n = 16_384;
         let (g, _) = deployment(n, 11);
         let mut rng = SimRng::seed_from(12);
@@ -265,8 +437,11 @@ mod tests {
         wanted.sort_unstable();
         wanted.dedup();
         let (planned, scalar, kernel_rows) = work(&g, &wanted);
-        assert_eq!(kernel_rows, 0, "a thin, spread-out batch went batched");
-        assert_eq!(planned, scalar);
+        assert_eq!((wanted.len(), kernel_rows), (163, 128));
+        assert!(
+            4 * planned <= 3 * scalar,
+            "planned {planned} edge visits, scalar {scalar}"
+        );
     }
 
     /// Three roots at the rim of the deployment, a diameter apart: nothing
@@ -292,6 +467,53 @@ mod tests {
         assert_eq!(planned, scalar);
     }
 
+    /// A block keeps as many planes as its deepest lane needs, whichever
+    /// path wrote it: on a path of `d` edges, roots at the ends (and the
+    /// middle) spell distances up to `d` in `⌈log₂(d + 1)⌉` planes, across
+    /// every boundary 1 | 2, 3 | 4, 7 | 8, 255 | 256.
+    #[test]
+    fn blocks_keep_the_planes_their_deepest_lane_needs() {
+        let mut scratch = Scratch::default();
+        for (d, planes) in [
+            (1, 1),
+            (2, 2),
+            (3, 2),
+            (4, 3),
+            (7, 3),
+            (8, 4),
+            (255, 8),
+            (256, 9),
+        ] {
+            let edges: Vec<(NodeIdx, NodeIdx)> = (0..d).map(|i| (i, i + 1)).collect();
+            let g = Graph::from_edges(d as usize + 1, &edges);
+            let mut roots = vec![0, d];
+            if d >= 2 {
+                roots.insert(1, d / 2);
+            }
+            let want: Vec<Vec<u32>> = roots.iter().map(|&r| bfs_distances(&g, r)).collect();
+            let (kernel, _) = scratch.kernel(&g, &roots);
+            let scalar = scratch.scalar(&g, &roots);
+            for block in [kernel, scalar] {
+                assert_eq!(block.stride, 1 + planes, "d = {d}");
+                assert_eq!(rows(&g, &block), want, "d = {d}");
+            }
+        }
+    }
+
+    /// What a full fill holds against `n²` `u32` rows, on the E27 grid's
+    /// n = 1 024 and on four times that: 0.20 and 0.22 of it.
+    #[test]
+    fn a_full_fill_holds_under_a_quarter_of_the_rows() {
+        for (n, seed) in [(1024, 7), (4096, 13)] {
+            let (g, _) = deployment(n, seed);
+            let all: Vec<NodeIdx> = (0..n as NodeIdx).collect();
+            g.fill_hop_rows(&all, &chlm_par::WorkerPool::new(1));
+            assert_eq!(g.hop_rows_cached(), n);
+            let (held, rows) = (g.hop_store_bytes(), n * n * 4);
+            assert!(4 * held <= rows, "n = {n}: {held} bytes held, rows {rows}");
+        }
+    }
+
     /// Batches on degenerate graphs: nothing wanted, isolated nodes (one
     /// lane each, spread 0), a star (one batch, spread 2 through the hub),
     /// two components (never one batch).
@@ -311,10 +533,13 @@ mod tests {
             (leaves[0].roots.as_slice(), leaves[0].spread),
             (&[0, 1, 5][..], 2)
         );
-        let (rows, visits) = batch_rows(&star, &[0, 3, 5]);
-        assert_eq!(rows[0], [0, 2, 2, 1, 2, 2]);
-        assert_eq!(rows[1], [1, 1, 1, 0, 1, 1]);
-        assert_eq!(rows[2], [2, 2, 2, 1, 2, 0]);
+        let (block, visits) = Scratch::default().kernel(&star, &[0, 3, 5]);
+        let lanes = rows(&star, &block);
+        assert_eq!(lanes[0], [0, 2, 2, 1, 2, 2]);
+        assert_eq!(lanes[1], [1, 1, 1, 0, 1, 1]);
+        assert_eq!(lanes[2], [2, 2, 2, 1, 2, 0]);
+        // Deepest 2: a reach word and two planes a node.
+        assert_eq!(block.bytes(), 6 * 3 * 8);
         // Level 1 walks from the three roots (1 + 5 + 1 edges), level 2 from
         // the hub again — the leaves' lanes just arrived there — and from
         // all five leaves, level 3 from the leaves once more: 7 + 10 + 5,
@@ -326,8 +551,11 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].roots, [0, 2]);
         assert_eq!(parts[1].roots, [3, 4]);
-        let (rows, _) = batch_rows(&split, &[0, 4]);
-        assert_eq!(rows[0], [0, 1, 2, UNREACHABLE, UNREACHABLE]);
-        assert_eq!(rows[1], [UNREACHABLE, UNREACHABLE, UNREACHABLE, 1, 0]);
+        let (block, _) = Scratch::default().kernel(&split, &[0, 4]);
+        let lanes = rows(&split, &block);
+        assert_eq!(lanes[0], [0, 1, 2, UNREACHABLE, UNREACHABLE]);
+        assert_eq!(lanes[1], [UNREACHABLE, UNREACHABLE, UNREACHABLE, 1, 0]);
+        let block = Scratch::default().scalar(&split, &[0, 4]);
+        assert_eq!(rows(&split, &block), lanes);
     }
 }

@@ -21,6 +21,18 @@ pub fn bfs_distances(g: &Graph, src: NodeIdx) -> Vec<u32> {
 /// resized here), so a distance vector can be reused across calls instead
 /// of reallocated.
 pub fn bfs_distances_into(g: &Graph, src: NodeIdx, dist: &mut Vec<u32>) {
+    bfs_order(g, src, dist, &mut Vec::new());
+}
+
+/// [`bfs_distances_into`] with the queue kept by the caller too; returns
+/// the nodes `src` reaches, in the order the search settled them (so by
+/// non-decreasing distance).
+pub(crate) fn bfs_order<'q>(
+    g: &Graph,
+    src: NodeIdx,
+    dist: &mut Vec<u32>,
+    queue: &'q mut Vec<NodeIdx>,
+) -> &'q [NodeIdx] {
     dist.clear();
     dist.resize(g.node_count(), UNREACHABLE);
     // Every node enters the queue at most once, so a flat FIFO (write at
@@ -29,7 +41,8 @@ pub fn bfs_distances_into(g: &Graph, src: NodeIdx, dist: &mut Vec<u32>) {
     // graph that is a coin the predictor loses: the slot at `tail` and
     // `dist[v]` are written on every visit, and only a new `v` moves `tail`
     // and changes `dist[v]`. Hence one slot more than there are nodes.
-    let mut queue: Vec<NodeIdx> = vec![0; g.node_count() + 1];
+    queue.clear();
+    queue.resize(g.node_count() + 1, 0);
     dist[src as usize] = 0;
     queue[0] = src;
     let (mut head, mut tail) = (0, 1);
@@ -45,6 +58,7 @@ pub fn bfs_distances_into(g: &Graph, src: NodeIdx, dist: &mut Vec<u32>) {
             dist[v as usize] = if unseen { du + 1 } else { d };
         }
     }
+    &queue[..tail]
 }
 
 /// Hop distance between `src` and `dst`, early-exiting once `dst` is settled.

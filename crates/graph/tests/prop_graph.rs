@@ -47,11 +47,46 @@ fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<chlm_geom::Point>> {
     })
 }
 
-/// Every root in `asked` must read, through the memo, the row a fresh BFS
-/// of the graph as it is now computes.
+/// Every root in `asked` must read, through the hop store and from
+/// either end, the row a fresh BFS of the graph as it is now computes.
+/// (Reading a held root's distances holds nothing new.)
 fn rows_are_fresh(g: &Graph, asked: &BTreeSet<NodeIdx>) -> Result<(), TestCaseError> {
     for &root in asked {
-        prop_assert_eq!(g.hop_row(root), bfs_distances(g, root));
+        let fresh = bfs_distances(g, root);
+        for (v, &d) in (0..).zip(&fresh) {
+            prop_assert_eq!(g.hops(root, v), d, "({}, {})", root, v);
+            prop_assert_eq!(g.hops(v, root), d, "({}, {})", v, root);
+        }
+    }
+    g.check_invariants();
+    Ok(())
+}
+
+/// Hold `roots`' distances: one fill, on one thread.
+fn hold(g: &Graph, roots: &[NodeIdx]) {
+    g.fill_hop_rows(roots, &WorkerPool::new(1));
+}
+
+/// Longest distances on either side of each plane-count boundary of the
+/// hop store's blocks: 1 | 2, 3 | 4, 7 | 8, 255 | 256.
+const DEEPEST: [u32; 8] = [1, 2, 3, 4, 7, 8, 255, 256];
+
+/// The edges of a path of `len` edges over nodes `0..=len`.
+fn path_edges(len: u32) -> Vec<(NodeIdx, NodeIdx)> {
+    (0..len).map(|i| (i, i + 1)).collect()
+}
+
+/// Every pair of `g`, both ways round, against a fresh BFS of the graph as
+/// it is now. Reading a pair neither of whose members is held holds the
+/// first, so this also exercises lone requests.
+fn every_pair_is_the_bfs_distance(g: &Graph) -> Result<(), TestCaseError> {
+    let n = g.node_count() as NodeIdx;
+    for a in 0..n {
+        let fresh = bfs_distances(g, a);
+        for b in 0..n {
+            prop_assert_eq!(g.hops(a, b), fresh[b as usize], "({}, {})", a, b);
+            prop_assert_eq!(g.hops(b, a), fresh[b as usize], "({}, {})", b, a);
+        }
     }
     g.check_invariants();
     Ok(())
@@ -133,7 +168,7 @@ proptest! {
             .filter(|(u, v)| u != v)
             .collect();
         let expect = Graph::from_edges(n, &edges);
-        g.hop_row(0);
+        hold(&g, &[0]);
         g.assign_edges(n, &mut edges);
         prop_assert_eq!(&g, &expect);
         prop_assert_eq!(g.edge_count(), expect.edge_count());
@@ -171,7 +206,7 @@ proptest! {
             .map(|(u, v)| (rank[u as usize], rank[v as usize]))
             .collect();
         ranked.reverse();
-        g.hop_row(0);
+        hold(&g, &[0]);
         g.assign_edges_in_order(&order, &ranked);
         prop_assert_eq!(&g, &src);
         prop_assert_eq!(g.edge_count(), src.edge_count());
@@ -200,7 +235,7 @@ proptest! {
         is_the_model(&g, n, &model)?;
         for (kind, a, b) in steps {
             if n > 0 {
-                g.hop_row(a % n as NodeIdx);
+                hold(&g, &[a % n as NodeIdx]);
             }
             let (u, v) = match n {
                 0 => (0, 0),
@@ -262,14 +297,15 @@ proptest! {
         }
     }
 
-    /// `hop_row` interleaved with every mutator, on unit-disk graphs from
+    /// `hops` interleaved with every mutator, on unit-disk graphs from
     /// edgeless through split to connected (`rtx`), from `n = 0` up, with
     /// an arbitrary edge-list graph as the `copy_from` donor: a mutation
-    /// that changes the adjacency empties the memo, and whatever is asked
-    /// afterwards is the fresh BFS row. Steps are plain integers because
-    /// the vendored proptest has no `prop_oneof`: kinds 0–2 ask a row,
-    /// 3 adds an edge, 4 removes one, 5 resets, 6 copies the donor,
-    /// 7 bulk-writes the donor's edges.
+    /// that changes the adjacency empties the store, a pair is answered
+    /// from whichever end is held and holds its first member only when
+    /// neither is, and whatever is held afterwards reads the fresh BFS
+    /// row. Steps are plain integers because the vendored proptest has no
+    /// `prop_oneof`: kinds 0–2 ask a pair, 3 adds an edge, 4 removes one,
+    /// 5 resets, 6 copies the donor, 7 bulk-writes the donor's edges.
     #[test]
     fn hop_rows_never_outlive_a_mutation(
         pts in arb_points(40),
@@ -283,7 +319,11 @@ proptest! {
             let n = g.node_count() as NodeIdx;
             let changed = match kind {
                 0..=2 if n > 0 => {
-                    asked.insert(a % n);
+                    let (a, b) = (a % n, b % n);
+                    prop_assert_eq!(g.hops(a, b), bfs_distances(&g, a)[b as usize]);
+                    if a != b && !asked.contains(&a) && !asked.contains(&b) {
+                        asked.insert(a);
+                    }
                     false
                 }
                 3 if n > 0 && a % n != b % n => g.add_edge(a % n, b % n),
@@ -306,22 +346,22 @@ proptest! {
             };
             if changed {
                 prop_assert_eq!(g.hop_rows_cached(), 0);
+                asked.clear();
             }
-            let n = g.node_count() as NodeIdx;
-            asked.retain(|&root| root < n);
             rows_are_fresh(&g, &asked)?;
             prop_assert_eq!(g.hop_rows_cached(), asked.len());
         }
     }
 
-    /// `fill_hop_rows` is `hop_row` for a list: on any graph — from no nodes
+    /// `fill_hop_rows` holds exactly a list: on any graph — from no nodes
     /// up, sparse enough to fall apart into components and isolated nodes,
     /// or a star through node 0 — and for any root list (empty, duplicates,
-    /// more than one batch, more than two, some rows already held), at any
-    /// pool width, every requested row is the BFS row, the memo holds the
-    /// requested and the previously held rows and not one more (the kernel
-    /// computes 64 rows at a time but publishes only what was asked for),
-    /// rows already held keep their address, and a mutation frees it all.
+    /// more than one batch, more than two, some roots already held), at
+    /// any pool width, every requested root reads the BFS row, the store
+    /// holds the requested and the previously held roots and not one more
+    /// (the kernel computes 64 lanes at a time but publishes only what was
+    /// asked for), asking again computes nothing, and a mutation frees it
+    /// all.
     #[test]
     fn filled_rows_are_the_bfs_rows(
         n in 0usize..200,
@@ -346,38 +386,33 @@ proptest! {
             xs.iter().take(if n == 0 { 0 } else { xs.len() }).map(|&x| node(x)).collect()
         };
         let (held, roots) = (of_nodes(&held), of_nodes(&picks));
-        let before: Vec<(NodeIdx, usize)> = held
-            .iter()
-            .map(|&root| (root, g.hop_row(root).as_ptr() as usize))
-            .collect();
+        hold(&g, &held);
         g.fill_hop_rows(&roots, &WorkerPool::new([1, 2, 8][width]));
         let expected: BTreeSet<NodeIdx> = held.iter().chain(&roots).copied().collect();
         prop_assert_eq!(g.hop_rows_cached(), expected.len());
         rows_are_fresh(&g, &expected)?;
         prop_assert_eq!(g.hop_rows_cached(), expected.len());
-        for (root, addr) in before {
-            prop_assert_eq!(g.hop_row(root).as_ptr() as usize, addr);
-        }
-        // Asking again computes nothing and moves nothing.
-        let addrs = |g: &Graph| -> Vec<usize> {
-            expected.iter().map(|&r| g.hop_row(r).as_ptr() as usize).collect()
-        };
-        let first = addrs(&g);
+        // Asking again computes nothing.
+        let bytes = g.hop_store_bytes();
         g.fill_hop_rows(&roots, &WorkerPool::new(2));
-        prop_assert_eq!(addrs(&g), first);
+        g.fill_hop_rows(&held, &WorkerPool::new(1));
+        prop_assert_eq!(g.hop_store_bytes(), bytes);
+        prop_assert_eq!(g.hop_rows_cached(), expected.len());
         if n >= 2 {
             if !g.add_edge(0, n as NodeIdx - 1) {
                 g.remove_edge(0, n as NodeIdx - 1);
             }
             prop_assert_eq!(g.hop_rows_cached(), 0);
+            prop_assert_eq!(g.hop_store_bytes(), 0);
             g.fill_hop_rows(&roots, &WorkerPool::new(1));
             rows_are_fresh(&g, &roots.iter().copied().collect())?;
         }
     }
 
-    /// The memo is not part of a graph's value: a clone of a warm graph is
-    /// equal to it, prints like it, starts cold, answers identically from
-    /// rows of its own, and mutating either leaves the other's rows alone.
+    /// The store is not part of a graph's value: a clone of a warm graph
+    /// is equal to it, prints like it, starts cold, answers identically
+    /// from searches of its own, and mutating either leaves the other's
+    /// distances alone.
     #[test]
     fn clone_is_equal_cold_and_independent(
         g in arb_graph(30),
@@ -385,16 +420,21 @@ proptest! {
     ) {
         let n = g.node_count() as NodeIdx;
         let asked: BTreeSet<NodeIdx> = picks.iter().map(|&p| p % n).collect();
+        let roots: Vec<NodeIdx> = asked.iter().copied().collect();
+        hold(&g, &roots);
         rows_are_fresh(&g, &asked)?;
         let mut copy = g.clone();
         prop_assert_eq!(copy.hop_rows_cached(), 0);
         prop_assert_eq!(&copy, &g);
         prop_assert_eq!(format!("{copy:?}"), format!("{g:?}"));
+        hold(&copy, &roots);
+        prop_assert_eq!(copy.hop_rows_cached(), asked.len());
         for &root in &asked {
-            prop_assert_eq!(copy.hop_row(root), g.hop_row(root));
-            prop_assert!(!std::ptr::eq(copy.hop_row(root), g.hop_row(root)));
+            for v in 0..n {
+                prop_assert_eq!(copy.hops(root, v), g.hops(root, v));
+            }
         }
-        // Toggle one edge of the copy: its memo empties, the original's
+        // Toggle one edge of the copy: its store empties, the original's
         // stays, and each side still answers for its own adjacency.
         if !copy.add_edge(0, n - 1) {
             copy.remove_edge(0, n - 1);
@@ -404,6 +444,90 @@ proptest! {
         prop_assert_ne!(&copy, &g);
         rows_are_fresh(&copy, &asked)?;
         rows_are_fresh(&g, &asked)?;
+    }
+
+    /// `hops(a, b)` is `bfs_distances(a)[b]` and `hops(b, a)` for every
+    /// pair, whichever way the distances were filled: by the kernel (dense
+    /// roots: every node of a unit-disk graph, the ten leaves of a broom),
+    /// by a thin batch (a few roots, or every node of a path, far apart
+    /// along it), or by a lone request, at pool widths 1, 2 and 8, and
+    /// again after a mutation and a second fill. Graphs: random unit-disk
+    /// deployments; n ∈ {0, 1, 2}; and paths whose longest distance is
+    /// each of [`DEEPEST`] — alone with a second component and an isolated
+    /// node, or as the handle of a broom — so that every plane-count
+    /// boundary is crossed on both sides.
+    #[test]
+    fn hops_are_the_bfs_distances_from_either_end(
+        kind in 0u8..4,
+        which in 0usize..8,
+        pts in arb_points(60),
+        rtx in 0.5f64..6.0,
+        picks in proptest::collection::vec(0u32..1000, 0..12),
+        lone in proptest::collection::vec((0u32..1000, 0u32..1000), 0..12),
+        toggle in (0u32..1000, 0u32..1000),
+        width in 0usize..3,
+    ) {
+        let deepest = DEEPEST[which];
+        let (mut g, dense): (Graph, Vec<NodeIdx>) = match kind {
+            0 => {
+                let g = build_unit_disk(&pts, rtx);
+                let all = (0..g.node_count() as NodeIdx).collect();
+                (g, all)
+            }
+            1 => {
+                let n = which % 3;
+                let edges: &[(NodeIdx, NodeIdx)] = if n == 2 && rtx > 3.0 { &[(0, 1)] } else { &[] };
+                (Graph::from_edges(n, edges), (0..n as NodeIdx).collect())
+            }
+            2 => {
+                // Ten leaves on node 1 of the handle: near one another,
+                // so one batch that pays, reaching the far end at
+                // `deepest` hops.
+                let leaves: Vec<NodeIdx> = (deepest + 1..deepest + 11).collect();
+                let mut edges = path_edges(deepest);
+                edges.extend(leaves.iter().map(|&leaf| (1, leaf)));
+                (Graph::from_edges(deepest as usize + 11, &edges), leaves)
+            }
+            _ => {
+                // The path, a three-edge path beside it, an isolated node.
+                let first = deepest + 1;
+                let mut edges = path_edges(deepest);
+                edges.extend((first..first + 3).map(|i| (i, i + 1)));
+                let g = Graph::from_edges(first as usize + 5, &edges);
+                let all = (0..g.node_count() as NodeIdx).collect();
+                (g, all)
+            }
+        };
+        let workers = WorkerPool::new([1, 2, 8][width]);
+        let mut held: BTreeSet<NodeIdx> = BTreeSet::new();
+        for round in 0..2 {
+            let n = g.node_count() as NodeIdx;
+            let node = |x: u32| x % n.max(1);
+            let few: Vec<NodeIdx> = picks.iter().take(if n == 0 { 0 } else { 12 }).map(|&x| node(x)).collect();
+            g.fill_hop_rows(&dense, &workers);
+            g.fill_hop_rows(&few, &workers);
+            held.extend(dense.iter().chain(&few));
+            prop_assert_eq!(g.hop_rows_cached(), held.len(), "round {}", round);
+            for &(a, b) in lone.iter().take(if n == 0 { 0 } else { lone.len() }) {
+                let (a, b) = (node(a), node(b));
+                prop_assert_eq!(g.hops(a, b), bfs_distances(&g, a)[b as usize]);
+                if a != b && !held.contains(&a) && !held.contains(&b) {
+                    held.insert(a);
+                }
+            }
+            prop_assert_eq!(g.hop_rows_cached(), held.len(), "round {}", round);
+            every_pair_is_the_bfs_distance(&g)?;
+            held.extend(0..n.saturating_sub(1));
+            if round == 0 && n >= 2 {
+                let a = node(toggle.0);
+                let b = (a + 1 + toggle.1 % (n - 1)) % n;
+                if !g.add_edge(a, b) {
+                    g.remove_edge(a, b);
+                }
+                prop_assert_eq!(g.hop_rows_cached(), 0);
+                held.clear();
+            }
+        }
     }
 
     #[test]
@@ -618,12 +742,12 @@ fn layout_corner_cases() {
     let path_graph = Graph::from_edges(10, &path);
     for dst in [g.clone(), Graph::with_nodes(3), holed.clone()] {
         let mut copied = dst.clone();
-        copied.hop_row(0);
+        hold(&copied, &[0]);
         copied.copy_from(&path_graph);
         assert_eq!(copied.hop_rows_cached(), 0);
         ok(&copied, 10, &path_model);
         let mut assigned = dst;
-        assigned.hop_row(0);
+        hold(&assigned, &[0]);
         assigned.assign_edges(10, &mut path.clone());
         assert_eq!(assigned.hop_rows_cached(), 0);
         ok(&assigned, 10, &path_model);
@@ -634,16 +758,17 @@ fn layout_corner_cases() {
 }
 
 /// Eight workers asking for overlapping roots of one graph at once — the
-/// first eight jobs meet at a barrier and then all go for root 0, four of
-/// them through `hop_row`, four through a `fill_hop_rows` of the 64-node
-/// block around it (one kernel batch each, racing the scalar searches and
-/// one another for the same cells): every job reads the fresh BFS row, jobs
-/// that share a root read the very same slice, and the memo ends up holding
-/// one row per distinct root. Run on a freshly built graph and again on the
-/// same (now warm) graph bulk-rewritten to a sparser edge set, whose
-/// memo must have been emptied for the second race to start from nothing.
-/// CI reruns this under `CHLM_SHUFFLE_MERGE=1`, which permutes the order
-/// the jobs are claimed in.
+/// first eight jobs meet at a barrier and then all go for root 0: a third
+/// of them through a lone `hops`, a third through a one-root
+/// `fill_hop_rows` (a thin batch), a third through a `fill_hop_rows` of
+/// the 64-node block around it (kernel batches racing the scalar searches
+/// and one another for the same cells); every job then reads its root's
+/// fresh BFS row, and the store ends up holding one root per distinct
+/// root asked. Run on a freshly built graph and again on the same (now
+/// warm) graph bulk-rewritten to a sparser edge set, whose store must have
+/// been emptied for the second race to start from nothing. CI reruns this
+/// under `CHLM_SHUFFLE_MERGE=1`, which permutes the order the jobs are
+/// claimed in.
 #[test]
 fn concurrent_hop_rows_are_published_once() {
     let pts: Vec<chlm_geom::Point> = (0..240)
@@ -668,34 +793,48 @@ fn race_for_hop_rows(g: &Graph) {
             }
         })
         .collect();
-    // What every fourth job fills first: the four grid rows around root 0.
+    // What every third job fills: the four grid rows around root 0.
     let block: Vec<NodeIdx> = (0..64).collect();
+    // Never a root: a lone request for (root, 239) holds `root`.
+    let far = 239;
     let distinct: BTreeSet<NodeIdx> = roots.iter().chain(&block).copied().collect();
     let barrier = Barrier::new(THREADS);
     let seen = WorkerPool::new(THREADS).run_indexed(roots.len(), |job| {
         if job < THREADS {
             barrier.wait();
         }
-        if job % 2 == 1 {
-            g.fill_hop_rows(&block, &WorkerPool::new(1 + job % 3));
+        let root = roots[job];
+        match job % 3 {
+            0 => {
+                g.hops(root, far);
+            }
+            1 => g.fill_hop_rows(&[root], &WorkerPool::new(1)),
+            _ => g.fill_hop_rows(&block, &WorkerPool::new(1 + job % 4)),
         }
-        let row = g.hop_row(roots[job]);
-        (row.as_ptr() as usize, row.to_vec())
+        g.fill_hop_rows(&[root], &WorkerPool::new(1));
+        (0..240).map(|v| g.hops(root, v)).collect::<Vec<_>>()
     });
-    for (job, (addr, row)) in seen.iter().enumerate() {
+    for (job, row) in seen.iter().enumerate() {
         assert_eq!(row, &bfs_distances(g, roots[job]), "job {job}");
-        assert_eq!(*addr, g.hop_row(roots[job]).as_ptr() as usize, "job {job}");
     }
     assert_eq!(g.hop_rows_cached(), distinct.len());
     for &root in &block {
-        assert_eq!(g.hop_row(root), bfs_distances(g, root), "block root {root}");
+        for v in 0..240 {
+            assert_eq!(g.hops(v, root), g.hops(root, v), "block root {root}");
+        }
+        assert_eq!(
+            (0..240).map(|v| g.hops(root, v)).collect::<Vec<_>>(),
+            bfs_distances(g, root),
+            "block root {root}"
+        );
     }
+    assert_eq!(g.hop_rows_cached(), distinct.len());
     g.check_invariants();
 }
 
 /// Pool width is invisible: the same roots filled at 1, 2 and 8 workers
-/// (and not filled at all) read equal rows, and a row, once published,
-/// stays where it is however often it is asked for again.
+/// (and not filled at all) read equal rows, in blocks of the same bytes,
+/// and asking again computes nothing.
 #[test]
 fn filled_rows_do_not_depend_on_the_pool_width() {
     let pts: Vec<chlm_geom::Point> = (0..600)
@@ -705,23 +844,23 @@ fn filled_rows_do_not_depend_on_the_pool_width() {
     // Three full batches and a remainder, with duplicates, out of order.
     let roots: Vec<NodeIdx> = (0..230).rev().chain([5, 5, 599, 300]).collect();
     let lazy: Vec<Vec<u32>> = roots.iter().map(|&r| bfs_distances(&g, r)).collect();
+    let mut bytes = None;
     for width in [1, 2, 8] {
         let cold = g.clone();
         cold.fill_hop_rows(&roots, &WorkerPool::new(width));
         assert_eq!(cold.hop_rows_cached(), 232, "width {width}");
-        let addrs: Vec<usize> = roots
-            .iter()
-            .map(|&r| cold.hop_row(r).as_ptr() as usize)
-            .collect();
+        let held = cold.hop_store_bytes();
+        assert_eq!(*bytes.get_or_insert(held), held, "width {width}");
         for (&root, want) in roots.iter().zip(&lazy) {
-            assert_eq!(cold.hop_row(root), want, "width {width} root {root}");
+            let row: Vec<u32> = (0..600).map(|v| cold.hops(root, v)).collect();
+            assert_eq!(&row, want, "width {width} root {root}");
         }
         cold.fill_hop_rows(&roots, &WorkerPool::new(width));
-        let again: Vec<usize> = roots
-            .iter()
-            .map(|&r| cold.hop_row(r).as_ptr() as usize)
-            .collect();
-        assert_eq!(again, addrs, "width {width}: a published row moved");
+        assert_eq!(
+            cold.hop_store_bytes(),
+            held,
+            "width {width}: a fill recomputed"
+        );
         assert_eq!(cold.hop_rows_cached(), 232);
     }
 }

@@ -21,9 +21,9 @@
 //! - **(ii) An event carries its remaining hop count, not the node it is
 //!   at.** Every shortest path has the same length, so the path taken
 //!   cannot reach a result; no next hop is chosen, no neighbour scanned.
-//! - **(iii) A packet reads one distance, [`Graph::hop_row`]`(src)[dst]`**
-//!   (`= hop_row(dst)[src]`, the graph being undirected): reachable iff
-//!   finite. It is the entry the BFS pricer reads for the same leg.
+//! - **(iii) A packet reads one distance, [`Graph::hops`]`(src, dst)`**,
+//!   from the topology's hop store: reachable iff finite. It is the
+//!   distance the BFS pricer reads for the same leg.
 
 use crate::message::Packet;
 use chlm_geom::SimRng;
@@ -156,7 +156,7 @@ impl PacketNetwork {
             self.stats.delivered += 1;
             return;
         }
-        let left = graph.hop_row(packet.src)[packet.dst as usize];
+        let left = graph.hops(packet.src, packet.dst);
         if left == UNREACHABLE {
             self.stats.dropped += 1;
             return;
@@ -451,7 +451,7 @@ mod tests {
         /// On unit-disk graphs from edgeless (`rtx` small) through split to
         /// connected, what a lossless packet is charged is the length of a
         /// walk along edges that descends the destination row by one a hop
-        /// (`hop_row(dst)[src]`, though the network read `hop_row(src)`),
+        /// (`bfs_distances(dst)[src]`, though the network read `hops(src, dst)`),
         /// an unreachable one is dropped having used none, and with loss on
         /// every sent packet is still delivered, dropped or lost.
         #[test]
@@ -479,7 +479,7 @@ mod tests {
             let stats = clean.run();
             let mut unreachable = 0u64;
             for (&(s, t), &used) in pairs.iter().zip(clean.per_packet_transmissions()) {
-                let row = g.hop_row(t);
+                let row = chlm_graph::traversal::bfs_distances(&g, t);
                 if row[s as usize] == UNREACHABLE {
                     prop_assert_eq!(used, 0);
                     unreachable += 1;

@@ -133,13 +133,12 @@ impl<'a> HeapNetwork<'a> {
     /// first, in sorted adjacency order, one hop closer to `dst`. `at` must
     /// be able to reach `dst` and differ from it.
     fn next_hop(&self, at: NodeIdx, dst: NodeIdx) -> NodeIdx {
-        let row = self.graph.hop_row(dst);
-        let closer = row[at as usize] - 1;
+        let closer = self.graph.hops(dst, at) - 1;
         self.graph
             .neighbors(at)
             .iter()
             .copied()
-            .find(|&v| row[v as usize] == closer)
+            .find(|&v| self.graph.hops(dst, v) == closer)
             .expect("routed packet lost its path")
     }
 
@@ -154,7 +153,7 @@ impl<'a> HeapNetwork<'a> {
             self.stats.delivered += 1;
             return;
         }
-        if self.graph.hop_row(packet.dst)[packet.src as usize] == UNREACHABLE {
+        if self.graph.hops(packet.dst, packet.src) == UNREACHABLE {
             self.stats.dropped += 1;
             return;
         }

@@ -25,10 +25,11 @@ pub enum MobilityKind {
 /// How hop distances are priced.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HopMetric {
-    /// Exact BFS on the level-0 graph: one `Graph::hop_row` per distinct
-    /// root per topology snapshot, shared by every bank and packet
-    /// network. Near every node is a root each tick, so a tick costs
-    /// Θ(n) whole-graph BFS; E27 prices it at n = 4096.
+    /// Exact BFS on the level-0 graph: `Graph::hops`, one search per
+    /// distinct root per topology snapshot, shared by every bank and
+    /// packet network. Near every node is a root each tick, so a tick
+    /// costs Θ(n) whole-graph BFS, 64 at a time; E27 prices it at
+    /// n = 4096.
     Bfs,
     /// `euclidean distance / R_TX × calibration`, with the calibration
     /// ratio measured against BFS once at startup. Linear-time; used for

@@ -9,8 +9,8 @@
 //! snapshot. A pricer answers a pair in three steps:
 //!
 //! 1. `a == b` costs 0;
-//! 2. otherwise the rule's exact count, when it has one: the BFS row
-//!    entry [`Graph::hop_row`]`(a)[b]` under [`HopMetric::Bfs`] when `b`
+//! 2. otherwise the rule's exact count, when it has one: the BFS
+//!    distance [`Graph::hops`]`(a, b)` under [`HopMetric::Bfs`] when `b`
 //!    is reachable, the walk over [`NextHopTable`] under
 //!    [`HopMetric::HierRouting`] when a table route exists, none under
 //!    the Euclidean metrics;
@@ -21,10 +21,11 @@
 //! The scoped-lend shape (`with_pricer` hands a `&mut dyn HopPricer` to a
 //! closure) lets the model borrow the tick's graph/positions without
 //! storing lifetimes in the engine. The model keeps and computes no
-//! shortest-path rows: the BFS rows live on the `Graph` they describe,
-//! where the packet transports of every bank find the same ones, are
-//! warmed a batch of legs at a time by the transport that carries them
-//! ([`crate::transport`], rule 4), and die with the graph's next mutation.
+//! shortest-path distances: the BFS distances live on the `Graph` they
+//! describe, where the packet transports of every bank find the same
+//! ones, are warmed a batch of legs at a time by the transport that
+//! carries them ([`crate::transport`], rule 4), and die with the graph's
+//! next mutation.
 
 use crate::config::HopMetric;
 use crate::oracle::euclidean_hops;
@@ -133,7 +134,7 @@ impl HopPricer for Pricer<'_> {
             return 0.0;
         }
         let exact = match self.metric {
-            HopMetric::Bfs => Some(self.graph.hop_row(a)[b as usize]).filter(|&h| h != UNREACHABLE),
+            HopMetric::Bfs => Some(self.graph.hops(a, b)).filter(|&h| h != UNREACHABLE),
             HopMetric::HierRouting => self.table.route_hops(a, b),
             HopMetric::EuclideanCalibrated | HopMetric::Euclidean(_) => None,
         };
@@ -408,7 +409,9 @@ mod tests {
                         prop_assert!(got.is_finite() && got >= 1.0, "{:?} ({}, {}): {}", metric, a, b, got);
                     }
                 }
-                let want_rows = if metric == HopMetric::Bfs && n > 1 { n } else { 0 };
+                // Every source but the last searched once: by then each of
+                // its pairs was answered from the other end.
+                let want_rows = if metric == HopMetric::Bfs && n > 1 { n - 1 } else { 0 };
                 prop_assert_eq!(cold.hop_rows_cached(), want_rows, "{:?}", metric);
             }
         }

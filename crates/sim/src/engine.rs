@@ -25,8 +25,9 @@
 //! among them keeps its neighbor lists in one arena
 //! ([`chlm_graph::Graph`]), so the topology's edge flips and the
 //! hierarchy's level graphs are written without an allocator call. BFS
-//! distance rows are the exception — they belong to the topology snapshot
-//! ([`chlm_graph::Graph::hop_row`]) and are freed by its next edge flip. The
+//! distances are the exception — one block per batch of up to 64 roots,
+//! they belong to the topology snapshot ([`chlm_graph::Graph::hops`]) and
+//! are freed by its next edge flip. The
 //! fast paths — incremental topology ([`chlm_graph::UnitDiskMaintainer`]),
 //! the hierarchy rebuilt into a retired snapshot
 //! ([`chlm_cluster::Hierarchy::rebuild`]), the recycled walk scratch — are

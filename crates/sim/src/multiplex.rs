@@ -26,16 +26,17 @@
 //! work of three. Pricing is shared per hop metric: banks whose
 //! variants price with the same [`HopMetric`] observe inside one
 //! `with_pricer` scope, so the hierarchical-routing table is built once
-//! per tick instead of once per variant. And exact shortest-path rows are
-//! shared by everything that holds the tick's graph: the BFS pricer and
-//! every packet transport read [`chlm_graph::Graph::hop_row`] off
-//! `ctx.graph`, so a row is computed once per root per tick across banks,
-//! planes, packet shards and metric groups alike — by whichever
-//! transport's `carry` first has a leg that reads it, together with the
-//! other rows that batch of legs is missing
-//! ([`chlm_graph::Graph::fill_hop_rows`]). All of this is sound because
-//! every plane, pricer and row is a pure function of the tick snapshot —
-//! sharing, caches and table builds only affect speed, never values.
+//! per tick instead of once per variant. And exact shortest-path
+//! distances are shared by everything that holds the tick's graph: the
+//! BFS pricer and every packet transport read
+//! [`chlm_graph::Graph::hops`] off `ctx.graph`, so a root is searched at
+//! most once per tick across banks, planes, packet shards and metric
+//! groups alike — by whichever transport's `carry` first has a leg that
+//! neither end of which is held, together with the other roots that
+//! batch of legs is missing ([`chlm_graph::Graph::fill_hops`]). All of
+//! this is sound because every plane, pricer and distance is a pure
+//! function of the tick snapshot — sharing, caches and table builds only
+//! affect speed, never values.
 //!
 //! The query plane multiplexes for free: lookup arrivals are part of the
 //! shared world trace (`TickCtx::query_arrivals`, drawn from the world

@@ -31,25 +31,27 @@
 //!    built with its own stream salt so their draws are uncorrelated.
 //!
 //! What the shards do *not* own is routing state. A packet reads one
-//! distance, `ctx.graph.hop_row(src)[dst]`, from the snapshot's one memo
-//! of BFS rows — the entry the BFS pricer reads for the same leg — so the
-//! eight shards of a plane, both planes, every bank and the pricer compute
-//! the row of a source once between them, which no result can see (a row
+//! distance, `ctx.graph.hops(src, dst)`, from the snapshot's one store of
+//! BFS distances — the distance the BFS pricer reads for the same leg — so
+//! the eight shards of a plane, both planes, every bank and the pricer
+//! search a root once between them, which no result can see (a distance
 //! is a pure function of the graph; see [`chlm_proto::network`]). Hence a
 //! fourth rule, about speed only:
 //!
-//! 4. **Rows are warmed per `carry`.** A transport sees a tick's legs as
-//!    one batch and knows which rows they will read: `hop_row(src)` of
-//!    every non-self leg, on both arms. So `carry` first hands those roots
-//!    — on the analytic arm under [`HopMetric::Bfs`], and on the packet
-//!    arm — to [`chlm_graph::Graph::fill_hop_rows`], which computes the
-//!    missing ones 64 at a time. One root rule for both arms means a packet
-//!    bank fills no row an analytic bank over the same legs would not. An
-//!    analytic transport under any other metric asks the graph for
-//!    nothing.
+//! 4. **Distances are warmed per `carry`.** A transport sees a tick's legs
+//!    as one batch and knows which pairs they will read: `(src, dst)` of
+//!    every leg, on both arms. So `carry` first hands those pairs — on
+//!    the analytic arm under [`HopMetric::Bfs`], and on the packet arm —
+//!    to [`chlm_graph::Graph::fill_hops`], which searches the missing
+//!    sources 64 at a time and, of those a batch too thin to pay would
+//!    search one by one, only the ones a leg still needs: a leg with
+//!    either end held is answered from that end. One pair rule for both
+//!    arms means a packet bank fills no root an analytic bank over the
+//!    same legs would not. An analytic transport under any other metric
+//!    asks the graph for nothing.
 //!
 //! The executor's networks, with their step and per-packet buffers, and
-//! the root buffer are kept across ticks rather than rebuilt per `carry`.
+//! the leg buffer are kept across ticks rather than rebuilt per `carry`.
 
 use crate::config::{Backend, HopMetric, LossSpec, SimConfig};
 use crate::cost::HopPricer;
@@ -118,7 +120,7 @@ impl Transport {
     pub(crate) fn new(cfg: &SimConfig, loss_stream: u64) -> Self {
         let rows = RowWarmer {
             workers: WorkerPool::new(cfg.threads),
-            roots: Vec::new(),
+            legs: Vec::new(),
         };
         match cfg.backend {
             Backend::Analytic => {
@@ -184,25 +186,21 @@ impl Transport {
     }
 }
 
-/// Rule 4 of the module docs for one transport: the pool rows are
-/// computed over, and the root buffer, kept across ticks.
+/// Rule 4 of the module docs for one transport: the pool distances are
+/// computed over, and the leg buffer, kept across ticks.
 pub struct RowWarmer {
     workers: WorkerPool,
-    roots: Vec<NodeIdx>,
+    legs: Vec<(NodeIdx, NodeIdx)>,
 }
 
 impl RowWarmer {
-    /// Have the graph compute, together, the rows `legs` are about to
-    /// read (`src`'s; self-legs read none) and does not hold yet.
+    /// Have the graph compute, together, the distances `legs` are about
+    /// to read and it cannot answer yet.
     fn warm<L: WireLeg>(&mut self, ctx: &TickCtx<'_>, legs: &[L]) {
-        self.roots.clear();
-        self.roots.extend(
-            legs.iter()
-                .map(WireLeg::wire)
-                .filter(|p| p.src != p.dst)
-                .map(|p| p.src),
-        );
-        ctx.graph.fill_hop_rows(&self.roots, &self.workers);
+        self.legs.clear();
+        self.legs
+            .extend(legs.iter().map(WireLeg::wire).map(|p| (p.src, p.dst)));
+        ctx.graph.fill_hops(&self.legs, &self.workers);
     }
 }
 

@@ -1,0 +1,110 @@
+//! Tier-1 pin on the allocator calls of a tick whose banks price with BFS.
+//!
+//! `alloc_budget.rs` pins a world that never reads a BFS distance. This is
+//! the grid-e27 shape — the six CHLM / GLS / home-agent × analytic /
+//! packet banks of E27, BFS pricing, lookups at rate 2 — at a size tier-1
+//! can afford, so that a heap row per BFS root (or any other per-root
+//! allocation) cannot come back unnoticed.
+//!
+//! Reading: `MultiplexSim::step` on a fixed n = 256 waypoint world, one
+//! thread, 10 warm ticks, mean allocator calls over the next 20 —
+//! identical in debug and release builds:
+//!
+//! * one `Vec<u32>` row per root in the topology's shortest-path memo:
+//!   344.7 calls a tick,
+//! * one bit-plane block per batch of up to 64 roots, and a thin batch's
+//!   root computed only for a leg neither of whose ends is held: 85.55
+//!   calls a tick.
+//!
+//! The bound is the latest reading with a quarter of headroom, rounded
+//! up; it only ever goes down.
+//!
+//! One `#[test]` in its own binary, counting only the test's own thread,
+//! so nothing the harness does beside it lands in the window.
+
+use chlm_sim::{Backend, HopMetric, LmScheme, MultiplexSim, SimConfig, VariantSpec};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls made by this thread (const-initialised and
+    /// `Drop`-free, so reading it never allocates).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    // `try_with`: a thread being torn down may allocate after its
+    // thread-locals are gone.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: delegates every operation verbatim to `System`; the counter is
+// side-effect-only.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The latest reading above x 1.25, rounded up.
+const BUDGET_CALLS_PER_TICK: f64 = 107.0;
+
+#[test]
+fn bfs_priced_banks_stay_inside_the_allocation_budget() {
+    const WARM_TICKS: usize = 10;
+    const MEASURED_TICKS: usize = 20;
+    let cfg = SimConfig::builder(256)
+        .seed(11)
+        .warmup(2.0)
+        .threads(1)
+        .query_rate(2.0)
+        .hop_metric(HopMetric::Bfs)
+        .build();
+    let mut variants = Vec::new();
+    for scheme in [LmScheme::Chlm, LmScheme::Gls, LmScheme::HomeAgent] {
+        for backend in [Backend::Analytic, Backend::packet()] {
+            variants.push(VariantSpec::new(
+                format!("{scheme:?}/{backend:?}"),
+                scheme,
+                HopMetric::Bfs,
+                backend,
+            ));
+        }
+    }
+    let mut sim = MultiplexSim::new(&cfg, &variants);
+    for _ in 0..WARM_TICKS {
+        sim.step();
+    }
+    let before = CALLS.with(Cell::get);
+    for _ in 0..MEASURED_TICKS {
+        sim.step();
+    }
+    let per_tick = (CALLS.with(Cell::get) - before) as f64 / MEASURED_TICKS as f64;
+    assert!(
+        per_tick <= BUDGET_CALLS_PER_TICK,
+        "{per_tick} allocator calls a tick, budget {BUDGET_CALLS_PER_TICK}"
+    );
+    // A reading of zero would mean the counter is not installed.
+    assert!(per_tick > 0.0, "the counting allocator saw nothing");
+}

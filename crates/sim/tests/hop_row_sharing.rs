@@ -1,12 +1,13 @@
-//! One shortest-path row per root per snapshot, whoever asks.
+//! One search per BFS root per snapshot, whoever asks.
 //!
 //! The BFS pricer (`Pricer` under `HopMetric::Bfs`) and every packet
-//! network (`chlm_proto::PacketNetwork`) keep no rows of their own: they
-//! read `Graph::hop_row`, the memo on the snapshot they were all handed. These
-//! tests pin the sharing itself — the values are pinned everywhere else
+//! network (`chlm_proto::PacketNetwork`) keep no distances of their own:
+//! they read `Graph::hops`, the store on the snapshot they were all
+//! handed, which answers a pair from whichever end is held. These tests
+//! pin the sharing itself — the values are pinned everywhere else
 //! (`parity`, `query_parity`, `multiplex_equivalence`, the goldens) — and
-//! who asks: inside a tick rows are warmed by `Transport::carry`, a batch
-//! of legs at a time (`Graph::fill_hop_rows`), only under BFS pricing or
+//! who asks: inside a tick roots are warmed by `Transport::carry`, a batch
+//! of legs at a time (`Graph::fill_hops`), only under BFS pricing or
 //! packet execution, and identically at every pool width. CI reruns this
 //! file under `CHLM_SHUFFLE_MERGE=1`, which puts the multi-threaded sides
 //! of the comparisons below under an adversarial claim order.
@@ -29,10 +30,10 @@ use chlm_sim::{
 
 /// After the BFS pricer prices `(a, x)` and `(a, y)` and two separate
 /// packet networks handed the same `&Graph` each deliver a packet *from*
-/// `a`, the graph holds exactly one row — `a`'s — and the executed
-/// transmissions are its entries. (At the parent of the PR that introduced
-/// the memo each of the three kept a private copy; until packets read
-/// `hop_row(src)[dst]`, a packet to `x` also filled `x`'s row.)
+/// `a`, the graph holds exactly one root — `a` — and the executed
+/// transmissions are its distances. (Before the graph kept the distances
+/// each of the three kept a private copy; until packets read the source's
+/// distances, a packet to `x` also searched from `x`.)
 #[test]
 fn pricer_and_packet_networks_share_one_row() {
     let n = 80;
@@ -77,7 +78,7 @@ fn pricer_and_packet_networks_share_one_row() {
     }
 }
 
-/// Reads the snapshot's memo after its bank — and so, placed on the last
+/// Reads the snapshot's hop store after its bank — and so, placed on the last
 /// bank, after every bank — has accounted the tick.
 struct RowCount {
     out: Rc<RefCell<Vec<(usize, usize)>>>,
@@ -141,7 +142,7 @@ fn run_counting_rows(
 /// The six-bank E27 fan-out (3 schemes × {analytic, packet}, BFS pricing,
 /// lookups on) leaves at most one row per node on the tick's graph: the
 /// three pricer scopes and the 6 × 8 per-shard networks of a tick all
-/// filled the same memo. Before it, the same tick derived 5.4 rows per
+/// filled the same store. Before it, the same tick derived 5.4 rows per
 /// node, each in a private map.
 #[test]
 fn six_bank_fan_out_keeps_at_most_one_row_per_node() {
@@ -152,10 +153,10 @@ fn six_bank_fan_out_keeps_at_most_one_row_per_node() {
     for (tick, &(rows, lookups)) in seen.iter().enumerate() {
         assert!(rows <= n, "tick {tick}: {rows} rows for {n} nodes");
         // Every lookup is priced or executed by some bank, so a tick with
-        // lookups cannot leave the shared memo empty.
+        // lookups cannot leave the shared store empty.
         assert!(
             lookups == 0 || rows > 0,
-            "tick {tick}: nobody used the memo"
+            "tick {tick}: nobody used the store"
         );
     }
     assert!(
@@ -166,9 +167,9 @@ fn six_bank_fan_out_keeps_at_most_one_row_per_node() {
 
 /// Which rows a tick computes is decided by its legs, not by how they were
 /// batched or who ran the batches: the same six banks at 1, 2 and 8
-/// threads leave the same number of rows behind every tick — exactly the
-/// roots some leg read, no row the 64-lane kernel happened to have in a
-/// word — and the same six reports.
+/// threads leave the same number of roots held every tick — exactly the
+/// roots the legs' pair rule picked, no lane the 64-lane kernel happened
+/// to have in a word — and the same six reports.
 #[test]
 fn six_bank_fan_out_fills_the_same_rows_at_every_pool_width() {
     let variants = fan_out(HopMetric::Bfs, &[Backend::Analytic, Backend::packet()]);
@@ -182,8 +183,8 @@ fn six_bank_fan_out_fills_the_same_rows_at_every_pool_width() {
 }
 
 /// Packet banks read the rows analytic banks over the same legs read
-/// (`hop_row(src)`, rule 4 of `transport.rs`), so adding the three packet
-/// banks to the E27-shaped fan-out leaves the memo exactly as full, tick
+/// (the same pairs, rule 4 of `transport.rs`), so adding the three packet
+/// banks to the E27-shaped fan-out leaves the store exactly as full, tick
 /// for tick, as the three analytic banks alone do.
 #[test]
 fn packet_banks_fill_no_row_of_their_own() {

@@ -62,8 +62,8 @@ fn grid_variants(metric: HopMetric) -> Vec<VariantSpec> {
 #[test]
 fn nine_variant_fan_out_matches_standalone_bfs() {
     // 3 schemes × {analytic, packet lossless, packet lossy} against ONE
-    // world, BFS pricing (exercises the `Graph::hop_row` memo every bank
-    // shares and the per-`carry` row warm-up that fills it).
+    // world, BFS pricing (exercises the `Graph::hops` store every bank
+    // shares and the per-`carry` warm-up that fills it).
     let mut cfg = base_cfg(100, 42);
     cfg.hop_metric = HopMetric::Bfs;
     let variants = grid_variants(HopMetric::Bfs);

@@ -22,8 +22,8 @@ fn cfg(backend_packet: bool) -> SimConfig {
         .seed(42)
         .query_rate(2.0)
         .build();
-    // BFS metric drives the transports' row warm-up
-    // (`Graph::fill_hop_rows`, batches over run_indexed);
+    // BFS metric drives the transports' distance warm-up
+    // (`Graph::fill_hops`, batches over for_each_mut);
     // 8 threads guarantees the multi-threaded (shuffle-sensitive) path.
     cfg.hop_metric = HopMetric::Bfs;
     cfg.threads = 8;

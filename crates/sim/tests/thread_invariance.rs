@@ -47,8 +47,8 @@ fn assert_all_equal(reports: &[chlm_sim::SimReport], what: &str) {
 
 #[test]
 fn analytic_backend_thread_invariant() {
-    // BFS metric exercises the pooled row warm-up of every `carry`
-    // (`Graph::fill_hop_rows`); the population is large enough for real
+    // BFS metric exercises the pooled distance warm-up of every `carry`
+    // (`Graph::fill_hops`); the population is large enough for real
     // churn but the topology pool threshold keeps the maintainer serial —
     // covered separately by the graph crate tests.
     let reports = reports_for(|t| {
@@ -288,11 +288,12 @@ fn rpgm_mobility_thread_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Rows warmed in bulk by a pool (`Graph::fill_hop_rows`, what every
-    /// transport's `carry` calls) must price exactly like rows the BFS
-    /// pricer computes lazily, and like the serial `bfs_distances` rows,
-    /// for arbitrary graphs, source subsets (duplicates and all), and
-    /// pool widths; pricing the warmed sources computes no further row.
+    /// Roots warmed in bulk by a pool (`Graph::fill_hop_rows`, the root
+    /// form of what every transport's `carry` calls) must price exactly
+    /// like rows the BFS pricer computes lazily, and like the serial
+    /// `bfs_distances` rows, for arbitrary graphs, source subsets
+    /// (duplicates and all), and pool widths; pricing the warmed sources
+    /// computes no further row.
     #[test]
     fn prop_prefill_matches_serial_bfs(
         seed in 0u64..500,
