@@ -171,6 +171,14 @@ PROPTEST_CASES=512 cargo test -q -p chlm-proto --test heap_oracle
 step "LM walk vs reference walk (PROPTEST_CASES=512)"
 PROPTEST_CASES=512 cargo test -q -p chlm-lm --test walk_reference
 
+# The routing table against the builder it replaced: every entry, the
+# entry counts and the walked routes, on hierarchies whose level-0 graph
+# was edited after the election (the BFS fallback of the level-0 rows,
+# internally disconnected scopes). The case count scales that property;
+# the file's other properties keep their own.
+step "routing table vs reference builder (PROPTEST_CASES=512)"
+PROPTEST_CASES=512 cargo test -q -p chlm-routing --test nexthop_reference
+
 # Schedule fuzz: rerun the determinism-sensitive suites with every
 # multi-threaded pool call claiming work in a seeded adversarial order.
 # Byte-identical reports are the contract; a merge-order leak fails here.

@@ -32,27 +32,36 @@
 //! cluster — and `pos[v][k]` — `v`'s rank in that cluster's ascending
 //! level-0 member list; one member CSR lists every cluster's members.
 //!
-//! Every cluster `c` below the root owns one *row* of `hop`, as long as
-//! `c`'s parent cluster and indexed by `pos[u][k + 1]`: the next hop from
-//! each member `u` of the parent toward `c` ([`NodeIdx::MAX`] = no entry;
-//! that is what `c`'s own members hold). Rows of level-0 clusters are the
-//! intra-cluster routes, rows of level `k ≥ 1` the sibling-cluster
-//! gradients. Total storage is `Σ_c |parent(c)|`, about `n · (α·L + |C₁|)`
-//! words.
+//! Every cluster `c` below the top level owns one *row* of `hop`, as long
+//! as `c`'s parent cluster and indexed by `pos[u][k + 1]`: the next hop
+//! from each member `u` of the parent toward `c` ([`NodeIdx::MAX`] = no
+//! entry; that is what `c`'s own members hold). Rows of level-0 clusters
+//! are the intra-cluster routes, rows of level `k ≥ 1` the sibling-cluster
+//! gradients. Total storage is `Σ_c |parent(c)|` over those clusters,
+//! about `n · (α·(L − 1) + |C₁|)` words.
 //!
-//! The rows of the *top* real level span the virtual root, i.e. the whole
-//! graph. Forwarding never consults them — two nodes that share no real
-//! cluster have no strict hierarchical route, and [`NextHopTable::route`]
-//! answers `None` — but they are part of the table a node would hold, so
-//! [`NextHopTable::entries`] counts them.
+//! # Top-level entries
+//!
+//! The gradients toward the *top* real level's clusters span the virtual
+//! root, i.e. the whole graph: one whole-graph BFS each. Forwarding never
+//! consults them — two nodes that share no real cluster have no strict
+//! hierarchical route, and [`NextHopTable::route`] answers `None` — so the
+//! table stores no row for them. They are still part of the table a node
+//! would hold: [`NextHopTable::entries`] counts them (one per other
+//! top-level cluster with a member in the node's component) and
+//! [`NextHopTable::debug_lookup`] answers one by a one-off BFS, both over
+//! the copy of the level-0 graph the table keeps.
 
 use crate::forward::PathOutcome;
 use chlm_cluster::Hierarchy;
-use chlm_graph::traversal::hop_distance;
+use chlm_graph::traversal::{bfs_distances, hop_distance, UNREACHABLE};
 use chlm_graph::{Graph, NodeIdx};
 
 /// "No entry" in a `hop` row.
 const NO_HOP: NodeIdx = NodeIdx::MAX;
+
+/// A gradient search's sources in their own row, while it runs.
+const SOURCE: NodeIdx = NodeIdx::MAX - 1;
 
 /// Row `c` of a CSR. A free function, so that the build can hold a row of
 /// `members` while it writes the table's other fields.
@@ -78,25 +87,37 @@ pub struct NextHopTable {
     member_start: Vec<u32>,
     members: Vec<NodeIdx>,
     /// Parent cluster id and first `hop` index of every cluster below the
-    /// root. Both empty when `depth < 2` (no routes at all).
+    /// top level. Both empty when `depth < 2` (no routes at all).
     parent: Vec<u32>,
     row_start: Vec<usize>,
     hop: Vec<NodeIdx>,
-    /// BFS scratch, kept so that [`NextHopTable::rebuild`] does not
-    /// allocate once the buffers have grown. A node is discovered in the
-    /// BFS for cluster `c` iff `stamp[v] == c + 1`.
+    /// The level-0 graph of the last rebuild, which the on-demand
+    /// top-level searches of `entries` and `debug_lookup` read.
+    graph: Graph,
+    /// Search scratch, kept so that [`NextHopTable::rebuild`] does not
+    /// allocate once the buffers have grown. A level-0 search marks a node
+    /// by `stamp[v] = epoch`; each takes the next epoch.
     stamp: Vec<u32>,
+    epoch: u32,
     dist: Vec<u32>,
     queue: Vec<NodeIdx>,
+    /// The induced subgraph of the scope whose gradients are being filled:
+    /// a CSR over scope-local indices (`pos` one level up), each list in
+    /// the level-0 graph's neighbour order.
+    sub_start: Vec<u32>,
+    sub_adj: Vec<u32>,
+    /// Level-0 rows of the last rebuild that the one-hop ring could not
+    /// fill (see [`NextHopTable::fill_level0_rows`]).
+    level0_fallbacks: usize,
 }
 
 impl NextHopTable {
     /// Build every node's table.
     ///
-    /// `O(n · L · α · deg)`: every BFS below stays inside the cluster whose
+    /// `O(n · L · α · deg)`: every search stays inside the cluster whose
     /// members need its result, so a level costs `Σ_c |parent(c)| · deg ≈
-    /// n · α · deg` — except the top level's never-consulted rows, one
-    /// whole-graph BFS per top-level cluster.
+    /// n · α · deg`, and a level-0 row reads only the one-hop rings of
+    /// its destination and members.
     pub fn build(h: &Hierarchy) -> Self {
         let mut table = NextHopTable::default();
         table.rebuild(h);
@@ -107,13 +128,23 @@ impl NextHopTable {
     pub fn rebuild(&mut self, h: &Hierarchy) {
         let hop_len = self.index_clusters(h);
         self.hop.clear();
+        // The row lengths move by a few percent from snapshot to snapshot:
+        // grow with a quarter of headroom, so that the next, slightly
+        // larger table fits the same buffer.
+        if hop_len > self.hop.capacity() {
+            self.hop.reserve_exact(hop_len + hop_len / 4);
+        }
         self.hop.resize(hop_len, NO_HOP);
-        // Each BFS stamps with its cluster's id + 1, so zero is "never".
+        // Zero is "never": the epochs of this rebuild's searches count up
+        // from one.
         self.stamp.clear();
         self.stamp.resize(self.n, 0);
+        self.epoch = 0;
         self.dist.resize(self.n, 0);
+        self.level0_fallbacks = 0;
+        let g0 = &h.levels[0].graph;
+        self.graph.copy_from(g0);
         if self.depth >= 2 {
-            let g0 = &h.levels[0].graph;
             self.fill_level0_rows(g0);
             self.fill_gradient_rows(g0);
         }
@@ -185,7 +216,7 @@ impl NextHopTable {
         self.row_start.clear();
         let mut total = 0usize;
         if depth >= 2 {
-            for k in 0..depth {
+            for k in 0..depth - 1 {
                 for c in self.level_start[k]..self.level_start[k + 1] {
                     let first = self.members[self.member_start[c as usize] as usize];
                     let p = self.cid[first as usize * stride + k + 1];
@@ -203,66 +234,110 @@ impl NextHopTable {
     /// the first neighbour of `u`, in adjacency order, that is one step
     /// closer to `dst` in the **whole** graph.
     ///
-    /// The BFS from `dst` nevertheless stops as soon as the last member of
-    /// the cluster is discovered: BFS discovers in non-decreasing distance,
-    /// so by then every node closer to `dst` than the farthest member —
-    /// in particular every one-step-closer neighbour of every member — is
-    /// discovered with its final distance, and the choice is the one an
-    /// exhaustive BFS makes. LCA members are all adjacent to their head,
-    /// so this visits a few dozen nodes instead of the graph. A member in
-    /// another component gets no entry (the BFS then exhausts `dst`'s).
+    /// LCA members are their head or adjacent to it, so co-members are at
+    /// most two hops apart, and `dst`'s one-hop ring decides every entry:
+    /// a member in the ring steps to `dst`, any other member to its first
+    /// neighbour in the ring. That is the BFS from `dst`'s choice, because
+    /// a BFS discovers the whole ring before any node two hops out. A
+    /// member with neither — possible only when the level-0 graph was
+    /// edited after the election — sends the row to the BFS of
+    /// [`NextHopTable::bfs_level0_row`].
     fn fill_level0_rows(&mut self, g0: &Graph) {
         let stride = self.depth + 1;
         for dst in 0..self.n {
             let cluster = self.cid[dst * stride + 1];
             let mem = csr_row(&self.member_start, &self.members, cluster);
-            let mut missing = mem.len() - 1;
-            if missing == 0 {
+            if mem.len() == 1 {
                 continue;
             }
-            let epoch = dst as u32 + 1;
-            let (stamp, dist, queue) = (&mut self.stamp, &mut self.dist, &mut self.queue);
-            stamp[dst] = epoch;
-            dist[dst] = 0;
-            queue.clear();
-            queue.push(dst as NodeIdx);
-            let mut next = 0;
-            'bfs: while let Some(&u) = queue.get(next) {
-                next += 1;
-                let dv = dist[u as usize] + 1;
-                for &v in g0.neighbors(u) {
-                    if stamp[v as usize] != epoch {
-                        stamp[v as usize] = epoch;
-                        dist[v as usize] = dv;
-                        queue.push(v);
-                        if self.cid[v as usize * stride + 1] == cluster {
-                            missing -= 1;
-                            if missing == 0 {
-                                break 'bfs;
-                            }
-                        }
-                    }
-                }
+            self.epoch += 1;
+            let epoch = self.epoch;
+            for &w in g0.neighbors(dst as NodeIdx) {
+                self.stamp[w as usize] = epoch;
             }
+            let stamp = &self.stamp;
+            let in_ring = |&&w: &&NodeIdx| stamp[w as usize] == epoch;
             let row = &mut self.hop[self.row_start[dst]..][..mem.len()];
-            for (entry, &u) in row.iter_mut().zip(mem) {
-                if u as usize == dst || stamp[u as usize] != epoch {
-                    continue;
+            let ring_fills_row = row.iter_mut().zip(mem).all(|(entry, &u)| {
+                if u as usize == dst {
+                    return true;
                 }
-                let du = dist[u as usize];
-                // An undiscovered neighbour is at least as far as `u`.
-                let closer =
-                    |&&w: &&NodeIdx| stamp[w as usize] == epoch && dist[w as usize] + 1 == du;
-                if let Some(&w) = g0.neighbors(u).iter().find(closer) {
-                    *entry = w;
+                let hop = if stamp[u as usize] == epoch {
+                    Some(dst as NodeIdx)
+                } else {
+                    g0.neighbors(u).iter().find(in_ring).copied()
+                };
+                match hop {
+                    Some(w) => *entry = w,
+                    None => return false,
                 }
+                true
+            });
+            if !ring_fills_row {
+                self.level0_fallbacks += 1;
+                self.bfs_level0_row(g0, dst);
             }
         }
     }
 
-    /// Rows of level `k ≥ 1`: for every cluster, gradient next hops toward
-    /// its level-0 member set, at the members of the parent cluster
-    /// outside it (the siblings that §2.1 says keep an entry for it).
+    /// `dst`'s level-0 row by a BFS from `dst` in the whole graph, for
+    /// members beyond its two-hop ball or cut off from it.
+    ///
+    /// The BFS stops as soon as the last member of the cluster is
+    /// discovered: BFS discovers in non-decreasing distance, so by then
+    /// every node closer to `dst` than the farthest member — in particular
+    /// every one-step-closer neighbour of every member — is discovered
+    /// with its final distance, and the choice is the one an exhaustive
+    /// BFS makes. A member in another component gets no entry (the BFS
+    /// then exhausts `dst`'s).
+    fn bfs_level0_row(&mut self, g0: &Graph, dst: usize) {
+        let stride = self.depth + 1;
+        let cluster = self.cid[dst * stride + 1];
+        let mem = csr_row(&self.member_start, &self.members, cluster);
+        let mut missing = mem.len() - 1;
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let (stamp, dist, queue) = (&mut self.stamp, &mut self.dist, &mut self.queue);
+        stamp[dst] = epoch;
+        dist[dst] = 0;
+        queue.clear();
+        queue.push(dst as NodeIdx);
+        let mut next = 0;
+        'bfs: while let Some(&u) = queue.get(next) {
+            next += 1;
+            let dv = dist[u as usize] + 1;
+            for &v in g0.neighbors(u) {
+                if stamp[v as usize] != epoch {
+                    stamp[v as usize] = epoch;
+                    dist[v as usize] = dv;
+                    queue.push(v);
+                    if self.cid[v as usize * stride + 1] == cluster {
+                        missing -= 1;
+                        if missing == 0 {
+                            break 'bfs;
+                        }
+                    }
+                }
+            }
+        }
+        let row = &mut self.hop[self.row_start[dst]..][..mem.len()];
+        for (entry, &u) in row.iter_mut().zip(mem) {
+            if u as usize == dst || stamp[u as usize] != epoch {
+                continue;
+            }
+            let du = dist[u as usize];
+            // An undiscovered neighbour is at least as far as `u`.
+            let closer = |&&w: &&NodeIdx| stamp[w as usize] == epoch && dist[w as usize] + 1 == du;
+            if let Some(&w) = g0.neighbors(u).iter().find(closer) {
+                *entry = w;
+            }
+        }
+    }
+
+    /// Rows of level `k ≥ 1` below the top: for every cluster, gradient
+    /// next hops toward its level-0 member set, at the members of the
+    /// parent cluster outside it (the siblings that §2.1 says keep an
+    /// entry for it).
     ///
     /// Multi-source BFS from the member set in ascending node order,
     /// CONFINED to the parent cluster's membership: a leg toward a sibling
@@ -270,39 +345,86 @@ impl NextHopTable {
     /// would re-target a coarser cluster and the packet could oscillate
     /// between branches (strict hierarchical routing's classic pitfall).
     /// The first discoverer of a node is its next hop.
+    ///
+    /// The searches run scope by scope. A scope with two or more children
+    /// has its induced subgraph built once, numbered by `pos` (the row
+    /// index) in the level-0 graph's neighbour order, and every child's
+    /// search runs on it; the confinement is then the subgraph's, not a
+    /// test per visit, and the child's row doubles as the visited set. A
+    /// scope's children are found at their first members, in the scope's
+    /// ascending member list.
     fn fill_gradient_rows(&mut self, g0: &Graph) {
-        let stride = self.depth + 1;
-        for k in 1..self.depth {
+        let (depth, stride) = (self.depth, self.depth + 1);
+        let NextHopTable {
+            cid,
+            pos,
+            level_start,
+            member_start,
+            members,
+            row_start,
+            hop,
+            queue,
+            sub_start,
+            sub_adj,
+            ..
+        } = self;
+        queue.clear();
+        queue.resize(self.n, 0);
+        for k in 1..depth - 1 {
             let up = k + 1;
-            for c in self.level_start[k]..self.level_start[k + 1] {
-                let scope = self.parent[c as usize];
-                let sources = csr_row(&self.member_start, &self.members, c);
-                let mut missing = self.members_of(scope).len() - sources.len();
-                if missing == 0 {
+            for scope in level_start[up]..level_start[up + 1] {
+                let span = csr_row(member_start, members, scope);
+                let first_child = cid[span[0] as usize * stride + k];
+                if csr_row(member_start, members, first_child).len() == span.len() {
                     continue; // only child: nobody needs a route to it
                 }
-                let epoch = c + 1;
-                let (stamp, queue) = (&mut self.stamp, &mut self.queue);
-                queue.clear();
-                queue.extend_from_slice(sources);
-                for &s in sources {
-                    stamp[s as usize] = epoch;
+                sub_start.clear();
+                sub_adj.clear();
+                sub_start.push(0);
+                for &m in span {
+                    for &w in g0.neighbors(m) {
+                        let at = w as usize * stride + up;
+                        if cid[at] == scope {
+                            sub_adj.push(pos[at]);
+                        }
+                    }
+                    sub_start.push(sub_adj.len() as u32);
                 }
-                let row = &mut self.hop[self.row_start[c as usize]..];
-                let mut next = 0;
-                'bfs: while let Some(&u) = queue.get(next) {
-                    next += 1;
-                    for &v in g0.neighbors(u) {
-                        let at = v as usize * stride + up;
-                        if stamp[v as usize] != epoch && self.cid[at] == scope {
-                            stamp[v as usize] = epoch;
-                            row[self.pos[at] as usize] = u;
-                            queue.push(v);
-                            missing -= 1;
-                            if missing == 0 {
-                                break 'bfs; // the whole scope has its entry
+                for &m in span {
+                    let c = cid[m as usize * stride + k];
+                    let sources = csr_row(member_start, members, c);
+                    if sources[0] != m {
+                        continue; // c was searched at its first member
+                    }
+                    // Every node of the scope enters the queue once, and
+                    // the search is done when the last one has. The row
+                    // is the visited set: an entry is written when its
+                    // node is discovered, and the sources hold `SOURCE`
+                    // until the search ends.
+                    let queue = &mut queue[..span.len()];
+                    let row = &mut hop[row_start[c as usize]..][..span.len()];
+                    for (slot, &s) in queue.iter_mut().zip(sources) {
+                        *slot = pos[s as usize * stride + up];
+                        row[*slot as usize] = SOURCE;
+                    }
+                    let (mut head, mut tail) = (0, sources.len());
+                    'bfs: while head < tail {
+                        let u = queue[head] as usize;
+                        head += 1;
+                        let from = span[u];
+                        for &v in &sub_adj[sub_start[u] as usize..sub_start[u + 1] as usize] {
+                            if row[v as usize] == NO_HOP {
+                                row[v as usize] = from;
+                                queue[tail] = v;
+                                tail += 1;
+                                if tail == span.len() {
+                                    break 'bfs; // the whole scope has its entry
+                                }
                             }
                         }
+                    }
+                    for &local in &queue[..sources.len()] {
+                        row[local as usize] = NO_HOP;
                     }
                 }
             }
@@ -314,7 +436,8 @@ impl NextHopTable {
         csr_row(&self.member_start, &self.members, c)
     }
 
-    /// The entry at `u` for cluster `c` of level `k`, if `u` holds one.
+    /// The entry at `u` for cluster `c` of level `k` below the top, if `u`
+    /// holds one.
     fn entry(&self, u: NodeIdx, k: usize, c: u32) -> Option<NodeIdx> {
         let at = u as usize * (self.depth + 1) + k + 1;
         if self.parent[c as usize] != self.cid[at] {
@@ -324,15 +447,45 @@ impl NextHopTable {
         (hop != NO_HOP).then_some(hop)
     }
 
-    /// Number of entries in `u`'s table. `O(Σ_k |C_k(u)|)` — analysis and
-    /// tests, not pricing.
+    /// The entry at `u` for top-level cluster `c`, which no row stores:
+    /// `u`'s first discoverer in a whole-graph BFS from `c`'s members in
+    /// ascending order. `None` for `c`'s own members and across a
+    /// partition.
+    fn top_entry(&self, u: NodeIdx, c: u32) -> Option<NodeIdx> {
+        let mut seen = vec![false; self.n];
+        let mut queue = self.members_of(c).to_vec();
+        for &s in &queue {
+            seen[s as usize] = true;
+        }
+        if seen[u as usize] {
+            return None;
+        }
+        let mut next = 0;
+        while let Some(&x) = queue.get(next) {
+            next += 1;
+            for &v in self.graph.neighbors(x) {
+                if !seen[v as usize] {
+                    if v == u {
+                        return Some(x);
+                    }
+                    seen[v as usize] = true;
+                    queue.push(v);
+                }
+            }
+        }
+        None
+    }
+
+    /// Number of entries in `u`'s table. `O(Σ_k |C_k(u)|)` below the top
+    /// level plus one BFS over `u`'s component for the top level's
+    /// entries — analysis and tests, not pricing.
     pub fn entries(&self, u: NodeIdx) -> usize {
         if self.depth < 2 {
             return 0;
         }
         let stride = self.depth + 1;
         let row = u as usize * stride;
-        (0..self.depth)
+        let below_top: usize = (0..self.depth - 1)
             .map(|k| {
                 // One candidate per child of u's level-(k+1) cluster,
                 // counted at the child's first member.
@@ -344,11 +497,28 @@ impl NextHopTable {
                     })
                     .count()
             })
-            .sum()
+            .sum();
+        below_top + self.top_entries(u)
+    }
+
+    /// `u`'s top-level entries: one per top-level cluster other than its
+    /// own with a member in `u`'s component, which the whole-graph
+    /// gradient toward that cluster reaches.
+    fn top_entries(&self, u: NodeIdx) -> usize {
+        let (top, stride) = (self.depth - 1, self.depth + 1);
+        let first = self.level_start[top];
+        let mut reached = vec![false; (self.level_start[top + 1] - first) as usize];
+        for (v, d) in bfs_distances(&self.graph, u).into_iter().enumerate() {
+            if d != UNREACHABLE {
+                reached[(self.cid[v * stride + top] - first) as usize] = true;
+            }
+        }
+        reached.iter().filter(|&&r| r).count() - 1
     }
 
     /// Test/debug helper: raw table lookup. Level-0 entries are keyed by
-    /// the destination node itself, the others by the cluster's head.
+    /// the destination node itself, the others by the cluster's head. A
+    /// top-level key costs a whole-graph BFS.
     #[doc(hidden)]
     pub fn debug_lookup(&self, u: NodeIdx, level: u16, head: NodeIdx) -> Option<NodeIdx> {
         let k = level as usize;
@@ -359,7 +529,12 @@ impl NextHopTable {
         let local = self.heads[lo as usize..hi as usize]
             .binary_search(&head)
             .ok()?;
-        self.entry(u, k, lo + local as u32)
+        let c = lo + local as u32;
+        if k + 1 == self.depth {
+            self.top_entry(u, c)
+        } else {
+            self.entry(u, k, c)
+        }
     }
 
     /// One forwarding decision: the next hop from `cur` toward `t` and the
@@ -559,6 +734,26 @@ mod tests {
             );
             // Built tables can be smaller only due to disconnected members.
         }
+    }
+
+    /// Rule (a) of `fill_level0_rows` — every co-member within two hops
+    /// of the destination — holds on every hierarchy elected over its own
+    /// graph, and the BFS row is only for a graph edited afterwards.
+    #[test]
+    fn level0_rows_fall_back_only_on_edited_graphs() {
+        for (n, seed) in [(60, 1), (200, 2), (400, 3), (1000, 4)] {
+            let table = NextHopTable::build(&random_hierarchy(n, seed));
+            assert_eq!(table.level0_fallbacks, 0, "n={n} seed={seed}");
+        }
+        let star = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (2, 3), (3, 4)]);
+        let mut cut_off = Hierarchy::build(&[9, 1, 2, 3, 4], &star, HierarchyOptions::default());
+        cut_off.levels[0].graph.remove_edge(0, 1);
+        let table = NextHopTable::build(&cut_off);
+        // Node 1's co-members 0, 2 and 3 each reach it by no ring, and 1
+        // reaches none of theirs.
+        assert_eq!(table.level0_fallbacks, 4);
+        assert_eq!(table.route_hops(2, 0), Some(1));
+        assert_eq!(table.route_hops(2, 1), None);
     }
 
     #[test]

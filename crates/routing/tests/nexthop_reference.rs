@@ -317,3 +317,60 @@ fn cluster_member_unreachable_from_the_others() {
     }
     assert_eq!(table.route_hops(2, 3), Some(1));
 }
+
+/// `PROPTEST_CASES`, else 48: `ci.sh` runs the edited-graph property at
+/// 512.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
+/// Edit the level-0 graph after the election: an even `pick` cuts the
+/// edge from `u` to one of its neighbours, an odd one links `u` to another
+/// node. Cuts put co-members more than two hops apart or out of reach
+/// and split scopes internally; links add shortcuts no cluster was
+/// elected over.
+fn edit_level0(h: &mut Hierarchy, edits: &[(u32, u32)]) {
+    let g = &mut h.levels[0].graph;
+    let n = g.node_count() as u32;
+    for &(u, pick) in edits {
+        let u = u % n;
+        if pick % 2 == 0 {
+            let nbrs = g.neighbors(u);
+            if !nbrs.is_empty() {
+                let v = nbrs[(pick / 2) as usize % nbrs.len()];
+                g.remove_edge(u, v);
+            }
+        } else {
+            let v = (pick / 2) % n;
+            if v != u {
+                g.add_edge(u, v);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The fallback path: level-0 rows whose members the destination's
+    /// one-hop ring does not decide, and gradients over scopes the edits
+    /// left internally disconnected.
+    #[test]
+    fn matches_reference_after_level0_edits(
+        g in arb_graph(40),
+        n in 20usize..160,
+        seed in 0u64..10_000,
+        edits in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..24),
+    ) {
+        let ids = SimRng::seed_from(seed).permutation(g.node_count());
+        for opts in both_options() {
+            for mut h in [Hierarchy::build(&ids, &g, opts), random_network(n, seed, opts)] {
+                edit_level0(&mut h, &edits);
+                assert_matches_reference(&h, seed);
+            }
+        }
+    }
+}

@@ -41,8 +41,9 @@ pub enum HopMetric {
     /// pairs are priced by walking the actual per-node routing tables, so
     /// hierarchical stretch is measured instead of assumed away. Rebuilds
     /// the tables each tick, in place, in `O(n · L · α · deg)` — the order
-    /// of their size — so it is a few times the cost of the Euclidean
-    /// proxy per tick, not a different size class.
+    /// of their size, with no whole-graph search — so it is a few times
+    /// the cost of the Euclidean proxy per tick, not a different size
+    /// class.
     HierRouting,
 }
 

@@ -67,9 +67,12 @@ pub trait CostModel {
 
 /// The cost model of one [`HopMetric`]. Under
 /// [`HopMetric::HierRouting`] each tick rebuilds the hierarchy's per-node
-/// routing tables — `O(n · L · α · deg)`, see [`NextHopTable::build`] —
-/// in place, so steady-state pricing does not allocate; the other metrics
-/// keep no state but the calibration.
+/// routing tables in place, so steady-state pricing does not allocate:
+/// `O(n · L · α · deg)` with no whole-graph search, since a level-0 row
+/// reads one-hop rings, a sibling gradient searches its parent cluster's
+/// induced subgraph, and the top level, which no route reads, is not
+/// stored (see [`NextHopTable::build`]). The other metrics keep no state
+/// but the calibration.
 pub struct Pricing {
     metric: HopMetric,
     calibration: f64,
