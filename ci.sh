@@ -48,7 +48,9 @@ test -s target/step_reach.json
 # and the stub pricer handed to world observers that never price, and
 # the per-root row store with its per-lane scatter kernel (one heap row
 # per BFS root; the hop store keeps bit-plane blocks of 64 roots, read
-# one pair at a time through `Graph::hops`).
+# one pair at a time through `Graph::hops`), and the per-tick random walk
+# (a heading drawn once per tick made its law depend on the tick length;
+# the walk is `RandomDirection` at `WALK_EPOCH`).
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.) The last entry is a layout,
 # not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
@@ -63,9 +65,14 @@ removed+='\|HierarchyMaintainer\|IncrementalHierarchy\|snapshot_into\|escalation
 removed+='\|collect_chlm_bfs_sources\|wants_bfs_sources'
 removed+='\|DistanceOracle\|BfsCostModel\|EuclideanCostModel\|HierRoutingCostModel\|HierPricer\|InertPricer\|variant_cost_model'
 removed+='\|hop_row(\|batch_rows'
+removed+='\|RandomWalk\|MobilityKind::Walk'
 removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
+  exit 1
+fi
+if [ -e crates/mobility/src/walk.rs ]; then
+  echo "leftover check: crates/mobility/src/walk.rs is back; the walk is RandomDirection at WALK_EPOCH" >&2
   exit 1
 fi
 # The Euclidean hop estimate has one copy, `chlm_sim::oracle::euclidean_hops`

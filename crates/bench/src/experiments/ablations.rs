@@ -218,15 +218,17 @@ pub(crate) fn exp_cluster_ablation() {
 /// specifics of random waypoint. We run the same network under four
 /// mobility processes at identical nominal speed and compare f₀, φ, γ.
 /// Group mobility (RPGM, the HSR motivation \[11\]) should show markedly
-/// lower reorganization overhead; the per-tick random walk, maximal
-/// direction churn, sits at the other extreme of link volatility.
+/// lower reorganization overhead. The random walk is random direction at
+/// a mean heading epoch of `WALK_EPOCH` = 0.04 s: maximal direction churn,
+/// but diffusive, so it moves nodes apart more slowly than the 20 s
+/// epochs of the "direction" row.
 pub(crate) fn exp_mobility_ablation() {
     banner("E16 / §1.2", "mobility ablation at n = 512");
     let n = env_usize("CHLM_MOBILITY_N", 512, 1);
     let kinds: Vec<(&str, MobilityKind)> = vec![
         ("waypoint", MobilityKind::Waypoint),
         ("direction", MobilityKind::Direction { mean_epoch: 20.0 }),
-        ("walk", MobilityKind::Walk),
+        ("walk", MobilityKind::walk()),
         (
             "rpgm",
             MobilityKind::Rpgm {
@@ -269,6 +271,6 @@ pub(crate) fn exp_mobility_ablation() {
         ]);
     }
     println!("{}", t.render());
-    println!("expected ordering: rpgm << waypoint ≈ direction < walk in overhead;");
+    println!("expected ordering: rpgm << waypoint < walk, direction in overhead;");
     println!("the Θ-claims are about scaling, but constants track link volatility.");
 }

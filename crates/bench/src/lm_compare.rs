@@ -30,7 +30,7 @@ pub(crate) fn schemes() -> [(&'static str, LmScheme); 3] {
 /// The mobility models of the full E24 sweep.
 pub(crate) fn mobility_models() -> Vec<(&'static str, MobilityKind)> {
     vec![
-        ("walk", MobilityKind::Walk),
+        ("walk", MobilityKind::walk()),
         ("waypoint", MobilityKind::Waypoint),
         (
             "rpgm",

@@ -22,7 +22,7 @@ static MANIFEST: Mutex<()> = Mutex::new(());
 const MOBILITIES: [(&str, MobilityKind); 5] = [
     ("waypoint", MobilityKind::Waypoint),
     ("direction", MobilityKind::Direction { mean_epoch: 2.0 }),
-    ("walk", MobilityKind::Walk),
+    ("walk", MobilityKind::walk()),
     (
         "rpgm",
         MobilityKind::Rpgm {

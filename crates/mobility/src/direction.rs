@@ -89,13 +89,16 @@ impl MobilityModel for RandomDirection {
         assert!(dt >= 0.0 && dt.is_finite());
         let c = self.region.center;
         let r = self.region.radius;
+        let limit = ((4.0 * dt / self.mean_epoch) as usize).saturating_add(10_000);
         for (m, out) in self.movers.iter_mut().zip(self.positions.iter_mut()) {
             let mut remaining = dt;
             // Advance through heading epochs and wall bounces within the tick.
+            // The guard scales with the epochs the step spans, so that a
+            // long step at a short epoch is not cut short.
             let mut guard = 0;
             while remaining > 1e-12 {
                 guard += 1;
-                if guard > 10_000 {
+                if guard > limit {
                     break; // numerical pathology: give up gracefully for this tick
                 }
                 let advance = remaining.min(m.epoch_left);
@@ -212,6 +215,52 @@ mod tests {
             .count();
         let frac = inner as f64 / 600.0;
         assert!((frac - 0.25).abs() < 0.08, "frac = {frac}");
+    }
+
+    #[test]
+    fn walk_epoch_spreads_diffusively() {
+        // At WALK_EPOCH the long-run mean squared displacement is
+        // 2μ²τ·t (the constant's derivation), far below the ballistic
+        // (μt)²: about 2μ²τ(t − τ) after t seconds from a fresh epoch.
+        let region = Disk::centered(500.0);
+        let rng = SimRng::seed_from(3);
+        let n = 400;
+        let (speed, tau, t) = (1.0, crate::WALK_EPOCH, 100.0);
+        let mut m = RandomDirection::new(region, vec![Point::ORIGIN; n], speed, tau, rng);
+        for _ in 0..100 {
+            m.step(t / 100.0);
+        }
+        let msd = m.positions().iter().map(|p| p.norm_sq()).sum::<f64>() / n as f64;
+        let expected = 2.0 * speed * speed * tau * (t - tau);
+        assert!(
+            (msd / expected - 1.0).abs() < 0.2,
+            "msd {msd} vs {expected}"
+        );
+    }
+
+    #[test]
+    fn long_step_spans_every_epoch() {
+        // One mover draws in the same order however the time is cut, so
+        // one 600 s step (15 000 epochs at WALK_EPOCH) must land where
+        // 600 one-second steps do.
+        let region = Disk::centered(1e6);
+        let walker = || {
+            RandomDirection::new(
+                region,
+                vec![Point::ORIGIN],
+                1.0,
+                crate::WALK_EPOCH,
+                SimRng::seed_from(5),
+            )
+        };
+        let mut one = walker();
+        one.step(600.0);
+        let mut many = walker();
+        for _ in 0..600 {
+            many.step(1.0);
+        }
+        let gap = one.positions()[0].dist(many.positions()[0]);
+        assert!(gap < 1e-6, "one long step ends {gap} m from 600 short ones");
     }
 
     #[test]

@@ -6,19 +6,23 @@
 //! Broch et al. \[4\] with zero pause time and node speed `μ` m/s:
 //! each node repeatedly picks a uniformly random destination in the
 //! deployment region and travels to it in a straight line at speed `μ`.
-//! [`RandomWaypoint`] implements exactly this, including the well-known
-//! steady-state initialization fix (without it, early measurements are
-//! biased because the uniform initial placement is *not* the RWP stationary
-//! distribution).
+//! [`RandomWaypoint`] implements exactly this. It deploys uniformly, which
+//! is *not* the RWP stationary distribution (that one is denser in the
+//! middle of the region): only a warm-up — `deployed`'s `warmup_seconds`
+//! or the caller's own stepping — approaches stationarity, and early
+//! measurements are biased until it has lasted a few region crossings.
 //!
 //! For the mobility ablation (experiment E16) the crate also provides
-//! [`RandomDirection`], [`RandomWalk`], [`Rpgm`] (reference-point group
-//! mobility, the group-mobility pattern motivating HSR \[11\]), and
-//! [`StaticModel`].
+//! [`RandomDirection`] (exponential heading epochs with boundary
+//! reflection; at a mean epoch of [`WALK_EPOCH`] it is the simulator's
+//! random walk), [`Rpgm`] (reference-point group mobility, the
+//! group-mobility pattern motivating HSR \[11\]), and [`StaticModel`].
 //!
 //! All models implement [`MobilityModel`]: the simulator owns positions and
-//! asks the model to advance them by `dt` seconds per tick.
-
+//! asks the model to advance them by `dt` seconds per tick. Every model is a
+//! continuous-time process sampled at the tick: it draws from its RNG only
+//! at waypoint arrivals or heading-epoch ends, never once per tick, so its
+//! law does not depend on `dt` (`tests/law_invariance.rs`).
 //!
 //! ## Example
 //!
@@ -37,15 +41,26 @@
 
 pub mod direction;
 pub mod rpgm;
-pub mod walk;
 pub mod waypoint;
 
 pub use direction::RandomDirection;
 pub use rpgm::Rpgm;
-pub use walk::RandomWalk;
 pub use waypoint::RandomWaypoint;
 
 use chlm_geom::Point;
+
+/// Mean heading epoch (seconds) of the random walk: [`RandomDirection`]
+/// at this epoch replaces a walk that redrew every node's heading once per
+/// tick, whose diffusion constant (μ²Δt per second of mean squared
+/// displacement) changed with the tick length Δt.
+///
+/// An exponential-epoch walk at speed μ has long-run mean squared
+/// displacement 2μ²τ per second. Setting 2μ²τ = μ²Δt gives τ = Δt/2, and
+/// the default tick `R_TX / (10 μ)` is 0.076–0.087 s at mean degree 9–12
+/// (density 1.25), so τ = 0.04 s keeps the long-run diffusion of the walk
+/// it replaces while making it one process at every tick length. RPGM's
+/// member jitter uses the same epoch.
+pub const WALK_EPOCH: f64 = 0.04;
 
 /// A mobility process over `n` nodes confined to a region.
 pub trait MobilityModel {

@@ -6,9 +6,17 @@
 //! group-mobility pattern that motivates hierarchical protocols such as
 //! HSR \[11\]: group structure makes clusters more stable than independent
 //! RWP, which experiment E16 quantifies (lower reorganization rate γ).
+//!
+//! A member's jitter is a [`RandomDirection`] walk over the disk of radius
+//! `jitter_radius` about its reference point, at `jitter_speed` with mean
+//! heading epoch [`WALK_EPOCH`], reflecting off the disk's rim and starting
+//! from its uniform stationary law. Like the centers, it draws headings at
+//! epoch ends inside a tick, so the process does not depend on the tick
+//! length.
 
+use crate::direction::RandomDirection;
 use crate::waypoint::RandomWaypoint;
-use crate::MobilityModel;
+use crate::{MobilityModel, WALK_EPOCH};
 use chlm_geom::{Disk, Point, Region, SimRng};
 
 /// Reference-point group mobility process.
@@ -21,12 +29,10 @@ pub struct Rpgm {
     group_of: Vec<u32>,
     /// Per-node fixed offset from the group center.
     offset: Vec<Point>,
-    /// Per-node current jitter around the reference point.
-    jitter: Vec<Point>,
-    jitter_radius: f64,
-    jitter_speed: f64,
+    /// Per-node jitter around the reference point; `None` when the jitter
+    /// radius or speed is zero.
+    jitter: Option<RandomDirection>,
     positions: Vec<Point>,
-    rng: SimRng,
 }
 
 impl Rpgm {
@@ -60,7 +66,6 @@ impl Rpgm {
         let mut local = rng.fork(0x6706_0002);
         let mut group_of = Vec::with_capacity(n);
         let mut offset = Vec::with_capacity(n);
-        let mut jitter = Vec::with_capacity(n);
         for i in 0..n {
             let gid = (i % groups) as u32;
             group_of.push(gid);
@@ -68,18 +73,23 @@ impl Rpgm {
             let r = group_radius * local.unit().sqrt();
             let th = local.range_f64(0.0, std::f64::consts::TAU);
             offset.push(Point::unit(th) * r);
-            jitter.push(Point::ORIGIN);
         }
+        let jitter = (jitter_radius > 0.0 && jitter_speed > 0.0).then(|| {
+            RandomDirection::deployed(
+                Disk::centered(jitter_radius),
+                n,
+                jitter_speed,
+                WALK_EPOCH,
+                &mut local,
+            )
+        });
         let mut s = Rpgm {
             region,
             centers,
             group_of,
             offset,
             jitter,
-            jitter_radius,
-            jitter_speed,
             positions: vec![Point::ORIGIN; n],
-            rng: local,
         };
         s.refresh_positions();
         s
@@ -87,9 +97,11 @@ impl Rpgm {
 
     fn refresh_positions(&mut self) {
         let centers = self.centers.positions();
+        let jitter = self.jitter.as_ref().map(|j| j.positions());
         for i in 0..self.positions.len() {
             let c = centers[self.group_of[i] as usize];
-            self.positions[i] = self.region.clamp(c + self.offset[i] + self.jitter[i]);
+            let j = jitter.map_or(Point::ORIGIN, |j| j[i]);
+            self.positions[i] = self.region.clamp(c + self.offset[i] + j);
         }
     }
 
@@ -115,18 +127,8 @@ impl MobilityModel for Rpgm {
     fn step(&mut self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite());
         self.centers.step(dt);
-        if self.jitter_radius > 0.0 && self.jitter_speed > 0.0 {
-            let d = self.jitter_speed * dt;
-            for j in self.jitter.iter_mut() {
-                let heading = Point::unit(self.rng.range_f64(0.0, std::f64::consts::TAU));
-                let next = *j + heading * d;
-                // Confine jitter to its disk by clamping radially.
-                *j = if next.norm() <= self.jitter_radius {
-                    next
-                } else {
-                    next * (self.jitter_radius / next.norm())
-                };
-            }
+        if let Some(j) = &mut self.jitter {
+            j.step(dt);
         }
         self.refresh_positions();
     }

@@ -6,7 +6,7 @@ use chlm_geom::{Disk, Region, SimRng};
 use chlm_graph::dynamics::{LinkDiff, LinkEventRate};
 use chlm_graph::unit_disk::build_unit_disk;
 use chlm_mobility::{
-    MobilityModel, RandomDirection, RandomWalk, RandomWaypoint, Rpgm, StaticModel,
+    MobilityModel, RandomDirection, RandomWaypoint, Rpgm, StaticModel, WALK_EPOCH,
 };
 use proptest::prelude::*;
 
@@ -35,18 +35,16 @@ proptest! {
     }
 
     #[test]
-    fn direction_contained_and_bounded(seed in 0u64..500, n in 1usize..60, speed in 0.5f64..5.0) {
+    fn direction_contained_and_bounded(
+        seed in 0u64..500,
+        n in 1usize..60,
+        speed in 0.5f64..5.0,
+        walk in any::<bool>(),
+    ) {
+        let mean_epoch = if walk { WALK_EPOCH } else { 5.0 };
         let region = Disk::centered(25.0);
         let mut rng = SimRng::seed_from(seed);
-        let m = RandomDirection::deployed(region, n, speed, 5.0, &mut rng);
-        check_model(m, region, speed, 20, 0.7);
-    }
-
-    #[test]
-    fn walk_contained_and_bounded(seed in 0u64..500, n in 1usize..60, speed in 0.5f64..5.0) {
-        let region = Disk::centered(25.0);
-        let mut rng = SimRng::seed_from(seed);
-        let m = RandomWalk::deployed(region, n, speed, &mut rng);
+        let m = RandomDirection::deployed(region, n, speed, mean_epoch, &mut rng);
         check_model(m, region, speed, 20, 0.7);
     }
 

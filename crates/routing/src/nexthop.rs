@@ -50,7 +50,7 @@
 //! would hold: [`NextHopTable::entries`] counts them (one per other
 //! top-level cluster with a member in the node's component) and
 //! [`NextHopTable::debug_lookup`] answers one by a one-off BFS, both over
-//! the copy of the level-0 graph the table keeps.
+//! the level-0 graph of the hierarchy they are handed.
 
 use crate::forward::PathOutcome;
 use chlm_cluster::Hierarchy;
@@ -91,9 +91,6 @@ pub struct NextHopTable {
     parent: Vec<u32>,
     row_start: Vec<usize>,
     hop: Vec<NodeIdx>,
-    /// The level-0 graph of the last rebuild, which the on-demand
-    /// top-level searches of `entries` and `debug_lookup` read.
-    graph: Graph,
     /// Search scratch, kept so that [`NextHopTable::rebuild`] does not
     /// allocate once the buffers have grown. A level-0 search marks a node
     /// by `stamp[v] = epoch`; each takes the next epoch.
@@ -143,7 +140,6 @@ impl NextHopTable {
         self.dist.resize(self.n, 0);
         self.level0_fallbacks = 0;
         let g0 = &h.levels[0].graph;
-        self.graph.copy_from(g0);
         if self.depth >= 2 {
             self.fill_level0_rows(g0);
             self.fill_gradient_rows(g0);
@@ -451,7 +447,7 @@ impl NextHopTable {
     /// `u`'s first discoverer in a whole-graph BFS from `c`'s members in
     /// ascending order. `None` for `c`'s own members and across a
     /// partition.
-    fn top_entry(&self, u: NodeIdx, c: u32) -> Option<NodeIdx> {
+    fn top_entry(&self, g0: &Graph, u: NodeIdx, c: u32) -> Option<NodeIdx> {
         let mut seen = vec![false; self.n];
         let mut queue = self.members_of(c).to_vec();
         for &s in &queue {
@@ -463,7 +459,7 @@ impl NextHopTable {
         let mut next = 0;
         while let Some(&x) = queue.get(next) {
             next += 1;
-            for &v in self.graph.neighbors(x) {
+            for &v in g0.neighbors(x) {
                 if !seen[v as usize] {
                     if v == u {
                         return Some(x);
@@ -476,10 +472,11 @@ impl NextHopTable {
         None
     }
 
-    /// Number of entries in `u`'s table. `O(Σ_k |C_k(u)|)` below the top
-    /// level plus one BFS over `u`'s component for the top level's
-    /// entries — analysis and tests, not pricing.
-    pub fn entries(&self, u: NodeIdx) -> usize {
+    /// Number of entries in `u`'s table, with `h` the hierarchy of the
+    /// last rebuild. `O(Σ_k |C_k(u)|)` below the top level plus one BFS
+    /// over `u`'s component for the top level's entries — analysis and
+    /// tests, not pricing.
+    pub fn entries(&self, h: &Hierarchy, u: NodeIdx) -> usize {
         if self.depth < 2 {
             return 0;
         }
@@ -498,17 +495,17 @@ impl NextHopTable {
                     .count()
             })
             .sum();
-        below_top + self.top_entries(u)
+        below_top + self.top_entries(&h.levels[0].graph, u)
     }
 
     /// `u`'s top-level entries: one per top-level cluster other than its
     /// own with a member in `u`'s component, which the whole-graph
     /// gradient toward that cluster reaches.
-    fn top_entries(&self, u: NodeIdx) -> usize {
+    fn top_entries(&self, g0: &Graph, u: NodeIdx) -> usize {
         let (top, stride) = (self.depth - 1, self.depth + 1);
         let first = self.level_start[top];
         let mut reached = vec![false; (self.level_start[top + 1] - first) as usize];
-        for (v, d) in bfs_distances(&self.graph, u).into_iter().enumerate() {
+        for (v, d) in bfs_distances(g0, u).into_iter().enumerate() {
             if d != UNREACHABLE {
                 reached[(self.cid[v * stride + top] - first) as usize] = true;
             }
@@ -516,11 +513,18 @@ impl NextHopTable {
         reached.iter().filter(|&&r| r).count() - 1
     }
 
-    /// Test/debug helper: raw table lookup. Level-0 entries are keyed by
-    /// the destination node itself, the others by the cluster's head. A
-    /// top-level key costs a whole-graph BFS.
+    /// Test/debug helper: raw table lookup, with `h` the hierarchy of the
+    /// last rebuild. Level-0 entries are keyed by the destination node
+    /// itself, the others by the cluster's head. A top-level key costs a
+    /// whole-graph BFS.
     #[doc(hidden)]
-    pub fn debug_lookup(&self, u: NodeIdx, level: u16, head: NodeIdx) -> Option<NodeIdx> {
+    pub fn debug_lookup(
+        &self,
+        h: &Hierarchy,
+        u: NodeIdx,
+        level: u16,
+        head: NodeIdx,
+    ) -> Option<NodeIdx> {
         let k = level as usize;
         if self.depth < 2 || k >= self.depth {
             return None;
@@ -531,7 +535,7 @@ impl NextHopTable {
             .ok()?;
         let c = lo + local as u32;
         if k + 1 == self.depth {
-            self.top_entry(u, c)
+            self.top_entry(&h.levels[0].graph, u, c)
         } else {
             self.entry(u, k, c)
         }
@@ -726,7 +730,7 @@ mod tests {
         let tables = NextHopTable::build(&h);
         let accounted = crate::tables::hierarchical_table_sizes(&h);
         for u in 0..180u32 {
-            let built = tables.entries(u);
+            let built = tables.entries(&h, u);
             assert!(
                 built <= accounted[u as usize],
                 "node {u}: built {built} > accounted {}",

@@ -163,13 +163,13 @@ fn assert_matches_reference(h: &Hierarchy, pair_seed: u64) {
     for u in 0..n as NodeIdx {
         for (&(level, head), &next) in &reference[u as usize] {
             assert_eq!(
-                table.debug_lookup(u, level, head),
+                table.debug_lookup(h, u, level, head),
                 Some(next),
                 "entry ({level}, {head}) at node {u}"
             );
         }
         assert_eq!(
-            table.entries(u),
+            table.entries(h, u),
             reference[u as usize].len(),
             "entry count at node {u}"
         );
@@ -248,7 +248,7 @@ fn rebuild_in_place_equals_fresh_build() {
         table.rebuild(&h);
         let fresh = NextHopTable::build(&h);
         for s in 0..n as NodeIdx {
-            assert_eq!(table.entries(s), fresh.entries(s));
+            assert_eq!(table.entries(&h, s), fresh.entries(&h, s));
             for t in 0..n as NodeIdx {
                 assert_eq!(table.route_hops(s, t), fresh.route_hops(s, t));
             }
@@ -309,7 +309,7 @@ fn cluster_member_unreachable_from_the_others() {
     h.levels[0].graph.remove_edge(0, 1);
     let table = NextHopTable::build(&h);
     assert_matches_reference(&h, 0);
-    assert_eq!(table.entries(1), 0);
+    assert_eq!(table.entries(&h, 1), 0);
     for other in [0, 2, 3] {
         assert_eq!(table.route_hops(1, other), None);
         assert_eq!(table.route_hops(other, 1), None);

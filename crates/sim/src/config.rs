@@ -7,11 +7,15 @@ use chlm_lm::server::SelectionRule;
 pub enum MobilityKind {
     /// Random waypoint, zero pause (the paper's model, §1.2).
     Waypoint,
-    /// Random direction with exponential heading epochs.
+    /// Random direction with exponential heading epochs of mean
+    /// `mean_epoch` seconds, reflecting off the rim. At
+    /// [`chlm_mobility::WALK_EPOCH`] it is the random walk
+    /// ([`MobilityKind::walk`], the CLI's and the experiments' "walk").
     Direction { mean_epoch: f64 },
-    /// Per-tick random-heading walk.
-    Walk,
-    /// Reference-point group mobility.
+    /// Reference-point group mobility: group centers move as random
+    /// waypoint at the config's speed; each member jitters about its
+    /// reference point as random direction at [`chlm_mobility::WALK_EPOCH`]
+    /// within `jitter_radius` at `jitter_speed` (no jitter when either is 0).
     Rpgm {
         groups: usize,
         group_radius: f64,
@@ -20,6 +24,18 @@ pub enum MobilityKind {
     },
     /// No movement (structural experiments).
     Static,
+}
+
+impl MobilityKind {
+    /// The random walk: random direction at a mean heading epoch of
+    /// [`chlm_mobility::WALK_EPOCH`] seconds, the long-run diffusion of a
+    /// walk that redraws its heading once per default tick, but one
+    /// process at every tick length.
+    pub const fn walk() -> Self {
+        MobilityKind::Direction {
+            mean_epoch: chlm_mobility::WALK_EPOCH,
+        }
+    }
 }
 
 /// How hop distances are priced.
@@ -251,17 +267,28 @@ impl SimConfig {
             assert!(dt > 0.0);
         }
         finite(self.min_reduction, "min_reduction");
-        if let MobilityKind::Rpgm {
-            groups,
-            group_radius,
-            jitter_radius,
-            jitter_speed,
-        } = self.mobility
-        {
-            assert!(groups >= 1 && groups <= self.n);
-            finite(group_radius, "group_radius");
-            finite(jitter_radius, "jitter_radius");
-            finite(jitter_speed, "jitter_speed");
+        // Reject here every value a model constructor would assert on
+        // later, inside `Simulation::new`.
+        match self.mobility {
+            MobilityKind::Direction { mean_epoch } => {
+                finite(mean_epoch, "mean_epoch");
+                assert!(mean_epoch > 0.0, "mean_epoch must be positive");
+            }
+            MobilityKind::Rpgm {
+                groups,
+                group_radius,
+                jitter_radius,
+                jitter_speed,
+            } => {
+                assert!(groups >= 1 && groups <= self.n);
+                finite(group_radius, "group_radius");
+                assert!(group_radius > 0.0, "group_radius must be positive");
+                finite(jitter_radius, "jitter_radius");
+                assert!(jitter_radius >= 0.0, "jitter_radius must be non-negative");
+                finite(jitter_speed, "jitter_speed");
+                assert!(jitter_speed >= 0.0, "jitter_speed must be non-negative");
+            }
+            MobilityKind::Waypoint | MobilityKind::Static => {}
         }
         assert!(
             self.speed > 0.0 || matches!(self.mobility, MobilityKind::Static),
@@ -503,6 +530,48 @@ mod tests {
     #[should_panic(expected = "jitter_speed must be finite")]
     fn non_finite_rpgm_jitter_speed_rejected() {
         rpgm(2.0, 0.5, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "group_radius must be positive")]
+    fn zero_rpgm_group_radius_rejected() {
+        rpgm(0.0, 0.5, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter_radius must be non-negative")]
+    fn negative_rpgm_jitter_radius_rejected() {
+        rpgm(2.0, -0.5, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter_speed must be non-negative")]
+    fn negative_rpgm_jitter_speed_rejected() {
+        rpgm(2.0, 0.5, -0.5);
+    }
+
+    #[test]
+    fn rpgm_without_jitter_accepted() {
+        rpgm(2.0, 0.0, 0.5);
+        rpgm(2.0, 0.5, 0.0);
+    }
+
+    fn direction(mean_epoch: f64) -> SimConfig {
+        SimConfig::builder(16)
+            .mobility(MobilityKind::Direction { mean_epoch })
+            .build()
+    }
+
+    #[test]
+    #[should_panic(expected = "mean_epoch must be finite")]
+    fn non_finite_direction_epoch_rejected() {
+        direction(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean_epoch must be positive")]
+    fn zero_direction_epoch_rejected() {
+        direction(0.0);
     }
 
     #[test]

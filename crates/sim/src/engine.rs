@@ -58,9 +58,7 @@ use chlm_cluster::Hierarchy;
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::NodeIdx;
 use chlm_lm::server::{HostChange, LmAssignment};
-use chlm_mobility::{
-    MobilityModel, RandomDirection, RandomWalk, RandomWaypoint, Rpgm, StaticModel,
-};
+use chlm_mobility::{MobilityModel, RandomDirection, RandomWaypoint, Rpgm, StaticModel};
 
 /// The boxed-engine facade the `benchmark/` harness names: steps ticks,
 /// finishes into a [`SimReport`]. [`Simulation`] is the only implementor.
@@ -155,7 +153,6 @@ fn build_mobility(cfg: &SimConfig, region: Disk, rng: &mut SimRng) -> Box<dyn Mo
         MobilityKind::Direction { mean_epoch } => Box::new(RandomDirection::deployed(
             region, cfg.n, cfg.speed, mean_epoch, rng,
         )),
-        MobilityKind::Walk => Box::new(RandomWalk::deployed(region, cfg.n, cfg.speed, rng)),
         MobilityKind::Rpgm {
             groups,
             group_radius,
@@ -192,7 +189,8 @@ impl World {
         let mut mobility = build_mobility(&cfg, region, &mut rng.fork(2).clone());
 
         // Warmup: advance mobility before measurement starts, in tick-sized
-        // steps so per-tick models (random walk) behave identically.
+        // steps. No model's law depends on the step, but the order in which
+        // nodes draw from a model's RNG does, and the digests pin it.
         let dt = cfg.tick();
         if cfg.warmup > 0.0 && cfg.speed > 0.0 {
             let steps = (cfg.warmup / dt).ceil() as usize;

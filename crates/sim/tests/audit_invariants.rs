@@ -301,7 +301,7 @@ fn snapshot_baseline_advances() {
     // Two consecutive clean ticks must both audit clean (the baseline
     // snapshot advances; deltas are per-tick, not cumulative).
     let cfg = SimConfig::builder(80)
-        .mobility(MobilityKind::Walk)
+        .mobility(MobilityKind::walk())
         .duration(2.0)
         .warmup(0.5)
         .seed(23)
@@ -325,7 +325,7 @@ mod property {
     fn mobility_from(pick: usize) -> MobilityKind {
         match pick {
             0 => MobilityKind::Waypoint,
-            1 => MobilityKind::Walk,
+            1 => MobilityKind::walk(),
             _ => MobilityKind::Rpgm {
                 groups: 6,
                 group_radius: 2.0,

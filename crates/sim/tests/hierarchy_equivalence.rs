@@ -22,7 +22,7 @@ fn mobility_kinds() -> Vec<(&'static str, MobilityKind)> {
     vec![
         ("waypoint", MobilityKind::Waypoint),
         ("direction", MobilityKind::Direction { mean_epoch: 2.0 }),
-        ("walk", MobilityKind::Walk),
+        ("walk", MobilityKind::walk()),
         (
             "rpgm",
             MobilityKind::Rpgm {

@@ -126,7 +126,7 @@ fn assert_trace_identical(n: usize, seed: u64, mobility: MobilityKind, packet: b
 #[test]
 fn schemes_share_the_trace_analytic() {
     for seed in [11, 12] {
-        assert_trace_identical(96, seed, MobilityKind::Walk, false);
+        assert_trace_identical(96, seed, MobilityKind::walk(), false);
     }
     assert_trace_identical(96, 13, MobilityKind::Waypoint, false);
 }
@@ -134,7 +134,7 @@ fn schemes_share_the_trace_analytic() {
 #[test]
 fn schemes_share_the_trace_packet() {
     for seed in [11, 12] {
-        assert_trace_identical(96, seed, MobilityKind::Walk, true);
+        assert_trace_identical(96, seed, MobilityKind::walk(), true);
     }
     assert_trace_identical(96, 13, MobilityKind::Waypoint, true);
 }
@@ -144,7 +144,7 @@ fn multiplexed_banks_see_the_standalone_trace() {
     // A digest observer attached to every bank of one MultiplexSim must
     // record the exact per-tick stream a one-bank run records — every
     // bank is handed the same `TickCtx`, whatever else rides along.
-    let base = cfg(96, 11, MobilityKind::Walk, LmScheme::Chlm, false);
+    let base = cfg(96, 11, MobilityKind::walk(), LmScheme::Chlm, false);
     let (solo_digests, _) = traced_run(base.clone());
     let variants: Vec<VariantSpec> = SCHEMES
         .iter()
@@ -176,9 +176,15 @@ fn schemes_differ_only_in_the_ledger() {
     // Sanity check on the test itself: the schemes must actually produce
     // *different* accounting on the shared trace, or the identity
     // assertions above are vacuous.
-    let (_, chlm) = traced_run(cfg(96, 11, MobilityKind::Walk, LmScheme::Chlm, false));
-    let (_, gls) = traced_run(cfg(96, 11, MobilityKind::Walk, LmScheme::Gls, false));
-    let (_, home) = traced_run(cfg(96, 11, MobilityKind::Walk, LmScheme::HomeAgent, false));
+    let (_, chlm) = traced_run(cfg(96, 11, MobilityKind::walk(), LmScheme::Chlm, false));
+    let (_, gls) = traced_run(cfg(96, 11, MobilityKind::walk(), LmScheme::Gls, false));
+    let (_, home) = traced_run(cfg(
+        96,
+        11,
+        MobilityKind::walk(),
+        LmScheme::HomeAgent,
+        false,
+    ));
     assert_ne!(chlm.ledger, gls.ledger);
     assert_ne!(chlm.ledger, home.ledger);
     assert_ne!(gls.ledger, home.ledger);

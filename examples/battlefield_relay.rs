@@ -46,7 +46,7 @@ fn main() {
         },
     );
     let independent = run("random waypoint", MobilityKind::Waypoint);
-    let walkers = run("random walk", MobilityKind::Walk);
+    let walkers = run("random walk", MobilityKind::walk());
 
     println!("\n== interpretation ==");
     let ratio = independent.total_overhead() / squads.total_overhead().max(1e-9);

@@ -115,7 +115,7 @@ mod cli {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  chlm simulate  --nodes N [--speed M] [--duration S] [--seed K] \\\n                 [--warmup S] [--mobility waypoint|direction|walk|rpgm|static] \\\n                 [--scheme chlm|gls|home] [--query-rate R] [--csv]\n  chlm sweep     --sizes 128,256,512 [--seeds R] [--duration S] [--metric total|phi|gamma|f0] [--csv]\n  chlm hierarchy --nodes N [--seed K] [--tree]"
+        "usage:\n  chlm simulate  --nodes N [--speed M] [--duration S] [--seed K] \\\n                 [--warmup S] [--mobility waypoint|direction|walk|rpgm|static] \\\n                 [--scheme chlm|gls|home] [--query-rate R] [--csv]\n  chlm sweep     --sizes 128,256,512 [--seeds R] [--duration S] [--metric total|phi|gamma|f0] [--csv]\n  chlm hierarchy --nodes N [--seed K] [--tree]\n(--mobility walk = random direction at a mean heading epoch of 0.04 s)"
     );
     ExitCode::from(2)
 }
@@ -124,7 +124,7 @@ fn parse_mobility(name: &str, n: usize) -> Result<MobilityKind, String> {
     Ok(match name {
         "waypoint" => MobilityKind::Waypoint,
         "direction" => MobilityKind::Direction { mean_epoch: 20.0 },
-        "walk" => MobilityKind::Walk,
+        "walk" => MobilityKind::walk(),
         "static" => MobilityKind::Static,
         "rpgm" => MobilityKind::Rpgm {
             groups: (n / 32).max(1),

@@ -32,7 +32,7 @@ impl DetResult {
 /// at `|V| = n` (the acceptance bar is n ≥ 256).
 pub fn standard_configs(n: usize) -> Vec<(String, SimConfig)> {
     let mobilities = [
-        ("random-walk", MobilityKind::Walk),
+        ("random-walk", MobilityKind::walk()),
         ("waypoint", MobilityKind::Waypoint),
         (
             "rpgm",
