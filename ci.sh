@@ -50,7 +50,11 @@ test -s target/step_reach.json
 # per BFS root; the hop store keeps bit-plane blocks of 64 roots, read
 # one pair at a time through `Graph::hops`), and the per-tick random walk
 # (a heading drawn once per tick made its law depend on the tick length;
-# the walk is `RandomDirection` at `WALK_EPOCH`).
+# the walk is `RandomDirection` at `WALK_EPOCH`), and the wire-message
+# vocabulary no executor read with the scheme seam's two half-traits and
+# lookup view (a leg is its `(src, dst)` pair; one `Scheme` trait takes the
+# `TickCtx`), and the assignment-rule knob only one test ever set (the
+# engine selects by HRW; E14's ablation calls `LmAssignment::compute`).
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.) The last entry is a layout,
 # not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
@@ -66,6 +70,7 @@ removed+='\|collect_chlm_bfs_sources\|wants_bfs_sources'
 removed+='\|DistanceOracle\|BfsCostModel\|EuclideanCostModel\|HierRoutingCostModel\|HierPricer\|InertPricer\|variant_cost_model'
 removed+='\|hop_row(\|batch_rows'
 removed+='\|RandomWalk\|MobilityKind::Walk'
+removed+='\|LmMessage\|SchemeWorkload\|SchemeLookup\|LookupWorld\|selection_rule'
 removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
@@ -73,6 +78,10 @@ if grep -rn "$removed" crates/*/src src xtask/src examples; then
 fi
 if [ -e crates/mobility/src/walk.rs ]; then
   echo "leftover check: crates/mobility/src/walk.rs is back; the walk is RandomDirection at WALK_EPOCH" >&2
+  exit 1
+fi
+if [ -e crates/proto/src/message.rs ]; then
+  echo "leftover check: crates/proto/src/message.rs is back; a packet is its (src, dst) pair" >&2
   exit 1
 fi
 # The Euclidean hop estimate has one copy, `chlm_sim::oracle::euclidean_hops`

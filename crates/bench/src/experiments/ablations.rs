@@ -26,8 +26,8 @@ use std::collections::HashSet;
 /// maintenance overhead (distance-triggered updates + server-churn
 /// transfers), plus CHLM query cost and server-load balance.
 pub(crate) fn exp_chlm_vs_gls() {
-    banner("E13 / §3", "CHLM vs GLS LM maintenance overhead");
     let sizes = scaling_sizes(MIN_N, env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024));
+    banner("E13 / §3", "CHLM vs GLS LM maintenance overhead", &sizes);
     let cells: Vec<SimConfig> = sizes
         .iter()
         .map(|&n| {
@@ -130,8 +130,12 @@ struct Churn {
 /// tick but each election affects a smaller neighborhood. We compare
 /// head-set size, depth, and head churn per node per second.
 pub(crate) fn exp_cluster_ablation() {
-    banner("E15 / §2.2", "clustering ablation: LCA vs max-min d-hop");
     let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    banner(
+        "E15 / §2.2",
+        "clustering ablation: LCA vs max-min d-hop",
+        &[n],
+    );
     let rtx = standard_rtx();
     let region = standard_region(n);
     let speed = 2.0;
@@ -223,8 +227,8 @@ pub(crate) fn exp_cluster_ablation() {
 /// but diffusive, so it moves nodes apart more slowly than the 20 s
 /// epochs of the "direction" row.
 pub(crate) fn exp_mobility_ablation() {
-    banner("E16 / §1.2", "mobility ablation at n = 512");
     let n = env_usize("CHLM_MOBILITY_N", 512, 1);
+    banner("E16 / §1.2", "mobility ablation", &[n]);
     let kinds: Vec<(&str, MobilityKind)> = vec![
         ("waypoint", MobilityKind::Waypoint),
         ("direction", MobilityKind::Direction { mean_epoch: 20.0 }),

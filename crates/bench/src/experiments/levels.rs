@@ -13,11 +13,12 @@ use chlm_analysis::table::{fnum, TextTable};
 /// deviation the paper's idealized chain does not model (a newly arrived
 /// higher-ID neighbor steals *all* electors at once).
 pub(crate) fn exp_fig3_states() {
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
     banner(
         "E3 / Fig. 3",
         "ALCA state occupancy vs birth-death prediction",
+        &[n],
     );
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
     let reports = &standard_sweep(&[n], 3000)[0];
 
     // Pool level-0 distributions across replications.
@@ -79,8 +80,8 @@ pub(crate) fn exp_fig3_states() {
 /// constant across levels. This is the cancellation that makes every
 /// `φ_k` equal (eq. 6) and φ polylogarithmic.
 pub(crate) fn exp_eq9_fk() {
-    banner("E6 / eq. (9)", "level-k migration frequency decay");
     let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
+    banner("E6 / eq. (9)", "level-k migration frequency decay", &[n]);
     let reports = &standard_sweep(&[n], 6000)[0];
 
     // Pool per-level migration rates and h_k across replications.
@@ -142,11 +143,12 @@ pub(crate) fn exp_eq9_fk() {
 /// of level-k clusterheads must drift `Θ(h_k)` relative hops to make or
 /// break a level-k link.
 pub(crate) fn exp_eq14_gk() {
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
     banner(
         "E8 / eq. (14)",
         "per-cluster-link state-change frequency g'_k",
+        &[n],
     );
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
     let reports = &standard_sweep(&[n], 8000)[0];
 
     let depth = reports.iter().map(|r| r.rates.max_level()).max().unwrap();
@@ -228,8 +230,12 @@ outgrows the flicker scale"
 /// the paper argues incurs no handoff (we verify the case actually arises,
 /// so the zero-cost claim is exercised, not vacuous).
 pub(crate) fn exp_events_breakdown() {
-    banner("E10 / §5.2", "event classes (i)-(vii) frequency breakdown");
     let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
+    banner(
+        "E10 / §5.2",
+        "event classes (i)-(vii) frequency breakdown",
+        &[n],
+    );
     let reports = &standard_sweep(&[n], 10_000)[0];
     let node_seconds: f64 = reports.iter().map(|r| r.rates.node_seconds).sum();
 

@@ -19,8 +19,12 @@ use chlm_sim::{Backend, HopMetric, LossSpec, SimConfig, Simulation};
 /// reports handoff delivery latency, which the analytical pipeline cannot
 /// see.
 pub(crate) fn exp_proto_validation() {
-    banner("E18", "packet-level validation of the handoff accounting");
     let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    banner(
+        "E18",
+        "packet-level validation of the handoff accounting",
+        &[n],
+    );
     let cfg = |metric: HopMetric, backend: Backend| -> SimConfig {
         let b = SimConfig::builder(n)
             .warmup(5.0)
@@ -130,11 +134,12 @@ pub(crate) fn exp_proto_validation() {
 /// inflation, delivery rate and latency — the factor by which the paper's
 /// polylog budgets must be scaled on a real radio.
 pub(crate) fn exp_lossy_links() {
+    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
     banner(
         "E23 / extension",
         "handoff transmissions under per-hop loss",
+        &[n],
     );
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
     let cfg = |loss: Option<LossSpec>| -> SimConfig {
         let b = SimConfig::builder(n)
             .warmup(5.0)

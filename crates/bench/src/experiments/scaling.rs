@@ -24,8 +24,12 @@ use chlm_sim::{run_cells, SimReport};
 /// node per second does not grow with network size (fixed density, fixed
 /// μ/R_TX), and matches the closed-form `d / E[link lifetime]` prediction.
 pub(crate) fn exp_eq4_linkrate() {
-    banner("E5 / eq. (4)", "level-0 link-change frequency f0 vs n");
     let sizes = sweep_sizes();
+    banner(
+        "E5 / eq. (4)",
+        "level-0 link-change frequency f0 vs n",
+        &sizes,
+    );
     let reports = standard_sweep(&sizes, 5000);
 
     let f0 = MetricSeries::of("f0", &sizes, &reports, |r| r.f0);
@@ -80,8 +84,8 @@ pub(crate) fn exp_eq4_linkrate() {
 /// paper claims `φ = O(log² |V|)`. Also prints the per-level φ_k profile
 /// at the largest size — §4 predicts it is roughly *flat* in k.
 pub(crate) fn exp_phi_migration() {
-    banner("E7 / §4", "migration handoff overhead phi");
     let sizes = sweep_sizes();
+    banner("E7 / §4", "migration handoff overhead phi", &sizes);
     let sweep = standard_sweep(&sizes, 7000);
 
     let phi = MetricSeries::of("phi", &sizes, &sweep, |r| r.phi_total());
@@ -129,8 +133,8 @@ pub(crate) fn exp_phi_migration() {
 /// paper's `γ = Θ(log² |V|)` claim, plus the per-level γ_k profile at the
 /// largest size.
 pub(crate) fn exp_gamma_reorg() {
-    banner("E9 / §5", "reorganization handoff overhead gamma");
     let sizes = sweep_sizes();
+    banner("E9 / §5", "reorganization handoff overhead gamma", &sizes);
     let sweep = standard_sweep(&sizes, 9000);
 
     let gamma = MetricSeries::of("gamma", &sizes, &sweep, |r| r.gamma_total());
@@ -197,11 +201,12 @@ fn pooled_p(reports: &[SimReport]) -> Vec<f64> {
 /// needs: (1) `q₁` stays bounded away from 0 as `|V|` grows, and (2) the
 /// `q₁/Q ≥ q₁/(p² + q₁)` bound of eq. (21b) holds and is non-vanishing.
 pub(crate) fn exp_q1_future_work() {
+    let sizes = sweep_sizes();
     banner(
         "E11 / eq. (22)",
         "q1 quantification (the paper's future work)",
+        &sizes,
     );
-    let sizes = sweep_sizes();
     let sweep = standard_sweep(&sizes, 11_000);
 
     let mut t = TextTable::new(vec![
@@ -271,8 +276,8 @@ pub(crate) fn exp_q1_future_work() {
 /// second grows only polylogarithmically, so per-link capacity need only
 /// grow polylogarithmically for the LM subsystem to scale.
 pub(crate) fn exp_total_overhead() {
-    banner("E12 / §6", "total LM handoff overhead phi + gamma");
     let sizes = sweep_sizes();
+    banner("E12 / §6", "total LM handoff overhead phi + gamma", &sizes);
     let sweep = standard_sweep(&sizes, 12_000);
 
     let phi = MetricSeries::of("phi", &sizes, &sweep, |r| r.phi_total());
@@ -359,8 +364,8 @@ fn registration_run(n: usize, seed: u64, duration: f64) -> (f64, Vec<f64>) {
 /// Θ(1) and the total is Θ(L) = Θ(log |V|). This experiment sweeps sizes and
 /// fits the registration overhead series.
 pub(crate) fn exp_registration() {
-    banner("E19 / [17]", "location-registration overhead vs n");
     let sizes = sweep_sizes();
+    banner("E19 / [17]", "location-registration overhead vs n", &sizes);
     let duration = measured_seconds(8.0);
     let reps = replications();
 

@@ -15,7 +15,7 @@ use chlm_cluster::HierarchyOptions;
 use chlm_geom::{Rect, SimRng};
 use chlm_graph::traversal::hop_distance;
 use chlm_graph::NodeIdx;
-use chlm_lm::churn::{birth_cost, death_cost};
+use chlm_lm::churn::churn_cost;
 use chlm_lm::gls::{GlsAssignment, GridHierarchy, NO_SERVER};
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_proto::dalca::Dalca;
@@ -31,8 +31,8 @@ use chlm_routing::tables::compare_tables;
 /// then checks that the hierarchy depth `L` grows logarithmically in `n`
 /// (the `L = Θ(log |V|)` premise used throughout the paper).
 pub(crate) fn exp_fig1_hierarchy() {
-    banner("E1 / Fig. 1", "LCA clustered hierarchy structure");
     let sizes = sweep_sizes();
+    banner("E1 / Fig. 1", "LCA clustered hierarchy structure", &sizes);
     let mut depth_series = MetricSeries::new("depth");
     let mut arity_table = TextTable::new(vec!["n", "L", "mean_alpha", "mean_d1", "top_|V_L|"]);
 
@@ -140,11 +140,13 @@ fn gls_grid_at(n: usize) {
 /// balanced server load (eq. 5 works in GLS because every square holds an
 /// arbitrary ID mix).
 pub(crate) fn exp_fig2_gls() {
+    let sizes = [256, 1024];
     banner(
         "E2 / Fig. 2",
         "GLS grid hierarchy: server geometry and load",
+        &sizes,
     );
-    for n in [256usize, 1024] {
+    for n in sizes {
         gls_grid_at(n);
     }
 }
@@ -158,6 +160,7 @@ pub(crate) fn exp_eq3_hopcount() {
     banner(
         "E4 / eq. (3)",
         "intra-cluster hop count vs sqrt aggregation",
+        &sweep_sizes(),
     );
     let mut t = TextTable::new(vec![
         "n",
@@ -234,6 +237,7 @@ pub(crate) fn exp_hash_ablation() {
     banner(
         "E14 / §3.2",
         "server-selection hash ablation: HRW vs eq. (5)",
+        &sweep_sizes(),
     );
     let mut t = TextTable::new(vec![
         "n",
@@ -276,6 +280,7 @@ pub(crate) fn exp_routing_tables() {
     banner(
         "E17 / §2.1",
         "hierarchical vs flat routing state, and stretch",
+        &sweep_sizes(),
     );
     let mut t = TextTable::new(vec![
         "n",
@@ -340,7 +345,11 @@ pub(crate) fn exp_routing_tables() {
 /// `|V_k|` rather than the idealized uniform arity) and fit the per-node
 /// total across sizes.
 pub(crate) fn exp_maintenance() {
-    banner("E20 / [16]", "cluster-maintenance beaconing overhead vs n");
+    banner(
+        "E20 / [16]",
+        "cluster-maintenance beaconing overhead vs n",
+        &sweep_sizes(),
+    );
     let beacon_rate = 1.0; // level-0 HELLO at 1 Hz
     let reps = replications().max(4);
 
@@ -386,7 +395,11 @@ pub(crate) fn exp_maintenance() {
 /// Rare events with a non-polylog price: exactly why the paper's rarity
 /// assumption matters for its conclusion.
 pub(crate) fn exp_churn() {
-    banner("E21 / §1 exclusion", "single node birth/death handoff cost");
+    banner(
+        "E21 / §1 exclusion",
+        "single node birth/death handoff cost",
+        &sweep_sizes(),
+    );
     let reps = replications().max(4);
     let opts = HierarchyOptions {
         max_levels: usize::MAX,
@@ -419,8 +432,8 @@ pub(crate) fn exp_churn() {
             let hop = |a: u32, b: u32| dep.hops(a, b);
             for _ in 0..victims_per_rep {
                 let victim = rng.index(n) as u32;
-                let d = death_cost(&dep.ids, &dep.graph, victim, SelectionRule::Hrw, opts, hop);
-                let b = birth_cost(&dep.ids, &dep.graph, victim, SelectionRule::Hrw, opts, hop);
+                let (d, b) =
+                    churn_cost(&dep.ids, &dep.graph, victim, SelectionRule::Hrw, opts, hop);
                 death_pkts.push(d.total_packets());
                 if h.levels[0].is_head[victim as usize] {
                     head_pkts.push(d.total_packets());
@@ -463,7 +476,11 @@ pub(crate) fn exp_churn() {
 /// link-state change — which must be O(1) in network size (locality),
 /// the property that makes the ALCA deployable at all.
 pub(crate) fn exp_dalca() {
-    banner("E22", "distributed ALCA: convergence + message locality");
+    banner(
+        "E22",
+        "distributed ALCA: convergence + message locality",
+        &sweep_sizes(),
+    );
     let reps = replications().max(4);
     let mut t = TextTable::new(vec![
         "n",

@@ -338,12 +338,16 @@ fn print_fits(series: &MetricSeries, claimed: ModelClass) -> Vec<FitResult> {
     fits
 }
 
-/// Standard experiment banner.
-fn banner(id: &str, what: &str) {
+/// Standard experiment banner, naming the network sizes the record runs:
+/// `n = …` for one, the ladder for several.
+fn banner(id: &str, what: &str, sizes: &[usize]) {
     println!("== {id}: {what} ==");
+    let sizes = match sizes {
+        [n] => format!("n = {n}"),
+        _ => format!("sizes {sizes:?}"),
+    };
     println!(
-        "sizes {:?}, {} replications, {}s measured, {} threads\n",
-        sweep_sizes(),
+        "{sizes}, {} replications, {}s measured, {} threads\n",
         replications(),
         measured_seconds(8.0),
         threads()

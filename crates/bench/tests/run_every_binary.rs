@@ -77,6 +77,24 @@ fn every_binary_exits_zero_with_a_table() {
     }
 }
 
+/// A record's banner names the sizes it runs: E16 runs one network of
+/// `CHLM_MOBILITY_N` nodes, not the `CHLM_MAX_N` ladder.
+#[test]
+fn banner_names_the_sizes_the_record_runs() {
+    let out = chlm_exp(&["E16"], &[("CHLM_MOBILITY_N", "64")]);
+    assert!(out.status.success(), "E16 exited {:?}", out.status.code());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let banner = stdout.lines().nth(1).unwrap_or_default();
+    assert!(
+        banner.starts_with("n = 64,"),
+        "E16 banner must name n = 64: {banner:?}"
+    );
+    assert!(
+        !stdout.contains("sizes ["),
+        "E16 printed a ladder:\n{stdout}"
+    );
+}
+
 #[test]
 fn out_of_range_knobs_are_usage_errors() {
     for (id, knob, value) in [

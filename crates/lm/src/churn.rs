@@ -20,8 +20,9 @@ use crate::server::{LmAssignment, SelectionRule};
 use chlm_cluster::{ElectionId, Hierarchy, HierarchyOptions};
 use chlm_graph::{Graph, NodeIdx};
 
-/// Cost breakdown of one node death.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Cost breakdown of one node death or birth. For a birth, the lost
+/// entries are the newcomer's fresh registrations and nothing is orphaned.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChurnCost {
     /// Entries the victim hosted (lost, re-registered by subjects).
     pub entries_lost: u64,
@@ -41,91 +42,54 @@ impl ChurnCost {
     }
 }
 
-/// Price the LM handoff triggered by node `victim` dying (losing all
-/// links) in `(ids, graph)` under `rule`. `hop` prices distances on the
-/// *post-death* topology (where the re-registrations travel).
-pub fn death_cost<H: FnMut(NodeIdx, NodeIdx) -> f64>(
+/// Price node `victim` dying (losing all links) in `(ids, graph)` and,
+/// in reverse, being born into it (acquiring those links): `(death,
+/// birth)` under `rule`. Both read the same two snapshots — the intact
+/// graph's assignment and the one with the victim isolated — built once;
+/// `hop` prices every leg of both.
+///
+/// A death's diff and a birth's are one set of host changes with the
+/// hosts swapped (`LmAssignment::diff` walks `(subject, level)` in one
+/// order either way), so one pass over the death diff prices both: the
+/// newborn's own entries are fresh registrations, every other change an
+/// ordinary transfer.
+pub fn churn_cost<H: FnMut(NodeIdx, NodeIdx) -> f64>(
     ids: &[ElectionId],
     graph: &Graph,
     victim: NodeIdx,
     rule: SelectionRule,
     opts: HierarchyOptions,
     mut hop: H,
-) -> ChurnCost {
-    let before = Hierarchy::build(ids, graph, opts);
-    let a_before = LmAssignment::compute(&before, rule);
-
-    let mut dead = graph.clone();
-    let nbrs: Vec<NodeIdx> = dead.neighbors(victim).to_vec();
+) -> (ChurnCost, ChurnCost) {
+    let intact = LmAssignment::compute(&Hierarchy::build(ids, graph, opts), rule);
+    let mut lonely = graph.clone();
+    let nbrs: Vec<NodeIdx> = lonely.neighbors(victim).to_vec();
     for v in nbrs {
-        dead.remove_edge(victim, v);
+        lonely.remove_edge(victim, v);
     }
-    let after = Hierarchy::build(ids, &dead, opts);
-    let a_after = LmAssignment::compute(&after, rule);
+    let isolated = LmAssignment::compute(&Hierarchy::build(ids, &lonely, opts), rule);
 
-    let mut cost = ChurnCost {
-        entries_lost: 0,
-        reregistration_packets: 0.0,
-        entries_shifted: 0,
-        transfer_packets: 0.0,
-        orphaned: 0,
-    };
-    for hc in a_before.diff(&a_after) {
+    let (mut death, mut birth) = (ChurnCost::default(), ChurnCost::default());
+    for hc in intact.diff(&isolated) {
         if hc.subject == victim {
-            // The victim's own registrations: orphaned, not re-placed by
-            // anyone (it is gone).
-            cost.orphaned += 1;
+            // The victim's own registrations: orphaned at its death (it is
+            // gone), sent fresh at its birth.
+            death.orphaned += 1;
+            birth.entries_lost += 1;
+            birth.reregistration_packets += hop(victim, hc.old_host);
             continue;
         }
         if hc.old_host == victim {
-            cost.entries_lost += 1;
-            cost.reregistration_packets += hop(hc.subject, hc.new_host);
+            death.entries_lost += 1;
+            death.reregistration_packets += hop(hc.subject, hc.new_host);
         } else {
-            cost.entries_shifted += 1;
-            cost.transfer_packets += hop(hc.old_host, hc.new_host);
+            death.entries_shifted += 1;
+            death.transfer_packets += hop(hc.old_host, hc.new_host);
         }
+        birth.entries_shifted += 1;
+        birth.transfer_packets += hop(hc.new_host, hc.old_host);
     }
-    cost
-}
-
-/// Price a node birth: the reverse diff (the newborn `joiner` acquires
-/// hosted entries via transfers; its own registrations are fresh sends).
-pub fn birth_cost<H: FnMut(NodeIdx, NodeIdx) -> f64>(
-    ids: &[ElectionId],
-    graph_with_node: &Graph,
-    joiner: NodeIdx,
-    rule: SelectionRule,
-    opts: HierarchyOptions,
-    mut hop: H,
-) -> ChurnCost {
-    let mut lonely = graph_with_node.clone();
-    let nbrs: Vec<NodeIdx> = lonely.neighbors(joiner).to_vec();
-    for v in nbrs {
-        lonely.remove_edge(joiner, v);
-    }
-    let before = Hierarchy::build(ids, &lonely, opts);
-    let a_before = LmAssignment::compute(&before, rule);
-    let after = Hierarchy::build(ids, graph_with_node, opts);
-    let a_after = LmAssignment::compute(&after, rule);
-
-    let mut cost = ChurnCost {
-        entries_lost: 0,
-        reregistration_packets: 0.0,
-        entries_shifted: 0,
-        transfer_packets: 0.0,
-        orphaned: 0,
-    };
-    for hc in a_before.diff(&a_after) {
-        if hc.subject == joiner {
-            // Fresh registrations by the newcomer.
-            cost.entries_lost += 1;
-            cost.reregistration_packets += hop(joiner, hc.new_host);
-        } else {
-            cost.entries_shifted += 1;
-            cost.transfer_packets += hop(hc.old_host, hc.new_host);
-        }
-    }
-    cost
+    (death, birth)
 }
 
 #[cfg(test)]
@@ -151,7 +115,7 @@ mod tests {
         for v in nbrs {
             g.remove_edge(0, v);
         }
-        let cost = death_cost(
+        let (cost, _) = churn_cost(
             &ids,
             &g,
             0,
@@ -173,7 +137,7 @@ mod tests {
         let hosted = a.entries_hosted();
         let victim = (0..200u32).max_by_key(|&v| hosted[v as usize]).unwrap();
         assert!(hosted[victim as usize] > 0);
-        let cost = death_cost(
+        let (cost, _) = churn_cost(
             &ids,
             &g,
             victim,
@@ -191,8 +155,7 @@ mod tests {
     fn birth_mirrors_death() {
         let (ids, g) = network(150, 3);
         let opts = HierarchyOptions::default();
-        let d = death_cost(&ids, &g, 7, SelectionRule::Hrw, opts, |_, _| 1.0);
-        let b = birth_cost(&ids, &g, 7, SelectionRule::Hrw, opts, |_, _| 1.0);
+        let (d, b) = churn_cost(&ids, &g, 7, SelectionRule::Hrw, opts, |_, _| 1.0);
         // The same assignment delta in reverse: total entry movements agree
         // (classification differs: deaths orphan what births re-register).
         assert_eq!(
@@ -212,8 +175,8 @@ mod tests {
         let heavy = (0..250u32).max_by_key(|&v| hosted[v as usize]).unwrap();
         let light = (0..250u32).find(|&v| hosted[v as usize] == 0).unwrap();
         let opts = HierarchyOptions::default();
-        let ch = death_cost(&ids, &g, heavy, SelectionRule::Hrw, opts, |_, _| 1.0);
-        let cl = death_cost(&ids, &g, light, SelectionRule::Hrw, opts, |_, _| 1.0);
+        let (ch, _) = churn_cost(&ids, &g, heavy, SelectionRule::Hrw, opts, |_, _| 1.0);
+        let (cl, _) = churn_cost(&ids, &g, light, SelectionRule::Hrw, opts, |_, _| 1.0);
         assert!(
             ch.entries_lost > cl.entries_lost,
             "heavy {} vs light {}",

@@ -6,8 +6,9 @@
 //! entries × hops. This crate closes the loop by actually **sending the
 //! messages**: each protocol packet is delivered hop by hop over the
 //! unit-disk topology, counting real transmissions and measuring delivery
-//! latency. Which packets a scheme sends is decided in `chlm-sim`
-//! (`SchemeWorkload` / `SchemeLookup`); its packet transport feeds them to
+//! latency. A packet is its two endpoints: which `(src, dst)` pairs a
+//! scheme sends is decided in `chlm-sim` (`Scheme::messages` /
+//! `Scheme::resolve`), and its packet transport feeds them to
 //! [`network::PacketNetwork`]. Experiment E18 and
 //! `chlm-sim`'s parity tests check that the executed transmission counts
 //! match the analytical ones exactly under the BFS hop oracle, which
@@ -19,8 +20,6 @@
 //!   (convergence to the centralized fixpoint is asserted, validating the
 //!   simulator's tick-diff emulation), run on a crate-private
 //!   deterministic discrete-event queue,
-//! * [`message`] — the LM message vocabulary (TRANSFER / REGISTER / QUERY /
-//!   REPLY),
 //! * [`network::PacketNetwork`] — a reusable hop-by-hop executor with
 //!   per-hop delay, optional loss + ARQ, and per-packet transmission counts.
 
@@ -29,14 +28,12 @@
 //!
 //! ```
 //! use chlm_graph::Graph;
-//! use chlm_proto::message::{LmMessage, Packet};
 //! use chlm_proto::network::PacketNetwork;
 //!
-//! // A 4-hop path; one REGISTER packet end to end.
+//! // A 4-hop path; one packet end to end.
 //! let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
 //! let mut net = PacketNetwork::new(0.001);
-//! net.send(&g, Packet { src: 0, dst: 4, sent_at: 0.0,
-//!                       msg: LmMessage::Register { subject: 0, level: 2 } });
+//! net.send(&g, 0, 4);
 //! let stats = net.run();
 //! assert_eq!(stats.delivered, 1);
 //! assert_eq!(stats.transmissions, 4);
@@ -44,9 +41,7 @@
 
 pub mod dalca;
 mod events;
-pub mod message;
 pub mod network;
 
 pub use dalca::Dalca;
-pub use message::{LmMessage, Packet};
 pub use network::PacketNetwork;

@@ -25,10 +25,9 @@
 //!   from the topology's hop store: reachable iff finite. It is the
 //!   distance the BFS pricer reads for the same leg.
 
-use crate::message::Packet;
 use chlm_geom::SimRng;
 use chlm_graph::traversal::UNREACHABLE;
-use chlm_graph::Graph;
+use chlm_graph::{Graph, NodeIdx};
 
 /// One transmission attempt of one packet, pending in a hop step.
 #[derive(Debug, Clone, Copy)]
@@ -142,21 +141,21 @@ impl PacketNetwork {
         self.per_packet.clear();
     }
 
-    /// Inject a packet at its source; it enters at t = 0 of the next
+    /// Inject a packet `src → dst`; it enters at t = 0 of the next
     /// [`PacketNetwork::run`]. `graph` is the topology it crosses.
-    pub fn send(&mut self, graph: &Graph, packet: Packet) {
+    pub fn send(&mut self, graph: &Graph, src: NodeIdx, dst: NodeIdx) {
         self.stats.sent += 1;
         // Every sent packet gets a per-packet slot, in send order — even
         // the free/dropped ones, so callers can zip against their own
         // send sequence.
         let seq = self.per_packet.len();
         self.per_packet.push(0);
-        if packet.src == packet.dst {
+        if src == dst {
             // Local delivery: zero transmissions, zero latency.
             self.stats.delivered += 1;
             return;
         }
-        let left = graph.hops(packet.src, packet.dst);
+        let left = graph.hops(src, dst);
         if left == UNREACHABLE {
             self.stats.dropped += 1;
             return;
@@ -228,20 +227,6 @@ impl PacketNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::LmMessage;
-    use chlm_graph::NodeIdx;
-
-    fn packet(src: NodeIdx, dst: NodeIdx) -> Packet {
-        Packet {
-            src,
-            dst,
-            msg: LmMessage::Register {
-                subject: src,
-                level: 2,
-            },
-            sent_at: 0.0,
-        }
-    }
 
     fn path_graph(n: usize) -> Graph {
         Graph::from_edges(
@@ -254,7 +239,7 @@ mod tests {
     fn delivers_along_shortest_path() {
         let g = path_graph(6);
         let mut net = PacketNetwork::new(0.001);
-        net.send(&g, packet(0, 5));
+        net.send(&g, 0, 5);
         let stats = net.run();
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.transmissions, 5);
@@ -265,7 +250,7 @@ mod tests {
     fn self_delivery_free() {
         let g = path_graph(3);
         let mut net = PacketNetwork::new(0.001);
-        net.send(&g, packet(1, 1));
+        net.send(&g, 1, 1);
         let stats = net.run();
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.transmissions, 0);
@@ -276,7 +261,7 @@ mod tests {
     fn unreachable_is_dropped_without_transmissions() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         let mut net = PacketNetwork::new(0.001);
-        net.send(&g, packet(0, 3));
+        net.send(&g, 0, 3);
         let stats = net.run();
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.delivered, 0);
@@ -288,7 +273,7 @@ mod tests {
         let g = path_graph(10);
         let mut net = PacketNetwork::new(0.01);
         for i in 0..9u32 {
-            net.send(&g, packet(0, i + 1));
+            net.send(&g, 0, i + 1);
         }
         let stats = net.run();
         assert_eq!(stats.delivered, 9);
@@ -305,7 +290,7 @@ mod tests {
         let run_with = |hop_delay: f64| {
             let mut net = PacketNetwork::new(hop_delay);
             for i in 0..9u32 {
-                net.send(&g, packet(i, 9 - i));
+                net.send(&g, i, 9 - i);
             }
             net.run()
         };
@@ -320,7 +305,7 @@ mod tests {
     fn lossless_by_default() {
         let g = path_graph(4);
         let mut net = PacketNetwork::new(0.001);
-        net.send(&g, packet(0, 3));
+        net.send(&g, 0, 3);
         let stats = net.run();
         assert_eq!(stats.lost, 0);
         assert_eq!(stats.retransmissions, 0);
@@ -332,7 +317,7 @@ mod tests {
         let run_with = |p: f64| {
             let mut net = PacketNetwork::new(0.001).with_loss(p, 50, 42);
             for _ in 0..80 {
-                net.send(&g, packet(0, 11)); // 11 hops each
+                net.send(&g, 0, 11); // 11 hops each
             }
             net.run()
         };
@@ -355,7 +340,7 @@ mod tests {
         let g = path_graph(8);
         let mut net = PacketNetwork::new(0.001).with_loss(0.5, 0, 7);
         for _ in 0..60 {
-            net.send(&g, packet(0, 7));
+            net.send(&g, 0, 7);
         }
         let stats = net.run();
         assert!(stats.lost > 0, "7-hop paths at 50% loss must lose packets");
@@ -368,7 +353,7 @@ mod tests {
         let run = |seed: u64| {
             let mut net = PacketNetwork::new(0.001).with_loss(0.2, 3, seed);
             for i in 0..40u32 {
-                net.send(&g, packet(i % 9, 9));
+                net.send(&g, i % 9, 9);
             }
             net.run()
         };
@@ -380,10 +365,10 @@ mod tests {
     fn per_packet_counts_align_with_send_order() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
         let mut net = PacketNetwork::new(0.001);
-        net.send(&g, packet(0, 3)); // 3 hops
-        net.send(&g, packet(2, 2)); // self-delivery: 0
-        net.send(&g, packet(0, 5)); // unreachable: 0
-        net.send(&g, packet(1, 3)); // 2 hops
+        net.send(&g, 0, 3); // 3 hops
+        net.send(&g, 2, 2); // self-delivery: 0
+        net.send(&g, 0, 5); // unreachable: 0
+        net.send(&g, 1, 3); // 2 hops
         let stats = net.run();
         assert_eq!(net.per_packet_transmissions(), &[3, 0, 0, 2]);
         assert_eq!(stats.transmissions, 5);
@@ -393,8 +378,8 @@ mod tests {
     fn per_packet_counts_include_retransmissions() {
         let g = path_graph(10);
         let mut net = PacketNetwork::new(0.001).with_loss(0.3, 50, 11);
-        net.send(&g, packet(0, 9));
-        net.send(&g, packet(0, 9));
+        net.send(&g, 0, 9);
+        net.send(&g, 0, 9);
         let stats = net.run();
         let per = net.per_packet_transmissions();
         assert_eq!(per.len(), 2);
@@ -409,11 +394,11 @@ mod tests {
     fn stats_merge_sums_counters() {
         let g = path_graph(5);
         let mut a = PacketNetwork::new(0.001);
-        a.send(&g, packet(0, 4));
+        a.send(&g, 0, 4);
         let sa = a.run();
         let mut b = PacketNetwork::new(0.001);
-        b.send(&g, packet(0, 2));
-        b.send(&g, packet(3, 4));
+        b.send(&g, 0, 2);
+        b.send(&g, 3, 4);
         let sb = b.run();
         let mut merged = sa;
         merged.merge(&sb);
@@ -436,7 +421,7 @@ mod tests {
         let mut expect = 0u64;
         for t in 1..150u32 {
             if d0[t as usize] != UNREACHABLE {
-                net.send(&g, packet(0, t));
+                net.send(&g, 0, t);
                 expect += d0[t as usize] as u64;
             }
         }
@@ -473,8 +458,8 @@ mod tests {
             let mut clean = PacketNetwork::new(0.001);
             let mut lossy = PacketNetwork::new(0.001).with_loss(loss, retries, seed);
             for &(s, t) in &pairs {
-                clean.send(&g, packet(s, t));
-                lossy.send(&g, packet(s, t));
+                clean.send(&g, s, t);
+                lossy.send(&g, s, t);
             }
             let stats = clean.run();
             let mut unreachable = 0u64;

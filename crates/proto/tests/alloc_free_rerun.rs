@@ -12,7 +12,6 @@
 
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::NodeIdx;
-use chlm_proto::message::{LmMessage, Packet};
 use chlm_proto::network::PacketNetwork;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,18 +57,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn packet(src: NodeIdx, dst: NodeIdx) -> Packet {
-    Packet {
-        src,
-        dst,
-        msg: LmMessage::Query {
-            requester: src,
-            target: dst,
-        },
-        sent_at: 0.0,
-    }
-}
-
 #[test]
 fn rerun_on_a_warm_graph_makes_no_allocator_call() {
     // A 300-node unit-disk world with a few islands, and 600 packets
@@ -78,20 +65,20 @@ fn rerun_on_a_warm_graph_makes_no_allocator_call() {
     let mut rng = SimRng::seed_from(3);
     let pts = chlm_geom::region::deploy_uniform(&Disk::centered(10.0), 300, &mut rng);
     let world = chlm_graph::unit_disk::build_unit_disk(&pts, 1.3);
-    let random: Vec<Packet> = (0..600)
-        .map(|_| packet(rng.index(300) as NodeIdx, rng.index(300) as NodeIdx))
+    let random: Vec<(NodeIdx, NodeIdx)> = (0..600)
+        .map(|_| (rng.index(300) as NodeIdx, rng.index(300) as NodeIdx))
         .collect();
     // A burst of one-hop packets and one of three hops (plus a drop): the
     // run ends after an odd number of steps, on the buffer that held only
     // the long packet, so the next sends need the other one.
     let path = chlm_graph::Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
-    let mut burst = vec![packet(0, 1); 500];
-    burst.extend([packet(0, 3), packet(0, 4)]);
+    let mut burst = vec![(0, 1); 500];
+    burst.extend([(0, 3), (0, 4)]);
     for (graph, traffic) in [(&world, &random), (&path, &burst)] {
         let run = |net: &mut PacketNetwork| {
             net.restart(17);
-            for &packet in traffic {
-                net.send(graph, packet);
+            for &(src, dst) in traffic {
+                net.send(graph, src, dst);
             }
             net.run()
         };

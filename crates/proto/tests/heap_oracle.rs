@@ -14,7 +14,6 @@
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::traversal::UNREACHABLE;
 use chlm_graph::{Graph, NodeIdx};
-use chlm_proto::message::{LmMessage, Packet};
 use chlm_proto::network::{NetworkStats, PacketNetwork};
 use proptest::prelude::*;
 use std::cmp::{Ordering, Reverse};
@@ -80,6 +79,15 @@ impl<E> EventQueue<E> {
         self.now = s.time;
         Some((s.time, s.event))
     }
+}
+
+/// The oracle's own record of a packet: its endpoints and the time it
+/// entered the network.
+#[derive(Debug, Clone, Copy)]
+struct Packet {
+    src: NodeIdx,
+    dst: NodeIdx,
+    sent_at: f64,
 }
 
 /// In-flight hop event.
@@ -248,10 +256,6 @@ fn packet(src: NodeIdx, dst: NodeIdx) -> Packet {
     Packet {
         src,
         dst,
-        msg: LmMessage::Query {
-            requester: src,
-            target: dst,
-        },
         sent_at: 0.0,
     }
 }
@@ -299,7 +303,7 @@ fn two_step_run(
 ) -> ([u64; 8], Vec<u32>) {
     net.restart(loss.map_or(0, |(_, _, seed)| seed));
     for &(s, t) in pairs {
-        net.send(g, packet(s, t));
+        net.send(g, s, t);
     }
     (bits(net.run()), net.per_packet_transmissions().to_vec())
 }

@@ -3,7 +3,6 @@
 
 use chlm_graph::traversal::{bfs_distances, UNREACHABLE};
 use chlm_graph::{Graph, NodeIdx};
-use chlm_proto::message::{LmMessage, Packet};
 use chlm_proto::network::PacketNetwork;
 use proptest::prelude::*;
 
@@ -34,12 +33,7 @@ proptest! {
         let mut sent = 0u64;
         for (s, t) in pairs {
             let (s, t) = (s % n, t % n);
-            net.send(&g, Packet {
-                src: s,
-                dst: t,
-                msg: LmMessage::Query { requester: s, target: t },
-                sent_at: 0.0,
-            });
+            net.send(&g, s, t);
             sent += 1;
             if s == t {
                 expected_delivered += 1;
@@ -69,12 +63,7 @@ proptest! {
         let (mut sent, mut sum, mut max) = (0u64, 0.0f64, 0.0f64);
         for t in 1..n {
             if d0[t as usize] != UNREACHABLE {
-                net.send(&g, Packet {
-                    src: 0,
-                    dst: t,
-                    msg: LmMessage::Reply { requester: 0, target: t },
-                    sent_at: 0.0,
-                });
+                net.send(&g, 0, t);
                 let latency = d0[t as usize] as f64 * delay;
                 sent += 1;
                 sum += latency;

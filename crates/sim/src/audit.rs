@@ -442,7 +442,6 @@ const MAX_STORED: usize = 10_000;
 /// accounting, read the result with [`Auditor::violations`].
 #[derive(Debug)]
 pub struct Auditor {
-    rule: SelectionRule,
     prev: AccumSnapshot,
     violations: Vec<AuditViolation>,
     /// Violations found beyond [`MAX_STORED`] (counted, not stored).
@@ -459,14 +458,12 @@ pub struct Auditor {
 
 impl Auditor {
     pub fn new(
-        rule: SelectionRule,
         ledger: &HandoffLedger,
         rates: &LevelRates,
         events: &EventCounts,
         tracker: &StateTracker,
     ) -> Self {
         Auditor {
-            rule,
             prev: AccumSnapshot::capture(ledger, rates, events, tracker),
             violations: Vec::new(),
             suppressed: 0,
@@ -496,7 +493,7 @@ impl Auditor {
                 .map(AuditViolation::Cluster),
         );
         found.extend(
-            audit_assignment(t.assignment, t.new_hierarchy, self.rule)
+            audit_assignment(t.assignment, t.new_hierarchy, SelectionRule::Hrw)
                 .into_iter()
                 .map(AuditViolation::Lm),
         );

@@ -1,7 +1,5 @@
 //! Simulation configuration.
 
-use chlm_lm::server::SelectionRule;
-
 /// Which mobility process drives the nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MobilityKind {
@@ -152,7 +150,6 @@ pub struct SimConfig {
     pub seed: u64,
     pub mobility: MobilityKind,
     pub hop_metric: HopMetric,
-    pub selection_rule: SelectionRule,
     /// Which location-management scheme the handoff accounting runs; see
     /// [`LmScheme`]. The trace itself is scheme-independent.
     pub lm_scheme: LmScheme,
@@ -202,7 +199,6 @@ impl SimConfig {
                 seed: 1,
                 mobility: MobilityKind::Waypoint,
                 hop_metric: HopMetric::EuclideanCalibrated,
-                selection_rule: SelectionRule::Hrw,
                 lm_scheme: LmScheme::Chlm,
                 max_levels: usize::MAX,
                 min_reduction: 1.25,
@@ -352,10 +348,6 @@ impl SimConfigBuilder {
     }
     pub fn hop_metric(mut self, h: HopMetric) -> Self {
         self.cfg.hop_metric = h;
-        self
-    }
-    pub fn selection_rule(mut self, r: SelectionRule) -> Self {
-        self.cfg.selection_rule = r;
         self
     }
     /// See [`SimConfig::lm_scheme`].

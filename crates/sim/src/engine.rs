@@ -338,7 +338,6 @@ impl World {
 
 fn make_auditor(cfg: &SimConfig, observers: &Observers, world_obs: &WorldObservers) -> Auditor {
     Auditor::new(
-        cfg.selection_rule,
         observers.handoff.ledger(),
         &world_obs.merged_rates(),
         &world_obs.taxonomy.counts,

@@ -71,8 +71,7 @@ pub use report::{LevelRates, QueryStats, SimReport, StateSummary};
 pub use runner::{budget_split, run_cells, run_grid, run_sweep, SweepJob};
 pub use scheme::{
     make_accounting, make_query_accounting, make_scheme, ChlmScheme, GlsScheme, HandoffObserver,
-    HomeAgentScheme, LookupLeg, LookupWorld, MsgKind, QueryObserver, Scheme, SchemeLookup,
-    SchemeMsg, SchemeWorkload,
+    HomeAgentScheme, LookupLeg, MsgKind, QueryObserver, Scheme, SchemeMsg,
 };
 pub use stage::TickCtx;
 pub use transport::{PacketTotals, Transport};

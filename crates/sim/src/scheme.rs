@@ -12,20 +12,21 @@
 //! | `HomeAgent`   | [`HomeAgentScheme`] | the run's fixed home agents                |
 //!
 //! * [`Scheme::advance`] brings the table to the tick, once;
-//! * the update half, [`SchemeWorkload`], maps the tick's [`TickCtx`] to
+//! * the update half, [`Scheme::messages`], maps the tick's [`TickCtx`] to
 //!   the LM maintenance messages the scheme sends ([`SchemeMsg`]), in a
 //!   canonical order;
-//! * the query half, [`SchemeLookup`], maps one lookup arrival
-//!   (requester, target) to the route the scheme's resolution protocol
-//!   takes — CHLM lowest-common-cluster descent
+//! * the query half, [`Scheme::resolve`], maps one lookup arrival
+//!   (requester, target) on the tick's world to the route the scheme's
+//!   resolution protocol takes — CHLM lowest-common-cluster descent
 //!   ([`chlm_lm::query::resolve_route`]), GLS band walk to the order-k
 //!   grid server ([`chlm_lm::gls::gls_resolve_route`]), or the home-agent
 //!   detour requester → home → target — as a list of [`LookupLeg`]s plus
 //!   the resolution level.
 //!
-//! Both halves are methods of one value, so they read one table: a GLS
-//! lookup asks exactly the server the update half registered with, by
-//! construction.
+//! Both halves are methods of one trait on one value, so they read one
+//! table: a GLS lookup asks exactly the server the update half registered
+//! with, by construction. A message or a leg is, to everything below the
+//! scheme, its two endpoints: its cost depends on nothing else.
 //!
 //! None of this needs a pricer or depends on the backend, so it runs in a
 //! `SchemePlane`: per tick, the table advance, the messages, and the legs
@@ -59,15 +60,12 @@ use crate::report::QueryStats;
 use crate::stage::TickCtx;
 use crate::transport::{PacketTotals, Transport, WireLeg, QUERY_LOSS_STREAM, UPDATE_LOSS_STREAM};
 use chlm_cluster::address::AddrChangeKind;
-use chlm_cluster::Hierarchy;
 use chlm_geom::{Disk, Point, Rect};
 use chlm_graph::NodeIdx;
 use chlm_lm::gls::{gls_resolve_route, GlsIncremental, GlsSelect, GridHierarchy, NO_SERVER};
 use chlm_lm::handoff::{for_each_handoff, HandoffLedger};
 use chlm_lm::hash::hrw_select;
 use chlm_lm::query::resolve_route;
-use chlm_lm::server::LmAssignment;
-use chlm_proto::message::{LmMessage, Packet};
 use chlm_proto::network::NetworkStats;
 
 /// Salt for the home-agent rendezvous selection, fixed so every node can
@@ -103,7 +101,7 @@ fn home_agents(ids: &[u64]) -> Vec<NodeIdx> {
     homes
 }
 
-/// What a [`SchemeMsg`] is on the wire, and how it is booked.
+/// What a [`SchemeMsg`] does, and how it is booked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MsgKind {
     /// Server-to-server TRANSFER of the subject's entry; one booked event.
@@ -131,24 +129,13 @@ pub struct SchemeMsg {
     pub level: u16,
     /// φ (migration) vs γ (reorganization) attribution.
     pub class: AddrChangeKind,
-    /// Wire message type and booking rule.
+    /// Message type and booking rule.
     pub kind: MsgKind,
 }
 
 impl WireLeg for SchemeMsg {
-    fn wire(&self) -> Packet {
-        let (subject, level) = (self.subject, self.level);
-        Packet {
-            src: self.src,
-            dst: self.dst,
-            msg: match self.kind {
-                MsgKind::Transfer => LmMessage::Transfer { subject, level },
-                MsgKind::Register | MsgKind::RegisterWithTransfer => {
-                    LmMessage::Register { subject, level }
-                }
-            },
-            sent_at: 0.0,
-        }
+    fn ends(&self) -> (NodeIdx, NodeIdx) {
+        (self.src, self.dst)
     }
 
     fn opens_event(&self) -> bool {
@@ -156,47 +143,39 @@ impl WireLeg for SchemeMsg {
     }
 }
 
-/// The update half of a [`Scheme`]: its per-tick message workload.
-///
-/// Implementations must be deterministic functions of the tick contexts
-/// seen so far and of the scheme's server table, which [`Scheme::advance`]
-/// has brought to `ctx`'s tick: same trace, same messages, in the same
-/// order. Any further state (previous positions, update anchors) is seeded
-/// lazily from the first tick, which every backend observes identically.
-pub trait SchemeWorkload {
-    /// Append this tick's messages to `out` in canonical order.
-    fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>);
-}
-
-/// The query half of a [`Scheme`]: the route one lookup takes.
-///
-/// Implementations must be deterministic functions of `(world, requester,
-/// target)` and of the server table [`Scheme::advance`] brought to
-/// `world`'s tick: same world, same route. `resolve` appends the route's
-/// legs to `legs` and returns the resolution level (scheme semantics:
-/// CHLM common-cluster level, GLS shared grid order, home agent 0 = self /
-/// 1 = detour), or `None` when the scheme has no route (e.g. disconnected
-/// components). A free lookup resolves with zero legs.
-pub trait SchemeLookup {
-    /// Route one lookup; see the trait docs.
-    fn resolve(
-        &self,
-        world: &LookupWorld<'_>,
-        requester: NodeIdx,
-        target: NodeIdx,
-        legs: &mut Vec<LookupLeg>,
-    ) -> Option<u16>;
-}
-
 /// A location-management scheme: one server table and the two halves
 /// that read it (see the module docs).
-pub trait Scheme: SchemeWorkload + SchemeLookup {
+///
+/// Every method is a deterministic function of the tick contexts seen so
+/// far and of the server table [`Scheme::advance`] brought to `ctx`'s
+/// tick: same trace, same messages and routes, in the same order. Any
+/// further state (previous positions, update anchors) is seeded lazily
+/// from the first tick, which every backend observes identically.
+pub trait Scheme {
     /// Bring the server table both halves read up to `ctx`'s tick. Its
     /// `SchemePlane` calls this once per tick, before either half, and
     /// skips the ticks on which nothing reads the table (a query-only
     /// plane's ticks without arrivals) — so a table must be a function of
     /// the current tick alone, never of how many ticks it saw.
     fn advance(&mut self, ctx: &TickCtx<'_>);
+
+    /// The update half: append this tick's messages to `out` in canonical
+    /// order.
+    fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>);
+
+    /// The query half: route one lookup on `ctx`'s world (its
+    /// `new_hierarchy`, `new_assignment` and `positions`). Appends the
+    /// route's legs to `legs` and returns the resolution level (CHLM
+    /// common-cluster level, GLS shared grid order, home agent 0 = self /
+    /// 1 = detour), or `None` when the scheme has no route (e.g.
+    /// disconnected components). A free lookup resolves with zero legs.
+    fn resolve(
+        &self,
+        ctx: &TickCtx<'_>,
+        requester: NodeIdx,
+        target: NodeIdx,
+        legs: &mut Vec<LookupLeg>,
+    ) -> Option<u16>;
 }
 
 /// The paper's scheme. Its server table is the world's own LM assignment,
@@ -220,9 +199,7 @@ pub struct ChlmScheme {
 
 impl Scheme for ChlmScheme {
     fn advance(&mut self, _ctx: &TickCtx<'_>) {}
-}
 
-impl SchemeWorkload for ChlmScheme {
     fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
         for_each_handoff(
             ctx.host_changes,
@@ -248,17 +225,15 @@ impl SchemeWorkload for ChlmScheme {
             },
         );
     }
-}
 
-impl SchemeLookup for ChlmScheme {
     fn resolve(
         &self,
-        world: &LookupWorld<'_>,
+        ctx: &TickCtx<'_>,
         requester: NodeIdx,
         target: NodeIdx,
         legs: &mut Vec<LookupLeg>,
     ) -> Option<u16> {
-        let route = resolve_route(world.hierarchy, world.assignment, requester, target)?;
+        let route = resolve_route(ctx.new_hierarchy, ctx.new_assignment, requester, target)?;
         if let Some(server) = route.server {
             push_round_trip(legs, requester, server);
         }
@@ -271,12 +246,10 @@ fn push_round_trip(legs: &mut Vec<LookupLeg>, requester: NodeIdx, server: NodeId
     legs.push(LookupLeg {
         src: requester,
         dst: server,
-        reply: false,
     });
     legs.push(LookupLeg {
         src: server,
         dst: requester,
-        reply: true,
     });
 }
 
@@ -340,9 +313,7 @@ impl Scheme for GlsScheme {
     fn advance(&mut self, ctx: &TickCtx<'_>) {
         self.table.update(&self.grid, ctx.positions, ctx.ids);
     }
-}
 
-impl SchemeWorkload for GlsScheme {
     fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
         let bands = self.grid.orders.saturating_sub(1);
         if self.last_update_pos.is_empty() {
@@ -416,12 +387,10 @@ impl SchemeWorkload for GlsScheme {
         self.prev_pos.clear();
         self.prev_pos.extend_from_slice(ctx.positions);
     }
-}
 
-impl SchemeLookup for GlsScheme {
     fn resolve(
         &self,
-        world: &LookupWorld<'_>,
+        ctx: &TickCtx<'_>,
         requester: NodeIdx,
         target: NodeIdx,
         legs: &mut Vec<LookupLeg>,
@@ -429,7 +398,7 @@ impl SchemeLookup for GlsScheme {
         let route = gls_resolve_route(
             &self.grid,
             self.table.assignment(),
-            world.positions,
+            ctx.positions,
             requester,
             target,
         )?;
@@ -485,9 +454,7 @@ impl Scheme for HomeAgentScheme {
             self.homes = home_agents(ctx.ids);
         }
     }
-}
 
-impl SchemeWorkload for HomeAgentScheme {
     fn messages(&mut self, ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
         // Address changes ascend by (node, level); level-1 entries are
         // the migrations/reorganizations of the subject's own cluster.
@@ -504,12 +471,10 @@ impl SchemeWorkload for HomeAgentScheme {
             }
         }
     }
-}
 
-impl SchemeLookup for HomeAgentScheme {
     fn resolve(
         &self,
-        _world: &LookupWorld<'_>,
+        _ctx: &TickCtx<'_>,
         requester: NodeIdx,
         target: NodeIdx,
         legs: &mut Vec<LookupLeg>,
@@ -521,12 +486,10 @@ impl SchemeLookup for HomeAgentScheme {
         legs.push(LookupLeg {
             src: requester,
             dst: home,
-            reply: false,
         });
         legs.push(LookupLeg {
             src: home,
             dst: target,
-            reply: true,
         });
         Some(1)
     }
@@ -541,28 +504,6 @@ pub fn make_scheme(cfg: &SimConfig) -> Box<dyn Scheme> {
     }
 }
 
-/// The slice of the world a location lookup resolves against, built from
-/// a live [`TickCtx`] ([`LookupWorld::of_tick`]).
-pub struct LookupWorld<'a> {
-    /// Current node positions.
-    pub positions: &'a [Point],
-    /// Current cluster hierarchy.
-    pub hierarchy: &'a Hierarchy,
-    /// Current CHLM server assignment.
-    pub assignment: &'a LmAssignment,
-}
-
-impl<'a> LookupWorld<'a> {
-    /// The lookup view of one completed tick.
-    pub fn of_tick(ctx: &TickCtx<'a>) -> Self {
-        LookupWorld {
-            positions: ctx.positions,
-            hierarchy: ctx.new_hierarchy,
-            assignment: ctx.new_assignment,
-        }
-    }
-}
-
 /// One hop-priced segment of a lookup's route: a request toward a server
 /// or the answer on its way back. Legs are priced/executed independently
 /// (`src → dst` each), and a lookup's cost is the sum of its legs.
@@ -570,30 +511,11 @@ impl<'a> LookupWorld<'a> {
 pub struct LookupLeg {
     pub src: NodeIdx,
     pub dst: NodeIdx,
-    /// `true` for the leg carrying the answer (priced identically; tags
-    /// the packet as [`LmMessage::Reply`] on the packet backend).
-    pub reply: bool,
 }
 
 impl WireLeg for LookupLeg {
-    fn wire(&self) -> Packet {
-        let msg = if self.reply {
-            LmMessage::Reply {
-                requester: self.dst,
-                target: self.src,
-            }
-        } else {
-            LmMessage::Query {
-                requester: self.src,
-                target: self.dst,
-            }
-        };
-        Packet {
-            src: self.src,
-            dst: self.dst,
-            msg,
-            sent_at: 0.0,
-        }
+    fn ends(&self) -> (NodeIdx, NodeIdx) {
+        (self.src, self.dst)
     }
 
     /// Lookup legs shard one by one.
@@ -653,15 +575,11 @@ impl SchemePlane {
             self.scheme.messages(ctx, &mut self.msgs);
         }
         if self.query {
-            let world = LookupWorld::of_tick(ctx);
             self.legs.clear();
             self.outcomes.clear();
             for &(requester, target) in ctx.query_arrivals {
                 let start = self.legs.len();
-                match self
-                    .scheme
-                    .resolve(&world, requester, target, &mut self.legs)
-                {
+                match self.scheme.resolve(ctx, requester, target, &mut self.legs) {
                     Some(level) => self
                         .outcomes
                         .push(Some((level, (self.legs.len() - start) as u32))),
@@ -1064,19 +982,6 @@ mod tests {
         struct OneMsg;
         impl Scheme for OneMsg {
             fn advance(&mut self, _ctx: &TickCtx<'_>) {}
-        }
-        impl SchemeLookup for OneMsg {
-            fn resolve(
-                &self,
-                _world: &LookupWorld<'_>,
-                _requester: NodeIdx,
-                _target: NodeIdx,
-                _legs: &mut Vec<LookupLeg>,
-            ) -> Option<u16> {
-                None
-            }
-        }
-        impl SchemeWorkload for OneMsg {
             fn messages(&mut self, _ctx: &TickCtx<'_>, out: &mut Vec<SchemeMsg>) {
                 out.push(SchemeMsg {
                     subject: 0,
@@ -1086,6 +991,15 @@ mod tests {
                     class: AddrChangeKind::Migration,
                     kind: MsgKind::Register,
                 });
+            }
+            fn resolve(
+                &self,
+                _ctx: &TickCtx<'_>,
+                _requester: NodeIdx,
+                _target: NodeIdx,
+                _legs: &mut Vec<LookupLeg>,
+            ) -> Option<u16> {
+                None
             }
         }
         struct ConstPricer(f64);

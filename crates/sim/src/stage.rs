@@ -212,19 +212,17 @@ impl HierarchyStage for InPlaceHierarchy {
     }
 }
 
-/// Default assignment stage: §3.2 server selection, every entry walked
-/// every tick through one recycled [`WalkScratch`].
+/// Default assignment stage: §3.2 server selection by HRW hashing, every
+/// entry walked every tick through one recycled [`WalkScratch`].
 pub struct LmSelection {
-    rule: SelectionRule,
     scratch: WalkScratch,
 }
 
 impl LmSelection {
     /// `threads` sizes the walk's worker pool; the assignment is
     /// bit-identical for every thread count.
-    pub fn new(rule: SelectionRule, threads: usize) -> Self {
+    pub fn new(threads: usize) -> Self {
         LmSelection {
-            rule,
             scratch: WalkScratch::new().with_workers(chlm_par::WorkerPool::new(threads)),
         }
     }
@@ -232,7 +230,7 @@ impl LmSelection {
 
 impl AssignmentStage for LmSelection {
     fn assign(&mut self, hierarchy: &Hierarchy, _: &AddressBook, _: NoStamps) -> LmAssignment {
-        LmAssignment::compute_with(hierarchy, self.rule, &mut self.scratch)
+        LmAssignment::compute_with(hierarchy, SelectionRule::Hrw, &mut self.scratch)
     }
     fn retire(&mut self, old: LmAssignment) {
         self.scratch.recycle(old);
@@ -259,6 +257,6 @@ pub fn default_stages(cfg: &SimConfig, mobility: Box<dyn MobilityModel>) -> Stag
         Box::new(ModelMobility::new(mobility)),
         Box::new(topology),
         Box::new(InPlaceHierarchy::new(opts)),
-        Box::new(LmSelection::new(cfg.selection_rule, cfg.threads)),
+        Box::new(LmSelection::new(cfg.threads)),
     )
 }

@@ -6,9 +6,10 @@
 //! [`Transport::Packet`] *executes* the legs as packets on
 //! [`chlm_proto::PacketNetwork`]s over the tick's real topology — per-hop
 //! delay, optional loss and ARQ included — and reports the transmissions
-//! each leg actually used. Which legs exist is the scheme's business
-//! ([`crate::scheme`]); the two accounting observers there hold one
-//! `Transport` each and never look at the backend again. On a lossless
+//! each leg actually used. A leg is its `(src, dst)` pair
+//! (`WireLeg::ends`); which legs exist is the scheme's business
+//! ([`crate::scheme`]), and the two books there hold one `Transport`
+//! each and never look at the backend again. On a lossless
 //! connected network the two variants agree leg for leg under BFS pricing
 //! (`tests/parity.rs`, `tests/query_parity.rs`).
 //!
@@ -58,7 +59,6 @@ use crate::cost::HopPricer;
 use crate::stage::TickCtx;
 use chlm_graph::NodeIdx;
 use chlm_par::{split_ranges, WorkerPool};
-use chlm_proto::message::Packet;
 use chlm_proto::network::{NetworkStats, PacketNetwork};
 
 /// Fixed shard count for each tick's packet stream. A constant — never
@@ -96,8 +96,8 @@ pub struct PacketTotals {
 
 /// One leg of a tick's workload, as a transport needs to see it.
 pub(crate) trait WireLeg: Sync {
-    /// The leg as a protocol packet.
-    fn wire(&self) -> Packet;
+    /// The leg's endpoints, `(src, dst)`: all its cost depends on.
+    fn ends(&self) -> (NodeIdx, NodeIdx);
     /// Whether this leg starts a booked event. `false` means its cost is
     /// summed into its predecessor's event, so no packet shard may be cut
     /// in front of it.
@@ -173,8 +173,8 @@ impl Transport {
                     rows.warm(ctx, legs);
                 }
                 costs.extend(legs.iter().map(|leg| {
-                    let p = leg.wire();
-                    pricer.hops(p.src, p.dst)
+                    let (src, dst) = leg.ends();
+                    pricer.hops(src, dst)
                 }));
             }
             Transport::Packet(executor) => {
@@ -198,8 +198,7 @@ impl RowWarmer {
     /// to read and it cannot answer yet.
     fn warm<L: WireLeg>(&mut self, ctx: &TickCtx<'_>, legs: &[L]) {
         self.legs.clear();
-        self.legs
-            .extend(legs.iter().map(WireLeg::wire).map(|p| (p.src, p.dst)));
+        self.legs.extend(legs.iter().map(WireLeg::ends));
         ctx.graph.fill_hops(&self.legs, &self.workers);
     }
 }
@@ -237,7 +236,8 @@ impl PacketExecutor {
                 .net
                 .restart(loss.map_or(0, |l| shard_loss_seed(l.seed ^ salt, tick, index as u64)));
             for leg in &legs[cuts[index]..cuts[index + 1]] {
-                shard.net.send(graph, leg.wire());
+                let (src, dst) = leg.ends();
+                shard.net.send(graph, src, dst);
             }
             shard.net.run();
         });
@@ -284,21 +284,12 @@ fn shard_cuts<L: WireLeg>(legs: &[L]) -> [usize; PACKET_SHARDS + 1] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chlm_proto::message::LmMessage;
 
     struct Leg(bool);
 
     impl WireLeg for Leg {
-        fn wire(&self) -> Packet {
-            Packet {
-                src: 0,
-                dst: 0,
-                msg: LmMessage::Register {
-                    subject: 0,
-                    level: 0,
-                },
-                sent_at: 0.0,
-            }
+        fn ends(&self) -> (NodeIdx, NodeIdx) {
+            (0, 0)
         }
         fn opens_event(&self) -> bool {
             self.0

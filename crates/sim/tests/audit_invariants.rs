@@ -75,7 +75,7 @@ impl TickFixture {
         let events0 = EventCounts::with_levels(old_h.depth());
         let mut tracker = StateTracker::new();
         tracker.observe(&old_h);
-        let auditor = Auditor::new(rule, &ledger0, &rates0, &events0, &tracker);
+        let auditor = Auditor::new(&ledger0, &rates0, &events0, &tracker);
 
         // Apply the tick, mirroring Simulation::step's accounting.
         let dt = 1.0;

@@ -62,15 +62,13 @@ impl HierarchyStage for LcaHierarchy {
     }
 }
 
-/// Reference assignment stage: §3.2 server selection on a fresh scratch,
-/// recycling nothing.
-pub struct ComputeSelection {
-    rule: SelectionRule,
-}
+/// Reference assignment stage: §3.2 server selection by HRW hashing on a
+/// fresh scratch, recycling nothing.
+pub struct ComputeSelection;
 
 impl AssignmentStage for ComputeSelection {
     fn assign(&mut self, hierarchy: &Hierarchy, _book: &AddressBook, _: NoStamps) -> LmAssignment {
-        LmAssignment::compute(hierarchy, self.rule)
+        LmAssignment::compute(hierarchy, SelectionRule::Hrw)
     }
     fn retire(&mut self, _old: LmAssignment) {}
 }
@@ -89,9 +87,7 @@ pub fn reference_stages_with(
         Box::new(ModelMobility::new(mobility)),
         Box::new(topology),
         Box::new(LcaHierarchy::new(opts)),
-        Box::new(ComputeSelection {
-            rule: cfg.selection_rule,
-        }),
+        Box::new(ComputeSelection),
     )
 }
 

@@ -19,7 +19,6 @@ use chlm_cluster::{Hierarchy, HierarchyOptions};
 use chlm_geom::region::deploy_uniform;
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::unit_disk::build_unit_disk;
-use chlm_proto::message::{LmMessage, Packet};
 use chlm_proto::network::PacketNetwork;
 use chlm_sim::cost::{CostInputs, Pricing};
 use chlm_sim::oracle::DEFAULT_DETOUR;
@@ -59,18 +58,7 @@ fn pricer_and_packet_networks_share_one_row() {
 
     for (dst, price) in [x, y].into_iter().zip(priced) {
         let mut net = PacketNetwork::new(0.001);
-        net.send(
-            &g,
-            Packet {
-                src: a,
-                dst,
-                msg: LmMessage::Query {
-                    requester: a,
-                    target: dst,
-                },
-                sent_at: 0.0,
-            },
-        );
+        net.send(&g, a, dst);
         let stats = net.run();
         assert_eq!(stats.delivered, 1, "fixture must be connected");
         assert_eq!(stats.transmissions as f64, price);

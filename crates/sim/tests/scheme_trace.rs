@@ -97,7 +97,7 @@ fn traced_run(cfg: SimConfig) -> (Vec<u64>, SimReport) {
 /// The report with LM accounting blanked, leaving only world-derived
 /// fields — these must agree across schemes. Query-plane costs are
 /// scheme-side too: the `query_rate` workload resolves through the
-/// scheme's own lookup path (`SchemeLookup`), so its price legitimately
+/// scheme's own lookup path (`Scheme::resolve`), so its price legitimately
 /// differs per scheme.
 fn world_view(mut r: SimReport) -> SimReport {
     r.ledger = Default::default();

@@ -20,7 +20,7 @@ use crate::json;
 
 /// Traits whose implementations execute inside `MultiplexSim::step`
 /// every tick.
-pub const ROOT_TRAITS: [&str; 13] = [
+pub const ROOT_TRAITS: [&str; 11] = [
     "MobilityStage",
     "TopologyStage",
     "HierarchyStage",
@@ -28,8 +28,6 @@ pub const ROOT_TRAITS: [&str; 13] = [
     "Observer",
     "HandoffAccounting",
     "Scheme",
-    "SchemeWorkload",
-    "SchemeLookup",
     "QueryAccounting",
     "CostModel",
     "HopPricer",
