@@ -54,7 +54,10 @@ test -s target/step_reach.json
 # vocabulary no executor read with the scheme seam's two half-traits and
 # lookup view (a leg is its `(src, dst)` pair; one `Scheme` trait takes the
 # `TickCtx`), and the assignment-rule knob only one test ever set (the
-# engine selects by HRW; E14's ablation calls `LmAssignment::compute`).
+# engine selects by HRW; E14's ablation calls `LmAssignment::compute`), and
+# the lookup pricers that ran beside the query plane with their two route
+# types (a lookup is priced only by a bank's `QueryBook`; both schemes'
+# route functions return one `chlm_lm::query::Route`).
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.) The last entry is a layout,
 # not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
@@ -71,6 +74,7 @@ removed+='\|DistanceOracle\|BfsCostModel\|EuclideanCostModel\|HierRoutingCostMod
 removed+='\|hop_row(\|batch_rows'
 removed+='\|RandomWalk\|MobilityKind::Walk'
 removed+='\|LmMessage\|SchemeWorkload\|SchemeLookup\|LookupWorld\|selection_rule'
+removed+='\|QueryOutcome\|gls_resolve(\|QueryRoute\|GlsRoute'
 removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
@@ -82,6 +86,13 @@ if [ -e crates/mobility/src/walk.rs ]; then
 fi
 if [ -e crates/proto/src/message.rs ]; then
   echo "leftover check: crates/proto/src/message.rs is back; a packet is its (src, dst) pair" >&2
+  exit 1
+fi
+# Every mobile experiment steps the engine (`Simulation` or `MultiplexSim`)
+# and reads its snapshots: a private tick loop over a mobility model must
+# not come back into the experiments.
+if grep -rn 'RandomWaypoint\|MobilityModel' crates/bench/src; then
+  echo "leftover check: an experiment drives its own mobility model; step a Simulation instead" >&2
   exit 1
 fi
 # The Euclidean hop estimate has one copy, `chlm_sim::oracle::euclidean_hops`

@@ -2,32 +2,33 @@
 //! against max-min clustering, and one mobility model against another.
 
 use crate::{
-    banner, env_usize, mean, mean_of, measured_seconds, replications, scaling_sizes,
-    standard_config, standard_region, standard_rtx, threads, Deployment, MIN_N,
+    banner, env_usize, mean_of, replications, scaling_sizes, standard_config, standard_runs,
+    threads, MIN_N,
 };
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_cluster::maxmin::MaxMinHierarchy;
-use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_geom::{Region, SimRng};
-use chlm_graph::unit_disk::build_unit_disk;
 use chlm_graph::NodeIdx;
-use chlm_lm::gls::{gls_resolve, GlsAssignment, GridHierarchy};
-use chlm_lm::query::resolve;
-use chlm_lm::server::{LmAssignment, SelectionRule};
-use chlm_mobility::{MobilityModel, RandomWaypoint};
 use chlm_sim::runner::seed_range;
-use chlm_sim::{run_cells, run_grid, LmScheme, MobilityKind, SimConfig, SimReport, VariantSpec};
-use std::collections::HashSet;
+use chlm_sim::{
+    run_cells, run_grid, LmScheme, MobilityKind, SimConfig, SimReport, Simulation, VariantSpec,
+};
+use std::collections::BTreeSet;
 
 /// E13 (§3.1 vs §3.2): CHLM against the GLS baseline it adapts.
 ///
 /// One world per (n, seed), two LM systems priced against it as observer
 /// banks: CHLM's handoff overhead (φ + γ) versus the GLS scheme's
 /// maintenance overhead (distance-triggered updates + server-churn
-/// transfers), plus CHLM query cost and server-load balance.
+/// transfers), plus each bank's query cost over the same lookup
+/// arrivals, read from its query book.
 pub(crate) fn exp_chlm_vs_gls() {
     let sizes = scaling_sizes(MIN_N, env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024));
-    banner("E13 / §3", "CHLM vs GLS LM maintenance overhead", &sizes);
+    banner(
+        "E13 / §3",
+        "CHLM vs GLS LM maintenance overhead",
+        &sizes,
+        standard_runs(),
+    );
     let cells: Vec<SimConfig> = sizes
         .iter()
         .map(|&n| {
@@ -60,6 +61,7 @@ pub(crate) fn exp_chlm_vs_gls() {
         "gls (pkt/node/s)",
         "gls/chlm",
         "chlm query (pkts)",
+        "gls query (pkts)",
     ]);
     for (&n, banks) in sizes.iter().zip(&grid) {
         let chlm = mean_of(&banks[0], SimReport::total_overhead);
@@ -70,123 +72,78 @@ pub(crate) fn exp_chlm_vs_gls() {
             fnum(gls),
             fnum(gls / chlm.max(1e-12)),
             fnum(mean_of(&banks[0], query_cost)),
+            fnum(mean_of(&banks[1], query_cost)),
         ]);
     }
     println!("{}", t.render());
-
-    // Query-cost comparison on identical static snapshots and pairs.
-    let mut qt = TextTable::new(vec!["n", "chlm query (pkts)", "gls query (pkts)"]);
-    for &n in &sizes {
-        let mut rng = SimRng::seed_from(13_500 + n as u64);
-        let d = Deployment::draw(n, &mut rng);
-        let h = d.hierarchy(HierarchyOptions::default());
-        let chlm_asn = LmAssignment::compute(&h, SelectionRule::Hrw);
-        let (lo, hi) = d.region.bounding_box();
-        let grid = GridHierarchy::covering(chlm_geom::Rect::new(lo, hi), d.rtx * 2.0);
-        let gls_asn = GlsAssignment::compute(&grid, &d.pts, &d.ids);
-        let hop = |a: u32, b: u32| d.hops(a, b);
-        let (mut chlm_pkts, mut gls_pkts) = (Vec::new(), Vec::new());
-        for _ in 0..80 {
-            let s = rng.index(n) as u32;
-            let t = rng.index(n) as u32;
-            if let Some(q) = resolve(&h, &chlm_asn, s, t, hop) {
-                chlm_pkts.push(q.packets);
-            }
-            if let Some(c) = gls_resolve(&grid, &gls_asn, &d.pts, s, t, hop) {
-                gls_pkts.push(c);
-            }
-        }
-        qt.row(vec![
-            format!("{n}"),
-            fnum(mean(chlm_pkts)),
-            fnum(mean(gls_pkts)),
-        ]);
-    }
-    println!("query cost on identical static snapshots (same pairs, same oracle):");
-    println!("{}", qt.render());
     println!("notes:");
     println!("- both systems priced in packet transmissions (entries x hops);");
     println!("- GLS (the `LmScheme::Gls` bank, HRW-selected servers) charges");
     println!("  distance-triggered updates (feature (c)) plus server churn");
     println!("  transfers; CHLM charges handoff (phi + gamma); both banks price");
     println!("  the same world trace per (n, seed);");
-    println!("- chlm query: mean packets per resolved lookup at 1 lookup/node/s;");
+    println!("- query: mean packets per resolved lookup at 1 lookup/node/s, both");
+    println!("  banks over the same arrivals (request to the server + reply);");
     println!("- comparable magnitudes at matched mobility support §3.2's argument");
     println!("  that CHLM achieves GLS-like LM economics on a clustered hierarchy.");
 }
 
+/// One clustering's level-1 head set over a run: its size and the depth
+/// of its hierarchy summed over ticks, and the head churn between ticks.
+#[derive(Default)]
 struct Churn {
     heads_sum: f64,
     depth_sum: f64,
     churn_events: u64,
     snapshots: u64,
+    prev: Option<BTreeSet<NodeIdx>>,
+}
+
+impl Churn {
+    /// Count one tick's head set and hierarchy depth (levels counting
+    /// level 0).
+    fn observe(&mut self, heads: BTreeSet<NodeIdx>, depth: usize) {
+        self.heads_sum += heads.len() as f64;
+        self.depth_sum += (depth - 1) as f64;
+        if let Some(prev) = &self.prev {
+            self.churn_events += prev.symmetric_difference(&heads).count() as u64;
+        }
+        self.prev = Some(heads);
+        self.snapshots += 1;
+    }
 }
 
 /// E15 (§2.2 ablation): LCA vs max-min d-hop clustering.
 ///
-/// Same mobility stream, two clustering substrates. Max-min with `d = 2`
+/// Same mobility stream, two clustering substrates: the engine's world
+/// (its topology and LCA hierarchy), and max-min d-hop elections run on
+/// that hierarchy's level-0 graph and ids each tick. Max-min with `d = 2`
 /// elects fewer, farther-spaced heads (larger arity, shallower hierarchy);
 /// the LCA (= max-min with d = 1, per §2.2) churns its head set faster per
 /// tick but each election affects a smaller neighborhood. We compare
 /// head-set size, depth, and head churn per node per second.
 pub(crate) fn exp_cluster_ablation() {
     let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    let mut cfg = standard_config(n);
+    cfg.seed = 15_000;
     banner(
         "E15 / §2.2",
         "clustering ablation: LCA vs max-min d-hop",
         &[n],
+        Some((1, cfg.duration)),
     );
-    let rtx = standard_rtx();
-    let region = standard_region(n);
-    let speed = 2.0;
-    let dt = rtx / (10.0 * speed);
-    let ticks = (measured_seconds(8.0) / dt) as usize;
-
-    let mut rng = SimRng::seed_from(15_000);
-    let ids = rng.permutation(n);
-    let mut mob = RandomWaypoint::deployed(region, n, speed, 30.0, &mut rng);
-
-    let mut lca = Churn {
-        heads_sum: 0.0,
-        depth_sum: 0.0,
-        churn_events: 0,
-        snapshots: 0,
-    };
-    let mut mm: Vec<Churn> = (0..2)
-        .map(|_| Churn {
-            heads_sum: 0.0,
-            depth_sum: 0.0,
-            churn_events: 0,
-            snapshots: 0,
-        })
-        .collect();
-    let mut prev_lca: Option<HashSet<NodeIdx>> = None;
-    let mut prev_mm: Vec<Option<HashSet<NodeIdx>>> = vec![None, None];
-
+    let (dt, ticks) = (cfg.tick(), cfg.tick_count());
+    let mut sim = Simulation::new(cfg);
+    // LCA, max-min d = 2, max-min d = 3.
+    let mut churn: [Churn; 3] = Default::default();
     for _ in 0..ticks {
-        mob.step(dt);
-        let g = build_unit_disk(mob.positions(), rtx);
-        // LCA.
-        let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
-        let heads: HashSet<NodeIdx> = h.levels[1].nodes.iter().copied().collect();
-        lca.heads_sum += heads.len() as f64;
-        lca.depth_sum += (h.depth() - 1) as f64;
-        if let Some(prev) = &prev_lca {
-            lca.churn_events += prev.symmetric_difference(&heads).count() as u64;
-        }
-        prev_lca = Some(heads);
-        lca.snapshots += 1;
-        // Max-min, d = 2 and d = 3.
-        for (slot, d) in [(0usize, 2usize), (1, 3)] {
-            let mh = MaxMinHierarchy::build(&ids, &g, d, usize::MAX);
-            let heads = mh.head_set();
-            mm[slot].heads_sum += heads.len() as f64;
-            mm[slot].depth_sum += (mh.depth() - 1) as f64;
-            if let Some(prev) = &prev_mm[slot] {
-                mm[slot].churn_events += prev.symmetric_difference(&heads).count() as u64;
-            }
-            prev_mm[slot] = Some(heads);
-            mm[slot].snapshots += 1;
+        sim.step();
+        let h = sim.hierarchy();
+        let lca_heads = h.levels[0].heads().map(|(_, v)| v).collect();
+        churn[0].observe(lca_heads, h.depth());
+        for (c, d) in churn[1..].iter_mut().zip([2, 3]) {
+            let mh = MaxMinHierarchy::build(&h.ids, &h.levels[0].graph, d, usize::MAX);
+            c.observe(mh.head_set().into_iter().collect(), mh.depth());
         }
     }
 
@@ -198,7 +155,10 @@ pub(crate) fn exp_cluster_ablation() {
         "mean depth L",
         "head churn /node/s",
     ]);
-    let mut row = |name: &str, c: &Churn| {
+    for (name, c) in ["LCA (d=1)", "max-min d=2", "max-min d=3"]
+        .iter()
+        .zip(&churn)
+    {
         let mean_heads = c.heads_sum / c.snapshots as f64;
         t.row(vec![
             name.to_string(),
@@ -207,10 +167,7 @@ pub(crate) fn exp_cluster_ablation() {
             fnum(c.depth_sum / c.snapshots as f64),
             fnum(c.churn_events as f64 / node_seconds),
         ]);
-    };
-    row("LCA (d=1)", &lca);
-    row("max-min d=2", &mm[0]);
-    row("max-min d=3", &mm[1]);
+    }
     println!("{}", t.render());
     println!("n = {n}, {ticks} ticks of {dt:.3} s; churn counts level-1 head set");
     println!("symmetric difference per tick, normalized per node-second.");
@@ -228,7 +185,7 @@ pub(crate) fn exp_cluster_ablation() {
 /// epochs of the "direction" row.
 pub(crate) fn exp_mobility_ablation() {
     let n = env_usize("CHLM_MOBILITY_N", 512, 1);
-    banner("E16 / §1.2", "mobility ablation", &[n]);
+    banner("E16 / §1.2", "mobility ablation", &[n], standard_runs());
     let kinds: Vec<(&str, MobilityKind)> = vec![
         ("waypoint", MobilityKind::Waypoint),
         ("direction", MobilityKind::Direction { mean_epoch: 20.0 }),

@@ -1,7 +1,7 @@
 //! Per-level experiments: one mobile sweep at a single size (`CHLM_MAX_N`,
 //! capped per experiment), its reports pooled level by level.
 
-use crate::{banner, env_usize, mean_of, mean_some, standard_sweep, MIN_N};
+use crate::{banner, env_usize, mean, mean_of, mean_some, standard_runs, standard_sweep, MIN_N};
 use chlm_analysis::markov::{binomial_occupancy, rank_mixture_occupancy, total_variation};
 use chlm_analysis::table::{fnum, TextTable};
 
@@ -18,6 +18,7 @@ pub(crate) fn exp_fig3_states() {
         "E3 / Fig. 3",
         "ALCA state occupancy vs birth-death prediction",
         &[n],
+        standard_runs(),
     );
     let reports = &standard_sweep(&[n], 3000)[0];
 
@@ -81,14 +82,21 @@ pub(crate) fn exp_fig3_states() {
 /// `φ_k` equal (eq. 6) and φ polylogarithmic.
 pub(crate) fn exp_eq9_fk() {
     let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
-    banner("E6 / eq. (9)", "level-k migration frequency decay", &[n]);
+    banner(
+        "E6 / eq. (9)",
+        "level-k migration frequency decay",
+        &[n],
+        standard_runs(),
+    );
     let reports = &standard_sweep(&[n], 6000)[0];
 
     // Pool per-level migration rates and h_k across replications.
     let depth = reports.iter().map(|r| r.rates.max_level()).max().unwrap();
     let mut t = TextTable::new(vec!["level", "f_k", "h_k", "f_k*h_k", "f_{k-1}/f_k"]);
     let mut prev_fk: Option<f64> = None;
-    let mut products = Vec::new();
+    // f_k · h_k of every level with a finite product, and of the levels
+    // still in the asymptotic regime.
+    let (mut all, mut admitted) = (Vec::new(), Vec::new());
     for k in 1..=depth {
         let f_k = mean_of(reports, |r| r.rates.f_k(k));
         // h_k from the final-tick level stats (mean across replications).
@@ -96,18 +104,15 @@ pub(crate) fn exp_eq9_fk() {
             r.final_levels.get(k).and_then(|s| s.intra_cluster_hops)
         });
         let product = f_k * h_k;
-        // Only levels still in the asymptotic regime enter the verdict:
-        // near the top of the hierarchy a cluster spans most of the
-        // deployment area, so RWP legs are no longer long relative to the
-        // cluster and the ballistic exit-time argument behind eq. (7) does
-        // not apply at finite size (see EXPERIMENTS.md).
-        let level_pop: usize = reports
+        let pops: Vec<usize> = reports
             .iter()
-            .filter_map(|r| r.final_levels.get(k).map(|s| s.nodes))
-            .max()
-            .unwrap_or(0);
-        if product.is_finite() && f_k > 0.0 && level_pop >= 16 {
-            products.push(product);
+            .map(|r| r.final_levels.get(k).map_or(0, |s| s.nodes))
+            .collect();
+        if product.is_finite() && f_k > 0.0 {
+            all.push(product);
+            if in_regime(&pops) {
+                admitted.push((k, product));
+            }
         }
         let ratio = prev_fk.map_or(f64::NAN, |p| p / f_k.max(1e-12));
         t.row(vec![
@@ -120,15 +125,18 @@ pub(crate) fn exp_eq9_fk() {
         prev_fk = Some(f_k);
     }
     println!("{}", t.render());
-    if products.len() >= 2 {
-        let max = products.iter().copied().fold(f64::MIN, f64::max);
-        let min = products.iter().copied().fold(f64::MAX, f64::min);
+    if let Some((min, max)) = spread(&all) {
         println!(
-            "f_k*h_k spread across levels: [{min:.3}, {max:.3}] ({:.1}x)",
+            "f_k*h_k spread across all levels: [{min:.3}, {max:.3}] ({:.1}x)",
             max / min
         );
+    }
+    let (levels, products): (Vec<usize>, Vec<f64>) = admitted.into_iter().unzip();
+    if let Some((min, max)) = spread(&products) {
         println!(
-            "eq. (9) claim (f_k ∝ 1/h_k, i.e. product ~ constant): {}",
+            "eq. (9) claim (f_k ∝ 1/h_k, i.e. product ~ constant) at levels {levels:?} \
+             (mean |V_k| >= {MIN_LEVEL_POP}): [{min:.3}, {max:.3}] ({:.1}x) -> {}",
+            max / min,
             if max / min < 4.0 {
                 "HOLDS"
             } else {
@@ -136,6 +144,27 @@ pub(crate) fn exp_eq9_fk() {
             }
         );
     }
+}
+
+/// `[min, max]` of `xs`, when it holds at least two values.
+fn spread(xs: &[f64]) -> Option<(f64, f64)> {
+    let max = xs.iter().copied().fold(f64::MIN, f64::max);
+    let min = xs.iter().copied().fold(f64::MAX, f64::min);
+    (xs.len() >= 2).then_some((min, max))
+}
+
+/// The smallest mean level population E6's verdict admits.
+const MIN_LEVEL_POP: f64 = 16.0;
+
+/// Whether a level is still in the asymptotic regime of eq. (7), given its
+/// population in each replication (0 where a replication's hierarchy
+/// stops below it): near the top of the hierarchy a cluster spans most of
+/// the deployment area, so RWP legs are no longer long relative to the
+/// cluster and the ballistic exit-time argument does not apply at finite
+/// size (see EXPERIMENTS.md). The mean over replications decides, so one
+/// seed's deep hierarchy does not admit a level the others barely reach.
+fn in_regime(pops: &[usize]) -> bool {
+    mean(pops.iter().map(|&p| p as f64)) >= MIN_LEVEL_POP
 }
 
 /// E8 (eq. 14, §5.3.1): `g'_k = Θ(1/h_k)` — the state-change frequency of
@@ -148,6 +177,7 @@ pub(crate) fn exp_eq14_gk() {
         "E8 / eq. (14)",
         "per-cluster-link state-change frequency g'_k",
         &[n],
+        standard_runs(),
     );
     let reports = &standard_sweep(&[n], 8000)[0];
 
@@ -235,6 +265,7 @@ pub(crate) fn exp_events_breakdown() {
         "E10 / §5.2",
         "event classes (i)-(vii) frequency breakdown",
         &[n],
+        standard_runs(),
     );
     let reports = &standard_sweep(&[n], 10_000)[0];
     let node_seconds: f64 = reports.iter().map(|r| r.rates.node_seconds).sum();
@@ -285,4 +316,17 @@ pub(crate) fn exp_events_breakdown() {
         "\nelection/rejection balance: {elect} vs {reject} (ratio {:.2}; §5.3.2 predicts ≈ 1)",
         elect as f64 / reject.max(1) as f64
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_populous_seed_does_not_admit_a_level() {
+        assert!(!in_regime(&[16, 4, 4, 4, 4, 4]));
+        assert!(!in_regime(&[16, 0, 0]));
+        assert!(in_regime(&[16, 16, 20]));
+        assert!(in_regime(&[30, 2]));
+    }
 }

@@ -4,7 +4,23 @@
 use crate::{banner, env_usize, MIN_N};
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_sim::oracle::DEFAULT_DETOUR;
-use chlm_sim::{Backend, HopMetric, LossSpec, SimConfig, Simulation};
+use chlm_sim::{
+    Backend, HopMetric, LmScheme, LossSpec, MultiplexSim, PacketTotals, SimConfig, SimReport,
+    VariantSpec,
+};
+
+/// Run `variants` as the banks of one world over `cfg` and return each
+/// bank's report with its packet totals (default for an analytic bank).
+fn run_banks(cfg: &SimConfig, variants: &[VariantSpec]) -> Vec<(SimReport, PacketTotals)> {
+    let mut mx = MultiplexSim::new(cfg, variants);
+    for _ in 0..cfg.tick_count() {
+        mx.step();
+    }
+    let totals: Vec<PacketTotals> = (0..variants.len())
+        .map(|v| mx.observers(v).handoff.packet_totals().unwrap_or_default())
+        .collect();
+    mx.finish().into_iter().zip(totals).collect()
+}
 
 /// E18 (methodology validation): analytical accounting vs executed packets.
 ///
@@ -20,32 +36,36 @@ use chlm_sim::{Backend, HopMetric, LossSpec, SimConfig, Simulation};
 /// see.
 pub(crate) fn exp_proto_validation() {
     let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    let mut cfg = SimConfig::builder(n).warmup(5.0).seed(18_000).build();
+    // ~12 measured ticks, independent of the derived tick length.
+    cfg.duration = 12.0 * cfg.tick();
     banner(
         "E18",
         "packet-level validation of the handoff accounting",
         &[n],
+        Some((1, cfg.duration)),
     );
-    let cfg = |metric: HopMetric, backend: Backend| -> SimConfig {
-        let b = SimConfig::builder(n)
-            .warmup(5.0)
-            .seed(18_000)
-            .hop_metric(metric)
-            .backend(backend);
-        // ~12 measured ticks, independent of the derived tick length.
-        let tick = b.clone().duration(1.0).build().tick();
-        b.duration(12.0 * tick).build()
+    let variant = |label: &str, metric: HopMetric, backend: Backend| {
+        VariantSpec::new(label, LmScheme::Chlm, metric, backend)
     };
-
-    let bfs = Simulation::new(cfg(HopMetric::Bfs, Backend::Analytic)).run();
-    // The proxy the largest sweeps run with, at the fixed default detour.
-    let euclid =
-        Simulation::new(cfg(HopMetric::Euclidean(DEFAULT_DETOUR), Backend::Analytic)).run();
-    let mut sim = Simulation::new(cfg(HopMetric::Bfs, Backend::packet()));
-    for _ in 0..sim.config().tick_count() {
-        sim.step();
-    }
-    let totals = sim.observers().handoff.packet_totals().unwrap_or_default();
-    let packet = sim.finish();
+    let mut runs = run_banks(
+        &cfg,
+        &[
+            variant("bfs", HopMetric::Bfs, Backend::Analytic),
+            // The proxy the largest sweeps run with, at the fixed default
+            // detour.
+            variant(
+                "euclid",
+                HopMetric::Euclidean(DEFAULT_DETOUR),
+                Backend::Analytic,
+            ),
+            variant("packet", HopMetric::Bfs, Backend::packet()),
+        ],
+    )
+    .into_iter();
+    let (bfs, _) = runs.next().expect("bfs bank");
+    let (euclid, _) = runs.next().expect("euclid bank");
+    let (packet, totals) = runs.next().expect("packet bank");
 
     let depth = bfs
         .ledger
@@ -130,28 +150,49 @@ pub(crate) fn exp_proto_validation() {
 /// lose packets; per-hop ARQ inflates the transmission count by
 /// `1/(1-p)` in expectation. This experiment runs the *full* packet-backend
 /// simulation (every tick's handoff workload executed through the
-/// discrete-event network) at several loss rates and reports the measured
+/// discrete-event network) at several loss rates — one world, one
+/// `MultiplexSim` bank per loss setting — and reports the measured
 /// inflation, delivery rate and latency — the factor by which the paper's
 /// polylog budgets must be scaled on a real radio.
 pub(crate) fn exp_lossy_links() {
     let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    let mut cfg = SimConfig::builder(n).warmup(5.0).seed(23_000).build();
+    // ~10 measured ticks, independent of the derived tick length.
+    cfg.duration = 10.0 * cfg.tick();
     banner(
         "E23 / extension",
         "handoff transmissions under per-hop loss",
         &[n],
+        Some((1, cfg.duration)),
     );
-    let cfg = |loss: Option<LossSpec>| -> SimConfig {
-        let b = SimConfig::builder(n)
-            .warmup(5.0)
-            .seed(23_000)
-            .backend(Backend::Packet {
+    let settings = [
+        (0.0, 0u32),
+        (0.05, 8),
+        (0.1, 8),
+        (0.2, 8),
+        (0.3, 8),
+        (0.3, 0),
+    ];
+    let variants: Vec<VariantSpec> = settings
+        .iter()
+        .map(|&(p, retries)| {
+            let loss = (p > 0.0).then_some(LossSpec {
+                prob: p,
+                max_retries: retries,
+                seed: 99,
+            });
+            let backend = Backend::Packet {
                 hop_delay: 0.001,
                 loss,
-            });
-        // ~10 measured ticks, independent of the derived tick length.
-        let tick = b.clone().duration(1.0).build().tick();
-        b.duration(10.0 * tick).build()
-    };
+            };
+            VariantSpec::new(
+                format!("loss {p} x{retries}"),
+                LmScheme::Chlm,
+                cfg.hop_metric,
+                backend,
+            )
+        })
+        .collect();
 
     let mut t = TextTable::new(vec![
         "loss %",
@@ -164,35 +205,13 @@ pub(crate) fn exp_lossy_links() {
         "mean latency (ms)",
         "phi+gamma / node-s",
     ]);
-    let mut baseline = 0u64;
-    let mut workload = (0u64, 0u64);
-    for &(p, retries) in &[
-        (0.0, 0u32),
-        (0.05, 8),
-        (0.1, 8),
-        (0.2, 8),
-        (0.3, 8),
-        (0.3, 0),
-    ] {
-        let loss = (p > 0.0).then_some(LossSpec {
-            prob: p,
-            max_retries: retries,
-            seed: 99,
-        });
-        let mut sim = Simulation::new(cfg(loss));
-        for _ in 0..sim.config().tick_count() {
-            sim.step();
-        }
-        let totals = sim.observers().handoff.packet_totals().unwrap_or_default();
-        let report = sim.finish();
-        if p == 0.0 {
-            baseline = totals.net.transmissions;
-            workload = (totals.transfers, totals.registrations);
-        } else {
-            // The backend must not change which handoffs happen — only
-            // what executing them costs.
-            assert_eq!((totals.transfers, totals.registrations), workload);
-        }
+    let runs = run_banks(&cfg, &variants);
+    let baseline = runs[0].1.net.transmissions;
+    let workload = (runs[0].1.transfers, runs[0].1.registrations);
+    for (&(p, retries), (report, totals)) in settings.iter().zip(&runs) {
+        // The backend must not change which handoffs happen — only what
+        // executing them costs.
+        assert_eq!((totals.transfers, totals.registrations), workload);
         t.row(vec![
             fnum(p * 100.0),
             format!("{retries}"),

@@ -2,23 +2,18 @@
 //! paper's claimed model class fitted against the alternatives.
 
 use crate::{
-    banner, env_usize, mean_of, mean_some, measured_seconds, print_fits, print_series,
-    replications, standard_config, standard_region, standard_rtx, standard_sweep, summarize,
-    sweep_sizes, threads, MetricSeries,
+    banner, env_usize, mean, mean_of, mean_some, print_fits, print_series, replications,
+    standard_config, standard_runs, standard_sweep, summarize, sweep_sizes, threads, MetricSeries,
 };
 use chlm_analysis::regression::{fit_model, relative_spread, ModelClass};
 use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_analysis::theory::{f0_prediction, q1_fraction_lower_bound, q_chain, q_total};
-use chlm_cluster::{Hierarchy, HierarchyOptions};
-use chlm_geom::SimRng;
-use chlm_graph::unit_disk::build_unit_disk;
-use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_lm::update::{RegistrationTracker, UpdatePolicy};
-use chlm_mobility::{MobilityModel, RandomWaypoint};
+use chlm_par::WorkerPool;
 use chlm_sim::oracle::{euclidean_hops, DEFAULT_DETOUR};
 use chlm_sim::runner::seed_range;
-use chlm_sim::{run_cells, SimReport};
+use chlm_sim::{budget_split, run_cells, SimConfig, SimReport, Simulation};
 
 /// E5 (eq. 4): `f₀ = Θ(1)` — the level-0 link state change frequency per
 /// node per second does not grow with network size (fixed density, fixed
@@ -29,6 +24,7 @@ pub(crate) fn exp_eq4_linkrate() {
         "E5 / eq. (4)",
         "level-0 link-change frequency f0 vs n",
         &sizes,
+        standard_runs(),
     );
     let reports = standard_sweep(&sizes, 5000);
 
@@ -85,7 +81,12 @@ pub(crate) fn exp_eq4_linkrate() {
 /// at the largest size — §4 predicts it is roughly *flat* in k.
 pub(crate) fn exp_phi_migration() {
     let sizes = sweep_sizes();
-    banner("E7 / §4", "migration handoff overhead phi", &sizes);
+    banner(
+        "E7 / §4",
+        "migration handoff overhead phi",
+        &sizes,
+        standard_runs(),
+    );
     let sweep = standard_sweep(&sizes, 7000);
 
     let phi = MetricSeries::of("phi", &sizes, &sweep, |r| r.phi_total());
@@ -134,7 +135,12 @@ pub(crate) fn exp_phi_migration() {
 /// largest size.
 pub(crate) fn exp_gamma_reorg() {
     let sizes = sweep_sizes();
-    banner("E9 / §5", "reorganization handoff overhead gamma", &sizes);
+    banner(
+        "E9 / §5",
+        "reorganization handoff overhead gamma",
+        &sizes,
+        standard_runs(),
+    );
     let sweep = standard_sweep(&sizes, 9000);
 
     let gamma = MetricSeries::of("gamma", &sizes, &sweep, |r| r.gamma_total());
@@ -206,6 +212,7 @@ pub(crate) fn exp_q1_future_work() {
         "E11 / eq. (22)",
         "q1 quantification (the paper's future work)",
         &sizes,
+        standard_runs(),
     );
     let sweep = standard_sweep(&sizes, 11_000);
 
@@ -277,7 +284,12 @@ pub(crate) fn exp_q1_future_work() {
 /// grow polylogarithmically for the LM subsystem to scale.
 pub(crate) fn exp_total_overhead() {
     let sizes = sweep_sizes();
-    banner("E12 / §6", "total LM handoff overhead phi + gamma", &sizes);
+    banner(
+        "E12 / §6",
+        "total LM handoff overhead phi + gamma",
+        &sizes,
+        standard_runs(),
+    );
     let sweep = standard_sweep(&sizes, 12_000);
 
     let phi = MetricSeries::of("phi", &sizes, &sweep, |r| r.phi_total());
@@ -311,39 +323,21 @@ pub(crate) fn exp_total_overhead() {
     println!("right extrapolation — which the fit ranking above supports.");
 }
 
-/// One E19 replication: total and per-level registration overhead.
-fn registration_run(n: usize, seed: u64, duration: f64) -> (f64, Vec<f64>) {
-    let rtx = standard_rtx();
-    let region = standard_region(n);
-    let speed = 2.0;
-    let dt = rtx / (10.0 * speed);
-    let mut rng = SimRng::seed_from(seed);
-    let ids = rng.permutation(n);
-    let warmup = 2.0 * region.radius / speed;
-    let mut mob = RandomWaypoint::deployed(region, n, speed, warmup, &mut rng);
-
-    let opts = HierarchyOptions::default();
-    let mut h = Hierarchy::build(&ids, &build_unit_disk(mob.positions(), rtx), opts);
-    let mut asn = LmAssignment::compute(&h, SelectionRule::Hrw);
-    let max_level = (h.depth().saturating_sub(1)).max(2);
+/// One E19 replication: total and per-level registration overhead of
+/// the distance-triggered refresh, over the engine's world for `cfg`,
+/// read each tick from its positions and LM assignment.
+fn registration_run(cfg: SimConfig) -> (f64, Vec<f64>) {
+    let (dt, rtx, ticks) = (cfg.tick(), cfg.rtx(), cfg.tick_count());
+    let mut sim = Simulation::new(cfg);
+    let max_level = sim.hierarchy().depth().saturating_sub(1).max(2);
     let policy = UpdatePolicy::new(rtx, 3.0, 0.5);
-    let mut tracker = RegistrationTracker::new(policy, mob.positions(), max_level + 2);
-
-    let ticks = (duration / dt).ceil() as usize;
-    // Refresh the assignment at a coarse cadence (handoff handles the rest;
-    // registration pricing only needs an approximately-current server map).
-    let refresh_every = 10usize;
-    for tick in 0..ticks {
-        mob.step(dt);
-        let positions = mob.positions().to_vec();
-        if tick % refresh_every == 0 {
-            h = Hierarchy::build(&ids, &build_unit_disk(&positions, rtx), opts);
-            asn = LmAssignment::compute(&h, SelectionRule::Hrw);
-        }
-        let pos = &positions;
+    let mut tracker = RegistrationTracker::new(policy, sim.positions(), max_level + 2);
+    for _ in 0..ticks {
+        sim.step();
+        let pos = sim.positions();
         tracker.observe(
             pos,
-            &asn,
+            sim.assignment(),
             |a, b| euclidean_hops(pos[a as usize], pos[b as usize], rtx, DEFAULT_DETOUR),
             dt,
         );
@@ -361,36 +355,47 @@ fn registration_run(n: usize, seed: u64, duration: f64) -> (f64, Vec<f64>) {
 /// distance-triggered refresh rule (update the level-k server after
 /// drifting a fraction of the level-k cluster radius), level-k updates
 /// happen at rate Θ(1/h_k) and travel Θ(h_k) hops, so each level costs
-/// Θ(1) and the total is Θ(L) = Θ(log |V|). This experiment sweeps sizes and
-/// fits the registration overhead series.
+/// Θ(1) and the total is Θ(L) = Θ(log |V|). This experiment sweeps sizes,
+/// one [`Simulation`] per (size, seed), and fits the registration
+/// overhead series.
 pub(crate) fn exp_registration() {
     let sizes = sweep_sizes();
-    banner("E19 / [17]", "location-registration overhead vs n", &sizes);
-    let duration = measured_seconds(8.0);
-    let reps = replications();
+    banner(
+        "E19 / [17]",
+        "location-registration overhead vs n",
+        &sizes,
+        standard_runs(),
+    );
+    let seeds = seed_range(19_000, replications());
+    let (outer, inner) = budget_split(threads(), sizes.len() * seeds.len());
+    // runs[size * seeds + r] = replication r at that size.
+    let runs = WorkerPool::new(outer).run_indexed(sizes.len() * seeds.len(), |job| {
+        let mut cfg = standard_config(sizes[job / seeds.len()]);
+        cfg.seed = seeds[job % seeds.len()];
+        cfg.threads = inner;
+        registration_run(cfg)
+    });
 
     let mut series = MetricSeries::new("registration");
     let mut table = TextTable::new(vec!["n", "pkts/node/s", "lvl2", "lvl3", "lvl4", "lvl5"]);
-    for &n in &sizes {
-        let mut totals = Vec::new();
-        let mut level_acc = [0.0f64; 16];
-        for r in 0..reps {
-            let (total, per_level) = registration_run(n, 19_000 + r as u64, duration);
-            totals.push(total);
-            for (k, v) in per_level.iter().enumerate() {
-                if k < level_acc.len() {
-                    level_acc[k] += v / reps as f64;
-                }
-            }
-        }
-        let s = Summary::of(&totals).unwrap();
+    for (&n, reps) in sizes.iter().zip(runs.chunks(seeds.len())) {
+        let totals: Vec<f64> = reps.iter().map(|(total, _)| *total).collect();
+        // Mean over replications of each level's overhead, 0 where a
+        // replication's hierarchy does not reach the level.
+        let level = |k: usize| {
+            mean(
+                reps.iter()
+                    .map(|(_, per_level)| per_level.get(k).copied().unwrap_or(0.0)),
+            )
+        };
+        let s = Summary::of(&totals).expect("CHLM_SEEDS >= 1 is checked at the knob");
         table.row(vec![
             format!("{n}"),
             fnum(s.mean),
-            fnum(level_acc[2]),
-            fnum(level_acc.get(3).copied().unwrap_or(0.0)),
-            fnum(level_acc.get(4).copied().unwrap_or(0.0)),
-            fnum(level_acc.get(5).copied().unwrap_or(0.0)),
+            fnum(level(2)),
+            fnum(level(3)),
+            fnum(level(4)),
+            fnum(level(5)),
         ]);
         series.push(n, s.mean, s.ci95());
     }

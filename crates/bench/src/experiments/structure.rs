@@ -32,7 +32,12 @@ use chlm_routing::tables::compare_tables;
 /// (the `L = Θ(log |V|)` premise used throughout the paper).
 pub(crate) fn exp_fig1_hierarchy() {
     let sizes = sweep_sizes();
-    banner("E1 / Fig. 1", "LCA clustered hierarchy structure", &sizes);
+    banner(
+        "E1 / Fig. 1",
+        "LCA clustered hierarchy structure",
+        &sizes,
+        None,
+    );
     let mut depth_series = MetricSeries::new("depth");
     let mut arity_table = TextTable::new(vec!["n", "L", "mean_alpha", "mean_d1", "top_|V_L|"]);
 
@@ -145,6 +150,7 @@ pub(crate) fn exp_fig2_gls() {
         "E2 / Fig. 2",
         "GLS grid hierarchy: server geometry and load",
         &sizes,
+        None,
     );
     for n in sizes {
         gls_grid_at(n);
@@ -161,6 +167,7 @@ pub(crate) fn exp_eq3_hopcount() {
         "E4 / eq. (3)",
         "intra-cluster hop count vs sqrt aggregation",
         &sweep_sizes(),
+        None,
     );
     let mut t = TextTable::new(vec![
         "n",
@@ -238,6 +245,7 @@ pub(crate) fn exp_hash_ablation() {
         "E14 / §3.2",
         "server-selection hash ablation: HRW vs eq. (5)",
         &sweep_sizes(),
+        None,
     );
     let mut t = TextTable::new(vec![
         "n",
@@ -281,6 +289,7 @@ pub(crate) fn exp_routing_tables() {
         "E17 / §2.1",
         "hierarchical vs flat routing state, and stretch",
         &sweep_sizes(),
+        None,
     );
     let mut t = TextTable::new(vec![
         "n",
@@ -349,6 +358,7 @@ pub(crate) fn exp_maintenance() {
         "E20 / [16]",
         "cluster-maintenance beaconing overhead vs n",
         &sweep_sizes(),
+        None,
     );
     let beacon_rate = 1.0; // level-0 HELLO at 1 Hz
     let reps = replications().max(4);
@@ -399,6 +409,7 @@ pub(crate) fn exp_churn() {
         "E21 / §1 exclusion",
         "single node birth/death handoff cost",
         &sweep_sizes(),
+        None,
     );
     let reps = replications().max(4);
     let opts = HierarchyOptions {
@@ -480,6 +491,7 @@ pub(crate) fn exp_dalca() {
         "E22",
         "distributed ALCA: convergence + message locality",
         &sweep_sizes(),
+        None,
     );
     let reps = replications().max(4);
     let mut t = TextTable::new(vec![

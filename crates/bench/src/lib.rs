@@ -38,7 +38,7 @@ use chlm_graph::unit_disk::build_unit_disk;
 use chlm_graph::{Graph, NodeIdx};
 use chlm_sim::oracle::{euclidean_hops, DEFAULT_DETOUR};
 use chlm_sim::runner::seed_range;
-use chlm_sim::{run_cells, SimConfig, SimReport};
+use chlm_sim::{run_cells, SimConfig, SimReport, DENSITY};
 
 /// The value of knob `name`: `default` when unset (`raw` is `None`), the
 /// parsed value when set and `valid`, and otherwise a message naming the
@@ -143,6 +143,11 @@ fn standard_config(n: usize) -> SimConfig {
     cfg
 }
 
+/// What each size of [`standard_sweep`] runs, as [`banner`] states it.
+fn standard_runs() -> Option<(usize, f64)> {
+    Some((replications(), measured_seconds(8.0)))
+}
+
 /// The standard sweep: [`standard_config`] at each size, [`replications`]
 /// seeds from `base_seed`, all sizes in one pool under the `CHLM_THREADS`
 /// budget. `reports[size]` is that size's replication set in seed order.
@@ -235,9 +240,6 @@ impl MetricSeries {
     }
 }
 
-/// Node density of every deployment (nodes per unit area).
-const DENSITY: f64 = 1.25;
-
 /// The radio range giving the standard mean degree 9 at [`DENSITY`]
 /// (comfortably above the connectivity threshold \[2, 3\]).
 fn standard_rtx() -> f64 {
@@ -253,7 +255,6 @@ fn standard_region(n: usize) -> Disk {
 /// nodes uniform in [`standard_region`], their unit-disk graph at
 /// [`standard_rtx`], and a random election-id permutation.
 struct Deployment {
-    region: Disk,
     rtx: f64,
     pts: Vec<Point>,
     graph: Graph,
@@ -271,7 +272,6 @@ impl Deployment {
         let graph = build_unit_disk(&pts, rtx);
         let ids = rng.permutation(n);
         Deployment {
-            region,
             rtx,
             pts,
             graph,
@@ -338,20 +338,32 @@ fn print_fits(series: &MetricSeries, claimed: ModelClass) -> Vec<FitResult> {
     fits
 }
 
-/// Standard experiment banner, naming the network sizes the record runs:
-/// `n = …` for one, the ladder for several.
-fn banner(id: &str, what: &str, sizes: &[usize]) {
+/// Standard experiment banner, naming the network sizes the record runs
+/// (`n = …` for one, the ladder for several) and, for a record that
+/// simulates, what each size's runs are: `timed = Some((seeds,
+/// seconds))`, that many replications of that many measured seconds.
+/// A record over static snapshots passes `None`.
+fn banner(id: &str, what: &str, sizes: &[usize], timed: Option<(usize, f64)>) {
     println!("== {id}: {what} ==");
+    println!("{}\n", banner_line(sizes, timed, threads()));
+}
+
+/// The line under a banner's title; see [`banner`].
+fn banner_line(sizes: &[usize], timed: Option<(usize, f64)>, threads: usize) -> String {
     let sizes = match sizes {
         [n] => format!("n = {n}"),
         _ => format!("sizes {sizes:?}"),
     };
-    println!(
-        "{sizes}, {} replications, {}s measured, {} threads\n",
-        replications(),
-        measured_seconds(8.0),
-        threads()
-    );
+    match timed {
+        Some((seeds, seconds)) => {
+            let plural = if seeds == 1 { "" } else { "s" };
+            // To the millisecond: a record sized in ticks measures a
+            // fraction of a second.
+            let seconds = (seconds * 1e3).round() / 1e3;
+            format!("{sizes}, {seeds} replication{plural}, {seconds}s measured, {threads} threads")
+        }
+        None => format!("{sizes}, static snapshots, {threads} threads"),
+    }
 }
 
 #[cfg(test)]
@@ -418,6 +430,22 @@ mod tests {
         for bad in ["0", "-1", "nan", "inf"] {
             assert!(parse_knob("CHLM_DURATION", Some(bad), 8.0, "x", positive).is_err());
         }
+    }
+
+    #[test]
+    fn banner_states_what_the_record_ran() {
+        assert_eq!(
+            banner_line(&[128, 256], Some((6, 8.0)), 2),
+            "sizes [128, 256], 6 replications, 8s measured, 2 threads"
+        );
+        assert_eq!(
+            banner_line(&[512], Some((1, 12.0 * 0.0757)), 2),
+            "n = 512, 1 replication, 0.908s measured, 2 threads"
+        );
+        assert_eq!(
+            banner_line(&[256, 1024], None, 2),
+            "sizes [256, 1024], static snapshots, 2 threads"
+        );
     }
 
     #[test]

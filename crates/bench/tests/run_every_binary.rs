@@ -77,21 +77,33 @@ fn every_binary_exits_zero_with_a_table() {
     }
 }
 
-/// A record's banner names the sizes it runs: E16 runs one network of
-/// `CHLM_MOBILITY_N` nodes, not the `CHLM_MAX_N` ladder.
+/// The line under a record's banner title.
+fn banner_line(id: &str, overrides: &[(&str, &str)]) -> String {
+    let out = chlm_exp(&[id], overrides);
+    assert!(out.status.success(), "{id} exited {:?}", out.status.code());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout.lines().nth(1).unwrap_or_default().to_string()
+}
+
+/// A record's banner names the sizes it runs and what it ran there: E16
+/// runs one network of `CHLM_MOBILITY_N` nodes, not the `CHLM_MAX_N`
+/// ladder; E18 one replication of 12 ticks, not `CHLM_SEEDS` runs of
+/// `CHLM_DURATION` seconds; E14 simulates nothing.
 #[test]
 fn banner_names_the_sizes_the_record_runs() {
-    let out = chlm_exp(&["E16"], &[("CHLM_MOBILITY_N", "64")]);
-    assert!(out.status.success(), "E16 exited {:?}", out.status.code());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let banner = stdout.lines().nth(1).unwrap_or_default();
-    assert!(
-        banner.starts_with("n = 64,"),
-        "E16 banner must name n = 64: {banner:?}"
+    let e16 = banner_line("E16", &[("CHLM_MOBILITY_N", "64")]);
+    assert_eq!(e16, "n = 64, 2 replications, 2s measured, 2 threads");
+
+    let tick = chlm_sim::SimConfig::builder(256).build().tick();
+    let measured = (12.0 * tick * 1e3).round() / 1e3;
+    assert_eq!(
+        banner_line("E18", &[]),
+        format!("n = 256, 1 replication, {measured}s measured, 2 threads")
     );
-    assert!(
-        !stdout.contains("sizes ["),
-        "E16 printed a ladder:\n{stdout}"
+
+    assert_eq!(
+        banner_line("E14", &[]),
+        "sizes [128, 256], static snapshots, 2 threads"
     );
 }
 

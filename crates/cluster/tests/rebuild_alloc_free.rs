@@ -12,49 +12,9 @@
 use chlm_cluster::{Hierarchy, HierarchyOptions, RebuildScratch};
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::Graph;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocator calls made by this thread (const-initialised and
-    /// `Drop`-free, so reading it never allocates).
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn count() {
-    // `try_with`: a thread being torn down may allocate after its
-    // thread-locals are gone.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is
-// side-effect-only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// A 1500-node uniform deployment at density 1 and degree 9, with its
 /// election IDs.
@@ -86,9 +46,9 @@ fn rebuild_into_a_warm_carcass_makes_no_allocator_call() {
         for (c, carcass) in carcasses.iter_mut().enumerate() {
             let w = (c + round) % 2;
             let (ids, g) = &worlds[w];
-            let before = CALLS.with(Cell::get);
+            let before = counting_alloc::thread_calls();
             carcass.rebuild(ids, g, opts, &mut scratch);
-            let calls = CALLS.with(Cell::get) - before;
+            let calls = counting_alloc::thread_calls() - before;
             if round >= 2 {
                 assert_eq!(
                     calls, 0,
@@ -102,10 +62,10 @@ fn rebuild_into_a_warm_carcass_makes_no_allocator_call() {
         }
     }
     // A reading of zero above would be meaningless without the counter.
-    let before = CALLS.with(Cell::get);
+    let before = counting_alloc::thread_calls();
     drop(std::hint::black_box(Vec::<u64>::with_capacity(8)));
     assert!(
-        CALLS.with(Cell::get) > before,
+        counting_alloc::thread_calls() > before,
         "the counting allocator saw nothing"
     );
 }

@@ -16,40 +16,9 @@
 use chlm_geom::{Disk, Point, SimRng};
 use chlm_graph::UnitDiskMaintainer;
 use chlm_par::WorkerPool;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Allocator calls made by the process.
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is
-// side-effect-only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// A world at density 1 and degree 9: `n` uniform points on a disk, each
 /// moving `R_TX / 10` a tick on a fixed heading that turns back whenever
@@ -105,9 +74,9 @@ fn measure(n: usize, threads: usize, ticks: usize) -> [(u64, u64); 2] {
     let mut seen = [(0u64, 0u64); 2];
     for _ in 0..ticks {
         world.step();
-        let before = CALLS.load(Ordering::Relaxed);
+        let before = counting_alloc::process_calls();
         let rebuilt = m.advance(&world.pts);
-        let calls = CALLS.load(Ordering::Relaxed) - before;
+        let calls = counting_alloc::process_calls() - before;
         let slot = &mut seen[usize::from(rebuilt)];
         slot.0 += 1;
         slot.1 += calls;

@@ -22,6 +22,7 @@
 //!   travels old → new server.
 
 use crate::hash::{hrw_select, hrw_weight, mod_successor_select};
+use crate::query::Route;
 use chlm_cluster::ElectionId;
 use chlm_geom::{Point, Rect};
 use chlm_graph::fasthash::FastMap;
@@ -622,62 +623,30 @@ impl GlsIncremental {
     }
 }
 
-/// Resolve a GLS location query.
+/// Route a GLS location query without pricing it.
 ///
 /// GLS routes a query for `target` through successively coarser grid
 /// orders: starting from the requester's own position, at each order `i`
 /// the query is forwarded to the node that *would be* `target`'s server
 /// for the requester's sibling set — in our (already simplified, see the
 /// module docs) model we resolve at the lowest order whose square
-/// contains both endpoints, asking `target`'s server in that shared
-/// square's band. Costs: request hops to the answering server, plus the
-/// reply back.
+/// contains both endpoints (the route's `level`), asking `target`'s
+/// server in that shared square's band. A priced lookup is the request to
+/// the answering server plus the reply back.
 ///
 /// Returns `None` when no server of the target exists in the shared
 /// structure (e.g. all sibling squares empty — only in near-degenerate
 /// deployments).
-pub fn gls_resolve<H: FnMut(NodeIdx, NodeIdx) -> f64>(
-    grid: &GridHierarchy,
-    assignment: &GlsAssignment,
-    positions: &[Point],
-    requester: NodeIdx,
-    target: NodeIdx,
-    mut hop: H,
-) -> Option<f64> {
-    let route = gls_resolve_route(grid, assignment, positions, requester, target)?;
-    Some(match route.server {
-        None => 0.0,
-        Some(server) => hop(requester, server) + hop(server, requester),
-    })
-}
-
-/// The route one GLS query takes, before any pricing: the lowest shared
-/// grid order and the band server to ask there. This is the single
-/// resolution code path — [`gls_resolve`] and the simulator's query-plane
-/// backends (analytic and packet) price exactly this route.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GlsRoute {
-    /// Lowest grid order whose square contains both endpoints (`0` for a
-    /// self-query).
-    pub shared_order: usize,
-    /// Band server to ask, or `None` when the answer is free (self-query
-    /// or shared order-1 square).
-    pub server: Option<NodeIdx>,
-}
-
-/// Route a GLS location query without pricing it; see [`gls_resolve`] for
-/// the model. Returns `None` when no server of the target exists in the
-/// shared structure.
 pub fn gls_resolve_route(
     grid: &GridHierarchy,
     assignment: &GlsAssignment,
     positions: &[Point],
     requester: NodeIdx,
     target: NodeIdx,
-) -> Option<GlsRoute> {
+) -> Option<Route> {
     if requester == target {
-        return Some(GlsRoute {
-            shared_order: 0,
+        return Some(Route {
+            level: 0,
             server: None,
         });
     }
@@ -695,8 +664,8 @@ pub fn gls_resolve_route(
     if shared == 1 {
         // Same order-1 square: everyone there knows everyone (the GLS
         // analog of level-1 cluster knowledge).
-        return Some(GlsRoute {
-            shared_order: 1,
+        return Some(Route {
+            level: 1,
             server: None,
         });
     }
@@ -724,8 +693,8 @@ pub fn gls_resolve_route(
                 .copied()
                 .find(|&s| s != NO_SERVER)
         })?;
-    Some(GlsRoute {
-        shared_order: shared,
+    Some(Route {
+        level: shared,
         server: Some(server),
     })
 }
@@ -907,12 +876,18 @@ mod tests {
         let ids: Vec<u64> = (0..200).collect();
         let g = GridHierarchy::covering(Rect::square(80.0), 10.0);
         let a = GlsAssignment::compute(&g, &pts, &ids);
-        assert_eq!(gls_resolve(&g, &a, &pts, 5, 5, |_, _| 1.0), Some(0.0));
+        let free = |level| {
+            Some(Route {
+                level,
+                server: None,
+            })
+        };
+        assert_eq!(gls_resolve_route(&g, &a, &pts, 5, 5), free(0));
         // Find two nodes in the same order-1 square.
         'outer: for u in 0..200u32 {
             for v in (u + 1)..200u32 {
                 if g.cell(pts[u as usize], 1) == g.cell(pts[v as usize], 1) {
-                    assert_eq!(gls_resolve(&g, &a, &pts, u, v, |_, _| 1.0), Some(0.0));
+                    assert_eq!(gls_resolve_route(&g, &a, &pts, u, v), free(1));
                     break 'outer;
                 }
             }
@@ -931,10 +906,10 @@ mod tests {
                 if u == v {
                     continue;
                 }
-                if let Some(cost) = gls_resolve(&g, &a, &pts, u, v, |a, b| {
-                    pts[a as usize].dist(pts[b as usize])
-                }) {
-                    assert!(cost >= 0.0);
+                if let Some(route) = gls_resolve_route(&g, &a, &pts, u, v) {
+                    // A server is asked exactly when the endpoints share
+                    // no order-1 square.
+                    assert_eq!(route.server.is_some(), route.level >= 2);
                     resolved += 1;
                 }
             }

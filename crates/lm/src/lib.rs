@@ -30,7 +30,8 @@
 //! * [`server`] — the full server-assignment table and its diff,
 //! * [`handoff`] — packet-transmission accounting for handoff (the φ_k and
 //!   γ_k of §§4–5),
-//! * [`query`] — location query resolution and its cost,
+//! * [`query`] — location query resolution: the [`query::Route`] a lookup
+//!   takes, which the simulator's query plane prices,
 //! * [`churn`] — node birth/death handoff pricing (the paper's excluded
 //!   case, evaluated as an extension in E21),
 //! * [`update`] — distance-triggered registration refresh (the Θ(log n)
@@ -45,7 +46,7 @@
 //! use chlm_geom::{Disk, SimRng};
 //! use chlm_graph::unit_disk::build_unit_disk;
 //! use chlm_lm::server::{LmAssignment, SelectionRule};
-//! use chlm_lm::query::resolve;
+//! use chlm_lm::query::resolve_route;
 //!
 //! let region = Disk::centered(10.0);
 //! let mut rng = SimRng::seed_from(5);
@@ -57,8 +58,9 @@
 //! // One LM server per node per level ≥ 2, placed by weighted rendezvous
 //! // hashing inside the node's cluster.
 //! let assignment = LmAssignment::compute(&h, SelectionRule::Hrw);
-//! // Resolve a location query through the lowest common cluster.
-//! let _outcome = resolve(&h, &assignment, 0, 119, |_, _| 1.0);
+//! // Route a location query through the lowest common cluster: the level
+//! // it resolves at, and the server to ask there (none at levels ≤ 1).
+//! let _route = resolve_route(&h, &assignment, 0, 119);
 //! ```
 
 pub mod audit;

@@ -6,34 +6,26 @@
 //! a level `k` whose cluster also contains `t`, asks the level-k LM server
 //! of `t` there (locatable by the same hash that placed it), and the server
 //! answers with `t`'s address. The paper argues (§6) that query cost is
-//! `O(hop(s, t))` and is absorbed into the session that follows; experiment
-//! E13 measures it.
+//! `O(hop(s, t))` and is absorbed into the session that follows; the
+//! simulator's query plane prices every route on its own transport
+//! (experiments E13 and E27).
 
 use crate::server::LmAssignment;
 use chlm_cluster::Hierarchy;
 use chlm_graph::NodeIdx;
 
-/// Result of one resolved query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryOutcome {
-    /// Level of the lowest common cluster of requester and target.
-    pub common_level: usize,
-    /// Server that answered (the target itself when resolved at level ≤ 1).
-    pub server: NodeIdx,
-    /// Packet transmissions spent: request to the server plus the reply.
-    pub packets: f64,
-}
-
-/// The route one query takes, before any pricing: which level it resolved
-/// at, and which server (if any) has to be contacted. This is the single
-/// resolution code path — [`resolve`] and every simulator-side lookup
-/// backend (analytic or packet) price exactly this route.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryRoute {
-    /// Level of the lowest common cluster of requester and target.
-    pub common_level: usize,
-    /// Server to ask, or `None` when the answer is free (resolved at
-    /// level ≤ 1: same node or complete intra-cluster knowledge).
+/// The route one lookup takes, before any pricing: the level it resolved
+/// at, and which server (if any) has to be contacted. Both resolution
+/// code paths return it — CHLM's [`resolve_route`] and GLS's
+/// [`crate::gls::gls_resolve_route`] — and a priced lookup is the request
+/// `requester → server` plus the reply back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    /// Resolution level: CHLM's lowest common cluster level of requester
+    /// and target, GLS's lowest shared grid order (`0` for a self-query).
+    pub level: usize,
+    /// Server to ask, or `None` when the answer is free (a self-query, or
+    /// complete knowledge inside a level-1 cluster / order-1 square).
     pub server: Option<NodeIdx>,
 }
 
@@ -45,7 +37,7 @@ pub fn resolve_route(
     assignment: &LmAssignment,
     requester: NodeIdx,
     target: NodeIdx,
-) -> Option<QueryRoute> {
+) -> Option<Route> {
     // Lowest level whose cluster contains both: walk both clusterhead
     // chains in lockstep (no address materialization).
     let common = h
@@ -55,8 +47,8 @@ pub fn resolve_route(
     if common <= 1 {
         // Same node, or same level-1 cluster: complete intra-cluster
         // knowledge, answer is free; the session itself costs hop(s, t).
-        return Some(QueryRoute {
-            common_level: common,
+        return Some(Route {
+            level: common,
             server: None,
         });
     }
@@ -68,35 +60,9 @@ pub fn resolve_route(
         // audit: infallible because `common` came from position() over
         // zipped address iterators, so both addresses have > common levels.
         .unwrap_or_else(|| h.address(target).nth(common).expect("level in range"));
-    Some(QueryRoute {
-        common_level: common,
+    Some(Route {
+        level: common,
         server: Some(server),
-    })
-}
-
-/// Resolve the location of `target` for `requester`.
-///
-/// `hop` is the hop-distance oracle. Returns `None` only if the two nodes
-/// share no cluster at any level (disconnected components).
-pub fn resolve<H: FnMut(NodeIdx, NodeIdx) -> f64>(
-    h: &Hierarchy,
-    assignment: &LmAssignment,
-    requester: NodeIdx,
-    target: NodeIdx,
-    mut hop: H,
-) -> Option<QueryOutcome> {
-    let route = resolve_route(h, assignment, requester, target)?;
-    Some(match route.server {
-        None => QueryOutcome {
-            common_level: route.common_level,
-            server: target,
-            packets: 0.0,
-        },
-        Some(server) => QueryOutcome {
-            common_level: route.common_level,
-            server,
-            packets: hop(requester, server) + hop(server, requester),
-        },
     })
 }
 
@@ -121,12 +87,24 @@ mod tests {
         (h, a)
     }
 
+    /// Packets a lookup spends under the hop oracle `hop`: request to the
+    /// server plus the reply, nothing when the answer is free.
+    fn packets(
+        route: Route,
+        requester: NodeIdx,
+        mut hop: impl FnMut(NodeIdx, NodeIdx) -> f64,
+    ) -> f64 {
+        route.server.map_or(0.0, |server| {
+            hop(requester, server) + hop(server, requester)
+        })
+    }
+
     #[test]
     fn self_query_is_free() {
         let (h, a) = random_net(100, 1);
-        let q = resolve(&h, &a, 5, 5, |_, _| 1.0).unwrap();
-        assert_eq!(q.common_level, 0);
-        assert_eq!(q.packets, 0.0);
+        let route = resolve_route(&h, &a, 5, 5).unwrap();
+        assert_eq!(route.level, 0);
+        assert_eq!(packets(route, 5, |_, _| 1.0), 0.0);
     }
 
     #[test]
@@ -138,13 +116,10 @@ mod tests {
             if dist0[t as usize] == chlm_graph::traversal::UNREACHABLE {
                 continue;
             }
-            let q = resolve(&h, &a, 0, t, |x, y| {
-                let d = bfs_distances(g0, x);
-                d[y as usize] as f64
-            });
-            let q = q.expect("connected pair must resolve");
-            assert!(q.packets >= 0.0);
-            assert!(q.common_level < h.depth());
+            let route = resolve_route(&h, &a, 0, t).expect("connected pair must resolve");
+            let cost = packets(route, 0, |x, y| bfs_distances(g0, x)[y as usize] as f64);
+            assert!(cost >= 0.0);
+            assert!(route.level < h.depth());
         }
     }
 
@@ -153,13 +128,16 @@ mod tests {
         let (h, a) = random_net(300, 3);
         let addrs = h.addresses();
         for (s, t) in [(0u32, 200u32), (10, 150), (42, 99)] {
-            if let Some(q) = resolve(&h, &a, s, t, |_, _| 1.0) {
-                if q.common_level >= 2 {
-                    assert_eq!(
-                        addrs[q.server as usize][q.common_level], addrs[t as usize][q.common_level],
-                        "server outside common cluster"
-                    );
-                }
+            if let Some(Route {
+                level,
+                server: Some(server),
+            }) = resolve_route(&h, &a, s, t)
+            {
+                assert!(level >= 2);
+                assert_eq!(
+                    addrs[server as usize][level], addrs[t as usize][level],
+                    "server outside common cluster"
+                );
             }
         }
     }
@@ -185,13 +163,11 @@ mod tests {
             if d[t as usize] == chlm_graph::traversal::UNREACHABLE {
                 continue;
             }
-            let q = resolve(&h, &a, s, t, |x, y| {
-                bfs_distances(&g0, x)[y as usize] as f64
-            })
-            .unwrap();
+            let route = resolve_route(&h, &a, s, t).unwrap();
+            let cost = packets(route, s, |x, y| bfs_distances(&g0, x)[y as usize] as f64);
             let session = d[t as usize] as f64;
             if session > 0.0 {
-                ratio_sum += q.packets / session;
+                ratio_sum += cost / session;
                 count += 1;
             }
         }
@@ -210,6 +186,6 @@ mod tests {
         let g = chlm_graph::Graph::with_nodes(2);
         let h = Hierarchy::build(&ids, &g, HierarchyOptions::default());
         let a = LmAssignment::compute(&h, SelectionRule::Hrw);
-        assert!(resolve(&h, &a, 0, 1, |_, _| 1.0).is_none());
+        assert!(resolve_route(&h, &a, 0, 1).is_none());
     }
 }

@@ -7,7 +7,7 @@ use chlm_graph::unit_disk::build_unit_disk;
 use chlm_graph::{Graph, NodeIdx};
 use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::hash::{hrw_select, hrw_select_weighted, mod_successor_select};
-use chlm_lm::query::resolve;
+use chlm_lm::query::resolve_route;
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use chlm_mobility::{MobilityModel, RandomWaypoint};
 use proptest::prelude::*;
@@ -84,7 +84,7 @@ proptest! {
         let (comp, _) = chlm_graph::traversal::connected_components(&g);
         for s in 0..g.node_count().min(6) as NodeIdx {
             for t in 0..g.node_count().min(6) as NodeIdx {
-                let res = resolve(&h, &a, s, t, |_, _| 1.0);
+                let res = resolve_route(&h, &a, s, t);
                 prop_assert_eq!(
                     res.is_some(),
                     comp[s as usize] == comp[t as usize],

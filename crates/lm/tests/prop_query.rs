@@ -11,7 +11,7 @@ use chlm_cluster::{Hierarchy, HierarchyOptions};
 use chlm_geom::{Point, Region, SimRng};
 use chlm_graph::{Graph, NodeIdx};
 use chlm_lm::gls::{gls_resolve_route, GlsAssignment, GridHierarchy, NO_SERVER};
-use chlm_lm::query::{resolve, resolve_route};
+use chlm_lm::query::resolve_route;
 use chlm_lm::server::{LmAssignment, SelectionRule};
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ proptest! {
         for s in 0..n.min(6) {
             for t in 0..n.min(6) {
                 let Some(route) = resolve_route(&h, &a, s, t) else { continue };
-                prop_assert!(route.common_level < h.depth());
+                prop_assert!(route.level < h.depth());
                 // Recompute the lowest common level directly from the
                 // materialized address rows.
                 let expect = addrs[s as usize]
@@ -70,14 +70,14 @@ proptest! {
                     .zip(&addrs[t as usize])
                     .position(|(x, y)| x == y)
                     .expect("route exists => common level exists");
-                prop_assert_eq!(route.common_level, expect);
+                prop_assert_eq!(route.level, expect);
                 match route.server {
-                    None => prop_assert!(route.common_level <= 1),
+                    None => prop_assert!(route.level <= 1),
                     Some(srv) => {
-                        prop_assert!(route.common_level >= 2);
+                        prop_assert!(route.level >= 2);
                         prop_assert_eq!(
-                            addrs[srv as usize][route.common_level],
-                            addrs[t as usize][route.common_level],
+                            addrs[srv as usize][route.level],
+                            addrs[t as usize][route.level],
                             "server outside the common cluster"
                         );
                     }
@@ -86,19 +86,17 @@ proptest! {
         }
     }
 
-    /// CHLM: priced lookups never cost negative packets, and free lookups
-    /// (level ≤ 1) cost exactly zero under any non-negative oracle.
+    /// CHLM: a lookup costs packets (a request to a server and the reply)
+    /// exactly when it resolves above level 1; at level ≤ 1 the route names
+    /// no server, so every transport prices it at zero.
     #[test]
     fn chlm_packets_nonnegative(g in arb_graph(40), seed in 0u64..500) {
         let (h, a) = hierarchy_for(&g, seed);
         let n = g.node_count() as NodeIdx;
         for s in 0..n.min(6) {
             for t in 0..n.min(6) {
-                let Some(q) = resolve(&h, &a, s, t, |_, _| 2.5) else { continue };
-                prop_assert!(q.packets >= 0.0);
-                if q.common_level <= 1 {
-                    prop_assert_eq!(q.packets, 0.0);
-                }
+                let Some(route) = resolve_route(&h, &a, s, t) else { continue };
+                prop_assert_eq!(route.server.is_none(), route.level <= 1);
             }
         }
     }
@@ -129,11 +127,11 @@ proptest! {
             let t = rng.index(n) as NodeIdx;
             let Some(route) = gls_resolve_route(&grid, &a, &pts, s, t) else { continue };
             match route.server {
-                None => prop_assert!(route.shared_order <= 1),
+                None => prop_assert!(route.level <= 1),
                 Some(srv) => {
                     prop_assert!(srv != NO_SERVER);
-                    prop_assert!(route.shared_order >= 2);
-                    let band = route.shared_order - 2;
+                    prop_assert!(route.level >= 2);
+                    let band = route.level - 2;
                     prop_assert!(band < a.band_count());
                     prop_assert!(
                         a.servers(t, band).contains(&srv),
@@ -161,7 +159,7 @@ proptest! {
         }
         let s = rng.index(n) as NodeIdx;
         let route = gls_resolve_route(&grid, &a, &pts, s, s).expect("self-query resolves");
-        prop_assert_eq!(route.shared_order, 0);
+        prop_assert_eq!(route.level, 0);
         prop_assert!(route.server.is_none());
     }
 }

@@ -12,49 +12,9 @@ use chlm_cluster::{Hierarchy, HierarchyOptions};
 use chlm_geom::{Disk, SimRng};
 use chlm_graph::NodeIdx;
 use chlm_routing::nexthop::NextHopTable;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocator calls made by this thread (const-initialised and
-    /// `Drop`-free, so reading it never allocates).
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn count() {
-    // `try_with`: a thread being torn down may allocate after its
-    // thread-locals are gone.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is
-// side-effect-only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The hierarchy of a 1500-node uniform deployment at density 1 and
 /// degree 9, with the simulator's `min_reduction`.
@@ -86,9 +46,9 @@ fn warm_rebuild_makes_no_allocator_call() {
     // larger of the two shapes.
     for round in 0..6 {
         let w = round % 2;
-        let before = CALLS.with(Cell::get);
+        let before = counting_alloc::thread_calls();
         table.rebuild(&worlds[w]);
-        let calls = CALLS.with(Cell::get) - before;
+        let calls = counting_alloc::thread_calls() - before;
         if round >= 2 {
             assert_eq!(
                 calls, 0,
@@ -104,10 +64,10 @@ fn warm_rebuild_makes_no_allocator_call() {
         }
     }
     // A reading of zero above would be meaningless without the counter.
-    let before = CALLS.with(Cell::get);
+    let before = counting_alloc::thread_calls();
     drop(std::hint::black_box(Vec::<u64>::with_capacity(8)));
     assert!(
-        CALLS.with(Cell::get) > before,
+        counting_alloc::thread_calls() > before,
         "the counting allocator saw nothing"
     );
 }

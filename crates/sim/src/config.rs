@@ -130,13 +130,15 @@ impl Backend {
     }
 }
 
+/// Nodes per unit area of every deployment, held fixed across sizes
+/// (§1.2): the region grows with `n`, the radio range does not.
+pub const DENSITY: f64 = 1.25;
+
 /// Full experiment configuration. Construct with [`SimConfig::builder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Node count `|V|`.
     pub n: usize,
-    /// Nodes per unit area (held fixed across sizes per §1.2).
-    pub density: f64,
     /// Target mean degree; sets `R_TX` via the Poisson approximation.
     pub target_degree: f64,
     /// Node speed μ (m/s).
@@ -190,7 +192,6 @@ impl SimConfig {
         SimConfigBuilder {
             cfg: SimConfig {
                 n,
-                density: 1.25,
                 target_degree: 9.0,
                 speed: 2.0,
                 duration: 30.0,
@@ -210,14 +211,14 @@ impl SimConfig {
         }
     }
 
-    /// Transmission radius implied by the density and target degree.
+    /// Transmission radius implied by [`DENSITY`] and the target degree.
     pub fn rtx(&self) -> f64 {
-        chlm_geom::rtx_for_degree(self.target_degree, self.density)
+        chlm_geom::rtx_for_degree(self.target_degree, DENSITY)
     }
 
-    /// Deployment-disk radius implied by `n` and density.
+    /// Deployment-disk radius implied by `n` at [`DENSITY`].
     pub fn region_radius(&self) -> f64 {
-        chlm_geom::disk_radius_for_density(self.n, self.density)
+        chlm_geom::disk_radius_for_density(self.n, DENSITY)
     }
 
     /// Effective tick length.
@@ -248,8 +249,6 @@ impl SimConfig {
             assert!(value.is_finite(), "{field} must be finite, got {value}");
         };
         assert!(self.n >= 1, "need at least one node");
-        finite(self.density, "density");
-        assert!(self.density > 0.0);
         finite(self.target_degree, "target_degree");
         assert!(self.target_degree > 0.0);
         finite(self.speed, "speed");
@@ -311,10 +310,6 @@ pub struct SimConfigBuilder {
 }
 
 impl SimConfigBuilder {
-    pub fn density(mut self, d: f64) -> Self {
-        self.cfg.density = d;
-        self
-    }
     pub fn target_degree(mut self, d: f64) -> Self {
         self.cfg.target_degree = d;
         self
@@ -451,12 +446,6 @@ mod tests {
     #[should_panic]
     fn negative_query_rate_rejected() {
         SimConfig::builder(16).query_rate(-0.1).build();
-    }
-
-    #[test]
-    #[should_panic(expected = "density must be finite")]
-    fn non_finite_density_rejected() {
-        SimConfig::builder(16).density(f64::INFINITY).build();
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::transport::shard_loss_seed;
 use chlm_cluster::address::{AddrChange, AddressBook};
 use chlm_cluster::metrics::level_stats;
 use chlm_cluster::Hierarchy;
-use chlm_geom::{Disk, SimRng};
+use chlm_geom::{Disk, Point, SimRng};
 use chlm_graph::NodeIdx;
 use chlm_lm::server::{HostChange, LmAssignment};
 use chlm_mobility::{MobilityModel, RandomDirection, RandomWaypoint, Rpgm, StaticModel};
@@ -538,10 +538,20 @@ impl Simulation {
         self.mx.world.hierarchy()
     }
 
+    /// Current node positions.
+    pub fn positions(&self) -> &[Point] {
+        self.mx.world.mobility.positions()
+    }
+
+    /// Current LM server assignment snapshot.
+    pub fn assignment(&self) -> &LmAssignment {
+        self.mx.world.assignment()
+    }
+
     /// The variant's own observer set (handoff slot, query slot, extras —
     /// accumulators read back by experiments and tests).
     pub fn observers(&self) -> &Observers {
-        self.mx.banks[0].observers()
+        self.mx.observers(0)
     }
 
     /// The scheme-independent world accumulators.

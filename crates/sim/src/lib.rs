@@ -61,7 +61,7 @@ pub mod transport;
 
 pub use audit::{AuditViolation, Auditor};
 pub use config::{
-    Backend, HopMetric, LmScheme, LossSpec, MobilityKind, SimConfig, SimConfigBuilder,
+    Backend, HopMetric, LmScheme, LossSpec, MobilityKind, SimConfig, SimConfigBuilder, DENSITY,
 };
 pub use cost::{CostInputs, CostModel, HopPricer};
 pub use engine::{build_engine, Engine, Simulation};

@@ -56,7 +56,7 @@ use crate::audit::AuditViolation;
 use crate::config::{Backend, HopMetric, LmScheme, SimConfig};
 use crate::cost::{CostInputs, CostModel, Pricing};
 use crate::engine::{ObserverBank, World};
-use crate::observe::WorldObservers;
+use crate::observe::{Observers, WorldObservers};
 use crate::report::SimReport;
 use crate::scheme::{make_scheme, SchemePlane};
 use crate::stage::{default_stages, StageSet};
@@ -220,6 +220,12 @@ impl MultiplexSim {
     /// Number of variants fanned out.
     pub fn variant_count(&self) -> usize {
         self.banks.len()
+    }
+
+    /// One variant's own observer set — the multiplexed counterpart of
+    /// [`crate::Simulation::observers`].
+    pub fn observers(&self, variant: usize) -> &Observers {
+        self.banks[variant].observers()
     }
 
     /// Invariant violations found so far for one variant (empty unless the

@@ -65,7 +65,7 @@ use chlm_graph::NodeIdx;
 use chlm_lm::gls::{gls_resolve_route, GlsIncremental, GlsSelect, GridHierarchy, NO_SERVER};
 use chlm_lm::handoff::{for_each_handoff, HandoffLedger};
 use chlm_lm::hash::hrw_select;
-use chlm_lm::query::resolve_route;
+use chlm_lm::query::{resolve_route, Route};
 use chlm_proto::network::NetworkStats;
 
 /// Salt for the home-agent rendezvous selection, fixed so every node can
@@ -234,23 +234,25 @@ impl Scheme for ChlmScheme {
         legs: &mut Vec<LookupLeg>,
     ) -> Option<u16> {
         let route = resolve_route(ctx.new_hierarchy, ctx.new_assignment, requester, target)?;
-        if let Some(server) = route.server {
-            push_round_trip(legs, requester, server);
-        }
-        Some(route.common_level as u16)
+        Some(route_legs(route, requester, legs))
     }
 }
 
-/// A request `requester → server` and its answer back.
-fn push_round_trip(legs: &mut Vec<LookupLeg>, requester: NodeIdx, server: NodeIdx) {
-    legs.push(LookupLeg {
-        src: requester,
-        dst: server,
-    });
-    legs.push(LookupLeg {
-        src: server,
-        dst: requester,
-    });
+/// The legs of `requester`'s lookup along `route` — the request to the
+/// route's server and the answer back, none when the answer is free — and
+/// its resolution level.
+fn route_legs(route: Route, requester: NodeIdx, legs: &mut Vec<LookupLeg>) -> u16 {
+    if let Some(server) = route.server {
+        legs.push(LookupLeg {
+            src: requester,
+            dst: server,
+        });
+        legs.push(LookupLeg {
+            src: server,
+            dst: requester,
+        });
+    }
+    route.level as u16
 }
 
 /// GLS-style per-band location servers on the recursive grid.
@@ -402,10 +404,7 @@ impl Scheme for GlsScheme {
             requester,
             target,
         )?;
-        if let Some(server) = route.server {
-            push_round_trip(legs, requester, server);
-        }
-        Some(route.shared_order as u16)
+        Some(route_legs(route, requester, legs))
     }
 }
 

@@ -23,49 +23,9 @@
 //! so nothing the harness does beside it lands in the window.
 
 use chlm_sim::{Backend, HopMetric, LmScheme, MultiplexSim, SimConfig, VariantSpec};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocator calls made by this thread (const-initialised and
-    /// `Drop`-free, so reading it never allocates).
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn count() {
-    // `try_with`: a thread being torn down may allocate after its
-    // thread-locals are gone.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is
-// side-effect-only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The latest reading above x 1.25, rounded up.
 const BUDGET_CALLS_PER_TICK: f64 = 107.0;
@@ -96,11 +56,11 @@ fn bfs_priced_banks_stay_inside_the_allocation_budget() {
     for _ in 0..WARM_TICKS {
         sim.step();
     }
-    let before = CALLS.with(Cell::get);
+    let before = counting_alloc::thread_calls();
     for _ in 0..MEASURED_TICKS {
         sim.step();
     }
-    let per_tick = (CALLS.with(Cell::get) - before) as f64 / MEASURED_TICKS as f64;
+    let per_tick = (counting_alloc::thread_calls() - before) as f64 / MEASURED_TICKS as f64;
     assert!(
         per_tick <= BUDGET_CALLS_PER_TICK,
         "{per_tick} allocator calls a tick, budget {BUDGET_CALLS_PER_TICK}"

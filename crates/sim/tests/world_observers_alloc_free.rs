@@ -12,50 +12,11 @@
 
 use chlm_sim::observe::WorldObservers;
 use chlm_sim::{HopPricer, Observer, SimConfig, Simulation, TickCtx};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-thread_local! {
-    /// Allocator calls made by this thread (const-initialised and
-    /// `Drop`-free, so reading it never allocates).
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn count() {
-    // `try_with`: a thread being torn down may allocate after its
-    // thread-locals are gone.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is
-// side-effect-only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 const WARM_TICKS: usize = 20;
 const MEASURED_TICKS: usize = 10;
@@ -71,9 +32,9 @@ struct Probe {
 
 impl Observer for Probe {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
-        let before = CALLS.with(Cell::get);
+        let before = counting_alloc::thread_calls();
         self.world.on_tick(ctx);
-        let calls = CALLS.with(Cell::get) - before;
+        let calls = counting_alloc::thread_calls() - before;
         if self.ticks >= WARM_TICKS {
             let (ticks, total) = self.measured.get();
             self.measured.set((ticks + 1, total + calls));
@@ -99,14 +60,14 @@ fn warm_world_observer_tick_makes_no_allocator_call() {
     for _ in 0..WARM_TICKS {
         sim.step();
     }
-    let before = CALLS.with(Cell::get);
+    let before = counting_alloc::thread_calls();
     for _ in 0..MEASURED_TICKS {
         sim.step();
     }
     // A reading of zero must not mean the counter is not installed: the
     // rest of the tick still allocates now and then.
     assert!(
-        CALLS.with(Cell::get) > before,
+        counting_alloc::thread_calls() > before,
         "the counting allocator saw nothing"
     );
     assert!(

@@ -13,7 +13,7 @@
 use chlm::cluster::metrics::{format_stats_table, level_stats};
 use chlm::geom::{Disk, SimRng};
 use chlm::graph::traversal::bfs_distances;
-use chlm::lm::query::resolve;
+use chlm::lm::query::resolve_route;
 use chlm::prelude::*;
 use chlm::routing::hierarchical_path;
 
@@ -59,18 +59,20 @@ fn main() {
         .max_by_key(|&v| (positions[v as usize].dist(positions[subject as usize]) * 1000.0) as u64)
         .expect("network is non-empty");
     println!("\n== query: node {requester} looks up node {subject} ==");
-    let outcome = resolve(&hierarchy, &assignment, requester, subject, |a, b| {
-        bfs_distances(&graph, a)[b as usize] as f64
-    });
-    match outcome {
+    match resolve_route(&hierarchy, &assignment, requester, subject) {
         None => println!("requester and subject are disconnected"),
-        Some(q) => {
-            println!("lowest common cluster level : {}", q.common_level);
-            println!("answering LM server         : node {}", q.server);
-            println!(
-                "query cost                  : {:.0} packet transmissions",
-                q.packets
-            );
+        Some(route) => {
+            println!("lowest common cluster level : {}", route.level);
+            // The request travels to the server and the reply comes back.
+            let (server, packets) = match route.server {
+                Some(server) => (
+                    server,
+                    2 * bfs_distances(&graph, requester)[server as usize],
+                ),
+                None => (subject, 0),
+            };
+            println!("answering LM server         : node {server}");
+            println!("query cost                  : {packets} packet transmissions");
             // Now route the session hierarchically.
             if let Some(path) = hierarchical_path(&hierarchy, requester, subject) {
                 println!(
