@@ -57,7 +57,8 @@ test -s target/step_reach.json
 # engine selects by HRW; E14's ablation calls `LmAssignment::compute`), and
 # the lookup pricers that ran beside the query plane with their two route
 # types (a lookup is priced only by a bank's `QueryBook`; both schemes'
-# route functions return one `chlm_lm::query::Route`).
+# route functions return one `chlm_lm::query::Route`), and the disjoint-set
+# forest and the hash-set alias that nothing outside their own tests used.
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.) The last entry is a layout,
 # not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
@@ -75,6 +76,7 @@ removed+='\|hop_row(\|batch_rows'
 removed+='\|RandomWalk\|MobilityKind::Walk'
 removed+='\|LmMessage\|SchemeWorkload\|SchemeLookup\|LookupWorld\|selection_rule'
 removed+='\|QueryOutcome\|gls_resolve(\|QueryRoute\|GlsRoute'
+removed+='\|UnionFind\|FastSet'
 removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2
@@ -274,18 +276,47 @@ cargo test -q -p chlm-sim --test hierarchy_equivalence -- --ignored depth_oscill
 step "benchmark/ tests"
 (cd benchmark && cargo test --offline -q)
 
-# The three experiments whose full grid starts above CI scale, each at its
+# The two experiments whose full grid starts above CI scale, each at its
 # bounded `--smoke` spec (n = 256, 1 seed, all three mobilities) and at two
 # thread counts: E24, the scheme comparison through the shared-world
-# multiplexer; E25, the same grid under HopMetric::HierRouting, the only
-# record that drives the routing-table cost model end to end; E27, the
-# update-vs-query crossover over all schemes x both backends. Scheme
-# accounting and the query plane share the thread-invariance contract.
-for id in E24 E25 E27; do
+# multiplexer, every world priced by the calibrated Euclidean estimate and
+# under HopMetric::HierRouting (the only record that drives the routing-
+# table cost model end to end); E27, the update-vs-query crossover over all
+# schemes x both backends. Scheme accounting and the query plane share the
+# thread-invariance contract.
+for id in E24 E27; do
   for threads in 1 2; do
     step "chlm-exp $id --smoke (CHLM_THREADS=$threads)"
     CHLM_THREADS=$threads cargo run -p chlm-bench --release -q --bin chlm-exp -- "$id" --smoke
   done
 done
+
+# Every committed E1-E23 result is what its command prints today: each
+# record runs at the knobs of EXPERIMENTS.md's Reproducing block at one
+# thread, and its stdout is diffed with results/<record>.txt minus the
+# file's `#` header lines. (E24-E27 name their own commands in their
+# headers; the golden wall pins E24 and E27.) Ids and record names come
+# from the registry listing `chlm-exp` prints when given no id.
+step "results/ E1-E23 match their command (CHLM_THREADS=1)"
+cargo build -p chlm-bench --release -q --bin chlm-exp
+exp=target/release/chlm-exp
+knobs=$(grep -m1 '^export CHLM_' EXPERIMENTS.md | sed 's/^export //')
+records=$("$exp" 2>&1 | awk '$1 ~ /^E([1-9]|1[0-9]|2[0-3])$/ { print $1 ":" $2 }' || true)
+if [ -z "$knobs" ] || [ "$(echo "$records" | wc -w)" -ne 23 ]; then
+  echo "results drift: no Reproducing knobs, or not 23 records E1-E23 in the registry listing" >&2
+  exit 1
+fi
+drifted=0
+for record in $records; do
+  id=${record%%:*}
+  name=${record#*:}
+  # shellcheck disable=SC2086 # $knobs is a list of NAME=value words
+  if ! env -u CHLM_MOBILITY_N $knobs CHLM_THREADS=1 "$exp" "$id" \
+    | diff -u <(grep -v '^#' "results/$name.txt") -; then
+    echo "results drift: results/$name.txt is not what chlm-exp $id prints" >&2
+    drifted=1
+  fi
+done
+[ "$drifted" -eq 0 ]
 
 printf '\nci.sh: all checks passed\n'

@@ -18,7 +18,8 @@ use crate::{lm_compare, query_crossover};
 /// One experiment: what it reproduces and the code that prints it.
 #[derive(Debug)]
 pub struct Experiment {
-    /// `E1` … `E27`, the row of DESIGN.md §3's index.
+    /// `E1` … `E27`, the row of DESIGN.md §3's index. `E25` is retired
+    /// (its HierRouting tables are E24's second half) and never reused.
     pub id: &'static str,
     /// The function that runs it, and the `results/<name>.txt` it writes.
     pub name: &'static str,
@@ -78,8 +79,7 @@ registry! {
     E21 structure::exp_churn                "§1's excluded case (extension)"  "single node birth/death handoff cost";
     E22 structure::exp_dalca                "§2.2 / methodology"  "distributed ALCA: convergence + message locality";
     E23 packets::exp_lossy_links            "robustness extension"  "handoff transmissions under per-hop loss";
-    E24 lm_compare::exp_lm_compare          "§3.1 vs §3.2 vs flat baseline (extension)"  "LM scheme comparison (chlm vs gls vs home agent)" smoke;
-    E25 lm_compare::exp_hier_resweep        "§2.1 stretch (extension)"  "LM scheme comparison under hierarchical-routing pricing" smoke;
+    E24 lm_compare::exp_lm_compare          "§3.1 vs §3.2 vs flat baseline, §2.1 stretch (extension)"  "LM scheme comparison (chlm vs gls vs home agent) under two hop metrics" smoke;
     E26 scaling::exp_scale16k               "§6 at scale (extension)"  "polylog extrapolation to n = CHLM_SCALE_N";
     E27 query_crossover::exp_query_crossover "§6 query-vs-update crossover (extension)"  "update-vs-query crossover (chlm vs gls vs home agent)" smoke;
 }

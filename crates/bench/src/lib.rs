@@ -8,7 +8,7 @@
 //! a usage error (message on stderr, exit status 2):
 //!
 //! * `CHLM_MAX_N` — largest network size in sweeps (default 1024, 4096
-//!   for E24/E25; at least the first rung of the record's size ladder),
+//!   for E24; at least the first rung of the record's size ladder),
 //! * `CHLM_SEEDS` — replications per point (default 6, ≥ 1),
 //! * `CHLM_DURATION` — measured seconds per replication (default 8, 4
 //!   for E27; > 0),

@@ -1,13 +1,14 @@
-//! E24 and E25: the three-scheme LM comparison on identical traces, priced
-//! by the calibrated Euclidean estimate (E24) and along hierarchical routes
-//! (E25).
+//! E24: the three-scheme LM comparison on identical traces, every world
+//! priced twice — by the calibrated Euclidean estimate and along
+//! hierarchical routes (the §2.1 stretch).
 //!
 //! The sweep is public so the golden snapshot test runs the *same* code
-//! the two records run: one [`CompareSpec`] → one deterministic
-//! [`CompareRow`] list → one canonical JSON rendering. Every scheme at a
-//! given (mobility, n, seed) sees the byte-identical world trace — `base_seed` is shared and the scheme only
-//! swaps the accounting observer (pinned by `chlm-sim`'s
-//! `tests/scheme_trace.rs`).
+//! the record runs: one [`CompareSpec`] → one deterministic [`CompareRow`]
+//! list → one canonical JSON rendering. Every (scheme, metric) bank at a
+//! given (mobility, n, seed) sees the byte-identical world trace — one
+//! world feeds all six banks, and a bank only swaps the accounting
+//! observer and its pricer (pinned by `chlm-sim`'s `tests/scheme_trace.rs`
+//! and `tests/multiplex_equivalence.rs`).
 
 use crate::{
     env_usize, jf, measured_seconds, replications, scaling_sizes, summarize, threads,
@@ -26,6 +27,13 @@ pub(crate) fn schemes() -> [(&'static str, LmScheme); 3] {
         ("home", LmScheme::HomeAgent),
     ]
 }
+
+/// The hop metrics every world is priced under, in report order, each with
+/// the key its rows sit under in [`rows_json`].
+const METRICS: [(&str, HopMetric); 2] = [
+    ("rows", HopMetric::EuclideanCalibrated),
+    ("hier_routing_rows", HopMetric::HierRouting),
+];
 
 /// The mobility models of the full E24 sweep.
 pub(crate) fn mobility_models() -> Vec<(&'static str, MobilityKind)> {
@@ -60,46 +68,33 @@ pub struct CompareSpec {
     /// smoke/golden runs.
     crossing_warmup: bool,
     mobilities: Vec<(&'static str, MobilityKind)>,
-    /// How hops are priced. `EuclideanCalibrated` (the `SimConfig`
-    /// default) for E24; `HierRouting` for the E25 re-sweep.
-    hop_metric: HopMetric,
 }
 
 impl CompareSpec {
-    /// The fixed golden-snapshot spec: n = 256, 2 seeds, walk + waypoint.
-    /// Changing any of these regenerates different numbers — keep in sync
-    /// with `tests/golden/lm_compare_n256.json`.
+    /// The fixed golden-snapshot spec: the smoke spec at 2 seeds, walk +
+    /// waypoint. Changing any of these regenerates different numbers —
+    /// keep in sync with `tests/golden/lm_compare_n256.json`.
     pub fn golden() -> Self {
+        let mut mobilities = mobility_models();
+        mobilities.retain(|(name, _)| *name != "rpgm");
         CompareSpec {
-            sizes: vec![256],
             replications: 2,
-            base_seed: 24_000,
-            threads: 2,
-            duration: 2.0,
-            warmup: 1.0,
-            crossing_warmup: false,
-            mobilities: mobility_models()
-                .into_iter()
-                .filter(|(name, _)| *name != "rpgm")
-                .collect(),
-            hop_metric: HopMetric::EuclideanCalibrated,
+            mobilities,
+            ..CompareSpec::smoke(2)
         }
     }
 
-    /// The full E24/E25 grid from the `CHLM_*` knobs: n = 256 doubling to
+    /// The full E24 grid from the `CHLM_*` knobs: n = 256 doubling to
     /// `CHLM_MAX_N` (default 4096), all three mobilities, warmup extended
     /// to two region crossings.
     fn from_env() -> Self {
         CompareSpec {
             sizes: scaling_sizes(256, env_usize("CHLM_MAX_N", 4096, 256)),
             replications: replications(),
-            base_seed: 24_000,
-            threads: threads(),
             duration: measured_seconds(8.0),
             warmup: warmup_seconds(6.0),
             crossing_warmup: true,
-            mobilities: mobility_models(),
-            hop_metric: HopMetric::EuclideanCalibrated,
+            ..CompareSpec::smoke(threads())
         }
     }
 
@@ -114,18 +109,15 @@ impl CompareSpec {
             warmup: 1.0,
             crossing_warmup: false,
             mobilities: mobility_models(),
-            hop_metric: HopMetric::EuclideanCalibrated,
         }
     }
 
-    /// The per-scheme config at one (mobility, n) grid cell.
-    fn config_for(&self, n: usize, mobility: MobilityKind, scheme: LmScheme) -> SimConfig {
+    /// The world config at one (mobility, n) grid cell.
+    fn config_for(&self, n: usize, mobility: MobilityKind) -> SimConfig {
         let mut cfg = SimConfig::builder(n)
             .duration(self.duration)
             .warmup(self.warmup)
             .mobility(mobility)
-            .lm_scheme(scheme)
-            .hop_metric(self.hop_metric)
             .build();
         if self.crossing_warmup {
             let crossing = cfg.region_radius() / cfg.speed;
@@ -135,10 +127,11 @@ impl CompareSpec {
     }
 }
 
-/// One (mobility, scheme, n) cell: φ+γ in packets per node per second,
-/// mean ± ci95 over the spec's replications.
+/// One (metric, mobility, scheme, n) cell: φ+γ in packets per node per
+/// second, mean ± ci95 over the spec's replications.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompareRow {
+    metric: HopMetric,
     mobility: &'static str,
     scheme: &'static str,
     n: usize,
@@ -147,47 +140,55 @@ pub struct CompareRow {
 }
 
 /// Run the full comparison through the shared-world multiplexer: one
-/// world per (mobility, n, seed) grid cell, all three schemes priced
-/// against it as observer banks ([`chlm_sim::run_grid`]: one ticket pool
-/// over every world-run). Rows are ordered mobility → scheme → n; the
-/// fan-out reproduces each standalone report exactly (`chlm-sim`'s
-/// `tests/multiplex_equivalence.rs`).
+/// world per (mobility, n, seed) grid cell, priced against it by six
+/// observer banks — the three schemes by the calibrated Euclidean
+/// estimate, then along hierarchical routes ([`chlm_sim::run_grid`]: one
+/// ticket pool over every world-run). Rows are ordered metric → mobility
+/// → scheme → n; the fan-out reproduces each standalone report exactly
+/// (`chlm-sim`'s `tests/multiplex_equivalence.rs`).
 pub fn run_compare(spec: &CompareSpec) -> Vec<CompareRow> {
-    // Cells in mobility → n order; the world never reads the scheme axis.
+    // Cells in mobility → n order; the world reads neither the scheme nor
+    // the metric axis.
     let cells: Vec<SimConfig> = spec
         .mobilities
         .iter()
         .flat_map(|&(_, mobility)| {
             spec.sizes
                 .iter()
-                .map(move |&n| spec.config_for(n, mobility, LmScheme::Chlm))
+                .map(move |&n| spec.config_for(n, mobility))
         })
         .collect();
     let Some(first) = cells.first() else {
         return Vec::new();
     };
-    let variants: Vec<VariantSpec> = schemes()
+    let variants: Vec<VariantSpec> = METRICS
         .iter()
-        .map(|&(name, scheme)| VariantSpec::new(name, scheme, spec.hop_metric, first.backend))
+        .flat_map(|&(_, metric)| {
+            schemes().map(|(name, scheme)| VariantSpec::new(name, scheme, metric, first.backend))
+        })
         .collect();
     let seeds = seed_range(spec.base_seed, spec.replications);
     let grid = run_grid(&cells, &seeds, &variants, spec.threads);
     let mut rows = Vec::new();
-    for (&(mob_name, _), by_size) in spec
-        .mobilities
-        .iter()
-        .zip(grid.chunks_exact(spec.sizes.len()))
-    {
-        for (vi, (scheme_name, _)) in schemes().into_iter().enumerate() {
-            for (&n, cell) in spec.sizes.iter().zip(by_size) {
-                let s = summarize(&cell[vi], SimReport::total_overhead);
-                rows.push(CompareRow {
-                    mobility: mob_name,
-                    scheme: scheme_name,
-                    n,
-                    mean: s.mean,
-                    ci95: s.ci95(),
-                });
+    for (mi, &(_, metric)) in METRICS.iter().enumerate() {
+        for (&(mob_name, _), by_size) in spec
+            .mobilities
+            .iter()
+            .zip(grid.chunks_exact(spec.sizes.len()))
+        {
+            for (si, (scheme_name, _)) in schemes().into_iter().enumerate() {
+                let vi = mi * schemes().len() + si;
+                for (&n, cell) in spec.sizes.iter().zip(by_size) {
+                    let s = summarize(&cell[vi], SimReport::total_overhead);
+                    rows.push(CompareRow {
+                        metric,
+                        mobility: mob_name,
+                        scheme: scheme_name,
+                        n,
+                        mean: s.mean,
+                        ci95: s.ci95(),
+                    });
+                }
             }
         }
     }
@@ -195,7 +196,8 @@ pub fn run_compare(spec: &CompareSpec) -> Vec<CompareRow> {
 }
 
 /// Canonical JSON for a row list (hand-rolled; the workspace carries no
-/// serde). Stable key order, one row per line.
+/// serde). Stable key order, one row per line, one row array per metric:
+/// `rows` for the Euclidean banks, `hier_routing_rows` for the others.
 pub fn rows_json(spec: &CompareSpec, rows: &[CompareRow]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!(
@@ -207,26 +209,39 @@ pub fn rows_json(spec: &CompareSpec, rows: &[CompareRow]) -> String {
         jf(spec.duration),
         jf(spec.warmup),
     ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mobility\": \"{}\", \"scheme\": \"{}\", \"n\": {}, \"mean\": {}, \"ci95\": {}}}{}\n",
-            r.mobility,
-            r.scheme,
-            r.n,
-            jf(r.mean),
-            jf(r.ci95),
-            comma
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    let arrays: Vec<String> = METRICS
+        .iter()
+        .map(|&(key, metric)| {
+            let lines: Vec<String> = rows
+                .iter()
+                .filter(|r| r.metric == metric)
+                .map(|r| {
+                    format!(
+                        "    {{\"mobility\": \"{}\", \"scheme\": \"{}\", \"n\": {}, \"mean\": {}, \"ci95\": {}}}",
+                        r.mobility,
+                        r.scheme,
+                        r.n,
+                        jf(r.mean),
+                        jf(r.ci95),
+                    )
+                })
+                .collect();
+            let mut body = lines.join(",\n");
+            if !body.is_empty() {
+                body.push('\n');
+            }
+            format!("  \"{key}\": [\n{body}  ]")
+        })
+        .collect();
+    out.push_str(&arrays.join(",\n"));
+    out.push_str("\n}\n");
     out
 }
 
-/// Render one φ+γ table per mobility model: a row per n, a (mean, ci95)
-/// column pair per scheme, plus overhead ratios against CHLM.
-fn render_tables(spec: &CompareSpec, rows: &[CompareRow]) -> String {
+/// Render one φ+γ table per mobility model for the rows priced under
+/// `metric`: a row per n, a (mean, ci95) column pair per scheme, plus
+/// overhead ratios against CHLM.
+fn render_tables(spec: &CompareSpec, rows: &[CompareRow], metric: HopMetric) -> String {
     let mut out = String::new();
     for &(mob_name, _) in &spec.mobilities {
         let mut headers = vec!["n".to_string()];
@@ -240,7 +255,12 @@ fn render_tables(spec: &CompareSpec, rows: &[CompareRow]) -> String {
         for &n in &spec.sizes {
             let cell = |scheme: &str| -> &CompareRow {
                 rows.iter()
-                    .find(|r| r.mobility == mob_name && r.scheme == scheme && r.n == n)
+                    .find(|r| {
+                        r.metric == metric
+                            && r.mobility == mob_name
+                            && r.scheme == scheme
+                            && r.n == n
+                    })
                     .expect("run_compare covers the full grid")
             };
             let (chlm, gls, home) = (cell("chlm"), cell("gls"), cell("home"));
@@ -263,8 +283,13 @@ fn render_tables(spec: &CompareSpec, rows: &[CompareRow]) -> String {
 
 /// E24: φ+γ (packets per node per second, mean ± ci95) per (mobility, n,
 /// scheme) for CHLM, per-band GLS and the home agent, for n ∈ {256 ..
-/// CHLM_MAX_N} × {random walk, random waypoint, RPGM}. `--smoke` runs the
-/// bounded CI spec (n = 256, 1 seed, all schemes, all mobilities).
+/// CHLM_MAX_N} × {random walk, random waypoint, RPGM}, priced by the
+/// calibrated Euclidean estimate and then along the hierarchical
+/// cluster-routing paths the paper's protocol would use
+/// (`HopMetric::HierRouting`, the §2.1 stretch). One world per (mobility,
+/// n, seed) feeds all six banks, and the three HierRouting banks share one
+/// routing table per tick. `--smoke` runs the bounded CI spec (n = 256,
+/// 1 seed, all schemes, both metrics, all mobilities).
 pub(crate) fn exp_lm_compare(smoke: bool) {
     let spec = if smoke {
         CompareSpec::smoke(threads())
@@ -283,9 +308,12 @@ pub(crate) fn exp_lm_compare(smoke: bool) {
     let started = Instant::now();
     let rows = run_compare(&spec);
     let elapsed = started.elapsed();
-    print!("{}", render_tables(&spec, &rows));
+    for (_, metric) in METRICS {
+        println!("-- hops priced by HopMetric::{metric:?} --\n");
+        print!("{}", render_tables(&spec, &rows, metric));
+    }
     println!(
-        "wall clock: {:.3}s (multiplexed: one world per (mobility, n, seed), 3 schemes fanned out)",
+        "wall clock: {:.3}s (multiplexed: one world per (mobility, n, seed), 3 schemes x 2 metrics fanned out)",
         elapsed.as_secs_f64(),
     );
     println!("notes:");
@@ -295,54 +323,10 @@ pub(crate) fn exp_lm_compare(smoke: bool) {
     println!("  server-churn transfers + distance-triggered updates;");
     println!("- home: one static HRW rendezvous node per mobile, one update per");
     println!("  level-1 cluster change — the flat baseline of the paper's argument;");
-    println!("- chlm: the §4 handoff ledger (transfer + registration cascade).");
-}
-
-/// E25: the E24 three-scheme comparison re-priced under
-/// `HopMetric::HierRouting` — hops charged along the hierarchical
-/// cluster-routing paths the paper's protocol would actually use, not the
-/// calibrated Euclidean estimate.
-///
-/// This is the headline re-sweep the shared-world multiplexer pays for:
-/// the hierarchical routing table is built once per tick per world and
-/// shared by all three scheme banks (one `with_pricer` scope per metric
-/// group), so the re-sweep costs roughly one world-run where per-scheme
-/// runs would cost three plus three table builds.
-///
-/// Same grid and knobs as E24 (`CHLM_MAX_N`, `CHLM_SEEDS`,
-/// `CHLM_DURATION`, `CHLM_WARMUP`, `--smoke`); only the pricing differs.
-pub(crate) fn exp_hier_resweep(smoke: bool) {
-    let mut spec = if smoke {
-        CompareSpec::smoke(threads())
-    } else {
-        CompareSpec::from_env()
-    };
-    spec.hop_metric = HopMetric::HierRouting;
-    println!("== E25: LM scheme comparison under hierarchical-routing pricing ==");
-    println!(
-        "sizes {:?}, {} replications, {}s measured, {} threads{}\n",
-        spec.sizes,
-        spec.replications,
-        spec.duration,
-        spec.threads,
-        if smoke { " [smoke]" } else { "" }
-    );
-    let started = Instant::now();
-    let rows = run_compare(&spec);
-    print!("{}", render_tables(&spec, &rows));
-    println!(
-        "wall clock: {:.3}s (multiplexed; routing table shared per world)",
-        started.elapsed().as_secs_f64()
-    );
-    println!("notes:");
-    println!("- identical grid and traces to E24; hops priced along the level-wise");
-    println!("  cluster-routing paths (HopMetric::HierRouting) instead of the");
-    println!("  calibrated Euclidean estimate — stretch > 1 raises every scheme;");
-    println!("- the three schemes share one world and one routing table per tick");
-    println!("  (the multiplexer's per-metric pricer group), so this re-sweep adds");
-    println!("  ~1 world-run of cost to the E24 study instead of ~3;");
-    println!("- scheme ordering (chlm >> gls > home in dense walk/waypoint; rpgm");
-    println!("  closing the gap) should be read against E24's Euclidean tables.");
+    println!("- chlm: the §4 handoff ledger (transfer + registration cascade);");
+    println!("- HierRouting charges hops along the level-wise cluster-routing paths");
+    println!("  instead of the calibrated Euclidean estimate: stretch > 1 raises");
+    println!("  every scheme, so read the scheme ordering within one metric.");
 }
 
 #[cfg(test)]
@@ -356,7 +340,6 @@ mod tests {
         assert_eq!(s.replications, 2);
         assert_eq!(s.base_seed, 24_000);
         assert_eq!(s.mobilities.len(), 2);
-        assert_eq!(s.hop_metric, HopMetric::EuclideanCalibrated);
     }
 
     #[test]
@@ -366,9 +349,11 @@ mod tests {
         spec.duration = 1.0;
         spec.warmup = 0.2;
         spec.replications = 1;
-        spec.hop_metric = HopMetric::HierRouting;
         let rows = run_compare(&spec);
-        assert_eq!(rows.len(), spec.mobilities.len() * schemes().len());
+        let per_metric = spec.mobilities.len() * schemes().len();
+        assert_eq!(rows.len(), METRICS.len() * per_metric);
+        let hier = rows.iter().filter(|r| r.metric == HopMetric::HierRouting);
+        assert_eq!(hier.count(), per_metric);
         assert!(rows.iter().all(|r| r.mean > 0.0));
     }
 
@@ -376,6 +361,7 @@ mod tests {
     fn json_is_stable_shape() {
         let spec = CompareSpec::golden();
         let rows = vec![CompareRow {
+            metric: HopMetric::HierRouting,
             mobility: "walk",
             scheme: "chlm",
             n: 256,
@@ -385,6 +371,7 @@ mod tests {
         let json = rows_json(&spec, &rows);
         assert!(json.contains("\"mean\": 1.5"));
         assert!(json.contains("\"ci95\": 0.25"));
+        assert!(json.contains("  \"rows\": [\n  ],\n  \"hier_routing_rows\": [\n    {"));
         assert!(json.ends_with("]\n}\n"));
     }
 }

@@ -148,12 +148,13 @@ fn gls_query_half_reads_the_update_half_table() {
 }
 
 /// E24's scheme comparison on its pinned grid, through `chlm-exp E24`'s
-/// library code.
+/// library code: both mobilities x three schemes, priced by the calibrated
+/// Euclidean estimate and along hierarchical routes.
 #[test]
 fn lm_compare_matches_golden_snapshot() {
     let spec = lm_compare::CompareSpec::golden();
     let rows = lm_compare::run_compare(&spec);
-    assert_eq!(rows.len(), 2 * 3);
+    assert_eq!(rows.len(), 2 * 3 * 2);
     check(&[("e24".into(), lm_compare::rows_json(&spec, &rows))]);
 }
 

@@ -6,7 +6,7 @@
 //! block, `ci.sh`'s smoke loop) agree with the registry.
 //!
 //! The tiny scale is the one CHANGES.md records for proving the
-//! `run_sweep` port byte-identical: all 27 together take ~2 s in release
+//! `run_sweep` port byte-identical: all 26 together take ~2 s in release
 //! and ~11 s in debug on two cores.
 
 use chlm_bench::experiments::EXPERIMENTS;
@@ -137,7 +137,13 @@ fn out_of_range_knobs_are_usage_errors() {
 
 #[test]
 fn bad_arguments_print_the_registry_and_exit_2() {
-    for args in [&[][..], &["E0"], &["E7", "--smoke"], &["E24", "--smoek"]] {
+    for args in [
+        &[][..],
+        &["E0"],
+        &["E25"],
+        &["E7", "--smoke"],
+        &["E24", "--smoek"],
+    ] {
         let out = chlm_exp(args, &[]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{stderr}");
@@ -152,10 +158,15 @@ fn bad_arguments_print_the_registry_and_exit_2() {
     }
 }
 
+/// E1–E27 in order without E25: that id is retired (its HierRouting tables
+/// are E24's second half) and no other id moved into its place.
 #[test]
 fn registry_ids_are_e1_to_e27_in_order() {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-    let want: Vec<String> = (1..=27).map(|k| format!("E{k}")).collect();
+    let want: Vec<String> = (1..=27)
+        .filter(|&k| k != 25)
+        .map(|k| format!("E{k}"))
+        .collect();
     assert_eq!(ids, want);
     let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     names.sort_unstable();
@@ -166,7 +177,7 @@ fn registry_ids_are_e1_to_e27_in_order() {
         .filter(|e| e.smoke)
         .map(|e| e.id)
         .collect();
-    assert_eq!(smoke, ["E24", "E25", "E27"]);
+    assert_eq!(smoke, ["E24", "E27"]);
     let ci_loop = format!("for id in {}; do", smoke.join(" "));
     assert!(
         read_doc("ci.sh").contains(&ci_loop),

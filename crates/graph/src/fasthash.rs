@@ -26,9 +26,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `HashMap` with [`FxHasher`] — drop-in for integer-keyed hot maps.
 pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `HashSet` with [`FxHasher`].
-pub type FastSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher>>;
-
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Multiply-xor hasher (the rustc "FxHash" construction).

@@ -26,7 +26,6 @@
 //!   scalar BFS per root where a batch is too thin and too spread out to
 //!   pay — and publishes each batch as one bit-plane block of under a byte
 //!   per root and node,
-//! * [`UnionFind`] — disjoint sets for fast connectivity,
 //! * [`dynamics::LinkDiff`] — link up/down event extraction between
 //!   consecutive topology snapshots (the level-0 link-state change events of
 //!   eq. (4)).
@@ -57,12 +56,10 @@ pub mod fasthash;
 pub mod incremental;
 mod msbfs;
 pub mod traversal;
-pub mod union_find;
 pub mod unit_disk;
 
 pub use dynamics::LinkDiff;
 pub use incremental::{EdgeFlip, UnitDiskMaintainer};
-pub use union_find::UnionFind;
 
 use chlm_par::WorkerPool;
 use msbfs::{Batch, Block, Scratch};

@@ -5,7 +5,7 @@ use chlm_graph::traversal::{
     bfs_distances, connected_components, hop_distance, shortest_path, UNREACHABLE,
 };
 use chlm_graph::unit_disk::{build_unit_disk, build_unit_disk_brute};
-use chlm_graph::{Graph, NodeIdx, UnionFind};
+use chlm_graph::{Graph, NodeIdx};
 use chlm_par::WorkerPool;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -577,15 +577,15 @@ proptest! {
     }
 
     #[test]
-    fn union_find_matches_components(g in arb_graph(30)) {
-        let mut uf = UnionFind::new(g.node_count());
-        for (u, v) in g.edges() {
-            uf.union(u, v);
-        }
+    fn components_match_bfs_reachability(g in arb_graph(30)) {
         let (comp, count) = connected_components(&g);
-        prop_assert_eq!(uf.set_count(), count);
-        for u in 0..g.node_count() as u32 {
-            prop_assert_eq!(uf.same_set(0, u), comp[0] == comp[u as usize]);
+        let labels: BTreeSet<u32> = comp.iter().copied().collect();
+        prop_assert_eq!(labels.len(), count);
+        for u in 0..g.node_count() as NodeIdx {
+            let dist = bfs_distances(&g, u);
+            for v in 0..g.node_count() {
+                prop_assert_eq!(comp[u as usize] == comp[v], dist[v] != UNREACHABLE);
+            }
         }
     }
 

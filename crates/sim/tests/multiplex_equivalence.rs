@@ -92,7 +92,7 @@ fn nine_variant_fan_out_matches_standalone_bfs() {
 #[test]
 fn fan_out_matches_standalone_euclidean_and_hier() {
     // Same grid under the calibrated-Euclidean metric plus a HierRouting
-    // variant (the E25 pricing): mixed metric groups in one fan-out.
+    // variant (E24's second pricing): mixed metric groups in one fan-out.
     let cfg = base_cfg(100, 7);
     let mut variants = grid_variants(HopMetric::EuclideanCalibrated);
     variants.push(VariantSpec::new(
