@@ -58,7 +58,10 @@ test -s target/step_reach.json
 # the lookup pricers that ran beside the query plane with their two route
 # types (a lookup is priced only by a bank's `QueryBook`; both schemes'
 # route functions return one `chlm_lm::query::Route`), and the disjoint-set
-# forest and the hash-set alias that nothing outside their own tests used.
+# forest and the hash-set alias that nothing outside their own tests used,
+# and the per-transport BFS warm-up (each bank's transport filled its own
+# legs' rows, twelve fills a tick on E27; the multiplexer now fills every
+# plane's pairs once a tick, rooted at a vertex cover of them).
 # Fail if one comes back into production source. (`if`, not `! grep`:
 # errexit ignores a status inverted with `!`.) The last entry is a layout,
 # not a name: `chlm_graph::Graph` keeps its neighbor rows in one arena, and
@@ -77,6 +80,7 @@ removed+='\|RandomWalk\|MobilityKind::Walk'
 removed+='\|LmMessage\|SchemeWorkload\|SchemeLookup\|LookupWorld\|selection_rule'
 removed+='\|QueryOutcome\|gls_resolve(\|QueryRoute\|GlsRoute'
 removed+='\|UnionFind\|FastSet'
+removed+='\|RowWarmer\|rows\.warm'
 removed+='\|adj: Vec<Vec<'
 if grep -rn "$removed" crates/*/src src xtask/src examples; then
   echo "leftover check: a removed name is back in production source" >&2

@@ -125,6 +125,55 @@ pub fn fit_model(class: ModelClass, xs: &[f64], ys: &[f64]) -> FitResult {
     FitResult { class, a, b, r2 }
 }
 
+/// The 95 % confidence interval of `fit`'s slope `a`, fitted on `xs` /
+/// `ys`: `a ± t · SE(a)`, with `SE(a)² = (SS_res / (m − 2)) / Σ(t − t̄)²`
+/// over the basis values `t` and `t` the two-sided 97.5 % Student
+/// quantile at `m − 2` degrees of freedom. `None` when the slope has no
+/// error estimate: fewer than three points, a constant class, or a basis
+/// that does not vary over `xs`. A slope *falls significantly* when the
+/// whole interval lies below zero.
+///
+/// # Panics
+/// If the lengths differ, or any x is non-positive.
+pub fn slope_interval95(fit: &FitResult, xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
+    assert_eq!(xs.len(), ys.len());
+    let m = xs.len();
+    if m < 3 || fit.class == ModelClass::Constant {
+        return None;
+    }
+    let ts: Vec<f64> = xs.iter().map(|&x| fit.class.basis(x)).collect();
+    let mean_t = ts.iter().sum::<f64>() / m as f64;
+    let var_t: f64 = ts.iter().map(|t| (t - mean_t) * (t - mean_t)).sum();
+    if var_t <= 0.0 {
+        return None;
+    }
+    let ss_res: f64 = ts
+        .iter()
+        .zip(ys)
+        .map(|(&t, &y)| {
+            let e = y - (fit.a * t + fit.b);
+            e * e
+        })
+        .sum();
+    let se = (ss_res / (m - 2) as f64 / var_t).sqrt();
+    let half = student_t975(m - 2) * se;
+    Some((fit.a - half, fit.a + half))
+}
+
+/// The two-sided 97.5 % quantile of Student's t at `df ≥ 1` degrees of
+/// freedom, to three decimals; past 30 it stays at 30's value, which
+/// over-states the quantile (1.96 in the limit), so an interval built
+/// from it errs wide.
+fn student_t975(df: usize) -> f64 {
+    const T: [f64; 30] = [
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+        2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+        2.052, 2.048, 2.045, 2.042,
+    ];
+    assert!(df >= 1, "no degrees of freedom");
+    T[df.min(30) - 1]
+}
+
 /// Fit every candidate class and return the results sorted by descending
 /// R² (best first).
 pub fn best_fit(xs: &[f64], ys: &[f64]) -> Vec<FitResult> {
@@ -238,6 +287,34 @@ mod tests {
     fn degenerate_single_point() {
         let fit = fit_model(ModelClass::LogN, &[100.0], &[3.0]);
         assert_eq!(fit.b + fit.a * ModelClass::LogN.basis(100.0), 3.0);
+    }
+
+    /// A line with residuals of known size: four points on `y = 2t + 1`
+    /// in `t = ln n`, nudged by ±0.1 alternately, give the slope's
+    /// textbook interval, and the interval is `None` where it has no
+    /// error estimate.
+    #[test]
+    fn slope_interval_is_the_textbook_one() {
+        let ts = [1.0f64, 2.0, 3.0, 4.0];
+        let xs: Vec<f64> = ts.iter().map(|t| t.exp()).collect();
+        let ys: Vec<f64> = ts
+            .iter()
+            .zip([0.1, -0.1, 0.1, -0.1])
+            .map(|(t, e)| 2.0 * t + 1.0 + e)
+            .collect();
+        let fit = fit_model(ModelClass::LogN, &xs, &ys);
+        let (lo, hi) = slope_interval95(&fit, &xs, &ys).unwrap();
+        // Σ(t − t̄)² = 5; the fit leaves SS_res = 0.032 at slope 1.96, so
+        // SE = √(0.032 / 2 / 5) and t(2) = 4.303.
+        let half = 4.303 * (0.032f64 / 2.0 / 5.0).sqrt();
+        assert!((fit.a - 1.96).abs() < 1e-9, "{fit:?}");
+        assert!((lo - (1.96 - half)).abs() < 1e-9 && (hi - (1.96 + half)).abs() < 1e-9);
+        assert!(lo > 0.0, "a clear rise is significant");
+        assert_eq!(slope_interval95(&fit, &xs[..2], &ys[..2]), None);
+        let flat = fit_model(ModelClass::Constant, &xs, &ys);
+        assert_eq!(slope_interval95(&flat, &xs, &ys), None);
+        assert_eq!(student_t975(1), 12.706);
+        assert_eq!(student_t975(500), student_t975(30));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::{
     banner, env_usize, mean, mean_of, mean_some, print_fits, print_series, replications,
     standard_config, standard_runs, standard_sweep, summarize, sweep_sizes, threads, MetricSeries,
 };
-use chlm_analysis::regression::{fit_model, relative_spread, ModelClass};
+use chlm_analysis::regression::{fit_model, relative_spread, slope_interval95, ModelClass};
 use chlm_analysis::stats::Summary;
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_analysis::theory::{f0_prediction, q1_fraction_lower_bound, q_chain, q_total};
@@ -197,6 +197,9 @@ fn pooled_p(reports: &[SimReport]) -> Vec<f64> {
         .collect()
 }
 
+/// E11's bar: the least `q₁` the largest sizes must show.
+const Q1_BAR: f64 = 0.02;
+
 /// E11 (eq. 22): quantifying `q₁` — **the simulation the paper explicitly
 /// left as future work** ("Actual quantification of q₁ via simulation
 /// represents a direction for future work", §5.3.2).
@@ -206,6 +209,9 @@ fn pooled_p(reports: &[SimReport]) -> Vec<f64> {
 /// probabilities `q_j` (eq. 15a), and check the two things the analysis
 /// needs: (1) `q₁` stays bounded away from 0 as `|V|` grows, and (2) the
 /// `q₁/Q ≥ q₁/(p² + q₁)` bound of eq. (21b) holds and is non-vanishing.
+/// The verdict on (1) is EXPERIMENTS.md's two-part rule: no significant
+/// fall of `q₁` over `ln n`, and `q₁ >` [`Q1_BAR`] at the two largest
+/// sizes.
 pub(crate) fn exp_q1_future_work() {
     let sizes = sweep_sizes();
     banner(
@@ -227,7 +233,7 @@ pub(crate) fn exp_q1_future_work() {
         "q1/Q",
         "eq21b bound",
     ]);
-    let mut q1_series = Vec::new();
+    let (mut q1_sizes, mut q1_series) = (Vec::new(), Vec::new());
     for (n, reports) in sizes.iter().zip(&sweep) {
         let p = pooled_p(reports);
         let depth = p.len();
@@ -246,6 +252,7 @@ pub(crate) fn exp_q1_future_work() {
         let q = q_chain(&p, k);
         let q1 = q[0];
         let qq = q_total(&q);
+        q1_sizes.push(*n as f64);
         q1_series.push(q1);
         t.row(vec![
             format!("{n}"),
@@ -261,14 +268,37 @@ pub(crate) fn exp_q1_future_work() {
     }
     println!("{}", t.render());
 
-    let min_q1 = q1_series.iter().copied().fold(f64::MAX, f64::min);
-    println!("min q1 across sizes: {min_q1:.4}");
+    // The claim's own shape (EXPERIMENTS.md, E11): no significant fall of
+    // q1 over ln n, and q1 above the bar at the two largest sizes.
+    let slope = (q1_series.len() >= 3)
+        .then(|| {
+            let fit = fit_model(ModelClass::LogN, &q1_sizes, &q1_series);
+            slope_interval95(&fit, &q1_sizes, &q1_series).map(|(lo, hi)| (fit.a, lo, hi))
+        })
+        .flatten();
+    match slope {
+        Some((a, lo, hi)) => {
+            println!("q1 vs ln n: slope {a:+.4}, 95% interval [{lo:+.4}, {hi:+.4}]")
+        }
+        None => println!("q1 vs ln n: no slope interval (fewer than three sizes)"),
+    }
+    let largest = &q1_series[q1_series.len().saturating_sub(2)..];
+    let above = largest.iter().all(|&q1| q1 > Q1_BAR);
+    println!(
+        "q1 at the two largest sizes: {} (bar {Q1_BAR})",
+        largest
+            .iter()
+            .map(|q1| format!("{q1:.4}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
     println!(
         "eq. (22) claim (q1 > eps > 0 as |V| grows): {}",
-        if min_q1 > 0.02 {
-            "SUPPORTED — recursion almost always stops after one level"
-        } else {
-            "NOT SUPPORTED at these sizes"
+        match slope {
+            Some((_, _, hi)) if hi < 0.0 => "NOT SUPPORTED — q1 falls significantly with n",
+            None => "UNDETERMINED — fewer than three sizes",
+            Some(_) if above => "SUPPORTED — recursion almost always stops after one level",
+            Some(_) => "NOT SUPPORTED at these sizes",
         }
     );
 

@@ -20,8 +20,9 @@
 //!   whichever endpoint's distances are held, computed by whoever asks
 //!   first and shared by every later reader of the same `&Graph` until the
 //!   adjacency next changes; a caller that knows which pairs it is about
-//!   to read hands them to [`Graph::fill_hops`] (or the roots to
-//!   [`Graph::fill_hop_rows`]), which computes the missing roots 64 at a
+//!   to read hands them to [`Graph::fill_hops`], which roots them at a
+//!   vertex cover of the pairs neither end of which is held (or the roots
+//!   to [`Graph::fill_hop_rows`]), and computes the missing roots 64 at a
 //!   time — a bit-parallel BFS over batches of neighbouring roots, one
 //!   scalar BFS per root where a batch is too thin and too spread out to
 //!   pay — and publishes each batch as one bit-plane block of under a byte
@@ -51,6 +52,7 @@
 //! let _ = is_connected(&graph);
 //! ```
 
+mod cover;
 pub mod dynamics;
 pub mod fasthash;
 pub mod incremental;
@@ -58,6 +60,7 @@ mod msbfs;
 pub mod traversal;
 pub mod unit_disk;
 
+pub use cover::PairCover;
 pub use dynamics::LinkDiff;
 pub use incremental::{EdgeFlip, UnitDiskMaintainer};
 
@@ -574,34 +577,43 @@ impl Graph {
     /// # Panics
     /// If a root is out of range.
     pub fn fill_hop_rows(&self, roots: &[NodeIdx], workers: &WorkerPool) {
-        let wanted = roots.iter().copied().filter(|&r| !self.holds(r)).collect();
-        self.fill(wanted, |_| {}, workers);
+        let mut wanted: Vec<NodeIdx> = roots.iter().copied().filter(|&r| !self.holds(r)).collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        self.fill(&wanted, |_| {}, workers);
     }
 
-    /// Make [`Graph::hops`] a store read for every pair in `pairs`, the
-    /// way [`Graph::fill_hop_rows`] would for the pairs' first members,
-    /// but holding only what the pairs need: a pair whose members are
-    /// equal, or either of whose members is held, needs nothing. The first
-    /// members of the others are batched; the batches that pay run
-    /// first, and of a thin batch (one that runs a scalar BFS per root)
-    /// only the roots still needed afterwards are computed — walking the
-    /// pairs in order, the first member of each pair that neither a block
-    /// nor an earlier such root covers.
+    /// Make [`Graph::hops`] a store read for every pair in `pairs` (any
+    /// order or orientation, duplicates welcome), holding only what the
+    /// pairs need: a pair whose members are equal, or either of whose
+    /// members is held, needs nothing. The others — the open pairs — are
+    /// rooted at a vertex cover of them, the greedy one (the node with the
+    /// most open pairs left uncovered, the lower index on a tie; `cover`'s
+    /// module docs), which needs far fewer roots than one member of every
+    /// pair. The cover's roots are batched as [`Graph::fill_hop_rows`]
+    /// batches; the batches that pay run first, and of a thin batch (one
+    /// that runs a scalar BFS per root) only the roots still needed
+    /// afterwards are computed — walking the open pairs in order, the
+    /// covered end of each pair that neither a block nor an earlier such
+    /// root covers. `cover` holds the buffers all of this runs in; keep it
+    /// across calls. Which roots end up held is a function of the graph,
+    /// the store before the call and `pairs` alone, whatever the pool
+    /// width.
     ///
     /// # Panics
     /// If a pair member is out of range.
-    pub fn fill_hops(&self, pairs: &[(NodeIdx, NodeIdx)], workers: &WorkerPool) {
-        let open = |&(a, b): &(NodeIdx, NodeIdx)| a != b && !self.holds(a) && !self.holds(b);
-        let wanted = pairs.iter().filter(|p| open(p)).map(|&(a, _)| a).collect();
+    pub fn fill_hops(
+        &self,
+        pairs: &[(NodeIdx, NodeIdx)],
+        cover: &mut PairCover,
+        workers: &WorkerPool,
+    ) {
+        cover.cover(self, pairs);
+        let roots = std::mem::take(&mut cover.roots);
         self.fill(
-            wanted,
+            &roots,
             |thin| {
-                let mut planned = vec![false; self.node_count()];
-                for pair @ &(a, b) in pairs {
-                    if open(pair) && !planned[a as usize] && !planned[b as usize] {
-                        planned[a as usize] = true;
-                    }
-                }
+                let planned = cover.plan(self, pairs);
                 for batch in thin.iter_mut() {
                     batch.roots.retain(|&r| planned[r as usize]);
                 }
@@ -609,23 +621,22 @@ impl Graph {
             },
             workers,
         );
+        cover.roots = roots;
     }
 
-    /// Compute and publish `wanted` (none held): the batches that pay
-    /// through the kernel, then those of the thin batches that
-    /// `trim_thin`, run after the first step, leaves.
+    /// Compute and publish `wanted` (ascending, distinct, none held): the
+    /// batches that pay through the kernel, then those of the thin batches
+    /// that `trim_thin`, run after the first step, leaves.
     fn fill(
         &self,
-        mut wanted: Vec<NodeIdx>,
+        wanted: &[NodeIdx],
         trim_thin: impl FnOnce(&mut Vec<Batch>),
         workers: &WorkerPool,
     ) {
         if wanted.is_empty() {
             return;
         }
-        wanted.sort_unstable();
-        wanted.dedup();
-        let (dense, mut thin): (Vec<Batch>, Vec<Batch>) = msbfs::near_batches(self, &wanted)
+        let (dense, mut thin): (Vec<Batch>, Vec<Batch>) = msbfs::near_batches(self, wanted)
             .into_iter()
             .partition(Batch::pays);
         // One scratch per worker, kept across both steps.
@@ -676,6 +687,12 @@ impl Graph {
     /// (diagnostics and tests only — nothing may branch on it).
     pub fn hop_rows_cached(&self) -> usize {
         self.held().count()
+    }
+
+    /// The roots whose distances the hop store holds, ascending
+    /// (diagnostics and tests only — nothing may branch on it).
+    pub fn hop_roots(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.held().map(|(root, _)| root)
     }
 
     /// Heap bytes the hop store's distances take: every block once,

@@ -5,7 +5,7 @@ use chlm_graph::traversal::{
     bfs_distances, connected_components, hop_distance, shortest_path, UNREACHABLE,
 };
 use chlm_graph::unit_disk::{build_unit_disk, build_unit_disk_brute};
-use chlm_graph::{Graph, NodeIdx};
+use chlm_graph::{Graph, NodeIdx, PairCover};
 use chlm_par::WorkerPool;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -65,6 +65,51 @@ fn rows_are_fresh(g: &Graph, asked: &BTreeSet<NodeIdx>) -> Result<(), TestCaseEr
 /// Hold `roots`' distances: one fill, on one thread.
 fn hold(g: &Graph, roots: &[NodeIdx]) {
     g.fill_hop_rows(roots, &WorkerPool::new(1));
+}
+
+/// A graph for the pair-fill properties — from no nodes up, sparse enough
+/// to fall apart, or a star through node 0 (one batch that pays) — with a
+/// pair list over it (duplicates, self-pairs and both orientations of a
+/// pair included) and roots held before the fill.
+#[allow(clippy::type_complexity)]
+fn arb_pair_fill() -> impl Strategy<Value = (Graph, Vec<(NodeIdx, NodeIdx)>, Vec<NodeIdx>)> {
+    (
+        0usize..160,
+        proptest::collection::vec((0u32..1000, 0u32..1000), 0..400),
+        0u8..3,
+        proptest::collection::vec((0u32..1000, 0u32..1000), 0..300),
+        proptest::collection::vec(0u32..1000, 0..6),
+    )
+        .prop_map(|(n, edges, star, pairs, held)| {
+            let node = |x: u32| x % n.max(1) as NodeIdx;
+            let live = |len: usize| if n == 0 { 0 } else { len };
+            let mut edges: Vec<(NodeIdx, NodeIdx)> = edges
+                .iter()
+                .take(live(edges.len()))
+                .map(|&(a, b)| (node(a), node(b)))
+                .collect();
+            if star == 0 {
+                edges.extend((1..n as NodeIdx).map(|v| (0, v)));
+            }
+            edges.retain(|(u, v)| u != v);
+            let mut pairs: Vec<(NodeIdx, NodeIdx)> = pairs
+                .iter()
+                .take(live(pairs.len()))
+                .map(|&(a, b)| (node(a), node(b)))
+                .collect();
+            // Every third pair again, reversed, and a self-pair.
+            let again: Vec<_> = pairs.iter().step_by(3).map(|&(a, b)| (b, a)).collect();
+            pairs.extend(again);
+            if let Some(&(a, _)) = pairs.first() {
+                pairs.push((a, a));
+            }
+            let held = held
+                .iter()
+                .take(live(held.len()))
+                .map(|&x| node(x))
+                .collect();
+            (Graph::from_edges(n, &edges), pairs, held)
+        })
 }
 
 /// Longest distances on either side of each plane-count boundary of the
@@ -621,6 +666,96 @@ proptest! {
             prop_assert!(rebuilt.add_edge(u, v));
         }
         prop_assert_eq!(rebuilt, new);
+    }
+
+    /// After `fill_hops`, every pair of distinct nodes — whatever the
+    /// graph, the list's duplicates and orientations, the roots held
+    /// before, the pool width — has an end in the hop store, and reads the
+    /// distance `hop_distance` finds, from either end, without a search of
+    /// its own. One `PairCover` serves both fills (its buffers are kept
+    /// across calls), the second after a mutation emptied the store.
+    #[test]
+    fn fill_hops_answers_every_pair_from_a_held_end(
+        (mut g, pairs, held) in arb_pair_fill(),
+        width in 0usize..3,
+    ) {
+        let workers = WorkerPool::new([1, 2, 8][width]);
+        let mut cover = PairCover::default();
+        for round in 0..2 {
+            hold(&g, &held);
+            g.fill_hops(&pairs, &mut cover, &workers);
+            let roots: BTreeSet<NodeIdx> = g.hop_roots().collect();
+            for &(a, b) in &pairs {
+                if a != b {
+                    prop_assert!(
+                        roots.contains(&a) || roots.contains(&b),
+                        "round {}: ({}, {}) has no held end", round, a, b
+                    );
+                }
+                let want = hop_distance(&g, a, b).unwrap_or(UNREACHABLE);
+                prop_assert_eq!(g.hops(a, b), want, "({}, {})", a, b);
+                prop_assert_eq!(g.hops(b, a), want, "({}, {})", b, a);
+            }
+            prop_assert_eq!(g.hop_rows_cached(), roots.len(), "a read searched");
+            let n = g.node_count() as NodeIdx;
+            if n >= 2 && !g.add_edge(0, n - 1) {
+                g.remove_edge(0, n - 1);
+            }
+        }
+    }
+
+    /// The roots a `fill_hops` adds form a vertex cover of the pairs that
+    /// were open — distinct members, neither held — and every one of them
+    /// is a member of such a pair: nothing else is searched.
+    #[test]
+    fn fill_hops_roots_a_vertex_cover_of_the_open_pairs(
+        (g, pairs, held) in arb_pair_fill(),
+        width in 0usize..2,
+    ) {
+        hold(&g, &held);
+        let before: BTreeSet<NodeIdx> = g.hop_roots().collect();
+        let open: Vec<(NodeIdx, NodeIdx)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(a, b)| a != b && !before.contains(&a) && !before.contains(&b))
+            .collect();
+        g.fill_hops(&pairs, &mut PairCover::default(), &WorkerPool::new(1 + width));
+        let added: BTreeSet<NodeIdx> = g.hop_roots().filter(|r| !before.contains(r)).collect();
+        for &(a, b) in &open {
+            prop_assert!(added.contains(&a) || added.contains(&b), "({}, {}) uncovered", a, b);
+        }
+        for &root in &added {
+            prop_assert!(
+                open.iter().any(|&(a, b)| a == root || b == root),
+                "root {} is in no open pair", root
+            );
+        }
+    }
+
+    /// Which roots a `fill_hops` holds, and what they read, does not
+    /// depend on the pool: one and two workers, on cold clones of one
+    /// graph, hold the same roots with the same distances.
+    #[test]
+    fn fill_hops_holds_the_same_roots_at_one_and_two_threads(
+        (g, pairs, held) in arb_pair_fill(),
+    ) {
+        let filled: Vec<Graph> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                let copy = g.clone();
+                hold(&copy, &held);
+                copy.fill_hops(&pairs, &mut PairCover::default(), &WorkerPool::new(threads));
+                copy
+            })
+            .collect();
+        let roots: Vec<Vec<NodeIdx>> = filled.iter().map(|g| g.hop_roots().collect()).collect();
+        prop_assert_eq!(&roots[0], &roots[1]);
+        let n = g.node_count() as NodeIdx;
+        for &root in &roots[0] {
+            for v in 0..n {
+                prop_assert_eq!(filled[0].hops(root, v), filled[1].hops(root, v));
+            }
+        }
     }
 }
 

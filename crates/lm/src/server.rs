@@ -197,7 +197,7 @@ impl LevelClusters {
             let (mut b1_hi, mut b1_lo, mut b2_hi, mut b1) = (0u64, 0u64, 0u64, 0usize);
             for (i, (&inn, &wb)) in inner.iter().zip(wbits).enumerate() {
                 let raw = splitmix64(subject_id ^ inn);
-                let (glo, ghi) = brackets[(raw >> 56) as usize];
+                let (glo, ghi) = brackets[(raw >> (u64::BITS - BRACKET_BITS)) as usize];
                 let w = f64::from_bits(wb);
                 let (klo, khi) = ((w * glo).to_bits(), (w * ghi).to_bits());
                 b2_hi = b2_hi.max(khi.min(b1_hi));
@@ -229,24 +229,31 @@ impl LevelClusters {
     }
 }
 
-/// Certified brackets of `hrw_key_from_raw(raw, 1.0)` by the top 8 bits
-/// of `raw` (256 buckets). The unweighted key is monotone increasing in
-/// `raw`, so the f64 values it takes over a bucket lie between the
-/// bucket-endpoint evaluations up to libm rounding; a relative widening
-/// of `1e-6` (ten orders of magnitude above the ≤1-ulp error of `ln` and
-/// the division) makes the bracket safe. A candidate's weighted key then
-/// lies in `[w·lo, w·hi]`, which lets a scan certify a strict winner
-/// without evaluating `ln` at all — see the interval path of `hrw_pick`.
-fn inv_ln_brackets() -> &'static [(f64, f64); 256] {
+/// Top bits of a raw draw that pick its [`inv_ln_brackets`] bucket.
+const BRACKET_BITS: u32 = 10;
+
+/// Certified brackets of `hrw_key_from_raw(raw, 1.0)` by the top
+/// [`BRACKET_BITS`] bits of `raw` (1 024 buckets, 16 KiB). The unweighted
+/// key is monotone increasing in `raw`, so the f64 values it takes over a
+/// bucket lie between the bucket-endpoint evaluations up to libm rounding;
+/// a relative widening of `1e-6` (ten orders of magnitude above the
+/// ≤1-ulp error of `ln` and the division) makes the bracket safe. A
+/// candidate's weighted key then lies in `[w·lo, w·hi]`, which lets a scan
+/// certify a strict winner without evaluating `ln` at all — see the
+/// interval path of `hrw_pick`. The narrower the buckets, the more scans
+/// certify: of the mixed-weight picks of a 65 536-node world's first five
+/// ticks, 8 bits left 5.0 % to the exact scan and 10 bits leave 1.3 %.
+fn inv_ln_brackets() -> &'static [(f64, f64); 1 << BRACKET_BITS] {
     // AUDIT: write-once cache of a pure function of the bucket index;
     // every initializer computes the same table, so whichever thread wins
     // the race publishes identical values and reads are deterministic.
-    static TABLE: OnceLock<[(f64, f64); 256]> = OnceLock::new();
+    static TABLE: OnceLock<[(f64, f64); 1 << BRACKET_BITS]> = OnceLock::new();
     TABLE.get_or_init(|| {
+        let shift = u64::BITS - BRACKET_BITS;
         std::array::from_fn(|b| {
             let b = b as u64;
-            let lo = hrw_key_from_raw(b << 56, 1.0);
-            let hi = hrw_key_from_raw((b << 56) | ((1u64 << 56) - 1), 1.0);
+            let lo = hrw_key_from_raw(b << shift, 1.0);
+            let hi = hrw_key_from_raw((b << shift) | ((1u64 << shift) - 1), 1.0);
             if !hi.is_finite() {
                 // Top bucket only: raws whose `u` rounds to exactly 1.0
                 // evaluate to `-w / 0 = -inf`, so the computed key is not
@@ -513,7 +520,37 @@ impl LmAssignment {
     /// If node counts differ.
     pub fn diff_into(&self, new: &LmAssignment, out: &mut Vec<HostChange>) {
         out.clear();
-        out.extend(self.changes(new));
+        if self.depth != new.depth {
+            out.extend(self.changes(new));
+            return;
+        }
+        // Equal depths, the common case: the same levels carry entries on
+        // both sides, so the rows compare slot for slot and an unchanged
+        // subject costs one slice comparison.
+        assert_eq!(self.n, new.n, "assignments over different node sets");
+        let depth = self.depth;
+        if depth <= 2 {
+            return;
+        }
+        let rows = self
+            .hosts
+            .chunks_exact(depth)
+            .zip(new.hosts.chunks_exact(depth));
+        for (v, (old_row, new_row)) in (0..).zip(rows) {
+            if old_row[2..] == new_row[2..] {
+                continue;
+            }
+            for (k, (&old_host, &new_host)) in old_row.iter().zip(new_row).enumerate().skip(2) {
+                if old_host != new_host {
+                    out.push(HostChange {
+                        subject: v,
+                        level: k as u16,
+                        old_host,
+                        new_host,
+                    });
+                }
+            }
+        }
     }
 
     /// Every host change between `self` and `new`, ascending by
@@ -780,6 +817,43 @@ mod tests {
                 scratch.recycle(recycled);
             }
         }
+    }
+
+    /// `diff_into` compares rows directly when the depths agree and walks
+    /// `(subject, level)` otherwise: both give what the generic walk does,
+    /// tick for tick, on a jiggled world whose depth is capped on one tick
+    /// (two depth changes at least) and free on the others.
+    #[test]
+    fn row_diff_matches_the_generic_walk_across_a_depth_change() {
+        let mut d = Deployment::new(600, 19);
+        let mut prev: Option<LmAssignment> = None;
+        let (mut equal, mut changed) = (0, 0);
+        let mut out = Vec::new();
+        for tick in 0..8 {
+            d.jiggle(0.2);
+            let opts = HierarchyOptions {
+                max_levels: if tick == 4 { 3 } else { usize::MAX },
+                ..HierarchyOptions::default()
+            };
+            let h = Hierarchy::build(&d.ids, &d.graph(), opts);
+            let next = LmAssignment::compute(&h, SelectionRule::Hrw);
+            if let Some(prev) = &prev {
+                prev.diff_into(&next, &mut out);
+                let generic: Vec<HostChange> = prev.changes(&next).collect();
+                assert!(!generic.is_empty(), "tick {tick}: nothing moved");
+                assert_eq!(out, generic, "tick {tick}");
+                if prev.depth() == next.depth() {
+                    equal += 1;
+                } else {
+                    changed += 1;
+                }
+            }
+            prev = Some(next);
+        }
+        assert!(
+            equal >= 3 && changed >= 2,
+            "{equal} equal, {changed} changed"
+        );
     }
 
     #[test]

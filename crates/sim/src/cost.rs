@@ -49,8 +49,9 @@ pub struct CostInputs<'a> {
     pub positions: &'a [Point],
     pub hierarchy: &'a Hierarchy,
     pub rtx: f64,
-    /// Unread: the model computes no rows ahead of pricing, the
-    /// transports warm the rows their own legs read (`Transport::carry`).
+    /// Unread: the model computes no rows ahead of pricing; the
+    /// multiplexer warms every row a tick's legs read, once, before any
+    /// bank prices (rule 4 of `crate::transport`).
     /// Kept, and passed `&[]`, because the frozen `benchmark/` harness
     /// constructs it; goes with `[benchmark]` v2 (ROADMAP).
     pub sources: &'a [NodeIdx],

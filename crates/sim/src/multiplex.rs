@@ -31,12 +31,13 @@
 //! BFS pricer and every packet transport read
 //! [`chlm_graph::Graph::hops`] off `ctx.graph`, so a root is searched at
 //! most once per tick across banks, planes, packet shards and metric
-//! groups alike — by whichever transport's `carry` first has a leg that
-//! neither end of which is held, together with the other roots that
-//! batch of legs is missing ([`chlm_graph::Graph::fill_hops`]). All of
-//! this is sound because every plane, pricer and distance is a pure
-//! function of the tick snapshot — sharing, caches and table builds only
-//! affect speed, never values.
+//! groups alike. Since the planes run before any bank, the multiplexer
+//! knows every pair the tick will read before the first is read, and
+//! fills them in one call ([`chlm_graph::Graph::fill_hops`], rule 4 of
+//! [`crate::transport`]), rooted at a vertex cover of the pairs of every
+//! plane a BFS-reading bank books. All of this is sound because every
+//! plane, pricer and distance is a pure function of the tick snapshot —
+//! sharing, caches and table builds only affect speed, never values.
 //!
 //! The query plane multiplexes for free: lookup arrivals are part of the
 //! shared world trace (`TickCtx::query_arrivals`, drawn from the world
@@ -60,6 +61,7 @@ use crate::observe::{Observers, WorldObservers};
 use crate::report::SimReport;
 use crate::scheme::{make_scheme, SchemePlane};
 use crate::stage::{default_stages, StageSet};
+use crate::transport::{reads_hops, PairWarmer};
 use chlm_mobility::MobilityModel;
 
 /// One requested variant of a shared world: the three config axes the
@@ -134,6 +136,11 @@ pub struct MultiplexSim {
     /// fan-out of `v` variants over `s` schemes produces messages, lookup
     /// routes and server tables `s` times, not `v` times.
     planes: Vec<SchemePlane>,
+    /// Per plane, whether a bank booking it reads BFS distances.
+    plane_reads_hops: Vec<bool>,
+    /// Rule 4 of [`crate::transport`]: warms the pairs of those planes
+    /// once a tick; `None` when no bank reads BFS distances.
+    warmer: Option<PairWarmer>,
     groups: Vec<MetricGroup>,
     pub(crate) banks: Vec<ObserverBank>,
     labels: Vec<String>,
@@ -162,6 +169,7 @@ impl MultiplexSim {
         let world_obs = WorldObservers::new(world.hierarchy());
         let mut planes: Vec<SchemePlane> = Vec::new();
         let mut plane_schemes: Vec<LmScheme> = Vec::new();
+        let mut plane_reads_hops: Vec<bool> = Vec::new();
         let mut groups: Vec<MetricGroup> = Vec::new();
         let mut banks = Vec::with_capacity(variants.len());
         let mut labels = Vec::with_capacity(variants.len());
@@ -189,18 +197,25 @@ impl MultiplexSim {
                         cfg.query_rate > 0.0,
                     ));
                     plane_schemes.push(cfg.lm_scheme);
+                    plane_reads_hops.push(false);
                     planes.len() - 1
                 }
             };
+            plane_reads_hops[plane] |= reads_hops(&cfg);
             let bank = ObserverBank::new(cfg, &world, &world_obs, plane);
             groups[gi].members.push(banks.len());
             banks.push(bank);
             labels.push(variant.label.clone());
         }
+        let warmer = plane_reads_hops
+            .contains(&true)
+            .then(|| PairWarmer::new(base.threads));
         MultiplexSim {
             world,
             world_obs,
             planes,
+            plane_reads_hops,
+            warmer,
             groups,
             banks,
             labels,
@@ -247,17 +262,23 @@ impl MultiplexSim {
     pub fn step(&mut self) {
         let world_obs = &mut self.world_obs;
         let planes = &mut self.planes;
+        let plane_reads_hops = &self.plane_reads_hops;
+        let warmer = &mut self.warmer;
         let groups = &mut self.groups;
         let banks = &mut self.banks;
         self.world.step_with(&mut |ctx, link_flips| {
             // Scheme-independent accumulators first, then the scheme
             // planes (neither involves a pricer), once per tick for all
-            // banks; then each metric group's banks inside one pricer
-            // scope. (BFS rows are warmed further down, by each bank's
-            // transports as they carry their plane's legs.)
+            // banks; then one fill of every BFS distance the banks will
+            // read; then each metric group's banks inside one pricer
+            // scope.
             world_obs.on_tick_with(ctx, link_flips);
             for plane in planes.iter_mut() {
                 plane.run(ctx);
+            }
+            if let Some(warmer) = warmer {
+                let read = planes.iter().zip(plane_reads_hops).filter(|(_, &r)| r);
+                warmer.warm(ctx.graph, read.flat_map(|(plane, _)| plane.pairs()));
             }
             let inputs = CostInputs {
                 graph: ctx.graph,

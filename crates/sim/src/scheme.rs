@@ -58,7 +58,9 @@ use crate::cost::HopPricer;
 use crate::observe::{HandoffAccounting, Observer, QueryAccounting};
 use crate::report::QueryStats;
 use crate::stage::TickCtx;
-use crate::transport::{PacketTotals, Transport, WireLeg, QUERY_LOSS_STREAM, UPDATE_LOSS_STREAM};
+use crate::transport::{
+    reads_hops, PacketTotals, PairWarmer, Transport, WireLeg, QUERY_LOSS_STREAM, UPDATE_LOSS_STREAM,
+};
 use chlm_cluster::address::AddrChangeKind;
 use chlm_geom::{Disk, Point, Rect};
 use chlm_graph::NodeIdx;
@@ -603,6 +605,14 @@ impl SchemePlane {
         debug_assert!(self.query, "the query half is off");
         (&self.legs, &self.outcomes)
     }
+
+    /// The `(src, dst)` of every message and leg the last
+    /// [`SchemePlane::run`] produced (a half that is off produces none):
+    /// every pair a book over this plane reads this tick.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (NodeIdx, NodeIdx)> + '_ {
+        let msgs = self.msgs.iter().map(WireLeg::ends);
+        msgs.chain(self.legs.iter().map(WireLeg::ends))
+    }
 }
 
 /// The variant half of the update plane: a plane's messages are carried
@@ -743,10 +753,35 @@ impl QueryBook {
     }
 }
 
+/// A standalone slot's plane, and the warmer of its pairs when its book
+/// reads BFS distances: rule 4 of [`crate::transport`] for one plane.
+struct OwnPlane {
+    plane: SchemePlane,
+    warmer: Option<PairWarmer>,
+}
+
+impl OwnPlane {
+    fn new(scheme: Box<dyn Scheme>, update: bool, query: bool, cfg: &SimConfig) -> Self {
+        OwnPlane {
+            plane: SchemePlane::new(scheme, update, query),
+            warmer: reads_hops(cfg).then(|| PairWarmer::new(cfg.threads)),
+        }
+    }
+
+    /// Run the plane over `ctx` and warm the distances its book will read.
+    fn run(&mut self, ctx: &TickCtx<'_>) -> &SchemePlane {
+        self.plane.run(ctx);
+        if let Some(warmer) = &mut self.warmer {
+            warmer.warm(ctx.graph, self.plane.pairs());
+        }
+        &self.plane
+    }
+}
+
 /// The standalone update-plane slot: a plane of its own running only the
 /// update half, then a [`HandoffBook`].
 pub struct HandoffObserver {
-    plane: SchemePlane,
+    plane: OwnPlane,
     book: HandoffBook,
 }
 
@@ -755,7 +790,7 @@ impl HandoffObserver {
     /// selects.
     pub fn new(scheme: Box<dyn Scheme>, cfg: &SimConfig) -> Self {
         HandoffObserver {
-            plane: SchemePlane::new(scheme, true, false),
+            plane: OwnPlane::new(scheme, true, false, cfg),
             book: HandoffBook::new(cfg),
         }
     }
@@ -763,8 +798,8 @@ impl HandoffObserver {
 
 impl Observer for HandoffObserver {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        self.plane.run(ctx);
-        self.book.book(ctx, pricer, self.plane.messages());
+        let plane = self.plane.run(ctx);
+        self.book.book(ctx, pricer, plane.messages());
     }
 }
 
@@ -789,7 +824,7 @@ pub fn make_accounting(cfg: &SimConfig) -> Box<dyn HandoffAccounting> {
 /// The standalone query-plane slot: a plane of its own running only the
 /// query half, then a [`QueryBook`].
 pub struct QueryObserver {
-    plane: SchemePlane,
+    plane: OwnPlane,
     book: QueryBook,
 }
 
@@ -798,7 +833,7 @@ impl QueryObserver {
     /// selects.
     pub fn new(scheme: Box<dyn Scheme>, cfg: &SimConfig) -> Self {
         QueryObserver {
-            plane: SchemePlane::new(scheme, false, true),
+            plane: OwnPlane::new(scheme, false, true, cfg),
             book: QueryBook::new(cfg),
         }
     }
@@ -806,8 +841,7 @@ impl QueryObserver {
 
 impl Observer for QueryObserver {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, pricer: &mut dyn HopPricer) {
-        self.plane.run(ctx);
-        let (legs, outcomes) = self.plane.lookups();
+        let (legs, outcomes) = self.plane.run(ctx).lookups();
         self.book.book(ctx, pricer, legs, outcomes);
     }
 }

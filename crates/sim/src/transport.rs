@@ -39,25 +39,30 @@
 //! is a pure function of the graph; see [`chlm_proto::network`]). Hence a
 //! fourth rule, about speed only:
 //!
-//! 4. **Distances are warmed per `carry`.** A transport sees a tick's legs
-//!    as one batch and knows which pairs they will read: `(src, dst)` of
-//!    every leg, on both arms. So `carry` first hands those pairs — on
-//!    the analytic arm under [`HopMetric::Bfs`], and on the packet arm —
-//!    to [`chlm_graph::Graph::fill_hops`], which searches the missing
-//!    sources 64 at a time and, of those a batch too thin to pay would
-//!    search one by one, only the ones a leg still needs: a leg with
-//!    either end held is answered from that end. One pair rule for both
-//!    arms means a packet bank fills no root an analytic bank over the
-//!    same legs would not. An analytic transport under any other metric
-//!    asks the graph for nothing.
+//! 4. **Distances are warmed once per tick, by the multiplexer.** Every
+//!    scheme plane runs before any bank carries a leg, so the tick's
+//!    `(src, dst)` pairs — every plane's messages and lookup legs — are
+//!    known before the first is read. When some bank reads BFS distances
+//!    (a [`HopMetric::Bfs`] pricer or a packet transport; `reads_hops`),
+//!    [`crate::multiplex::MultiplexSim::step`] hands the pairs of the
+//!    planes such banks book, all at once, to a `PairWarmer`, whose one
+//!    [`chlm_graph::Graph::fill_hops`] roots them at a vertex cover of the
+//!    pairs neither end of which is held, 64 searches at a time. A leg is
+//!    then answered from whichever of its ends is held, on both arms, so a
+//!    packet bank fills no root an analytic bank over the same legs would
+//!    not, and a transport asks the graph for nothing itself. The
+//!    standalone observers ([`crate::scheme::HandoffObserver`],
+//!    [`crate::scheme::QueryObserver`]) warm their own plane's pairs
+//!    through the same warmer before booking: one rule, two callers.
 //!
 //! The executor's networks, with their step and per-packet buffers, and
-//! the leg buffer are kept across ticks rather than rebuilt per `carry`.
+//! the warmer's pair and cover buffers are kept across ticks rather than
+//! rebuilt per tick.
 
 use crate::config::{Backend, HopMetric, LossSpec, SimConfig};
 use crate::cost::HopPricer;
 use crate::stage::TickCtx;
-use chlm_graph::NodeIdx;
+use chlm_graph::{Graph, NodeIdx, PairCover};
 use chlm_par::{split_ranges, WorkerPool};
 use chlm_proto::network::{NetworkStats, PacketNetwork};
 
@@ -104,12 +109,48 @@ pub(crate) trait WireLeg: Sync {
     fn opens_event(&self) -> bool;
 }
 
+/// Whether a bank under `cfg` reads the graph's BFS distances: it prices
+/// with [`HopMetric::Bfs`] or executes packets (rule 4 of the module docs).
+pub(crate) fn reads_hops(cfg: &SimConfig) -> bool {
+    cfg.hop_metric == HopMetric::Bfs || matches!(cfg.backend, Backend::Packet { .. })
+}
+
+/// Rule 4 of the module docs: a tick's pairs, handed to the graph in one
+/// fill, over the pool and in the buffers kept across ticks.
+pub(crate) struct PairWarmer {
+    workers: WorkerPool,
+    pairs: Vec<(NodeIdx, NodeIdx)>,
+    cover: PairCover,
+}
+
+impl PairWarmer {
+    /// A warmer whose fills run on `threads` workers.
+    pub(crate) fn new(threads: usize) -> Self {
+        PairWarmer {
+            workers: WorkerPool::new(threads),
+            pairs: Vec::new(),
+            cover: PairCover::default(),
+        }
+    }
+
+    /// Have `graph` compute, together, the distances `pairs` are about to
+    /// read and it cannot answer yet.
+    pub(crate) fn warm(
+        &mut self,
+        graph: &Graph,
+        pairs: impl IntoIterator<Item = (NodeIdx, NodeIdx)>,
+    ) {
+        self.pairs.clear();
+        self.pairs.extend(pairs);
+        graph.fill_hops(&self.pairs, &mut self.cover, &self.workers);
+    }
+}
+
 /// How one accounting plane turns legs into transmission counts; see the
 /// module docs.
 pub enum Transport {
-    /// Price each leg with the lent pricer. Holds a row warmer iff that
-    /// pricer reads the graph's BFS rows ([`HopMetric::Bfs`]).
-    Analytic(Option<RowWarmer>),
+    /// Price each leg with the lent pricer.
+    Analytic,
     /// Execute each leg as a packet on the tick's topology.
     Packet(PacketExecutor),
 }
@@ -118,14 +159,8 @@ impl Transport {
     /// The transport `cfg.backend` selects, for the plane whose loss
     /// draws are salted with `loss_stream`.
     pub(crate) fn new(cfg: &SimConfig, loss_stream: u64) -> Self {
-        let rows = RowWarmer {
-            workers: WorkerPool::new(cfg.threads),
-            legs: Vec::new(),
-        };
         match cfg.backend {
-            Backend::Analytic => {
-                Transport::Analytic((cfg.hop_metric == HopMetric::Bfs).then_some(rows))
-            }
+            Backend::Analytic => Transport::Analytic,
             Backend::Packet { hop_delay, loss } => {
                 let shards = (0..PACKET_SHARDS)
                     .map(|index| {
@@ -140,7 +175,7 @@ impl Transport {
                 Transport::Packet(PacketExecutor {
                     loss,
                     loss_stream,
-                    rows,
+                    workers: WorkerPool::new(cfg.threads),
                     shards,
                     net: NetworkStats::default(),
                 })
@@ -151,7 +186,7 @@ impl Transport {
     /// Network counters so far, when this transport runs a packet network.
     pub fn net(&self) -> Option<NetworkStats> {
         match self {
-            Transport::Analytic(_) => None,
+            Transport::Analytic => None,
             Transport::Packet(executor) => Some(executor.net),
         }
     }
@@ -168,38 +203,13 @@ impl Transport {
     ) {
         costs.clear();
         match self {
-            Transport::Analytic(bfs_rows) => {
-                if let Some(rows) = bfs_rows {
-                    rows.warm(ctx, legs);
-                }
-                costs.extend(legs.iter().map(|leg| {
-                    let (src, dst) = leg.ends();
-                    pricer.hops(src, dst)
-                }));
-            }
-            Transport::Packet(executor) => {
-                executor.rows.warm(ctx, legs);
-                executor.execute(ctx, legs, costs);
-            }
+            Transport::Analytic => costs.extend(legs.iter().map(|leg| {
+                let (src, dst) = leg.ends();
+                pricer.hops(src, dst)
+            })),
+            Transport::Packet(executor) => executor.execute(ctx, legs, costs),
         }
         debug_assert_eq!(costs.len(), legs.len(), "one cost per leg");
-    }
-}
-
-/// Rule 4 of the module docs for one transport: the pool distances are
-/// computed over, and the leg buffer, kept across ticks.
-pub struct RowWarmer {
-    workers: WorkerPool,
-    legs: Vec<(NodeIdx, NodeIdx)>,
-}
-
-impl RowWarmer {
-    /// Have the graph compute, together, the distances `legs` are about
-    /// to read and it cannot answer yet.
-    fn warm<L: WireLeg>(&mut self, ctx: &TickCtx<'_>, legs: &[L]) {
-        self.legs.clear();
-        self.legs.extend(legs.iter().map(WireLeg::ends));
-        ctx.graph.fill_hops(&self.legs, &self.workers);
     }
 }
 
@@ -209,8 +219,8 @@ pub struct PacketExecutor {
     loss: Option<LossSpec>,
     /// XORed into the loss seed (rule 3 of the module docs).
     loss_stream: u64,
-    /// Rule 4, over the pool the shards run on.
-    rows: RowWarmer,
+    /// The pool the shards run on.
+    workers: WorkerPool,
     /// One network per shard, kept with its buffers across ticks.
     shards: Vec<Shard>,
     /// Network counters merged over every tick so far.
@@ -230,7 +240,7 @@ impl PacketExecutor {
         let cuts = shard_cuts(legs);
         let (graph, tick) = (ctx.graph, ctx.tick as u64);
         let (loss, salt) = (self.loss, self.loss_stream);
-        self.rows.workers.for_each_mut(&mut self.shards, |shard| {
+        self.workers.for_each_mut(&mut self.shards, |shard| {
             let index = shard.index;
             shard
                 .net

@@ -6,9 +6,10 @@
 //! handed, which answers a pair from whichever end is held. These tests
 //! pin the sharing itself — the values are pinned everywhere else
 //! (`parity`, `query_parity`, `multiplex_equivalence`, the goldens) — and
-//! who asks: inside a tick roots are warmed by `Transport::carry`, a batch
-//! of legs at a time (`Graph::fill_hops`), only under BFS pricing or
-//! packet execution, and identically at every pool width. CI reruns this
+//! who asks: inside a tick roots are warmed once, by the multiplexer, for
+//! every pair of the planes that BFS-priced or packet banks book, before
+//! any bank reads one (`Graph::fill_hops`), and identically at every pool
+//! width. CI reruns this
 //! file under `CHLM_SHUFFLE_MERGE=1`, which puts the multi-threaded sides
 //! of the comparisons below under an adversarial claim order.
 
@@ -156,7 +157,7 @@ fn six_bank_fan_out_keeps_at_most_one_row_per_node() {
 /// Which rows a tick computes is decided by its legs, not by how they were
 /// batched or who ran the batches: the same six banks at 1, 2 and 8
 /// threads leave the same number of roots held every tick — exactly the
-/// roots the legs' pair rule picked, no lane the 64-lane kernel happened
+/// roots the pairs' vertex cover picked, no lane the 64-lane kernel happened
 /// to have in a word — and the same six reports.
 #[test]
 fn six_bank_fan_out_fills_the_same_rows_at_every_pool_width() {
@@ -186,10 +187,10 @@ fn packet_banks_fill_no_row_of_their_own() {
     assert_eq!(both, analytic);
 }
 
-/// Under Euclidean or table-driven pricing an analytic transport has no
-/// use for shortest-path rows, and its `carry` asks the graph for none —
-/// on the 65k-node worlds that is what keeps the row store out of the
-/// tick altogether.
+/// Under Euclidean or table-driven pricing an analytic bank has no use
+/// for shortest-path rows, and no tick asks the graph for one on its
+/// behalf — on the 65k-node worlds that is what keeps the row store out
+/// of the tick altogether.
 #[test]
 fn euclidean_and_hier_analytic_banks_ask_for_no_row() {
     let base = e27_world(128, 2);
@@ -201,4 +202,23 @@ fn euclidean_and_hier_analytic_banks_ask_for_no_row() {
             assert_eq!(rows, 0, "{metric:?}, tick {tick}");
         }
     }
+}
+
+/// The warm-up covers the planes BFS-reading banks book and no other: a
+/// CHLM bank under BFS beside a GLS bank under the Euclidean estimate
+/// leaves the store as full, tick for tick, as the CHLM bank alone.
+#[test]
+fn only_planes_a_bfs_bank_books_are_warmed() {
+    let base = e27_world(160, 1);
+    let chlm = VariantSpec::new("chlm", LmScheme::Chlm, HopMetric::Bfs, Backend::Analytic);
+    let gls = VariantSpec::new(
+        "gls",
+        LmScheme::Gls,
+        HopMetric::EuclideanCalibrated,
+        Backend::Analytic,
+    );
+    let (alone, _) = run_counting_rows(&base, std::slice::from_ref(&chlm));
+    assert!(alone.iter().any(|&(rows, _)| rows > 0));
+    let (beside, _) = run_counting_rows(&base, &[chlm, gls]);
+    assert_eq!(beside, alone);
 }

@@ -22,7 +22,7 @@ fn cfg(backend_packet: bool) -> SimConfig {
         .seed(42)
         .query_rate(2.0)
         .build();
-    // BFS metric drives the transports' distance warm-up
+    // BFS metric drives the multiplexer's distance warm-up
     // (`Graph::fill_hops`, batches over for_each_mut);
     // 8 threads guarantees the multi-threaded (shuffle-sensitive) path.
     cfg.hop_metric = HopMetric::Bfs;

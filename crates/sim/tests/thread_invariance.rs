@@ -47,7 +47,7 @@ fn assert_all_equal(reports: &[chlm_sim::SimReport], what: &str) {
 
 #[test]
 fn analytic_backend_thread_invariant() {
-    // BFS metric exercises the pooled distance warm-up of every `carry`
+    // BFS metric exercises the multiplexer's pooled distance warm-up
     // (`Graph::fill_hops`); the population is large enough for real
     // churn but the topology pool threshold keeps the maintainer serial —
     // covered separately by the graph crate tests.
