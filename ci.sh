@@ -173,6 +173,17 @@ if grep -n 'for_each_within\|nbr_scratch\|sort_unstable' crates/graph/src/increm
   exit 1
 fi
 
+# The hop store has one way in and one form: `Graph::fill_hops` roots the
+# pairs at a vertex cover and runs every batch through the one bit-parallel
+# kernel (a lone `hops` miss is a batch of one), and a held root is a lane
+# of a block. The root-list entry, the lone `u32` row, the scalar
+# thin-batch path with its pay rule, and the thin-batch trim must not come
+# back.
+if grep -rn 'fill_hop_rows\|Held::\|fn scalar\b\|fn pays\b\|fn plan\b\|planned:' crates/graph/src; then
+  echo "leftover check: a second way into the hop store is back in crates/graph/src" >&2
+  exit 1
+fi
+
 # Every absolute pin lives in one manifest, crates/bench/tests/golden/
 # pins.txt (checked by crates/bench/tests/golden_wall.rs): no 64-bit digest
 # literal sits in Rust source anywhere else.
@@ -220,7 +231,7 @@ PROPTEST_CASES=512 cargo test -q -p chlm-routing --test nexthop_reference
 # whole world-runs in the fuzzed order. chlm-lm is here for its pooled
 # walk test (n above WALK_PAR_MIN_N at 2 and 8 workers), which no other
 # suite reaches; chlm-graph for the eight-worker race of `hops` and
-# `fill_hop_rows` on the same cells; hop_row_sharing for the roots a
+# `fill_hops` on the same cells; hop_row_sharing for the roots a
 # six-bank tick leaves behind at 2 and 8 workers against 1; parity and
 # query_parity for the packet shards, which run through `for_each_mut`
 # (chunk spawn order fuzzed), not `run_indexed`.

@@ -251,17 +251,19 @@ mod tests {
     use proptest::prelude::*;
 
     // The oracle: the LCA recursion written the obvious way — fresh `Vec`s
-    // per level, votes read off `closed_neighborhood`, the contracted graph
-    // filled one `add_edge` at a time, the slot table and elector counts by
-    // filtering, tree order by sorting — sharing no code with the in-place
-    // path above.
+    // per level, votes read off each closed neighborhood (a node and its
+    // neighbors, sorted), the contracted graph filled one `add_edge` at a
+    // time, the slot table and elector counts by filtering, tree order by
+    // sorting — sharing no code with the in-place path above.
 
     fn elect_naive(n_phys: usize, nodes: Vec<NodeIdx>, graph: Graph, ids: &[ElectionId]) -> Level {
         let m = nodes.len() as u32;
         let id_of = |i: u32| ids[nodes[i as usize] as usize];
         let vote: Vec<u32> = (0..m)
             .map(|i| {
-                let hood = graph.closed_neighborhood(i);
+                let mut hood = graph.neighbors(i).to_vec();
+                hood.push(i);
+                hood.sort_unstable();
                 *hood.iter().max_by_key(|&&j| id_of(j)).expect("holds i")
             })
             .collect();

@@ -186,13 +186,6 @@ impl SpatialGrid {
             }
         }
     }
-
-    /// Collect indices of all points within `radius` of `q`.
-    pub fn query_within(&self, points: &[Point], q: Point, radius: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.for_each_within(points, q, radius, |i| out.push(i));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -200,6 +193,13 @@ mod tests {
     use super::*;
     use crate::region::{deploy_uniform, Disk};
     use crate::rng::SimRng;
+
+    /// What `for_each_within` visits, in visiting order.
+    fn within(g: &SpatialGrid, points: &[Point], q: Point, radius: f64) -> Vec<u32> {
+        let mut out = Vec::new();
+        g.for_each_within(points, q, radius, |i| out.push(i));
+        out
+    }
 
     fn brute_force(points: &[Point], q: Point, r: f64) -> Vec<u32> {
         let mut v: Vec<u32> = points
@@ -216,15 +216,15 @@ mod tests {
     fn empty_grid_queries_nothing() {
         let g = SpatialGrid::build(&[], 1.0);
         assert!(g.is_empty());
-        assert!(g.query_within(&[], Point::ORIGIN, 1.0).is_empty());
+        assert!(within(&g, &[], Point::ORIGIN, 1.0).is_empty());
     }
 
     #[test]
     fn single_point() {
         let pts = vec![Point::new(0.5, 0.5)];
         let g = SpatialGrid::build(&pts, 1.0);
-        assert_eq!(g.query_within(&pts, Point::ORIGIN, 1.0), vec![0]);
-        assert!(g.query_within(&pts, Point::new(5.0, 5.0), 1.0).is_empty());
+        assert_eq!(within(&g, &pts, Point::ORIGIN, 1.0), vec![0]);
+        assert!(within(&g, &pts, Point::new(5.0, 5.0), 1.0).is_empty());
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
         let r = 1.3;
         let g = SpatialGrid::build(&pts, r);
         for qi in 0..pts.len() {
-            let mut got = g.query_within(&pts, pts[qi], r);
+            let mut got = within(&g, &pts, pts[qi], r);
             got.sort_unstable();
             let want = brute_force(&pts, pts[qi], r);
             assert_eq!(got, want, "mismatch at query {qi}");
@@ -249,7 +249,7 @@ mod tests {
         let pts = deploy_uniform(&d, 200, &mut rng);
         let g = SpatialGrid::build(&pts, 2.0);
         for qi in (0..pts.len()).step_by(7) {
-            let mut got = g.query_within(&pts, pts[qi], 1.0);
+            let mut got = within(&g, &pts, pts[qi], 1.0);
             got.sort_unstable();
             assert_eq!(got, brute_force(&pts, pts[qi], 1.0));
         }
@@ -260,7 +260,7 @@ mod tests {
     fn oversized_radius_panics() {
         let pts = vec![Point::ORIGIN];
         let g = SpatialGrid::build(&pts, 1.0);
-        g.query_within(&pts, Point::ORIGIN, 2.0);
+        within(&g, &pts, Point::ORIGIN, 2.0);
     }
 
     #[test]
@@ -268,9 +268,7 @@ mod tests {
         let pts = vec![Point::ORIGIN, Point::new(1.0, 1.0)];
         let g = SpatialGrid::build(&pts, 1.0);
         // Far-away queries must not panic or wrap.
-        assert!(g
-            .query_within(&pts, Point::new(-100.0, 50.0), 1.0)
-            .is_empty());
+        assert!(within(&g, &pts, Point::new(-100.0, 50.0), 1.0).is_empty());
     }
 
     #[test]
@@ -299,7 +297,7 @@ mod tests {
         // All points on a horizontal line: rows collapses to 1.
         let pts: Vec<Point> = (0..20).map(|i| Point::new(i as f64, 3.0)).collect();
         let g = SpatialGrid::build(&pts, 1.5);
-        let mut got = g.query_within(&pts, Point::new(10.0, 3.0), 1.5);
+        let mut got = within(&g, &pts, Point::new(10.0, 3.0), 1.5);
         got.sort_unstable();
         assert_eq!(got, brute_force(&pts, Point::new(10.0, 3.0), 1.5));
     }

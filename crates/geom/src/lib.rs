@@ -32,7 +32,8 @@
 //!
 //! // Radius queries through the spatial grid.
 //! let grid = SpatialGrid::build(&points, rtx);
-//! let neighbors = grid.query_within(&points, points[0], rtx);
+//! let mut neighbors = Vec::new();
+//! grid.for_each_within(&points, points[0], rtx, |i| neighbors.push(i));
 //! assert!(neighbors.contains(&0)); // includes the query point itself
 //! ```
 

@@ -108,18 +108,6 @@ impl Rect {
     pub fn center(&self) -> Point {
         self.min.lerp(self.max, 0.5)
     }
-
-    /// Split into four equal quadrants, ordered [SW, SE, NW, NE].
-    /// This is the recursive division used by the GLS grid hierarchy.
-    pub fn quadrants(&self) -> [Rect; 4] {
-        let c = self.center();
-        [
-            Rect::new(self.min, c),
-            Rect::new(Point::new(c.x, self.min.y), Point::new(self.max.x, c.y)),
-            Rect::new(Point::new(self.min.x, c.y), Point::new(c.x, self.max.y)),
-            Rect::new(c, self.max),
-        ]
-    }
 }
 
 impl Region for Rect {
@@ -194,17 +182,6 @@ mod tests {
         }
         let frac = inner as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "frac = {frac}");
-    }
-
-    #[test]
-    fn rect_quadrants_tile_area() {
-        let r = Rect::square(8.0);
-        let qs = r.quadrants();
-        let total: f64 = qs.iter().map(|q| q.area()).sum();
-        assert!((total - r.area()).abs() < 1e-9);
-        for q in &qs {
-            assert!((q.area() - 16.0).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -25,6 +25,10 @@ use crate::{Graph, NodeIdx};
 /// so that a fill per tick allocates only to grow them.
 #[derive(Debug, Default)]
 pub struct PairCover {
+    /// Whether each node was held when the cover began. Read once: a `hops`
+    /// or a fill racing this one may publish more, and both passes over
+    /// the pairs must see the same open ones.
+    held: Vec<bool>,
     /// Where each node's partners sit in `ends`: `start[v]..start[v + 1]`.
     start: Vec<u32>,
     /// Every open pair's other end, from each end, each partner once.
@@ -35,10 +39,6 @@ pub struct PairCover {
     seen: Vec<u32>,
     /// The bucket queue; see the module docs.
     buckets: Vec<Vec<NodeIdx>>,
-    /// Whether each node is in the cover.
-    chosen: Vec<bool>,
-    /// Thin-batch trim: whether each node is still to be searched.
-    planned: Vec<bool>,
     /// The cover, ascending.
     pub(crate) roots: Vec<NodeIdx>,
 }
@@ -49,9 +49,9 @@ fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.resize(len, value);
 }
 
-/// Whether `(a, b)` needs a search on `g`: distinct ends, neither held.
-fn open(g: &Graph, (a, b): (NodeIdx, NodeIdx)) -> bool {
-    a != b && !g.holds(a) && !g.holds(b)
+/// Whether `(a, b)` needs a search: distinct ends, neither `held`.
+fn open(held: &[bool], (a, b): (NodeIdx, NodeIdx)) -> bool {
+    a != b && !held[a as usize] && !held[b as usize]
 }
 
 impl PairCover {
@@ -60,12 +60,14 @@ impl PairCover {
     pub(crate) fn cover(&mut self, g: &Graph, pairs: &[(NodeIdx, NodeIdx)]) {
         let n = g.node_count();
         self.roots.clear();
+        self.held.clear();
+        self.held.extend((0..n as NodeIdx).map(|v| g.holds(v)));
         // Count every open pair at both ends, prefix-sum, scatter (moving
         // each start to the next node's), shift back.
         refill(&mut self.degree, n, 0);
         let mut listed = 0;
         for &(a, b) in pairs {
-            if open(g, (a, b)) {
+            if open(&self.held, (a, b)) {
                 self.degree[a as usize] += 1;
                 self.degree[b as usize] += 1;
                 listed += 2;
@@ -80,7 +82,7 @@ impl PairCover {
         }
         refill(&mut self.ends, listed, 0);
         for &(a, b) in pairs {
-            if open(g, (a, b)) {
+            if open(&self.held, (a, b)) {
                 for (from, to) in [(a, b), (b, a)] {
                     let at = &mut self.start[from as usize];
                     self.ends[*at as usize] = to;
@@ -120,15 +122,14 @@ impl PairCover {
                 self.buckets[d as usize].push(v);
             }
         }
-        refill(&mut self.chosen, n, false);
         for d in (1..=deepest).rev() {
             let mut bucket = std::mem::take(&mut self.buckets[d]);
             bucket.sort_unstable_by(|x, y| y.cmp(x));
             while let Some(v) = bucket.pop() {
-                if self.chosen[v as usize] || self.degree[v as usize] != d as u32 {
+                // Chosen (degree 0) or lost a pair since it was pushed.
+                if self.degree[v as usize] != d as u32 {
                     continue;
                 }
-                self.chosen[v as usize] = true;
                 self.degree[v as usize] = 0;
                 self.roots.push(v);
                 let partners = self.start[v as usize] as usize..self.start[v as usize + 1] as usize;
@@ -146,24 +147,6 @@ impl PairCover {
             self.buckets[d] = bucket;
         }
         self.roots.sort_unstable();
-    }
-
-    /// After a fill's dense batches are held: of the cover's roots, those
-    /// still needed — walking `pairs` in order, the chosen end of each
-    /// pair still open that no earlier planned root covers. Marks them in
-    /// `planned` and returns the mark. `pairs` are the ones the cover was
-    /// computed from.
-    pub(crate) fn plan(&mut self, g: &Graph, pairs: &[(NodeIdx, NodeIdx)]) -> &[bool] {
-        refill(&mut self.planned, g.node_count(), false);
-        for &(a, b) in pairs {
-            if !open(g, (a, b)) || self.planned[a as usize] || self.planned[b as usize] {
-                continue;
-            }
-            let end = if self.chosen[a as usize] { a } else { b };
-            debug_assert!(self.chosen[end as usize], "an open pair outside the cover");
-            self.planned[end as usize] = true;
-        }
-        &self.planned
     }
 }
 
@@ -194,10 +177,6 @@ mod tests {
         assert_eq!(cover.roots, [0, 1]);
         // Node 0's partners once each, node 1's, node 2's.
         assert_eq!(&cover.start[..4], [0, 3, 5, 7]);
-        // After the dense step nothing new is held; walking the pairs
-        // plans 1 for `(2, 1)` and 0 for `(0, 1)`, and the rest are covered.
-        let planned = cover.plan(&g, &pairs);
-        assert_eq!(planned, [true, true, false, false, false, false]);
     }
 
     /// A path's pairs: the greedy cover takes the inner nodes with two

@@ -20,13 +20,12 @@
 //!   whichever endpoint's distances are held, computed by whoever asks
 //!   first and shared by every later reader of the same `&Graph` until the
 //!   adjacency next changes; a caller that knows which pairs it is about
-//!   to read hands them to [`Graph::fill_hops`], which roots them at a
-//!   vertex cover of the pairs neither end of which is held (or the roots
-//!   to [`Graph::fill_hop_rows`]), and computes the missing roots 64 at a
-//!   time — a bit-parallel BFS over batches of neighbouring roots, one
-//!   scalar BFS per root where a batch is too thin and too spread out to
-//!   pay — and publishes each batch as one bit-plane block of under a byte
-//!   per root and node,
+//!   to read hands them to [`Graph::fill_hops`], the one way in: it roots
+//!   them at a vertex cover of the pairs neither end of which is held,
+//!   cuts the roots into batches of up to 64 neighbours, runs each batch
+//!   through one bit-parallel BFS kernel and publishes it as one bit-plane
+//!   block of under a byte per root and node (a lone miss of `hops` is a
+//!   batch of one),
 //! * [`dynamics::LinkDiff`] — link up/down event extraction between
 //!   consecutive topology snapshots (the level-0 link-state change events of
 //!   eq. (4)).
@@ -36,7 +35,7 @@
 //! ```
 //! use chlm_geom::{Disk, SimRng};
 //! use chlm_graph::unit_disk::build_unit_disk;
-//! use chlm_graph::traversal::{bfs_distances, is_connected};
+//! use chlm_graph::traversal::{bfs_distances, connected_components};
 //!
 //! let region = Disk::centered(8.0);
 //! let mut rng = SimRng::seed_from(7);
@@ -49,7 +48,8 @@
 //! // snapshot and read from either end.
 //! assert!((0..100).all(|v| graph.hops(0, v) == dist[v as usize]));
 //! assert_eq!(graph.hops(99, 0), dist[99]);
-//! let _ = is_connected(&graph);
+//! let (_, components) = connected_components(&graph);
+//! assert!(components >= 1);
 //! ```
 
 mod cover;
@@ -65,7 +65,7 @@ pub use dynamics::LinkDiff;
 pub use incremental::{EdgeFlip, UnitDiskMaintainer};
 
 use chlm_par::WorkerPool;
-use msbfs::{Batch, Block, Scratch};
+use msbfs::{Block, Scratch};
 use std::sync::OnceLock;
 
 /// Node index type. Graphs in this workspace are dense and index nodes by
@@ -148,7 +148,8 @@ fn arena_offset(end: usize) -> u32 {
 }
 
 /// The hop store behind [`Graph::hops`]: one write-once cell per root,
-/// the table itself allocated by the first request so that a graph nobody
+/// holding the root's lane of the block the kernel published it in; the
+/// table itself is allocated by the first request, so that a graph nobody
 /// asks for distances pays one empty check per mutation and nothing else.
 #[derive(Default)]
 struct HopStore {
@@ -157,29 +158,11 @@ struct HopStore {
     // whichever thread wins the race publishes identical values (a losing
     // block only leaves a lane nobody reads), and every mutator of the
     // adjacency takes `&mut Graph` and empties the store first.
-    cells: OnceLock<Box<[OnceLock<Held>]>>,
+    cells: OnceLock<Box<[OnceLock<Lane>]>>,
 }
 
-/// Where a root's distances are held.
-enum Held {
-    /// A lane of a block a fill published, shared with the block's other
-    /// roots.
-    Lane(Block, u32),
-    /// The row of a root a lone [`Graph::hops`] computed: its `u32` row
-    /// and no wider, since nothing shares it.
-    Row(Box<[u32]>),
-}
-
-impl Held {
-    /// The root's distance to `v`.
-    #[inline]
-    fn distance(&self, v: NodeIdx) -> u32 {
-        match self {
-            Held::Lane(block, lane) => block.distance(*lane, v),
-            Held::Row(row) => row[v as usize],
-        }
-    }
-}
+/// A held root: the block the kernel published it in, and its lane there.
+type Lane = (Block, u32);
 
 impl Clone for HopStore {
     /// A clone answers from its own searches: blocks are neither shared
@@ -507,12 +490,12 @@ impl Graph {
     /// kept there until the adjacency next changes. The graph is
     /// undirected, so the distance is symmetric, and it is answered from
     /// whichever endpoint's distances are held: `a`'s, else `b`'s. When
-    /// neither is, this computes `a`'s by one scalar BFS and keeps it as a
-    /// plain `u32` row; [`Graph::fill_hops`] and [`Graph::fill_hop_rows`]
-    /// are the batched ways in. Whoever fills the store — the hop pricer,
-    /// a packet network sending from `a`, another thread of either — every
-    /// later reader of this `&Graph` reads the same distances; the next
-    /// [`Graph::add_edge`], [`Graph::remove_edge`], [`Graph::reset`],
+    /// neither is, this publishes `a` alone, a batch of one through the
+    /// kernel [`Graph::fill_hops`] runs; a caller that knows its pairs
+    /// ahead hands them to that instead. Whoever fills the store — the hop
+    /// pricer, a packet network sending from `a`, another thread of either
+    /// — every later reader of this `&Graph` reads the same distances; the
+    /// next [`Graph::add_edge`], [`Graph::remove_edge`], [`Graph::reset`],
     /// [`Graph::copy_from`], [`Graph::assign_edges`] or
     /// [`Graph::assign_edges_in_order`] frees them all at once.
     ///
@@ -525,21 +508,19 @@ impl Graph {
         if a == b {
             return 0;
         }
-        if let Some(held) = at_a.get() {
-            return held.distance(b);
+        if let Some((block, lane)) = at_a.get() {
+            return block.distance(*lane, b);
         }
-        if let Some(held) = at_b.get() {
-            return held.distance(a);
+        if let Some((block, lane)) = at_b.get() {
+            return block.distance(*lane, a);
         }
-        // AUDIT: see `HopStore::cells` — write-once, and each cell's value
-        // is a pure function of (adjacency, root), so neither which thread
-        // fills a cell nor the order cells are filled in reaches a reader.
-        at_a.get_or_init(|| Held::Row(traversal::bfs_distances(self, a).into()))
-            .distance(b)
+        self.publish(&[a], &mut Scratch::default());
+        // `a` is held now, by this call or by one that raced it.
+        self.hops(a, b)
     }
 
     /// The store's cells, one per node, allocated (empty) on first use.
-    fn hop_cells(&self) -> &[OnceLock<Held>] {
+    fn hop_cells(&self) -> &[OnceLock<Lane>] {
         // AUDIT: see `HopStore::cells`; the table starts as `n` empty cells
         // whichever thread allocates it.
         self.memo
@@ -552,37 +533,6 @@ impl Graph {
         self.hop_cells()[root as usize].get().is_some()
     }
 
-    /// Make the hop store hold the distances of every root in `roots` (any
-    /// order, duplicates and roots already held welcome), computing the
-    /// missing ones together instead of one BFS each.
-    ///
-    /// The missing roots are cut into batches of up to 64 that lie near one
-    /// another — the lowest root not yet in a batch, then the wanted roots
-    /// a BFS from it meets first — and a batch runs as one level-synchronous
-    /// bit-parallel BFS, a `u64` of lanes per node, which walks a node's
-    /// edges once per distinct distance the batch has to it rather than
-    /// once per root. A batch of few roots far apart would walk more that
-    /// way than its roots' own searches do; it is told from its lane count
-    /// and its spread alone, and runs one scalar BFS per root. Either way
-    /// the batch is published as one bit-plane block (`msbfs`' module docs
-    /// give the layout), its roots' cells pointing at their lanes. Batches
-    /// fan out over `workers`.
-    ///
-    /// Exactly the requested roots are published, each into the write-once
-    /// cell [`Graph::hops`] reads, and each lane spells `bfs_distances`'
-    /// row entry for entry — so nothing a reader can see depends on whether
-    /// this was called, with what grouping, on how many threads, or racing
-    /// which `hops`.
-    ///
-    /// # Panics
-    /// If a root is out of range.
-    pub fn fill_hop_rows(&self, roots: &[NodeIdx], workers: &WorkerPool) {
-        let mut wanted: Vec<NodeIdx> = roots.iter().copied().filter(|&r| !self.holds(r)).collect();
-        wanted.sort_unstable();
-        wanted.dedup();
-        self.fill(&wanted, |_| {}, workers);
-    }
-
     /// Make [`Graph::hops`] a store read for every pair in `pairs` (any
     /// order or orientation, duplicates welcome), holding only what the
     /// pairs need: a pair whose members are equal, or either of whose
@@ -590,15 +540,24 @@ impl Graph {
     /// rooted at a vertex cover of them, the greedy one (the node with the
     /// most open pairs left uncovered, the lower index on a tie; `cover`'s
     /// module docs), which needs far fewer roots than one member of every
-    /// pair. The cover's roots are batched as [`Graph::fill_hop_rows`]
-    /// batches; the batches that pay run first, and of a thin batch (one
-    /// that runs a scalar BFS per root) only the roots still needed
-    /// afterwards are computed — walking the open pairs in order, the
-    /// covered end of each pair that neither a block nor an earlier such
-    /// root covers. `cover` holds the buffers all of this runs in; keep it
-    /// across calls. Which roots end up held is a function of the graph,
-    /// the store before the call and `pairs` alone, whatever the pool
-    /// width.
+    /// pair.
+    ///
+    /// The roots are cut into batches of up to 64 that lie near one
+    /// another — the lowest root not yet in a batch, then the roots a BFS
+    /// from it meets first — and each batch runs as one level-synchronous
+    /// bit-parallel BFS, a `u64` of lanes per node, which walks a node's
+    /// edges once per distinct distance the batch has to it rather than
+    /// once per root. Each batch is published as one bit-plane block
+    /// (`msbfs`' module docs give the layout), its roots' cells pointing at
+    /// their lanes; worker `w` of `workers` takes batches `w`, `w + width`,
+    /// … with a scratch of its own. `cover` holds the cover's buffers; keep
+    /// it across calls.
+    ///
+    /// Which roots end up held is a function of the graph, the store
+    /// before the call and `pairs` alone, and each lane spells
+    /// `bfs_distances`' row entry for entry — so nothing a reader can see
+    /// depends on whether this was called, on how many threads, or racing
+    /// which `hops`.
     ///
     /// # Panics
     /// If a pair member is out of range.
@@ -609,84 +568,32 @@ impl Graph {
         workers: &WorkerPool,
     ) {
         cover.cover(self, pairs);
-        let roots = std::mem::take(&mut cover.roots);
-        self.fill(
-            &roots,
-            |thin| {
-                let planned = cover.plan(self, pairs);
-                for batch in thin.iter_mut() {
-                    batch.roots.retain(|&r| planned[r as usize]);
-                }
-                thin.retain(|batch| !batch.roots.is_empty());
-            },
-            workers,
-        );
-        cover.roots = roots;
-    }
-
-    /// Compute and publish `wanted` (ascending, distinct, none held): the
-    /// batches that pay through the kernel, then those of the thin batches
-    /// that `trim_thin`, run after the first step, leaves.
-    fn fill(
-        &self,
-        wanted: &[NodeIdx],
-        trim_thin: impl FnOnce(&mut Vec<Batch>),
-        workers: &WorkerPool,
-    ) {
-        if wanted.is_empty() {
+        if cover.roots.is_empty() {
             return;
         }
-        let (dense, mut thin): (Vec<Batch>, Vec<Batch>) = msbfs::near_batches(self, wanted)
-            .into_iter()
-            .partition(Batch::pays);
-        // One scratch per worker, kept across both steps.
-        let width = workers.threads().min(dense.len().max(thin.len()));
+        let batches = msbfs::near_batches(self, &cover.roots);
+        let width = workers.threads().min(batches.len());
         let mut scratch: Vec<(usize, Scratch)> =
             (0..width).map(|w| (w, Scratch::default())).collect();
-        self.publish(&dense, true, &mut scratch, workers);
-        if !thin.is_empty() {
-            trim_thin(&mut thin);
-        }
-        self.publish(&thin, false, &mut scratch, workers);
-    }
-
-    /// Compute every batch in `batches` — by the kernel, or by one scalar
-    /// BFS per root — and point each root's cell at its lane of the block.
-    /// Worker `w` takes batches `w`, `w + width`, … with its own scratch.
-    fn publish(
-        &self,
-        batches: &[Batch],
-        kernel: bool,
-        scratch: &mut [(usize, Scratch)],
-        workers: &WorkerPool,
-    ) {
-        if batches.is_empty() {
-            return;
-        }
-        let cells = self.hop_cells();
-        let width = scratch.len();
-        workers.for_each_mut(scratch, |(first, scratch)| {
+        workers.for_each_mut(&mut scratch, |(first, scratch)| {
             for batch in batches.iter().skip(*first).step_by(width) {
-                let block = if kernel {
-                    scratch.kernel(self, &batch.roots).0
-                } else {
-                    scratch.scalar(self, &batch.roots)
-                };
-                for (lane, &root) in batch.roots.iter().enumerate() {
-                    // AUDIT: write-once publication of a pure function of
-                    // (adjacency, root). A `hops` or another fill that raced
-                    // this batch to the cell stored the same distances, so
-                    // losing is harmless.
-                    let _ = cells[root as usize].set(Held::Lane(block.share(), lane as u32));
-                }
+                self.publish(batch, scratch);
             }
         });
     }
 
-    /// How many roots currently have their distances in the hop store
-    /// (diagnostics and tests only — nothing may branch on it).
-    pub fn hop_rows_cached(&self) -> usize {
-        self.held().count()
+    /// Run `batch` (distinct roots, at most 64) through the kernel in
+    /// `scratch` and point each root's cell at its lane of the block.
+    fn publish(&self, batch: &[NodeIdx], scratch: &mut Scratch) {
+        let (block, _) = scratch.kernel(self, batch);
+        let cells = self.hop_cells();
+        for (lane, &root) in (0..).zip(batch) {
+            // AUDIT: write-once publication of a pure function of
+            // (adjacency, root). A `hops` or another fill that raced this
+            // batch to the cell stored the same distances, so losing is
+            // harmless.
+            let _ = cells[root as usize].set((block.share(), lane));
+        }
     }
 
     /// The roots whose distances the hop store holds, ascending
@@ -695,24 +602,19 @@ impl Graph {
         self.held().map(|(root, _)| root)
     }
 
-    /// Heap bytes the hop store's distances take: every block once,
-    /// however many roots share it, and every lone row (diagnostics and
-    /// tests only).
+    /// Heap bytes the hop store's distances take, every block once however
+    /// many roots share it (diagnostics and tests only).
     pub fn hop_store_bytes(&self) -> usize {
-        let mut blocks: Vec<(usize, usize)> = Vec::new();
-        let mut rows = 0;
-        for (_, held) in self.held() {
-            match held {
-                Held::Lane(block, _) => blocks.push((block.addr(), block.bytes())),
-                Held::Row(row) => rows += std::mem::size_of_val(&**row),
-            }
-        }
+        let mut blocks: Vec<(usize, usize)> = self
+            .held()
+            .map(|(_, (block, _))| (block.addr(), block.bytes()))
+            .collect();
         blocks.sort_unstable();
         blocks.dedup();
-        rows + blocks.iter().map(|&(_, bytes)| bytes).sum::<usize>()
+        blocks.iter().map(|&(_, bytes)| bytes).sum()
     }
 
-    fn held(&self) -> impl Iterator<Item = (NodeIdx, &Held)> + '_ {
+    fn held(&self) -> impl Iterator<Item = (NodeIdx, &Lane)> + '_ {
         let cells = self.memo.cells.get().map_or(&[][..], |cells| &cells[..]);
         cells
             .iter()
@@ -745,22 +647,6 @@ impl Graph {
         } else {
             2.0 * self.n_edges as f64 / self.table.len() as f64
         }
-    }
-
-    /// Closed neighborhood of `u`: `u` plus its neighbors, sorted.
-    ///
-    /// This is the set over which the LCA election rule operates: a node `v`
-    /// is elected clusterhead by `u` when `v` has the largest node ID in
-    /// `u ∪ N(u)`.
-    pub fn closed_neighborhood(&self, u: NodeIdx) -> Vec<NodeIdx> {
-        let nbrs = self.neighbors(u);
-        let mut out = Vec::with_capacity(nbrs.len() + 1);
-        // audit: infallible because the graph is simple (no self-loops)
-        let pos = nbrs.binary_search(&u).expect_err("self-loop in adjacency");
-        out.extend_from_slice(&nbrs[..pos]);
-        out.push(u);
-        out.extend_from_slice(&nbrs[pos..]);
-        out
     }
 
     /// Debug-only structural invariant check: every row inside the arena
@@ -797,10 +683,10 @@ impl Graph {
         }
         assert_eq!(count, 2 * self.n_edges, "edge count mismatch");
         if cfg!(debug_assertions) {
-            if let Some((root, held)) = self.held().next() {
+            if let Some((root, (block, lane))) = self.held().next() {
                 let fresh = traversal::bfs_distances(self, root);
                 assert!(
-                    (0..fresh.len()).all(|v| held.distance(v as NodeIdx) == fresh[v]),
+                    (0..fresh.len()).all(|v| block.distance(*lane, v as NodeIdx) == fresh[v]),
                     "stale hop row for root {root}"
                 );
             }
@@ -850,13 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_neighborhood_sorted_with_self() {
-        let g = Graph::from_edges(6, &[(3, 1), (3, 5), (3, 0)]);
-        assert_eq!(g.closed_neighborhood(3), vec![0, 1, 3, 5]);
-        assert_eq!(g.closed_neighborhood(2), vec![2]);
-    }
-
-    #[test]
     fn copy_from_matches_clone() {
         let a = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4), (0, 4)]);
         for mut dst in [
@@ -874,23 +753,44 @@ mod tests {
     fn hop_row_is_the_bfs_row_until_the_next_mutation() {
         let mut g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
         let row = |g: &Graph, a| (0..5).map(|b| g.hops(a, b)).collect::<Vec<_>>();
-        assert_eq!(g.hop_rows_cached(), 0);
+        assert_eq!(g.hop_roots().count(), 0);
         assert_eq!(g.hops(2, 2), 0);
-        assert_eq!(g.hop_rows_cached(), 0, "a self pair needs no search");
+        assert_eq!(g.hop_roots().count(), 0, "a self pair needs no search");
         assert_eq!(row(&g, 0), [0, 1, 2, u32::MAX, u32::MAX]);
-        assert_eq!(g.hop_rows_cached(), 1);
+        assert_eq!(g.hop_roots().count(), 1);
         // Held at 0, so asked from the other end it is still 0's row.
         assert_eq!(g.hops(2, 0), 2);
         assert_eq!(g.hops(4, 0), u32::MAX);
-        assert_eq!(g.hop_rows_cached(), 1);
-        // A lone request keeps no more than its `u32` row.
-        assert_eq!(g.hop_store_bytes(), 5 * 4);
+        assert_eq!(g.hop_roots().count(), 1);
+        // A lone request holds a one-lane block: its deepest distance is 2,
+        // so a reach word and two planes a node.
+        assert_eq!(g.hop_store_bytes(), 5 * (1 + 2) * 8);
         // A duplicate insert and a missing removal change nothing.
         assert!(!g.add_edge(1, 0) && !g.remove_edge(0, 4));
-        assert_eq!(g.hop_rows_cached(), 1);
+        assert_eq!(g.hop_roots().count(), 1);
         assert!(g.add_edge(2, 3));
-        assert_eq!(g.hop_rows_cached(), 0);
+        assert_eq!(g.hop_roots().count(), 0);
         assert_eq!(row(&g, 0), [0, 1, 2, 3, 4]);
+        g.check_invariants();
+    }
+
+    /// A lone miss is a batch of one through the fill's kernel: its lane
+    /// reads the BFS row entry for entry, and its block takes a reach word
+    /// and the planes of the deepest distance, `n · (1 + planes) · 8`
+    /// bytes. A path of 9 edges from its end (deepest 9: four planes), an
+    /// isolated node beside it.
+    #[test]
+    fn a_lone_miss_is_a_one_lane_block() {
+        let edges: Vec<(NodeIdx, NodeIdx)> = (0..9).map(|i| (i, i + 1)).collect();
+        let g = Graph::from_edges(11, &edges);
+        assert_eq!(g.hops(0, 10), traversal::UNREACHABLE);
+        assert_eq!(g.hop_roots().collect::<Vec<_>>(), [0]);
+        let fresh = traversal::bfs_distances(&g, 0);
+        for v in 0..11 {
+            assert_eq!(g.hops(v, 0), fresh[v as usize], "node {v}");
+        }
+        assert_eq!(g.hop_roots().count(), 1);
+        assert_eq!(g.hop_store_bytes(), 11 * (1 + 4) * 8);
         g.check_invariants();
     }
 

@@ -1,5 +1,5 @@
-//! BFS distances 64 roots at a time: the kernel behind
-//! [`Graph::fill_hop_rows`], and the bit-plane blocks it publishes.
+//! BFS distances 64 roots at a time: the kernel behind [`Graph::fill_hops`]
+//! and a lone [`Graph::hops`] miss, and the bit-plane blocks it publishes.
 //!
 //! A scalar BFS walks every edge once per root. When many roots are wanted
 //! at once the walks overlap almost entirely, and a bit-parallel
@@ -13,75 +13,36 @@
 //! are lanes and nothing is saved (batched in index order, n = 1 024, all
 //! nodes wanted: a third of the scalar edge visits, each one dearer),
 //! while 64 roots a few hops apart keep a node active for a few levels (the
-//! same roots batched by nearness: a seventh). Hence two steps:
+//! same roots batched by nearness: a seventh). Hence [`near_batches`]: it
+//! cuts the wanted roots into batches of at most [`LANES`] mutually-near
+//! ones — the lowest root not yet in a batch, then the wanted roots a BFS
+//! from it meets first — and every batch, however few lanes it fills, runs
+//! through the one kernel ([`Scratch::kernel`]). A batch of one lane walks
+//! the edges one scalar BFS walks, each visit a `u64` word where the scalar
+//! loop touches a `u32`.
 //!
-//! * [`near_batches`] cuts the wanted roots into batches of at most
-//!   [`LANES`] mutually-near ones: the lowest root not yet in a batch, then
-//!   the wanted roots a BFS from it meets first. The search knows how far
-//!   out (`spread`) it had to go for its last lane.
-//! * [`Batch::pays`] compares lanes with spread. A batch of few lanes far
-//!   apart saves too few edge visits to cover what each costs more; its
-//!   roots are searched one by one instead ([`Scratch::scalar`]).
-//!
-//! **The block.** Either way a batch ends as one [`Block`], node-major: per
-//! node one *reach* word (bit L set iff lane L's root reaches the node)
-//! and then `⌈log₂(deepest + 1)⌉` *plane* words, where bit L of plane p is
-//! bit p of lane L's distance to the node. The kernel writes it as it goes:
-//! the lanes arriving at a node on level `level` are one word, ORed into
-//! the planes of `level`'s set bits — no loop over lanes. A full block of
-//! 64 roots with 6 planes holds 7 words a node, under 1 byte per root and
-//! node against the 4 of a `u32` row. Whichever path wrote it, a lane
-//! spells [`crate::traversal::bfs_distances`]' row, entry for entry.
+//! **The block.** A batch ends as one [`Block`], node-major: per node one
+//! *reach* word (bit L set iff lane L's root reaches the node) and then
+//! `⌈log₂(deepest + 1)⌉` *plane* words, where bit L of plane p is bit p of
+//! lane L's distance to the node. The kernel writes it as it goes: the
+//! lanes arriving at a node on level `level` are one word, ORed into the
+//! planes of `level`'s set bits — no loop over lanes. A full block of 64
+//! roots with 6 planes holds 7 words a node, under 1 byte per root and node
+//! against the 4 of a `u32` row. A lane spells
+//! [`crate::traversal::bfs_distances`]' row, entry for entry.
 
-use crate::traversal::{bfs_order, UNREACHABLE};
+use crate::traversal::UNREACHABLE;
 use crate::{Graph, NodeIdx};
 use std::sync::Arc;
 
 /// Roots per batch: the bits of the per-node lane word.
 pub(crate) const LANES: usize = u64::BITS as usize;
 
-/// What one edge visit of the kernel costs in scalar edge visits, rounded.
-/// The kernel reads and writes a `u64` lane word where the scalar loop
-/// touches one `u32`, and ORs each arriving word into a few planes; the
-/// scalar path for its part folds every distance into its lane's planes.
-/// Measured (best of three, per batch) on this module's work-pin fixtures
-/// and their neighbours — unit-disk graphs of 1 024, 4 096 and 16 384
-/// nodes with 1 – 100 % of the nodes wanted, and three corner roots —
-/// 1.1 – 1.6, against 1.6 – 2.1 while every lane wrote its own `u32`
-/// distance. On every fixture, [`Batch::pays`] at 1 took no longer than at
-/// 5/4, 3/2 or 2 (16 384 nodes, 1 % wanted: 161 ms against 174 ms at 2),
-/// because `spread + 1` overstates the levels a node stays active on.
-const VISIT_COST: usize = 1;
-
-/// Up to [`LANES`] wanted roots near one another.
-pub(crate) struct Batch {
-    /// Distinct roots, the search's own first.
-    pub roots: Vec<NodeIdx>,
-    /// Hops from the first root to the farthest of the others.
-    pub spread: u32,
-}
-
-impl Batch {
-    /// Whether the bit-parallel kernel does less work on this batch than
-    /// one scalar BFS per root. Scalar walks a node's edges once per lane;
-    /// the kernel once per level some lane arrives on, at [`VISIT_COST`]
-    /// each. The first root is the lowest index left, which as a rule sits
-    /// on the rim of what earlier batches left over, so the batch's roots
-    /// are about `spread` hops across and their distances to a node take
-    /// about `spread + 1` values. (The bound is `2·spread + 1`, and never
-    /// more than the lane count; the work pins in this module's tests hold
-    /// the rule to what batches passing it actually walk.) The kernel pays
-    /// once lanes outnumber that: one lane alone, or two a hop apart, save
-    /// nothing to cover the dearer visit. Only which path computes a block
-    /// hangs on this, never a value in it.
-    pub fn pays(&self) -> bool {
-        self.roots.len() > VISIT_COST * (self.spread as usize + 1)
-    }
-}
-/// Partition `wanted` (ascending, distinct) into batches of mutually-near
-/// roots; see the module docs. Every root lands in exactly one batch, and
-/// a batch never spans two components.
-pub(crate) fn near_batches(g: &Graph, wanted: &[NodeIdx]) -> Vec<Batch> {
+/// Partition `wanted` (ascending, distinct) into batches of at most
+/// [`LANES`] mutually-near roots, each the search's own first; see the
+/// module docs. Every root lands in exactly one batch, and a batch never
+/// spans two components.
+pub(crate) fn near_batches(g: &Graph, wanted: &[NodeIdx]) -> Vec<Vec<NodeIdx>> {
     let n = g.node_count();
     // Wanted and not yet in a batch.
     let mut open = vec![false; n];
@@ -92,7 +53,7 @@ pub(crate) fn near_batches(g: &Graph, wanted: &[NodeIdx]) -> Vec<Batch> {
     // search has to clear what the one before it marked.
     let mut reached = vec![0u32; n];
     let mut queue: Vec<NodeIdx> = Vec::with_capacity(n);
-    let mut batches: Vec<Batch> = Vec::new();
+    let mut batches: Vec<Vec<NodeIdx>> = Vec::new();
     for &first in wanted {
         if !std::mem::take(&mut open[first as usize]) {
             continue;
@@ -100,17 +61,11 @@ pub(crate) fn near_batches(g: &Graph, wanted: &[NodeIdx]) -> Vec<Batch> {
         let search = batches.len() as u32 + 1;
         let mut roots = Vec::with_capacity(LANES.min(wanted.len()));
         roots.push(first);
-        let mut spread = 0;
         queue.clear();
         queue.push(first);
         reached[first as usize] = search;
-        // `queue[head..level_end]` is what is left of the current level.
-        let (mut head, mut level, mut level_end) = (0, 0u32, 1);
+        let mut head = 0;
         'search: while let Some(&u) = queue.get(head) {
-            if head == level_end {
-                level += 1;
-                level_end = queue.len();
-            }
             head += 1;
             for &v in g.neighbors(u) {
                 if reached[v as usize] == search {
@@ -120,14 +75,13 @@ pub(crate) fn near_batches(g: &Graph, wanted: &[NodeIdx]) -> Vec<Batch> {
                 queue.push(v);
                 if std::mem::take(&mut open[v as usize]) {
                     roots.push(v);
-                    spread = level + 1;
                     if roots.len() == LANES {
                         break 'search;
                     }
                 }
             }
         }
-        batches.push(Batch { roots, spread });
+        batches.push(roots);
     }
     batches
 }
@@ -187,17 +141,14 @@ impl Block {
 pub(crate) struct Scratch {
     /// The block being written, at the widest stride `n` can need.
     words: Vec<u64>,
-    /// Kernel: lanes that reached a node on the previous level.
+    /// Lanes that reached a node on the previous level.
     frontier: Vec<u64>,
-    /// Kernel: lanes arriving at a node on the current level.
+    /// Lanes arriving at a node on the current level.
     next: Vec<u64>,
-    /// Kernel: nodes with a non-empty frontier, each once.
+    /// Nodes with a non-empty frontier, each once.
     active: Vec<NodeIdx>,
-    /// Kernel: nodes whose `next` turned non-zero this level.
+    /// Nodes whose `next` turned non-zero this level.
     touched: Vec<NodeIdx>,
-    /// Scalar: one root's distance row and search order.
-    dist: Vec<u32>,
-    queue: Vec<NodeIdx>,
 }
 
 /// `buf` as `len` copies of `value`, in the buffer it already has.
@@ -206,41 +157,36 @@ fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.resize(len, value);
 }
 
-/// OR `lanes` into the planes of `node` that `distance` has set bits in.
-#[inline]
-fn spell(node: &mut [u64], distance: u32, lanes: u64) {
-    let mut bits = distance;
-    while bits != 0 {
-        node[1 + bits.trailing_zeros() as usize] |= lanes;
-        bits &= bits - 1;
-    }
-}
-
 impl Scratch {
-    /// Zero the block for a graph of `n` nodes, with as many planes as a
-    /// distance of `n - 1` needs; returns that stride.
-    fn blank(&mut self, n: usize) -> usize {
-        let stride = 1 + planes_for(n.saturating_sub(1) as u32);
-        refill(&mut self.words, n * stride, 0);
-        stride
-    }
-
-    /// Compact the block written at `stride` down to the planes `deepest`
-    /// needs, in place, and publish it.
-    fn seal(&mut self, n: usize, stride: usize, deepest: u32) -> Block {
+    /// Publish the block written at `stride`, keeping per node the reach
+    /// word and the planes `deepest` needs: each kept word is written once,
+    /// straight into the shared allocation (an iterator of exact length,
+    /// so the `Arc` is allocated at its size and filled in place).
+    fn seal(&self, n: usize, stride: usize, deepest: u32) -> Block {
         let tight = 1 + planes_for(deepest);
-        for v in 1..n {
-            self.words
-                .copy_within(v * stride..v * stride + tight, v * tight);
-        }
+        // `at` walks node by node over the first `tight` of every `stride`
+        // words.
+        let (mut at, mut left) = (0, tight);
+        let words = (0..n * tight)
+            .map(|_| {
+                let word = self.words[at];
+                at += 1;
+                left -= 1;
+                if left == 0 {
+                    left = tight;
+                    at += stride - tight;
+                }
+                word
+            })
+            .collect();
         Block {
-            words: Arc::from(&self.words[..n * tight]),
+            words,
             stride: tight,
         }
     }
 
     /// The block of `roots` (distinct, at most [`LANES`]; lane L is
-    /// `roots[L]`) by the bit-parallel kernel, and how many edges it walked.
+    /// `roots[L]`), and how many edges it walked.
     ///
     /// Level-synchronous: `frontier[u]` holds the lanes that reached `u` on
     /// the previous level. Pass 1 ORs it into `next[v]` of every neighbour,
@@ -253,15 +199,16 @@ impl Scratch {
     pub fn kernel(&mut self, g: &Graph, roots: &[NodeIdx]) -> (Block, u64) {
         let n = g.node_count();
         debug_assert!(roots.len() <= LANES);
-        let stride = self.blank(n);
+        // Wide enough for a distance of `n - 1`.
+        let stride = 1 + planes_for(n.saturating_sub(1) as u32);
         let Scratch {
             words,
             frontier,
             next,
             active,
             touched,
-            ..
         } = self;
+        refill(words, n * stride, 0);
         refill(frontier, n, 0);
         refill(next, n, 0);
         // One slot more than there are nodes: pass 1 writes the slot past
@@ -297,7 +244,11 @@ impl Scratch {
                     continue;
                 }
                 node[0] |= arrived;
-                spell(node, level, arrived);
+                let mut bits = level;
+                while bits != 0 {
+                    node[1 + bits.trailing_zeros() as usize] |= arrived;
+                    bits &= bits - 1;
+                }
                 frontier[v as usize] = arrived;
                 active.push(v);
             }
@@ -306,35 +257,13 @@ impl Scratch {
         let deepest = level.saturating_sub(1);
         (self.seal(n, stride, deepest), visits)
     }
-
-    /// The block of `roots` (as for [`Scratch::kernel`]) by one scalar BFS
-    /// per root, each row folded into its lane as it comes.
-    pub fn scalar(&mut self, g: &Graph, roots: &[NodeIdx]) -> Block {
-        let n = g.node_count();
-        debug_assert!(roots.len() <= LANES);
-        let stride = self.blank(n);
-        let Scratch {
-            words, dist, queue, ..
-        } = self;
-        let mut deepest = 0;
-        for (lane, &root) in roots.iter().enumerate() {
-            let bit = 1u64 << lane;
-            for &v in bfs_order(g, root, dist, queue) {
-                let node = &mut words[v as usize * stride..][..stride];
-                let d = dist[v as usize];
-                node[0] |= bit;
-                spell(node, d, bit);
-                deepest = deepest.max(d);
-            }
-        }
-        self.seal(n, stride, deepest)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traversal::bfs_distances;
+
     use crate::unit_disk::build_unit_disk;
     use chlm_geom::region::deploy_uniform;
     use chlm_geom::{Disk, Point, SimRng};
@@ -376,34 +305,27 @@ mod tests {
             .collect()
     }
 
-    /// What `Graph::fill_hop_rows` does for `wanted` (ascending, distinct),
-    /// in edges walked: `(by its plan, by one scalar BFS per root, roots
-    /// that went through the kernel)`. Every kernel lane is checked against
-    /// the scalar row on the way.
-    fn work(g: &Graph, wanted: &[NodeIdx]) -> (u64, u64, usize) {
-        let (mut planned, mut scalar, mut kernel_rows) = (0, 0, 0);
-        let mut placed = 0;
+    /// What a fill does for `wanted` (ascending, distinct), in edges
+    /// walked: `(by the kernel, by one scalar BFS per root)`. Every lane is
+    /// checked against the scalar row on the way.
+    fn work(g: &Graph, wanted: &[NodeIdx]) -> (u64, u64) {
+        let (mut kernel, mut scalar, mut placed) = (0, 0, 0);
         for batch in near_batches(g, wanted) {
-            assert!(!batch.roots.is_empty() && batch.roots.len() <= LANES);
-            placed += batch.roots.len();
-            let own: u64 = batch.roots.iter().map(|&r| scalar_visits(g, r)).sum();
+            assert!(!batch.is_empty() && batch.len() <= LANES);
+            placed += batch.len();
+            let own: u64 = batch.iter().map(|&r| scalar_visits(g, r)).sum();
             scalar += own;
-            if !batch.pays() {
-                planned += own;
-                continue;
-            }
-            let (block, visits) = Scratch::default().kernel(g, &batch.roots);
-            for (&root, row) in batch.roots.iter().zip(rows(g, &block)) {
+            let (block, visits) = Scratch::default().kernel(g, &batch);
+            for (&root, row) in batch.iter().zip(rows(g, &block)) {
                 assert_eq!(row, bfs_distances(g, root), "root {root}");
             }
             // A node is walked once per level a lane arrives on: never
             // more often than scalar walks it.
             assert!(visits <= own);
-            planned += visits;
-            kernel_rows += batch.roots.len();
+            kernel += visits;
         }
         assert_eq!(placed, wanted.len(), "every root in exactly one batch");
-        (planned, scalar, kernel_rows)
+        (kernel, scalar)
     }
 
     /// The dense case the kernel exists for — every node of a 1 024-node
@@ -413,41 +335,41 @@ mod tests {
     fn work_pin_dense_roots_walk_a_quarter_of_the_scalar_edges() {
         let (g, _) = deployment(1024, 7);
         let wanted: Vec<NodeIdx> = (0..1024).collect();
-        let (planned, scalar, kernel_rows) = work(&g, &wanted);
+        let (kernel, scalar) = work(&g, &wanted);
         assert!(scalar > 1000 * 2 * g.edge_count() as u64, "fixture split");
-        assert!(kernel_rows > 900, "{kernel_rows} rows batched");
         assert!(
-            4 * planned <= scalar,
-            "planned {planned} edge visits, scalar {scalar}"
+            4 * kernel <= scalar,
+            "kernel {kernel} edge visits, scalar {scalar}"
         );
     }
 
-    /// The sparse case an earlier index-order batch lost on (0.6–0.8x):
-    /// 1 % of a 16 384-node world, 163 roots. Each of the two full batches
-    /// has more lanes than hops of spread and goes through the kernel, at
-    /// 0.70 of the scalar edge visits overall (and 0.93 of the scalar
-    /// time, fold included); the 35-root remainder spreads wider than it
-    /// has lanes and is searched root by root.
+    /// The sparse case an index-order batch lost on (0.6–0.8x): 1 % of a
+    /// 16 384-node world, 163 roots, in two full batches and a 35-root
+    /// remainder. Reading: 15 300 631 kernel edge visits against
+    /// 23 879 174 scalar ones (0.64). The bound is the first reading; it
+    /// only ever goes down.
     #[test]
-    fn work_pin_sparse_roots_batch_where_lanes_outnumber_spread() {
+    fn work_pin_sparse_roots_on_the_kernel() {
         let n = 16_384;
         let (g, _) = deployment(n, 11);
         let mut rng = SimRng::seed_from(12);
         let mut wanted: Vec<NodeIdx> = (0..n / 100).map(|_| rng.index(n) as NodeIdx).collect();
         wanted.sort_unstable();
         wanted.dedup();
-        let (planned, scalar, kernel_rows) = work(&g, &wanted);
-        assert_eq!((wanted.len(), kernel_rows), (163, 128));
+        assert_eq!(wanted.len(), 163);
+        let (kernel, scalar) = work(&g, &wanted);
         assert!(
-            4 * planned <= 3 * scalar,
-            "planned {planned} edge visits, scalar {scalar}"
+            kernel <= 15_300_631,
+            "kernel {kernel} edge visits, scalar {scalar}"
         );
     }
 
-    /// Three roots at the rim of the deployment, a diameter apart: nothing
-    /// to share.
+    /// Three roots at the rim of the deployment, a diameter apart: one
+    /// batch with almost nothing to share. Reading: 105 554 kernel edge
+    /// visits against 107 226 scalar ones (0.98). The bound is the first
+    /// reading; it only ever goes down.
     #[test]
-    fn work_pin_corner_roots_fall_back_to_scalar() {
+    fn work_pin_corner_roots_on_the_kernel() {
         let (g, pts) = deployment(4096, 13);
         let extreme = |key: fn(&Point) -> f64| {
             let mut best = 0;
@@ -462,15 +384,17 @@ mod tests {
         wanted.sort_unstable();
         wanted.dedup();
         assert_eq!(wanted.len(), 3);
-        let (planned, scalar, kernel_rows) = work(&g, &wanted);
-        assert_eq!(kernel_rows, 0);
-        assert_eq!(planned, scalar);
+        let (kernel, scalar) = work(&g, &wanted);
+        assert!(
+            kernel <= 105_554,
+            "kernel {kernel} edge visits, scalar {scalar}"
+        );
     }
 
-    /// A block keeps as many planes as its deepest lane needs, whichever
-    /// path wrote it: on a path of `d` edges, roots at the ends (and the
-    /// middle) spell distances up to `d` in `⌈log₂(d + 1)⌉` planes, across
-    /// every boundary 1 | 2, 3 | 4, 7 | 8, 255 | 256.
+    /// A block keeps as many planes as its deepest lane needs: on a path
+    /// of `d` edges, roots at the ends (and the middle) spell distances up
+    /// to `d` in `⌈log₂(d + 1)⌉` planes, across every boundary 1 | 2,
+    /// 3 | 4, 7 | 8, 255 | 256.
     #[test]
     fn blocks_keep_the_planes_their_deepest_lane_needs() {
         let mut scratch = Scratch::default();
@@ -491,12 +415,9 @@ mod tests {
                 roots.insert(1, d / 2);
             }
             let want: Vec<Vec<u32>> = roots.iter().map(|&r| bfs_distances(&g, r)).collect();
-            let (kernel, _) = scratch.kernel(&g, &roots);
-            let scalar = scratch.scalar(&g, &roots);
-            for block in [kernel, scalar] {
-                assert_eq!(block.stride, 1 + planes, "d = {d}");
-                assert_eq!(rows(&g, &block), want, "d = {d}");
-            }
+            let (block, _) = scratch.kernel(&g, &roots);
+            assert_eq!(block.stride, 1 + planes, "d = {d}");
+            assert_eq!(rows(&g, &block), want, "d = {d}");
         }
     }
 
@@ -504,35 +425,36 @@ mod tests {
     /// n = 1 024 and on four times that: 0.20 and 0.22 of it.
     #[test]
     fn a_full_fill_holds_under_a_quarter_of_the_rows() {
+        let mut scratch = Scratch::default();
         for (n, seed) in [(1024, 7), (4096, 13)] {
             let (g, _) = deployment(n, seed);
             let all: Vec<NodeIdx> = (0..n as NodeIdx).collect();
-            g.fill_hop_rows(&all, &chlm_par::WorkerPool::new(1));
-            assert_eq!(g.hop_rows_cached(), n);
-            let (held, rows) = (g.hop_store_bytes(), n * n * 4);
+            let batches = near_batches(&g, &all);
+            assert_eq!(batches.iter().map(Vec::len).sum::<usize>(), n);
+            let held: usize = batches
+                .iter()
+                .map(|batch| scratch.kernel(&g, batch).0.bytes())
+                .sum();
+            let rows = n * n * 4;
             assert!(4 * held <= rows, "n = {n}: {held} bytes held, rows {rows}");
         }
     }
 
     /// Batches on degenerate graphs: nothing wanted, isolated nodes (one
-    /// lane each, spread 0), a star (one batch, spread 2 through the hub),
-    /// two components (never one batch).
+    /// lane each), a star (one batch through the hub), two components
+    /// (never one batch).
     #[test]
     fn batches_on_degenerate_graphs() {
         assert!(near_batches(&Graph::with_nodes(0), &[]).is_empty());
         assert!(near_batches(&Graph::with_nodes(3), &[]).is_empty());
         let lonely = near_batches(&Graph::with_nodes(3), &[0, 2]);
         assert_eq!(lonely.len(), 2);
-        assert!(lonely.iter().all(|b| b.roots.len() == 1 && b.spread == 0));
-        assert!(!lonely[0].pays());
+        assert!(lonely.iter().all(|b| b.len() == 1));
 
         let star = Graph::from_edges(6, &[(3, 0), (3, 1), (3, 2), (3, 4), (3, 5)]);
         let leaves = near_batches(&star, &[0, 1, 5]);
         assert_eq!(leaves.len(), 1);
-        assert_eq!(
-            (leaves[0].roots.as_slice(), leaves[0].spread),
-            (&[0, 1, 5][..], 2)
-        );
+        assert_eq!(leaves[0], [0, 1, 5]);
         let (block, visits) = Scratch::default().kernel(&star, &[0, 3, 5]);
         let lanes = rows(&star, &block);
         assert_eq!(lanes[0], [0, 2, 2, 1, 2, 2]);
@@ -549,13 +471,11 @@ mod tests {
         let split = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
         let parts = near_batches(&split, &[0, 2, 3, 4]);
         assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].roots, [0, 2]);
-        assert_eq!(parts[1].roots, [3, 4]);
+        assert_eq!(parts[0], [0, 2]);
+        assert_eq!(parts[1], [3, 4]);
         let (block, _) = Scratch::default().kernel(&split, &[0, 4]);
         let lanes = rows(&split, &block);
         assert_eq!(lanes[0], [0, 1, 2, UNREACHABLE, UNREACHABLE]);
         assert_eq!(lanes[1], [UNREACHABLE, UNREACHABLE, UNREACHABLE, 1, 0]);
-        let block = Scratch::default().scalar(&split, &[0, 4]);
-        assert_eq!(rows(&split, &block), lanes);
     }
 }

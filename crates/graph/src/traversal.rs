@@ -21,18 +21,6 @@ pub fn bfs_distances(g: &Graph, src: NodeIdx) -> Vec<u32> {
 /// resized here), so a distance vector can be reused across calls instead
 /// of reallocated.
 pub fn bfs_distances_into(g: &Graph, src: NodeIdx, dist: &mut Vec<u32>) {
-    bfs_order(g, src, dist, &mut Vec::new());
-}
-
-/// [`bfs_distances_into`] with the queue kept by the caller too; returns
-/// the nodes `src` reaches, in the order the search settled them (so by
-/// non-decreasing distance).
-pub(crate) fn bfs_order<'q>(
-    g: &Graph,
-    src: NodeIdx,
-    dist: &mut Vec<u32>,
-    queue: &'q mut Vec<NodeIdx>,
-) -> &'q [NodeIdx] {
     dist.clear();
     dist.resize(g.node_count(), UNREACHABLE);
     // Every node enters the queue at most once, so a flat FIFO (write at
@@ -41,8 +29,7 @@ pub(crate) fn bfs_order<'q>(
     // graph that is a coin the predictor loses: the slot at `tail` and
     // `dist[v]` are written on every visit, and only a new `v` moves `tail`
     // and changes `dist[v]`. Hence one slot more than there are nodes.
-    queue.clear();
-    queue.resize(g.node_count() + 1, 0);
+    let mut queue: Vec<NodeIdx> = vec![0; g.node_count() + 1];
     dist[src as usize] = 0;
     queue[0] = src;
     let (mut head, mut tail) = (0, 1);
@@ -58,7 +45,6 @@ pub(crate) fn bfs_order<'q>(
             dist[v as usize] = if unseen { du + 1 } else { d };
         }
     }
-    &queue[..tail]
 }
 
 /// Hop distance between `src` and `dst`, early-exiting once `dst` is settled.
@@ -148,12 +134,6 @@ pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
     (comp, next as usize)
 }
 
-/// True iff the graph is connected (the paper assumes `G` connected, §1.2).
-/// The empty graph is vacuously connected.
-pub fn is_connected(g: &Graph) -> bool {
-    g.node_count() == 0 || connected_components(g).1 == 1
-}
-
 /// Multi-source BFS: hop distance from each node to its nearest source.
 /// Used to compute distances to clusterheads.
 pub fn multi_source_bfs(g: &Graph, sources: &[NodeIdx]) -> Vec<u32> {
@@ -231,9 +211,8 @@ mod tests {
         assert_eq!(comp[3], comp[4]);
         assert_ne!(comp[0], comp[3]);
         assert_ne!(comp[5], comp[0]);
-        assert!(!is_connected(&g));
-        assert!(is_connected(&path_graph(6)));
-        assert!(is_connected(&Graph::with_nodes(0)));
+        assert_eq!(connected_components(&path_graph(6)).1, 1);
+        assert_eq!(connected_components(&Graph::with_nodes(0)).1, 0);
     }
 
     #[test]

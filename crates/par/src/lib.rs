@@ -1,7 +1,7 @@
 //! Deterministic intra-tick parallelism.
 //!
 //! Every parallel hot path in the simulator (the batched BFS rows of
-//! `Graph::fill_hop_rows`, Verlet-list topology maintenance, the sharded
+//! `Graph::fill_hops`, Verlet-list topology maintenance, the sharded
 //! packet backend) fans work out through one [`WorkerPool`] and merges results with one of
 //! two order-preserving shapes:
 //!

@@ -225,7 +225,7 @@ mod tests {
             };
             assert_eq!(p, want, "({a},{b})");
         }
-        assert_eq!(g.hop_rows_cached(), 3);
+        assert_eq!(g.hop_roots().count(), 3);
     }
 
     #[test]
@@ -390,7 +390,7 @@ mod tests {
                 for a in 0..n as NodeIdx {
                     prop_assert_eq!(pricer.hops(a, a), 0.0);
                 }
-                prop_assert_eq!(cold.hop_rows_cached(), 0);
+                prop_assert_eq!(cold.hop_roots().count(), 0);
                 for a in 0..n as NodeIdx {
                     for b in (0..n as NodeIdx).filter(|&b| b != a) {
                         let got = pricer.hops(a, b);
@@ -416,7 +416,7 @@ mod tests {
                 // Every source but the last searched once: by then each of
                 // its pairs was answered from the other end.
                 let want_rows = if metric == HopMetric::Bfs && n > 1 { n - 1 } else { 0 };
-                prop_assert_eq!(cold.hop_rows_cached(), want_rows, "{:?}", metric);
+                prop_assert_eq!(cold.hop_roots().count(), want_rows, "{:?}", metric);
             }
         }
     }

@@ -146,7 +146,7 @@ mod tests {
     fn memoised_rows_give_identical_answers() {
         let (g, pts, rtx) = setup(150, 5);
         let _ = bfs_prices(&g, &pts, rtx, DEFAULT_DETOUR, &[(0, 5), (7, 9)]);
-        assert_eq!(g.hop_rows_cached(), 2);
+        assert_eq!(g.hop_roots().count(), 2);
         let cold = g.clone();
         let pairs = [(11u32, 17u32), (3, 140), (17, 11), (0, 0), (0, 140), (7, 9)];
         assert_eq!(
@@ -155,8 +155,8 @@ mod tests {
         );
         // Sources {0, 7} were warm and {3, 11} new; (17, 11) read 11's
         // distances from the other end. The cold copy searched those four.
-        assert_eq!(g.hop_rows_cached(), 4);
-        assert_eq!(cold.hop_rows_cached(), 4);
+        assert_eq!(g.hop_roots().count(), 4);
+        assert_eq!(cold.hop_roots().count(), 4);
     }
 
     /// The satellite bugfix pin: disconnected pairs under BFS pricing

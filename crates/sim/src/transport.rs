@@ -46,8 +46,10 @@
 //!    (a [`HopMetric::Bfs`] pricer or a packet transport; `reads_hops`),
 //!    [`crate::multiplex::MultiplexSim::step`] hands the pairs of the
 //!    planes such banks book, all at once, to a `PairWarmer`, whose one
-//!    [`chlm_graph::Graph::fill_hops`] roots them at a vertex cover of the
-//!    pairs neither end of which is held, 64 searches at a time. A leg is
+//!    [`chlm_graph::Graph::fill_hops`] — the store's one way in — roots
+//!    them at a vertex cover of the pairs neither end of which is held and
+//!    runs every batch of up to 64 near roots through one bit-parallel
+//!    BFS kernel. A leg is
 //!    then answered from whichever of its ends is held, on both arms, so a
 //!    packet bank fills no root an analytic bank over the same legs would
 //!    not, and a transport asks the graph for nothing itself. The

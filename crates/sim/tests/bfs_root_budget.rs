@@ -33,7 +33,7 @@ struct HeldRoots(Rc<Cell<usize>>);
 
 impl Observer for HeldRoots {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
-        self.0.set(self.0.get() + ctx.graph.hop_rows_cached());
+        self.0.set(self.0.get() + ctx.graph.hop_roots().count());
     }
 }
 

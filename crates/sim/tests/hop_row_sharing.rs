@@ -55,7 +55,7 @@ fn pricer_and_packet_networks_share_one_row() {
         sources: &[],
     });
     let priced = [pricer.hops(a, x), pricer.hops(a, y)];
-    assert_eq!(g.hop_rows_cached(), 1);
+    assert_eq!(g.hop_roots().count(), 1);
 
     for (dst, price) in [x, y].into_iter().zip(priced) {
         let mut net = PacketNetwork::new(0.001);
@@ -63,7 +63,11 @@ fn pricer_and_packet_networks_share_one_row() {
         let stats = net.run();
         assert_eq!(stats.delivered, 1, "fixture must be connected");
         assert_eq!(stats.transmissions as f64, price);
-        assert_eq!(g.hop_rows_cached(), 1, "a network derived a row of its own");
+        assert_eq!(
+            g.hop_roots().count(),
+            1,
+            "a network derived a row of its own"
+        );
     }
 }
 
@@ -77,7 +81,7 @@ impl Observer for RowCount {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
         self.out
             .borrow_mut()
-            .push((ctx.graph.hop_rows_cached(), ctx.query_arrivals.len()));
+            .push((ctx.graph.hop_roots().count(), ctx.query_arrivals.len()));
     }
 }
 

@@ -9,7 +9,7 @@ use chlm_cluster::{Hierarchy, HierarchyOptions};
 use chlm_geom::Point;
 use chlm_graph::traversal::bfs_distances;
 use chlm_graph::unit_disk::build_unit_disk;
-use chlm_graph::Graph;
+use chlm_graph::{Graph, PairCover};
 use chlm_par::WorkerPool;
 use chlm_sim::cost::{CostInputs, HopPricer, Pricing};
 use chlm_sim::oracle::DEFAULT_DETOUR;
@@ -288,12 +288,11 @@ fn rpgm_mobility_thread_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Roots warmed in bulk by a pool (`Graph::fill_hop_rows`, the root
-    /// form of what every transport's `carry` calls) must price exactly
-    /// like rows the BFS pricer computes lazily, and like the serial
-    /// `bfs_distances` rows, for arbitrary graphs, source subsets
-    /// (duplicates and all), and pool widths; pricing the warmed sources
-    /// computes no further row.
+    /// Pairs warmed in bulk by a pool (`Graph::fill_hops`, what the tick's
+    /// warmer calls) must price exactly like rows the BFS pricer computes
+    /// lazily, and like the serial `bfs_distances` rows, for arbitrary
+    /// graphs, source subsets (duplicates and all), and pool widths;
+    /// pricing the warmed pairs computes no further row.
     #[test]
     fn prop_prefill_matches_serial_bfs(
         seed in 0u64..500,
@@ -308,11 +307,13 @@ proptest! {
         let g = build_unit_disk(&pts, rtx);
         let h = Hierarchy::build(&rng.permutation(n), &g, HierarchyOptions::default());
         let sources: Vec<u32> = picks.iter().map(|&p| (p % n) as u32).collect();
-        g.fill_hop_rows(&sources, &WorkerPool::new(threads));
-        let mut distinct = sources.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        prop_assert_eq!(g.hop_rows_cached(), distinct.len());
+        let pairs: Vec<(u32, u32)> = sources
+            .iter()
+            .flat_map(|&s| (0..n as u32).map(move |t| (s, t)))
+            .collect();
+        g.fill_hops(&pairs, &mut PairCover::default(), &WorkerPool::new(threads));
+        let held = g.hop_roots().count();
+        prop_assert!(held >= 1, "no root held for {} sources", sources.len());
         // Rows live on the graph, so the lazy side prices a cold clone:
         // otherwise it would read the rows the fill just published.
         let cold = g.clone();
@@ -330,7 +331,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(g.hop_rows_cached(), distinct.len(), "priced from the warmed rows");
+        prop_assert_eq!(g.hop_roots().count(), held, "priced from the warmed rows");
     }
 }
 
