@@ -163,6 +163,17 @@ if grep -rn 'classify_events(' crates/sim/src \
   exit 1
 fi
 
+# The world accounts for itself: `World` owns its accumulators as plain
+# fields of `WorldObservers`, books and audits them once a tick, and draws
+# the world half of every report from its one run stream. A bank keeps
+# only its books: no per-bank copy of the run stream, no auditor switch
+# for the ledger check (the bank's scheme decides), and none of the
+# one-field observer wrappers.
+if grep -rnE 'with_ledger_check|fn run_rng|struct (LinkRateObserver|AddressChurnObserver|LevelChurnObserver|AlcaStateObserver|DegreeObserver)\b' crates/sim/src; then
+  echo "leftover check: a per-bank copy of the world account is back in crates/sim/src" >&2
+  exit 1
+fi
+
 # The topology maintainer works in cell order: candidates are ranks found
 # by one half-stencil scan over the grid's own cell sort, and a rebuild
 # writes the graph's rows in one pass. A per-node grid query, its

@@ -30,12 +30,6 @@ impl Point {
         self.x * other.x + self.y * other.y
     }
 
-    /// z-component of the 3-D cross product; sign gives orientation.
-    #[inline]
-    pub fn cross(self, other: Point) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
     #[inline]
     pub fn norm_sq(self) -> f64 {
         self.dot(self)
@@ -72,33 +66,6 @@ impl Point {
     #[inline]
     pub fn lerp(self, other: Point, t: f64) -> Point {
         self + (other - self) * t
-    }
-
-    /// Step `dist` from `self` towards `target`, never overshooting.
-    /// Returns the new position and whether the target was reached.
-    pub fn step_towards(self, target: Point, dist: f64) -> (Point, bool) {
-        debug_assert!(dist >= 0.0);
-        let gap = self.dist(target);
-        if gap <= dist {
-            (target, true)
-        } else {
-            // gap > dist >= 0 implies gap > 0, so normalization succeeds.
-            let dir = (target - self) / gap;
-            (self + dir * dist, false)
-        }
-    }
-
-    /// Rotate by `theta` radians counter-clockwise about the origin.
-    #[inline]
-    pub fn rotated(self, theta: f64) -> Point {
-        let (s, c) = theta.sin_cos();
-        Point::new(self.x * c - self.y * s, self.x * s + self.y * c)
-    }
-
-    /// Angle in radians in `(-pi, pi]`.
-    #[inline]
-    pub fn angle(self) -> f64 {
-        self.y.atan2(self.x)
     }
 
     /// Componentwise finite check (rejects NaN and infinities).
@@ -182,11 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_cross_norm() {
+    fn dot_and_norm() {
         let a = Point::new(3.0, 4.0);
         assert!(close(a.norm(), 5.0));
         assert!(close(a.dot(Point::new(1.0, 0.0)), 3.0));
-        assert!(close(Point::new(1.0, 0.0).cross(Point::new(0.0, 1.0)), 1.0));
     }
 
     #[test]
@@ -215,39 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn step_towards_no_overshoot() {
-        let a = Point::ORIGIN;
-        let b = Point::new(10.0, 0.0);
-        let (p, arrived) = a.step_towards(b, 4.0);
-        assert!(!arrived);
-        assert!(close(p.x, 4.0));
-        let (p2, arrived2) = p.step_towards(b, 100.0);
-        assert!(arrived2);
-        assert_eq!(p2, b);
-    }
-
-    #[test]
-    fn step_towards_already_there() {
-        let a = Point::new(2.0, 2.0);
-        let (p, arrived) = a.step_towards(a, 0.0);
-        assert!(arrived);
-        assert_eq!(p, a);
-    }
-
-    #[test]
-    fn rotation_quarter_turn() {
-        let a = Point::new(1.0, 0.0);
-        let r = a.rotated(std::f64::consts::FRAC_PI_2);
-        assert!(close(r.x, 0.0) && close(r.y, 1.0));
-    }
-
-    #[test]
     fn unit_and_angle_roundtrip() {
         for &theta in &[0.0, 0.5, 1.0, -2.0, 3.0] {
             let u = Point::unit(theta);
             assert!(close(u.norm(), 1.0));
-            // angle wraps into (-pi, pi], compare via vectors
-            let back = Point::unit(u.angle());
+            // atan2 wraps into (-pi, pi], compare via vectors
+            let back = Point::unit(u.y.atan2(u.x));
             assert!(close(back.x, u.x) && close(back.y, u.y));
         }
     }

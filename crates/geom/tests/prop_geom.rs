@@ -29,23 +29,6 @@ proptest! {
     }
 
     #[test]
-    fn rotation_preserves_norm(p in arb_point(), theta in -10.0f64..10.0) {
-        prop_assert!((p.rotated(theta).norm() - p.norm()).abs() < 1e-6 * (1.0 + p.norm()));
-    }
-
-    #[test]
-    fn step_towards_moves_at_most_dist(a in arb_point(), b in arb_point(), d in 0.0f64..100.0) {
-        let (p, arrived) = a.step_towards(b, d);
-        prop_assert!(a.dist(p) <= d + 1e-9);
-        if arrived {
-            prop_assert!((p - b).norm() < 1e-9);
-        } else {
-            // remaining distance shrank by exactly d
-            prop_assert!((a.dist(b) - d - p.dist(b)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn disk_clamp_is_idempotent_and_contained(p in arb_point(), r in 0.1f64..100.0) {
         let disk = Disk::centered(r);
         let c = disk.clamp(p);

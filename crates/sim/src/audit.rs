@@ -1,19 +1,18 @@
 //! Tick-level invariant auditing.
 //!
-//! With `SimConfig::audit` enabled, the engine hands every tick's inputs
-//! and accumulators to an [`Auditor`], which re-checks the system's
-//! conservation laws and structural invariants *as the run progresses*:
+//! With `SimConfig::audit` enabled, the engine re-checks the system's
+//! conservation laws and structural invariants *as the run progresses*,
+//! split along the same seam as the accounting (`crate::observe`). The
+//! checks that read only the world run once a tick per world, in the
+//! [`WorldAuditor`] the world owns:
 //!
 //! * the hierarchy is a valid LCA fixpoint — every node has exactly one
 //!   level-k clusterhead per level — numbered in tree order (via
 //!   [`chlm_cluster::audit`]),
-//! * the [`AddressBook`] snapshot matches the hierarchy it captured,
-//! * the [`LmAssignment`] matches §3.2's hash mapping, re-derived
-//!   independently (via [`chlm_lm::audit`]),
-//! * the [`HandoffLedger`] event totals reconcile with the host-change
-//!   stream and the migration/reorganization classification — every host
-//!   change is counted exactly once, in the class the cascade rule assigns
-//!   (conservation; a double-counted or dropped handoff surfaces here),
+//! * the [`AddressBook`](chlm_cluster::address::AddressBook) snapshot
+//!   matches the hierarchy it captured,
+//! * the [`LmAssignment`](chlm_lm::server::LmAssignment) matches §3.2's
+//!   hash mapping, re-derived independently (via [`chlm_lm::audit`]),
 //! * per-level migration/reorganization counters in [`LevelRates`]
 //!   reconcile with the address-change stream,
 //! * the event-taxonomy counters ([`EventCounts`]) reconcile with the
@@ -23,22 +22,36 @@
 //!   must land in the ±1 bin, larger moves in the ≥±2 bin — the tracker
 //!   must measure the adjacent-transition property faithfully).
 //!
-//! Violations are collected as structured [`AuditViolation`] values — the
-//! auditor never panics, so a corrupted run still produces a report plus
-//! the full violation list.
+//! The checks that read a bank's [`HandoffLedger`] run once a tick per
+//! bank, in its [`Auditor`]:
+//!
+//! * a CHLM ledger's event totals reconcile with the host-change stream
+//!   and the migration/reorganization classification — every host change
+//!   is counted exactly once, in the class the cascade rule assigns
+//!   (conservation; a double-counted or dropped handoff surfaces here).
+//!   Other schemes' ledgers book a workload of their own, so their banks
+//!   skip it;
+//! * every ledger's node-seconds exposure equals the world's to the bit.
+//!
+//! Each bank's violation list records the world's findings of every tick
+//! before its own, so it holds the whole verdict on its run. Violations are
+//! structured [`AuditViolation`] values — the auditors never panic, so a
+//! corrupted run still produces a report plus the full violation list.
 
-use chlm_cluster::address::{AddrChange, AddrChangeKind, AddressBook};
+use chlm_cluster::address::{AddrChange, AddrChangeKind};
 use chlm_cluster::audit::{audit_address_book, audit_hierarchy, ClusterViolation};
 use chlm_cluster::events::EventCounts;
 use chlm_cluster::{Hierarchy, StateTracker};
 use chlm_graph::NodeIdx;
 use chlm_lm::audit::{audit_assignment, LmViolation};
 use chlm_lm::handoff::HandoffLedger;
-use chlm_lm::server::{HostChange, LmAssignment, SelectionRule};
+use chlm_lm::server::{HostChange, SelectionRule};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use crate::observe::WorldObservers;
 use crate::report::LevelRates;
+use crate::stage::TickCtx;
 
 /// One invariant violation detected during an audited run.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,12 +146,10 @@ impl fmt::Display for AuditViolation {
     }
 }
 
-/// Accumulator totals captured at the end of a tick, so the next tick's
-/// deltas can be reconciled against that tick's input streams.
+/// The world account's totals captured at the end of a tick, so the next
+/// tick's deltas can be reconciled against that tick's input streams.
 #[derive(Debug, Clone, Default)]
 pub struct AccumSnapshot {
-    /// Per level: (migration_events, reorg_events) in the ledger.
-    ledger_events: Vec<(u64, u64)>,
     /// Per level: (migration_events, reorg_events) in the rates.
     rates_events: Vec<(u64, u64)>,
     events: EventCounts,
@@ -146,33 +157,15 @@ pub struct AccumSnapshot {
 }
 
 impl AccumSnapshot {
-    pub fn capture(
-        ledger: &HandoffLedger,
-        rates: &LevelRates,
-        events: &EventCounts,
-        tracker: &StateTracker,
-    ) -> Self {
+    pub fn capture(rates: &LevelRates, events: &EventCounts, tracker: &StateTracker) -> Self {
         let mut snap = AccumSnapshot::default();
-        snap.recapture(ledger, rates, events, tracker);
+        snap.recapture(rates, events, tracker);
         snap
     }
 
     /// Refresh this snapshot in place, reusing its buffers — the auditor
     /// recaptures every audited tick, so the baseline must not reallocate.
-    pub fn recapture(
-        &mut self,
-        ledger: &HandoffLedger,
-        rates: &LevelRates,
-        events: &EventCounts,
-        tracker: &StateTracker,
-    ) {
-        self.ledger_events.clear();
-        self.ledger_events.extend(
-            ledger
-                .per_level
-                .iter()
-                .map(|c| (c.migration_events, c.reorg_events)),
-        );
+    pub fn recapture(&mut self, rates: &LevelRates, events: &EventCounts, tracker: &StateTracker) {
         self.rates_events.clear();
         self.rates_events.extend(
             rates
@@ -189,20 +182,12 @@ impl AccumSnapshot {
     }
 }
 
-/// Everything the auditor needs to see about one completed tick. All
-/// references are to the engine's post-update accumulators and this tick's
-/// diff streams.
-pub struct TickInputs<'a> {
-    pub old_hierarchy: &'a Hierarchy,
-    pub new_hierarchy: &'a Hierarchy,
-    pub book: &'a AddressBook,
-    pub assignment: &'a LmAssignment,
-    pub host_changes: &'a [HostChange],
-    pub addr_changes: &'a [AddrChange],
-    pub ledger: &'a HandoffLedger,
-    pub rates: &'a LevelRates,
-    pub events: &'a EventCounts,
-    pub tracker: &'a StateTracker,
+/// Per level: (migration_events, reorg_events) in `ledger`.
+fn ledger_events(ledger: &HandoffLedger) -> impl Iterator<Item = (u64, u64)> + '_ {
+    ledger
+        .per_level
+        .iter()
+        .map(|c| (c.migration_events, c.reorg_events))
 }
 
 /// Independent reimplementation of the ledger's migration/reorganization
@@ -249,20 +234,20 @@ pub fn classify_host_changes(
 /// independently classified host-change stream. A handoff recorded twice
 /// (or dropped) shows up as a mismatch.
 pub fn check_ledger_delta(
-    prev: &AccumSnapshot,
+    prev: &[(u64, u64)],
     ledger: &HandoffLedger,
     host_changes: &[HostChange],
     addr_changes: &[AddrChange],
     out: &mut Vec<AuditViolation>,
 ) {
     let expected = classify_host_changes(host_changes, addr_changes);
-    let levels = ledger.per_level.len().max(prev.ledger_events.len());
+    let levels = ledger.per_level.len().max(prev.len());
     for k in 0..levels {
         let now = ledger
             .per_level
             .get(k)
             .map_or((0, 0), |c| (c.migration_events, c.reorg_events));
-        let before = prev.ledger_events.get(k).copied().unwrap_or((0, 0));
+        let before = prev.get(k).copied().unwrap_or((0, 0));
         let (exp_mig, exp_reorg) = expected.get(&k).copied().unwrap_or((0, 0));
         let d_mig = now.0.wrapping_sub(before.0);
         let d_reorg = now.1.wrapping_sub(before.1);
@@ -437,120 +422,129 @@ pub fn check_state_jumps(
 /// accumulate O(n · ticks) reports.
 const MAX_STORED: usize = 10_000;
 
-/// Tick-by-tick invariant auditor. Construct with the engine's (empty)
-/// accumulators, call [`Auditor::check_tick`] after each tick's
-/// accounting, read the result with [`Auditor::violations`].
+/// The world's tick-by-tick auditor: the checks that read only the world,
+/// run once a tick however many banks read the world. Construct with the
+/// world account before the first audited tick, call
+/// [`WorldAuditor::check_tick`] after each tick's world accounting.
 #[derive(Debug)]
-pub struct Auditor {
+pub struct WorldAuditor {
     prev: AccumSnapshot,
-    violations: Vec<AuditViolation>,
-    /// Violations found beyond [`MAX_STORED`] (counted, not stored).
-    suppressed: u64,
+    /// The last audited tick's findings (buffer reused across ticks).
+    found: Vec<AuditViolation>,
     ticks_audited: u64,
-    /// Reconcile the handoff ledger against the classified host-change
-    /// stream. On by default; the engine turns it off for non-CHLM
-    /// [`crate::config::LmScheme`]s, whose ledgers book a scheme-specific
-    /// workload instead of the host-change cascade. Every other check
-    /// (including the bit-exact exposure reconciliation) stays on for all
-    /// schemes.
-    ledger_check: bool,
 }
 
-impl Auditor {
-    pub fn new(
-        ledger: &HandoffLedger,
-        rates: &LevelRates,
-        events: &EventCounts,
-        tracker: &StateTracker,
-    ) -> Self {
-        Auditor {
-            prev: AccumSnapshot::capture(ledger, rates, events, tracker),
-            violations: Vec::new(),
-            suppressed: 0,
+impl WorldAuditor {
+    pub fn new(obs: &WorldObservers) -> Self {
+        WorldAuditor {
+            prev: AccumSnapshot::capture(&obs.addr, &obs.taxonomy.counts, &obs.alca),
+            found: Vec::new(),
             ticks_audited: 0,
-            ledger_check: true,
         }
     }
 
-    /// Enable or disable the ledger-vs-host-change reconciliation (see the
-    /// `ledger_check` field; only meaningful for non-CHLM schemes).
-    pub fn with_ledger_check(mut self, yes: bool) -> Self {
-        self.ledger_check = yes;
-        self
-    }
-
-    /// Audit one completed tick and advance the snapshot baseline.
-    pub fn check_tick(&mut self, t: &TickInputs<'_>) {
-        let mut found = Vec::new();
+    /// Audit one completed tick — its snapshots and address-change stream
+    /// in `ctx`, and the world account `obs` after it booked them — and
+    /// advance the snapshot baseline; the tick's findings are
+    /// [`WorldAuditor::last_tick`] until the next.
+    pub fn check_tick(&mut self, ctx: &TickCtx<'_>, obs: &WorldObservers) {
+        let (old_h, new_h) = (ctx.old_hierarchy, ctx.new_hierarchy);
+        let (rates, events, tracker) = (&obs.addr, &obs.taxonomy.counts, &obs.alca);
+        let found = &mut self.found;
+        found.clear();
         found.extend(
-            audit_hierarchy(t.new_hierarchy)
+            audit_hierarchy(new_h)
                 .into_iter()
                 .map(AuditViolation::Cluster),
         );
         found.extend(
-            audit_address_book(t.book, t.new_hierarchy)
+            audit_address_book(ctx.new_book, new_h)
                 .into_iter()
                 .map(AuditViolation::Cluster),
         );
         found.extend(
-            audit_assignment(t.assignment, t.new_hierarchy, SelectionRule::Hrw)
+            audit_assignment(ctx.new_assignment, new_h, SelectionRule::Hrw)
                 .into_iter()
                 .map(AuditViolation::Lm),
         );
-        if self.ledger_check {
-            check_ledger_delta(
-                &self.prev,
-                t.ledger,
-                t.host_changes,
-                t.addr_changes,
-                &mut found,
-            );
-        }
-        check_rates_delta(&self.prev, t.rates, t.addr_changes, &mut found);
-        check_event_delta(
-            &self.prev,
-            t.events,
-            t.old_hierarchy,
-            t.new_hierarchy,
-            &mut found,
-        );
-        check_state_jumps(
-            &self.prev,
-            t.tracker,
-            t.old_hierarchy,
-            t.new_hierarchy,
-            &mut found,
-        );
-        // Ledger and rates accumulate the identical n·dt sequence, so their
-        // exposure totals must agree to the bit.
-        if t.ledger.node_seconds.to_bits() != t.rates.node_seconds.to_bits() {
-            found.push(AuditViolation::ExposureMismatch {
-                ledger: t.ledger.node_seconds,
-                rates: t.rates.node_seconds,
-            });
-        }
-        for v in found {
-            if self.violations.len() < MAX_STORED {
-                self.violations.push(v);
-            } else {
-                self.suppressed += 1;
-            }
-        }
-        self.prev.recapture(t.ledger, t.rates, t.events, t.tracker);
+        check_rates_delta(&self.prev, rates, ctx.addr_changes, found);
+        check_event_delta(&self.prev, events, old_h, new_h, found);
+        check_state_jumps(&self.prev, tracker, old_h, new_h, found);
+        self.prev.recapture(rates, events, tracker);
         self.ticks_audited += 1;
     }
 
-    pub fn violations(&self) -> &[AuditViolation] {
-        &self.violations
-    }
-
-    /// Violations found but not stored (beyond the storage cap).
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
+    /// The last audited tick's findings (empty before the first), which
+    /// every bank's [`Auditor::check_tick`] records.
+    pub fn last_tick(&self) -> &[AuditViolation] {
+        &self.found
     }
 
     pub fn ticks_audited(&self) -> u64 {
         self.ticks_audited
+    }
+}
+
+/// One bank's tick-by-tick auditor: its violation list (the world's
+/// findings, then its own, up to a storage cap) and the baseline of the
+/// checks that read its ledger. Construct with the bank's (empty) ledger,
+/// call [`Auditor::check_tick`] after each tick's booking, read the result
+/// with [`Auditor::violations`].
+#[derive(Debug)]
+pub struct Auditor {
+    /// Per level: (migration_events, reorg_events) in the ledger at the
+    /// last audited tick.
+    ledger_events: Vec<(u64, u64)>,
+    violations: Vec<AuditViolation>,
+}
+
+impl Auditor {
+    pub fn new(ledger: &HandoffLedger) -> Self {
+        Auditor {
+            ledger_events: ledger_events(ledger).collect(),
+            violations: Vec::new(),
+        }
+    }
+
+    /// Record one tick: the world's findings `world`, then this bank's.
+    /// `host_stream` is the tick's (host-change, address-change) streams
+    /// for a bank whose ledger books the host-change cascade (CHLM), which
+    /// is then reconciled against them; `None` for a scheme whose ledger
+    /// books a workload of its own. Every bank's ledger exposure must
+    /// equal `node_seconds`, the world account's, to the bit: both
+    /// accumulate the identical n·dt sequence.
+    pub fn check_tick(
+        &mut self,
+        world: &[AuditViolation],
+        ledger: &HandoffLedger,
+        node_seconds: f64,
+        host_stream: Option<(&[HostChange], &[AddrChange])>,
+    ) {
+        let mut found = Vec::new();
+        if let Some((host_changes, addr_changes)) = host_stream {
+            check_ledger_delta(
+                &self.ledger_events,
+                ledger,
+                host_changes,
+                addr_changes,
+                &mut found,
+            );
+        }
+        if ledger.node_seconds.to_bits() != node_seconds.to_bits() {
+            found.push(AuditViolation::ExposureMismatch {
+                ledger: ledger.node_seconds,
+                rates: node_seconds,
+            });
+        }
+        let room = MAX_STORED.saturating_sub(self.violations.len());
+        let tick = world.iter().cloned().chain(found);
+        self.violations.extend(tick.take(room));
+        self.ledger_events.clear();
+        self.ledger_events.extend(ledger_events(ledger));
+    }
+
+    pub fn violations(&self) -> &[AuditViolation] {
+        &self.violations
     }
 
     /// Consume the auditor, returning all stored violations.

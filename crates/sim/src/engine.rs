@@ -3,18 +3,20 @@
 //! One tick is an explicit pipeline: the four [`crate::stage`] stages
 //! (mobility → topology → hierarchy → LM assignment) produce the tick's
 //! snapshots, the `World` diffs them against the previous tick into a
-//! `TickCtx`, and the [`crate::observe`] observers consume that context
-//! — pricing packets through the lent [`crate::cost::Pricer`] —
-//! to update every accumulator.
+//! `TickCtx`, and the accumulators of [`crate::observe`] consume that
+//! context.
 //!
 //! The engine is split along the scheme seam that `tests/scheme_trace.rs`
-//! pins: a `World` owns everything upstream of the observers — stages,
-//! snapshots, diff streams, rotation — and is a pure function of
-//! `(world config, seed)`, while an `ObserverBank` owns one variant's
-//! accounting (books, extra observers, auditor, the `finish` sampling
-//! stream), and a `SchemePlane` (`crate::scheme`) owns the per-tick work of
-//! one scheme, which every bank booking that scheme reads. The one loop
-//! that drives planes and banks over a world is
+//! pins. A `World` is a pure function of `(world config, seed)` and
+//! accounts for itself: it owns the stages, snapshots, diff streams and
+//! their rotation, its own account ([`WorldObservers`], which it books
+//! every tick), the world half of the audit, and the run stream it draws
+//! the world half of every report from. A `SchemePlane` (`crate::scheme`)
+//! owns the per-tick work of one scheme, and an `ObserverBank` keeps only
+//! one variant's books: the handoff and query books that carry and book
+//! its plane's slices through the lent [`crate::cost::Pricer`], extra
+//! observers, and the audit of its own ledger. The one loop that drives
+//! planes and banks over a world is
 //! [`crate::multiplex::MultiplexSim::step`]; [`Simulation`] is its
 //! one-bank case, delegating every method to bank 0.
 //!
@@ -39,14 +41,13 @@
 //! decides which [`crate::transport::Transport`] a bank's books carry
 //! their plane's messages and legs over.
 
-use crate::audit::{AuditViolation, Auditor, TickInputs};
+use crate::audit::{AuditViolation, Auditor, WorldAuditor};
 use crate::config::{LmScheme, MobilityKind, SimConfig};
-use crate::cost::HopPricer;
 use crate::multiplex::{MultiplexSim, VariantSpec};
 use crate::observe::{Observer, Observers, WorldObservers};
 use crate::oracle::calibrate;
 use crate::report::{SimReport, StateSummary};
-use crate::scheme::{HandoffBook, QueryBook, SchemePlane};
+use crate::scheme::{HandoffBook, QueryBook};
 use crate::stage::{
     default_stages, AssignmentStage, HierarchyStage, MobilityStage, NoStamps, StageSet, TickCtx,
     TopologyStage,
@@ -57,6 +58,7 @@ use chlm_cluster::metrics::level_stats;
 use chlm_cluster::Hierarchy;
 use chlm_geom::{Disk, Point, SimRng};
 use chlm_graph::NodeIdx;
+use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::server::{HostChange, LmAssignment};
 use chlm_mobility::{MobilityModel, RandomDirection, RandomWaypoint, Rpgm, StaticModel};
 
@@ -80,11 +82,11 @@ pub fn build_engine(cfg: &SimConfig) -> Box<dyn Engine> {
 }
 
 /// The scheme-independent half of the engine: stages, snapshots, diff
-/// streams and their rotation. A `World` is a pure function of the
-/// world-defining config fields plus the seed — it never consults
-/// `lm_scheme`, `hop_metric` or `backend`, which is what lets
-/// [`crate::multiplex::MultiplexSim`] price many variants against one
-/// world run (`tests/scheme_trace.rs` pins the independence).
+/// streams and their rotation, and the world's own account and audit. A
+/// `World` is a pure function of the world-defining config fields plus the
+/// seed — it never consults `lm_scheme`, `hop_metric` or `backend`, which
+/// is what lets [`crate::multiplex::MultiplexSim`] price many variants
+/// against one world run (`tests/scheme_trace.rs` pins the independence).
 pub(crate) struct World {
     cfg: SimConfig,
     ids: Vec<u64>,
@@ -92,10 +94,15 @@ pub(crate) struct World {
     /// Startup-measured BFS detour ratio (the fork(3) stream), the
     /// calibration of every variant's `Pricing` over this world.
     calibration: f64,
-    /// The run stream (fork 4). Never drawn while stepping; each observer
-    /// bank clones it at construction so per-variant `finish` sampling
-    /// reproduces a standalone run bit-for-bit.
+    /// The run stream (fork 4). Never drawn while stepping; drawn once, by
+    /// [`World::into_report`], for the final level statistics every bank's
+    /// report carries.
     run_rng: SimRng,
+    /// The world's own account, booked once a tick by `step_with`.
+    obs: WorldObservers,
+    /// The world half of the invariant audit, run once a tick after the
+    /// account is booked; `None` unless auditing.
+    auditor: Option<WorldAuditor>,
     // Pipeline stages.
     mobility: Box<dyn MobilityStage>,
     topology: Box<dyn TopologyStage>,
@@ -217,12 +224,15 @@ impl World {
             &mut rng.fork(3),
         );
         let book_next = book.clone();
-        World {
+        let obs = WorldObservers::new(&hierarchy);
+        let mut world = World {
             cfg,
             ids,
             rtx,
             calibration,
             run_rng: rng.fork(4),
+            obs,
+            auditor: None,
             mobility,
             topology,
             hier_stage,
@@ -237,7 +247,11 @@ impl World {
             host_changes: Vec::new(),
             query_arrivals: Vec::new(),
             ticks_done: 0,
+        };
+        if world.cfg.audit {
+            world.ensure_auditor();
         }
+        world
     }
 
     pub(crate) fn cfg(&self) -> &SimConfig {
@@ -252,27 +266,25 @@ impl World {
         &self.assignment
     }
 
-    pub(crate) fn rtx(&self) -> f64 {
-        self.rtx
-    }
-
     pub(crate) fn calibration(&self) -> f64 {
         self.calibration
     }
 
-    pub(crate) fn ticks_done(&self) -> usize {
-        self.ticks_done
+    /// Start auditing the world from its current accumulators.
+    pub(crate) fn ensure_auditor(&mut self) {
+        let obs = &self.obs;
+        self.auditor.get_or_insert_with(|| WorldAuditor::new(obs));
     }
 
-    /// A clone of the run stream (fork 4) for one observer bank.
-    pub(crate) fn run_rng(&self) -> SimRng {
-        self.run_rng.clone()
+    pub(crate) fn auditor(&self) -> Option<&WorldAuditor> {
+        self.auditor.as_ref()
     }
 
     /// Advance one tick: run the stages, diff against the previous
-    /// snapshots, hand the completed `TickCtx` to `observe`, then rotate.
-    /// `observe` also gets the number of level-0 links the topology stage
-    /// flipped, when it tracked them (`None` on a rebuild tick).
+    /// snapshots, book the completed `TickCtx` into the world's own
+    /// account (handing it the topology stage's flip count, `None` on a
+    /// rebuild tick) and audit it when auditing, hand the context to
+    /// `observe`, then rotate.
     ///
     /// Allocation discipline: mobility positions are *borrowed* (never
     /// copied), topology is patched in place by the maintainer (flips
@@ -281,7 +293,7 @@ impl World {
     /// address books double-buffer, the assignment stage rewrites its
     /// walk scratch and the retired `hosts` buffer, and the diff streams
     /// are rewritten into buffers kept across ticks.
-    pub(crate) fn step_with(&mut self, observe: &mut dyn FnMut(&TickCtx<'_>, Option<usize>)) {
+    pub(crate) fn step_with(&mut self, observe: &mut dyn FnMut(&TickCtx<'_>)) {
         let dt = self.cfg.tick();
         let n = self.cfg.n;
         self.mobility.advance(dt);
@@ -323,7 +335,11 @@ impl World {
             addr_changes: &self.addr_changes,
             query_arrivals: &self.query_arrivals,
         };
-        observe(&ctx, link_flips);
+        self.obs.on_tick_with(&ctx, link_flips);
+        if let Some(auditor) = &mut self.auditor {
+            auditor.check_tick(&ctx, &self.obs);
+        }
+        observe(&ctx);
 
         // Rotate snapshots; the retired hierarchy feeds the next tick's
         // rebuild as a buffer carcass.
@@ -334,83 +350,87 @@ impl World {
         self.assign_stage.retire(old_assignment);
         self.ticks_done += 1;
     }
+
+    /// The world half of every bank's report — everything but `ledger`
+    /// (left empty) and `query` — from the final snapshots and the world
+    /// account. The final level statistics are the one draw ever made from
+    /// the run stream.
+    pub(crate) fn into_report(mut self) -> SimReport {
+        let obs = self.obs;
+        let counts = self.assignment.entries_hosted();
+        let mean_entries_hosted = if counts.is_empty() {
+            0.0
+        } else {
+            counts.iter().map(|&c| c as f64).sum::<f64>() / counts.len() as f64
+        };
+        let ticks = self.ticks_done.max(1) as f64;
+        SimReport {
+            n: self.cfg.n,
+            seed: self.cfg.seed,
+            dt: self.cfg.tick(),
+            rtx: self.rtx,
+            speed: self.cfg.speed,
+            mean_degree: obs.degree_sum / ticks,
+            depth: obs.max_depth.max(self.hierarchy.depth()),
+            final_levels: level_stats(&self.hierarchy, 4, &mut self.run_rng),
+            ledger: HandoffLedger::new(),
+            f0: obs.link.per_node_per_second(),
+            rates: obs.merged_rates(),
+            state: StateSummary::of(&obs.alca),
+            events: obs.taxonomy.counts,
+            query: None,
+            mean_entries_hosted,
+        }
+    }
 }
 
-fn make_auditor(cfg: &SimConfig, observers: &Observers, world_obs: &WorldObservers) -> Auditor {
-    Auditor::new(
-        observers.handoff.ledger(),
-        &world_obs.merged_rates(),
-        &world_obs.taxonomy.counts,
-        &world_obs.alca.tracker,
-    )
-    .with_ledger_check(cfg.lm_scheme == LmScheme::Chlm)
-}
-
-/// One variant's accounting over a shared `World`: the variant's own
-/// observer set (handoff and query books, extras), the optional invariant
-/// auditor, and a private clone of the world's run stream for
-/// `finish`-time sampling. Two kinds of shared state are owned by the
-/// caller and only read here: the scheme-independent accumulators, a
-/// [`WorldObservers`] read back at `audit`/`finish` time, and the
-/// scheme's per-tick messages and lookup legs, a [`SchemePlane`] whose
-/// slices the books carry and book each tick — one of each per
-/// standalone run, one *shared across every bank* (per scheme, for the
-/// plane) of a multiplexed run. Banks never touch world state, so any
-/// number of them can consume the same `TickCtx` stream and each produce
-/// the [`SimReport`] a standalone run of its config would.
+/// One variant's books over a shared `World`: the variant's own observer
+/// set (handoff and query books, extras) and, when auditing, the auditor
+/// of the checks that read its ledger. The scheme's per-tick messages and
+/// lookup legs come from a [`crate::scheme::SchemePlane`] the caller owns
+/// — one per standalone run, one per scheme of a multiplexed run — whose
+/// slices the books carry and book each tick. Everything
+/// scheme-independent is the world's own account, so a bank holds no
+/// world accumulator and no RNG: any number of banks can consume the same
+/// `TickCtx` stream, and each adds its `ledger` and `query` to the world
+/// half of the [`SimReport`] to make the report a standalone run of its
+/// config would.
 pub(crate) struct ObserverBank {
-    cfg: SimConfig,
+    scheme: LmScheme,
     /// Index of the plane running this variant's scheme, in the
     /// multiplexer's plane list.
     pub(crate) plane: usize,
-    observers: Observers,
+    pub(crate) observers: Observers,
     auditor: Option<Auditor>,
-    rng: SimRng,
 }
 
 impl ObserverBank {
-    /// Build the bank for `cfg` over `world`'s initial snapshots. `cfg`
-    /// must describe the same world as the one `world` was built from —
+    /// Build the bank for `cfg`, booking the plane at index `plane`. `cfg`
+    /// must describe the same world as the one the bank is driven over —
     /// only the variant axes (`lm_scheme`, `hop_metric`, `backend`) may
-    /// differ. `world_obs` is the world-observer set this bank will be
-    /// read against, `plane` the index of its scheme's plane.
-    pub(crate) fn new(
-        cfg: SimConfig,
-        world: &World,
-        world_obs: &WorldObservers,
-        plane: usize,
-    ) -> Self {
-        let observers = Observers {
-            handoff: HandoffBook::new(&cfg),
-            query: (cfg.query_rate > 0.0).then(|| QueryBook::new(&cfg)),
-            extra: Vec::new(),
-        };
-        let auditor = cfg.audit.then(|| make_auditor(&cfg, &observers, world_obs));
+    /// differ.
+    pub(crate) fn new(cfg: &SimConfig, plane: usize) -> Self {
+        let handoff = HandoffBook::new(cfg);
+        let auditor = cfg.audit.then(|| Auditor::new(handoff.ledger()));
         ObserverBank {
-            cfg,
+            scheme: cfg.lm_scheme,
             plane,
-            observers,
+            observers: Observers {
+                handoff,
+                query: (cfg.query_rate > 0.0).then(|| QueryBook::new(cfg)),
+                extra: Vec::new(),
+            },
             auditor,
-            rng: world.run_rng(),
         }
-    }
-
-    pub(crate) fn observers(&self) -> &Observers {
-        &self.observers
-    }
-
-    pub(crate) fn add_observer(&mut self, observer: Box<dyn Observer>) {
-        self.observers.extra.push(observer);
     }
 
     pub(crate) fn violations(&self) -> &[AuditViolation] {
         self.auditor.as_ref().map_or(&[], |a| a.violations())
     }
 
-    pub(crate) fn ensure_auditor(&mut self, world_obs: &WorldObservers) {
-        if self.auditor.is_none() {
-            self.auditor = Some(make_auditor(&self.cfg, &self.observers, world_obs));
-        }
+    pub(crate) fn ensure_auditor(&mut self) {
+        let ledger = self.observers.handoff.ledger();
+        self.auditor.get_or_insert_with(|| Auditor::new(ledger));
     }
 
     pub(crate) fn take_violations(&mut self) -> Vec<AuditViolation> {
@@ -420,79 +440,29 @@ impl ObserverBank {
             .unwrap_or_default()
     }
 
-    /// Drive the observer set over one completed tick, booking the
-    /// slices `plane` (this bank's scheme) produced for it.
-    pub(crate) fn observe(
-        &mut self,
-        ctx: &TickCtx<'_>,
-        plane: &SchemePlane,
-        pricer: &mut dyn HopPricer,
-    ) {
-        self.observers.on_tick(ctx, plane, pricer);
-    }
-
-    /// Run the invariant auditor (when configured) after the tick's
-    /// observers — this bank's own and the shared world set — have
-    /// accumulated.
-    pub(crate) fn audit(&mut self, ctx: &TickCtx<'_>, world_obs: &WorldObservers) {
-        if let Some(auditor) = &mut self.auditor {
-            auditor.check_tick(&TickInputs {
-                old_hierarchy: ctx.old_hierarchy,
-                new_hierarchy: ctx.new_hierarchy,
-                book: ctx.new_book,
-                assignment: ctx.new_assignment,
-                host_changes: ctx.host_changes,
-                addr_changes: ctx.addr_changes,
-                ledger: self.observers.handoff.ledger(),
-                rates: &world_obs.merged_rates(),
-                events: &world_obs.taxonomy.counts,
-                tracker: &world_obs.alca.tracker,
-            });
-        }
-    }
-
-    /// Produce this variant's report from the world's final snapshots and
-    /// the shared world accumulators.
-    pub(crate) fn finish(mut self, world: &World, world_obs: &WorldObservers) -> SimReport {
-        let depth = world.hierarchy().depth();
-        let final_levels = level_stats(world.hierarchy(), 4, &mut self.rng);
-        // ALCA state summary.
-        let tracker = &world_obs.alca.tracker;
-        let mut state = StateSummary::default();
-        for k in 0..tracker.level_count() {
-            state
-                .distributions
-                .push(tracker.distribution(k).unwrap_or_default());
-            state.p1.push(tracker.p_state1(k));
-            state
-                .multi_jump_fraction
-                .push(tracker.multi_jump_fraction(k));
-        }
-        let counts = world.assignment().entries_hosted();
-        let mean_entries_hosted = if counts.is_empty() {
-            0.0
-        } else {
-            counts.iter().map(|&c| c as f64).sum::<f64>() / counts.len() as f64
+    /// Record the world audit of the tick `world` just stepped, then run
+    /// the checks that read this bank's ledger (when auditing).
+    pub(crate) fn audit(&mut self, world: &World) {
+        let (Some(auditor), Some(world_audit)) = (&mut self.auditor, &world.auditor) else {
+            return;
         };
-        let ticks = world.ticks_done().max(1) as f64;
+        let host_stream = (self.scheme == LmScheme::Chlm)
+            .then_some((&world.host_changes[..], &world.addr_changes[..]));
+        auditor.check_tick(
+            world_audit.last_tick(),
+            self.observers.handoff.ledger(),
+            world.obs.churn.node_seconds,
+            host_stream,
+        );
+    }
+
+    /// This variant's report: the world half `world` plus its own ledger
+    /// and query stats.
+    pub(crate) fn finish(mut self, world: &SimReport) -> SimReport {
         SimReport {
-            n: self.cfg.n,
-            seed: self.cfg.seed,
-            dt: self.cfg.tick(),
-            rtx: world.rtx(),
-            speed: self.cfg.speed,
-            mean_degree: world_obs.degree.degree_sum / ticks,
-            depth: world_obs.degree.max_depth.max(depth),
-            final_levels,
             ledger: self.observers.handoff.take_ledger(),
-            f0: world_obs.link.rate.per_node_per_second(),
-            rates: world_obs.merged_rates(),
-            // Cloned, not taken: a multiplexed run reads the shared counts
-            // once per bank.
-            events: world_obs.taxonomy.counts.clone(),
-            state,
             query: self.observers.query.as_mut().map(|q| q.take_stats()),
-            mean_entries_hosted,
+            ..world.clone()
         }
     }
 }
@@ -554,9 +524,9 @@ impl Simulation {
         self.mx.observers(0)
     }
 
-    /// The scheme-independent world accumulators.
+    /// The world's own account: the scheme-independent accumulators.
     pub fn world_observers(&self) -> &WorldObservers {
-        &self.mx.world_obs
+        &self.mx.world.obs
     }
 
     /// Append a custom observer; it runs after the built-in set each tick.
@@ -587,7 +557,8 @@ impl Simulation {
     /// Run to completion under the invariant auditor (forced on) and
     /// return both the report and every violation found.
     pub fn run_audited(mut self) -> (SimReport, Vec<AuditViolation>) {
-        self.mx.banks[0].ensure_auditor(&self.mx.world_obs);
+        self.mx.world.ensure_auditor();
+        self.mx.banks[0].ensure_auditor();
         let ticks = self.config().tick_count();
         for _ in 0..ticks {
             self.step();

@@ -12,13 +12,15 @@
 //! tick loop in the crate: [`crate::Simulation`] is this type with one
 //! bank, and an E24-style comparison sweep is this type with many.
 //!
-//! Sharing happens at five layers. The world stages run once per tick.
-//! The scheme-independent accumulators ([`crate::observe::WorldObservers`]:
-//! link rate, address churn, level churn, taxonomy, ALCA, degree) are
-//! driven once per tick for all banks — they are pure functions of the
-//! tick stream, so every bank reads identical values back at finish.
-//! Scheme planes are shared per scheme: each distinct [`LmScheme`] among
-//! the variants gets one `SchemePlane` (`crate::scheme`), run once per tick
+//! Sharing happens at four layers. The world runs once per tick and
+//! accounts for itself: its stages, its own account
+//! ([`crate::observe::WorldObservers`]: link rate, address churn, level
+//! churn, taxonomy, ALCA, degree) and, when auditing, the checks that read
+//! only the world, whose findings every bank records. The world half of
+//! every report is built once, by [`MultiplexSim::finish`], and each bank
+//! adds only its ledger and query stats. Scheme planes are shared per
+//! scheme: each distinct [`LmScheme`] among the variants gets one
+//! `SchemePlane` (`crate::scheme`), run once per tick
 //! before any pricer scope opens, which advances the scheme's server table
 //! (GLS's grid table, the home agents), emits its maintenance messages and
 //! routes `ctx.query_arrivals`; every bank of that scheme carries and
@@ -57,7 +59,7 @@ use crate::audit::AuditViolation;
 use crate::config::{Backend, HopMetric, LmScheme, SimConfig};
 use crate::cost::{CostInputs, CostModel, Pricing};
 use crate::engine::{ObserverBank, World};
-use crate::observe::{Observers, WorldObservers};
+use crate::observe::Observers;
 use crate::report::SimReport;
 use crate::scheme::{make_scheme, SchemePlane};
 use crate::stage::{default_stages, StageSet};
@@ -125,12 +127,9 @@ struct MetricGroup {
 /// completion with [`MultiplexSim::run`]; [`MultiplexSim::finish`] yields
 /// one [`SimReport`] per variant, in variant order.
 pub struct MultiplexSim {
+    /// The world: its stages, snapshots and its own account, stepped,
+    /// booked and audited once a tick for every bank.
     pub(crate) world: World,
-    /// The scheme-independent accumulators, driven ONCE per tick and read
-    /// by every bank at audit/finish time — the other half of the sharing
-    /// (the world stages being the first): a fan-out of `v` variants pays
-    /// for link/churn/taxonomy/ALCA accounting once, not `v` times.
-    pub(crate) world_obs: WorldObservers,
     /// One plane per distinct scheme among the variants, in
     /// first-appearance order, run once per tick before any bank: a
     /// fan-out of `v` variants over `s` schemes produces messages, lookup
@@ -166,7 +165,6 @@ impl MultiplexSim {
             "multiplexer needs at least one variant"
         );
         let world = World::new(base.clone(), make_stages);
-        let world_obs = WorldObservers::new(world.hierarchy());
         let mut planes: Vec<SchemePlane> = Vec::new();
         let mut plane_schemes: Vec<LmScheme> = Vec::new();
         let mut plane_reads_hops: Vec<bool> = Vec::new();
@@ -202,7 +200,7 @@ impl MultiplexSim {
                 }
             };
             plane_reads_hops[plane] |= reads_hops(&cfg);
-            let bank = ObserverBank::new(cfg, &world, &world_obs, plane);
+            let bank = ObserverBank::new(&cfg, plane);
             groups[gi].members.push(banks.len());
             banks.push(bank);
             labels.push(variant.label.clone());
@@ -212,7 +210,6 @@ impl MultiplexSim {
             .then(|| PairWarmer::new(base.threads));
         MultiplexSim {
             world,
-            world_obs,
             planes,
             plane_reads_hops,
             warmer,
@@ -240,7 +237,7 @@ impl MultiplexSim {
     /// One variant's own observer set — the multiplexed counterpart of
     /// [`crate::Simulation::observers`].
     pub fn observers(&self, variant: usize) -> &Observers {
-        self.banks[variant].observers()
+        &self.banks[variant].observers
     }
 
     /// Invariant violations found so far for one variant (empty unless the
@@ -249,30 +246,34 @@ impl MultiplexSim {
         self.banks[variant].violations()
     }
 
+    /// How many ticks the world audit has checked: one per audited tick,
+    /// however many banks record its findings (0 unless auditing).
+    pub fn world_audits(&self) -> u64 {
+        self.world.auditor().map_or(0, |a| a.ticks_audited())
+    }
+
     /// Attach an extra observer to one variant's bank — the multiplexed
     /// counterpart of [`crate::Simulation::add_observer`], used by the
     /// trace-identity tests to digest what each bank sees.
     pub fn add_observer(&mut self, variant: usize, obs: Box<dyn crate::observe::Observer>) {
-        self.banks[variant].add_observer(obs);
+        self.banks[variant].observers.extra.push(obs);
     }
 
-    /// Advance the shared world one tick, run every scheme plane over the
-    /// completed `TickCtx`, and drive every bank over both, one metric
-    /// group at a time.
+    /// Advance the shared world one tick (which books and audits its own
+    /// account), run every scheme plane over the completed `TickCtx`,
+    /// drive every bank over both, one metric group at a time, and record
+    /// the tick's audit in every bank.
     pub fn step(&mut self) {
-        let world_obs = &mut self.world_obs;
         let planes = &mut self.planes;
         let plane_reads_hops = &self.plane_reads_hops;
         let warmer = &mut self.warmer;
         let groups = &mut self.groups;
         let banks = &mut self.banks;
-        self.world.step_with(&mut |ctx, link_flips| {
-            // Scheme-independent accumulators first, then the scheme
-            // planes (neither involves a pricer), once per tick for all
-            // banks; then one fill of every BFS distance the banks will
-            // read; then each metric group's banks inside one pricer
+        self.world.step_with(&mut |ctx| {
+            // The scheme planes first (no pricer involved), once per tick
+            // for all banks; then one fill of every BFS distance the banks
+            // will read; then each metric group's banks inside one pricer
             // scope.
-            world_obs.on_tick_with(ctx, link_flips);
             for plane in planes.iter_mut() {
                 plane.run(ctx);
             }
@@ -291,14 +292,14 @@ impl MultiplexSim {
                 cost.with_pricer(&inputs, &mut |pricer| {
                     for &bank in members.iter() {
                         let bank = &mut banks[bank];
-                        bank.observe(ctx, &planes[bank.plane], pricer);
+                        bank.observers.on_tick(ctx, &planes[bank.plane], pricer);
                     }
                 });
             }
-            for bank in banks.iter_mut() {
-                bank.audit(ctx, world_obs);
-            }
         });
+        for bank in &mut self.banks {
+            bank.audit(&self.world);
+        }
     }
 
     /// Run the configured number of ticks and finish.
@@ -311,17 +312,13 @@ impl MultiplexSim {
     }
 
     /// Produce one report per variant (variant order) from whatever has
-    /// been simulated so far.
+    /// been simulated so far: the world half is built once, and each bank
+    /// adds its ledger and query stats to it.
     pub fn finish(self) -> Vec<SimReport> {
-        let MultiplexSim {
-            world,
-            world_obs,
-            banks,
-            ..
-        } = self;
-        banks
+        let world = self.world.into_report();
+        self.banks
             .into_iter()
-            .map(|bank| bank.finish(&world, &world_obs))
+            .map(|bank| bank.finish(&world))
             .collect()
     }
 }

@@ -1,31 +1,27 @@
-//! Composable per-tick accounting observers.
+//! Per-tick accounting: the world's account and each bank's books.
 //!
 //! Every measurement the engine produces — link rate f₀, address churn
 //! f_k, the handoff ledger (φ_k/γ_k), level-k link churn g_k/g′_k, the
 //! reorganization-event taxonomy, ALCA states, mean degree — is an
-//! accumulator of its own, updated once a tick from the tick's
-//! [`TickCtx`]. Only code that prices packets is handed a [`HopPricer`]:
-//! the handoff and query books and the [`Observer`]s a caller appends.
-//! The world accumulators take the context alone, driven together by
-//! [`WorldObservers`] (link rate, level churn and the taxonomy from one
-//! diff, below). The engine drives the built-in set in a fixed canonical
-//! order and lets callers append extra `Observer`s, so a new metric is
-//! one struct away and never touches the tick loop.
+//! accumulator updated once a tick from the tick's [`TickCtx`]. They split
+//! along the variant seam into two owners:
 //!
-//! The set is split along the variant seam: [`WorldObservers`] holds
-//! every accumulator that is a pure function of the world's tick stream
-//! (no scheme, no pricer), [`Observers`] holds one variant's own
-//! accounting (handoff, query, extras). A standalone run drives one of
-//! each; a multiplexed fan-out drives **one** `WorldObservers` for all of
-//! its variant banks — the per-variant recomputation the shared-world
-//! multiplexer exists to remove.
+//! * [`WorldObservers`] is the world's own account: every accumulator that
+//!   is a pure function of the world's tick stream (no scheme, no pricer),
+//!   as plain fields. The world owns one and drives it from its own step
+//!   (`World::step_with`, `crate::engine`), so a multiplexed fan-out keeps
+//!   one world account however many banks read it.
+//! * [`Observers`] is one bank's books: the handoff and query books, the
+//!   only code handed a [`HopPricer`], plus the [`Observer`]s a caller
+//!   appends, so a new priced metric is one struct away and never touches
+//!   the tick loop.
 //!
-//! The world set diffs the tick's two hierarchies once. Levels `k >= 1`
+//! The world account diffs the tick's two hierarchies once. Levels `k >= 1`
 //! come from one [`chlm_cluster::level_diffs`] pass — a linear merge of
 //! each level's old and new edge streams plus node-list walks — which
 //! feeds level churn (`g_k`, `g′_k`) and the (i)–(vii) taxonomy together.
 //! Level 0's link-event count (`f₀`) is the topology stage's flip count,
-//! which the engine hands to [`WorldObservers::on_tick_with`]; on a
+//! which the world hands to [`WorldObservers::on_tick_with`]; on a
 //! rebuild tick, which publishes no flips, it is a merge of the two
 //! level-0 graphs. A warm world tick makes no allocator call.
 //! [`chlm_cluster::classify_events`], which lists every event one by one,
@@ -54,7 +50,7 @@ use crate::cost::HopPricer;
 use crate::report::{LevelRates, QueryStats};
 use crate::stage::TickCtx;
 use chlm_cluster::address::AddrChangeKind;
-use chlm_cluster::events::{level_diffs, EventCounts, LevelDiff};
+use chlm_cluster::events::{level_diffs, EventCounts};
 use chlm_cluster::{Hierarchy, StateTracker};
 use chlm_graph::dynamics::{LinkDiff, LinkEventRate};
 use chlm_lm::handoff::HandoffLedger;
@@ -96,52 +92,8 @@ pub trait QueryAccounting: Observer {
     }
 }
 
-/// Level-0 link events per node-second (eq. 4's f₀), filled by
-/// [`WorldObservers`].
-#[derive(Default)]
-pub struct LinkRateObserver {
-    pub rate: LinkEventRate,
-}
-
-/// Per-level address-change counters: migration vs reorganization (f_k).
-#[derive(Default)]
-pub struct AddressChurnObserver {
-    pub rates: LevelRates,
-}
-
-impl AddressChurnObserver {
-    pub fn on_tick(&mut self, ctx: &TickCtx<'_>) {
-        for c in ctx.addr_changes {
-            match c.kind {
-                AddrChangeKind::Migration => self.rates.add_migration(c.level as usize, 1),
-                AddrChangeKind::Reorganization => self.rates.add_reorg(c.level as usize, 1),
-            }
-        }
-    }
-}
-
-/// Level-k cluster-link churn and exposure (g_k, g′_k, link-seconds,
-/// level-node-seconds) plus the level-0 node-seconds denominator, filled
-/// by [`WorldObservers`] from the tick's [`LevelDiff`]s.
-#[derive(Default)]
-pub struct LevelChurnObserver {
-    pub rates: LevelRates,
-}
-
-impl LevelChurnObserver {
-    fn add(&mut self, diff: &LevelDiff, new: &Hierarchy, dt: f64) {
-        let k = diff.level;
-        self.rates.add_link_events(k, diff.churn, diff.persisting);
-        let (edges, nodes) = new
-            .levels
-            .get(k)
-            .map_or((0, 0), |l| (l.graph.edge_count(), l.len()));
-        self.rates.add_exposure(k, edges, nodes, dt);
-    }
-}
-
 /// Reorganization-event taxonomy counts (events (i)–(vii), §5.2), filled
-/// by [`WorldObservers`] from the tick's [`LevelDiff`]s.
+/// by [`WorldObservers`] from the tick's [`chlm_cluster::events::LevelDiff`]s.
 pub struct EventTaxonomyObserver {
     pub counts: EventCounts,
 }
@@ -154,72 +106,46 @@ impl EventTaxonomyObserver {
     }
 }
 
-/// ALCA per-level state distribution (Fig. 3, p_j, q₁).
-pub struct AlcaStateObserver {
-    pub tracker: StateTracker,
-}
-
-impl AlcaStateObserver {
-    /// The tracker observes the initial hierarchy at construction, exactly
-    /// as the run's first snapshot.
-    pub fn new(initial: &Hierarchy) -> Self {
-        let mut tracker = StateTracker::new();
-        tracker.observe(initial);
-        AlcaStateObserver { tracker }
-    }
-
-    pub fn on_tick(&mut self, ctx: &TickCtx<'_>) {
-        self.tracker.observe(ctx.new_hierarchy);
-    }
-}
-
-/// Mean level-0 degree (summed per tick) and maximum hierarchy depth.
-pub struct DegreeObserver {
-    pub degree_sum: f64,
-    pub max_depth: usize,
-}
-
-impl DegreeObserver {
-    pub fn new(initial_depth: usize) -> Self {
-        DegreeObserver {
-            degree_sum: 0.0,
-            max_depth: initial_depth,
-        }
-    }
-
-    pub fn on_tick(&mut self, ctx: &TickCtx<'_>) {
-        self.degree_sum += ctx.graph.mean_degree();
-        self.max_depth = self.max_depth.max(ctx.new_hierarchy.depth());
-    }
-}
-
-/// The scheme-independent observer set: every accumulator that is a pure
-/// function of the world's tick stream — link rate, address churn, level
-/// churn, taxonomy, ALCA states, degree. None of these consult the LM
-/// scheme, the backend, or the pricer, so a
-/// [`crate::multiplex::MultiplexSim`] drives **one** instance for all of
-/// its variant banks (each bank reads its report fields from the shared
-/// set); a [`crate::Simulation`] is the one-bank case.
+/// The world's own account: every accumulator that is a pure function of
+/// the world's tick stream — link rate, address churn, level churn,
+/// taxonomy, ALCA states, degree. None of these consult the LM scheme, the
+/// backend, or the pricer, so the world owns **one** instance and drives
+/// it from its own step; every bank of a
+/// [`crate::multiplex::MultiplexSim`] reads the same world half of its
+/// report from it.
 pub struct WorldObservers {
-    pub link: LinkRateObserver,
-    pub addr: AddressChurnObserver,
-    pub churn: LevelChurnObserver,
+    /// Level-0 link events per node-second (eq. 4's f₀).
+    pub link: LinkEventRate,
+    /// Per-level address changes, migration vs reorganization (f_k).
+    pub addr: LevelRates,
+    /// Level-k cluster-link churn and exposure (g_k, g′_k, link-seconds,
+    /// level-node-seconds) plus the level-0 node-seconds denominator.
+    /// Kept apart from `addr` so that each grows only to the levels it
+    /// touches; [`WorldObservers::merged_rates`] joins them.
+    pub churn: LevelRates,
     pub taxonomy: EventTaxonomyObserver,
-    pub alca: AlcaStateObserver,
-    pub degree: DegreeObserver,
+    /// ALCA per-level state distribution (Fig. 3, p_j, q₁).
+    pub alca: StateTracker,
+    /// Mean level-0 degree, summed per tick.
+    pub degree_sum: f64,
+    /// Maximum hierarchy depth seen, the initial snapshot's included.
+    pub max_depth: usize,
 }
 
 impl WorldObservers {
     /// Seed every accumulator from the world's initial hierarchy, exactly
-    /// as the run's first snapshot.
+    /// as the run's first snapshot (the ALCA tracker observes it).
     pub fn new(initial: &Hierarchy) -> Self {
+        let mut alca = StateTracker::new();
+        alca.observe(initial);
         WorldObservers {
-            link: LinkRateObserver::default(),
-            addr: AddressChurnObserver::default(),
-            churn: LevelChurnObserver::default(),
+            link: LinkEventRate::default(),
+            addr: LevelRates::default(),
+            churn: LevelRates::default(),
             taxonomy: EventTaxonomyObserver::new(initial.depth()),
-            alca: AlcaStateObserver::new(initial),
-            degree: DegreeObserver::new(initial.depth()),
+            alca,
+            degree_sum: 0.0,
+            max_depth: initial.depth(),
         }
     }
 
@@ -232,9 +158,6 @@ impl WorldObservers {
 
     /// Drive the set over one tick, in the canonical order (link rate,
     /// address churn, level churn with taxonomy, ALCA, degree).
-    /// Accumulators are disjoint and pricer-free, so the values are
-    /// identical whether this runs per variant or once for a whole
-    /// multiplexed fan-out.
     ///
     /// `link_flips` is the number of level-0 links the topology stage
     /// flipped this tick, when it tracked them (its flips are net, so this
@@ -251,17 +174,29 @@ impl WorldObservers {
             }
             None => merged(),
         };
-        self.link.rate.record_count(link_events, ctx.n, ctx.dt);
-        self.addr.on_tick(ctx);
+        self.link.record_count(link_events, ctx.n, ctx.dt);
+        for c in ctx.addr_changes {
+            match c.kind {
+                AddrChangeKind::Migration => self.addr.add_migration(c.level as usize, 1),
+                AddrChangeKind::Reorganization => self.addr.add_reorg(c.level as usize, 1),
+            }
+        }
         let (old, new) = (ctx.old_hierarchy, ctx.new_hierarchy);
         self.taxonomy.counts.cover(old.depth().max(new.depth()));
         for diff in level_diffs(old, new) {
-            self.churn.add(&diff, new, ctx.dt);
+            let k = diff.level;
+            self.churn.add_link_events(k, diff.churn, diff.persisting);
+            let (edges, nodes) = new
+                .levels
+                .get(k)
+                .map_or((0, 0), |l| (l.graph.edge_count(), l.len()));
+            self.churn.add_exposure(k, edges, nodes, ctx.dt);
             self.taxonomy.counts.add(&diff);
         }
-        self.churn.rates.node_seconds += ctx.n as f64 * ctx.dt;
-        self.alca.on_tick(ctx);
-        self.degree.on_tick(ctx);
+        self.churn.node_seconds += ctx.n as f64 * ctx.dt;
+        self.alca.observe(new);
+        self.degree_sum += ctx.graph.mean_degree();
+        self.max_depth = self.max_depth.max(new.depth());
     }
 
     /// The full [`LevelRates`] view: address churn merged with link churn
@@ -269,8 +204,8 @@ impl WorldObservers {
     /// counters, and `0.0 + x == x` bitwise for the accumulated
     /// (non-negative) float fields.
     pub fn merged_rates(&self) -> LevelRates {
-        let mut rates = self.addr.rates.clone();
-        rates.merge(&self.churn.rates);
+        let mut rates = self.addr.clone();
+        rates.merge(&self.churn);
         rates
     }
 }

@@ -3,6 +3,7 @@
 use chlm_cluster::digest::Digest;
 use chlm_cluster::events::EventCounts;
 use chlm_cluster::metrics::LevelStats;
+use chlm_cluster::StateTracker;
 use chlm_lm::handoff::HandoffLedger;
 
 /// Per-level event-rate counters.
@@ -194,6 +195,23 @@ pub struct StateSummary {
     pub p1: Vec<Option<f64>>,
     /// Per level: fraction of per-tick state changes jumping ≥ 2 states.
     pub multi_jump_fraction: Vec<Option<f64>>,
+}
+
+impl StateSummary {
+    /// The extract of `tracker`, one entry per level it has seen.
+    pub(crate) fn of(tracker: &StateTracker) -> Self {
+        let mut state = StateSummary::default();
+        for k in 0..tracker.level_count() {
+            state
+                .distributions
+                .push(tracker.distribution(k).unwrap_or_default());
+            state.p1.push(tracker.p_state1(k));
+            state
+                .multi_jump_fraction
+                .push(tracker.multi_jump_fraction(k));
+        }
+        state
+    }
 }
 
 /// Everything one run measured.

@@ -1,20 +1,24 @@
 //! Invariant-auditor integration tests: a clean engine never trips the
 //! auditor, and every injected corruption trips exactly the violation
-//! class that models it.
+//! class that models it. The fixture audits like the engine does: the
+//! world half once a tick, then each bank records those findings and
+//! checks its own ledger, so a world fault shows in the bank's list and a
+//! ledger fault in the list of the bank it was injected into.
 
 use chlm_cluster::address::AddressBook;
 use chlm_cluster::audit::ClusterViolation;
 use chlm_cluster::events::{classify_events, EventCounts};
 use chlm_cluster::{Hierarchy, HierarchyOptions, StateTracker};
 use chlm_geom::region::deploy_uniform;
-use chlm_geom::{Disk, SimRng};
+use chlm_geom::{Disk, Point, SimRng};
 use chlm_graph::unit_disk::build_unit_disk;
-use chlm_graph::NodeIdx;
+use chlm_graph::{Graph, NodeIdx};
 use chlm_lm::audit::LmViolation;
 use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::server::{LmAssignment, SelectionRule};
-use chlm_sim::audit::{AccumSnapshot, AuditViolation, Auditor, TickInputs};
-use chlm_sim::{LevelRates, MobilityKind, SimConfig, Simulation};
+use chlm_sim::audit::{AccumSnapshot, AuditViolation, Auditor, WorldAuditor};
+use chlm_sim::observe::WorldObservers;
+use chlm_sim::{LevelRates, MobilityKind, SimConfig, Simulation, TickCtx};
 
 fn unit_hop(a: NodeIdx, b: NodeIdx) -> f64 {
     if a == b {
@@ -24,20 +28,28 @@ fn unit_hop(a: NodeIdx, b: NodeIdx) -> f64 {
     }
 }
 
+const DT: f64 = 1.0;
+
 /// One manually executed engine tick over two topology snapshots, with all
-/// accumulators updated exactly as `Simulation::step` would.
+/// accumulators updated exactly as `Simulation::step` would: the world
+/// account in `obs`, one CHLM bank's ledger in `ledger`.
 struct TickFixture {
+    ids: Vec<u64>,
+    rtx: f64,
+    pts: Vec<Point>,
+    graph: Graph,
     old_h: Hierarchy,
     new_h: Hierarchy,
+    old_book: AddressBook,
     book: AddressBook,
+    old_assignment: LmAssignment,
     assignment: LmAssignment,
     host_changes: Vec<chlm_lm::server::HostChange>,
     addr_changes: Vec<chlm_cluster::address::AddrChange>,
     ledger: HandoffLedger,
-    rates: LevelRates,
-    events: EventCounts,
-    tracker: StateTracker,
-    auditor: Auditor,
+    obs: WorldObservers,
+    world: WorldAuditor,
+    bank: Auditor,
 }
 
 impl TickFixture {
@@ -60,7 +72,8 @@ impl TickFixture {
             let idx = rng.index(n);
             pts[idx].x += (0.4 + 0.1 * i as f64) * rtx * if i % 2 == 0 { 1.0 } else { -1.0 };
         }
-        let new_h = Hierarchy::build(&ids, &build_unit_disk(&pts, rtx), opts);
+        let graph = build_unit_disk(&pts, rtx);
+        let new_h = Hierarchy::build(&ids, &graph, opts);
         let rule = SelectionRule::Hrw;
 
         let old_book = AddressBook::capture(&old_h);
@@ -70,18 +83,14 @@ impl TickFixture {
         let host_changes = old_assignment.diff(&assignment);
         let addr_changes = old_book.diff(&book);
 
-        let ledger0 = HandoffLedger::new();
-        let rates0 = LevelRates::default();
-        let events0 = EventCounts::with_levels(old_h.depth());
-        let mut tracker = StateTracker::new();
-        tracker.observe(&old_h);
-        let auditor = Auditor::new(&ledger0, &rates0, &events0, &tracker);
+        let mut ledger = HandoffLedger::new();
+        let mut obs = WorldObservers::new(&old_h);
+        let world = WorldAuditor::new(&obs);
+        let bank = Auditor::new(&ledger);
 
         // Apply the tick, mirroring Simulation::step's accounting.
-        let dt = 1.0;
-        let mut ledger = ledger0;
-        ledger.record(&host_changes, &addr_changes, unit_hop, n, dt);
-        let mut rates = rates0;
+        ledger.record(&host_changes, &addr_changes, unit_hop, n, DT);
+        let rates = &mut obs.addr;
         let depth = old_h.depth().max(new_h.depth());
         rates.migration_events = vec![0; depth];
         rates.reorg_events = vec![0; depth];
@@ -95,41 +104,60 @@ impl TickFixture {
                 }
             }
         }
-        rates.node_seconds = n as f64 * dt;
-        let mut events = events0;
+        obs.churn.node_seconds = n as f64 * DT;
         let (_, counts) = classify_events(&old_h, &new_h);
-        events.merge(&counts);
-        tracker.observe(&new_h);
+        obs.taxonomy.counts.merge(&counts);
+        obs.alca.observe(&new_h);
 
         TickFixture {
+            ids,
+            rtx,
+            pts,
+            graph,
             old_h,
             new_h,
+            old_book,
             book,
+            old_assignment,
             assignment,
             host_changes,
             addr_changes,
             ledger,
-            rates,
-            events,
-            tracker,
-            auditor,
+            obs,
+            world,
+            bank,
         }
     }
 
+    /// Audit the tick: the world half, then the CHLM bank holding
+    /// `self.ledger`. Returns the bank's violation list.
     fn check(&mut self) -> Vec<AuditViolation> {
-        self.auditor.check_tick(&TickInputs {
+        let ctx = TickCtx {
+            tick: 0,
+            dt: DT,
+            n: self.ids.len(),
+            rtx: self.rtx,
+            ids: &self.ids,
+            positions: &self.pts,
+            graph: &self.graph,
             old_hierarchy: &self.old_h,
             new_hierarchy: &self.new_h,
-            book: &self.book,
-            assignment: &self.assignment,
+            old_book: &self.old_book,
+            new_book: &self.book,
+            old_assignment: &self.old_assignment,
+            new_assignment: &self.assignment,
             host_changes: &self.host_changes,
             addr_changes: &self.addr_changes,
-            ledger: &self.ledger,
-            rates: &self.rates,
-            events: &self.events,
-            tracker: &self.tracker,
-        });
-        self.auditor.violations().to_vec()
+            query_arrivals: &[],
+        };
+        self.world.check_tick(&ctx, &self.obs);
+        self.bank.check_tick(
+            self.world.last_tick(),
+            &self.ledger,
+            self.obs.churn.node_seconds,
+            Some((&self.host_changes, &self.addr_changes)),
+        );
+        self.bank.violations().to_vec()
     }
 }
 
@@ -186,12 +214,27 @@ fn double_counted_handoff_triggers_ledger_mismatch() {
     // Record the same host-change batch twice — classic double-count bug.
     let hc = f.host_changes.clone();
     let ac = f.addr_changes.clone();
+    let clean = f.ledger.clone();
     f.ledger.record(&hc, &ac, unit_hop, 0, 0.0);
     let vs = f.check();
     assert!(
         vs.iter()
             .any(|v| matches!(v, AuditViolation::LedgerEventMismatch { .. })),
         "violations: {vs:?}"
+    );
+    // A second bank over the same world, with the uncorrupted ledger,
+    // records the same (clean) world findings and none of its own.
+    let mut sibling = Auditor::new(&HandoffLedger::new());
+    sibling.check_tick(
+        f.world.last_tick(),
+        &clean,
+        f.obs.churn.node_seconds,
+        Some((&f.host_changes, &f.addr_changes)),
+    );
+    assert!(
+        sibling.violations().is_empty(),
+        "{:?}",
+        sibling.violations()
     );
 }
 
@@ -226,7 +269,7 @@ fn dropped_address_change_triggers_rates_mismatch() {
         .find(|c| c.kind == chlm_cluster::AddrChangeKind::Migration)
         .map(|c| c.level as usize)
         .expect("fixture produces a migration");
-    f.rates.migration_events[k] -= 1;
+    f.obs.addr.migration_events[k] -= 1;
     let vs = f.check();
     assert!(
         vs.iter()
@@ -240,7 +283,7 @@ fn tampered_jump_counters_trigger_state_mismatch() {
     let mut f = TickFixture::new(150, 9);
     // Observe the new hierarchy twice: the extra observation inflates the
     // zero-jump bin beyond what one transition can explain.
-    f.tracker.observe(&f.new_h);
+    f.obs.alca.observe(&f.new_h);
     let vs = f.check();
     assert!(
         vs.iter()
@@ -253,7 +296,7 @@ fn tampered_jump_counters_trigger_state_mismatch() {
 fn forged_event_counts_trigger_taxonomy_mismatch() {
     let mut f = TickFixture::new(150, 9);
     // Forge one extra recursive election (class v) at level 1.
-    f.events.counts[1][4] += 1;
+    f.obs.taxonomy.counts.counts[1][4] += 1;
     let vs = f.check();
     assert!(
         vs.iter()
@@ -368,9 +411,9 @@ fn accum_snapshot_capture_is_stable() {
     let tracker = StateTracker::new();
     // Capturing twice from the same state must be interchangeable as a
     // baseline: a no-op tick audits clean against either.
-    let a = AccumSnapshot::capture(&ledger, &rates, &events, &tracker);
+    let a = AccumSnapshot::capture(&rates, &events, &tracker);
     let mut out = Vec::new();
-    chlm_sim::audit::check_ledger_delta(&a, &ledger, &[], &[], &mut out);
+    chlm_sim::audit::check_ledger_delta(&[], &ledger, &[], &[], &mut out);
     chlm_sim::audit::check_rates_delta(&a, &rates, &[], &mut out);
     assert!(out.is_empty());
 }

@@ -158,11 +158,8 @@ fn check_sequence(ids: &[u64], graphs: &[Graph], seen: &mut Seen) {
             persisting[k] += p;
         }
         assert_eq!(obs.taxonomy.counts, counts, "tick {t}");
-        assert_eq!(obs.churn.rates.link_events, churn, "tick {t}");
-        assert_eq!(
-            obs.churn.rates.persisting_link_events, persisting,
-            "tick {t}"
-        );
+        assert_eq!(obs.churn.link_events, churn, "tick {t}");
+        assert_eq!(obs.churn.persisting_link_events, persisting, "tick {t}");
 
         seen.deeper |= new.depth() > old.depth();
         seen.shallower |= new.depth() < old.depth();

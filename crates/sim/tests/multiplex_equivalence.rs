@@ -231,18 +231,28 @@ fn sweep_grid_thread_invariant_and_matches_standalone() {
 
 #[test]
 fn audit_runs_per_bank() {
-    // Each bank audits its own invariants over the shared trace; a clean
-    // run reports zero violations for every variant.
+    // E27's six banks (three schemes x {analytic, lossless packet}, BFS
+    // pricing, lookups on) audit over the shared trace: the world half
+    // runs once a tick however many banks record it, each bank checks its
+    // own ledger, and a clean run reports zero violations for every
+    // variant.
     let mut cfg = base_cfg(80, 3);
     cfg.audit = true;
-    let variants = vec![
-        VariantSpec::from_config("chlm", &cfg),
-        VariantSpec::new("home", LmScheme::HomeAgent, cfg.hop_metric, cfg.backend),
-    ];
+    let variants: Vec<VariantSpec> = [LmScheme::Chlm, LmScheme::Gls, LmScheme::HomeAgent]
+        .into_iter()
+        .flat_map(|s| {
+            [Backend::Analytic, Backend::packet()].map(|backend| {
+                VariantSpec::new(format!("{s:?}-{backend:?}"), s, HopMetric::Bfs, backend)
+            })
+        })
+        .collect();
     let mut mx = chlm_sim::MultiplexSim::new(&cfg, &variants);
-    for _ in 0..mx.config().tick_count() {
+    let ticks = mx.config().tick_count();
+    for _ in 0..ticks {
         mx.step();
     }
+    assert_eq!(mx.variant_count(), 6);
+    assert_eq!(mx.world_audits(), ticks as u64, "one world audit a tick");
     for v in 0..mx.variant_count() {
         assert!(
             mx.audit_violations(v).is_empty(),

@@ -1,10 +1,10 @@
 //! Observer unit tests over a recorded two-tick fixture.
 //!
-//! Each observer from `chlm_sim::observe` is driven through the same
+//! Each accumulator from `chlm_sim::observe` is driven through the same
 //! hand-built three-snapshot (= two-tick) scenario: eight nodes on a line,
-//! one link rewired per tick. The standalone observers run in isolation;
-//! link rate, level churn and the taxonomy are filled together from one
-//! level diff, so they are driven through `WorldObservers`. Snapshots are built from
+//! one link rewired per tick. The world accumulators are fields of one
+//! `WorldObservers`, driven together and read back one field at a time;
+//! the handoff accounting runs on its own. Snapshots are built from
 //! explicit edge lists, so the level-0 quantities (link events, mean
 //! degree) are hand-countable,
 //! while the cluster-level quantities are pinned against recorded values
@@ -18,7 +18,7 @@ use chlm_geom::Point;
 use chlm_graph::{Graph, NodeIdx};
 use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::server::{LmAssignment, SelectionRule};
-use chlm_sim::observe::{AddressChurnObserver, AlcaStateObserver, DegreeObserver, WorldObservers};
+use chlm_sim::observe::WorldObservers;
 use chlm_sim::{make_accounting, HopPricer, SimConfig, TickCtx};
 
 const N: usize = 8;
@@ -112,15 +112,6 @@ fn ctx_at<'a>(
     }
 }
 
-/// Drive `on_tick` through both fixture ticks with the real diff streams.
-fn run_two_ticks(snaps: &[Snap; 3], mut on_tick: impl FnMut(&TickCtx<'_>)) {
-    for t in 0..2 {
-        let addr_changes = snaps[t].book.diff(&snaps[t + 1].book);
-        let host_changes = snaps[t].assignment.diff(&snaps[t + 1].assignment);
-        on_tick(&ctx_at(snaps, t, &host_changes, &addr_changes));
-    }
-}
-
 /// Drive a `WorldObservers` seeded from S0 through both fixture ticks with
 /// the real diff streams; `link_flips[t]` stands in for the topology
 /// stage's flip count of tick `t`.
@@ -145,12 +136,12 @@ fn run_world_two_ticks(snaps: &[Snap; 3], link_flips: [Option<usize>; 2]) -> Wor
 fn link_rate_counts_rewired_level0_links() {
     let snaps = fixture();
     for flips in [[None, None], [Some(2), Some(2)], [Some(2), None]] {
-        let obs = run_world_two_ticks(&snaps, flips).link;
-        assert_eq!(obs.rate.events, 4, "{flips:?}");
+        let link = run_world_two_ticks(&snaps, flips).link;
+        assert_eq!(link.events, 4, "{flips:?}");
     }
-    let obs = run_world_two_ticks(&snaps, [None, None]).link;
-    assert_eq!(obs.rate.node_seconds, 2.0 * N as f64 * DT);
-    assert_eq!(obs.rate.per_node_per_second(), 0.5);
+    let link = run_world_two_ticks(&snaps, [None, None]).link;
+    assert_eq!(link.node_seconds, 2.0 * N as f64 * DT);
+    assert_eq!(link.per_node_per_second(), 0.5);
 }
 
 /// The real fixture produces only migrations (recorded); a crafted diff
@@ -158,12 +149,11 @@ fn link_rate_counts_rewired_level0_links() {
 #[test]
 fn address_churn_splits_kinds_and_levels() {
     let snaps = fixture();
-    let mut obs = AddressChurnObserver::default();
-    run_two_ticks(&snaps, |ctx| obs.on_tick(ctx));
+    let addr = run_world_two_ticks(&snaps, [None, None]).addr;
     // Recorded: tick 0 moves nodes 5 and 6 at level 1; tick 1 cascades
     // node 0 up through level 3 and moves node 6 at level 1.
-    assert_eq!(obs.rates.migration_events, vec![0, 4, 1, 1]);
-    assert!(obs.rates.reorg_events.iter().all(|&r| r == 0));
+    assert_eq!(addr.migration_events, vec![0, 4, 1, 1]);
+    assert!(addr.reorg_events.iter().all(|&r| r == 0));
 
     let crafted = [
         AddrChange {
@@ -188,10 +178,10 @@ fn address_churn_splits_kinds_and_levels() {
             kind: AddrChangeKind::Reorganization,
         },
     ];
-    let mut obs = AddressChurnObserver::default();
+    let mut obs = WorldObservers::new(&snaps[0].hierarchy);
     obs.on_tick(&ctx_at(&snaps, 0, &[], &crafted));
-    assert_eq!(obs.rates.migration_events, vec![0, 1, 0]);
-    assert_eq!(obs.rates.reorg_events, vec![0, 0, 2]);
+    assert_eq!(obs.addr.migration_events, vec![0, 1, 0]);
+    assert_eq!(obs.addr.reorg_events, vec![0, 0, 2]);
 }
 
 /// Pair-dependent, non-dyadic hop price: sums of two of these round, so
@@ -285,12 +275,12 @@ fn chlm_analytic_accounting_equals_direct_record() {
 #[test]
 fn level_churn_matches_recorded_fixture() {
     let snaps = fixture();
-    let obs = run_world_two_ticks(&snaps, [None, None]).churn;
-    assert_eq!(obs.rates.link_events, vec![0, 3, 1, 1, 0]);
-    assert!(obs.rates.persisting_link_events.iter().all(|&p| p == 0));
-    assert_eq!(obs.rates.link_seconds, vec![0.0, 3.0, 1.5, 0.5, 0.0]);
-    assert_eq!(obs.rates.level_node_seconds, vec![0.0, 4.0, 2.5, 1.5, 0.5]);
-    assert_eq!(obs.rates.node_seconds, 2.0 * N as f64 * DT);
+    let churn = run_world_two_ticks(&snaps, [None, None]).churn;
+    assert_eq!(churn.link_events, vec![0, 3, 1, 1, 0]);
+    assert!(churn.persisting_link_events.iter().all(|&p| p == 0));
+    assert_eq!(churn.link_seconds, vec![0.0, 3.0, 1.5, 0.5, 0.0]);
+    assert_eq!(churn.level_node_seconds, vec![0.0, 4.0, 2.5, 1.5, 0.5]);
+    assert_eq!(churn.node_seconds, 2.0 * N as f64 * DT);
 }
 
 /// The taxonomy accumulates exactly the per-tick `classify_events`
@@ -307,16 +297,15 @@ fn taxonomy_accumulates_per_tick_classification() {
     assert_ne!(obs.counts, fresh, "fixture must produce taxonomy events");
 }
 
-/// The ALCA observer snapshots the initial hierarchy at construction and
+/// The ALCA tracker snapshots the initial hierarchy at construction and
 /// each tick's new hierarchy after that: three observations in total.
 #[test]
 fn alca_tracker_sees_initial_plus_both_ticks() {
     let snaps = fixture();
-    let mut obs = AlcaStateObserver::new(&snaps[0].hierarchy);
-    run_two_ticks(&snaps, |ctx| obs.on_tick(ctx));
-    assert_eq!(obs.tracker.ticks(), 3);
+    let alca = run_world_two_ticks(&snaps, [None, None]).alca;
+    assert_eq!(alca.ticks(), 3);
     // Depth grows from 4 to 5 on tick 1; the tracker must have seen both.
-    assert!(obs.tracker.level_count() >= 5);
+    assert!(alca.level_count() >= 5);
 }
 
 /// Every snapshot keeps 8 edges over 8 nodes (mean degree 2.0), and the
@@ -324,8 +313,7 @@ fn alca_tracker_sees_initial_plus_both_ticks() {
 #[test]
 fn degree_observer_sums_mean_degree_and_depth() {
     let snaps = fixture();
-    let mut obs = DegreeObserver::new(snaps[0].hierarchy.depth());
-    run_two_ticks(&snaps, |ctx| obs.on_tick(ctx));
+    let obs = run_world_two_ticks(&snaps, [None, None]);
     assert_eq!(obs.degree_sum, 4.0);
     assert_eq!(obs.max_depth, 5);
 }
