@@ -11,20 +11,25 @@
 //!
 //! The pair graph is a CSR built in two passes over the pairs, its
 //! repeats dropped per node with a stamp rather than by sorting the list.
-//! The greedy order comes from a bucket queue: `buckets[d]` lists the
-//! nodes that had `d` uncovered pairs when they were pushed. Degrees only
-//! fall, so while `d` is the largest non-empty bucket nothing is pushed
-//! into it; it is sorted once, descending, when it is reached and popped
-//! from its end, so the lowest index goes first, and an entry whose node
-//! has since been chosen or lost a pair is stale and skipped. Every buffer
-//! lives in [`PairCover`], which the caller keeps across fills.
+//! The greedy order comes from a bucket queue: bucket `d` lists the nodes
+//! that had `d` uncovered pairs when they were pushed. Degrees only fall,
+//! so while `d` is the largest non-empty bucket nothing is pushed into it;
+//! it is sorted once, ascending, when it is reached and walked front to
+//! back, so the lowest index goes first, and an entry whose node has since
+//! been chosen or lost a pair is stale and skipped. A node enters bucket
+//! `d` at most once, so the buckets are segments of one flat array, bucket
+//! `d` sized for the nodes whose degree starts at `d` or above: the queue
+//! takes as many slots as the pair graph has partner entries, whatever
+//! order the degrees fall in. Every buffer lives in [`PairCover`], part of
+//! the [`crate::HopFill`] the caller keeps across fills.
 
 use crate::{Graph, NodeIdx};
 
-/// The buffers of [`Graph::fill_hops`]' vertex cover, kept by the caller
-/// so that a fill per tick allocates only to grow them.
+/// The buffers of [`Graph::fill_hops`]' vertex cover, kept (in the
+/// caller's [`crate::HopFill`]) so that a fill per tick allocates only to
+/// grow them.
 #[derive(Debug, Default)]
-pub struct PairCover {
+pub(crate) struct PairCover {
     /// Whether each node was held when the cover began. Read once: a `hops`
     /// or a fill racing this one may publish more, and both passes over
     /// the pairs must see the same open ones.
@@ -37,8 +42,11 @@ pub struct PairCover {
     degree: Vec<u32>,
     /// Per node, `v + 1` once `v`'s partners have listed it.
     seen: Vec<u32>,
-    /// The bucket queue; see the module docs.
-    buckets: Vec<Vec<NodeIdx>>,
+    /// The bucket queue, flat; see the module docs. Bucket `d` is
+    /// `slots[at[d]..at[d] + len[d]]`.
+    slots: Vec<NodeIdx>,
+    at: Vec<u32>,
+    len: Vec<u32>,
     /// The cover, ascending.
     pub(crate) roots: Vec<NodeIdx>,
 }
@@ -60,6 +68,7 @@ impl PairCover {
     pub(crate) fn cover(&mut self, g: &Graph, pairs: &[(NodeIdx, NodeIdx)]) {
         let n = g.node_count();
         self.roots.clear();
+        self.roots.reserve(n);
         self.held.clear();
         self.held.extend((0..n as NodeIdx).map(|v| g.holds(v)));
         // Count every open pair at both ends, prefix-sum, scatter (moving
@@ -80,7 +89,13 @@ impl PairCover {
         for v in 0..n {
             self.start[v + 1] = self.start[v] + self.degree[v];
         }
-        refill(&mut self.ends, listed, 0);
+        // Sized by the pairs, not the open ones: a call with no more pairs
+        // than an earlier one grows neither `ends` nor `slots`.
+        for buf in [&mut self.ends, &mut self.slots] {
+            buf.clear();
+            buf.reserve(2 * pairs.len());
+        }
+        self.ends.resize(listed, 0);
         for &(a, b) in pairs {
             if open(&self.held, (a, b)) {
                 for (from, to) in [(a, b), (b, a)] {
@@ -110,43 +125,70 @@ impl PairCover {
         }
         self.start[n] = kept as u32;
 
+        // Size the buckets: `len[d]` counts the nodes of degree `d`, then
+        // (summed from the top) those of degree `d` or above; bucket `d`
+        // starts where the buckets below it end. Sized by `n`, as a degree
+        // is below it, so no tick's deepest degree grows them.
         let deepest = self.degree.iter().copied().max().unwrap_or(0) as usize;
-        if self.buckets.len() <= deepest {
-            self.buckets.resize_with(deepest + 1, Vec::new);
+        refill(&mut self.len, n + 1, 0);
+        for &d in &self.degree {
+            self.len[d as usize] += 1;
         }
-        for bucket in &mut self.buckets[..=deepest] {
-            bucket.clear();
+        for d in (1..deepest).rev() {
+            self.len[d] += self.len[d + 1];
         }
-        for (v, &d) in (0..).zip(&self.degree) {
+        refill(&mut self.at, n + 1, 0);
+        for d in 1..deepest {
+            self.at[d + 1] = self.at[d] + self.len[d];
+        }
+        refill(&mut self.slots, kept, 0);
+        refill(&mut self.len, n + 1, 0);
+        let PairCover {
+            degree,
+            start,
+            ends,
+            slots,
+            at,
+            len,
+            roots,
+            ..
+        } = self;
+        // Append `v` to bucket `d`.
+        let push = |slots: &mut [NodeIdx], len: &mut [u32], v: NodeIdx, d: u32| {
+            let d = d as usize;
+            slots[(at[d] + len[d]) as usize] = v;
+            len[d] += 1;
+        };
+        for (v, &d) in (0..).zip(degree.iter()) {
             if d > 0 {
-                self.buckets[d as usize].push(v);
+                push(slots, len, v, d);
             }
         }
         for d in (1..=deepest).rev() {
-            let mut bucket = std::mem::take(&mut self.buckets[d]);
-            bucket.sort_unstable_by(|x, y| y.cmp(x));
-            while let Some(v) = bucket.pop() {
+            let (first, end) = (at[d] as usize, (at[d] + len[d]) as usize);
+            slots[first..end].sort_unstable();
+            for i in first..end {
+                let v = slots[i];
                 // Chosen (degree 0) or lost a pair since it was pushed.
-                if self.degree[v as usize] != d as u32 {
+                if degree[v as usize] != d as u32 {
                     continue;
                 }
-                self.degree[v as usize] = 0;
-                self.roots.push(v);
-                let partners = self.start[v as usize] as usize..self.start[v as usize + 1] as usize;
-                for &u in &self.ends[partners] {
-                    let left = &mut self.degree[u as usize];
+                degree[v as usize] = 0;
+                roots.push(v);
+                let partners = start[v as usize] as usize..start[v as usize + 1] as usize;
+                for &u in &ends[partners] {
+                    let left = &mut degree[u as usize];
                     if *left > 0 {
                         // `u` is not chosen, so its pair with `v` was open.
                         *left -= 1;
                         if *left > 0 {
-                            self.buckets[*left as usize].push(u);
+                            push(slots, len, u, *left);
                         }
                     }
                 }
             }
-            self.buckets[d] = bucket;
         }
-        self.roots.sort_unstable();
+        roots.sort_unstable();
     }
 }
 
@@ -195,7 +237,7 @@ mod tests {
             (
                 c.start.capacity(),
                 c.ends.capacity(),
-                c.buckets.iter().map(Vec::capacity).sum::<usize>(),
+                c.slots.capacity(),
                 c.roots.capacity(),
             )
         };

@@ -5,7 +5,7 @@ use chlm_graph::traversal::{
     bfs_distances, connected_components, hop_distance, shortest_path, UNREACHABLE,
 };
 use chlm_graph::unit_disk::{build_unit_disk, build_unit_disk_brute};
-use chlm_graph::{Graph, NodeIdx, PairCover};
+use chlm_graph::{Graph, HopFill, NodeIdx};
 use chlm_par::WorkerPool;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -448,7 +448,7 @@ proptest! {
         };
         let (held, picked) = (of_nodes(&held), of_nodes(&picks));
         let chain: Vec<(NodeIdx, NodeIdx)> = picked.windows(2).map(|w| (w[0], w[1])).collect();
-        let mut cover = PairCover::default();
+        let mut cover = HopFill::default();
         hold(&g, &held);
         let before: BTreeSet<NodeIdx> = g.hop_roots().collect();
         g.fill_hops(&chain, &mut cover, &WorkerPool::new([1, 2, 8][width]));
@@ -567,7 +567,7 @@ proptest! {
             }
         };
         let workers = WorkerPool::new([1, 2, 8][width]);
-        let mut cover = PairCover::default();
+        let mut cover = HopFill::default();
         let mut held: BTreeSet<NodeIdx>;
         for round in 0..2 {
             let n = g.node_count() as NodeIdx;
@@ -698,7 +698,7 @@ proptest! {
     /// graph, the list's duplicates and orientations, the roots held
     /// before, the pool width — has an end in the hop store, and reads the
     /// distance `hop_distance` finds, from either end, without a search of
-    /// its own. One `PairCover` serves both fills (its buffers are kept
+    /// its own. One `HopFill` serves both fills (its buffers are kept
     /// across calls), the second after a mutation emptied the store.
     #[test]
     fn fill_hops_answers_every_pair_from_a_held_end(
@@ -706,7 +706,7 @@ proptest! {
         width in 0usize..3,
     ) {
         let workers = WorkerPool::new([1, 2, 8][width]);
-        let mut cover = PairCover::default();
+        let mut cover = HopFill::default();
         for round in 0..2 {
             hold(&g, &held);
             g.fill_hops(&pairs, &mut cover, &workers);
@@ -745,7 +745,7 @@ proptest! {
             .copied()
             .filter(|&(a, b)| a != b && !before.contains(&a) && !before.contains(&b))
             .collect();
-        g.fill_hops(&pairs, &mut PairCover::default(), &WorkerPool::new(1 + width));
+        g.fill_hops(&pairs, &mut HopFill::default(), &WorkerPool::new(1 + width));
         let added: BTreeSet<NodeIdx> = g.hop_roots().filter(|r| !before.contains(r)).collect();
         for &(a, b) in &open {
             prop_assert!(added.contains(&a) || added.contains(&b), "({}, {}) uncovered", a, b);
@@ -755,6 +755,42 @@ proptest! {
                 open.iter().any(|&(a, b)| a == root || b == root),
                 "root {} is in no open pair", root
             );
+        }
+    }
+
+    /// One `HopFill` serves two graphs one after the other, of any sizes:
+    /// the second is filled while the first still holds its blocks, then
+    /// both are mutated — their blocks go back to the fill state — and
+    /// filled again in the other order, so each writes over blocks the
+    /// other held. Throughout, every pair has a held end and every held
+    /// root reads its own graph's BFS row.
+    #[test]
+    fn fill_hops_one_fill_state_serves_two_graphs(
+        (mut g, pairs, held) in arb_pair_fill(),
+        (mut h, more, _) in arb_pair_fill(),
+        width in 0usize..3,
+    ) {
+        let workers = WorkerPool::new([1, 2, 8][width]);
+        let mut fill = HopFill::default();
+        hold(&g, &held);
+        for round in 0..2 {
+            let order = if round == 0 { [(&g, &pairs), (&h, &more)] } else { [(&h, &more), (&g, &pairs)] };
+            for (graph, list) in order {
+                graph.fill_hops(list, &mut fill, &workers);
+            }
+            for (graph, list) in [(&g, &pairs), (&h, &more)] {
+                let roots: BTreeSet<NodeIdx> = graph.hop_roots().collect();
+                for &(a, b) in list.iter() {
+                    prop_assert!(a == b || roots.contains(&a) || roots.contains(&b), "round {}", round);
+                }
+                rows_are_fresh(graph, &roots)?;
+            }
+            for graph in [&mut g, &mut h] {
+                let n = graph.node_count() as NodeIdx;
+                if n >= 2 && !graph.add_edge(0, n - 1) {
+                    graph.remove_edge(0, n - 1);
+                }
+            }
         }
     }
 
@@ -770,7 +806,7 @@ proptest! {
             .map(|threads| {
                 let copy = g.clone();
                 hold(&copy, &held);
-                copy.fill_hops(&pairs, &mut PairCover::default(), &WorkerPool::new(threads));
+                copy.fill_hops(&pairs, &mut HopFill::default(), &WorkerPool::new(threads));
                 copy
             })
             .collect();
@@ -967,7 +1003,7 @@ fn race_for_hop_rows(g: &Graph) {
     // pair, holds `root`.
     let far = 239;
     let fill = |pairs: &[(NodeIdx, NodeIdx)], threads| {
-        g.fill_hops(pairs, &mut PairCover::default(), &WorkerPool::new(threads));
+        g.fill_hops(pairs, &mut HopFill::default(), &WorkerPool::new(threads));
     };
     let distinct: BTreeSet<NodeIdx> = roots.iter().chain(&block).copied().collect();
     let barrier = Barrier::new(THREADS);
@@ -1022,7 +1058,7 @@ fn filled_rows_do_not_depend_on_the_pool_width() {
     let mut held_roots = None;
     for width in [1, 2, 8] {
         let cold = g.clone();
-        let mut cover = PairCover::default();
+        let mut cover = HopFill::default();
         cold.fill_hops(&pairs, &mut cover, &WorkerPool::new(width));
         assert_eq!(cold.hop_roots().count(), 231, "width {width}");
         let roots_now: Vec<NodeIdx> = cold.hop_roots().collect();

@@ -9,7 +9,7 @@ use chlm_cluster::{Hierarchy, HierarchyOptions};
 use chlm_geom::Point;
 use chlm_graph::traversal::bfs_distances;
 use chlm_graph::unit_disk::build_unit_disk;
-use chlm_graph::{Graph, PairCover};
+use chlm_graph::{Graph, HopFill};
 use chlm_par::WorkerPool;
 use chlm_sim::cost::{CostInputs, HopPricer, Pricing};
 use chlm_sim::oracle::DEFAULT_DETOUR;
@@ -311,7 +311,7 @@ proptest! {
             .iter()
             .flat_map(|&s| (0..n as u32).map(move |t| (s, t)))
             .collect();
-        g.fill_hops(&pairs, &mut PairCover::default(), &WorkerPool::new(threads));
+        g.fill_hops(&pairs, &mut HopFill::default(), &WorkerPool::new(threads));
         let held = g.hop_roots().count();
         prop_assert!(held >= 1, "no root held for {} sources", sources.len());
         // Rows live on the graph, so the lazy side prices a cold clone:
