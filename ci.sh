@@ -208,6 +208,15 @@ for f in crates/graph/src/*.rs; do
   fi
 done
 
+# The worker pool owns its threads: a pool of width t keeps t - 1 parked
+# workers across calls, so a warm fan-out neither spawns a thread nor
+# allocates. Threads spawned per call through a scope must not come back
+# into the pool (its tests, after `#[cfg(test)]`, may use scopes).
+if sed '/^#\[cfg(test)\]/,$d' crates/par/src/lib.rs | grep -n 'crossbeam::scope\|thread::scope'; then
+  echo "leftover check: the worker pool spawns scoped threads per call again" >&2
+  exit 1
+fi
+
 # Every absolute pin lives in one manifest, crates/bench/tests/golden/
 # pins.txt (checked by crates/bench/tests/golden_wall.rs): no 64-bit digest
 # literal sits in Rust source anywhere else.

@@ -67,8 +67,11 @@ use chlm_geom::{CellOrder, Point, SpatialGrid};
 use chlm_par::{split_ranges, WorkerPool};
 use std::ops::Range;
 
-/// Below this population the parallel fan-out's spawn/merge overhead
-/// outweighs the scan it saves; stay on the serial paths.
+/// Below this population the parallel fan-out's rendezvous/merge overhead
+/// outweighs the scan it saves; stay on the serial paths. Measured on a
+/// 2-vCPU Xeon VM, `advance` over a density-1, degree-9 world moving
+/// `rtx / 40` a tick, median of 7 alternating repetitions, width 2 over
+/// width 1: n = 256 1.49, 512 1.10, 1 024 0.89, 2 048 0.81, 4 096 0.74.
 const PAR_MIN_NODES: usize = 1024;
 
 /// One link-state change: the undirected edge `(u, v)`, `u < v` in
@@ -322,7 +325,6 @@ impl UnitDiskMaintainer {
             self.workers.threads()
         };
         self.parts = split_ranges(self.n, parts)
-            .into_iter()
             .map(|ranks| Part {
                 ranks,
                 ..Part::default()

@@ -69,10 +69,10 @@ pub use incremental::{EdgeFlip, UnitDiskMaintainer};
 
 use chlm_par::WorkerPool;
 use cover::PairCover;
-use msbfs::{Batches, Block, Scratch, BATCH_SHIFT, LONE_SHIFT};
+use msbfs::{Batches, Block, BlockWords, Scratch, BATCH_SHIFT, LONE_SHIFT};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Node index type. Graphs in this workspace are dense and index nodes by
 /// position `0..n`, with any stable external identity (e.g. the random node
@@ -209,19 +209,22 @@ thread_local! {
 }
 
 /// What [`Graph::fill_hops`] keeps between calls: the vertex cover's and
-/// the batching's buffers, and per worker the kernel's buffers and the
-/// words of the blocks it published, taken back once the graph that held
-/// them has let them go (its next mutation) and written over by later
-/// batches, each into the free words of least room that hold it. Keep one per caller and
-/// hand it to every fill: in steady state a fill calls the allocator only
-/// for more batches, deeper batches or more pairs than it has met before. A fill state serves any graph; blocks a graph still
-/// holds are simply not reused.
+/// the batching's buffers, per worker the kernel's buffers, and the words
+/// of the blocks the workers published, taken back once the graph that
+/// held them has let them go (its next mutation) and written over by later
+/// batches, each into the free words of least room that hold it. Keep one
+/// per caller and hand it to every fill: in steady state a fill calls the
+/// allocator only for more batches, deeper batches or more pairs than it
+/// has met before, at any pool width. A fill state serves any graph;
+/// blocks a graph still holds are simply not reused.
 #[derive(Default)]
 pub struct HopFill {
     cover: PairCover,
     batches: Batches,
     /// Worker `w`'s scratch, at index `w`.
     workers: Vec<(usize, Scratch)>,
+    /// The blocks' words, shared by the workers.
+    blocks: Mutex<BlockWords>,
 }
 
 impl PartialEq for Graph {
@@ -568,7 +571,14 @@ impl Graph {
         if let Some((block, lane)) = at_b.get() {
             return block.distance(*lane, a);
         }
-        let block = LONE.with(|lone| lone.borrow_mut().kernel::<LONE_SHIFT>(self, &[a]).0);
+        // AUDIT: a lone block is not kept, so these words stay empty and
+        // this call's alone: its words are the cell's.
+        let lone_words = Mutex::default();
+        let block = LONE.with(|lone| {
+            lone.borrow_mut()
+                .kernel::<LONE_SHIFT>(self, &[a], &lone_words)
+                .0
+        });
         self.publish(&[a], &block);
         // `a` is held now, by this call or by one that raced it.
         self.hops(a, b)
@@ -628,6 +638,7 @@ impl Graph {
             cover,
             batches,
             workers: scratches,
+            blocks,
         } = fill;
         cover.cover(self, pairs);
         if cover.roots.is_empty() {
@@ -638,15 +649,24 @@ impl Graph {
         while scratches.len() < width {
             scratches.push((scratches.len(), Default::default()));
         }
-        let batches = &*batches;
+        blocks
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .reclaim();
+        let (batches, shared) = (&*batches, &*blocks);
         workers.for_each_mut(&mut scratches[..width], |(first, scratch)| {
-            scratch.reclaim();
             for i in (*first..batches.len()).step_by(width) {
-                let (block, _) = scratch.kernel::<BATCH_SHIFT>(self, batches.get(i));
+                let (block, _) = scratch.kernel::<BATCH_SHIFT>(self, batches.get(i), shared);
                 self.publish(batches.get(i), &block);
-                scratch.keep(block);
+                msbfs::lock(shared).keep(block);
             }
         });
+        // Every scratch keeps room for the widest batch any has written, so
+        // that a batch grows none whichever scratch it falls to.
+        let room = scratches.iter().map(|(_, s)| s.room()).max().unwrap_or(0);
+        for (_, scratch) in scratches.iter_mut() {
+            scratch.make_room(room);
+        }
     }
 
     /// Point the cell of each of `roots` (distinct, lane L is `roots[L]`)

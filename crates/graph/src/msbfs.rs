@@ -48,21 +48,24 @@
 //! plane.
 //!
 //! **Kept memory.** A [`Scratch`] is one worker's: the kernel's per-node
-//! buffers and `words`, which every run leaves ready for the next, and the
-//! words of its blocks — those it published (`kept`), taken back (`free`)
-//! once nothing else holds them (the graph's next mutation emptied its
-//! cells; `Arc::get_mut` then succeeds) and written over by a later batch:
-//! the free words of least room that hold it; when none do, the roomiest
-//! go and the batch takes new words of its size. So blocks stay the size
-//! of the planes some batch needed, and a fill whose blocks, largest
-//! first, each fit the same rank of an earlier fill's finds them all. A fill's scratches live in the caller's
-//! [`crate::HopFill`], so a fill a tick calls the allocator only for more
-//! batches, or deeper ones, than it has met before (or, in the cover's
-//! buffers, more pairs).
+//! buffers and `words`, which every run leaves ready for the next. The
+//! words of the blocks are one [`BlockWords`] that every worker of a fill
+//! shares: those published (`kept`), taken back (`free`) once nothing else
+//! holds them (the graph's next mutation emptied its cells;
+//! `Arc::get_mut` then succeeds) and written over by a later batch: the
+//! free words of least room that hold it; when none do, the roomiest go
+//! and the batch takes new words of its size. So blocks stay the size of
+//! the planes some batch needed, and a fill whose blocks, largest first,
+//! each fit the same rank of an earlier fill's finds them all, whichever
+//! worker runs which batch in whatever order (taking the least room that
+//! fits never strands a later batch that a matching would have served).
+//! A fill's scratches and words live in the caller's [`crate::HopFill`],
+//! so a fill a tick calls the allocator only for more batches, or deeper
+//! ones, than it has met before (or, in the cover's buffers, more pairs).
 
 use crate::traversal::UNREACHABLE;
 use crate::{Graph, NodeIdx};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Roots per batch: the bits of the per-node lane word.
 pub(crate) const LANES: usize = u64::BITS as usize;
@@ -220,8 +223,8 @@ impl Block {
     }
 }
 
-/// One worker's kernel buffers and block memory, kept across every batch
-/// it computes; see the module docs.
+/// One worker's kernel buffers, kept across every batch it computes; see
+/// the module docs.
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// Lanes that reached a node on the previous level; all zero between
@@ -237,14 +240,26 @@ pub(crate) struct Scratch {
     /// The batch being written: each group's reach word and planes side
     /// by side.
     words: Vec<u64>,
-    /// The words of the blocks this scratch published, possibly still held
-    /// by a graph.
+}
+
+/// The words of the blocks a fill's workers published, shared by all of
+/// them; see the module docs.
+#[derive(Default)]
+pub(crate) struct BlockWords {
+    /// Published words, possibly still held by a graph.
     kept: Vec<Arc<[u64]>>,
     /// Words taken back from `kept`: nothing else holds them.
     free: Vec<Arc<[u64]>>,
-    /// Words of the widest block this scratch has kept: a batch starts at
-    /// its stride.
+    /// Words of the widest block kept: a batch starts at its stride.
     widest: usize,
+}
+
+/// `blocks`, locked. No kernel panics while it holds the lock, so poison
+/// only means a batch elsewhere panicked; the words stay consistent.
+pub(crate) fn lock(blocks: &Mutex<BlockWords>) -> MutexGuard<'_, BlockWords> {
+    // AUDIT: the shared words only decide which memory a block is copied
+    // into, never what it spells; see the module docs.
+    blocks.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `buf` as `len` copies of `value`, in the buffer it already has.
@@ -253,7 +268,7 @@ fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
     buf.resize(len, value);
 }
 
-impl Scratch {
+impl BlockWords {
     /// Take back every kept block nobody else holds any more.
     pub fn reclaim(&mut self) {
         let mut i = 0;
@@ -266,13 +281,26 @@ impl Scratch {
         }
     }
 
-    /// Keep `block`, published by this scratch, to take it back later —
+    /// Keep `block`, published from these words, to take it back later —
     /// with room in `free` for everything kept, so that taking it back
     /// does not grow the list.
     pub fn keep(&mut self, block: Block) {
         self.widest = self.widest.max(block.len as usize);
         self.kept.push(block.words);
         self.free.reserve(self.kept.len());
+    }
+}
+
+impl Scratch {
+    /// Words this scratch can write a batch in without growing.
+    pub fn room(&self) -> usize {
+        self.words.capacity()
+    }
+
+    /// Grow to `room` words ahead of need (see [`Scratch::room`]).
+    pub fn make_room(&mut self, room: usize) {
+        self.words.clear();
+        self.words.reserve_exact(room);
     }
 
     /// The block of `roots` (distinct; lane L is `roots[L]`), each node
@@ -290,10 +318,16 @@ impl Scratch {
     /// level.
     ///
     /// The batch is written into `words` at the stride of the widest block
-    /// kept, so a batch no deeper finds its planes there (a deeper one
-    /// spreads the groups apart a plane at a time), and then copied, each
-    /// group's reach word and planes, into free words or new ones.
-    pub fn kernel<const SHIFT: u32>(&mut self, g: &Graph, roots: &[NodeIdx]) -> (Block, u64) {
+    /// `blocks` keeps, so a batch no deeper finds its planes there (a
+    /// deeper one spreads the groups apart a plane at a time), and then
+    /// copied, each group's reach word and planes, into free words of
+    /// `blocks` or new ones.
+    pub fn kernel<const SHIFT: u32>(
+        &mut self,
+        g: &Graph,
+        roots: &[NodeIdx],
+        blocks: &Mutex<BlockWords>,
+    ) -> (Block, u64) {
         let n = g.node_count();
         debug_assert!(roots.len() <= 1 << SHIFT && SHIFT <= BATCH_SHIFT);
         let groups = (n << SHIFT).div_ceil(LANES);
@@ -303,10 +337,8 @@ impl Scratch {
             next,
             active,
             touched,
-            free,
-            widest,
-            ..
         } = self;
+        let widest = lock(blocks).widest;
         if frontier.len() != n {
             refill(frontier, n, 0);
             refill(next, n, 0);
@@ -317,7 +349,7 @@ impl Scratch {
         }
         // The reach word and the planes of any distance in `g`, at most.
         let most = 1 + planes_for(n.saturating_sub(1) as u32);
-        let mut stride = (*widest / groups.max(1)).clamp(1, most);
+        let mut stride = (widest / groups.max(1)).clamp(1, most);
         words.clear();
         words.reserve_exact(groups * stride);
         words.resize(groups * stride, 0);
@@ -390,7 +422,8 @@ impl Scratch {
             }
             word
         });
-        let shared = match take(free, len) {
+        let room = take(&mut lock(blocks).free, len);
+        let shared = match room {
             Some(mut room) => {
                 // audit: infallible because free words left `kept`, and
                 // with them every other holder, before they were put there.
@@ -501,7 +534,7 @@ mod tests {
             placed += batch.len();
             let own: u64 = batch.iter().map(|&r| scalar_visits(g, r)).sum();
             scalar += own;
-            let (block, visits) = scratch.kernel::<BATCH_SHIFT>(g, batch);
+            let (block, visits) = scratch.kernel::<BATCH_SHIFT>(g, batch, &Mutex::default());
             for (&root, row) in batch.iter().zip(rows(g, &block, batch.len())) {
                 assert_eq!(row, bfs_distances(g, root), "root {root}");
             }
@@ -602,11 +635,11 @@ mod tests {
                 roots.insert(1, d / 2);
             }
             let want: Vec<Vec<u32>> = roots.iter().map(|&r| bfs_distances(&g, r)).collect();
-            let (block, _) = scratch.kernel::<BATCH_SHIFT>(&g, &roots);
+            let (block, _) = scratch.kernel::<BATCH_SHIFT>(&g, &roots, &Mutex::default());
             assert_eq!(block.stride as usize, 1 + planes, "d = {d}");
             assert_eq!(block.bytes(), (d as usize + 1) * (1 + planes) * 8);
             assert_eq!(rows(&g, &block, roots.len()), want, "d = {d}");
-            let (lone, _) = scratch.kernel::<LONE_SHIFT>(&g, &[0]);
+            let (lone, _) = scratch.kernel::<LONE_SHIFT>(&g, &[0], &Mutex::default());
             assert_eq!(lone.stride as usize, 1 + planes, "d = {d}");
             assert_eq!(
                 lone.bytes(),
@@ -629,7 +662,12 @@ mod tests {
             let cut: usize = (0..batches.len()).map(|i| batches.get(i).len()).sum();
             assert_eq!(cut, n, "every root in exactly one batch");
             let held: usize = (0..batches.len())
-                .map(|i| scratch.kernel::<BATCH_SHIFT>(&g, batches.get(i)).0.bytes())
+                .map(|i| {
+                    scratch
+                        .kernel::<BATCH_SHIFT>(&g, batches.get(i), &Mutex::default())
+                        .0
+                        .bytes()
+                })
                 .sum();
             let rows = n * n * 4;
             assert!(4 * held <= rows, "n = {n}: {held} bytes held, rows {rows}");
@@ -651,7 +689,8 @@ mod tests {
         let leaves = near_batches(&star, &[0, 1, 5]);
         assert_eq!(leaves.len(), 1);
         assert_eq!(leaves[0], [0, 1, 5]);
-        let (block, visits) = Scratch::default().kernel::<BATCH_SHIFT>(&star, &[0, 3, 5]);
+        let (block, visits) =
+            Scratch::default().kernel::<BATCH_SHIFT>(&star, &[0, 3, 5], &Mutex::default());
         let lanes = rows(&star, &block, 3);
         assert_eq!(lanes[0], [0, 2, 2, 1, 2, 2]);
         assert_eq!(lanes[1], [1, 1, 1, 0, 1, 1]);
@@ -669,14 +708,15 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0], [0, 2]);
         assert_eq!(parts[1], [3, 4]);
-        let (block, _) = Scratch::default().kernel::<BATCH_SHIFT>(&split, &[0, 4]);
+        let (block, _) =
+            Scratch::default().kernel::<BATCH_SHIFT>(&split, &[0, 4], &Mutex::default());
         let lanes = rows(&split, &block, 2);
         assert_eq!(lanes[0], [0, 1, 2, UNREACHABLE, UNREACHABLE]);
         assert_eq!(lanes[1], [UNREACHABLE, UNREACHABLE, UNREACHABLE, 1, 0]);
     }
 
-    /// A scratch takes a block's words back only once nothing else holds
-    /// them, and then writes a later batch over them: the free words of
+    /// A block's words are taken back only once nothing else holds them,
+    /// and a later batch is then written over them: the free words of
     /// least room that hold the batch; when none do, the roomiest go and
     /// the batch takes new words of its size.
     #[test]
@@ -684,44 +724,50 @@ mod tests {
         let path =
             |n: u32| Graph::from_edges(n as usize, &(1..n).map(|i| (i - 1, i)).collect::<Vec<_>>());
         let nine = path(9);
-        let mut scratch = Scratch::default();
+        let (mut scratch, words) = (Scratch::default(), Mutex::default());
+        let mut run =
+            |g: &Graph, roots: &[NodeIdx]| scratch.kernel::<BATCH_SHIFT>(g, roots, &words).0;
+        let counts = || {
+            let words = lock(&words);
+            (words.kept.len(), words.free.len())
+        };
         // Deepest 8: four planes, 5 words a node.
-        let (wide, _) = scratch.kernel::<BATCH_SHIFT>(&nine, &[0, 8]);
+        let wide = run(&nine, &[0, 8]);
         let held = wide.share();
-        scratch.keep(wide);
+        lock(&words).keep(wide);
         // Deepest 4: three planes, 4 words a node, in words of its size.
-        let (narrow, _) = scratch.kernel::<BATCH_SHIFT>(&nine, &[4]);
+        let narrow = run(&nine, &[4]);
         assert_ne!(held.addr(), narrow.addr(), "held words written over");
         assert_eq!((narrow.bytes(), narrow.words.len()), (9 * 4 * 8, 9 * 4));
         let (wide, narrow_at) = (held.addr(), narrow.addr());
-        scratch.keep(narrow);
-        scratch.reclaim();
-        assert_eq!((scratch.kept.len(), scratch.free.len()), (1, 1), "one held");
+        lock(&words).keep(narrow);
+        lock(&words).reclaim();
+        assert_eq!(counts(), (1, 1), "one held");
         // Deepest 5 from the middle: the narrow words fit.
-        let (again, _) = scratch.kernel::<BATCH_SHIFT>(&nine, &[3, 5]);
+        let again = run(&nine, &[3, 5]);
         assert_eq!(again.addr(), narrow_at);
         assert_eq!(rows(&nine, &again, 2)[1], bfs_distances(&nine, 5));
-        scratch.keep(again);
+        lock(&words).keep(again);
         drop(held);
-        scratch.reclaim();
-        assert_eq!((scratch.kept.len(), scratch.free.len()), (0, 2));
+        lock(&words).reclaim();
+        assert_eq!(counts(), (0, 2));
         // Deepest 4 again: both fit, the narrow ones are taken.
-        let (short, _) = scratch.kernel::<BATCH_SHIFT>(&nine, &[4]);
+        let short = run(&nine, &[4]);
         assert_eq!(short.addr(), narrow_at);
-        scratch.keep(short);
+        lock(&words).keep(short);
         // Deepest 8: only the wide ones fit.
-        let (end, _) = scratch.kernel::<BATCH_SHIFT>(&nine, &[8]);
+        let end = run(&nine, &[8]);
         assert_eq!(end.addr(), wide);
         assert_eq!(rows(&nine, &end, 1)[0], bfs_distances(&nine, 8));
-        scratch.keep(end);
-        scratch.reclaim();
+        lock(&words).keep(end);
+        lock(&words).reclaim();
         // A longer path: neither fits, so the roomiest (the wide words) go
         // and the batch takes 10 nodes of 5 words.
         let ten = path(10);
-        let (grown, _) = scratch.kernel::<BATCH_SHIFT>(&ten, &[0]);
+        let grown = run(&ten, &[0]);
         assert_eq!((grown.bytes(), grown.words.len()), (10 * 5 * 8, 10 * 5));
         assert_eq!(rows(&ten, &grown, 1)[0], bfs_distances(&ten, 0));
-        let rooms: Vec<usize> = scratch.free.iter().map(|words| words.len()).collect();
+        let rooms: Vec<usize> = lock(&words).free.iter().map(|words| words.len()).collect();
         assert_eq!(rooms, [9 * 4], "the wide words went");
     }
 }

@@ -32,10 +32,14 @@ use chlm_par::{split_ranges, WorkerPool};
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Below this population the walk stays serial: one pool fan-out (scoped
-/// workers started and joined inside the call, plus the job list) costs
-/// more than a second worker saves on a sub-millisecond walk.
-const WALK_PAR_MIN_N: usize = 2048;
+/// Below this population the walk stays serial: waking the pool's parked
+/// worker and waiting for it costs more than it saves. Measured on a
+/// 2-vCPU Xeon VM, `compute_with` (HRW) on a static density-1, degree-9
+/// deployment, median of 7 alternating width-1 / width-2 repetitions, at
+/// width 2 over width 1: n = 64 1.63, 128 1.10, 256 0.77, 512 0.71,
+/// 1 024 0.63, 2 048 0.69, 4 096 0.64 — the pooled walk stops losing
+/// between 128 and 256.
+const WALK_PAR_MIN_N: usize = 256;
 
 /// Subjects advanced together, one hierarchy level at a time. Their steps
 /// are independent, so a block keeps many cache misses in flight where a
@@ -412,6 +416,7 @@ impl LmAssignment {
         refill(&mut scratch.rows, n * width, 0);
         let pool = scratch
             .workers
+            .as_ref()
             .filter(|p| !p.is_serial() && n >= WALK_PAR_MIN_N);
         let parts = pool.map_or(1, |p| p.threads());
         if scratch.cursors.len() < parts {
@@ -436,16 +441,15 @@ impl LmAssignment {
                 // subtrees, bar the two ends); each job owns the matching
                 // rows and one cursor block, so the walk output cannot
                 // depend on pool width or schedule.
-                let mut jobs = Vec::with_capacity(parts);
                 let mut rows: &mut [NodeIdx] = &mut scratch.rows;
-                for (ss, cursors) in split_ranges(n, parts).into_iter().zip(&mut scratch.cursors) {
-                    let (mine, rest) = rows.split_at_mut(ss.len() * width);
-                    rows = rest;
-                    jobs.push((ss, mine, cursors));
-                }
-                pool.for_each_mut(&mut jobs, |(ss, rows, cursors)| {
-                    walk.run(ss.start..ss.end, rows, cursors);
-                });
+                let jobs = split_ranges(n, parts)
+                    .zip(&mut scratch.cursors)
+                    .map(|(ss, cursors)| {
+                        let (mine, rest) = std::mem::take(&mut rows).split_at_mut(ss.len() * width);
+                        rows = rest;
+                        (ss, mine, cursors)
+                    });
+                pool.for_each(jobs, |(ss, rows, cursors)| walk.run(ss, rows, cursors));
             }
         }
         // Gather the tree-ordered rows into the physical table through

@@ -61,6 +61,7 @@ use chlm_graph::NodeIdx;
 use chlm_lm::handoff::HandoffLedger;
 use chlm_lm::server::{HostChange, LmAssignment};
 use chlm_mobility::{MobilityModel, RandomDirection, RandomWaypoint, Rpgm, StaticModel};
+use chlm_par::WorkerPool;
 
 /// The boxed-engine facade the `benchmark/` harness names: steps ticks,
 /// finishes into a [`SimReport`]. [`Simulation`] is the only implementor.
@@ -408,16 +409,16 @@ impl ObserverBank {
     /// Build the bank for `cfg`, booking the plane at index `plane`. `cfg`
     /// must describe the same world as the one the bank is driven over —
     /// only the variant axes (`lm_scheme`, `hop_metric`, `backend`) may
-    /// differ.
-    pub(crate) fn new(cfg: &SimConfig, plane: usize) -> Self {
-        let handoff = HandoffBook::new(cfg);
+    /// differ. A packet transport runs its shards on `workers`.
+    pub(crate) fn new(cfg: &SimConfig, plane: usize, workers: &WorkerPool) -> Self {
+        let handoff = HandoffBook::new(cfg, workers);
         let auditor = cfg.audit.then(|| Auditor::new(handoff.ledger()));
         ObserverBank {
             scheme: cfg.lm_scheme,
             plane,
             observers: Observers {
                 handoff,
-                query: (cfg.query_rate > 0.0).then(|| QueryBook::new(cfg)),
+                query: (cfg.query_rate > 0.0).then(|| QueryBook::new(cfg, workers)),
                 extra: Vec::new(),
             },
             auditor,

@@ -65,6 +65,7 @@ use crate::scheme::{make_scheme, SchemePlane};
 use crate::stage::{default_stages, StageSet};
 use crate::transport::{reads_hops, PairWarmer};
 use chlm_mobility::MobilityModel;
+use chlm_par::WorkerPool;
 
 /// One requested variant of a shared world: the three config axes the
 /// world pipeline never consults. Everything else (size, mobility,
@@ -165,6 +166,9 @@ impl MultiplexSim {
             "multiplexer needs at least one variant"
         );
         let world = World::new(base.clone(), make_stages);
+        // The banks' packet shards and the tick's one fill run one after
+        // the other, so they share one pool.
+        let workers = WorkerPool::new(base.threads);
         let mut planes: Vec<SchemePlane> = Vec::new();
         let mut plane_schemes: Vec<LmScheme> = Vec::new();
         let mut plane_reads_hops: Vec<bool> = Vec::new();
@@ -200,14 +204,14 @@ impl MultiplexSim {
                 }
             };
             plane_reads_hops[plane] |= reads_hops(&cfg);
-            let bank = ObserverBank::new(&cfg, plane);
+            let bank = ObserverBank::new(&cfg, plane, &workers);
             groups[gi].members.push(banks.len());
             banks.push(bank);
             labels.push(variant.label.clone());
         }
         let warmer = plane_reads_hops
             .contains(&true)
-            .then(|| PairWarmer::new(base.threads));
+            .then(|| PairWarmer::new(workers));
         MultiplexSim {
             world,
             planes,

@@ -68,6 +68,7 @@ use chlm_lm::gls::{gls_resolve_route, GlsIncremental, GlsSelect, GridHierarchy, 
 use chlm_lm::handoff::{for_each_handoff, HandoffLedger};
 use chlm_lm::hash::hrw_select;
 use chlm_lm::query::{resolve_route, Route};
+use chlm_par::WorkerPool;
 use chlm_proto::network::NetworkStats;
 
 /// Salt for the home-agent rendezvous selection, fixed so every node can
@@ -631,10 +632,11 @@ pub struct HandoffBook {
 }
 
 impl HandoffBook {
-    /// An empty book over the transport `cfg.backend` selects.
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
+    /// An empty book over the transport `cfg.backend` selects, whose
+    /// packet shards (if any) run on `workers`.
+    pub(crate) fn new(cfg: &SimConfig, workers: &WorkerPool) -> Self {
         HandoffBook {
-            transport: Transport::new(cfg, UPDATE_LOSS_STREAM),
+            transport: Transport::new(cfg, UPDATE_LOSS_STREAM, workers),
             ledger: HandoffLedger::new(),
             transfers: 0,
             registrations: 0,
@@ -698,10 +700,11 @@ pub struct QueryBook {
 }
 
 impl QueryBook {
-    /// An empty book over the transport `cfg.backend` selects.
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
+    /// An empty book over the transport `cfg.backend` selects, whose
+    /// packet shards (if any) run on `workers`.
+    pub(crate) fn new(cfg: &SimConfig, workers: &WorkerPool) -> Self {
         QueryBook {
-            transport: Transport::new(cfg, QUERY_LOSS_STREAM),
+            transport: Transport::new(cfg, QUERY_LOSS_STREAM, workers),
             stats: QueryStats::default(),
             costs: Vec::new(),
         }
@@ -761,10 +764,16 @@ struct OwnPlane {
 }
 
 impl OwnPlane {
-    fn new(scheme: Box<dyn Scheme>, update: bool, query: bool, cfg: &SimConfig) -> Self {
+    fn new(
+        scheme: Box<dyn Scheme>,
+        update: bool,
+        query: bool,
+        cfg: &SimConfig,
+        workers: &WorkerPool,
+    ) -> Self {
         OwnPlane {
             plane: SchemePlane::new(scheme, update, query),
-            warmer: reads_hops(cfg).then(|| PairWarmer::new(cfg.threads)),
+            warmer: reads_hops(cfg).then(|| PairWarmer::new(workers.clone())),
         }
     }
 
@@ -789,9 +798,10 @@ impl HandoffObserver {
     /// `scheme`'s update half, booked over the transport `cfg.backend`
     /// selects.
     pub fn new(scheme: Box<dyn Scheme>, cfg: &SimConfig) -> Self {
+        let workers = WorkerPool::new(cfg.threads);
         HandoffObserver {
-            plane: OwnPlane::new(scheme, true, false, cfg),
-            book: HandoffBook::new(cfg),
+            plane: OwnPlane::new(scheme, true, false, cfg, &workers),
+            book: HandoffBook::new(cfg, &workers),
         }
     }
 }
@@ -832,9 +842,10 @@ impl QueryObserver {
     /// `scheme`'s query half, booked over the transport `cfg.backend`
     /// selects.
     pub fn new(scheme: Box<dyn Scheme>, cfg: &SimConfig) -> Self {
+        let workers = WorkerPool::new(cfg.threads);
         QueryObserver {
-            plane: OwnPlane::new(scheme, false, true, cfg),
-            book: QueryBook::new(cfg),
+            plane: OwnPlane::new(scheme, false, true, cfg, &workers),
+            book: QueryBook::new(cfg, &workers),
         }
     }
 }

@@ -30,6 +30,7 @@ use chlm_geom::Point;
 use chlm_graph::{EdgeFlip, Graph, NodeIdx, UnitDiskMaintainer};
 use chlm_lm::server::{HostChange, LmAssignment, SelectionRule, WalkScratch};
 use chlm_mobility::MobilityModel;
+use chlm_par::WorkerPool;
 
 /// Read-only view of one completed tick: the previous and current
 /// snapshots plus the diff streams between them. Observers price and
@@ -156,12 +157,11 @@ pub struct UnitDiskTopology {
 }
 
 impl UnitDiskTopology {
-    /// `threads` sizes the maintainer's worker pool; the maintained graph
-    /// is bit-identical for every thread count.
-    pub fn new(positions: &[Point], rtx: f64, threads: usize) -> Self {
+    /// The maintainer's scans fan out over `workers`; the maintained
+    /// graph is bit-identical for every pool width.
+    pub fn new(positions: &[Point], rtx: f64, workers: WorkerPool) -> Self {
         UnitDiskTopology {
-            maintainer: UnitDiskMaintainer::new(positions, rtx)
-                .with_workers(chlm_par::WorkerPool::new(threads)),
+            maintainer: UnitDiskMaintainer::new(positions, rtx).with_workers(workers),
         }
     }
 }
@@ -219,11 +219,11 @@ pub struct LmSelection {
 }
 
 impl LmSelection {
-    /// `threads` sizes the walk's worker pool; the assignment is
-    /// bit-identical for every thread count.
-    pub fn new(threads: usize) -> Self {
+    /// The walk fans out over `workers`; the assignment is bit-identical
+    /// for every pool width.
+    pub fn new(workers: WorkerPool) -> Self {
         LmSelection {
-            scratch: WalkScratch::new().with_workers(chlm_par::WorkerPool::new(threads)),
+            scratch: WalkScratch::new().with_workers(workers),
         }
     }
 }
@@ -246,9 +246,12 @@ pub type StageSet = (
 );
 
 /// Build the production stage set for `cfg` over an already-warmed
-/// mobility model.
+/// mobility model. The topology and assignment stages share one pool of
+/// `cfg.threads`, so the world keeps `cfg.threads − 1` parked workers
+/// (the stages run one after the other, never at once).
 pub fn default_stages(cfg: &SimConfig, mobility: Box<dyn MobilityModel>) -> StageSet {
-    let topology = UnitDiskTopology::new(mobility.positions(), cfg.rtx(), cfg.threads);
+    let workers = WorkerPool::new(cfg.threads);
+    let topology = UnitDiskTopology::new(mobility.positions(), cfg.rtx(), workers.clone());
     let opts = HierarchyOptions {
         max_levels: cfg.max_levels,
         min_reduction: cfg.min_reduction,
@@ -257,6 +260,6 @@ pub fn default_stages(cfg: &SimConfig, mobility: Box<dyn MobilityModel>) -> Stag
         Box::new(ModelMobility::new(mobility)),
         Box::new(topology),
         Box::new(InPlaceHierarchy::new(opts)),
-        Box::new(LmSelection::new(cfg.threads)),
+        Box::new(LmSelection::new(workers)),
     )
 }

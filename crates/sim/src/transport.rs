@@ -131,10 +131,10 @@ pub(crate) struct PairWarmer {
 }
 
 impl PairWarmer {
-    /// A warmer whose fills run on `threads` workers.
-    pub(crate) fn new(threads: usize) -> Self {
+    /// A warmer whose fills run on `workers`.
+    pub(crate) fn new(workers: WorkerPool) -> Self {
         PairWarmer {
-            workers: WorkerPool::new(threads),
+            workers,
             pairs: Vec::new(),
             fill: HopFill::default(),
         }
@@ -169,8 +169,9 @@ pub enum Transport {
 
 impl Transport {
     /// The transport `cfg.backend` selects, for the plane whose loss
-    /// draws are salted with `loss_stream`.
-    pub(crate) fn new(cfg: &SimConfig, loss_stream: u64) -> Self {
+    /// draws are salted with `loss_stream`; packet shards run on
+    /// `workers`.
+    pub(crate) fn new(cfg: &SimConfig, loss_stream: u64, workers: &WorkerPool) -> Self {
         match cfg.backend {
             Backend::Analytic => Transport::Analytic,
             Backend::Packet { hop_delay, loss } => {
@@ -187,7 +188,7 @@ impl Transport {
                 Transport::Packet(PacketExecutor {
                     loss,
                     loss_stream,
-                    workers: WorkerPool::new(cfg.threads),
+                    workers: workers.clone(),
                     shards,
                     net: NetworkStats::default(),
                 })
@@ -287,13 +288,15 @@ impl PacketExecutor {
 fn shard_cuts<L: WireLeg>(legs: &[L]) -> [usize; PACKET_SHARDS + 1] {
     debug_assert!(legs.first().is_none_or(WireLeg::opens_event));
     let events = legs.iter().filter(|leg| leg.opens_event()).count();
-    let ranges = split_ranges(events, PACKET_SHARDS);
+    let mut starts = split_ranges(events, PACKET_SHARDS)
+        .map(|r| r.start)
+        .peekable();
     // Shards past the last event start (and end) at `legs.len()`.
     let mut cuts = [legs.len(); PACKET_SHARDS + 1];
     let (mut shard, mut event) = (0, 0);
     for (i, leg) in legs.iter().enumerate() {
         if leg.opens_event() {
-            while shard < PACKET_SHARDS && ranges[shard].start == event {
+            while starts.next_if_eq(&event).is_some() {
                 cuts[shard] = i;
                 shard += 1;
             }

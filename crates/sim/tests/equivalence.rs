@@ -18,6 +18,7 @@ mod common;
 use chlm_cluster::HierarchyOptions;
 use chlm_geom::{Disk, SimRng};
 use chlm_mobility::{MobilityModel, RandomWaypoint};
+use chlm_par::WorkerPool;
 use chlm_sim::stage::{TopologyStage, UnitDiskTopology};
 use chlm_sim::{LmScheme, MobilityKind, SimConfig, SimConfigBuilder, Simulation};
 use common::{reference_stages_with, simulation};
@@ -79,7 +80,7 @@ fn incremental_matches_reference_everywhere() {
     let region = Disk::centered(cfg.region_radius());
     let mut model =
         RandomWaypoint::deployed(region, cfg.n, cfg.speed, 0.0, &mut SimRng::seed_from(11));
-    let mut topology = UnitDiskTopology::new(model.positions(), cfg.rtx(), 1);
+    let mut topology = UnitDiskTopology::new(model.positions(), cfg.rtx(), WorkerPool::new(1));
     for _ in 0..3 {
         model.step(cfg.tick());
         topology.update(model.positions());

@@ -17,7 +17,11 @@
 //!   pairs are no more than the most of any earlier tick (the vertex
 //!   cover's buffers are sized by them), makes no allocator call in its
 //!   fill (measured: 186 such ticks; 9 ticks of 200 allocate, the last
-//!   at tick 53, none of them such a tick);
+//!   at tick 53, none of them such a tick) — at one worker and at two,
+//!   where the workers share the fill's block words and every worker's
+//!   kernel buffer keeps room for the widest batch any has written, so a
+//!   batch lands on either worker without growing anything, and the pool
+//!   wakes its parked worker without a thread spawn;
 //! * from tick 20 on, the heap the replay's fill state and its copy's hop
 //!   store hold — every buffer, block and the cell table, read from the
 //!   counting allocator as bytes handed out less bytes freed over every
@@ -25,8 +29,10 @@
 //!   need so far: what a fresh fill state on a cold clone of the tick's
 //!   graph holds after that tick's fill (measured: at most 1.15 times).
 //!
-//! One `#[test]` in its own binary, at one worker, counting only the
-//! test's own thread.
+//! One `#[test]` in its own binary. The one-worker replay counts only the
+//! test's own thread; the two-worker replay, on a second copy of the
+//! tick's graph, counts the whole process, because its batches run on the
+//! pool's worker too (nothing else runs beside the test).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -41,22 +47,27 @@ use chlm_sim::{
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-/// Copies the tick's graph, and counts the roots its fill holds, once the
-/// bank has booked.
+/// Copies the tick's graph twice, one copy per replay width, and counts
+/// the roots its fill holds, once the bank has booked.
 struct Snapshot {
-    graph: Rc<RefCell<Graph>>,
+    graphs: Rc<RefCell<[Graph; 2]>>,
     roots: Rc<RefCell<usize>>,
 }
 
 impl Observer for Snapshot {
     fn on_tick(&mut self, ctx: &TickCtx<'_>, _pricer: &mut dyn HopPricer) {
-        self.graph.borrow_mut().copy_from(ctx.graph);
+        for graph in self.graphs.borrow_mut().iter_mut() {
+            graph.copy_from(ctx.graph);
+        }
         *self.roots.borrow_mut() = ctx.graph.hop_roots().count();
     }
 }
 
 #[test]
 fn the_fill_pool_neither_allocates_in_steady_state_nor_creeps() {
+    // The schedule fuzz permutes a collected copy of each fan-out's parts,
+    // so it allocates by design; this pins the production path.
+    std::env::remove_var(chlm_par::SHUFFLE_ENV);
     const TICKS: usize = 200;
     const SETTLE: usize = 20;
     let n = 256;
@@ -79,17 +90,19 @@ fn the_fill_pool_neither_allocates_in_steady_state_nor_creeps() {
         }
     }
     let mut sim = MultiplexSim::new(&cfg, &variants);
-    let graph = Rc::new(RefCell::new(Graph::default()));
+    let graphs = Rc::new(RefCell::new([Graph::default(), Graph::default()]));
     let roots = Rc::new(RefCell::new(0));
     sim.add_observer(
         0,
         Box::new(Snapshot {
-            graph: graph.clone(),
+            graphs: graphs.clone(),
             roots: roots.clone(),
         }),
     );
     let mut fill = HopFill::default();
     let workers = WorkerPool::new(1);
+    // The same replay at two workers, on the second copy.
+    let (mut fill2, workers2) = (HopFill::default(), WorkerPool::new(2));
     // Bytes the replay's fill state and its copy's hop store hold.
     let mut kept = 0;
     // The largest block any earlier tick wrote, the second largest, …;
@@ -101,7 +114,7 @@ fn the_fill_pool_neither_allocates_in_steady_state_nor_creeps() {
         // Copying the tick's graph over the last empties the copy's store,
         // so every block of the last replay is free to take back.
         sim.step();
-        let g = graph.borrow();
+        let [g, g2] = &*graphs.borrow();
         let pairs = sim.warmed_pairs();
 
         // What this tick alone needs: a fresh fill state on a cold clone.
@@ -120,12 +133,21 @@ fn the_fill_pool_neither_allocates_in_steady_state_nor_creeps() {
         kept += counting_alloc::thread_held() - held;
         assert_eq!(g.hop_roots().count(), *roots.borrow(), "tick {tick}");
 
+        let calls2 = counting_alloc::process_calls();
+        g2.fill_hops(pairs, &mut fill2, &workers2);
+        let calls2 = counting_alloc::process_calls() - calls2;
+        assert!(g2.hop_roots().eq(g.hop_roots()), "tick {tick}: two workers");
+
         let (blocks, pairs) = (g.hop_blocks(), pairs.len());
         let fit = blocks.len() <= widest.len() && blocks.iter().zip(&widest).all(|(b, w)| b <= w);
         if tick > 0 && fit && pairs <= most_pairs {
             assert_eq!(
                 calls, 0,
                 "tick {tick}: blocks {blocks:?} within {widest:?}, {pairs} pairs, {calls} allocator calls"
+            );
+            assert_eq!(
+                calls2, 0,
+                "tick {tick}: blocks {blocks:?} within {widest:?}, {pairs} pairs, {calls2} allocator calls at two workers"
             );
             quiet += 1;
         }

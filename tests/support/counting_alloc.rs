@@ -67,6 +67,7 @@ struct CountingAlloc;
 
 // SAFETY: delegates every operation verbatim to `System`; the counters
 // are side-effect-only.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
