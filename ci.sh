@@ -339,6 +339,36 @@ for id in E24 E27; do
   done
 done
 
+# The claims records are views of one sweep: E7, E9 and E13 run rungs of
+# E12's ladder and E6 and E8 one rung of it, on the same seeds, so each
+# column below is, row for row, the other file's column (E13's four rows
+# are E12's first four). Reads the committed files; simulates nothing.
+step "results/ claims records agree on the runs they share"
+# Column `$2` of the first table in `$1` that has it, one `<first cell>
+# <cell>` line per row; cells are split at runs of two or more spaces.
+column() {
+  awk -F '  +' -v want="$2" '
+    at && NF == 0 { exit }
+    at { print $1, $at; next }
+    /^-+(  +-+)*$/ { for (i = 1; i <= n; i++) if (head[i] == want) at = i; next }
+    { n = split($0, head, /  +/) }
+  ' "$1"
+}
+agree() {
+  ours=$(column "results/$1.txt" "$2")
+  theirs=$(column "results/$3.txt" "$4" | head -n "$(printf '%s\n' "$ours" | wc -l)")
+  if [ -z "$ours" ] || [ "$ours" != "$theirs" ]; then
+    echo "claims sweep: column $2 of results/$1.txt is not column $4 of results/$3.txt" >&2
+    return 1
+  fi
+}
+disagree=0
+agree exp_phi_migration phi exp_total_overhead phi || disagree=1
+agree exp_gamma_reorg gamma exp_total_overhead gamma || disagree=1
+agree exp_chlm_vs_gls 'chlm (pkt/node/s)' exp_total_overhead total || disagree=1
+agree exp_eq14_gk h_k exp_eq9_fk h_k || disagree=1
+[ "$disagree" -eq 0 ]
+
 # Every committed E1-E23 result is what its command prints today: each
 # record runs at the knobs of EXPERIMENTS.md's Reproducing block at one
 # thread, and its stdout is diffed with results/<record>.txt minus the

@@ -3,7 +3,7 @@
 
 use crate::{
     banner, env_usize, mean_of, replications, scaling_sizes, standard_config, standard_runs,
-    threads, MIN_N,
+    threads, top_rung, CLAIMS_SEED, MIN_N,
 };
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_cluster::maxmin::MaxMinHierarchy;
@@ -16,13 +16,15 @@ use std::collections::BTreeSet;
 
 /// E13 (§3.1 vs §3.2): CHLM against the GLS baseline it adapts.
 ///
-/// One world per (n, seed), two LM systems priced against it as observer
-/// banks: CHLM's handoff overhead (φ + γ) versus the GLS scheme's
-/// maintenance overhead (distance-triggered updates + server-churn
-/// transfers), plus each bank's query cost over the same lookup
-/// arrivals, read from its query book.
+/// One world per (n, seed) of the claims sweep, two LM systems priced
+/// against it as observer banks: CHLM's handoff overhead (φ + γ) versus
+/// the GLS scheme's maintenance overhead (distance-triggered updates +
+/// server-churn transfers), plus each bank's query cost over the same
+/// lookup arrivals, read from its query book. Neither the query plane nor
+/// the GLS bank touches the CHLM bank's ledger, so its column is E12's
+/// total at every shared size.
 pub(crate) fn exp_chlm_vs_gls() {
-    let sizes = scaling_sizes(MIN_N, env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024));
+    let sizes = scaling_sizes(MIN_N, top_rung(1024));
     banner(
         "E13 / §3",
         "CHLM vs GLS LM maintenance overhead",
@@ -42,12 +44,8 @@ pub(crate) fn exp_chlm_vs_gls() {
         .map(|(name, scheme)| VariantSpec::new(name, scheme, cells[0].hop_metric, cells[0].backend))
         .collect();
     // grid[size][bank] = that bank's replications; bank 0 = chlm, 1 = gls.
-    let grid = run_grid(
-        &cells,
-        &seed_range(13_000, replications()),
-        &variants,
-        threads(),
-    );
+    let seeds = seed_range(CLAIMS_SEED, replications());
+    let grid = run_grid(&cells, &seeds, &variants, threads());
     let query_cost = |r: &SimReport| -> f64 {
         r.query
             .as_ref()

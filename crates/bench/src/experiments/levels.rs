@@ -1,9 +1,11 @@
-//! Per-level experiments: one mobile sweep at a single size (`CHLM_MAX_N`,
-//! capped per experiment), its reports pooled level by level.
+//! Per-level experiments: the claims sweep at one size (the largest rung
+//! of the size ladder at or below the record's cap), its reports pooled
+//! level by level.
 
-use crate::{banner, env_usize, mean, mean_of, mean_some, standard_runs, standard_sweep, MIN_N};
+use crate::{banner, mean, mean_of, mean_some, standard_runs, standard_sweep, top_rung};
 use chlm_analysis::markov::{binomial_occupancy, rank_mixture_occupancy, total_variation};
 use chlm_analysis::table::{fnum, TextTable};
+use chlm_sim::SimReport;
 
 /// E3 (paper Fig. 3): the ALCA state machine, measured.
 ///
@@ -13,14 +15,14 @@ use chlm_analysis::table::{fnum, TextTable};
 /// deviation the paper's idealized chain does not model (a newly arrived
 /// higher-ID neighbor steals *all* electors at once).
 pub(crate) fn exp_fig3_states() {
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
+    let n = top_rung(1024);
     banner(
         "E3 / Fig. 3",
         "ALCA state occupancy vs birth-death prediction",
         &[n],
         standard_runs(),
     );
-    let reports = &standard_sweep(&[n], 3000)[0];
+    let reports = &standard_sweep(&[n])[0];
 
     // Pool level-0 distributions across replications.
     let max_state = reports
@@ -81,14 +83,14 @@ pub(crate) fn exp_fig3_states() {
 /// constant across levels. This is the cancellation that makes every
 /// `φ_k` equal (eq. 6) and φ polylogarithmic.
 pub(crate) fn exp_eq9_fk() {
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
+    let n = top_rung(2048);
     banner(
         "E6 / eq. (9)",
         "level-k migration frequency decay",
         &[n],
         standard_runs(),
     );
-    let reports = &standard_sweep(&[n], 6000)[0];
+    let reports = &standard_sweep(&[n])[0];
 
     // Pool per-level migration rates and h_k across replications.
     let depth = reports.iter().map(|r| r.rates.max_level()).max().unwrap();
@@ -104,13 +106,9 @@ pub(crate) fn exp_eq9_fk() {
             r.final_levels.get(k).and_then(|s| s.intra_cluster_hops)
         });
         let product = f_k * h_k;
-        let pops: Vec<usize> = reports
-            .iter()
-            .map(|r| r.final_levels.get(k).map_or(0, |s| s.nodes))
-            .collect();
         if product.is_finite() && f_k > 0.0 {
             all.push(product);
-            if in_regime(&pops) {
+            if in_regime(&level_pops(reports, k)) {
                 admitted.push((k, product));
             }
         }
@@ -153,7 +151,13 @@ fn spread(xs: &[f64]) -> Option<(f64, f64)> {
     (xs.len() >= 2).then_some((min, max))
 }
 
-/// The smallest mean level population E6's verdict admits.
+/// Level `k`'s population in each replication (0 where it stops below).
+fn level_pops(reports: &[SimReport], k: usize) -> Vec<usize> {
+    let pop = |r: &SimReport| r.final_levels.get(k).map_or(0, |s| s.nodes);
+    reports.iter().map(pop).collect()
+}
+
+/// The smallest mean level population E6's and E8's verdicts admit.
 const MIN_LEVEL_POP: f64 = 16.0;
 
 /// Whether a level is still in the asymptotic regime of eq. (7), given its
@@ -172,14 +176,14 @@ fn in_regime(pops: &[usize]) -> bool {
 /// of level-k clusterheads must drift `Θ(h_k)` relative hops to make or
 /// break a level-k link.
 pub(crate) fn exp_eq14_gk() {
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(2048);
+    let n = top_rung(2048);
     banner(
         "E8 / eq. (14)",
         "per-cluster-link state-change frequency g'_k",
         &[n],
         standard_runs(),
     );
-    let reports = &standard_sweep(&[n], 8000)[0];
+    let reports = &standard_sweep(&[n])[0];
 
     let depth = reports.iter().map(|r| r.rates.max_level()).max().unwrap();
     let mut t = TextTable::new(vec![
@@ -190,7 +194,9 @@ pub(crate) fn exp_eq14_gk() {
         "h_k",
         "drift*h_k",
     ]);
-    let mut products = Vec::new();
+    // The drift-driven g'_k of every level, and g'_k · h_k of the levels
+    // with a finite product still in the asymptotic regime.
+    let (mut drift, mut products) = (Vec::new(), Vec::new());
     for k in 1..=depth {
         let gk = mean_of(reports, |r| r.rates.g_k(k));
         let gpk_all = mean_of(reports, |r| r.rates.g_prime_k(k));
@@ -199,14 +205,10 @@ pub(crate) fn exp_eq14_gk() {
             r.final_levels.get(k).and_then(|s| s.intra_cluster_hops)
         });
         let prod = gpk * h_k;
-        let level_pop: usize = reports
-            .iter()
-            .filter_map(|r| r.final_levels.get(k).map(|s| s.nodes))
-            .max()
-            .unwrap_or(0);
-        if prod.is_finite() && gpk > 0.0 && level_pop >= 16 {
+        if prod.is_finite() && gpk > 0.0 && in_regime(&level_pops(reports, k)) {
             products.push(prod);
         }
+        drift.push(gpk);
         t.row(vec![
             format!("{k}"),
             fnum(gk),
@@ -217,9 +219,7 @@ pub(crate) fn exp_eq14_gk() {
         ]);
     }
     println!("{}", t.render());
-    if products.len() >= 2 {
-        let max = products.iter().copied().fold(f64::MIN, f64::max);
-        let min = products.iter().copied().fold(f64::MAX, f64::min);
+    if let Some((min, max)) = spread(&products) {
         println!(
             "drift-driven g'_k*h_k spread (in-regime levels): [{min:.3}, {max:.3}] ({:.1}x)",
             max / min
@@ -227,9 +227,6 @@ pub(crate) fn exp_eq14_gk() {
         // Three-way verdict: constant product (the claim), or a flicker-
         // dominated low-level regime with decay emerging above it, or no
         // support at all.
-        let drift: Vec<f64> = (1..=depth)
-            .map(|k| mean_of(reports, |r| r.rates.g_prime_persisting_k(k)))
-            .collect();
         let peak = drift.iter().copied().fold(f64::MIN, f64::max);
         let tail = drift
             .iter()
@@ -260,14 +257,14 @@ outgrows the flicker scale"
 /// the paper argues incurs no handoff (we verify the case actually arises,
 /// so the zero-cost claim is exercised, not vacuous).
 pub(crate) fn exp_events_breakdown() {
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(1024);
+    let n = top_rung(1024);
     banner(
         "E10 / §5.2",
         "event classes (i)-(vii) frequency breakdown",
         &[n],
         standard_runs(),
     );
-    let reports = &standard_sweep(&[n], 10_000)[0];
+    let reports = &standard_sweep(&[n])[0];
     let node_seconds: f64 = reports.iter().map(|r| r.rates.node_seconds).sum();
 
     // Pool counts across replications.

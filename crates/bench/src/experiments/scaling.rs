@@ -26,7 +26,7 @@ pub(crate) fn exp_eq4_linkrate() {
         &sizes,
         standard_runs(),
     );
-    let reports = standard_sweep(&sizes, 5000);
+    let reports = standard_sweep(&sizes);
 
     let f0 = MetricSeries::of("f0", &sizes, &reports, |r| r.f0);
     let degree = MetricSeries::of("degree", &sizes, &reports, |r| r.mean_degree);
@@ -73,113 +73,95 @@ pub(crate) fn exp_eq4_linkrate() {
     );
 }
 
-/// E7 (§4, eqs. 6a–6c): migration handoff overhead.
-///
-/// Sweeps network sizes and measures φ (packet transmissions per node per
-/// second attributed to node migration), fitting the scaling classes. The
-/// paper claims `φ = O(log² |V|)`. Also prints the per-level φ_k profile
-/// at the largest size — §4 predicts it is roughly *flat* in k.
-pub(crate) fn exp_phi_migration() {
+/// An overhead record (E7, E9): `total`'s series over the claims sweep
+/// and its scaling fits against the paper's `Θ(log² |V|)`, then the
+/// level-k value `level` (column `{name}_k`) at fixed levels 2–5 across
+/// sizes, and per level at the largest size beside `events`, the
+/// profile's event column (its header and level-k rate).
+fn overhead_record(
+    id: &str,
+    what: &str,
+    name: &str,
+    total: fn(&SimReport) -> f64,
+    level: fn(&SimReport, usize) -> f64,
+    (events, event_rate): (&str, fn(&SimReport, usize) -> f64),
+) {
     let sizes = sweep_sizes();
-    banner(
-        "E7 / §4",
-        "migration handoff overhead phi",
-        &sizes,
-        standard_runs(),
-    );
-    let sweep = standard_sweep(&sizes, 7000);
+    banner(id, what, &sizes, standard_runs());
+    let sweep = standard_sweep(&sizes);
 
-    let phi = MetricSeries::of("phi", &sizes, &sweep, |r| r.phi_total());
-    print_series(&[&phi]);
-    print_fits(&phi, ModelClass::Log2N);
+    let series = MetricSeries::of(name, &sizes, &sweep, total);
+    print_series(&[&series]);
+    print_fits(&series, ModelClass::Log2N);
 
-    // Fixed-level slice: φ_k across sizes. §4 prices each level at
-    // Θ(f_k·h_k·log n) = Θ(log n), so a *fixed* level's cost should grow
-    // at most logarithmically in n — this isolates the asymptotic claim
-    // from the finite-size saturation of the topmost levels.
-    let mut slice = TextTable::new(vec!["n", "phi_2", "phi_3", "phi_4", "phi_5"]);
+    // Fixed-level slice: §4 and §5 price each level at Θ(log n) (γ under
+    // eq. (14)), so a *fixed* level's cost should grow at most
+    // logarithmically in n — this isolates the asymptotic claim from the
+    // finite-size saturation of the topmost levels.
+    let mut headers = vec!["n".to_string()];
+    headers.extend((2..=5).map(|k| format!("{name}_{k}")));
+    let mut slice = TextTable::new(headers);
     for (n, reports) in sizes.iter().zip(&sweep) {
-        let mean = |k: usize| mean_of(reports, |r| r.ledger.phi(k));
-        slice.row(vec![
-            format!("{n}"),
-            fnum(mean(2)),
-            fnum(mean(3)),
-            fnum(mean(4)),
-            fnum(mean(5)),
-        ]);
+        let mut row = vec![format!("{n}")];
+        row.extend((2..=5).map(|k| fnum(mean_of(reports, |r| level(r, k)))));
+        slice.row(row);
     }
-    println!("fixed-level phi_k across sizes (each column should grow at most ~log n):");
+    println!("fixed-level {name}_k across sizes (each column should grow at most ~log n):");
     println!("{}", slice.render());
 
     let (n, last) = (sizes.last().unwrap(), sweep.last().unwrap());
     let depth = last.iter().map(|r| r.ledger.max_level()).max().unwrap();
-    let mut t = TextTable::new(vec!["level", "phi_k", "migration_events/node/s"]);
+    let mut t = TextTable::new(vec![
+        "level".to_string(),
+        format!("{name}_k"),
+        events.into(),
+    ]);
     for k in 2..=depth {
         t.row(vec![
             format!("{k}"),
-            fnum(mean_of(last, |r| r.ledger.phi(k))),
-            fnum(mean_of(last, |r| r.rates.f_k(k))),
+            fnum(mean_of(last, |r| level(r, k))),
+            fnum(mean_of(last, |r| event_rate(r, k))),
         ]);
     }
     println!("per-level profile at n = {n}:");
     println!("{}", t.render());
+}
+
+/// E7 (§4, eqs. 6a–6c): migration handoff overhead.
+///
+/// φ is the packet transmissions per node per second attributed to node
+/// migration; the paper claims `φ = O(log² |V|)`, and §4 predicts the
+/// per-level φ_k profile is roughly *flat* in k.
+pub(crate) fn exp_phi_migration() {
+    overhead_record(
+        "E7 / §4",
+        "migration handoff overhead phi",
+        "phi",
+        SimReport::phi_total,
+        |r, k| r.ledger.phi(k),
+        ("migration_events/node/s", |r, k| r.rates.f_k(k)),
+    );
     println!("(§4 predicts phi_k ≈ flat across levels: the growing handoff path");
     println!(" length cancels the shrinking migration frequency.)");
 }
 
 /// E9 (§5, eqs. 10–24): reorganization handoff overhead.
 ///
-/// Sweeps sizes and measures γ (packets per node per second attributed to
-/// cluster reorganization), fitting the scaling classes against the
-/// paper's `γ = Θ(log² |V|)` claim, plus the per-level γ_k profile at the
-/// largest size.
+/// γ is the packets per node per second attributed to cluster
+/// reorganization, against the paper's `γ = Θ(log² |V|)` claim; the
+/// profile's event column is the reorganization entry moves.
 pub(crate) fn exp_gamma_reorg() {
-    let sizes = sweep_sizes();
-    banner(
+    overhead_record(
         "E9 / §5",
         "reorganization handoff overhead gamma",
-        &sizes,
-        standard_runs(),
+        "gamma",
+        SimReport::gamma_total,
+        |r, k| r.ledger.gamma(k),
+        ("reorg_entry_moves/node/s", |r, k| {
+            let c = r.ledger.per_level.get(k).copied().unwrap_or_default();
+            c.reorg_events as f64 / r.ledger.node_seconds.max(1e-12)
+        }),
     );
-    let sweep = standard_sweep(&sizes, 9000);
-
-    let gamma = MetricSeries::of("gamma", &sizes, &sweep, |r| r.gamma_total());
-    print_series(&[&gamma]);
-    print_fits(&gamma, ModelClass::Log2N);
-
-    // Fixed-level slice: γ_k across sizes. §5 prices each level at
-    // Θ(g_k·c_k·h_k·log n) = Θ(log n) under eq. (14), so a *fixed* level's
-    // cost should grow at most logarithmically in n — isolating the
-    // asymptotic claim from the saturated topmost levels.
-    let mut slice = TextTable::new(vec!["n", "gamma_2", "gamma_3", "gamma_4", "gamma_5"]);
-    for (n, reports) in sizes.iter().zip(&sweep) {
-        let mean = |k: usize| mean_of(reports, |r| r.ledger.gamma(k));
-        slice.row(vec![
-            format!("{n}"),
-            fnum(mean(2)),
-            fnum(mean(3)),
-            fnum(mean(4)),
-            fnum(mean(5)),
-        ]);
-    }
-    println!("fixed-level gamma_k across sizes (each column should grow at most ~log n):");
-    println!("{}", slice.render());
-
-    let (n, last) = (sizes.last().unwrap(), sweep.last().unwrap());
-    let depth = last.iter().map(|r| r.ledger.max_level()).max().unwrap();
-    let mut t = TextTable::new(vec!["level", "gamma_k", "reorg_entry_moves/node/s"]);
-    for k in 2..=depth {
-        t.row(vec![
-            format!("{k}"),
-            fnum(mean_of(last, |r| r.ledger.gamma(k))),
-            fnum(mean_of(last, |r| {
-                let c = r.ledger.per_level.get(k).copied().unwrap_or_default();
-                c.reorg_events as f64 / r.ledger.node_seconds.max(1e-12)
-            })),
-        ]);
-    }
-    println!("per-level profile at n = {n}:");
-    println!("{}", t.render());
 }
 
 fn pooled_p(reports: &[SimReport]) -> Vec<f64> {
@@ -220,7 +202,7 @@ pub(crate) fn exp_q1_future_work() {
         &sizes,
         standard_runs(),
     );
-    let sweep = standard_sweep(&sizes, 11_000);
+    let sweep = standard_sweep(&sizes);
 
     let mut t = TextTable::new(vec![
         "n",
@@ -320,7 +302,7 @@ pub(crate) fn exp_total_overhead() {
         &sizes,
         standard_runs(),
     );
-    let sweep = standard_sweep(&sizes, 12_000);
+    let sweep = standard_sweep(&sizes);
 
     let phi = MetricSeries::of("phi", &sizes, &sweep, |r| r.phi_total());
     let gamma = MetricSeries::of("gamma", &sizes, &sweep, |r| r.gamma_total());
@@ -473,7 +455,9 @@ pub(crate) fn exp_scale16k() {
         replications(),
         threads()
     );
-    let calibration = standard_sweep(&sizes, 16000);
+    // Its own seeds, not the claims sweep's: its results take hours to remake.
+    let cells: Vec<SimConfig> = sizes.iter().map(|&n| standard_config(n)).collect();
+    let calibration = run_cells(&cells, &seed_range(16000, replications()), threads());
     let phi = MetricSeries::of("phi", &sizes, &calibration, |r| r.phi_total());
     let gamma = MetricSeries::of("gamma", &sizes, &calibration, |r| r.gamma_total());
 

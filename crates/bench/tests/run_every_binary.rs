@@ -33,13 +33,17 @@ fn chlm_exp(args: &[&str], overrides: &[(&str, &str)]) -> Output {
         .expect("chlm-exp runs")
 }
 
-/// A `TextTable` rule line (dashes and column gaps only) directly above a
-/// non-empty row.
+/// Whether `line` is a `TextTable` rule line: dashes and column gaps only.
+fn is_rule(line: &str) -> bool {
+    line.contains('-') && line.chars().all(|c| c == '-' || c == ' ')
+}
+
+/// A rule line directly above a non-empty row.
 fn has_table(stdout: &str) -> bool {
     let lines: Vec<&str> = stdout.lines().collect();
-    lines.windows(2).any(|w| {
-        w[0].contains('-') && w[0].chars().all(|c| c == '-' || c == ' ') && !w[1].trim().is_empty()
-    })
+    lines
+        .windows(2)
+        .any(|w| is_rule(w[0]) && !w[1].trim().is_empty())
 }
 
 /// The lines of `doc` from the one starting with `heading` up to the next
@@ -105,6 +109,61 @@ fn banner_names_the_sizes_the_record_runs() {
         banner_line("E14", &[]),
         "sizes [128, 256], static snapshots, 2 threads"
     );
+
+    // A record capped below `CHLM_MAX_N` runs the largest rung of the
+    // ladder at or below its cap, not a size no ladder record runs.
+    for id in ["E3", "E6", "E8", "E10"] {
+        assert_eq!(
+            banner_line(id, &[("CHLM_MAX_N", "300")]),
+            "n = 256, 2 replications, 2s measured, 2 threads",
+            "{id}"
+        );
+    }
+}
+
+/// Column `header` of the first table in `stdout` that has one, as
+/// `(first cell, cell)` rows. Cells are split at runs of two or more
+/// spaces, so a header may hold single spaces.
+fn column(stdout: &str, header: &str) -> Vec<(String, String)> {
+    let cells = |line: &str| -> Vec<String> {
+        let cells = line.split("  ").map(str::trim).filter(|c| !c.is_empty());
+        cells.map(String::from).collect()
+    };
+    let lines: Vec<&str> = stdout.lines().collect();
+    for (at, w) in lines.windows(2).enumerate() {
+        let found = cells(w[0]).iter().position(|c| c == header);
+        if let Some(i) = found.filter(|_| is_rule(w[1])) {
+            let rows = lines[at + 2..].iter().take_while(|l| !l.trim().is_empty());
+            return rows
+                .map(|l| {
+                    let c = cells(l);
+                    (c[0].clone(), c[i].clone())
+                })
+                .collect();
+        }
+    }
+    panic!("no table with a {header:?} column in:\n{stdout}");
+}
+
+/// The claims records are views of one sweep: E7's φ, E9's γ and E13's
+/// CHLM columns are E12's φ, γ and total at every size they share (the
+/// query plane and the GLS bank leave the CHLM bank's ledger alone), and
+/// E6 and E8 read one h_k at every level.
+#[test]
+fn claims_records_share_runs() {
+    let stdout = |id: &str| {
+        let out = chlm_exp(&[id], &[]);
+        assert!(out.status.success(), "{id} exited {:?}", out.status.code());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let e12 = stdout("E12");
+    assert_eq!(column(&stdout("E7"), "phi"), column(&e12, "phi"));
+    assert_eq!(column(&stdout("E9"), "gamma"), column(&e12, "gamma"));
+    let chlm = column(&stdout("E13"), "chlm (pkt/node/s)");
+    let total = column(&e12, "total");
+    assert!(!chlm.is_empty());
+    assert_eq!(chlm, total[..chlm.len()]);
+    assert_eq!(column(&stdout("E6"), "h_k"), column(&stdout("E8"), "h_k"));
 }
 
 #[test]
