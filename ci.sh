@@ -340,9 +340,10 @@ for id in E24 E27; do
 done
 
 # The claims records are views of one sweep: E7, E9 and E13 run rungs of
-# E12's ladder and E6 and E8 one rung of it, on the same seeds, so each
-# column below is, row for row, the other file's column (E13's four rows
-# are E12's first four). Reads the committed files; simulates nothing.
+# E12's ladder, E20 all of E1's, and E6 and E8 one rung of it, on the same
+# seeds, so each column below is, row for row, the other file's column
+# (E13's four rows are E12's first four). Reads the committed files;
+# simulates nothing.
 step "results/ claims records agree on the runs they share"
 # Column `$2` of the first table in `$1` that has it, one `<first cell>
 # <cell>` line per row; cells are split at runs of two or more spaces.
@@ -367,14 +368,15 @@ agree exp_phi_migration phi exp_total_overhead phi || disagree=1
 agree exp_gamma_reorg gamma exp_total_overhead gamma || disagree=1
 agree exp_chlm_vs_gls 'chlm (pkt/node/s)' exp_total_overhead total || disagree=1
 agree exp_eq14_gk h_k exp_eq9_fk h_k || disagree=1
+agree exp_maintenance L exp_fig1_hierarchy L || disagree=1
 [ "$disagree" -eq 0 ]
 
-# Every committed E1-E23 result is what its command prints today: each
-# record runs at the knobs of EXPERIMENTS.md's Reproducing block at one
-# thread, and its stdout is diffed with results/<record>.txt minus the
-# file's `#` header lines. (E24-E27 name their own commands in their
-# headers; the golden wall pins E24 and E27.) Ids and record names come
-# from the registry listing `chlm-exp` prints when given no id.
+# Every committed E1-E23 result is what its command prints today: one
+# invocation (claims worlds run once) at the Reproducing block's knobs at
+# one thread, cut at each record's `== ` banner, each piece diffed with
+# results/<record>.txt minus its `#` header lines. (E24-E27 name their own
+# commands in their headers; the golden wall pins E24 and E27.) Ids and
+# record names come from the registry listing `chlm-exp` prints given no id.
 step "results/ E1-E23 match their command (CHLM_THREADS=1)"
 cargo build -p chlm-bench --release -q --bin chlm-exp
 exp=target/release/chlm-exp
@@ -384,14 +386,14 @@ if [ -z "$knobs" ] || [ "$(echo "$records" | wc -w)" -ne 23 ]; then
   echo "results drift: no Reproducing knobs, or not 23 records E1-E23 in the registry listing" >&2
   exit 1
 fi
+out=target/results-drift; rm -rf "$out"; mkdir -p "$out"
+# shellcheck disable=SC2086,SC2046 # $knobs and the ids are lists of words
+env -u CHLM_MOBILITY_N $knobs CHLM_THREADS=1 "$exp" $(echo "$records" | cut -d: -f1) \
+  | awk -v out="$out" '/^== / { f = out "/" $2; sub(/:$/, "", f) } { print > f }'
 drifted=0
 for record in $records; do
-  id=${record%%:*}
-  name=${record#*:}
-  # shellcheck disable=SC2086 # $knobs is a list of NAME=value words
-  if ! env -u CHLM_MOBILITY_N $knobs CHLM_THREADS=1 "$exp" "$id" \
-    | diff -u <(grep -v '^#' "results/$name.txt") -; then
-    echo "results drift: results/$name.txt is not what chlm-exp $id prints" >&2
+  if ! grep -v '^#' "results/${record#*:}.txt" | diff -u - "$out/${record%%:*}"; then
+    echo "results drift: results/${record#*:}.txt is not what chlm-exp ${record%%:*} prints" >&2
     drifted=1
   fi
 done

@@ -1,15 +1,17 @@
-//! `chlm-exp <id> [--smoke]`: run one record of the experiment registry
-//! (`chlm_bench::experiments`) and print its report to stdout.
+//! `chlm-exp <id>... [--smoke]`: run records of the experiment registry
+//! (`chlm_bench::experiments`) in order and print their reports to stdout,
+//! the single-id outputs concatenated (they share the claims sweep's runs).
 //!
 //! Scale comes from the `CHLM_*` environment knobs (`crates/bench/src/
 //! lib.rs`); `--smoke` selects the bounded CI spec of the records that have
-//! one. No id, an unknown id, or `--smoke` on a record without a smoke spec
-//! prints the registry to stderr and exits 2.
+//! one. Checked before anything runs: no id, an unknown id, or `--smoke`
+//! with a record without a smoke spec prints the registry to stderr and
+//! exits 2.
 
-use chlm_bench::experiments::EXPERIMENTS;
+use chlm_bench::experiments::{Experiment, EXPERIMENTS};
 
 fn usage(problem: &str) -> ! {
-    eprintln!("chlm-exp: {problem}\nusage: chlm-exp <id> [--smoke]\n");
+    eprintln!("chlm-exp: {problem}\nusage: chlm-exp <id>... [--smoke]\n");
     for e in EXPERIMENTS {
         let smoke = if e.smoke { " [--smoke]" } else { "" };
         eprintln!(
@@ -21,17 +23,19 @@ fn usage(problem: &str) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (id, smoke) = match args.as_slice() {
-        [id] => (id, false),
-        [id, flag] if flag == "--smoke" => (id, true),
-        _ => usage("expected an experiment id, optionally followed by --smoke"),
-    };
-    let Some(e) = EXPERIMENTS.iter().find(|e| e.id == id) else {
-        usage(&format!("no experiment {id:?}"))
-    };
-    if smoke && !e.smoke {
-        usage(&format!("{} has no --smoke spec", e.id));
+    let mut ids: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = ids.last().is_some_and(|flag| flag == "--smoke");
+    ids.truncate(ids.len() - usize::from(smoke));
+    if ids.is_empty() {
+        usage("expected experiment ids, optionally followed by --smoke");
     }
-    (e.run)(smoke);
+    let find = |id: &String| match EXPERIMENTS.iter().find(|e| e.id == id) {
+        None => usage(&format!("no experiment {id:?}")),
+        Some(e) if smoke && !e.smoke => usage(&format!("{} has no --smoke spec", e.id)),
+        Some(e) => e,
+    };
+    let records: Vec<&Experiment> = ids.iter().map(find).collect();
+    for e in records {
+        (e.run)(smoke);
+    }
 }

@@ -121,7 +121,7 @@ impl Churn {
 /// tick but each election affects a smaller neighborhood. We compare
 /// head-set size, depth, and head churn per node per second.
 pub(crate) fn exp_cluster_ablation() {
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    let n = top_rung(512);
     let mut cfg = standard_config(n);
     cfg.seed = 15_000;
     banner(

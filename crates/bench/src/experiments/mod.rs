@@ -1,5 +1,5 @@
 //! The experiment registry: one [`Experiment`] record per reproduced table
-//! or figure, each run by `chlm-exp <id> [--smoke]` (`src/bin/chlm-exp.rs`).
+//! or figure, each run by `chlm-exp <id>... [--smoke]` (`src/bin/chlm-exp.rs`).
 //!
 //! A record's code is the function named after it, in the module of its
 //! family. DESIGN.md §3 has one row per record (same id, paper anchor and
@@ -56,10 +56,10 @@ macro_rules! registry {
 }
 
 registry! {
-    E1  structure::exp_fig1_hierarchy       "Fig. 1"  "LCA clustered hierarchy structure";
+    E1  levels::exp_fig1_hierarchy          "Fig. 1"  "LCA clustered hierarchy structure";
     E2  structure::exp_fig2_gls             "Fig. 2"  "GLS grid hierarchy: server geometry and load";
     E3  levels::exp_fig3_states             "Fig. 3"  "ALCA state occupancy vs birth-death prediction";
-    E4  structure::exp_eq3_hopcount         "eq. (3)"  "intra-cluster hop count vs sqrt aggregation";
+    E4  levels::exp_eq3_hopcount            "eq. (3)"  "intra-cluster hop count vs sqrt aggregation";
     E5  scaling::exp_eq4_linkrate           "eq. (4)"  "level-0 link-change frequency f0 vs n";
     E6  levels::exp_eq9_fk                  "eqs. (7)–(9)"  "level-k migration frequency decay";
     E7  scaling::exp_phi_migration          "§4, eq. (6)"  "migration handoff overhead phi";
@@ -75,7 +75,7 @@ registry! {
     E17 structure::exp_routing_tables       "§2.1 / [7]"  "hierarchical vs flat routing state, and stretch";
     E18 packets::exp_proto_validation       "methodology"  "packet-level validation of the handoff accounting";
     E19 scaling::exp_registration           "§6 / [17]"  "location-registration overhead vs n";
-    E20 structure::exp_maintenance          "§6 / [16]"  "cluster-maintenance beaconing overhead vs n";
+    E20 levels::exp_maintenance             "§6 / [16]"  "cluster-maintenance beaconing overhead vs n";
     E21 structure::exp_churn                "§1's excluded case (extension)"  "single node birth/death handoff cost";
     E22 structure::exp_dalca                "§2.2 / methodology"  "distributed ALCA: convergence + message locality";
     E23 packets::exp_lossy_links            "robustness extension"  "handoff transmissions under per-hop loss";

@@ -1,7 +1,7 @@
 //! Packet-backend experiments: the handoff workload executed through the
 //! discrete-event network, lossless (against the analytic ledger) and lossy.
 
-use crate::{banner, env_usize, MIN_N};
+use crate::{banner, top_rung};
 use chlm_analysis::table::{fnum, TextTable};
 use chlm_lm::LevelCost;
 use chlm_sim::oracle::DEFAULT_DETOUR;
@@ -42,7 +42,7 @@ fn run_banks(
 /// Euclidean fallback) is reported as a gap instead. Also reports handoff
 /// delivery latency, which the analytical pipeline cannot see.
 pub(crate) fn exp_proto_validation() {
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    let n = top_rung(512);
     let mut cfg = SimConfig::builder(n).warmup(5.0).seed(18_000).build();
     // ~12 measured ticks, independent of the derived tick length.
     cfg.duration = 12.0 * cfg.tick();
@@ -188,7 +188,7 @@ pub(crate) fn exp_proto_validation() {
 /// inflation, delivery rate and latency — the factor by which the paper's
 /// polylog budgets must be scaled on a real radio.
 pub(crate) fn exp_lossy_links() {
-    let n = env_usize("CHLM_MAX_N", 1024, MIN_N).min(512);
+    let n = top_rung(512);
     let mut cfg = SimConfig::builder(n).warmup(5.0).seed(23_000).build();
     // ~10 measured ticks, independent of the derived tick length.
     cfg.duration = 10.0 * cfg.tick();

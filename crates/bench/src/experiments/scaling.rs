@@ -4,6 +4,7 @@
 use crate::{
     banner, env_usize, mean, mean_of, mean_some, print_fits, print_series, replications,
     standard_config, standard_runs, standard_sweep, summarize, sweep_sizes, threads, MetricSeries,
+    CLAIMS_SEED,
 };
 use chlm_analysis::regression::{fit_model, relative_spread, slope_interval95, ModelClass};
 use chlm_analysis::stats::Summary;
@@ -367,9 +368,9 @@ fn registration_run(cfg: SimConfig) -> (f64, Vec<f64>) {
 /// distance-triggered refresh rule (update the level-k server after
 /// drifting a fraction of the level-k cluster radius), level-k updates
 /// happen at rate Θ(1/h_k) and travel Θ(h_k) hops, so each level costs
-/// Θ(1) and the total is Θ(L) = Θ(log |V|). This experiment sweeps sizes,
-/// one [`Simulation`] per (size, seed), and fits the registration
-/// overhead series.
+/// Θ(1) and the total is Θ(L) = Θ(log |V|). This experiment re-runs the
+/// claims sweep's worlds, one [`Simulation`] per (size, seed) fanned out
+/// here (its tracker is no report field), and fits the series.
 pub(crate) fn exp_registration() {
     let sizes = sweep_sizes();
     banner(
@@ -378,7 +379,7 @@ pub(crate) fn exp_registration() {
         &sizes,
         standard_runs(),
     );
-    let seeds = seed_range(19_000, replications());
+    let seeds = seed_range(CLAIMS_SEED, replications());
     let (outer, inner) = budget_split(threads(), sizes.len() * seeds.len());
     // runs[size * seeds + r] = replication r at that size.
     let runs = WorkerPool::new(outer).run_indexed(sizes.len() * seeds.len(), |job| {
@@ -401,14 +402,9 @@ pub(crate) fn exp_registration() {
             )
         };
         let s = Summary::of(&totals).expect("CHLM_SEEDS >= 1 is checked at the knob");
-        table.row(vec![
-            format!("{n}"),
-            fnum(s.mean),
-            fnum(level(2)),
-            fnum(level(3)),
-            fnum(level(4)),
-            fnum(level(5)),
-        ]);
+        let mut row = vec![format!("{n}"), fnum(s.mean)];
+        row.extend((2..=5).map(|k| fnum(level(k))));
+        table.row(row);
         series.push(n, s.mean, s.ci95());
     }
     println!("{}", table.render());

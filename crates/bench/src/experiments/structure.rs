@@ -1,6 +1,6 @@
 //! Experiments on static snapshots: uniform deployments, their LCA
 //! hierarchies, and what a hierarchy implies for location servers, routing
-//! state, cluster maintenance, node churn and the distributed election.
+//! state, node churn and the distributed election.
 
 use crate::{
     banner, mean, print_fits, replications, standard_rtx, sweep_sizes, Deployment, MetricSeries,
@@ -9,8 +9,6 @@ use crate::{
 use chlm_analysis::regression::{relative_spread, ModelClass};
 use chlm_analysis::stats::{percentile, Summary};
 use chlm_analysis::table::{fnum, TextTable};
-use chlm_cluster::maintenance::price_maintenance;
-use chlm_cluster::metrics::{format_stats_table, level_stats, LevelStats};
 use chlm_cluster::HierarchyOptions;
 use chlm_geom::{Rect, SimRng};
 use chlm_graph::traversal::hop_distance;
@@ -22,67 +20,6 @@ use chlm_proto::dalca::Dalca;
 use chlm_routing::forward::mean_stretch;
 use chlm_routing::nexthop::NextHopTable;
 use chlm_routing::tables::compare_tables;
-
-/// E1 (paper Fig. 1): the clustered hierarchy itself.
-///
-/// Builds LCA hierarchies over static uniform deployments at increasing
-/// sizes and prints, per level: `|V_k|`, `|E_k|`, arity `α_k`, aggregation
-/// `c_k`, mean degree `d_k` and measured intra-cluster hop count `h_k` —
-/// then checks that the hierarchy depth `L` grows logarithmically in `n`
-/// (the `L = Θ(log |V|)` premise used throughout the paper).
-pub(crate) fn exp_fig1_hierarchy() {
-    let sizes = sweep_sizes();
-    banner(
-        "E1 / Fig. 1",
-        "LCA clustered hierarchy structure",
-        &sizes,
-        None,
-    );
-    let mut depth_series = MetricSeries::new("depth");
-    let mut arity_table = TextTable::new(vec!["n", "L", "mean_alpha", "mean_d1", "top_|V_L|"]);
-
-    let seeds = crate::replications().max(8);
-    for &n in &sizes {
-        // Representative deployment for the per-level table…
-        let mut rng = SimRng::seed_from(1000 + n as u64);
-        let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
-        let stats = level_stats(&h, 6, &mut rng);
-
-        println!("--- n = {n} ---");
-        print!("{}", format_stats_table(&stats));
-        println!();
-
-        // …and depth averaged over independent deployments (single-sample
-        // depth is dominated by the noisy near-unit-arity tail of the LCA).
-        let mut depth_sum = 0.0;
-        for s in 0..seeds {
-            let mut rng = SimRng::seed_from(1000 + n as u64 + 31 * s as u64);
-            let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
-            depth_sum += (h.depth() - 1) as f64;
-        }
-        let mean_depth = depth_sum / seeds as f64;
-
-        arity_table.row(vec![
-            format!("{n}"),
-            fnum(mean_depth),
-            fnum(mean_alpha(&stats)),
-            fnum(stats.get(1).map_or(0.0, |s| s.mean_degree)),
-            format!("{}", stats.last().unwrap().nodes),
-        ]);
-        depth_series.push(n, mean_depth, 0.0);
-    }
-
-    println!("{}", arity_table.render());
-    print_fits(&depth_series, ModelClass::LogN);
-}
-
-/// Mean arity `α_k` over the clustered levels `k ≥ 1`, and `0` for a
-/// one-level hierarchy — folded from +0.0: `Iterator::sum::<f64>()` starts
-/// at -0.0, which is what an empty arity list would then report.
-fn mean_alpha(stats: &[LevelStats]) -> f64 {
-    let arities = stats.get(1..).unwrap_or_default();
-    arities.iter().fold(0.0, |sum, s| sum + s.arity) / arities.len().max(1) as f64
-}
 
 /// E2 at one size: the band table, server load and the unambiguity check.
 fn gls_grid_at(n: usize) {
@@ -155,65 +92,6 @@ pub(crate) fn exp_fig2_gls() {
     for n in sizes {
         gls_grid_at(n);
     }
-}
-
-/// E4 (eq. 3): `h_k = Θ(√c_k)`.
-///
-/// Static deployments at several sizes; per hierarchy level we measure the
-/// mean intra-cluster hop count `h_k` and print the ratio `h_k / √c_k`,
-/// which eq. (3) predicts to be roughly constant across levels and sizes.
-pub(crate) fn exp_eq3_hopcount() {
-    banner(
-        "E4 / eq. (3)",
-        "intra-cluster hop count vs sqrt aggregation",
-        &sweep_sizes(),
-        None,
-    );
-    let mut t = TextTable::new(vec![
-        "n",
-        "level",
-        "c_k",
-        "sqrt(c_k)",
-        "h_k",
-        "h_k/sqrt(c_k)",
-    ]);
-    let mut ratios = Vec::new();
-
-    for &n in &sweep_sizes() {
-        let mut rng = SimRng::seed_from(4000 + n as u64);
-        let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
-        let stats = level_stats(&h, 10, &mut rng);
-        for s in stats.iter().filter(|s| s.level >= 1 && s.nodes >= 3) {
-            if let Some(hk) = s.intra_cluster_hops {
-                let ratio = hk / s.aggregation.sqrt();
-                ratios.push(ratio);
-                t.row(vec![
-                    format!("{n}"),
-                    format!("{}", s.level),
-                    fnum(s.aggregation),
-                    fnum(s.aggregation.sqrt()),
-                    fnum(hk),
-                    fnum(ratio),
-                ]);
-            }
-        }
-    }
-    println!("{}", t.render());
-    let mean = mean(ratios.iter().copied());
-    let max = ratios.iter().copied().fold(f64::MIN, f64::max);
-    let min = ratios.iter().copied().fold(f64::MAX, f64::min);
-    println!(
-        "h_k/sqrt(c_k): mean = {mean:.3}, spread = [{min:.3}, {max:.3}] ({} cells)",
-        ratios.len()
-    );
-    println!(
-        "eq. (3) claim (ratio ~ constant): {}",
-        if max / min < 3.0 {
-            "HOLDS (spread < 3x across all levels/sizes)"
-        } else {
-            "WEAK"
-        }
-    );
 }
 
 fn gini(loads: &[u32]) -> f64 {
@@ -344,54 +222,6 @@ pub(crate) fn exp_routing_tables() {
     println!("track α·log n, with bounded path stretch as the price. Table stretch");
     println!("averages the delivered pairs only; the misses are the connected pairs");
     println!("the tables cannot deliver (a missing entry, or a walk that cycles).");
-}
-
-/// E20 (§6 / companion \[16\]): cluster-maintenance overhead.
-///
-/// The conclusion cites \[16\] for "cluster maintenance … incur\[s\] packet
-/// transmission counts that are only logarithmic in |V|". We price the
-/// standard beaconing scheme on *measured* hierarchies (real `d_k`, `h_k`,
-/// `|V_k|` rather than the idealized uniform arity) and fit the per-node
-/// total across sizes.
-pub(crate) fn exp_maintenance() {
-    banner(
-        "E20 / [16]",
-        "cluster-maintenance beaconing overhead vs n",
-        &sweep_sizes(),
-        None,
-    );
-    let beacon_rate = 1.0; // level-0 HELLO at 1 Hz
-    let reps = replications().max(4);
-
-    let mut series = MetricSeries::new("maintenance");
-    let mut table = TextTable::new(vec!["n", "pkts/node/s", "ci95", "L", "lvl0 share %"]);
-    for &n in &sweep_sizes() {
-        let mut totals = Vec::new();
-        let mut depth_sum = 0usize;
-        let mut lvl0_share = 0.0;
-        for r in 0..reps {
-            let mut rng = SimRng::seed_from(20_000 + n as u64 + 7 * r as u64);
-            let h = Deployment::draw(n, &mut rng).hierarchy(HierarchyOptions::default());
-            let stats = level_stats(&h, 6, &mut rng);
-            let (costs, total) = price_maintenance(&stats, beacon_rate);
-            totals.push(total);
-            depth_sum += h.depth() - 1;
-            lvl0_share += costs[0].per_node_per_second / total / reps as f64;
-        }
-        let s = Summary::of(&totals).unwrap();
-        table.row(vec![
-            format!("{n}"),
-            fnum(s.mean),
-            fnum(s.ci95()),
-            fnum(depth_sum as f64 / reps as f64),
-            fnum(lvl0_share * 100.0),
-        ]);
-        series.push(n, s.mean, s.ci95());
-    }
-    println!("{}", table.render());
-    print_fits(&series, ModelClass::LogN);
-    println!("each level prices at Θ(1) per node (beacon rate 1/h_k × d_k·h_k packets");
-    println!("amortized over c_k members), so the total tracks the level count L.");
 }
 
 /// E21 (extension — §1's excluded case): node birth/death handoff cost.
@@ -603,30 +433,4 @@ pub(crate) fn exp_dalca() {
     );
     println!("every run's quiescent votes/heads/elector-counts matched the");
     println!("centralized LCA exactly — the tick-diff emulation is faithful.");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn level(level: usize, arity: f64) -> LevelStats {
-        LevelStats {
-            level,
-            nodes: 1,
-            edges: 0,
-            arity,
-            aggregation: 1.0,
-            mean_degree: 0.0,
-            intra_cluster_hops: None,
-        }
-    }
-
-    #[test]
-    fn mean_alpha_of_a_one_level_hierarchy_is_positive_zero() {
-        for stats in [vec![], vec![level(0, 0.0)]] {
-            assert_eq!(mean_alpha(&stats).to_bits(), 0.0f64.to_bits());
-        }
-        let three = [level(0, 0.0), level(1, 4.0), level(2, 3.0)];
-        assert_eq!(mean_alpha(&three), 3.5);
-    }
 }

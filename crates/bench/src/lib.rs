@@ -21,11 +21,13 @@
 //! * `CHLM_THREADS` — worker threads (default: available parallelism;
 //!   read by `chlm_par::thread_budget`, shared with every intra-tick pool).
 //!
-//! Every simulated table comes from one [`chlm_sim::run_sweep`] pool over
-//! its whole (cell × seed) job list, through [`chlm_sim::run_cells`]
-//! (`standard_sweep`) or [`chlm_sim::run_grid`]. The records behind the
-//! paper's claims (E3, E5–E13) are views of one sweep: `standard_config`
-//! on one seed set at the rungs of `sweep_sizes`, so they agree per run.
+//! Every simulated table but E19's (its per-tick tracker is no report
+//! field) comes from one [`chlm_sim::run_sweep`] pool over its whole (cell
+//! × seed) job list, through [`chlm_sim::run_cells`] (`standard_sweep`) or
+//! [`chlm_sim::run_grid`]. The records behind the paper's claims (E1,
+//! E3–E12, E20) are views of one sweep, simulated once per process:
+//! `standard_config` on one seed set at the rungs of `sweep_sizes` (E13
+//! runs those worlds again with a GLS bank).
 
 pub mod experiments;
 pub mod lm_compare;
@@ -41,6 +43,8 @@ use chlm_graph::{Graph, NodeIdx};
 use chlm_sim::oracle::{euclidean_hops, DEFAULT_DETOUR};
 use chlm_sim::runner::seed_range;
 use chlm_sim::{run_cells, SimConfig, SimReport, DENSITY};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// The value of knob `name`: `default` when unset (`raw` is `None`), the
 /// parsed value when set and `valid`, and otherwise a message naming the
@@ -158,17 +162,24 @@ fn standard_runs() -> Option<(usize, f64)> {
     Some((replications(), measured_seconds(8.0)))
 }
 
-/// The first seed of the claims sweep, which E3 and E5–E13 each run a
-/// part of: the headline record E12's own base, so E12 keeps its runs.
+/// The first seed of the claims sweep, which E1, E3–E13, E19 and E20 each
+/// run a part of: the headline record E12's own base, so E12 keeps its runs.
 const CLAIMS_SEED: u64 = 12_000;
 
 /// The claims sweep at `sizes`: [`standard_config`] at each size,
-/// [`replications`] seeds from [`CLAIMS_SEED`], all sizes in one pool under
-/// the `CHLM_THREADS` budget. `reports[size]` is that size's replication
-/// set in seed order.
+/// [`replications`] seeds from [`CLAIMS_SEED`]; `reports[size]` is that
+/// size's replication set in seed order. Rungs an earlier call ran are read
+/// back from memory; the missing ones run in one pool.
 fn standard_sweep(sizes: &[usize]) -> Vec<Vec<SimReport>> {
-    let cells: Vec<SimConfig> = sizes.iter().map(|&n| standard_config(n)).collect();
-    run_cells(&cells, &seed_range(CLAIMS_SEED, replications()), threads())
+    static RAN: Mutex<BTreeMap<usize, Vec<SimReport>>> = Mutex::new(BTreeMap::new());
+    let mut ran = RAN.lock().unwrap_or_else(PoisonError::into_inner);
+    let cells = sizes.iter().filter(|n| !ran.contains_key(n));
+    let missing: Vec<SimConfig> = cells.map(|&n| standard_config(n)).collect();
+    let seeds = seed_range(CLAIMS_SEED, replications());
+    for (cfg, reports) in missing.iter().zip(run_cells(&missing, &seeds, threads())) {
+        ran.insert(cfg.n, reports);
+    }
+    sizes.iter().map(|n| ran[n].clone()).collect()
 }
 
 /// Mean of `xs` (`Σ / len`, summed in order); NaN when empty.
@@ -204,6 +215,17 @@ fn jf(v: f64) -> String {
     } else {
         "null".to_string()
     }
+}
+
+/// `"key": [...]` for the golden JSON files: one object per line, at the
+/// indentation and comma layout the committed snapshots hold.
+fn json_array(key: &str, objects: impl Iterator<Item = String>) -> String {
+    let lines: Vec<String> = objects.map(|o| format!("    {o}")).collect();
+    let mut body = lines.join(",\n");
+    if !body.is_empty() {
+        body.push('\n');
+    }
+    format!("  \"{key}\": [\n{body}  ]")
 }
 
 /// A named series: one (mean, ci95) per network size.
@@ -261,14 +283,9 @@ fn standard_rtx() -> f64 {
     chlm_geom::rtx_for_degree(9.0, DENSITY)
 }
 
-/// The disk holding `n` nodes at [`DENSITY`].
-fn standard_region(n: usize) -> Disk {
-    Disk::centered(chlm_geom::disk_radius_for_density(n, DENSITY))
-}
-
 /// The standard static deployment of the structural experiments: `n`
-/// nodes uniform in [`standard_region`], their unit-disk graph at
-/// [`standard_rtx`], and a random election-id permutation.
+/// nodes uniform in the disk holding them at [`DENSITY`], their unit-disk
+/// graph at [`standard_rtx`], and a random election-id permutation.
 struct Deployment {
     rtx: f64,
     pts: Vec<Point>,
@@ -281,7 +298,7 @@ impl Deployment {
     /// a caller that keeps drawing from `rng` afterwards (sampled pairs,
     /// victims, level statistics) continues the same stream.
     fn draw(n: usize, rng: &mut SimRng) -> Self {
-        let region = standard_region(n);
+        let region = Disk::centered(chlm_geom::disk_radius_for_density(n, DENSITY));
         let rtx = standard_rtx();
         let pts = chlm_geom::region::deploy_uniform(&region, n, rng);
         let graph = build_unit_disk(&pts, rtx);
@@ -508,7 +525,8 @@ mod tests {
         let mut rng = SimRng::seed_from(4128);
         let d = Deployment::draw(128, &mut rng);
         let mut again = SimRng::seed_from(4128);
-        let pts = chlm_geom::region::deploy_uniform(&standard_region(128), 128, &mut again);
+        let region = Disk::centered(chlm_geom::disk_radius_for_density(128, DENSITY));
+        let pts = chlm_geom::region::deploy_uniform(&region, 128, &mut again);
         assert_eq!(d.pts, pts);
         assert_eq!(d.ids, again.permutation(128));
         assert_eq!(rng.index(1000), again.index(1000));

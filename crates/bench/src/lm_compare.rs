@@ -11,7 +11,7 @@
 //! and `tests/multiplex_equivalence.rs`).
 
 use crate::{
-    env_usize, jf, measured_seconds, replications, scaling_sizes, summarize, threads,
+    env_usize, jf, json_array, measured_seconds, replications, scaling_sizes, summarize, threads,
     warmup_seconds,
 };
 use chlm_analysis::table::{fnum, TextTable};
@@ -212,25 +212,17 @@ pub fn rows_json(spec: &CompareSpec, rows: &[CompareRow]) -> String {
     let arrays: Vec<String> = METRICS
         .iter()
         .map(|&(key, metric)| {
-            let lines: Vec<String> = rows
-                .iter()
-                .filter(|r| r.metric == metric)
-                .map(|r| {
-                    format!(
-                        "    {{\"mobility\": \"{}\", \"scheme\": \"{}\", \"n\": {}, \"mean\": {}, \"ci95\": {}}}",
-                        r.mobility,
-                        r.scheme,
-                        r.n,
-                        jf(r.mean),
-                        jf(r.ci95),
-                    )
-                })
-                .collect();
-            let mut body = lines.join(",\n");
-            if !body.is_empty() {
-                body.push('\n');
-            }
-            format!("  \"{key}\": [\n{body}  ]")
+            let rows = rows.iter().filter(|r| r.metric == metric).map(|r| {
+                format!(
+                    "{{\"mobility\": \"{}\", \"scheme\": \"{}\", \"n\": {}, \"mean\": {}, \"ci95\": {}}}",
+                    r.mobility,
+                    r.scheme,
+                    r.n,
+                    jf(r.mean),
+                    jf(r.ci95),
+                )
+            });
+            json_array(key, rows)
         })
         .collect();
     out.push_str(&arrays.join(",\n"));

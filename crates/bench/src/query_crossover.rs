@@ -33,7 +33,7 @@ use chlm_sim::{run_grid, Backend, HopMetric, MobilityKind, SimConfig, SimReport,
 
 use crate::lm_compare::{mobility_models, schemes};
 use crate::{
-    env_usize, jf, measured_seconds, replications, scaling_sizes, summarize, threads,
+    env_usize, jf, json_array, measured_seconds, replications, scaling_sizes, summarize, threads,
     warmup_seconds,
 };
 use std::time::Instant;
@@ -67,18 +67,12 @@ impl CrossoverSpec {
     /// two CMR points. Keep in sync with
     /// `tests/golden/query_crossover_n256.json`.
     pub fn golden() -> Self {
+        let mut mobilities = mobility_models();
+        mobilities.retain(|(name, _)| *name != "rpgm");
         CrossoverSpec {
-            sizes: vec![256],
-            cmrs: vec![1.0, 4.0],
             replications: 2,
-            base_seed: 27_000,
-            threads: 2,
-            duration: 2.0,
-            warmup: 1.0,
-            mobilities: mobility_models()
-                .into_iter()
-                .filter(|(name, _)| *name != "rpgm")
-                .collect(),
+            mobilities,
+            ..CrossoverSpec::smoke(2)
         }
     }
 
@@ -259,13 +253,11 @@ pub fn rows_json(spec: &CrossoverSpec, rows: &[QueryRow], crossovers: &[Crossove
         jf(spec.duration),
         jf(spec.warmup),
     ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mobility\": \"{}\", \"scheme\": \"{}\", \"backend\": \"{}\", \
+    let rows = rows.iter().map(|r| {
+        format!(
+            "{{\"mobility\": \"{}\", \"scheme\": \"{}\", \"backend\": \"{}\", \
              \"n\": {}, \"cmr\": {}, \"update_mean\": {}, \"update_ci95\": {}, \
-             \"query_mean\": {}, \"query_ci95\": {}}}{}\n",
+             \"query_mean\": {}, \"query_ci95\": {}}}",
             r.mobility,
             r.scheme,
             r.backend,
@@ -275,25 +267,24 @@ pub fn rows_json(spec: &CrossoverSpec, rows: &[QueryRow], crossovers: &[Crossove
             jf(r.update_ci95),
             jf(r.query_mean),
             jf(r.query_ci95),
-            comma
-        ));
-    }
-    out.push_str("  ],\n  \"crossover\": [\n");
-    for (i, r) in crossovers.iter().enumerate() {
-        let comma = if i + 1 == crossovers.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"mobility\": \"{}\", \"scheme\": \"{}\", \"backend\": \"{}\", \
-             \"n\": {}, \"crossover_mean\": {}, \"crossover_ci95\": {}}}{}\n",
+        )
+    });
+    let crossovers = crossovers.iter().map(|r| {
+        format!(
+            "{{\"mobility\": \"{}\", \"scheme\": \"{}\", \"backend\": \"{}\", \
+             \"n\": {}, \"crossover_mean\": {}, \"crossover_ci95\": {}}}",
             r.mobility,
             r.scheme,
             r.backend,
             r.n,
             jf(r.crossover_mean),
             jf(r.crossover_ci95),
-            comma
-        ));
-    }
-    out.push_str("  ]\n}\n");
+        )
+    });
+    out.push_str(&json_array("rows", rows));
+    out.push_str(",\n");
+    out.push_str(&json_array("crossover", crossovers));
+    out.push_str("\n}\n");
     out
 }
 
@@ -361,11 +352,9 @@ pub(crate) fn exp_query_crossover(smoke: bool) {
             sizes: scaling_sizes(256, env_usize("CHLM_MAX_N", 1024, 256)),
             cmrs: vec![0.5, 1.0, 2.0, 4.0, 8.0],
             replications: replications(),
-            base_seed: 27_000,
-            threads: threads(),
             duration: measured_seconds(4.0),
             warmup: warmup_seconds(2.0),
-            mobilities: mobility_models(),
+            ..CrossoverSpec::smoke(threads())
         }
     };
     println!("== E27: update-vs-query crossover (chlm vs gls vs home agent) ==");

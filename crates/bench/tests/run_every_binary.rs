@@ -1,9 +1,11 @@
 //! The experiment registry and `chlm-exp`: every record runs through
 //! `chlm-exp <id>` at a fixed tiny scale and must exit 0 having printed a
-//! table; usage errors (a bad id, a misplaced `--smoke`, an out-of-range
-//! knob) exit 2 with a message, not a panic; and the hand-written
-//! experiment lists (DESIGN.md §3's index, EXPERIMENTS.md's Reproducing
-//! block, `ci.sh`'s smoke loop) agree with the registry.
+//! table; several ids in one invocation print the single-id outputs one
+//! after another; usage errors (a bad id anywhere in the list, a misplaced
+//! `--smoke`, an out-of-range knob) exit 2 with a message, not a panic;
+//! and the hand-written experiment lists (DESIGN.md §3's index,
+//! EXPERIMENTS.md's Reproducing block, `ci.sh`'s smoke loop) agree with the
+//! registry.
 //!
 //! The tiny scale is the one CHANGES.md records for proving the
 //! `run_sweep` port byte-identical: all 26 together take ~2 s in release
@@ -92,7 +94,8 @@ fn banner_line(id: &str, overrides: &[(&str, &str)]) -> String {
 /// A record's banner names the sizes it runs and what it ran there: E16
 /// runs one network of `CHLM_MOBILITY_N` nodes, not the `CHLM_MAX_N`
 /// ladder; E18 one replication of 12 ticks, not `CHLM_SEEDS` runs of
-/// `CHLM_DURATION` seconds; E14 simulates nothing.
+/// `CHLM_DURATION` seconds; E14 simulates nothing; E1, E4 and E20 are
+/// views of the claims sweep's ladder.
 #[test]
 fn banner_names_the_sizes_the_record_runs() {
     let e16 = banner_line("E16", &[("CHLM_MOBILITY_N", "64")]);
@@ -100,70 +103,144 @@ fn banner_names_the_sizes_the_record_runs() {
 
     let tick = chlm_sim::SimConfig::builder(256).build().tick();
     let measured = (12.0 * tick * 1e3).round() / 1e3;
-    assert_eq!(
-        banner_line("E18", &[]),
-        format!("n = 256, 1 replication, {measured}s measured, 2 threads")
-    );
+    let e18 = format!("n = 256, 1 replication, {measured}s measured, 2 threads");
+    assert_eq!(banner_line("E18", &[]), e18);
 
     assert_eq!(
         banner_line("E14", &[]),
         "sizes [128, 256], static snapshots, 2 threads"
     );
+    for id in ["E1", "E4", "E20"] {
+        assert_eq!(
+            banner_line(id, &[]),
+            "sizes [128, 256], 2 replications, 2s measured, 2 threads",
+            "{id}"
+        );
+    }
 
     // A record capped below `CHLM_MAX_N` runs the largest rung of the
     // ladder at or below its cap, not a size no ladder record runs.
+    let capped = [("CHLM_MAX_N", "300")];
     for id in ["E3", "E6", "E8", "E10"] {
         assert_eq!(
-            banner_line(id, &[("CHLM_MAX_N", "300")]),
+            banner_line(id, &capped),
             "n = 256, 2 replications, 2s measured, 2 threads",
             "{id}"
         );
     }
+    let e15 = "n = 256, 1 replication, 2s measured, 2 threads";
+    assert_eq!(banner_line("E15", &capped), e15);
+    assert_eq!(banner_line("E18", &capped), e18);
+    assert!(banner_line("E23", &capped).starts_with("n = 256, 1 replication, "));
 }
 
-/// Column `header` of the first table in `stdout` that has one, as
-/// `(first cell, cell)` rows. Cells are split at runs of two or more
+/// Columns `headers` of the first table in `stdout` that has them all, one
+/// row of cells per table row. Cells are split at runs of two or more
 /// spaces, so a header may hold single spaces.
-fn column(stdout: &str, header: &str) -> Vec<(String, String)> {
+fn columns(stdout: &str, headers: &[&str]) -> Vec<Vec<String>> {
     let cells = |line: &str| -> Vec<String> {
         let cells = line.split("  ").map(str::trim).filter(|c| !c.is_empty());
         cells.map(String::from).collect()
     };
     let lines: Vec<&str> = stdout.lines().collect();
     for (at, w) in lines.windows(2).enumerate() {
-        let found = cells(w[0]).iter().position(|c| c == header);
-        if let Some(i) = found.filter(|_| is_rule(w[1])) {
+        let head = cells(w[0]);
+        let found: Option<Vec<usize>> = headers
+            .iter()
+            .map(|h| head.iter().position(|c| c == h))
+            .collect();
+        if let Some(found) = found.filter(|_| is_rule(w[1])) {
             let rows = lines[at + 2..].iter().take_while(|l| !l.trim().is_empty());
             return rows
                 .map(|l| {
                     let c = cells(l);
-                    (c[0].clone(), c[i].clone())
+                    found.iter().map(|&i| c[i].clone()).collect()
                 })
                 .collect();
         }
     }
-    panic!("no table with a {header:?} column in:\n{stdout}");
+    panic!("no table with columns {headers:?} in:\n{stdout}");
 }
 
-/// The claims records are views of one sweep: E7's φ, E9's γ and E13's
-/// CHLM columns are E12's φ, γ and total at every size they share (the
-/// query plane and the GLS bank leave the CHLM bank's ledger alone), and
-/// E6 and E8 read one h_k at every level.
+/// One `chlm-exp` invocation's stdout cut at each record's `== ` banner,
+/// as `(id, output)` in print order.
+fn records(stdout: &str) -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = Vec::new();
+    for line in stdout.split_inclusive('\n') {
+        if let Some(banner) = line.strip_prefix("== ") {
+            let id = banner.split([' ', ':']).next().unwrap_or_default();
+            out.push((id.to_string(), String::new()));
+        }
+        out.last_mut().expect("output starts at a banner").1 += line;
+    }
+    out
+}
+
+/// The claims records are views of one sweep, run here in one invocation:
+/// E7's φ, E9's γ and E13's CHLM columns are E12's φ, γ and total at every
+/// size they share (the query plane and the GLS bank leave the CHLM bank's
+/// ledger alone), E6 and E8 read one h_k at every level, E20's `L` is E1's,
+/// and E4's h_k at E6's rung is E6's at every level both print.
 #[test]
 fn claims_records_share_runs() {
-    let stdout = |id: &str| {
-        let out = chlm_exp(&[id], &[]);
-        assert!(out.status.success(), "{id} exited {:?}", out.status.code());
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let e12 = stdout("E12");
-    assert_eq!(column(&stdout("E7"), "phi"), column(&e12, "phi"));
-    assert_eq!(column(&stdout("E9"), "gamma"), column(&e12, "gamma"));
-    let chlm = column(&stdout("E13"), "chlm (pkt/node/s)");
-    let total = column(&e12, "total");
+    let ids = ["E12", "E7", "E9", "E13", "E6", "E8", "E1", "E20", "E4"];
+    let out = chlm_exp(&ids, &[]);
+    assert!(out.status.success(), "exited {:?}", out.status.code());
+    let all = records(&String::from_utf8_lossy(&out.stdout));
+    let ran: Vec<&str> = all.iter().map(|(id, _)| id.as_str()).collect();
+    assert_eq!(ran, ids);
+    let of = |id: &str| all.iter().find(|(r, _)| r == id).map_or("", |(_, o)| o);
+
+    let e12 = of("E12");
+    assert_eq!(
+        columns(of("E7"), &["n", "phi"]),
+        columns(e12, &["n", "phi"])
+    );
+    assert_eq!(
+        columns(of("E9"), &["n", "gamma"]),
+        columns(e12, &["n", "gamma"])
+    );
+    let chlm = columns(of("E13"), &["n", "chlm (pkt/node/s)"]);
+    let total = columns(e12, &["n", "total"]);
     assert!(!chlm.is_empty());
     assert_eq!(chlm, total[..chlm.len()]);
-    assert_eq!(column(&stdout("E6"), "h_k"), column(&stdout("E8"), "h_k"));
+    let e6 = columns(of("E6"), &["level", "h_k"]);
+    assert_eq!(e6, columns(of("E8"), &["level", "h_k"]));
+    let l = columns(of("E1"), &["n", "L"]);
+    assert!(!l.is_empty());
+    assert_eq!(columns(of("E20"), &["n", "L"]), l);
+
+    // E6 runs the top rung, which is the last size of E4's ladder.
+    let rung = l.last().expect("E1 prints a row per size")[0].clone();
+    let e4 = columns(of("E4"), &["n", "level", "h_k"]);
+    let at_rung: Vec<&Vec<String>> = e4.iter().filter(|row| row[0] == rung).collect();
+    assert!(!at_rung.is_empty(), "E4 prints no level at n = {rung}");
+    for row in at_rung {
+        let e6_row = e6.iter().find(|r| r[0] == row[1]);
+        assert_eq!(e6_row.map(|r| &r[1]), Some(&row[2]), "level {}", row[1]);
+    }
+}
+
+/// Several ids print exactly the single-id outputs one after another, at
+/// one worker and at two: sharing the sweep changes no record's output.
+#[test]
+fn several_ids_print_the_single_outputs_concatenated() {
+    let ids = ["E3", "E12", "E1"];
+    for threads in ["1", "2"] {
+        let env = [("CHLM_THREADS", threads)];
+        let mut want = Vec::new();
+        for id in ids {
+            let out = chlm_exp(&[id], &env);
+            assert!(out.status.success(), "{id} exited {:?}", out.status.code());
+            want.extend(out.stdout);
+        }
+        let out = chlm_exp(&ids, &env);
+        assert!(out.status.success(), "exited {:?}", out.status.code());
+        assert!(
+            out.stdout == want,
+            "threads {threads}: chlm-exp {ids:?} is not its records' outputs concatenated"
+        );
+    }
 }
 
 #[test]
@@ -202,6 +279,9 @@ fn bad_arguments_print_the_registry_and_exit_2() {
         &["E25"],
         &["E7", "--smoke"],
         &["E24", "--smoek"],
+        // Every id and the flag are checked before any record runs.
+        &["E7", "E0"],
+        &["E3", "E7", "--smoke"],
     ] {
         let out = chlm_exp(args, &[]);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,9 +1,9 @@
 //! The sweep orchestrator: parallel multi-seed, multi-variant runs.
 //!
 //! Experiments report means and confidence intervals over independent
-//! replications (different seeds, same configuration). Whole multiplexed
-//! world-runs are embarrassingly parallel; [`run_sweep`] — the one place
-//! simulations fan out — claims them through
+//! replications (different seeds, same configuration). Whole world-runs
+//! are embarrassingly parallel; [`run_sweep`] (every fan-out but E19's in
+//! `chlm-bench`, whose tracker is no report field) claims them through
 //! [`chlm_par::WorkerPool::run_indexed`], whose lock-free ticket counter
 //! plus index-addressed scatter makes the results byte-identical at any
 //! thread count and under `CHLM_SHUFFLE_MERGE` schedule fuzzing.
